@@ -18,6 +18,12 @@ use std::process::ExitCode;
 use sqlml_core::workload::{Workload, WorkloadScale, PREP_QUERY};
 use sqlml_sqlengine::{Engine, EngineConfig};
 
+/// Plans (fused) as a `HashJoin … project=[…]` with no `Project` above it;
+/// `main` fails if it stops doing so, since the corpus would then no
+/// longer cover that node shape.
+const PROJECTING_JOIN: &str = "SELECT U.age, C.amount, U.age AS age2, C.cartid \
+                               FROM carts C, users U WHERE C.userid = U.userid";
+
 /// Corpus queries: the paper's preparation query plus coverage of every
 /// plan node the planner can emit (filter, project, join, aggregate,
 /// distinct, sort, limit, scalar + table UDFs, and fusible chains).
@@ -36,6 +42,10 @@ fn corpus() -> Vec<String> {
          WHERE C.userid = U.userid GROUP BY U.country ORDER BY country LIMIT 5"
             .into(),
         "SELECT C.cartid, U.age FROM carts C LEFT JOIN users U ON C.userid = U.userid".into(),
+        // Projecting joins: a column-only Project folded into the join
+        // (reordered, repeated, both sides) — and one that must not fold.
+        PROJECTING_JOIN.into(),
+        "SELECT U.age + 1, C.amount FROM carts C, users U WHERE C.userid = U.userid".into(),
         "SELECT abs(amount - 50), round(amount, 1) FROM carts LIMIT 10".into(),
         "SELECT upper(country), length(gender) FROM users WHERE gender IS NOT NULL".into(),
         "SELECT cartid FROM carts WHERE abandoned IN ('yes', 'no') AND NOT nitems = 0".into(),
@@ -81,6 +91,13 @@ fn main() -> ExitCode {
                     eprintln!("planlint FAIL [{mode}] {sql}\n  {e}");
                 }
             }
+        }
+    }
+    match engine.explain(PROJECTING_JOIN) {
+        Ok(text) if text.contains("project=[") && !text.contains("Project") => {}
+        other => {
+            failures += 1;
+            eprintln!("planlint FAIL corpus lost its projecting-join plan: {other:?}");
         }
     }
     if failures == 0 {

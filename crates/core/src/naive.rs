@@ -18,7 +18,7 @@
 
 use std::collections::BTreeSet;
 
-use sqlml_common::schema::{DataType, Field, Schema};
+use sqlml_common::schema::Schema;
 use sqlml_common::{codec, Result, SqlmlError, Value};
 use sqlml_dfs::Dfs;
 use sqlml_transform::{FlatRecodeApplier, RecodeMap, TransformSpec};
@@ -44,13 +44,6 @@ pub fn run_external_transform(
     output_dir: &str,
 ) -> Result<ExternalTransformOutput> {
     let recode_columns = spec.effective_recode_columns(input_schema);
-    for d in &spec.dummy_code_columns {
-        if !recode_columns.iter().any(|c| c.eq_ignore_ascii_case(d)) {
-            return Err(SqlmlError::Plan(format!(
-                "dummy-code column {d:?} is not among the recoded columns"
-            )));
-        }
-    }
     let files: Vec<String> = dfs
         .list(&format!("{input_dir}/"))
         .into_iter()
@@ -86,36 +79,10 @@ pub fn run_external_transform(
     let recode_map = RecodeMap::from_pairs(all_pairs);
     recode_map.validate()?;
 
-    // Transformed schema: recoded columns become BIGINT; dummy-coded
-    // columns expand into K indicator columns.
-    let mut fields = Vec::new();
-    for f in input_schema.fields() {
-        let is_recoded = recode_columns
-            .iter()
-            .any(|c| c.eq_ignore_ascii_case(&f.name));
-        let is_dummy = spec
-            .dummy_code_columns
-            .iter()
-            .any(|c| c.eq_ignore_ascii_case(&f.name));
-        if is_dummy {
-            for v in recode_map.values_in_code_order(&f.name) {
-                fields.push(Field::new(
-                    format!("{}_{}", f.name, sanitize(&v)),
-                    DataType::Int,
-                ));
-            }
-        } else if is_recoded {
-            fields.push(Field::new(f.name.clone(), DataType::Int));
-        } else {
-            fields.push(f.clone());
-        }
-    }
-    let out_schema = Schema::new(fields);
-
     // ---- Job 2: transform each part-file and write the output. All
     // per-column resolution (which action, value→code table, block
-    // width) happens once here; the per-row work is a flat O(1) probe
-    // per categorical cell.
+    // width, transformed schema) happens once here; the per-row work is
+    // a flat O(1) probe per categorical cell.
     let applier = FlatRecodeApplier::new(&recode_map, input_schema, spec)?;
     let row_counts: Vec<usize> = parallel_over_files(&files, |path| {
         let text = dfs.read_string(path)?;
@@ -135,7 +102,7 @@ pub fn run_external_transform(
 
     Ok(ExternalTransformOutput {
         output_dir: output_dir.to_string(),
-        schema: out_schema,
+        schema: applier.output_schema().clone(),
         recode_map,
         rows: row_counts.iter().sum(),
     })
@@ -163,16 +130,11 @@ where
     })
 }
 
-fn sanitize(v: &str) -> String {
-    v.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sqlml_common::row;
+    use sqlml_common::schema::{DataType, Field};
     use sqlml_dfs::DfsConfig;
 
     fn input_schema() -> Schema {

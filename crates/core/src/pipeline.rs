@@ -21,9 +21,11 @@ use crate::naive::run_external_transform;
 pub enum Strategy {
     /// SQL → DFS → external transform → DFS → ML.
     Naive,
-    /// SQL+UDF transform (pipelined) → DFS → ML.
+    /// Prep query materialized in the engine, In-SQL UDF transform of
+    /// that table (two passes, or one with a cached map) → DFS → ML.
     InSql,
-    /// SQL+UDF transform → parallel streaming → ML. No file system.
+    /// Same prep + In-SQL transform → parallel streaming → ML. No file
+    /// system.
     InSqlStream,
 }
 
@@ -275,10 +277,11 @@ impl<'c> Pipeline<'c> {
         let mut timer = StageTimer::new();
 
         let staged = (|| {
-            // Stage 1 (pipelined): prep query + In-SQL transformation,
-            // then one materialization onto the DFS for the hand-off.
+            // Stage 1 (one bar, as in Figure 3): prep query + In-SQL
+            // transformation inside the engine, then one materialization
+            // onto the DFS for the hand-off.
             let (transformed, cache_use) = timer.time("prep+trsfm", || {
-                let out = self.prepare_and_transform(req)?;
+                let out = self.prepare_and_transform(req, cancel)?;
                 out.0.save_text(dfs, &dir_tfm)?;
                 Ok::<_, SqlmlError>(out)
             })?;
@@ -325,7 +328,7 @@ impl<'c> Pipeline<'c> {
         // Prep + transform inside the engine (possibly from cache), then
         // stream straight into the freshly launched ML job — nothing
         // touches the file system.
-        let (transformed, cache_use) = self.prepare_and_transform(req)?;
+        let (transformed, cache_use) = self.prepare_and_transform(req, cancel)?;
         cancel.check("prep+trsfm")?;
         let tmp = format!(
             "__pipeline_stream_{}",
@@ -361,10 +364,12 @@ impl<'c> Pipeline<'c> {
     // -- shared -----------------------------------------------------------
 
     /// Produce the transformed table for a request, consulting the cache
-    /// first (§5) and populating it afterwards.
+    /// first (§5) and populating it afterwards. `cancel` is polled
+    /// between the prep CTAS and the transform.
     fn prepare_and_transform(
         &self,
         req: &PipelineRequest,
+        cancel: &CancelToken,
     ) -> Result<(PartitionedTable, CacheMode)> {
         let engine = &self.cluster.engine;
         let descriptor = self.describe(&req.prep_sql)?;
@@ -390,10 +395,11 @@ impl<'c> Pipeline<'c> {
             RUN_SEQ.fetch_add(1, Ordering::Relaxed)
         );
         engine.execute(&format!("CREATE TABLE {tmp} AS {}", req.prep_sql))?;
-        let result = match &cached_map {
+        // The temp table is dropped on every exit, a cancel included.
+        let result = cancel.check("prep").and_then(|()| match &cached_map {
             Some(map) => self.transformer.transform_with_map(&tmp, &req.spec, map),
             None => self.transformer.transform(&tmp, &req.spec),
-        };
+        });
         engine.execute(&format!("DROP TABLE {tmp}"))?;
         let out = result?;
         let cache_use = if cached_map.is_some() {
@@ -566,5 +572,43 @@ mod tests {
             young_pricey > old_cheap,
             "SVM learned no signal: {young_pricey} vs {old_cheap}"
         );
+    }
+
+    #[test]
+    fn cancel_fired_during_prep_is_seen_before_the_transform() {
+        use sqlml_sqlengine::udf::ScalarFn;
+        let cluster = cluster();
+        let pipeline = Pipeline::new(&cluster);
+        for strategy in [Strategy::InSql, Strategy::InSqlStream] {
+            // The token fires from inside the preparation query, so the
+            // first checkpoint that can observe it is the one between
+            // the prep CTAS and the transform.
+            let cancel = CancelToken::new();
+            let trip = cancel.clone();
+            cluster
+                .engine
+                .register_scalar_udf(Arc::new(ScalarFn::new("trip", move |_| {
+                    trip.cancel("fired mid-prep");
+                    Ok(sqlml_common::Value::Double(1.0))
+                })));
+            let req = PipelineRequest {
+                prep_sql: format!("{PREP_QUERY} AND trip(U.age) > 0.0"),
+                ..request()
+            };
+            let err = pipeline.run_with(&req, strategy, &cancel).unwrap_err();
+            assert!(err.is_cancelled(), "{strategy:?}: {err}");
+            assert!(
+                err.to_string().contains("prep: fired mid-prep"),
+                "{strategy:?} ran the transform before noticing: {err}"
+            );
+            let leaked: Vec<String> = cluster
+                .engine
+                .catalog()
+                .table_names()
+                .into_iter()
+                .filter(|t| t.starts_with("__pipeline_prep_"))
+                .collect();
+            assert!(leaked.is_empty(), "{strategy:?} leaked {leaked:?}");
+        }
     }
 }

@@ -241,19 +241,20 @@ impl Engine {
         Ok(self.plan(&stmt)?.explain())
     }
 
-    /// Apply a registered table UDF directly to a table (API-level
-    /// equivalent of `SELECT * FROM TABLE(udf(t, args...))`).
+    /// Run a table UDF *instance* over a table, once per partition in
+    /// parallel on the worker pool — what `SELECT * FROM TABLE(udf(t,
+    /// args...))` does, minus the catalog: the instance can carry state
+    /// built for this one call (the In-SQL transformer's recode applier),
+    /// and concurrent callers on one engine share no registered name.
     pub fn apply_table_udf(
         &self,
         input: &PartitionedTable,
-        udf_name: &str,
+        udf: &dyn TableUdf,
         args: &[sqlml_common::Value],
     ) -> Result<PartitionedTable> {
-        let udf = self.catalog.table_udf(udf_name)?;
         let out_schema = udf.output_schema(input.schema(), args)?;
-        let input_schema = input.schema().clone();
         let mapped = crate::executor::map_partitions(input, &self.ctx, |rows, pctx| {
-            udf.execute(rows, &input_schema, args, pctx)
+            udf.execute(rows, input.schema(), args, pctx)
         })?;
         Ok(PartitionedTable::from_shared(
             out_schema,

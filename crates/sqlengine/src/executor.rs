@@ -107,9 +107,18 @@ pub fn execute(plan: &Plan, ctx: &ExecContext) -> Result<PartitionedTable> {
             right_keys,
             kind,
             build,
+            project,
             schema,
         } => execute_join(
-            left, right, left_keys, right_keys, *kind, *build, schema, ctx,
+            left,
+            right,
+            left_keys,
+            right_keys,
+            *kind,
+            *build,
+            project.as_deref(),
+            schema,
+            ctx,
         ),
 
         Plan::Distinct { input } => {
@@ -429,6 +438,7 @@ fn execute_join(
     right_keys: &[Expr],
     kind: JoinKind,
     build: BuildSide,
+    project: Option<&[usize]>,
     schema: &sqlml_common::Schema,
     ctx: &ExecContext,
 ) -> Result<PartitionedTable> {
@@ -475,8 +485,23 @@ fn execute_join(
         }
     }
 
+    let left_width = left_data.schema().len();
     let right_width = right_data.schema().len();
-    let null_tail = Row::new(vec![Value::Null; right_width]);
+    // Output layout is always (left ++ right), or the `project` columns
+    // of it; an unmatched left-outer row sees an all-NULL right side.
+    let null_right = Row::new(vec![Value::Null; right_width]);
+    let emit = |l: &Row, r: &Row| -> Row {
+        match project {
+            None => l.concat(r),
+            Some(cols) => cols
+                .iter()
+                .map(|&c| match c.checked_sub(left_width) {
+                    None => l.get(c).clone(),
+                    Some(rc) => r.get(rc).clone(),
+                })
+                .collect(),
+        }
+    };
     let build_parts = build_data.partitions();
     let cross_ids: Vec<(u32, u32)> = if is_cross {
         let mut ids = Vec::new();
@@ -513,17 +538,15 @@ fn execute_join(
                 Some(ids) => {
                     for &(pi, ri) in ids {
                         let m = &build_parts[pi as usize][ri as usize];
-                        // Output layout is always (left ++ right).
-                        let joined = match build {
-                            BuildSide::Right => probe_row.concat(m),
-                            BuildSide::Left => m.concat(probe_row),
-                        };
-                        out.push(joined);
+                        out.push(match build {
+                            BuildSide::Right => emit(probe_row, m),
+                            BuildSide::Left => emit(m, probe_row),
+                        });
                     }
                 }
                 None => {
                     if kind == JoinKind::LeftOuter {
-                        out.push(probe_row.concat(&null_tail));
+                        out.push(emit(probe_row, &null_right));
                     }
                 }
             }

@@ -12,7 +12,12 @@
 //! * **operator fusion** — chains of `Filter`/`Project`/`TableUdfScan`
 //!   collapse into one [`Plan::Fused`] node that the executor runs as a
 //!   single `map_partitions` pass, so the intermediate per-partition
-//!   `Vec<Row>`s between those operators never materialize.
+//!   `Vec<Row>`s between those operators never materialize;
+//! * **projecting joins** — the same pass folds a column-only `Project`
+//!   sitting directly on a `HashJoin` into the join (`project:
+//!   Some(cols)`), so the probe emits the projected row straight from the
+//!   two input rows and the full-width `left ++ right` row is never
+//!   allocated. The paper's preparation query is exactly this shape.
 
 use sqlml_common::Value;
 
@@ -36,6 +41,7 @@ pub fn optimize_unfused(plan: Plan) -> Plan {
             left_keys,
             right_keys,
             kind,
+            project,
             schema,
             ..
         } => {
@@ -56,6 +62,7 @@ pub fn optimize_unfused(plan: Plan) -> Plan {
                 right_keys,
                 kind,
                 build,
+                project,
                 schema,
             }
         }
@@ -124,10 +131,22 @@ pub fn optimize_unfused(plan: Plan) -> Plan {
     }
 }
 
+/// `Some(cols)` when every expression is a bare column reference.
+fn column_refs(exprs: &[Expr]) -> Option<Vec<usize>> {
+    exprs
+        .iter()
+        .map(|e| match e {
+            Expr::Col(i) => Some(*i),
+            _ => None,
+        })
+        .collect()
+}
+
 /// Fusion pass: collapse maximal `Filter`/`Project`/`TableUdfScan`
 /// chains into [`Plan::Fused`] nodes. Single-operator "chains" are left
 /// as plain nodes — fusing them buys nothing and keeps EXPLAIN output
-/// familiar.
+/// familiar. A column-only `Project` directly on a `HashJoin` ends the
+/// chain by becoming the join's `project` list instead of a stage.
 fn fuse(plan: Plan) -> Plan {
     match plan {
         Plan::Filter { .. } | Plan::Project { .. } | Plan::TableUdfScan { .. } => {
@@ -142,10 +161,40 @@ fn fuse(plan: Plan) -> Plan {
                         rev_stages.push(FusedStage::Filter(predicate));
                         cur = *input;
                     }
-                    Plan::Project { input, exprs, .. } => {
-                        rev_stages.push(FusedStage::Project { exprs });
-                        cur = *input;
-                    }
+                    Plan::Project {
+                        input,
+                        exprs,
+                        schema,
+                    } => match (column_refs(&exprs), *input) {
+                        (
+                            Some(cols),
+                            Plan::HashJoin {
+                                left,
+                                right,
+                                left_keys,
+                                right_keys,
+                                kind,
+                                build,
+                                project: None,
+                                ..
+                            },
+                        ) => {
+                            break Plan::HashJoin {
+                                left,
+                                right,
+                                left_keys,
+                                right_keys,
+                                kind,
+                                build,
+                                project: Some(cols),
+                                schema,
+                            }
+                        }
+                        (_, input) => {
+                            rev_stages.push(FusedStage::Project { exprs });
+                            cur = input;
+                        }
+                    },
                     Plan::TableUdfScan {
                         udf, input, args, ..
                     } => {
@@ -160,6 +209,10 @@ fn fuse(plan: Plan) -> Plan {
                 }
             };
             let input = Box::new(fuse(tail));
+            if rev_stages.is_empty() {
+                // The whole chain was one Project folded into its join.
+                return *input;
+            }
             if rev_stages.len() == 1 {
                 // Rebuild the plain single-operator node.
                 if let Some(stage) = rev_stages.pop() {
@@ -193,6 +246,7 @@ fn fuse(plan: Plan) -> Plan {
             right_keys,
             kind,
             build,
+            project,
             schema,
         } => Plan::HashJoin {
             left: Box::new(fuse(*left)),
@@ -201,6 +255,7 @@ fn fuse(plan: Plan) -> Plan {
             right_keys,
             kind,
             build,
+            project,
             schema,
         },
         Plan::Distinct { input } => Plan::Distinct {
@@ -259,6 +314,7 @@ mod tests {
             right_keys: vec![Expr::Col(0)],
             kind,
             build: BuildSide::Right,
+            project: None,
             schema,
         }
     }
@@ -373,5 +429,109 @@ mod tests {
         };
         let p = optimize(outer);
         assert_eq!(p.estimated_rows(), 10); // 160 / 4 / 4
+    }
+
+    fn project(input: Plan, exprs: Vec<Expr>) -> Plan {
+        let fields = (0..exprs.len())
+            .map(|i| Field::new(format!("p{i}"), DataType::Int))
+            .collect();
+        Plan::Project {
+            input: Box::new(input),
+            exprs,
+            schema: Schema::new(fields),
+        }
+    }
+
+    #[test]
+    fn column_only_project_folds_into_the_join_beneath_it() {
+        let p = optimize(project(
+            join(JoinKind::Inner, scan(1000), scan(10)),
+            vec![Expr::Col(1), Expr::Col(0), Expr::Col(1)],
+        ));
+        match &p {
+            Plan::HashJoin {
+                project, schema, ..
+            } => {
+                assert_eq!(project.as_deref(), Some(&[1usize, 0, 1][..]));
+                // The join takes over the Project's output names.
+                assert_eq!(schema.names(), vec!["p0", "p1", "p2"]);
+            }
+            other => panic!("expected a projecting HashJoin, got {other:?}"),
+        }
+        assert!(p.explain().contains("project=[#1, #0, #1] -> p0, p1, p2"));
+    }
+
+    #[test]
+    fn computed_project_stays_above_the_join() {
+        let p = optimize(project(
+            join(JoinKind::Inner, scan(1000), scan(10)),
+            vec![Expr::Col(0), Expr::Neg(Box::new(Expr::Col(1)))],
+        ));
+        match p {
+            Plan::Project { input, .. } => {
+                assert!(matches!(*input, Plan::HashJoin { project: None, .. }))
+            }
+            other => panic!("expected Project over HashJoin, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn stages_above_a_folded_project_keep_their_chain() {
+        // Filter over Project over Join: the Project folds, the Filter
+        // stays a plain node on the projecting join. A second Project on
+        // top of that join is a stage, not a second fold.
+        let folded = project(
+            join(JoinKind::LeftOuter, scan(10), scan(10)),
+            vec![Expr::Col(1)],
+        );
+        let p = optimize(project(
+            Plan::Filter {
+                input: Box::new(folded),
+                predicate: Expr::Lit(Value::Bool(false)),
+            },
+            vec![Expr::Col(0)],
+        ));
+        match p {
+            Plan::Fused { stages, input, .. } => {
+                assert!(matches!(stages[0], FusedStage::Filter(_)));
+                assert!(matches!(stages[1], FusedStage::Project { .. }));
+                assert!(matches!(
+                    *input,
+                    Plan::HashJoin {
+                        project: Some(_),
+                        ..
+                    }
+                ));
+            }
+            other => panic!("expected Fused over a projecting HashJoin, got {other:?}"),
+        }
+        let twice = optimize(project(
+            project(
+                join(JoinKind::Inner, scan(10), scan(10)),
+                vec![Expr::Col(1)],
+            ),
+            vec![Expr::Col(0)],
+        ));
+        match twice {
+            Plan::Project { input, .. } => {
+                assert!(matches!(
+                    *input,
+                    Plan::HashJoin {
+                        project: Some(_),
+                        ..
+                    }
+                ))
+            }
+            other => panic!("expected Project over a projecting HashJoin, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unfused_reference_path_never_folds() {
+        let p = optimize_unfused(project(
+            join(JoinKind::Inner, scan(1000), scan(10)),
+            vec![Expr::Col(0)],
+        ));
+        assert!(matches!(p, Plan::Project { .. }));
     }
 }

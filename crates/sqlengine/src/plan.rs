@@ -75,6 +75,13 @@ pub enum Plan {
         right_keys: Vec<Expr>,
         kind: JoinKind,
         build: BuildSide,
+        /// `None`: the probe emits `left ++ right`. `Some(cols)`: a
+        /// projecting join — the probe emits exactly those columns of
+        /// `left ++ right`, in that order, and the concatenated row is
+        /// never built. Produced by the optimizer folding a column-only
+        /// `Project` into the join beneath it.
+        project: Option<Vec<usize>>,
+        /// Output schema (already projected when `project` is set).
         schema: Schema,
     },
     /// Duplicate elimination over full rows (two-phase in the executor).
@@ -195,11 +202,21 @@ impl Plan {
                 right_keys,
                 kind,
                 build,
-                ..
+                project,
+                schema,
             } => {
                 out.push_str(&format!(
-                    "{pad}HashJoin {kind:?} build={build:?} on {left_keys:?} = {right_keys:?}\n"
+                    "{pad}HashJoin {kind:?} build={build:?} on {left_keys:?} = {right_keys:?}"
                 ));
+                if let Some(cols) = project {
+                    let cols: Vec<String> = cols.iter().map(|c| format!("#{c}")).collect();
+                    out.push_str(&format!(
+                        " project=[{}] -> {}",
+                        cols.join(", "),
+                        schema.names().join(", ")
+                    ));
+                }
+                out.push('\n');
                 left.fmt_tree(depth + 1, out);
                 right.fmt_tree(depth + 1, out);
             }

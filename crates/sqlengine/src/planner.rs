@@ -247,6 +247,7 @@ impl<'a> Planner<'a> {
                 right_keys,
                 kind,
                 build: BuildSide::Right,
+                project: None,
                 schema,
             };
             joined.insert(k);

@@ -25,9 +25,11 @@
 //! * **Filter** predicates (plain or fused) evaluate to `BOOLEAN`.
 //! * **Project / Aggregate / HashJoin / TableUdfScan** — the declared
 //!   output schema agrees column-by-column with the types derived from
-//!   the inputs (for joins: left ⧺ right; for aggregates: group columns
-//!   then aggregate results; for UDFs: whatever `output_schema` reports,
-//!   which also re-checks the UDF's literal-argument signature/arity).
+//!   the inputs (for joins: left ⧺ right, or for a projecting join the
+//!   `project` columns of it, each in range; for aggregates: group
+//!   columns then aggregate results; for UDFs: whatever `output_schema`
+//!   reports, which also re-checks the UDF's literal-argument
+//!   signature/arity).
 //! * **Sort** keys index into the input schema.
 //! * **Fused** — the stage chain type-checks stage by stage, each
 //!   `FusedStage::Udf`'s captured `input_schema` matches the running
@@ -348,6 +350,7 @@ pub fn validate(plan: &Plan, catalog: &Catalog) -> Result<Schema> {
             right,
             left_keys,
             right_keys,
+            project,
             schema,
             ..
         } => {
@@ -373,16 +376,29 @@ pub fn validate(plan: &Plan, catalog: &Catalog) -> Result<Schema> {
                     ));
                 }
             }
-            let derived = ls.join(&rs);
-            if !schemas_equal(&derived, schema) {
-                return Err(fail(
-                    "HashJoin",
-                    format!(
-                        "schema mismatch: sides join to [{}] but node declares [{}]",
-                        derived.names().join(", "),
-                        schema.names().join(", ")
-                    ),
-                ));
+            let joined = ls.join(&rs);
+            match project {
+                None => {
+                    if !schemas_equal(&joined, schema) {
+                        return Err(fail(
+                            "HashJoin",
+                            format!(
+                                "schema mismatch: sides join to [{}] but node declares [{}]",
+                                joined.names().join(", "),
+                                schema.names().join(", ")
+                            ),
+                        ));
+                    }
+                }
+                // A projecting join is a column-only Project folded in:
+                // same range and type rules, names are the Project's.
+                Some(cols) => {
+                    let derived: Vec<DataType> = cols
+                        .iter()
+                        .map(|c| expr_type(&Expr::Col(*c), &joined, "HashJoin project"))
+                        .collect::<Result<_>>()?;
+                    check_types_match(&derived, schema, "HashJoin project")?;
+                }
             }
             Ok(schema.clone())
         }
@@ -599,5 +615,47 @@ mod tests {
         };
         let err = validate(&plan, &cat).unwrap_err().to_string();
         assert!(err.contains("arithmetic"), "{err}");
+    }
+
+    fn self_join(t: &Arc<PartitionedTable>, project: Option<Vec<usize>>, schema: Schema) -> Plan {
+        Plan::HashJoin {
+            left: Box::new(scan(t)),
+            right: Box::new(scan(t)),
+            left_keys: vec![Expr::Col(0)],
+            right_keys: vec![Expr::Col(0)],
+            kind: crate::ast::JoinKind::Inner,
+            build: crate::plan::BuildSide::Right,
+            project,
+            schema,
+        }
+    }
+
+    #[test]
+    fn projecting_join_is_checked_like_a_project_over_the_join() {
+        let (cat, t) = catalog_with_t();
+        // (a, s) ⋈ (a, s) projected to (right.s, left.a).
+        let ok = Schema::new(vec![
+            Field::new("rs", DataType::Str),
+            Field::new("la", DataType::Int),
+        ]);
+        assert!(validate(&self_join(&t, Some(vec![3, 0]), ok.clone()), &cat).is_ok());
+
+        let err = validate(&self_join(&t, Some(vec![4, 0]), ok.clone()), &cat)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("HashJoin project"), "{err}");
+        assert!(err.contains("column reference #4 out of range"), "{err}");
+
+        // Declared VARCHAR, BIGINT but the columns picked are BIGINT, BIGINT.
+        let err = validate(&self_join(&t, Some(vec![2, 0]), ok.clone()), &cat)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("declared VARCHAR but derives BIGINT"), "{err}");
+
+        // Without a projection the declared schema must be left ++ right.
+        let err = validate(&self_join(&t, None, ok), &cat)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("sides join to"), "{err}");
     }
 }

@@ -1,20 +1,24 @@
-//! Flat, index-resolved recode application.
+//! Flat, index-resolved recode application — pass 2 of the transform,
+//! shared by the In-SQL path and the naive baseline's external job.
 //!
 //! [`RecodeMap::code`] walks two nested `BTreeMap<String, _>`s — a
 //! column probe then a value probe, both O(log n) with string
 //! comparisons at every tree node. Applying a map to millions of rows
-//! that way is the dominant cost of the external (naive) transform job.
+//! that way would dominate either path.
 //!
 //! A [`FlatRecodeApplier`] resolves everything that is per-*column* —
-//! which action applies, the value→code table, the dummy block width —
-//! exactly once, into a dense `Vec` indexed by column position. Per cell
-//! the work left is a single `HashMap<Arc<str>, i64>` probe (O(1),
-//! hashed once), and non-categorical cells are a straight clone (a
-//! refcount bump for interned strings).
+//! which action applies, the value→code table, the dummy block width,
+//! the transformed schema — exactly once, into a dense `Vec` indexed by
+//! column position. Per cell the work left is a single
+//! `HashMap<Arc<str>, i64>` probe (O(1), hashed once), and
+//! non-categorical cells are a straight clone (a refcount bump for
+//! interned strings). One call to [`FlatRecodeApplier::apply`] recodes
+//! and dummy-codes every column of a row at once.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use sqlml_common::schema::{DataType, Field};
 use sqlml_common::{Result, Row, Schema, SqlmlError, Value};
 
 use crate::pipeline::TransformSpec;
@@ -38,69 +42,102 @@ enum ColumnAction {
 }
 
 /// A recode/dummy applier with all per-column resolution done up front.
-/// Build once per partition (or per job), then call [`Self::apply`] per
-/// row.
+/// Build once per job, then call [`Self::apply`] per row. It is also the
+/// single source of the transformed schema ([`Self::output_schema`]).
 pub struct FlatRecodeApplier {
     actions: Vec<ColumnAction>,
-    out_width: usize,
+    out_schema: Schema,
+}
+
+/// Name of the indicator column for `value` of dummy-coded `column`:
+/// `column_<value with every non-alphanumeric character as '_'>`.
+pub(crate) fn indicator_name(column: &str, value: &str) -> String {
+    let safe: String = value
+        .chars()
+        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+        .collect();
+    format!("{column}_{safe}")
 }
 
 impl FlatRecodeApplier {
     /// Resolve `spec` + `map` against `schema` into per-column actions.
+    /// Fails when a recode column is not in `schema`, or a dummy-code
+    /// column is not among the recoded columns or has no values in `map`
+    /// (its block would silently vanish).
     pub fn new(
         map: &RecodeMap,
         schema: &Schema,
         spec: &TransformSpec,
     ) -> Result<FlatRecodeApplier> {
         let recode_columns = spec.effective_recode_columns(schema);
+        let named_in =
+            |list: &[String], name: &str| list.iter().any(|c| c.eq_ignore_ascii_case(name));
+        for c in &recode_columns {
+            schema.index_of(c)?;
+        }
+        for d in &spec.dummy_code_columns {
+            if !named_in(&recode_columns, d) {
+                return Err(SqlmlError::Plan(format!(
+                    "dummy-code column {d:?} is not among the recoded columns"
+                )));
+            }
+        }
         let mut actions = Vec::with_capacity(schema.len());
-        let mut out_width = 0;
+        let mut fields = Vec::with_capacity(schema.len());
         for f in schema.fields() {
-            let is_recoded = recode_columns
-                .iter()
-                .any(|c| c.eq_ignore_ascii_case(&f.name));
-            let is_dummy = spec
-                .dummy_code_columns
-                .iter()
-                .any(|c| c.eq_ignore_ascii_case(&f.name));
-            if !is_recoded && !is_dummy {
+            if !named_in(&recode_columns, &f.name) {
                 actions.push(ColumnAction::Pass);
-                out_width += 1;
+                fields.push(f.clone());
                 continue;
             }
             let codes: HashMap<Arc<str>, i64> = map
                 .column_codes(&f.name)
                 .map(|m| m.iter().map(|(v, c)| (Arc::from(v.as_str()), *c)).collect())
                 .unwrap_or_default();
-            if is_dummy {
-                let k = codes.len();
+            if named_in(&spec.dummy_code_columns, &f.name) {
+                let values = map.values_in_code_order(&f.name);
+                if values.is_empty() {
+                    return Err(SqlmlError::Plan(format!(
+                        "no recode map entries for dummy-code column {:?}",
+                        f.name
+                    )));
+                }
+                fields.extend(
+                    values
+                        .iter()
+                        .map(|v| Field::new(indicator_name(&f.name, v), DataType::Int)),
+                );
                 actions.push(ColumnAction::Dummy {
                     name: f.name.clone(),
                     codes,
-                    k,
+                    k: values.len(),
                 });
-                out_width += k;
             } else {
+                fields.push(Field::new(f.name.clone(), DataType::Int));
                 actions.push(ColumnAction::Recode {
                     name: f.name.clone(),
                     codes,
                 });
-                out_width += 1;
             }
         }
-        Ok(FlatRecodeApplier { actions, out_width })
+        Ok(FlatRecodeApplier {
+            actions,
+            out_schema: Schema::new(fields),
+        })
     }
 
-    /// Width of the transformed row.
-    pub fn output_width(&self) -> usize {
-        self.out_width
+    /// The transformed schema: untouched columns as they were, recoded
+    /// columns as `Int`, each dummy-coded column replaced in place by its
+    /// `Int` indicator columns `col_<sanitized value>` in code order.
+    pub fn output_schema(&self) -> &Schema {
+        &self.out_schema
     }
 
     /// Transform one row: recode categorical values, expand dummy
     /// blocks. Matches [`RecodeMap::code`]-based application value for
     /// value (the property tests assert this).
     pub fn apply(&self, row: &Row) -> Result<Row> {
-        let mut values = Vec::with_capacity(self.out_width);
+        let mut values = Vec::with_capacity(self.out_schema.len());
         for (i, action) in self.actions.iter().enumerate() {
             let v = row.get(i);
             match action {
@@ -170,7 +207,7 @@ mod tests {
         let a = FlatRecodeApplier::new(&map(), &schema(), &spec).unwrap();
         let out = a.apply(&row![30i64, "F", "Yes"]).unwrap();
         assert_eq!(out, row![30i64, 1i64, 2i64]);
-        assert_eq!(a.output_width(), 3);
+        assert_eq!(a.output_schema().names(), ["age", "gender", "abandoned"]);
     }
 
     #[test]
@@ -180,7 +217,15 @@ mod tests {
         // F -> (1, 0); abandoned recodes.
         let out = a.apply(&row![30i64, "F", "No"]).unwrap();
         assert_eq!(out, row![30i64, 1i64, 0i64, 1i64]);
-        assert_eq!(a.output_width(), 4);
+        assert_eq!(
+            a.output_schema().names(),
+            ["age", "gender_F", "gender_M", "abandoned"]
+        );
+        assert!(a
+            .output_schema()
+            .fields()
+            .iter()
+            .all(|f| f.data_type == DataType::Int));
         // NULL gender -> all-zero block.
         let out = a
             .apply(&Row::new(vec![
@@ -205,5 +250,29 @@ mod tests {
         let a = FlatRecodeApplier::new(&map(), &schema(), &spec).unwrap();
         let bad = Row::new(vec![Value::Int(30), Value::Int(7), Value::Str("No".into())]);
         assert!(a.apply(&bad).is_err());
+    }
+
+    #[test]
+    fn specs_that_would_silently_lose_columns_are_rejected() {
+        let new = |spec: &TransformSpec| FlatRecodeApplier::new(&map(), &schema(), spec);
+        // A recode column the table does not have.
+        assert!(new(&TransformSpec {
+            recode_columns: vec!["country".into()],
+            dummy_code_columns: vec![],
+        })
+        .is_err());
+        // A dummy-code column that is not recoded.
+        assert!(new(&TransformSpec {
+            recode_columns: vec!["gender".into()],
+            dummy_code_columns: vec!["abandoned".into()],
+        })
+        .is_err());
+        // A dummy-code column the map has no values for: zero indicators.
+        let partial = RecodeMap::from_pairs(vec![("abandoned".into(), "No".into())]);
+        let err = FlatRecodeApplier::new(&partial, &schema(), &TransformSpec::new(&["gender"]))
+            .err()
+            .map(|e| e.to_string())
+            .unwrap_or_default();
+        assert!(err.contains("no recode map entries"), "{err}");
     }
 }

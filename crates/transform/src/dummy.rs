@@ -1,4 +1,7 @@
-//! Dummy coding / one-hot encoding (§2.2).
+//! Dummy coding / one-hot encoding (§2.2) as a standalone table UDF over
+//! an already recoded column — the statement-per-step form the §4
+//! rewriter's script uses. [`crate::InSqlTransformer`] does recoding and
+//! dummy coding in one pass through [`crate::FlatRecodeApplier`] instead.
 
 use sqlml_common::schema::{DataType, Field};
 use sqlml_common::{Result, Row, Schema, SqlmlError, Value};
@@ -21,7 +24,7 @@ fn expanded_schema(input: &Schema, col: &str, values: &[String]) -> Result<(usiz
         if i == idx {
             for v in values {
                 fields.push(Field::new(
-                    format!("{}_{}", f.name, sanitize(v)),
+                    crate::apply::indicator_name(&f.name, v),
                     DataType::Int,
                 ));
             }
@@ -30,13 +33,6 @@ fn expanded_schema(input: &Schema, col: &str, values: &[String]) -> Result<(usiz
         }
     }
     Ok((idx, Schema::new(fields)))
-}
-
-/// Column-name-safe rendering of a categorical value.
-fn sanitize(v: &str) -> String {
-    v.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
 }
 
 fn parse_args(args: &[Value]) -> Result<(String, Vec<String>)> {

@@ -5,20 +5,28 @@
 //! transformations **inside the SQL engine** as parallel table UDFs plus
 //! generated SQL, exploiting the engine's partition parallelism:
 //!
-//! * **Recoding of categorical variables** ([`recode`]) — the two-phase
-//!   distributed algorithm: phase 1 computes per-partition distinct
-//!   values via the `distinct_values` table UDF and merges them with
-//!   `SELECT DISTINCT`; phase 2 recodes via a join against the recode-map
-//!   table (the exact query shape of §2.1). Recoded values are
-//!   consecutive integers starting at 1 (the SystemML requirement the
-//!   paper cites).
+//! * **Recoding of categorical variables** ([`recode`]) — the two-pass
+//!   distributed algorithm. Pass 1 computes per-partition distinct
+//!   values via the `distinct_values` table UDF, merges them with
+//!   `SELECT DISTINCT` and numbers them with `assign_recode_ids`; the
+//!   result is a [`RecodeMap`]. Recoded values are consecutive integers
+//!   starting at 1 (the SystemML requirement the paper cites).
+//! * **Pass 2** ([`apply`]) — one parallel per-partition table-UDF pass
+//!   that recodes *and* dummy-codes every column of a row at once with
+//!   O(1) probes ([`FlatRecodeApplier`], which also owns the transformed
+//!   schema). §2.1 words this pass as a join against the recode-map
+//!   table; that join-per-column SQL is what `sqlml-rewriter`'s script
+//!   emits, and the differential tests hold this pass to it row for row.
+//!   The naive baseline's external job applies the same applier, so a
+//!   NULL or an unseen value means the same thing under every strategy.
 //! * **Dummy coding** ([`dummy`]) — one-hot expansion of a recoded
-//!   column into K binary columns via the `dummy_code` table UDF.
+//!   column into K binary columns as the standalone `dummy_code` table
+//!   UDF (the rewriter script's form).
 //! * **Effect and orthogonal (Helmert) coding** ([`effect`]) — the "less
 //!   common transformations" §2 mentions, implemented the same way.
-//! * **The pipeline** ([`pipeline`]) — orchestrates query → recode →
-//!   dummy code, optionally reusing a cached recode map (§5.2's
-//!   optimization: skipping one of the two passes).
+//! * **The pipeline** ([`pipeline`]) — [`InSqlTransformer`]: pass 1 then
+//!   pass 2 over a prepared table, or pass 2 alone with a cached recode
+//!   map (§5.2's optimization: skipping one of the two passes).
 
 pub mod apply;
 pub mod dummy;

@@ -1,15 +1,18 @@
-//! The In-SQL transformation pipeline: orchestrates the two-phase recode
-//! and dummy coding entirely through SQL statements and table UDFs, so
-//! everything runs inside the SQL engine with its partition parallelism
-//! (the paper's "In-SQL transformation" approach).
+//! The In-SQL transformation pipeline: two passes over the prepared
+//! table, both inside the SQL engine with its partition parallelism (the
+//! paper's "In-SQL transformation" approach). Pass 1 builds the recode
+//! map through SQL statements and table UDFs; pass 2 is one parallel
+//! per-partition table-UDF pass that recodes and dummy-codes every
+//! column at once, producing the transformed table directly.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sqlml_common::{Result, Schema, SqlmlError};
-use sqlml_sqlengine::{Engine, PartitionedTable};
+use sqlml_common::{Result, Row, Schema, SqlmlError, Value};
+use sqlml_sqlengine::{Engine, PartitionCtx, PartitionedTable, TableUdf};
 
+use crate::apply::FlatRecodeApplier;
 use crate::dummy::DummyCodeUdf;
 use crate::effect::{EffectCodeUdf, OrthogonalCodeUdf};
 use crate::recode::{AssignRecodeIdsUdf, DistinctValuesUdf, RecodeMap};
@@ -63,7 +66,7 @@ pub struct TransformOutput {
     /// Time spent building the recode map (zero when a cached map was
     /// supplied).
     pub map_build: Duration,
-    /// Time spent applying recode join + dummy coding.
+    /// Time spent in pass 2 (recoding + dummy coding).
     pub apply: Duration,
 }
 
@@ -141,69 +144,14 @@ impl InSqlTransformer {
         Ok(map)
     }
 
-    /// Register a recode map as a catalog table (the `M` table); returns
-    /// its name.
-    pub fn register_recode_map(&self, map: &RecodeMap) -> String {
-        let name = temp_name("recodemap");
-        self.engine.register_table(
-            &name,
-            PartitionedTable::single(crate::recode::recode_map_schema(), map.to_rows()),
-        );
-        name
-    }
-
-    /// Generate the §2.1 phase-2 recoding join:
-    /// `SELECT T.a, M1.recodeval AS g, ... FROM t T, m M1, ... WHERE ...`.
-    pub fn recode_join_sql(
-        &self,
-        table: &str,
-        schema: &Schema,
-        recode_columns: &[String],
-        map_table: &str,
-    ) -> Result<String> {
-        let mut projections = Vec::with_capacity(schema.len());
-        let mut froms = vec![format!("{table} T")];
-        let mut predicates = Vec::new();
-        for field in schema.fields() {
-            if let Some(pos) = recode_columns
-                .iter()
-                .position(|c| c.eq_ignore_ascii_case(&field.name))
-            {
-                let alias = format!("M{pos}");
-                projections.push(format!("{alias}.recodeval AS {}", field.name));
-                froms.push(format!("{map_table} AS {alias}"));
-                predicates.push(format!("{alias}.colname = '{}'", field.name));
-                predicates.push(format!("T.{} = {alias}.colval", field.name));
-            } else {
-                projections.push(format!("T.{}", field.name));
-            }
-        }
-        for c in recode_columns {
-            if schema.index_of(c).is_err() {
-                return Err(SqlmlError::Plan(format!(
-                    "recode column {c:?} not in table {table:?}"
-                )));
-            }
-        }
-        let mut sql = format!(
-            "SELECT {} FROM {}",
-            projections.join(", "),
-            froms.join(", ")
-        );
-        if !predicates.is_empty() {
-            sql.push_str(&format!(" WHERE {}", predicates.join(" AND ")));
-        }
-        Ok(sql)
-    }
-
     /// Full transformation with a freshly built recode map (two passes).
     pub fn transform(&self, table: &str, spec: &TransformSpec) -> Result<TransformOutput> {
-        let schema = self.engine.catalog().table(table)?.schema().clone();
-        let columns = spec.effective_recode_columns(&schema);
+        let input = self.engine.catalog().table(table)?;
+        let columns = spec.effective_recode_columns(input.schema());
         let t0 = Instant::now();
         let map = self.build_recode_map(table, &columns)?;
         let map_build = t0.elapsed();
-        self.apply_with_map(table, &schema, spec, map, map_build)
+        self.apply_with_map(&input, spec, map, map_build)
     }
 
     /// Transformation reusing a cached recode map — §5.2: "we avoid one
@@ -214,75 +162,64 @@ impl InSqlTransformer {
         spec: &TransformSpec,
         map: &RecodeMap,
     ) -> Result<TransformOutput> {
-        let schema = self.engine.catalog().table(table)?.schema().clone();
-        let columns = spec.effective_recode_columns(&schema);
-        for c in &columns {
+        let input = self.engine.catalog().table(table)?;
+        for c in &spec.effective_recode_columns(input.schema()) {
             if !map.has_column(c) {
                 return Err(SqlmlError::Cache(format!(
                     "cached recode map lacks column {c:?}"
                 )));
             }
         }
-        self.apply_with_map(table, &schema, spec, map.clone(), Duration::ZERO)
+        self.apply_with_map(&input, spec, map.clone(), Duration::ZERO)
     }
 
+    /// Pass 2: one table-UDF pass over `input`, all columns at once.
     fn apply_with_map(
         &self,
-        table: &str,
-        schema: &Schema,
+        input: &PartitionedTable,
         spec: &TransformSpec,
         map: RecodeMap,
         map_build: Duration,
     ) -> Result<TransformOutput> {
-        let columns = spec.effective_recode_columns(schema);
-        for d in &spec.dummy_code_columns {
-            if !columns.iter().any(|c| c.eq_ignore_ascii_case(d)) {
-                return Err(SqlmlError::Plan(format!(
-                    "dummy-code column {d:?} is not among the recoded columns"
-                )));
-            }
-        }
-
         let t0 = Instant::now();
-        // Phase 2: recode via join (or pass-through when nothing to do).
-        let mut current: PartitionedTable = if columns.is_empty() {
-            self.engine.query(&format!("SELECT * FROM {table}"))?
-        } else {
-            let map_table = self.register_recode_map(&map);
-            let sql = self.recode_join_sql(table, schema, &columns, &map_table)?;
-            let result = self.engine.query(&sql);
-            self.engine.execute(&format!("DROP TABLE {map_table}"))?;
-            result?
-        };
-
-        // Dummy coding, one column at a time, through SQL + table UDF.
-        for col in &spec.dummy_code_columns {
-            let values = map.values_in_code_order(col);
-            if values.is_empty() {
-                return Err(SqlmlError::Plan(format!(
-                    "no recode map entries for dummy-code column {col:?}"
-                )));
-            }
-            let tmp = temp_name("dummyin");
-            self.engine.register_table(&tmp, current);
-            let value_args = values
-                .iter()
-                .map(|v| format!("'{}'", v.replace('\'', "''")))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let result = self.engine.query(&format!(
-                "SELECT * FROM TABLE(dummy_code({tmp}, '{col}', {value_args})) AS d"
-            ));
-            self.engine.execute(&format!("DROP TABLE {tmp}"))?;
-            current = result?;
-        }
-
+        let udf = RecodeDummyUdf(FlatRecodeApplier::new(&map, input.schema(), spec)?);
+        let table = self.engine.apply_table_udf(input, &udf, &[])?;
         Ok(TransformOutput {
-            table: current,
+            table,
             recode_map: map,
             map_build,
             apply: t0.elapsed(),
         })
+    }
+}
+
+/// Pass 2 as a parallel table UDF. The instance carries the applier
+/// resolved for one (map, input schema, spec), so it is handed to
+/// [`Engine::apply_table_udf`] rather than registered under a name:
+/// concurrent transforms on one engine share nothing.
+struct RecodeDummyUdf(FlatRecodeApplier);
+
+impl TableUdf for RecodeDummyUdf {
+    fn name(&self) -> &str {
+        "recode_dummy"
+    }
+
+    fn output_schema(&self, _input: &Schema, _args: &[Value]) -> Result<Schema> {
+        Ok(self.0.output_schema().clone())
+    }
+
+    fn execute(
+        &self,
+        rows: &[Row],
+        _input_schema: &Schema,
+        _args: &[Value],
+        _ctx: &PartitionCtx,
+    ) -> Result<Vec<Row>> {
+        let mut out = Vec::with_capacity(rows.len());
+        for r in rows {
+            out.push(self.0.apply(r)?);
+        }
+        Ok(out)
     }
 }
 
@@ -417,25 +354,6 @@ mod tests {
         let out = tr.transform("nums", &TransformSpec::default()).unwrap();
         assert_eq!(out.table.num_rows(), 2);
         assert!(out.recode_map.columns().next().is_none());
-    }
-
-    #[test]
-    fn recode_join_sql_matches_paper_shape() {
-        let tr = InSqlTransformer::new(engine_with_figure1());
-        let schema = tr.engine().catalog().table("t").unwrap().schema().clone();
-        let sql = tr
-            .recode_join_sql("t", &schema, &["gender".into(), "abandoned".into()], "m")
-            .unwrap();
-        assert!(sql.contains("M0.recodeval AS gender"), "{sql}");
-        assert!(sql.contains("M1.recodeval AS abandoned"), "{sql}");
-        assert!(sql.contains("T.gender = M0.colval"), "{sql}");
-        assert!(sql.contains("M0.colname = 'gender'"), "{sql}");
-        // And it parses + plans.
-        tr.engine().register_table(
-            "m",
-            PartitionedTable::single(crate::recode::recode_map_schema(), vec![]),
-        );
-        tr.engine().validate(&sql).unwrap();
     }
 
     #[test]

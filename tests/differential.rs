@@ -1,24 +1,39 @@
 //! Differential tests for the allocation-slim hot path.
 //!
-//! The optimizer now fuses `Filter`/`Project`/`TableUdfScan` chains and
-//! the executor runs a hash-reuse join, a parallel merge sort, and the
-//! flat recode applier. Each of those has a retained reference path:
+//! The optimizer fuses `Filter`/`Project`/`TableUdfScan` chains and folds
+//! a column-only `Project` into the `HashJoin` beneath it; the executor
+//! runs a hash-reuse join, a parallel merge sort, and the flat recode
+//! applier; the In-SQL transformer's pass 2 is one applier pass. Each of
+//! those has a retained reference path:
 //!
 //! * `Engine::query_unfused` plans without the fusion pass, so every
 //!   operator materializes its per-partition `Vec<Row>` the way the
-//!   pre-optimization executor did;
+//!   pre-optimization executor did, and every join is a plain
+//!   `left ++ right` join under a separate `Project`;
 //! * `RecodeMap::code` is the nested-`BTreeMap` probe the
-//!   [`FlatRecodeApplier`] replaced.
+//!   [`FlatRecodeApplier`] replaced;
+//! * `QueryRewriter::rewrite_and_run` executes the §2.1 script — one
+//!   recode join per column, one `dummy_code` statement per dummy column
+//!   — which is the oracle for `InSqlTransformer::transform`, as is the
+//!   naive baseline's `run_external_transform`.
 //!
 //! These tests run the paper's Figure 3/4 workload queries (and a
-//! battery of shapes beyond them) through both paths and demand
-//! row-for-row equality.
+//! battery of shapes beyond them, and seeded random tables) through both
+//! paths and demand row-for-row equality.
 
 use sqlml_common::schema::{DataType, Field, Schema};
-use sqlml_common::{Row, SplitMix64, Value};
+use sqlml_common::{codec, Row, SplitMix64, Value};
+use sqlml_core::naive::run_external_transform;
 use sqlml_core::workload::{Workload, WorkloadScale, PREP_QUERY};
-use sqlml_sqlengine::{Engine, EngineConfig};
-use sqlml_transform::{register_udfs, FlatRecodeApplier, RecodeMap, TransformSpec};
+use sqlml_dfs::{Dfs, DfsConfig};
+use sqlml_rewriter::QueryRewriter;
+use sqlml_sqlengine::ast::JoinKind;
+use sqlml_sqlengine::expr::Expr;
+use sqlml_sqlengine::plan::{BuildSide, Plan};
+use sqlml_sqlengine::{Engine, EngineConfig, PartitionedTable};
+use sqlml_transform::{
+    register_udfs, FlatRecodeApplier, InSqlTransformer, RecodeMap, TransformSpec,
+};
 
 fn workload_engine() -> Engine {
     let e = Engine::new(EngineConfig::with_workers(4));
@@ -217,7 +232,7 @@ fn flat_applier_matches_recode_map_code_on_random_data() {
             let flat = applier.apply(&row).unwrap();
             let reference = reference_apply(&row, &schema, &spec, &map);
             assert_eq!(flat, reference, "trial {trial}, row {row:?}");
-            assert_eq!(flat.len(), applier.output_width());
+            assert_eq!(flat.len(), applier.output_schema().len());
         }
     }
 }
@@ -231,4 +246,246 @@ fn flat_applier_rejects_unseen_values_like_the_reference() {
     assert!(applier
         .apply(&Row::new(vec![Value::str("unseen")]))
         .is_err());
+}
+
+// ---------------------------------------------------------------------
+// InSqlTransformer (one applier pass) vs the rewriter's join-based
+// script vs the external transform, on random tables.
+// ---------------------------------------------------------------------
+
+/// A seeded random table: numeric columns interleaved with 2–4
+/// categorical columns whose names have mixed case and whose values
+/// include quotes and spaces; NULL-free; explicitly partitioned, some
+/// partitions empty.
+fn random_categorical_table(rng: &mut SplitMix64) -> (PartitionedTable, Vec<String>) {
+    const CAT_NAMES: [&str; 4] = ["Gender", "cartState", "REGION", "lastChannel_2"];
+    const VOCAB: [&str; 8] = ["F", "M", "it's", "not known", "a'b'c", "x/y", "Web", "web"];
+    let num_cats = rng.range_i64(2, 4) as usize;
+    let mut fields = vec![Field::new("Id", DataType::Int)];
+    let mut cats = Vec::new();
+    for name in &CAT_NAMES[..num_cats] {
+        fields.push(Field::categorical(*name));
+        cats.push(name.to_string());
+        if rng.chance(0.5) {
+            fields.push(Field::new(format!("n{}", fields.len()), DataType::Double));
+        }
+    }
+    let schema = Schema::new(fields);
+    // Per categorical column, a vocabulary prefix of random size.
+    let sizes: Vec<usize> = (0..num_cats)
+        .map(|_| rng.range_i64(1, VOCAB.len() as i64) as usize)
+        .collect();
+    let num_parts = rng.range_i64(1, 5) as usize;
+    let mut parts: Vec<Vec<Row>> = vec![Vec::new(); num_parts];
+    for id in 0..rng.range_i64(1, 120) {
+        let mut cat = 0;
+        let values = schema
+            .fields()
+            .iter()
+            .map(|f| match (f.categorical, f.data_type) {
+                (true, _) => {
+                    let v = VOCAB[rng.next_below(sizes[cat] as u64) as usize];
+                    cat += 1;
+                    Value::str(v)
+                }
+                (_, DataType::Int) => Value::Int(id),
+                _ => Value::Double(rng.range_i64(-50, 50) as f64 / 4.0),
+            })
+            .collect();
+        // Partition 0 of a multi-partition table stays empty.
+        let p = if num_parts == 1 {
+            0
+        } else {
+            1 + rng.next_below(num_parts as u64 - 1) as usize
+        };
+        parts[p].push(Row::new(values));
+    }
+    (PartitionedTable::new(schema, parts), cats)
+}
+
+/// Read a DFS directory of text part-files back as sorted rows.
+fn read_sorted(dfs: &Dfs, dir: &str, schema: &Schema) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for f in dfs.list(&format!("{dir}/")) {
+        let text = dfs.read_string(&f.path).unwrap();
+        rows.extend(codec::decode_text_batch(&text, schema).unwrap());
+    }
+    rows.sort();
+    rows
+}
+
+#[test]
+fn insql_transform_matches_join_script_and_external_transform_on_random_tables() {
+    let mut rng = SplitMix64::new(0x1d5_0c0de);
+    for trial in 0..25 {
+        let (table, cats) = random_categorical_table(&mut rng);
+        let schema = table.schema().clone();
+        // Recode every categorical column, or an explicit subset of at
+        // least one; dummy-code a random subset of the recoded ones.
+        let recode: Vec<String> = if rng.chance(0.5) {
+            Vec::new()
+        } else {
+            let keep = rng.range_i64(1, cats.len() as i64) as usize;
+            cats[..keep].to_vec()
+        };
+        let recoded = if recode.is_empty() { &cats } else { &recode };
+        let spec = TransformSpec {
+            recode_columns: recode.clone(),
+            dummy_code_columns: recoded
+                .iter()
+                .filter(|_| rng.chance(0.5))
+                .cloned()
+                .collect(),
+        };
+        let what = format!("trial {trial}: {spec:?} over {:?}", schema.names());
+
+        let engine = Engine::new(EngineConfig::with_workers(3));
+        engine.register_table("src", table.clone());
+        let insql = InSqlTransformer::new(engine.clone())
+            .transform("src", &spec)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        let insql_rows = insql.table.collect_sorted();
+        assert_eq!(insql_rows.len(), table.num_rows(), "{what}");
+
+        // The join-based script. Its statically generated dummy_code
+        // statements name indicator columns by code, not by value.
+        let (oracle, _) = QueryRewriter::new(engine.clone())
+            .rewrite_and_run("SELECT * FROM src", &spec, None)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(oracle.collect_sorted(), insql_rows, "{what}");
+        assert_eq!(oracle.schema().len(), insql.table.schema().len(), "{what}");
+        for (o, i) in oracle
+            .schema()
+            .fields()
+            .iter()
+            .zip(insql.table.schema().fields())
+        {
+            assert_eq!(o.data_type, i.data_type, "{what}");
+            let is_indicator = spec
+                .dummy_code_columns
+                .iter()
+                .any(|d| i.name.starts_with(&format!("{d}_")));
+            assert!(is_indicator || o.name == i.name, "{what}: {o:?} vs {i:?}");
+        }
+
+        // The naive baseline's external job over the same rows on a DFS.
+        let dfs = Dfs::new(DfsConfig::for_tests());
+        table.save_text(&dfs, "/in").unwrap();
+        let external = run_external_transform(&dfs, "/in", &schema, &spec, "/out")
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(
+            external.schema.names(),
+            insql.table.schema().names(),
+            "{what}"
+        );
+        assert_eq!(external.recode_map, insql.recode_map, "{what}");
+        assert_eq!(
+            read_sorted(&dfs, "/out", &external.schema),
+            insql_rows,
+            "{what}"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Projecting join vs plain join + Project, on random keyed tables.
+// ---------------------------------------------------------------------
+
+/// `(k BIGINT, <tag> VARCHAR, v<tag> DOUBLE)` with duplicate and NULL keys.
+fn random_keyed_table(rng: &mut SplitMix64, tag: &str, rows: usize) -> PartitionedTable {
+    let schema = Schema::new(vec![
+        Field::new("k", DataType::Int),
+        Field::new(tag, DataType::Str),
+        Field::new(format!("v{tag}"), DataType::Double),
+    ]);
+    let data = (0..rows)
+        .map(|i| {
+            let k = if rng.chance(0.1) {
+                Value::Null
+            } else {
+                Value::Int(rng.range_i64(0, 11))
+            };
+            Row::new(vec![
+                k,
+                Value::str(format!("{tag}{i}").as_str()),
+                Value::Double(i as f64),
+            ])
+        })
+        .collect();
+    PartitionedTable::partition_rows(schema, data, 3, &[])
+}
+
+#[test]
+fn projecting_joins_match_unfused_reference_on_random_tables() {
+    let mut rng = SplitMix64::new(0xbead_5eed);
+    for trial in 0..12 {
+        // Either side may be the smaller one, so inner joins build from
+        // both sides across trials.
+        let (nl, nr) = if trial % 2 == 0 { (60, 9) } else { (9, 60) };
+        let e = Engine::new(EngineConfig::with_workers(3));
+        e.register_table("l", random_keyed_table(&mut rng, "a", nl));
+        e.register_table("r", random_keyed_table(&mut rng, "b", nr));
+        for sql in [
+            "SELECT L.a, R.vb, L.va FROM l L, r R WHERE L.k = R.k",
+            "SELECT R.b, R.b AS b2, L.k FROM l L, r R WHERE L.k = R.k",
+            "SELECT R.b, L.a, R.k FROM l L LEFT JOIN r R ON L.k = R.k",
+            "SELECT L.va FROM r R LEFT JOIN l L ON R.k = L.k",
+        ] {
+            let plan = e.explain(sql).unwrap();
+            assert!(plan.contains("project=["), "not a projecting join:\n{plan}");
+            assert!(!plan.contains("Project"), "Project survived:\n{plan}");
+            assert_differential(&e, sql);
+        }
+    }
+}
+
+#[test]
+fn hand_built_projecting_join_matches_plain_join_for_every_build_side() {
+    let mut rng = SplitMix64::new(77);
+    let e = Engine::new(EngineConfig::with_workers(2));
+    e.register_table("l", random_keyed_table(&mut rng, "a", 40));
+    e.register_table("r", random_keyed_table(&mut rng, "b", 25));
+    let scan = |name: &str| Plan::Scan {
+        name: name.into(),
+        table: e.catalog().table(name).unwrap(),
+    };
+    let joined = scan("l").schema().join(&scan("r").schema());
+    // Reordered, repeated, and from both sides.
+    let cols = vec![4usize, 1, 1, 3, 2];
+    let projected = Schema::new(cols.iter().map(|&c| joined.field(c).clone()).collect());
+    let join = |kind, build, project: Option<Vec<usize>>| Plan::HashJoin {
+        left: Box::new(scan("l")),
+        right: Box::new(scan("r")),
+        left_keys: vec![Expr::Col(0)],
+        right_keys: vec![Expr::Col(0)],
+        kind,
+        build,
+        schema: if project.is_some() {
+            projected.clone()
+        } else {
+            joined.clone()
+        },
+        project,
+    };
+    for (kind, build) in [
+        (JoinKind::Inner, BuildSide::Left),
+        (JoinKind::Inner, BuildSide::Right),
+        (JoinKind::LeftOuter, BuildSide::Right),
+    ] {
+        let plain = Plan::Project {
+            input: Box::new(join(kind, build, None)),
+            exprs: cols.iter().map(|&c| Expr::Col(c)).collect(),
+            schema: projected.clone(),
+        };
+        let projecting = join(kind, build, Some(cols.clone()));
+        let mut results = Vec::new();
+        for plan in [&plain, &projecting] {
+            sqlml_sqlengine::validate::validate(plan, e.catalog()).unwrap();
+            let out = sqlml_sqlengine::executor::execute(plan, e.exec_context()).unwrap();
+            assert_eq!(out.schema().names(), projected.names());
+            results.push(out.collect_sorted());
+        }
+        assert!(!results[0].is_empty(), "{kind:?}/{build:?} joined nothing");
+        assert_eq!(results[0], results[1], "{kind:?} build={build:?}");
+    }
 }

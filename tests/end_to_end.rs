@@ -294,3 +294,141 @@ fn rewriter_script_and_pipeline_agree() {
         "script path and direct path diverge"
     );
 }
+
+/// `visits(age, gender, channel, amount, churned)`: every sixth gender
+/// and every fifth channel is NULL.
+fn register_visits_with_null_categoricals(cluster: &SimCluster) -> usize {
+    use sqlml_common::schema::{DataType, Field, Schema};
+    use sqlml_common::{Row, Value};
+    let schema = Schema::new(vec![
+        Field::new("age", DataType::Int),
+        Field::categorical("gender"),
+        Field::categorical("channel"),
+        Field::new("amount", DataType::Double),
+        Field::categorical("churned"),
+    ]);
+    let cat = |null: bool, v: &str| if null { Value::Null } else { Value::str(v) };
+    let rows: Vec<Row> = (0..120i64)
+        .map(|i| {
+            Row::new(vec![
+                Value::Int(18 + i % 60),
+                cat(i % 6 == 0, if i % 2 == 0 { "F" } else { "M" }),
+                cat(i % 5 == 0, ["web", "app", "store"][i as usize % 3]),
+                Value::Double(10.0 + (i * 7 % 200) as f64),
+                Value::str(if i % 60 < 25 { "Yes" } else { "No" }),
+            ])
+        })
+        .collect();
+    let n = rows.len();
+    cluster.engine.register_rows("visits", schema, rows);
+    n
+}
+
+#[test]
+fn null_categoricals_reach_ml_identically_under_every_strategy() {
+    // A NULL categorical is a NULL code (recode-only column) or an
+    // all-zero indicator block (dummy-coded column) under every
+    // strategy. The recode *join* used to drop such rows (NULL keys
+    // never match) while the external transform kept them, so In-SQL
+    // and Naive trained on different data.
+    let cluster = cluster();
+    let n = register_visits_with_null_categoricals(&cluster);
+    let prep = "SELECT age, gender, channel, amount, churned FROM visits";
+    let spec = TransformSpec::new(&["gender"]);
+
+    // Row for row: In-SQL transform vs the external transform.
+    let engine = &cluster.engine;
+    engine
+        .execute(&format!("CREATE TABLE visits_prep AS {prep}"))
+        .unwrap();
+    let insql = sqlml_transform::InSqlTransformer::new(engine.clone())
+        .transform("visits_prep", &spec)
+        .unwrap();
+    let prep_schema = engine.validate(prep).unwrap();
+    engine
+        .query_to_dfs(prep, &cluster.dfs, "/nulls/prep")
+        .unwrap();
+    let external = sqlml_core::naive::run_external_transform(
+        &cluster.dfs,
+        "/nulls/prep",
+        &prep_schema,
+        &spec,
+        "/nulls/trsfm",
+    )
+    .unwrap();
+    let mut external_rows = Vec::new();
+    for f in cluster.dfs.list("/nulls/trsfm/") {
+        let text = cluster.dfs.read_string(&f.path).unwrap();
+        external_rows
+            .extend(sqlml_common::codec::decode_text_batch(&text, &external.schema).unwrap());
+    }
+    external_rows.sort();
+    let insql_rows = insql.table.collect_sorted();
+    assert_eq!(insql_rows.len(), n, "In-SQL transform dropped rows");
+    assert_eq!(insql_rows, external_rows);
+    assert_eq!(insql.table.schema().names(), external.schema.names());
+    // Layout: age, gender_F, gender_M, channel, amount, churned.
+    let null_gender = insql_rows
+        .iter()
+        .filter(|r| r.get(1).as_i64().unwrap() + r.get(2).as_i64().unwrap() == 0)
+        .count();
+    assert_eq!(null_gender, n / 6);
+    assert_eq!(
+        insql_rows.iter().filter(|r| r.get(3).is_null()).count(),
+        n / 5
+    );
+
+    // End to end: every strategy hands ML all n rows and the same model.
+    let pipeline = Pipeline::new(&cluster);
+    let req = PipelineRequest {
+        prep_sql: prep.to_string(),
+        spec,
+        ml_command: "svm label=5 iterations=20".to_string(),
+    };
+    let reports: Vec<_> = [Strategy::Naive, Strategy::InSql, Strategy::InSqlStream]
+        .into_iter()
+        .map(|s| pipeline.run(&req, s).unwrap())
+        .collect();
+    for r in &reports {
+        assert_eq!(r.rows_to_ml, n, "{:?} lost rows", r.strategy);
+    }
+    for probe in [[20.0, 0.0, 0.0, 1.0, 150.0], [70.0, 1.0, 0.0, 0.0, 15.0]] {
+        let preds: Vec<f64> = reports.iter().map(|r| r.model.predict(&probe)).collect();
+        assert!(preds.iter().all(|p| *p == preds[0]), "{probe:?}: {preds:?}");
+    }
+}
+
+#[test]
+fn cached_map_lacking_a_value_fails_instead_of_shrinking_the_training_set() {
+    // §5.2 reuses a recode map built over an earlier result. If the new
+    // result holds a value the map has never seen, the run must fail
+    // loudly; the recode join used to drop those rows without a word.
+    use sqlml_common::row;
+    use sqlml_common::schema::{DataType, Field, Schema};
+    let cluster = cluster();
+    let engine = &cluster.engine;
+    let schema = Schema::new(vec![
+        Field::new("x", DataType::Int),
+        Field::categorical("gender"),
+    ]);
+    engine.register_rows(
+        "earlier",
+        schema.clone(),
+        vec![row![1i64, "F"], row![2i64, "M"]],
+    );
+    engine.register_rows(
+        "later",
+        schema,
+        vec![row![1i64, "F"], row![2i64, "X"], row![3i64, "M"]],
+    );
+    let transformer = sqlml_transform::InSqlTransformer::new(engine.clone());
+    for spec in [TransformSpec::default(), TransformSpec::new(&["gender"])] {
+        let map = transformer.transform("earlier", &spec).unwrap().recode_map;
+        let err = transformer
+            .transform_with_map("later", &spec, &map)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("unseen value"), "{err}");
+        assert!(err.contains("gender"), "{err}");
+    }
+}
