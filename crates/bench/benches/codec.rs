@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the row codecs: the text format every DFS
 //! hand-off pays (twice more in the naive pipeline than in insql) and
-//! the binary wire format the streaming transfer pays instead.
+//! the compact wire format the streaming transfer pays instead.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use sqlml_common::codec;
@@ -31,11 +31,6 @@ fn sample_rows(n: usize) -> (Schema, Vec<Row>) {
 fn bench_codecs(c: &mut Criterion) {
     let (schema, rows) = sample_rows(10_000);
     let text = codec::encode_text_batch(&rows);
-    let mut binary = Vec::new();
-    for r in &rows {
-        codec::encode_binary_row(r, &mut binary).unwrap();
-    }
-
     let mut group = c.benchmark_group("codec");
     group.throughput(Throughput::Bytes(text.len() as u64));
     group.bench_function("text_encode_10k_rows", |b| {
@@ -44,57 +39,14 @@ fn bench_codecs(c: &mut Criterion) {
     group.bench_function("text_decode_10k_rows", |b| {
         b.iter(|| codec::decode_text_batch(black_box(&text), &schema).unwrap())
     });
-    group.throughput(Throughput::Bytes(binary.len() as u64));
-    group.bench_function("binary_encode_10k_rows", |b| {
-        b.iter(|| {
-            let mut buf = Vec::with_capacity(binary.len());
-            for r in &rows {
-                codec::encode_binary_row(black_box(r), &mut buf).unwrap();
-            }
-            buf
-        })
-    });
-    group.bench_function("binary_decode_10k_rows", |b| {
-        b.iter(|| {
-            let mut pos = 0;
-            let mut out = Vec::with_capacity(rows.len());
-            while pos < binary.len() {
-                let (row, used) = codec::decode_binary_row(&binary[pos..]).unwrap();
-                out.push(row);
-                pos += used;
-            }
-            out
-        })
-    });
     group.finish();
 
-    // Batched wire frames at the sizes the streaming data plane actually
-    // cuts: single-row, the default 64-row frame, and a jumbo 1024-row
-    // frame. Encoding reuses one scratch buffer across iterations, as the
-    // sender does.
-    let mut group = c.benchmark_group("codec_batch");
-    for batch in [1usize, 64, 1024] {
-        let chunk = &rows[..batch];
-        let mut encoded = Vec::new();
-        codec::encode_binary_batch(chunk, &mut encoded).unwrap();
-        group.throughput(Throughput::Bytes(encoded.len() as u64));
-        let mut scratch = Vec::with_capacity(encoded.len());
-        group.bench_function(&format!("binary_batch_encode_{batch}_rows"), |b| {
-            b.iter(|| {
-                scratch.clear();
-                codec::encode_binary_batch(black_box(chunk), &mut scratch).unwrap();
-                scratch.len()
-            })
-        });
-        group.bench_function(&format!("binary_batch_decode_{batch}_rows"), |b| {
-            b.iter(|| codec::decode_binary_batch(black_box(&encoded)).unwrap())
-        });
-    }
-    group.finish();
-
-    // The compact varint+dictionary wire codec at the same frame sizes.
-    // The categorical columns repeat heavily, so the per-frame dictionary
-    // is exercised on every row just like a real streamed frame.
+    // The compact varint+dictionary wire codec at the sizes the streaming
+    // data plane actually cuts: the default 64-row frame and a jumbo
+    // 1024-row frame. Encoding reuses one scratch buffer across
+    // iterations, as the sender does. The categorical columns repeat
+    // heavily, so the per-frame dictionary is exercised on every row just
+    // like a real streamed frame.
     let mut group = c.benchmark_group("codec_compact");
     for batch in [64usize, 1024] {
         let chunk = &rows[..batch];

@@ -82,8 +82,6 @@ fn bench_session(c: &mut Criterion) {
     engine.register_rows("points", schema, sample_batch(20_000));
     let session = StreamSession::start().unwrap();
     let cfg = StreamSessionConfig {
-        splits_per_worker: 1,
-        send_buffer_bytes: 4096,
         ml_job: JobConfig {
             num_workers: 2,
             worker_nodes: (0..2).map(sqlml_dfs::node_name).collect(),

@@ -39,12 +39,10 @@ fn main() {
     for buffer in [64usize, 1 << 10, 4 << 10, 64 << 10, 1 << 20] {
         let cluster = {
             let c = sqlml_core::ClusterConfig {
-                send_buffer_bytes: buffer,
-                batch_rows: params.batch_rows,
-                frame_bytes: params.frame_bytes,
-                sender_threads: params.sender_threads,
-                codec: params.codec,
-                batch_rows_max: params.batch_rows_max,
+                transfer: sqlml_transfer::TransferConfig {
+                    send_buffer_bytes: buffer,
+                    ..params.transfer
+                },
                 ..Default::default()
             };
             let cluster = sqlml_core::SimCluster::start(c).expect("cluster");

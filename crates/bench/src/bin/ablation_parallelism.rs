@@ -1,25 +1,18 @@
 //! **A2 — degree-of-parallelism sweep.** §3 introduces `k`, the number
 //! of streaming readers per SQL worker (`m = n·k` splits), "a parameter
 //! to control the degree of parallelism in the ML job". This ablation
-//! sweeps `k` and reports split counts and ingestion time, then sweeps
-//! the overlapped-transfer-plane knobs (sender-thread count × wire
-//! codec) at a fixed `k` to show the cost of multiplexing the sockets
-//! and the bytes saved by the compact codec.
+//! sweeps `k` and reports split counts and ingestion time.
 //!
 //! Expected shape: split count scales as `n·k`; delivery stays exact for
-//! every `k` and every sender/codec combination; the compact codec moves
-//! fewer wire bytes than legacy for the same rows (loopback transport
-//! makes large time gains invisible at this scale, so the checks are on
-//! correctness and accounting, not speed).
+//! every `k` (loopback transport makes large time gains invisible at this
+//! scale, so the checks are on correctness and accounting, not speed).
 //!
 //! Run: `cargo run --release -p sqlml-bench --bin ablation_parallelism`
-//! (add `--sender-threads N --codec legacy|compact --batch-rows-max N`
-//! to pin the grid's knobs on the `k` sweep too).
 
 use sqlml_bench::{check_shape, BenchParams};
 use sqlml_core::workload::PREP_QUERY;
 use sqlml_core::{ClusterConfig, Pipeline, PipelineRequest, SimCluster, Strategy};
-use sqlml_transfer::WireCodec;
+use sqlml_transfer::TransferConfig;
 use sqlml_transform::TransformSpec;
 
 fn run_once(cfg: ClusterConfig, params: &BenchParams, request: &PipelineRequest) -> RunResult {
@@ -41,7 +34,6 @@ fn run_once(cfg: ClusterConfig, params: &BenchParams, request: &PipelineRequest)
         local_splits: stats.local_splits,
         rows_sent: stats.rows_sent,
         rows_ingested: stats.rows_ingested,
-        bytes_sent: stats.bytes_sent,
     }
 }
 
@@ -52,7 +44,6 @@ struct RunResult {
     local_splits: usize,
     rows_sent: u64,
     rows_ingested: usize,
-    bytes_sent: u64,
 }
 
 fn main() {
@@ -76,10 +67,10 @@ fn main() {
     let mut split_counts = Vec::new();
     for k in [1u32, 2, 4, 8] {
         let cfg = ClusterConfig {
-            splits_per_worker: k,
-            sender_threads: params.sender_threads,
-            codec: params.codec,
-            batch_rows_max: params.batch_rows_max,
+            transfer: TransferConfig {
+                splits_per_worker: k,
+                ..params.transfer
+            },
             ..Default::default()
         };
         let r = run_once(cfg, &params, &request);
@@ -94,73 +85,9 @@ fn main() {
         split_counts.push((k, r.num_splits));
     }
 
-    // Overlapped-plane grid at k = 4: sender threads (1 = one thread
-    // multiplexes all peers, 0 = dedicated thread per peer) × codec.
-    const GRID_K: u32 = 4;
-    println!("\nA2b: sender-threads x codec grid (k = {GRID_K})\n");
-    println!(
-        "{:>8} {:>8} {:>12} {:>12} {:>10}",
-        "senders", "codec", "time (s)", "bytes", "rows"
-    );
-    let mut grid_exact = true;
-    let mut bytes_by_codec: Vec<(WireCodec, u64)> = Vec::new();
-    let mut rows_by_run: Vec<u64> = Vec::new();
-    for codec in [WireCodec::Legacy, WireCodec::Compact] {
-        for senders in [1usize, 0] {
-            let cfg = ClusterConfig {
-                splits_per_worker: GRID_K,
-                sender_threads: senders,
-                codec,
-                batch_rows_max: params.batch_rows_max,
-                ..Default::default()
-            };
-            let r = run_once(cfg, &params, &request);
-            let senders_label = if senders == 0 {
-                "peer".to_string()
-            } else {
-                senders.to_string()
-            };
-            println!(
-                "{:>8} {:>8} {:>12.3} {:>12} {:>10}",
-                senders_label,
-                codec.label(),
-                r.pipeline_secs,
-                r.bytes_sent,
-                r.rows_ingested
-            );
-            grid_exact &= r.rows_sent as usize == r.rows_ingested;
-            bytes_by_codec.push((codec, r.bytes_sent));
-            rows_by_run.push(r.rows_ingested as u64);
-        }
-    }
-    let legacy_bytes = bytes_by_codec
-        .iter()
-        .filter(|(c, _)| *c == WireCodec::Legacy)
-        .map(|(_, b)| *b)
-        .max()
-        .unwrap_or(0);
-    let compact_bytes = bytes_by_codec
-        .iter()
-        .filter(|(c, _)| *c == WireCodec::Compact)
-        .map(|(_, b)| *b)
-        .max()
-        .unwrap_or(u64::MAX);
-
     let ok = check_shape(
         "m = n*k splits for every k (n = 4 SQL workers)",
         split_counts.iter().all(|(k, m)| *m == 4 * *k as usize),
-    ) & check_shape("delivery is exact for every k", all_exact)
-        & check_shape(
-            "delivery is exact for every sender-thread/codec combination",
-            grid_exact,
-        )
-        & check_shape(
-            "every grid run ingested the same row count",
-            rows_by_run.windows(2).all(|w| w[0] == w[1]),
-        )
-        & check_shape(
-            "compact codec moves fewer wire bytes than legacy",
-            compact_bytes < legacy_bytes,
-        );
+    ) & check_shape("delivery is exact for every k", all_exact);
     std::process::exit(if ok { 0 } else { 1 });
 }

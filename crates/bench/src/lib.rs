@@ -9,10 +9,10 @@ use std::time::Duration;
 
 use sqlml_core::{ClusterConfig, SimCluster, WorkloadScale};
 use sqlml_dfs::DfsConfig;
-use sqlml_transfer::WireCodec;
+use sqlml_transfer::TransferConfig;
 
 /// Parameters shared by the figure binaries, settable from the command
-/// line (`--carts N`, `--throttle-mbps M`, `--seed S`).
+/// line (see [`BenchParams::from_args`]).
 #[derive(Debug, Clone)]
 pub struct BenchParams {
     pub scale: WorkloadScale,
@@ -22,16 +22,10 @@ pub struct BenchParams {
     /// costs honest. `None` disables throttling.
     pub throttle_mbps: Option<u64>,
     pub seed: u64,
-    /// Rows per `RowBatch` frame on the streaming data plane.
-    pub batch_rows: usize,
-    /// Wire-byte target per frame (paper: 4 KiB).
-    pub frame_bytes: usize,
-    /// Sender threads per SQL worker (0 = dedicated per peer).
-    pub sender_threads: usize,
-    /// Wire codec for the streaming data plane.
-    pub codec: WireCodec,
-    /// Adaptive batching ceiling in rows per frame (0 = auto).
-    pub batch_rows_max: usize,
+    /// Streaming data-plane tunables; `--batch-rows` and `--frame-bytes`
+    /// set the two frame targets, `k` and the send buffer stay at the
+    /// paper's values unless an ablation sweeps them.
+    pub transfer: TransferConfig,
     /// Print per-stage breakdowns (and, when built with the
     /// `alloc-counters` feature, bytes allocated per stage).
     pub verbose: bool,
@@ -39,16 +33,11 @@ pub struct BenchParams {
 
 impl Default for BenchParams {
     fn default() -> Self {
-        let defaults = ClusterConfig::default();
         BenchParams {
             scale: WorkloadScale::SMALL,
             throttle_mbps: Some(4),
             seed: 42,
-            batch_rows: defaults.batch_rows,
-            frame_bytes: defaults.frame_bytes,
-            sender_threads: defaults.sender_threads,
-            codec: defaults.codec,
-            batch_rows_max: defaults.batch_rows_max,
+            transfer: TransferConfig::default(),
             verbose: false,
         }
     }
@@ -56,9 +45,9 @@ impl Default for BenchParams {
 
 impl BenchParams {
     /// Parse `--carts N`, `--throttle-mbps M` (0 = off), `--seed S`,
-    /// `--batch-rows N`, `--frame-bytes N`, `--sender-threads N`,
-    /// `--codec legacy|compact`, `--batch-rows-max N` and `--verbose`
-    /// from the command line, over the defaults.
+    /// `--batch-rows N`, `--frame-bytes N` and `--verbose` from the
+    /// command line, over the defaults. A bad value panics with a message
+    /// naming it before anything runs.
     pub fn from_args() -> BenchParams {
         let mut p = BenchParams::default();
         let args: Vec<String> = std::env::args().collect();
@@ -84,45 +73,30 @@ impl BenchParams {
                 }
                 "--seed" => p.seed = value.parse().expect("--seed takes a number"),
                 "--batch-rows" => {
-                    p.batch_rows = value.parse().expect("--batch-rows takes a number");
-                    assert!(p.batch_rows >= 1, "--batch-rows must be >= 1");
+                    p.transfer.batch_rows = value.parse().expect("--batch-rows takes a number");
                 }
                 "--frame-bytes" => {
-                    p.frame_bytes = value.parse().expect("--frame-bytes takes a number");
-                    assert!(p.frame_bytes >= 1, "--frame-bytes must be >= 1");
-                }
-                "--sender-threads" => {
-                    p.sender_threads = value.parse().expect("--sender-threads takes a number");
-                }
-                "--codec" => {
-                    p.codec = WireCodec::from_flag(value)
-                        .unwrap_or_else(|| panic!("--codec takes legacy|compact, got {value:?}"));
-                }
-                "--batch-rows-max" => {
-                    p.batch_rows_max = value.parse().expect("--batch-rows-max takes a number");
+                    p.transfer.frame_bytes = value.parse().expect("--frame-bytes takes a number");
                 }
                 other => panic!("unknown argument {other:?}"),
             }
             i += 2;
         }
+        if let Err(e) = p.transfer.validate() {
+            panic!("{e}");
+        }
         p
     }
 
     /// Build the 4-node cluster the paper used (1 SQL worker per node,
-    /// ML workers colocated, k = 1) with the configured DFS throttle, and
-    /// load the workload.
+    /// ML workers colocated) with the configured transfer tunables and
+    /// DFS throttle, and load the workload.
     pub fn start_cluster(&self) -> SimCluster {
         let cluster = SimCluster::start(ClusterConfig {
             num_nodes: 4,
             sql_workers: 4,
             ml_workers: 4,
-            splits_per_worker: 1,
-            send_buffer_bytes: 4 * 1024, // the paper's 4 KiB
-            batch_rows: self.batch_rows,
-            frame_bytes: self.frame_bytes,
-            sender_threads: self.sender_threads,
-            codec: self.codec,
-            batch_rows_max: self.batch_rows_max,
+            transfer: self.transfer,
             dfs: DfsConfig {
                 num_datanodes: 4,
                 block_size: 1024 * 1024,

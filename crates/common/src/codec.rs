@@ -6,14 +6,12 @@
 //!   stored on the DFS ("Both tables were stored in text format on HDFS").
 //!   Used by the naive pipeline's materialization hops and by
 //!   `TextInputFormat` on the ML side.
-//! * **Binary record format** — a length-prefixed encoding used on the
-//!   streaming-transfer wire, where schema is negotiated once per
-//!   connection and rows are self-delimiting.
-//! * **Compact batch format** — the negotiated upgrade of the binary
-//!   format ([`WireCodec::Compact`]): integers become LEB128 varints
-//!   (zigzag for signed) and string cells become varint references into a
-//!   per-frame dictionary, so a categorical value repeated across the
-//!   rows of one frame is shipped exactly once.
+//! * **Compact batch format** — self-delimiting batches of tagged
+//!   values, used on the streaming-transfer wire and for message-queue
+//!   records: integers are LEB128 varints (zigzag for signed) and string
+//!   cells are varint references into a per-batch dictionary, so a
+//!   categorical value repeated across the rows of one batch is shipped
+//!   exactly once.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -163,7 +161,7 @@ pub fn decode_text_batch(text: &str, schema: &Schema) -> Result<Vec<Row>> {
 }
 
 // ---------------------------------------------------------------------------
-// Binary record format (streaming-transfer wire)
+// Compact batch format (varints + per-frame string dictionary)
 // ---------------------------------------------------------------------------
 
 const TAG_NULL: u8 = 0;
@@ -171,203 +169,6 @@ const TAG_BOOL: u8 = 1;
 const TAG_INT: u8 = 2;
 const TAG_DOUBLE: u8 = 3;
 const TAG_STR: u8 = 4;
-
-/// Append the binary encoding of `row` to any [`BufMut`] sink (a
-/// `Vec<u8>` or a reusable `BytesMut` scratch buffer):
-/// `u32 value-count`, then per value a 1-byte tag + payload.
-///
-/// Fails with [`SqlmlError::FrameTooLarge`] when a value count or string
-/// length does not fit the `u32` wire prefix — the encoder never silently
-/// truncates.
-pub fn encode_binary_row<B: BufMut>(row: &Row, buf: &mut B) -> Result<()> {
-    buf.put_u32_le(crate::error::wire_u32(row.len(), "row value count")?);
-    for v in row.values() {
-        match v {
-            Value::Null => buf.put_u8(TAG_NULL),
-            Value::Bool(b) => {
-                buf.put_u8(TAG_BOOL);
-                buf.put_u8(u8::from(*b));
-            }
-            Value::Int(i) => {
-                buf.put_u8(TAG_INT);
-                buf.put_i64_le(*i);
-            }
-            Value::Double(d) => {
-                buf.put_u8(TAG_DOUBLE);
-                buf.put_u64_le(d.to_bits());
-            }
-            Value::Str(s) => {
-                buf.put_u8(TAG_STR);
-                buf.put_u32_le(crate::error::wire_u32(s.len(), "string byte length")?);
-                buf.put_slice(s.as_bytes());
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Vectorized batch encoding: `u32 row-count`, then each row in the
-/// format of [`encode_binary_row`]. This is the payload layout of a
-/// `RowBatch` wire frame, so the data plane encodes batches in one pass
-/// with no intermediate per-row buffers.
-///
-/// Fails with [`SqlmlError::FrameTooLarge`] instead of truncating the row
-/// count (see [`encode_binary_row`]).
-pub fn encode_binary_batch<B: BufMut>(rows: &[Row], buf: &mut B) -> Result<()> {
-    buf.put_u32_le(crate::error::wire_u32(rows.len(), "batch row count")?);
-    for r in rows {
-        encode_binary_row(r, buf)?;
-    }
-    Ok(())
-}
-
-/// Decode a batch written by [`encode_binary_batch`], verifying that the
-/// buffer is fully consumed.
-pub fn decode_binary_batch(buf: &[u8]) -> Result<Vec<Row>> {
-    if buf.len() < 4 {
-        return Err(SqlmlError::Execution("truncated binary batch".to_string()));
-    }
-    // lint:allow(panic) — slice is exactly 4 bytes, try_into cannot fail
-    let count = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-    let mut body = &buf[4..];
-    let mut rows = Vec::with_capacity(count.min(1 << 20));
-    for _ in 0..count {
-        let (row, used) = decode_binary_row(body)?;
-        rows.push(row);
-        body = &body[used..];
-    }
-    if !body.is_empty() {
-        return Err(SqlmlError::Execution(format!(
-            "binary batch has {} trailing bytes",
-            body.len()
-        )));
-    }
-    Ok(rows)
-}
-
-/// Decode one binary row from the front of `buf`; returns the row and the
-/// number of bytes consumed.
-pub fn decode_binary_row(buf: &[u8]) -> Result<(Row, usize)> {
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-        if *pos + n > buf.len() {
-            return Err(SqlmlError::Execution("truncated binary row".to_string()));
-        }
-        let s = &buf[*pos..*pos + n];
-        *pos += n;
-        Ok(s)
-    };
-    // lint:allow(panic) — take() returned exactly 4 bytes
-    let count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-    let mut values = Vec::with_capacity(count);
-    for _ in 0..count {
-        let tag = take(&mut pos, 1)?[0];
-        let v = match tag {
-            TAG_NULL => Value::Null,
-            TAG_BOOL => Value::Bool(take(&mut pos, 1)?[0] != 0),
-            // lint:allow(panic) — take() returned exactly 8 bytes
-            TAG_INT => Value::Int(i64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap())),
-            TAG_DOUBLE => Value::Double(f64::from_bits(u64::from_le_bytes(
-                // lint:allow(panic) — take() returned exactly 8 bytes
-                take(&mut pos, 8)?.try_into().unwrap(),
-            ))),
-            TAG_STR => {
-                // lint:allow(panic) — take() returned exactly 4 bytes
-                let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-                let bytes = take(&mut pos, len)?;
-                Value::Str(
-                    std::str::from_utf8(bytes)
-                        .map_err(|e| {
-                            SqlmlError::Execution(format!("invalid utf8 in binary row: {e}"))
-                        })?
-                        .into(),
-                )
-            }
-            other => {
-                return Err(SqlmlError::Execution(format!(
-                    "unknown binary value tag {other}"
-                )))
-            }
-        };
-        values.push(v);
-    }
-    Ok((Row::new(values), pos))
-}
-
-// ---------------------------------------------------------------------------
-// Compact batch format (varints + per-frame string dictionary)
-// ---------------------------------------------------------------------------
-
-/// Wire codec negotiated per transfer group during the data handshake.
-///
-/// The reader advertises the best codec it understands in its `DataHello`;
-/// the sender announces the group-wide choice in `DataStart` (the minimum
-/// over every peer's advertisement and its own configuration, so one
-/// legacy peer downgrades the whole group rather than splitting it).
-/// A handshake with no codec byte at all — a pre-upgrade peer — reads as
-/// [`WireCodec::Legacy`], which keeps old and new binaries interoperable
-/// in both directions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireCodec {
-    /// Fixed-width binary rows ([`encode_binary_batch`]).
-    Legacy,
-    /// Varint + per-frame-dictionary rows ([`encode_compact_batch`]).
-    #[default]
-    Compact,
-}
-
-impl WireCodec {
-    /// The single-byte wire representation used in the handshake.
-    pub const fn as_byte(self) -> u8 {
-        match self {
-            WireCodec::Legacy => 0,
-            WireCodec::Compact => 1,
-        }
-    }
-
-    /// Parse the handshake byte.
-    pub fn from_byte(b: u8) -> Result<WireCodec> {
-        match b {
-            0 => Ok(WireCodec::Legacy),
-            1 => Ok(WireCodec::Compact),
-            other => Err(SqlmlError::Transfer(format!(
-                "unknown wire codec byte {other}"
-            ))),
-        }
-    }
-
-    /// Group negotiation: compact only when both sides speak it.
-    pub fn negotiate(self, peer: WireCodec) -> WireCodec {
-        if self == WireCodec::Compact && peer == WireCodec::Compact {
-            WireCodec::Compact
-        } else {
-            WireCodec::Legacy
-        }
-    }
-
-    /// CLI flag spelling (`--codec legacy|compact`).
-    pub fn from_flag(s: &str) -> Option<WireCodec> {
-        match s {
-            "legacy" => Some(WireCodec::Legacy),
-            "compact" => Some(WireCodec::Compact),
-            _ => None,
-        }
-    }
-
-    /// Human label for bench output.
-    pub const fn label(self) -> &'static str {
-        match self {
-            WireCodec::Legacy => "legacy",
-            WireCodec::Compact => "compact",
-        }
-    }
-}
-
-impl std::fmt::Display for WireCodec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// Append `v` as an unsigned LEB128 varint (1–10 bytes).
 #[inline]
@@ -425,17 +226,13 @@ pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Dictionary-compression counters for the compact codec. `bytes_saved`
-/// compares each string cell against its legacy cost (4-byte length
-/// prefix + bytes, shipped every occurrence).
+/// Dictionary-compression counters for the compact codec.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DictStats {
     /// String cells that referenced an entry already in the frame's dict.
     pub hits: u64,
     /// String cells that created a new dict entry.
     pub misses: u64,
-    /// Wire bytes saved vs. the legacy encoding of the same string cells.
-    pub bytes_saved: u64,
 }
 
 impl DictStats {
@@ -443,7 +240,6 @@ impl DictStats {
     pub fn merge(&mut self, other: DictStats) {
         self.hits += other.hits;
         self.misses += other.misses;
-        self.bytes_saved += other.bytes_saved;
     }
 
     /// Total string-cell lookups.
@@ -533,25 +329,22 @@ impl CompactBatchEncoder {
                 }
                 Value::Str(s) => {
                     self.rows.put_u8(TAG_STR);
-                    let legacy_cost = 4 + s.len() as u64;
-                    let (idx, compact_cost) = match self.index.get(&**s) {
+                    let idx = match self.index.get(&**s) {
                         Some(&i) => {
                             self.frame_stats.hits += 1;
-                            (i, uvarint_len(u64::from(i)))
+                            i
                         }
                         None => {
                             let i =
                                 crate::error::wire_u32(self.dict.len(), "frame dictionary size")?;
                             self.index.insert(Arc::clone(s), i);
                             self.dict.push(Arc::clone(s));
-                            let entry = uvarint_len(s.len() as u64) + s.len();
-                            self.dict_wire_bytes += entry;
+                            self.dict_wire_bytes += uvarint_len(s.len() as u64) + s.len();
                             self.frame_stats.misses += 1;
-                            (i, entry + uvarint_len(u64::from(i)))
+                            i
                         }
                     };
                     put_uvarint(&mut self.rows, u64::from(idx));
-                    self.frame_stats.bytes_saved += legacy_cost.saturating_sub(compact_cost as u64);
                 }
             }
         }
@@ -762,77 +555,6 @@ mod tests {
         assert!(decode_text_row("1|F|2.0|Yes|extra", &schema()).is_err());
     }
 
-    #[test]
-    fn binary_round_trip_all_types() {
-        let rows = vec![
-            Row::new(vec![
-                Value::Null,
-                Value::Bool(true),
-                Value::Int(-42),
-                Value::Double(6.25),
-                Value::Str("héllo|world".into()),
-            ]),
-            Row::new(vec![]),
-            row![i64::MAX, f64::MIN_POSITIVE],
-        ];
-        let mut buf = Vec::new();
-        for r in &rows {
-            encode_binary_row(r, &mut buf).unwrap();
-        }
-        let mut pos = 0;
-        for expect in &rows {
-            let (got, used) = decode_binary_row(&buf[pos..]).unwrap();
-            assert_eq!(&got, expect);
-            pos += used;
-        }
-        assert_eq!(pos, buf.len());
-    }
-
-    #[test]
-    fn binary_batch_round_trip_and_trailing_bytes_rejected() {
-        let rows = vec![
-            row![1i64, "a", 1.5],
-            Row::new(vec![Value::Null, Value::Bool(false)]),
-            Row::new(vec![]),
-        ];
-        let mut buf = Vec::new();
-        encode_binary_batch(&rows, &mut buf).unwrap();
-        assert_eq!(decode_binary_batch(&buf).unwrap(), rows);
-        // Empty batch is 4 zero bytes.
-        let mut empty = Vec::new();
-        encode_binary_batch(&[], &mut empty).unwrap();
-        assert_eq!(empty, vec![0, 0, 0, 0]);
-        assert!(decode_binary_batch(&empty).unwrap().is_empty());
-        // Trailing garbage and truncation are both detected.
-        buf.push(0xFF);
-        assert!(decode_binary_batch(&buf).is_err());
-        assert!(decode_binary_batch(&[1, 0, 0]).is_err());
-    }
-
-    #[test]
-    fn binary_row_encodes_into_bytes_mut_scratch() {
-        let mut scratch = bytes::BytesMut::with_capacity(64);
-        let r = row![7i64, "x"];
-        encode_binary_row(&r, &mut scratch).unwrap();
-        let (back, used) = decode_binary_row(&scratch).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(used, scratch.len());
-        scratch.clear();
-        assert!(scratch.capacity() >= used, "allocation is retained");
-    }
-
-    #[test]
-    fn binary_truncation_is_detected() {
-        let mut buf = Vec::new();
-        encode_binary_row(&row![1i64, "abc"], &mut buf).unwrap();
-        for cut in 1..buf.len() {
-            assert!(
-                decode_binary_row(&buf[..cut]).is_err(),
-                "cut at {cut} should fail"
-            );
-        }
-    }
-
     // -- compact codec ------------------------------------------------------
 
     #[test]
@@ -904,7 +626,6 @@ mod tests {
         // "héllo|world" appears twice: one miss, one hit.
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.hits, 1);
-        assert!(stats.bytes_saved > 0);
     }
 
     #[test]
@@ -1039,46 +760,5 @@ mod tests {
         // cell pointing at entry 5 of an empty dict.
         let bad = [0u8, 1, 1, TAG_STR, 5];
         assert!(decode_compact_batch(&bad).is_err());
-    }
-
-    #[test]
-    fn compact_is_smaller_than_legacy_on_categorical_batches() {
-        let rows: Vec<Row> = (0..64)
-            .map(|i| row![i as i64, if i % 2 == 0 { "Yes" } else { "No" }, 1.5])
-            .collect();
-        let mut legacy = Vec::new();
-        encode_binary_batch(&rows, &mut legacy).unwrap();
-        let mut compact = Vec::new();
-        let stats = encode_compact_batch(&rows, &mut compact).unwrap();
-        assert!(
-            compact.len() < legacy.len() / 2,
-            "compact {} vs legacy {}",
-            compact.len(),
-            legacy.len()
-        );
-        assert_eq!(stats.hits, 62);
-        assert_eq!(stats.misses, 2);
-    }
-
-    #[test]
-    fn wire_codec_negotiation_and_bytes() {
-        assert_eq!(WireCodec::from_byte(0).unwrap(), WireCodec::Legacy);
-        assert_eq!(WireCodec::from_byte(1).unwrap(), WireCodec::Compact);
-        assert!(WireCodec::from_byte(9).is_err());
-        assert_eq!(
-            WireCodec::Compact.negotiate(WireCodec::Compact),
-            WireCodec::Compact
-        );
-        assert_eq!(
-            WireCodec::Compact.negotiate(WireCodec::Legacy),
-            WireCodec::Legacy
-        );
-        assert_eq!(
-            WireCodec::Legacy.negotiate(WireCodec::Compact),
-            WireCodec::Legacy
-        );
-        assert_eq!(WireCodec::from_flag("compact"), Some(WireCodec::Compact));
-        assert_eq!(WireCodec::from_flag("legacy"), Some(WireCodec::Legacy));
-        assert_eq!(WireCodec::from_flag("zstd"), None);
     }
 }

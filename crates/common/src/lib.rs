@@ -3,7 +3,7 @@
 //! This crate deliberately has **no external dependencies**: every other
 //! crate in the workspace (the DFS simulation, the MPP SQL engine, the ML
 //! engine, the transfer layer, …) builds on the value/row/schema model,
-//! error type, deterministic RNG, text/binary codecs, and stage timers
+//! error type, deterministic RNG, text/compact codecs, and stage timers
 //! defined here.
 
 pub mod alloc;
@@ -19,7 +19,7 @@ pub mod timer;
 pub mod value;
 
 pub use cancel::CancelToken;
-pub use codec::{DictStats, WireCodec};
+pub use codec::DictStats;
 pub use error::{counter_u32, wire_u32, Result, SqlmlError};
 pub use intern::Interner;
 pub use lockorder::{

@@ -7,7 +7,7 @@ use sqlml_common::Result;
 use sqlml_dfs::{Dfs, DfsConfig};
 use sqlml_mlengine::job::JobConfig;
 use sqlml_sqlengine::{Engine, EngineConfig};
-use sqlml_transfer::{StreamSession, StreamSessionConfig};
+use sqlml_transfer::{StreamSession, StreamSessionConfig, TransferConfig};
 
 use crate::workload::{Workload, WorkloadScale};
 
@@ -21,21 +21,9 @@ pub struct ClusterConfig {
     pub sql_workers: usize,
     /// ML workers (the paper ran 6 Spark workers per server).
     pub ml_workers: usize,
-    /// The paper's `k` (readers per SQL worker).
-    pub splits_per_worker: u32,
-    /// Send/receive buffer size for streaming (paper: 4 KiB).
-    pub send_buffer_bytes: usize,
-    /// Rows per `RowBatch` frame on the streaming data plane.
-    pub batch_rows: usize,
-    /// Wire-byte target per frame (frames close at `batch_rows` rows or
-    /// `frame_bytes` bytes, whichever comes first; paper: 4 KiB).
-    pub frame_bytes: usize,
-    /// Sender threads per SQL worker (0 = one dedicated thread per peer).
-    pub sender_threads: usize,
-    /// Wire codec for the streaming data plane (negotiated per group).
-    pub codec: sqlml_transfer::WireCodec,
-    /// Adaptive batching ceiling in rows per frame (0 = auto).
-    pub batch_rows_max: usize,
+    /// Streaming data-plane tunables (the paper's `k` and 4 KiB send
+    /// buffer, plus the frame row/byte targets).
+    pub transfer: TransferConfig,
     /// DFS parameters (block size, replication, optional throttling).
     pub dfs: DfsConfig,
     /// Split DFS text inputs at block granularity (Hadoop's behaviour)
@@ -49,13 +37,7 @@ impl Default for ClusterConfig {
             num_nodes: 4,
             sql_workers: 4,
             ml_workers: 4,
-            splits_per_worker: 1,
-            send_buffer_bytes: 4 * 1024,
-            batch_rows: sqlml_transfer::stream_udf::BATCH_ROWS,
-            frame_bytes: sqlml_transfer::stream_udf::FRAME_BYTES,
-            sender_threads: 0,
-            codec: sqlml_transfer::WireCodec::default(),
-            batch_rows_max: 0,
+            transfer: TransferConfig::default(),
             dfs: DfsConfig {
                 num_datanodes: 4,
                 block_size: 1024 * 1024,
@@ -123,7 +105,7 @@ impl SimCluster {
         JobConfig {
             num_workers: self.config.ml_workers,
             worker_nodes: self.nodes.clone(),
-            splits_per_worker: self.config.splits_per_worker as usize,
+            splits_per_worker: self.config.transfer.splits_per_worker as usize,
         }
     }
 
@@ -145,13 +127,7 @@ impl SimCluster {
     /// The streaming-session tunables for this cluster.
     pub fn stream_config(&self) -> StreamSessionConfig {
         StreamSessionConfig {
-            splits_per_worker: self.config.splits_per_worker,
-            send_buffer_bytes: self.config.send_buffer_bytes,
-            batch_rows: self.config.batch_rows,
-            frame_bytes: self.config.frame_bytes,
-            sender_threads: self.config.sender_threads,
-            codec: self.config.codec,
-            batch_rows_max: self.config.batch_rows_max,
+            transfer: self.config.transfer,
             ml_job: self.ml_job_config(),
             spill_dir: std::env::temp_dir().join("sqlml-cluster-spill"),
         }

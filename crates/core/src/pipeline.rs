@@ -86,7 +86,7 @@ impl PipelineReport {
     /// throughput, spill activity, time to first row at the ML side,
     /// restart attempts, and the overlapped-plane counters (sender queue
     /// stall/depth, decode-ahead wait, and — when strings streamed —
-    /// dictionary hit ratio and bytes saved). `None` for strategies that
+    /// dictionary hit ratio). `None` for strategies that
     /// never streamed.
     pub fn transfer_summary(&self) -> Option<String> {
         use sqlml_common::timer::{format_bytes, format_duration};
@@ -114,11 +114,7 @@ impl PipelineReport {
         let lookups = s.dict_hits + s.dict_misses;
         // Integer percentage is plenty for a one-line summary.
         if let Some(pct) = (s.dict_hits * 100).checked_div(lookups) {
-            summary.push_str(&format!(
-                ", dict {}/{lookups} ({pct}%) saved {}",
-                s.dict_hits,
-                format_bytes(s.dict_bytes_saved),
-            ));
+            summary.push_str(&format!(", dict {}/{lookups} ({pct}%)", s.dict_hits));
         }
         Some(summary)
     }

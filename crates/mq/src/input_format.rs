@@ -195,9 +195,7 @@ impl MqRecordReader {
                 CONSUME_TIMEOUT,
             )? {
                 Some(record) => {
-                    let mut body: &[u8] = &record;
-                    while !body.is_empty() {
-                        let (row, used) = codec::decode_binary_row(body)?;
+                    for row in codec::decode_compact_batch(&record)? {
                         // Guard against schema drift between publisher
                         // and consumer.
                         if row.len() != self.schema.len() {
@@ -208,7 +206,6 @@ impl MqRecordReader {
                             )));
                         }
                         rows.push_back(row);
-                        body = &body[used..];
                     }
                     offset += 1;
                     consumed_records += 1;
@@ -244,12 +241,14 @@ mod tests {
         Schema::new(vec![Field::new("x", DataType::Int)])
     }
 
-    fn publish(broker: &Broker, topic: &str, partition: usize, rows: &[Row]) {
+    fn append(broker: &Broker, topic: &str, partition: usize, rows: &[Row]) {
         let mut buf = Vec::new();
-        for r in rows {
-            codec::encode_binary_row(r, &mut buf).unwrap();
-        }
+        codec::encode_compact_batch(rows, &mut buf).unwrap();
         broker.append(topic, partition, buf).unwrap();
+    }
+
+    fn publish(broker: &Broker, topic: &str, partition: usize, rows: &[Row]) {
+        append(broker, topic, partition, rows);
         broker.seal(topic, partition).unwrap();
     }
 
@@ -279,9 +278,7 @@ mod tests {
         broker.create_topic("t", 1).unwrap();
         // Three records of one row each.
         for i in 0..3i64 {
-            let mut buf = Vec::new();
-            codec::encode_binary_row(&row![i], &mut buf).unwrap();
-            broker.append("t", 0, buf).unwrap();
+            append(&broker, "t", 0, &[row![i]]);
         }
         broker.seal("t", 0).unwrap();
 

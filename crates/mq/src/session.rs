@@ -157,6 +157,51 @@ mod tests {
         assert_eq!(outcome.job.model.predict(&[-2.0, -2.0]), 0.0);
     }
 
+    /// A string-heavy table through the broker: every record is one compact
+    /// batch, so repeated categorical values travel as dictionary indexes
+    /// and must come back as the same strings, row for row.
+    #[test]
+    fn categorical_table_round_trips_through_the_broker() {
+        use sqlml_mlengine::input::InputFormat;
+        let engine = Engine::new(EngineConfig::with_workers(2));
+        let schema = Schema::new(vec![
+            Field::new("id", DataType::Int),
+            Field::categorical("plan"),
+            Field::categorical("region"),
+        ]);
+        let plans = ["basic-monthly", "plus-annual", "premium-annual"];
+        let regions = ["north-america", "europe", "asia-pacific", "ünïcode", ""];
+        let rows: Vec<Row> = (0..500usize)
+            .map(|i| row![i as i64, plans[i % 3], regions[i % 5]])
+            .collect();
+        engine.register_rows("accounts", schema, rows.clone());
+        let broker = Broker::new(BrokerConfig::default());
+        install_udf(&engine, &broker);
+        let (published, bytes, schema) =
+            publish_table(&engine, &broker, "accounts", "accounts-topic").unwrap();
+        assert_eq!(published, 500);
+        // Only possible when repeats are shipped as indexes.
+        let string_bytes: usize = rows
+            .iter()
+            .map(|r| r.get(1).as_str().unwrap().len() + r.get(2).as_str().unwrap().len())
+            .sum();
+        assert!(
+            (bytes as usize) < string_bytes,
+            "{bytes} bytes published for {string_bytes} bytes of strings"
+        );
+
+        let format = MqInputFormat::new(broker, "accounts-topic", schema);
+        let mut got = Vec::new();
+        for split in format.get_splits(0).unwrap() {
+            let mut reader = format.create_reader(split.as_ref()).unwrap();
+            while let Some(r) = reader.next_row().unwrap() {
+                got.push(r);
+            }
+        }
+        got.sort();
+        assert_eq!(got, rows, "ids ascend, so sorted order is insertion order");
+    }
+
     #[test]
     fn one_publish_feeds_many_jobs() {
         // §8: "Kafka could also be the system to cache the data" — the

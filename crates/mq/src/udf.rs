@@ -12,7 +12,8 @@ use sqlml_sqlengine::udf::{PartitionCtx, TableUdf};
 
 use crate::broker::Broker;
 
-/// Rows per published record (one record = one encoded row batch).
+/// Rows per published record (one record = one compact row batch, the
+/// same encoding the socket transfer puts in a frame).
 pub const BATCH_ROWS: usize = 64;
 
 /// Output layout of the UDF: per-worker publish statistics.
@@ -87,10 +88,8 @@ impl TableUdf for MqTransferUdf {
         let mut bytes = 0u64;
         let mut records = 0u64;
         for batch in rows.chunks(BATCH_ROWS) {
-            let mut buf = Vec::with_capacity(batch.len() * 32);
-            for r in batch {
-                codec::encode_binary_row(r, &mut buf)?;
-            }
+            let mut buf = Vec::with_capacity(batch.len() * 16);
+            codec::encode_compact_batch(batch, &mut buf)?;
             bytes += buf.len() as u64;
             self.broker.append(&topic, ctx.partition, buf)?;
             records += 1;

@@ -42,8 +42,7 @@
 //! pinned submissions, and per-cluster counters report. Construction
 //! goes through [`SchedulerBuilder`] (`QueryScheduler::builder(config)`);
 //! the submit surface is [`QueryScheduler::submit`] +
-//! [`QueryScheduler::submit_opts`] with [`SubmitOpts`]. The pre-elastic
-//! constructors and submit variants remain as deprecated wrappers.
+//! [`QueryScheduler::submit_opts`] with [`SubmitOpts`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -146,8 +145,8 @@ pub struct ShardTemplate {
     pub seed: u64,
 }
 
-/// Builds a [`QueryScheduler`]: the one construction path behind both
-/// the deprecated `start`/`start_sharded` wrappers and elastic fleets.
+/// Builds a [`QueryScheduler`]: the one construction path, for fixed
+/// and elastic fleets alike.
 ///
 /// Shards come from either (or both) of:
 /// * [`SchedulerBuilder::cluster`] / [`SchedulerBuilder::clusters`] —
@@ -718,31 +717,6 @@ impl QueryScheduler {
         SchedulerBuilder::new(config)
     }
 
-    /// Single-cluster serving plane (a fleet of one shard).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use QueryScheduler::builder(config).cluster(cluster).build()"
-    )]
-    pub fn start(cluster: Arc<SimCluster>, config: SchedulerConfig) -> QueryScheduler {
-        QueryScheduler::assemble(vec![cluster], config, None, None, None)
-    }
-
-    /// Serving plane over a pre-booted fleet of shard clusters.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use QueryScheduler::builder(config).clusters(clusters).build()"
-    )]
-    pub fn start_sharded(
-        clusters: Vec<Arc<SimCluster>>,
-        config: SchedulerConfig,
-    ) -> QueryScheduler {
-        assert!(
-            !clusters.is_empty(),
-            "a scheduler needs at least one cluster"
-        );
-        QueryScheduler::assemble(clusters, config, None, None, None)
-    }
-
     /// Register the clusters and spin up their executor threads. Each
     /// thread is homed on one shard and owns one [`Pipeline`] over that
     /// shard's cluster; with `enable_cache` all of a shard's threads
@@ -1189,33 +1163,6 @@ impl QueryScheduler {
             shared,
             stats: Arc::clone(&self.stats),
         })
-    }
-
-    /// [`QueryScheduler::submit`] with client-side retry on transient
-    /// rejects.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use submit_opts(spec, SubmitOpts::default().with_retry(policy.clone()))"
-    )]
-    pub fn submit_with_retry(
-        &self,
-        spec: QuerySpec,
-        policy: &RetryPolicy,
-    ) -> std::result::Result<QueryHandle, Rejected> {
-        self.submit_opts(spec, SubmitOpts::default().with_retry(policy.clone()))
-    }
-
-    /// Targeted placement onto one shard (stable id).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use submit_opts(spec, SubmitOpts::pinned(shard))"
-    )]
-    pub fn submit_to(
-        &self,
-        spec: QuerySpec,
-        shard: usize,
-    ) -> std::result::Result<QueryHandle, Rejected> {
-        self.submit_opts(spec, SubmitOpts::pinned(shard).no_retry())
     }
 
     fn reject(&self, reason: RejectReason) -> Rejected {
@@ -1729,34 +1676,6 @@ mod tests {
             .unwrap();
         // Idle fleet above the floor: the threshold policy says shrink.
         assert_eq!(sched.scale_advice(), ScaleAdvice::Shrink);
-        sched.shutdown();
-    }
-
-    /// The pre-elastic constructors and submit variants must keep
-    /// compiling and serving as thin wrappers. This is the one test
-    /// allowed to touch them.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_serve() {
-        let sched = QueryScheduler::start(cluster(), SchedulerConfig::default());
-        assert_eq!(sched.num_shards(), 1);
-        let direct = sched
-            .submit_to(QuerySpec::new("t", request(), Strategy::InSql), 0)
-            .unwrap();
-        assert!(direct.wait().as_ref().as_ref().is_ok());
-        let retried = sched
-            .submit_with_retry(
-                QuerySpec::new("t", request(), Strategy::InSql),
-                &RetryPolicy::default(),
-            )
-            .unwrap();
-        assert!(retried.wait().as_ref().as_ref().is_ok());
-        sched.shutdown();
-        let sched = QueryScheduler::start_sharded(vec![cluster()], SchedulerConfig::default());
-        let h = sched
-            .submit(QuerySpec::new("t", request(), Strategy::InSql))
-            .unwrap();
-        assert!(h.wait().as_ref().as_ref().is_ok());
         sched.shutdown();
     }
 }

@@ -288,14 +288,6 @@ impl SpillableBuffer {
         self.space.notify_all();
     }
 
-    /// True once the stream is closed and every queued chunk (memory and
-    /// spill) has been consumed. Multiplexed sender threads use this to
-    /// retire a peer's slot.
-    pub fn is_drained(&self) -> bool {
-        let st = self.state.lock();
-        st.closed && st.memory.is_empty() && st.spill.read_pos >= st.spill.write_pos
-    }
-
     pub fn stats(&self) -> BufferStats {
         let st = self.state.lock();
         BufferStats {
@@ -442,10 +434,8 @@ mod tests {
         b.push(vec![2; 4]).unwrap(); // spilled
         b.push(vec![3; 4]).unwrap(); // spilled
         assert_eq!(b.stats().depth_high_water, 3);
-        assert!(!b.is_drained());
         b.close();
         while b.pop().unwrap().is_some() {}
-        assert!(b.is_drained());
         // High-water survives the drain.
         assert_eq!(b.stats().depth_high_water, 3);
         assert_eq!(b.stats().stall_us, 0, "unbounded buffer never stalls");

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use sqlml_common::{Result, Row, Schema, SqlmlError, WireCodec};
+use sqlml_common::{Result, Row, Schema, SqlmlError};
 use sqlml_mlengine::input::{InputFormat, InputSplit, RecordReader};
 
 use crate::metrics::TransferMetrics;
@@ -313,10 +313,8 @@ struct PrefetchWorker {
 }
 
 impl PrefetchWorker {
-    /// One connection + handshake attempt. Advertises compact-codec
-    /// support; the sender's `DataStart` announces the group choice and
-    /// the decoder handles either frame kind by tag, so the reply's codec
-    /// field needs no further action here.
+    /// One connection + handshake attempt. Both handshake frames carry
+    /// the wire version, checked where they are decoded.
     fn connect(&mut self) -> Result<()> {
         let mut stream = TcpStream::connect(&self.split.data_addr)
             .map_err(|e| SqlmlError::Transfer(format!("sender unreachable: {e}")))?;
@@ -328,7 +326,6 @@ impl PrefetchWorker {
                 transfer_id: self.split.transfer_id,
                 split_index: self.split.index_in_group,
                 attempt: self.next_attempt,
-                codec: WireCodec::Compact,
             },
         )?;
         let mut conn = BufReader::with_capacity(READ_BUFFER_BYTES, stream);
@@ -499,7 +496,6 @@ impl RecordReader for StreamRecordReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::encode_row_batch_frame;
     use sqlml_common::Value;
     use std::io::Write;
     use std::net::TcpListener;
@@ -556,14 +552,7 @@ mod tests {
                 Message::DataHello { .. } => {}
                 other => panic!("expected hello, got {other:?}"),
             }
-            write_message(
-                &mut stream,
-                &Message::DataStart {
-                    attempt: 1,
-                    codec: WireCodec::Legacy,
-                },
-            )
-            .unwrap();
+            write_message(&mut stream, &Message::DataStart { attempt: 1 }).unwrap();
             f(stream);
         });
         (addr, handle)
@@ -580,7 +569,7 @@ mod tests {
                 .map(|i| Row::new(vec![Value::Int(i), Value::Str("pad-pad-pad".into())]))
                 .collect();
             let mut frame = Vec::new();
-            encode_row_batch_frame(&rows, &mut frame).unwrap();
+            Message::RowBatch { rows }.encode_into(&mut frame).unwrap();
             for _ in 0..TOTAL_ROWS / BATCH {
                 stream.write_all(&frame).unwrap();
             }
@@ -616,7 +605,7 @@ mod tests {
         let (addr, sender) = fake_sender(move |mut stream| {
             let rows = vec![Row::new(vec![Value::Int(1)]), Row::new(vec![Value::Int(2)])];
             let mut frame = Vec::new();
-            encode_row_batch_frame(&rows, &mut frame).unwrap();
+            Message::RowBatch { rows }.encode_into(&mut frame).unwrap();
             stream.write_all(&frame).unwrap();
             stream.flush().unwrap();
             // Do not send DataEnd until the reader has yielded rows.
@@ -646,7 +635,7 @@ mod tests {
         let (addr, sender) = fake_sender(|mut stream| {
             let rows = vec![Row::new(vec![Value::Int(1)])];
             let mut frame = Vec::new();
-            encode_row_batch_frame(&rows, &mut frame).unwrap();
+            Message::RowBatch { rows }.encode_into(&mut frame).unwrap();
             stream.write_all(&frame).unwrap();
             // Lie: claim 5 rows were sent. The reader treats this as a
             // broken attempt and retries; with the sender gone, every
@@ -678,7 +667,7 @@ mod tests {
                     .map(|i| Row::new(vec![Value::Int(*i)]))
                     .collect();
                 frame.clear();
-                encode_row_batch_frame(&rows, &mut frame).unwrap();
+                Message::RowBatch { rows }.encode_into(&mut frame).unwrap();
                 stream.write_all(&frame).unwrap();
             }
             write_message(

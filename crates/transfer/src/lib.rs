@@ -14,9 +14,13 @@
 //!    colocates readers with their senders;
 //! 4. ML workers register back and are matched to their SQL worker;
 //! 5. readers connect to their SQL worker's data listener, and rows flow
-//!    round-robin over the sockets, through per-peer **send buffers that
-//!    spill to disk** when a reader is slow (§3's producer/consumer
-//!    synchronization).
+//!    round-robin over the sockets as compact batch frames (one wire
+//!    format, version-checked in the handshake), through per-peer **send
+//!    buffers that spill to disk** when a reader is slow (§3's
+//!    producer/consumer synchronization), each drained by its own sender
+//!    thread.
+//!
+//! The data plane's four tunables live in [`TransferConfig`].
 //!
 //! Fault tolerance follows §6's restart protocol: when any connection of
 //! a SQL worker's group fails, the worker restarts the *whole group*
@@ -25,6 +29,7 @@
 //! partial data — giving exactly-once delivery at dataset granularity.
 
 pub mod buffer;
+pub mod config;
 pub mod coordinator;
 pub mod input_format;
 pub mod metrics;
@@ -34,9 +39,9 @@ pub mod session;
 pub mod stream_udf;
 
 pub use buffer::SpillableBuffer;
+pub use config::{TransferArgs, TransferConfig};
 pub use coordinator::{Coordinator, CoordinatorHandle};
 pub use input_format::{SqlStreamInputFormat, StreamRecordReader};
 pub use metrics::{MetricsSnapshot, TransferMetrics};
 pub use session::{CancelRegistry, FaultInjector, StreamSession, StreamSessionConfig, StreamStats};
-pub use sqlml_common::WireCodec;
 pub use stream_udf::StreamTransferUdf;

@@ -3,17 +3,24 @@
 //!
 //! Every message is a frame: `u32` little-endian payload length, then the
 //! payload (first payload byte is the message tag). Strings are `u32`
-//! length + UTF-8. Rows use the workspace binary row codec.
+//! length + UTF-8. Rows travel as compact batches
+//! ([`sqlml_common::codec`]): varints plus a per-frame string dictionary.
 
 use std::io::{Read, Write};
 use std::ops::DerefMut;
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 use sqlml_common::codec::{CompactBatchEncoder, DictStats};
-use sqlml_common::{codec, Result, Row, SqlmlError, WireCodec};
+use sqlml_common::{codec, Result, Row, SqlmlError};
 
 /// Maximum accepted frame size (guards against corrupt length prefixes).
 pub const MAX_FRAME: usize = 64 * 1024 * 1024;
+
+/// Version of the data-plane wire format, carried as the trailing byte of
+/// both handshake frames and checked on decode. Any change to the bytes of
+/// a `RowBatch` frame or of the handshake must bump it (the golden-bytes
+/// tests below fail until it is).
+pub const WIRE_VERSION: u8 = 1;
 
 /// Control- and data-plane messages.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,21 +50,17 @@ pub enum Message {
     },
     /// Coordinator → ML worker.
     MlAck,
-    /// Reader → SQL worker data listener (step 7). `codec` advertises the
-    /// best wire codec the reader understands; a pre-codec peer's 16-byte
-    /// hello decodes as [`WireCodec::Legacy`].
+    /// Reader → SQL worker data listener (step 7). Carries
+    /// [`WIRE_VERSION`] on the wire.
     DataHello {
         transfer_id: u64,
         split_index: u32,
         attempt: u32,
-        codec: WireCodec,
     },
-    /// SQL worker → reader: stream (re)starting. `codec` announces the
-    /// group-negotiated codec every subsequent `RowBatch` frame uses.
-    DataStart { attempt: u32, codec: WireCodec },
-    /// SQL worker → reader: a batch of rows. On the wire this is either a
-    /// legacy (`T_ROW_BATCH`) or compact (`T_ROW_BATCH_COMPACT`) frame;
-    /// both decode to this variant so the read path is codec-agnostic.
+    /// SQL worker → reader: stream (re)starting. Carries [`WIRE_VERSION`]
+    /// on the wire.
+    DataStart { attempt: u32 },
+    /// SQL worker → reader: a batch of rows (one compact batch).
     RowBatch { rows: Vec<Row> },
     /// SQL worker → reader: end of stream with the expected row count.
     DataEnd { total_rows: u64 },
@@ -86,9 +89,8 @@ const T_REGISTER_ML: u8 = 0x05;
 const T_ML_ACK: u8 = 0x06;
 const T_DATA_HELLO: u8 = 0x10;
 const T_DATA_START: u8 = 0x11;
-const T_ROW_BATCH: u8 = 0x12;
 const T_DATA_END: u8 = 0x13;
-const T_ROW_BATCH_COMPACT: u8 = 0x14;
+const T_ROW_BATCH: u8 = 0x14;
 const T_ABORT: u8 = 0x1F;
 
 /// Byte sinks a frame can be encoded into: append via [`BufMut`], then
@@ -191,28 +193,21 @@ impl Message {
                 transfer_id,
                 split_index,
                 attempt,
-                codec,
             } => {
                 buf.put_u8(T_DATA_HELLO);
                 buf.put_u64_le(*transfer_id);
                 buf.put_u32_le(*split_index);
                 buf.put_u32_le(*attempt);
-                // Trailing codec byte: pre-codec decoders read the fixed
-                // 16-byte prefix and ignore the rest, so this is
-                // backward compatible.
-                buf.put_u8(codec.as_byte());
+                buf.put_u8(WIRE_VERSION);
             }
-            Message::DataStart { attempt, codec } => {
+            Message::DataStart { attempt } => {
                 buf.put_u8(T_DATA_START);
                 buf.put_u32_le(*attempt);
-                buf.put_u8(codec.as_byte());
+                buf.put_u8(WIRE_VERSION);
             }
             Message::RowBatch { rows } => {
-                // `Message::encode` always emits the legacy frame; compact
-                // frames are produced by [`RowBatchFrameBuilder`] on the
-                // sender hot path after negotiation.
                 buf.put_u8(T_ROW_BATCH);
-                codec::encode_binary_batch(rows, buf)?;
+                codec::encode_compact_batch(rows, buf)?;
             }
             Message::DataEnd { total_rows } => {
                 buf.put_u8(T_DATA_END);
@@ -283,7 +278,9 @@ impl Message {
             T_SPLITS => {
                 need(payload, 4, "split count")?;
                 let n = payload.get_u32_le() as usize;
-                let mut entries = Vec::with_capacity(n);
+                // A corrupt count must not size the allocation: every
+                // entry occupies at least its four u32 fields.
+                let mut entries = Vec::with_capacity(n.min(payload.len() / 16));
                 for _ in 0..n {
                     need(payload, 8, "split header")?;
                     let sql_worker = payload.get_u32_le();
@@ -316,25 +313,20 @@ impl Message {
                 let transfer_id = payload.get_u64_le();
                 let split_index = payload.get_u32_le();
                 let attempt = payload.get_u32_le();
+                check_wire_version(payload)?;
                 Ok(Message::DataHello {
                     transfer_id,
                     split_index,
                     attempt,
-                    codec: get_codec_byte(&mut payload)?,
                 })
             }
             T_DATA_START => {
                 need(payload, 4, "start")?;
                 let attempt = payload.get_u32_le();
-                Ok(Message::DataStart {
-                    attempt,
-                    codec: get_codec_byte(&mut payload)?,
-                })
+                check_wire_version(payload)?;
+                Ok(Message::DataStart { attempt })
             }
             T_ROW_BATCH => Ok(Message::RowBatch {
-                rows: codec::decode_binary_batch(payload)?,
-            }),
-            T_ROW_BATCH_COMPACT => Ok(Message::RowBatch {
                 rows: codec::decode_compact_batch(payload)?,
             }),
             T_DATA_END => {
@@ -353,13 +345,15 @@ impl Message {
     }
 }
 
-/// Read the optional trailing codec byte of a handshake frame: a peer
-/// from before the codec negotiation sends none, which means legacy.
-fn get_codec_byte(payload: &mut &[u8]) -> Result<WireCodec> {
-    if payload.is_empty() {
-        Ok(WireCodec::Legacy)
-    } else {
-        WireCodec::from_byte(payload.get_u8())
+/// Check the trailing version byte of a handshake frame. A missing or
+/// unknown version is an error, never a guess at what the peer speaks.
+fn check_wire_version(rest: &[u8]) -> Result<()> {
+    match rest.first() {
+        Some(&WIRE_VERSION) => Ok(()),
+        Some(other) => Err(SqlmlError::Transfer(format!(
+            "unsupported wire version {other} (this build speaks {WIRE_VERSION})"
+        ))),
+        None => Err(corrupt("wire version")),
     }
 }
 
@@ -378,136 +372,59 @@ fn patch_frame_len<B: FrameSink>(buf: &mut B, frame_start: usize) -> Result<()> 
     Ok(())
 }
 
-/// Append a complete `RowBatch` frame for a borrowed slice of rows —
-/// the sender hot path. Equivalent to
-/// `Message::RowBatch { rows: rows.to_vec() }.encode()` without cloning
-/// any row and without intermediate buffers.
-pub fn encode_row_batch_frame<B: FrameSink>(rows: &[Row], buf: &mut B) -> Result<()> {
-    let frame_start = buf.len();
-    buf.put_u32_le(0); // length placeholder
-    buf.put_u8(T_ROW_BATCH);
-    codec::encode_binary_batch(rows, buf)?;
-    patch_frame_len(buf, frame_start)
+/// Builds `RowBatch` frames row by row — the sender hot path — so the
+/// sender can cut frames on *either* a row-count or a byte-size target
+/// without cloning rows or re-encoding. A thin frame header around a
+/// [`CompactBatchEncoder`]: the produced bytes are identical to
+/// `Message::RowBatch { rows }.encode()` over the same rows.
+#[derive(Debug, Default)]
+pub struct RowBatchFrameBuilder {
+    encoder: CompactBatchEncoder,
 }
 
-/// Incrementally builds `RowBatch` frames row by row into a reusable
-/// scratch buffer, so the sender can cut frames on *either* a row-count
-/// or a byte-size target without ever cloning rows or re-encoding.
-///
-/// In [`WireCodec::Legacy`] mode the produced bytes are identical to
-/// [`encode_row_batch_frame`] over the same rows. In
-/// [`WireCodec::Compact`] mode rows accumulate in a
-/// [`CompactBatchEncoder`] (the per-frame dictionary must precede the
-/// rows on the wire, so the frame is assembled at
-/// [`take_frame`](Self::take_frame)) and the produced bytes are identical
-/// to a `T_ROW_BATCH_COMPACT` frame around
-/// [`codec::encode_compact_batch`].
-#[derive(Debug)]
-pub struct RowBatchFrameBuilder {
-    codec: WireCodec,
-    scratch: BytesMut,
-    compact: CompactBatchEncoder,
-    rows_in_frame: u32,
-}
+/// Length prefix + tag byte in front of every frame payload.
+const FRAME_HEADER_BYTES: usize = 5;
 
 impl RowBatchFrameBuilder {
-    /// Legacy-codec builder (the pre-negotiation default).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_codec(capacity, WireCodec::Legacy)
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Builder for the group-negotiated codec.
-    pub fn with_codec(capacity: usize, codec: WireCodec) -> Self {
-        let mut b = RowBatchFrameBuilder {
-            codec,
-            scratch: BytesMut::with_capacity(capacity),
-            compact: CompactBatchEncoder::new(),
-            rows_in_frame: 0,
-        };
-        b.start_frame();
-        b
-    }
-
-    /// The codec this builder emits frames in.
-    pub fn codec(&self) -> WireCodec {
-        self.codec
-    }
-
-    fn start_frame(&mut self) {
-        self.scratch.clear();
-        if self.codec == WireCodec::Legacy {
-            self.scratch.put_u32_le(0); // length placeholder
-            self.scratch.put_u8(T_ROW_BATCH);
-            self.scratch.put_u32_le(0); // row-count placeholder
-        }
-        self.rows_in_frame = 0;
-    }
-
-    /// Append one row to the frame under construction. On error the
-    /// frame under construction is reset (the row is not half-encoded
-    /// into it) and the error is returned for the caller to surface.
+    /// Append one row to the frame under construction. On error the row
+    /// is rolled back out of the frame and the error is returned for the
+    /// caller to surface.
     pub fn push_row(&mut self, row: &Row) -> Result<()> {
-        match self.codec {
-            WireCodec::Legacy => {
-                let before = self.scratch.len();
-                if let Err(e) = codec::encode_binary_row(row, &mut self.scratch) {
-                    self.scratch.truncate(before);
-                    return Err(e);
-                }
-            }
-            // The compact encoder rolls a failed row back itself.
-            WireCodec::Compact => self.compact.push_row(row)?,
-        }
-        self.rows_in_frame += 1;
-        Ok(())
+        self.encoder.push_row(row)
     }
 
     /// Rows in the frame under construction.
-    pub fn rows(&self) -> u32 {
-        self.rows_in_frame
+    pub fn rows(&self) -> usize {
+        self.encoder.row_count()
     }
 
     /// Wire size (including the length prefix) of the frame so far.
     pub fn frame_len(&self) -> usize {
-        match self.codec {
-            WireCodec::Legacy => self.scratch.len(),
-            // length prefix + tag + payload-so-far
-            WireCodec::Compact => 5 + self.compact.wire_len(),
-        }
+        FRAME_HEADER_BYTES + self.encoder.wire_len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.rows_in_frame == 0
+        self.encoder.is_empty()
     }
 
-    /// Lifetime dictionary-compression counters (all zero in legacy mode).
+    /// Lifetime dictionary-compression counters.
     pub fn dict_stats(&self) -> DictStats {
-        self.compact.stats()
+        self.encoder.stats()
     }
 
-    /// Patch the length/count headers, return the finished frame as an
-    /// owned chunk, and reset for the next frame. The scratch allocation
-    /// is retained. Fails (resetting the builder) when the accumulated
+    /// Return the finished frame as an owned chunk and reset for the next
+    /// frame. Fails (the builder is reset either way) when the accumulated
     /// frame exceeds the wire limits.
     pub fn take_frame(&mut self) -> Result<Vec<u8>> {
-        let mut frame = match self.codec {
-            WireCodec::Legacy => {
-                self.scratch[5..9].copy_from_slice(&self.rows_in_frame.to_le_bytes());
-                self.scratch.to_vec()
-            }
-            WireCodec::Compact => {
-                let mut frame = Vec::with_capacity(5 + self.compact.wire_len());
-                frame.put_u32_le(0); // length placeholder
-                frame.put_u8(T_ROW_BATCH_COMPACT);
-                self.compact.finish_into(&mut frame);
-                frame
-            }
-        };
-        if let Err(e) = patch_frame_len(&mut frame, 0) {
-            self.start_frame();
-            return Err(e);
-        }
-        self.start_frame();
+        let mut frame = Vec::with_capacity(self.frame_len());
+        frame.put_u32_le(0); // length placeholder
+        frame.put_u8(T_ROW_BATCH);
+        self.encoder.finish_into(&mut frame);
+        patch_frame_len(&mut frame, 0)?;
         Ok(frame)
     }
 }
@@ -549,121 +466,145 @@ pub fn read_message_with<R: Read>(stream: &mut R, scratch: &mut Vec<u8>) -> Resu
 mod tests {
     use super::*;
     use sqlml_common::row;
-    use sqlml_common::Value;
+    use sqlml_common::{SplitMix64, Value};
 
-    fn round_trip(msg: Message) {
-        let frame = msg.encode().unwrap();
-        let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
-        assert_eq!(len, frame.len() - 4);
-        let back = Message::decode(&frame[4..]).unwrap();
-        assert_eq!(back, msg);
+    /// One valid instance of every message kind.
+    fn sample_messages() -> Vec<Message> {
+        vec![
+            Message::RegisterSql {
+                transfer_id: 42,
+                worker: 3,
+                total_workers: 4,
+                data_addr: "127.0.0.1:5555".into(),
+                node: "node-3".into(),
+                command: "svm label=3 iterations=10".into(),
+                splits_per_worker: 2,
+            },
+            Message::SqlAck {
+                splits_per_worker: 2,
+            },
+            Message::GetSplits { transfer_id: 42 },
+            Message::Splits {
+                entries: vec![
+                    SplitEntry {
+                        sql_worker: 0,
+                        index_in_group: 0,
+                        data_addr: "127.0.0.1:1".into(),
+                        location: "node-0".into(),
+                    },
+                    SplitEntry {
+                        sql_worker: 1,
+                        index_in_group: 1,
+                        data_addr: "127.0.0.1:2".into(),
+                        location: "node-1".into(),
+                    },
+                ],
+            },
+            Message::RegisterMl {
+                transfer_id: 42,
+                ml_worker: 5,
+                node: "node-1".into(),
+            },
+            Message::MlAck,
+            Message::DataHello {
+                transfer_id: 42,
+                split_index: 1,
+                attempt: 2,
+            },
+            Message::DataStart { attempt: 2 },
+            Message::RowBatch { rows: mixed_rows() },
+            Message::DataEnd {
+                total_rows: 1_000_000,
+            },
+            Message::Abort {
+                reason: "injected".into(),
+            },
+        ]
+    }
+
+    /// The fixed batch the golden-bytes test pins: every value type, a
+    /// repeated string (dictionary hit) and a two-byte varint.
+    fn mixed_rows() -> Vec<Row> {
+        vec![
+            row![57i64, "F", 103.25, "Yes"],
+            Row::new(vec![
+                Value::Null,
+                Value::Bool(true),
+                Value::Int(-2),
+                Value::Str("F".into()),
+            ]),
+            row![300i64, "M", -0.5, "Yes"],
+        ]
     }
 
     #[test]
     fn all_message_kinds_round_trip() {
-        round_trip(Message::RegisterSql {
-            transfer_id: 42,
-            worker: 3,
-            total_workers: 4,
-            data_addr: "127.0.0.1:5555".into(),
-            node: "node-3".into(),
-            command: "svm label=3 iterations=10".into(),
-            splits_per_worker: 2,
-        });
-        round_trip(Message::SqlAck {
-            splits_per_worker: 2,
-        });
-        round_trip(Message::GetSplits { transfer_id: 42 });
-        round_trip(Message::Splits {
-            entries: vec![
-                SplitEntry {
-                    sql_worker: 0,
-                    index_in_group: 0,
-                    data_addr: "127.0.0.1:1".into(),
-                    location: "node-0".into(),
-                },
-                SplitEntry {
-                    sql_worker: 1,
-                    index_in_group: 1,
-                    data_addr: "127.0.0.1:2".into(),
-                    location: "node-1".into(),
-                },
-            ],
-        });
-        round_trip(Message::RegisterMl {
-            transfer_id: 42,
-            ml_worker: 5,
-            node: "node-1".into(),
-        });
-        round_trip(Message::MlAck);
-        round_trip(Message::DataHello {
+        for msg in sample_messages() {
+            let frame = msg.encode().unwrap();
+            let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
+            assert_eq!(len, frame.len() - 4);
+            assert_eq!(Message::decode(&frame[4..]).unwrap(), msg);
+        }
+    }
+
+    /// The wire format, byte for byte. If this test fails the format
+    /// changed: bump [`WIRE_VERSION`] and re-pin.
+    #[test]
+    fn golden_bytes_pin_the_wire_format() {
+        assert_eq!(WIRE_VERSION, 1);
+        #[rustfmt::skip]
+        let batch: &[u8] = &[
+            52, 0, 0, 0, 0x14,                       // frame length, RowBatch tag
+            3,                                       // dictionary: 3 entries
+            1, b'F', 3, b'Y', b'e', b's', 1, b'M',
+            3,                                       // 3 rows
+            4, 2, 114, 4, 0,                         // 57 (zigzag 114), "F"
+            3, 0, 0, 0, 0, 0, 0xD0, 0x59, 0x40,      // 103.25
+            4, 1,                                    // "Yes"
+            4, 0, 1, 1, 2, 3, 4, 0,                  // NULL, true, -2, "F"
+            4, 2, 0xD8, 0x04, 4, 2,                  // 300 (zigzag 600), "M"
+            3, 0, 0, 0, 0, 0, 0, 0xE0, 0xBF,         // -0.5
+            4, 1,                                    // "Yes"
+        ];
+        let frame = Message::RowBatch { rows: mixed_rows() }.encode().unwrap();
+        assert_eq!(frame, batch);
+
+        #[rustfmt::skip]
+        let hello: &[u8] = &[
+            18, 0, 0, 0, 0x10,
+            42, 0, 0, 0, 0, 0, 0, 0,                 // transfer id
+            1, 0, 0, 0,                              // split index
+            2, 0, 0, 0,                              // attempt
+            1,                                       // WIRE_VERSION
+        ];
+        let frame = Message::DataHello {
             transfer_id: 42,
             split_index: 1,
             attempt: 2,
-            codec: WireCodec::Compact,
-        });
-        round_trip(Message::DataHello {
-            transfer_id: 42,
-            split_index: 1,
-            attempt: 2,
-            codec: WireCodec::Legacy,
-        });
-        round_trip(Message::DataStart {
-            attempt: 2,
-            codec: WireCodec::Compact,
-        });
-        round_trip(Message::RowBatch {
-            rows: vec![
-                row![1i64, "hello", 2.5],
-                sqlml_common::Row::new(vec![Value::Null, Value::Bool(true)]),
-            ],
-        });
-        round_trip(Message::DataEnd {
-            total_rows: 1_000_000,
-        });
-        round_trip(Message::Abort {
-            reason: "injected".into(),
-        });
+        }
+        .encode()
+        .unwrap();
+        assert_eq!(frame, hello);
+
+        let start: &[u8] = &[6, 0, 0, 0, 0x11, 2, 0, 0, 0, 1];
+        assert_eq!(Message::DataStart { attempt: 2 }.encode().unwrap(), start);
     }
 
     #[test]
-    fn row_batch_frame_helper_matches_message_encoding() {
-        let rows = vec![
-            row![1i64, "hello", 2.5],
-            sqlml_common::Row::new(vec![Value::Null, Value::Bool(true)]),
-        ];
-        let via_message = Message::RowBatch { rows: rows.clone() }.encode().unwrap();
-        let mut scratch = BytesMut::with_capacity(256);
-        encode_row_batch_frame(&rows, &mut scratch).unwrap();
-        assert_eq!(&scratch[..], &via_message[..]);
-        // The scratch buffer is reusable: clear keeps the allocation and a
-        // second encode produces an identical frame.
-        let cap = scratch.capacity();
-        scratch.clear();
-        encode_row_batch_frame(&rows, &mut scratch).unwrap();
-        assert_eq!(&scratch[..], &via_message[..]);
-        assert_eq!(scratch.capacity(), cap);
-    }
-
-    #[test]
-    fn frame_builder_matches_bulk_encoding_and_reuses_scratch() {
-        let rows = vec![
-            row![1i64, "hello", 2.5],
-            sqlml_common::Row::new(vec![Value::Null, Value::Bool(true)]),
-            row![7i64, "world", -0.5],
-        ];
-        let mut expect = Vec::new();
-        encode_row_batch_frame(&rows, &mut expect).unwrap();
-
-        let mut builder = RowBatchFrameBuilder::with_capacity(64);
+    fn frame_builder_matches_message_encoding_and_is_reusable() {
+        let rows = mixed_rows();
+        let expect = Message::RowBatch { rows: rows.clone() }.encode().unwrap();
+        let mut builder = RowBatchFrameBuilder::new();
         assert!(builder.is_empty());
         for r in &rows {
             builder.push_row(r).unwrap();
         }
         assert_eq!(builder.rows(), 3);
-        assert!(builder.frame_len() > 9);
-        let frame = builder.take_frame().unwrap();
-        assert_eq!(frame, expect);
+        assert_eq!(builder.frame_len(), expect.len());
+        assert_eq!(builder.take_frame().unwrap(), expect);
+        // "F" and "Yes" each repeat once: three misses, two hits.
+        assert_eq!(builder.dict_stats().misses, 3);
+        assert_eq!(builder.dict_stats().hits, 2);
         // Builder resets after take_frame and produces a fresh frame.
         assert!(builder.is_empty());
         builder.push_row(&rows[0]).unwrap();
@@ -675,72 +616,64 @@ mod tests {
     }
 
     #[test]
-    fn pre_codec_handshake_frames_decode_as_legacy() {
-        // A peer from before the codec negotiation sends a 16-byte hello
-        // (no trailing codec byte): hand-craft one and check it reads as
-        // legacy, in both directions.
-        let mut hello = vec![T_DATA_HELLO];
-        hello.extend_from_slice(&42u64.to_le_bytes());
-        hello.extend_from_slice(&1u32.to_le_bytes());
-        hello.extend_from_slice(&2u32.to_le_bytes());
-        assert_eq!(
-            Message::decode(&hello).unwrap(),
-            Message::DataHello {
-                transfer_id: 42,
-                split_index: 1,
-                attempt: 2,
-                codec: WireCodec::Legacy,
+    fn handshake_without_a_known_wire_version_is_rejected() {
+        let hello = Message::DataHello {
+            transfer_id: 42,
+            split_index: 1,
+            attempt: 2,
+        }
+        .encode()
+        .unwrap();
+        let start = Message::DataStart { attempt: 3 }.encode().unwrap();
+        for frame in [hello, start] {
+            let payload = &frame[4..];
+            // Version byte missing altogether.
+            let err = Message::decode(&payload[..payload.len() - 1]).unwrap_err();
+            assert!(matches!(err, SqlmlError::Transfer(_)), "{err}");
+            // Unknown versions, including the one below ours.
+            for version in [0u8, WIRE_VERSION + 1, 0xEE] {
+                let mut bad = payload.to_vec();
+                *bad.last_mut().unwrap() = version;
+                let err = Message::decode(&bad).unwrap_err();
+                assert!(matches!(err, SqlmlError::Transfer(_)), "{err}");
+                assert!(err.to_string().contains("wire version"), "{err}");
             }
-        );
-        let mut start = vec![T_DATA_START];
-        start.extend_from_slice(&3u32.to_le_bytes());
-        assert_eq!(
-            Message::decode(&start).unwrap(),
-            Message::DataStart {
-                attempt: 3,
-                codec: WireCodec::Legacy,
-            }
-        );
-        // And an unknown codec byte is rejected rather than guessed at.
-        start.push(0xEE);
-        assert!(Message::decode(&start).is_err());
+        }
     }
 
+    /// Bytes off a socket must never panic the decoder: random strings,
+    /// every truncation and every single-byte mutation of every message
+    /// kind decode to `Ok` or a typed error.
     #[test]
-    fn compact_frames_decode_to_row_batch() {
-        let rows = vec![
-            row![1i64, "hello", 2.5],
-            row![2i64, "hello", 3.5],
-            sqlml_common::Row::new(vec![Value::Null, Value::Bool(true)]),
-        ];
-        let mut builder = RowBatchFrameBuilder::with_codec(64, WireCodec::Compact);
-        for r in &rows {
-            builder.push_row(r).unwrap();
+    fn decoders_never_panic_on_corrupt_input() {
+        // A panic in here fails the test; either outcome is acceptable.
+        let check = |bytes: &[u8]| {
+            let _ = Message::decode(bytes);
+            let _ = codec::decode_compact_batch(bytes);
+        };
+        let mut rng = SplitMix64::new(0xDEC0DE);
+        for _ in 0..2_000 {
+            let len = rng.next_below(64);
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64().to_le_bytes()[0]).collect();
+            check(&bytes);
         }
-        assert_eq!(builder.rows(), 3);
-        let frame = builder.take_frame().unwrap();
-        assert_eq!(frame[4], T_ROW_BATCH_COMPACT);
-        // Frame length prefix is consistent.
-        let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
-        assert_eq!(len, frame.len() - 4);
-        match Message::decode(&frame[4..]).unwrap() {
-            Message::RowBatch { rows: got } => assert_eq!(got, rows),
-            other => panic!("expected RowBatch, got {other:?}"),
-        }
-        // "hello" repeated across rows: one miss, one hit in the dict.
-        assert_eq!(builder.dict_stats().misses, 1);
-        assert_eq!(builder.dict_stats().hits, 1);
-        // The compact frame beats the legacy frame for the same rows.
-        let mut legacy = Vec::new();
-        encode_row_batch_frame(&rows, &mut legacy).unwrap();
-        assert!(frame.len() < legacy.len());
-        // Builder resets and stays reusable after take_frame.
-        assert!(builder.is_empty());
-        builder.push_row(&rows[0]).unwrap();
-        let single = builder.take_frame().unwrap();
-        match Message::decode(&single[4..]).unwrap() {
-            Message::RowBatch { rows: got } => assert_eq!(got, vec![rows[0].clone()]),
-            other => panic!("expected RowBatch, got {other:?}"),
+        for msg in sample_messages() {
+            let frame = msg.encode().unwrap();
+            // With the tag byte (a message) and without it (for RowBatch,
+            // the bare compact batch).
+            for payload in [&frame[4..], &frame[5..]] {
+                for cut in 0..payload.len() {
+                    check(&payload[..cut]);
+                }
+                let mut mutated = payload.to_vec();
+                for pos in 0..payload.len() {
+                    for value in 0..=u8::MAX {
+                        mutated[pos] = value;
+                        check(&mutated);
+                    }
+                    mutated[pos] = payload[pos];
+                }
+            }
         }
     }
 
@@ -748,10 +681,7 @@ mod tests {
     fn read_message_with_reuses_scratch_across_frames() {
         let mut wire = Vec::new();
         let msgs = [
-            Message::DataStart {
-                attempt: 1,
-                codec: WireCodec::Legacy,
-            },
+            Message::DataStart { attempt: 1 },
             Message::RowBatch {
                 rows: vec![row![9i64, "z"]],
             },

@@ -5,16 +5,10 @@
 //! sockets and drain those queues, so encoding batch N+1 overlaps the
 //! socket write of batch N.
 //!
-//! Two shapes, selected by the `sender_threads` knob:
-//!
-//! * **Dedicated** (`sender_threads == 0`, the default, or ≥ the peer
-//!   count): one thread per peer, blocking on [`SpillableBuffer::pop`]
-//!   and coalescing everything already queued into one buffered write.
-//! * **Multiplexed** (`0 < sender_threads < peers`): each thread owns a
-//!   round-robin share of the peers and sweeps them with
-//!   [`SpillableBuffer::try_pop`], retiring a peer once its buffer is
-//!   closed and drained. This is the ablation baseline that shows why
-//!   dedicated threads win.
+//! One dedicated thread per peer, blocking on [`SpillableBuffer::pop`]
+//! and coalescing everything already queued into one buffered write.
+//! Dedicated rather than pooled: a thread sweeping several peers was
+//! slower in every cell of EXPERIMENTS.md A2b.
 //!
 //! Drain protocol: the producer pushes every frame **including the final
 //! `DataEnd`** into the queue, then closes it. A sender thread therefore
@@ -32,7 +26,6 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
-use std::time::Duration;
 
 use sqlml_common::{Result, SqlmlError};
 
@@ -41,47 +34,23 @@ use crate::buffer::SpillableBuffer;
 /// Socket write-buffer size for each peer connection.
 pub const WRITE_BUFFER_BYTES: usize = 64 * 1024;
 
-/// Sleep between idle sweeps of a multiplexed sender thread.
-const MUX_IDLE_WAIT: Duration = Duration::from_micros(500);
-
-/// Spawn the sender threads for one transfer group inside `scope`.
+/// Spawn one sender thread per peer of a transfer group inside `scope`.
 ///
-/// `threads == 0` means one dedicated thread per peer. Returns the join
-/// handles; the caller joins them after closing the buffers and
-/// propagates the first error into the group restart path.
+/// Returns the join handles; the caller joins them after closing the
+/// buffers and propagates the first error into the group restart path.
 pub fn spawn_senders<'scope>(
     scope: &'scope Scope<'scope, '_>,
     peers: Vec<(TcpStream, Arc<SpillableBuffer>)>,
-    threads: usize,
     failed: Arc<AtomicBool>,
 ) -> Vec<ScopedJoinHandle<'scope, Result<()>>> {
     let all_buffers: Vec<Arc<SpillableBuffer>> = peers.iter().map(|(_, b)| Arc::clone(b)).collect();
-    let num_peers = peers.len();
-    let threads = if threads == 0 || threads > num_peers {
-        num_peers
-    } else {
-        threads
-    };
-    let mut groups: Vec<Vec<(TcpStream, Arc<SpillableBuffer>)>> =
-        (0..threads).map(|_| Vec::new()).collect();
-    for (i, peer) in peers.into_iter().enumerate() {
-        groups[i % threads].push(peer);
-    }
-    groups
+    peers
         .into_iter()
-        .map(|group| {
+        .map(|(stream, buffer)| {
             let failed = Arc::clone(&failed);
             let all_buffers = all_buffers.clone();
             scope.spawn(move || {
-                let result = if group.len() == 1 {
-                    let Some((stream, buffer)) = group.into_iter().next() else {
-                        return Ok(());
-                    };
-                    drain_dedicated(stream, &buffer)
-                } else {
-                    drain_multiplexed(group)
-                };
-                result.map_err(|e| {
+                drain(stream, &buffer).map_err(|e| {
                     // Poison the whole group so the producer (possibly
                     // blocked on backpressure) and sibling senders all
                     // unwind into the restart protocol.
@@ -96,9 +65,9 @@ pub fn spawn_senders<'scope>(
         .collect()
 }
 
-/// Dedicated per-peer drain: block for the next frame, then opportunistic
+/// Per-peer drain: block for the next frame, then opportunistic
 /// `try_pop` to coalesce everything queued behind it into one flush.
-fn drain_dedicated(stream: TcpStream, buffer: &SpillableBuffer) -> Result<()> {
+fn drain(stream: TcpStream, buffer: &SpillableBuffer) -> Result<()> {
     let mut writer = BufWriter::with_capacity(WRITE_BUFFER_BYTES, stream);
     while let Some(chunk) = buffer.pop()? {
         writer.write_all(&chunk)?;
@@ -111,53 +80,12 @@ fn drain_dedicated(stream: TcpStream, buffer: &SpillableBuffer) -> Result<()> {
     Ok(())
 }
 
-/// Multiplexed drain: sweep every live peer with `try_pop`, flushing per
-/// sweep; retire peers as their buffers drain; back off briefly when a
-/// full sweep moved nothing.
-fn drain_multiplexed(group: Vec<(TcpStream, Arc<SpillableBuffer>)>) -> Result<()> {
-    let mut slots: Vec<Option<(BufWriter<TcpStream>, Arc<SpillableBuffer>)>> = group
-        .into_iter()
-        .map(|(stream, buffer)| {
-            Some((BufWriter::with_capacity(WRITE_BUFFER_BYTES, stream), buffer))
-        })
-        .collect();
-    loop {
-        let mut progress = false;
-        let mut live = 0usize;
-        for slot in &mut slots {
-            let Some((writer, buffer)) = slot.as_mut() else {
-                continue;
-            };
-            let mut wrote = false;
-            while let Some(chunk) = buffer.try_pop()? {
-                writer.write_all(&chunk)?;
-                wrote = true;
-            }
-            if wrote {
-                writer.flush()?;
-                progress = true;
-            }
-            if buffer.is_drained() {
-                writer.flush()?;
-                *slot = None;
-            } else {
-                live += 1;
-            }
-        }
-        if live == 0 {
-            return Ok(());
-        }
-        if !progress {
-            std::thread::sleep(MUX_IDLE_WAIT);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Read;
     use std::net::TcpListener;
+    use std::time::Duration;
 
     fn spill_dir() -> std::path::PathBuf {
         std::env::temp_dir().join("sqlml-sender-tests")
@@ -177,25 +105,23 @@ mod tests {
         })
     }
 
-    fn run_shape(threads: usize, num_peers: usize) {
+    #[test]
+    fn senders_deliver_each_peers_frames_in_order() {
+        let num_peers = 3;
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let sink = sink_peers(listener, num_peers);
         let peers: Vec<(TcpStream, Arc<SpillableBuffer>)> = (0..num_peers)
             .map(|i| {
                 let stream = TcpStream::connect(addr).unwrap();
-                let buffer = Arc::new(SpillableBuffer::new(
-                    64,
-                    spill_dir(),
-                    format!("sender-{threads}-{i}"),
-                ));
+                let buffer = Arc::new(SpillableBuffer::new(64, spill_dir(), format!("sender-{i}")));
                 (stream, buffer)
             })
             .collect();
         let buffers: Vec<Arc<SpillableBuffer>> = peers.iter().map(|(_, b)| Arc::clone(b)).collect();
         let failed = Arc::new(AtomicBool::new(false));
         std::thread::scope(|scope| {
-            let handles = spawn_senders(scope, peers, threads, Arc::clone(&failed));
+            let handles = spawn_senders(scope, peers, Arc::clone(&failed));
             // Interleave pushes across peers, then close.
             for round in 0..50u8 {
                 for (i, b) in buffers.iter().enumerate() {
@@ -230,17 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn dedicated_senders_deliver_in_order() {
-        run_shape(0, 3);
-    }
-
-    #[test]
-    fn multiplexed_senders_deliver_in_order() {
-        run_shape(1, 3);
-        run_shape(2, 4);
-    }
-
-    #[test]
     fn write_failure_poisons_the_whole_group() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -261,7 +176,6 @@ mod tests {
             let handles = spawn_senders(
                 scope,
                 vec![(s0, Arc::clone(&b0)), (s1, Arc::clone(&b1))],
-                0,
                 Arc::clone(&failed),
             );
             // Keep writing into peer 0 until the broken pipe surfaces and

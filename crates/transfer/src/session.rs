@@ -8,37 +8,23 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use sqlml_common::lockorder::TrackedMutex;
-use sqlml_common::{CancelToken, Result, SqlmlError, WireCodec};
+use sqlml_common::{CancelToken, Result, SqlmlError};
 use sqlml_mlengine::job::{JobConfig, JobOutcome, JobRunner, TrainingSpec};
 use sqlml_sqlengine::Engine;
 
+use crate::config::{TransferArgs, TransferConfig};
 use crate::coordinator::Coordinator;
 use crate::input_format::SqlStreamInputFormat;
 use crate::metrics::{MetricsSnapshot, TransferMetrics};
-use crate::stream_udf::{StreamTransferUdf, BATCH_ROWS, FRAME_BYTES};
+use crate::stream_udf::StreamTransferUdf;
 
 pub use crate::stream_udf::FaultInjector;
 
-/// Per-session tunables.
+/// Per-session settings.
 #[derive(Debug, Clone)]
 pub struct StreamSessionConfig {
-    /// The paper's `k`: readers per SQL worker (`m = n·k` splits).
-    pub splits_per_worker: u32,
-    /// In-memory send-buffer bytes per peer (the paper used 4 KiB).
-    pub send_buffer_bytes: usize,
-    /// Rows per `RowBatch` frame on the data plane (adaptive floor).
-    pub batch_rows: usize,
-    /// Wire-byte target per frame (a frame closes at the row target or
-    /// `frame_bytes` bytes, whichever comes first).
-    pub frame_bytes: usize,
-    /// Sender threads per SQL worker: 0 = one dedicated thread per peer,
-    /// otherwise that many threads multiplex the peers.
-    pub sender_threads: usize,
-    /// Preferred wire codec; the group downgrades to legacy unless every
-    /// reader advertises compact support.
-    pub codec: WireCodec,
-    /// Adaptive batching ceiling in rows per frame (0 = auto).
-    pub batch_rows_max: usize,
+    /// The data plane's tunables.
+    pub transfer: TransferConfig,
     /// ML cluster layout for the launched job.
     pub ml_job: JobConfig,
     /// Directory for send-buffer spill files.
@@ -48,13 +34,7 @@ pub struct StreamSessionConfig {
 impl Default for StreamSessionConfig {
     fn default() -> Self {
         StreamSessionConfig {
-            splits_per_worker: 1,
-            send_buffer_bytes: 4 * 1024,
-            batch_rows: BATCH_ROWS,
-            frame_bytes: FRAME_BYTES,
-            sender_threads: 0,
-            codec: WireCodec::default(),
-            batch_rows_max: 0,
+            transfer: TransferConfig::default(),
             ml_job: JobConfig::default(),
             spill_dir: std::env::temp_dir().join("sqlml-spill"),
         }
@@ -78,12 +58,10 @@ pub struct StreamStats {
     pub sender_stall_us: u64,
     /// Most frames ever queued at once on any worker's sender queues.
     pub queue_depth_hw: u64,
-    /// Compact-codec dictionary hits across all workers.
+    /// Frame-dictionary hits across all workers.
     pub dict_hits: u64,
-    /// Compact-codec dictionary misses across all workers.
+    /// Frame-dictionary misses across all workers.
     pub dict_misses: u64,
-    /// Wire bytes the compact codec saved vs the legacy string encoding.
-    pub dict_bytes_saved: u64,
     /// Rows the ML job actually ingested.
     pub rows_ingested: usize,
     /// Data-local splits on the ML side.
@@ -272,16 +250,15 @@ impl StreamSession {
         );
 
         // Kick off the SQL side; this blocks until all rows are streamed.
+        let args = TransferArgs {
+            coord_addr: self.coordinator_addr().to_string(),
+            transfer_id,
+            command: command.to_string(),
+            config: config.transfer,
+        };
         let sql = format!(
-            "SELECT * FROM TABLE(stream_transfer({table}, '{}', {transfer_id}, '{command}', {}, {}, {}, {}, {}, {}, {})) AS s",
-            self.coordinator_addr(),
-            config.splits_per_worker,
-            config.send_buffer_bytes,
-            config.batch_rows,
-            config.frame_bytes,
-            config.sender_threads,
-            config.codec.as_byte(),
-            config.batch_rows_max,
+            "SELECT * FROM TABLE(stream_transfer({table}, {})) AS s",
+            args.to_sql()
         );
         self.cancels.register(transfer_id, cancel.clone());
         let stats_result = engine.query(&sql);
@@ -338,7 +315,6 @@ impl StreamSession {
             stats.queue_depth_hw = stats.queue_depth_hw.max(stat_u64(&r, 8, "queue_depth_hw")?);
             stats.dict_hits += stat_u64(&r, 9, "dict_hits")?;
             stats.dict_misses += stat_u64(&r, 10, "dict_misses")?;
-            stats.dict_bytes_saved += stat_u64(&r, 11, "dict_bytes_saved")?;
         }
         Ok(StreamRunOutcome { job, stats })
     }

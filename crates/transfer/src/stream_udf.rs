@@ -4,20 +4,22 @@
 //! Invoked as
 //! `TABLE(stream_transfer(result, '<coordinator-addr>', <transfer-id>,
 //! '<ml command>', <k>, <send-buffer-bytes>[, <batch-rows>[,
-//! <frame-bytes>[, <sender-threads>[, <codec>[, <batch-rows-max>]]]]]))`,
-//! it runs once per partition (= per SQL worker): registers with the
-//! coordinator, accepts `k` reader connections, and streams the
-//! partition's rows round-robin over them through spillable send buffers.
+//! <frame-bytes>]]))` (the argument list is owned by
+//! [`crate::config::TransferArgs`]), it runs once per partition (= per
+//! SQL worker): registers with the coordinator, accepts `k` reader
+//! connections, and streams the partition's rows round-robin over them
+//! through spillable send buffers.
 //! Its SQL-visible output is one statistics row per worker.
 //!
 //! The data plane is batched, overlapped, and allocation-free on the hot
-//! path: rows are encoded straight from the partition slice into a
-//! reusable frame scratch (no intermediate `Vec<Row>` clones), frames are
+//! path: rows are encoded straight from the partition slice into the
+//! frame under construction (no intermediate `Vec<Row>` clones), frames are
 //! cut when they reach the adaptive row target *or* `frame_bytes` wire
-//! bytes (whichever comes first), and the [`crate::sender`] threads drain
-//! the bounded per-peer queues so socket writes of batch N overlap the
-//! encode of batch N+1. The wire codec (legacy fixed-width vs compact
-//! varint+dictionary) is negotiated per group during the handshake.
+//! bytes (whichever comes first), and one dedicated [`crate::sender`]
+//! thread per peer drains that peer's bounded queue so socket writes of
+//! batch N overlap the encode of batch N+1. Frames are compact batches
+//! (varints + per-frame string dictionary); the handshake carries a
+//! checked [`crate::protocol::WIRE_VERSION`].
 
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -27,21 +29,16 @@ use std::time::Duration;
 
 use sqlml_common::lockorder::TrackedMutex;
 use sqlml_common::schema::{DataType, Field};
-use sqlml_common::{CancelToken, Result, Row, Schema, SqlmlError, Value, WireCodec};
+use sqlml_common::{CancelToken, Result, Row, Schema, SqlmlError, Value};
 use sqlml_sqlengine::udf::{PartitionCtx, TableUdf};
 
 use crate::buffer::SpillableBuffer;
+use crate::config::TransferArgs;
 use crate::protocol::{read_message, write_message, Message, RowBatchFrameBuilder};
 use crate::sender;
 use crate::session::CancelRegistry;
 
-/// Default rows per `RowBatch` frame (the adaptive floor).
-pub const BATCH_ROWS: usize = 64;
-
-/// Default wire-byte target per frame — the paper's 4 KiB send buffer.
-pub const FRAME_BYTES: usize = 4096;
-
-/// Auto `batch_rows_max` = `batch_rows * BATCH_GROWTH_CAP`.
+/// The adaptive row target never exceeds `batch_rows * BATCH_GROWTH_CAP`.
 pub const BATCH_GROWTH_CAP: usize = 16;
 
 /// Consecutive stall-free frames before the adaptive batcher shrinks.
@@ -119,12 +116,10 @@ pub struct WorkerTransferStats {
     pub queue_stall_us: u64,
     /// Most frames ever queued at once across this worker's peers.
     pub queue_depth_hw: u64,
-    /// Compact-codec dictionary hits (string values sent as an index).
+    /// Dictionary hits (string values sent as an index).
     pub dict_hits: u64,
-    /// Compact-codec dictionary misses (new entries written to a frame).
+    /// Dictionary misses (new entries written to a frame).
     pub dict_misses: u64,
-    /// Wire bytes the compact codec saved vs the legacy string encoding.
-    pub dict_bytes_saved: u64,
 }
 
 impl WorkerTransferStats {
@@ -141,7 +136,6 @@ impl WorkerTransferStats {
             Value::Int(self.queue_depth_hw as i64),
             Value::Int(self.dict_hits as i64),
             Value::Int(self.dict_misses as i64),
-            Value::Int(self.dict_bytes_saved as i64),
         ])
     }
 }
@@ -160,32 +154,12 @@ pub fn stats_schema() -> Schema {
         Field::new("queue_depth_hw", DataType::Int),
         Field::new("dict_hits", DataType::Int),
         Field::new("dict_misses", DataType::Int),
-        Field::new("dict_bytes_saved", DataType::Int),
     ])
-}
-
-/// Parsed `stream_transfer(...)` arguments.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct TransferArgs {
-    coord_addr: String,
-    transfer_id: u64,
-    command: String,
-    k: u32,
-    buffer_bytes: usize,
-    batch_rows: usize,
-    frame_bytes: usize,
-    /// Sender threads per group: 0 = one dedicated thread per peer.
-    sender_threads: usize,
-    /// This worker's preferred codec; the group uses it only when every
-    /// reader advertises it too.
-    codec: WireCodec,
-    /// Adaptive batching ceiling (rows per frame).
-    batch_rows_max: usize,
 }
 
 /// Grows the per-frame row target when the encode thread stalls on a full
 /// sender queue (frames too small to keep the sockets busy) and shrinks it
-/// back after a calm streak, within `[min, max]`.
+/// back after a calm streak, within `[min, min * BATCH_GROWTH_CAP]`.
 #[derive(Debug)]
 struct AdaptiveBatch {
     min: usize,
@@ -195,10 +169,10 @@ struct AdaptiveBatch {
 }
 
 impl AdaptiveBatch {
-    fn new(min: usize, max: usize) -> Self {
+    fn new(min: usize) -> Self {
         AdaptiveBatch {
             min,
-            max: max.max(min),
+            max: min.saturating_mul(BATCH_GROWTH_CAP),
             current: min,
             calm_frames: 0,
         }
@@ -251,86 +225,6 @@ impl StreamTransferUdf {
         self.cancels = Some(registry);
         self
     }
-
-    fn parse_args(args: &[Value]) -> Result<TransferArgs> {
-        if !(5..=10).contains(&args.len()) {
-            return Err(SqlmlError::Plan(
-                "stream_transfer takes (coordinator_addr, transfer_id, command, k, \
-                 buffer_bytes[, batch_rows[, frame_bytes[, sender_threads[, codec[, \
-                 batch_rows_max]]]]])"
-                    .into(),
-            ));
-        }
-        let coord_addr = args[0].as_str()?.to_string();
-        let transfer_id = args[1].as_i64()? as u64;
-        let command = args[2].as_str()?.to_string();
-        let k = args[3].as_i64()?;
-        let buffer = args[4].as_i64()?;
-        let batch_rows = args.get(5).map(|v| v.as_i64()).transpose()?;
-        let frame_bytes = args.get(6).map(|v| v.as_i64()).transpose()?;
-        let sender_threads = args.get(7).map(|v| v.as_i64()).transpose()?;
-        let codec_arg = args.get(8).map(|v| v.as_i64()).transpose()?;
-        let batch_rows_max = args.get(9).map(|v| v.as_i64()).transpose()?;
-        if k < 1 {
-            return Err(SqlmlError::Plan("k must be >= 1".into()));
-        }
-        if buffer < 1 {
-            return Err(SqlmlError::Plan("buffer_bytes must be >= 1".into()));
-        }
-        if batch_rows.is_some_and(|b| b < 1) {
-            return Err(SqlmlError::Plan("batch_rows must be >= 1".into()));
-        }
-        if frame_bytes.is_some_and(|b| b < 1) {
-            return Err(SqlmlError::Plan("frame_bytes must be >= 1".into()));
-        }
-        if sender_threads.is_some_and(|s| s < 0) {
-            return Err(SqlmlError::Plan("sender_threads must be >= 0".into()));
-        }
-        if batch_rows_max.is_some_and(|m| m < 0) {
-            return Err(SqlmlError::Plan("batch_rows_max must be >= 0".into()));
-        }
-        let codec = match codec_arg {
-            None => WireCodec::default(),
-            Some(v) => {
-                let byte = u8::try_from(v)
-                    .map_err(|_| SqlmlError::Plan(format!("codec out of range: {v}")))?;
-                WireCodec::from_byte(byte).map_err(|e| SqlmlError::Plan(e.to_string()))?
-            }
-        };
-        // All sizes are validated non-negative above; sizes this large
-        // always fit in usize on the targets we build for.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let (buffer_bytes, batch_rows, frame_bytes, sender_threads, batch_rows_max) = (
-            buffer as usize,
-            batch_rows.map_or(BATCH_ROWS, |b| b as usize),
-            frame_bytes.map_or(FRAME_BYTES, |b| b as usize),
-            sender_threads.map_or(0, |s| s as usize),
-            batch_rows_max.map_or(0, |m| m as usize),
-        );
-        // 0 (or absent) = auto ceiling; anything else must leave room
-        // above the floor.
-        let batch_rows_max = match batch_rows_max {
-            0 => batch_rows.saturating_mul(BATCH_GROWTH_CAP),
-            m if m < batch_rows => {
-                return Err(SqlmlError::Plan(
-                    "batch_rows_max must be >= batch_rows (or 0 for auto)".into(),
-                ))
-            }
-            m => m,
-        };
-        Ok(TransferArgs {
-            coord_addr,
-            transfer_id,
-            command,
-            k: sqlml_common::counter_u32(k, "splits-per-worker k")?,
-            buffer_bytes,
-            batch_rows,
-            frame_bytes,
-            sender_threads,
-            codec,
-            batch_rows_max,
-        })
-    }
 }
 
 impl TableUdf for StreamTransferUdf {
@@ -339,7 +233,7 @@ impl TableUdf for StreamTransferUdf {
     }
 
     fn output_schema(&self, _input: &Schema, args: &[Value]) -> Result<Schema> {
-        Self::parse_args(args)?;
+        TransferArgs::from_values(args)?;
         Ok(stats_schema())
     }
 
@@ -350,7 +244,7 @@ impl TableUdf for StreamTransferUdf {
         args: &[Value],
         ctx: &PartitionCtx,
     ) -> Result<Vec<Row>> {
-        let args = Self::parse_args(args)?;
+        let args = TransferArgs::from_values(args)?;
         let cancel = self
             .cancels
             .as_ref()
@@ -385,7 +279,7 @@ impl TableUdf for StreamTransferUdf {
                 data_addr,
                 node: ctx.node.clone(),
                 command: args.command.clone(),
-                splits_per_worker: args.k,
+                splits_per_worker: args.config.splits_per_worker,
             },
         )?;
         match read_message(&mut coord)? {
@@ -422,7 +316,6 @@ impl TableUdf for StreamTransferUdf {
                     stats.queue_depth_hw = sent.queue_depth_hw;
                     stats.dict_hits = sent.dict_hits;
                     stats.dict_misses = sent.dict_misses;
-                    stats.dict_bytes_saved = sent.dict_bytes_saved;
                     return Ok(vec![stats.to_row()]);
                 }
                 Err(e) => {
@@ -452,13 +345,12 @@ struct AttemptCounters {
     queue_depth_hw: u64,
     dict_hits: u64,
     dict_misses: u64,
-    dict_bytes_saved: u64,
 }
 
 impl StreamTransferUdf {
-    /// One attempt: accept `k` readers, negotiate the group codec, stream
-    /// all rows round-robin, end each stream. Any failure tears the whole
-    /// group down (the restart granularity §6 prescribes).
+    /// One attempt: accept `k` readers, stream all rows round-robin, end
+    /// each stream. Any failure tears the whole group down (the restart
+    /// granularity §6 prescribes).
     fn stream_group(
         &self,
         rows: &[Row],
@@ -468,15 +360,15 @@ impl StreamTransferUdf {
         attempt: u32,
         cancel: &CancelToken,
     ) -> Result<AttemptCounters> {
-        let k = args.k as usize;
+        let config = &args.config;
+        let k = config.splits_per_worker as usize;
         // Accept k hellos (any split order), with a deadline so a dead ML
         // job cannot hang the SQL worker forever. `DataStart` is deferred
-        // until every peer has said hello: the group codec is the minimum
-        // over all advertisements, so one legacy reader downgrades the
-        // whole group rather than splitting it.
+        // until every peer has said hello, so no reader starts consuming
+        // an attempt that a missing sibling will force to restart.
         listener.set_nonblocking(true)?;
         let deadline = std::time::Instant::now() + Duration::from_secs(60);
-        let mut slots: Vec<Option<(TcpStream, WireCodec)>> = (0..k).map(|_| None).collect();
+        let mut slots: Vec<Option<TcpStream>> = (0..k).map(|_| None).collect();
         let mut connected = 0usize;
         while connected < k {
             let (mut stream, _) = match listener.accept() {
@@ -502,7 +394,6 @@ impl StreamTransferUdf {
                 Message::DataHello {
                     transfer_id: tid,
                     split_index,
-                    codec,
                     ..
                 } if tid == args.transfer_id && (split_index as usize) < slots.len() => {
                     if slots[split_index as usize].is_some() {
@@ -516,7 +407,7 @@ impl StreamTransferUdf {
                         )?;
                         continue;
                     }
-                    slots[split_index as usize] = Some((stream, codec));
+                    slots[split_index as usize] = Some(stream);
                     connected += 1;
                 }
                 Message::DataHello {
@@ -547,40 +438,30 @@ impl StreamTransferUdf {
                 }
             }
         }
-        let group_codec = slots
-            .iter()
-            .flatten()
-            .fold(args.codec, |chosen, (_, peer)| chosen.negotiate(*peer));
         let mut conns: Vec<TcpStream> = Vec::with_capacity(k);
         for slot in slots {
-            let Some((mut stream, _)) = slot else {
+            let Some(mut stream) = slot else {
                 return Err(SqlmlError::Transfer(
                     "reader slot empty after barrier".into(),
                 ));
             };
-            write_message(
-                &mut stream,
-                &Message::DataStart {
-                    attempt,
-                    codec: group_codec,
-                },
-            )?;
+            write_message(&mut stream, &Message::DataStart { attempt })?;
             conns.push(stream);
         }
 
-        // One bounded spillable buffer + sender thread share per peer.
+        // One bounded spillable buffer + sender thread per peer.
         // The backpressure bound sits well above the spill threshold so
         // spilling still absorbs bursts; only a runaway queue stalls the
         // encode thread (and that stall drives the adaptive batcher).
-        let queue_bound = args
-            .buffer_bytes
+        let queue_bound = config
+            .send_buffer_bytes
             .saturating_mul(64)
             .clamp(1 << 20, 64 << 20);
         let buffers: Vec<Arc<SpillableBuffer>> = (0..k)
             .map(|i| {
                 Arc::new(
                     SpillableBuffer::new(
-                        args.buffer_bytes,
+                        config.send_buffer_bytes,
                         &self.spill_dir,
                         // Tagged with the transfer id so concurrent
                         // sessions' spill files are distinguishable.
@@ -600,8 +481,7 @@ impl StreamTransferUdf {
                 .into_iter()
                 .zip(buffers.iter().map(Arc::clone))
                 .collect();
-            let writers =
-                sender::spawn_senders(scope, peers, args.sender_threads, Arc::clone(&failed));
+            let writers = sender::spawn_senders(scope, peers, Arc::clone(&failed));
 
             // Producer: encode rows straight from the partition slice into
             // per-peer frames, round-robin (step 8). Frames are cut at the
@@ -612,9 +492,8 @@ impl StreamTransferUdf {
             let mut per_peer_rows = vec![0u64; k];
             let mut peer = 0usize;
             let mut sent_rows = 0usize;
-            let mut batcher = AdaptiveBatch::new(args.batch_rows, args.batch_rows_max);
-            let mut builder =
-                RowBatchFrameBuilder::with_codec(args.frame_bytes + 1024, group_codec);
+            let mut batcher = AdaptiveBatch::new(config.batch_rows);
+            let mut builder = RowBatchFrameBuilder::new();
             let mut produce = |counters: &mut AttemptCounters,
                                builder: &mut RowBatchFrameBuilder|
              -> Result<()> {
@@ -652,8 +531,8 @@ impl StreamTransferUdf {
                     }
                     builder.push_row(row)?;
                     sent_rows += 1;
-                    if builder.rows() as usize >= batcher.target()
-                        || builder.frame_len() >= args.frame_bytes
+                    if builder.rows() >= batcher.target()
+                        || builder.frame_len() >= config.frame_bytes
                     {
                         flush_frame(builder, &mut peer, &mut batcher, counters)?;
                     }
@@ -694,7 +573,6 @@ impl StreamTransferUdf {
             let dict = builder.dict_stats();
             counters.dict_hits = dict.hits;
             counters.dict_misses = dict.misses;
-            counters.dict_bytes_saved = dict.bytes_saved;
             Ok(counters)
         });
 
@@ -715,20 +593,16 @@ impl StreamTransferUdf {
 mod tests {
     use super::*;
 
-    fn good_args() -> Vec<Value> {
-        vec![
+    #[test]
+    fn output_schema_validates_args() {
+        let udf = StreamTransferUdf::new(std::env::temp_dir());
+        let good = vec![
             Value::Str("127.0.0.1:1".into()),
             Value::Int(1),
             Value::Str("svm label=0".into()),
             Value::Int(2),
             Value::Int(4096),
-        ]
-    }
-
-    #[test]
-    fn arg_validation() {
-        let udf = StreamTransferUdf::new(std::env::temp_dir());
-        let good = good_args();
+        ];
         assert!(udf.output_schema(&Schema::empty(), &good).is_ok());
         let mut bad_k = good.clone();
         bad_k[3] = Value::Int(0);
@@ -737,74 +611,25 @@ mod tests {
     }
 
     #[test]
-    fn batching_knobs_default_and_parse() {
-        let five = StreamTransferUdf::parse_args(&good_args()).unwrap();
-        assert_eq!(five.batch_rows, BATCH_ROWS);
-        assert_eq!(five.frame_bytes, FRAME_BYTES);
-
-        let mut seven = good_args();
-        seven.push(Value::Int(8));
-        seven.push(Value::Int(512));
-        let parsed = StreamTransferUdf::parse_args(&seven).unwrap();
-        assert_eq!(parsed.batch_rows, 8);
-        assert_eq!(parsed.frame_bytes, 512);
-
-        let mut bad_batch = good_args();
-        bad_batch.push(Value::Int(0));
-        assert!(StreamTransferUdf::parse_args(&bad_batch).is_err());
-        let mut bad_frame = seven.clone();
-        bad_frame[6] = Value::Int(-1);
-        assert!(StreamTransferUdf::parse_args(&bad_frame).is_err());
-        let mut ten = seven;
-        ten.push(Value::Int(2)); // sender_threads
-        ten.push(Value::Int(0)); // codec = legacy
-        ten.push(Value::Int(32)); // batch_rows_max
-        let parsed = StreamTransferUdf::parse_args(&ten).unwrap();
-        assert_eq!(parsed.sender_threads, 2);
-        assert_eq!(parsed.codec, WireCodec::Legacy);
-        assert_eq!(parsed.batch_rows_max, 32);
-        let mut too_many = ten.clone();
-        too_many.push(Value::Int(1));
-        assert!(StreamTransferUdf::parse_args(&too_many).is_err());
-        let mut bad_codec = ten.clone();
-        bad_codec[8] = Value::Int(7);
-        assert!(StreamTransferUdf::parse_args(&bad_codec).is_err());
-        let mut ceiling_below_floor = ten;
-        ceiling_below_floor[9] = Value::Int(4); // < batch_rows of 8
-        assert!(StreamTransferUdf::parse_args(&ceiling_below_floor).is_err());
-    }
-
-    #[test]
-    fn overlap_knobs_default_to_per_peer_compact_auto_ceiling() {
-        let args = StreamTransferUdf::parse_args(&good_args()).unwrap();
-        assert_eq!(args.sender_threads, 0, "default = dedicated per-peer");
-        assert_eq!(args.codec, WireCodec::Compact);
-        assert_eq!(args.batch_rows_max, BATCH_ROWS * BATCH_GROWTH_CAP);
-    }
-
-    #[test]
     fn adaptive_batch_grows_on_stall_and_shrinks_after_calm() {
-        let mut b = AdaptiveBatch::new(64, 256);
+        let mut b = AdaptiveBatch::new(64);
         assert_eq!(b.target(), 64);
         b.on_frame(true);
         assert_eq!(b.target(), 128);
-        b.on_frame(true);
-        b.on_frame(true); // clamped at max
-        assert_eq!(b.target(), 256);
+        for _ in 0..5 {
+            b.on_frame(true); // clamped at the growth cap
+        }
+        assert_eq!(b.target(), 64 * BATCH_GROWTH_CAP);
         for _ in 0..CALM_FRAMES_TO_SHRINK - 1 {
             b.on_frame(false);
-            assert_eq!(b.target(), 256, "no shrink before the calm streak");
+            assert_eq!(b.target(), 1024, "no shrink before the calm streak");
         }
         b.on_frame(false);
-        assert_eq!(b.target(), 128);
-        for _ in 0..2 * CALM_FRAMES_TO_SHRINK {
+        assert_eq!(b.target(), 512);
+        for _ in 0..4 * CALM_FRAMES_TO_SHRINK {
             b.on_frame(false);
         }
         assert_eq!(b.target(), 64, "clamped at min");
-        // A degenerate ceiling pins the target.
-        let mut fixed = AdaptiveBatch::new(16, 16);
-        fixed.on_frame(true);
-        assert_eq!(fixed.target(), 16);
     }
 
     #[test]
@@ -832,11 +657,10 @@ mod tests {
             queue_depth_hw: 9,
             dict_hits: 40,
             dict_misses: 4,
-            dict_bytes_saved: 300,
         };
         let row = s.to_row();
         assert_eq!(row.len(), stats_schema().len());
-        assert_eq!(row.len(), 12);
+        assert_eq!(row.len(), 11);
         assert_eq!(row.get(0), &Value::Int(2));
         assert_eq!(row.get(3), &Value::Int(3));
         assert_eq!(row.get(5), &Value::Int(1));
@@ -845,6 +669,5 @@ mod tests {
         assert_eq!(row.get(8), &Value::Int(9));
         assert_eq!(row.get(9), &Value::Int(40));
         assert_eq!(row.get(10), &Value::Int(4));
-        assert_eq!(row.get(11), &Value::Int(300));
     }
 }

@@ -9,7 +9,7 @@ use sqlml_common::{Row, SplitMix64};
 use sqlml_mlengine::job::JobConfig;
 use sqlml_mlengine::TrainedModel;
 use sqlml_sqlengine::{Engine, EngineConfig};
-use sqlml_transfer::{FaultInjector, StreamSession, StreamSessionConfig, WireCodec};
+use sqlml_transfer::{FaultInjector, StreamSession, StreamSessionConfig, TransferConfig};
 
 /// A recoded-and-numeric table: features (x, y) + binary label, the shape
 /// the In-SQL transformation hands to the ML system.
@@ -41,15 +41,17 @@ fn engine_with_points(workers: usize, n: usize, seed: u64) -> Engine {
 
 fn config(workers: usize, k: u32, buffer: usize) -> StreamSessionConfig {
     StreamSessionConfig {
-        splits_per_worker: k,
-        send_buffer_bytes: buffer,
+        transfer: TransferConfig {
+            splits_per_worker: k,
+            send_buffer_bytes: buffer,
+            ..Default::default()
+        },
         ml_job: JobConfig {
             num_workers: workers,
             worker_nodes: (0..workers).map(sqlml_dfs::node_name).collect(),
             splits_per_worker: k as usize,
         },
         spill_dir: std::env::temp_dir().join("sqlml-transfer-tests"),
-        ..Default::default()
     }
 }
 
@@ -160,37 +162,21 @@ fn rejects_unknown_commands_before_transfer() {
         .is_err());
 }
 
-/// Codec negotiation satellite: the same table streamed under both wire
-/// codecs delivers identical row totals, and the compact varint encoding
-/// moves fewer wire bytes even on an all-numeric table (ints shrink to
-/// 1–2 varint bytes and per-row value counts to 1 byte).
+/// Delivery exactness with several readers per worker: the sender's,
+/// the readers' and the ML job's row counts all agree, with no restart.
 #[test]
-fn legacy_and_compact_codecs_deliver_identical_totals() {
+fn sent_received_and_ingested_totals_agree() {
     let session = StreamSession::start().unwrap();
-    let mut bytes_by_codec = Vec::new();
-    for codec in [WireCodec::Legacy, WireCodec::Compact] {
-        let engine = engine_with_points(2, 800, 101);
-        let mut cfg = config(2, 2, 4096);
-        cfg.codec = codec;
-        session.install_udf(&engine, &cfg, None);
-        let outcome = session
-            .run(&engine, "points", "svm label=2 iterations=20", &cfg)
-            .unwrap();
-        assert_eq!(outcome.stats.rows_sent, 800, "{codec}: rows sent");
-        assert_eq!(outcome.stats.rows_ingested, 800, "{codec}: rows ingested");
-        assert_eq!(
-            outcome.stats.receive.rows_received, 800,
-            "{codec}: rows received"
-        );
-        assert_eq!(outcome.stats.max_attempts, 1, "{codec}: no restarts");
-        bytes_by_codec.push(outcome.stats.bytes_sent);
-    }
-    assert!(
-        bytes_by_codec[1] < bytes_by_codec[0],
-        "compact ({}) must move fewer wire bytes than legacy ({})",
-        bytes_by_codec[1],
-        bytes_by_codec[0]
-    );
+    let engine = engine_with_points(2, 800, 101);
+    let cfg = config(2, 2, 4096);
+    session.install_udf(&engine, &cfg, None);
+    let outcome = session
+        .run(&engine, "points", "svm label=2 iterations=20", &cfg)
+        .unwrap();
+    assert_eq!(outcome.stats.rows_sent, 800);
+    assert_eq!(outcome.stats.rows_ingested, 800);
+    assert_eq!(outcome.stats.receive.rows_received, 800);
+    assert_eq!(outcome.stats.max_attempts, 1, "no restarts");
 }
 
 #[test]

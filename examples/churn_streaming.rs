@@ -59,8 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         transfer_id: 1,
         // Transformed layout: tenure, bill, plan_1..plan_3, churned.
         command: "logreg label=5 iterations=150".to_string(),
-        splits_per_worker: cluster.config.splits_per_worker,
-        send_buffer_bytes: cluster.config.send_buffer_bytes,
+        splits_per_worker: cluster.config.transfer.splits_per_worker,
+        send_buffer_bytes: cluster.config.transfer.send_buffer_bytes,
     };
     let script = rewriter.rewrite(prep, &spec, Some(&target))?;
     println!("--- rewritten script (§4) ---");

@@ -140,7 +140,7 @@ fn tiny_batches_with_midstream_fault_stay_exactly_once_and_pipelined() {
     engine.register_table("tiny_batch_stream", out.table.clone());
 
     let mut cfg = cluster.stream_config();
-    cfg.batch_rows = 3;
+    cfg.transfer.batch_rows = 3;
     let injector = std::sync::Arc::new(sqlml_transfer::FaultInjector::new());
     // Kill SQL worker 0 after it has sent a handful of rows — mid-stream,
     // after the reader has certainly consumed some of them.

@@ -109,9 +109,9 @@ fn fault_with_backed_up_sender_queue_is_exactly_once() {
     let mut cfg = cluster.stream_config();
     // Tiny buffers and frames keep frames queued (and spilling) at the
     // moment the fault fires.
-    cfg.send_buffer_bytes = 64;
-    cfg.batch_rows = 4;
-    cfg.frame_bytes = 256;
+    cfg.transfer.send_buffer_bytes = 64;
+    cfg.transfer.batch_rows = 4;
+    cfg.transfer.frame_bytes = 256;
     cluster
         .stream
         .install_udf(&cluster.engine, &cfg, Some(Arc::clone(&injector)));

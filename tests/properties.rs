@@ -65,27 +65,25 @@ fn random_categorical_rows(rng: &mut SplitMix64) -> Vec<Vec<String>> {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn binary_codec_round_trips_any_row() {
+fn compact_codec_round_trips_any_single_row() {
     let mut rng = SplitMix64::new(0xC0DEC);
     for _ in 0..256 {
         let row = random_row(&mut rng);
         let mut buf = Vec::new();
-        codec::encode_binary_row(&row, &mut buf).unwrap();
-        let (back, used) = codec::decode_binary_row(&buf).unwrap();
-        assert_eq!(back, row);
-        assert_eq!(used, buf.len());
+        codec::encode_compact_batch(std::slice::from_ref(&row), &mut buf).unwrap();
+        assert_eq!(codec::decode_compact_batch(&buf).unwrap(), vec![row]);
     }
 }
 
 #[test]
-fn binary_batch_codec_round_trips_any_rows() {
+fn compact_batch_codec_round_trips_any_rows() {
     let mut rng = SplitMix64::new(0xBA7C4);
     for _ in 0..64 {
         let n = rng.next_below(40) as usize;
         let rows: Vec<Row> = (0..n).map(|_| random_row(&mut rng)).collect();
         let mut buf = Vec::new();
-        codec::encode_binary_batch(&rows, &mut buf).unwrap();
-        let back = codec::decode_binary_batch(&buf).unwrap();
+        codec::encode_compact_batch(&rows, &mut buf).unwrap();
+        let back = codec::decode_compact_batch(&buf).unwrap();
         assert_eq!(back, rows);
     }
 }
