@@ -346,10 +346,13 @@ fn main() {
     let wall = t1.elapsed();
     latencies.sort();
     let s = sched.stats();
+    let slots = sched.fleet_snapshot().iter().fold((0, 0), |(u, c), f| {
+        (u + f.slots_in_use, c + f.slot_capacity)
+    });
     println!(
         "\nconcurrent load ({} queries over {} shards, wall {:?}):",
         handles.len(),
-        sched.num_shards(),
+        s.per_cluster.len(),
         wall
     );
     println!(
@@ -359,9 +362,8 @@ fn main() {
         percentile(&latencies, 99.0)
     );
     println!(
-        "  goodput {:.2} queries/s  in-flight high water {burst_hw}  slots {:?}",
+        "  goodput {:.2} queries/s  in-flight high water {burst_hw}  slots {slots:?}",
         goodput(s.completed, wall),
-        sched.slot_usage()
     );
     for c in &s.per_cluster {
         println!(

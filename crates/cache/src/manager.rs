@@ -5,12 +5,13 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use sqlml_common::lockorder::TrackedMutex;
-use sqlml_common::{Result, SqlmlError, Value};
+use sqlml_common::Value;
 use sqlml_sqlengine::ast::CmpOp;
 use sqlml_sqlengine::Engine;
+use sqlml_transform::apply::indicator_name;
 use sqlml_transform::{RecodeMap, TransformSpec};
 
-use crate::descriptor::{QueryDescriptor, SimplePredicate};
+use crate::descriptor::{ColRef, QueryDescriptor};
 use crate::subsume::{full_result_match, recode_map_match};
 
 /// A cached fully transformed result (§5.1) — conceptually a
@@ -22,6 +23,10 @@ struct FullEntry {
     map: RecodeMap,
     /// Name of the materialized table in the engine catalog.
     table_name: String,
+    /// The projected columns the transform recoded (integers in the
+    /// materialized table). Not read off `map`: a column the cached query
+    /// returned no value for is recoded yet absent from the map.
+    recoded: Vec<String>,
 }
 
 /// A cached recode map (§5.2).
@@ -57,11 +62,11 @@ pub enum CacheDecision {
 }
 
 /// Outcome of a non-materializing [`CacheManager::probe`]: what the best
-/// reuse *would* be, without building the rewrite or cloning any map.
-/// Placement/scheduling signal only — a router asking "which cluster
-/// already holds something usable for this descriptor" must not pay
-/// lookup's allocation cost per shard, and must not perturb the hit/miss
-/// counters of the queries that actually execute.
+/// reuse *would* be, without cloning any recode map. Placement/scheduling
+/// signal only — a router asking "which cluster already holds something
+/// usable for this descriptor" must not copy a map per shard, and must
+/// not perturb the hit/miss counters of the queries that actually
+/// execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CacheProbe {
     Miss,
@@ -140,6 +145,7 @@ impl CacheManager {
         map: RecodeMap,
         table: sqlml_sqlengine::PartitionedTable,
     ) -> String {
+        let recoded = self.recode_targets(&descriptor, &spec);
         let mut full = self.full.lock();
         if let Some(existing) = full
             .iter()
@@ -153,6 +159,7 @@ impl CacheManager {
         );
         self.engine.register_table(&table_name, table);
         full.push(FullEntry {
+            recoded,
             descriptor: descriptor.clone(),
             spec,
             map: map.clone(),
@@ -195,230 +202,187 @@ impl CacheManager {
     }
 
     /// Non-materializing probe: would [`CacheManager::lookup`] hit, and
-    /// how well? Runs the same §5.1/§5.2 subsumption checks but builds no
-    /// rewrite SQL, clones no recode map, and leaves the hit/miss stats
-    /// untouched — cheap enough to call once per shard on every admission
-    /// for cache-affinity routing.
+    /// how well? Asks the same per-entry matchers lookup uses
+    /// ([`full_rewrite`], [`map_covers`]), so the two cannot disagree,
+    /// but clones no recode map and leaves the hit/miss stats untouched —
+    /// cheap enough to call once per shard on every admission for
+    /// cache-affinity routing.
     pub fn probe(&self, query: &QueryDescriptor, spec: &TransformSpec) -> CacheProbe {
-        for entry in self.full.lock().iter() {
-            if let Some(extras) = full_result_match(&entry.descriptor, query) {
-                if Self::rewrite_compatible(entry, query, spec, &extras) {
-                    return CacheProbe::Full;
-                }
-            }
+        let full = self.full.lock();
+        if full.iter().any(|e| full_rewrite(e, query, spec).is_some()) {
+            return CacheProbe::Full;
         }
-        for entry in self.maps.lock().iter() {
-            if recode_map_match(&entry.descriptor, query)
-                && spec.recode_columns.iter().all(|c| entry.map.has_column(c))
-            {
-                return CacheProbe::RecodeMap;
-            }
+        drop(full);
+        let recoded = self.recode_targets(query, spec);
+        if self
+            .maps
+            .lock()
+            .iter()
+            .any(|e| map_covers(e, query, &recoded))
+        {
+            return CacheProbe::RecodeMap;
         }
         CacheProbe::Miss
     }
 
-    /// The decision core of [`CacheManager::rewrite_over_cached`] without
-    /// any of its string building: `true` iff the rewrite would succeed.
-    fn rewrite_compatible(
-        entry: &FullEntry,
-        query: &QueryDescriptor,
-        spec: &TransformSpec,
-        extras: &[&SimplePredicate],
-    ) -> bool {
-        let is_dummy_cached = |col: &str| {
-            entry
-                .spec
-                .dummy_code_columns
-                .iter()
-                .any(|d| d.eq_ignore_ascii_case(col))
-        };
-        let is_dummy_new = |col: &str| {
-            spec.dummy_code_columns
-                .iter()
-                .any(|d| d.eq_ignore_ascii_case(col))
-        };
-        // Every projected column must carry compatible coding.
-        for p in &query.projections {
-            if is_dummy_cached(&p.column) != is_dummy_new(&p.column) {
-                return false;
-            }
-        }
-        // Every extra predicate must be expressible over the transformed
-        // layout (same cases as the rewrite, minus the SQL).
-        for pred in extras {
-            let col = &pred.col.column;
-            if is_dummy_cached(col) || entry.map.has_column(col) {
-                if !matches!(pred.value, Value::Str(_))
-                    || !matches!(pred.op, CmpOp::Eq | CmpOp::NotEq)
-                {
-                    return false;
-                }
-            } else if matches!(pred.value, Value::Null) {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Look up the best reuse for a new query + transformation spec.
     pub fn lookup(&self, query: &QueryDescriptor, spec: &TransformSpec) -> CacheDecision {
-        // Best first: full result (§5.1).
-        for entry in self.full.lock().iter() {
-            if let Some(extras) = full_result_match(&entry.descriptor, query) {
-                match self.rewrite_over_cached(entry, query, spec, &extras) {
-                    Ok(Some(reuse)) => {
-                        self.stats.full_hits.fetch_add(1, Ordering::Relaxed);
-                        return CacheDecision::Full(reuse);
-                    }
-                    Ok(None) => {} // spec-incompatible; keep looking
-                    Err(_) => {}
-                }
-            }
+        // Best first: full result (§5.1). A matching entry whose spec is
+        // incompatible is skipped; a later one may still serve.
+        let full = self.full.lock();
+        if let Some((entry, sql)) = full
+            .iter()
+            .find_map(|e| full_rewrite(e, query, spec).map(|sql| (e, sql)))
+        {
+            self.stats.full_hits.fetch_add(1, Ordering::Relaxed);
+            return CacheDecision::Full(FullReuse {
+                table_name: entry.table_name.clone(),
+                sql,
+                map: entry.map.clone(),
+            });
         }
+        drop(full);
         // Second best: recode map (§5.2).
-        for entry in self.maps.lock().iter() {
-            if recode_map_match(&entry.descriptor, query) {
-                // Condition 3: the map must cover every categorical
-                // column the new pipeline will recode.
-                let covered = spec.recode_columns.iter().all(|c| entry.map.has_column(c));
-                // (When recode_columns is defaulted-empty the pipeline
-                // derives them from the schema; the transformer re-checks
-                // coverage at apply time, so accept here.)
-                if covered {
-                    self.stats.map_hits.fetch_add(1, Ordering::Relaxed);
-                    return CacheDecision::RecodeMap(entry.map.clone());
-                }
-            }
+        let recoded = self.recode_targets(query, spec);
+        if let Some(entry) = self
+            .maps
+            .lock()
+            .iter()
+            .find(|e| map_covers(e, query, &recoded))
+        {
+            self.stats.map_hits.fetch_add(1, Ordering::Relaxed);
+            return CacheDecision::RecodeMap(entry.map.clone());
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         CacheDecision::Miss
     }
 
-    /// Build the SQL that answers `query` from a cached entry's
-    /// materialized table; `None` when the transformation specs are
-    /// incompatible (e.g. the cache dummy-coded a column the new request
-    /// wants plain).
-    fn rewrite_over_cached(
-        &self,
-        entry: &FullEntry,
-        query: &QueryDescriptor,
-        spec: &TransformSpec,
-        extras: &[&SimplePredicate],
-    ) -> Result<Option<FullReuse>> {
-        let is_dummy_cached = |col: &str| {
-            entry
-                .spec
-                .dummy_code_columns
-                .iter()
-                .any(|d| d.eq_ignore_ascii_case(col))
+    /// The columns a pipeline running `query` under `spec` recodes: the
+    /// spec's explicit list, or — when defaulted — every projected column
+    /// its base table flags categorical (a column the catalog cannot
+    /// vouch for counts as categorical). Lookups resolve it before
+    /// `cache.maps` is taken, so the catalog lock never nests inside it.
+    fn recode_targets(&self, query: &QueryDescriptor, spec: &TransformSpec) -> Vec<String> {
+        if !spec.recode_columns.is_empty() {
+            return spec.recode_columns.clone();
+        }
+        let catalog = self.engine.catalog();
+        let is_categorical = |p: &ColRef| {
+            let table = catalog.table(&p.table).ok()?;
+            let at = table.schema().index_of(&p.column).ok()?;
+            Some(table.schema().field(at).categorical)
         };
-        let is_dummy_new = |col: &str| {
-            spec.dummy_code_columns
-                .iter()
-                .any(|d| d.eq_ignore_ascii_case(col))
-        };
-
-        // Projection: each requested column must exist in the cached
-        // output with compatible coding.
-        let mut select_cols: Vec<String> = Vec::new();
-        for p in &query.projections {
-            let col = &p.column;
-            match (is_dummy_cached(col), is_dummy_new(col)) {
-                (false, false) => select_cols.push(col.clone()),
-                (true, true) => {
-                    // Expand to the cached indicator block.
-                    for v in entry.map.values_in_code_order(col) {
-                        select_cols.push(format!("{col}_{}", sanitize(&v)));
-                    }
-                }
-                // Coding mismatch: cannot serve from this entry.
-                _ => return Ok(None),
-            }
-        }
-
-        // Extra predicates, mapped onto the transformed layout.
-        let mut where_parts = Vec::new();
-        for pred in extras {
-            let col = &pred.col.column;
-            let is_recoded = entry.map.has_column(col);
-            if is_dummy_cached(col) {
-                // gender = 'F' over a dummy-coded gender → gender_F = 1.
-                let Value::Str(s) = &pred.value else {
-                    return Ok(None);
-                };
-                let indicator = match pred.op {
-                    CmpOp::Eq => 1,
-                    CmpOp::NotEq => 0,
-                    _ => return Ok(None),
-                };
-                match entry.map.code(col, s) {
-                    Some(_) => where_parts.push(format!("{col}_{} = {indicator}", sanitize(s))),
-                    // Value never seen by the cached query: the predicate
-                    // is unsatisfiable (Eq) or trivially true (NotEq).
-                    None => {
-                        if pred.op == CmpOp::Eq {
-                            where_parts.push("1 = 0".to_string());
-                        }
-                    }
-                }
-            } else if is_recoded {
-                // String literal must be mapped through the recode map.
-                let Value::Str(s) = &pred.value else {
-                    return Ok(None);
-                };
-                // Only (in)equality is order-safe after recoding: codes
-                // are assigned by sorted value, but mixing with other
-                // comparisons invites subtle bugs, so stay conservative.
-                if !matches!(pred.op, CmpOp::Eq | CmpOp::NotEq) {
-                    return Ok(None);
-                }
-                match entry.map.code(col, s) {
-                    Some(code) => where_parts.push(format!("{col} {} {code}", pred.op.symbol())),
-                    None => {
-                        if pred.op == CmpOp::Eq {
-                            where_parts.push("1 = 0".to_string());
-                        }
-                    }
-                }
-            } else {
-                where_parts.push(format!(
-                    "{col} {} {}",
-                    pred.op.symbol(),
-                    render_literal(&pred.value)?
-                ));
-            }
-        }
-
-        let mut sql = format!(
-            "SELECT {} FROM {}",
-            select_cols.join(", "),
-            entry.table_name
-        );
-        if !where_parts.is_empty() {
-            sql.push_str(&format!(" WHERE {}", where_parts.join(" AND ")));
-        }
-        Ok(Some(FullReuse {
-            table_name: entry.table_name.clone(),
-            sql,
-            map: entry.map.clone(),
-        }))
+        query
+            .projections
+            .iter()
+            .filter(|p| is_categorical(p).unwrap_or(true))
+            .map(|p| p.column.clone())
+            .collect()
     }
 }
 
-/// Same value-name sanitization as dummy coding uses for column names.
-fn sanitize(v: &str) -> String {
-    v.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
+/// The §5.2 matcher for one entry: the descriptors match and (condition
+/// 3) the map covers every column the new pipeline will recode — a map
+/// built over a query that never projected (or never saw a value of) one
+/// of them would fail the transform that a cold run completes.
+fn map_covers(entry: &MapEntry, query: &QueryDescriptor, recoded: &[String]) -> bool {
+    recode_map_match(&entry.descriptor, query) && recoded.iter().all(|c| entry.map.has_column(c))
 }
 
-fn render_literal(v: &Value) -> Result<String> {
-    Ok(match v {
+/// The §5.1 matcher for one entry: the SQL that answers `query` from the
+/// entry's materialized table, or `None` when the descriptors do not
+/// match or the transformation specs are incompatible (e.g. the cache
+/// dummy-coded a column the new request wants plain).
+fn full_rewrite(
+    entry: &FullEntry,
+    query: &QueryDescriptor,
+    spec: &TransformSpec,
+) -> Option<String> {
+    let extras = full_result_match(&entry.descriptor, query)?;
+    let named_in = |list: &[String], col: &str| list.iter().any(|d| d.eq_ignore_ascii_case(col));
+    let is_dummy_cached = |col: &str| named_in(&entry.spec.dummy_code_columns, col);
+
+    // Projection: each requested column must exist in the cached output
+    // with compatible coding.
+    let mut select_cols: Vec<String> = Vec::new();
+    for p in &query.projections {
+        let col = &p.column;
+        match (
+            is_dummy_cached(col),
+            named_in(&spec.dummy_code_columns, col),
+        ) {
+            (false, false) => select_cols.push(col.clone()),
+            // Expand to the cached indicator block.
+            (true, true) => select_cols.extend(
+                entry
+                    .map
+                    .values_in_code_order(col)
+                    .iter()
+                    .map(|v| indicator_name(col, v)),
+            ),
+            // Coding mismatch: cannot serve from this entry.
+            _ => return None,
+        }
+    }
+
+    // Extra predicates, mapped onto the transformed layout.
+    let mut where_parts = Vec::new();
+    for pred in extras {
+        let col = &pred.col.column;
+        let dummy = is_dummy_cached(col);
+        if dummy || named_in(&entry.recoded, col) {
+            // The literal must be mapped through the recode map. Only
+            // (in)equality is order-safe after recoding: codes are
+            // assigned by sorted value, but mixing with other comparisons
+            // invites subtle bugs, so stay conservative.
+            let Value::Str(s) = &pred.value else {
+                return None;
+            };
+            if !matches!(pred.op, CmpOp::Eq | CmpOp::NotEq) {
+                return None;
+            }
+            match entry.map.code(col, s) {
+                // gender = 'F' over a dummy-coded gender → gender_F = 1.
+                Some(_) if dummy => where_parts.push(format!(
+                    "{} = {}",
+                    indicator_name(col, s),
+                    if pred.op == CmpOp::Eq { 1 } else { 0 }
+                )),
+                Some(code) => where_parts.push(format!("{col} {} {code}", pred.op.symbol())),
+                // Value never seen by the cached query: the predicate is
+                // unsatisfiable (Eq) or trivially true (NotEq).
+                None if pred.op == CmpOp::Eq => where_parts.push("1 = 0".to_string()),
+                None => {}
+            }
+        } else {
+            where_parts.push(format!(
+                "{col} {} {}",
+                pred.op.symbol(),
+                render_literal(&pred.value)?
+            ));
+        }
+    }
+
+    let mut sql = format!(
+        "SELECT {} FROM {}",
+        select_cols.join(", "),
+        entry.table_name
+    );
+    if !where_parts.is_empty() {
+        sql.push_str(&format!(" WHERE {}", where_parts.join(" AND ")));
+    }
+    Some(sql)
+}
+
+/// A literal as SQL text; `None` for NULL, which no rewrite can compare
+/// against.
+fn render_literal(v: &Value) -> Option<String> {
+    Some(match v {
         Value::Int(i) => i.to_string(),
         Value::Double(d) => format!("{d:?}"),
         Value::Bool(b) => b.to_string().to_uppercase(),
         Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
-        Value::Null => return Err(SqlmlError::Cache("NULL literals are not rewritable".into())),
+        Value::Null => return None,
     })
 }
 
@@ -556,61 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_agrees_with_lookup_and_stays_off_the_stats() {
-        let e = engine();
-        let cache = CacheManager::new(e.clone());
-        let spec = TransformSpec::default();
-        prime_cache(&e, &cache, &spec);
-
-        // Full-hit query, map-hit query, miss query — probe must agree
-        // with lookup on each while touching no counters.
-        let full_q = descriptor(
-            &e,
-            "SELECT U.age, C.amount, C.abandoned FROM carts C, users U \
-             WHERE C.userid=U.userid AND U.country='USA' AND U.gender='F'",
-        );
-        let map_q = descriptor(
-            &e,
-            "SELECT U.age, U.gender, C.amount, C.year, C.abandoned \
-             FROM carts C, users U \
-             WHERE C.userid=U.userid AND U.country='USA' AND C.year = 2014",
-        );
-        let miss_q = descriptor(&e, "SELECT age FROM users WHERE country='CA'");
-        assert_eq!(cache.probe(&full_q, &spec), CacheProbe::Full);
-        assert_eq!(cache.probe(&map_q, &spec), CacheProbe::RecodeMap);
-        assert_eq!(cache.probe(&miss_q, &spec), CacheProbe::Miss);
-        assert_eq!(cache.stats.snapshot(), (0, 0, 0), "probe bumped stats");
-
-        assert!(matches!(
-            cache.lookup(&full_q, &spec),
-            CacheDecision::Full(_)
-        ));
-        assert!(matches!(
-            cache.lookup(&map_q, &spec),
-            CacheDecision::RecodeMap(_)
-        ));
-        assert!(matches!(cache.lookup(&miss_q, &spec), CacheDecision::Miss));
-    }
-
-    #[test]
-    fn probe_downgrades_on_coding_mismatch_like_lookup() {
-        let e = engine();
-        let cache = CacheManager::new(e.clone());
-        // Cache dummy-coded gender; the new request wants it plain — full
-        // reuse impossible, map reuse fine (mirrors the lookup test).
-        prime_cache(&e, &cache, &TransformSpec::new(&["gender"]));
-        let q = descriptor(
-            &e,
-            "SELECT U.gender, C.amount FROM carts C, users U \
-             WHERE C.userid=U.userid AND U.country='USA'",
-        );
-        assert_eq!(
-            cache.probe(&q, &TransformSpec::default()),
-            CacheProbe::RecodeMap
-        );
-    }
-
-    #[test]
     fn unrelated_query_misses() {
         let e = engine();
         let cache = CacheManager::new(e.clone());
@@ -655,10 +564,55 @@ mod tests {
             "SELECT U.gender, C.amount FROM carts C, users U \
              WHERE C.userid=U.userid AND U.country='USA'",
         );
-        match cache.lookup(&q, &TransformSpec::default()) {
+        let plain = TransformSpec::default();
+        assert_eq!(cache.probe(&q, &plain), CacheProbe::RecodeMap);
+        match cache.lookup(&q, &plain) {
             CacheDecision::RecodeMap(_) => {}
             other => panic!("expected map hit, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn map_hit_needs_every_recoded_projection_in_the_map() {
+        let e = engine();
+        let cache = CacheManager::new(e.clone());
+        let spec = TransformSpec::default();
+        prime_cache(&e, &cache, &spec);
+        // Same FROM/WHERE, but projects a categorical column the cached
+        // query never did: its map has no codes for country, so reusing
+        // it would fail a transform that a cold run completes.
+        let q = descriptor(
+            &e,
+            "SELECT U.age, U.country, C.abandoned FROM carts C, users U \
+             WHERE C.userid=U.userid AND U.country='USA'",
+        );
+        assert_eq!(cache.probe(&q, &spec), CacheProbe::Miss);
+        assert!(matches!(cache.lookup(&q, &spec), CacheDecision::Miss));
+    }
+
+    #[test]
+    fn a_column_the_cached_query_emptied_is_still_rewritten_as_recoded() {
+        let e = engine();
+        let cache = CacheManager::new(e.clone());
+        let spec = TransformSpec::default();
+        // No user is 99: the cached result is empty, so its recode map
+        // has no `gender` column — yet `gender` is an integer column of
+        // the materialized table.
+        let sql = "SELECT age, gender FROM users WHERE age = 99";
+        e.execute(&format!("CREATE TABLE prep AS {sql}")).unwrap();
+        let out = InSqlTransformer::new(e.clone())
+            .transform("prep", &spec)
+            .unwrap();
+        assert!(!out.recode_map.has_column("gender"));
+        cache.store_full(descriptor(&e, sql), spec.clone(), out.recode_map, out.table);
+        let q = descriptor(&e, "SELECT age FROM users WHERE age = 99 AND gender <> 'F'");
+        let CacheDecision::Full(reuse) = cache.lookup(&q, &spec) else {
+            panic!("expected a full hit");
+        };
+        // The literal is mapped (to nothing: trivially true), never
+        // compared as a string against the integer column.
+        assert!(!reuse.sql.contains("'F'"), "{}", reuse.sql);
+        assert_eq!(e.query(&reuse.sql).unwrap().num_rows(), 0);
     }
 
     #[test]

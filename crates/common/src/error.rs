@@ -124,6 +124,17 @@ where
         .map_err(|_| SqlmlError::Overflow(format!("{what} {n} does not fit in u32")))
 }
 
+/// [`counter_u32`] for 64-bit counters: what a count read back out of a
+/// SQL `Int` (an `i64`) goes through, so a negative value is an error
+/// instead of an `as` cast wrapping it to ~1.8e19.
+pub fn counter_u64<T>(n: T, what: &str) -> Result<u64>
+where
+    T: Copy + std::fmt::Display + TryInto<u64>,
+{
+    n.try_into()
+        .map_err(|_| SqlmlError::Overflow(format!("{what} {n} does not fit in u64")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,6 +172,10 @@ mod tests {
         assert!(matches!(err, SqlmlError::Overflow(_)));
         assert!(err.to_string().contains("attempts"), "{err}");
         assert!(counter_u32(u64::MAX, "bytes").is_err());
+        assert_eq!(counter_u64(7i64, "rows").unwrap(), 7);
+        let err = counter_u64(-1i64, "rows").unwrap_err();
+        assert!(matches!(err, SqlmlError::Overflow(_)));
+        assert!(err.to_string().contains("rows -1"), "{err}");
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub mod value;
 
 pub use cancel::CancelToken;
 pub use codec::DictStats;
-pub use error::{counter_u32, wire_u32, Result, SqlmlError};
+pub use error::{counter_u32, counter_u64, wire_u32, Result, SqlmlError};
 pub use intern::Interner;
 pub use lockorder::{
     declare_order, set_perturb_seed, TrackedCondvar, TrackedMutex, TrackedRwLock, WaitTimeoutResult,

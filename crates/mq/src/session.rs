@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sqlml_common::{Result, Schema, SqlmlError};
+use sqlml_common::{counter_u64, Result, Row, Schema, SqlmlError};
 use sqlml_mlengine::job::{JobConfig, JobOutcome, JobRunner, TrainingSpec};
 use sqlml_sqlengine::Engine;
 
@@ -47,13 +47,20 @@ pub fn publish_table(
     let stats = engine.query(&format!(
         "SELECT * FROM TABLE(mq_transfer({table}, '{topic}')) AS s"
     ))?;
-    let mut rows = 0u64;
-    let mut bytes = 0u64;
-    for r in stats.collect_rows() {
-        rows += r.get(1).as_i64()? as u64;
-        bytes += r.get(2).as_i64()? as u64;
-    }
+    let (rows, bytes) = published_totals(&stats.collect_rows())?;
     Ok((rows, bytes, schema))
+}
+
+/// Total (rows, bytes) over `mq_transfer`'s per-worker stats rows. The
+/// counts come back through a SQL table as `i64`; a negative one is a
+/// corrupted row and an error, never an `as` cast wrapping to ~1.8e19.
+fn published_totals(stats: &[Row]) -> Result<(u64, u64)> {
+    let (mut rows, mut bytes) = (0u64, 0u64);
+    for r in stats {
+        rows += counter_u64(r.get(1).as_i64()?, "rows_published")?;
+        bytes += counter_u64(r.get(2).as_i64()?, "bytes_published")?;
+    }
+    Ok((rows, bytes))
 }
 
 /// Run one ML job over an already-published topic.
@@ -132,6 +139,18 @@ mod tests {
             .collect();
         engine.register_rows("points", schema, rows);
         engine
+    }
+
+    #[test]
+    fn a_negative_published_count_is_an_error_not_a_wrap() {
+        assert_eq!(
+            published_totals(&[row![0i64, 5i64, 50i64, 1i64], row![1i64, 7i64, 70i64, 1i64]])
+                .unwrap(),
+            (12, 120)
+        );
+        let err = published_totals(&[row![0i64, -3i64, 10i64, 1i64]]).unwrap_err();
+        assert!(matches!(err, SqlmlError::Overflow(_)), "{err}");
+        assert!(err.to_string().contains("rows_published -3"), "{err}");
     }
 
     #[test]

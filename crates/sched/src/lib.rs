@@ -42,9 +42,7 @@
 //!   and leave ([`QueryScheduler::remove_shard`]) at runtime behind an
 //!   epoch-versioned registry, with a two-phase drain that migrates or
 //!   drains queued work and settles WFQ costs before the shard's
-//!   executors are joined. A pluggable [`ScalePolicy`] can advise
-//!   grow/shrink from the live [`ScaleSignal`]; none is installed by
-//!   default and the scheduler never actuates on its own.
+//!   executors are joined.
 //!
 //! Schedulers are built with [`SchedulerBuilder`]:
 //!
@@ -90,21 +88,26 @@
 //! # let _ = pinned;
 //! ```
 
+mod admission;
+mod cost;
+mod drain;
+mod executor;
 pub mod governor;
+mod handle;
 pub mod queue;
 mod registry;
 pub mod retry;
 pub mod router;
-pub mod scale;
 pub mod scheduler;
+mod stats;
 
+pub use admission::{QuerySpec, Retry, SubmitOpts};
+pub use cost::{probe_discount, FULL_DISCOUNT, MAP_DISCOUNT};
+pub use drain::{DrainPolicy, ShardRemoval};
 pub use governor::{SlotGuard, WorkerGovernor};
+pub use handle::{QueryHandle, QueryLatency, QueryStatus};
 pub use queue::{FairQueue, Popped, RejectReason, Rejected};
 pub use retry::{retry_queue_full, Clock, RetryPolicy, SystemClock};
-pub use router::{probe_discount, Placement, ShardLoad, ShardRouter, FULL_DISCOUNT, MAP_DISCOUNT};
-pub use scale::{ScaleAdvice, ScalePolicy, ScaleSignal, ThresholdScalePolicy};
-pub use scheduler::{
-    ClusterCounters, DrainPolicy, QueryHandle, QueryLatency, QueryScheduler, QuerySpec,
-    QueryStatus, Retry, SchedStatsSnapshot, SchedulerBuilder, SchedulerConfig, ShardRemoval,
-    ShardStat, ShardTemplate, SubmitOpts,
-};
+pub use router::{Placement, ShardLoad, ShardRouter};
+pub use scheduler::{QueryScheduler, SchedulerBuilder, SchedulerConfig, ShardTemplate};
+pub use stats::{ClusterCounters, SchedStatsSnapshot, ShardStat};

@@ -39,24 +39,6 @@ const MAP_BONUS: f64 = 3.0;
 /// Penalty weight on the fraction of worker slots already held.
 const SLOT_WEIGHT: f64 = 2.0;
 
-/// WFQ cost multiplier for a query expected (or measured) to enjoy a
-/// §5.1 full-result reuse: the run collapses to one SELECT over a
-/// materialization, so charging full slot cost would let WFQ starve the
-/// cluster of its cheapest, most profitable work.
-pub const FULL_DISCOUNT: f64 = 0.1;
-/// WFQ cost multiplier under §5.2 recode-map reuse (one of recoding's
-/// two passes is skipped; the prep query still runs).
-pub const MAP_DISCOUNT: f64 = 0.5;
-
-/// The WFQ cost multiplier a probe outcome predicts.
-pub fn probe_discount(probe: CacheProbe) -> f64 {
-    match probe {
-        CacheProbe::Full => FULL_DISCOUNT,
-        CacheProbe::RecodeMap => MAP_DISCOUNT,
-        CacheProbe::Miss => 1.0,
-    }
-}
-
 /// One shard's load signals at placement time.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardLoad {
@@ -212,12 +194,5 @@ mod tests {
         loads[1].draining = true;
         assert_eq!(r.place(&loads), None);
         assert_eq!(r.place(&[]), None);
-    }
-
-    #[test]
-    fn discounts_order_by_reuse_quality() {
-        assert!(probe_discount(CacheProbe::Full) < probe_discount(CacheProbe::RecodeMap));
-        assert!(probe_discount(CacheProbe::RecodeMap) < probe_discount(CacheProbe::Miss));
-        assert_eq!(probe_discount(CacheProbe::Miss), 1.0);
     }
 }

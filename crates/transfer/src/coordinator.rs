@@ -14,7 +14,9 @@
 
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sqlml_common::lockorder::{TrackedCondvar, TrackedMutex};
@@ -83,12 +85,19 @@ struct Inner {
     state: TrackedMutex<SharedState>,
     session_ready: TrackedCondvar,
     launcher: TrackedMutex<Option<JobLauncher>>,
+    /// Set by [`Coordinator`]'s `Drop`; the accept loop exits at its next
+    /// wake-up.
+    stopping: AtomicBool,
 }
 
-/// The running coordinator service.
+/// The running coordinator service. Dropping it stops the accept loop
+/// and closes the listening socket; sessions already snapshotted can be
+/// [`Coordinator::restore`]d on a fresh address.
 pub struct Coordinator {
     inner: Arc<Inner>,
     addr: String,
+    /// The accept loop (it owns the listener); joined on drop.
+    accept: Option<JoinHandle<()>>,
 }
 
 /// A cheap handle for querying the coordinator from tests/benchmarks.
@@ -117,12 +126,16 @@ impl Coordinator {
             state: TrackedMutex::new("transfer.coordinator.state", SharedState::default()),
             session_ready: TrackedCondvar::new("transfer.coordinator.session_ready"),
             launcher: TrackedMutex::new("transfer.coordinator.launcher", None),
+            stopping: AtomicBool::new(false),
         });
         let serve_inner = Arc::clone(&inner);
-        std::thread::Builder::new()
+        let accept = std::thread::Builder::new()
             .name("sqlml-coordinator".into())
             .spawn(move || {
                 for conn in listener.incoming() {
+                    if serve_inner.stopping.load(Ordering::SeqCst) {
+                        break;
+                    }
                     match conn {
                         Ok(stream) => {
                             let inner = Arc::clone(&serve_inner);
@@ -134,7 +147,11 @@ impl Coordinator {
                     }
                 }
             })?;
-        Ok(Coordinator { inner, addr })
+        Ok(Coordinator {
+            inner,
+            addr,
+            accept: Some(accept),
+        })
     }
 
     /// Address (`host:port`) clients use — the paper's "IP and port
@@ -154,6 +171,25 @@ impl Coordinator {
     /// SQL workers finish registering.
     pub fn set_job_launcher(&self, launcher: JobLauncher) {
         *self.inner.launcher.lock() = Some(launcher);
+    }
+}
+
+impl Drop for Coordinator {
+    /// Stop and join the accept loop, which closes the listener it owns.
+    /// Without this every coordinator ever started — one per cluster, so
+    /// one per `add_shard`/`remove_shard` cycle of an elastic fleet —
+    /// left a thread blocked in `accept` and a listening socket behind
+    /// for the life of the process (`tests/leaks.rs`).
+    fn drop(&mut self) {
+        self.inner.stopping.store(true, Ordering::SeqCst);
+        // `accept` has no timeout; one throwaway connection wakes the
+        // loop so it sees the flag. If even that fails the thread is left
+        // detached rather than hanging the drop on a join.
+        if TcpStream::connect(&self.addr).is_ok() {
+            if let Some(accept) = self.accept.take() {
+                let _ = accept.join();
+            }
+        }
     }
 }
 

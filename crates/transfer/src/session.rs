@@ -16,7 +16,7 @@ use crate::config::{TransferArgs, TransferConfig};
 use crate::coordinator::Coordinator;
 use crate::input_format::SqlStreamInputFormat;
 use crate::metrics::{MetricsSnapshot, TransferMetrics};
-use crate::stream_udf::StreamTransferUdf;
+use crate::stream_udf::{StreamTransferUdf, WorkerTransferStats};
 
 pub use crate::stream_udf::FaultInjector;
 
@@ -291,30 +291,18 @@ impl StreamSession {
             receive: metrics.snapshot(),
             ..Default::default()
         };
-        // The per-worker stats come back through a SQL table, i.e. as
-        // `i64`. A negative count can only mean a corrupted stats row, so
-        // clamp with `try_from` and a descriptive error rather than
-        // letting an `as` cast wrap it into a huge unsigned value.
-        let stat_u64 = |r: &sqlml_common::Row, col: usize, what: &str| -> Result<u64> {
-            let v = r.get(col).as_i64()?;
-            u64::try_from(v).map_err(|_| {
-                SqlmlError::Overflow(format!("negative {what} {v} in worker stats row"))
-            })
-        };
         for r in stats_table.collect_rows() {
-            stats.rows_sent += stat_u64(&r, 1, "rows_sent")?;
-            stats.bytes_sent += stat_u64(&r, 2, "bytes_sent")?;
-            stats.batches_sent += stat_u64(&r, 3, "batches_sent")?;
-            stats.bytes_spilled += stat_u64(&r, 4, "bytes_spilled")?;
-            stats.spill_events += stat_u64(&r, 5, "spill_events")?;
-            let attempts = r.get(6).as_i64()?;
-            stats.max_attempts = stats
-                .max_attempts
-                .max(sqlml_common::counter_u32(attempts, "max_attempts")?);
-            stats.sender_stall_us += stat_u64(&r, 7, "queue_stall_us")?;
-            stats.queue_depth_hw = stats.queue_depth_hw.max(stat_u64(&r, 8, "queue_depth_hw")?);
-            stats.dict_hits += stat_u64(&r, 9, "dict_hits")?;
-            stats.dict_misses += stat_u64(&r, 10, "dict_misses")?;
+            let w = WorkerTransferStats::from_row(&r)?;
+            stats.rows_sent += w.rows_sent;
+            stats.bytes_sent += w.bytes_sent;
+            stats.batches_sent += w.batches_sent;
+            stats.bytes_spilled += w.bytes_spilled;
+            stats.spill_events += w.spill_events;
+            stats.max_attempts = stats.max_attempts.max(w.attempts);
+            stats.sender_stall_us += w.queue_stall_us;
+            stats.queue_depth_hw = stats.queue_depth_hw.max(w.queue_depth_hw);
+            stats.dict_hits += w.dict_hits;
+            stats.dict_misses += w.dict_misses;
         }
         Ok(StreamRunOutcome { job, stats })
     }

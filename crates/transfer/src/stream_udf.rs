@@ -102,8 +102,11 @@ impl FaultInjector {
     }
 }
 
-/// Per-worker transfer statistics (also emitted as the UDF's output row).
-#[derive(Debug, Clone, Default)]
+/// Per-worker transfer statistics — and the one owner of the UDF's
+/// SQL-visible output row: column names ([`Self::schema`]), encoding
+/// ([`Self::to_row`]) and checked decoding ([`Self::from_row`]) all
+/// follow the field order below.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerTransferStats {
     pub worker: usize,
     pub rows_sent: u64,
@@ -123,38 +126,65 @@ pub struct WorkerTransferStats {
 }
 
 impl WorkerTransferStats {
-    fn to_row(&self) -> Row {
-        Row::new(vec![
-            Value::Int(self.worker as i64),
-            Value::Int(self.rows_sent as i64),
-            Value::Int(self.bytes_sent as i64),
-            Value::Int(self.batches_sent as i64),
-            Value::Int(self.bytes_spilled as i64),
-            Value::Int(self.spill_events as i64),
-            Value::Int(self.attempts as i64),
-            Value::Int(self.queue_stall_us as i64),
-            Value::Int(self.queue_depth_hw as i64),
-            Value::Int(self.dict_hits as i64),
-            Value::Int(self.dict_misses as i64),
-        ])
+    /// The stats row as (column name, value), in SQL-visible order.
+    fn columns(&self) -> [(&'static str, u64); 11] {
+        [
+            ("worker", self.worker as u64),
+            ("rows_sent", self.rows_sent),
+            ("bytes_sent", self.bytes_sent),
+            ("batches_sent", self.batches_sent),
+            ("bytes_spilled", self.bytes_spilled),
+            ("spill_events", self.spill_events),
+            ("attempts", u64::from(self.attempts)),
+            ("queue_stall_us", self.queue_stall_us),
+            ("queue_depth_hw", self.queue_depth_hw),
+            ("dict_hits", self.dict_hits),
+            ("dict_misses", self.dict_misses),
+        ]
     }
-}
 
-/// Output layout of the UDF.
-pub fn stats_schema() -> Schema {
-    Schema::new(vec![
-        Field::new("worker", DataType::Int),
-        Field::new("rows_sent", DataType::Int),
-        Field::new("bytes_sent", DataType::Int),
-        Field::new("batches_sent", DataType::Int),
-        Field::new("bytes_spilled", DataType::Int),
-        Field::new("spill_events", DataType::Int),
-        Field::new("attempts", DataType::Int),
-        Field::new("queue_stall_us", DataType::Int),
-        Field::new("queue_depth_hw", DataType::Int),
-        Field::new("dict_hits", DataType::Int),
-        Field::new("dict_misses", DataType::Int),
-    ])
+    /// Output layout of the UDF.
+    pub fn schema() -> Schema {
+        let columns = Self::default().columns();
+        Schema::new(columns.map(|(c, _)| Field::new(c, DataType::Int)).to_vec())
+    }
+
+    fn to_row(&self) -> Row {
+        Row::new(self.columns().map(|(_, v)| Value::Int(v as i64)).to_vec())
+    }
+
+    /// Decode one stats row. The counts come back through a SQL table,
+    /// i.e. as `i64`; a negative one can only mean a corrupted row, so it
+    /// is an [`SqlmlError::Overflow`] naming the column rather than an
+    /// `as` cast wrapping it into a huge unsigned value.
+    pub fn from_row(row: &Row) -> Result<WorkerTransferStats> {
+        let columns = Self::default().columns();
+        if row.len() != columns.len() {
+            return Err(SqlmlError::Transfer(format!(
+                "worker stats row has {} columns, expected {}",
+                row.len(),
+                columns.len()
+            )));
+        }
+        // Struct fields initialize in written order, so each `next()`
+        // reads the column `columns()` lists at the same position.
+        let mut counts = (columns.iter().zip(row.values()))
+            .map(|((name, _), v)| sqlml_common::counter_u64(v.as_i64()?, name));
+        let mut next = || counts.next().unwrap_or(Ok(0));
+        Ok(WorkerTransferStats {
+            worker: sqlml_common::counter_u32(next()?, "worker")? as usize,
+            rows_sent: next()?,
+            bytes_sent: next()?,
+            batches_sent: next()?,
+            bytes_spilled: next()?,
+            spill_events: next()?,
+            attempts: sqlml_common::counter_u32(next()?, "attempts")?,
+            queue_stall_us: next()?,
+            queue_depth_hw: next()?,
+            dict_hits: next()?,
+            dict_misses: next()?,
+        })
+    }
 }
 
 /// Grows the per-frame row target when the encode thread stalls on a full
@@ -234,7 +264,7 @@ impl TableUdf for StreamTransferUdf {
 
     fn output_schema(&self, _input: &Schema, args: &[Value]) -> Result<Schema> {
         TransferArgs::from_values(args)?;
-        Ok(stats_schema())
+        Ok(WorkerTransferStats::schema())
     }
 
     fn execute(
@@ -298,26 +328,10 @@ impl TableUdf for StreamTransferUdf {
         drop(coord);
 
         // Steps 7+8 with the §6 restart protocol around them.
-        let mut stats = WorkerTransferStats {
-            worker: ctx.partition,
-            ..Default::default()
-        };
         let mut last_err: Option<SqlmlError> = None;
         for attempt in 1..=MAX_ATTEMPTS {
-            stats.attempts = attempt;
             match self.stream_group(rows, &listener, &args, ctx, attempt, &cancel) {
-                Ok(sent) => {
-                    stats.rows_sent = rows.len() as u64;
-                    stats.bytes_sent = sent.bytes_sent;
-                    stats.batches_sent = sent.batches_sent;
-                    stats.bytes_spilled = sent.bytes_spilled;
-                    stats.spill_events = sent.spill_events;
-                    stats.queue_stall_us = sent.queue_stall_us;
-                    stats.queue_depth_hw = sent.queue_depth_hw;
-                    stats.dict_hits = sent.dict_hits;
-                    stats.dict_misses = sent.dict_misses;
-                    return Ok(vec![stats.to_row()]);
-                }
+                Ok(stats) => return Ok(vec![stats.to_row()]),
                 Err(e) => {
                     // Cancellation is not a transfer fault: never restart
                     // the group for it, surface it right away.
@@ -334,23 +348,11 @@ impl TableUdf for StreamTransferUdf {
     }
 }
 
-/// Counters from one successful group attempt.
-#[derive(Debug, Default, Clone, Copy)]
-struct AttemptCounters {
-    bytes_sent: u64,
-    batches_sent: u64,
-    bytes_spilled: u64,
-    spill_events: u64,
-    queue_stall_us: u64,
-    queue_depth_hw: u64,
-    dict_hits: u64,
-    dict_misses: u64,
-}
-
 impl StreamTransferUdf {
     /// One attempt: accept `k` readers, stream all rows round-robin, end
     /// each stream. Any failure tears the whole group down (the restart
-    /// granularity §6 prescribes).
+    /// granularity §6 prescribes); success returns the worker's stats
+    /// row for this (the final) attempt.
     fn stream_group(
         &self,
         rows: &[Row],
@@ -359,7 +361,7 @@ impl StreamTransferUdf {
         ctx: &PartitionCtx,
         attempt: u32,
         cancel: &CancelToken,
-    ) -> Result<AttemptCounters> {
+    ) -> Result<WorkerTransferStats> {
         let config = &args.config;
         let k = config.splits_per_worker as usize;
         // Accept k hellos (any split order), with a deadline so a dead ML
@@ -476,7 +478,7 @@ impl StreamTransferUdf {
             .collect();
         let failed = Arc::new(AtomicBool::new(false));
 
-        let result = std::thread::scope(|scope| -> Result<AttemptCounters> {
+        let result = std::thread::scope(|scope| -> Result<WorkerTransferStats> {
             let peers: Vec<(TcpStream, Arc<SpillableBuffer>)> = conns
                 .into_iter()
                 .zip(buffers.iter().map(Arc::clone))
@@ -488,19 +490,24 @@ impl StreamTransferUdf {
             // adaptive row target or `frame_bytes` wire bytes; queue-push
             // stall feedback grows the target so slow sockets get fewer,
             // larger frames.
-            let mut counters = AttemptCounters::default();
+            let mut counters = WorkerTransferStats {
+                worker: ctx.partition,
+                rows_sent: rows.len() as u64,
+                attempts: attempt,
+                ..Default::default()
+            };
             let mut per_peer_rows = vec![0u64; k];
             let mut peer = 0usize;
             let mut sent_rows = 0usize;
             let mut batcher = AdaptiveBatch::new(config.batch_rows);
             let mut builder = RowBatchFrameBuilder::new();
-            let mut produce = |counters: &mut AttemptCounters,
+            let mut produce = |counters: &mut WorkerTransferStats,
                                builder: &mut RowBatchFrameBuilder|
              -> Result<()> {
                 let mut flush_frame = |builder: &mut RowBatchFrameBuilder,
                                        peer: &mut usize,
                                        batcher: &mut AdaptiveBatch,
-                                       counters: &mut AttemptCounters|
+                                       counters: &mut WorkerTransferStats|
                  -> Result<()> {
                     let frame_rows = builder.rows() as u64;
                     let frame = builder.take_frame()?;
@@ -644,7 +651,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_row_layout_matches_schema() {
+    fn stats_row_round_trips_in_schema_order_and_rejects_corruption() {
         let s = WorkerTransferStats {
             worker: 2,
             rows_sent: 100,
@@ -652,22 +659,34 @@ mod tests {
             batches_sent: 3,
             bytes_spilled: 128,
             spill_events: 1,
-            attempts: 1,
+            attempts: 4,
             queue_stall_us: 7,
             queue_depth_hw: 9,
             dict_hits: 40,
-            dict_misses: 4,
+            dict_misses: 6,
         };
         let row = s.to_row();
-        assert_eq!(row.len(), stats_schema().len());
-        assert_eq!(row.len(), 11);
-        assert_eq!(row.get(0), &Value::Int(2));
-        assert_eq!(row.get(3), &Value::Int(3));
-        assert_eq!(row.get(5), &Value::Int(1));
-        assert_eq!(row.get(6), &Value::Int(1));
-        assert_eq!(row.get(7), &Value::Int(7));
-        assert_eq!(row.get(8), &Value::Int(9));
-        assert_eq!(row.get(9), &Value::Int(40));
-        assert_eq!(row.get(10), &Value::Int(4));
+        // The SQL-visible layout: names and positions are a contract.
+        assert_eq!(
+            WorkerTransferStats::schema().names().join(","),
+            "worker,rows_sent,bytes_sent,batches_sent,bytes_spilled,spill_events,\
+             attempts,queue_stall_us,queue_depth_hw,dict_hits,dict_misses"
+        );
+        let ints = [2, 100, 5000, 3, 128, 1, 4, 7, 9, 40, 6].map(Value::Int);
+        assert_eq!(row.values(), ints);
+        assert_eq!(WorkerTransferStats::from_row(&row).unwrap(), s);
+
+        // A negative count is an error naming the column, never a wrap;
+        // so are an `attempts` past u32 and a short row.
+        let with = |at: usize, v: i64| {
+            let mut bad = ints.to_vec();
+            bad[at] = Value::Int(v);
+            WorkerTransferStats::from_row(&Row::new(bad))
+        };
+        let err = with(2, -5).unwrap_err();
+        assert!(matches!(err, SqlmlError::Overflow(_)), "{err}");
+        assert!(err.to_string().contains("bytes_sent -5"), "{err}");
+        assert!(with(6, i64::from(u32::MAX) + 1).is_err());
+        assert!(WorkerTransferStats::from_row(&Row::new(ints[..10].to_vec())).is_err());
     }
 }

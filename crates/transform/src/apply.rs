@@ -50,8 +50,11 @@ pub struct FlatRecodeApplier {
 }
 
 /// Name of the indicator column for `value` of dummy-coded `column`:
-/// `column_<value with every non-alphanumeric character as '_'>`.
-pub(crate) fn indicator_name(column: &str, value: &str) -> String {
+/// `column_<value with every non-alphanumeric character as '_'>`. The
+/// one naming rule: the §5.1 cache rewrite selects indicator columns by
+/// it, so it cannot name one differently from the transform that
+/// produced the cached table.
+pub fn indicator_name(column: &str, value: &str) -> String {
     let safe: String = value
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })

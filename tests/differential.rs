@@ -489,3 +489,352 @@ fn hand_built_projecting_join_matches_plain_join_for_every_build_side() {
         assert_eq!(results[0], results[1], "{kind:?} build={build:?}");
     }
 }
+
+// ---------------------------------------------------------------------
+// The one cache-reuse decision (§5.1 / §5.2) vs a cold recompute, on
+// seeded (cached query, new query, spec) pairs over carts/users.
+// ---------------------------------------------------------------------
+
+/// One column of the carts ⋈ users join the generator draws from:
+/// qualifier, name, whether it is categorical, and the literals a
+/// predicate on it may use (the last one is never in the data).
+struct ReuseColumn {
+    qualifier: &'static str,
+    name: &'static str,
+    categorical: bool,
+    literals: &'static [&'static str],
+}
+
+/// Column names are unique across the two tables, as the §5.1 rewrite
+/// (which selects cached columns by bare name) requires.
+const REUSE_COLUMNS: [ReuseColumn; 7] = [
+    ReuseColumn {
+        qualifier: "U",
+        name: "age",
+        categorical: false,
+        literals: &["25", "40", "60", "7"],
+    },
+    ReuseColumn {
+        qualifier: "U",
+        name: "gender",
+        categorical: true,
+        literals: &["'F'", "'M'", "'X'"],
+    },
+    ReuseColumn {
+        qualifier: "U",
+        name: "country",
+        categorical: true,
+        literals: &["'USA'", "'CA'", "'JP'", "'ZZ'"],
+    },
+    ReuseColumn {
+        qualifier: "C",
+        name: "amount",
+        categorical: false,
+        literals: &["50.0", "90.5", "150.0", "0.5"],
+    },
+    ReuseColumn {
+        qualifier: "C",
+        name: "abandoned",
+        categorical: true,
+        literals: &["'Yes'", "'No'", "'Maybe'"],
+    },
+    ReuseColumn {
+        qualifier: "C",
+        name: "year",
+        categorical: false,
+        literals: &["2013", "2014", "1999"],
+    },
+    ReuseColumn {
+        qualifier: "C",
+        name: "nitems",
+        categorical: false,
+        literals: &["5", "10", "15", "0"],
+    },
+];
+
+const REUSE_OPS: [&str; 6] = ["=", "<>", "<", "<=", ">", ">="];
+
+/// A `column op literal` conjunct over [`REUSE_COLUMNS`].
+#[derive(Clone, PartialEq)]
+struct ReusePred {
+    column: usize,
+    op: &'static str,
+    literal: &'static str,
+}
+
+impl ReusePred {
+    fn random(rng: &mut SplitMix64) -> ReusePred {
+        let column = rng.next_below(REUSE_COLUMNS.len() as u64) as usize;
+        ReusePred {
+            column,
+            op: rng.choose::<&str>(&REUSE_OPS),
+            literal: rng.choose::<&str>(REUSE_COLUMNS[column].literals),
+        }
+    }
+
+    fn sql(&self) -> String {
+        let c = &REUSE_COLUMNS[self.column];
+        format!("{}.{} {} {}", c.qualifier, c.name, self.op, self.literal)
+    }
+}
+
+/// One side of a pair: a select-project-join over carts/users plus the
+/// transformation requested for it.
+struct ReuseQuery {
+    projection: Vec<usize>,
+    predicates: Vec<ReusePred>,
+    spec: TransformSpec,
+}
+
+impl ReuseQuery {
+    fn sql(&self) -> String {
+        let cols: Vec<String> = self
+            .projection
+            .iter()
+            .map(|&i| format!("{}.{}", REUSE_COLUMNS[i].qualifier, REUSE_COLUMNS[i].name))
+            .collect();
+        let mut sql = format!(
+            "SELECT {} FROM carts C, users U WHERE C.userid = U.userid",
+            cols.join(", ")
+        );
+        for p in &self.predicates {
+            sql.push_str(&format!(" AND {}", p.sql()));
+        }
+        sql
+    }
+
+    /// Dummy-code each projected categorical column with probability
+    /// `p_dummy`, or — when `like` is given — the way `like` codes it,
+    /// flipped with probability 0.15.
+    fn draw_spec(&mut self, rng: &mut SplitMix64, like: Option<&TransformSpec>) {
+        let mut dummy = Vec::new();
+        for &i in &self.projection {
+            let c = &REUSE_COLUMNS[i];
+            if !c.categorical {
+                continue;
+            }
+            let coded = match like {
+                Some(spec) => {
+                    spec.dummy_code_columns.iter().any(|d| d == c.name) != rng.chance(0.15)
+                }
+                None => rng.chance(0.4),
+            };
+            if coded {
+                dummy.push(c.name);
+            }
+        }
+        self.spec = TransformSpec::new(&dummy);
+    }
+}
+
+/// Draw the cached query of a pair, then a new query related to it the
+/// ways §5.1/§5.2 care about: a projection subset (sometimes one column
+/// more), the cached predicates verbatim (sometimes one tightened or
+/// dropped), and up to two extra conjuncts on any column — projected or
+/// not, plain, recoded or dummy-coded, seen or unseen literal.
+fn draw_reuse_pair(rng: &mut SplitMix64) -> (ReuseQuery, ReuseQuery) {
+    let mut all: Vec<usize> = (0..REUSE_COLUMNS.len()).collect();
+    rng.shuffle(&mut all);
+    let width = rng.range_i64(2, 6) as usize;
+    let mut cached = ReuseQuery {
+        projection: all[..width].to_vec(),
+        predicates: (0..rng.next_below(3))
+            .map(|_| ReusePred::random(rng))
+            .collect(),
+        spec: TransformSpec::default(),
+    };
+    cached.draw_spec(rng, None);
+
+    let mut projection = cached.projection.clone();
+    rng.shuffle(&mut projection);
+    projection.truncate(rng.range_i64(1, projection.len() as i64) as usize);
+    if rng.chance(0.2) {
+        projection.push(all[width]);
+    }
+    let mut predicates = cached.predicates.clone();
+    if !predicates.is_empty() && rng.chance(0.25) {
+        let victim = rng.next_below(predicates.len() as u64) as usize;
+        if rng.chance(0.5) {
+            predicates.remove(victim);
+        } else {
+            // Same column and operator, another literal: stronger, weaker
+            // or unrelated — the implication logic has to tell which.
+            let p = &mut predicates[victim];
+            p.literal = rng.choose::<&str>(REUSE_COLUMNS[p.column].literals);
+        }
+    }
+    for _ in 0..rng.next_below(3) {
+        predicates.push(ReusePred::random(rng));
+    }
+    let mut new = ReuseQuery {
+        projection,
+        predicates,
+        spec: TransformSpec::default(),
+    };
+    new.draw_spec(rng, Some(&cached.spec));
+    (cached, new)
+}
+
+/// Undo a transformation: map every recoded integer and every indicator
+/// block of `transformed` back to the categorical value it stands for
+/// under `map`, giving rows comparable with the untransformed query
+/// result. Codes and indicator-block widths legitimately differ between
+/// a reused map (built over the cached query's superset) and a cold one
+/// (built over the new query's rows), so equality is asserted on what
+/// the numbers *mean*.
+fn decode_transformed(
+    transformed: &PartitionedTable,
+    input: &Schema,
+    spec: &TransformSpec,
+    map: &RecodeMap,
+) -> Vec<Row> {
+    let mut rows: Vec<Row> = transformed
+        .collect_rows()
+        .iter()
+        .map(|r| {
+            let mut at = 0;
+            let mut out = Vec::with_capacity(input.len());
+            for f in input.fields() {
+                if !f.categorical {
+                    out.push(r.get(at).clone());
+                    at += 1;
+                    continue;
+                }
+                let values = map.values_in_code_order(&f.name);
+                let named = |code: i64| Value::str(values[code as usize - 1].as_str());
+                if spec.dummy_code_columns.contains(&f.name) {
+                    let block = &r.values()[at..at + values.len()];
+                    let hot: Vec<usize> = (0..block.len())
+                        .filter(|&j| block[j] == Value::Int(1))
+                        .collect();
+                    assert_eq!(hot.len(), 1, "indicator block {block:?} is not one-hot");
+                    out.push(named(hot[0] as i64 + 1));
+                    at += values.len();
+                } else {
+                    out.push(named(r.get(at).as_i64().unwrap()));
+                    at += 1;
+                }
+            }
+            assert_eq!(at, r.len(), "transformed row wider than its schema implies");
+            Row::new(out)
+        })
+        .collect();
+    rows.sort();
+    rows
+}
+
+#[test]
+fn cache_reuse_equals_a_cold_recompute_on_seeded_query_pairs() {
+    use sqlml_cache::{CacheDecision, CacheManager, CacheProbe, QueryDescriptor};
+    use sqlml_sqlengine::parser::parse_select;
+
+    let e = Engine::new(EngineConfig::with_workers(3));
+    let w = Workload::generate(
+        WorkloadScale {
+            carts: 600,
+            users: 60,
+        },
+        77,
+    );
+    e.register_rows("carts", w.carts_schema, w.carts);
+    e.register_rows("users", w.users_schema, w.users);
+    let tr = InSqlTransformer::new(e.clone());
+    let describe = |sql: &str| {
+        QueryDescriptor::from_select(&parse_select(sql).unwrap(), e.catalog())
+            .unwrap()
+            .unwrap_or_else(|| panic!("not a cacheable shape: {sql}"))
+    };
+
+    let (mut full, mut maps, mut misses) = (0, 0, 0);
+    for seed in 0..400u64 {
+        let (cached, new) = draw_reuse_pair(&mut SplitMix64::new(seed));
+        let (cached_sql, new_sql) = (cached.sql(), new.sql());
+        let context = format!(
+            "pair seed {seed}\n  cached: {cached_sql}\n          dummy {:?}\n  new:    {new_sql}\n          dummy {:?}",
+            cached.spec.dummy_code_columns, new.spec.dummy_code_columns
+        );
+
+        // Prime a fresh cache with the cached side. A cached query whose
+        // predicates leave a dummy-coded column without values cannot be
+        // transformed at all; such a draw has nothing to reuse.
+        e.execute(&format!("CREATE TABLE reuse_cached AS {cached_sql}"))
+            .unwrap();
+        let primed = tr.transform("reuse_cached", &cached.spec);
+        e.execute("DROP TABLE reuse_cached").unwrap();
+        let Ok(primed) = primed else { continue };
+        let cache = CacheManager::new(e.clone());
+        cache.store_full(
+            describe(&cached_sql),
+            cached.spec.clone(),
+            primed.recode_map,
+            primed.table,
+        );
+
+        // (c) probe and lookup agree, and the probe is invisible.
+        let descriptor = describe(&new_sql);
+        let probed = cache.probe(&descriptor, &new.spec);
+        assert_eq!(
+            cache.stats.snapshot(),
+            (0, 0, 0),
+            "probe bumped stats\n{context}"
+        );
+        let decision = cache.lookup(&descriptor, &new.spec);
+        let looked_up = match &decision {
+            CacheDecision::Full(_) => CacheProbe::Full,
+            CacheDecision::RecodeMap(_) => CacheProbe::RecodeMap,
+            CacheDecision::Miss => CacheProbe::Miss,
+        };
+        assert_eq!(probed, looked_up, "probe disagrees with lookup\n{context}");
+
+        // The reference: the new query computed cold.
+        e.execute(&format!("CREATE TABLE reuse_new AS {new_sql}"))
+            .unwrap();
+        let prepped = e.catalog().table("reuse_new").unwrap();
+        let raw = prepped.collect_sorted();
+        let cold = tr.transform("reuse_new", &new.spec);
+        if let Ok(cold) = &cold {
+            let decoded =
+                decode_transformed(&cold.table, prepped.schema(), &new.spec, &cold.recode_map);
+            assert_eq!(
+                decoded, raw,
+                "cold transform does not decode to its input\n{context}"
+            );
+        } else {
+            // Only an emptied dummy-coded column makes the cold transform
+            // refuse; whatever is reused must then be empty too.
+            assert!(raw.is_empty(), "cold transform failed on rows\n{context}");
+        }
+        match decision {
+            // (a) the §5.1 rewrite answers with the cold transform's rows.
+            CacheDecision::Full(reuse) => {
+                full += 1;
+                let reused = e
+                    .query(&reuse.sql)
+                    .unwrap_or_else(|err| panic!("{}: {err}\n{context}", reuse.sql));
+                let decoded = decode_transformed(&reused, prepped.schema(), &new.spec, &reuse.map);
+                assert_eq!(
+                    decoded, raw,
+                    "full reuse differs from cold: {}\n{context}",
+                    reuse.sql
+                );
+            }
+            // (b) the reused map recodes every column as the cold map does.
+            CacheDecision::RecodeMap(map) => {
+                maps += 1;
+                let warm = tr
+                    .transform_with_map("reuse_new", &new.spec, &map)
+                    .unwrap_or_else(|err| panic!("reused map unusable: {err}\n{context}"));
+                let decoded = decode_transformed(&warm.table, prepped.schema(), &new.spec, &map);
+                assert_eq!(decoded, raw, "map reuse differs from cold\n{context}");
+            }
+            CacheDecision::Miss => misses += 1,
+        }
+        e.execute("DROP TABLE reuse_new").unwrap();
+        cache.invalidate_all();
+    }
+    // The generator must keep exercising every outcome.
+    assert!(
+        full >= 40 && maps >= 40 && misses >= 40,
+        "full {full}, maps {maps}, misses {misses}"
+    );
+}

@@ -2,8 +2,12 @@
 //! scheduler against ONE shared cluster, checked against the sequential
 //! baseline, plus leak checks around cancellation and shutdown.
 
+mod common;
+
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+use common::{assert_back_to, fd_count, thread_count};
 
 use sqlml_core::workload::PREP_QUERY;
 use sqlml_core::{ClusterConfig, Pipeline, PipelineRequest, SimCluster, Strategy, WorkloadScale};
@@ -29,23 +33,6 @@ fn request(i: usize) -> PipelineRequest {
         spec: TransformSpec::new(&["gender"]),
         ml_command: commands[i % commands.len()].to_string(),
     }
-}
-
-/// Kernel thread count for this process, from /proc (Linux CI).
-fn thread_count() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
-}
-
-/// Open file descriptors for this process.
-fn fd_count() -> usize {
-    std::fs::read_dir("/proc/self/fd")
-        .map(|d| d.count())
-        .unwrap_or(0)
 }
 
 #[test]
@@ -201,24 +188,7 @@ fn cancellation_and_shutdown_leak_no_threads_or_sockets() {
     assert!(s.cancelled >= 3);
     sched.shutdown();
 
-    // Give detached per-run helpers (ML readers joining, sockets in
-    // TIME_WAIT teardown) a moment, then compare against the baseline.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let (t, f) = (thread_count(), fd_count());
-        if (t <= threads_before && f <= fds_before + 4) || Instant::now() > deadline {
-            assert!(
-                t <= threads_before,
-                "leaked threads: {threads_before} before, {t} after"
-            );
-            assert!(
-                f <= fds_before + 4,
-                "leaked fds: {fds_before} before, {f} after"
-            );
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    assert_back_to(threads_before, fds_before, "cancellation and shutdown");
 }
 
 #[test]

@@ -67,7 +67,7 @@ fn sharded_results_match_the_single_cluster_baseline() {
     .clusters(fleet)
     .build()
     .unwrap();
-    assert_eq!(sched.num_shards(), 2);
+    assert_eq!(sched.shard_ids().len(), 2);
     let handles: Vec<_> = (0..9)
         .map(|i| {
             sched
