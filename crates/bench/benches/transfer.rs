@@ -85,7 +85,6 @@ fn bench_session(c: &mut Criterion) {
         ml_job: JobConfig {
             num_workers: 2,
             worker_nodes: (0..2).map(sqlml_dfs::node_name).collect(),
-            splits_per_worker: 1,
         },
         spill_dir: std::env::temp_dir().join("sqlml-bench-spill"),
         ..Default::default()

@@ -62,7 +62,6 @@ fn main() {
         let runner = JobRunner::new(JobConfig {
             num_workers: 4,
             worker_nodes: nodes,
-            splits_per_worker: 1,
         });
         let (_, report) = runner.ingest_rows(&fmt).expect("ingest");
         println!(

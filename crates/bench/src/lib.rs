@@ -22,9 +22,9 @@ pub struct BenchParams {
     /// costs honest. `None` disables throttling.
     pub throttle_mbps: Option<u64>,
     pub seed: u64,
-    /// Streaming data-plane tunables; `--batch-rows` and `--frame-bytes`
-    /// set the two frame targets, `k` and the send buffer stay at the
-    /// paper's values unless an ablation sweeps them.
+    /// Streaming data-plane tunables; `--frame-bytes` sets the frame
+    /// size, `k` and the send buffer stay at the paper's values unless an
+    /// ablation sweeps them.
     pub transfer: TransferConfig,
     /// Print per-stage breakdowns (and, when built with the
     /// `alloc-counters` feature, bytes allocated per stage).
@@ -45,7 +45,7 @@ impl Default for BenchParams {
 
 impl BenchParams {
     /// Parse `--carts N`, `--throttle-mbps M` (0 = off), `--seed S`,
-    /// `--batch-rows N`, `--frame-bytes N` and `--verbose` from the
+    /// `--frame-bytes N` and `--verbose` from the
     /// command line, over the defaults. A bad value panics with a message
     /// naming it before anything runs.
     pub fn from_args() -> BenchParams {
@@ -72,9 +72,6 @@ impl BenchParams {
                     p.throttle_mbps = if mbps == 0 { None } else { Some(mbps) };
                 }
                 "--seed" => p.seed = value.parse().expect("--seed takes a number"),
-                "--batch-rows" => {
-                    p.transfer.batch_rows = value.parse().expect("--batch-rows takes a number");
-                }
                 "--frame-bytes" => {
                     p.transfer.frame_bytes = value.parse().expect("--frame-bytes takes a number");
                 }
@@ -93,7 +90,6 @@ impl BenchParams {
     /// DFS throttle, and load the workload.
     pub fn start_cluster(&self) -> SimCluster {
         let cluster = SimCluster::start(ClusterConfig {
-            num_nodes: 4,
             sql_workers: 4,
             ml_workers: 4,
             transfer: self.transfer,

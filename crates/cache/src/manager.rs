@@ -381,7 +381,7 @@ fn render_literal(v: &Value) -> Option<String> {
         Value::Int(i) => i.to_string(),
         Value::Double(d) => format!("{d:?}"),
         Value::Bool(b) => b.to_string().to_uppercase(),
-        Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
+        Value::Str(s) => sqlml_common::sql_string_literal(s),
         Value::Null => return None,
     })
 }

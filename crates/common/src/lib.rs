@@ -29,4 +29,4 @@ pub use rng::SplitMix64;
 pub use row::Row;
 pub use schema::{DataType, Field, Schema};
 pub use timer::StageTimer;
-pub use value::Value;
+pub use value::{sql_string_literal, Value};

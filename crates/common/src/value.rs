@@ -150,6 +150,13 @@ impl Value {
     }
 }
 
+/// `s` as a single-quoted SQL string literal, embedded quotes doubled —
+/// the one renderer for every string spliced into a generated statement,
+/// so none can end its literal early.
+pub fn sql_string_literal(s: &str) -> String {
+    format!("'{}'", s.replace('\'', "''"))
+}
+
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
@@ -322,6 +329,13 @@ mod tests {
             let back = Value::parse_typed(&v.render(), ty).unwrap();
             assert_eq!(v, back, "round trip failed for {text:?}");
         }
+    }
+
+    #[test]
+    fn sql_literals_double_embedded_quotes() {
+        assert_eq!(sql_string_literal("it's"), "'it''s'");
+        assert_eq!(sql_string_literal("x',0,'svm"), "'x'',0,''svm'");
+        assert_eq!(sql_string_literal(""), "''");
     }
 
     #[test]

@@ -14,17 +14,18 @@ use crate::workload::{Workload, WorkloadScale};
 /// Cluster layout knobs.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Number of simulated machines (the paper used 4 worker servers).
-    pub num_nodes: usize,
     /// SQL workers (the paper ran 1 multi-threaded Big SQL worker per
     /// server; we default to one worker per node).
     pub sql_workers: usize,
     /// ML workers (the paper ran 6 Spark workers per server).
     pub ml_workers: usize,
     /// Streaming data-plane tunables (the paper's `k` and 4 KiB send
-    /// buffer, plus the frame row/byte targets).
+    /// buffer, plus the frame size).
     pub transfer: TransferConfig,
     /// DFS parameters (block size, replication, optional throttling).
+    /// `num_datanodes` is also the number of simulated machines (the
+    /// paper used 4 worker servers): datanodes and compute nodes are
+    /// colocated in this simulation.
     pub dfs: DfsConfig,
     /// Split DFS text inputs at block granularity (Hadoop's behaviour)
     /// instead of one split per part-file.
@@ -34,7 +35,6 @@ pub struct ClusterConfig {
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
-            num_nodes: 4,
             sql_workers: 4,
             ml_workers: 4,
             transfer: TransferConfig::default(),
@@ -54,7 +54,6 @@ impl ClusterConfig {
     /// A tiny configuration for unit tests.
     pub fn for_tests() -> Self {
         ClusterConfig {
-            num_nodes: 2,
             sql_workers: 2,
             ml_workers: 2,
             dfs: DfsConfig {
@@ -80,11 +79,9 @@ pub struct SimCluster {
 
 impl SimCluster {
     pub fn start(config: ClusterConfig) -> Result<SimCluster> {
-        assert_eq!(
-            config.num_nodes, config.dfs.num_datanodes,
-            "datanodes and compute nodes are colocated in this simulation"
-        );
-        let nodes: Vec<String> = (0..config.num_nodes).map(sqlml_dfs::node_name).collect();
+        let nodes: Vec<String> = (0..config.dfs.num_datanodes)
+            .map(sqlml_dfs::node_name)
+            .collect();
         let dfs = Dfs::new(config.dfs.clone());
         let engine = Engine::new(EngineConfig {
             num_workers: config.sql_workers,
@@ -105,7 +102,6 @@ impl SimCluster {
         JobConfig {
             num_workers: self.config.ml_workers,
             worker_nodes: self.nodes.clone(),
-            splits_per_worker: self.config.transfer.splits_per_worker as usize,
         }
     }
 
@@ -242,13 +238,5 @@ mod tests {
             .collect();
         assert!(rows[0] > 0);
         assert_eq!(rows[0], rows[1], "same seed must mean same warehouse");
-    }
-
-    #[test]
-    #[should_panic(expected = "colocated")]
-    fn node_count_mismatch_is_rejected() {
-        let mut cfg = ClusterConfig::for_tests();
-        cfg.num_nodes = 3;
-        let _ = SimCluster::start(cfg);
     }
 }

@@ -85,7 +85,7 @@ impl PipelineReport {
     /// alongside the stage breakdown: rows/bytes/batches sent, wire
     /// throughput, spill activity, time to first row at the ML side,
     /// restart attempts, and the overlapped-plane counters (sender queue
-    /// stall/depth, decode-ahead wait, and — when strings streamed —
+    /// stall/depth, reader wait, and — when strings streamed —
     /// dictionary hit ratio). `None` for strategies that
     /// never streamed.
     pub fn transfer_summary(&self) -> Option<String> {
@@ -100,7 +100,7 @@ impl PipelineReport {
         let mut summary = format!(
             "transfer: {} rows, {} in {} batches ({throughput}/s wire), \
              spilled {} ({} events), first row +{first_row}, attempts {}, \
-             queue hw {} frames, sender stalled {}, decode-ahead waited {}",
+             queue hw {} frames, sender stalled {}, readers waited {}",
             s.rows_sent,
             format_bytes(s.bytes_sent),
             s.batches_sent,

@@ -33,9 +33,8 @@ pub trait RecordReader: Send {
     fn next_row(&mut self) -> Result<Option<Row>>;
 
     /// Append up to `max_rows` records to `out`, returning how many were
-    /// added (0 only at end of split). Batched sources override this to
-    /// hand over whole decoded batches without per-row dispatch; the
-    /// default just loops [`RecordReader::next_row`].
+    /// added (0 only at end of split): one dynamic call for the batch,
+    /// looping [`RecordReader::next_row`] statically inside it.
     fn next_batch(&mut self, out: &mut Vec<Row>, max_rows: usize) -> Result<usize> {
         let mut n = 0;
         while n < max_rows {
@@ -54,10 +53,9 @@ pub trait RecordReader: Send {
 /// A source of splits and readers — the contract every ML job ingests
 /// through.
 pub trait InputFormat: Send + Sync {
-    /// Partition the input into about `requested` splits (formats may
-    /// return a different number, e.g. one per file block or one per SQL
-    /// worker group).
-    fn get_splits(&self, requested: usize) -> Result<Vec<Arc<dyn InputSplit>>>;
+    /// Partition the input into splits; the format decides how many
+    /// (one per file block, one per SQL worker group member, ...).
+    fn get_splits(&self) -> Result<Vec<Arc<dyn InputSplit>>>;
 
     /// Open a reader over one split (previously returned by
     /// [`InputFormat::get_splits`] of the same format instance).
@@ -147,7 +145,7 @@ impl TextInputFormat {
 }
 
 impl InputFormat for TextInputFormat {
-    fn get_splits(&self, _requested: usize) -> Result<Vec<Arc<dyn InputSplit>>> {
+    fn get_splits(&self) -> Result<Vec<Arc<dyn InputSplit>>> {
         let files = self.dfs.list(&format!("{}/", self.dir));
         if files.is_empty() {
             return Err(SqlmlError::Ml(format!(
@@ -329,7 +327,7 @@ impl MemoryInputFormat {
 }
 
 impl InputFormat for MemoryInputFormat {
-    fn get_splits(&self, _requested: usize) -> Result<Vec<Arc<dyn InputSplit>>> {
+    fn get_splits(&self) -> Result<Vec<Arc<dyn InputSplit>>> {
         Ok((0..self.partitions.len())
             .map(|i| {
                 Arc::new(MemorySplit {
@@ -393,7 +391,7 @@ mod tests {
             .unwrap();
         dfs.write_string("/ml/in/part-00001", "3.5|1\n").unwrap();
         let fmt = TextInputFormat::new(dfs, "/ml/in", schema());
-        let splits = fmt.get_splits(8).unwrap();
+        let splits = fmt.get_splits().unwrap();
         assert_eq!(splits.len(), 2);
         let mut rows = Vec::new();
         for s in &splits {
@@ -414,7 +412,7 @@ mod tests {
         let dfs = Dfs::new(DfsConfig::for_tests());
         dfs.write_string("/ml/in/part-00000", "1.0|1\n").unwrap();
         let fmt = TextInputFormat::new(dfs, "/ml/in", schema());
-        let splits = fmt.get_splits(1).unwrap();
+        let splits = fmt.get_splits().unwrap();
         let locs = splits[0].locations();
         assert!(!locs.is_empty());
         assert!(locs[0].starts_with("node-"));
@@ -424,7 +422,7 @@ mod tests {
     fn text_format_errors_on_missing_dir() {
         let dfs = Dfs::new(DfsConfig::for_tests());
         let fmt = TextInputFormat::new(dfs, "/nope", schema());
-        assert!(fmt.get_splits(1).is_err());
+        assert!(fmt.get_splits().is_err());
     }
 
     #[test]
@@ -440,7 +438,7 @@ mod tests {
         dfs.write_string("/blk/part-00000", &text).unwrap();
         let int_schema = Schema::new(vec![Field::new("v", DataType::Int)]);
         let fmt = TextInputFormat::new(dfs.clone(), "/blk", int_schema).with_block_splits();
-        let splits = fmt.get_splits(0).unwrap();
+        let splits = fmt.get_splits().unwrap();
         assert!(
             splits.len() > 3,
             "expected many 64-byte block splits, got {}",
@@ -468,7 +466,7 @@ mod tests {
             Field::new("v", DataType::Int),
         ]);
         let fmt = TextInputFormat::new(dfs.clone(), "/blk2", mixed).with_block_splits();
-        let splits = fmt.get_splits(0).unwrap();
+        let splits = fmt.get_splits().unwrap();
         let blocks = dfs.block_locations("/blk2/part-00000").unwrap();
         assert_eq!(splits.len(), blocks.len());
         for (s, b) in splits.iter().zip(&blocks) {
@@ -486,7 +484,7 @@ mod tests {
                 vec![row![2.0, 0i64], row![3.0, 1i64]],
             ],
         );
-        let splits = fmt.get_splits(99).unwrap();
+        let splits = fmt.get_splits().unwrap();
         assert_eq!(splits.len(), 2);
         let mut count = 0;
         for s in &splits {
@@ -504,7 +502,7 @@ mod tests {
         dfs.write_string("/a/part-00000", "1.0|1\n").unwrap();
         let text = TextInputFormat::new(dfs, "/a", schema());
         let mem = MemoryInputFormat::new(schema(), vec![vec![]]);
-        let mem_split = mem.get_splits(1).unwrap();
+        let mem_split = mem.get_splits().unwrap();
         assert!(text.create_reader(mem_split[0].as_ref()).is_err());
     }
 }

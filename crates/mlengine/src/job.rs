@@ -4,7 +4,7 @@
 //! A job is launched with an [`InputFormat`] and a [`TrainingSpec`] (the
 //! "command and arguments" the paper's coordinator forwards). The runner
 //!
-//! 1. asks the format for `m = n·k` splits,
+//! 1. asks the format for its splits (`m = n·k` for a SQL stream),
 //! 2. assigns splits to the `n` ML workers **preferring colocated
 //!    workers** (split locations vs. worker nodes — step 3 of the paper's
 //!    Figure 2),
@@ -36,8 +36,6 @@ pub struct JobConfig {
     /// Node names hosting the workers (worker `i` lives on
     /// `worker_nodes[i % len]`). Empty means synthetic `node-i` names.
     pub worker_nodes: Vec<String>,
-    /// The paper's `k`: requested splits `m = n·k`.
-    pub splits_per_worker: usize,
 }
 
 impl Default for JobConfig {
@@ -45,7 +43,6 @@ impl Default for JobConfig {
         JobConfig {
             num_workers: 4,
             worker_nodes: Vec::new(),
-            splits_per_worker: 1,
         }
     }
 }
@@ -275,8 +272,7 @@ impl JobRunner {
     /// Ingest all rows through the format: one partition per worker.
     pub fn ingest_rows(&self, format: &dyn InputFormat) -> Result<(Vec<Vec<Row>>, IngestReport)> {
         let start = Instant::now();
-        let requested = self.config.num_workers * self.config.splits_per_worker.max(1);
-        let splits = format.get_splits(requested)?;
+        let splits = format.get_splits()?;
         let num_splits = splits.len();
         let (assigned, local_splits) = self.assign_splits(splits);
         let worker_nodes: Vec<String> = (0..self.config.num_workers)
@@ -305,9 +301,8 @@ impl JobRunner {
                                             let mut rows = Vec::new();
                                             let mut reader =
                                                 format.create_reader_at(s.as_ref(), node)?;
-                                            // Batched pull: streaming
-                                            // readers hand over whole
-                                            // decoded frames per call.
+                                            // Batched pull: one dynamic
+                                            // call drains the split.
                                             while reader.next_batch(&mut rows, usize::MAX)? > 0 {}
                                             Ok(rows)
                                         })
@@ -572,7 +567,6 @@ mod tests {
         let runner = JobRunner::new(JobConfig {
             num_workers: 4,
             worker_nodes: (0..4).map(sqlml_dfs::node_name).collect(),
-            ..Default::default()
         });
         let (_, report) = runner.ingest_rows(&fmt).unwrap();
         assert_eq!(report.num_splits, 4);
@@ -585,7 +579,6 @@ mod tests {
         let runner = JobRunner::new(JobConfig {
             num_workers: 4,
             worker_nodes: (10..14).map(sqlml_dfs::node_name).collect(),
-            ..Default::default()
         });
         let (_, report) = runner.ingest_rows(&fmt).unwrap();
         assert_eq!(report.local_splits, 0);
@@ -598,7 +591,6 @@ mod tests {
         let runner = JobRunner::new(JobConfig {
             num_workers: 2,
             worker_nodes: vec!["node-0".into(), "node-1".into()],
-            splits_per_worker: 4,
         });
         let (parts, report) = runner.ingest_rows(&fmt).unwrap();
         assert_eq!(parts.len(), 2);

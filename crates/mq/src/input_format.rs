@@ -118,7 +118,7 @@ impl MqInputFormat {
 }
 
 impl InputFormat for MqInputFormat {
-    fn get_splits(&self, _requested: usize) -> Result<Vec<Arc<dyn InputSplit>>> {
+    fn get_splits(&self) -> Result<Vec<Arc<dyn InputSplit>>> {
         let partitions = self.broker.num_partitions(&self.topic)?;
         Ok((0..partitions)
             .map(|p| {
@@ -259,7 +259,7 @@ mod tests {
         publish(&broker, "t", 0, &[row![1i64], row![2i64]]);
         publish(&broker, "t", 1, &[row![3i64]]);
         let fmt = MqInputFormat::new(broker, "t", schema());
-        let splits = fmt.get_splits(0).unwrap();
+        let splits = fmt.get_splits().unwrap();
         assert_eq!(splits.len(), 2);
         let mut all = Vec::new();
         for s in &splits {
@@ -285,7 +285,7 @@ mod tests {
         let faults = Arc::new(ConsumerFaults::new());
         faults.fail_partition_after(0, 2);
         let fmt = MqInputFormat::new(broker, "t", schema()).with_faults(Arc::clone(&faults));
-        let splits = fmt.get_splits(0).unwrap();
+        let splits = fmt.get_splits().unwrap();
         let mut r = fmt.create_reader(splits[0].as_ref()).unwrap();
         let mut rows = Vec::new();
         while let Some(row) = r.next_row().unwrap() {
@@ -302,7 +302,7 @@ mod tests {
         broker.create_topic("t", 1).unwrap();
         publish(&broker, "t", 0, &[row![1i64, 2i64]]); // two columns
         let fmt = MqInputFormat::new(broker, "t", schema()); // expects one
-        let splits = fmt.get_splits(0).unwrap();
+        let splits = fmt.get_splits().unwrap();
         let mut r = fmt.create_reader(splits[0].as_ref()).unwrap();
         assert!(r.next_row().is_err());
     }
@@ -311,6 +311,6 @@ mod tests {
     fn missing_topic_fails_at_split_time() {
         let broker = Broker::new(BrokerConfig::default());
         let fmt = MqInputFormat::new(broker, "missing", schema());
-        assert!(fmt.get_splits(0).is_err());
+        assert!(fmt.get_splits().is_err());
     }
 }

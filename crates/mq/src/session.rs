@@ -45,7 +45,8 @@ pub fn publish_table(
     let schema = source.schema().clone();
     broker.create_topic(topic, source.num_partitions())?;
     let stats = engine.query(&format!(
-        "SELECT * FROM TABLE(mq_transfer({table}, '{topic}')) AS s"
+        "SELECT * FROM TABLE(mq_transfer({table}, {})) AS s",
+        sqlml_common::sql_string_literal(topic)
     ))?;
     let (rows, bytes) = published_totals(&stats.collect_rows())?;
     Ok((rows, bytes, schema))
@@ -211,7 +212,7 @@ mod tests {
 
         let format = MqInputFormat::new(broker, "accounts-topic", schema);
         let mut got = Vec::new();
-        for split in format.get_splits(0).unwrap() {
+        for split in format.get_splits().unwrap() {
             let mut reader = format.create_reader(split.as_ref()).unwrap();
             while let Some(r) = reader.next_row().unwrap() {
                 got.push(r);

@@ -11,7 +11,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use sqlml_common::{Result, Schema, SqlmlError};
+use sqlml_common::{sql_string_literal, Result, Schema, SqlmlError};
 use sqlml_transform::{RecodeMap, TransformSpec};
 
 /// Streaming-transfer parameters for the final hand-off statement.
@@ -141,7 +141,8 @@ pub fn build_script(
                 let alias = format!("M{pos}");
                 projections.push(format!("{alias}.recodeval AS {}", field.name));
                 froms.push(format!("{map_table} AS {alias}"));
-                predicates.push(format!("{alias}.colname = '{}'", field.name));
+                let name = sql_string_literal(&field.name);
+                predicates.push(format!("{alias}.colname = {name}"));
                 predicates.push(format!("T.{} = {alias}.colval", field.name));
             } else {
                 projections.push(format!("T.{}", field.name));
@@ -195,8 +196,12 @@ pub fn build_script(
 
 fn stream_statement(table: &str, t: &StreamTarget) -> String {
     format!(
-        "SELECT * FROM TABLE(stream_transfer({table}, '{}', {}, '{}', {}, {})) AS s",
-        t.coordinator_addr, t.transfer_id, t.command, t.splits_per_worker, t.send_buffer_bytes
+        "SELECT * FROM TABLE(stream_transfer({table}, {}, {}, {}, {}, {})) AS s",
+        sql_string_literal(&t.coordinator_addr),
+        t.transfer_id,
+        sql_string_literal(&t.command),
+        t.splits_per_worker,
+        t.send_buffer_bytes
     )
 }
 
@@ -243,7 +248,8 @@ pub fn resolve_cardinality_placeholder(
         .trim();
     let rows = engine
         .query(&format!(
-            "SELECT COUNT(*) FROM {map_table} WHERE colname = '{col}'"
+            "SELECT COUNT(*) FROM {map_table} WHERE colname = {}",
+            sql_string_literal(&col)
         ))?
         .collect_rows();
     let k = rows

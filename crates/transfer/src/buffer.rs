@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use sqlml_common::lockorder::{TrackedCondvar, TrackedMutex};
 use sqlml_common::{Result, SqlmlError};
@@ -122,12 +122,10 @@ impl SpillableBuffer {
     }
 
     /// Enqueue a chunk: memory if there is room, disk otherwise. Blocks
-    /// only when a queued-bytes bound is set and exceeded; returns the
-    /// time spent blocked (zero otherwise), which the adaptive batcher
-    /// uses as its growth signal.
-    pub fn push(&self, chunk: Vec<u8>) -> Result<Duration> {
+    /// only when a queued-bytes bound is set and exceeded; the time spent
+    /// blocked is recorded in [`BufferStats::stall_us`].
+    pub fn push(&self, chunk: Vec<u8>) -> Result<()> {
         let mut st = self.state.lock();
-        let mut stalled = Duration::ZERO;
         if let Some(bound) = self.max_queued_bytes {
             // A chunk larger than the whole bound is still accepted when
             // the queue is empty, so progress is always possible.
@@ -136,8 +134,7 @@ impl SpillableBuffer {
                 while st.queued_bytes + chunk.len() > bound && st.depth > 0 && !st.closed {
                     self.space.wait(&mut st);
                 }
-                stalled = t0.elapsed();
-                st.stall_us += u64::try_from(stalled.as_micros()).unwrap_or(u64::MAX);
+                st.stall_us += u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
             }
         }
         if st.closed {
@@ -162,7 +159,7 @@ impl SpillableBuffer {
         st.depth_high_water = st.depth_high_water.max(st.depth);
         drop(st);
         self.available.notify_one();
-        Ok(stalled)
+        Ok(())
     }
 
     fn spill_chunk(&self, st: &mut State, chunk: &[u8]) -> Result<()> {
@@ -451,15 +448,14 @@ mod tests {
             let b = Arc::clone(&b);
             std::thread::spawn(move || {
                 let t0 = Instant::now();
-                let stalled = b.push(vec![3; 4]).unwrap();
-                (stalled, t0.elapsed())
+                b.push(vec![3; 4]).unwrap();
+                t0.elapsed()
             })
         };
         std::thread::sleep(Duration::from_millis(50));
         assert!(b.pop().unwrap().is_some(), "make room");
-        let (stalled, waited) = pusher.join().unwrap();
+        let waited = pusher.join().unwrap();
         assert!(waited >= Duration::from_millis(40), "push must block");
-        assert!(stalled >= Duration::from_millis(40));
         assert!(b.stats().stall_us >= 40_000);
         // The remaining chunks arrive in order.
         b.close();
@@ -488,8 +484,8 @@ mod tests {
     fn oversized_chunk_passes_the_bound_when_queue_is_empty() {
         let b = SpillableBuffer::new(4, tmp_dir(), "bound-oversized").bounded(8);
         // 100 bytes > bound 8, but the queue is empty: must not deadlock.
-        let stalled = b.push(vec![7; 100]).unwrap();
-        assert_eq!(stalled, std::time::Duration::ZERO);
+        b.push(vec![7; 100]).unwrap();
+        assert_eq!(b.stats().stall_us, 0);
         b.close();
         assert_eq!(b.pop().unwrap(), Some(vec![7; 100]));
     }

@@ -1,18 +1,15 @@
 //! The streaming data plane's tunables, declared once.
 //!
 //! The paper's §3 data plane has two knobs — `k` readers per SQL worker
-//! and a 4 KiB send buffer — and the batched plane adds the row and byte
-//! targets at which a frame is cut. [`TransferConfig`] is the only place
-//! those four are declared and validated; cluster, session and bench
+//! and a 4 KiB send buffer — and the batched plane adds the wire-byte
+//! size at which a frame is cut. [`TransferConfig`] is the only place
+//! those three are declared and validated; cluster, session and bench
 //! configs embed it. The `stream_transfer` table UDF only receives SQL
 //! values, so a transfer's settings travel to it as its argument list:
 //! [`TransferArgs::to_sql`] is the one formatter of that list and
 //! [`TransferArgs::from_values`] the one parser.
 
-use sqlml_common::{Result, SqlmlError, Value};
-
-/// Default rows per `RowBatch` frame (the adaptive floor).
-pub const BATCH_ROWS: usize = 64;
+use sqlml_common::{sql_string_literal, Result, SqlmlError, Value};
 
 /// Default wire-byte target per frame — the paper's 4 KiB send buffer.
 pub const FRAME_BYTES: usize = 4096;
@@ -24,14 +21,8 @@ pub struct TransferConfig {
     pub splits_per_worker: u32,
     /// In-memory send-buffer bytes per peer before spilling (paper: 4 KiB).
     pub send_buffer_bytes: usize,
-    /// Rows per `RowBatch` frame: the floor of the adaptive row target,
-    /// which grows to at most [`BATCH_GROWTH_CAP`] times this under
-    /// sender-queue stalls.
-    ///
-    /// [`BATCH_GROWTH_CAP`]: crate::stream_udf::BATCH_GROWTH_CAP
-    pub batch_rows: usize,
-    /// Wire-byte target per frame (a frame closes at the row target or
-    /// `frame_bytes` bytes, whichever comes first).
+    /// Wire-byte target per frame: a frame closes once it holds
+    /// `frame_bytes` bytes, and at nothing else.
     pub frame_bytes: usize,
 }
 
@@ -40,7 +31,6 @@ impl Default for TransferConfig {
         TransferConfig {
             splits_per_worker: 1,
             send_buffer_bytes: 4 * 1024,
-            batch_rows: BATCH_ROWS,
             frame_bytes: FRAME_BYTES,
         }
     }
@@ -58,7 +48,6 @@ impl TransferConfig {
         };
         at_least_one(self.splits_per_worker >= 1, "k (splits_per_worker)")?;
         at_least_one(self.send_buffer_bytes >= 1, "buffer_bytes")?;
-        at_least_one(self.batch_rows >= 1, "batch_rows")?;
         at_least_one(self.frame_bytes >= 1, "frame_bytes")
     }
 }
@@ -75,29 +64,30 @@ pub struct TransferArgs {
 
 impl TransferArgs {
     /// The argument list as SQL text, to follow the input table inside
-    /// `stream_transfer(<table>, ...)`.
+    /// `stream_transfer(<table>, ...)`. The two strings go through the
+    /// shared literal renderer, so a quote in a command or an address
+    /// cannot end its literal and become further arguments.
     pub fn to_sql(&self) -> String {
         let c = &self.config;
         format!(
-            "'{}', {}, '{}', {}, {}, {}, {}",
-            self.coord_addr,
+            "{}, {}, {}, {}, {}, {}",
+            sql_string_literal(&self.coord_addr),
             self.transfer_id,
-            self.command,
+            sql_string_literal(&self.command),
             c.splits_per_worker,
             c.send_buffer_bytes,
-            c.batch_rows,
             c.frame_bytes,
         )
     }
 
     /// Parse and validate the scalar arguments the SQL engine hands the
-    /// UDF. The two frame targets are optional (the paper-shaped call has
-    /// five arguments) and default as [`TransferConfig::default`] does.
+    /// UDF. The frame size is optional (the paper-shaped call has five
+    /// arguments) and defaults as [`TransferConfig::default`] does.
     pub fn from_values(args: &[Value]) -> Result<TransferArgs> {
-        if !(5..=7).contains(&args.len()) {
+        if !(5..=6).contains(&args.len()) {
             return Err(SqlmlError::Plan(
                 "stream_transfer takes (coordinator_addr, transfer_id, command, k, \
-                 buffer_bytes[, batch_rows[, frame_bytes]])"
+                 buffer_bytes[, frame_bytes])"
                     .into(),
             ));
         }
@@ -115,11 +105,7 @@ impl TransferArgs {
             config: TransferConfig {
                 splits_per_worker: int(&args[3], "k (splits_per_worker)")?,
                 send_buffer_bytes: int(&args[4], "buffer_bytes")?,
-                batch_rows: match args.get(5) {
-                    Some(v) => int(v, "batch_rows")?,
-                    None => defaults.batch_rows,
-                },
-                frame_bytes: match args.get(6) {
+                frame_bytes: match args.get(5) {
                     Some(v) => int(v, "frame_bytes")?,
                     None => defaults.frame_bytes,
                 },
@@ -149,25 +135,22 @@ mod tests {
         let five = TransferArgs::from_values(&good_args()).unwrap();
         assert_eq!(five.transfer_id, 1);
         assert_eq!(five.config.splits_per_worker, 2);
-        assert_eq!(five.config.batch_rows, BATCH_ROWS);
         assert_eq!(five.config.frame_bytes, FRAME_BYTES);
 
-        let mut seven = good_args();
-        seven.push(Value::Int(8));
-        seven.push(Value::Int(512));
-        let parsed = TransferArgs::from_values(&seven).unwrap();
-        assert_eq!(parsed.config.batch_rows, 8);
+        let mut six = good_args();
+        six.push(Value::Int(512));
+        let parsed = TransferArgs::from_values(&six).unwrap();
         assert_eq!(parsed.config.frame_bytes, 512);
 
         // Too few and too many arguments.
         assert!(TransferArgs::from_values(&good_args()[..4]).is_err());
-        let mut eight = seven.clone();
-        eight.push(Value::Int(0));
-        assert!(TransferArgs::from_values(&eight).is_err());
+        let mut seven = six.clone();
+        seven.push(Value::Int(64));
+        assert!(TransferArgs::from_values(&seven).is_err());
 
         // Every tunable must be >= 1.
-        for (pos, bad) in [(3, 0), (4, 0), (5, 0), (6, -1)] {
-            let mut args = seven.clone();
+        for (pos, bad) in [(3, 0), (4, 0), (5, 0), (5, -1)] {
+            let mut args = six.clone();
             args[pos] = Value::Int(bad);
             let err = TransferArgs::from_values(&args).unwrap_err();
             assert!(matches!(err, SqlmlError::Plan(_)), "arg {pos}: {err}");
@@ -191,13 +174,12 @@ mod tests {
             config: TransferConfig {
                 splits_per_worker: 3,
                 send_buffer_bytes: 64,
-                batch_rows: 4,
                 frame_bytes: 256,
             },
         };
         assert_eq!(
             args.to_sql(),
-            "'127.0.0.1:4000', 9, 'svm label=3 iterations=5', 3, 64, 4, 256"
+            "'127.0.0.1:4000', 9, 'svm label=3 iterations=5', 3, 64, 256"
         );
         let values = vec![
             Value::Str(args.coord_addr.as_str().into()),
@@ -205,7 +187,6 @@ mod tests {
             Value::Str(args.command.as_str().into()),
             Value::Int(3),
             Value::Int(64),
-            Value::Int(4),
             Value::Int(256),
         ];
         assert_eq!(TransferArgs::from_values(&values).unwrap(), args);

@@ -6,8 +6,7 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sqlml_common::{Result, Row, Schema, SqlmlError};
@@ -23,12 +22,6 @@ pub const MAX_READ_ATTEMPTS: u32 = 8;
 /// Socket read buffer on the data plane (the consumer half of the
 /// paper's buffered transfer path).
 const READ_BUFFER_BYTES: usize = 64 * 1024;
-
-/// Decoded batches the prefetch thread may run ahead of the ML consumer.
-/// Together with the batch being decoded and the one sitting in
-/// `pending`, this keeps the reader's memory within the documented
-/// O(batch) bound (≤ 4 batches in flight).
-const PREFETCH_BATCHES: usize = 2;
 
 /// One streaming split: "read group-index `index_in_group` from SQL
 /// worker `sql_worker` at `data_addr`", preferably on node `location`.
@@ -88,7 +81,7 @@ impl SqlStreamInputFormat {
 }
 
 impl InputFormat for SqlStreamInputFormat {
-    fn get_splits(&self, _requested: usize) -> Result<Vec<Arc<dyn InputSplit>>> {
+    fn get_splits(&self) -> Result<Vec<Arc<dyn InputSplit>>> {
         let mut coord = TcpStream::connect(&self.coordinator_addr)
             .map_err(|e| SqlmlError::Transfer(format!("coordinator unreachable: {e}")))?;
         write_message(
@@ -138,43 +131,44 @@ impl InputFormat for SqlStreamInputFormat {
     }
 }
 
-/// Pipelined reader over one streaming split, with decode-ahead.
+/// Pipelined reader over one streaming split.
 ///
-/// A dedicated prefetch thread owns the socket and the whole
-/// reconnect/skip state machine: it reads frames, deserializes them, and
-/// pushes decoded batches through a bounded channel. The ML thread pops
-/// batches from the channel, so deserialization overlaps both the socket
-/// reads *and* ML-side consumption. Peak memory stays O(batch): the
-/// channel holds at most [`PREFETCH_BATCHES`] batches plus one being
-/// handed over, plus the batch in `pending`. A running row count is
-/// validated against the sender's `DataEnd` total.
+/// The reader owns the socket and the whole reconnect/skip state machine
+/// and runs it on the calling ML thread, one frame per `fill_pending`
+/// (`JobRunner::ingest_rows` gives every split a thread of its own, so
+/// sibling splits still decode in parallel). Peak memory is one decoded
+/// batch. A running row count is validated against the sender's
+/// `DataEnd` total.
 ///
-/// Exactly-once across the §6 whole-group restart protocol: the prefetch
-/// thread tracks a `forwarded` watermark (rows pushed into the channel —
-/// every one of which the reader will deliver), and on reconnect skips
-/// that many rows of the sender's deterministic re-stream before
-/// forwarding more.
+/// Exactly-once across the §6 whole-group restart protocol: the reader
+/// tracks a `forwarded` watermark (rows accepted into `pending` — every
+/// one of which it will deliver), and on reconnect skips that many rows
+/// of the sender's deterministic re-stream before accepting more. A
+/// failure is sticky, so a caller that retries can never mistake a
+/// broken stream for a clean, short one.
 pub struct StreamRecordReader {
     split: StreamSplit,
     metrics: Option<Arc<TransferMetrics>>,
-    /// Decoded batches from the prefetch thread; `None` until started or
-    /// after the channel is consumed/failed.
-    rx: Option<mpsc::Receiver<Result<Vec<Row>>>>,
-    started: bool,
-    /// Rows currently inside the channel (including one mid-handoff),
-    /// maintained by the prefetch thread; lets the reader observe its
-    /// total memory footprint.
-    queued_rows: Arc<AtomicUsize>,
-    /// Set by the prefetch thread on a clean `DataEnd` before it exits,
-    /// so the reader can tell a clean end from a dead thread.
-    ended_clean: Arc<AtomicBool>,
+    conn: Option<BufReader<TcpStream>>,
+    /// Reusable frame-payload buffer (no per-frame allocation).
+    scratch: Vec<u8>,
+    /// Rows accepted into `pending` — the exactly-once watermark (the
+    /// reader delivers everything it accepts).
+    forwarded: u64,
+    /// Rows received in the current attempt, checked at `DataEnd`.
+    received_this_attempt: u64,
+    /// Rows to skip after a reconnect (re-streamed, already forwarded).
+    skip_remaining: u64,
+    next_attempt: u32,
     /// Rows of the current decoded batch only.
     pending: VecDeque<Row>,
     /// Rows handed to the ML engine.
     delivered: u64,
     finished: bool,
-    /// High-water mark of pending + channel rows (observability for the
-    /// O(batch) memory guarantee).
+    /// The first fatal stream error, kept so later calls repeat it.
+    failed: Option<String>,
+    /// High-water mark of `pending` (observability for the O(batch)
+    /// memory guarantee).
     max_pending: usize,
 }
 
@@ -183,20 +177,22 @@ impl StreamRecordReader {
         StreamRecordReader {
             split,
             metrics,
-            rx: None,
-            started: false,
-            queued_rows: Arc::new(AtomicUsize::new(0)),
-            ended_clean: Arc::new(AtomicBool::new(false)),
+            conn: None,
+            scratch: Vec::new(),
+            forwarded: 0,
+            received_this_attempt: 0,
+            skip_remaining: 0,
+            next_attempt: 1,
             pending: VecDeque::new(),
             delivered: 0,
             finished: false,
+            failed: None,
             max_pending: 0,
         }
     }
 
-    /// Largest number of rows ever buffered at once (decoded batches in
-    /// the prefetch channel plus the batch being delivered) — stays
-    /// O(batch) no matter how long the stream is.
+    /// Largest number of rows ever buffered at once (the batch being
+    /// delivered) — stays O(batch) no matter how long the stream is.
     pub fn max_pending_rows(&self) -> usize {
         self.max_pending
     }
@@ -206,113 +202,6 @@ impl StreamRecordReader {
         self.delivered
     }
 
-    /// Spawn the decode-ahead thread on first use.
-    fn ensure_started(&mut self) -> Result<()> {
-        if self.started {
-            return Ok(());
-        }
-        self.started = true;
-        let (tx, rx) = mpsc::sync_channel(PREFETCH_BATCHES);
-        let worker = PrefetchWorker {
-            split: self.split.clone(),
-            metrics: self.metrics.clone(),
-            conn: None,
-            scratch: Vec::new(),
-            forwarded: 0,
-            received_this_attempt: 0,
-            skip_remaining: 0,
-            next_attempt: 1,
-            queued_rows: Arc::clone(&self.queued_rows),
-            ended_clean: Arc::clone(&self.ended_clean),
-        };
-        std::thread::Builder::new()
-            .name(format!(
-                "sqlml-prefetch-{}-{}",
-                self.split.sql_worker, self.split.index_in_group
-            ))
-            .spawn(move || worker.run(&tx))
-            .map_err(|e| {
-                SqlmlError::Transfer(format!("failed to spawn decode-ahead thread: {e}"))
-            })?;
-        self.rx = Some(rx);
-        Ok(())
-    }
-
-    /// Pop the next decoded batch from the prefetch channel into
-    /// `pending`. `Ok(true)` when rows are pending, `Ok(false)` on clean
-    /// end of stream.
-    fn fill_pending(&mut self) -> Result<bool> {
-        self.ensure_started()?;
-        let Some(rx) = self.rx.as_ref() else {
-            return Ok(false);
-        };
-        let wait_start = Instant::now();
-        match rx.recv() {
-            Ok(Ok(rows)) => {
-                if let Some(m) = &self.metrics {
-                    m.on_prefetch_wait(wait_start.elapsed());
-                }
-                self.queued_rows.fetch_sub(rows.len(), Ordering::Relaxed);
-                self.pending.extend(rows);
-                let depth = self.pending.len() + self.queued_rows.load(Ordering::Relaxed);
-                self.max_pending = self.max_pending.max(depth);
-                if let Some(m) = &self.metrics {
-                    m.on_prefetch_depth(depth);
-                }
-                Ok(true)
-            }
-            Ok(Err(e)) => {
-                self.rx = None;
-                Err(e)
-            }
-            Err(mpsc::RecvError) => {
-                self.rx = None;
-                if self.ended_clean.load(Ordering::SeqCst) {
-                    self.finished = true;
-                    Ok(false)
-                } else {
-                    Err(SqlmlError::Transfer(
-                        "decode-ahead thread exited without DataEnd".into(),
-                    ))
-                }
-            }
-        }
-    }
-
-    fn deliver(&mut self, row: Row) -> Row {
-        self.delivered += 1;
-        if self.delivered == 1 {
-            if let Some(m) = &self.metrics {
-                m.on_first_row();
-            }
-        }
-        row
-    }
-}
-
-/// The decode-ahead half of [`StreamRecordReader`]: owns the socket, the
-/// restart protocol, and the forwarded-rows watermark; runs until the
-/// stream ends cleanly, a fatal error is forwarded, or the reader is
-/// dropped (its channel send fails).
-struct PrefetchWorker {
-    split: StreamSplit,
-    metrics: Option<Arc<TransferMetrics>>,
-    conn: Option<BufReader<TcpStream>>,
-    /// Reusable frame-payload buffer (no per-frame allocation).
-    scratch: Vec<u8>,
-    /// Rows pushed into the channel — the exactly-once watermark (the
-    /// reader delivers everything it receives).
-    forwarded: u64,
-    /// Rows received in the current attempt, checked at `DataEnd`.
-    received_this_attempt: u64,
-    /// Rows to skip after a reconnect (re-streamed, already forwarded).
-    skip_remaining: u64,
-    next_attempt: u32,
-    queued_rows: Arc<AtomicUsize>,
-    ended_clean: Arc<AtomicBool>,
-}
-
-impl PrefetchWorker {
     /// One connection + handshake attempt. Both handshake frames carry
     /// the wire version, checked where they are decoded.
     fn connect(&mut self) -> Result<()> {
@@ -365,22 +254,41 @@ impl PrefetchWorker {
         )))
     }
 
-    /// Main loop: read → decode → forward until clean end, fatal error,
-    /// or reader drop. Backpressure comes from the bounded channel: when
-    /// the ML side falls behind, `send` blocks and so does the socket.
-    fn run(mut self, tx: &mpsc::SyncSender<Result<Vec<Row>>>) {
+    /// Read and decode the next frame that carries undelivered rows into
+    /// `pending`. `Ok(true)` when rows are pending, `Ok(false)` on clean
+    /// end of stream; an error is final and repeated by every later call.
+    fn fill_pending(&mut self) -> Result<bool> {
+        if let Some(first) = &self.failed {
+            return Err(SqlmlError::Transfer(format!(
+                "stream reader already failed: {first}"
+            )));
+        }
+        let wait_start = Instant::now();
+        let more = self
+            .read_fresh_frame()
+            .inspect_err(|e| self.failed = Some(e.to_string()))?;
+        if more {
+            self.max_pending = self.max_pending.max(self.pending.len());
+            if let Some(m) = &self.metrics {
+                m.on_prefetch_wait(wait_start.elapsed());
+            }
+        }
+        Ok(more)
+    }
+
+    /// The stream state machine: read → decode → accept until a frame
+    /// yields fresh rows, the stream ends cleanly, or the attempt budget
+    /// is spent. Backpressure is the socket itself: while the ML side is
+    /// busy nothing reads, and the sender's queue fills.
+    fn read_fresh_frame(&mut self) -> Result<bool> {
         loop {
             if self.conn.is_none() {
-                if let Err(e) = self.begin_attempt() {
-                    let _ = tx.send(Err(e));
-                    return;
-                }
+                self.begin_attempt()?;
             }
             let Some(conn) = self.conn.as_mut() else {
-                let _ = tx.send(Err(SqlmlError::Transfer(
+                return Err(SqlmlError::Transfer(
                     "reader connection missing after begin_attempt".into(),
-                )));
-                return;
+                ));
             };
             let broken_reason = match read_message_with(conn, &mut self.scratch) {
                 Ok(Message::RowBatch { rows }) => {
@@ -396,17 +304,9 @@ impl PrefetchWorker {
                     let skip = self.skip_remaining.min(rows.len() as u64) as usize;
                     self.skip_remaining -= skip as u64;
                     if skip < rows.len() {
-                        let fresh: Vec<Row> = if skip == 0 {
-                            rows
-                        } else {
-                            rows.into_iter().skip(skip).collect()
-                        };
-                        self.forwarded += fresh.len() as u64;
-                        self.queued_rows.fetch_add(fresh.len(), Ordering::Relaxed);
-                        if tx.send(Ok(fresh)).is_err() {
-                            // Reader dropped mid-stream; nothing to clean.
-                            return;
-                        }
+                        self.forwarded += (rows.len() - skip) as u64;
+                        self.pending.extend(rows.into_iter().skip(skip));
+                        return Ok(true);
                     }
                     continue;
                 }
@@ -425,18 +325,17 @@ impl PrefetchWorker {
                         if let Some(m) = &self.metrics {
                             m.on_data_end();
                         }
-                        // Publish the clean end *before* the channel
-                        // disconnect the reader observes.
-                        self.ended_clean.store(true, Ordering::SeqCst);
-                        return;
+                        self.conn = None;
+                        self.finished = true;
+                        return Ok(false);
                     }
                 }
                 Ok(Message::Abort { reason }) => format!("sender aborted: {reason}"),
                 Ok(other) => {
-                    let _ = tx.send(Err(SqlmlError::Transfer(format!(
+                    self.conn = None;
+                    return Err(SqlmlError::Transfer(format!(
                         "unexpected data frame {other:?}"
-                    ))));
-                    return;
+                    )));
                 }
                 Err(e) => e.to_string(),
             };
@@ -447,13 +346,22 @@ impl PrefetchWorker {
             self.skip_remaining = self.forwarded;
             self.next_attempt += 1;
             if self.next_attempt > MAX_READ_ATTEMPTS {
-                let _ = tx.send(Err(SqlmlError::Transfer(format!(
+                return Err(SqlmlError::Transfer(format!(
                     "stream read failed after {MAX_READ_ATTEMPTS} attempts: {broken_reason}"
-                ))));
-                return;
+                )));
             }
             std::thread::sleep(Duration::from_millis(25 * u64::from(self.next_attempt)));
         }
+    }
+
+    fn deliver(&mut self, row: Row) -> Row {
+        self.delivered += 1;
+        if self.delivered == 1 {
+            if let Some(m) = &self.metrics {
+                m.on_first_row();
+            }
+        }
+        row
     }
 }
 
@@ -471,26 +379,6 @@ impl RecordReader for StreamRecordReader {
             }
         }
     }
-
-    fn next_batch(&mut self, out: &mut Vec<Row>, max_rows: usize) -> Result<usize> {
-        let mut n = 0;
-        while n < max_rows {
-            if self.pending.is_empty() && (self.finished || !self.fill_pending()?) {
-                break;
-            }
-            while n < max_rows {
-                match self.pending.pop_front() {
-                    Some(row) => {
-                        let row = self.deliver(row);
-                        out.push(row);
-                        n += 1;
-                    }
-                    None => break,
-                }
-            }
-        }
-        Ok(n)
-    }
 }
 
 #[cfg(test)]
@@ -499,6 +387,7 @@ mod tests {
     use sqlml_common::Value;
     use std::io::Write;
     use std::net::TcpListener;
+    use std::ops::Range;
 
     #[test]
     fn split_metadata() {
@@ -518,7 +407,7 @@ mod tests {
         use sqlml_mlengine::input::MemoryInputFormat;
         let fmt = SqlStreamInputFormat::new("127.0.0.1:1", 1, Schema::empty());
         let mem = MemoryInputFormat::new(Schema::empty(), vec![vec![]]);
-        let split = mem.get_splits(1).unwrap();
+        let split = mem.get_splits().unwrap();
         assert!(fmt.create_reader(split[0].as_ref()).is_err());
     }
 
@@ -526,7 +415,7 @@ mod tests {
     fn get_splits_fails_fast_without_coordinator() {
         // Port 1 is essentially never listening.
         let fmt = SqlStreamInputFormat::new("127.0.0.1:1", 1, Schema::empty());
-        assert!(fmt.get_splits(4).is_err());
+        assert!(fmt.get_splits().is_err());
     }
 
     fn local_split(addr: String) -> StreamSplit {
@@ -539,58 +428,82 @@ mod tests {
         }
     }
 
-    /// Accept one reader, answer its hello, then hand the socket to `f`.
-    fn fake_sender(
-        f: impl FnOnce(TcpStream) + Send + 'static,
-    ) -> (String, std::thread::JoinHandle<()>) {
+    type Attempt = Box<dyn FnOnce(TcpStream) + Send>;
+
+    /// Accept one reader per attempt, in order: read its hello, then hand
+    /// the socket to the attempt, which decides whether `DataStart`
+    /// follows.
+    fn fake_sender_attempts(attempts: Vec<Attempt>) -> (String, std::thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let handle = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let mut scratch = Vec::new();
-            match read_message_with(&mut stream, &mut scratch).unwrap() {
-                Message::DataHello { .. } => {}
-                other => panic!("expected hello, got {other:?}"),
+            for attempt in attempts {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut scratch = Vec::new();
+                match read_message_with(&mut stream, &mut scratch).unwrap() {
+                    Message::DataHello { .. } => {}
+                    other => panic!("expected hello, got {other:?}"),
+                }
+                attempt(stream);
             }
-            write_message(&mut stream, &Message::DataStart { attempt: 1 }).unwrap();
-            f(stream);
         });
         (addr, handle)
     }
 
+    /// An attempt that answers the hello with `DataStart`, then runs `f`.
+    fn started(f: impl FnOnce(TcpStream) + Send + 'static) -> Attempt {
+        Box::new(move |mut stream| {
+            write_message(&mut stream, &Message::DataStart { attempt: 1 }).unwrap();
+            f(stream);
+        })
+    }
+
+    /// Accept one reader, answer its hello, then hand the socket to `f`.
+    fn fake_sender(
+        f: impl FnOnce(TcpStream) + Send + 'static,
+    ) -> (String, std::thread::JoinHandle<()>) {
+        fake_sender_attempts(vec![started(f)])
+    }
+
+    /// Send `rows` of the test partition (row `i` is `[i]`) as frames of
+    /// `frame_rows` rows, then a `DataEnd` claiming `end` rows, if any.
+    fn send_rows(stream: &mut TcpStream, rows: Range<u64>, frame_rows: u64, end: Option<u64>) {
+        let mut frame = Vec::new();
+        for at in rows.clone().step_by(usize::try_from(frame_rows).unwrap()) {
+            let rows = (at..(at + frame_rows).min(rows.end))
+                .map(|i| Row::new(vec![Value::Int(i as i64)]))
+                .collect();
+            frame.clear();
+            Message::RowBatch { rows }.encode_into(&mut frame).unwrap();
+            stream.write_all(&frame).unwrap();
+        }
+        if let Some(total_rows) = end {
+            write_message(stream, &Message::DataEnd { total_rows }).unwrap();
+        }
+    }
+
+    fn ids(rows: Range<u64>) -> Vec<Value> {
+        rows.map(|i| Value::Int(i as i64)).collect()
+    }
+
     /// The acceptance-criteria memory bound: ≥100k rows through a small
-    /// batch size must never buffer more than a few batches in the reader.
+    /// batch size must never buffer more than one batch in the reader.
     #[test]
     fn reader_memory_is_bounded_by_batch_size_over_100k_rows() {
-        const TOTAL_ROWS: usize = 120_000;
-        const BATCH: usize = 32;
+        const TOTAL_ROWS: u64 = 120_000;
+        const BATCH: u64 = 32;
         let (addr, sender) = fake_sender(|mut stream| {
-            let rows: Vec<Row> = (0..BATCH as i64)
-                .map(|i| Row::new(vec![Value::Int(i), Value::Str("pad-pad-pad".into())]))
-                .collect();
-            let mut frame = Vec::new();
-            Message::RowBatch { rows }.encode_into(&mut frame).unwrap();
-            for _ in 0..TOTAL_ROWS / BATCH {
-                stream.write_all(&frame).unwrap();
-            }
-            write_message(
-                &mut stream,
-                &Message::DataEnd {
-                    total_rows: TOTAL_ROWS as u64,
-                },
-            )
-            .unwrap();
+            send_rows(&mut stream, 0..TOTAL_ROWS, BATCH, Some(TOTAL_ROWS))
         });
-
         let mut reader = StreamRecordReader::new(local_split(addr), None);
         let mut count = 0u64;
         while let Some(_row) = reader.next_row().unwrap() {
             count += 1;
         }
         sender.join().unwrap();
-        assert_eq!(count, TOTAL_ROWS as u64);
+        assert_eq!(count, TOTAL_ROWS);
         assert!(
-            reader.max_pending_rows() <= 4 * BATCH,
+            reader.max_pending_rows() as u64 <= BATCH,
             "reader buffered {} rows — memory is not O(batch)",
             reader.max_pending_rows()
         );
@@ -603,11 +516,7 @@ mod tests {
     fn reader_yields_rows_before_data_end() {
         let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
         let (addr, sender) = fake_sender(move |mut stream| {
-            let rows = vec![Row::new(vec![Value::Int(1)]), Row::new(vec![Value::Int(2)])];
-            let mut frame = Vec::new();
-            Message::RowBatch { rows }.encode_into(&mut frame).unwrap();
-            stream.write_all(&frame).unwrap();
-            stream.flush().unwrap();
+            send_rows(&mut stream, 1..3, 2, None);
             // Do not send DataEnd until the reader has yielded rows.
             release_rx.recv().unwrap();
             write_message(&mut stream, &Message::DataEnd { total_rows: 2 }).unwrap();
@@ -632,16 +541,10 @@ mod tests {
     /// the total is detected even though rows were consumed on the fly.
     #[test]
     fn row_count_mismatch_is_detected_incrementally() {
-        let (addr, sender) = fake_sender(|mut stream| {
-            let rows = vec![Row::new(vec![Value::Int(1)])];
-            let mut frame = Vec::new();
-            Message::RowBatch { rows }.encode_into(&mut frame).unwrap();
-            stream.write_all(&frame).unwrap();
-            // Lie: claim 5 rows were sent. The reader treats this as a
-            // broken attempt and retries; with the sender gone, every
-            // retry fails and the final error surfaces the mismatch.
-            let _ = write_message(&mut stream, &Message::DataEnd { total_rows: 5 });
-        });
+        // Lie: claim 5 rows were sent. The reader treats this as a
+        // broken attempt and retries; with the sender gone, every
+        // retry fails and the final error surfaces the mismatch.
+        let (addr, sender) = fake_sender(|mut stream| send_rows(&mut stream, 0..1, 1, Some(5)));
         let mut reader = StreamRecordReader::new(local_split(addr), None);
         assert!(reader.next_row().unwrap().is_some(), "first row streams");
         let err = loop {
@@ -655,43 +558,99 @@ mod tests {
         assert!(err.to_string().contains("attempts"), "{err}");
     }
 
-    /// `next_batch` drains whole decoded batches without re-buffering.
+    /// `next_batch` crosses frame boundaries without losing or reordering rows.
     #[test]
     fn next_batch_returns_rows_in_order() {
-        const TOTAL: usize = 1000;
-        let (addr, sender) = fake_sender(|mut stream| {
-            let mut frame = Vec::new();
-            for chunk in (0..TOTAL as i64).collect::<Vec<_>>().chunks(64) {
-                let rows: Vec<Row> = chunk
-                    .iter()
-                    .map(|i| Row::new(vec![Value::Int(*i)]))
-                    .collect();
-                frame.clear();
-                Message::RowBatch { rows }.encode_into(&mut frame).unwrap();
-                stream.write_all(&frame).unwrap();
-            }
-            write_message(
-                &mut stream,
-                &Message::DataEnd {
-                    total_rows: TOTAL as u64,
-                },
-            )
-            .unwrap();
-        });
+        const TOTAL: u64 = 1000;
+        let (addr, sender) =
+            fake_sender(|mut stream| send_rows(&mut stream, 0..TOTAL, 64, Some(TOTAL)));
         let mut reader = StreamRecordReader::new(local_split(addr), None);
         let mut got = Vec::new();
-        loop {
-            let n = reader.next_batch(&mut got, 256).unwrap();
-            if n == 0 {
-                break;
-            }
-        }
+        while reader.next_batch(&mut got, 256).unwrap() > 0 {}
         sender.join().unwrap();
-        assert_eq!(got.len(), TOTAL);
-        assert!(got
-            .iter()
-            .enumerate()
-            .all(|(i, r)| r.get(0) == &Value::Int(i as i64)));
-        assert_eq!(reader.rows_delivered(), TOTAL as u64);
+        let got: Vec<Value> = got.iter().map(|r| r.get(0).clone()).collect();
+        assert_eq!(got, ids(0..TOTAL));
+        assert_eq!(reader.rows_delivered(), TOTAL);
+    }
+
+    /// The restart state machine, one thread, no cluster: the first
+    /// attempt dies after a whole number of frames, the second before
+    /// `DataStart`, and the third re-streams everything in frames of a
+    /// different size, so the delivered watermark falls inside one of
+    /// them (`0 < skip < rows.len()`). Every row arrives exactly once,
+    /// in order, and never more than one frame is buffered.
+    #[test]
+    fn seeded_connection_drops_then_a_full_restream_deliver_exactly_once() {
+        let mut rng = sqlml_common::SplitMix64::new(0x5EED_CAFE);
+        for case in 0..12 {
+            let first = 2 + rng.next_below(9);
+            let watermark = first * (1 + rng.next_below(6));
+            // A re-stream frame size that does not divide the watermark.
+            let second = (2..40).find(|r| !watermark.is_multiple_of(*r)).unwrap();
+            let total = watermark + 1 + rng.next_below(200);
+            let (addr, sender) = fake_sender_attempts(vec![
+                started(move |mut stream| send_rows(&mut stream, 0..watermark, first, None)),
+                Box::new(drop),
+                started(move |mut stream| send_rows(&mut stream, 0..total, second, Some(total))),
+            ]);
+            let mut reader = StreamRecordReader::new(local_split(addr), None);
+            let mut got = Vec::new();
+            while reader.next_batch(&mut got, 7).unwrap() > 0 {}
+            sender.join().unwrap();
+            let got: Vec<Value> = got.iter().map(|r| r.get(0).clone()).collect();
+            let shape =
+                format!("case {case}: {first}-row frames cut at {watermark}, then {second}");
+            assert_eq!(got, ids(0..total), "{shape}");
+            assert!(
+                reader.max_pending_rows() as u64 <= first.max(second),
+                "{shape}"
+            );
+        }
+    }
+
+    /// A re-stream that ends (with a truthful `DataEnd`) before reaching
+    /// the rows already delivered is a broken attempt, never a clean end.
+    #[test]
+    fn restream_shorter_than_the_watermark_is_an_error() {
+        let mut attempts = vec![started(|mut stream| send_rows(&mut stream, 0..10, 5, None))];
+        attempts.extend(
+            (1..MAX_READ_ATTEMPTS)
+                .map(|_| started(|mut stream| send_rows(&mut stream, 0..6, 3, Some(6)))),
+        );
+        let (addr, sender) = fake_sender_attempts(attempts);
+        let mut reader = StreamRecordReader::new(local_split(addr), None);
+        let mut got = Vec::new();
+        let err = loop {
+            match reader.next_batch(&mut got, usize::MAX) {
+                Ok(0) => panic!("a short re-stream must not end cleanly"),
+                Ok(_) => {}
+                Err(e) => break e,
+            }
+        };
+        sender.join().unwrap();
+        assert_eq!(got.len(), 10, "only the first attempt delivered rows");
+        let short = "4 rows short of the delivered watermark";
+        assert!(err.to_string().contains(short), "{err}");
+    }
+
+    /// A fatal stream error is sticky: a caller that retries sees the
+    /// first failure again, not a clean (and silently short) end.
+    #[test]
+    fn a_failed_reader_keeps_failing_instead_of_ending_cleanly() {
+        let refuse = || -> Attempt {
+            let reason = "not today".into();
+            Box::new(|mut stream| write_message(&mut stream, &Message::Abort { reason }).unwrap())
+        };
+        let (addr, sender) =
+            fake_sender_attempts((0..MAX_READ_ATTEMPTS).map(|_| refuse()).collect());
+        let mut reader = StreamRecordReader::new(local_split(addr), None);
+        let first = reader.next_row().unwrap_err();
+        sender.join().unwrap();
+        // The sender is gone: the second call fails by itself, and names
+        // the first failure.
+        let second = reader.next_batch(&mut Vec::new(), 8).unwrap_err();
+        for err in [first, second] {
+            assert!(err.to_string().contains("not today"), "{err}");
+        }
     }
 }

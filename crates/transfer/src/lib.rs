@@ -18,9 +18,10 @@
 //!    format, version-checked in the handshake), through per-peer **send
 //!    buffers that spill to disk** when a reader is slow (§3's
 //!    producer/consumer synchronization), each drained by its own sender
-//!    thread.
+//!    thread; each reader reads and decodes its frames on the ML thread
+//!    that owns its split.
 //!
-//! The data plane's four tunables live in [`TransferConfig`].
+//! The data plane's three tunables live in [`TransferConfig`].
 //!
 //! Fault tolerance follows §6's restart protocol: when any connection of
 //! a SQL worker's group fails, the worker restarts the *whole group*

@@ -22,11 +22,9 @@ pub struct TransferMetrics {
     first_row_us: AtomicU64,
     /// Microseconds from `start` until the first `DataEnd` was observed.
     first_data_end_us: AtomicU64,
-    /// Microseconds ML threads spent blocked waiting on the decode-ahead
-    /// queue (i.e. the prefetch thread was the bottleneck).
+    /// Microseconds ML threads spent waiting for their next decoded
+    /// batch (the blocking frame read plus its decode).
     prefetch_wait_us: AtomicU64,
-    /// Most decoded-but-undelivered rows ever held by one reader.
-    prefetch_depth_hw: AtomicU64,
 }
 
 impl Default for TransferMetrics {
@@ -45,7 +43,6 @@ impl TransferMetrics {
             first_row_us: AtomicU64::new(UNSET),
             first_data_end_us: AtomicU64::new(UNSET),
             prefetch_wait_us: AtomicU64::new(0),
-            prefetch_depth_hw: AtomicU64::new(0),
         }
     }
 
@@ -68,16 +65,10 @@ impl TransferMetrics {
         self.stamp(&self.first_data_end_us);
     }
 
-    /// Record time an ML thread spent blocked on the decode-ahead queue.
+    /// Record time an ML thread spent waiting for its next decoded batch.
     pub fn on_prefetch_wait(&self, waited: Duration) {
         let us = u64::try_from(waited.as_micros()).unwrap_or(u64::MAX);
         self.prefetch_wait_us.fetch_add(us, Ordering::Relaxed);
-    }
-
-    /// Record a reader's current decoded-but-undelivered row count.
-    pub fn on_prefetch_depth(&self, rows: usize) {
-        self.prefetch_depth_hw
-            .fetch_max(rows as u64, Ordering::Relaxed);
     }
 
     fn stamp(&self, slot: &AtomicU64) {
@@ -102,7 +93,6 @@ impl TransferMetrics {
             time_to_first_row: us(&self.first_row_us),
             time_to_first_data_end: us(&self.first_data_end_us),
             prefetch_wait: Duration::from_micros(self.prefetch_wait_us.load(Ordering::Relaxed)),
-            prefetch_depth_high_water: self.prefetch_depth_hw.load(Ordering::Relaxed),
         }
     }
 }
@@ -115,10 +105,8 @@ pub struct MetricsSnapshot {
     pub batches_received: u64,
     pub time_to_first_row: Option<Duration>,
     pub time_to_first_data_end: Option<Duration>,
-    /// Total time ML threads waited on the decode-ahead queue.
+    /// Total time ML threads waited for their next decoded batch.
     pub prefetch_wait: Duration,
-    /// Most decoded-but-undelivered rows ever held by one reader.
-    pub prefetch_depth_high_water: u64,
 }
 
 #[cfg(test)]

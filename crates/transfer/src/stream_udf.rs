@@ -3,23 +3,22 @@
 //!
 //! Invoked as
 //! `TABLE(stream_transfer(result, '<coordinator-addr>', <transfer-id>,
-//! '<ml command>', <k>, <send-buffer-bytes>[, <batch-rows>[,
-//! <frame-bytes>]]))` (the argument list is owned by
-//! [`crate::config::TransferArgs`]), it runs once per partition (= per
-//! SQL worker): registers with the coordinator, accepts `k` reader
-//! connections, and streams the partition's rows round-robin over them
-//! through spillable send buffers.
+//! '<ml command>', <k>, <send-buffer-bytes>[, <frame-bytes>]))` (the
+//! argument list is owned by [`crate::config::TransferArgs`]), it runs
+//! once per partition (= per SQL worker): registers with the coordinator,
+//! accepts `k` reader connections, and streams the partition's rows
+//! round-robin over them through spillable send buffers.
 //! Its SQL-visible output is one statistics row per worker.
 //!
 //! The data plane is batched, overlapped, and allocation-free on the hot
 //! path: rows are encoded straight from the partition slice into the
-//! frame under construction (no intermediate `Vec<Row>` clones), frames are
-//! cut when they reach the adaptive row target *or* `frame_bytes` wire
-//! bytes (whichever comes first), and one dedicated [`crate::sender`]
-//! thread per peer drains that peer's bounded queue so socket writes of
-//! batch N overlap the encode of batch N+1. Frames are compact batches
-//! (varints + per-frame string dictionary); the handshake carries a
-//! checked [`crate::protocol::WIRE_VERSION`].
+//! frame under construction (no intermediate `Vec<Row>` clones), a frame
+//! is cut when it reaches `frame_bytes` wire bytes and at nothing else,
+//! and one dedicated [`crate::sender`] thread per peer drains that peer's
+//! bounded queue so socket writes of batch N overlap the encode of batch
+//! N+1. Frames are compact batches (varints + per-frame string
+//! dictionary); the handshake carries a checked
+//! [`crate::protocol::WIRE_VERSION`].
 
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -37,12 +36,6 @@ use crate::config::TransferArgs;
 use crate::protocol::{read_message, write_message, Message, RowBatchFrameBuilder};
 use crate::sender;
 use crate::session::CancelRegistry;
-
-/// The adaptive row target never exceeds `batch_rows * BATCH_GROWTH_CAP`.
-pub const BATCH_GROWTH_CAP: usize = 16;
-
-/// Consecutive stall-free frames before the adaptive batcher shrinks.
-const CALM_FRAMES_TO_SHRINK: u32 = 8;
 
 /// How many times a SQL worker retries its whole group after a transfer
 /// failure (§6's restart protocol) before giving up.
@@ -184,47 +177,6 @@ impl WorkerTransferStats {
             dict_hits: next()?,
             dict_misses: next()?,
         })
-    }
-}
-
-/// Grows the per-frame row target when the encode thread stalls on a full
-/// sender queue (frames too small to keep the sockets busy) and shrinks it
-/// back after a calm streak, within `[min, min * BATCH_GROWTH_CAP]`.
-#[derive(Debug)]
-struct AdaptiveBatch {
-    min: usize,
-    max: usize,
-    current: usize,
-    calm_frames: u32,
-}
-
-impl AdaptiveBatch {
-    fn new(min: usize) -> Self {
-        AdaptiveBatch {
-            min,
-            max: min.saturating_mul(BATCH_GROWTH_CAP),
-            current: min,
-            calm_frames: 0,
-        }
-    }
-
-    /// Rows to put in the next frame.
-    fn target(&self) -> usize {
-        self.current
-    }
-
-    /// Feed back one cut frame: did its queue push stall?
-    fn on_frame(&mut self, stalled: bool) {
-        if stalled {
-            self.current = self.current.saturating_mul(2).min(self.max);
-            self.calm_frames = 0;
-        } else {
-            self.calm_frames += 1;
-            if self.calm_frames >= CALM_FRAMES_TO_SHRINK {
-                self.current = (self.current / 2).max(self.min);
-                self.calm_frames = 0;
-            }
-        }
     }
 }
 
@@ -454,7 +406,7 @@ impl StreamTransferUdf {
         // One bounded spillable buffer + sender thread per peer.
         // The backpressure bound sits well above the spill threshold so
         // spilling still absorbs bursts; only a runaway queue stalls the
-        // encode thread (and that stall drives the adaptive batcher).
+        // encode thread.
         let queue_bound = config
             .send_buffer_bytes
             .saturating_mul(64)
@@ -486,10 +438,8 @@ impl StreamTransferUdf {
             let writers = sender::spawn_senders(scope, peers, Arc::clone(&failed));
 
             // Producer: encode rows straight from the partition slice into
-            // per-peer frames, round-robin (step 8). Frames are cut at the
-            // adaptive row target or `frame_bytes` wire bytes; queue-push
-            // stall feedback grows the target so slow sockets get fewer,
-            // larger frames.
+            // per-peer frames, round-robin (step 8). A frame is cut at
+            // `frame_bytes` wire bytes.
             let mut counters = WorkerTransferStats {
                 worker: ctx.partition,
                 rows_sent: rows.len() as u64,
@@ -499,22 +449,19 @@ impl StreamTransferUdf {
             let mut per_peer_rows = vec![0u64; k];
             let mut peer = 0usize;
             let mut sent_rows = 0usize;
-            let mut batcher = AdaptiveBatch::new(config.batch_rows);
             let mut builder = RowBatchFrameBuilder::new();
             let mut produce = |counters: &mut WorkerTransferStats,
                                builder: &mut RowBatchFrameBuilder|
              -> Result<()> {
                 let mut flush_frame = |builder: &mut RowBatchFrameBuilder,
                                        peer: &mut usize,
-                                       batcher: &mut AdaptiveBatch,
                                        counters: &mut WorkerTransferStats|
                  -> Result<()> {
                     let frame_rows = builder.rows() as u64;
                     let frame = builder.take_frame()?;
                     counters.bytes_sent += frame.len() as u64;
                     counters.batches_sent += 1;
-                    let stalled = buffers[*peer].push(frame)?;
-                    batcher.on_frame(stalled > Duration::ZERO);
+                    buffers[*peer].push(frame)?;
                     per_peer_rows[*peer] += frame_rows;
                     *peer = (*peer + 1) % k;
                     Ok(())
@@ -538,14 +485,12 @@ impl StreamTransferUdf {
                     }
                     builder.push_row(row)?;
                     sent_rows += 1;
-                    if builder.rows() >= batcher.target()
-                        || builder.frame_len() >= config.frame_bytes
-                    {
-                        flush_frame(builder, &mut peer, &mut batcher, counters)?;
+                    if builder.frame_len() >= config.frame_bytes {
+                        flush_frame(builder, &mut peer, counters)?;
                     }
                 }
                 if !builder.is_empty() {
-                    flush_frame(builder, &mut peer, &mut batcher, counters)?;
+                    flush_frame(builder, &mut peer, counters)?;
                 }
                 for (i, b) in buffers.iter().enumerate() {
                     let end = Message::DataEnd {
@@ -615,28 +560,6 @@ mod tests {
         bad_k[3] = Value::Int(0);
         assert!(udf.output_schema(&Schema::empty(), &bad_k).is_err());
         assert!(udf.output_schema(&Schema::empty(), &good[..3]).is_err());
-    }
-
-    #[test]
-    fn adaptive_batch_grows_on_stall_and_shrinks_after_calm() {
-        let mut b = AdaptiveBatch::new(64);
-        assert_eq!(b.target(), 64);
-        b.on_frame(true);
-        assert_eq!(b.target(), 128);
-        for _ in 0..5 {
-            b.on_frame(true); // clamped at the growth cap
-        }
-        assert_eq!(b.target(), 64 * BATCH_GROWTH_CAP);
-        for _ in 0..CALM_FRAMES_TO_SHRINK - 1 {
-            b.on_frame(false);
-            assert_eq!(b.target(), 1024, "no shrink before the calm streak");
-        }
-        b.on_frame(false);
-        assert_eq!(b.target(), 512);
-        for _ in 0..4 * CALM_FRAMES_TO_SHRINK {
-            b.on_frame(false);
-        }
-        assert_eq!(b.target(), 64, "clamped at min");
     }
 
     #[test]

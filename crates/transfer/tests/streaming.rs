@@ -1,15 +1,23 @@
 //! End-to-end tests of the parallel streaming data transfer: a real SQL
 //! engine streams to a real ML job over TCP through the coordinator.
 
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 use sqlml_common::row;
 use sqlml_common::schema::{DataType, Field, Schema};
-use sqlml_common::{Row, SplitMix64};
+use sqlml_common::{Row, SplitMix64, Value};
 use sqlml_mlengine::job::JobConfig;
 use sqlml_mlengine::TrainedModel;
+use sqlml_sqlengine::udf::{PartitionCtx, TableUdf};
 use sqlml_sqlengine::{Engine, EngineConfig};
-use sqlml_transfer::{FaultInjector, StreamSession, StreamSessionConfig, TransferConfig};
+use sqlml_transfer::protocol::{read_message_with, write_message, Message, RowBatchFrameBuilder};
+use sqlml_transfer::stream_udf::WorkerTransferStats;
+use sqlml_transfer::{
+    Coordinator, FaultInjector, StreamSession, StreamSessionConfig, StreamTransferUdf,
+    TransferConfig,
+};
 
 /// A recoded-and-numeric table: features (x, y) + binary label, the shape
 /// the In-SQL transformation hands to the ML system.
@@ -49,7 +57,6 @@ fn config(workers: usize, k: u32, buffer: usize) -> StreamSessionConfig {
         ml_job: JobConfig {
             num_workers: workers,
             worker_nodes: (0..workers).map(sqlml_dfs::node_name).collect(),
-            splits_per_worker: k as usize,
         },
         spill_dir: std::env::temp_dir().join("sqlml-transfer-tests"),
     }
@@ -277,4 +284,126 @@ fn pre_cancelled_transfer_fails_fast_without_the_report_timeout() {
     // The session is still healthy for the next caller.
     let outcome = session.run(&engine, "points", "nb label=2", &cfg).unwrap();
     assert_eq!(outcome.stats.rows_ingested, 200);
+}
+
+/// Run the UDF over one partition against a real coordinator and `k`
+/// hand-rolled readers that keep every `RowBatch` frame they receive:
+/// (wire bytes including the length prefix, rows).
+fn stream_and_capture(
+    rows: &[Row],
+    k: u32,
+    frame_bytes: usize,
+) -> (WorkerTransferStats, Vec<(usize, usize)>) {
+    let coord = Coordinator::start().unwrap();
+    let values = vec![
+        Value::from(coord.addr()),
+        Value::Int(1),
+        Value::from("nb label=0"),
+        Value::Int(i64::from(k)),
+        Value::Int(TransferConfig::default().send_buffer_bytes as i64),
+        Value::Int(frame_bytes as i64),
+    ];
+    let ctx = PartitionCtx {
+        partition: 0,
+        num_partitions: 1,
+        worker: 0,
+        num_workers: 1,
+        node: "node-0".into(),
+    };
+    let udf = StreamTransferUdf::new(std::env::temp_dir().join("sqlml-udf-tests"));
+    std::thread::scope(|scope| {
+        let sender = scope.spawn(|| udf.execute(rows, &Schema::empty(), &values, &ctx));
+        let info = coord
+            .handle()
+            .wait_for_session(1, Duration::from_secs(10))
+            .unwrap();
+        let readers: Vec<_> = (0..k)
+            .map(|split_index| {
+                let addr = info.workers[0].data_addr.clone();
+                scope.spawn(move || {
+                    let mut stream = TcpStream::connect(addr).unwrap();
+                    let hello = Message::DataHello {
+                        transfer_id: 1,
+                        split_index,
+                        attempt: 1,
+                    };
+                    write_message(&mut stream, &hello).unwrap();
+                    let mut scratch = Vec::new();
+                    let mut frames = Vec::new();
+                    loop {
+                        match read_message_with(&mut stream, &mut scratch).unwrap() {
+                            Message::DataStart { .. } => {}
+                            Message::RowBatch { rows } => {
+                                frames.push((scratch.len() + 4, rows.len()));
+                            }
+                            Message::DataEnd { .. } => return frames,
+                            other => panic!("unexpected {other:?}"),
+                        }
+                    }
+                })
+            })
+            .collect();
+        let frames = readers
+            .into_iter()
+            .flat_map(|r| r.join().unwrap())
+            .collect();
+        let stats_rows = sender.join().unwrap().unwrap();
+        (
+            WorkerTransferStats::from_row(&stats_rows[0]).unwrap(),
+            frames,
+        )
+    })
+}
+
+/// Wire size of `row` shipped in a frame of its own, header excluded.
+fn solo_row_bytes(row: &Row) -> usize {
+    let mut builder = RowBatchFrameBuilder::new();
+    let empty = builder.frame_len();
+    builder.push_row(row).unwrap();
+    builder.frame_len() - empty
+}
+
+/// The one cut rule, over seeded narrow and wide tables: a frame
+/// closes at `frame_bytes` and at nothing else, so every frame stays
+/// below `frame_bytes` + one encoded row, every frame but a peer's
+/// last reaches `frame_bytes`, and the frame and row counts the
+/// readers saw are the ones the stats row reports.
+#[test]
+fn frames_are_cut_at_frame_bytes_and_nothing_else() {
+    let mut rng = SplitMix64::new(0xF4A3E);
+    for (cols, frame_bytes, k) in [(1, 64, 1), (1, 4096, 1), (5, 256, 2), (40, 1024, 3)] {
+        let rows: Vec<Row> = (0..1500)
+            .map(|_| {
+                Row::new(
+                    (0..cols)
+                        .map(|_| Value::Int(rng.next_below(1 << 30) as i64))
+                        .collect(),
+                )
+            })
+            .collect();
+        let max_row = rows.iter().map(solo_row_bytes).max().unwrap();
+        let (stats, frames) = stream_and_capture(&rows, k, frame_bytes);
+        let shape = format!("{cols} cols, frame_bytes {frame_bytes}, k {k}");
+        assert_eq!(stats.rows_sent, 1500, "{shape}");
+        assert_eq!(stats.batches_sent, frames.len() as u64, "{shape}");
+        assert_eq!(frames.iter().map(|f| f.1).sum::<usize>(), 1500, "{shape}");
+        assert!(
+            frames.iter().all(|f| f.0 < frame_bytes + max_row),
+            "{shape}: a frame ran past frame_bytes + one row: {frames:?}"
+        );
+        let short = frames.iter().filter(|f| f.0 < frame_bytes).count();
+        assert!(short <= 1, "{shape}: {short} frames cut early: {frames:?}");
+    }
+}
+
+/// A row larger than `frame_bytes` is neither split nor refused: it
+/// ships in a frame of its own.
+#[test]
+fn a_row_larger_than_frame_bytes_ships_alone() {
+    let wide = Row::new(vec![Value::from("x".repeat(300).as_str()); 3]);
+    assert!(solo_row_bytes(&wide) > 128);
+    let rows = vec![wide; 20];
+    let (stats, frames) = stream_and_capture(&rows, 2, 128);
+    assert_eq!(stats.batches_sent, 20);
+    assert!(frames.iter().all(|f| f.1 == 1), "{frames:?}");
 }

@@ -26,18 +26,28 @@ fn request(ml: &str) -> PipelineRequest {
 fn the_three_strategies_agree_on_rows_and_labels() {
     let cluster = cluster();
     let pipeline = Pipeline::new(&cluster);
-    let mut reports = Vec::new();
-    for strategy in [Strategy::Naive, Strategy::InSql, Strategy::InSqlStream] {
-        reports.push(
-            pipeline
-                .run(&request("svm label=4 iterations=20"), strategy)
-                .unwrap(),
-        );
-    }
+    let run_all = |ml: &str| -> Vec<_> {
+        [Strategy::Naive, Strategy::InSql, Strategy::InSqlStream]
+            .map(|strategy| pipeline.run(&request(ml), strategy).unwrap())
+            .into()
+    };
+    let reports = run_all("svm label=4 iterations=20");
     let rows: Vec<usize> = reports.iter().map(|r| r.rows_to_ml).collect();
     assert_eq!(rows[0], rows[1]);
     assert_eq!(rows[1], rows[2]);
     assert!(rows[0] > 0);
+
+    // A command carrying SQL quotes (unknown keys are ignored by the ML
+    // side) travels inside a generated statement under InSqlStream only;
+    // it must reach ML unchanged there too, not break the statement or
+    // become extra UDF arguments.
+    for quoted in [
+        "svm label=4 iterations=5 note=it's",
+        "svm label=4 iterations=5 note=x',0,'svm",
+    ] {
+        let quoted_rows: Vec<usize> = run_all(quoted).iter().map(|r| r.rows_to_ml).collect();
+        assert_eq!(quoted_rows, rows, "{quoted}");
+    }
 
     // The SVMs trained through different transports should agree on
     // clear-cut inputs (identical data; SGD is deterministic given
@@ -120,7 +130,7 @@ fn transformed_bytes_on_dfs_equal_streamed_bytes_semantically() {
 
 #[test]
 fn tiny_batches_with_midstream_fault_stay_exactly_once_and_pipelined() {
-    // Satellite regression for the pipelined reader: a 3-row batch size
+    // Satellite regression for the pipelined reader: a 32-byte frame size
     // makes the stream many small frames, a fault injected mid-stream
     // forces the §6 whole-group restart while the reader has already
     // consumed rows, and delivery must still be exactly-once. The
@@ -140,7 +150,7 @@ fn tiny_batches_with_midstream_fault_stay_exactly_once_and_pipelined() {
     engine.register_table("tiny_batch_stream", out.table.clone());
 
     let mut cfg = cluster.stream_config();
-    cfg.transfer.batch_rows = 3;
+    cfg.transfer.frame_bytes = 32;
     let injector = std::sync::Arc::new(sqlml_transfer::FaultInjector::new());
     // Kill SQL worker 0 after it has sent a handful of rows — mid-stream,
     // after the reader has certainly consumed some of them.
@@ -162,7 +172,7 @@ fn tiny_batches_with_midstream_fault_stay_exactly_once_and_pipelined() {
     // Exactly-once despite rows consumed before the fault.
     assert_eq!(outcome.stats.rows_ingested, total_rows);
     assert_eq!(outcome.stats.rows_sent as usize, total_rows);
-    // The 3-row batch size really was honoured on the wire.
+    // The tiny frame size really was honoured on the wire.
     assert!(
         outcome.stats.batches_sent >= outcome.stats.rows_sent / 3,
         "expected many small frames, got {} for {} rows",
@@ -186,7 +196,6 @@ fn figure_shapes_hold_even_at_test_scale_with_throttle() {
     // A miniature of the figure3/figure4 logic so regressions in the
     // relative ordering fail CI, not just the bench binaries.
     let config = ClusterConfig {
-        num_nodes: 2,
         sql_workers: 2,
         ml_workers: 2,
         dfs: sqlml_dfs::DfsConfig {
@@ -237,7 +246,6 @@ fn block_level_splits_deliver_identical_pipelines() {
     // full naive and insql pipelines: same rows, same model behaviour.
     let make = |block_splits: bool| {
         let config = ClusterConfig {
-            num_nodes: 2,
             sql_workers: 2,
             ml_workers: 2,
             dfs: sqlml_dfs::DfsConfig {

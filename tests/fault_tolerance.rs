@@ -110,8 +110,7 @@ fn fault_with_backed_up_sender_queue_is_exactly_once() {
     // Tiny buffers and frames keep frames queued (and spilling) at the
     // moment the fault fires.
     cfg.transfer.send_buffer_bytes = 64;
-    cfg.transfer.batch_rows = 4;
-    cfg.transfer.frame_bytes = 256;
+    cfg.transfer.frame_bytes = 64;
     cluster
         .stream
         .install_udf(&cluster.engine, &cfg, Some(Arc::clone(&injector)));
@@ -145,7 +144,6 @@ fn fault_with_backed_up_sender_queue_is_exactly_once() {
 #[test]
 fn losing_all_replicas_fails_the_naive_pipeline_loudly() {
     let config = ClusterConfig {
-        num_nodes: 2,
         sql_workers: 2,
         ml_workers: 2,
         dfs: sqlml_dfs::DfsConfig {

@@ -20,14 +20,16 @@ fn random_string(rng: &mut SplitMix64, max_len: usize) -> String {
     let len = rng.next_below(max_len as u64 + 1) as usize;
     (0..len)
         .map(|_| {
-            // Bias toward the codec's troublemakers: delimiter, escapes,
-            // newlines, NUL, and some non-ASCII.
+            // Bias toward the codec's and the lexer's troublemakers:
+            // delimiter, escapes, newlines, NUL, some non-ASCII, and the
+            // SQL string quote.
             match rng.next_below(8) {
                 0 => '|',
                 1 => '\\',
                 2 => '\n',
                 3 => 'ü',
                 4 => '\0',
+                5 => '\'',
                 _ => (b'a' + rng.next_below(26) as u8) as char,
             }
         })
@@ -300,7 +302,7 @@ fn block_splits_partition_lines_exactly() {
         let schema = Schema::new(vec![Field::categorical("v")]);
         let fmt = TextInputFormat::new(dfs, "/p", schema).with_block_splits();
         let mut got = Vec::new();
-        for s in fmt.get_splits(0).unwrap() {
+        for s in fmt.get_splits().unwrap() {
             let mut r = fmt.create_reader(s.as_ref()).unwrap();
             while let Some(row) = r.next_row().unwrap() {
                 got.push(row.get(0).as_str().unwrap().to_string());
@@ -420,6 +422,41 @@ fn parser_never_panics_on_token_soup() {
             .collect::<Vec<_>>()
             .join(" ");
         let _ = sqlml_sqlengine::parser::parse_statement(&sql);
+    }
+}
+
+/// `stream_transfer`'s argument list survives the trip through SQL text
+/// whatever its strings hold: `to_sql` → lexer → `from_values` is the
+/// identity, so a quote in a command or an address can neither break the
+/// statement nor turn into extra arguments.
+#[test]
+fn transfer_args_round_trip_through_sql_text() {
+    use sqlml_sqlengine::lexer::{lex, TokenKind};
+    use sqlml_transfer::{TransferArgs, TransferConfig};
+    let mut rng = SplitMix64::new(0x0051_1171);
+    for _ in 0..512 {
+        let args = TransferArgs {
+            coord_addr: random_string(&mut rng, 24),
+            transfer_id: rng.next_below(1 << 40),
+            command: random_string(&mut rng, 60),
+            config: TransferConfig {
+                splits_per_worker: 1 + rng.next_below(8) as u32,
+                send_buffer_bytes: 1 + rng.next_below(1 << 20) as usize,
+                frame_bytes: 1 + rng.next_below(1 << 20) as usize,
+            },
+        };
+        let sql = args.to_sql();
+        let values: Vec<Value> = lex(&sql)
+            .unwrap_or_else(|e| panic!("{sql:?} does not lex: {e}"))
+            .into_iter()
+            .filter_map(|t| match t.kind {
+                TokenKind::StrLit(s) => Some(Value::from(s)),
+                TokenKind::IntLit(i) => Some(Value::Int(i)),
+                TokenKind::Comma | TokenKind::Eof => None,
+                other => panic!("{sql:?} lexes to a stray {other:?}"),
+            })
+            .collect();
+        assert_eq!(TransferArgs::from_values(&values).unwrap(), args, "{sql:?}");
     }
 }
 
