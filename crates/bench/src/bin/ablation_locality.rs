@@ -63,7 +63,7 @@ fn main() {
             num_workers: 4,
             worker_nodes: nodes,
         });
-        let (_, report) = runner.ingest_rows(&fmt).expect("ingest");
+        let (_, report) = runner.ingest_dataset(&fmt, None).expect("ingest");
         println!(
             "{label:>14} {:>8} {:>8} {:>12.3}",
             report.num_splits,

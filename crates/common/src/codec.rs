@@ -406,31 +406,46 @@ pub fn encode_compact_batch<B: BufMut>(rows: &[Row], buf: &mut B) -> Result<Dict
     Ok(enc.stats())
 }
 
+/// Wire counts are u64; reject anything that does not fit a usize (only
+/// reachable on 32-bit targets with a corrupt frame).
+fn get_count(buf: &[u8], pos: &mut usize) -> Result<usize> {
+    let v = get_uvarint(buf, pos)?;
+    usize::try_from(v)
+        .map_err(|_| SqlmlError::Execution(format!("compact batch count {v} overflows usize")))
+}
+
+fn truncated() -> SqlmlError {
+    SqlmlError::Execution("truncated compact batch".to_string())
+}
+
+/// Read a frame's dictionary, checking every entry's bounds and UTF-8;
+/// `entry` decides what a decoder keeps of each string.
+fn read_dict<'a, T>(
+    buf: &'a [u8],
+    pos: &mut usize,
+    entry: impl Fn(&'a str) -> T,
+) -> Result<Vec<T>> {
+    let dict_count = get_count(buf, pos)?;
+    let mut dict = Vec::with_capacity(dict_count.min(1 << 20));
+    for _ in 0..dict_count {
+        let len = get_count(buf, pos)?;
+        let end = pos.checked_add(len).ok_or_else(truncated)?;
+        let bytes = buf.get(*pos..end).ok_or_else(truncated)?;
+        let s = std::str::from_utf8(bytes).map_err(|e| {
+            SqlmlError::Execution(format!("invalid utf8 in compact dictionary: {e}"))
+        })?;
+        dict.push(entry(s));
+        *pos = end;
+    }
+    Ok(dict)
+}
+
 /// Decode a compact frame payload written by [`CompactBatchEncoder`],
 /// verifying full consumption. Rows referencing the same dictionary entry
 /// share one `Arc<str>` allocation.
 pub fn decode_compact_batch(buf: &[u8]) -> Result<Vec<Row>> {
-    // Wire counts are u64; reject anything that does not fit a usize
-    // (only reachable on 32-bit targets with a corrupt frame).
-    fn get_count(buf: &[u8], pos: &mut usize) -> Result<usize> {
-        let v = get_uvarint(buf, pos)?;
-        usize::try_from(v)
-            .map_err(|_| SqlmlError::Execution(format!("compact batch count {v} overflows usize")))
-    }
     let mut pos = 0usize;
-    let truncated = || SqlmlError::Execution("truncated compact batch".to_string());
-    let dict_count = get_count(buf, &mut pos)?;
-    let mut dict: Vec<Arc<str>> = Vec::with_capacity(dict_count.min(1 << 20));
-    for _ in 0..dict_count {
-        let len = get_count(buf, &mut pos)?;
-        let end = pos.checked_add(len).ok_or_else(truncated)?;
-        let bytes = buf.get(pos..end).ok_or_else(truncated)?;
-        let s = std::str::from_utf8(bytes).map_err(|e| {
-            SqlmlError::Execution(format!("invalid utf8 in compact dictionary: {e}"))
-        })?;
-        dict.push(Arc::from(s));
-        pos = end;
-    }
+    let dict: Vec<Arc<str>> = read_dict(buf, &mut pos, Arc::from)?;
     let row_count = get_count(buf, &mut pos)?;
     let mut rows = Vec::with_capacity(row_count.min(1 << 20));
     for _ in 0..row_count {
@@ -482,6 +497,78 @@ pub fn decode_compact_batch(buf: &[u8]) -> Result<Vec<Row>> {
         )));
     }
     Ok(rows)
+}
+
+/// Decode a compact frame payload as numbers, handing each row past the
+/// first `skip` to `sink` as a slice of `f64` — the ML hand-off with no
+/// [`Row`] in between. A cell converts as [`Row::to_f64_vec`] converts it
+/// (`Null` → 0.0, `Bool` → 0/1, `Int` cast, `Double` bit for bit; a
+/// string cell is the same `Type` error), and every check of
+/// [`decode_compact_batch`] is kept: dictionary bounds and UTF-8, tags,
+/// truncation, exact consumption, skipped rows included. Returns the
+/// frame's row count (skipped rows too). On error `sink` may already hold
+/// this frame's earlier rows; the caller rolls them back.
+pub fn decode_compact_batch_f64(
+    buf: &[u8],
+    skip: usize,
+    mut sink: impl FnMut(&[f64]) -> Result<()>,
+) -> Result<usize> {
+    let mut pos = 0usize;
+    let dict: Vec<&str> = read_dict(buf, &mut pos, |s| s)?;
+    let row_count = get_count(buf, &mut pos)?;
+    let mut row: Vec<f64> = Vec::new();
+    for i in 0..row_count {
+        let value_count = get_count(buf, &mut pos)?;
+        row.clear();
+        row.reserve(value_count.min(1 << 16));
+        for _ in 0..value_count {
+            let tag = *buf.get(pos).ok_or_else(truncated)?;
+            pos += 1;
+            let v = match tag {
+                TAG_NULL => 0.0,
+                TAG_BOOL => {
+                    let b = *buf.get(pos).ok_or_else(truncated)?;
+                    pos += 1;
+                    f64::from(u8::from(b != 0))
+                }
+                TAG_INT => unzigzag(get_uvarint(buf, &mut pos)?) as f64,
+                TAG_DOUBLE => {
+                    let end = pos.checked_add(8).ok_or_else(truncated)?;
+                    let bytes = buf.get(pos..end).ok_or_else(truncated)?;
+                    pos = end;
+                    f64::from_bits(u64::from_le_bytes(
+                        bytes.try_into().unwrap(), // lint:allow(panic) — slice is exactly 8 bytes
+                    ))
+                }
+                TAG_STR => {
+                    let idx = get_count(buf, &mut pos)?;
+                    let entry = dict.get(idx).ok_or_else(|| {
+                        SqlmlError::Execution(format!(
+                            "compact row references dictionary entry {idx} of {}",
+                            dict.len()
+                        ))
+                    })?;
+                    Value::Str(Arc::from(*entry)).as_f64()?
+                }
+                other => {
+                    return Err(SqlmlError::Execution(format!(
+                        "unknown compact value tag {other}"
+                    )))
+                }
+            };
+            row.push(v);
+        }
+        if i >= skip {
+            sink(&row)?;
+        }
+    }
+    if pos != buf.len() {
+        return Err(SqlmlError::Execution(format!(
+            "compact batch has {} trailing bytes",
+            buf.len() - pos
+        )));
+    }
+    Ok(row_count)
 }
 
 #[cfg(test)]
@@ -760,5 +847,78 @@ mod tests {
         // cell pointing at entry 5 of an empty dict.
         let bad = [0u8, 1, 1, TAG_STR, 5];
         assert!(decode_compact_batch(&bad).is_err());
+    }
+
+    /// Every row of `buf` past `skip`, through the numeric decoder.
+    fn numeric_rows(buf: &[u8], skip: usize) -> Result<(usize, Vec<Vec<f64>>)> {
+        let mut rows = Vec::new();
+        let n = decode_compact_batch_f64(buf, skip, |r| {
+            rows.push(r.to_vec());
+            Ok(())
+        })?;
+        Ok((n, rows))
+    }
+
+    #[test]
+    fn numeric_decoder_matches_the_row_decoder_cell_for_cell() {
+        let rows = vec![
+            Row::new(vec![
+                Value::Null,
+                Value::Bool(true),
+                Value::Int(i64::MIN),
+                Value::Double(-0.0),
+            ]),
+            Row::new(vec![]),
+            row![i64::MAX, f64::NAN, false, f64::NEG_INFINITY],
+        ];
+        let mut buf = Vec::new();
+        encode_compact_batch(&rows, &mut buf).unwrap();
+        let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            (rows.iter())
+                .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        let expect: Vec<Vec<f64>> = decode_compact_batch(&buf)
+            .unwrap()
+            .iter()
+            .map(|r| r.to_f64_vec().unwrap())
+            .collect();
+        let (n, got) = numeric_rows(&buf, 0).unwrap();
+        assert_eq!(n, 3);
+        assert_eq!(bits(&got), bits(&expect));
+        // Skipped rows are counted and checked, not delivered.
+        let (n, got) = numeric_rows(&buf, 2).unwrap();
+        assert_eq!((n, bits(&got)), (3, bits(&expect[2..])));
+        assert_eq!(numeric_rows(&buf, 9).unwrap(), (3, vec![]));
+    }
+
+    #[test]
+    fn numeric_decoder_rejects_strings_truncation_and_garbage() {
+        let rows = vec![row![1i64, 2.5], row![2i64, "abc"]];
+        let mut buf = Vec::new();
+        encode_compact_batch(&rows, &mut buf).unwrap();
+        // The string is a type error even in a skipped row, exactly as
+        // `to_f64_vec` reports it.
+        for skip in [0, 2] {
+            let err = numeric_rows(&buf, skip).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                rows[1].to_f64_vec().unwrap_err().to_string()
+            );
+        }
+        let mut buf = Vec::new();
+        encode_compact_batch(&rows[..1], &mut buf).unwrap();
+        for cut in 0..buf.len() {
+            assert!(numeric_rows(&buf[..cut], 0).is_err(), "cut at {cut}");
+        }
+        buf.push(0x00);
+        assert!(numeric_rows(&buf, 0).is_err(), "trailing byte");
+        assert!(numeric_rows(&[0u8, 1, 1, TAG_STR, 5], 0).is_err());
+        assert!(numeric_rows(&[0u8, 1, 1, 9], 0).is_err(), "unknown tag");
+        // A sink error stops the decode and comes back unchanged.
+        let mut buf = Vec::new();
+        encode_compact_batch(&rows[..1], &mut buf).unwrap();
+        let err = decode_compact_batch_f64(&buf, 0, |_| Err(SqlmlError::Ml("full".into())));
+        assert!(matches!(err, Err(SqlmlError::Ml(_))));
     }
 }

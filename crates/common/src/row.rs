@@ -64,10 +64,19 @@ impl Row {
     /// categorical values must be recoded before an algorithm ingests
     /// them). NULLs become 0.0, matching MLlib's sparse-vector treatment.
     pub fn to_f64_vec(&self) -> Result<Vec<f64>> {
-        self.values
-            .iter()
-            .map(|v| if v.is_null() { Ok(0.0) } else { v.as_f64() })
-            .collect()
+        let mut out = Vec::with_capacity(self.len());
+        self.append_f64s(&mut out)?;
+        Ok(out)
+    }
+
+    /// [`Row::to_f64_vec`] into a caller-owned buffer, so a reader that
+    /// converts row after row allocates nothing per row. On error `out`
+    /// holds the values before the offending one.
+    pub fn append_f64s(&self, out: &mut Vec<f64>) -> Result<()> {
+        for v in &self.values {
+            out.push(if v.is_null() { 0.0 } else { v.as_f64()? });
+        }
+        Ok(())
     }
 }
 

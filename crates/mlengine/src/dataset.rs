@@ -1,10 +1,18 @@
 //! In-memory partitioned datasets — the engine's RDD analogue.
+//!
+//! A partition is a matrix, not a list of points: one row-major block of
+//! `f64` features (`dim` values per row) plus one label per row. Readers
+//! fill a [`PartitionBlock`] while they read, trainers see a
+//! [`PartitionView`] of contiguous rows, and nothing between the socket
+//! and the model is boxed per row.
 
 use std::sync::Arc;
 
 use sqlml_common::{Result, Row, SqlmlError};
 
-/// One training example: numeric features plus a numeric label.
+/// One training example: numeric features plus a numeric label. The
+/// constructor currency of [`Dataset::new`] / [`Dataset::from_points`]
+/// for tests and examples; a `Dataset` does not store these.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LabeledPoint {
     pub label: f64,
@@ -15,27 +23,182 @@ impl LabeledPoint {
     pub fn new(label: f64, features: Vec<f64>) -> Self {
         LabeledPoint { label, features }
     }
+}
 
-    /// Interpret a row as a labeled point: `label_col` is the label, all
-    /// other columns are features in order. Fails on non-numeric values —
-    /// which is precisely why the paper recodes categorical variables
-    /// before the hand-off.
-    pub fn from_row(row: &Row, label_col: usize) -> Result<LabeledPoint> {
-        if label_col >= row.len() {
-            return Err(SqlmlError::Ml(format!(
-                "label column {label_col} out of range for {}-column row",
-                row.len()
-            )));
+/// One row of a partition, borrowed from its block.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PointRef<'a> {
+    pub label: f64,
+    pub features: &'a [f64],
+}
+
+/// One ML worker's share of a dataset while it is being read: rows are
+/// appended as numbers, the label column is split off as each row lands,
+/// and every row must have the width of the first.
+#[derive(Debug)]
+pub struct PartitionBlock {
+    /// Which column of an appended row is the label (`None`: every column
+    /// is a feature and the label is 0 — the unsupervised path).
+    label_col: Option<usize>,
+    /// Feature count per row, fixed by the first row.
+    dim: Option<usize>,
+    features: Vec<f64>,
+    labels: Vec<f64>,
+    /// Conversion buffer of [`PartitionBlock::push_record`].
+    scratch: Vec<f64>,
+}
+
+impl PartitionBlock {
+    pub fn new(label_col: Option<usize>) -> Self {
+        PartitionBlock {
+            label_col,
+            dim: None,
+            features: Vec::new(),
+            labels: Vec::new(),
+            scratch: Vec::new(),
         }
-        let all = row.to_f64_vec()?;
-        let label = all[label_col];
-        let features = all
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != label_col)
-            .map(|(_, v)| *v)
-            .collect();
-        Ok(LabeledPoint { label, features })
+    }
+
+    /// Rows appended so far.
+    pub fn len(&self) -> usize {
+        self.labels.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.labels.is_empty()
+    }
+
+    /// Append one row of column values: `label_col` becomes the label,
+    /// all other columns are features in order.
+    pub fn push_row(&mut self, row: &[f64]) -> Result<()> {
+        match self.label_col {
+            Some(lc) => {
+                let Some(&label) = row.get(lc) else {
+                    return Err(SqlmlError::Ml(format!(
+                        "label column {lc} out of range for {}-column row",
+                        row.len()
+                    )));
+                };
+                self.check_dim(row.len() - 1)?;
+                self.features.extend_from_slice(&row[..lc]);
+                self.features.extend_from_slice(&row[lc + 1..]);
+                self.labels.push(label);
+            }
+            None => self.push_point(0.0, row)?,
+        }
+        Ok(())
+    }
+
+    /// Append one record. Fails on non-numeric values — which is
+    /// precisely why the paper recodes categorical variables before the
+    /// hand-off; NULLs become 0.0 (see [`Row::to_f64_vec`]).
+    pub fn push_record(&mut self, row: &Row) -> Result<()> {
+        let mut values = std::mem::take(&mut self.scratch);
+        values.clear();
+        let pushed = row
+            .append_f64s(&mut values)
+            .and_then(|()| self.push_row(&values));
+        self.scratch = values;
+        pushed
+    }
+
+    fn push_point(&mut self, label: f64, features: &[f64]) -> Result<()> {
+        self.check_dim(features.len())?;
+        self.features.extend_from_slice(features);
+        self.labels.push(label);
+        Ok(())
+    }
+
+    fn check_dim(&mut self, dim: usize) -> Result<()> {
+        match *self.dim.get_or_insert(dim) {
+            d if d == dim => Ok(()),
+            d => Err(SqlmlError::Ml(format!(
+                "inconsistent feature dimension: {dim} vs {d}"
+            ))),
+        }
+    }
+
+    /// Drop every row past the first `rows` (a reader rolling back a
+    /// frame that failed half-way through its decode). A block emptied
+    /// this way forgets its width too: the rows that fixed it are gone.
+    pub fn truncate(&mut self, rows: usize) {
+        if rows < self.len() {
+            self.features.truncate(rows * self.dim.unwrap_or(0));
+            self.labels.truncate(rows);
+            if rows == 0 {
+                self.dim = None;
+            }
+        }
+    }
+
+    /// Append all rows of `other` (a worker joining the blocks of its
+    /// splits, in split order).
+    pub fn append(&mut self, mut other: PartitionBlock) -> Result<()> {
+        if let Some(dim) = other.dim {
+            self.check_dim(dim)?;
+        }
+        if self.is_empty() {
+            // The common case — one split per worker — moves the block.
+            self.features = other.features;
+            self.labels = other.labels;
+        } else {
+            self.features.append(&mut other.features);
+            self.labels.append(&mut other.labels);
+        }
+        Ok(())
+    }
+}
+
+/// One partition's storage. The feature block and the label vector are
+/// shared separately, so relabeling a dataset copies no features.
+#[derive(Debug, Clone)]
+struct Partition {
+    features: Arc<Vec<f64>>,
+    labels: Arc<Vec<f64>>,
+}
+
+impl Partition {
+    fn new(features: Vec<f64>, labels: Vec<f64>) -> Partition {
+        Partition {
+            features: Arc::new(features),
+            labels: Arc::new(labels),
+        }
+    }
+}
+
+/// A borrowed partition: `len()` contiguous rows of `dim` features each,
+/// and their labels.
+#[derive(Debug, Clone, Copy)]
+pub struct PartitionView<'a> {
+    features: &'a [f64],
+    labels: &'a [f64],
+    dim: usize,
+}
+
+impl<'a> PartitionView<'a> {
+    pub fn len(&self) -> usize {
+        self.labels.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.labels.is_empty()
+    }
+
+    pub fn labels(&self) -> &'a [f64] {
+        self.labels
+    }
+
+    /// The rows in order: consecutive `dim`-wide slices of the feature
+    /// block, each with its label (`chunks_exact(dim)` zipped with the
+    /// labels, except that it also works for `dim == 0`).
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = PointRef<'a>> + 'a {
+        let (mut rest, dim) = (self.features, self.dim);
+        self.labels.iter().map(move |&label| {
+            // A block always holds `dim` features per label.
+            let (features, tail) = rest.split_at(dim);
+            rest = tail;
+            PointRef { label, features }
+        })
     }
 }
 
@@ -43,7 +206,7 @@ impl LabeledPoint {
 /// clonable, like a cached RDD.
 #[derive(Debug, Clone)]
 pub struct Dataset {
-    partitions: Vec<Arc<Vec<LabeledPoint>>>,
+    partitions: Vec<Partition>,
     dim: usize,
 }
 
@@ -51,38 +214,35 @@ impl Dataset {
     /// Build from per-worker partitions, verifying dimensional
     /// consistency.
     pub fn new(partitions: Vec<Vec<LabeledPoint>>) -> Result<Self> {
-        let dim = partitions
-            .iter()
-            .flat_map(|p| p.iter())
-            .map(|p| p.features.len())
-            .next()
-            .unwrap_or(0);
-        for p in partitions.iter().flat_map(|p| p.iter()) {
-            if p.features.len() != dim {
-                return Err(SqlmlError::Ml(format!(
-                    "inconsistent feature dimension: {} vs {}",
-                    p.features.len(),
-                    dim
-                )));
+        let mut blocks = Vec::with_capacity(partitions.len());
+        for part in &partitions {
+            let mut block = PartitionBlock::new(None);
+            for p in part {
+                block.push_point(p.label, &p.features)?;
             }
+            blocks.push(block);
         }
-        Ok(Dataset {
-            partitions: partitions.into_iter().map(Arc::new).collect(),
-            dim,
-        })
+        Dataset::from_blocks(blocks)
     }
 
-    /// Build from partitioned rows with the given label column.
-    pub fn from_rows(partitions: &[Vec<Row>], label_col: usize) -> Result<Self> {
-        let mut out = Vec::with_capacity(partitions.len());
-        for part in partitions {
-            let mut points = Vec::with_capacity(part.len());
-            for r in part {
-                points.push(LabeledPoint::from_row(r, label_col)?);
-            }
-            out.push(points);
+    /// Build from the blocks the workers filled, one partition each,
+    /// verifying dimensional consistency across them.
+    pub fn from_blocks(blocks: Vec<PartitionBlock>) -> Result<Self> {
+        // A block that never saw a row has no dimension to disagree with.
+        let mut dims = blocks.iter().filter_map(|b| b.dim);
+        let dim = dims.next().unwrap_or(0);
+        if let Some(other) = dims.find(|d| *d != dim) {
+            return Err(SqlmlError::Ml(format!(
+                "inconsistent feature dimension: {other} vs {dim}"
+            )));
         }
-        Dataset::new(out)
+        Ok(Dataset {
+            partitions: blocks
+                .into_iter()
+                .map(|b| Partition::new(b.features, b.labels))
+                .collect(),
+            dim,
+        })
     }
 
     /// Single-partition dataset (tests and small data).
@@ -94,12 +254,22 @@ impl Dataset {
         self.partitions.len()
     }
 
-    pub fn partition(&self, i: usize) -> &[LabeledPoint] {
-        &self.partitions[i]
+    pub fn partition(&self, i: usize) -> PartitionView<'_> {
+        let p = &self.partitions[i];
+        PartitionView {
+            features: &p.features,
+            labels: &p.labels,
+            dim: self.dim,
+        }
+    }
+
+    /// The partitions in order.
+    pub fn partitions(&self) -> impl Iterator<Item = PartitionView<'_>> {
+        (0..self.partitions.len()).map(move |i| self.partition(i))
     }
 
     pub fn num_points(&self) -> usize {
-        self.partitions.iter().map(|p| p.len()).sum()
+        self.partitions.iter().map(|p| p.labels.len()).sum()
     }
 
     /// Feature dimension (0 for an empty dataset).
@@ -108,46 +278,64 @@ impl Dataset {
     }
 
     /// Iterate over all points (partition order).
-    pub fn iter(&self) -> impl Iterator<Item = &LabeledPoint> {
-        self.partitions.iter().flat_map(|p| p.iter())
+    pub fn iter(&self) -> impl Iterator<Item = PointRef<'_>> {
+        self.partitions().flat_map(|part| part.iter())
     }
 
     /// The distinct labels, sorted.
     pub fn labels(&self) -> Vec<f64> {
         let mut ls: Vec<f64> = Vec::new();
-        for p in self.iter() {
-            if !ls.contains(&p.label) {
-                ls.push(p.label);
+        for l in self.partitions.iter().flat_map(|p| p.labels.iter()) {
+            if !ls.contains(l) {
+                ls.push(*l);
             }
         }
         ls.sort_by(f64::total_cmp);
         ls
     }
 
+    /// The same points with every label mapped through `f`. Only the
+    /// label vectors are rebuilt; the feature blocks are shared.
+    pub fn map_labels(&self, f: impl Fn(f64) -> f64) -> Dataset {
+        Dataset {
+            partitions: (self.partitions.iter())
+                .map(|p| Partition {
+                    features: Arc::clone(&p.features),
+                    labels: Arc::new(p.labels.iter().map(|l| f(*l)).collect()),
+                })
+                .collect(),
+            dim: self.dim,
+        }
+    }
+
     /// Deterministic train/test split: every `k`-th point (by global
     /// index) goes to the test set, preserving partitioning for train.
     pub fn split_every_kth(&self, k: usize) -> (Dataset, Dataset) {
         assert!(k >= 2, "k must be at least 2");
-        let mut train: Vec<Vec<LabeledPoint>> = Vec::new();
-        let mut test = Vec::new();
+        let mut train = Vec::with_capacity(self.partitions.len());
+        let (mut test_features, mut test_labels) = (Vec::new(), Vec::new());
         let mut idx = 0usize;
-        for part in &self.partitions {
-            let mut tr = Vec::new();
+        for part in self.partitions() {
+            let (mut features, mut labels) = (Vec::new(), Vec::new());
             for p in part.iter() {
                 if idx.is_multiple_of(k) {
-                    test.push(p.clone());
+                    test_features.extend_from_slice(p.features);
+                    test_labels.push(p.label);
                 } else {
-                    tr.push(p.clone());
+                    features.extend_from_slice(p.features);
+                    labels.push(p.label);
                 }
                 idx += 1;
             }
-            train.push(tr);
+            train.push(Partition::new(features, labels));
         }
+        let with = |partitions| Dataset {
+            partitions,
+            dim: self.dim,
+        };
         (
-            // lint:allow(panic) a split preserves the source dims
-            Dataset::new(train).expect("dims preserved"),
-            // lint:allow(panic) a split preserves the source dims
-            Dataset::from_points(test).expect("dims preserved"),
+            with(train),
+            with(vec![Partition::new(test_features, test_labels)]),
         )
     }
 
@@ -155,19 +343,23 @@ impl Dataset {
     pub fn feature_stats(&self) -> Vec<(f64, f64)> {
         let n = self.num_points().max(1) as f64;
         let mut mean = vec![0.0; self.dim];
-        for p in self.iter() {
-            for (m, x) in mean.iter_mut().zip(&p.features) {
-                *m += x;
+        for part in self.partitions() {
+            for p in part.iter() {
+                for (m, x) in mean.iter_mut().zip(p.features) {
+                    *m += x;
+                }
             }
         }
         for m in &mut mean {
             *m /= n;
         }
         let mut var = vec![0.0; self.dim];
-        for p in self.iter() {
-            for ((v, m), x) in var.iter_mut().zip(&mean).zip(&p.features) {
-                let d = x - m;
-                *v += d * d;
+        for part in self.partitions() {
+            for p in part.iter() {
+                for ((v, m), x) in var.iter_mut().zip(&mean).zip(p.features) {
+                    let d = x - m;
+                    *v += d * d;
+                }
             }
         }
         mean.into_iter()
@@ -198,26 +390,30 @@ impl Standardizer {
         }
     }
 
-    /// Standardize every feature vector (labels untouched).
+    /// Standardize every feature vector: one new feature block per
+    /// partition, labels shared with `data`.
     pub fn transform(&self, data: &Dataset) -> Dataset {
-        let parts: Vec<Vec<LabeledPoint>> = (0..data.num_partitions())
-            .map(|p| {
-                data.partition(p)
-                    .iter()
-                    .map(|pt| {
-                        let features = pt
-                            .features
-                            .iter()
+        assert_eq!(self.mean.len(), data.dim, "fitted on another dimension");
+        let partitions = (data.partitions.iter().zip(data.partitions()))
+            .map(|(stored, view)| {
+                let mut features = Vec::with_capacity(stored.features.len());
+                for p in view.iter() {
+                    features.extend(
+                        (p.features.iter())
                             .zip(self.mean.iter().zip(&self.std))
-                            .map(|(x, (m, s))| (x - m) / s)
-                            .collect();
-                        LabeledPoint::new(pt.label, features)
-                    })
-                    .collect()
+                            .map(|(x, (m, s))| (x - m) / s),
+                    );
+                }
+                Partition {
+                    features: Arc::new(features),
+                    labels: Arc::clone(&stored.labels),
+                }
             })
             .collect();
-        // lint:allow(panic) standardization preserves the source dims
-        Dataset::new(parts).expect("dimensions preserved")
+        Dataset {
+            partitions,
+            dim: data.dim,
+        }
     }
 
     /// Map a linear model trained in standardized space back to raw
@@ -244,7 +440,7 @@ impl Standardizer {
 pub fn par_partitions<R, F>(d: &Dataset, f: F) -> Vec<R>
 where
     R: Send,
-    F: Fn(usize, &[LabeledPoint]) -> R + Sync,
+    F: Fn(usize, PartitionView<'_>) -> R + Sync,
 {
     let n = d.num_partitions();
     if n <= 1 {
@@ -268,22 +464,82 @@ mod tests {
     use super::*;
     use sqlml_common::row;
 
-    #[test]
-    fn from_row_extracts_label_and_features() {
-        let r = row![30i64, 1i64, 55.5, 2i64];
-        let p = LabeledPoint::from_row(&r, 3).unwrap();
-        assert_eq!(p.label, 2.0);
-        assert_eq!(p.features, vec![30.0, 1.0, 55.5]);
-        // Label in the middle works too.
-        let p = LabeledPoint::from_row(&r, 1).unwrap();
-        assert_eq!(p.label, 1.0);
-        assert_eq!(p.features, vec![30.0, 55.5, 2.0]);
+    fn block(label_col: Option<usize>, rows: &[Row]) -> Result<Dataset> {
+        let mut b = PartitionBlock::new(label_col);
+        for r in rows {
+            b.push_record(r)?;
+        }
+        Dataset::from_blocks(vec![b])
     }
 
     #[test]
-    fn from_row_rejects_strings() {
-        let r = row![30i64, "F", 1i64];
-        assert!(LabeledPoint::from_row(&r, 2).is_err());
+    fn a_record_splits_into_label_and_features() {
+        let r = row![30i64, 1i64, 55.5, 2i64];
+        let d = block(Some(3), std::slice::from_ref(&r)).unwrap();
+        let p = d.iter().next().unwrap();
+        assert_eq!((p.label, p.features), (2.0, &[30.0, 1.0, 55.5][..]));
+        // Label in the middle works too.
+        let d = block(Some(1), std::slice::from_ref(&r)).unwrap();
+        let p = d.iter().next().unwrap();
+        assert_eq!((p.label, p.features), (1.0, &[30.0, 55.5, 2.0][..]));
+        // No label column: every column is a feature.
+        let d = block(None, &[r]).unwrap();
+        assert_eq!((d.dim(), d.iter().next().unwrap().label), (4, 0.0));
+    }
+
+    #[test]
+    fn strings_ragged_rows_and_a_label_out_of_range_are_rejected() {
+        assert!(block(Some(2), &[row![30i64, "F", 1i64]]).is_err());
+        assert!(block(Some(2), &[row![1i64, 2i64]]).is_err());
+        let ragged = [row![1i64, 2i64, 0i64], row![1i64, 0i64]];
+        assert!(block(Some(1), &ragged).is_err());
+        // A rejected record leaves the block as it was.
+        let mut b = PartitionBlock::new(Some(0));
+        b.push_record(&row![1i64, 2.0]).unwrap();
+        assert!(b.push_record(&row![0i64, "x"]).is_err());
+        assert!(b.push_row(&[0.0, 1.0, 2.0]).is_err());
+        b.push_row(&[0.0, 3.0]).unwrap();
+        let d = Dataset::from_blocks(vec![b]).unwrap();
+        let got: Vec<(f64, &[f64])> = d.iter().map(|p| (p.label, p.features)).collect();
+        assert_eq!(got, [(1.0, &[2.0][..]), (0.0, &[3.0][..])]);
+    }
+
+    #[test]
+    fn blocks_truncate_and_append_by_rows() {
+        let mut a = PartitionBlock::new(Some(0));
+        for i in 0..5 {
+            a.push_row(&[f64::from(i), 10.0, 20.0]).unwrap();
+        }
+        a.truncate(9);
+        assert_eq!(a.len(), 5);
+        a.truncate(2);
+        assert_eq!(a.len(), 2);
+        // Emptied, a block takes rows of any width again.
+        let mut emptied = PartitionBlock::new(None);
+        emptied.push_row(&[1.0, 2.0]).unwrap();
+        emptied.truncate(0);
+        emptied.push_row(&[1.0]).unwrap();
+        let mut b = PartitionBlock::new(Some(0));
+        b.push_row(&[7.0, 1.0, 2.0]).unwrap();
+        // Appending into an empty block and onto a filled one.
+        let mut joined = PartitionBlock::new(Some(0));
+        joined.append(a).unwrap();
+        joined.append(b).unwrap();
+        joined.append(PartitionBlock::new(Some(0))).unwrap();
+        let mut narrow = PartitionBlock::new(Some(0));
+        narrow.push_row(&[1.0, 1.0]).unwrap();
+        assert!(joined.append(narrow).is_err());
+        let d = Dataset::from_blocks(vec![joined]).unwrap();
+        assert_eq!(d.partition(0).labels(), [0.0, 1.0, 7.0]);
+        assert_eq!(d.iter().last().unwrap().features, [1.0, 2.0]);
+    }
+
+    #[test]
+    fn label_only_rows_have_dimension_zero() {
+        let d = block(Some(0), &[row![1i64], row![0i64]]).unwrap();
+        assert_eq!((d.dim(), d.num_points()), (0, 2));
+        let got: Vec<(f64, usize)> = d.iter().map(|p| (p.label, p.features.len())).collect();
+        assert_eq!(got, [(1.0, 0), (0.0, 0)]);
     }
 
     #[test]
@@ -292,6 +548,13 @@ mod tests {
             LabeledPoint::new(1.0, vec![1.0, 2.0]),
             LabeledPoint::new(0.0, vec![1.0]),
         ]]);
+        assert!(bad.is_err());
+        // Across partitions too; an empty partition agrees with anything.
+        let bad = Dataset::new(vec![
+            vec![LabeledPoint::new(1.0, vec![1.0, 2.0])],
+            vec![],
+            vec![LabeledPoint::new(0.0, vec![1.0])],
+        ]);
         assert!(bad.is_err());
     }
 
@@ -312,6 +575,21 @@ mod tests {
     }
 
     #[test]
+    fn map_labels_shares_the_feature_blocks() {
+        let d = Dataset::new(vec![
+            vec![LabeledPoint::new(1.0, vec![0.5])],
+            vec![LabeledPoint::new(2.0, vec![1.5])],
+        ])
+        .unwrap();
+        let shifted = d.map_labels(|l| l - 1.0);
+        assert_eq!(shifted.labels(), vec![0.0, 1.0]);
+        assert_eq!(d.labels(), vec![1.0, 2.0]);
+        for (a, b) in d.partitions.iter().zip(&shifted.partitions) {
+            assert!(Arc::ptr_eq(&a.features, &b.features));
+        }
+    }
+
+    #[test]
     fn split_every_kth_partitions_points() {
         let points: Vec<LabeledPoint> = (0..10)
             .map(|i| LabeledPoint::new(i as f64, vec![i as f64]))
@@ -321,6 +599,7 @@ mod tests {
         assert_eq!(test.num_points(), 2);
         assert_eq!(train.num_points(), 8);
         assert_eq!(train.num_partitions(), 2);
+        assert_eq!(test.partition(0).labels(), [0.0, 5.0]);
     }
 
     #[test]

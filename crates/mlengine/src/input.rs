@@ -14,6 +14,8 @@ use std::sync::Arc;
 use sqlml_common::{codec, Result, Row, Schema, SqlmlError};
 use sqlml_dfs::Dfs;
 
+use crate::dataset::PartitionBlock;
+
 /// A subset of the input consumed by exactly one ML worker task.
 pub trait InputSplit: Send + Sync {
     /// Preferred node names where reading this split is local. The job
@@ -29,22 +31,21 @@ pub trait InputSplit: Send + Sync {
 
 /// Pull-based record iterator over one split.
 pub trait RecordReader: Send {
-    /// Next record, or `None` at end of split.
+    /// Next record, or `None` at end of split. The one method a reader
+    /// must implement.
     fn next_row(&mut self) -> Result<Option<Row>>;
 
-    /// Append up to `max_rows` records to `out`, returning how many were
-    /// added (0 only at end of split): one dynamic call for the batch,
-    /// looping [`RecordReader::next_row`] statically inside it.
-    fn next_batch(&mut self, out: &mut Vec<Row>, max_rows: usize) -> Result<usize> {
+    /// Append the next batch of records to `out` as numbers, returning
+    /// how many rows were added (0 only at end of split) — what the job
+    /// runner calls, once per batch rather than once per row. The default
+    /// converts [`RecordReader::next_row`]'s records through to the end of
+    /// the split; a reader that can produce numbers without building a
+    /// `Row` per record overrides it.
+    fn next_batch(&mut self, out: &mut PartitionBlock) -> Result<usize> {
         let mut n = 0;
-        while n < max_rows {
-            match self.next_row()? {
-                Some(row) => {
-                    out.push(row);
-                    n += 1;
-                }
-                None => break,
-            }
+        while let Some(row) = self.next_row()? {
+            out.push_record(&row)?;
+            n += 1;
         }
         Ok(n)
     }
@@ -367,6 +368,16 @@ impl RecordReader for MemoryReader {
         let r = self.rows[self.pos].clone();
         self.pos += 1;
         Ok(Some(r))
+    }
+
+    /// The rows are already resident: convert them in place, no clones.
+    fn next_batch(&mut self, out: &mut PartitionBlock) -> Result<usize> {
+        let rest = &self.rows[self.pos..];
+        for row in rest {
+            out.push_record(row)?;
+        }
+        self.pos = self.rows.len();
+        Ok(rest.len())
     }
 }
 

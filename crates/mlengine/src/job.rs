@@ -9,17 +9,17 @@
 //!    workers** (split locations vs. worker nodes — step 3 of the paper's
 //!    Figure 2),
 //! 3. has each worker drain its splits through `RecordReader`s in
-//!    parallel, building an in-memory partitioned [`Dataset`] (the RDD
-//!    analogue), and
+//!    parallel, each filling its partition of the in-memory [`Dataset`]
+//!    (the RDD analogue) as numbers while it reads, and
 //! 4. trains the requested algorithm on the dataset.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sqlml_common::{Result, Row, SqlmlError};
+use sqlml_common::{Result, SqlmlError};
 
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, PartitionBlock};
 use crate::input::{InputFormat, InputSplit};
 use crate::kmeans::{KMeansModel, KMeansTrainer};
 use crate::linreg::{LinRegModel, LinRegTrainer};
@@ -229,6 +229,9 @@ pub struct JobOutcome {
     pub train_duration: Duration,
 }
 
+/// The splits one ML worker reads.
+type WorkerSplits = Vec<Arc<dyn InputSplit>>;
+
 /// Runs ML jobs against a fixed cluster configuration.
 #[derive(Debug, Clone, Default)]
 pub struct JobRunner {
@@ -245,10 +248,15 @@ impl JobRunner {
     fn assign_splits(
         &self,
         splits: Vec<Arc<dyn InputSplit>>,
-    ) -> (Vec<Vec<Arc<dyn InputSplit>>>, usize) {
+    ) -> Result<(Vec<WorkerSplits>, usize)> {
         let n = self.config.num_workers;
+        if n == 0 {
+            return Err(SqlmlError::Ml(
+                "an ML job needs at least one worker (num_workers is 0)".into(),
+            ));
+        }
         let nodes: Vec<String> = (0..n).map(|w| self.config.worker_node(w)).collect();
-        let mut assigned: Vec<Vec<Arc<dyn InputSplit>>> = (0..n).map(|_| Vec::new()).collect();
+        let mut assigned: Vec<WorkerSplits> = (0..n).map(|_| Vec::new()).collect();
         let mut local = 0usize;
         for split in splits {
             let locations = split.locations();
@@ -266,15 +274,23 @@ impl JobRunner {
             };
             assigned[target].push(split);
         }
-        (assigned, local)
+        Ok((assigned, local))
     }
 
-    /// Ingest all rows through the format: one partition per worker.
-    pub fn ingest_rows(&self, format: &dyn InputFormat) -> Result<(Vec<Vec<Row>>, IngestReport)> {
+    /// Ingest through the format into a [`Dataset`], one partition per
+    /// worker, with the given label column (`None` treats every column as
+    /// a feature with label 0 — the unsupervised path). Rows become
+    /// numbers on the thread that reads them, so the report's `duration`
+    /// covers everything between the format and the trainable dataset.
+    pub fn ingest_dataset(
+        &self,
+        format: &dyn InputFormat,
+        label_col: Option<usize>,
+    ) -> Result<(Dataset, IngestReport)> {
         let start = Instant::now();
         let splits = format.get_splits()?;
         let num_splits = splits.len();
-        let (assigned, local_splits) = self.assign_splits(splits);
+        let (assigned, local_splits) = self.assign_splits(splits)?;
         let worker_nodes: Vec<String> = (0..self.config.num_workers)
             .map(|w| self.config.worker_node(w))
             .collect();
@@ -284,40 +300,42 @@ impl JobRunner {
         // executor runs multiple tasks). Concurrency matters for
         // streaming formats: a sender may wait for *all* its readers to
         // connect before emitting anything, so sequential reads would
-        // deadlock the rendezvous.
-        let partitions: Vec<Vec<Row>> = std::thread::scope(|scope| -> Result<Vec<Vec<Row>>> {
+        // deadlock the rendezvous. Every reader task fills its own block;
+        // the worker joins them in split order.
+        let blocks = std::thread::scope(|scope| -> Result<Vec<PartitionBlock>> {
             let handles: Vec<_> = assigned
                 .into_iter()
                 .enumerate()
                 .map(|(w, splits)| {
                     let node = &worker_nodes[w];
-                    scope.spawn(move || -> Result<Vec<Row>> {
-                        let chunks: Vec<Vec<Row>> =
-                            std::thread::scope(|inner| -> Result<Vec<Vec<Row>>> {
-                                let readers: Vec<_> = splits
-                                    .iter()
-                                    .map(|s| {
-                                        inner.spawn(move || -> Result<Vec<Row>> {
-                                            let mut rows = Vec::new();
-                                            let mut reader =
-                                                format.create_reader_at(s.as_ref(), node)?;
-                                            // Batched pull: one dynamic
-                                            // call drains the split.
-                                            while reader.next_batch(&mut rows, usize::MAX)? > 0 {}
-                                            Ok(rows)
-                                        })
+                    scope.spawn(move || -> Result<PartitionBlock> {
+                        let blocks = std::thread::scope(|inner| -> Result<Vec<PartitionBlock>> {
+                            let readers: Vec<_> = splits
+                                .iter()
+                                .map(|s| {
+                                    inner.spawn(move || -> Result<PartitionBlock> {
+                                        let mut block = PartitionBlock::new(label_col);
+                                        let mut reader =
+                                            format.create_reader_at(s.as_ref(), node)?;
+                                        while reader.next_batch(&mut block)? > 0 {}
+                                        Ok(block)
                                     })
-                                    .collect();
-                                readers
-                                    .into_iter()
-                                    .map(|h| {
-                                        h.join().map_err(|_| {
-                                            SqlmlError::Ml("split reader panicked".into())
-                                        })?
-                                    })
-                                    .collect()
-                            })?;
-                        Ok(chunks.into_iter().flatten().collect())
+                                })
+                                .collect();
+                            readers
+                                .into_iter()
+                                .map(|h| {
+                                    h.join().map_err(|_| {
+                                        SqlmlError::Ml("split reader panicked".into())
+                                    })?
+                                })
+                                .collect()
+                        })?;
+                        let mut partition = PartitionBlock::new(label_col);
+                        for block in blocks {
+                            partition.append(block)?;
+                        }
+                        Ok(partition)
                     })
                 })
                 .collect();
@@ -330,9 +348,10 @@ impl JobRunner {
                 .collect()
         })?;
 
-        let rows = partitions.iter().map(|p| p.len()).sum();
+        let rows = blocks.iter().map(PartitionBlock::len).sum();
+        let dataset = Dataset::from_blocks(blocks)?;
         Ok((
-            partitions,
+            dataset,
             IngestReport {
                 num_splits,
                 local_splits,
@@ -340,32 +359,6 @@ impl JobRunner {
                 duration: start.elapsed(),
             },
         ))
-    }
-
-    /// Ingest into a [`Dataset`] with the given label column (`None`
-    /// treats every column as a feature with label 0 — the unsupervised
-    /// path).
-    pub fn ingest_dataset(
-        &self,
-        format: &dyn InputFormat,
-        label_col: Option<usize>,
-    ) -> Result<(Dataset, IngestReport)> {
-        let (parts, report) = self.ingest_rows(format)?;
-        let dataset = match label_col {
-            Some(lc) => Dataset::from_rows(&parts, lc)?,
-            None => {
-                let mut out = Vec::with_capacity(parts.len());
-                for part in &parts {
-                    let mut points = Vec::with_capacity(part.len());
-                    for r in part {
-                        points.push(crate::dataset::LabeledPoint::new(0.0, r.to_f64_vec()?));
-                    }
-                    out.push(points);
-                }
-                Dataset::new(out)?
-            }
-        };
-        Ok((dataset, report))
     }
 
     /// Full job: ingest + train.
@@ -390,7 +383,7 @@ impl JobRunner {
     pub fn train(&self, dataset: &Dataset, spec: &TrainingSpec) -> Result<TrainedModel> {
         let dataset = match spec {
             TrainingSpec::SvmSgd { .. } | TrainingSpec::LogReg { .. } => {
-                std::borrow::Cow::Owned(binarize_labels(dataset)?)
+                std::borrow::Cow::Owned(binarize_labels(dataset))
             }
             _ => std::borrow::Cow::Borrowed(dataset),
         };
@@ -463,39 +456,22 @@ impl JobRunner {
 /// Map a two-valued label set onto {0, 1} (smaller label → 0). Datasets
 /// already labeled {0, 1} pass through unchanged (and unclassifiable
 /// label sets are left for the trainer's own validation to reject).
-fn binarize_labels(data: &Dataset) -> Result<Dataset> {
+fn binarize_labels(data: &Dataset) -> Dataset {
     let labels = data.labels();
     if labels == [0.0, 1.0] || labels.len() > 2 {
-        return Ok(data.clone());
+        return data.clone();
     }
-    let map = |l: f64| -> f64 {
-        if labels.len() == 1 {
-            // Degenerate single-class data: call it class 0.
-            0.0
-        } else if l == labels[0] {
-            0.0
-        } else {
-            1.0
-        }
-    };
-    let parts: Vec<Vec<crate::dataset::LabeledPoint>> = (0..data.num_partitions())
-        .map(|p| {
-            data.partition(p)
-                .iter()
-                .map(|pt| crate::dataset::LabeledPoint::new(map(pt.label), pt.features.clone()))
-                .collect()
-        })
-        .collect();
-    Dataset::new(parts)
+    // Degenerate single-class data: call it class 0.
+    let one = labels.get(1).copied();
+    data.map_labels(|l| if Some(l) == one { 1.0 } else { 0.0 })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::input::MemoryInputFormat;
-    use sqlml_common::row;
     use sqlml_common::schema::{DataType, Field, Schema};
-    use sqlml_common::SplitMix64;
+    use sqlml_common::{row, Row, SplitMix64};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -568,7 +544,7 @@ mod tests {
             num_workers: 4,
             worker_nodes: (0..4).map(sqlml_dfs::node_name).collect(),
         });
-        let (_, report) = runner.ingest_rows(&fmt).unwrap();
+        let (_, report) = runner.ingest_dataset(&fmt, Some(2)).unwrap();
         assert_eq!(report.num_splits, 4);
         assert_eq!(report.local_splits, 4, "all splits should read locally");
     }
@@ -580,7 +556,7 @@ mod tests {
             num_workers: 4,
             worker_nodes: (10..14).map(sqlml_dfs::node_name).collect(),
         });
-        let (_, report) = runner.ingest_rows(&fmt).unwrap();
+        let (_, report) = runner.ingest_dataset(&fmt, Some(2)).unwrap();
         assert_eq!(report.local_splits, 0);
         assert_eq!(report.rows, 40);
     }
@@ -592,12 +568,42 @@ mod tests {
             num_workers: 2,
             worker_nodes: vec!["node-0".into(), "node-1".into()],
         });
-        let (parts, report) = runner.ingest_rows(&fmt).unwrap();
-        assert_eq!(parts.len(), 2);
+        let (data, report) = runner.ingest_dataset(&fmt, Some(2)).unwrap();
+        assert_eq!(data.num_partitions(), 2);
         assert_eq!(report.num_splits, 8);
-        assert_eq!(parts[0].len() + parts[1].len(), 80);
+        let (a, b) = (data.partition(0).len(), data.partition(1).len());
+        assert_eq!((a + b, report.rows), (80, 80));
         // Neither worker should be starved.
-        assert!(parts[0].len() >= 30 && parts[1].len() >= 30);
+        assert!(a >= 30 && b >= 30);
+    }
+
+    #[test]
+    fn a_worker_joins_its_splits_in_split_order() {
+        // Four one-row splits on one worker: the partition is the splits
+        // concatenated in the order the format listed them.
+        let parts = (0..4).map(|i| vec![row![f64::from(i), 0.5, 1i64]]);
+        let fmt = MemoryInputFormat::new(schema(), parts.collect());
+        let runner = JobRunner::new(JobConfig {
+            num_workers: 1,
+            ..Default::default()
+        });
+        let (data, _) = runner.ingest_dataset(&fmt, Some(2)).unwrap();
+        let firsts: Vec<f64> = data.iter().map(|p| p.features[0]).collect();
+        assert_eq!(firsts, [0.0, 1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn a_job_without_workers_is_an_error_not_a_panic() {
+        let fmt = MemoryInputFormat::new(schema(), vec![vec![row![1.0, 1.0, 0i64]; 2]]);
+        let runner = JobRunner::new(JobConfig {
+            num_workers: 0,
+            ..Default::default()
+        });
+        let err = runner.ingest_dataset(&fmt, Some(2)).unwrap_err();
+        assert!(matches!(err, SqlmlError::Ml(_)), "{err}");
+        assert!(err.to_string().contains("num_workers"), "{err}");
+        let spec = TrainingSpec::parse("svm label=2").unwrap();
+        assert!(matches!(runner.run(&fmt, &spec), Err(SqlmlError::Ml(_))));
     }
 
     #[test]

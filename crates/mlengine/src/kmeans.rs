@@ -76,11 +76,11 @@ impl KMeansTrainer {
                 let mut sums = vec![vec![0.0; data.dim()]; self.k];
                 let mut counts = vec![0usize; self.k];
                 let mut cost = 0.0;
-                for p in part {
-                    let (c, d) = nearest(&centroids, &p.features);
+                for p in part.iter() {
+                    let (c, d) = nearest(&centroids, p.features);
                     counts[c] += 1;
                     cost += d;
-                    for (s, x) in sums[c].iter_mut().zip(&p.features) {
+                    for (s, x) in sums[c].iter_mut().zip(p.features) {
                         *s += x;
                     }
                 }
@@ -121,7 +121,7 @@ impl KMeansTrainer {
     /// k-means++ seeding over a deterministic sample.
     fn seed_centroids(&self, data: &Dataset) -> Vec<Vec<f64>> {
         let mut rng = SplitMix64::new(self.seed);
-        let all: Vec<&[f64]> = data.iter().map(|p| p.features.as_slice()).collect();
+        let all: Vec<&[f64]> = data.iter().map(|p| p.features).collect();
         // next_below(len) < len, which already fits in usize.
         #[allow(clippy::cast_possible_truncation)]
         let mut centroids: Vec<Vec<f64>> =

@@ -28,6 +28,6 @@ pub mod naive_bayes;
 pub mod svm;
 pub mod tree;
 
-pub use dataset::{Dataset, LabeledPoint};
+pub use dataset::{Dataset, LabeledPoint, PartitionBlock, PartitionView, PointRef};
 pub use input::{InputFormat, InputSplit, MemoryInputFormat, RecordReader, TextInputFormat};
 pub use job::{IngestReport, JobConfig, JobRunner, TrainedModel, TrainingSpec};

@@ -50,9 +50,9 @@ impl LinRegTrainer {
             let partials = par_partitions(data, |_, part| {
                 let mut gw = vec![0.0; dim];
                 let mut gb = 0.0;
-                for p in part {
-                    let err = dot(&w, &p.features) + b - p.label;
-                    axpy(err, &p.features, &mut gw);
+                for p in part.iter() {
+                    let err = dot(&w, p.features) + b - p.label;
+                    axpy(err, p.features, &mut gw);
                     gb += err;
                 }
                 (gw, gb)

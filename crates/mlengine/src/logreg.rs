@@ -83,10 +83,10 @@ impl LogRegTrainer {
             let partials = par_partitions(data, |_, part| {
                 let mut gw = vec![0.0; dim];
                 let mut gb = 0.0;
-                for p in part {
-                    let pred = sigmoid(dot(&w, &p.features) + b);
+                for p in part.iter() {
+                    let pred = sigmoid(dot(&w, p.features) + b);
                     let err = pred - p.label;
-                    axpy(err, &p.features, &mut gw);
+                    axpy(err, p.features, &mut gw);
                     gb += err;
                 }
                 (gw, gb)
@@ -137,7 +137,7 @@ mod tests {
         let model = LogRegTrainer::default().train(&data).unwrap();
         let acc = data
             .iter()
-            .filter(|p| model.predict(&p.features) == p.label)
+            .filter(|p| model.predict(p.features) == p.label)
             .count() as f64
             / data.num_points() as f64;
         assert!(acc > 0.90, "accuracy {acc}");

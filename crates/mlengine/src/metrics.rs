@@ -10,7 +10,7 @@ pub fn accuracy(data: &Dataset, predict: impl Fn(&[f64]) -> f64) -> f64 {
     }
     let correct = data
         .iter()
-        .filter(|p| predict(&p.features) == p.label)
+        .filter(|p| predict(p.features) == p.label)
         .count();
     correct as f64 / n as f64
 }
@@ -30,7 +30,7 @@ pub struct BinaryReport {
 pub fn binary_report(data: &Dataset, predict: impl Fn(&[f64]) -> f64) -> BinaryReport {
     let (mut tp, mut fp, mut fne, mut tn) = (0usize, 0usize, 0usize, 0usize);
     for p in data.iter() {
-        let pred = predict(&p.features);
+        let pred = predict(p.features);
         match (p.label == 1.0, pred == 1.0) {
             (true, true) => tp += 1,
             (false, true) => fp += 1,
@@ -73,7 +73,7 @@ pub fn rmse(data: &Dataset, predict: impl Fn(&[f64]) -> f64) -> f64 {
     let sse: f64 = data
         .iter()
         .map(|p| {
-            let e = predict(&p.features) - p.label;
+            let e = predict(p.features) - p.label;
             e * e
         })
         .sum();

@@ -64,12 +64,12 @@ impl NaiveBayesTrainer {
         type Partial = BTreeMap<u64, (f64, Vec<f64>, Vec<f64>)>;
         let partials: Vec<Partial> = par_partitions(data, |_, part| {
             let mut m: Partial = BTreeMap::new();
-            for p in part {
+            for p in part.iter() {
                 let e = m
                     .entry(p.label.to_bits())
                     .or_insert_with(|| (0.0, vec![0.0; dim], vec![0.0; dim]));
                 e.0 += 1.0;
-                for ((s, sq), x) in e.1.iter_mut().zip(e.2.iter_mut()).zip(&p.features) {
+                for ((s, sq), x) in e.1.iter_mut().zip(e.2.iter_mut()).zip(p.features) {
                     *s += x;
                     *sq += x * x;
                 }
@@ -150,7 +150,7 @@ mod tests {
         assert_eq!(model.num_classes(), 3);
         let acc = data
             .iter()
-            .filter(|p| model.predict(&p.features) == p.label)
+            .filter(|p| model.predict(p.features) == p.label)
             .count() as f64
             / data.num_points() as f64;
         assert!(acc > 0.97, "accuracy {acc}");

@@ -9,7 +9,7 @@
 
 use sqlml_common::{Result, SqlmlError};
 
-use crate::dataset::{par_partitions, Dataset};
+use crate::dataset::{par_partitions, Dataset, PointRef};
 use crate::linalg::{axpy, dot};
 
 /// A trained linear SVM: `sign(w·x + b)` with labels {0, 1}.
@@ -104,16 +104,16 @@ impl SvmTrainer {
                 let mut gw = vec![0.0; dim];
                 let mut gb = 0.0;
                 let mut sampled = 0u64;
-                for p in part {
+                for p in part.iter() {
                     if fraction < 1.0 && !in_mini_batch(p, t as u64, fraction) {
                         continue;
                     }
                     sampled += 1;
                     let y = if p.label > 0.5 { 1.0 } else { -1.0 };
-                    let margin = dot(&w, &p.features) + b;
+                    let margin = dot(&w, p.features) + b;
                     if y * margin < 1.0 {
                         // d/dw hinge = -y * x
-                        axpy(-y, &p.features, &mut gw);
+                        axpy(-y, p.features, &mut gw);
                         gb -= y;
                     }
                 }
@@ -151,11 +151,11 @@ impl SvmTrainer {
 
 /// Deterministic, partition-invariant mini-batch membership: hash the
 /// point's content together with the iteration number.
-fn in_mini_batch(p: &crate::dataset::LabeledPoint, iteration: u64, fraction: f64) -> bool {
+fn in_mini_batch(p: PointRef<'_>, iteration: u64, fraction: f64) -> bool {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
     p.label.to_bits().hash(&mut h);
-    for f in &p.features {
+    for f in p.features {
         f.to_bits().hash(&mut h);
     }
     let mixed =
@@ -189,7 +189,7 @@ mod tests {
         let model = SvmTrainer::default().train(&data).unwrap();
         let correct = data
             .iter()
-            .filter(|p| model.predict(&p.features) == p.label)
+            .filter(|p| model.predict(p.features) == p.label)
             .count();
         let acc = correct as f64 / data.num_points() as f64;
         assert!(acc > 0.97, "accuracy {acc}");
@@ -217,7 +217,7 @@ mod tests {
         .unwrap();
         let acc = data
             .iter()
-            .filter(|p| model.predict(&p.features) == p.label)
+            .filter(|p| model.predict(p.features) == p.label)
             .count() as f64
             / data.num_points() as f64;
         assert!(acc > 0.95, "mini-batch accuracy {acc}");
@@ -232,8 +232,8 @@ mod tests {
         let data1 = blobs(200, 3, 1);
         let data5 = blobs(200, 3, 5);
         for t in [1u64, 7, 23] {
-            let s1: usize = data1.iter().filter(|p| in_mini_batch(p, t, 0.3)).count();
-            let s5: usize = data5.iter().filter(|p| in_mini_batch(p, t, 0.3)).count();
+            let s1: usize = data1.iter().filter(|p| in_mini_batch(*p, t, 0.3)).count();
+            let s5: usize = data5.iter().filter(|p| in_mini_batch(*p, t, 0.3)).count();
             assert_eq!(s1, s5, "sample sizes differ at iteration {t}");
         }
         let trainer = SvmTrainer {

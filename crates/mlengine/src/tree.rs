@@ -7,7 +7,7 @@
 
 use sqlml_common::{Result, SqlmlError};
 
-use crate::dataset::{Dataset, LabeledPoint};
+use crate::dataset::{Dataset, PointRef};
 
 /// A trained decision tree.
 #[derive(Debug, Clone)]
@@ -77,7 +77,7 @@ impl TreeTrainer {
         if data.num_points() == 0 {
             return Err(SqlmlError::Ml("tree: empty training set".into()));
         }
-        let points: Vec<&LabeledPoint> = data.iter().collect();
+        let points: Vec<PointRef<'_>> = data.iter().collect();
         let mut num_nodes = 0;
         let root = self.grow(&points, 0, &mut num_nodes);
         let depth = tree_depth(&root);
@@ -88,7 +88,7 @@ impl TreeTrainer {
         })
     }
 
-    fn grow(&self, points: &[&LabeledPoint], depth: usize, num_nodes: &mut usize) -> Node {
+    fn grow(&self, points: &[PointRef<'_>], depth: usize, num_nodes: &mut usize) -> Node {
         *num_nodes += 1;
         let majority = majority_label(points);
         if depth >= self.max_depth || points.len() < 2 * self.min_leaf_size || gini(points) == 0.0 {
@@ -106,7 +106,7 @@ impl TreeTrainer {
             let stride = (vals.len() / self.max_thresholds).max(1);
             for w in vals.windows(2).step_by(stride) {
                 let thr = (w[0] + w[1]) / 2.0;
-                let (l, r): (Vec<&LabeledPoint>, Vec<&LabeledPoint>) =
+                let (l, r): (Vec<PointRef<'_>>, Vec<PointRef<'_>>) =
                     points.iter().partition(|p| p.features[f] <= thr);
                 if l.len() < self.min_leaf_size || r.len() < self.min_leaf_size {
                     continue;
@@ -120,7 +120,7 @@ impl TreeTrainer {
         }
         match best {
             Some((imp, feature, threshold)) if imp < gini(points) => {
-                let (l, r): (Vec<&LabeledPoint>, Vec<&LabeledPoint>) = points
+                let (l, r): (Vec<PointRef<'_>>, Vec<PointRef<'_>>) = points
                     .iter()
                     .partition(|p| p.features[feature] <= threshold);
                 Node::Split {
@@ -135,7 +135,7 @@ impl TreeTrainer {
     }
 }
 
-fn majority_label(points: &[&LabeledPoint]) -> f64 {
+fn majority_label(points: &[PointRef<'_>]) -> f64 {
     let mut counts: Vec<(f64, usize)> = Vec::new();
     for p in points {
         match counts.iter_mut().find(|(l, _)| *l == p.label) {
@@ -147,7 +147,7 @@ fn majority_label(points: &[&LabeledPoint]) -> f64 {
     counts.first().map(|(l, _)| *l).unwrap_or(0.0)
 }
 
-fn gini(points: &[&LabeledPoint]) -> f64 {
+fn gini(points: &[PointRef<'_>]) -> f64 {
     if points.is_empty() {
         return 0.0;
     }
@@ -178,6 +178,7 @@ fn tree_depth(node: &Node) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::LabeledPoint;
     use sqlml_common::SplitMix64;
 
     #[test]
@@ -196,7 +197,7 @@ mod tests {
         let model = TreeTrainer::default().train(&data).unwrap();
         let acc = data
             .iter()
-            .filter(|p| model.predict(&p.features) == p.label)
+            .filter(|p| model.predict(p.features) == p.label)
             .count() as f64
             / data.num_points() as f64;
         assert!(acc > 0.95, "accuracy {acc}");

@@ -9,11 +9,14 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sqlml_common::{Result, Row, Schema, SqlmlError};
+use sqlml_common::{codec, Result, Row, Schema, SqlmlError};
+use sqlml_mlengine::dataset::PartitionBlock;
 use sqlml_mlengine::input::{InputFormat, InputSplit, RecordReader};
 
 use crate::metrics::TransferMetrics;
-use crate::protocol::{read_message_with, write_message, Message};
+use crate::protocol::{
+    read_data_frame, read_message_with, write_message, DataFrame, Message, FRAME_HEADER_BYTES,
+};
 
 /// How many times a reader re-attempts its stream after a connection
 /// failure (matching the sender's restart protocol).
@@ -131,17 +134,69 @@ impl InputFormat for SqlStreamInputFormat {
     }
 }
 
+/// What a `RowBatch` payload decodes into — the one thing the reader's
+/// state machine does not decide. `accept` keeps the batch's rows past the
+/// first `skip` and returns how many rows the batch held.
+trait BatchSink {
+    fn accept(&mut self, batch: &[u8], skip: usize) -> Result<usize>;
+}
+
+/// Rows queued for `next_row`.
+impl BatchSink for VecDeque<Row> {
+    fn accept(&mut self, batch: &[u8], skip: usize) -> Result<usize> {
+        let rows = codec::decode_compact_batch(batch)?;
+        let n = rows.len();
+        self.extend(rows.into_iter().skip(skip));
+        Ok(n)
+    }
+}
+
+/// Numbers appended to the worker's partition block, `next_batch`'s sink.
+struct BlockSink<'a> {
+    block: &'a mut PartitionBlock,
+    /// Set once a batch decoded fine but did not hold numeric rows of the
+    /// block's width. No re-stream can fix the data, and dropping the
+    /// connection would send the SQL side into its restart protocol
+    /// against a reader that left; so the stream is read to its end
+    /// without storing anything more, and fails there with this error.
+    rejected: Option<SqlmlError>,
+}
+
+impl BatchSink for BlockSink<'_> {
+    fn accept(&mut self, batch: &[u8], skip: usize) -> Result<usize> {
+        if self.rejected.is_none() {
+            let mark = self.block.len();
+            match codec::decode_compact_batch_f64(batch, skip, |row| self.block.push_row(row)) {
+                Ok(n) => return Ok(n),
+                Err(e) => {
+                    // Nothing of a failed batch may stay: a corrupt one
+                    // is re-streamed, and would land twice.
+                    self.block.truncate(mark);
+                    if !matches!(e, SqlmlError::Type(_) | SqlmlError::Ml(_)) {
+                        return Err(e);
+                    }
+                    self.rejected = Some(e);
+                }
+            }
+        }
+        Ok(codec::decode_compact_batch(batch)?.len())
+    }
+}
+
 /// Pipelined reader over one streaming split.
 ///
 /// The reader owns the socket and the whole reconnect/skip state machine
-/// and runs it on the calling ML thread, one frame per `fill_pending`
-/// (`JobRunner::ingest_rows` gives every split a thread of its own, so
-/// sibling splits still decode in parallel). Peak memory is one decoded
-/// batch. A running row count is validated against the sender's
-/// `DataEnd` total.
+/// and runs it on the calling ML thread, one frame per `fill`
+/// (`JobRunner::ingest_dataset` gives every split a thread of its own, so
+/// sibling splits still decode in parallel). The machine is the same
+/// whichever way the rows leave: `next_batch` — the path a job takes —
+/// decodes each frame's compact batch straight into the caller's
+/// [`PartitionBlock`] and buffers nothing; `next_row` decodes it into
+/// `Row`s and holds at most that one batch. A running row count is
+/// validated against the sender's `DataEnd` total.
 ///
 /// Exactly-once across the §6 whole-group restart protocol: the reader
-/// tracks a `forwarded` watermark (rows accepted into `pending` — every
+/// tracks a `forwarded` watermark (rows accepted into the sink — every
 /// one of which it will deliver), and on reconnect skips that many rows
 /// of the sender's deterministic re-stream before accepting more. A
 /// failure is sticky, so a caller that retries can never mistake a
@@ -152,7 +207,7 @@ pub struct StreamRecordReader {
     conn: Option<BufReader<TcpStream>>,
     /// Reusable frame-payload buffer (no per-frame allocation).
     scratch: Vec<u8>,
-    /// Rows accepted into `pending` — the exactly-once watermark (the
+    /// Rows accepted into a sink — the exactly-once watermark (the
     /// reader delivers everything it accepts).
     forwarded: u64,
     /// Rows received in the current attempt, checked at `DataEnd`.
@@ -160,15 +215,17 @@ pub struct StreamRecordReader {
     /// Rows to skip after a reconnect (re-streamed, already forwarded).
     skip_remaining: u64,
     next_attempt: u32,
-    /// Rows of the current decoded batch only.
+    /// Rows of the batch `next_row` is handing out.
     pending: VecDeque<Row>,
+    /// See [`BlockSink::rejected`]; kept here between `next_batch` calls.
+    rejected: Option<SqlmlError>,
     /// Rows handed to the ML engine.
     delivered: u64,
     finished: bool,
     /// The first fatal stream error, kept so later calls repeat it.
     failed: Option<String>,
-    /// High-water mark of `pending` (observability for the O(batch)
-    /// memory guarantee).
+    /// Most rows ever accepted from one frame (observability for the
+    /// O(batch) memory guarantee: nothing larger is ever buffered).
     max_pending: usize,
 }
 
@@ -184,6 +241,7 @@ impl StreamRecordReader {
             skip_remaining: 0,
             next_attempt: 1,
             pending: VecDeque::new(),
+            rejected: None,
             delivered: 0,
             finished: false,
             failed: None,
@@ -191,8 +249,8 @@ impl StreamRecordReader {
         }
     }
 
-    /// Largest number of rows ever buffered at once (the batch being
-    /// delivered) — stays O(batch) no matter how long the stream is.
+    /// Largest number of rows ever taken in at once (one frame's worth) —
+    /// stays O(batch) no matter how long the stream is.
     pub fn max_pending_rows(&self) -> usize {
         self.max_pending
     }
@@ -255,20 +313,23 @@ impl StreamRecordReader {
     }
 
     /// Read and decode the next frame that carries undelivered rows into
-    /// `pending`. `Ok(true)` when rows are pending, `Ok(false)` on clean
-    /// end of stream; an error is final and repeated by every later call.
-    fn fill_pending(&mut self) -> Result<bool> {
+    /// `sink`. `Ok(true)` when it took rows in, `Ok(false)` at (and after)
+    /// the clean end of the stream; an error is final and repeated by
+    /// every later call.
+    fn fill(&mut self, sink: &mut impl BatchSink) -> Result<bool> {
         if let Some(first) = &self.failed {
             return Err(SqlmlError::Transfer(format!(
                 "stream reader already failed: {first}"
             )));
         }
+        if self.finished {
+            return Ok(false);
+        }
         let wait_start = Instant::now();
         let more = self
-            .read_fresh_frame()
+            .read_fresh_frame(sink)
             .inspect_err(|e| self.failed = Some(e.to_string()))?;
         if more {
-            self.max_pending = self.max_pending.max(self.pending.len());
             if let Some(m) = &self.metrics {
                 m.on_prefetch_wait(wait_start.elapsed());
             }
@@ -280,7 +341,7 @@ impl StreamRecordReader {
     /// yields fresh rows, the stream ends cleanly, or the attempt budget
     /// is spent. Backpressure is the socket itself: while the ML side is
     /// busy nothing reads, and the sender's queue fills.
-    fn read_fresh_frame(&mut self) -> Result<bool> {
+    fn read_fresh_frame(&mut self, sink: &mut impl BatchSink) -> Result<bool> {
         loop {
             if self.conn.is_none() {
                 self.begin_attempt()?;
@@ -290,27 +351,28 @@ impl StreamRecordReader {
                     "reader connection missing after begin_attempt".into(),
                 ));
             };
-            let broken_reason = match read_message_with(conn, &mut self.scratch) {
-                Ok(Message::RowBatch { rows }) => {
-                    // 4-byte length prefix + payload.
-                    let frame_bytes = self.scratch.len() as u64 + 4;
-                    self.received_this_attempt += rows.len() as u64;
-                    if let Some(m) = &self.metrics {
-                        m.on_batch(rows.len() as u64, frame_bytes);
+            let broken_reason = match read_data_frame(conn, &mut self.scratch) {
+                Ok(DataFrame::RowBatch(batch)) => {
+                    let skip = usize::try_from(self.skip_remaining).unwrap_or(usize::MAX);
+                    match sink.accept(batch, skip) {
+                        Ok(rows) => {
+                            self.received_this_attempt += rows as u64;
+                            if let Some(m) = &self.metrics {
+                                m.on_batch(rows as u64, (FRAME_HEADER_BYTES + batch.len()) as u64);
+                            }
+                            let fresh = rows.saturating_sub(skip);
+                            self.skip_remaining -= (rows - fresh) as u64;
+                            if fresh > 0 {
+                                self.forwarded += fresh as u64;
+                                self.max_pending = self.max_pending.max(fresh);
+                                return Ok(true);
+                            }
+                            continue;
+                        }
+                        Err(e) => e.to_string(),
                     }
-                    // min() bounds the skip by the batch length, which
-                    // already fits in usize.
-                    #[allow(clippy::cast_possible_truncation)]
-                    let skip = self.skip_remaining.min(rows.len() as u64) as usize;
-                    self.skip_remaining -= skip as u64;
-                    if skip < rows.len() {
-                        self.forwarded += (rows.len() - skip) as u64;
-                        self.pending.extend(rows.into_iter().skip(skip));
-                        return Ok(true);
-                    }
-                    continue;
                 }
-                Ok(Message::DataEnd { total_rows }) => {
+                Ok(DataFrame::Other(Message::DataEnd { total_rows })) => {
                     if self.received_this_attempt != total_rows {
                         format!(
                             "row count mismatch: got {}, sender said {total_rows}",
@@ -330,8 +392,10 @@ impl StreamRecordReader {
                         return Ok(false);
                     }
                 }
-                Ok(Message::Abort { reason }) => format!("sender aborted: {reason}"),
-                Ok(other) => {
+                Ok(DataFrame::Other(Message::Abort { reason })) => {
+                    format!("sender aborted: {reason}")
+                }
+                Ok(DataFrame::Other(other)) => {
                     self.conn = None;
                     return Err(SqlmlError::Transfer(format!(
                         "unexpected data frame {other:?}"
@@ -339,9 +403,10 @@ impl StreamRecordReader {
                 }
                 Err(e) => e.to_string(),
             };
-            // Broken attempt (connection failure, abort, or count
-            // mismatch): restart against the sender's next attempt,
-            // skipping the already-forwarded prefix of the re-stream.
+            // Broken attempt (connection failure, undecodable frame,
+            // abort, or count mismatch): restart against the sender's next
+            // attempt, skipping the already-forwarded prefix of the
+            // re-stream.
             self.conn = None;
             self.skip_remaining = self.forwarded;
             self.next_attempt += 1;
@@ -354,14 +419,14 @@ impl StreamRecordReader {
         }
     }
 
-    fn deliver(&mut self, row: Row) -> Row {
-        self.delivered += 1;
-        if self.delivered == 1 {
+    /// Count `rows` as handed to the ML engine.
+    fn deliver(&mut self, rows: usize) {
+        if self.delivered == 0 && rows > 0 {
             if let Some(m) = &self.metrics {
                 m.on_first_row();
             }
         }
-        row
+        self.delivered += rows as u64;
     }
 }
 
@@ -369,15 +434,44 @@ impl RecordReader for StreamRecordReader {
     fn next_row(&mut self) -> Result<Option<Row>> {
         loop {
             if let Some(row) = self.pending.pop_front() {
-                return Ok(Some(self.deliver(row)));
+                self.deliver(1);
+                return Ok(Some(row));
             }
-            if self.finished {
-                return Ok(None);
-            }
-            if !self.fill_pending()? {
+            let mut pending = std::mem::take(&mut self.pending);
+            let more = self.fill(&mut pending);
+            self.pending = pending;
+            if !more? {
                 return Ok(None);
             }
         }
+    }
+
+    /// One frame per call, decoded straight into `out`.
+    fn next_batch(&mut self, out: &mut PartitionBlock) -> Result<usize> {
+        let before = out.len();
+        // Rows an earlier `next_row` call left queued go first.
+        for row in std::mem::take(&mut self.pending) {
+            out.push_record(&row)
+                .inspect_err(|e| self.failed = Some(e.to_string()))?;
+        }
+        let mut sink = BlockSink {
+            block: out,
+            rejected: self.rejected.take(),
+        };
+        let mut more = true;
+        while more && sink.block.len() == before {
+            more = self.fill(&mut sink)?;
+        }
+        self.rejected = sink.rejected;
+        if !more {
+            if let Some(e) = self.rejected.take() {
+                self.failed = Some(e.to_string());
+                return Err(e);
+            }
+        }
+        let rows = out.len() - before;
+        self.deliver(rows);
+        Ok(rows)
     }
 }
 
@@ -385,6 +479,7 @@ impl RecordReader for StreamRecordReader {
 mod tests {
     use super::*;
     use sqlml_common::Value;
+    use sqlml_mlengine::Dataset;
     use std::io::Write;
     use std::net::TcpListener;
     use std::ops::Range;
@@ -558,27 +653,85 @@ mod tests {
         assert!(err.to_string().contains("attempts"), "{err}");
     }
 
-    /// `next_batch` crosses frame boundaries without losing or reordering rows.
+    /// The first column of every row of `block`, in order.
+    fn first_column(block: PartitionBlock) -> Vec<f64> {
+        let data = Dataset::from_blocks(vec![block]).unwrap();
+        data.iter().map(|p| p.features[0]).collect()
+    }
+
+    fn numbers(rows: Range<u64>) -> Vec<f64> {
+        rows.map(|i| i as f64).collect()
+    }
+
+    /// `next_batch` hands over one frame per call, in order, with nothing
+    /// lost at the frame boundaries.
     #[test]
     fn next_batch_returns_rows_in_order() {
         const TOTAL: u64 = 1000;
         let (addr, sender) =
             fake_sender(|mut stream| send_rows(&mut stream, 0..TOTAL, 64, Some(TOTAL)));
-        let mut reader = StreamRecordReader::new(local_split(addr), None);
-        let mut got = Vec::new();
-        while reader.next_batch(&mut got, 256).unwrap() > 0 {}
+        let metrics = Arc::new(TransferMetrics::new());
+        let mut reader = StreamRecordReader::new(local_split(addr), Some(Arc::clone(&metrics)));
+        let mut block = PartitionBlock::new(None);
+        let mut calls = Vec::new();
+        loop {
+            match reader.next_batch(&mut block).unwrap() {
+                0 => break,
+                n => calls.push(n),
+            }
+        }
         sender.join().unwrap();
-        let got: Vec<Value> = got.iter().map(|r| r.get(0).clone()).collect();
-        assert_eq!(got, ids(0..TOTAL));
+        assert_eq!(calls.len(), 16, "{calls:?}");
+        assert!(calls[..15].iter().all(|n| *n == 64), "{calls:?}");
+        assert_eq!(first_column(block), numbers(0..TOTAL));
         assert_eq!(reader.rows_delivered(), TOTAL);
+        assert_eq!(
+            reader.next_batch(&mut PartitionBlock::new(None)).unwrap(),
+            0
+        );
+        let snap = metrics.snapshot();
+        assert_eq!((snap.rows_received, snap.batches_received), (TOTAL, 16));
+        assert!(snap.time_to_first_row.unwrap() <= snap.time_to_first_data_end.unwrap());
     }
 
-    /// The restart state machine, one thread, no cluster: the first
-    /// attempt dies after a whole number of frames, the second before
-    /// `DataStart`, and the third re-streams everything in frames of a
-    /// different size, so the delivered watermark falls inside one of
-    /// them (`0 < skip < rows.len()`). Every row arrives exactly once,
-    /// in order, and never more than one frame is buffered.
+    /// Rows `next_row` left queued are the first thing `next_batch`
+    /// appends: mixing the two loses and repeats nothing.
+    #[test]
+    fn next_batch_after_next_row_continues_mid_frame() {
+        let (addr, sender) = fake_sender(|mut stream| send_rows(&mut stream, 0..20, 8, Some(20)));
+        let mut reader = StreamRecordReader::new(local_split(addr), None);
+        for i in 0..3 {
+            assert_eq!(reader.next_row().unwrap().unwrap().get(0), &Value::Int(i));
+        }
+        let mut block = PartitionBlock::new(None);
+        assert_eq!(reader.next_batch(&mut block).unwrap(), 5);
+        while reader.next_batch(&mut block).unwrap() > 0 {}
+        sender.join().unwrap();
+        assert_eq!(first_column(block), numbers(3..20));
+        assert_eq!(reader.rows_delivered(), 20);
+    }
+
+    /// The attempts of the restart scenario: the first dies after a whole
+    /// number of frames, the second before `DataStart`, and the third
+    /// re-streams everything in frames of a different size, so the
+    /// delivered watermark falls inside one of them
+    /// (`0 < skip < rows.len()`).
+    fn drop_refuse_then_restream(
+        first: u64,
+        watermark: u64,
+        second: u64,
+        total: u64,
+    ) -> Vec<Attempt> {
+        vec![
+            started(move |mut stream| send_rows(&mut stream, 0..watermark, first, None)),
+            Box::new(drop),
+            started(move |mut stream| send_rows(&mut stream, 0..total, second, Some(total))),
+        ]
+    }
+
+    /// The restart state machine, one thread, no cluster, on the path a
+    /// job takes. Every row arrives exactly once, in order, and never
+    /// more than one frame is taken in at a time.
     #[test]
     fn seeded_connection_drops_then_a_full_restream_deliver_exactly_once() {
         let mut rng = sqlml_common::SplitMix64::new(0x5EED_CAFE);
@@ -588,24 +741,36 @@ mod tests {
             // A re-stream frame size that does not divide the watermark.
             let second = (2..40).find(|r| !watermark.is_multiple_of(*r)).unwrap();
             let total = watermark + 1 + rng.next_below(200);
-            let (addr, sender) = fake_sender_attempts(vec![
-                started(move |mut stream| send_rows(&mut stream, 0..watermark, first, None)),
-                Box::new(drop),
-                started(move |mut stream| send_rows(&mut stream, 0..total, second, Some(total))),
-            ]);
+            let (addr, sender) =
+                fake_sender_attempts(drop_refuse_then_restream(first, watermark, second, total));
             let mut reader = StreamRecordReader::new(local_split(addr), None);
-            let mut got = Vec::new();
-            while reader.next_batch(&mut got, 7).unwrap() > 0 {}
+            let mut block = PartitionBlock::new(None);
+            while reader.next_batch(&mut block).unwrap() > 0 {}
             sender.join().unwrap();
-            let got: Vec<Value> = got.iter().map(|r| r.get(0).clone()).collect();
             let shape =
                 format!("case {case}: {first}-row frames cut at {watermark}, then {second}");
-            assert_eq!(got, ids(0..total), "{shape}");
+            assert_eq!(first_column(block), numbers(0..total), "{shape}");
+            assert_eq!(reader.rows_delivered(), total, "{shape}");
             assert!(
                 reader.max_pending_rows() as u64 <= first.max(second),
                 "{shape}"
             );
         }
+    }
+
+    /// The same scenario through `next_row`, whose sink is the reader's
+    /// own one-batch queue.
+    #[test]
+    fn a_restream_cut_mid_frame_is_exactly_once_row_by_row() {
+        let (addr, sender) = fake_sender_attempts(drop_refuse_then_restream(5, 15, 4, 41));
+        let mut reader = StreamRecordReader::new(local_split(addr), None);
+        let mut got = Vec::new();
+        while let Some(row) = reader.next_row().unwrap() {
+            got.push(row.get(0).clone());
+        }
+        sender.join().unwrap();
+        assert_eq!(got, ids(0..41));
+        assert!(reader.max_pending_rows() <= 5);
     }
 
     /// A re-stream that ends (with a truthful `DataEnd`) before reaching
@@ -619,16 +784,16 @@ mod tests {
         );
         let (addr, sender) = fake_sender_attempts(attempts);
         let mut reader = StreamRecordReader::new(local_split(addr), None);
-        let mut got = Vec::new();
+        let mut block = PartitionBlock::new(None);
         let err = loop {
-            match reader.next_batch(&mut got, usize::MAX) {
+            match reader.next_batch(&mut block) {
                 Ok(0) => panic!("a short re-stream must not end cleanly"),
                 Ok(_) => {}
                 Err(e) => break e,
             }
         };
         sender.join().unwrap();
-        assert_eq!(got.len(), 10, "only the first attempt delivered rows");
+        assert_eq!(block.len(), 10, "only the first attempt delivered rows");
         let short = "4 rows short of the delivered watermark";
         assert!(err.to_string().contains(short), "{err}");
     }
@@ -644,13 +809,84 @@ mod tests {
         let (addr, sender) =
             fake_sender_attempts((0..MAX_READ_ATTEMPTS).map(|_| refuse()).collect());
         let mut reader = StreamRecordReader::new(local_split(addr), None);
-        let first = reader.next_row().unwrap_err();
+        let mut block = PartitionBlock::new(None);
+        let first = reader.next_batch(&mut block).unwrap_err();
         sender.join().unwrap();
-        // The sender is gone: the second call fails by itself, and names
+        // The sender is gone: the later calls fail by themselves, and name
         // the first failure.
-        let second = reader.next_batch(&mut Vec::new(), 8).unwrap_err();
-        for err in [first, second] {
+        let second = reader.next_batch(&mut block).unwrap_err();
+        let third = reader.next_row().unwrap_err();
+        for err in [first, second, third] {
             assert!(err.to_string().contains("not today"), "{err}");
+        }
+        assert!(block.is_empty());
+    }
+
+    /// A frame cut off inside its compact batch is re-streamed, and the
+    /// rows decoded before the cut do not land twice.
+    #[test]
+    fn a_corrupt_frame_is_rolled_back_and_restreamed() {
+        let corrupt = started(|mut stream| {
+            send_rows(&mut stream, 0..8, 8, None);
+            let rows = (8..16).map(|i| Row::new(vec![Value::Int(i)])).collect();
+            let mut frame = Message::RowBatch { rows }.encode().unwrap();
+            // Drop the last row's bytes and patch the length prefix: a
+            // well-framed payload whose batch ends early.
+            frame.truncate(frame.len() - 2);
+            let len = u32::try_from(frame.len() - 4).unwrap();
+            frame[..4].copy_from_slice(&len.to_le_bytes());
+            stream.write_all(&frame).unwrap();
+            // Hold the socket until the reader has seen the frame.
+            let _ = read_message_with(&mut stream, &mut Vec::new());
+        });
+        let (addr, sender) = fake_sender_attempts(vec![
+            corrupt,
+            started(|mut stream| send_rows(&mut stream, 0..30, 7, Some(30))),
+        ]);
+        let mut reader = StreamRecordReader::new(local_split(addr), None);
+        let mut block = PartitionBlock::new(None);
+        while reader.next_batch(&mut block).unwrap() > 0 {}
+        sender.join().unwrap();
+        assert_eq!(first_column(block), numbers(0..30));
+    }
+
+    /// Rows that decode but are not numeric (or change width) fail the
+    /// reader — after it has read the stream to its end on the one
+    /// attempt, so the sender finishes instead of restarting against a
+    /// reader that hung up.
+    #[test]
+    fn non_numeric_rows_fail_the_reader_at_the_end_of_the_one_attempt() {
+        type Bad = fn() -> Row;
+        let cases: [(Bad, &str); 2] = [
+            (|| sqlml_common::row![7i64, "F"], "cannot interpret"),
+            (
+                || sqlml_common::row![7i64],
+                "inconsistent feature dimension",
+            ),
+        ];
+        for (bad, message) in cases {
+            let (addr, sender) = fake_sender(move |mut stream| {
+                let wide = |i: i64| sqlml_common::row![i, 0.5];
+                let frames = [
+                    vec![wide(0), wide(1)],
+                    vec![wide(2), bad(), wide(3)],
+                    vec![wide(4)],
+                ];
+                for rows in frames {
+                    write_message(&mut stream, &Message::RowBatch { rows }).unwrap();
+                }
+                write_message(&mut stream, &Message::DataEnd { total_rows: 6 }).unwrap();
+            });
+            let mut reader = StreamRecordReader::new(local_split(addr), None);
+            let mut block = PartitionBlock::new(None);
+            assert_eq!(reader.next_batch(&mut block).unwrap(), 2);
+            let err = reader.next_batch(&mut block).unwrap_err();
+            // The sender wrote everything, to this one connection.
+            sender.join().unwrap();
+            assert!(err.to_string().contains(message), "{err}");
+            assert_eq!(block.len(), 2, "nothing of or after the bad frame is kept");
+            let again = reader.next_batch(&mut block).unwrap_err();
+            assert!(again.to_string().contains(message), "{again}");
         }
     }
 }

@@ -382,8 +382,8 @@ pub struct RowBatchFrameBuilder {
     encoder: CompactBatchEncoder,
 }
 
-/// Length prefix + tag byte in front of every frame payload.
-const FRAME_HEADER_BYTES: usize = 5;
+/// Length prefix + tag byte in front of a `RowBatch`'s compact batch.
+pub(crate) const FRAME_HEADER_BYTES: usize = 5;
 
 impl RowBatchFrameBuilder {
     pub fn new() -> Self {
@@ -446,6 +446,34 @@ pub fn read_message<R: Read>(stream: &mut R) -> Result<Message> {
 /// Read one message frame, reusing `scratch` for the payload so a long
 /// stream of frames performs no per-frame buffer allocation.
 pub fn read_message_with<R: Read>(stream: &mut R, scratch: &mut Vec<u8>) -> Result<Message> {
+    read_payload(stream, scratch)?;
+    Message::decode(scratch)
+}
+
+/// One frame as a data-plane reader takes it: a `RowBatch` stays the
+/// undecoded compact batch it carries (borrowed from the scratch buffer),
+/// so the reader chooses what the rows decode into; every other frame is
+/// decoded as usual.
+#[derive(Debug)]
+pub enum DataFrame<'a> {
+    RowBatch(&'a [u8]),
+    Other(Message),
+}
+
+/// [`read_message_with`] that leaves a `RowBatch` payload undecoded.
+pub fn read_data_frame<'a, R: Read>(
+    stream: &mut R,
+    scratch: &'a mut Vec<u8>,
+) -> Result<DataFrame<'a>> {
+    read_payload(stream, scratch)?;
+    match scratch.split_first() {
+        Some((&T_ROW_BATCH, batch)) => Ok(DataFrame::RowBatch(batch)),
+        _ => Message::decode(scratch).map(DataFrame::Other),
+    }
+}
+
+/// Read one frame's payload (tag byte first) into `scratch`.
+fn read_payload<R: Read>(stream: &mut R, scratch: &mut Vec<u8>) -> Result<()> {
     let mut len_buf = [0u8; 4];
     stream
         .read_exact(&mut len_buf)
@@ -458,8 +486,7 @@ pub fn read_message_with<R: Read>(stream: &mut R, scratch: &mut Vec<u8>) -> Resu
     scratch.resize(len, 0);
     stream
         .read_exact(scratch)
-        .map_err(|e| SqlmlError::Transfer(format!("read failed: {e}")))?;
-    Message::decode(scratch)
+        .map_err(|e| SqlmlError::Transfer(format!("read failed: {e}")))
 }
 
 #[cfg(test)]
@@ -650,6 +677,7 @@ mod tests {
         let check = |bytes: &[u8]| {
             let _ = Message::decode(bytes);
             let _ = codec::decode_compact_batch(bytes);
+            let _ = codec::decode_compact_batch_f64(bytes, 0, |_| Ok(()));
         };
         let mut rng = SplitMix64::new(0xDEC0DE);
         for _ in 0..2_000 {
@@ -690,11 +718,25 @@ mod tests {
         for m in &msgs {
             m.encode_into(&mut wire).unwrap();
         }
-        let mut cursor = std::io::Cursor::new(wire);
+        let mut cursor = std::io::Cursor::new(wire.clone());
         let mut scratch = Vec::new();
         for m in &msgs {
             let got = read_message_with(&mut cursor, &mut scratch).unwrap();
             assert_eq!(&got, m);
+        }
+        // The data-plane read hands the same frames over with the batch
+        // left as bytes.
+        let mut cursor = std::io::Cursor::new(wire);
+        for m in &msgs {
+            match (read_data_frame(&mut cursor, &mut scratch).unwrap(), m) {
+                (DataFrame::RowBatch(batch), Message::RowBatch { rows }) => {
+                    assert_eq!(&codec::decode_compact_batch(batch).unwrap(), rows);
+                    let frame = m.encode().unwrap();
+                    assert_eq!(FRAME_HEADER_BYTES + batch.len(), frame.len());
+                }
+                (DataFrame::Other(got), m) => assert_eq!(&got, m),
+                (got, m) => panic!("{got:?} for {m:?}"),
+            }
         }
     }
 

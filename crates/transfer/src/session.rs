@@ -230,8 +230,15 @@ impl StreamSession {
         config: &StreamSessionConfig,
         cancel: &CancelToken,
     ) -> Result<StreamRunOutcome> {
-        // Validate the command — and the token — before anything moves.
+        // Validate the command, the job layout and the token before
+        // anything moves: past this point a job that cannot start leaves
+        // the SQL workers waiting out their reader deadline.
         TrainingSpec::parse(command)?;
+        if config.ml_job.num_workers == 0 {
+            return Err(SqlmlError::Ml(
+                "an ML job needs at least one worker (ml_job.num_workers is 0)".into(),
+            ));
+        }
         cancel.check("stream transfer start")?;
         let schema = engine.catalog().table(table)?.schema().clone();
         let transfer_id = self.next_id.fetch_add(1, Ordering::SeqCst);

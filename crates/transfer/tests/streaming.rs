@@ -90,6 +90,26 @@ fn streams_a_table_into_a_trained_svm() {
 }
 
 #[test]
+fn a_job_without_ml_workers_is_refused_before_anything_moves() {
+    let engine = engine_with_points(2, 100, 71);
+    let session = StreamSession::start().unwrap();
+    let cfg = config(0, 1, 4096);
+    session.install_udf(&engine, &cfg, None);
+    let started = std::time::Instant::now();
+    let err = session
+        .run(&engine, "points", "svm label=2", &cfg)
+        .unwrap_err();
+    // Not the 60 s the SQL workers would wait for readers that never come.
+    assert!(started.elapsed() < Duration::from_secs(1), "{err}");
+    assert!(matches!(err, sqlml_common::SqlmlError::Ml(_)), "{err}");
+    assert!(err.to_string().contains("num_workers"), "{err}");
+    // The session is still good for a well-formed run.
+    let cfg = config(2, 1, 4096);
+    let outcome = session.run(&engine, "points", "svm label=2", &cfg).unwrap();
+    assert_eq!(outcome.stats.rows_ingested, 100);
+}
+
+#[test]
 fn higher_parallelism_k_multiplies_splits() {
     let engine = engine_with_points(2, 200, 73);
     let session = StreamSession::start().unwrap();

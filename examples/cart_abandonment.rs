@@ -10,7 +10,7 @@
 
 use sqlml_core::workload::PREP_QUERY;
 use sqlml_core::{ClusterConfig, Pipeline, PipelineRequest, SimCluster, Strategy, WorkloadScale};
-use sqlml_mlengine::dataset::{Dataset, LabeledPoint};
+use sqlml_mlengine::dataset::{Dataset, PartitionBlock};
 use sqlml_mlengine::job::TrainedModel;
 use sqlml_mlengine::metrics;
 use sqlml_transform::TransformSpec;
@@ -56,18 +56,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     engine.execute(&format!("CREATE TABLE prep AS {PREP_QUERY}"))?;
     let transformer = sqlml_transform::InSqlTransformer::new(engine.clone());
     let out = transformer.transform("prep", &request.spec)?;
-    let points: Vec<LabeledPoint> = out
-        .table
-        .collect_rows()
-        .iter()
-        .map(|r| LabeledPoint::from_row(r, 4))
-        .collect::<Result<_, _>>()?;
     // Labels are recoded 1/2 (No/Yes) — shift to 0/1 like the trainer did.
-    let points: Vec<LabeledPoint> = points
-        .into_iter()
-        .map(|p| LabeledPoint::new(p.label - 1.0, p.features))
-        .collect();
-    let data = Dataset::from_points(points)?;
+    let mut block = PartitionBlock::new(Some(4));
+    for row in out.table.collect_rows() {
+        block.push_record(&row)?;
+    }
+    let data = Dataset::from_blocks(vec![block])?.map_labels(|l| l - 1.0);
     let (_, test) = data.split_every_kth(5);
 
     let model = last_model.expect("trained above");

@@ -90,6 +90,107 @@ fn compact_batch_codec_round_trips_any_rows() {
     }
 }
 
+/// A numeric cell, biased toward the values a cast or a bit copy could
+/// get wrong.
+fn random_numeric_value(rng: &mut SplitMix64) -> Value {
+    const INTS: [i64; 6] = [i64::MIN, i64::MAX, 0, -1, (1 << 53) + 1, -(1 << 53) - 1];
+    const DOUBLES: [f64; 7] = [
+        f64::NAN,
+        -0.0,
+        0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+    ];
+    match rng.next_below(8) {
+        0 => Value::Null,
+        1 => Value::Bool(rng.chance(0.5)),
+        2 => Value::Int(*rng.choose(&INTS)),
+        3 => Value::Int(rng.next_u64() as i64),
+        4 => Value::Int(rng.range_i64(-200, 200)),
+        5 => Value::Double(*rng.choose(&DOUBLES)),
+        // Any bit pattern, NaN payloads and subnormals included.
+        6 => Value::Double(f64::from_bits(rng.next_u64())),
+        _ => Value::Double((rng.next_f64() - 0.5) * 2e6),
+    }
+}
+
+/// The two routes from a compact frame to a worker's block: the numeric
+/// decoder, and the `Row` decoder followed by the per-record conversion.
+fn blocks_by_both_routes(
+    frame: &[u8],
+) -> [sqlml_common::Result<sqlml_mlengine::PartitionBlock>; 2] {
+    use sqlml_mlengine::PartitionBlock;
+    let mut direct = PartitionBlock::new(None);
+    let direct = codec::decode_compact_batch_f64(frame, 0, |r| direct.push_row(r)).map(|_| direct);
+    let via_rows = codec::decode_compact_batch(frame).and_then(|rows| {
+        let mut block = PartitionBlock::new(None);
+        rows.iter().try_for_each(|r| block.push_record(r))?;
+        Ok(block)
+    });
+    [direct, via_rows]
+}
+
+#[test]
+fn numeric_decoder_equals_row_decoder_then_to_f64_bit_for_bit() {
+    let mut rng = SplitMix64::new(0x0F64_B175);
+    for case in 0..300 {
+        let width = rng.next_below(7) as usize;
+        let n = rng.next_below(40) as usize;
+        let rows: Vec<Row> = (0..n)
+            .map(|_| Row::new((0..width).map(|_| random_numeric_value(&mut rng)).collect()))
+            .collect();
+        let mut frame = Vec::new();
+        codec::encode_compact_batch(&rows, &mut frame).unwrap();
+
+        let expect: Vec<Vec<u64>> = codec::decode_compact_batch(&frame)
+            .unwrap()
+            .iter()
+            .map(|r| {
+                r.to_f64_vec()
+                    .unwrap()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect()
+            })
+            .collect();
+        let skip = rng.next_below(n as u64 + 2) as usize;
+        let mut got: Vec<Vec<u64>> = Vec::new();
+        let count = codec::decode_compact_batch_f64(&frame, skip, |r| {
+            got.push(r.iter().map(|v| v.to_bits()).collect());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(count, n, "case {case}");
+        assert_eq!(got, expect[skip.min(n)..], "case {case}, skip {skip}");
+        for block in blocks_by_both_routes(&frame) {
+            assert_eq!(block.unwrap().len(), n, "case {case}");
+        }
+
+        // One string cell, or one row of another width, and the frame is
+        // an error by either route.
+        if n < 2 || width == 0 {
+            continue;
+        }
+        let victim = rng.next_below(n as u64) as usize;
+        let mut stringy = rows.clone();
+        stringy[victim].set(
+            rng.next_below(width as u64) as usize,
+            Value::Str("F".into()),
+        );
+        let mut ragged = rows.clone();
+        ragged[victim].push(Value::Int(1));
+        for (what, bad) in [("string", stringy), ("ragged", ragged)] {
+            let mut frame = Vec::new();
+            codec::encode_compact_batch(&bad, &mut frame).unwrap();
+            for (route, block) in blocks_by_both_routes(&frame).into_iter().enumerate() {
+                assert!(block.is_err(), "case {case}: {what} frame, route {route}");
+            }
+        }
+    }
+}
+
 #[test]
 fn text_codec_round_trips_arbitrary_strings() {
     let mut rng = SplitMix64::new(0x7E47);
