@@ -1,4 +1,4 @@
-//! **Serving-plane load generator (§10 scheduler, §12 sharding).**
+//! **Serving-plane load generator (DESIGN.md §13).**
 //!
 //! Drives a fleet of replicated-warehouse [`SimCluster`] shards through
 //! the [`QueryScheduler`] with a closed-loop multi-tenant workload and

@@ -203,7 +203,7 @@ impl CacheManager {
 
     /// Non-materializing probe: would [`CacheManager::lookup`] hit, and
     /// how well? Asks the same per-entry matchers lookup uses
-    /// ([`full_rewrite`], [`map_covers`]), so the two cannot disagree,
+    /// (`full_rewrite`, `map_covers`), so the two cannot disagree,
     /// but clones no recode map and leaves the hit/miss stats untouched —
     /// cheap enough to call once per shard on every admission for
     /// cache-affinity routing.

@@ -406,96 +406,126 @@ pub fn encode_compact_batch<B: BufMut>(rows: &[Row], buf: &mut B) -> Result<Dict
     Ok(enc.stats())
 }
 
-/// Wire counts are u64; reject anything that does not fit a usize (only
-/// reachable on 32-bit targets with a corrupt frame).
-fn get_count(buf: &[u8], pos: &mut usize) -> Result<usize> {
-    let v = get_uvarint(buf, pos)?;
-    usize::try_from(v)
-        .map_err(|_| SqlmlError::Execution(format!("compact batch count {v} overflows usize")))
+/// One cell of a compact row; a string cell is its (bounds-checked)
+/// dictionary index.
+enum Cell {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Double(f64),
+    Str(usize),
 }
 
-fn truncated() -> SqlmlError {
-    SqlmlError::Execution("truncated compact batch".to_string())
-}
-
-/// Read a frame's dictionary, checking every entry's bounds and UTF-8;
-/// `entry` decides what a decoder keeps of each string.
-fn read_dict<'a, T>(
+/// Cursor over a compact frame payload — the only code that knows the
+/// layout [`CompactBatchEncoder`] documents. Both decoders walk a frame
+/// through it (`open`, then per row its cell `count` and that many
+/// `cell`s, then `finish`), so they accept exactly the same byte strings.
+struct CompactCursor<'a, T> {
     buf: &'a [u8],
-    pos: &mut usize,
-    entry: impl Fn(&'a str) -> T,
-) -> Result<Vec<T>> {
-    let dict_count = get_count(buf, pos)?;
-    let mut dict = Vec::with_capacity(dict_count.min(1 << 20));
-    for _ in 0..dict_count {
-        let len = get_count(buf, pos)?;
-        let end = pos.checked_add(len).ok_or_else(truncated)?;
-        let bytes = buf.get(*pos..end).ok_or_else(truncated)?;
-        let s = std::str::from_utf8(bytes).map_err(|e| {
-            SqlmlError::Execution(format!("invalid utf8 in compact dictionary: {e}"))
-        })?;
-        dict.push(entry(s));
-        *pos = end;
+    pos: usize,
+    /// What the decoder keeps of each dictionary string.
+    dict: Vec<T>,
+}
+
+impl<'a, T> CompactCursor<'a, T> {
+    /// Read the dictionary (every entry's bounds and UTF-8 checked;
+    /// `entry` decides what is kept of each string) and the row count.
+    fn open(buf: &'a [u8], entry: impl Fn(&'a str) -> T) -> Result<(Self, usize)> {
+        let mut cur = CompactCursor {
+            buf,
+            pos: 0,
+            dict: Vec::new(),
+        };
+        let dict_count = cur.count()?;
+        cur.dict.reserve(dict_count.min(1 << 20));
+        for _ in 0..dict_count {
+            let len = cur.count()?;
+            let s = std::str::from_utf8(cur.take(len)?).map_err(|e| {
+                SqlmlError::Execution(format!("invalid utf8 in compact dictionary: {e}"))
+            })?;
+            cur.dict.push(entry(s));
+        }
+        let row_count = cur.count()?;
+        Ok((cur, row_count))
     }
-    Ok(dict)
+
+    /// Wire counts are u64; reject anything that does not fit a usize
+    /// (only reachable on 32-bit targets with a corrupt frame).
+    #[inline]
+    fn count(&mut self) -> Result<usize> {
+        let v = get_uvarint(self.buf, &mut self.pos)?;
+        usize::try_from(v)
+            .map_err(|_| SqlmlError::Execution(format!("compact batch count {v} overflows usize")))
+    }
+
+    fn take(&mut self, len: usize) -> Result<&'a [u8]> {
+        let truncated = || SqlmlError::Execution("truncated compact batch".to_string());
+        let end = self.pos.checked_add(len).ok_or_else(truncated)?;
+        let bytes = self.buf.get(self.pos..end).ok_or_else(truncated)?;
+        self.pos = end;
+        Ok(bytes)
+    }
+
+    #[inline]
+    fn cell(&mut self) -> Result<Cell> {
+        Ok(match self.take(1)?[0] {
+            TAG_NULL => Cell::Null,
+            TAG_BOOL => Cell::Bool(self.take(1)?[0] != 0),
+            TAG_INT => Cell::Int(unzigzag(get_uvarint(self.buf, &mut self.pos)?)),
+            TAG_DOUBLE => Cell::Double(f64::from_bits(u64::from_le_bytes(
+                self.take(8)?.try_into().unwrap(), // lint:allow(panic) — slice is exactly 8 bytes
+            ))),
+            TAG_STR => {
+                let idx = self.count()?;
+                if idx >= self.dict.len() {
+                    return Err(SqlmlError::Execution(format!(
+                        "compact row references dictionary entry {idx} of {}",
+                        self.dict.len()
+                    )));
+                }
+                Cell::Str(idx)
+            }
+            other => {
+                return Err(SqlmlError::Execution(format!(
+                    "unknown compact value tag {other}"
+                )))
+            }
+        })
+    }
+
+    /// The payload must end with its last row.
+    fn finish(self) -> Result<()> {
+        if self.pos != self.buf.len() {
+            return Err(SqlmlError::Execution(format!(
+                "compact batch has {} trailing bytes",
+                self.buf.len() - self.pos
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// Decode a compact frame payload written by [`CompactBatchEncoder`],
 /// verifying full consumption. Rows referencing the same dictionary entry
 /// share one `Arc<str>` allocation.
 pub fn decode_compact_batch(buf: &[u8]) -> Result<Vec<Row>> {
-    let mut pos = 0usize;
-    let dict: Vec<Arc<str>> = read_dict(buf, &mut pos, Arc::from)?;
-    let row_count = get_count(buf, &mut pos)?;
+    let (mut cur, row_count) = CompactCursor::open(buf, Arc::<str>::from)?;
     let mut rows = Vec::with_capacity(row_count.min(1 << 20));
     for _ in 0..row_count {
-        let value_count = get_count(buf, &mut pos)?;
+        let value_count = cur.count()?;
         let mut values = Vec::with_capacity(value_count.min(1 << 16));
         for _ in 0..value_count {
-            let tag = *buf.get(pos).ok_or_else(truncated)?;
-            pos += 1;
-            let v = match tag {
-                TAG_NULL => Value::Null,
-                TAG_BOOL => {
-                    let b = *buf.get(pos).ok_or_else(truncated)?;
-                    pos += 1;
-                    Value::Bool(b != 0)
-                }
-                TAG_INT => Value::Int(unzigzag(get_uvarint(buf, &mut pos)?)),
-                TAG_DOUBLE => {
-                    let end = pos.checked_add(8).ok_or_else(truncated)?;
-                    let bytes = buf.get(pos..end).ok_or_else(truncated)?;
-                    pos = end;
-                    Value::Double(f64::from_bits(u64::from_le_bytes(
-                        bytes.try_into().unwrap(), // lint:allow(panic) — slice is exactly 8 bytes
-                    )))
-                }
-                TAG_STR => {
-                    let idx = get_count(buf, &mut pos)?;
-                    let entry = dict.get(idx).ok_or_else(|| {
-                        SqlmlError::Execution(format!(
-                            "compact row references dictionary entry {idx} of {}",
-                            dict.len()
-                        ))
-                    })?;
-                    Value::Str(Arc::clone(entry))
-                }
-                other => {
-                    return Err(SqlmlError::Execution(format!(
-                        "unknown compact value tag {other}"
-                    )))
-                }
-            };
-            values.push(v);
+            values.push(match cur.cell()? {
+                Cell::Null => Value::Null,
+                Cell::Bool(b) => Value::Bool(b),
+                Cell::Int(n) => Value::Int(n),
+                Cell::Double(d) => Value::Double(d),
+                Cell::Str(idx) => Value::Str(Arc::clone(&cur.dict[idx])),
+            });
         }
         rows.push(Row::new(values));
     }
-    if pos != buf.len() {
-        return Err(SqlmlError::Execution(format!(
-            "compact batch has {} trailing bytes",
-            buf.len() - pos
-        )));
-    }
+    cur.finish()?;
     Ok(rows)
 }
 
@@ -504,70 +534,35 @@ pub fn decode_compact_batch(buf: &[u8]) -> Result<Vec<Row>> {
 /// [`Row`] in between. A cell converts as [`Row::to_f64_vec`] converts it
 /// (`Null` → 0.0, `Bool` → 0/1, `Int` cast, `Double` bit for bit; a
 /// string cell is the same `Type` error), and every check of
-/// [`decode_compact_batch`] is kept: dictionary bounds and UTF-8, tags,
-/// truncation, exact consumption, skipped rows included. Returns the
-/// frame's row count (skipped rows too). On error `sink` may already hold
-/// this frame's earlier rows; the caller rolls them back.
+/// [`decode_compact_batch`] is kept, skipped rows included: both walk the
+/// payload through one cursor. Returns the frame's row count (skipped
+/// rows too). On error `sink` may already hold this frame's earlier rows;
+/// the caller rolls them back.
 pub fn decode_compact_batch_f64(
     buf: &[u8],
     skip: usize,
     mut sink: impl FnMut(&[f64]) -> Result<()>,
 ) -> Result<usize> {
-    let mut pos = 0usize;
-    let dict: Vec<&str> = read_dict(buf, &mut pos, |s| s)?;
-    let row_count = get_count(buf, &mut pos)?;
+    let (mut cur, row_count) = CompactCursor::open(buf, |s| s)?;
     let mut row: Vec<f64> = Vec::new();
     for i in 0..row_count {
-        let value_count = get_count(buf, &mut pos)?;
+        let value_count = cur.count()?;
         row.clear();
         row.reserve(value_count.min(1 << 16));
         for _ in 0..value_count {
-            let tag = *buf.get(pos).ok_or_else(truncated)?;
-            pos += 1;
-            let v = match tag {
-                TAG_NULL => 0.0,
-                TAG_BOOL => {
-                    let b = *buf.get(pos).ok_or_else(truncated)?;
-                    pos += 1;
-                    f64::from(u8::from(b != 0))
-                }
-                TAG_INT => unzigzag(get_uvarint(buf, &mut pos)?) as f64,
-                TAG_DOUBLE => {
-                    let end = pos.checked_add(8).ok_or_else(truncated)?;
-                    let bytes = buf.get(pos..end).ok_or_else(truncated)?;
-                    pos = end;
-                    f64::from_bits(u64::from_le_bytes(
-                        bytes.try_into().unwrap(), // lint:allow(panic) — slice is exactly 8 bytes
-                    ))
-                }
-                TAG_STR => {
-                    let idx = get_count(buf, &mut pos)?;
-                    let entry = dict.get(idx).ok_or_else(|| {
-                        SqlmlError::Execution(format!(
-                            "compact row references dictionary entry {idx} of {}",
-                            dict.len()
-                        ))
-                    })?;
-                    Value::Str(Arc::from(*entry)).as_f64()?
-                }
-                other => {
-                    return Err(SqlmlError::Execution(format!(
-                        "unknown compact value tag {other}"
-                    )))
-                }
-            };
-            row.push(v);
+            row.push(match cur.cell()? {
+                Cell::Null => 0.0,
+                Cell::Bool(b) => f64::from(u8::from(b)),
+                Cell::Int(n) => n as f64,
+                Cell::Double(d) => d,
+                Cell::Str(idx) => Value::Str(Arc::from(cur.dict[idx])).as_f64()?,
+            });
         }
         if i >= skip {
             sink(&row)?;
         }
     }
-    if pos != buf.len() {
-        return Err(SqlmlError::Execution(format!(
-            "compact batch has {} trailing bytes",
-            buf.len() - pos
-        )));
-    }
+    cur.finish()?;
     Ok(row_count)
 }
 
@@ -847,6 +842,62 @@ mod tests {
         // cell pointing at entry 5 of an empty dict.
         let bad = [0u8, 1, 1, TAG_STR, 5];
         assert!(decode_compact_batch(&bad).is_err());
+    }
+
+    /// "One cursor" as a property: over every truncation, one-byte
+    /// extension and single-byte mutation of seeded frames (numeric and
+    /// with strings), the two decoders accept the same byte strings. The
+    /// one allowed difference is the numeric decoder's `Type` error on a
+    /// frame the row decoder reads fine — a string cell is its only fault.
+    #[test]
+    fn both_decoders_accept_the_same_byte_strings() {
+        fn agree(bytes: &[u8], what: &str) {
+            let rows = decode_compact_batch(bytes);
+            match (&rows, decode_compact_batch_f64(bytes, 0, |_| Ok(()))) {
+                (Ok(rows), Ok(n)) => assert_eq!(rows.len(), n, "{what}"),
+                (Ok(rows), Err(e)) => {
+                    assert!(matches!(e, SqlmlError::Type(_)), "{what}: {e}");
+                    let strings = |r: &Row| r.values().iter().any(|v| matches!(v, Value::Str(_)));
+                    assert!(rows.iter().any(strings), "{what}: {e}");
+                }
+                (Err(_), Err(_)) => {}
+                (Err(e), Ok(_)) => panic!("{what}: only the row decoder failed: {e}"),
+            }
+        }
+        let mut rng = crate::rng::SplitMix64::new(0x0C0_45E5);
+        let names = ["Yes", "No", "", "ünï"];
+        for frame in 0..12u64 {
+            let shapes = if frame % 2 == 0 { 4 } else { 5 };
+            let rows: Vec<Row> = (0..1 + rng.next_below(4))
+                .map(|_| {
+                    let cells = (0..rng.next_below(5)).map(|_| match rng.next_below(shapes) {
+                        0 => Value::Null,
+                        1 => Value::Bool(rng.next_below(2) == 1),
+                        2 => Value::Int(rng.next_u64() as i64 >> rng.next_below(64)),
+                        3 => Value::Double(f64::from_bits(rng.next_u64())),
+                        _ => Value::Str(names[rng.next_below(4) as usize].into()),
+                    });
+                    Row::new(cells.collect())
+                })
+                .collect();
+            let mut buf = Vec::new();
+            encode_compact_batch(&rows, &mut buf).unwrap();
+            agree(&buf, &format!("frame {frame} intact"));
+            for cut in 0..buf.len() {
+                agree(&buf[..cut], &format!("frame {frame} cut at {cut}"));
+            }
+            let mut longer = buf.clone();
+            longer.push(rng.next_u64() as u8);
+            agree(&longer, &format!("frame {frame} extended"));
+            for at in 0..buf.len() {
+                let original = buf[at];
+                for flip in [0x01, 0x04, 0x80, 0xFF, 1 + rng.next_below(255) as u8] {
+                    buf[at] = original ^ flip;
+                    agree(&buf, &format!("frame {frame} byte {at} ^ {flip:#04x}"));
+                }
+                buf[at] = original;
+            }
+        }
     }
 
     /// Every row of `buf` past `skip`, through the numeric decoder.

@@ -43,7 +43,7 @@ pub enum OnViolation {
     /// Print the full report to stderr and abort the process. The default:
     /// an executor thread's panic could be swallowed, an abort cannot.
     Abort,
-    /// Record the report for [`take_violations`]; used by the detector's
+    /// Record the report for `take_violations`; used by the detector's
     /// own unit tests.
     Record,
 }

@@ -24,7 +24,7 @@ use crate::schema::DataType;
 /// Strings are interned as `Arc<str>`: cloning a `Value::Str` — which the
 /// executor does for every row that survives a filter, join, or
 /// projection — is a reference-count bump, not a heap copy. Combined with
-/// the decode-side [`Interner`], all rows carrying the same categorical
+/// the decode-side [`crate::Interner`], all rows carrying the same categorical
 /// value share one allocation.
 #[derive(Debug, Clone)]
 pub enum Value {

@@ -22,33 +22,17 @@ pub trait InputSplit: Send + Sync {
     /// scheduler colocates workers with these in a best-effort manner.
     fn locations(&self) -> Vec<String>;
 
-    /// Human-readable description (for logs/EXPLAIN).
-    fn describe(&self) -> String;
-
     /// Downcast hook so formats can recover their concrete split type.
     fn as_any(&self) -> &dyn Any;
 }
 
-/// Pull-based record iterator over one split.
+/// Pull-based reader over one split.
 pub trait RecordReader: Send {
-    /// Next record, or `None` at end of split. The one method a reader
-    /// must implement.
-    fn next_row(&mut self) -> Result<Option<Row>>;
-
     /// Append the next batch of records to `out` as numbers, returning
-    /// how many rows were added (0 only at end of split) — what the job
-    /// runner calls, once per batch rather than once per row. The default
-    /// converts [`RecordReader::next_row`]'s records through to the end of
-    /// the split; a reader that can produce numbers without building a
-    /// `Row` per record overrides it.
-    fn next_batch(&mut self, out: &mut PartitionBlock) -> Result<usize> {
-        let mut n = 0;
-        while let Some(row) = self.next_row()? {
-            out.push_record(&row)?;
-            n += 1;
-        }
-        Ok(n)
-    }
+    /// how many rows were added (0 only at end of split). The job runner
+    /// calls it until it returns 0; how much one call delivers is the
+    /// reader's choice (a frame, the whole split).
+    fn next_batch(&mut self, out: &mut PartitionBlock) -> Result<usize>;
 }
 
 /// A source of splits and readers — the contract every ML job ingests
@@ -59,23 +43,15 @@ pub trait InputFormat: Send + Sync {
     fn get_splits(&self) -> Result<Vec<Arc<dyn InputSplit>>>;
 
     /// Open a reader over one split (previously returned by
-    /// [`InputFormat::get_splits`] of the same format instance).
-    fn create_reader(&self, split: &dyn InputSplit) -> Result<Box<dyn RecordReader>>;
-
-    /// Open a reader knowing which cluster node the reading worker runs
-    /// on. Formats that distinguish local from remote reads (as HDFS
-    /// short-circuit reads do) override this; the default ignores the
-    /// location.
-    fn create_reader_at(
+    /// [`InputFormat::get_splits`] of the same format instance) for a
+    /// worker running on cluster node `worker_node`. Formats that
+    /// distinguish local from remote reads (as HDFS short-circuit reads
+    /// do) use the node; the others ignore it.
+    fn create_reader(
         &self,
         split: &dyn InputSplit,
-        _worker_node: &str,
-    ) -> Result<Box<dyn RecordReader>> {
-        self.create_reader(split)
-    }
-
-    /// Schema of the produced rows.
-    fn schema(&self) -> Schema;
+        worker_node: &str,
+    ) -> Result<Box<dyn RecordReader>>;
 }
 
 // ---------------------------------------------------------------------------
@@ -85,7 +61,8 @@ pub trait InputFormat: Send + Sync {
 /// One split of a DFS text directory: a byte range `[offset, offset+len)`
 /// of one part-file. Whole-file splits have `offset == 0` and
 /// `len == total_len`; block-level splits cover one DFS block each and
-/// follow Hadoop's line-boundary protocol (see [`TextRecordReader`]).
+/// follow Hadoop's line-boundary protocol (see
+/// [`TextInputFormat::with_block_splits`]).
 #[derive(Debug, Clone)]
 pub struct FileSplit {
     pub path: String,
@@ -98,16 +75,6 @@ pub struct FileSplit {
 impl InputSplit for FileSplit {
     fn locations(&self) -> Vec<String> {
         self.locations.clone()
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "file:{}[{}..{}] of {}B",
-            self.path,
-            self.offset,
-            self.offset + self.len,
-            self.total_len
-        )
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -188,28 +155,10 @@ impl InputFormat for TextInputFormat {
         Ok(out)
     }
 
-    fn create_reader(&self, split: &dyn InputSplit) -> Result<Box<dyn RecordReader>> {
-        self.open_split(split, None)
-    }
-
-    fn create_reader_at(
+    fn create_reader(
         &self,
         split: &dyn InputSplit,
         worker_node: &str,
-    ) -> Result<Box<dyn RecordReader>> {
-        self.open_split(split, Some(worker_node))
-    }
-
-    fn schema(&self) -> Schema {
-        self.schema.clone()
-    }
-}
-
-impl TextInputFormat {
-    fn open_split(
-        &self,
-        split: &dyn InputSplit,
-        worker_node: Option<&str>,
     ) -> Result<Box<dyn RecordReader>> {
         let fs = split
             .as_any()
@@ -219,15 +168,9 @@ impl TextInputFormat {
         // last line may reach into later blocks). `open_from` charges
         // remote block reads against the cluster's network bandwidth, so
         // non-local assignments cost time.
-        let reader = match worker_node {
-            Some(node) => {
-                self.dfs
-                    .open_range_from(&fs.path, fs.offset, fs.total_len - fs.offset, node)?
-            }
-            None => self
-                .dfs
-                .open_range(&fs.path, fs.offset, fs.total_len - fs.offset)?,
-        };
+        let reader =
+            self.dfs
+                .open_range_from(&fs.path, fs.offset, fs.total_len - fs.offset, worker_node)?;
         let mut r = TextRecordReader {
             reader,
             schema: self.schema.clone(),
@@ -259,23 +202,22 @@ struct TextRecordReader {
 }
 
 impl RecordReader for TextRecordReader {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        loop {
-            if self.pos > self.end {
-                return Ok(None);
-            }
+    /// The whole split in one call, line by line.
+    fn next_batch(&mut self, out: &mut PartitionBlock) -> Result<usize> {
+        let before = out.len();
+        while self.pos <= self.end {
             self.line.clear();
             let n = self.reader.read_line(&mut self.line)?;
             if n == 0 {
-                return Ok(None);
+                break;
             }
             self.pos += n as u64;
             let trimmed = self.line.trim_end_matches('\n');
-            if trimmed.is_empty() {
-                continue;
+            if !trimmed.is_empty() {
+                out.push_record(&codec::decode_text_row(trimmed, &self.schema)?)?;
             }
-            return Ok(Some(codec::decode_text_row(trimmed, &self.schema)?));
         }
+        Ok(out.len() - before)
     }
 }
 
@@ -294,10 +236,6 @@ impl InputSplit for MemorySplit {
         self.locations.clone()
     }
 
-    fn describe(&self) -> String {
-        format!("memory:{}", self.index)
-    }
-
     fn as_any(&self) -> &dyn Any {
         self
     }
@@ -307,16 +245,14 @@ impl InputSplit for MemorySplit {
 pub struct MemoryInputFormat {
     partitions: Vec<Arc<Vec<Row>>>,
     homes: Vec<String>,
-    schema: Schema,
 }
 
 impl MemoryInputFormat {
-    pub fn new(schema: Schema, partitions: Vec<Vec<Row>>) -> Self {
+    pub fn new(partitions: Vec<Vec<Row>>) -> Self {
         let homes = (0..partitions.len()).map(sqlml_dfs::node_name).collect();
         MemoryInputFormat {
             partitions: partitions.into_iter().map(Arc::new).collect(),
             homes,
-            schema,
         }
     }
 
@@ -339,7 +275,11 @@ impl InputFormat for MemoryInputFormat {
             .collect())
     }
 
-    fn create_reader(&self, split: &dyn InputSplit) -> Result<Box<dyn RecordReader>> {
+    fn create_reader(
+        &self,
+        split: &dyn InputSplit,
+        _worker_node: &str,
+    ) -> Result<Box<dyn RecordReader>> {
         let ms = split
             .as_any()
             .downcast_ref::<MemorySplit>()
@@ -349,10 +289,6 @@ impl InputFormat for MemoryInputFormat {
             pos: 0,
         }))
     }
-
-    fn schema(&self) -> Schema {
-        self.schema.clone()
-    }
 }
 
 struct MemoryReader {
@@ -361,15 +297,6 @@ struct MemoryReader {
 }
 
 impl RecordReader for MemoryReader {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        if self.pos >= self.rows.len() {
-            return Ok(None);
-        }
-        let r = self.rows[self.pos].clone();
-        self.pos += 1;
-        Ok(Some(r))
-    }
-
     /// The rows are already resident: convert them in place, no clones.
     fn next_batch(&mut self, out: &mut PartitionBlock) -> Result<usize> {
         let rest = &self.rows[self.pos..];
@@ -395,6 +322,18 @@ mod tests {
         ])
     }
 
+    /// Every row of every split, read the way the job runner reads: one
+    /// reader per split, `next_batch` until it returns 0.
+    fn read_all(fmt: &dyn InputFormat) -> Vec<Vec<f64>> {
+        let mut block = PartitionBlock::new(None);
+        for s in fmt.get_splits().unwrap() {
+            let mut r = fmt.create_reader(s.as_ref(), "node-0").unwrap();
+            while r.next_batch(&mut block).unwrap() > 0 {}
+        }
+        let data = crate::Dataset::from_blocks(vec![block]).unwrap();
+        data.iter().map(|p| p.features.to_vec()).collect()
+    }
+
     #[test]
     fn text_format_reads_all_part_files() {
         let dfs = Dfs::new(DfsConfig::for_tests());
@@ -402,20 +341,10 @@ mod tests {
             .unwrap();
         dfs.write_string("/ml/in/part-00001", "3.5|1\n").unwrap();
         let fmt = TextInputFormat::new(dfs, "/ml/in", schema());
-        let splits = fmt.get_splits().unwrap();
-        assert_eq!(splits.len(), 2);
-        let mut rows = Vec::new();
-        for s in &splits {
-            let mut r = fmt.create_reader(s.as_ref()).unwrap();
-            while let Some(row) = r.next_row().unwrap() {
-                rows.push(row);
-            }
-        }
-        rows.sort();
-        assert_eq!(
-            rows,
-            vec![row![1.5, 1i64], row![2.5, 0i64], row![3.5, 1i64]]
-        );
+        assert_eq!(fmt.get_splits().unwrap().len(), 2);
+        let mut rows = read_all(&fmt);
+        rows.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        assert_eq!(rows, [[1.5, 1.0], [2.5, 0.0], [3.5, 1.0]]);
     }
 
     #[test]
@@ -455,15 +384,9 @@ mod tests {
             "expected many 64-byte block splits, got {}",
             splits.len()
         );
-        let mut got = Vec::new();
-        for s in &splits {
-            let mut r = fmt.create_reader(s.as_ref()).unwrap();
-            while let Some(row) = r.next_row().unwrap() {
-                got.push(row.get(0).as_i64().unwrap());
-            }
-        }
-        got.sort_unstable();
-        let expect: Vec<i64> = (0..40).collect();
+        let mut got: Vec<f64> = read_all(&fmt).iter().map(|row| row[0]).collect();
+        got.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let expect: Vec<f64> = (0..40).map(f64::from).collect();
         assert_eq!(got, expect, "lines lost or duplicated across splits");
     }
 
@@ -488,23 +411,12 @@ mod tests {
 
     #[test]
     fn memory_format_round_trips_partitions() {
-        let fmt = MemoryInputFormat::new(
-            schema(),
-            vec![
-                vec![row![1.0, 1i64]],
-                vec![row![2.0, 0i64], row![3.0, 1i64]],
-            ],
-        );
-        let splits = fmt.get_splits().unwrap();
-        assert_eq!(splits.len(), 2);
-        let mut count = 0;
-        for s in &splits {
-            let mut r = fmt.create_reader(s.as_ref()).unwrap();
-            while r.next_row().unwrap().is_some() {
-                count += 1;
-            }
-        }
-        assert_eq!(count, 3);
+        let fmt = MemoryInputFormat::new(vec![
+            vec![row![1.0, 1i64]],
+            vec![row![2.0, 0i64], row![3.0, 1i64]],
+        ]);
+        assert_eq!(fmt.get_splits().unwrap().len(), 2);
+        assert_eq!(read_all(&fmt), [[1.0, 1.0], [2.0, 0.0], [3.0, 1.0]]);
     }
 
     #[test]
@@ -512,8 +424,8 @@ mod tests {
         let dfs = Dfs::new(DfsConfig::for_tests());
         dfs.write_string("/a/part-00000", "1.0|1\n").unwrap();
         let text = TextInputFormat::new(dfs, "/a", schema());
-        let mem = MemoryInputFormat::new(schema(), vec![vec![]]);
+        let mem = MemoryInputFormat::new(vec![vec![]]);
         let mem_split = mem.get_splits().unwrap();
-        assert!(text.create_reader(mem_split[0].as_ref()).is_err());
+        assert!(text.create_reader(mem_split[0].as_ref(), "node-0").is_err());
     }
 }

@@ -315,8 +315,7 @@ impl JobRunner {
                                 .map(|s| {
                                     inner.spawn(move || -> Result<PartitionBlock> {
                                         let mut block = PartitionBlock::new(label_col);
-                                        let mut reader =
-                                            format.create_reader_at(s.as_ref(), node)?;
+                                        let mut reader = format.create_reader(s.as_ref(), node)?;
                                         while reader.next_batch(&mut block)? > 0 {}
                                         Ok(block)
                                     })
@@ -470,16 +469,7 @@ fn binarize_labels(data: &Dataset) -> Dataset {
 mod tests {
     use super::*;
     use crate::input::MemoryInputFormat;
-    use sqlml_common::schema::{DataType, Field, Schema};
     use sqlml_common::{row, Row, SplitMix64};
-
-    fn schema() -> Schema {
-        Schema::new(vec![
-            Field::new("x", DataType::Double),
-            Field::new("y", DataType::Double),
-            Field::new("label", DataType::Int),
-        ])
-    }
 
     fn blob_format(parts: usize, n: usize, seed: u64) -> MemoryInputFormat {
         let mut rng = SplitMix64::new(seed);
@@ -493,7 +483,7 @@ mod tests {
                 cls
             ]);
         }
-        MemoryInputFormat::new(schema(), partitions)
+        MemoryInputFormat::new(partitions)
     }
 
     #[test]
@@ -582,7 +572,7 @@ mod tests {
         // Four one-row splits on one worker: the partition is the splits
         // concatenated in the order the format listed them.
         let parts = (0..4).map(|i| vec![row![f64::from(i), 0.5, 1i64]]);
-        let fmt = MemoryInputFormat::new(schema(), parts.collect());
+        let fmt = MemoryInputFormat::new(parts.collect());
         let runner = JobRunner::new(JobConfig {
             num_workers: 1,
             ..Default::default()
@@ -594,7 +584,7 @@ mod tests {
 
     #[test]
     fn a_job_without_workers_is_an_error_not_a_panic() {
-        let fmt = MemoryInputFormat::new(schema(), vec![vec![row![1.0, 1.0, 0i64]; 2]]);
+        let fmt = MemoryInputFormat::new(vec![vec![row![1.0, 1.0, 0i64]; 2]]);
         let runner = JobRunner::new(JobConfig {
             num_workers: 0,
             ..Default::default()
@@ -643,7 +633,7 @@ mod tests {
                 ]
             })
             .collect();
-        let fmt = MemoryInputFormat::new(schema(), vec![rows]);
+        let fmt = MemoryInputFormat::new(vec![rows]);
         let runner = JobRunner::new(JobConfig {
             num_workers: 1,
             ..Default::default()
@@ -666,7 +656,7 @@ mod tests {
             row![2.0, 2.0, 9i64],
             row![0.0, 0.0, 11i64],
         ];
-        let fmt = MemoryInputFormat::new(schema(), vec![rows]);
+        let fmt = MemoryInputFormat::new(vec![rows]);
         let runner = JobRunner::new(JobConfig {
             num_workers: 1,
             ..Default::default()

@@ -2,12 +2,12 @@
 //! `InputFormat` interface, with replay-on-failure.
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
 use sqlml_common::lockorder::TrackedMutex;
 use sqlml_common::{codec, Result, Row, Schema, SqlmlError};
+use sqlml_mlengine::dataset::PartitionBlock;
 use sqlml_mlengine::input::{InputFormat, InputSplit, RecordReader};
 
 use crate::broker::Broker;
@@ -84,10 +84,6 @@ impl InputSplit for MqSplit {
         vec![self.location.clone()]
     }
 
-    fn describe(&self) -> String {
-        format!("mq:{}/{}", self.topic, self.partition)
-    }
-
     fn as_any(&self) -> &dyn Any {
         self
     }
@@ -131,7 +127,11 @@ impl InputFormat for MqInputFormat {
             .collect())
     }
 
-    fn create_reader(&self, split: &dyn InputSplit) -> Result<Box<dyn RecordReader>> {
+    fn create_reader(
+        &self,
+        split: &dyn InputSplit,
+        _worker_node: &str,
+    ) -> Result<Box<dyn RecordReader>> {
         let s = split
             .as_any()
             .downcast_ref::<MqSplit>()
@@ -140,13 +140,9 @@ impl InputFormat for MqInputFormat {
             broker: self.broker.clone(),
             split: s.clone(),
             schema: self.schema.clone(),
-            rows: None,
+            drained: false,
             faults: self.faults.clone(),
         }))
-    }
-
-    fn schema(&self) -> Schema {
-        self.schema.clone()
     }
 }
 
@@ -157,12 +153,12 @@ struct MqRecordReader {
     broker: Broker,
     split: MqSplit,
     schema: Schema,
-    rows: Option<VecDeque<Row>>,
+    drained: bool,
     faults: Option<Arc<ConsumerFaults>>,
 }
 
 impl MqRecordReader {
-    fn drain(&self) -> Result<VecDeque<Row>> {
+    fn drain(&self) -> Result<Vec<Row>> {
         let mut last_err = None;
         for _ in 0..MAX_CONSUME_ATTEMPTS {
             match self.consume_from_start() {
@@ -175,8 +171,8 @@ impl MqRecordReader {
 
     /// One consume attempt: replay the partition from offset 0 — the
     /// at-least-once read the paper wants from Kafka.
-    fn consume_from_start(&self) -> Result<VecDeque<Row>> {
-        let mut rows = VecDeque::new();
+    fn consume_from_start(&self) -> Result<Vec<Row>> {
+        let mut rows = Vec::new();
         let mut offset = 0u64;
         let mut consumed_records = 0usize;
         loop {
@@ -205,7 +201,7 @@ impl MqRecordReader {
                                 self.schema.len()
                             )));
                         }
-                        rows.push_back(row);
+                        rows.push(row);
                     }
                     offset += 1;
                     consumed_records += 1;
@@ -217,16 +213,17 @@ impl MqRecordReader {
 }
 
 impl RecordReader for MqRecordReader {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        if self.rows.is_none() {
-            self.rows = Some(self.drain()?);
+    /// The whole partition in one call, once the drain succeeded.
+    fn next_batch(&mut self, out: &mut PartitionBlock) -> Result<usize> {
+        if self.drained {
+            return Ok(0);
         }
-        match self.rows.as_mut() {
-            Some(rows) => Ok(rows.pop_front()),
-            None => Err(SqlmlError::Ml(
-                "record reader buffer missing after drain".into(),
-            )),
+        let rows = self.drain()?;
+        self.drained = true;
+        for row in &rows {
+            out.push_record(row)?;
         }
+        Ok(rows.len())
     }
 }
 
@@ -252,6 +249,15 @@ mod tests {
         broker.seal(topic, partition).unwrap();
     }
 
+    /// Read one split to its end; the first column of every row.
+    fn read_split(fmt: &MqInputFormat, split: &dyn InputSplit) -> Result<Vec<f64>> {
+        let mut reader = fmt.create_reader(split, "node-0")?;
+        let mut block = PartitionBlock::new(None);
+        while reader.next_batch(&mut block)? > 0 {}
+        let data = sqlml_mlengine::Dataset::from_blocks(vec![block])?;
+        Ok(data.iter().map(|p| p.features[0]).collect())
+    }
+
     #[test]
     fn consumes_all_partitions() {
         let broker = Broker::new(BrokerConfig::default());
@@ -261,15 +267,8 @@ mod tests {
         let fmt = MqInputFormat::new(broker, "t", schema());
         let splits = fmt.get_splits().unwrap();
         assert_eq!(splits.len(), 2);
-        let mut all = Vec::new();
-        for s in &splits {
-            let mut r = fmt.create_reader(s.as_ref()).unwrap();
-            while let Some(row) = r.next_row().unwrap() {
-                all.push(row);
-            }
-        }
-        all.sort();
-        assert_eq!(all, vec![row![1i64], row![2i64], row![3i64]]);
+        assert_eq!(read_split(&fmt, splits[0].as_ref()).unwrap(), [1.0, 2.0]);
+        assert_eq!(read_split(&fmt, splits[1].as_ref()).unwrap(), [3.0]);
     }
 
     #[test]
@@ -286,13 +285,9 @@ mod tests {
         faults.fail_partition_after(0, 2);
         let fmt = MqInputFormat::new(broker, "t", schema()).with_faults(Arc::clone(&faults));
         let splits = fmt.get_splits().unwrap();
-        let mut r = fmt.create_reader(splits[0].as_ref()).unwrap();
-        let mut rows = Vec::new();
-        while let Some(row) = r.next_row().unwrap() {
-            rows.push(row);
-        }
         // Exactly-once despite the mid-read failure.
-        assert_eq!(rows, vec![row![0i64], row![1i64], row![2i64]]);
+        let rows = read_split(&fmt, splits[0].as_ref()).unwrap();
+        assert_eq!(rows, [0.0, 1.0, 2.0]);
         assert_eq!(faults.fired(), vec![(0, 2)]);
     }
 
@@ -303,8 +298,8 @@ mod tests {
         publish(&broker, "t", 0, &[row![1i64, 2i64]]); // two columns
         let fmt = MqInputFormat::new(broker, "t", schema()); // expects one
         let splits = fmt.get_splits().unwrap();
-        let mut r = fmt.create_reader(splits[0].as_ref()).unwrap();
-        assert!(r.next_row().is_err());
+        let err = read_split(&fmt, splits[0].as_ref()).unwrap_err();
+        assert!(err.to_string().contains("record arity 2"), "{err}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! walk a query through them.
 //!
 //! The fleet is **elastic**: shard membership lives in an epoch-versioned
-//! [`ShardRegistry`] rather than a fixed vector, so
+//! `ShardRegistry` rather than a fixed vector, so
 //! [`QueryScheduler::add_shard`] can boot and publish a fresh warehouse
 //! at runtime and [`QueryScheduler::remove_shard`] can drain one out —
 //! placement, stealing, and stats always iterate one consistent

@@ -3,13 +3,12 @@
 //! ingest live SQL streams instead of files.
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sqlml_common::{codec, Result, Row, Schema, SqlmlError};
+use sqlml_common::{codec, Result, SqlmlError};
 use sqlml_mlengine::dataset::PartitionBlock;
 use sqlml_mlengine::input::{InputFormat, InputSplit, RecordReader};
 
@@ -42,13 +41,6 @@ impl InputSplit for StreamSplit {
         vec![self.location.clone()]
     }
 
-    fn describe(&self) -> String {
-        format!(
-            "sqlstream:{}/{}#{} @{}",
-            self.transfer_id, self.sql_worker, self.index_in_group, self.data_addr
-        )
-    }
-
     fn as_any(&self) -> &dyn Any {
         self
     }
@@ -61,16 +53,14 @@ impl InputSplit for StreamSplit {
 pub struct SqlStreamInputFormat {
     coordinator_addr: String,
     transfer_id: u64,
-    schema: Schema,
     metrics: Option<Arc<TransferMetrics>>,
 }
 
 impl SqlStreamInputFormat {
-    pub fn new(coordinator_addr: impl Into<String>, transfer_id: u64, schema: Schema) -> Self {
+    pub fn new(coordinator_addr: impl Into<String>, transfer_id: u64) -> Self {
         SqlStreamInputFormat {
             coordinator_addr: coordinator_addr.into(),
             transfer_id,
-            schema,
             metrics: None,
         }
     }
@@ -116,7 +106,11 @@ impl InputFormat for SqlStreamInputFormat {
         }
     }
 
-    fn create_reader(&self, split: &dyn InputSplit) -> Result<Box<dyn RecordReader>> {
+    fn create_reader(
+        &self,
+        split: &dyn InputSplit,
+        _worker_node: &str,
+    ) -> Result<Box<dyn RecordReader>> {
         let s = split
             .as_any()
             .downcast_ref::<StreamSplit>()
@@ -128,99 +122,52 @@ impl InputFormat for SqlStreamInputFormat {
             self.metrics.clone(),
         )))
     }
-
-    fn schema(&self) -> Schema {
-        self.schema.clone()
-    }
 }
 
-/// What a `RowBatch` payload decodes into — the one thing the reader's
-/// state machine does not decide. `accept` keeps the batch's rows past the
-/// first `skip` and returns how many rows the batch held.
-trait BatchSink {
-    fn accept(&mut self, batch: &[u8], skip: usize) -> Result<usize>;
-}
-
-/// Rows queued for `next_row`.
-impl BatchSink for VecDeque<Row> {
-    fn accept(&mut self, batch: &[u8], skip: usize) -> Result<usize> {
-        let rows = codec::decode_compact_batch(batch)?;
-        let n = rows.len();
-        self.extend(rows.into_iter().skip(skip));
-        Ok(n)
-    }
-}
-
-/// Numbers appended to the worker's partition block, `next_batch`'s sink.
-struct BlockSink<'a> {
-    block: &'a mut PartitionBlock,
-    /// Set once a batch decoded fine but did not hold numeric rows of the
-    /// block's width. No re-stream can fix the data, and dropping the
-    /// connection would send the SQL side into its restart protocol
-    /// against a reader that left; so the stream is read to its end
-    /// without storing anything more, and fails there with this error.
-    rejected: Option<SqlmlError>,
-}
-
-impl BatchSink for BlockSink<'_> {
-    fn accept(&mut self, batch: &[u8], skip: usize) -> Result<usize> {
-        if self.rejected.is_none() {
-            let mark = self.block.len();
-            match codec::decode_compact_batch_f64(batch, skip, |row| self.block.push_row(row)) {
-                Ok(n) => return Ok(n),
-                Err(e) => {
-                    // Nothing of a failed batch may stay: a corrupt one
-                    // is re-streamed, and would land twice.
-                    self.block.truncate(mark);
-                    if !matches!(e, SqlmlError::Type(_) | SqlmlError::Ml(_)) {
-                        return Err(e);
-                    }
-                    self.rejected = Some(e);
-                }
-            }
-        }
-        Ok(codec::decode_compact_batch(batch)?.len())
-    }
+/// Decode one `RowBatch` payload into `block`, keeping the rows past the
+/// first `skip`; returns how many rows the batch held. Nothing of a batch
+/// that fails to decode stays in the block: it is re-streamed, and would
+/// land twice.
+fn decode_frame(batch: &[u8], skip: usize, block: &mut PartitionBlock) -> Result<usize> {
+    let mark = block.len();
+    codec::decode_compact_batch_f64(batch, skip, |row| block.push_row(row))
+        .inspect_err(|_| block.truncate(mark))
 }
 
 /// Pipelined reader over one streaming split.
 ///
 /// The reader owns the socket and the whole reconnect/skip state machine
-/// and runs it on the calling ML thread, one frame per `fill`
+/// and runs it on the calling ML thread, one frame per call
 /// (`JobRunner::ingest_dataset` gives every split a thread of its own, so
-/// sibling splits still decode in parallel). The machine is the same
-/// whichever way the rows leave: `next_batch` — the path a job takes —
-/// decodes each frame's compact batch straight into the caller's
-/// [`PartitionBlock`] and buffers nothing; `next_row` decodes it into
-/// `Row`s and holds at most that one batch. A running row count is
-/// validated against the sender's `DataEnd` total.
+/// sibling splits still decode in parallel). Rows leave one way:
+/// `next_batch` decodes each frame's compact batch straight into the
+/// caller's [`PartitionBlock`] and buffers nothing. A running row count
+/// is validated against the sender's `DataEnd` total.
+///
+/// The session refused any table that is not numeric, and any label
+/// column past its width, before the stream started (see
+/// `StreamSession::run_with_cancel`), so a frame that does not decode
+/// into the block — cut short, a string cell, a row of another width — is
+/// the wire's fault and takes the ordinary path of a broken attempt.
 ///
 /// Exactly-once across the §6 whole-group restart protocol: the reader
-/// tracks a `forwarded` watermark (rows accepted into the sink — every
-/// one of which it will deliver), and on reconnect skips that many rows
-/// of the sender's deterministic re-stream before accepting more. A
-/// failure is sticky, so a caller that retries can never mistake a
-/// broken stream for a clean, short one.
+/// tracks a `forwarded` watermark (rows appended to the caller's block),
+/// and on reconnect skips that many rows of the sender's deterministic
+/// re-stream before accepting more. A failure is sticky, so a caller that
+/// retries can never mistake a broken stream for a clean, short one.
 pub struct StreamRecordReader {
     split: StreamSplit,
     metrics: Option<Arc<TransferMetrics>>,
     conn: Option<BufReader<TcpStream>>,
     /// Reusable frame-payload buffer (no per-frame allocation).
     scratch: Vec<u8>,
-    /// Rows accepted into a sink — the exactly-once watermark (the
-    /// reader delivers everything it accepts).
+    /// Rows appended to the caller's blocks — the exactly-once watermark.
     forwarded: u64,
     /// Rows received in the current attempt, checked at `DataEnd`.
     received_this_attempt: u64,
     /// Rows to skip after a reconnect (re-streamed, already forwarded).
     skip_remaining: u64,
     next_attempt: u32,
-    /// Rows of the batch `next_row` is handing out.
-    pending: VecDeque<Row>,
-    /// See [`BlockSink::rejected`]; kept here between `next_batch` calls.
-    rejected: Option<SqlmlError>,
-    /// Rows handed to the ML engine.
-    delivered: u64,
     finished: bool,
     /// The first fatal stream error, kept so later calls repeat it.
     failed: Option<String>,
@@ -240,9 +187,6 @@ impl StreamRecordReader {
             received_this_attempt: 0,
             skip_remaining: 0,
             next_attempt: 1,
-            pending: VecDeque::new(),
-            rejected: None,
-            delivered: 0,
             finished: false,
             failed: None,
             max_pending: 0,
@@ -257,7 +201,7 @@ impl StreamRecordReader {
 
     /// Rows handed to the ML engine so far.
     pub fn rows_delivered(&self) -> u64 {
-        self.delivered
+        self.forwarded
     }
 
     /// One connection + handshake attempt. Both handshake frames carry
@@ -312,36 +256,12 @@ impl StreamRecordReader {
         )))
     }
 
-    /// Read and decode the next frame that carries undelivered rows into
-    /// `sink`. `Ok(true)` when it took rows in, `Ok(false)` at (and after)
-    /// the clean end of the stream; an error is final and repeated by
-    /// every later call.
-    fn fill(&mut self, sink: &mut impl BatchSink) -> Result<bool> {
-        if let Some(first) = &self.failed {
-            return Err(SqlmlError::Transfer(format!(
-                "stream reader already failed: {first}"
-            )));
-        }
-        if self.finished {
-            return Ok(false);
-        }
-        let wait_start = Instant::now();
-        let more = self
-            .read_fresh_frame(sink)
-            .inspect_err(|e| self.failed = Some(e.to_string()))?;
-        if more {
-            if let Some(m) = &self.metrics {
-                m.on_prefetch_wait(wait_start.elapsed());
-            }
-        }
-        Ok(more)
-    }
-
     /// The stream state machine: read → decode → accept until a frame
-    /// yields fresh rows, the stream ends cleanly, or the attempt budget
-    /// is spent. Backpressure is the socket itself: while the ML side is
-    /// busy nothing reads, and the sender's queue fills.
-    fn read_fresh_frame(&mut self, sink: &mut impl BatchSink) -> Result<bool> {
+    /// yields fresh rows (their count is returned), the stream ends
+    /// cleanly (0), or the attempt budget is spent. Backpressure is the
+    /// socket itself: while the ML side is busy nothing reads, and the
+    /// sender's queue fills.
+    fn read_fresh_frame(&mut self, out: &mut PartitionBlock) -> Result<usize> {
         loop {
             if self.conn.is_none() {
                 self.begin_attempt()?;
@@ -354,7 +274,7 @@ impl StreamRecordReader {
             let broken_reason = match read_data_frame(conn, &mut self.scratch) {
                 Ok(DataFrame::RowBatch(batch)) => {
                     let skip = usize::try_from(self.skip_remaining).unwrap_or(usize::MAX);
-                    match sink.accept(batch, skip) {
+                    match decode_frame(batch, skip, out) {
                         Ok(rows) => {
                             self.received_this_attempt += rows as u64;
                             if let Some(m) = &self.metrics {
@@ -365,7 +285,7 @@ impl StreamRecordReader {
                             if fresh > 0 {
                                 self.forwarded += fresh as u64;
                                 self.max_pending = self.max_pending.max(fresh);
-                                return Ok(true);
+                                return Ok(fresh);
                             }
                             continue;
                         }
@@ -389,7 +309,7 @@ impl StreamRecordReader {
                         }
                         self.conn = None;
                         self.finished = true;
-                        return Ok(false);
+                        return Ok(0);
                     }
                 }
                 Ok(DataFrame::Other(Message::Abort { reason })) => {
@@ -418,67 +338,41 @@ impl StreamRecordReader {
             std::thread::sleep(Duration::from_millis(25 * u64::from(self.next_attempt)));
         }
     }
-
-    /// Count `rows` as handed to the ML engine.
-    fn deliver(&mut self, rows: usize) {
-        if self.delivered == 0 && rows > 0 {
-            if let Some(m) = &self.metrics {
-                m.on_first_row();
-            }
-        }
-        self.delivered += rows as u64;
-    }
 }
 
 impl RecordReader for StreamRecordReader {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        loop {
-            if let Some(row) = self.pending.pop_front() {
-                self.deliver(1);
-                return Ok(Some(row));
-            }
-            let mut pending = std::mem::take(&mut self.pending);
-            let more = self.fill(&mut pending);
-            self.pending = pending;
-            if !more? {
-                return Ok(None);
-            }
-        }
-    }
-
-    /// One frame per call, decoded straight into `out`.
+    /// One frame per call: read and decode the next frame that carries
+    /// undelivered rows straight into `out`. 0 at (and after) the clean
+    /// end of the stream; an error is final and repeated by every later
+    /// call.
     fn next_batch(&mut self, out: &mut PartitionBlock) -> Result<usize> {
-        let before = out.len();
-        // Rows an earlier `next_row` call left queued go first.
-        for row in std::mem::take(&mut self.pending) {
-            out.push_record(&row)
-                .inspect_err(|e| self.failed = Some(e.to_string()))?;
+        if let Some(first) = &self.failed {
+            return Err(SqlmlError::Transfer(format!(
+                "stream reader already failed: {first}"
+            )));
         }
-        let mut sink = BlockSink {
-            block: out,
-            rejected: self.rejected.take(),
-        };
-        let mut more = true;
-        while more && sink.block.len() == before {
-            more = self.fill(&mut sink)?;
+        if self.finished {
+            return Ok(0);
         }
-        self.rejected = sink.rejected;
-        if !more {
-            if let Some(e) = self.rejected.take() {
-                self.failed = Some(e.to_string());
-                return Err(e);
+        let wait_start = Instant::now();
+        let nothing_yet = self.forwarded == 0;
+        let fresh = self
+            .read_fresh_frame(out)
+            .inspect_err(|e| self.failed = Some(e.to_string()))?;
+        if let Some(m) = self.metrics.as_ref().filter(|_| fresh > 0) {
+            m.on_prefetch_wait(wait_start.elapsed());
+            if nothing_yet {
+                m.on_first_row();
             }
         }
-        let rows = out.len() - before;
-        self.deliver(rows);
-        Ok(rows)
+        Ok(fresh)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlml_common::Value;
+    use sqlml_common::{Row, Value};
     use sqlml_mlengine::Dataset;
     use std::io::Write;
     use std::net::TcpListener;
@@ -494,22 +388,21 @@ mod tests {
             location: "node-2".into(),
         };
         assert_eq!(s.locations(), vec!["node-2"]);
-        assert!(s.describe().contains("5/2#1"));
     }
 
     #[test]
     fn foreign_split_is_rejected() {
         use sqlml_mlengine::input::MemoryInputFormat;
-        let fmt = SqlStreamInputFormat::new("127.0.0.1:1", 1, Schema::empty());
-        let mem = MemoryInputFormat::new(Schema::empty(), vec![vec![]]);
+        let fmt = SqlStreamInputFormat::new("127.0.0.1:1", 1);
+        let mem = MemoryInputFormat::new(vec![vec![]]);
         let split = mem.get_splits().unwrap();
-        assert!(fmt.create_reader(split[0].as_ref()).is_err());
+        assert!(fmt.create_reader(split[0].as_ref(), "node-0").is_err());
     }
 
     #[test]
     fn get_splits_fails_fast_without_coordinator() {
         // Port 1 is essentially never listening.
-        let fmt = SqlStreamInputFormat::new("127.0.0.1:1", 1, Schema::empty());
+        let fmt = SqlStreamInputFormat::new("127.0.0.1:1", 1);
         assert!(fmt.get_splits().is_err());
     }
 
@@ -577,10 +470,6 @@ mod tests {
         }
     }
 
-    fn ids(rows: Range<u64>) -> Vec<Value> {
-        rows.map(|i| Value::Int(i as i64)).collect()
-    }
-
     /// The acceptance-criteria memory bound: ≥100k rows through a small
     /// batch size must never buffer more than one batch in the reader.
     #[test]
@@ -591,12 +480,10 @@ mod tests {
             send_rows(&mut stream, 0..TOTAL_ROWS, BATCH, Some(TOTAL_ROWS))
         });
         let mut reader = StreamRecordReader::new(local_split(addr), None);
-        let mut count = 0u64;
-        while let Some(_row) = reader.next_row().unwrap() {
-            count += 1;
-        }
+        let mut block = PartitionBlock::new(None);
+        while reader.next_batch(&mut block).unwrap() > 0 {}
         sender.join().unwrap();
-        assert_eq!(count, TOTAL_ROWS);
+        assert_eq!(block.len() as u64, TOTAL_ROWS);
         assert!(
             reader.max_pending_rows() as u64 <= BATCH,
             "reader buffered {} rows — memory is not O(batch)",
@@ -619,13 +506,13 @@ mod tests {
 
         let metrics = Arc::new(TransferMetrics::new());
         let mut reader = StreamRecordReader::new(local_split(addr), Some(Arc::clone(&metrics)));
-        let first = reader.next_row().unwrap().unwrap();
-        assert_eq!(first.get(0), &Value::Int(1));
-        // A row came out while DataEnd had not been sent: pipelining.
+        let mut block = PartitionBlock::new(None);
+        assert_eq!(reader.next_batch(&mut block).unwrap(), 2);
+        // Rows came out while DataEnd had not been sent: pipelining.
         release_tx.send(()).unwrap();
-        assert!(reader.next_row().unwrap().is_some());
-        assert!(reader.next_row().unwrap().is_none());
+        assert_eq!(reader.next_batch(&mut block).unwrap(), 0);
         sender.join().unwrap();
+        assert_eq!(first_column(block), numbers(1..3));
         let snap = metrics.snapshot();
         assert_eq!(snap.rows_received, 2);
         assert_eq!(snap.batches_received, 1);
@@ -641,16 +528,22 @@ mod tests {
         // retry fails and the final error surfaces the mismatch.
         let (addr, sender) = fake_sender(|mut stream| send_rows(&mut stream, 0..1, 1, Some(5)));
         let mut reader = StreamRecordReader::new(local_split(addr), None);
-        assert!(reader.next_row().unwrap().is_some(), "first row streams");
+        let mut block = PartitionBlock::new(None);
+        assert_eq!(
+            reader.next_batch(&mut block).unwrap(),
+            1,
+            "first row streams"
+        );
         let err = loop {
-            match reader.next_row() {
-                Ok(Some(_)) => continue,
-                Ok(None) => panic!("mismatch must not end cleanly"),
+            match reader.next_batch(&mut block) {
+                Ok(0) => panic!("mismatch must not end cleanly"),
+                Ok(_) => continue,
                 Err(e) => break e,
             }
         };
         sender.join().unwrap();
         assert!(err.to_string().contains("attempts"), "{err}");
+        assert_eq!(block.len(), 1);
     }
 
     /// The first column of every row of `block`, in order.
@@ -692,23 +585,6 @@ mod tests {
         let snap = metrics.snapshot();
         assert_eq!((snap.rows_received, snap.batches_received), (TOTAL, 16));
         assert!(snap.time_to_first_row.unwrap() <= snap.time_to_first_data_end.unwrap());
-    }
-
-    /// Rows `next_row` left queued are the first thing `next_batch`
-    /// appends: mixing the two loses and repeats nothing.
-    #[test]
-    fn next_batch_after_next_row_continues_mid_frame() {
-        let (addr, sender) = fake_sender(|mut stream| send_rows(&mut stream, 0..20, 8, Some(20)));
-        let mut reader = StreamRecordReader::new(local_split(addr), None);
-        for i in 0..3 {
-            assert_eq!(reader.next_row().unwrap().unwrap().get(0), &Value::Int(i));
-        }
-        let mut block = PartitionBlock::new(None);
-        assert_eq!(reader.next_batch(&mut block).unwrap(), 5);
-        while reader.next_batch(&mut block).unwrap() > 0 {}
-        sender.join().unwrap();
-        assert_eq!(first_column(block), numbers(3..20));
-        assert_eq!(reader.rows_delivered(), 20);
     }
 
     /// The attempts of the restart scenario: the first dies after a whole
@@ -758,21 +634,6 @@ mod tests {
         }
     }
 
-    /// The same scenario through `next_row`, whose sink is the reader's
-    /// own one-batch queue.
-    #[test]
-    fn a_restream_cut_mid_frame_is_exactly_once_row_by_row() {
-        let (addr, sender) = fake_sender_attempts(drop_refuse_then_restream(5, 15, 4, 41));
-        let mut reader = StreamRecordReader::new(local_split(addr), None);
-        let mut got = Vec::new();
-        while let Some(row) = reader.next_row().unwrap() {
-            got.push(row.get(0).clone());
-        }
-        sender.join().unwrap();
-        assert_eq!(got, ids(0..41));
-        assert!(reader.max_pending_rows() <= 5);
-    }
-
     /// A re-stream that ends (with a truthful `DataEnd`) before reaching
     /// the rows already delivered is a broken attempt, never a clean end.
     #[test]
@@ -815,78 +676,53 @@ mod tests {
         // The sender is gone: the later calls fail by themselves, and name
         // the first failure.
         let second = reader.next_batch(&mut block).unwrap_err();
-        let third = reader.next_row().unwrap_err();
+        let third = reader.next_batch(&mut block).unwrap_err();
         for err in [first, second, third] {
             assert!(err.to_string().contains("not today"), "{err}");
         }
         assert!(block.is_empty());
     }
 
-    /// A frame cut off inside its compact batch is re-streamed, and the
-    /// rows decoded before the cut do not land twice.
+    /// A frame that does not decode into the block — cut off inside its
+    /// compact batch, holding a string cell, or holding a row of another
+    /// width — is re-streamed like any broken attempt, and the rows decoded
+    /// before the fault do not land twice.
     #[test]
     fn a_corrupt_frame_is_rolled_back_and_restreamed() {
-        let corrupt = started(|mut stream| {
-            send_rows(&mut stream, 0..8, 8, None);
-            let rows = (8..16).map(|i| Row::new(vec![Value::Int(i)])).collect();
-            let mut frame = Message::RowBatch { rows }.encode().unwrap();
-            // Drop the last row's bytes and patch the length prefix: a
-            // well-framed payload whose batch ends early.
-            frame.truncate(frame.len() - 2);
-            let len = u32::try_from(frame.len() - 4).unwrap();
-            frame[..4].copy_from_slice(&len.to_le_bytes());
-            stream.write_all(&frame).unwrap();
-            // Hold the socket until the reader has seen the frame.
-            let _ = read_message_with(&mut stream, &mut Vec::new());
-        });
-        let (addr, sender) = fake_sender_attempts(vec![
-            corrupt,
-            started(|mut stream| send_rows(&mut stream, 0..30, 7, Some(30))),
-        ]);
-        let mut reader = StreamRecordReader::new(local_split(addr), None);
-        let mut block = PartitionBlock::new(None);
-        while reader.next_batch(&mut block).unwrap() > 0 {}
-        sender.join().unwrap();
-        assert_eq!(first_column(block), numbers(0..30));
-    }
-
-    /// Rows that decode but are not numeric (or change width) fail the
-    /// reader — after it has read the stream to its end on the one
-    /// attempt, so the sender finishes instead of restarting against a
-    /// reader that hung up.
-    #[test]
-    fn non_numeric_rows_fail_the_reader_at_the_end_of_the_one_attempt() {
-        type Bad = fn() -> Row;
-        let cases: [(Bad, &str); 2] = [
-            (|| sqlml_common::row![7i64, "F"], "cannot interpret"),
-            (
-                || sqlml_common::row![7i64],
-                "inconsistent feature dimension",
-            ),
+        let int_rows = |ids: Range<i64>| ids.map(|i| sqlml_common::row![i]).collect::<Vec<_>>();
+        let frame_of = |last: Row| {
+            let mut rows = int_rows(8..15);
+            rows.push(last);
+            Message::RowBatch { rows }.encode().unwrap()
+        };
+        // Drop the last row's bytes and patch the length prefix: a
+        // well-framed payload whose batch ends early.
+        let mut cut_short = frame_of(sqlml_common::row![15i64]);
+        cut_short.truncate(cut_short.len() - 2);
+        let len = u32::try_from(cut_short.len() - 4).unwrap();
+        cut_short[..4].copy_from_slice(&len.to_le_bytes());
+        let bad_frames = [
+            cut_short,
+            frame_of(sqlml_common::row!["F"]),
+            frame_of(sqlml_common::row![15i64, 0.5]),
         ];
-        for (bad, message) in cases {
-            let (addr, sender) = fake_sender(move |mut stream| {
-                let wide = |i: i64| sqlml_common::row![i, 0.5];
-                let frames = [
-                    vec![wide(0), wide(1)],
-                    vec![wide(2), bad(), wide(3)],
-                    vec![wide(4)],
-                ];
-                for rows in frames {
-                    write_message(&mut stream, &Message::RowBatch { rows }).unwrap();
-                }
-                write_message(&mut stream, &Message::DataEnd { total_rows: 6 }).unwrap();
+        for bad_frame in bad_frames {
+            let corrupt = started(move |mut stream| {
+                send_rows(&mut stream, 0..8, 8, None);
+                stream.write_all(&bad_frame).unwrap();
+                // Hold the socket until the reader has seen the frame.
+                let _ = read_message_with(&mut stream, &mut Vec::new());
             });
+            let (addr, sender) = fake_sender_attempts(vec![
+                corrupt,
+                started(|mut stream| send_rows(&mut stream, 0..30, 7, Some(30))),
+            ]);
             let mut reader = StreamRecordReader::new(local_split(addr), None);
             let mut block = PartitionBlock::new(None);
-            assert_eq!(reader.next_batch(&mut block).unwrap(), 2);
-            let err = reader.next_batch(&mut block).unwrap_err();
-            // The sender wrote everything, to this one connection.
+            while reader.next_batch(&mut block).unwrap() > 0 {}
             sender.join().unwrap();
-            assert!(err.to_string().contains(message), "{err}");
-            assert_eq!(block.len(), 2, "nothing of or after the bad frame is kept");
-            let again = reader.next_batch(&mut block).unwrap_err();
-            assert!(again.to_string().contains(message), "{again}");
+            assert_eq!(first_column(block), numbers(0..30));
+            assert_eq!(reader.rows_delivered(), 30);
         }
     }
 }

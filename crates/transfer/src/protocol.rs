@@ -95,7 +95,7 @@ const T_ABORT: u8 = 0x1F;
 
 /// Byte sinks a frame can be encoded into: append via [`BufMut`], then
 /// patch the length prefix in place via `DerefMut<[u8]>`. Covers both
-/// `Vec<u8>` and a reusable [`BytesMut`] scratch buffer.
+/// `Vec<u8>` and a reusable [`bytes::BytesMut`] scratch buffer.
 pub trait FrameSink: BufMut + DerefMut<Target = [u8]> {}
 impl<B: BufMut + DerefMut<Target = [u8]>> FrameSink for B {}
 
@@ -219,14 +219,6 @@ impl Message {
             }
         }
         patch_frame_len(buf, frame_start)
-    }
-
-    /// Total rows carried if this is a `RowBatch`, else 0.
-    pub fn batch_len(&self) -> usize {
-        match self {
-            Message::RowBatch { rows } => rows.len(),
-            _ => 0,
-        }
     }
 
     /// Decode a frame payload (without the length prefix).
@@ -373,8 +365,8 @@ fn patch_frame_len<B: FrameSink>(buf: &mut B, frame_start: usize) -> Result<()> 
 }
 
 /// Builds `RowBatch` frames row by row — the sender hot path — so the
-/// sender can cut frames on *either* a row-count or a byte-size target
-/// without cloning rows or re-encoding. A thin frame header around a
+/// sender can cut a frame when it reaches its byte-size target
+/// ([`Self::frame_len`]) without cloning rows or re-encoding. A thin frame header around a
 /// [`CompactBatchEncoder`]: the produced bytes are identical to
 /// `Message::RowBatch { rows }.encode()` over the same rows.
 #[derive(Debug, Default)]

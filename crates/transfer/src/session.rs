@@ -8,7 +8,8 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use sqlml_common::lockorder::TrackedMutex;
-use sqlml_common::{CancelToken, Result, SqlmlError};
+use sqlml_common::schema::DataType;
+use sqlml_common::{CancelToken, Result, Schema, SqlmlError};
 use sqlml_mlengine::job::{JobConfig, JobOutcome, JobRunner, TrainingSpec};
 use sqlml_sqlengine::Engine;
 
@@ -120,13 +121,32 @@ impl CancelRegistry {
     }
 }
 
-/// ML job config plus the row schema the stream carries (known to the
-/// SQL side, needed by the reader) and the shared receive-side counters.
+/// ML job config plus the shared receive-side counters.
 #[derive(Debug, Clone)]
 struct PendingJob {
     job: JobConfig,
-    schema: sqlml_common::Schema,
     metrics: Arc<TransferMetrics>,
+}
+
+/// The relational→matrix boundary, checked once: every column of the
+/// table must convert to a number and the label column must exist. The
+/// readers rely on it — a frame that does not decode into their block is
+/// then the wire's fault, never the data's.
+fn check_numeric_handoff(table: &str, schema: &Schema, label_col: Option<usize>) -> Result<()> {
+    if let Some(f) = (schema.fields().iter()).find(|f| f.data_type == DataType::Str) {
+        return Err(SqlmlError::Type(format!(
+            "cannot stream table {table} to an ML job: column {} is a string; \
+             recode it to a number first",
+            f.name
+        )));
+    }
+    match label_col {
+        Some(lc) if lc >= schema.len() => Err(SqlmlError::Ml(format!(
+            "label column {lc} out of range for the {}-column table {table}",
+            schema.len()
+        ))),
+        _ => Ok(()),
+    }
 }
 
 /// A long-standing streaming-transfer service wrapping one coordinator.
@@ -158,14 +178,8 @@ impl StreamSession {
                 };
                 let result = (|| -> Result<JobOutcome> {
                     let spec = TrainingSpec::parse(&info.command)?;
-                    // The row schema travels out of band: the SQL side
-                    // recorded it when the session was opened.
-                    let format = SqlStreamInputFormat::new(
-                        coord_addr.clone(),
-                        info.transfer_id,
-                        pending_job.schema.clone(),
-                    )
-                    .with_metrics(Arc::clone(&pending_job.metrics));
+                    let format = SqlStreamInputFormat::new(coord_addr.clone(), info.transfer_id)
+                        .with_metrics(Arc::clone(&pending_job.metrics));
                     JobRunner::new(pending_job.job).run(&format, &spec)
                 })();
                 let _ = sender.send(result);
@@ -230,17 +244,19 @@ impl StreamSession {
         config: &StreamSessionConfig,
         cancel: &CancelToken,
     ) -> Result<StreamRunOutcome> {
-        // Validate the command, the job layout and the token before
-        // anything moves: past this point a job that cannot start leaves
-        // the SQL workers waiting out their reader deadline.
-        TrainingSpec::parse(command)?;
+        // Validate the command, the job layout, the table's shape and the
+        // token before anything moves: past this point a job that cannot
+        // start leaves the SQL workers waiting out their reader deadline,
+        // and a table the job cannot ingest would be streamed whole first.
+        let spec = TrainingSpec::parse(command)?;
         if config.ml_job.num_workers == 0 {
             return Err(SqlmlError::Ml(
                 "an ML job needs at least one worker (ml_job.num_workers is 0)".into(),
             ));
         }
+        let source = engine.catalog().table(table)?;
+        check_numeric_handoff(table, source.schema(), spec.label_col())?;
         cancel.check("stream transfer start")?;
-        let schema = engine.catalog().table(table)?.schema().clone();
         let transfer_id = self.next_id.fetch_add(1, Ordering::SeqCst);
         let metrics = Arc::new(TransferMetrics::new());
         let (tx, rx) = mpsc::channel();
@@ -249,7 +265,6 @@ impl StreamSession {
             (
                 PendingJob {
                     job: config.ml_job.clone(),
-                    schema,
                     metrics: Arc::clone(&metrics),
                 },
                 tx,

@@ -97,7 +97,7 @@ impl FaultInjector {
 
 /// Per-worker transfer statistics — and the one owner of the UDF's
 /// SQL-visible output row: column names ([`Self::schema`]), encoding
-/// ([`Self::to_row`]) and checked decoding ([`Self::from_row`]) all
+/// (`to_row`) and checked decoding ([`Self::from_row`]) all
 /// follow the field order below.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerTransferStats {

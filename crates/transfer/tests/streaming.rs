@@ -109,6 +109,50 @@ fn a_job_without_ml_workers_is_refused_before_anything_moves() {
     assert_eq!(outcome.stats.rows_ingested, 100);
 }
 
+/// The relational→matrix boundary is checked once, in the session
+/// preamble: a table the job cannot ingest is refused with a typed error
+/// and nothing moves. Pinned by a fault plan that fires at the streaming
+/// loop's very first row: it stays unfired through both refused runs and
+/// fires in the good run on the same session.
+#[test]
+fn a_table_the_job_cannot_ingest_is_refused_before_anything_moves() {
+    use sqlml_common::SqlmlError;
+    let engine = engine_with_points(2, 100, 71);
+    let with_gender = Schema::new(vec![
+        Field::new("age", DataType::Int),
+        Field::categorical("gender"),
+        Field::new("label", DataType::Int),
+    ]);
+    let carts = (0..100i64).map(|i| row![20 + i, if i % 2 == 0 { "F" } else { "M" }, i % 2]);
+    engine.register_rows("carts", with_gender, carts.collect());
+    let session = StreamSession::start().unwrap();
+    let cfg = config(2, 1, 4096);
+    let injector = Arc::new(FaultInjector::new());
+    injector.fail_worker_after(0, 0);
+    session.install_udf(&engine, &cfg, Some(Arc::clone(&injector)));
+
+    let err = session
+        .run(&engine, "carts", "svm label=2", &cfg)
+        .unwrap_err();
+    assert!(matches!(err, SqlmlError::Type(_)), "{err}");
+    assert!(err.to_string().contains("column gender"), "{err}");
+    assert_eq!(injector.fired(), vec![], "no row reached the wire");
+
+    let err = session
+        .run(&engine, "points", "svm label=9", &cfg)
+        .unwrap_err();
+    assert!(matches!(err, SqlmlError::Ml(_)), "{err}");
+    assert!(err.to_string().contains("label column 9"), "{err}");
+    assert_eq!(injector.fired(), vec![], "no row reached the wire");
+
+    // The plan was live all along: a good table on the same session
+    // streams, trips it once, restarts and lands exactly once.
+    let outcome = session.run(&engine, "points", "svm label=2", &cfg).unwrap();
+    assert_eq!(injector.fired(), vec![(0, 0)]);
+    assert_eq!(outcome.stats.rows_ingested, 100);
+    assert_eq!(outcome.stats.max_attempts, 2);
+}
+
 #[test]
 fn higher_parallelism_k_multiplies_splits() {
     let engine = engine_with_points(2, 200, 73);

@@ -61,7 +61,7 @@ fn ingestion_allocates_a_small_multiple_of_the_matrix() {
     let (schema, rows) = table();
 
     let partitions: Vec<Vec<Row>> = rows.chunks(ROWS / WORKERS).map(<[Row]>::to_vec).collect();
-    let format = MemoryInputFormat::new(schema.clone(), partitions);
+    let format = MemoryInputFormat::new(partitions);
     let runner = JobRunner::new(job_config());
     let before = bytes_allocated();
     let (dataset, report) = runner.ingest_dataset(&format, Some(4)).unwrap();

@@ -378,7 +378,9 @@ fn predicate_implication_is_sound() {
 #[test]
 fn block_splits_partition_lines_exactly() {
     use sqlml_dfs::{Dfs, DfsConfig};
+    use sqlml_mlengine::dataset::PartitionBlock;
     use sqlml_mlengine::input::{InputFormat, TextInputFormat};
+    use sqlml_mlengine::Dataset;
     let mut rng = SplitMix64::new(0xB10C);
     for _ in 0..24 {
         let block_size = 8 + rng.next_below(120) as usize;
@@ -390,27 +392,25 @@ fn block_splits_partition_lines_exactly() {
             bytes_per_sec: None,
             remote_bytes_per_sec: None,
         });
+        // Zero-padded to a random width: the line number still identifies
+        // every line once it is read back as an integer.
         let mut text = String::new();
-        let mut expect = Vec::new();
         for i in 0..n_lines {
             let w = 1 + rng.next_below(39) as usize;
-            let line = format!("{:0w$}", i, w = w.max(digits(i)));
-            expect.push(line.clone());
-            text.push_str(&line);
-            text.push('\n');
+            text.push_str(&format!("{:0w$}\n", i, w = w.max(digits(i))));
         }
         dfs.write_string("/p/part-00000", &text).unwrap();
-        let schema = Schema::new(vec![Field::categorical("v")]);
+        let schema = Schema::new(vec![Field::new("v", DataType::Int)]);
         let fmt = TextInputFormat::new(dfs, "/p", schema).with_block_splits();
-        let mut got = Vec::new();
+        let mut block = PartitionBlock::new(None);
         for s in fmt.get_splits().unwrap() {
-            let mut r = fmt.create_reader(s.as_ref()).unwrap();
-            while let Some(row) = r.next_row().unwrap() {
-                got.push(row.get(0).as_str().unwrap().to_string());
-            }
+            let mut r = fmt.create_reader(s.as_ref(), "node-0").unwrap();
+            while r.next_batch(&mut block).unwrap() > 0 {}
         }
-        got.sort();
-        expect.sort();
+        let data = Dataset::from_blocks(vec![block]).unwrap();
+        let mut got: Vec<f64> = data.iter().map(|p| p.features[0]).collect();
+        got.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let expect: Vec<f64> = (0..n_lines).map(|i| i as f64).collect();
         assert_eq!(got, expect);
     }
 }
