@@ -1,18 +1,17 @@
-//! Before/after micro-benchmarks for the allocation-slim hot path:
+//! Micro-benchmarks of the SQL hot path on column batches:
 //!
-//! * the hash-reuse join (each key hashed once, build side referenced by
-//!   row id) against the same query's pre-optimization cost profile;
-//! * fused `Filter`→`Project` pipelines against the retained unfused
-//!   reference path (`Engine::query_unfused`), which materializes a
-//!   `Vec<Row>` per operator per partition;
-//! * the [`FlatRecodeApplier`] (one `HashMap` probe per categorical
-//!   cell) against the nested-`BTreeMap` `RecodeMap::code` walk it
-//!   replaced, applied to identical rows.
+//! * the preparation query's filter + projecting hash join;
+//! * a fused `Filter`→`Project`→`Filter` chain (one batch kernel per
+//!   stage);
+//! * the [`FlatRecodeApplier`] over a column batch (one `HashMap` probe
+//!   per *dictionary entry*), per row (one probe per categorical cell —
+//!   the naive baseline's external job), and the nested-`BTreeMap`
+//!   `RecodeMap::code` walk both replaced, over identical data.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sqlml_common::schema::{DataType, Field, Schema};
 use sqlml_common::{Row, SplitMix64, Value};
-use sqlml_sqlengine::{Engine, EngineConfig};
+use sqlml_sqlengine::{Batch, Engine, EngineConfig};
 use sqlml_transform::{FlatRecodeApplier, RecodeMap, TransformSpec};
 
 fn engine(carts: usize, users: usize) -> Engine {
@@ -62,142 +61,13 @@ fn bench_join(c: &mut Criterion) {
     group.finish();
 }
 
-/// A join key whose hash is computed exactly once — the same structure
-/// the executor uses since the hash-reuse rewrite.
-struct Prehashed {
-    hash: u64,
-    key: Vec<Value>,
-}
-
-impl Prehashed {
-    fn new(key: Vec<Value>) -> Prehashed {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        Prehashed {
-            hash: h.finish(),
-            key,
-        }
-    }
-}
-
-impl PartialEq for Prehashed {
-    fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash && self.key == other.key
-    }
-}
-impl Eq for Prehashed {}
-impl std::hash::Hash for Prehashed {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-/// Isolated build+probe comparison: the pre-PR algorithm cloned every
-/// build row into a `HashMap<Vec<Value>, Vec<Row>>` and re-evaluated a
-/// fresh `Vec<Value>` key at every map operation; the current one
-/// indexes pre-hashed keys to buckets of row ids, leaving the build
-/// partitions as the only copy of the rows. The build side is the large
-/// (100k-row) input so the bench measures exactly the cost the rewrite
-/// removed. Probe output (row concatenation) is identical in both.
-fn bench_join_operator(c: &mut Criterion) {
-    let mut rng = SplitMix64::new(7);
-    let users = 10_000usize;
-    // Full-width cart rows (the workload's 6-column fact table): the
-    // build-side clone the old algorithm paid is proportional to row
-    // width. The probe side selects 1-in-5 users, as a filter would.
-    let build_rows: Vec<Row> = (0..100_000)
-        .map(|cid| {
-            Row::new(vec![
-                Value::Int(cid as i64),
-                Value::Int(rng.next_below(users as u64) as i64),
-                Value::Double(rng.next_f64() * 200.0),
-                Value::str(if rng.chance(0.3) { "Yes" } else { "No" }),
-                Value::Int(if rng.chance(0.7) { 2014 } else { 2013 }),
-                Value::Int(rng.range_i64(1, 20)),
-            ])
-        })
-        .collect();
-    let probe_rows: Vec<Row> = (0..users / 5)
-        .map(|uid| {
-            Row::new(vec![
-                Value::Int((uid * 5) as i64),
-                Value::Int(rng.range_i64(18, 80)),
-                Value::str(if rng.chance(0.55) { "USA" } else { "CA" }),
-            ])
-        })
-        .collect();
-
-    let mut group = c.benchmark_group("hotpath");
-    group.bench_function("join_build_probe_hash_reuse_100k", |b| {
-        b.iter(|| {
-            let mut index: std::collections::HashMap<Prehashed, u32> =
-                std::collections::HashMap::new();
-            let mut buckets: Vec<Vec<u32>> = Vec::new();
-            for (ri, r) in build_rows.iter().enumerate() {
-                let key = vec![r.get(1).clone()];
-                let bucket = match index.entry(Prehashed::new(key)) {
-                    std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        let b = buckets.len() as u32;
-                        buckets.push(Vec::new());
-                        e.insert(b);
-                        b
-                    }
-                };
-                buckets[bucket as usize].push(ri as u32);
-            }
-            let mut out = Vec::with_capacity(build_rows.len());
-            for probe_row in black_box(&probe_rows) {
-                let key = vec![probe_row.get(0).clone()];
-                if let Some(b) = index.get(&Prehashed::new(key)) {
-                    for &ri in &buckets[*b as usize] {
-                        out.push(probe_row.concat(&build_rows[ri as usize]));
-                    }
-                }
-            }
-            out.len()
-        })
-    });
-    group.bench_function("join_build_probe_clone_rehash_100k", |b| {
-        b.iter(|| {
-            // The pre-PR shape: build rows cloned into the table, probe
-            // keys hashed by re-walking the Vec<Value> on every lookup.
-            let mut table: std::collections::HashMap<Vec<Value>, Vec<Row>> =
-                std::collections::HashMap::new();
-            for r in &build_rows {
-                table
-                    .entry(vec![r.get(1).clone()])
-                    .or_default()
-                    .push(r.clone());
-            }
-            let mut out = Vec::new();
-            for probe_row in black_box(&probe_rows) {
-                let key = vec![probe_row.get(0).clone()];
-                if let Some(ms) = table.get(&key) {
-                    for m in ms {
-                        out.push(probe_row.concat(m));
-                    }
-                }
-            }
-            out.len()
-        })
-    });
-    group.finish();
-}
-
 fn bench_fusion(c: &mut Criterion) {
     let e = engine(100_000, 10_000);
-    // A three-operator chain: filter, compute, filter again — the fused
-    // executor runs it as one pass per partition, the unfused reference
-    // materializes two intermediates.
+    // A three-operator chain: filter, compute, filter again.
     let q = "SELECT amount * 2.0 AS a2 FROM carts WHERE amount > 50.0 AND amount < 190.0";
     let mut group = c.benchmark_group("hotpath");
     group.bench_function("filter_project_fused_100k", |b| {
         b.iter(|| e.query(black_box(q)).unwrap().num_rows())
-    });
-    group.bench_function("filter_project_unfused_100k", |b| {
-        b.iter(|| e.query_unfused(black_box(q)).unwrap().num_rows())
     });
     group.finish();
 }
@@ -272,7 +142,11 @@ fn bench_recode_apply(c: &mut Criterion) {
     let spec = TransformSpec::new(&["country"]);
     let applier = FlatRecodeApplier::new(&map, &schema, &spec).unwrap();
 
+    let batch = Batch::from_rows(&schema, &rows);
     let mut group = c.benchmark_group("hotpath");
+    group.bench_function("recode_apply_batch_100k", |b| {
+        b.iter(|| applier.apply_batch(black_box(&batch)).unwrap().len())
+    });
     group.bench_function("recode_apply_flat_100k", |b| {
         b.iter(|| {
             let mut n = 0usize;
@@ -297,6 +171,6 @@ fn bench_recode_apply(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_join, bench_join_operator, bench_fusion, bench_recode_apply
+    targets = bench_join, bench_fusion, bench_recode_apply
 }
 criterion_main!(benches);

@@ -1,9 +1,10 @@
 //! Optional counting allocator (feature `alloc-counters`).
 //!
 //! When the `alloc-counters` feature is enabled this crate installs a
-//! `#[global_allocator]` that wraps the system allocator with three
-//! atomic counters: cumulative bytes allocated, live bytes, and peak
-//! live bytes. [`StageTimer::time`](crate::StageTimer::time) snapshots
+//! `#[global_allocator]` that wraps the system allocator with atomic
+//! counters: cumulative bytes allocated, live bytes, peak live bytes,
+//! and the number of allocation and free calls.
+//! [`StageTimer::time`](crate::StageTimer::time) snapshots
 //! the cumulative counter around each stage, so per-stage allocation
 //! totals show up next to wall-clock times in benchmark breakdowns
 //! (`figure3 --verbose`).
@@ -19,18 +20,22 @@ mod counting {
     pub static ALLOCATED: AtomicU64 = AtomicU64::new(0);
     pub static LIVE: AtomicU64 = AtomicU64::new(0);
     pub static PEAK: AtomicU64 = AtomicU64::new(0);
+    pub static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+    pub static FREE_CALLS: AtomicU64 = AtomicU64::new(0);
 
     /// System allocator wrapper that tallies every allocation.
     pub struct CountingAllocator;
 
     impl CountingAllocator {
         fn on_alloc(size: usize) {
+            ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
             ALLOCATED.fetch_add(size as u64, Ordering::Relaxed);
             let live = LIVE.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
             PEAK.fetch_max(live, Ordering::Relaxed);
         }
 
         fn on_dealloc(size: usize) {
+            FREE_CALLS.fetch_add(1, Ordering::Relaxed);
             LIVE.fetch_sub(size as u64, Ordering::Relaxed);
         }
     }
@@ -81,6 +86,24 @@ pub fn bytes_allocated() -> u64 {
     }
 }
 
+/// Cumulative `(allocation, free)` calls, a `realloc` counting as one of
+/// each (`(0, 0)` when the feature is off): what tells one allocation
+/// per column from one per row.
+pub fn alloc_calls() -> (u64, u64) {
+    #[cfg(feature = "alloc-counters")]
+    {
+        use std::sync::atomic::Ordering::Relaxed;
+        (
+            counting::ALLOC_CALLS.load(Relaxed),
+            counting::FREE_CALLS.load(Relaxed),
+        )
+    }
+    #[cfg(not(feature = "alloc-counters"))]
+    {
+        (0, 0)
+    }
+}
+
 /// Bytes currently live (allocated minus freed; 0 when the feature is
 /// off).
 pub fn bytes_live() -> u64 {
@@ -120,6 +143,7 @@ mod tests {
             assert!(bytes_peak() >= 1 << 16);
         } else {
             assert_eq!(bytes_allocated(), 0);
+            assert_eq!(alloc_calls(), (0, 0));
             assert_eq!(bytes_live(), 0);
             assert_eq!(bytes_peak(), 0);
         }

@@ -30,7 +30,7 @@ pub const TEXT_DELIM: char = '|';
 
 /// Escape a string payload for the text format: delimiter, backslash and
 /// newline are backslash-escaped so any string round-trips.
-fn escape_text(s: &str, out: &mut String) {
+pub fn escape_text(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -69,10 +69,16 @@ pub fn encode_text_row(row: &Row, out: &mut String) {
         if i > 0 {
             out.push(TEXT_DELIM);
         }
-        match v {
-            Value::Str(s) => escape_text(s, out),
-            other => out.push_str(&other.render()),
-        }
+        encode_text_value(v, out);
+    }
+}
+
+/// Encode one cell of a text line. A column encoder that already holds
+/// the `&str` of a string cell calls [`escape_text`] instead.
+pub fn encode_text_value(v: &Value, out: &mut String) {
+    match v {
+        Value::Str(s) => escape_text(s, out),
+        other => out.push_str(&other.render()),
     }
 }
 
@@ -97,8 +103,34 @@ fn decode_text_row_with(
     mut interner: Option<&mut Interner>,
 ) -> Result<Row> {
     let mut values = Vec::with_capacity(schema.len());
+    decode_text_line(line, schema, |_, ty, text| {
+        values.push(match (text, ty) {
+            (None, _) => Value::Null,
+            // Strings bypass `parse_typed` so that the empty string stays
+            // an empty string rather than being read back as NULL.
+            (Some(text), DataType::Str) => match interner.as_deref_mut() {
+                Some(pool) => Value::Str(pool.intern(text)),
+                None => Value::Str(text.into()),
+            },
+            (Some(text), ty) => Value::parse_typed(text, ty)?,
+        });
+        Ok(())
+    })?;
+    Ok(Row::new(values))
+}
+
+/// Walk one text line under `schema`, handing `cell` each field's column
+/// index, declared type and unescaped text (`None` for the NULL marker).
+/// The one owner of field splitting, the `\N` marker, unescaping and the
+/// arity errors, so the row decoder and the SQL engine's column loader
+/// accept exactly the same lines.
+pub fn decode_text_line(
+    line: &str,
+    schema: &Schema,
+    mut cell: impl FnMut(usize, DataType, Option<&str>) -> Result<()>,
+) -> Result<()> {
     let mut fields = split_escaped(line);
-    for field in schema.fields() {
+    for (i, field) in schema.fields().iter().enumerate() {
         let raw = fields.next().ok_or_else(|| {
             SqlmlError::Execution(format!(
                 "text row has fewer than {} fields: {line:?}",
@@ -108,20 +140,10 @@ fn decode_text_row_with(
         // The raw (pre-unescape) token `\N` is the NULL marker; a user
         // string "\N" escapes to `\\N` and therefore never collides.
         if raw == "\\N" {
-            values.push(Value::Null);
-            continue;
+            cell(i, field.data_type, None)?;
+        } else {
+            cell(i, field.data_type, Some(&unescape_text(raw)?))?;
         }
-        let text = unescape_text(raw)?;
-        let v = match field.data_type {
-            // Strings bypass `parse_typed` so that the empty string stays
-            // an empty string rather than being read back as NULL.
-            DataType::Str => match interner.as_deref_mut() {
-                Some(pool) => Value::Str(pool.intern(&text)),
-                None => Value::Str(text.into()),
-            },
-            ty => Value::parse_typed(&text, ty)?,
-        };
-        values.push(v);
     }
     if fields.next().is_some() {
         return Err(SqlmlError::Execution(format!(
@@ -129,7 +151,7 @@ fn decode_text_row_with(
             schema.len()
         )));
     }
-    Ok(Row::new(values))
+    Ok(())
 }
 
 /// Split on unescaped delimiters (a `\|` produced by [`escape_text`] is
@@ -289,11 +311,39 @@ impl CompactBatchEncoder {
     /// that outgrew its `u32` index space — practically unreachable) the
     /// frame is rolled back to its pre-row state.
     pub fn push_row(&mut self, row: &Row) -> Result<()> {
+        self.push_cells(row.len(), |enc| {
+            row.values().iter().try_for_each(|v| enc.put_value(v))
+        })
+    }
+
+    /// One cell holding `v`, whatever its type.
+    #[inline]
+    pub fn put_value(&mut self, v: &Value) -> Result<()> {
+        match v {
+            Value::Null => self.put_null(),
+            Value::Bool(b) => self.put_bool(*b),
+            Value::Int(i) => self.put_int(*i),
+            Value::Double(d) => self.put_double(*d),
+            Value::Str(s) => self.put_str(s)?,
+        }
+        Ok(())
+    }
+
+    /// Append one row of `width` cells, written by `cells` through the
+    /// `put_*` methods in column order — how an encoder that holds
+    /// columns rather than [`Row`]s emits the bytes [`Self::push_row`]
+    /// would. On error the frame is rolled back to its pre-row state.
+    pub fn push_cells(
+        &mut self,
+        width: usize,
+        cells: impl FnOnce(&mut Self) -> Result<()>,
+    ) -> Result<()> {
         let rows_mark = self.rows.len();
         let dict_mark = self.dict.len();
         let dict_bytes_mark = self.dict_wire_bytes;
         let stats_mark = self.frame_stats;
-        match self.push_row_inner(row) {
+        put_uvarint(&mut self.rows, width as u64);
+        match cells(self) {
             Ok(()) => {
                 self.row_count += 1;
                 Ok(())
@@ -310,44 +360,49 @@ impl CompactBatchEncoder {
         }
     }
 
-    fn push_row_inner(&mut self, row: &Row) -> Result<()> {
-        put_uvarint(&mut self.rows, row.len() as u64);
-        for v in row.values() {
-            match v {
-                Value::Null => self.rows.put_u8(TAG_NULL),
-                Value::Bool(b) => {
-                    self.rows.put_u8(TAG_BOOL);
-                    self.rows.put_u8(u8::from(*b));
-                }
-                Value::Int(i) => {
-                    self.rows.put_u8(TAG_INT);
-                    put_uvarint(&mut self.rows, zigzag(*i));
-                }
-                Value::Double(d) => {
-                    self.rows.put_u8(TAG_DOUBLE);
-                    self.rows.put_u64_le(d.to_bits());
-                }
-                Value::Str(s) => {
-                    self.rows.put_u8(TAG_STR);
-                    let idx = match self.index.get(&**s) {
-                        Some(&i) => {
-                            self.frame_stats.hits += 1;
-                            i
-                        }
-                        None => {
-                            let i =
-                                crate::error::wire_u32(self.dict.len(), "frame dictionary size")?;
-                            self.index.insert(Arc::clone(s), i);
-                            self.dict.push(Arc::clone(s));
-                            self.dict_wire_bytes += uvarint_len(s.len() as u64) + s.len();
-                            self.frame_stats.misses += 1;
-                            i
-                        }
-                    };
-                    put_uvarint(&mut self.rows, u64::from(idx));
-                }
+    /// One NULL cell (only inside [`Self::push_cells`], like every `put_*`).
+    #[inline]
+    pub fn put_null(&mut self) {
+        self.rows.put_u8(TAG_NULL);
+    }
+
+    #[inline]
+    pub fn put_bool(&mut self, b: bool) {
+        self.rows.put_u8(TAG_BOOL);
+        self.rows.put_u8(u8::from(b));
+    }
+
+    #[inline]
+    pub fn put_int(&mut self, i: i64) {
+        self.rows.put_u8(TAG_INT);
+        put_uvarint(&mut self.rows, zigzag(i));
+    }
+
+    #[inline]
+    pub fn put_double(&mut self, d: f64) {
+        self.rows.put_u8(TAG_DOUBLE);
+        self.rows.put_u64_le(d.to_bits());
+    }
+
+    /// One string cell: a reference into the frame dictionary, the entry
+    /// added on first use.
+    pub fn put_str(&mut self, s: &Arc<str>) -> Result<()> {
+        self.rows.put_u8(TAG_STR);
+        let idx = match self.index.get(&**s) {
+            Some(&i) => {
+                self.frame_stats.hits += 1;
+                i
             }
-        }
+            None => {
+                let i = crate::error::wire_u32(self.dict.len(), "frame dictionary size")?;
+                self.index.insert(Arc::clone(s), i);
+                self.dict.push(Arc::clone(s));
+                self.dict_wire_bytes += uvarint_len(s.len() as u64) + s.len();
+                self.frame_stats.misses += 1;
+                i
+            }
+        };
+        put_uvarint(&mut self.rows, u64::from(idx));
         Ok(())
     }
 

@@ -9,6 +9,7 @@
 use sqlml_common::schema::{DataType, Field};
 use sqlml_common::{codec, Result, Row, Schema, SqlmlError, Value};
 use sqlml_sqlengine::udf::{PartitionCtx, TableUdf};
+use sqlml_sqlengine::Batch;
 
 use crate::broker::Broker;
 
@@ -58,11 +59,12 @@ impl TableUdf for MqTransferUdf {
 
     fn execute(
         &self,
-        rows: &[Row],
+        input: &Batch,
         _input_schema: &Schema,
         args: &[Value],
         ctx: &PartitionCtx,
-    ) -> Result<Vec<Row>> {
+    ) -> Result<Batch> {
+        let rows = input.rows();
         let topic = Self::parse_args(args)?;
         // Topic partitioning mirrors the table's: partition p of the
         // table goes to partition p of the topic. The first worker to
@@ -96,12 +98,13 @@ impl TableUdf for MqTransferUdf {
         }
         self.broker.seal(&topic, ctx.partition)?;
 
-        Ok(vec![Row::new(vec![
+        let stats = Row::new(vec![
             Value::Int(ctx.partition as i64),
             Value::Int(rows.len() as i64),
             Value::Int(bytes as i64),
             Value::Int(records as i64),
-        ])])
+        ]);
+        Ok(Batch::from_rows(&stats_schema(), &[stats]))
     }
 }
 
@@ -130,9 +133,10 @@ mod tests {
         let args = vec![Value::Str("out".into())];
         let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
 
-        let stats = udf.execute(&rows, &schema, &args, &ctx(1, 2)).unwrap();
-        assert_eq!(stats[0].get(1), &Value::Int(100));
-        assert_eq!(stats[0].get(3), &Value::Int(2)); // 100 rows / 64-per-record
+        let batch = Batch::from_rows(&schema, &rows);
+        let stats = udf.execute(&batch, &schema, &args, &ctx(1, 2)).unwrap();
+        assert_eq!(stats.row(0).get(1), &Value::Int(100));
+        assert_eq!(stats.row(0).get(3), &Value::Int(2)); // 100 rows / 64-per-record
 
         let topic_stats = broker.stats("out").unwrap();
         assert_eq!(topic_stats.records, 2);
@@ -148,7 +152,8 @@ mod tests {
         let udf = MqTransferUdf::new(broker);
         let args = vec![Value::Str("out".into())];
         let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
-        assert!(udf.execute(&[], &schema, &args, &ctx(0, 2)).is_err());
+        let empty = Batch::from_rows(&schema, &[]);
+        assert!(udf.execute(&empty, &schema, &args, &ctx(0, 2)).is_err());
     }
 
     #[test]

@@ -117,7 +117,7 @@ impl Engine {
     /// repartition it across the worker pool.
     pub fn load_text_table(&self, name: &str, schema: Schema, dfs: &Dfs, dir: &str) -> Result<()> {
         let raw = PartitionedTable::load_text(dfs, dir, schema)?;
-        let t = raw.repartition(self.ctx.num_workers, &self.ctx.nodes);
+        let t = raw.repartition(self.ctx.num_workers, &self.ctx.nodes)?;
         self.catalog.register_table(name, t);
         Ok(())
     }
@@ -207,7 +207,7 @@ impl Engine {
     }
 
     /// Plan a SELECT without the operator-fusion pass — the
-    /// row-at-a-time reference path used by differential tests.
+    /// one-operator-per-node reference shape used by differential tests.
     pub fn plan_unfused(&self, stmt: &SelectStmt) -> Result<Plan> {
         let unoptimized = plan_select(stmt, &self.catalog)?;
         self.debug_validate(&unoptimized)?;
@@ -253,10 +253,10 @@ impl Engine {
         args: &[sqlml_common::Value],
     ) -> Result<PartitionedTable> {
         let out_schema = udf.output_schema(input.schema(), args)?;
-        let mapped = crate::executor::map_partitions(input, &self.ctx, |rows, pctx| {
-            udf.execute(rows, input.schema(), args, pctx)
+        let mapped = crate::executor::map_partitions(input, &self.ctx, |batch, pctx| {
+            udf.execute(batch, input.schema(), args, pctx)
         })?;
-        Ok(PartitionedTable::from_shared(
+        Ok(PartitionedTable::from_batches(
             out_schema,
             mapped.partitions().to_vec(),
             mapped.homes().to_vec(),

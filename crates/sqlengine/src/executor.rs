@@ -6,13 +6,20 @@
 //! `n` parallel instances spread over `W` workers — exactly the execution
 //! model the paper's In-SQL transformations and streaming-transfer UDF
 //! rely on.
+//!
+//! A partition is a column [`Batch`]. `Filter`, `Project`, fused chains
+//! and the hash join run batch kernels; the cold, gathering operators
+//! (`Sort`, `Aggregate`, `Distinct`, `Limit`) read cells through the
+//! batch's row cursor ([`Batch::row`] / [`Column::value`]) and build
+//! their small outputs from rows.
 
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 
-use sqlml_common::{Result, Row, SqlmlError, Value};
+use sqlml_common::{counter_u32, Result, Row, SqlmlError, Value};
 
 use crate::ast::{AggFunc, JoinKind};
+use crate::column::{Batch, Column, NULL_ROW};
 use crate::expr::Expr;
 use crate::plan::{AggExpr, BuildSide, FusedStage, Plan};
 use crate::table::PartitionedTable;
@@ -45,25 +52,11 @@ impl ExecContext {
 /// Execute a plan, producing a partitioned result.
 pub fn execute(plan: &Plan, ctx: &ExecContext) -> Result<PartitionedTable> {
     match plan {
-        Plan::Scan { table, .. } => Ok(PartitionedTable::from_shared(
-            table.schema().clone(),
-            table.partitions().to_vec(),
-            table.homes().to_vec(),
-        )),
+        Plan::Scan { table, .. } => Ok((**table).clone()),
 
         Plan::Filter { input, predicate } => {
             let child = execute(input, ctx)?;
-            map_partitions(&child, ctx, |rows, _| {
-                // Preallocate from the planner's uniform selectivity
-                // guess (1/4) so typical filters don't regrow the output.
-                let mut out = Vec::with_capacity(rows.len() / 4 + 1);
-                for r in rows {
-                    if predicate.eval_predicate(r)? {
-                        out.push(r.clone());
-                    }
-                }
-                Ok(out)
-            })
+            map_partitions(&child, ctx, |batch, _| filter(batch, predicate))
         }
 
         Plan::Project {
@@ -72,17 +65,7 @@ pub fn execute(plan: &Plan, ctx: &ExecContext) -> Result<PartitionedTable> {
             schema,
         } => {
             let child = execute(input, ctx)?;
-            let mapped = map_partitions(&child, ctx, |rows, _| {
-                let mut out = Vec::with_capacity(rows.len());
-                for r in rows {
-                    let mut values = Vec::with_capacity(exprs.len());
-                    for e in exprs {
-                        values.push(e.eval(r)?);
-                    }
-                    out.push(Row::new(values));
-                }
-                Ok(out)
-            })?;
+            let mapped = map_partitions(&child, ctx, |batch, _| project(batch, exprs))?;
             Ok(replace_schema(mapped, schema.clone()))
         }
 
@@ -94,8 +77,8 @@ pub fn execute(plan: &Plan, ctx: &ExecContext) -> Result<PartitionedTable> {
         } => {
             let child = execute(input, ctx)?;
             let input_schema = child.schema().clone();
-            let mapped = map_partitions(&child, ctx, |rows, pctx| {
-                udf.execute(rows, &input_schema, args, pctx)
+            let mapped = map_partitions(&child, ctx, |batch, pctx| {
+                udf.execute(batch, &input_schema, args, pctx)
             })?;
             Ok(replace_schema(mapped, schema.clone()))
         }
@@ -146,10 +129,9 @@ pub fn execute(plan: &Plan, ctx: &ExecContext) -> Result<PartitionedTable> {
         Plan::Limit { input, n } => {
             let child = execute(input, ctx)?;
             let mut rows = Vec::with_capacity((*n).min(child.num_rows()));
-            // Bulk-copy each partition's prefix instead of per-row clone.
             for p in child.partitions() {
                 let take = (*n - rows.len()).min(p.len());
-                rows.extend_from_slice(&p[..take]);
+                rows.extend((0..take).map(|i| p.row(i)));
                 if rows.len() == *n {
                     break;
                 }
@@ -163,10 +145,53 @@ pub fn execute(plan: &Plan, ctx: &ExecContext) -> Result<PartitionedTable> {
             schema,
         } => {
             let child = execute(input, ctx)?;
-            let mapped = map_partitions(&child, ctx, |rows, pctx| run_fused(rows, stages, pctx))?;
+            let mapped = map_partitions(&child, ctx, |batch, pctx| {
+                // Each stage is one batch kernel; a column no stage
+                // rewrites is shared from the input all the way through.
+                let mut cur = batch.clone();
+                for stage in stages {
+                    cur = match stage {
+                        FusedStage::Filter(predicate) => filter(&cur, predicate)?,
+                        FusedStage::Project { exprs } => project(&cur, exprs)?,
+                        FusedStage::Udf {
+                            udf,
+                            args,
+                            input_schema,
+                        } => udf.execute(&cur, input_schema, args, pctx)?,
+                    };
+                }
+                Ok(cur)
+            })?;
             Ok(replace_schema(mapped, schema.clone()))
         }
     }
+}
+
+/// Keep the rows where `predicate` is true (NULL and false both
+/// reject): the predicate column becomes a selection, and every column
+/// is gathered through it — or shared as is when nothing was rejected.
+fn filter(batch: &Batch, predicate: &Expr) -> Result<Batch> {
+    let rows = counter_u32(batch.len(), "partition row count")?;
+    let keep = predicate.eval(batch)?;
+    let selected: Vec<u32> = match &*keep {
+        Column::Bool(p) => {
+            let (hit, valid) = (p.values(), p.validity());
+            let holds = |&i: &u32| hit[i as usize] && valid.is_none_or(|v| v[i as usize]);
+            (0..rows).filter(holds).collect()
+        }
+        other => (0..rows)
+            .filter(|&i| matches!(other.value(i as usize), Value::Bool(true)))
+            .collect(),
+    };
+    Ok(match selected.len() == batch.len() {
+        true => batch.clone(),
+        false => batch.gather(&selected),
+    })
+}
+
+fn project(batch: &Batch, exprs: &[Expr]) -> Result<Batch> {
+    let columns = exprs.iter().map(|e| e.eval(batch)).collect::<Result<_>>()?;
+    Ok(Batch::new(columns, batch.len()))
 }
 
 /// Wrap gathered (single-partition) result rows, homing the output at
@@ -185,69 +210,6 @@ fn gather_to_first_home(
         Some(h) => out.with_homes(vec![h.clone()]),
         None => out,
     }
-}
-
-/// Execute a fused stage chain over one partition. Consecutive scalar
-/// stages (`Filter`/`Project`) run row-at-a-time — a rejected row exits
-/// the whole run with no output written, and a projected row feeds the
-/// next stage without touching a partition-sized buffer. UDF stages are
-/// batch boundaries: they consume the current buffer and produce the
-/// next.
-fn run_fused(rows: &[Row], stages: &[FusedStage], pctx: &PartitionCtx) -> Result<Vec<Row>> {
-    // `buf` is None while the input partition can still be borrowed.
-    let mut buf: Option<Vec<Row>> = None;
-    let mut i = 0;
-    while i < stages.len() {
-        if let FusedStage::Udf {
-            udf,
-            args,
-            input_schema,
-        } = &stages[i]
-        {
-            let input_rows: &[Row] = buf.as_deref().unwrap_or(rows);
-            buf = Some(udf.execute(input_rows, input_schema, args, pctx)?);
-            i += 1;
-            continue;
-        }
-        // Scalar run: [i, j) holds only Filter/Project stages.
-        let mut j = i;
-        while j < stages.len() && !matches!(stages[j], FusedStage::Udf { .. }) {
-            j += 1;
-        }
-        let run = &stages[i..j];
-        let input_rows: &[Row] = buf.as_deref().unwrap_or(rows);
-        let has_filter = run.iter().any(|s| matches!(s, FusedStage::Filter(_)));
-        let mut out = Vec::with_capacity(if has_filter {
-            input_rows.len() / 4 + 1
-        } else {
-            input_rows.len()
-        });
-        'row: for r in input_rows {
-            let mut owned: Option<Row> = None;
-            for stage in run {
-                let cur = owned.as_ref().unwrap_or(r);
-                match stage {
-                    FusedStage::Filter(pred) => {
-                        if !pred.eval_predicate(cur)? {
-                            continue 'row;
-                        }
-                    }
-                    FusedStage::Project { exprs } => {
-                        let mut values = Vec::with_capacity(exprs.len());
-                        for e in exprs {
-                            values.push(e.eval(cur)?);
-                        }
-                        owned = Some(Row::new(values));
-                    }
-                    FusedStage::Udf { .. } => unreachable!("scalar run contains no UDF stages"),
-                }
-            }
-            out.push(owned.unwrap_or_else(|| r.clone()));
-        }
-        buf = Some(out);
-        i = j;
-    }
-    Ok(buf.unwrap_or_else(|| rows.to_vec()))
 }
 
 // ---------------------------------------------------------------------------
@@ -313,7 +275,7 @@ fn parallel_sort(
 ) -> Result<Vec<Row>> {
     let n = input.num_partitions();
     let sorted: Vec<Vec<Row>> = run_on_workers(n, ctx, |p| {
-        let mut rows: Vec<Row> = input.partition(p).to_vec();
+        let mut rows: Vec<Row> = input.partition(p).rows();
         rows.sort_by(|a, b| sort_cmp(a, b, keys));
         Ok(rows)
     })?;
@@ -347,7 +309,7 @@ fn parallel_sort(
 }
 
 fn replace_schema(t: PartitionedTable, schema: sqlml_common::Schema) -> PartitionedTable {
-    PartitionedTable::from_shared(schema, t.partitions().to_vec(), t.homes().to_vec())
+    PartitionedTable::from_batches(schema, t.partitions().to_vec(), t.homes().to_vec())
 }
 
 /// Apply `f` to every partition in parallel across the worker pool,
@@ -358,7 +320,7 @@ pub fn map_partitions<F>(
     f: F,
 ) -> Result<PartitionedTable>
 where
-    F: Fn(&[Row], &PartitionCtx) -> Result<Vec<Row>> + Sync,
+    F: Fn(&Batch, &PartitionCtx) -> Result<Batch> + Sync,
 {
     let n = input.num_partitions();
     let results = run_on_workers(n, ctx, |p| {
@@ -371,9 +333,9 @@ where
         };
         f(input.partition(p), &pctx)
     })?;
-    Ok(PartitionedTable::from_shared(
+    Ok(PartitionedTable::from_batches(
         input.schema().clone(),
-        results.into_iter().map(Arc::new).collect(),
+        results,
         input.homes().to_vec(),
     ))
 }
@@ -454,152 +416,150 @@ fn execute_join(
         "left-outer joins must build from the right side"
     );
 
-    // Build phase: index the (gathered/broadcast) build side. Instead of
-    // cloning build rows into the hash table, the index maps each
-    // pre-hashed key to a bucket of (partition, row) ids — the build-side
-    // partitions themselves stay the only copy of the rows.
-    let mut index: HashMap<Prehashed, u32> = HashMap::new();
-    let mut buckets: Vec<Vec<(u32, u32)>> = Vec::new();
-    let is_cross = build_keys.is_empty();
-    for (pi, part) in build_data.partitions().iter().enumerate() {
-        if is_cross {
-            continue;
-        }
-        for (ri, r) in part.iter().enumerate() {
-            // NULL keys never match, so they are simply not added.
-            if let Some(k) = eval_keys(build_keys, r)? {
-                let bucket = match index.entry(Prehashed::new(k)) {
-                    std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        let b = sqlml_common::counter_u32(buckets.len(), "join bucket count")?;
-                        buckets.push(Vec::new());
-                        e.insert(b);
-                        b
-                    }
-                };
-                buckets[bucket as usize].push((
-                    sqlml_common::counter_u32(pi, "build partition index")?,
-                    sqlml_common::counter_u32(ri, "build row index")?,
-                ));
-            }
-        }
-    }
-
-    let left_width = left_data.schema().len();
-    let right_width = right_data.schema().len();
     // Output layout is always (left ++ right), or the `project` columns
-    // of it; an unmatched left-outer row sees an all-NULL right side.
-    let null_right = Row::new(vec![Value::Null; right_width]);
-    let emit = |l: &Row, r: &Row| -> Row {
-        match project {
-            None => l.concat(r),
-            Some(cols) => cols
-                .iter()
-                .map(|&c| match c.checked_sub(left_width) {
-                    None => l.get(c).clone(),
-                    Some(rc) => r.get(rc).clone(),
-                })
-                .collect(),
-        }
+    // of it: each output column is (comes from the build side, index).
+    let left_width = left_data.schema().len();
+    let side = |c: usize| match c.checked_sub(left_width) {
+        None => (build == BuildSide::Left, c),
+        Some(rc) => (build == BuildSide::Right, rc),
     };
-    let build_parts = build_data.partitions();
-    let cross_ids: Vec<(u32, u32)> = if is_cross {
-        let mut ids = Vec::new();
-        for (pi, part) in build_parts.iter().enumerate() {
-            let pi = sqlml_common::counter_u32(pi, "build partition index")?;
-            for ri in 0..part.len() {
-                ids.push((pi, sqlml_common::counter_u32(ri, "build row index")?));
-            }
-        }
-        ids
-    } else {
-        Vec::new()
+    let all = 0..left_width + right_data.schema().len();
+    let out_cols: Vec<(bool, usize)> = match project {
+        Some(cols) => cols.iter().map(|&c| side(c)).collect(),
+        None => all.map(side).collect(),
     };
 
-    let result = map_partitions(probe_data, ctx, |rows, _| {
-        let mut out = Vec::new();
-        for probe_row in rows {
-            // Each probe key is evaluated and hashed exactly once.
-            let matches: Option<&[(u32, u32)]> = if is_cross {
-                if cross_ids.is_empty() {
-                    None
-                } else {
-                    Some(&cross_ids)
-                }
-            } else {
-                match eval_keys(probe_keys, probe_row)? {
-                    Some(k) => index
-                        .get(&Prehashed::new(k))
-                        .map(|b| buckets[*b as usize].as_slice()),
-                    None => None,
-                }
-            };
-            match matches {
-                Some(ids) => {
-                    for &(pi, ri) in ids {
-                        let m = &build_parts[pi as usize][ri as usize];
-                        out.push(match build {
-                            BuildSide::Right => emit(probe_row, m),
-                            BuildSide::Left => emit(m, probe_row),
-                        });
+    // Build phase: the (gathered/broadcast) build side becomes one
+    // batch. Partition dictionaries are merged by value there, so a
+    // build column's codes are never read against another partition's.
+    let build_batch = Batch::concat(build_data.schema().len(), build_data.partitions());
+    let build_rows = counter_u32(build_batch.len(), "join build row count")?;
+    let build_cols = eval_all(build_keys, &build_batch)?;
+    let probe_cols: Vec<Vec<Arc<Column>>> =
+        run_on_workers(probe_data.num_partitions(), ctx, |p| {
+            eval_all(probe_keys, probe_data.partition(p))
+        })?;
+    // One `Int` key on both sides hashes the integer itself; any other
+    // key shape hashes the values, with `Value`'s equality.
+    let is_int =
+        |cols: &Vec<Arc<Column>>| matches!(&cols[..], [c] if matches!(**c, Column::Int(_)));
+    let int_keys = is_int(&build_cols) && probe_cols.iter().all(is_int);
+    let table = JoinTable::build(&build_cols, build_rows, int_keys);
+
+    let result = map_partitions(probe_data, ctx, |batch, pctx| {
+        let keys = &probe_cols[pctx.partition];
+        let rows = counter_u32(batch.len(), "partition row count")?;
+        // Matched (probe row, build row) pairs in probe order, a probe
+        // row's matches in build order; NULL_ROW pads an unmatched
+        // left-outer row. NULL keys never match.
+        let mut probe_ids: Vec<u32> = Vec::with_capacity(batch.len());
+        let mut build_ids: Vec<u32> = Vec::with_capacity(batch.len());
+        for i in 0..rows {
+            let before = build_ids.len();
+            if build_keys.is_empty() {
+                build_ids.extend(0..build_rows);
+            } else if let Some(hash) = key_hash(keys, i as usize, int_keys) {
+                let mut b = table.first(hash);
+                while b != NULL_ROW {
+                    if table.hashes[b as usize] == hash
+                        && keys_equal(&build_cols, b as usize, keys, i as usize)
+                    {
+                        build_ids.push(b);
                     }
-                }
-                None => {
-                    if kind == JoinKind::LeftOuter {
-                        out.push(emit(probe_row, &null_right));
-                    }
+                    b = table.next[b as usize];
                 }
             }
+            if build_ids.len() == before && kind == JoinKind::LeftOuter {
+                build_ids.push(NULL_ROW);
+            }
+            probe_ids.resize(build_ids.len(), i);
         }
-        Ok(out)
+        let columns = (out_cols.iter())
+            .map(|&(from_build, c)| match from_build {
+                true => Arc::new(build_batch.column(c).gather(&build_ids)),
+                false => Arc::new(batch.column(c).gather(&probe_ids)),
+            })
+            .collect();
+        Ok(Batch::new(columns, probe_ids.len()))
     })?;
     Ok(replace_schema(result, schema.clone()))
 }
 
-/// A join key whose hash is computed exactly once, at construction. The
-/// `Hash` impl just replays the stored 64-bit hash, so hash-map probes
-/// never re-walk (or re-hash) the key values; equality still compares
-/// the values to handle collisions.
-struct Prehashed {
-    hash: u64,
-    key: Vec<Value>,
+fn eval_all(exprs: &[Expr], batch: &Batch) -> Result<Vec<Arc<Column>>> {
+    exprs.iter().map(|e| e.eval(batch)).collect()
 }
 
-impl Prehashed {
-    fn new(key: Vec<Value>) -> Prehashed {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        Prehashed {
-            hash: h.finish(),
-            key,
+/// The build side's hash index: a chained table over build row ids.
+/// `next` threads each bucket's rows in ascending row order, so a probe
+/// meets its matches in build order.
+struct JoinTable {
+    heads: Vec<u32>,
+    next: Vec<u32>,
+    /// Key hash per build row (0 for a NULL key, which is never linked).
+    hashes: Vec<u64>,
+    shift: u32,
+}
+
+impl JoinTable {
+    fn build(keys: &[Arc<Column>], rows: u32, int_keys: bool) -> JoinTable {
+        let buckets = (rows as usize * 2).next_power_of_two().max(16);
+        let mut t = JoinTable {
+            heads: vec![NULL_ROW; buckets],
+            next: vec![NULL_ROW; rows as usize],
+            hashes: vec![0; rows as usize],
+            shift: 64 - buckets.trailing_zeros(),
+        };
+        for b in (0..rows).rev() {
+            if let Some(hash) = key_hash(keys, b as usize, int_keys) {
+                let bucket = t.bucket(hash);
+                t.hashes[b as usize] = hash;
+                t.next[b as usize] = std::mem::replace(&mut t.heads[bucket], b);
+            }
+        }
+        t
+    }
+
+    /// The table indexes by a hash's high bits (`heads.len()` of them).
+    fn bucket(&self, hash: u64) -> usize {
+        // Shifted down to fewer bits than `heads.len()`, a usize.
+        #[allow(clippy::cast_possible_truncation)]
+        let bucket = (hash >> self.shift) as usize;
+        bucket
+    }
+
+    fn first(&self, hash: u64) -> u32 {
+        self.heads[self.bucket(hash)]
+    }
+}
+
+/// Hash of row `i`'s key; `None` when any key cell is NULL (no match in
+/// SQL). Equal keys (by [`Value`]'s equality) hash equal.
+fn key_hash(keys: &[Arc<Column>], i: usize, int_keys: bool) -> Option<u64> {
+    use std::hash::{Hash, Hasher};
+    if let ([key], true) = (keys, int_keys) {
+        if let Column::Int(p) = &**key {
+            // Fibonacci hashing: the table indexes by the high bits.
+            return p
+                .get(i)
+                .map(|v| (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         }
     }
-}
-
-impl PartialEq for Prehashed {
-    fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash && self.key == other.key
-    }
-}
-impl Eq for Prehashed {}
-impl std::hash::Hash for Prehashed {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-/// Evaluate join keys; `None` when any key is NULL (no match in SQL).
-fn eval_keys(keys: &[Expr], row: &Row) -> Result<Option<Vec<Value>>> {
-    let mut out = Vec::with_capacity(keys.len());
-    for k in keys {
-        let v = k.eval(row)?;
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    for key in keys {
+        let v = key.value(i);
         if v.is_null() {
-            return Ok(None);
+            return None;
         }
-        out.push(v);
+        v.hash(&mut h);
     }
-    Ok(Some(out))
+    Some(h.finish())
+}
+
+fn keys_equal(build: &[Arc<Column>], b: usize, probe: &[Arc<Column>], p: usize) -> bool {
+    build.iter().zip(probe).all(|(x, y)| match (&**x, &**y) {
+        (Column::Int(x), Column::Int(y)) => x.values()[b] == y.values()[p],
+        (x, y) => x.value(b) == y.value(p),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -612,14 +572,15 @@ fn execute_distinct(input: &PartitionedTable, ctx: &ExecContext) -> Result<Parti
     // Phase 1: local distinct per partition, already bucketed by target
     // partition (hash of the whole row) for the exchange.
     let buckets: Vec<Vec<Vec<Row>>> = run_on_workers(input.num_partitions(), ctx, |p| {
-        let mut seen: HashSet<&Row> = HashSet::new();
+        let mut seen: HashSet<Row> = HashSet::new();
         let mut out: Vec<Vec<Row>> = (0..n).map(|_| Vec::new()).collect();
-        for r in input.partition(p).iter() {
-            if seen.insert(r) {
+        for r in input.partition(p).rows() {
+            if !seen.contains(&r) {
                 // Bucket index is reduced mod n, which fits in usize.
                 #[allow(clippy::cast_possible_truncation)]
-                let bucket = row_hash(r) as usize % n;
+                let bucket = row_hash(&r) as usize % n;
                 out[bucket].push(r.clone());
+                seen.insert(r);
             }
         }
         Ok(out)
@@ -627,22 +588,18 @@ fn execute_distinct(input: &PartitionedTable, ctx: &ExecContext) -> Result<Parti
 
     // Phase 2: merge each target bucket and dedupe globally.
     let parts = run_on_workers(n, ctx, |t| {
-        let mut seen: HashSet<Row> = HashSet::new();
-        let mut out = Vec::new();
-        for b in &buckets {
-            for r in &b[t] {
-                if seen.insert(r.clone()) {
-                    out.push(r.clone());
-                }
-            }
-        }
-        Ok(out)
+        let mut seen: HashSet<&Row> = HashSet::new();
+        let rows: Vec<Row> = (buckets.iter().flat_map(|b| &b[t]))
+            .filter(|r| seen.insert(r))
+            .cloned()
+            .collect();
+        Ok(Batch::from_rows(input.schema(), &rows))
     })?;
 
     let homes: Vec<String> = (0..n).map(|i| ctx.worker_node(i).to_string()).collect();
-    Ok(PartitionedTable::from_shared(
+    Ok(PartitionedTable::from_batches(
         input.schema().clone(),
-        parts.into_iter().map(Arc::new).collect(),
+        parts,
         homes,
     ))
 }
@@ -801,21 +758,21 @@ fn execute_aggregate(
     // Partial aggregation per partition, in parallel.
     type Groups = HashMap<Vec<Value>, Vec<Accum>>;
     let partials: Vec<Groups> = run_on_workers(input.num_partitions(), ctx, |p| {
+        // Group keys and aggregate arguments are evaluated as columns,
+        // then folded row by row through the cursor.
+        let batch = input.partition(p);
+        let key_cols = eval_all(group_exprs, batch)?;
+        let arg_cols = (aggs.iter())
+            .map(|a| a.arg.as_ref().map(|e| e.eval(batch)).transpose())
+            .collect::<Result<Vec<Option<Arc<Column>>>>>()?;
         let mut groups: Groups = HashMap::new();
-        for r in input.partition(p).iter() {
-            let mut key = Vec::with_capacity(group_exprs.len());
-            for g in group_exprs {
-                key.push(g.eval(r)?);
-            }
+        for i in 0..batch.len() {
+            let key = key_cols.iter().map(|c| c.value(i)).collect();
             let accums = groups
                 .entry(key)
                 .or_insert_with(|| aggs.iter().map(new_accum).collect());
-            for (a, acc) in aggs.iter().zip(accums.iter_mut()) {
-                let v = match &a.arg {
-                    Some(e) => Some(e.eval(r)?),
-                    None => None,
-                };
-                acc.update(v)?;
+            for (arg, acc) in arg_cols.iter().zip(accums.iter_mut()) {
+                acc.update(arg.as_ref().map(|c| c.value(i)))?;
             }
         }
         Ok(groups)

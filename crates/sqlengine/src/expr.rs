@@ -1,15 +1,17 @@
 //! Compiled (physical) expressions.
 //!
 //! The planner resolves syntactic [`crate::ast::AstExpr`]s against a scope
-//! into these index-based expressions, which evaluate directly over rows
-//! with SQL three-valued logic.
+//! into these index-based expressions, which evaluate a column batch at a
+//! time with SQL three-valued logic.
 
 use std::fmt;
 use std::sync::Arc;
 
-use sqlml_common::{Result, Row, SqlmlError, Value};
+use sqlml_common::schema::DataType;
+use sqlml_common::{Result, SqlmlError, Value};
 
 use crate::ast::{ArithOp, CmpOp};
+use crate::column::{Batch, Column, ColumnBuilder, Prim};
 use crate::udf::ScalarUdf;
 
 /// A resolved expression over a fixed input row layout.
@@ -62,125 +64,237 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// Evaluate against one row. NULL handling follows SQL: comparisons
+    /// Evaluate over every row of `batch` — the engine's one expression
+    /// evaluator. A column reference shares the column; column-vs-literal
+    /// comparisons, `AND`/`OR` over boolean columns and arithmetic over
+    /// numeric columns run typed kernels; every other node (and every
+    /// other operand shape) loops `apply`, the per-value kernel,
+    /// over its operands' columns. NULL handling follows SQL: comparisons
     /// and arithmetic propagate NULL; AND/OR use Kleene logic.
-    pub fn eval(&self, row: &Row) -> Result<Value> {
+    pub fn eval(&self, batch: &Batch) -> Result<Arc<Column>> {
+        let n = batch.len();
         match self {
-            Expr::Col(i) => Ok(row.get(*i).clone()),
-            Expr::Lit(v) => Ok(v.clone()),
-            Expr::Cmp { op, left, right } => {
-                let l = left.eval(row)?;
-                let r = right.eval(row)?;
-                if l.is_null() || r.is_null() {
-                    return Ok(Value::Null);
-                }
-                Ok(Value::Bool(compare(*op, &l, &r)))
-            }
-            Expr::Arith { op, left, right } => {
-                let l = left.eval(row)?;
-                let r = right.eval(row)?;
-                if l.is_null() || r.is_null() {
-                    return Ok(Value::Null);
-                }
-                arith(*op, &l, &r)
-            }
-            Expr::And(l, r) => {
-                // Kleene: false dominates, then null.
-                match (truth(l.eval(row)?)?, truth(r.eval(row)?)?) {
-                    (Some(false), _) | (_, Some(false)) => Ok(Value::Bool(false)),
-                    (Some(true), Some(true)) => Ok(Value::Bool(true)),
-                    _ => Ok(Value::Null),
-                }
-            }
-            Expr::Or(l, r) => match (truth(l.eval(row)?)?, truth(r.eval(row)?)?) {
-                (Some(true), _) | (_, Some(true)) => Ok(Value::Bool(true)),
-                (Some(false), Some(false)) => Ok(Value::Bool(false)),
-                _ => Ok(Value::Null),
-            },
-            Expr::Not(e) => match truth(e.eval(row)?)? {
-                Some(b) => Ok(Value::Bool(!b)),
-                None => Ok(Value::Null),
-            },
-            Expr::IsNull { expr, negated } => {
-                let v = expr.eval(row)?;
-                Ok(Value::Bool(v.is_null() != *negated))
-            }
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                let v = expr.eval(row)?;
-                if v.is_null() {
-                    return Ok(Value::Null);
-                }
-                let mut saw_null = false;
-                for item in list {
-                    let iv = item.eval(row)?;
-                    if iv.is_null() {
-                        saw_null = true;
-                    } else if iv == v {
-                        return Ok(Value::Bool(!*negated));
-                    }
-                }
-                if saw_null {
-                    Ok(Value::Null)
-                } else {
-                    Ok(Value::Bool(*negated))
-                }
-            }
-            Expr::Between { expr, lo, hi } => {
-                let v = expr.eval(row)?;
-                let l = lo.eval(row)?;
-                let h = hi.eval(row)?;
-                if v.is_null() || l.is_null() || h.is_null() {
-                    return Ok(Value::Null);
-                }
-                Ok(Value::Bool(
-                    compare(CmpOp::GtEq, &v, &l) && compare(CmpOp::LtEq, &v, &h),
-                ))
-            }
-            Expr::Like {
-                expr,
-                pattern,
-                negated,
-            } => {
-                let v = expr.eval(row)?;
-                let p = pattern.eval(row)?;
-                if v.is_null() || p.is_null() {
-                    return Ok(Value::Null);
-                }
-                let matched = like_match(v.as_str()?, p.as_str()?);
-                Ok(Value::Bool(matched != *negated))
-            }
-            Expr::Cast { expr, to } => cast_value(expr.eval(row)?, *to),
-            Expr::Scalar { udf, args } => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(a.eval(row)?);
-                }
-                udf.eval(&vals)
-            }
-            Expr::Neg(e) => match e.eval(row)? {
-                Value::Null => Ok(Value::Null),
-                Value::Int(i) => Ok(Value::Int(-i)),
-                Value::Double(d) => Ok(Value::Double(-d)),
-                other => Err(SqlmlError::Type(format!("cannot negate {other}"))),
-            },
+            Expr::Col(i) => return Ok(Arc::clone(batch.column(*i))),
+            Expr::Lit(v) => return Ok(Arc::new(Column::constant(v, n))),
+            _ => {}
+        }
+        let args = (self.operands().into_iter())
+            .map(|e| match e {
+                Expr::Lit(v) => Ok(Operand::Const(v)),
+                e => e.eval(batch).map(Operand::Col),
+            })
+            .collect::<Result<Vec<_>>>()?;
+        if let Some(col) = self.kernel(&args, n)? {
+            return Ok(Arc::new(col));
+        }
+        let mut out = ColumnBuilder::new(DataType::Bool, n);
+        let mut values = Vec::with_capacity(args.len());
+        for i in 0..n {
+            values.clear();
+            values.extend(args.iter().map(|a| a.value(i)));
+            out.push(&self.apply(&values)?);
+        }
+        Ok(Arc::new(out.finish()))
+    }
+
+    /// The sub-expressions whose values [`Self::apply`] takes, in order.
+    fn operands(&self) -> Vec<&Expr> {
+        match self {
+            Expr::Col(_) | Expr::Lit(_) => Vec::new(),
+            Expr::Cmp { left, right, .. }
+            | Expr::Arith { left, right, .. }
+            | Expr::And(left, right)
+            | Expr::Or(left, right) => vec![left, right],
+            Expr::Not(expr)
+            | Expr::Neg(expr)
+            | Expr::IsNull { expr, .. }
+            | Expr::Cast { expr, .. } => vec![expr],
+            Expr::InList { expr, list, .. } => std::iter::once(&**expr).chain(list).collect(),
+            Expr::Between { expr, lo, hi } => vec![expr, lo, hi],
+            Expr::Like { expr, pattern, .. } => vec![expr, pattern],
+            Expr::Scalar { args, .. } => args.iter().collect(),
         }
     }
 
-    /// Evaluate as a filter predicate: NULL and false both reject.
-    pub fn eval_predicate(&self, row: &Row) -> Result<bool> {
-        Ok(matches!(self.eval(row)?, Value::Bool(true)))
+    /// The per-value kernel: this node applied to one row's operand
+    /// values (`v[k]` is the value of `operands()[k]`).
+    fn apply(&self, v: &[Value]) -> Result<Value> {
+        Ok(match self {
+            Expr::Col(_) | Expr::Lit(_) => unreachable!("leaves are evaluated by eval"),
+            Expr::Cmp { op, .. } => {
+                if v[0].is_null() || v[1].is_null() {
+                    return Ok(Value::Null);
+                }
+                Value::Bool(compare(*op, &v[0], &v[1]))
+            }
+            Expr::Arith { op, .. } => {
+                if v[0].is_null() || v[1].is_null() {
+                    return Ok(Value::Null);
+                }
+                arith(*op, &v[0], &v[1])?
+            }
+            Expr::And(..) => kleene(true, truth(&v[0])?, truth(&v[1])?),
+            Expr::Or(..) => kleene(false, truth(&v[0])?, truth(&v[1])?),
+            Expr::Not(_) => truth(&v[0])?.map_or(Value::Null, |b| Value::Bool(!b)),
+            Expr::IsNull { negated, .. } => Value::Bool(v[0].is_null() != *negated),
+            Expr::InList { negated, .. } => {
+                if v[0].is_null() {
+                    return Ok(Value::Null);
+                }
+                if v[1..].iter().any(|item| !item.is_null() && *item == v[0]) {
+                    Value::Bool(!*negated)
+                } else if v[1..].iter().any(Value::is_null) {
+                    Value::Null
+                } else {
+                    Value::Bool(*negated)
+                }
+            }
+            Expr::Between { .. } => {
+                if v.iter().any(Value::is_null) {
+                    return Ok(Value::Null);
+                }
+                Value::Bool(
+                    compare(CmpOp::GtEq, &v[0], &v[1]) && compare(CmpOp::LtEq, &v[0], &v[2]),
+                )
+            }
+            Expr::Like { negated, .. } => {
+                if v[0].is_null() || v[1].is_null() {
+                    return Ok(Value::Null);
+                }
+                Value::Bool(like_match(v[0].as_str()?, v[1].as_str()?) != *negated)
+            }
+            Expr::Cast { to, .. } => cast_value(v[0].clone(), *to)?,
+            Expr::Scalar { udf, .. } => udf.eval(v)?,
+            Expr::Neg(_) => match &v[0] {
+                Value::Null => Value::Null,
+                Value::Int(i) => Value::Int(-i),
+                Value::Double(d) => Value::Double(-d),
+                other => return Err(SqlmlError::Type(format!("cannot negate {other}"))),
+            },
+        })
+    }
+
+    /// The typed kernel for this node over these operand shapes, if
+    /// there is one; `None` falls through to the per-value loop.
+    fn kernel(&self, args: &[Operand], n: usize) -> Result<Option<Column>> {
+        Ok(match (self, args) {
+            (Expr::Cmp { op, .. }, [Operand::Col(c), Operand::Const(k)]) if !k.is_null() => {
+                cmp_literal(c, |x| compare(*op, x, k))
+            }
+            (Expr::Cmp { op, .. }, [Operand::Const(k), Operand::Col(c)]) if !k.is_null() => {
+                cmp_literal(c, |x| compare(*op, k, x))
+            }
+            (Expr::And(..) | Expr::Or(..), [Operand::Col(a), Operand::Col(b)]) => {
+                match (&**a, &**b) {
+                    (Column::Bool(a), Column::Bool(b)) => {
+                        let and = matches!(self, Expr::And(..));
+                        let mut out = ColumnBuilder::new(DataType::Bool, n);
+                        (0..n).for_each(|i| out.push(&kleene(and, a.get(i), b.get(i))));
+                        Some(out.finish())
+                    }
+                    _ => None,
+                }
+            }
+            (Expr::Arith { op, .. }, [a, b]) => arith_columns(*op, a, b, n)?,
+            _ => None,
+        })
+    }
+}
+
+/// What an operand of a node evaluates to: a literal stays one value.
+enum Operand<'a> {
+    Const(&'a Value),
+    Col(Arc<Column>),
+}
+
+impl Operand<'_> {
+    fn value(&self, i: usize) -> Value {
+        match self {
+            Operand::Const(v) => (*v).clone(),
+            Operand::Col(c) => c.value(i),
+        }
+    }
+
+    /// `Some(is_int)` for an operand holding only `Int`s (`true`) or only
+    /// `Double`s, NULLs aside.
+    fn numeric(&self) -> Option<bool> {
+        match self {
+            Operand::Const(Value::Int(_)) => Some(true),
+            Operand::Const(Value::Double(_)) => Some(false),
+            Operand::Col(c) => match &**c {
+                Column::Int(_) => Some(true),
+                Column::Double(_) => Some(false),
+                _ => None,
+            },
+            Operand::Const(_) => None,
+        }
+    }
+}
+
+/// Column-vs-literal comparison: `test` once per row of a typed column,
+/// once per *dictionary entry* of a string column. NULL rows stay NULL.
+fn cmp_literal(col: &Column, test: impl Fn(&Value) -> bool) -> Option<Column> {
+    Some(Column::Bool(match col {
+        Column::Int(p) => p.map(|x| test(&Value::Int(x))),
+        Column::Double(p) => p.map(|x| test(&Value::Double(x))),
+        Column::Bool(p) => p.map(|x| test(&Value::Bool(x))),
+        Column::Str(d) => {
+            let by_code: Vec<bool> = (d.entries().iter())
+                .map(|s| test(&Value::Str(Arc::clone(s))))
+                .collect();
+            let hit = |c: &u32| by_code.get(*c as usize).copied();
+            Prim::new(
+                d.codes().iter().map(|c| hit(c).unwrap_or(false)).collect(),
+                Some(d.codes().iter().map(|c| hit(c).is_some()).collect()),
+            )
+        }
+        Column::Mixed(_) => return None,
+    }))
+}
+
+/// Arithmetic over `Int`/`Double` columns and literals: a typed output
+/// vector, [`arith`] per non-NULL row.
+fn arith_columns(op: ArithOp, a: &Operand, b: &Operand, n: usize) -> Result<Option<Column>> {
+    let (Some(a_int), Some(b_int)) = (a.numeric(), b.numeric()) else {
+        return Ok(None);
+    };
+    let int_out = a_int && b_int && op != ArithOp::Div;
+    let mut ints = Prim::<i64>::default();
+    let mut doubles = Prim::<f64>::default();
+    for i in 0..n {
+        let (x, y) = (a.value(i), b.value(i));
+        let v = match x.is_null() || y.is_null() {
+            true => Value::Null,
+            false => arith(op, &x, &y)?,
+        };
+        match (int_out, v) {
+            (true, Value::Int(v)) => ints.push(Some(v)),
+            (false, Value::Double(v)) => doubles.push(Some(v)),
+            (true, _) => ints.push(None),
+            (false, _) => doubles.push(None),
+        }
+    }
+    Ok(Some(match int_out {
+        true => Column::Int(ints),
+        false => Column::Double(doubles),
+    }))
+}
+
+/// Kleene AND (`and`) / OR of two truth values (`None` = NULL/unknown):
+/// the dominating value wins, then NULL.
+fn kleene(and: bool, l: Option<bool>, r: Option<bool>) -> Value {
+    match (l, r) {
+        (Some(x), _) | (_, Some(x)) if x != and => Value::Bool(!and),
+        (Some(_), Some(_)) => Value::Bool(and),
+        _ => Value::Null,
     }
 }
 
 /// Map a value to Kleene truth (None = NULL/unknown).
-fn truth(v: Value) -> Result<Option<bool>> {
+fn truth(v: &Value) -> Result<Option<bool>> {
     match v {
         Value::Null => Ok(None),
-        Value::Bool(b) => Ok(Some(b)),
+        Value::Bool(b) => Ok(Some(*b)),
         other => Err(SqlmlError::Type(format!(
             "expected a boolean condition, got {other}"
         ))),
@@ -344,7 +458,18 @@ impl fmt::Debug for Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlml_common::row;
+    use sqlml_common::{row, Schema};
+
+    /// `e` over the one-row batch holding `r`.
+    fn eval(e: &Expr, r: &Row) -> Result<Value> {
+        let batch = Batch::from_rows(&Schema::empty(), std::slice::from_ref(r));
+        e.eval(&batch).map(|c| c.value(0))
+    }
+
+    /// As a filter predicate: NULL and false both reject.
+    fn holds(e: &Expr, r: &Row) -> bool {
+        matches!(eval(e, r).unwrap(), Value::Bool(true))
+    }
 
     fn col(i: usize) -> Box<Expr> {
         Box::new(Expr::Col(i))
@@ -362,13 +487,13 @@ mod tests {
             left: col(1),
             right: lit("USA"),
         };
-        assert!(e.eval_predicate(&r).unwrap());
+        assert!(holds(&e, &r));
         let e = Expr::Cmp {
             op: CmpOp::Gt,
             left: col(0),
             right: lit(2.5),
         };
-        assert!(e.eval_predicate(&r).unwrap());
+        assert!(holds(&e, &r));
     }
 
     #[test]
@@ -379,8 +504,8 @@ mod tests {
             left: col(0),
             right: lit(1i64),
         };
-        assert_eq!(e.eval(&r).unwrap(), Value::Null);
-        assert!(!e.eval_predicate(&r).unwrap());
+        assert_eq!(eval(&e, &r).unwrap(), Value::Null);
+        assert!(!holds(&e, &r));
     }
     use sqlml_common::Row;
 
@@ -396,19 +521,19 @@ mod tests {
         };
         // false AND NULL = false
         let e = Expr::And(lit(false), null_cond());
-        assert_eq!(e.eval(&r).unwrap(), Value::Bool(false));
+        assert_eq!(eval(&e, &r).unwrap(), Value::Bool(false));
         // true AND NULL = NULL
         let e = Expr::And(lit(true), null_cond());
-        assert_eq!(e.eval(&r).unwrap(), Value::Null);
+        assert_eq!(eval(&e, &r).unwrap(), Value::Null);
         // true OR NULL = true
         let e = Expr::Or(null_cond(), lit(true));
-        assert_eq!(e.eval(&r).unwrap(), Value::Bool(true));
+        assert_eq!(eval(&e, &r).unwrap(), Value::Bool(true));
         // false OR NULL = NULL
         let e = Expr::Or(lit(false), null_cond());
-        assert_eq!(e.eval(&r).unwrap(), Value::Null);
+        assert_eq!(eval(&e, &r).unwrap(), Value::Null);
         // NOT NULL = NULL
         let e = Expr::Not(null_cond());
-        assert_eq!(e.eval(&r).unwrap(), Value::Null);
+        assert_eq!(eval(&e, &r).unwrap(), Value::Null);
     }
 
     #[test]
@@ -419,19 +544,19 @@ mod tests {
             left: col(0),
             right: col(1),
         };
-        assert_eq!(add.eval(&r).unwrap(), Value::Int(9));
+        assert_eq!(eval(&add, &r).unwrap(), Value::Int(9));
         let div = Expr::Arith {
             op: ArithOp::Div,
             left: col(0),
             right: col(1),
         };
-        assert_eq!(div.eval(&r).unwrap(), Value::Double(3.5));
+        assert_eq!(eval(&div, &r).unwrap(), Value::Double(3.5));
         let mixed = Expr::Arith {
             op: ArithOp::Mul,
             left: col(0),
             right: col(2),
         };
-        assert_eq!(mixed.eval(&r).unwrap(), Value::Double(10.5));
+        assert_eq!(eval(&mixed, &r).unwrap(), Value::Double(10.5));
     }
 
     #[test]
@@ -442,7 +567,7 @@ mod tests {
             left: col(0),
             right: col(1),
         };
-        assert!(div.eval(&r).is_err());
+        assert!(eval(&div, &r).is_err());
     }
 
     #[test]
@@ -453,7 +578,7 @@ mod tests {
             list: vec![Expr::Lit(Value::Int(1)), Expr::Lit(Value::Int(2))],
             negated: false,
         };
-        assert_eq!(e.eval(&r).unwrap(), Value::Bool(true));
+        assert_eq!(eval(&e, &r).unwrap(), Value::Bool(true));
         // 3 NOT IN (1, NULL) is NULL (unknown).
         let r = row![3i64];
         let e = Expr::InList {
@@ -461,7 +586,7 @@ mod tests {
             list: vec![Expr::Lit(Value::Int(1)), Expr::Lit(Value::Null)],
             negated: true,
         };
-        assert_eq!(e.eval(&r).unwrap(), Value::Null);
+        assert_eq!(eval(&e, &r).unwrap(), Value::Null);
     }
 
     #[test]
@@ -471,9 +596,9 @@ mod tests {
             lo: lit(1i64),
             hi: lit(3i64),
         };
-        assert!(e.eval_predicate(&row![1i64]).unwrap());
-        assert!(e.eval_predicate(&row![3i64]).unwrap());
-        assert!(!e.eval_predicate(&row![4i64]).unwrap());
+        assert!(holds(&e, &row![1i64]));
+        assert!(holds(&e, &row![3i64]));
+        assert!(!holds(&e, &row![4i64]));
     }
 
     #[test]
@@ -483,13 +608,13 @@ mod tests {
             expr: col(0),
             negated: false,
         };
-        assert!(e.eval_predicate(&null_row).unwrap());
+        assert!(holds(&e, &null_row));
         let e = Expr::IsNull {
             expr: col(0),
             negated: true,
         };
-        assert!(!e.eval_predicate(&null_row).unwrap());
-        assert!(e.eval_predicate(&row![1i64]).unwrap());
+        assert!(!holds(&e, &null_row));
+        assert!(holds(&e, &row![1i64]));
     }
 
     #[test]
@@ -525,7 +650,7 @@ mod tests {
             pattern: lit("x%"),
             negated: false,
         };
-        assert_eq!(e.eval(&Row::new(vec![Value::Null])).unwrap(), Value::Null);
+        assert_eq!(eval(&e, &Row::new(vec![Value::Null])).unwrap(), Value::Null);
     }
 
     #[test]
@@ -555,8 +680,8 @@ mod tests {
     #[test]
     fn neg_and_debug_format() {
         let e = Expr::Neg(col(0));
-        assert_eq!(e.eval(&row![5i64]).unwrap(), Value::Int(-5));
-        assert_eq!(e.eval(&row![2.5]).unwrap(), Value::Double(-2.5));
+        assert_eq!(eval(&e, &row![5i64]).unwrap(), Value::Int(-5));
+        assert_eq!(eval(&e, &row![2.5]).unwrap(), Value::Double(-2.5));
         let formatted = format!("{e:?}");
         assert!(formatted.contains("#0"), "{formatted}");
     }

@@ -14,20 +14,23 @@
 //!   DISTINCT/GROUP BY/ORDER BY/LIMIT, `CREATE TABLE`, `CREATE TABLE AS`,
 //!   table-UDF invocation via `TABLE(udf(...))` in FROM).
 //! * [`catalog`] — tables plus scalar/table UDF registries.
-//! * [`table`] — partitioned row storage with per-partition home nodes
-//!   (locality) and DFS text import/export.
-//! * [`expr`] — compiled expressions with SQL three-valued logic.
+//! * [`table`] — partitioned storage with per-partition home nodes
+//!   (locality) and DFS text import/export; a partition is a [`mod@column`]
+//!   batch: typed value vectors with validity, strings as per-partition
+//!   dictionary codes.
+//! * [`expr`] — compiled expressions with SQL three-valued logic, one
+//!   batch-at-a-time evaluator.
 //! * [`plan`], [`planner`], [`optimizer`] — logical plans, name
 //!   resolution, join extraction from WHERE, predicate pushdown and
 //!   broadcast-side selection.
 //! * [`executor`] — parallel partition-at-a-time execution across worker
-//!   threads.
+//!   threads, on column batches.
 //! * [`udf`] — the UDF traits.
 //! * [`engine`] — the public facade.
 
 pub mod ast;
 pub mod catalog;
-pub mod dictionary;
+pub mod column;
 pub mod engine;
 pub mod executor;
 pub mod expr;
@@ -42,6 +45,7 @@ pub mod udf;
 pub mod validate;
 
 pub use catalog::Catalog;
+pub use column::{Batch, Column};
 pub use engine::{Engine, EngineConfig};
 pub use table::PartitionedTable;
 pub use udf::{PartitionCtx, ScalarUdf, TableUdf};

@@ -11,13 +11,13 @@
 //! * removal of literal-`TRUE` filters and zero-limit shortcuts;
 //! * **operator fusion** — chains of `Filter`/`Project`/`TableUdfScan`
 //!   collapse into one [`Plan::Fused`] node that the executor runs as a
-//!   single `map_partitions` pass, so the intermediate per-partition
-//!   `Vec<Row>`s between those operators never materialize;
+//!   single `map_partitions` pass, one batch kernel per stage, with no
+//!   table (and no worker hand-off) between those operators;
 //! * **projecting joins** — the same pass folds a column-only `Project`
 //!   sitting directly on a `HashJoin` into the join (`project:
-//!   Some(cols)`), so the probe emits the projected row straight from the
-//!   two input rows and the full-width `left ++ right` row is never
-//!   allocated. The paper's preparation query is exactly this shape.
+//!   Some(cols)`), so the probe gathers only the projected columns and
+//!   the full-width `left ++ right` batch is never built. The paper's
+//!   preparation query is exactly this shape.
 
 use sqlml_common::Value;
 
@@ -31,8 +31,8 @@ pub fn optimize(plan: Plan) -> Plan {
 }
 
 /// The rule-based rewrites without the fusion pass. Retained as a public
-/// entry point so differential tests can run the row-at-a-time reference
-/// executor against the fused one.
+/// entry point so differential tests can run the unfused plan shape
+/// against the fused one (both run the same batch kernels).
 pub fn optimize_unfused(plan: Plan) -> Plan {
     match plan {
         Plan::HashJoin {

@@ -105,9 +105,8 @@ pub enum Plan {
         n: usize,
     },
     /// A fused `Filter`/`Project`/`TableUdfScan` chain executed as a
-    /// single `map_partitions` pass: consecutive scalar stages run
-    /// row-at-a-time with no intermediate partition vectors. Produced by
-    /// the optimizer's fusion pass.
+    /// single `map_partitions` pass: each stage is one kernel over the
+    /// partition's column batch. Produced by the optimizer's fusion pass.
     Fused {
         input: Box<Plan>,
         /// Stages in execution order (closest-to-input first).

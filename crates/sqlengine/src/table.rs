@@ -4,21 +4,22 @@
 //! set of horizontal partitions, each with a *home node* recording where
 //! in the simulated cluster the partition lives. Query results are
 //! themselves partitioned tables, so UDFs, the transfer layer, and the
-//! cache all operate on the same representation.
+//! cache all operate on the same representation. A partition is a column
+//! [`Batch`]; [`Row`]s exist only at the edges (`new`, `collect_rows`).
 
-use std::sync::Arc;
-
-use sqlml_common::codec;
-use sqlml_common::{Result, Row, Schema, SqlmlError, Value};
+use sqlml_common::{Result, Row, Schema, SqlmlError};
 use sqlml_dfs::Dfs;
 
-/// A horizontally partitioned table. Partitions are immutable and shared
-/// (`Arc`), so projecting/caching/transferring never copies row data
-/// needlessly.
+use crate::column::{Batch, BatchBuilder};
+
+/// A horizontally partitioned table. Partitions are immutable and their
+/// columns shared (`Arc`), so projecting/caching/transferring never
+/// copies data needlessly and dropping a table frees one allocation per
+/// column, not one per row.
 #[derive(Debug, Clone)]
 pub struct PartitionedTable {
     schema: Schema,
-    partitions: Vec<Arc<Vec<Row>>>,
+    partitions: Vec<Batch>,
     /// Home node name per partition (same length as `partitions`).
     homes: Vec<String>,
 }
@@ -28,15 +29,18 @@ impl PartitionedTable {
     /// `node-{i mod n}` when not supplied via [`Self::with_homes`].
     pub fn new(schema: Schema, partitions: Vec<Vec<Row>>) -> Self {
         let homes = (0..partitions.len()).map(sqlml_dfs::node_name).collect();
+        let partitions = (partitions.iter())
+            .map(|rows| Batch::from_rows(&schema, rows))
+            .collect();
         PartitionedTable {
             schema,
-            partitions: partitions.into_iter().map(Arc::new).collect(),
+            partitions,
             homes,
         }
     }
 
-    /// Build from shared partitions (no copy).
-    pub fn from_shared(schema: Schema, partitions: Vec<Arc<Vec<Row>>>, homes: Vec<String>) -> Self {
+    /// Build from column batches (shared, no copy).
+    pub fn from_batches(schema: Schema, partitions: Vec<Batch>, homes: Vec<String>) -> Self {
         assert_eq!(partitions.len(), homes.len());
         PartitionedTable {
             schema,
@@ -61,25 +65,16 @@ impl PartitionedTable {
         nodes: &[String],
     ) -> Self {
         assert!(num_partitions > 0);
-        let mut parts: Vec<Vec<Row>> = (0..num_partitions)
-            .map(|i| Vec::with_capacity(rows.len() / num_partitions + (i == 0) as usize))
+        let mut parts: Vec<BatchBuilder> = (0..num_partitions)
+            .map(|_| BatchBuilder::new(&schema, rows.len() / num_partitions + 1))
             .collect();
-        for (i, row) in rows.into_iter().enumerate() {
-            parts[i % num_partitions].push(row);
+        for (i, row) in rows.iter().enumerate() {
+            parts[i % num_partitions].push_row(row);
         }
-        let homes = (0..num_partitions)
-            .map(|i| {
-                if nodes.is_empty() {
-                    sqlml_dfs::node_name(i)
-                } else {
-                    nodes[i % nodes.len()].clone()
-                }
-            })
-            .collect();
         PartitionedTable {
             schema,
-            partitions: parts.into_iter().map(Arc::new).collect(),
-            homes,
+            partitions: parts.into_iter().map(BatchBuilder::finish).collect(),
+            homes: cycled_homes(num_partitions, nodes),
         }
     }
 
@@ -96,11 +91,11 @@ impl PartitionedTable {
         self.partitions.len()
     }
 
-    pub fn partition(&self, i: usize) -> &Arc<Vec<Row>> {
+    pub fn partition(&self, i: usize) -> &Batch {
         &self.partitions[i]
     }
 
-    pub fn partitions(&self) -> &[Arc<Vec<Row>>] {
+    pub fn partitions(&self) -> &[Batch] {
         &self.partitions
     }
 
@@ -113,32 +108,23 @@ impl PartitionedTable {
     }
 
     pub fn num_rows(&self) -> usize {
-        self.partitions.iter().map(|p| p.len()).sum()
+        self.partitions.iter().map(Batch::len).sum()
     }
 
-    /// Total payload size in bytes under the text encoding — the engine's
-    /// coarse cost statistic for join-side and transfer planning.
+    /// Total payload size in bytes under the text encoding (`len + 1` per
+    /// string cell, 8 per other cell) — the engine's coarse cost
+    /// statistic for join-side and transfer planning. Computed per
+    /// column, without materializing a cell.
     pub fn approx_bytes(&self) -> u64 {
-        self.partitions
-            .iter()
-            .flat_map(|p| p.iter())
-            .map(|r| {
-                r.values()
-                    .iter()
-                    .map(|v| match v {
-                        Value::Str(s) => s.len() as u64 + 1,
-                        _ => 8,
-                    })
-                    .sum::<u64>()
-            })
-            .sum()
+        let columns = self.partitions.iter().flat_map(|p| p.columns());
+        columns.map(|c| c.approx_bytes()).sum()
     }
 
     /// Gather all rows into one vector (partition order, then row order).
     pub fn collect_rows(&self) -> Vec<Row> {
         let mut out = Vec::with_capacity(self.num_rows());
         for p in &self.partitions {
-            out.extend(p.iter().cloned());
+            out.extend((0..p.len()).map(|i| p.row(i)));
         }
         out
     }
@@ -163,7 +149,7 @@ impl PartitionedTable {
                 .enumerate()
                 .map(|(i, part)| {
                     scope.spawn(move || -> Result<u64> {
-                        let text = codec::encode_text_batch(part);
+                        let text = part.encode_text();
                         dfs.write_string(&format!("{dir}/part-{i:05}"), &text)?;
                         Ok(text.len() as u64)
                     })
@@ -192,7 +178,7 @@ impl PartitionedTable {
         let mut homes = Vec::with_capacity(files.len());
         for f in files {
             let text = dfs.read_string(&f.path)?;
-            partitions.push(Arc::new(codec::decode_text_batch(&text, &schema)?));
+            partitions.push(Batch::decode_text(&text, &schema)?);
             // Home = node holding the file's first block replica.
             let home = dfs
                 .block_locations(&f.path)?
@@ -209,11 +195,32 @@ impl PartitionedTable {
         })
     }
 
-    /// Re-partition into `n` partitions (round-robin), e.g. to match the
-    /// engine's worker count after loading a file with a different layout.
-    pub fn repartition(&self, n: usize, nodes: &[String]) -> Self {
-        PartitionedTable::partition_rows(self.schema.clone(), self.collect_rows(), n, nodes)
+    /// Re-partition into `n` partitions (round-robin over the rows in
+    /// partition order), e.g. to match the engine's worker count after
+    /// loading a file with a different layout.
+    pub fn repartition(&self, n: usize, nodes: &[String]) -> Result<Self> {
+        assert!(n > 0);
+        let all = Batch::concat(self.schema.len(), &self.partitions);
+        let total = sqlml_common::counter_u32(all.len(), "table row count")?;
+        let partitions = (0u32..)
+            .take(n)
+            .map(|p| all.gather(&(p..total).step_by(n).collect::<Vec<u32>>()))
+            .collect();
+        Ok(PartitionedTable {
+            schema: self.schema.clone(),
+            partitions,
+            homes: cycled_homes(n, nodes),
+        })
     }
+}
+
+fn cycled_homes(n: usize, nodes: &[String]) -> Vec<String> {
+    (0..n)
+        .map(|i| match nodes.len() {
+            0 => sqlml_dfs::node_name(i),
+            len => nodes[i % len].clone(),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -279,7 +286,7 @@ mod tests {
     #[test]
     fn repartition_preserves_rows() {
         let t = PartitionedTable::partition_rows(schema(), rows(17), 2, &[]);
-        let r = t.repartition(5, &[]);
+        let r = t.repartition(5, &[]).unwrap();
         assert_eq!(r.num_partitions(), 5);
         assert_eq!(r.collect_sorted(), t.collect_sorted());
     }

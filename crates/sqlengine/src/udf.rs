@@ -2,7 +2,9 @@
 //! whole approach rests on ("our techniques apply to any big SQL system
 //! that supports UDFs").
 
-use sqlml_common::{Result, Row, Schema, Value};
+use sqlml_common::{Result, Schema, Value};
+
+use crate::column::Batch;
 
 /// Context handed to each per-partition invocation of a table UDF.
 ///
@@ -57,16 +59,19 @@ pub trait TableUdf: Send + Sync {
     /// arguments.
     fn output_schema(&self, input: &Schema, args: &[Value]) -> Result<Schema>;
 
-    /// Process one partition. Implementations must be deterministic given
-    /// `(rows, args, ctx)` so that restarted partitions (fault tolerance,
-    /// §6) reproduce identical output.
+    /// Process one partition: a column batch in, a column batch out
+    /// (a column the UDF passes through is shared, not copied). A UDF
+    /// that works row by row reads [`Batch::rows`] and returns
+    /// [`Batch::from_rows`] under its output schema. Implementations must
+    /// be deterministic given `(input, args, ctx)` so that restarted
+    /// partitions (fault tolerance, §6) reproduce identical output.
     fn execute(
         &self,
-        rows: &[Row],
+        input: &Batch,
         input_schema: &Schema,
         args: &[Value],
         ctx: &PartitionCtx,
-    ) -> Result<Vec<Row>>;
+    ) -> Result<Batch>;
 }
 
 /// Adapter: build a scalar UDF from a closure.

@@ -389,6 +389,16 @@ impl RowBatchFrameBuilder {
         self.encoder.push_row(row)
     }
 
+    /// Append one row written cell by cell into the frame's encoder
+    /// (a column batch's `encode_row`): the bytes [`Self::push_row`]
+    /// appends for the same row, rolled back the same way on error.
+    pub fn push_with(
+        &mut self,
+        row: impl FnOnce(&mut CompactBatchEncoder) -> Result<()>,
+    ) -> Result<()> {
+        row(&mut self.encoder)
+    }
+
     /// Rows in the frame under construction.
     pub fn rows(&self) -> usize {
         self.encoder.row_count()

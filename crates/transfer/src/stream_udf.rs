@@ -11,8 +11,8 @@
 //! Its SQL-visible output is one statistics row per worker.
 //!
 //! The data plane is batched, overlapped, and allocation-free on the hot
-//! path: rows are encoded straight from the partition slice into the
-//! frame under construction (no intermediate `Vec<Row>` clones), a frame
+//! path: rows are encoded straight from the partition's columns into the
+//! frame under construction (no intermediate `Row`), a frame
 //! is cut when it reaches `frame_bytes` wire bytes and at nothing else,
 //! and one dedicated [`crate::sender`] thread per peer drains that peer's
 //! bounded queue so socket writes of batch N overlap the encode of batch
@@ -30,6 +30,7 @@ use sqlml_common::lockorder::TrackedMutex;
 use sqlml_common::schema::{DataType, Field};
 use sqlml_common::{CancelToken, Result, Row, Schema, SqlmlError, Value};
 use sqlml_sqlengine::udf::{PartitionCtx, TableUdf};
+use sqlml_sqlengine::Batch;
 
 use crate::buffer::SpillableBuffer;
 use crate::config::TransferArgs;
@@ -221,11 +222,11 @@ impl TableUdf for StreamTransferUdf {
 
     fn execute(
         &self,
-        rows: &[Row],
+        batch: &Batch,
         _input_schema: &Schema,
         args: &[Value],
         ctx: &PartitionCtx,
-    ) -> Result<Vec<Row>> {
+    ) -> Result<Batch> {
         let args = TransferArgs::from_values(args)?;
         let cancel = self
             .cancels
@@ -282,8 +283,13 @@ impl TableUdf for StreamTransferUdf {
         // Steps 7+8 with the §6 restart protocol around them.
         let mut last_err: Option<SqlmlError> = None;
         for attempt in 1..=MAX_ATTEMPTS {
-            match self.stream_group(rows, &listener, &args, ctx, attempt, &cancel) {
-                Ok(stats) => return Ok(vec![stats.to_row()]),
+            match self.stream_group(batch, &listener, &args, ctx, attempt, &cancel) {
+                Ok(stats) => {
+                    return Ok(Batch::from_rows(
+                        &WorkerTransferStats::schema(),
+                        &[stats.to_row()],
+                    ))
+                }
                 Err(e) => {
                     // Cancellation is not a transfer fault: never restart
                     // the group for it, surface it right away.
@@ -307,7 +313,7 @@ impl StreamTransferUdf {
     /// row for this (the final) attempt.
     fn stream_group(
         &self,
-        rows: &[Row],
+        batch: &Batch,
         listener: &TcpListener,
         args: &TransferArgs,
         ctx: &PartitionCtx,
@@ -437,12 +443,12 @@ impl StreamTransferUdf {
                 .collect();
             let writers = sender::spawn_senders(scope, peers, Arc::clone(&failed));
 
-            // Producer: encode rows straight from the partition slice into
-            // per-peer frames, round-robin (step 8). A frame is cut at
-            // `frame_bytes` wire bytes.
+            // Producer: encode rows straight from the partition's columns
+            // into per-peer frames, round-robin (step 8). A frame is cut
+            // at `frame_bytes` wire bytes.
             let mut counters = WorkerTransferStats {
                 worker: ctx.partition,
-                rows_sent: rows.len() as u64,
+                rows_sent: batch.len() as u64,
                 attempts: attempt,
                 ..Default::default()
             };
@@ -466,7 +472,7 @@ impl StreamTransferUdf {
                     *peer = (*peer + 1) % k;
                     Ok(())
                 };
-                for row in rows {
+                for row in 0..batch.len() {
                     if builder.is_empty() {
                         // Frame-granular cancellation point: fires between
                         // frames, never mid-encode.
@@ -483,7 +489,7 @@ impl StreamTransferUdf {
                             }
                         }
                     }
-                    builder.push_row(row)?;
+                    builder.push_with(|enc| batch.encode_row(row, enc))?;
                     sent_rows += 1;
                     if builder.frame_len() >= config.frame_bytes {
                         flush_frame(builder, &mut peer, counters)?;

@@ -375,8 +375,9 @@ fn stream_and_capture(
         node: "node-0".into(),
     };
     let udf = StreamTransferUdf::new(std::env::temp_dir().join("sqlml-udf-tests"));
+    let batch = sqlml_sqlengine::Batch::from_rows(&Schema::empty(), rows);
     std::thread::scope(|scope| {
-        let sender = scope.spawn(|| udf.execute(rows, &Schema::empty(), &values, &ctx));
+        let sender = scope.spawn(|| udf.execute(&batch, &Schema::empty(), &values, &ctx));
         let info = coord
             .handle()
             .wait_for_session(1, Duration::from_secs(10))
@@ -413,7 +414,7 @@ fn stream_and_capture(
             .collect();
         let stats_rows = sender.join().unwrap().unwrap();
         (
-            WorkerTransferStats::from_row(&stats_rows[0]).unwrap(),
+            WorkerTransferStats::from_row(&stats_rows.row(0)).unwrap(),
             frames,
         )
     })

@@ -13,13 +13,16 @@
 //! `HashMap<Arc<str>, i64>` probe (O(1), hashed once), and
 //! non-categorical cells are a straight clone (a refcount bump for
 //! interned strings). One call to [`FlatRecodeApplier::apply`] recodes
-//! and dummy-codes every column of a row at once.
+//! and dummy-codes every column of a row at once; over a column batch
+//! ([`FlatRecodeApplier::apply_batch`]) the probe is per *dictionary
+//! entry* and the rows are a gather or a scatter through the result.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use sqlml_common::schema::{DataType, Field};
 use sqlml_common::{Result, Row, Schema, SqlmlError, Value};
+use sqlml_sqlengine::column::{Batch, Column, Prim};
 
 use crate::pipeline::TransformSpec;
 use crate::recode::RecodeMap;
@@ -138,47 +141,109 @@ impl FlatRecodeApplier {
 
     /// Transform one row: recode categorical values, expand dummy
     /// blocks. Matches [`RecodeMap::code`]-based application value for
-    /// value (the property tests assert this).
+    /// value (the property tests assert this). The per-row form serves
+    /// the naive baseline's external text job; the engine's partitions
+    /// go through [`Self::apply_batch`].
     pub fn apply(&self, row: &Row) -> Result<Row> {
         let mut values = Vec::with_capacity(self.out_schema.len());
         for (i, action) in self.actions.iter().enumerate() {
             let v = row.get(i);
             match action {
                 ColumnAction::Pass => values.push(v.clone()),
-                ColumnAction::Recode { name, codes } => match v {
-                    Value::Null => values.push(Value::Null),
-                    Value::Str(s) => values.push(Value::Int(lookup(codes, s, name)?)),
-                    other => {
-                        return Err(SqlmlError::Type(format!(
-                            "expected a categorical string in {name}, found {other}"
-                        )))
-                    }
-                },
+                ColumnAction::Recode { name, codes } => {
+                    values.push(code_of(codes, v, name)?.map_or(Value::Null, Value::Int));
+                }
                 ColumnAction::Dummy { name, codes, k } => {
-                    let code = match v {
-                        Value::Null => 0,
-                        Value::Str(s) => lookup(codes, s, name)?,
-                        other => {
-                            return Err(SqlmlError::Type(format!(
-                                "expected a categorical string in {name}, found {other}"
-                            )))
-                        }
-                    };
-                    for j in 1..=*k as i64 {
-                        values.push(Value::Int((j == code) as i64));
-                    }
+                    let code = code_of(codes, v, name)?.unwrap_or(0);
+                    values.extend((1..=*k as i64).map(|j| Value::Int((j == code) as i64)));
                 }
             }
         }
         Ok(Row::new(values))
     }
+
+    /// Transform one partition column by column. A pass-through column
+    /// is shared; a categorical column's dictionary is resolved to recode
+    /// ids once, and the rows are a gather (recode) or a scatter into `k`
+    /// zeroed indicator columns (dummy) through that table. Row for row
+    /// the output — and the error — of [`Self::apply`].
+    pub fn apply_batch(&self, input: &Batch) -> Result<Batch> {
+        let mut columns = Vec::with_capacity(self.out_schema.len());
+        for (c, action) in self.actions.iter().enumerate() {
+            let (name, codes, k) = match action {
+                ColumnAction::Pass => {
+                    columns.push(Arc::clone(input.column(c)));
+                    continue;
+                }
+                ColumnAction::Recode { name, codes } => (name, codes, None),
+                ColumnAction::Dummy { name, codes, k } => (name, codes, Some(*k)),
+            };
+            let ids = row_ids(input.column(c), codes, name)?;
+            match k {
+                None => {
+                    let valid = ids
+                        .contains(&None)
+                        .then(|| ids.iter().map(Option::is_some).collect());
+                    let values = ids.iter().map(|id| id.unwrap_or(0)).collect();
+                    columns.push(Arc::new(Column::Int(Prim::new(values, valid))));
+                }
+                Some(k) => {
+                    let mut block = vec![vec![0i64; input.len()]; k];
+                    for (row, id) in ids.iter().enumerate() {
+                        // Ids are `1..=k` by the map's invariant; NULL
+                        // leaves the row's block all zero.
+                        let slot = id.and_then(|id| usize::try_from(id - 1).ok());
+                        if let Some(indicator) = slot.and_then(|s| block.get_mut(s)) {
+                            indicator[row] = 1;
+                        }
+                    }
+                    let indicator = |v| Arc::new(Column::Int(Prim::new(v, None)));
+                    columns.extend(block.into_iter().map(indicator));
+                }
+            }
+        }
+        Ok(Batch::new(columns, input.len()))
+    }
 }
 
-fn lookup(codes: &HashMap<Arc<str>, i64>, s: &Arc<str>, col: &str) -> Result<i64> {
-    codes
-        .get(&**s)
-        .copied()
-        .ok_or_else(|| SqlmlError::Execution(format!("unseen value {s:?} for {col}")))
+/// The recode id of every row of a categorical column (`None` for NULL).
+/// A string column resolves its dictionary once — only entries a row
+/// references can be "unseen" — and maps codes; any other column is read
+/// cell by cell.
+fn row_ids(col: &Column, codes: &HashMap<Arc<str>, i64>, name: &str) -> Result<Vec<Option<i64>>> {
+    let Column::Str(d) = col else {
+        return (0..col.len())
+            .map(|i| code_of(codes, &col.value(i), name))
+            .collect();
+    };
+    let by_code: Vec<Option<i64>> = (d.entries().iter())
+        .map(|s| codes.get(&**s).copied())
+        .collect();
+    (d.codes().iter())
+        .map(|&c| match by_code.get(c as usize) {
+            None => Ok(None),
+            Some(Some(id)) => Ok(Some(*id)),
+            Some(None) => Err(unseen(&d.entries()[c as usize], name)),
+        })
+        .collect()
+}
+
+/// The recode id of one categorical cell: `None` for NULL.
+fn code_of(codes: &HashMap<Arc<str>, i64>, v: &Value, col: &str) -> Result<Option<i64>> {
+    match v {
+        Value::Null => Ok(None),
+        Value::Str(s) => codes
+            .get(&**s)
+            .map(|c| Some(*c))
+            .ok_or_else(|| unseen(s, col)),
+        other => Err(SqlmlError::Type(format!(
+            "expected a categorical string in {col}, found {other}"
+        ))),
+    }
+}
+
+fn unseen(s: &str, col: &str) -> SqlmlError {
+    SqlmlError::Execution(format!("unseen value {s:?} for {col}"))
 }
 
 #[cfg(test)]

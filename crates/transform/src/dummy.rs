@@ -6,6 +6,7 @@
 use sqlml_common::schema::{DataType, Field};
 use sqlml_common::{Result, Row, Schema, SqlmlError, Value};
 use sqlml_sqlengine::udf::{PartitionCtx, TableUdf};
+use sqlml_sqlengine::Batch;
 
 /// Table UDF: `TABLE(dummy_code(t, 'col', 'val1', ..., 'valK'))`.
 ///
@@ -76,16 +77,16 @@ impl TableUdf for DummyCodeUdf {
 
     fn execute(
         &self,
-        rows: &[Row],
+        input: &Batch,
         input_schema: &Schema,
         args: &[Value],
         _ctx: &PartitionCtx,
-    ) -> Result<Vec<Row>> {
+    ) -> Result<Batch> {
         let (col, values) = parse_args(args)?;
-        let (idx, _) = expanded_schema(input_schema, &col, &values)?;
+        let (idx, out_schema) = expanded_schema(input_schema, &col, &values)?;
         let k = values.len();
-        let mut out = Vec::with_capacity(rows.len());
-        for r in rows {
+        let mut out = Vec::with_capacity(input.len());
+        for r in &input.rows() {
             let mut vals = Vec::with_capacity(r.len() + k - 1);
             for (i, v) in r.values().iter().enumerate() {
                 if i == idx {
@@ -112,7 +113,7 @@ impl TableUdf for DummyCodeUdf {
             }
             out.push(Row::new(vals));
         }
-        Ok(out)
+        Ok(Batch::from_rows(&out_schema, &out))
     }
 }
 
@@ -120,6 +121,12 @@ impl TableUdf for DummyCodeUdf {
 mod tests {
     use super::*;
     use sqlml_common::row;
+
+    /// `udf` over `rows` as one partition, back as rows.
+    fn run(udf: &dyn TableUdf, rows: &[Row], schema: &Schema, args: &[Value]) -> Result<Vec<Row>> {
+        let out = udf.execute(&Batch::from_rows(schema, rows), schema, args, &ctx())?;
+        Ok(out.rows())
+    }
 
     fn ctx() -> PartitionCtx {
         PartitionCtx {
@@ -156,9 +163,7 @@ mod tests {
             row![40i64, 2i64, 35.8, 1i64],
             row![35i64, 1i64, 48.9, 2i64],
         ];
-        let out = DummyCodeUdf
-            .execute(&rows, &recoded_schema(), &args(), &ctx())
-            .unwrap();
+        let out = run(&DummyCodeUdf, &rows, &recoded_schema(), &args()).unwrap();
         assert_eq!(out[0], row![57i64, 1i64, 0i64, 103.25, 1i64]);
         assert_eq!(out[1], row![40i64, 0i64, 1i64, 35.8, 1i64]);
         assert_eq!(out[2], row![35i64, 1i64, 0i64, 48.9, 2i64]);
@@ -179,9 +184,7 @@ mod tests {
     #[test]
     fn exactly_one_hot_per_row() {
         let rows: Vec<Row> = (1..=2).map(|c| row![0i64, c as i64, 0.0, 1i64]).collect();
-        let out = DummyCodeUdf
-            .execute(&rows, &recoded_schema(), &args(), &ctx())
-            .unwrap();
+        let out = run(&DummyCodeUdf, &rows, &recoded_schema(), &args()).unwrap();
         for r in &out {
             let ones = r.get(1).as_i64().unwrap() + r.get(2).as_i64().unwrap();
             assert_eq!(ones, 1);
@@ -196,9 +199,7 @@ mod tests {
             Value::Double(0.0),
             Value::Int(1),
         ])];
-        let out = DummyCodeUdf
-            .execute(&rows, &recoded_schema(), &args(), &ctx())
-            .unwrap();
+        let out = run(&DummyCodeUdf, &rows, &recoded_schema(), &args()).unwrap();
         assert_eq!(out[0].get(1), &Value::Int(0));
         assert_eq!(out[0].get(2), &Value::Int(0));
     }
@@ -206,9 +207,7 @@ mod tests {
     #[test]
     fn out_of_range_code_and_unrecoded_strings_error() {
         let rows = vec![row![0i64, 3i64, 0.0, 1i64]];
-        assert!(DummyCodeUdf
-            .execute(&rows, &recoded_schema(), &args(), &ctx())
-            .is_err());
+        assert!(run(&DummyCodeUdf, &rows, &recoded_schema(), &args()).is_err());
         let s = Schema::new(vec![
             Field::new("age", DataType::Int),
             Field::categorical("gender"),
@@ -216,7 +215,7 @@ mod tests {
             Field::new("abandoned", DataType::Int),
         ]);
         let rows = vec![row![0i64, "F", 0.0, 1i64]];
-        assert!(DummyCodeUdf.execute(&rows, &s, &args(), &ctx()).is_err());
+        assert!(run(&DummyCodeUdf, &rows, &s, &args()).is_err());
     }
 
     #[test]
@@ -230,9 +229,7 @@ mod tests {
             vec!["age", "gender_1", "gender_2", "amount", "abandoned"]
         );
         let rows = vec![row![1i64, 2i64, 0.0, 1i64]];
-        let out = DummyCodeUdf
-            .execute(&rows, &recoded_schema(), &args, &ctx())
-            .unwrap();
+        let out = run(&DummyCodeUdf, &rows, &recoded_schema(), &args).unwrap();
         assert_eq!(out[0], row![1i64, 0i64, 1i64, 0.0, 1i64]);
         assert!(DummyCodeUdf
             .output_schema(

@@ -15,6 +15,7 @@
 use sqlml_common::schema::{DataType, Field};
 use sqlml_common::{Result, Row, Schema, SqlmlError, Value};
 use sqlml_sqlengine::udf::{PartitionCtx, TableUdf};
+use sqlml_sqlengine::Batch;
 
 /// The Helmert contrast matrix: `K` rows (levels) × `K-1` columns.
 pub fn helmert_matrix(k: usize) -> Vec<Vec<f64>> {
@@ -81,16 +82,16 @@ fn contrast_schema(input: &Schema, col: &str, k: usize, tag: &str) -> Result<(us
 }
 
 fn apply_matrix(
-    rows: &[Row],
+    input: &Batch,
     input_schema: &Schema,
     col: &str,
     k: usize,
     matrix: &[Vec<f64>],
     tag: &str,
-) -> Result<Vec<Row>> {
-    let (idx, _) = contrast_schema(input_schema, col, k, tag)?;
-    let mut out = Vec::with_capacity(rows.len());
-    for r in rows {
+) -> Result<Batch> {
+    let (idx, out_schema) = contrast_schema(input_schema, col, k, tag)?;
+    let mut out = Vec::with_capacity(input.len());
+    for r in &input.rows() {
         let mut vals = Vec::with_capacity(r.len() + k - 2);
         for (i, v) in r.values().iter().enumerate() {
             if i == idx {
@@ -111,7 +112,7 @@ fn apply_matrix(
         }
         out.push(Row::new(vals));
     }
-    Ok(out)
+    Ok(Batch::from_rows(&out_schema, &out))
 }
 
 /// Table UDF: `TABLE(effect_code(t, 'col', K))`.
@@ -129,13 +130,13 @@ impl TableUdf for EffectCodeUdf {
 
     fn execute(
         &self,
-        rows: &[Row],
+        input: &Batch,
         input_schema: &Schema,
         args: &[Value],
         _ctx: &PartitionCtx,
-    ) -> Result<Vec<Row>> {
+    ) -> Result<Batch> {
         let (col, k) = parse_args(args)?;
-        apply_matrix(rows, input_schema, &col, k, &effect_matrix(k), "eff")
+        apply_matrix(input, input_schema, &col, k, &effect_matrix(k), "eff")
     }
 }
 
@@ -154,13 +155,13 @@ impl TableUdf for OrthogonalCodeUdf {
 
     fn execute(
         &self,
-        rows: &[Row],
+        input: &Batch,
         input_schema: &Schema,
         args: &[Value],
         _ctx: &PartitionCtx,
-    ) -> Result<Vec<Row>> {
+    ) -> Result<Batch> {
         let (col, k) = parse_args(args)?;
-        apply_matrix(rows, input_schema, &col, k, &helmert_matrix(k), "orth")
+        apply_matrix(input, input_schema, &col, k, &helmert_matrix(k), "orth")
     }
 }
 
@@ -168,6 +169,12 @@ impl TableUdf for OrthogonalCodeUdf {
 mod tests {
     use super::*;
     use sqlml_common::row;
+
+    /// `udf` over `rows` as one partition, back as rows.
+    fn run(udf: &dyn TableUdf, rows: &[Row], schema: &Schema, args: &[Value]) -> Result<Vec<Row>> {
+        let out = udf.execute(&Batch::from_rows(schema, rows), schema, args, &ctx())?;
+        Ok(out.rows())
+    }
 
     fn ctx() -> PartitionCtx {
         PartitionCtx {
@@ -217,9 +224,7 @@ mod tests {
         ]);
         let rows = vec![row![10i64, 1i64], row![20i64, 3i64]];
         let args = vec![Value::Str("cat".into()), Value::Int(3)];
-        let out = EffectCodeUdf
-            .execute(&rows, &schema, &args, &ctx())
-            .unwrap();
+        let out = run(&EffectCodeUdf, &rows, &schema, &args).unwrap();
         assert_eq!(out[0], row![10i64, 1.0, 0.0]);
         assert_eq!(out[1], row![20i64, -1.0, -1.0]);
         let s = EffectCodeUdf.output_schema(&schema, &args).unwrap();
@@ -231,9 +236,7 @@ mod tests {
         let schema = Schema::new(vec![Field::new("cat", DataType::Int)]);
         let rows = vec![row![2i64]];
         let args = vec![Value::Str("cat".into()), Value::Int(3)];
-        let out = OrthogonalCodeUdf
-            .execute(&rows, &schema, &args, &ctx())
-            .unwrap();
+        let out = run(&OrthogonalCodeUdf, &rows, &schema, &args).unwrap();
         // Level 2 of Helmert(3): contrast1 = 1, contrast2 = -1.
         assert_eq!(out[0], row![1.0, -1.0]);
     }
@@ -246,13 +249,12 @@ mod tests {
             .is_err());
         assert!(EffectCodeUdf.output_schema(&schema, &[]).is_err());
         let rows = vec![row![9i64]];
-        assert!(EffectCodeUdf
-            .execute(
-                &rows,
-                &schema,
-                &[Value::Str("cat".into()), Value::Int(3)],
-                &ctx()
-            )
-            .is_err());
+        assert!(run(
+            &EffectCodeUdf,
+            &rows,
+            &schema,
+            &[Value::Str("cat".into()), Value::Int(3)]
+        )
+        .is_err());
     }
 }

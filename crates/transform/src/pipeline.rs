@@ -9,8 +9,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sqlml_common::{Result, Row, Schema, SqlmlError, Value};
-use sqlml_sqlengine::{Engine, PartitionCtx, PartitionedTable, TableUdf};
+use sqlml_common::{Result, Schema, SqlmlError, Value};
+use sqlml_sqlengine::{Batch, Engine, PartitionCtx, PartitionedTable, TableUdf};
 
 use crate::apply::FlatRecodeApplier;
 use crate::dummy::DummyCodeUdf;
@@ -210,16 +210,12 @@ impl TableUdf for RecodeDummyUdf {
 
     fn execute(
         &self,
-        rows: &[Row],
+        input: &Batch,
         _input_schema: &Schema,
         _args: &[Value],
         _ctx: &PartitionCtx,
-    ) -> Result<Vec<Row>> {
-        let mut out = Vec::with_capacity(rows.len());
-        for r in rows {
-            out.push(self.0.apply(r)?);
-        }
-        Ok(out)
+    ) -> Result<Batch> {
+        self.0.apply_batch(input)
     }
 }
 

@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use sqlml_common::schema::{DataType, Field};
 use sqlml_common::{Result, Row, Schema, SqlmlError, Value};
 use sqlml_sqlengine::udf::{PartitionCtx, TableUdf};
+use sqlml_sqlengine::{Batch, Column};
 
 /// The recode-map table layout: `(colname, colval, recodeval)` — the
 /// paper's `M` table.
@@ -58,7 +59,7 @@ impl RecodeMap {
     /// columns — the centralized one-pass algorithm the paper describes
     /// for a single machine. Used as the reference in tests.
     pub fn from_table_scan(
-        partitions: &[std::sync::Arc<Vec<Row>>],
+        partitions: &[Batch],
         schema: &Schema,
         columns: &[String],
     ) -> Result<RecodeMap> {
@@ -66,8 +67,8 @@ impl RecodeMap {
         for col in columns {
             let idx = schema.index_of(col)?;
             for part in partitions {
-                for r in part.iter() {
-                    if let Value::Str(s) = r.get(idx) {
+                for i in 0..part.len() {
+                    if let Value::Str(s) = part.column(idx).value(i) {
                         pairs.push((col.clone(), s.to_string()));
                     }
                 }
@@ -183,39 +184,44 @@ impl TableUdf for DistinctValuesUdf {
 
     fn execute(
         &self,
-        rows: &[Row],
+        input: &Batch,
         input_schema: &Schema,
         args: &[Value],
         _ctx: &PartitionCtx,
-    ) -> Result<Vec<Row>> {
-        let mut col_indices: Vec<(std::sync::Arc<str>, usize)> = Vec::with_capacity(args.len());
-        for a in args {
-            let name = a.as_str()?;
-            col_indices.push((name.into(), input_schema.index_of(name)?));
-        }
-        let mut seen: std::collections::HashSet<(usize, &str)> = std::collections::HashSet::new();
+    ) -> Result<Batch> {
         let mut out = Vec::new();
-        for r in rows {
-            for (i, (name, idx)) in col_indices.iter().enumerate() {
-                match r.get(*idx) {
-                    Value::Str(s) => {
-                        if seen.insert((i, &**s)) {
-                            out.push(Row::new(vec![
-                                Value::Str(name.clone()),
-                                Value::Str(s.clone()),
-                            ]));
+        for a in args {
+            let name: std::sync::Arc<str> = a.as_str()?.into();
+            let pair = |value: &std::sync::Arc<str>| {
+                Row::new(vec![Value::Str(name.clone()), Value::Str(value.clone())])
+            };
+            match &**input.column(input_schema.index_of(&name)?) {
+                // The dictionary entries the partition's codes actually
+                // reference: a value the prep predicates removed is still
+                // in the (shared) dictionary but must get no recode id
+                // (§2.1: "recoding needs to be done on filtered data").
+                Column::Str(d) => out.extend(d.referenced_entries().into_iter().map(pair)),
+                other => {
+                    let mut seen = std::collections::HashSet::new();
+                    for i in 0..other.len() {
+                        match other.value(i) {
+                            Value::Str(s) => {
+                                if seen.insert(s.clone()) {
+                                    out.push(pair(&s));
+                                }
+                            }
+                            Value::Null => {} // NULLs are not recoded.
+                            v => {
+                                return Err(SqlmlError::Type(format!(
+                                    "distinct_values: column {name:?} holds non-string {v}"
+                                )))
+                            }
                         }
-                    }
-                    Value::Null => {} // NULLs are not recoded.
-                    other => {
-                        return Err(SqlmlError::Type(format!(
-                            "distinct_values: column {name:?} holds non-string {other}"
-                        )))
                     }
                 }
             }
         }
-        Ok(out)
+        Ok(Batch::from_rows(&distinct_pairs_schema(), &out))
     }
 }
 
@@ -242,12 +248,13 @@ impl TableUdf for AssignRecodeIdsUdf {
 
     fn execute(
         &self,
-        rows: &[Row],
+        input: &Batch,
         _input_schema: &Schema,
         _args: &[Value],
         ctx: &PartitionCtx,
-    ) -> Result<Vec<Row>> {
+    ) -> Result<Batch> {
         // Code assignment is global: the input must be gathered.
+        let rows = input.rows();
         if ctx.num_partitions != 1 && !rows.is_empty() {
             return Err(SqlmlError::Execution(
                 "assign_recode_ids requires a single-partition (gathered) input; \
@@ -259,7 +266,7 @@ impl TableUdf for AssignRecodeIdsUdf {
         let mut current_col: Option<String> = None;
         let mut next_code = 1i64;
         let mut last_val: Option<String> = None;
-        for r in rows {
+        for r in &rows {
             let col = r.get(0).as_str()?.to_string();
             let val = r.get(1).as_str()?.to_string();
             if current_col.as_deref() != Some(col.as_str()) {
@@ -282,7 +289,7 @@ impl TableUdf for AssignRecodeIdsUdf {
             last_val = Some(val);
             next_code += 1;
         }
-        Ok(out)
+        Ok(Batch::from_rows(&recode_map_schema(), &out))
     }
 }
 
@@ -290,7 +297,6 @@ impl TableUdf for AssignRecodeIdsUdf {
 mod tests {
     use super::*;
     use sqlml_common::row;
-    use std::sync::Arc;
 
     #[test]
     fn from_pairs_assigns_sorted_consecutive_codes() {
@@ -353,12 +359,13 @@ mod tests {
         };
         let out = DistinctValuesUdf
             .execute(
-                &rows,
+                &Batch::from_rows(&schema, &rows),
                 &schema,
                 &[Value::Str("gender".into()), Value::Str("abandoned".into())],
                 &ctx,
             )
-            .unwrap();
+            .unwrap()
+            .rows();
         let mut pairs: Vec<(String, String)> = out
             .iter()
             .map(|r| {
@@ -393,7 +400,7 @@ mod tests {
             num_workers: 1,
             node: "node-0".into(),
         };
-        let rows = vec![Row::new(vec![Value::Null, Value::Int(1)])];
+        let rows = Batch::from_rows(&schema, &[Row::new(vec![Value::Null, Value::Int(1)])]);
         let out = DistinctValuesUdf
             .execute(&rows, &schema, &[Value::Str("g".into())], &ctx)
             .unwrap();
@@ -417,10 +424,11 @@ mod tests {
             row!["gender", "F"],
             row!["gender", "M"],
         ];
+        let batch = |rows: &[Row]| Batch::from_rows(&distinct_pairs_schema(), rows);
         let out = AssignRecodeIdsUdf
-            .execute(&sorted, &distinct_pairs_schema(), &[], &ctx1)
+            .execute(&batch(&sorted), &distinct_pairs_schema(), &[], &ctx1)
             .unwrap();
-        let m = RecodeMap::from_rows(&out).unwrap();
+        let m = RecodeMap::from_rows(&out.rows()).unwrap();
         assert_eq!(m.code("gender", "F"), Some(1));
         assert_eq!(m.code("abandoned", "Yes"), Some(2));
         m.validate().unwrap();
@@ -428,7 +436,7 @@ mod tests {
         // Unsorted input is rejected.
         let unsorted = vec![row!["gender", "M"], row!["gender", "F"]];
         assert!(AssignRecodeIdsUdf
-            .execute(&unsorted, &distinct_pairs_schema(), &[], &ctx1)
+            .execute(&batch(&unsorted), &distinct_pairs_schema(), &[], &ctx1)
             .is_err());
 
         // Multi-partition non-empty input is rejected.
@@ -437,16 +445,16 @@ mod tests {
             ..ctx1
         };
         assert!(AssignRecodeIdsUdf
-            .execute(&sorted, &distinct_pairs_schema(), &[], &ctx2)
+            .execute(&batch(&sorted), &distinct_pairs_schema(), &[], &ctx2)
             .is_err());
     }
 
     #[test]
     fn centralized_scan_matches_from_pairs() {
         let schema = Schema::new(vec![Field::categorical("g")]);
-        let parts = vec![
-            Arc::new(vec![row!["b"], row!["a"]]),
-            Arc::new(vec![row!["c"], row!["a"]]),
+        let parts = [
+            Batch::from_rows(&schema, &[row!["b"], row!["a"]]),
+            Batch::from_rows(&schema, &[row!["c"], row!["a"]]),
         ];
         let m = RecodeMap::from_table_scan(&parts, &schema, &["g".to_string()]).unwrap();
         assert_eq!(m.code("g", "a"), Some(1));

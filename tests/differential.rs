@@ -20,6 +20,13 @@
 //! These tests run the paper's Figure 3/4 workload queries (and a
 //! battery of shapes beyond them, and seeded random tables) through both
 //! paths and demand row-for-row equality.
+//!
+//! Since the engine's partitions became column batches, the fused and
+//! unfused plans run the *same* batch kernels (one evaluator, one join),
+//! so `query_unfused` only checks the optimizer's rewrites. The oracle
+//! that shares no kernel with the engine is at the bottom of this file:
+//! expected rows computed by plain Rust loops over the generated
+//! `Vec<Row>`s.
 
 use sqlml_common::schema::{DataType, Field, Schema};
 use sqlml_common::{codec, Row, SplitMix64, Value};
@@ -836,5 +843,207 @@ fn cache_reuse_equals_a_cold_recompute_on_seeded_query_pairs() {
     assert!(
         full >= 40 && maps >= 40 && misses >= 40,
         "full {full}, maps {maps}, misses {misses}"
+    );
+}
+
+// ---------------------------------------------------------------------
+// The column engine against plain Rust loops over the generated rows.
+// ---------------------------------------------------------------------
+
+const GROUPS: [&str; 4] = ["north", "east", "it's", ""];
+
+/// `(k BIGINT, s VARCHAR, g VARCHAR, v DOUBLE, w BIGINT)` rows: NULL and
+/// duplicate keys (Int and Str), NULL cells everywhere, `v` a multiple of
+/// 0.25 so a SUM is exact in any order. Returned as explicit partitions:
+/// one empty, and every other one *starting* with a different string of
+/// each vocabulary, so each partition's dictionaries are ordered
+/// differently.
+fn oracle_partitions(rng: &mut SplitMix64, rows: usize, parts: usize) -> Vec<Vec<Row>> {
+    let opt = |rng: &mut SplitMix64, v: Value| if rng.chance(0.12) { Value::Null } else { v };
+    let mut out: Vec<Vec<Row>> = (0..parts).map(|_| Vec::new()).collect();
+    let empty = rng.next_below(parts as u64) as usize;
+    for i in 0..rows {
+        let p = (empty + 1 + rng.next_below(parts as u64 - 1) as usize) % parts;
+        // A partition's first row rotates both vocabularies by `p`.
+        let pick = |rng: &mut SplitMix64, n: usize| match out[p].is_empty() {
+            true => p % n,
+            false => rng.next_below(n as u64) as usize,
+        };
+        let (si, gi) = (pick(rng, 7), pick(rng, GROUPS.len()));
+        let (k, v) = (rng.range_i64(0, 9), rng.range_i64(-40, 400) as f64 * 0.25);
+        let row = Row::new(vec![
+            opt(rng, Value::Int(k)),
+            opt(rng, Value::str(format!("key-{si}").as_str())),
+            opt(rng, Value::str(GROUPS[gi])),
+            opt(rng, Value::Double(v)),
+            opt(rng, Value::Int(i as i64)),
+        ]);
+        out[p].push(row);
+    }
+    out
+}
+
+fn oracle_schema() -> Schema {
+    Schema::new(vec![
+        Field::new("k", DataType::Int),
+        Field::new("s", DataType::Str),
+        Field::categorical("g"),
+        Field::new("v", DataType::Double),
+        Field::new("w", DataType::Int),
+    ])
+}
+
+#[test]
+fn column_engine_matches_plain_rust_loops_on_seeded_keyed_tables() {
+    let (mut built_left, mut built_right) = (0, 0);
+    for seed in 0..240u64 {
+        let mut rng = SplitMix64::new(0xC01_0000 + seed);
+        // Either side may be the smaller one: both build sides occur.
+        let (nl, nr) = (
+            4 + rng.next_below(60) as usize,
+            4 + rng.next_below(60) as usize,
+        );
+        let (lp, rp) = (
+            oracle_partitions(&mut rng, nl, 4),
+            oracle_partitions(&mut rng, nr, 3),
+        );
+        let e = Engine::new(EngineConfig::with_workers(1 + seed as usize % 4));
+        e.register_table("l", PartitionedTable::new(oracle_schema(), lp.clone()));
+        e.register_table("r", PartitionedTable::new(oracle_schema(), rp.clone()));
+        let (l, r): (Vec<Row>, Vec<Row>) = (lp.concat(), rp.concat());
+        let pick = |row: &Row, cols: &[usize]| row.project(cols);
+        let sorted = |mut rows: Vec<Row>| {
+            rows.sort();
+            rows
+        };
+        let run = |sql: &str| {
+            e.query(sql)
+                .unwrap_or_else(|err| panic!("seed {seed}: {sql}: {err}"))
+        };
+        let check = |sql: &str, expect: Vec<Row>| {
+            assert_eq!(
+                run(sql).collect_sorted(),
+                sorted(expect),
+                "seed {seed}: {sql}"
+            );
+        };
+
+        // Filter: column-vs-literal comparisons under AND, on a double
+        // and on a dictionary-coded string.
+        let (x, g) = (rng.range_i64(-10, 90) as f64, *rng.choose(&GROUPS));
+        let keep = |row: &Row| {
+            matches!(row.get(3), Value::Double(v) if *v > x)
+                && matches!(row.get(2), Value::Str(s) if &**s == g)
+        };
+        check(
+            &format!(
+                "SELECT k, s, v FROM l WHERE v > {x:?} AND g = '{}'",
+                g.replace('\'', "''")
+            ),
+            l.iter()
+                .filter(|row| keep(row))
+                .map(|row| pick(row, &[0, 1, 3]))
+                .collect(),
+        );
+
+        // Projecting inner join on the Int key (NULL keys never match,
+        // duplicate keys multiply), a filter pushed to one side.
+        let y = rng.range_i64(0, nr as i64);
+        let on = |c: usize, a: &Row, b: &Row| !a.get(c).is_null() && a.get(c) == b.get(c);
+        let mut expect = Vec::new();
+        for a in &l {
+            for b in r
+                .iter()
+                .filter(|b| matches!(b.get(4), Value::Int(w) if *w > y))
+            {
+                if on(0, a, b) {
+                    expect.push(Row::new(vec![
+                        a.get(1).clone(),
+                        b.get(4).clone(),
+                        a.get(3).clone(),
+                    ]));
+                }
+            }
+        }
+        let sql = format!("SELECT L.s, R.w, L.v FROM l L, r R WHERE L.k = R.k AND R.w > {y}");
+        let plan = e.explain(&sql).unwrap();
+        built_left += usize::from(plan.contains("build=Left"));
+        built_right += usize::from(plan.contains("build=Right"));
+        check(&sql, expect);
+
+        // The same join keyed on the string column: values, never codes,
+        // are compared across partitions and tables.
+        let mut expect = Vec::new();
+        for a in &l {
+            for b in r.iter().filter(|b| on(1, a, b)) {
+                expect.push(Row::new(vec![
+                    a.get(0).clone(),
+                    b.get(4).clone(),
+                    b.get(2).clone(),
+                ]));
+            }
+        }
+        check("SELECT L.k, R.w, R.g FROM l L, r R WHERE L.s = R.s", expect);
+
+        // Left outer join: an unmatched (or NULL-keyed) left row is
+        // padded with NULLs.
+        let mut expect = Vec::new();
+        for a in &l {
+            let before = expect.len();
+            for b in r.iter().filter(|b| on(0, a, b)) {
+                expect.push(Row::new(vec![a.get(4).clone(), b.get(1).clone()]));
+            }
+            if expect.len() == before {
+                expect.push(Row::new(vec![a.get(4).clone(), Value::Null]));
+            }
+        }
+        check(
+            "SELECT L.w, R.s FROM l L LEFT JOIN r R ON L.k = R.k",
+            expect,
+        );
+
+        // ORDER BY / LIMIT: the exact sequence, not the set.
+        let n = 1 + rng.next_below(12) as usize;
+        let mut expect: Vec<Row> = (l.iter().filter(|row| !row.get(0).is_null()))
+            .map(|row| pick(row, &[0, 3]))
+            .collect();
+        expect.sort_by(|a, b| b.get(0).cmp(a.get(0)).then(a.get(1).cmp(b.get(1))));
+        expect.truncate(n);
+        let sql = format!("SELECT k, v FROM l WHERE k IS NOT NULL ORDER BY k DESC, v LIMIT {n}");
+        assert_eq!(run(&sql).collect_rows(), expect, "seed {seed}: {sql}");
+
+        // GROUP BY a nullable dictionary-coded column.
+        let mut groups: std::collections::BTreeMap<Value, (i64, i64, Option<f64>, Vec<Value>)> =
+            Default::default();
+        for row in &l {
+            let acc = groups.entry(row.get(2).clone()).or_default();
+            acc.0 += 1;
+            acc.1 += i64::from(!row.get(3).is_null());
+            if let Value::Double(v) = row.get(3) {
+                acc.2 = Some(acc.2.unwrap_or(0.0) + v);
+            }
+            acc.3
+                .extend((!row.get(0).is_null()).then(|| row.get(0).clone()));
+        }
+        let expect = (groups.into_iter())
+            .map(|(g, (n, nv, sum, ks))| {
+                Row::new(vec![
+                    g,
+                    Value::Int(n),
+                    Value::Int(nv),
+                    sum.map_or(Value::Null, Value::Double),
+                    ks.iter().min().cloned().unwrap_or(Value::Null),
+                    ks.iter().max().cloned().unwrap_or(Value::Null),
+                ])
+            })
+            .collect();
+        check(
+            "SELECT g, COUNT(*), COUNT(v), SUM(v), MIN(k), MAX(k) FROM l GROUP BY g",
+            expect,
+        );
+    }
+    assert!(
+        built_left >= 20 && built_right >= 20,
+        "build sides: {built_left} left, {built_right} right"
     );
 }
