@@ -1,9 +1,10 @@
-//! Micro-benchmarks of the row codecs: the text format every DFS
-//! hand-off pays (twice more in the naive pipeline than in insql) and
-//! the compact wire format the streaming transfer pays instead.
+//! Micro-benchmarks of the codecs: the text format every DFS hand-off
+//! pays (twice more in the naive pipeline than in insql), the compact
+//! varint row format message-queue records use, and the numeric
+//! column-run frame the streaming transfer pays instead of either.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use sqlml_common::codec;
+use sqlml_common::codec::{self, NumericColumn, NumericFrame};
 use sqlml_common::schema::{DataType, Field, Schema};
 use sqlml_common::{Row, SplitMix64, Value};
 
@@ -41,12 +42,10 @@ fn bench_codecs(c: &mut Criterion) {
     });
     group.finish();
 
-    // The compact varint+dictionary wire codec at the sizes the streaming
-    // data plane actually cuts: the default 64-row frame and a jumbo
-    // 1024-row frame. Encoding reuses one scratch buffer across
-    // iterations, as the sender does. The categorical columns repeat
-    // heavily, so the per-frame dictionary is exercised on every row just
-    // like a real streamed frame.
+    // The compact varint+dictionary row codec at a small and a jumbo
+    // batch. Encoding reuses one scratch buffer across iterations. The
+    // categorical columns repeat heavily, so the per-frame dictionary is
+    // exercised on every row.
     let mut group = c.benchmark_group("codec_compact");
     for batch in [64usize, 1024] {
         let chunk = &rows[..batch];
@@ -65,6 +64,53 @@ fn bench_codecs(c: &mut Criterion) {
             b.iter(|| codec::decode_compact_batch(black_box(&encoded)).unwrap())
         });
     }
+    group.finish();
+
+    // The numeric frame on the transformed-carts shape (age, two
+    // indicators, amount, label: 12 B/row) at the 341 rows the default
+    // 4 KiB cut gives it; decode scatters into a row-major block, as a
+    // stream reader does.
+    const ROWS: usize = 341;
+    let mut rng = SplitMix64::new(3);
+    let ints = |rng: &mut SplitMix64, lo, hi| -> Vec<i64> {
+        (0..ROWS).map(|_| rng.range_i64(lo, hi)).collect()
+    };
+    let (age, female, label) = (
+        ints(&mut rng, 18, 80),
+        ints(&mut rng, 0, 1),
+        ints(&mut rng, 1, 2),
+    );
+    let male: Vec<i64> = female.iter().map(|f| 1 - f).collect();
+    let amount: Vec<f64> = (0..ROWS).map(|_| rng.next_f64() * 200.0).collect();
+    let columns = [
+        NumericColumn::int(&age, None),
+        NumericColumn::int(&female, None),
+        NumericColumn::int(&male, None),
+        NumericColumn::double(&amount[..], None),
+        NumericColumn::int(&label, None),
+    ];
+    let mut encoded = Vec::new();
+    codec::encode_numeric_frame(&columns, 0..ROWS, &mut encoded).unwrap();
+    let mut group = c.benchmark_group("codec_numeric");
+    group.throughput(Throughput::Elements(ROWS as u64));
+    let mut scratch = Vec::with_capacity(encoded.len());
+    group.bench_function("numeric_frame_encode_341_rows", |b| {
+        b.iter(|| {
+            scratch.clear();
+            codec::encode_numeric_frame(black_box(&columns), 0..ROWS, &mut scratch).unwrap();
+            scratch.len()
+        })
+    });
+    let mut block = vec![0.0f64; ROWS * columns.len()];
+    group.bench_function("numeric_frame_decode_341_rows", |b| {
+        b.iter(|| {
+            let frame = NumericFrame::parse(black_box(&encoded)).unwrap();
+            for c in 0..frame.cols() {
+                frame.scatter(c, 0, &mut block[c..], frame.cols());
+            }
+            block[0]
+        })
+    });
     group.finish();
 }
 

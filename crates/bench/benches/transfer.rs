@@ -6,8 +6,10 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use sqlml_common::schema::{DataType, Field, Schema};
 use sqlml_common::{Row, SplitMix64, Value};
 use sqlml_mlengine::job::JobConfig;
-use sqlml_sqlengine::{Engine, EngineConfig};
-use sqlml_transfer::protocol::Message;
+use sqlml_mlengine::PartitionBlock;
+use sqlml_sqlengine::{Batch, Engine, EngineConfig};
+use sqlml_transfer::input_format::decode_frame;
+use sqlml_transfer::protocol::numeric_frame;
 use sqlml_transfer::{SpillableBuffer, StreamSession, StreamSessionConfig};
 
 fn sample_batch(n: usize) -> Vec<Row> {
@@ -23,19 +25,35 @@ fn sample_batch(n: usize) -> Vec<Row> {
         .collect()
 }
 
+fn points_schema() -> Schema {
+    Schema::new(vec![
+        Field::new("x", DataType::Double),
+        Field::new("y", DataType::Double),
+        Field::new("label", DataType::Int),
+    ])
+}
+
+/// One data frame, the way the sender cuts it and a reader takes it:
+/// 240 rows of (f64, f64, i8) are the default 4 KiB of runs.
 fn bench_wire(c: &mut Criterion) {
-    let batch = Message::RowBatch {
-        rows: sample_batch(64),
-    };
-    let frame = batch.encode().unwrap();
+    const ROWS: usize = 240;
+    let batch = Batch::from_rows(&points_schema(), &sample_batch(ROWS));
+    let columns: Vec<_> = (batch.columns().iter())
+        .map(|c| c.numeric().unwrap())
+        .collect();
+    let frame = numeric_frame(&columns, 0..ROWS).unwrap();
 
     let mut group = c.benchmark_group("transfer_wire");
-    group.throughput(Throughput::Bytes(frame.len() as u64));
-    group.bench_function("encode_64_row_batch", |b| {
-        b.iter(|| black_box(&batch).encode())
+    group.throughput(Throughput::Elements(ROWS as u64));
+    group.bench_function("encode_240_row_frame", |b| {
+        b.iter(|| numeric_frame(black_box(&columns), 0..ROWS).unwrap())
     });
-    group.bench_function("decode_64_row_batch", |b| {
-        b.iter(|| Message::decode(black_box(&frame[4..])).unwrap())
+    group.bench_function("decode_240_row_frame", |b| {
+        b.iter(|| {
+            let mut block = PartitionBlock::new(Some(2));
+            decode_frame(black_box(&frame[5..]), 0, &mut block).unwrap();
+            block
+        })
     });
     group.finish();
 }
@@ -74,12 +92,7 @@ fn bench_session(c: &mut Criterion) {
         num_workers: 2,
         nodes: (0..2).map(sqlml_dfs::node_name).collect(),
     });
-    let schema = Schema::new(vec![
-        Field::new("x", DataType::Double),
-        Field::new("y", DataType::Double),
-        Field::new("label", DataType::Int),
-    ]);
-    engine.register_rows("points", schema, sample_batch(20_000));
+    engine.register_rows("points", points_schema(), sample_batch(20_000));
     let session = StreamSession::start().unwrap();
     let cfg = StreamSessionConfig {
         ml_job: JobConfig {

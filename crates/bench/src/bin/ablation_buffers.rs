@@ -1,12 +1,13 @@
 //! **A1 — send-buffer sweep.** The paper fixes send/receive buffers at
 //! 4 KiB without exploring the choice; this ablation sweeps the
 //! in-memory send-buffer size and reports streaming-transfer time and
-//! spill volume.
+//! spill volume. It is what sets `TransferConfig`'s default: the
+//! smallest size at which nothing spills (EXPERIMENTS.md A1).
 //!
-//! Expected shape: throughput is largely insensitive once the buffer
-//! holds a few row batches; pathologically small buffers force the
-//! spill path (the §3 producer/consumer synchronization) without
-//! corrupting the transfer.
+//! Expected shape: a queue smaller than a partition's frames spills
+//! nearly every frame — the producer outruns any sender thread — without
+//! corrupting the transfer; one that holds the partition spills nothing
+//! (the §3 spill path is for a slow reader) and is the fastest row.
 //!
 //! Run: `cargo run --release -p sqlml-bench --bin ablation_buffers`
 

@@ -1,19 +1,26 @@
-//! Row codecs.
+//! Row and column codecs.
 //!
-//! Two encodings are used across the system, matching the paper's setup:
+//! Three encodings are used across the system:
 //!
 //! * **Text format** — delimiter-separated lines, the format of tables
 //!   stored on the DFS ("Both tables were stored in text format on HDFS").
 //!   Used by the naive pipeline's materialization hops and by
 //!   `TextInputFormat` on the ML side.
 //! * **Compact batch format** — self-delimiting batches of tagged
-//!   values, used on the streaming-transfer wire and for message-queue
-//!   records: integers are LEB128 varints (zigzag for signed) and string
-//!   cells are varint references into a per-batch dictionary, so a
-//!   categorical value repeated across the rows of one batch is shipped
-//!   exactly once.
+//!   values, used where strings travel (message-queue records): integers
+//!   are LEB128 varints (zigzag for signed) and string cells are varint
+//!   references into a per-batch dictionary, so a categorical value
+//!   repeated across the rows of one batch is shipped exactly once.
+//! * **Numeric frame** — the streaming-transfer wire. What crosses the
+//!   SQL→ML boundary is recoded and numeric, so a frame is one typed,
+//!   fixed-width little-endian run per column ([`encode_numeric_frame`]),
+//!   an integer column at the narrowest width its partition needs, and
+//!   the reader checks a frame whole ([`NumericFrame::parse`]) before it
+//!   scatters the runs into its row-major block.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use bytes::BufMut;
@@ -311,39 +318,12 @@ impl CompactBatchEncoder {
     /// that outgrew its `u32` index space — practically unreachable) the
     /// frame is rolled back to its pre-row state.
     pub fn push_row(&mut self, row: &Row) -> Result<()> {
-        self.push_cells(row.len(), |enc| {
-            row.values().iter().try_for_each(|v| enc.put_value(v))
-        })
-    }
-
-    /// One cell holding `v`, whatever its type.
-    #[inline]
-    pub fn put_value(&mut self, v: &Value) -> Result<()> {
-        match v {
-            Value::Null => self.put_null(),
-            Value::Bool(b) => self.put_bool(*b),
-            Value::Int(i) => self.put_int(*i),
-            Value::Double(d) => self.put_double(*d),
-            Value::Str(s) => self.put_str(s)?,
-        }
-        Ok(())
-    }
-
-    /// Append one row of `width` cells, written by `cells` through the
-    /// `put_*` methods in column order — how an encoder that holds
-    /// columns rather than [`Row`]s emits the bytes [`Self::push_row`]
-    /// would. On error the frame is rolled back to its pre-row state.
-    pub fn push_cells(
-        &mut self,
-        width: usize,
-        cells: impl FnOnce(&mut Self) -> Result<()>,
-    ) -> Result<()> {
         let rows_mark = self.rows.len();
         let dict_mark = self.dict.len();
         let dict_bytes_mark = self.dict_wire_bytes;
         let stats_mark = self.frame_stats;
-        put_uvarint(&mut self.rows, width as u64);
-        match cells(self) {
+        put_uvarint(&mut self.rows, row.len() as u64);
+        match row.values().iter().try_for_each(|v| self.put_value(v)) {
             Ok(()) => {
                 self.row_count += 1;
                 Ok(())
@@ -360,33 +340,30 @@ impl CompactBatchEncoder {
         }
     }
 
-    /// One NULL cell (only inside [`Self::push_cells`], like every `put_*`).
     #[inline]
-    pub fn put_null(&mut self) {
-        self.rows.put_u8(TAG_NULL);
-    }
-
-    #[inline]
-    pub fn put_bool(&mut self, b: bool) {
-        self.rows.put_u8(TAG_BOOL);
-        self.rows.put_u8(u8::from(b));
-    }
-
-    #[inline]
-    pub fn put_int(&mut self, i: i64) {
-        self.rows.put_u8(TAG_INT);
-        put_uvarint(&mut self.rows, zigzag(i));
-    }
-
-    #[inline]
-    pub fn put_double(&mut self, d: f64) {
-        self.rows.put_u8(TAG_DOUBLE);
-        self.rows.put_u64_le(d.to_bits());
+    fn put_value(&mut self, v: &Value) -> Result<()> {
+        match v {
+            Value::Null => self.rows.put_u8(TAG_NULL),
+            Value::Bool(b) => {
+                self.rows.put_u8(TAG_BOOL);
+                self.rows.put_u8(u8::from(*b));
+            }
+            Value::Int(i) => {
+                self.rows.put_u8(TAG_INT);
+                put_uvarint(&mut self.rows, zigzag(*i));
+            }
+            Value::Double(d) => {
+                self.rows.put_u8(TAG_DOUBLE);
+                self.rows.put_u64_le(d.to_bits());
+            }
+            Value::Str(s) => self.put_str(s)?,
+        }
+        Ok(())
     }
 
     /// One string cell: a reference into the frame dictionary, the entry
     /// added on first use.
-    pub fn put_str(&mut self, s: &Arc<str>) -> Result<()> {
+    fn put_str(&mut self, s: &Arc<str>) -> Result<()> {
         self.rows.put_u8(TAG_STR);
         let idx = match self.index.get(&**s) {
             Some(&i) => {
@@ -472,20 +449,18 @@ enum Cell {
 }
 
 /// Cursor over a compact frame payload — the only code that knows the
-/// layout [`CompactBatchEncoder`] documents. Both decoders walk a frame
-/// through it (`open`, then per row its cell `count` and that many
-/// `cell`s, then `finish`), so they accept exactly the same byte strings.
-struct CompactCursor<'a, T> {
+/// layout [`CompactBatchEncoder`] documents: `open`, then per row its
+/// cell `count` and that many `cell`s, then `finish`.
+struct CompactCursor<'a> {
     buf: &'a [u8],
     pos: usize,
-    /// What the decoder keeps of each dictionary string.
-    dict: Vec<T>,
+    dict: Vec<Arc<str>>,
 }
 
-impl<'a, T> CompactCursor<'a, T> {
-    /// Read the dictionary (every entry's bounds and UTF-8 checked;
-    /// `entry` decides what is kept of each string) and the row count.
-    fn open(buf: &'a [u8], entry: impl Fn(&'a str) -> T) -> Result<(Self, usize)> {
+impl<'a> CompactCursor<'a> {
+    /// Read the dictionary (every entry's bounds and UTF-8 checked) and
+    /// the row count.
+    fn open(buf: &'a [u8]) -> Result<(Self, usize)> {
         let mut cur = CompactCursor {
             buf,
             pos: 0,
@@ -498,7 +473,7 @@ impl<'a, T> CompactCursor<'a, T> {
             let s = std::str::from_utf8(cur.take(len)?).map_err(|e| {
                 SqlmlError::Execution(format!("invalid utf8 in compact dictionary: {e}"))
             })?;
-            cur.dict.push(entry(s));
+            cur.dict.push(Arc::from(s));
         }
         let row_count = cur.count()?;
         Ok((cur, row_count))
@@ -527,9 +502,7 @@ impl<'a, T> CompactCursor<'a, T> {
             TAG_NULL => Cell::Null,
             TAG_BOOL => Cell::Bool(self.take(1)?[0] != 0),
             TAG_INT => Cell::Int(unzigzag(get_uvarint(self.buf, &mut self.pos)?)),
-            TAG_DOUBLE => Cell::Double(f64::from_bits(u64::from_le_bytes(
-                self.take(8)?.try_into().unwrap(), // lint:allow(panic) — slice is exactly 8 bytes
-            ))),
+            TAG_DOUBLE => Cell::Double(f64::from_bits(u64::from_le_bytes(le(self.take(8)?)))),
             TAG_STR => {
                 let idx = self.count()?;
                 if idx >= self.dict.len() {
@@ -560,11 +533,19 @@ impl<'a, T> CompactCursor<'a, T> {
     }
 }
 
+/// The `N` bytes of a slice already cut to that length.
+#[inline]
+fn le<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    let mut out = [0u8; N];
+    out.copy_from_slice(bytes);
+    out
+}
+
 /// Decode a compact frame payload written by [`CompactBatchEncoder`],
 /// verifying full consumption. Rows referencing the same dictionary entry
 /// share one `Arc<str>` allocation.
 pub fn decode_compact_batch(buf: &[u8]) -> Result<Vec<Row>> {
-    let (mut cur, row_count) = CompactCursor::open(buf, Arc::<str>::from)?;
+    let (mut cur, row_count) = CompactCursor::open(buf)?;
     let mut rows = Vec::with_capacity(row_count.min(1 << 20));
     for _ in 0..row_count {
         let value_count = cur.count()?;
@@ -584,41 +565,274 @@ pub fn decode_compact_batch(buf: &[u8]) -> Result<Vec<Row>> {
     Ok(rows)
 }
 
-/// Decode a compact frame payload as numbers, handing each row past the
-/// first `skip` to `sink` as a slice of `f64` — the ML hand-off with no
-/// [`Row`] in between. A cell converts as [`Row::to_f64_vec`] converts it
-/// (`Null` → 0.0, `Bool` → 0/1, `Int` cast, `Double` bit for bit; a
-/// string cell is the same `Type` error), and every check of
-/// [`decode_compact_batch`] is kept, skipped rows included: both walk the
-/// payload through one cursor. Returns the frame's row count (skipped
-/// rows too). On error `sink` may already hold this frame's earlier rows;
-/// the caller rolls them back.
-pub fn decode_compact_batch_f64(
-    buf: &[u8],
-    skip: usize,
-    mut sink: impl FnMut(&[f64]) -> Result<()>,
-) -> Result<usize> {
-    let (mut cur, row_count) = CompactCursor::open(buf, |s| s)?;
-    let mut row: Vec<f64> = Vec::new();
-    for i in 0..row_count {
-        let value_count = cur.count()?;
-        row.clear();
-        row.reserve(value_count.min(1 << 16));
-        for _ in 0..value_count {
-            row.push(match cur.cell()? {
-                Cell::Null => 0.0,
-                Cell::Bool(b) => f64::from(u8::from(b)),
-                Cell::Int(n) => n as f64,
-                Cell::Double(d) => d,
-                Cell::Str(idx) => Value::Str(Arc::from(cur.dict[idx])).as_f64()?,
-            });
-        }
-        if i >= skip {
-            sink(&row)?;
+// ---------------------------------------------------------------------------
+// Numeric frame (typed column runs) — the SQL→ML hand-off
+// ---------------------------------------------------------------------------
+
+/// Run codes of a numeric frame. An integer run's code is its byte
+/// width; [`RUN_HAS_NULLS`] is or-ed onto any of them.
+const RUN_F64: u8 = 0x10;
+const RUN_BOOL: u8 = 0x20;
+/// Flag: a validity run (one byte per row, 0 = NULL) precedes the values.
+const RUN_HAS_NULLS: u8 = 0x80;
+
+/// Bytes per value of a run code (validity flag masked off), `None` for
+/// a code no encoder writes.
+fn run_width(code: u8) -> Option<usize> {
+    match code & !RUN_HAS_NULLS {
+        w @ (1 | 2 | 4 | 8) => Some(usize::from(w)),
+        RUN_F64 => Some(8),
+        RUN_BOOL => Some(1),
+        _ => None,
+    }
+}
+
+#[derive(Debug, Clone)]
+enum NumericValues<'a> {
+    /// Shipped at `width` (1, 2, 4 or 8) bytes per value.
+    Int {
+        values: &'a [i64],
+        width: u8,
+    },
+    Double(Cow<'a, [f64]>),
+    Bool(&'a [bool]),
+}
+
+/// One column of a partition as the numeric frame ships it: a typed
+/// value slice, plus its validity if (and only if) it holds a NULL. The
+/// wire width of an integer column is decided here, once per partition.
+#[derive(Debug, Clone)]
+pub struct NumericColumn<'a> {
+    values: NumericValues<'a>,
+    valid: Option<&'a [bool]>,
+}
+
+impl<'a> NumericColumn<'a> {
+    fn new(values: NumericValues<'a>, valid: Option<&'a [bool]>) -> Self {
+        let valid = valid.filter(|v| v.contains(&false));
+        NumericColumn { values, valid }
+    }
+
+    /// An integer column, at the narrowest of 1/2/4/8 bytes that holds
+    /// every value of the slice (an invalid slot's too).
+    pub fn int(values: &'a [i64], valid: Option<&'a [bool]>) -> Self {
+        let (min, max) = (values.iter()).fold((0i64, 0i64), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+        let fit = |w: &u8| fits(min, (*w).into()) && fits(max, (*w).into());
+        let width = [1u8, 2, 4].into_iter().find(fit).unwrap_or(8);
+        Self::new(NumericValues::Int { values, width }, valid)
+    }
+
+    /// A double column, shipped bit for bit.
+    pub fn double(values: impl Into<Cow<'a, [f64]>>, valid: Option<&'a [bool]>) -> Self {
+        Self::new(NumericValues::Double(values.into()), valid)
+    }
+
+    pub fn bool(values: &'a [bool], valid: Option<&'a [bool]>) -> Self {
+        Self::new(NumericValues::Bool(values), valid)
+    }
+
+    fn code(&self) -> u8 {
+        let code = match &self.values {
+            NumericValues::Int { width, .. } => *width,
+            NumericValues::Double(_) => RUN_F64,
+            NumericValues::Bool(_) => RUN_BOOL,
+        };
+        match self.valid {
+            Some(_) => code | RUN_HAS_NULLS,
+            None => code,
         }
     }
-    cur.finish()?;
-    Ok(row_count)
+
+    /// Wire bytes one row of this column costs.
+    pub fn stride(&self) -> usize {
+        run_width(self.code()).unwrap_or(0) + usize::from(self.valid.is_some())
+    }
+}
+
+/// Encode rows `rows` of `columns` as one numeric frame payload:
+///
+/// ```text
+/// u32 LE row count, u32 LE column count
+/// per column:
+///   u8 run code       1/2/4/8 = integer of that many bytes, 0x10 = f64,
+///                     0x20 = bool; | 0x80 when the column has NULLs
+///   row_count bytes   validity, 0 = NULL   (only with 0x80)
+///   row_count values  little-endian, two's complement / IEEE-754 bits
+/// ```
+///
+/// A row range past a column's end, or rows without columns, is an error;
+/// so is an integer that does not fit its column's width (unreachable
+/// through [`NumericColumn::int`]: narrowing is checked, never a cast).
+pub fn encode_numeric_frame<B: BufMut>(
+    columns: &[NumericColumn<'_>],
+    rows: Range<usize>,
+    buf: &mut B,
+) -> Result<()> {
+    if columns.is_empty() && !rows.is_empty() {
+        return Err(SqlmlError::Execution(
+            "numeric frame has rows but no columns".into(),
+        ));
+    }
+    buf.put_u32_le(crate::error::wire_u32(rows.len(), "frame row count")?);
+    buf.put_u32_le(crate::error::wire_u32(columns.len(), "frame column count")?);
+    for col in columns {
+        let past_end = || SqlmlError::Execution(format!("rows {rows:?} past a column's end"));
+        buf.put_u8(col.code());
+        if let Some(valid) = col.valid {
+            let valid = valid.get(rows.clone()).ok_or_else(past_end)?;
+            valid.iter().for_each(|&v| buf.put_u8(u8::from(v)));
+        }
+        match &col.values {
+            NumericValues::Int { values, width } => {
+                let values = values.get(rows.clone()).ok_or_else(past_end)?;
+                match width {
+                    1 => put_ints::<1, B>(values, buf)?,
+                    2 => put_ints::<2, B>(values, buf)?,
+                    4 => put_ints::<4, B>(values, buf)?,
+                    _ => put_ints::<8, B>(values, buf)?,
+                }
+            }
+            NumericValues::Double(values) => {
+                let values = values.get(rows.clone()).ok_or_else(past_end)?;
+                values.iter().for_each(|v| buf.put_u64_le(v.to_bits()));
+            }
+            NumericValues::Bool(values) => {
+                let values = values.get(rows.clone()).ok_or_else(past_end)?;
+                values.iter().for_each(|&v| buf.put_u8(u8::from(v)));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Whether `v` fits a two's-complement integer of `bytes` bytes.
+#[inline]
+fn fits(v: i64, bytes: usize) -> bool {
+    bytes >= 8 || (-(1i64 << (8 * bytes - 1))..1i64 << (8 * bytes - 1)).contains(&v)
+}
+
+/// Append `values` at `N` bytes each: the low `N` little-endian bytes of
+/// a value checked to fit them — a narrowing, never a wrapping cast.
+#[inline]
+fn put_ints<const N: usize, B: BufMut>(values: &[i64], buf: &mut B) -> Result<()> {
+    for &v in values {
+        if !fits(v, N) {
+            return Err(SqlmlError::Overflow(format!(
+                "integer {v} does not fit its {N}-byte column run"
+            )));
+        }
+        buf.put_slice(&v.to_le_bytes()[..N]);
+    }
+    Ok(())
+}
+
+/// One column run of a parsed frame: lengths already checked.
+#[derive(Debug)]
+struct NumericRun<'a> {
+    code: u8,
+    valid: Option<&'a [u8]>,
+    values: &'a [u8],
+}
+
+/// A numeric frame payload, checked whole before a cell is read: every
+/// run's code, every run's length against the row count, and that the
+/// payload ends with its last run. Nothing past [`Self::parse`] can fail,
+/// so a reader that writes into its block only after parsing leaves
+/// nothing of a bad frame behind.
+#[derive(Debug)]
+pub struct NumericFrame<'a> {
+    rows: usize,
+    runs: Vec<NumericRun<'a>>,
+}
+
+impl<'a> NumericFrame<'a> {
+    pub fn parse(buf: &'a [u8]) -> Result<Self> {
+        let corrupt = |what: &str| SqlmlError::Execution(format!("corrupt numeric frame: {what}"));
+        let mut rest = buf;
+        let mut take = |len: Option<usize>| {
+            let (head, tail) = len
+                .and_then(|len| rest.split_at_checked(len))
+                .ok_or_else(|| corrupt("truncated"))?;
+            rest = tail;
+            Ok::<_, SqlmlError>(head)
+        };
+        let rows = u32::from_le_bytes(le(take(Some(4))?)) as usize;
+        let cols = u32::from_le_bytes(le(take(Some(4))?)) as usize;
+        if cols == 0 && rows != 0 {
+            return Err(corrupt("rows but no columns"));
+        }
+        // A run costs its code byte and at least a byte per row, so
+        // corrupt counts cannot size this allocation past what the
+        // payload could really hold.
+        let mut runs = Vec::with_capacity(cols.min(buf.len() / rows.saturating_add(1)));
+        for _ in 0..cols {
+            let code = take(Some(1))?[0];
+            let width =
+                run_width(code).ok_or_else(|| corrupt(&format!("unknown run code {code:#04x}")))?;
+            let valid = match code & RUN_HAS_NULLS {
+                0 => None,
+                _ => Some(take(Some(rows))?),
+            };
+            let values = take(rows.checked_mul(width))?;
+            runs.push(NumericRun {
+                code,
+                valid,
+                values,
+            });
+        }
+        if !rest.is_empty() {
+            return Err(corrupt(&format!("{} trailing bytes", rest.len())));
+        }
+        Ok(NumericFrame { rows, runs })
+    }
+
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    pub fn cols(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// Write column `c` from row `skip` on as `f64`s to `dst[0]`,
+    /// `dst[stride]`, `dst[2 * stride]`, … — each cell converted as
+    /// [`Row::to_f64_vec`] converts it (NULL → 0.0, bool → 0/1, integer
+    /// cast, double bit for bit).
+    pub fn scatter(&self, c: usize, skip: usize, dst: &mut [f64], stride: usize) {
+        let run = &self.runs[c];
+        let out = dst.iter_mut().step_by(stride.max(1));
+        match run.code & !RUN_HAS_NULLS {
+            1 => run.write(skip, out, |b| f64::from(i8::from_le_bytes(b))),
+            2 => run.write(skip, out, |b| f64::from(i16::from_le_bytes(b))),
+            4 => run.write(skip, out, |b| f64::from(i32::from_le_bytes(b))),
+            8 => run.write(skip, out, |b| i64::from_le_bytes(b) as f64),
+            RUN_F64 => run.write(skip, out, |b| f64::from_bits(u64::from_le_bytes(b))),
+            _ => run.write(skip, out, |[b]| f64::from(u8::from(b != 0))),
+        }
+    }
+}
+
+impl NumericRun<'_> {
+    /// The cells from row `skip` on, `N` bytes each, into `out`.
+    #[inline]
+    fn write<'d, const N: usize>(
+        &self,
+        skip: usize,
+        out: impl Iterator<Item = &'d mut f64>,
+        value: impl Fn([u8; N]) -> f64,
+    ) {
+        let cells = self.values.chunks_exact(N).skip(skip);
+        match self.valid {
+            None => cells
+                .zip(out)
+                .for_each(|(cell, slot)| *slot = value(le(cell))),
+            Some(valid) => {
+                for ((cell, &v), slot) in cells.zip(valid.iter().skip(skip)).zip(out) {
+                    *slot = if v == 0 { 0.0 } else { value(le(cell)) };
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -899,132 +1113,132 @@ mod tests {
         assert!(decode_compact_batch(&bad).is_err());
     }
 
-    /// "One cursor" as a property: over every truncation, one-byte
-    /// extension and single-byte mutation of seeded frames (numeric and
-    /// with strings), the two decoders accept the same byte strings. The
-    /// one allowed difference is the numeric decoder's `Type` error on a
-    /// frame the row decoder reads fine — a string cell is its only fault.
-    #[test]
-    fn both_decoders_accept_the_same_byte_strings() {
-        fn agree(bytes: &[u8], what: &str) {
-            let rows = decode_compact_batch(bytes);
-            match (&rows, decode_compact_batch_f64(bytes, 0, |_| Ok(()))) {
-                (Ok(rows), Ok(n)) => assert_eq!(rows.len(), n, "{what}"),
-                (Ok(rows), Err(e)) => {
-                    assert!(matches!(e, SqlmlError::Type(_)), "{what}: {e}");
-                    let strings = |r: &Row| r.values().iter().any(|v| matches!(v, Value::Str(_)));
-                    assert!(rows.iter().any(strings), "{what}: {e}");
-                }
-                (Err(_), Err(_)) => {}
-                (Err(e), Ok(_)) => panic!("{what}: only the row decoder failed: {e}"),
-            }
+    // -- numeric frame ------------------------------------------------------
+
+    /// Every row of `buf` past `skip`, row-major, as bit patterns.
+    fn numeric_rows(buf: &[u8], skip: usize) -> Result<(usize, Vec<Vec<u64>>)> {
+        let frame = NumericFrame::parse(buf)?;
+        let fresh = frame.rows().saturating_sub(skip);
+        let mut block = vec![f64::from_bits(u64::MAX); fresh * frame.cols()];
+        for c in (0..frame.cols()).filter(|_| fresh > 0) {
+            frame.scatter(c, skip, &mut block[c..], frame.cols());
         }
-        let mut rng = crate::rng::SplitMix64::new(0x0C0_45E5);
-        let names = ["Yes", "No", "", "ünï"];
-        for frame in 0..12u64 {
-            let shapes = if frame % 2 == 0 { 4 } else { 5 };
-            let rows: Vec<Row> = (0..1 + rng.next_below(4))
-                .map(|_| {
-                    let cells = (0..rng.next_below(5)).map(|_| match rng.next_below(shapes) {
-                        0 => Value::Null,
-                        1 => Value::Bool(rng.next_below(2) == 1),
-                        2 => Value::Int(rng.next_u64() as i64 >> rng.next_below(64)),
-                        3 => Value::Double(f64::from_bits(rng.next_u64())),
-                        _ => Value::Str(names[rng.next_below(4) as usize].into()),
-                    });
-                    Row::new(cells.collect())
-                })
-                .collect();
+        let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect();
+        let rows = block.chunks(frame.cols().max(1)).map(bits).collect();
+        Ok((frame.rows(), rows))
+    }
+
+    /// The layout, byte for byte: an integer column at one byte, one
+    /// with a NULL at two, doubles as their bits, a bool.
+    #[test]
+    fn numeric_frame_golden_bytes() {
+        let ages = [57i64, -128, 127];
+        let wide = [300i64, 0, -2];
+        let wide_valid = [true, false, true];
+        let amounts = [103.25, -0.5, 0.0];
+        let flags = [true, false, true];
+        let columns = [
+            NumericColumn::int(&ages, Some(&[true; 3])),
+            NumericColumn::int(&wide, Some(&wide_valid)),
+            NumericColumn::double(&amounts[..], None),
+            NumericColumn::bool(&flags, None),
+        ];
+        let strides: Vec<usize> = columns.iter().map(NumericColumn::stride).collect();
+        assert_eq!(strides, [1, 3, 8, 1], "validity only where a NULL is");
+        let mut buf = Vec::new();
+        encode_numeric_frame(&columns, 0..3, &mut buf).unwrap();
+        #[rustfmt::skip]
+        let golden: &[u8] = &[
+            3, 0, 0, 0, 4, 0, 0, 0,                  // 3 rows, 4 columns
+            0x01, 57, 0x80, 0x7F,                    // i8 run
+            0x82, 1, 0, 1,                           // i16 run with validity
+            0x2C, 0x01, 0, 0, 0xFE, 0xFF,
+            0x10,                                    // f64 run
+            0, 0, 0, 0, 0, 0xD0, 0x59, 0x40,         // 103.25
+            0, 0, 0, 0, 0, 0, 0xE0, 0xBF,            // -0.5
+            0, 0, 0, 0, 0, 0, 0, 0,
+            0x20, 1, 0, 1,                           // bool run
+        ];
+        assert_eq!(buf, golden);
+        let f = |v: f64| v.to_bits();
+        let expect = vec![
+            vec![f(57.0), f(300.0), f(103.25), f(1.0)],
+            vec![f(-128.0), f(0.0), f(-0.5), f(0.0)],
+            vec![f(127.0), f(-2.0), f(0.0), f(1.0)],
+        ];
+        assert_eq!(numeric_rows(&buf, 0).unwrap(), (3, expect.clone()));
+        // Skipped rows are counted and checked, not delivered; a sub-range
+        // of the partition ships at the partition's widths.
+        assert_eq!(numeric_rows(&buf, 2).unwrap(), (3, expect[2..].to_vec()));
+        assert_eq!(numeric_rows(&buf, 9).unwrap(), (3, vec![]));
+        let mut tail = Vec::new();
+        encode_numeric_frame(&columns, 1..3, &mut tail).unwrap();
+        assert_eq!(tail.len(), 8 + 4 + 2 * 13);
+        assert_eq!(numeric_rows(&tail, 0).unwrap(), (2, expect[1..].to_vec()));
+    }
+
+    #[test]
+    fn integer_columns_ship_at_the_narrowest_width_that_holds_them() {
+        let cases: [(&[i64], usize); 9] = [
+            (&[], 1),
+            (&[i8::MIN as i64, i8::MAX as i64], 1),
+            (&[i8::MAX as i64 + 1], 2),
+            (&[i8::MIN as i64 - 1], 2),
+            (&[i16::MIN as i64, i16::MAX as i64], 2),
+            (&[i16::MAX as i64 + 1], 4),
+            (&[i32::MIN as i64, i32::MAX as i64], 4),
+            (&[i32::MIN as i64 - 1], 8),
+            (&[i64::MIN, i64::MAX], 8),
+        ];
+        for (values, width) in cases {
+            let col = NumericColumn::int(values, None);
+            assert_eq!(col.stride(), width, "{values:?}");
             let mut buf = Vec::new();
-            encode_compact_batch(&rows, &mut buf).unwrap();
-            agree(&buf, &format!("frame {frame} intact"));
-            for cut in 0..buf.len() {
-                agree(&buf[..cut], &format!("frame {frame} cut at {cut}"));
-            }
-            let mut longer = buf.clone();
-            longer.push(rng.next_u64() as u8);
-            agree(&longer, &format!("frame {frame} extended"));
-            for at in 0..buf.len() {
-                let original = buf[at];
-                for flip in [0x01, 0x04, 0x80, 0xFF, 1 + rng.next_below(255) as u8] {
-                    buf[at] = original ^ flip;
-                    agree(&buf, &format!("frame {frame} byte {at} ^ {flip:#04x}"));
-                }
-                buf[at] = original;
-            }
+            encode_numeric_frame(&[col], 0..values.len(), &mut buf).unwrap();
+            let expect: Vec<Vec<u64>> =
+                values.iter().map(|&v| vec![(v as f64).to_bits()]).collect();
+            assert_eq!(numeric_rows(&buf, 0).unwrap(), (values.len(), expect));
         }
-    }
-
-    /// Every row of `buf` past `skip`, through the numeric decoder.
-    fn numeric_rows(buf: &[u8], skip: usize) -> Result<(usize, Vec<Vec<f64>>)> {
-        let mut rows = Vec::new();
-        let n = decode_compact_batch_f64(buf, skip, |r| {
-            rows.push(r.to_vec());
-            Ok(())
-        })?;
-        Ok((n, rows))
+        // A width the values do not fit is an error, never a wrap.
+        let too_narrow = NumericColumn {
+            values: NumericValues::Int {
+                values: &[300],
+                width: 1,
+            },
+            valid: None,
+        };
+        let err = encode_numeric_frame(&[too_narrow], 0..1, &mut Vec::new()).unwrap_err();
+        assert!(matches!(err, SqlmlError::Overflow(_)), "{err}");
     }
 
     #[test]
-    fn numeric_decoder_matches_the_row_decoder_cell_for_cell() {
-        let rows = vec![
-            Row::new(vec![
-                Value::Null,
-                Value::Bool(true),
-                Value::Int(i64::MIN),
-                Value::Double(-0.0),
-            ]),
-            Row::new(vec![]),
-            row![i64::MAX, f64::NAN, false, f64::NEG_INFINITY],
+    fn numeric_frame_rejects_truncation_garbage_and_bad_shapes() {
+        let (ints, doubles) = ([1i64, 2, 70_000], [0.5, f64::NAN, -0.0]);
+        let valid = [true, true, false];
+        let columns = [
+            NumericColumn::int(&ints, Some(&valid)),
+            NumericColumn::double(&doubles[..], None),
         ];
         let mut buf = Vec::new();
-        encode_compact_batch(&rows, &mut buf).unwrap();
-        let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
-            (rows.iter())
-                .map(|r| r.iter().map(|v| v.to_bits()).collect())
-                .collect()
-        };
-        let expect: Vec<Vec<f64>> = decode_compact_batch(&buf)
-            .unwrap()
-            .iter()
-            .map(|r| r.to_f64_vec().unwrap())
-            .collect();
-        let (n, got) = numeric_rows(&buf, 0).unwrap();
-        assert_eq!(n, 3);
-        assert_eq!(bits(&got), bits(&expect));
-        // Skipped rows are counted and checked, not delivered.
-        let (n, got) = numeric_rows(&buf, 2).unwrap();
-        assert_eq!((n, bits(&got)), (3, bits(&expect[2..])));
-        assert_eq!(numeric_rows(&buf, 9).unwrap(), (3, vec![]));
-    }
-
-    #[test]
-    fn numeric_decoder_rejects_strings_truncation_and_garbage() {
-        let rows = vec![row![1i64, 2.5], row![2i64, "abc"]];
-        let mut buf = Vec::new();
-        encode_compact_batch(&rows, &mut buf).unwrap();
-        // The string is a type error even in a skipped row, exactly as
-        // `to_f64_vec` reports it.
-        for skip in [0, 2] {
-            let err = numeric_rows(&buf, skip).unwrap_err();
-            assert_eq!(
-                err.to_string(),
-                rows[1].to_f64_vec().unwrap_err().to_string()
-            );
-        }
-        let mut buf = Vec::new();
-        encode_compact_batch(&rows[..1], &mut buf).unwrap();
+        encode_numeric_frame(&columns, 0..3, &mut buf).unwrap();
+        assert!(NumericFrame::parse(&buf).is_ok());
         for cut in 0..buf.len() {
-            assert!(numeric_rows(&buf[..cut], 0).is_err(), "cut at {cut}");
+            assert!(NumericFrame::parse(&buf[..cut]).is_err(), "cut at {cut}");
         }
-        buf.push(0x00);
-        assert!(numeric_rows(&buf, 0).is_err(), "trailing byte");
-        assert!(numeric_rows(&[0u8, 1, 1, TAG_STR, 5], 0).is_err());
-        assert!(numeric_rows(&[0u8, 1, 1, 9], 0).is_err(), "unknown tag");
-        // A sink error stops the decode and comes back unchanged.
-        let mut buf = Vec::new();
-        encode_compact_batch(&rows[..1], &mut buf).unwrap();
-        let err = decode_compact_batch_f64(&buf, 0, |_| Err(SqlmlError::Ml("full".into())));
-        assert!(matches!(err, Err(SqlmlError::Ml(_))));
+        let mut longer = buf.clone();
+        longer.push(0);
+        assert!(NumericFrame::parse(&longer).is_err(), "trailing byte");
+        let mut bad_code = buf.clone();
+        bad_code[8] = 0x83;
+        assert!(NumericFrame::parse(&bad_code).is_err(), "3-byte integers");
+        // Counts that overflow, and rows no column vouches for.
+        let huge = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x08];
+        assert!(NumericFrame::parse(&huge).is_err());
+        assert!(NumericFrame::parse(&[9, 0, 0, 0, 0, 0, 0, 0]).is_err());
+        assert!(NumericFrame::parse(&[0; 8]).is_ok(), "the empty frame");
+        // The encoder refuses what the decoder would.
+        let none: [NumericColumn; 0] = [];
+        assert!(encode_numeric_frame(&none, 0..1, &mut Vec::new()).is_err());
+        assert!(encode_numeric_frame(&columns, 2..4, &mut Vec::new()).is_err());
     }
 }

@@ -19,8 +19,8 @@ pub struct ClusterConfig {
     pub sql_workers: usize,
     /// ML workers (the paper ran 6 Spark workers per server).
     pub ml_workers: usize,
-    /// Streaming data-plane tunables (the paper's `k` and 4 KiB send
-    /// buffer, plus the frame size).
+    /// Streaming data-plane tunables (the paper's `k` and send buffer,
+    /// plus the frame size).
     pub transfer: TransferConfig,
     /// DFS parameters (block size, replication, optional throttling).
     /// `num_datanodes` is also the number of simulated machines (the

@@ -102,6 +102,45 @@ impl PartitionBlock {
         pushed
     }
 
+    /// Append `rows` rows of `cols` columns, a column at a time: once
+    /// the shape is accepted, `fill(c, dst, stride)` is called for every
+    /// column in order and writes the column's cell of new row `r` to
+    /// `dst[r * stride]` (zero where it writes nothing). A shape the
+    /// block refuses leaves it untouched.
+    pub fn push_columns(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        mut fill: impl FnMut(usize, &mut [f64], usize),
+    ) -> Result<()> {
+        if rows == 0 {
+            return Ok(());
+        }
+        let dim = match self.label_col {
+            Some(lc) if lc >= cols => {
+                return Err(SqlmlError::Ml(format!(
+                    "label column {lc} out of range for {cols}-column row"
+                )))
+            }
+            Some(_) => cols - 1,
+            None => cols,
+        };
+        self.check_dim(dim)?;
+        let at = self.len();
+        self.features.resize((at + rows) * dim, 0.0);
+        self.labels.resize(at + rows, 0.0);
+        let mut feature = at * dim;
+        for c in 0..cols {
+            if Some(c) == self.label_col {
+                fill(c, &mut self.labels[at..], 1);
+            } else {
+                fill(c, &mut self.features[feature..], dim);
+                feature += 1;
+            }
+        }
+        Ok(())
+    }
+
     fn push_point(&mut self, label: f64, features: &[f64]) -> Result<()> {
         self.check_dim(features.len())?;
         self.features.extend_from_slice(features);
@@ -115,19 +154,6 @@ impl PartitionBlock {
             d => Err(SqlmlError::Ml(format!(
                 "inconsistent feature dimension: {dim} vs {d}"
             ))),
-        }
-    }
-
-    /// Drop every row past the first `rows` (a reader rolling back a
-    /// frame that failed half-way through its decode). A block emptied
-    /// this way forgets its width too: the rows that fixed it are gone.
-    pub fn truncate(&mut self, rows: usize) {
-        if rows < self.len() {
-            self.features.truncate(rows * self.dim.unwrap_or(0));
-            self.labels.truncate(rows);
-            if rows == 0 {
-                self.dim = None;
-            }
         }
     }
 
@@ -505,20 +531,11 @@ mod tests {
     }
 
     #[test]
-    fn blocks_truncate_and_append_by_rows() {
+    fn blocks_append_by_rows() {
         let mut a = PartitionBlock::new(Some(0));
-        for i in 0..5 {
+        for i in 0..2 {
             a.push_row(&[f64::from(i), 10.0, 20.0]).unwrap();
         }
-        a.truncate(9);
-        assert_eq!(a.len(), 5);
-        a.truncate(2);
-        assert_eq!(a.len(), 2);
-        // Emptied, a block takes rows of any width again.
-        let mut emptied = PartitionBlock::new(None);
-        emptied.push_row(&[1.0, 2.0]).unwrap();
-        emptied.truncate(0);
-        emptied.push_row(&[1.0]).unwrap();
         let mut b = PartitionBlock::new(Some(0));
         b.push_row(&[7.0, 1.0, 2.0]).unwrap();
         // Appending into an empty block and onto a filled one.
@@ -532,6 +549,34 @@ mod tests {
         let d = Dataset::from_blocks(vec![joined]).unwrap();
         assert_eq!(d.partition(0).labels(), [0.0, 1.0, 7.0]);
         assert_eq!(d.iter().last().unwrap().features, [1.0, 2.0]);
+    }
+
+    #[test]
+    fn columns_land_where_rows_would() {
+        // Column c of new row r holds 10·r + c; the label is column 1.
+        let fill = |c: usize, dst: &mut [f64], stride: usize| {
+            for (r, slot) in dst.iter_mut().step_by(stride).enumerate() {
+                *slot = (10 * r + c) as f64;
+            }
+        };
+        let mut by_columns = PartitionBlock::new(Some(1));
+        by_columns.push_row(&[-1.0, -2.0, -3.0]).unwrap();
+        by_columns.push_columns(2, 3, fill).unwrap();
+        by_columns.push_columns(0, 9, fill).unwrap();
+        // A shape the block refuses leaves it as it was.
+        assert!(by_columns.push_columns(1, 4, fill).is_err());
+        assert!(by_columns.push_columns(1, 1, fill).is_err());
+        let mut by_rows = PartitionBlock::new(Some(1));
+        for row in [[-1.0, -2.0, -3.0], [0.0, 1.0, 2.0], [10.0, 11.0, 12.0]] {
+            by_rows.push_row(&row).unwrap();
+        }
+        assert_eq!(by_columns.labels, by_rows.labels);
+        assert_eq!(by_columns.features, by_rows.features);
+        // No label column: every column is a feature, the label is 0.
+        let mut unlabeled = PartitionBlock::new(None);
+        unlabeled.push_columns(2, 2, fill).unwrap();
+        assert_eq!(unlabeled.features, [0.0, 1.0, 10.0, 11.0]);
+        assert_eq!(unlabeled.labels, [0.0, 0.0]);
     }
 
     #[test]

@@ -23,9 +23,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sqlml_common::codec::{self, CompactBatchEncoder};
+use sqlml_common::codec::{self, NumericColumn};
 use sqlml_common::schema::DataType;
-use sqlml_common::{counter_u32, Result, Row, Schema, Value};
+use sqlml_common::{counter_u32, Result, Row, Schema, SqlmlError, Value};
 
 /// Row id meaning "no row" in a gather list: the slot reads NULL (the
 /// padded side of an unmatched outer-join row).
@@ -294,6 +294,39 @@ impl Column {
         out.map_or(Column::Mixed(Vec::new()), ColumnBuilder::finish)
     }
 
+    /// The first row holding a string — the one cell kind the ML
+    /// hand-off cannot convert. Only a `Str` or `Mixed` column has one.
+    pub fn first_string(&self) -> Option<usize> {
+        match self {
+            Column::Str(d) => d.codes.iter().position(|&c| c != NULL_CODE),
+            Column::Mixed(values) => (values.iter()).position(|v| matches!(v, Value::Str(_))),
+            _ => None,
+        }
+    }
+
+    /// This column as the numeric frame ships it: a typed vector lends
+    /// its slices; a misfit column converts cell by cell to doubles, as
+    /// [`Row::to_f64_vec`] would. A string cell is a `Type` error naming
+    /// its row.
+    pub fn numeric(&self) -> Result<NumericColumn<'_>> {
+        Ok(match self {
+            Column::Int(p) => NumericColumn::int(p.values(), p.validity()),
+            Column::Double(p) => NumericColumn::double(p.values(), p.validity()),
+            Column::Bool(p) => NumericColumn::bool(p.values(), p.validity()),
+            Column::Str(_) | Column::Mixed(_) => {
+                if let Some(row) = self.first_string() {
+                    let cell = self.value(row);
+                    return Err(SqlmlError::Type(format!(
+                        "row {row} holds the string {cell}"
+                    )));
+                }
+                let cell = |v: Value| if v.is_null() { Ok(0.0) } else { v.as_f64() };
+                let cells = (0..self.len()).map(|i| cell(self.value(i)));
+                NumericColumn::double(cells.collect::<Result<Vec<f64>>>()?, None)
+            }
+        })
+    }
+
     /// Payload size under the text encoding: `len + 1` per string cell,
     /// 8 for any other cell (a NULL included).
     pub(crate) fn approx_bytes(&self) -> u64 {
@@ -537,35 +570,6 @@ impl Batch {
             .map(|c| Arc::new(Column::concat(parts.iter().map(|p| &**p.column(c)))))
             .collect();
         Batch::new(columns, parts.iter().map(Batch::len).sum())
-    }
-
-    /// Append row `i` to a compact frame: the bytes
-    /// `CompactBatchEncoder::push_row(&self.row(i))` would append.
-    pub fn encode_row(&self, i: usize, enc: &mut CompactBatchEncoder) -> Result<()> {
-        enc.push_cells(self.width(), |enc| {
-            for col in &self.columns {
-                match &**col {
-                    Column::Int(p) => match p.get(i) {
-                        Some(v) => enc.put_int(v),
-                        None => enc.put_null(),
-                    },
-                    Column::Double(p) => match p.get(i) {
-                        Some(v) => enc.put_double(v),
-                        None => enc.put_null(),
-                    },
-                    Column::Bool(p) => match p.get(i) {
-                        Some(v) => enc.put_bool(v),
-                        None => enc.put_null(),
-                    },
-                    Column::Str(d) => match d.value(i) {
-                        Some(s) => enc.put_str(s)?,
-                        None => enc.put_null(),
-                    },
-                    Column::Mixed(values) => enc.put_value(&values[i])?,
-                }
-            }
-            Ok(())
-        })
     }
 
     /// The text-format lines of every row: the string

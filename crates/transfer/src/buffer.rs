@@ -20,19 +20,26 @@
 
 use std::collections::VecDeque;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 use sqlml_common::lockorder::{TrackedCondvar, TrackedMutex};
 use sqlml_common::{Result, SqlmlError};
 
+/// The spill file as a byte queue: chunks lie back to back in
+/// `read_pos..write_pos`, their lengths in `lens`. The producer alone
+/// moves `write_pos`, the consumer alone `read_pos`, each after its
+/// positional write / read — which runs with the lock released.
 #[derive(Debug, Default)]
 struct SpillFile {
-    file: Option<File>,
+    file: Option<Arc<File>>,
     path: Option<PathBuf>,
     write_pos: u64,
     read_pos: u64,
+    /// Length of every unread chunk, oldest first.
+    lens: VecDeque<usize>,
 }
 
 #[derive(Debug)]
@@ -51,6 +58,49 @@ struct State {
     stall_us: u64,
 }
 
+impl State {
+    /// Bookkeeping shared by both enqueue paths.
+    fn on_enqueue(&mut self, chunk_len: usize) {
+        self.queued_bytes += chunk_len;
+        self.depth += 1;
+        self.depth_high_water = self.depth_high_water.max(self.depth);
+    }
+
+    /// Bookkeeping shared by every dequeue path; call with the chunk just
+    /// removed from memory or the spill file.
+    fn on_dequeue(&mut self, chunk_len: usize) {
+        self.queued_bytes = self.queued_bytes.saturating_sub(chunk_len);
+        self.depth = self.depth.saturating_sub(1);
+    }
+
+    /// The next chunk if it is in memory, else where the oldest spilled
+    /// chunk lies (nothing moves until [`SpillableBuffer::unspill`]
+    /// publishes the read), else `None`.
+    fn next_chunk(&mut self) -> Result<Option<Next>> {
+        if let Some(chunk) = self.memory.pop_front() {
+            self.memory_bytes -= chunk.len();
+            self.on_dequeue(chunk.len());
+            return Ok(Some(Next::Memory(chunk)));
+        }
+        let Some(&len) = self.spill.lens.front() else {
+            return Ok(None);
+        };
+        let Some(file) = self.spill.file.clone() else {
+            return Err(SqlmlError::Transfer(
+                "spill cursor set but spill file missing".into(),
+            ));
+        };
+        Ok(Some(Next::Spilled(file, self.spill.read_pos, len)))
+    }
+}
+
+/// What a consumer takes out of the state under the lock.
+enum Next {
+    Memory(Vec<u8>),
+    /// File, offset and length of the oldest spilled chunk.
+    Spilled(Arc<File>, u64, usize),
+}
+
 /// Statistics observed by tests and the benchmark harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BufferStats {
@@ -63,7 +113,8 @@ pub struct BufferStats {
     pub depth_high_water: u64,
 }
 
-/// Bounded producer/consumer chunk queue with disk overflow.
+/// Bounded producer/consumer chunk queue with disk overflow. One
+/// producer, one consumer: each side's file cursor is its own.
 #[derive(Debug)]
 pub struct SpillableBuffer {
     capacity_bytes: usize,
@@ -125,132 +176,113 @@ impl SpillableBuffer {
     /// only when a queued-bytes bound is set and exceeded; the time spent
     /// blocked is recorded in [`BufferStats::stall_us`].
     pub fn push(&self, chunk: Vec<u8>) -> Result<()> {
-        let mut st = self.state.lock();
-        if let Some(bound) = self.max_queued_bytes {
-            // A chunk larger than the whole bound is still accepted when
-            // the queue is empty, so progress is always possible.
-            if st.queued_bytes + chunk.len() > bound && st.depth > 0 && !st.closed {
-                let t0 = Instant::now();
-                while st.queued_bytes + chunk.len() > bound && st.depth > 0 && !st.closed {
-                    self.space.wait(&mut st);
+        let closed = || SqlmlError::Transfer("push to closed buffer".into());
+        // Under the lock: backpressure, then either the memory queue or
+        // the file range this chunk will occupy.
+        let (file, offset) = {
+            let mut st = self.state.lock();
+            if let Some(bound) = self.max_queued_bytes {
+                // A chunk larger than the whole bound is still accepted when
+                // the queue is empty, so progress is always possible.
+                if st.queued_bytes + chunk.len() > bound && st.depth > 0 && !st.closed {
+                    let t0 = Instant::now();
+                    while st.queued_bytes + chunk.len() > bound && st.depth > 0 && !st.closed {
+                        self.space.wait(&mut st);
+                    }
+                    st.stall_us += u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
                 }
-                st.stall_us += u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
             }
-        }
+            if st.closed {
+                return Err(closed());
+            }
+            // Spill whenever memory is at capacity OR the spill file still
+            // holds unread data (to preserve chunk order). A chunk larger
+            // than the whole capacity still goes to memory when the queue
+            // is empty, so progress is always possible.
+            let over_capacity =
+                st.memory_bytes + chunk.len() > self.capacity_bytes && !st.memory.is_empty();
+            if !over_capacity && st.spill.lens.is_empty() {
+                st.memory_bytes += chunk.len();
+                st.on_enqueue(chunk.len());
+                st.memory.push_back(chunk);
+                drop(st);
+                self.available.notify_one();
+                return Ok(());
+            }
+            (st.spill.file.clone(), st.spill.write_pos)
+        };
+        // Lock released: one positional write, no seek. The chunk is not
+        // in the queue until its length is published below.
+        let file = match file {
+            Some(file) => file,
+            None => self.create_spill_file()?,
+        };
+        file.write_all_at(&chunk, offset)?;
+        let mut st = self.state.lock();
         if st.closed {
-            return Err(SqlmlError::Transfer("push to closed buffer".into()));
+            return Err(closed());
         }
-        // Spill whenever memory is at capacity OR the spill file already
-        // holds unread data (to preserve chunk order).
-        let spill_pending = st.spill.write_pos > st.spill.read_pos;
-        // A chunk larger than the whole capacity still goes to memory when
-        // the queue is empty, so progress is always possible.
-        let over_capacity =
-            st.memory_bytes + chunk.len() > self.capacity_bytes && !st.memory.is_empty();
-        if over_capacity || spill_pending {
-            self.spill_chunk(&mut st, &chunk)?;
-            st.queued_bytes += chunk.len();
-        } else {
-            st.memory_bytes += chunk.len();
-            st.queued_bytes += chunk.len();
-            st.memory.push_back(chunk);
-        }
-        st.depth += 1;
-        st.depth_high_water = st.depth_high_water.max(st.depth);
+        st.spill.write_pos += chunk.len() as u64;
+        st.spill.lens.push_back(chunk.len());
+        st.bytes_spilled += chunk.len() as u64;
+        st.spill_events += 1;
+        st.on_enqueue(chunk.len());
         drop(st);
         self.available.notify_one();
         Ok(())
     }
 
-    fn spill_chunk(&self, st: &mut State, chunk: &[u8]) -> Result<()> {
-        if st.spill.file.is_none() {
-            std::fs::create_dir_all(&self.spill_dir)?;
-            static SPILL_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-            let seq = SPILL_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let path = self.spill_dir.join(format!(
-                "spill-{}-{}-{seq}.bin",
-                self.tag,
-                std::process::id()
-            ));
-            let file = File::options()
-                .create(true)
-                .truncate(true)
-                .read(true)
-                .write(true)
-                .open(&path)?;
-            st.spill.file = Some(file);
-            st.spill.path = Some(path);
-        }
-        let Some(file) = st.spill.file.as_mut() else {
-            return Err(SqlmlError::Transfer(
-                "spill file missing after creation".into(),
-            ));
-        };
-        file.seek(SeekFrom::Start(st.spill.write_pos))?;
-        // Pre-size a single record (length prefix + body) so each spilled
-        // chunk costs one write syscall instead of two.
-        let mut record = Vec::with_capacity(4 + chunk.len());
-        record.extend_from_slice(
-            &sqlml_common::wire_u32(chunk.len(), "spill chunk length")?.to_le_bytes(),
-        );
-        record.extend_from_slice(chunk);
-        file.write_all(&record)?;
-        st.spill.write_pos += record.len() as u64;
-        st.bytes_spilled += chunk.len() as u64;
-        st.spill_events += 1;
-        Ok(())
+    /// Create the spill file (no lock held) and record it in the state.
+    fn create_spill_file(&self) -> Result<Arc<File>> {
+        std::fs::create_dir_all(&self.spill_dir)?;
+        static SPILL_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let seq = SPILL_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = self.spill_dir.join(format!(
+            "spill-{}-{}-{seq}.bin",
+            self.tag,
+            std::process::id()
+        ));
+        let file = File::options()
+            .create(true)
+            .truncate(true)
+            .read(true)
+            .write(true)
+            .open(&path)?;
+        let file = Arc::new(file);
+        let mut st = self.state.lock();
+        st.spill.file = Some(Arc::clone(&file));
+        st.spill.path = Some(path);
+        Ok(file)
     }
 
-    fn unspill_chunk(st: &mut State) -> Result<Option<Vec<u8>>> {
-        if st.spill.read_pos >= st.spill.write_pos {
-            return Ok(None);
-        }
-        let read_pos = st.spill.read_pos;
-        let Some(file) = st.spill.file.as_mut() else {
-            return Err(SqlmlError::Transfer(
-                "spill cursor set but spill file missing".into(),
-            ));
-        };
-        file.seek(SeekFrom::Start(read_pos))?;
-        let mut len_buf = [0u8; 4];
-        file.read_exact(&mut len_buf)?;
-        let len = u32::from_le_bytes(len_buf) as usize;
+    /// Read back the spilled chunk [`State::next_chunk`] located — one
+    /// positional read with the lock released — then publish the dequeue.
+    fn unspill(&self, file: &File, offset: u64, len: usize) -> Result<Vec<u8>> {
         let mut chunk = vec![0u8; len];
-        file.read_exact(&mut chunk)?;
-        st.spill.read_pos += 4 + len as u64;
-        Ok(Some(chunk))
-    }
-
-    /// Bookkeeping shared by every dequeue path; call with the chunk just
-    /// removed from memory or the spill file.
-    fn on_dequeue(st: &mut State, chunk_len: usize) {
-        st.queued_bytes = st.queued_bytes.saturating_sub(chunk_len);
-        st.depth = st.depth.saturating_sub(1);
+        file.read_exact_at(&mut chunk, offset)?;
+        let mut st = self.state.lock();
+        st.spill.read_pos += len as u64;
+        st.spill.lens.pop_front();
+        st.on_dequeue(len);
+        Ok(chunk)
     }
 
     /// Dequeue the next chunk, blocking until one is available or the
     /// buffer is closed (then `None` once drained).
     pub fn pop(&self) -> Result<Option<Vec<u8>>> {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(chunk) = st.memory.pop_front() {
-                st.memory_bytes -= chunk.len();
-                Self::on_dequeue(&mut st, chunk.len());
-                drop(st);
-                self.space.notify_one();
-                return Ok(Some(chunk));
+        let next = {
+            let mut st = self.state.lock();
+            loop {
+                if let Some(next) = st.next_chunk()? {
+                    break next;
+                }
+                if st.closed {
+                    return Ok(None);
+                }
+                self.available.wait(&mut st);
             }
-            if let Some(chunk) = Self::unspill_chunk(&mut st)? {
-                Self::on_dequeue(&mut st, chunk.len());
-                drop(st);
-                self.space.notify_one();
-                return Ok(Some(chunk));
-            }
-            if st.closed {
-                return Ok(None);
-            }
-            self.available.wait(&mut st);
-        }
+        };
+        self.take(next).map(Some)
     }
 
     /// Dequeue the next chunk if one is ready, never blocking. Returns
@@ -261,20 +293,19 @@ impl SpillableBuffer {
     ///
     /// [`pop`]: SpillableBuffer::pop
     pub fn try_pop(&self) -> Result<Option<Vec<u8>>> {
-        let mut st = self.state.lock();
-        let chunk = if let Some(chunk) = st.memory.pop_front() {
-            st.memory_bytes -= chunk.len();
-            Some(chunk)
-        } else {
-            Self::unspill_chunk(&mut st)?
+        let next = self.state.lock().next_chunk()?;
+        next.map(|next| self.take(next)).transpose()
+    }
+
+    /// Finish a dequeue outside the lock: a spilled chunk is read back
+    /// here; either way the producer hears there is space.
+    fn take(&self, next: Next) -> Result<Vec<u8>> {
+        let chunk = match next {
+            Next::Memory(chunk) => chunk,
+            Next::Spilled(file, offset, len) => self.unspill(&file, offset, len)?,
         };
-        if let Some(chunk) = chunk {
-            Self::on_dequeue(&mut st, chunk.len());
-            drop(st);
-            self.space.notify_one();
-            return Ok(Some(chunk));
-        }
-        Ok(None)
+        self.space.notify_one();
+        Ok(chunk)
     }
 
     /// Signal end of stream; blocked consumers drain and then see `None`,
@@ -299,7 +330,8 @@ impl SpillableBuffer {
 impl Drop for SpillableBuffer {
     fn drop(&mut self) {
         // Take the path out under the lock, delete the file after
-        // releasing it — filesystem calls never run under a guard.
+        // releasing it — like the spill reads and writes, filesystem
+        // calls never run under the guard.
         let path = self.state.lock().spill.path.take();
         if let Some(p) = path {
             let _ = std::fs::remove_file(p);

@@ -1,8 +1,8 @@
 //! The streaming data plane's tunables, declared once.
 //!
 //! The paper's §3 data plane has two knobs — `k` readers per SQL worker
-//! and a 4 KiB send buffer — and the batched plane adds the wire-byte
-//! size at which a frame is cut. [`TransferConfig`] is the only place
+//! and a send buffer — and the batched plane adds the wire-byte size at
+//! which a frame is cut. [`TransferConfig`] is the only place
 //! those three are declared and validated; cluster, session and bench
 //! configs embed it. The `stream_transfer` table UDF only receives SQL
 //! values, so a transfer's settings travel to it as its argument list:
@@ -14,15 +14,22 @@ use sqlml_common::{sql_string_literal, Result, SqlmlError, Value};
 /// Default wire-byte target per frame — the paper's 4 KiB send buffer.
 pub const FRAME_BYTES: usize = 4096;
 
+/// Default in-memory send queue per peer: a benchmark-sized partition's
+/// frames (0.67 MB) fit, so a spill file exists only when a reader
+/// really lags — §3's "if an ML worker is slow". The smallest size the
+/// A1 sweep (EXPERIMENTS.md) shows at zero spill events.
+pub const SEND_BUFFER_BYTES: usize = 1 << 20;
+
 /// Tunables of one streaming transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransferConfig {
     /// The paper's `k`: readers per SQL worker (`m = n·k` splits).
     pub splits_per_worker: u32,
-    /// In-memory send-buffer bytes per peer before spilling (paper: 4 KiB).
+    /// In-memory send-buffer bytes per peer before spilling (paper:
+    /// 4 KiB, one frame; here [`SEND_BUFFER_BYTES`]).
     pub send_buffer_bytes: usize,
-    /// Wire-byte target per frame: a frame closes once it holds
-    /// `frame_bytes` bytes, and at nothing else.
+    /// Wire-byte target per frame: a frame holds `frame_bytes` ÷ row
+    /// stride rows (at least one), and nothing else cuts it.
     pub frame_bytes: usize,
 }
 
@@ -30,7 +37,7 @@ impl Default for TransferConfig {
     fn default() -> Self {
         TransferConfig {
             splits_per_worker: 1,
-            send_buffer_bytes: 4 * 1024,
+            send_buffer_bytes: SEND_BUFFER_BYTES,
             frame_bytes: FRAME_BYTES,
         }
     }

@@ -8,7 +8,8 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sqlml_common::{codec, Result, SqlmlError};
+use sqlml_common::codec::NumericFrame;
+use sqlml_common::{Result, SqlmlError};
 use sqlml_mlengine::dataset::PartitionBlock;
 use sqlml_mlengine::input::{InputFormat, InputSplit, RecordReader};
 
@@ -124,14 +125,18 @@ impl InputFormat for SqlStreamInputFormat {
     }
 }
 
-/// Decode one `RowBatch` payload into `block`, keeping the rows past the
-/// first `skip`; returns how many rows the batch held. Nothing of a batch
-/// that fails to decode stays in the block: it is re-streamed, and would
-/// land twice.
-fn decode_frame(batch: &[u8], skip: usize, block: &mut PartitionBlock) -> Result<usize> {
-    let mark = block.len();
-    codec::decode_compact_batch_f64(batch, skip, |row| block.push_row(row))
-        .inspect_err(|_| block.truncate(mark))
+/// Decode one numeric batch into `block`, keeping the rows past the
+/// first `skip`; returns how many rows the batch held. The payload is
+/// checked whole, and its shape against the block's, before a cell is
+/// written, so nothing of a batch that fails to decode is in the block:
+/// it is re-streamed, and would land twice.
+pub fn decode_frame(batch: &[u8], skip: usize, block: &mut PartitionBlock) -> Result<usize> {
+    let frame = NumericFrame::parse(batch)?;
+    let fresh = frame.rows().saturating_sub(skip);
+    block.push_columns(fresh, frame.cols(), |c, dst, stride| {
+        frame.scatter(c, skip, dst, stride);
+    })?;
+    Ok(frame.rows())
 }
 
 /// Pipelined reader over one streaming split.
@@ -140,15 +145,16 @@ fn decode_frame(batch: &[u8], skip: usize, block: &mut PartitionBlock) -> Result
 /// and runs it on the calling ML thread, one frame per call
 /// (`JobRunner::ingest_dataset` gives every split a thread of its own, so
 /// sibling splits still decode in parallel). Rows leave one way:
-/// `next_batch` decodes each frame's compact batch straight into the
+/// `next_batch` scatters each frame's column runs straight into the
 /// caller's [`PartitionBlock`] and buffers nothing. A running row count
 /// is validated against the sender's `DataEnd` total.
 ///
 /// The session refused any table that is not numeric, and any label
 /// column past its width, before the stream started (see
 /// `StreamSession::run_with_cancel`), so a frame that does not decode
-/// into the block — cut short, a string cell, a row of another width — is
-/// the wire's fault and takes the ordinary path of a broken attempt.
+/// into the block — cut short, an unknown run code, rows of another
+/// width — is the wire's fault and takes the ordinary path of a broken
+/// attempt.
 ///
 /// Exactly-once across the §6 whole-group restart protocol: the reader
 /// tracks a `forwarded` watermark (rows appended to the caller's block),
@@ -272,7 +278,7 @@ impl StreamRecordReader {
                 ));
             };
             let broken_reason = match read_data_frame(conn, &mut self.scratch) {
-                Ok(DataFrame::RowBatch(batch)) => {
+                Ok(DataFrame::Numeric(batch)) => {
                     let skip = usize::try_from(self.skip_remaining).unwrap_or(usize::MAX);
                     match decode_frame(batch, skip, out) {
                         Ok(rows) => {
@@ -372,7 +378,8 @@ impl RecordReader for StreamRecordReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlml_common::{Row, Value};
+    use crate::protocol::numeric_frame;
+    use sqlml_common::codec::NumericColumn;
     use sqlml_mlengine::Dataset;
     use std::io::Write;
     use std::net::TcpListener;
@@ -456,13 +463,12 @@ mod tests {
     /// Send `rows` of the test partition (row `i` is `[i]`) as frames of
     /// `frame_rows` rows, then a `DataEnd` claiming `end` rows, if any.
     fn send_rows(stream: &mut TcpStream, rows: Range<u64>, frame_rows: u64, end: Option<u64>) {
-        let mut frame = Vec::new();
-        for at in rows.clone().step_by(usize::try_from(frame_rows).unwrap()) {
-            let rows = (at..(at + frame_rows).min(rows.end))
-                .map(|i| Row::new(vec![Value::Int(i as i64)]))
-                .collect();
-            frame.clear();
-            Message::RowBatch { rows }.encode_into(&mut frame).unwrap();
+        let ids: Vec<i64> = rows.clone().map(|i| i as i64).collect();
+        let column = [NumericColumn::int(&ids, None)];
+        let frame_rows = usize::try_from(frame_rows).unwrap();
+        for at in (0..ids.len()).step_by(frame_rows) {
+            let cut = (at + frame_rows).min(ids.len());
+            let frame = numeric_frame(&column, at..cut).unwrap();
             stream.write_all(&frame).unwrap();
         }
         if let Some(total_rows) = end {
@@ -683,29 +689,25 @@ mod tests {
         assert!(block.is_empty());
     }
 
-    /// A frame that does not decode into the block — cut off inside its
-    /// compact batch, holding a string cell, or holding a row of another
-    /// width — is re-streamed like any broken attempt, and the rows decoded
-    /// before the fault do not land twice.
+    /// A frame that does not decode into the block — cut off inside a
+    /// run, carrying a run code no encoder writes, or holding rows of
+    /// another width — is re-streamed like any broken attempt, and leaves
+    /// no row of its own behind to land twice.
     #[test]
-    fn a_corrupt_frame_is_rolled_back_and_restreamed() {
-        let int_rows = |ids: Range<i64>| ids.map(|i| sqlml_common::row![i]).collect::<Vec<_>>();
-        let frame_of = |last: Row| {
-            let mut rows = int_rows(8..15);
-            rows.push(last);
-            Message::RowBatch { rows }.encode().unwrap()
-        };
-        // Drop the last row's bytes and patch the length prefix: a
-        // well-framed payload whose batch ends early.
-        let mut cut_short = frame_of(sqlml_common::row![15i64]);
-        cut_short.truncate(cut_short.len() - 2);
+    fn a_corrupt_frame_leaves_nothing_behind_and_is_restreamed() {
+        let ids: Vec<i64> = (8..16).collect();
+        let halves = [0.5; 8];
+        let one = [NumericColumn::int(&ids, None)];
+        let two = [one[0].clone(), NumericColumn::double(&halves[..], None)];
+        // Drop the last cell and patch the length prefix: a well-framed
+        // payload whose run ends early.
+        let mut cut_short = numeric_frame(&one, 0..8).unwrap();
+        cut_short.pop();
         let len = u32::try_from(cut_short.len() - 4).unwrap();
         cut_short[..4].copy_from_slice(&len.to_le_bytes());
-        let bad_frames = [
-            cut_short,
-            frame_of(sqlml_common::row!["F"]),
-            frame_of(sqlml_common::row![15i64, 0.5]),
-        ];
+        let mut bad_code = numeric_frame(&one, 0..8).unwrap();
+        bad_code[4 + 1 + 8] = 0x03;
+        let bad_frames = [cut_short, bad_code, numeric_frame(&two, 0..8).unwrap()];
         for bad_frame in bad_frames {
             let corrupt = started(move |mut stream| {
                 send_rows(&mut stream, 0..8, 8, None);
@@ -719,6 +721,11 @@ mod tests {
             ]);
             let mut reader = StreamRecordReader::new(local_split(addr), None);
             let mut block = PartitionBlock::new(None);
+            assert_eq!(reader.next_batch(&mut block).unwrap(), 8);
+            // The next call meets the bad frame, restarts, skips the
+            // delivered prefix: the block grows by fresh rows only.
+            assert_eq!(reader.next_batch(&mut block).unwrap(), 6);
+            assert_eq!(block.len(), 14);
             while reader.next_batch(&mut block).unwrap() > 0 {}
             sender.join().unwrap();
             assert_eq!(first_column(block), numbers(0..30));

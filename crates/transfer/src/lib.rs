@@ -14,9 +14,9 @@
 //!    colocates readers with their senders;
 //! 4. ML workers register back and are matched to their SQL worker;
 //! 5. readers connect to their SQL worker's data listener, and rows flow
-//!    round-robin over the sockets as compact batch frames (one wire
-//!    format, version-checked in the handshake), through per-peer **send
-//!    buffers that spill to disk** when a reader is slow (§3's
+//!    round-robin over the sockets as numeric column-run frames (one
+//!    wire format, version-checked in the handshake), through per-peer
+//!    **send buffers that spill to disk** when a reader is slow (§3's
 //!    producer/consumer synchronization), each drained by its own sender
 //!    thread; each reader reads and decodes its frames on the ML thread
 //!    that owns its split.

@@ -46,7 +46,7 @@ impl TransferMetrics {
         }
     }
 
-    /// Record one decoded `RowBatch` frame of `rows` rows and
+    /// Record one decoded data frame of `rows` rows and
     /// `frame_bytes` wire bytes.
     pub fn on_batch(&self, rows: u64, frame_bytes: u64) {
         self.rows_received.fetch_add(rows, Ordering::Relaxed);

@@ -3,24 +3,25 @@
 //!
 //! Every message is a frame: `u32` little-endian payload length, then the
 //! payload (first payload byte is the message tag). Strings are `u32`
-//! length + UTF-8. Rows travel as compact batches
-//! ([`sqlml_common::codec`]): varints plus a per-frame string dictionary.
+//! length + UTF-8. Rows travel as numeric frames
+//! ([`sqlml_common::codec::encode_numeric_frame`]): one typed,
+//! fixed-width run per column.
 
 use std::io::{Read, Write};
-use std::ops::DerefMut;
+use std::ops::{DerefMut, Range};
 
 use bytes::{Buf, BufMut};
-use sqlml_common::codec::{CompactBatchEncoder, DictStats};
-use sqlml_common::{codec, Result, Row, SqlmlError};
+use sqlml_common::codec::{self, NumericColumn};
+use sqlml_common::{Result, SqlmlError};
 
 /// Maximum accepted frame size (guards against corrupt length prefixes).
 pub const MAX_FRAME: usize = 64 * 1024 * 1024;
 
 /// Version of the data-plane wire format, carried as the trailing byte of
 /// both handshake frames and checked on decode. Any change to the bytes of
-/// a `RowBatch` frame or of the handshake must bump it (the golden-bytes
-/// tests below fail until it is).
-pub const WIRE_VERSION: u8 = 1;
+/// a data frame or of the handshake must bump it (the golden-bytes tests
+/// here and in `sqlml_common::codec` fail until it is).
+pub const WIRE_VERSION: u8 = 2;
 
 /// Control- and data-plane messages.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,8 +61,6 @@ pub enum Message {
     /// SQL worker → reader: stream (re)starting. Carries [`WIRE_VERSION`]
     /// on the wire.
     DataStart { attempt: u32 },
-    /// SQL worker → reader: a batch of rows (one compact batch).
-    RowBatch { rows: Vec<Row> },
     /// SQL worker → reader: end of stream with the expected row count.
     DataEnd { total_rows: u64 },
     /// Either side → peer: abort current attempt (used by the restart
@@ -90,7 +89,7 @@ const T_ML_ACK: u8 = 0x06;
 const T_DATA_HELLO: u8 = 0x10;
 const T_DATA_START: u8 = 0x11;
 const T_DATA_END: u8 = 0x13;
-const T_ROW_BATCH: u8 = 0x14;
+const T_NUMERIC_BATCH: u8 = 0x15;
 const T_ABORT: u8 = 0x1F;
 
 /// Byte sinks a frame can be encoded into: append via [`BufMut`], then
@@ -205,10 +204,6 @@ impl Message {
                 buf.put_u32_le(*attempt);
                 buf.put_u8(WIRE_VERSION);
             }
-            Message::RowBatch { rows } => {
-                buf.put_u8(T_ROW_BATCH);
-                codec::encode_compact_batch(rows, buf)?;
-            }
             Message::DataEnd { total_rows } => {
                 buf.put_u8(T_DATA_END);
                 buf.put_u64_le(*total_rows);
@@ -318,9 +313,9 @@ impl Message {
                 check_wire_version(payload)?;
                 Ok(Message::DataStart { attempt })
             }
-            T_ROW_BATCH => Ok(Message::RowBatch {
-                rows: codec::decode_compact_batch(payload)?,
-            }),
+            T_NUMERIC_BATCH => Err(SqlmlError::Transfer(
+                "a numeric batch is read with read_data_frame, not as a message".into(),
+            )),
             T_DATA_END => {
                 need(payload, 8, "end")?;
                 Ok(Message::DataEnd {
@@ -364,71 +359,21 @@ fn patch_frame_len<B: FrameSink>(buf: &mut B, frame_start: usize) -> Result<()> 
     Ok(())
 }
 
-/// Builds `RowBatch` frames row by row — the sender hot path — so the
-/// sender can cut a frame when it reaches its byte-size target
-/// ([`Self::frame_len`]) without cloning rows or re-encoding. A thin frame header around a
-/// [`CompactBatchEncoder`]: the produced bytes are identical to
-/// `Message::RowBatch { rows }.encode()` over the same rows.
-#[derive(Debug, Default)]
-pub struct RowBatchFrameBuilder {
-    encoder: CompactBatchEncoder,
-}
-
-/// Length prefix + tag byte in front of a `RowBatch`'s compact batch.
+/// Length prefix + tag byte in front of a data frame's numeric batch.
 pub(crate) const FRAME_HEADER_BYTES: usize = 5;
 
-impl RowBatchFrameBuilder {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append one row to the frame under construction. On error the row
-    /// is rolled back out of the frame and the error is returned for the
-    /// caller to surface.
-    pub fn push_row(&mut self, row: &Row) -> Result<()> {
-        self.encoder.push_row(row)
-    }
-
-    /// Append one row written cell by cell into the frame's encoder
-    /// (a column batch's `encode_row`): the bytes [`Self::push_row`]
-    /// appends for the same row, rolled back the same way on error.
-    pub fn push_with(
-        &mut self,
-        row: impl FnOnce(&mut CompactBatchEncoder) -> Result<()>,
-    ) -> Result<()> {
-        row(&mut self.encoder)
-    }
-
-    /// Rows in the frame under construction.
-    pub fn rows(&self) -> usize {
-        self.encoder.row_count()
-    }
-
-    /// Wire size (including the length prefix) of the frame so far.
-    pub fn frame_len(&self) -> usize {
-        FRAME_HEADER_BYTES + self.encoder.wire_len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.encoder.is_empty()
-    }
-
-    /// Lifetime dictionary-compression counters.
-    pub fn dict_stats(&self) -> DictStats {
-        self.encoder.stats()
-    }
-
-    /// Return the finished frame as an owned chunk and reset for the next
-    /// frame. Fails (the builder is reset either way) when the accumulated
-    /// frame exceeds the wire limits.
-    pub fn take_frame(&mut self) -> Result<Vec<u8>> {
-        let mut frame = Vec::with_capacity(self.frame_len());
-        frame.put_u32_le(0); // length placeholder
-        frame.put_u8(T_ROW_BATCH);
-        self.encoder.finish_into(&mut frame);
-        patch_frame_len(&mut frame, 0)?;
-        Ok(frame)
-    }
+/// Rows `rows` of a partition's `columns` as one data frame (length
+/// prefix included) — what the sender queues and a reader takes back as
+/// [`DataFrame::Numeric`]. Fails when the frame exceeds the wire limits.
+pub fn numeric_frame(columns: &[NumericColumn<'_>], rows: Range<usize>) -> Result<Vec<u8>> {
+    let stride: usize = columns.iter().map(NumericColumn::stride).sum();
+    let mut frame =
+        Vec::with_capacity(FRAME_HEADER_BYTES + 8 + columns.len() + rows.len() * stride);
+    frame.put_u32_le(0); // length placeholder
+    frame.put_u8(T_NUMERIC_BATCH);
+    codec::encode_numeric_frame(columns, rows, &mut frame)?;
+    patch_frame_len(&mut frame, 0)?;
+    Ok(frame)
 }
 
 /// Write one message as a frame to any byte sink (a raw `TcpStream` or a
@@ -452,24 +397,24 @@ pub fn read_message_with<R: Read>(stream: &mut R, scratch: &mut Vec<u8>) -> Resu
     Message::decode(scratch)
 }
 
-/// One frame as a data-plane reader takes it: a `RowBatch` stays the
-/// undecoded compact batch it carries (borrowed from the scratch buffer),
-/// so the reader chooses what the rows decode into; every other frame is
-/// decoded as usual.
+/// One frame as a data-plane reader takes it: a numeric batch stays the
+/// undecoded payload it carries (borrowed from the scratch buffer, for
+/// [`codec::NumericFrame::parse`]), so the rows decode straight into the
+/// reader's block; every other frame is decoded as usual.
 #[derive(Debug)]
 pub enum DataFrame<'a> {
-    RowBatch(&'a [u8]),
+    Numeric(&'a [u8]),
     Other(Message),
 }
 
-/// [`read_message_with`] that leaves a `RowBatch` payload undecoded.
+/// [`read_message_with`] that hands a numeric batch over undecoded.
 pub fn read_data_frame<'a, R: Read>(
     stream: &mut R,
     scratch: &'a mut Vec<u8>,
 ) -> Result<DataFrame<'a>> {
     read_payload(stream, scratch)?;
     match scratch.split_first() {
-        Some((&T_ROW_BATCH, batch)) => Ok(DataFrame::RowBatch(batch)),
+        Some((&T_NUMERIC_BATCH, batch)) => Ok(DataFrame::Numeric(batch)),
         _ => Message::decode(scratch).map(DataFrame::Other),
     }
 }
@@ -494,8 +439,8 @@ fn read_payload<R: Read>(stream: &mut R, scratch: &mut Vec<u8>) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlml_common::row;
-    use sqlml_common::{SplitMix64, Value};
+    use sqlml_common::codec::NumericFrame;
+    use sqlml_common::SplitMix64;
 
     /// One valid instance of every message kind.
     fn sample_messages() -> Vec<Message> {
@@ -541,7 +486,6 @@ mod tests {
                 attempt: 2,
             },
             Message::DataStart { attempt: 2 },
-            Message::RowBatch { rows: mixed_rows() },
             Message::DataEnd {
                 total_rows: 1_000_000,
             },
@@ -551,19 +495,15 @@ mod tests {
         ]
     }
 
-    /// The fixed batch the golden-bytes test pins: every value type, a
-    /// repeated string (dictionary hit) and a two-byte varint.
-    fn mixed_rows() -> Vec<Row> {
-        vec![
-            row![57i64, "F", 103.25, "Yes"],
-            Row::new(vec![
-                Value::Null,
-                Value::Bool(true),
-                Value::Int(-2),
-                Value::Str("F".into()),
-            ]),
-            row![300i64, "M", -0.5, "Yes"],
-        ]
+    /// The fixed batch the golden-bytes test pins: the transformed carts
+    /// shape (age, an indicator with a NULL, amount), three rows.
+    fn golden_frame() -> Vec<u8> {
+        let columns = [
+            NumericColumn::int(&[57, 300, -2], None),
+            NumericColumn::int(&[1, 0, 0], Some(&[true, true, false])),
+            NumericColumn::double(&[103.25, -0.5, 0.0][..], None),
+        ];
+        numeric_frame(&columns, 0..3).unwrap()
     }
 
     #[test]
@@ -580,23 +520,19 @@ mod tests {
     /// changed: bump [`WIRE_VERSION`] and re-pin.
     #[test]
     fn golden_bytes_pin_the_wire_format() {
-        assert_eq!(WIRE_VERSION, 1);
+        assert_eq!(WIRE_VERSION, 2);
         #[rustfmt::skip]
         let batch: &[u8] = &[
-            52, 0, 0, 0, 0x14,                       // frame length, RowBatch tag
-            3,                                       // dictionary: 3 entries
-            1, b'F', 3, b'Y', b'e', b's', 1, b'M',
-            3,                                       // 3 rows
-            4, 2, 114, 4, 0,                         // 57 (zigzag 114), "F"
-            3, 0, 0, 0, 0, 0, 0xD0, 0x59, 0x40,      // 103.25
-            4, 1,                                    // "Yes"
-            4, 0, 1, 1, 2, 3, 4, 0,                  // NULL, true, -2, "F"
-            4, 2, 0xD8, 0x04, 4, 2,                  // 300 (zigzag 600), "M"
-            3, 0, 0, 0, 0, 0, 0, 0xE0, 0xBF,         // -0.5
-            4, 1,                                    // "Yes"
+            48, 0, 0, 0, 0x15,                       // frame length, batch tag
+            3, 0, 0, 0, 3, 0, 0, 0,                  // 3 rows, 3 columns
+            0x02, 57, 0, 0x2C, 0x01, 0xFE, 0xFF,     // i16 run: 57, 300, -2
+            0x81, 1, 1, 0, 1, 0, 0,                  // i8 run, validity first
+            0x10,                                    // f64 run
+            0, 0, 0, 0, 0, 0xD0, 0x59, 0x40,         // 103.25
+            0, 0, 0, 0, 0, 0, 0xE0, 0xBF,            // -0.5
+            0, 0, 0, 0, 0, 0, 0, 0,
         ];
-        let frame = Message::RowBatch { rows: mixed_rows() }.encode().unwrap();
-        assert_eq!(frame, batch);
+        assert_eq!(golden_frame(), batch);
 
         #[rustfmt::skip]
         let hello: &[u8] = &[
@@ -604,7 +540,7 @@ mod tests {
             42, 0, 0, 0, 0, 0, 0, 0,                 // transfer id
             1, 0, 0, 0,                              // split index
             2, 0, 0, 0,                              // attempt
-            1,                                       // WIRE_VERSION
+            2,                                       // WIRE_VERSION
         ];
         let frame = Message::DataHello {
             transfer_id: 42,
@@ -615,33 +551,8 @@ mod tests {
         .unwrap();
         assert_eq!(frame, hello);
 
-        let start: &[u8] = &[6, 0, 0, 0, 0x11, 2, 0, 0, 0, 1];
+        let start: &[u8] = &[6, 0, 0, 0, 0x11, 2, 0, 0, 0, 2];
         assert_eq!(Message::DataStart { attempt: 2 }.encode().unwrap(), start);
-    }
-
-    #[test]
-    fn frame_builder_matches_message_encoding_and_is_reusable() {
-        let rows = mixed_rows();
-        let expect = Message::RowBatch { rows: rows.clone() }.encode().unwrap();
-        let mut builder = RowBatchFrameBuilder::new();
-        assert!(builder.is_empty());
-        for r in &rows {
-            builder.push_row(r).unwrap();
-        }
-        assert_eq!(builder.rows(), 3);
-        assert_eq!(builder.frame_len(), expect.len());
-        assert_eq!(builder.take_frame().unwrap(), expect);
-        // "F" and "Yes" each repeat once: three misses, two hits.
-        assert_eq!(builder.dict_stats().misses, 3);
-        assert_eq!(builder.dict_stats().hits, 2);
-        // Builder resets after take_frame and produces a fresh frame.
-        assert!(builder.is_empty());
-        builder.push_row(&rows[0]).unwrap();
-        let single = builder.take_frame().unwrap();
-        match Message::decode(&single[4..]).unwrap() {
-            Message::RowBatch { rows: got } => assert_eq!(got, vec![rows[0].clone()]),
-            other => panic!("expected RowBatch, got {other:?}"),
-        }
     }
 
     #[test]
@@ -660,7 +571,7 @@ mod tests {
             let err = Message::decode(&payload[..payload.len() - 1]).unwrap_err();
             assert!(matches!(err, SqlmlError::Transfer(_)), "{err}");
             // Unknown versions, including the one below ours.
-            for version in [0u8, WIRE_VERSION + 1, 0xEE] {
+            for version in [0u8, WIRE_VERSION - 1, WIRE_VERSION + 1, 0xEE] {
                 let mut bad = payload.to_vec();
                 *bad.last_mut().unwrap() = version;
                 let err = Message::decode(&bad).unwrap_err();
@@ -672,14 +583,20 @@ mod tests {
 
     /// Bytes off a socket must never panic the decoder: random strings,
     /// every truncation and every single-byte mutation of every message
-    /// kind decode to `Ok` or a typed error.
+    /// kind and of the golden numeric batch decode to `Ok` or a typed
+    /// error. On the batch the mutations know its structure — every cut,
+    /// every value of every header and run-code byte, counts whose
+    /// product overflows, a trailing byte — and each is an error (or a
+    /// frame of the golden's exact size), never a write to a block.
     #[test]
     fn decoders_never_panic_on_corrupt_input() {
         // A panic in here fails the test; either outcome is acceptable.
         let check = |bytes: &[u8]| {
             let _ = Message::decode(bytes);
             let _ = codec::decode_compact_batch(bytes);
-            let _ = codec::decode_compact_batch_f64(bytes, 0, |_| Ok(()));
+            NumericFrame::parse(bytes)
+                .map(|f| (f.rows(), f.cols()))
+                .ok()
         };
         let mut rng = SplitMix64::new(0xDEC0DE);
         for _ in 0..2_000 {
@@ -687,10 +604,10 @@ mod tests {
             let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64().to_le_bytes()[0]).collect();
             check(&bytes);
         }
-        for msg in sample_messages() {
-            let frame = msg.encode().unwrap();
-            // With the tag byte (a message) and without it (for RowBatch,
-            // the bare compact batch).
+        let frames = sample_messages().into_iter().map(|m| m.encode().unwrap());
+        for frame in frames.chain([golden_frame()]) {
+            // With the tag byte (a message) and without it (for the
+            // numeric batch, its bare payload).
             for payload in [&frame[4..], &frame[5..]] {
                 for cut in 0..payload.len() {
                     check(&payload[..cut]);
@@ -705,41 +622,88 @@ mod tests {
                 }
             }
         }
+
+        let golden = golden_frame();
+        let batch = &golden[FRAME_HEADER_BYTES..];
+        assert_eq!(check(batch), Some((3, 3)));
+        for cut in 0..batch.len() {
+            assert_eq!(check(&batch[..cut]), None, "cut at {cut}");
+        }
+        let mut longer = batch.to_vec();
+        longer.push(0);
+        assert_eq!(check(&longer), None, "one trailing byte");
+        // The header (two counts): any other value is an error. A run
+        // code (bytes 8, 15, 22): an error unless the new code gives its
+        // run the same byte length — 0x02 for 0x81 and back, say; types
+        // are not checksummed — and then a frame of the same shape.
+        let run_len = |code: u8| {
+            let width = match code & 0x7F {
+                w @ (1 | 2 | 4 | 8) => w,
+                0x10 => 8,
+                0x20 => 1,
+                _ => return None,
+            };
+            Some(3 * usize::from(width) + if code & 0x80 == 0 { 0 } else { 3 })
+        };
+        let mut mutated = batch.to_vec();
+        for pos in [0, 1, 2, 3, 4, 5, 6, 7, 8, 15, 22] {
+            for value in (0..=u8::MAX).filter(|v| *v != batch[pos]) {
+                mutated[pos] = value;
+                let same_len = pos >= 8 && run_len(value) == run_len(batch[pos]);
+                let expect = same_len.then_some((3, 3));
+                assert_eq!(check(&mutated), expect, "byte {pos} = {value:#04x}");
+            }
+            mutated[pos] = batch[pos];
+        }
+        // rows × width and rows × cols past usize / past the payload.
+        for (rows, cols) in [
+            (u32::MAX, u32::MAX),
+            (u32::MAX, 1),
+            (1 << 31, 3),
+            (0, u32::MAX),
+        ] {
+            mutated[..4].copy_from_slice(&rows.to_le_bytes());
+            mutated[4..8].copy_from_slice(&cols.to_le_bytes());
+            assert_eq!(check(&mutated), None, "{rows} rows × {cols} columns");
+        }
     }
 
     #[test]
-    fn read_message_with_reuses_scratch_across_frames() {
+    fn read_data_frame_leaves_the_batch_undecoded_and_reuses_scratch() {
         let mut wire = Vec::new();
-        let msgs = [
-            Message::DataStart { attempt: 1 },
-            Message::RowBatch {
-                rows: vec![row![9i64, "z"]],
-            },
-            Message::DataEnd { total_rows: 1 },
-        ];
-        for m in &msgs {
-            m.encode_into(&mut wire).unwrap();
-        }
+        Message::DataStart { attempt: 1 }
+            .encode_into(&mut wire)
+            .unwrap();
+        wire.extend(golden_frame());
+        Message::DataEnd { total_rows: 3 }
+            .encode_into(&mut wire)
+            .unwrap();
         let mut cursor = std::io::Cursor::new(wire.clone());
         let mut scratch = Vec::new();
-        for m in &msgs {
-            let got = read_message_with(&mut cursor, &mut scratch).unwrap();
-            assert_eq!(&got, m);
-        }
-        // The data-plane read hands the same frames over with the batch
-        // left as bytes.
-        let mut cursor = std::io::Cursor::new(wire);
-        for m in &msgs {
-            match (read_data_frame(&mut cursor, &mut scratch).unwrap(), m) {
-                (DataFrame::RowBatch(batch), Message::RowBatch { rows }) => {
-                    assert_eq!(&codec::decode_compact_batch(batch).unwrap(), rows);
-                    let frame = m.encode().unwrap();
-                    assert_eq!(FRAME_HEADER_BYTES + batch.len(), frame.len());
-                }
-                (DataFrame::Other(got), m) => assert_eq!(&got, m),
-                (got, m) => panic!("{got:?} for {m:?}"),
+        let start = read_data_frame(&mut cursor, &mut scratch).unwrap();
+        assert!(matches!(
+            start,
+            DataFrame::Other(Message::DataStart { attempt: 1 })
+        ));
+        match read_data_frame(&mut cursor, &mut scratch).unwrap() {
+            DataFrame::Numeric(batch) => {
+                assert_eq!(FRAME_HEADER_BYTES + batch.len(), golden_frame().len());
+                let frame = NumericFrame::parse(batch).unwrap();
+                assert_eq!((frame.rows(), frame.cols()), (3, 3));
             }
+            other => panic!("{other:?}"),
         }
+        let end = read_data_frame(&mut cursor, &mut scratch).unwrap();
+        assert!(matches!(
+            end,
+            DataFrame::Other(Message::DataEnd { total_rows: 3 })
+        ));
+        // The control plane has no use for a batch: it is an error there,
+        // not a guess.
+        let mut cursor = std::io::Cursor::new(wire);
+        assert!(read_message_with(&mut cursor, &mut scratch).is_ok());
+        let err = read_message_with(&mut cursor, &mut scratch).unwrap_err();
+        assert!(err.to_string().contains("read_data_frame"), "{err}");
     }
 
     #[test]

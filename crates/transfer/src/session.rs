@@ -9,9 +9,9 @@ use std::time::Duration;
 
 use sqlml_common::lockorder::TrackedMutex;
 use sqlml_common::schema::DataType;
-use sqlml_common::{CancelToken, Result, Schema, SqlmlError};
+use sqlml_common::{CancelToken, Result, SqlmlError};
 use sqlml_mlengine::job::{JobConfig, JobOutcome, JobRunner, TrainingSpec};
-use sqlml_sqlengine::Engine;
+use sqlml_sqlengine::{Engine, PartitionedTable};
 
 use crate::config::{TransferArgs, TransferConfig};
 use crate::coordinator::Coordinator;
@@ -47,7 +47,7 @@ impl Default for StreamSessionConfig {
 pub struct StreamStats {
     pub rows_sent: u64,
     pub bytes_sent: u64,
-    /// `RowBatch` frames pushed by all SQL workers.
+    /// Data frames pushed by all SQL workers.
     pub batches_sent: u64,
     pub bytes_spilled: u64,
     /// Times any send buffer spilled a chunk to disk.
@@ -59,9 +59,9 @@ pub struct StreamStats {
     pub sender_stall_us: u64,
     /// Most frames ever queued at once on any worker's sender queues.
     pub queue_depth_hw: u64,
-    /// Frame-dictionary hits across all workers.
+    /// Frame-dictionary hits across all workers; 0 on the numeric plane.
     pub dict_hits: u64,
-    /// Frame-dictionary misses across all workers.
+    /// Frame-dictionary misses across all workers; 0 on the numeric plane.
     pub dict_misses: u64,
     /// Rows the ML job actually ingested.
     pub rows_ingested: usize,
@@ -128,17 +128,40 @@ struct PendingJob {
     metrics: Arc<TransferMetrics>,
 }
 
-/// The relational→matrix boundary, checked once: every column of the
+/// The relational→matrix boundary, checked once: every cell of the
 /// table must convert to a number and the label column must exist. The
-/// readers rely on it — a frame that does not decode into their block is
-/// then the wire's fault, never the data's.
-fn check_numeric_handoff(table: &str, schema: &Schema, label_col: Option<usize>) -> Result<()> {
+/// schema speaks for the typed columns; a column held as strings or as
+/// mixed values — the two kinds whose cells can disagree with their
+/// declared type — is searched for a string cell. The SQL workers and the
+/// readers rely on it: a partition whose wire layout cannot be built, or
+/// a frame that does not decode into a reader's block, is then never the
+/// data's fault.
+fn check_numeric_handoff(
+    table: &str,
+    source: &PartitionedTable,
+    label_col: Option<usize>,
+) -> Result<()> {
+    let schema = source.schema();
+    let refuse = |column: &str, what: String| {
+        Err(SqlmlError::Type(format!(
+            "cannot stream table {table} to an ML job: column {column} {what}; \
+             recode it to a number first"
+        )))
+    };
     if let Some(f) = (schema.fields().iter()).find(|f| f.data_type == DataType::Str) {
-        return Err(SqlmlError::Type(format!(
-            "cannot stream table {table} to an ML job: column {} is a string; \
-             recode it to a number first",
-            f.name
-        )));
+        return refuse(&f.name, "is a string".into());
+    }
+    for (p, part) in source.partitions().iter().enumerate() {
+        for (c, col) in part.columns().iter().enumerate() {
+            if let Some(row) = col.first_string() {
+                let name = schema.fields().get(c).map_or("?", |f| f.name.as_str());
+                let cell = col.value(row);
+                return refuse(
+                    name,
+                    format!("holds the string {cell} at row {row} of partition {p}"),
+                );
+            }
+        }
     }
     match label_col {
         Some(lc) if lc >= schema.len() => Err(SqlmlError::Ml(format!(
@@ -255,7 +278,7 @@ impl StreamSession {
             ));
         }
         let source = engine.catalog().table(table)?;
-        check_numeric_handoff(table, source.schema(), spec.label_col())?;
+        check_numeric_handoff(table, &source, spec.label_col())?;
         cancel.check("stream transfer start")?;
         let transfer_id = self.next_id.fetch_add(1, Ordering::SeqCst);
         let metrics = Arc::new(TransferMetrics::new());

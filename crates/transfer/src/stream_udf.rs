@@ -10,22 +10,21 @@
 //! round-robin over them through spillable send buffers.
 //! Its SQL-visible output is one statistics row per worker.
 //!
-//! The data plane is batched, overlapped, and allocation-free on the hot
-//! path: rows are encoded straight from the partition's columns into the
-//! frame under construction (no intermediate `Row`), a frame
-//! is cut when it reaches `frame_bytes` wire bytes and at nothing else,
-//! and one dedicated [`crate::sender`] thread per peer drains that peer's
-//! bounded queue so socket writes of batch N overlap the encode of batch
-//! N+1. Frames are compact batches (varints + per-frame string
-//! dictionary); the handshake carries a checked
-//! [`crate::protocol::WIRE_VERSION`].
+//! The data plane is batched and overlapped: a frame is a row range of
+//! the partition's typed columns, each shipped as one fixed-width run
+//! (no intermediate `Row`, no per-cell tag); the range is `frame_bytes` ÷
+//! the partition's row stride and nothing else cuts a frame; and one
+//! dedicated [`crate::sender`] thread per peer drains that peer's bounded
+//! queue so socket writes of batch N overlap the encode of batch N+1. The
+//! handshake carries a checked [`crate::protocol::WIRE_VERSION`].
 
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use sqlml_common::codec::NumericColumn;
 use sqlml_common::lockorder::TrackedMutex;
 use sqlml_common::schema::{DataType, Field};
 use sqlml_common::{CancelToken, Result, Row, Schema, SqlmlError, Value};
@@ -34,13 +33,17 @@ use sqlml_sqlengine::Batch;
 
 use crate::buffer::SpillableBuffer;
 use crate::config::TransferArgs;
-use crate::protocol::{read_message, write_message, Message, RowBatchFrameBuilder};
+use crate::protocol::{numeric_frame, read_message, write_message, Message};
 use crate::sender;
 use crate::session::CancelRegistry;
 
 /// How many times a SQL worker retries its whole group after a transfer
 /// failure (§6's restart protocol) before giving up.
 pub const MAX_ATTEMPTS: u32 = 4;
+
+/// Shortest and longest sleep between two polls of the reader barrier.
+const MIN_ACCEPT_NAP: Duration = Duration::from_micros(50);
+const MAX_ACCEPT_NAP: Duration = Duration::from_millis(2);
 
 /// Deliberate failure plans for fault-tolerance tests and ablations.
 #[derive(Debug)]
@@ -113,9 +116,10 @@ pub struct WorkerTransferStats {
     pub queue_stall_us: u64,
     /// Most frames ever queued at once across this worker's peers.
     pub queue_depth_hw: u64,
-    /// Dictionary hits (string values sent as an index).
+    /// Frame-dictionary hits; 0 on the numeric plane (kept for the
+    /// SQL-visible row layout).
     pub dict_hits: u64,
-    /// Dictionary misses (new entries written to a frame).
+    /// Frame-dictionary misses; 0 on the numeric plane.
     pub dict_misses: u64,
 }
 
@@ -223,7 +227,7 @@ impl TableUdf for StreamTransferUdf {
     fn execute(
         &self,
         batch: &Batch,
-        _input_schema: &Schema,
+        input_schema: &Schema,
         args: &[Value],
         ctx: &PartitionCtx,
     ) -> Result<Batch> {
@@ -241,6 +245,10 @@ impl TableUdf for StreamTransferUdf {
                 ctx.num_partitions, ctx.num_workers
             )));
         }
+
+        // The only step that can refuse the data, so it runs before
+        // anything registers or connects.
+        let layout = WireLayout::of(batch, input_schema)?;
 
         // Step 7 preparation: data listener up before registering, so the
         // address we advertise is immediately connectable.
@@ -283,7 +291,7 @@ impl TableUdf for StreamTransferUdf {
         // Steps 7+8 with the §6 restart protocol around them.
         let mut last_err: Option<SqlmlError> = None;
         for attempt in 1..=MAX_ATTEMPTS {
-            match self.stream_group(batch, &listener, &args, ctx, attempt, &cancel) {
+            match self.stream_group(&layout, &listener, &args, ctx, attempt, &cancel) {
                 Ok(stats) => {
                     return Ok(Batch::from_rows(
                         &WorkerTransferStats::schema(),
@@ -306,6 +314,31 @@ impl TableUdf for StreamTransferUdf {
     }
 }
 
+/// A partition as the wire ships it: every column a [`NumericColumn`],
+/// an integer column's width decided here, once for all its frames.
+struct WireLayout<'a> {
+    columns: Vec<NumericColumn<'a>>,
+    rows: usize,
+}
+
+impl<'a> WireLayout<'a> {
+    /// A column holding a string is a `Type` error naming it.
+    fn of(batch: &'a Batch, schema: &Schema) -> Result<Self> {
+        let named = |(c, col): (usize, &'a Arc<sqlml_sqlengine::Column>)| {
+            col.numeric().map_err(|e| {
+                let name = schema.fields().get(c).map_or("?", |f| f.name.as_str());
+                SqlmlError::Type(format!("cannot stream column {c} ({name}): {e}"))
+            })
+        };
+        Ok(WireLayout {
+            columns: (batch.columns().iter().enumerate())
+                .map(named)
+                .collect::<Result<_>>()?,
+            rows: batch.len(),
+        })
+    }
+}
+
 impl StreamTransferUdf {
     /// One attempt: accept `k` readers, stream all rows round-robin, end
     /// each stream. Any failure tears the whole group down (the restart
@@ -313,7 +346,7 @@ impl StreamTransferUdf {
     /// row for this (the final) attempt.
     fn stream_group(
         &self,
-        batch: &Batch,
+        layout: &WireLayout<'_>,
         listener: &TcpListener,
         args: &TransferArgs,
         ctx: &PartitionCtx,
@@ -327,7 +360,8 @@ impl StreamTransferUdf {
         // until every peer has said hello, so no reader starts consuming
         // an attempt that a missing sibling will force to restart.
         listener.set_nonblocking(true)?;
-        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        let waiting_since = Instant::now();
+        let deadline = waiting_since + Duration::from_secs(60);
         let mut slots: Vec<Option<TcpStream>> = (0..k).map(|_| None).collect();
         let mut connected = 0usize;
         while connected < k {
@@ -337,12 +371,18 @@ impl StreamTransferUdf {
                     // A cancelled transfer must not sit out the reader
                     // deadline: the barrier may never complete.
                     cancel.check("stream_transfer reader barrier")?;
-                    if std::time::Instant::now() > deadline {
+                    let now = Instant::now();
+                    if now > deadline {
                         return Err(SqlmlError::Transfer(
                             "timed out waiting for ML readers to connect".into(),
                         ));
                     }
-                    std::thread::sleep(Duration::from_millis(2));
+                    // Back off with the wait: readers that connect a
+                    // millisecond in (the common case) are seen within
+                    // 0.1 ms, a job that takes seconds to start costs a
+                    // wake every 2 ms.
+                    let nap = (now - waiting_since) / 16;
+                    std::thread::sleep(nap.clamp(MIN_ACCEPT_NAP, MAX_ACCEPT_NAP));
                     continue;
                 }
                 Err(e) => return Err(e.into()),
@@ -443,60 +483,43 @@ impl StreamTransferUdf {
                 .collect();
             let writers = sender::spawn_senders(scope, peers, Arc::clone(&failed));
 
-            // Producer: encode rows straight from the partition's columns
-            // into per-peer frames, round-robin (step 8). A frame is cut
-            // at `frame_bytes` wire bytes.
+            // Producer: one frame per row range of the partition's
+            // columns, round-robin over the peers (step 8). The range is
+            // `frame_bytes` ÷ row stride — at least one row, so a row
+            // wider than `frame_bytes` ships alone.
+            let (columns, total_rows) = (&layout.columns[..], layout.rows);
+            let stride: usize = columns.iter().map(NumericColumn::stride).sum();
+            let frame_rows = (config.frame_bytes / stride.max(1)).max(1);
             let mut counters = WorkerTransferStats {
                 worker: ctx.partition,
-                rows_sent: batch.len() as u64,
+                rows_sent: total_rows as u64,
                 attempts: attempt,
                 ..Default::default()
             };
             let mut per_peer_rows = vec![0u64; k];
-            let mut peer = 0usize;
-            let mut sent_rows = 0usize;
-            let mut builder = RowBatchFrameBuilder::new();
-            let mut produce = |counters: &mut WorkerTransferStats,
-                               builder: &mut RowBatchFrameBuilder|
-             -> Result<()> {
-                let mut flush_frame = |builder: &mut RowBatchFrameBuilder,
-                                       peer: &mut usize,
-                                       counters: &mut WorkerTransferStats|
-                 -> Result<()> {
-                    let frame_rows = builder.rows() as u64;
-                    let frame = builder.take_frame()?;
+            let mut produce = |counters: &mut WorkerTransferStats| -> Result<()> {
+                for (n, start) in (0..total_rows).step_by(frame_rows).enumerate() {
+                    // Frame-granular cancellation point: fires between
+                    // frames, never mid-encode.
+                    cancel.check("stream_transfer data plane")?;
+                    if failed.load(Ordering::SeqCst) {
+                        return Err(SqlmlError::Transfer("a peer connection failed".into()));
+                    }
+                    if let Some(injector) = &self.fault {
+                        if injector.should_fail(ctx.partition, start) {
+                            return Err(SqlmlError::InjectedFault(format!(
+                                "worker {} killed after {start} rows",
+                                ctx.partition
+                            )));
+                        }
+                    }
+                    let rows = start..(start + frame_rows).min(total_rows);
+                    let peer = n % k;
+                    per_peer_rows[peer] += rows.len() as u64;
+                    let frame = numeric_frame(columns, rows)?;
                     counters.bytes_sent += frame.len() as u64;
                     counters.batches_sent += 1;
-                    buffers[*peer].push(frame)?;
-                    per_peer_rows[*peer] += frame_rows;
-                    *peer = (*peer + 1) % k;
-                    Ok(())
-                };
-                for row in 0..batch.len() {
-                    if builder.is_empty() {
-                        // Frame-granular cancellation point: fires between
-                        // frames, never mid-encode.
-                        cancel.check("stream_transfer data plane")?;
-                        if failed.load(Ordering::SeqCst) {
-                            return Err(SqlmlError::Transfer("a peer connection failed".into()));
-                        }
-                        if let Some(injector) = &self.fault {
-                            if injector.should_fail(ctx.partition, sent_rows) {
-                                return Err(SqlmlError::InjectedFault(format!(
-                                    "worker {} killed after {sent_rows} rows",
-                                    ctx.partition
-                                )));
-                            }
-                        }
-                    }
-                    builder.push_with(|enc| batch.encode_row(row, enc))?;
-                    sent_rows += 1;
-                    if builder.frame_len() >= config.frame_bytes {
-                        flush_frame(builder, &mut peer, counters)?;
-                    }
-                }
-                if !builder.is_empty() {
-                    flush_frame(builder, &mut peer, counters)?;
+                    buffers[peer].push(frame)?;
                 }
                 for (i, b) in buffers.iter().enumerate() {
                     let end = Message::DataEnd {
@@ -508,7 +531,7 @@ impl StreamTransferUdf {
                 }
                 Ok(())
             };
-            let produced = produce(&mut counters, &mut builder);
+            let produced = produce(&mut counters);
 
             // Close buffers so senders drain and exit (even on failure,
             // where sockets drop and readers see the break).
@@ -528,9 +551,6 @@ impl StreamTransferUdf {
             if let Some(e) = writer_err {
                 return Err(e);
             }
-            let dict = builder.dict_stats();
-            counters.dict_hits = dict.hits;
-            counters.dict_misses = dict.misses;
             Ok(counters)
         });
 

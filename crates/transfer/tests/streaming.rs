@@ -5,6 +5,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
+use sqlml_common::codec::NumericFrame;
 use sqlml_common::row;
 use sqlml_common::schema::{DataType, Field, Schema};
 use sqlml_common::{Row, SplitMix64, Value};
@@ -12,7 +13,7 @@ use sqlml_mlengine::job::JobConfig;
 use sqlml_mlengine::TrainedModel;
 use sqlml_sqlengine::udf::{PartitionCtx, TableUdf};
 use sqlml_sqlengine::{Engine, EngineConfig};
-use sqlml_transfer::protocol::{read_message_with, write_message, Message, RowBatchFrameBuilder};
+use sqlml_transfer::protocol::{read_data_frame, write_message, DataFrame, Message};
 use sqlml_transfer::stream_udf::WorkerTransferStats;
 use sqlml_transfer::{
     Coordinator, FaultInjector, StreamSession, StreamSessionConfig, StreamTransferUdf,
@@ -151,6 +152,50 @@ fn a_table_the_job_cannot_ingest_is_refused_before_anything_moves() {
     assert_eq!(injector.fired(), vec![(0, 0)]);
     assert_eq!(outcome.stats.rows_ingested, 100);
     assert_eq!(outcome.stats.max_attempts, 2);
+}
+
+/// The schema cannot speak for a column held as mixed values: declared
+/// `Int`, one cell a string. The preamble finds the cell and names it —
+/// before a transfer id is allocated, so no SQL worker's layout step can
+/// fail behind the registration barrier and no reader burns its retry
+/// budget on frames that will never decode. Pinned like the `Str`
+/// refusal: the row-0 fault plan never fires, and the good run on the
+/// same session takes the first transfer id's worth of attempts.
+#[test]
+fn a_string_hiding_in_an_int_column_is_refused_before_anything_moves() {
+    use sqlml_common::SqlmlError;
+    let engine = engine_with_points(2, 100, 71);
+    let declared_numeric = Schema::new(vec![
+        Field::new("age", DataType::Int),
+        Field::new("label", DataType::Int),
+    ]);
+    let rows = (0..100i64).map(|i| match i {
+        57 => row!["oops", 1i64],
+        _ => row![20 + i, i % 2],
+    });
+    engine.register_rows("sneaky", declared_numeric, rows.collect());
+    let session = StreamSession::start().unwrap();
+    let cfg = config(2, 1, 4096);
+    let injector = Arc::new(FaultInjector::new());
+    injector.fail_worker_after(0, 0);
+    session.install_udf(&engine, &cfg, Some(Arc::clone(&injector)));
+
+    let started = std::time::Instant::now();
+    let err = session
+        .run(&engine, "sneaky", "svm label=1", &cfg)
+        .unwrap_err();
+    assert!(matches!(err, SqlmlError::Type(_)), "{err}");
+    // Row 57 of the table is row 28 of partition 1 (round-robin over 2).
+    let names = ["column age", "oops", "row 28 of partition 1"];
+    assert!(names.iter().all(|n| err.to_string().contains(n)), "{err}");
+    assert_eq!(injector.fired(), vec![], "no row reached the wire");
+    // Not 8 reader attempts with 25 ms·n back-off between them.
+    assert!(started.elapsed() < Duration::from_millis(500), "{err}");
+
+    let outcome = session.run(&engine, "points", "svm label=2", &cfg).unwrap();
+    assert_eq!(injector.fired(), vec![(0, 0)]);
+    assert_eq!(outcome.stats.rows_ingested, 100);
+    assert_eq!(outcome.stats.max_attempts, 2, "the plan's one restart");
 }
 
 #[test]
@@ -351,7 +396,7 @@ fn pre_cancelled_transfer_fails_fast_without_the_report_timeout() {
 }
 
 /// Run the UDF over one partition against a real coordinator and `k`
-/// hand-rolled readers that keep every `RowBatch` frame they receive:
+/// hand-rolled readers that keep every data frame they receive:
 /// (wire bytes including the length prefix, rows).
 fn stream_and_capture(
     rows: &[Row],
@@ -396,12 +441,13 @@ fn stream_and_capture(
                     let mut scratch = Vec::new();
                     let mut frames = Vec::new();
                     loop {
-                        match read_message_with(&mut stream, &mut scratch).unwrap() {
-                            Message::DataStart { .. } => {}
-                            Message::RowBatch { rows } => {
-                                frames.push((scratch.len() + 4, rows.len()));
+                        match read_data_frame(&mut stream, &mut scratch).unwrap() {
+                            DataFrame::Other(Message::DataStart { .. }) => {}
+                            DataFrame::Numeric(batch) => {
+                                let rows = NumericFrame::parse(batch).unwrap().rows();
+                                frames.push((batch.len() + 5, rows));
                             }
-                            Message::DataEnd { .. } => return frames,
+                            DataFrame::Other(Message::DataEnd { .. }) => return frames,
                             other => panic!("unexpected {other:?}"),
                         }
                     }
@@ -420,44 +466,40 @@ fn stream_and_capture(
     })
 }
 
-/// Wire size of `row` shipped in a frame of its own, header excluded.
-fn solo_row_bytes(row: &Row) -> usize {
-    let mut builder = RowBatchFrameBuilder::new();
-    let empty = builder.frame_len();
-    builder.push_row(row).unwrap();
-    builder.frame_len() - empty
-}
-
-/// The one cut rule, over seeded narrow and wide tables: a frame
-/// closes at `frame_bytes` and at nothing else, so every frame stays
-/// below `frame_bytes` + one encoded row, every frame but a peer's
-/// last reaches `frame_bytes`, and the frame and row counts the
-/// readers saw are the ones the stats row reports.
+/// The one cut rule, over seeded narrow and wide tables: a frame holds
+/// `frame_bytes` ÷ row stride rows and nothing else cuts it. Every
+/// column here is an integer below 2^30 (a 4-byte run), so the stride is
+/// 4 per column; every frame but the partition's last holds exactly that
+/// many rows, its runs fit `frame_bytes`, the frame adds only its header
+/// (length, tag, two counts, one code per column), and the frame and row
+/// counts the readers saw are the ones the stats row reports.
 #[test]
 fn frames_are_cut_at_frame_bytes_and_nothing_else() {
     let mut rng = SplitMix64::new(0xF4A3E);
     for (cols, frame_bytes, k) in [(1, 64, 1), (1, 4096, 1), (5, 256, 2), (40, 1024, 3)] {
         let rows: Vec<Row> = (0..1500)
             .map(|_| {
-                Row::new(
-                    (0..cols)
-                        .map(|_| Value::Int(rng.next_below(1 << 30) as i64))
-                        .collect(),
-                )
+                let cell = |_| Value::Int((1 << 29) + rng.next_below(1 << 29) as i64);
+                Row::new((0..cols).map(cell).collect())
             })
             .collect();
-        let max_row = rows.iter().map(solo_row_bytes).max().unwrap();
         let (stats, frames) = stream_and_capture(&rows, k, frame_bytes);
         let shape = format!("{cols} cols, frame_bytes {frame_bytes}, k {k}");
+        let (stride, header) = (4 * cols, 5 + 8 + cols);
+        let per_frame = frame_bytes / stride;
         assert_eq!(stats.rows_sent, 1500, "{shape}");
         assert_eq!(stats.batches_sent, frames.len() as u64, "{shape}");
+        assert_eq!(frames.len(), 1500usize.div_ceil(per_frame), "{shape}");
         assert_eq!(frames.iter().map(|f| f.1).sum::<usize>(), 1500, "{shape}");
         assert!(
-            frames.iter().all(|f| f.0 < frame_bytes + max_row),
-            "{shape}: a frame ran past frame_bytes + one row: {frames:?}"
+            frames.iter().all(|f| f.0 == header + f.1 * stride),
+            "{shape}: {frames:?}"
         );
-        let short = frames.iter().filter(|f| f.0 < frame_bytes).count();
+        let short = frames.iter().filter(|f| f.1 != per_frame).count();
         assert!(short <= 1, "{shape}: {short} frames cut early: {frames:?}");
+        // DataEnd (13 B per peer) is the only other thing on the wire.
+        let wire: usize = frames.iter().map(|f| f.0).sum();
+        assert_eq!(stats.bytes_sent, (wire + 13 * k as usize) as u64, "{shape}");
     }
 }
 
@@ -465,10 +507,9 @@ fn frames_are_cut_at_frame_bytes_and_nothing_else() {
 /// ships in a frame of its own.
 #[test]
 fn a_row_larger_than_frame_bytes_ships_alone() {
-    let wide = Row::new(vec![Value::from("x".repeat(300).as_str()); 3]);
-    assert!(solo_row_bytes(&wide) > 128);
+    let wide = Row::new(vec![Value::Double(0.25); 40]);
     let rows = vec![wide; 20];
     let (stats, frames) = stream_and_capture(&rows, 2, 128);
     assert_eq!(stats.batches_sent, 20);
-    assert!(frames.iter().all(|f| f.1 == 1), "{frames:?}");
+    assert!(frames.iter().all(|f| f.1 == 1 && f.0 > 128), "{frames:?}");
 }

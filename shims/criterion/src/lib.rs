@@ -139,7 +139,10 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(
         }
         Some(Throughput::Elements(n)) => {
             let melem_per_s = n as f64 / median * 1e9 / 1e6;
-            format!("  {melem_per_s:8.3} Melem/s")
+            format!(
+                "  {melem_per_s:8.3} Melem/s  {:7.2} ns/elem",
+                median / n as f64
+            )
         }
         None => String::new(),
     };

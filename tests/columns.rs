@@ -5,10 +5,11 @@
 //!   differently in two partitions gets one id, ids come from the global
 //!   sorted merge — plus the NULL, unseen-value, all-NULL and empty-
 //!   partition edges, transformed and streamed.
-//! * The two codecs: a partition's frame encoder emits exactly the bytes
-//!   `CompactBatchEncoder::push_row` emits for its rows, cut at the same
-//!   `frame_bytes`; its text encoder equals `encode_text_batch`; its text
-//!   parser accepts and rejects the lines `decode_text_batch` does.
+//! * The two codecs: a partition's wire layout ships every column at the
+//!   width plain arithmetic over its rows predicts (and refuses exactly
+//!   the partitions holding a string); its text encoder equals
+//!   `encode_text_batch`; its text parser accepts and rejects the lines
+//!   `decode_text_batch` does.
 //! * `approx_bytes` from column lengths equals the walk over every cell.
 
 use sqlml_common::schema::{DataType, Field, Schema};
@@ -17,7 +18,7 @@ use sqlml_core::naive::run_external_transform;
 use sqlml_core::{ClusterConfig, SimCluster};
 use sqlml_dfs::{Dfs, DfsConfig};
 use sqlml_sqlengine::{Batch, Column, Engine, EngineConfig, PartitionedTable};
-use sqlml_transfer::protocol::RowBatchFrameBuilder;
+use sqlml_transfer::protocol::numeric_frame;
 use sqlml_transform::{InSqlTransformer, RecodeMap, TransformSpec};
 
 fn s(v: &str) -> Value {
@@ -225,34 +226,84 @@ fn random_table(rng: &mut SplitMix64) -> (Schema, Vec<Row>) {
     (Schema::new(fields.collect()), rows)
 }
 
+/// Wire bytes per row of column `c`, from the rows alone: a column whose
+/// non-NULL cells share one type ships typed — an integer at the
+/// narrowest of 1/2/4/8 bytes holding the column's min..max (0 included:
+/// a NULL slot holds it), a double at 8, a bool at 1, plus a validity
+/// byte if it has a NULL — and any other column as plain doubles.
+/// `declared` types a column that holds no value at all.
+fn expected_stride(rows: &[Row], c: usize, declared: DataType) -> usize {
+    let cells = || rows.iter().map(move |r| r.get(c));
+    let has_null = cells().any(Value::is_null);
+    let mut types = cells().filter_map(Value::data_type);
+    // All NULL (or no rows): the declared type's vector.
+    let ty = types.next().unwrap_or(declared);
+    if types.any(|t| t != ty) || ty == DataType::Str {
+        // A misfit column, or an all-NULL dictionary column: the zeros
+        // and casts it converts to.
+        return 8;
+    }
+    usize::from(has_null)
+        + match ty {
+            DataType::Int => {
+                let ints = || cells().filter_map(|v| v.as_i64().ok()).chain([0]);
+                let (lo, hi) = (ints().min().unwrap(), ints().max().unwrap());
+                [1, 2, 4]
+                    .into_iter()
+                    .find(|w| lo >= -(1i64 << (8 * w - 1)) && hi < 1i64 << (8 * w - 1))
+                    .unwrap_or(8)
+            }
+            DataType::Bool => 1,
+            _ => 8,
+        }
+}
+
+/// The layout step on random tables (strings, NULLs, misfit columns and
+/// all): a partition has a wire layout exactly when none of its cells is
+/// a string, the refusal names the first string of the first such
+/// column, and a layout ships every column at `expected_stride` — so a
+/// frame is its header plus rows × the sum of those, cut wherever.
 #[test]
-fn the_column_frame_encoder_emits_push_row_bytes_at_the_same_cuts() {
-    for seed in 0..300u64 {
+fn a_partition_ships_each_column_at_the_narrowest_width_its_rows_allow() {
+    let (mut numeric, mut refused) = (0, 0);
+    for seed in 0..600u64 {
         let mut rng = SplitMix64::new(0xF4A_0000 + seed);
         let (schema, rows) = random_table(&mut rng);
         let batch = Batch::from_rows(&schema, &rows);
         assert_eq!(batch.rows(), rows, "seed {seed}: cursor");
-        let frame_bytes = 8 + rng.next_below(400) as usize;
-        let (mut by_row, mut by_column) =
-            (RowBatchFrameBuilder::new(), RowBatchFrameBuilder::new());
-        for (i, row) in rows.iter().enumerate() {
-            by_row.push_row(row).unwrap();
-            by_column.push_with(|enc| batch.encode_row(i, enc)).unwrap();
-            assert_eq!(
-                by_column.frame_len(),
-                by_row.frame_len(),
-                "seed {seed} row {i}"
-            );
-            if by_row.frame_len() >= frame_bytes || i + 1 == rows.len() {
-                let (a, b) = (
-                    by_row.take_frame().unwrap(),
-                    by_column.take_frame().unwrap(),
+        let layout: Result<Vec<_>, _> = batch.columns().iter().map(|c| c.numeric()).collect();
+        let is_str = |v: &Value| matches!(v, Value::Str(_));
+        let first_string =
+            (0..schema.len()).find_map(|c| Some((c, rows.iter().position(|r| is_str(r.get(c)))?)));
+        let columns = match (layout, first_string) {
+            (Ok(columns), None) => columns,
+            (Err(e), Some((_, row))) => {
+                assert!(e.to_string().contains(&format!("row {row} ")), "{e}");
+                assert_eq!(
+                    batch.columns().iter().find_map(|c| c.first_string()),
+                    Some(row)
                 );
-                assert_eq!(b, a, "seed {seed}: frame ending at row {i}");
+                refused += 1;
+                continue;
             }
+            (layout, expect) => panic!("seed {seed}: {layout:?}, first string at {expect:?}"),
+        };
+        numeric += 1;
+        for (c, col) in columns.iter().enumerate() {
+            let expect = expected_stride(&rows, c, schema.fields()[c].data_type);
+            assert_eq!(col.stride(), expect, "seed {seed} column {c}: {rows:?}");
         }
-        assert_eq!(by_column.dict_stats(), by_row.dict_stats(), "seed {seed}");
+        let stride: usize = columns.iter().map(|c| c.stride()).sum();
+        let cut = rng.next_below(rows.len() as u64 + 1) as usize;
+        for range in [0..cut, cut..rows.len()] {
+            let frame = numeric_frame(&columns, range.clone()).unwrap();
+            assert_eq!(frame.len(), 5 + 8 + columns.len() + range.len() * stride);
+        }
     }
+    assert!(
+        numeric > 150 && refused > 150,
+        "{numeric} numeric, {refused} refused"
+    );
 }
 
 #[test]

@@ -191,6 +191,56 @@ fn tiny_batches_with_midstream_fault_stay_exactly_once_and_pipelined() {
     );
 }
 
+/// §3's send queue by its counts, on the benchmark-shaped table (age,
+/// two gender indicators, amount, label) at 20 000 carts: under the
+/// default config a partition's frames fit the in-memory queue and
+/// nothing spills; a 4 KiB queue (the paper's figure, one frame) still
+/// takes the spill path, and still delivers every row exactly once; and
+/// the wire costs 12 bytes a row — three 1-byte integer runs, an `f64`,
+/// a 1-byte label — plus headers.
+#[test]
+fn the_send_queue_holds_a_partition_and_a_row_costs_twelve_bytes() {
+    let cluster = SimCluster::start(ClusterConfig::for_tests()).unwrap();
+    (cluster.load_workload(WorkloadScale::with_carts(20_000), 2024)).unwrap();
+    let engine = &cluster.engine;
+    engine
+        .execute(&format!("CREATE TABLE prep_q AS {PREP_QUERY}"))
+        .unwrap();
+    let out = sqlml_transform::InSqlTransformer::new(engine.clone())
+        .transform("prep_q", &TransformSpec::new(&["gender"]))
+        .unwrap();
+    let total_rows = out.table.num_rows();
+    assert!(total_rows > 5_000, "{total_rows} rows: too few to queue up");
+    engine.register_table("queued", out.table.clone());
+
+    let default_cfg = cluster.stream_config();
+    assert_eq!(
+        default_cfg.transfer,
+        sqlml_transfer::TransferConfig::default()
+    );
+    let mut paper_cfg = default_cfg.clone();
+    paper_cfg.transfer.send_buffer_bytes = 4096;
+    cluster.stream.install_udf(engine, &default_cfg, None);
+    for (cfg, spills) in [(&default_cfg, false), (&paper_cfg, true)] {
+        let stats = (cluster.stream)
+            .run(engine, "queued", "nb label=4", cfg)
+            .unwrap()
+            .stats;
+        assert_eq!(stats.rows_sent as usize, total_rows);
+        assert_eq!(stats.rows_ingested, total_rows);
+        assert_eq!(stats.receive.rows_received as usize, total_rows);
+        assert_eq!(stats.max_attempts, 1);
+        assert_eq!(stats.spill_events > 0, spills, "{stats:?}");
+        assert_eq!(stats.bytes_spilled > 0, spills, "{stats:?}");
+        assert_eq!((stats.dict_hits, stats.dict_misses), (0, 0));
+        let bytes_per_row = stats.bytes_sent as f64 / stats.rows_sent as f64;
+        assert!(
+            (12.0..=12.1).contains(&bytes_per_row),
+            "{bytes_per_row} B/row"
+        );
+    }
+}
+
 #[test]
 fn figure_shapes_hold_even_at_test_scale_with_throttle() {
     // A miniature of the figure3/figure4 logic so regressions in the

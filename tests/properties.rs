@@ -116,79 +116,138 @@ fn random_numeric_value(rng: &mut SplitMix64) -> Value {
     }
 }
 
-/// The two routes from a compact frame to a worker's block: the numeric
-/// decoder, and the `Row` decoder followed by the per-record conversion.
-fn blocks_by_both_routes(
-    frame: &[u8],
-) -> [sqlml_common::Result<sqlml_mlengine::PartitionBlock>; 2] {
-    use sqlml_mlengine::PartitionBlock;
-    let mut direct = PartitionBlock::new(None);
-    let direct = codec::decode_compact_batch_f64(frame, 0, |r| direct.push_row(r)).map(|_| direct);
-    let via_rows = codec::decode_compact_batch(frame).and_then(|rows| {
-        let mut block = PartitionBlock::new(None);
-        rows.iter().try_for_each(|r| block.push_record(r))?;
-        Ok(block)
+/// One numeric column of `n` cells. Integers sit at a width boundary
+/// (every value of a column within one of the four ranges, the range's
+/// own ends included), doubles are any bit pattern, and one kind in five
+/// mixes numeric types in one column (a `Column::Mixed`). `nulls` is the
+/// chance of a NULL per cell.
+fn random_numeric_column(rng: &mut SplitMix64, n: usize, nulls: f64) -> (DataType, Vec<Value>) {
+    const RANGES: [(i64, i64); 4] = [
+        (i8::MIN as i64, i8::MAX as i64),
+        (i16::MIN as i64, i16::MAX as i64),
+        (i32::MIN as i64, i32::MAX as i64),
+        (i64::MIN, i64::MAX),
+    ];
+    let kind = rng.next_below(5);
+    let (lo, hi) = *rng.choose(&RANGES);
+    let cell = |rng: &mut SplitMix64| match kind {
+        0 | 1 => Value::Int(match rng.next_below(4) {
+            0 => lo,
+            1 => hi,
+            // One past the next narrower range, where there is one.
+            2 => (hi / 256 + 1).min(hi),
+            _ if lo == i64::MIN => rng.next_u64() as i64,
+            _ => rng.range_i64(lo, hi),
+        }),
+        2 => match random_numeric_value(rng) {
+            Value::Double(d) => Value::Double(d),
+            _ => Value::Double(f64::from_bits(rng.next_u64())),
+        },
+        3 => Value::Bool(rng.chance(0.5)),
+        _ => random_numeric_value(rng),
+    };
+    let ty = [
+        DataType::Int,
+        DataType::Int,
+        DataType::Double,
+        DataType::Bool,
+        DataType::Int,
+    ];
+    let cells = (0..n).map(|_| match rng.chance(nulls) {
+        true => Value::Null,
+        false => cell(rng),
     });
-    [direct, via_rows]
+    (ty[kind as usize], cells.collect())
 }
 
+/// Every row of a block, bit for bit: (label, features).
+fn block_bits(block: sqlml_mlengine::PartitionBlock) -> Vec<(u64, Vec<u64>)> {
+    let data = sqlml_mlengine::Dataset::from_blocks(vec![block]).unwrap();
+    let bits = |p: sqlml_mlengine::PointRef| {
+        let features = p.features.iter().map(|v| v.to_bits()).collect();
+        (p.label.to_bits(), features)
+    };
+    data.iter().map(bits).collect()
+}
+
+/// The SQL→ML hand-off as a property: a partition's columns, shipped as
+/// numeric frames and decoded the way a stream reader decodes them, fill
+/// a block with exactly what its rows would — each pushed through
+/// `Row::to_f64_vec` and `push_row` — bit for bit, whatever the frame
+/// cut, the label column, and the rows a restarted reader skips.
 #[test]
-fn numeric_decoder_equals_row_decoder_then_to_f64_bit_for_bit() {
+fn numeric_frames_decode_to_the_rows_converted_one_by_one() {
+    use sqlml_mlengine::PartitionBlock;
+    use sqlml_sqlengine::{Batch, Column};
+    use sqlml_transfer::input_format::decode_frame;
+    use sqlml_transfer::protocol::numeric_frame;
+
     let mut rng = SplitMix64::new(0x0F64_B175);
-    for case in 0..300 {
-        let width = rng.next_below(7) as usize;
-        let n = rng.next_below(40) as usize;
+    let mut mixed_columns = 0;
+    for case in 0..400 {
+        let width = 1 + rng.next_below(6) as usize;
+        let n = match rng.next_below(6) {
+            0 => 0,
+            1 => 1,
+            _ => rng.next_below(70) as usize,
+        };
+        let nulls = *rng.choose(&[0.0, 0.0, 0.1, 0.5]);
+        let (types, cells): (Vec<DataType>, Vec<Vec<Value>>) = (0..width)
+            .map(|_| random_numeric_column(&mut rng, n, nulls))
+            .unzip();
+        let fields = (types.iter().enumerate()).map(|(c, ty)| Field::new(format!("c{c}"), *ty));
+        let schema = Schema::new(fields.collect());
         let rows: Vec<Row> = (0..n)
-            .map(|_| Row::new((0..width).map(|_| random_numeric_value(&mut rng)).collect()))
+            .map(|r| Row::new(cells.iter().map(|col| col[r].clone()).collect()))
             .collect();
-        let mut frame = Vec::new();
-        codec::encode_compact_batch(&rows, &mut frame).unwrap();
-
-        let expect: Vec<Vec<u64>> = codec::decode_compact_batch(&frame)
-            .unwrap()
-            .iter()
-            .map(|r| {
-                r.to_f64_vec()
-                    .unwrap()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect()
-            })
+        let batch = Batch::from_rows(&schema, &rows);
+        assert_eq!(batch.rows(), rows, "case {case}: cursor");
+        let is_mixed = |c: &&std::sync::Arc<Column>| matches!(***c, Column::Mixed(_));
+        mixed_columns += batch.columns().iter().filter(is_mixed).count();
+        let columns: Vec<_> = (batch.columns().iter())
+            .map(|c| c.numeric().unwrap())
             .collect();
-        let skip = rng.next_below(n as u64 + 2) as usize;
-        let mut got: Vec<Vec<u64>> = Vec::new();
-        let count = codec::decode_compact_batch_f64(&frame, skip, |r| {
-            got.push(r.iter().map(|v| v.to_bits()).collect());
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(count, n, "case {case}");
-        assert_eq!(got, expect[skip.min(n)..], "case {case}, skip {skip}");
-        for block in blocks_by_both_routes(&frame) {
-            assert_eq!(block.unwrap().len(), n, "case {case}");
-        }
+        let stride: usize = columns.iter().map(|c| c.stride()).sum();
 
-        // One string cell, or one row of another width, and the frame is
-        // an error by either route.
-        if n < 2 || width == 0 {
-            continue;
-        }
-        let victim = rng.next_below(n as u64) as usize;
-        let mut stringy = rows.clone();
-        stringy[victim].set(
-            rng.next_below(width as u64) as usize,
-            Value::Str("F".into()),
-        );
-        let mut ragged = rows.clone();
-        ragged[victim].push(Value::Int(1));
-        for (what, bad) in [("string", stringy), ("ragged", ragged)] {
-            let mut frame = Vec::new();
-            codec::encode_compact_batch(&bad, &mut frame).unwrap();
-            for (route, block) in blocks_by_both_routes(&frame).into_iter().enumerate() {
-                assert!(block.is_err(), "case {case}: {what} frame, route {route}");
+        let label = (rng.chance(0.7)).then(|| rng.next_below(width as u64) as usize);
+        let frame_rows = (rng.next_below(600) as usize / stride).max(1);
+        let mut shipped = PartitionBlock::new(label);
+        let mut expect = PartitionBlock::new(label);
+        for start in (0..n.max(1)).step_by(frame_rows) {
+            let end = (start + frame_rows).min(n);
+            let frame = numeric_frame(&columns, start..end).unwrap();
+            assert_eq!(frame.len(), 5 + 8 + width + (end - start) * stride);
+            // A restarted reader skips nothing, part of a frame, all of
+            // it, or more than it holds.
+            let skip = match rng.next_below(4) {
+                0 => rng.next_below((end - start) as u64 + 3) as usize,
+                _ => 0,
+            };
+            let held = decode_frame(&frame[5..], skip, &mut shipped).unwrap();
+            assert_eq!(held, end - start, "case {case}");
+            for row in rows[start..end].iter().skip(skip) {
+                expect.push_row(&row.to_f64_vec().unwrap()).unwrap();
             }
+            assert_eq!(shipped.len(), expect.len(), "case {case}, skip {skip}");
+        }
+        assert_eq!(block_bits(shipped), block_bits(expect), "case {case}");
+
+        // One string cell and the partition has no wire layout: the
+        // column says so, naming the row.
+        if n > 0 {
+            let (victim, c) = (
+                rng.next_below(n as u64) as usize,
+                rng.next_below(width as u64),
+            );
+            let mut stringy = rows.clone();
+            stringy[victim].set(c as usize, Value::Str("F".into()));
+            let batch = Batch::from_rows(&schema, &stringy);
+            let err = batch.column(c as usize).numeric().unwrap_err();
+            assert!(matches!(err, sqlml_common::SqlmlError::Type(_)), "{err}");
+            assert!(err.to_string().contains(&format!("row {victim} ")), "{err}");
         }
     }
+    assert!(mixed_columns > 100, "only {mixed_columns} mixed columns");
 }
 
 #[test]
