@@ -1,8 +1,8 @@
 //! Micro-benchmarks of the SQL hot path on column batches:
 //!
 //! * the preparation query's filter + projecting hash join;
-//! * a fused `Filter`→`Project`→`Filter` chain (one batch kernel per
-//!   stage);
+//! * a `Filter`→`Project` chain, which the executor runs as one pass
+//!   per partition (one batch kernel per operator);
 //! * the [`FlatRecodeApplier`] over a column batch (one `HashMap` probe
 //!   per *dictionary entry*), per row (one probe per categorical cell —
 //!   the naive baseline's external job), and the nested-`BTreeMap`

@@ -22,10 +22,6 @@ impl Row {
         &self.values
     }
 
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
-    }
-
     pub fn len(&self) -> usize {
         self.values.len()
     }

@@ -3,11 +3,12 @@
 //!
 //! Builds the paper's synthetic warehouse (`carts` + `users` at unit-test
 //! scale), registers the In-SQL transformation UDFs, then plans a battery
-//! of corpus queries through both the fused and the unfused optimizer
-//! paths and validates every resulting plan tree explicitly (so this
-//! works in release builds too, where the engine's automatic debug-mode
-//! validation is compiled out). Exits non-zero and names the query and
-//! diagnostic on the first invariant violation.
+//! of corpus queries and validates each plan tree explicitly at both of
+//! its stages — as the planner emits it and as the optimizer rewrites it
+//! (so this works in release builds too, where the engine's automatic
+//! debug-mode validation is compiled out). Exits non-zero and names the
+//! query, the stage and the diagnostic of each plan that breaks an
+//! invariant.
 //!
 //! ```text
 //! cargo run -p sqlml-core --bin planlint
@@ -15,10 +16,14 @@
 
 use std::process::ExitCode;
 
+use sqlml_common::SqlmlError;
 use sqlml_core::workload::{Workload, WorkloadScale, PREP_QUERY};
+use sqlml_sqlengine::optimizer::optimize;
+use sqlml_sqlengine::plan::Plan;
+use sqlml_sqlengine::validate::validate;
 use sqlml_sqlengine::{Engine, EngineConfig};
 
-/// Plans (fused) as a `HashJoin … project=[…]` with no `Project` above it;
+/// Optimizes to a `HashJoin … project=[…]` with no `Project` above it;
 /// `main` fails if it stops doing so, since the corpus would then no
 /// longer cover that node shape.
 const PROJECTING_JOIN: &str = "SELECT U.age, C.amount, U.age AS age2, C.cartid \
@@ -26,7 +31,7 @@ const PROJECTING_JOIN: &str = "SELECT U.age, C.amount, U.age AS age2, C.cartid \
 
 /// Corpus queries: the paper's preparation query plus coverage of every
 /// plan node the planner can emit (filter, project, join, aggregate,
-/// distinct, sort, limit, scalar + table UDFs, and fusible chains).
+/// distinct, sort, limit, scalar + table UDFs, and operator chains).
 fn corpus() -> Vec<String> {
     let mut queries: Vec<String> = vec![
         PREP_QUERY.to_string(),
@@ -57,8 +62,8 @@ fn corpus() -> Vec<String> {
             .into(),
         "SELECT * FROM TABLE(distinct_values(carts, 'abandoned')) AS d".into(),
     ];
-    // Fusible chains at increasing depth (filter/project stacks collapse
-    // into Plan::Fused; make sure every depth validates).
+    // Filter/project chains at increasing depth (the executor runs each
+    // as one pass; make sure every depth validates).
     for depth in 1..=3 {
         let mut q = "SELECT amount FROM carts WHERE amount > 0".to_string();
         for i in 0..depth {
@@ -79,18 +84,10 @@ fn main() -> ExitCode {
     let mut failures = 0usize;
     let mut checked = 0usize;
     for sql in corpus() {
-        for (mode, plan) in [
-            ("fused", plan_query(&engine, &sql, true)),
-            ("unfused", plan_query(&engine, &sql, false)),
-        ] {
-            checked += 1;
-            match plan {
-                Ok(()) => {}
-                Err(e) => {
-                    failures += 1;
-                    eprintln!("planlint FAIL [{mode}] {sql}\n  {e}");
-                }
-            }
+        checked += 1;
+        if let Err(e) = validate_both_stages(&engine, &sql) {
+            failures += 1;
+            eprintln!("planlint FAIL {sql}\n  {e}");
         }
     }
     match engine.explain(PROJECTING_JOIN) {
@@ -101,7 +98,7 @@ fn main() -> ExitCode {
         }
     }
     if failures == 0 {
-        println!("planlint: {checked} plans validated clean");
+        println!("planlint: {checked} plans validated clean, planned and optimized");
         ExitCode::SUCCESS
     } else {
         eprintln!("planlint: {failures}/{checked} plans failed validation");
@@ -109,12 +106,14 @@ fn main() -> ExitCode {
     }
 }
 
-fn plan_query(engine: &Engine, sql: &str, fused: bool) -> sqlml_common::Result<()> {
+/// Validate the planner's output, then the optimizer's rewrite of it.
+fn validate_both_stages(engine: &Engine, sql: &str) -> sqlml_common::Result<()> {
     let stmt = sqlml_sqlengine::parser::parse_select(sql)?;
-    let plan = if fused {
-        engine.plan(&stmt)?
-    } else {
-        engine.plan_unfused(&stmt)?
+    let planned = sqlml_sqlengine::planner::plan_select(&stmt, engine.catalog())?;
+    let validate_at = |stage: &str, plan: &Plan| match validate(plan, engine.catalog()) {
+        Ok(_) => Ok(()),
+        Err(e) => Err(SqlmlError::PlanValidation(format!("[{stage}] {e}"))),
     };
-    sqlml_sqlengine::validate::validate(&plan, engine.catalog()).map(|_| ())
+    validate_at("planned", &planned)?;
+    validate_at("optimized", &optimize(planned))
 }

@@ -120,12 +120,12 @@ where
             .iter()
             .map(|path| scope.spawn(move || f(path)))
             .collect();
-        handles
+        // Join every task before reporting the first failure: a panicked
+        // thread left to `scope` re-panics in the caller.
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        joined
             .into_iter()
-            .map(|h| {
-                h.join()
-                    .map_err(|_| SqlmlError::Execution("map task panicked".into()))?
-            })
+            .map(|r| r.map_err(|_| SqlmlError::Execution("map task panicked".into()))?)
             .collect()
     })
 }
@@ -231,5 +231,15 @@ mod tests {
             "/out"
         )
         .is_err());
+    }
+
+    #[test]
+    fn every_map_task_panicking_is_an_error_in_the_caller_not_a_panic() {
+        let files = vec!["/in/part-00000".to_string(), "/in/part-00001".to_string()];
+        let result: Result<Vec<()>> = parallel_over_files(&files, |path| panic!("boom in {path}"));
+        assert!(
+            matches!(&result, Err(SqlmlError::Execution(msg)) if msg == "map task panicked"),
+            "{result:?}"
+        );
     }
 }

@@ -21,10 +21,10 @@ pub use script::{RewritePlan, RewriteScript, StreamTarget};
 use std::sync::Arc;
 
 use sqlml_cache::{CacheDecision, CacheManager, QueryDescriptor};
-use sqlml_common::{Result, Schema, SqlmlError};
+use sqlml_common::{Result, SqlmlError};
 use sqlml_sqlengine::parser::parse_select;
 use sqlml_sqlengine::Engine;
-use sqlml_transform::{register_udfs, RecodeMap, TransformSpec};
+use sqlml_transform::{register_udfs, TransformSpec};
 
 /// The §4 rewriter: SQL + transformation spec (+ optional stream target)
 /// in, executable statement script out.
@@ -138,33 +138,13 @@ impl QueryRewriter {
         }
         Ok((result, rewritten))
     }
-
-    /// The recode map a cached-map plan carries, if any (test helper).
-    pub fn cached_map_of(plan: &RewritePlan) -> Option<&RecodeMap> {
-        match plan {
-            RewritePlan::CachedMap { map } => Some(map),
-            RewritePlan::CachedResult { map, .. } => Some(map),
-            RewritePlan::Fresh => None,
-        }
-    }
-
-    /// Output schema of a statement script's final SELECT, without
-    /// executing anything before it (only valid for cached-result
-    /// scripts whose single statement is a plain SELECT).
-    pub fn validate_final(&self, script: &RewriteScript) -> Result<Schema> {
-        let last = script
-            .statements
-            .last()
-            .ok_or_else(|| SqlmlError::Plan("empty script".into()))?;
-        self.engine.validate(last)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sqlml_common::row;
-    use sqlml_common::schema::{DataType, Field};
+    use sqlml_common::schema::{DataType, Field, Schema};
     use sqlml_sqlengine::EngineConfig;
 
     fn engine() -> Engine {

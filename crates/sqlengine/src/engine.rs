@@ -181,12 +181,6 @@ impl Engine {
         self.run_select(&stmt)
     }
 
-    /// Execute a SELECT and gather all rows (schema + rows).
-    pub fn query_collect(&self, sql: &str) -> Result<(Schema, Vec<Row>)> {
-        let t = self.query(sql)?;
-        Ok((t.schema().clone(), t.collect_rows()))
-    }
-
     /// Execute an already-parsed SELECT.
     pub fn run_select(&self, stmt: &SelectStmt) -> Result<PartitionedTable> {
         let plan = self.plan(stmt)?;
@@ -206,16 +200,6 @@ impl Engine {
         Ok(plan)
     }
 
-    /// Plan a SELECT without the operator-fusion pass — the
-    /// one-operator-per-node reference shape used by differential tests.
-    pub fn plan_unfused(&self, stmt: &SelectStmt) -> Result<Plan> {
-        let unoptimized = plan_select(stmt, &self.catalog)?;
-        self.debug_validate(&unoptimized)?;
-        let plan = crate::optimizer::optimize_unfused(unoptimized);
-        self.debug_validate(&plan)?;
-        Ok(plan)
-    }
-
     #[cfg(debug_assertions)]
     fn debug_validate(&self, plan: &Plan) -> Result<()> {
         crate::validate::validate(plan, &self.catalog).map(|_| ())
@@ -224,15 +208,6 @@ impl Engine {
     #[cfg(not(debug_assertions))]
     fn debug_validate(&self, _plan: &Plan) -> Result<()> {
         Ok(())
-    }
-
-    /// Execute a SELECT through the unfused reference plan. Produces the
-    /// same rows as [`Engine::query`]; exists so tests can compare the
-    /// fused executor against the one-operator-at-a-time path.
-    pub fn query_unfused(&self, sql: &str) -> Result<PartitionedTable> {
-        let stmt = parse_select(sql)?;
-        let plan = self.plan_unfused(&stmt)?;
-        crate::executor::execute(&plan, &self.ctx)
     }
 
     /// EXPLAIN: the optimized plan as text.
@@ -253,8 +228,9 @@ impl Engine {
         args: &[sqlml_common::Value],
     ) -> Result<PartitionedTable> {
         let out_schema = udf.output_schema(input.schema(), args)?;
+        let width = out_schema.len();
         let mapped = crate::executor::map_partitions(input, &self.ctx, |batch, pctx| {
-            udf.execute(batch, input.schema(), args, pctx)
+            crate::executor::run_table_udf(udf, batch, input.schema(), args, pctx, width)
         })?;
         Ok(PartitionedTable::from_batches(
             out_schema,

@@ -7,8 +7,9 @@
 //! model the paper's In-SQL transformations and streaming-transfer UDF
 //! rely on.
 //!
-//! A partition is a column [`Batch`]. `Filter`, `Project`, fused chains
-//! and the hash join run batch kernels; the cold, gathering operators
+//! A partition is a column [`Batch`]. `Filter`, `Project`, table UDFs
+//! and the hash join run batch kernels, and a chain of the first three
+//! runs as one pass per partition; the cold, gathering operators
 //! (`Sort`, `Aggregate`, `Distinct`, `Limit`) read cells through the
 //! batch's row cursor ([`Batch::row`] / [`Column::value`]) and build
 //! their small outputs from rows.
@@ -16,14 +17,14 @@
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 
-use sqlml_common::{counter_u32, Result, Row, SqlmlError, Value};
+use sqlml_common::{counter_u32, Result, Row, Schema, SqlmlError, Value};
 
 use crate::ast::{AggFunc, JoinKind};
 use crate::column::{Batch, Column, NULL_ROW};
 use crate::expr::Expr;
-use crate::plan::{AggExpr, BuildSide, FusedStage, Plan};
+use crate::plan::{AggExpr, BuildSide, Plan};
 use crate::table::PartitionedTable;
-use crate::udf::PartitionCtx;
+use crate::udf::{PartitionCtx, TableUdf};
 
 /// Execution environment: worker pool size and the cluster node names the
 /// workers live on (worker `w` is on `nodes[w % nodes.len()]`).
@@ -54,33 +55,8 @@ pub fn execute(plan: &Plan, ctx: &ExecContext) -> Result<PartitionedTable> {
     match plan {
         Plan::Scan { table, .. } => Ok((**table).clone()),
 
-        Plan::Filter { input, predicate } => {
-            let child = execute(input, ctx)?;
-            map_partitions(&child, ctx, |batch, _| filter(batch, predicate))
-        }
-
-        Plan::Project {
-            input,
-            exprs,
-            schema,
-        } => {
-            let child = execute(input, ctx)?;
-            let mapped = map_partitions(&child, ctx, |batch, _| project(batch, exprs))?;
-            Ok(replace_schema(mapped, schema.clone()))
-        }
-
-        Plan::TableUdfScan {
-            udf,
-            input,
-            args,
-            schema,
-        } => {
-            let child = execute(input, ctx)?;
-            let input_schema = child.schema().clone();
-            let mapped = map_partitions(&child, ctx, |batch, pctx| {
-                udf.execute(batch, &input_schema, args, pctx)
-            })?;
-            Ok(replace_schema(mapped, schema.clone()))
+        Plan::Filter { .. } | Plan::Project { .. } | Plan::TableUdfScan { .. } => {
+            execute_chain(plan, ctx)
         }
 
         Plan::HashJoin {
@@ -138,33 +114,73 @@ pub fn execute(plan: &Plan, ctx: &ExecContext) -> Result<PartitionedTable> {
             }
             Ok(gather_to_first_home(child.schema().clone(), rows, &child))
         }
-
-        Plan::Fused {
-            input,
-            stages,
-            schema,
-        } => {
-            let child = execute(input, ctx)?;
-            let mapped = map_partitions(&child, ctx, |batch, pctx| {
-                // Each stage is one batch kernel; a column no stage
-                // rewrites is shared from the input all the way through.
-                let mut cur = batch.clone();
-                for stage in stages {
-                    cur = match stage {
-                        FusedStage::Filter(predicate) => filter(&cur, predicate)?,
-                        FusedStage::Project { exprs } => project(&cur, exprs)?,
-                        FusedStage::Udf {
-                            udf,
-                            args,
-                            input_schema,
-                        } => udf.execute(&cur, input_schema, args, pctx)?,
-                    };
-                }
-                Ok(cur)
-            })?;
-            Ok(replace_schema(mapped, schema.clone()))
-        }
     }
+}
+
+/// One partition-local operator of a chain, bound to its plan node.
+type Kernel<'a> = Box<dyn Fn(&Batch, &PartitionCtx) -> Result<Batch> + Sync + 'a>;
+
+/// Run the maximal `Filter`/`Project`/`TableUdfScan` chain that `top`
+/// heads as one `map_partitions` pass over the first node beneath it
+/// that is none of the three: one worker round and one result table per
+/// chain, however many operators it has. A column no kernel rewrites is
+/// shared from the input all the way through.
+fn execute_chain(top: &Plan, ctx: &ExecContext) -> Result<PartitionedTable> {
+    // Collected top-down, applied in reverse: execution order.
+    let mut kernels: Vec<Kernel> = Vec::new();
+    let mut node = top;
+    loop {
+        node = match node {
+            Plan::Filter { input, predicate } => {
+                kernels.push(Box::new(move |batch, _| filter(batch, predicate)));
+                input
+            }
+            Plan::Project { input, exprs, .. } => {
+                kernels.push(Box::new(move |batch, _| project(batch, exprs)));
+                input
+            }
+            Plan::TableUdfScan {
+                udf,
+                input,
+                args,
+                schema,
+            } => {
+                let (input_schema, width) = (input.schema(), schema.len());
+                kernels.push(Box::new(move |batch, pctx| {
+                    run_table_udf(&**udf, batch, &input_schema, args, pctx, width)
+                }));
+                input
+            }
+            _ => break,
+        };
+    }
+    let child = execute(node, ctx)?;
+    let mapped = map_partitions(&child, ctx, |batch, pctx| {
+        (kernels.iter().rev()).try_fold(batch.clone(), |cur, kernel| kernel(&cur, pctx))
+    })?;
+    Ok(replace_schema(mapped, top.schema()))
+}
+
+/// One partition through a table UDF. The batch it returns must be as
+/// wide as the schema it declared: every operator downstream indexes
+/// columns by that schema.
+pub(crate) fn run_table_udf(
+    udf: &dyn TableUdf,
+    batch: &Batch,
+    input_schema: &Schema,
+    args: &[Value],
+    pctx: &PartitionCtx,
+    declared_width: usize,
+) -> Result<Batch> {
+    let out = udf.execute(batch, input_schema, args, pctx)?;
+    if out.width() != declared_width {
+        return Err(SqlmlError::Execution(format!(
+            "table udf {:?} declared {declared_width} output columns but returned {}",
+            udf.name(),
+            out.width()
+        )));
+    }
+    Ok(out)
 }
 
 /// Keep the rows where `predicate` is true (NULL and false both
@@ -369,11 +385,13 @@ where
                 })
             })
             .collect();
+        // Join every worker before reporting the first failure: a
+        // panicked thread left to `scope` re-panics in the caller.
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
         let mut slots: Vec<Option<T>> = (0..num_partitions).map(|_| None).collect();
-        for h in handles {
-            let chunk = h
-                .join()
-                .map_err(|_| SqlmlError::Execution("worker thread panicked".into()))??;
+        for chunk in joined {
+            let chunk =
+                chunk.map_err(|_| SqlmlError::Execution("worker thread panicked".into()))??;
             for (p, v) in chunk {
                 slots[p] = Some(v);
             }

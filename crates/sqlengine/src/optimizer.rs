@@ -2,38 +2,31 @@
 //!
 //! Predicate pushdown happens at plan time (the planner pushes
 //! single-relation conjuncts below joins); this pass handles what needs
-//! whole-plan statistics:
+//! whole-plan statistics, in one bottom-up rewrite:
 //!
 //! * **broadcast-side selection** — each hash join builds its table from
 //!   the estimated-smaller input (the paper's prep query joins a billion-
 //!   row fact table with a much smaller dimension table; broadcasting the
 //!   small side is what an MPP engine does);
 //! * removal of literal-`TRUE` filters and zero-limit shortcuts;
-//! * **operator fusion** — chains of `Filter`/`Project`/`TableUdfScan`
-//!   collapse into one [`Plan::Fused`] node that the executor runs as a
-//!   single `map_partitions` pass, one batch kernel per stage, with no
-//!   table (and no worker hand-off) between those operators;
-//! * **projecting joins** — the same pass folds a column-only `Project`
-//!   sitting directly on a `HashJoin` into the join (`project:
-//!   Some(cols)`), so the probe gathers only the projected columns and
-//!   the full-width `left ++ right` batch is never built. The paper's
-//!   preparation query is exactly this shape.
+//! * **projecting joins** — a column-only `Project` sitting directly on a
+//!   `HashJoin` folds into the join (`project: Some(cols)`), so the probe
+//!   gathers only the projected columns and the full-width
+//!   `left ++ right` batch is never built. The paper's preparation query
+//!   is exactly this shape.
+//!
+//! Running a `Filter`/`Project`/`TableUdfScan` chain as one pass per
+//! partition is the executor's job ([`crate::executor::execute`]), not a
+//! plan shape.
 
 use sqlml_common::Value;
 
 use crate::ast::JoinKind;
 use crate::expr::Expr;
-use crate::plan::{BuildSide, FusedStage, Plan};
+use crate::plan::{BuildSide, Plan};
 
-/// Optimize a plan tree (consuming it): rule-based rewrites, then fusion.
+/// Optimize a plan tree (consuming it).
 pub fn optimize(plan: Plan) -> Plan {
-    fuse(optimize_unfused(plan))
-}
-
-/// The rule-based rewrites without the fusion pass. Retained as a public
-/// entry point so differential tests can run the unfused plan shape
-/// against the fused one (both run the same batch kernels).
-pub fn optimize_unfused(plan: Plan) -> Plan {
     match plan {
         Plan::HashJoin {
             left,
@@ -45,8 +38,8 @@ pub fn optimize_unfused(plan: Plan) -> Plan {
             schema,
             ..
         } => {
-            let left = Box::new(optimize_unfused(*left));
-            let right = Box::new(optimize_unfused(*right));
+            let left = Box::new(optimize(*left));
+            let right = Box::new(optimize(*right));
             // A left-outer probe must stream the left side so unmatched
             // left rows can be emitted; only inner joins may flip.
             let build = if kind == JoinKind::Inner && left.estimated_rows() < right.estimated_rows()
@@ -67,7 +60,7 @@ pub fn optimize_unfused(plan: Plan) -> Plan {
             }
         }
         Plan::Filter { input, predicate } => {
-            let input = Box::new(optimize_unfused(*input));
+            let input = Box::new(optimize(*input));
             if matches!(predicate, Expr::Lit(Value::Bool(true))) {
                 *input
             } else {
@@ -81,7 +74,7 @@ pub fn optimize_unfused(plan: Plan) -> Plan {
             schema,
         } => Plan::TableUdfScan {
             udf,
-            input: Box::new(optimize_unfused(*input)),
+            input: Box::new(optimize(*input)),
             args,
             schema,
         },
@@ -89,13 +82,31 @@ pub fn optimize_unfused(plan: Plan) -> Plan {
             input,
             exprs,
             schema,
-        } => Plan::Project {
-            input: Box::new(optimize_unfused(*input)),
-            exprs,
-            schema,
-        },
+        } => {
+            let mut input = optimize(*input);
+            match (column_refs(&exprs), &mut input) {
+                // The join takes over the Project's columns and output names.
+                (
+                    Some(cols),
+                    Plan::HashJoin {
+                        project: project @ None,
+                        schema: join_schema,
+                        ..
+                    },
+                ) => {
+                    *project = Some(cols);
+                    *join_schema = schema;
+                    input
+                }
+                _ => Plan::Project {
+                    input: Box::new(input),
+                    exprs,
+                    schema,
+                },
+            }
+        }
         Plan::Distinct { input } => Plan::Distinct {
-            input: Box::new(optimize_unfused(*input)),
+            input: Box::new(optimize(*input)),
         },
         Plan::Aggregate {
             input,
@@ -103,31 +114,20 @@ pub fn optimize_unfused(plan: Plan) -> Plan {
             aggs,
             schema,
         } => Plan::Aggregate {
-            input: Box::new(optimize_unfused(*input)),
+            input: Box::new(optimize(*input)),
             group_exprs,
             aggs,
             schema,
         },
         Plan::Sort { input, keys } => Plan::Sort {
-            input: Box::new(optimize_unfused(*input)),
+            input: Box::new(optimize(*input)),
             keys,
         },
         Plan::Limit { input, n } => Plan::Limit {
-            input: Box::new(optimize_unfused(*input)),
+            input: Box::new(optimize(*input)),
             n,
         },
         leaf @ Plan::Scan { .. } => leaf,
-        // Fusion only ever runs after this pass, so Fused nodes cannot
-        // appear here; recurse defensively anyway.
-        Plan::Fused {
-            input,
-            stages,
-            schema,
-        } => Plan::Fused {
-            input: Box::new(optimize_unfused(*input)),
-            stages,
-            schema,
-        },
     }
 }
 
@@ -140,149 +140,6 @@ fn column_refs(exprs: &[Expr]) -> Option<Vec<usize>> {
             _ => None,
         })
         .collect()
-}
-
-/// Fusion pass: collapse maximal `Filter`/`Project`/`TableUdfScan`
-/// chains into [`Plan::Fused`] nodes. Single-operator "chains" are left
-/// as plain nodes — fusing them buys nothing and keeps EXPLAIN output
-/// familiar. A column-only `Project` directly on a `HashJoin` ends the
-/// chain by becoming the join's `project` list instead of a stage.
-fn fuse(plan: Plan) -> Plan {
-    match plan {
-        Plan::Filter { .. } | Plan::Project { .. } | Plan::TableUdfScan { .. } => {
-            let schema = plan.schema();
-            // Walk down the fusible spine collecting stages
-            // top-down (reverse execution order).
-            let mut rev_stages: Vec<FusedStage> = Vec::new();
-            let mut cur = plan;
-            let tail = loop {
-                match cur {
-                    Plan::Filter { input, predicate } => {
-                        rev_stages.push(FusedStage::Filter(predicate));
-                        cur = *input;
-                    }
-                    Plan::Project {
-                        input,
-                        exprs,
-                        schema,
-                    } => match (column_refs(&exprs), *input) {
-                        (
-                            Some(cols),
-                            Plan::HashJoin {
-                                left,
-                                right,
-                                left_keys,
-                                right_keys,
-                                kind,
-                                build,
-                                project: None,
-                                ..
-                            },
-                        ) => {
-                            break Plan::HashJoin {
-                                left,
-                                right,
-                                left_keys,
-                                right_keys,
-                                kind,
-                                build,
-                                project: Some(cols),
-                                schema,
-                            }
-                        }
-                        (_, input) => {
-                            rev_stages.push(FusedStage::Project { exprs });
-                            cur = input;
-                        }
-                    },
-                    Plan::TableUdfScan {
-                        udf, input, args, ..
-                    } => {
-                        rev_stages.push(FusedStage::Udf {
-                            udf,
-                            args,
-                            input_schema: input.schema(),
-                        });
-                        cur = *input;
-                    }
-                    other => break other,
-                }
-            };
-            let input = Box::new(fuse(tail));
-            if rev_stages.is_empty() {
-                // The whole chain was one Project folded into its join.
-                return *input;
-            }
-            if rev_stages.len() == 1 {
-                // Rebuild the plain single-operator node.
-                if let Some(stage) = rev_stages.pop() {
-                    return match stage {
-                        FusedStage::Filter(predicate) => Plan::Filter { input, predicate },
-                        FusedStage::Project { exprs } => Plan::Project {
-                            input,
-                            exprs,
-                            schema,
-                        },
-                        FusedStage::Udf { udf, args, .. } => Plan::TableUdfScan {
-                            udf,
-                            input,
-                            args,
-                            schema,
-                        },
-                    };
-                }
-            }
-            rev_stages.reverse();
-            Plan::Fused {
-                input,
-                stages: rev_stages,
-                schema,
-            }
-        }
-        Plan::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            kind,
-            build,
-            project,
-            schema,
-        } => Plan::HashJoin {
-            left: Box::new(fuse(*left)),
-            right: Box::new(fuse(*right)),
-            left_keys,
-            right_keys,
-            kind,
-            build,
-            project,
-            schema,
-        },
-        Plan::Distinct { input } => Plan::Distinct {
-            input: Box::new(fuse(*input)),
-        },
-        Plan::Aggregate {
-            input,
-            group_exprs,
-            aggs,
-            schema,
-        } => Plan::Aggregate {
-            input: Box::new(fuse(*input)),
-            group_exprs,
-            aggs,
-            schema,
-        },
-        Plan::Sort { input, keys } => Plan::Sort {
-            input: Box::new(fuse(*input)),
-            keys,
-        },
-        Plan::Limit { input, n } => Plan::Limit {
-            input: Box::new(fuse(*input)),
-            n,
-        },
-        leaf @ Plan::Scan { .. } => leaf,
-        already @ Plan::Fused { .. } => already,
-    }
 }
 
 #[cfg(test)]
@@ -361,7 +218,9 @@ mod tests {
     }
 
     #[test]
-    fn filter_project_chain_fuses_in_execution_order() {
+    fn a_chain_over_a_scan_is_left_as_planned() {
+        // Running the chain as one pass is the executor's business: the
+        // optimizer hands back the same three nodes in the same order.
         let inner = Plan::Filter {
             input: Box::new(scan(100)),
             predicate: Expr::Lit(Value::Bool(false)),
@@ -371,54 +230,24 @@ mod tests {
             input: Box::new(inner),
             exprs: vec![Expr::Col(0)],
         };
-        let outer = Plan::Filter {
+        let p = optimize(Plan::Filter {
             input: Box::new(project),
             predicate: Expr::Lit(Value::Bool(false)),
+        });
+        let Plan::Filter { input, .. } = p else {
+            panic!("expected Filter on top, got {p:?}")
         };
-        let p = optimize(outer);
-        match p {
-            Plan::Fused { stages, input, .. } => {
-                assert_eq!(stages.len(), 3);
-                assert!(matches!(stages[0], FusedStage::Filter(_)));
-                assert!(matches!(stages[1], FusedStage::Project { .. }));
-                assert!(matches!(stages[2], FusedStage::Filter(_)));
-                assert!(matches!(*input, Plan::Scan { .. }));
-            }
-            other => panic!("expected Fused, got {other:?}"),
-        }
+        let Plan::Project { input, .. } = *input else {
+            panic!("expected Project under the Filter, got {input:?}")
+        };
+        let Plan::Filter { input, .. } = *input else {
+            panic!("expected Filter under the Project, got {input:?}")
+        };
+        assert!(matches!(*input, Plan::Scan { .. }));
     }
 
     #[test]
-    fn single_operator_is_not_wrapped_in_fused() {
-        let p = optimize(Plan::Project {
-            schema: scan(5).schema(),
-            input: Box::new(scan(5)),
-            exprs: vec![Expr::Col(0)],
-        });
-        assert!(matches!(p, Plan::Project { .. }));
-    }
-
-    #[test]
-    fn fusion_stops_at_pipeline_breakers() {
-        // Filter over Distinct over Filter: only chains on either side of
-        // the Distinct may fuse; with one operator each, none do.
-        let p = optimize(Plan::Filter {
-            input: Box::new(Plan::Distinct {
-                input: Box::new(Plan::Filter {
-                    input: Box::new(scan(50)),
-                    predicate: Expr::Lit(Value::Bool(false)),
-                }),
-            }),
-            predicate: Expr::Lit(Value::Bool(false)),
-        });
-        match p {
-            Plan::Filter { input, .. } => assert!(matches!(*input, Plan::Distinct { .. })),
-            other => panic!("expected Filter over Distinct, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn fused_estimate_shrinks_per_filter_stage() {
+    fn stacked_filters_estimate_shrinks_per_filter() {
         let inner = Plan::Filter {
             input: Box::new(scan(160)),
             predicate: Expr::Lit(Value::Bool(false)),
@@ -476,10 +305,10 @@ mod tests {
     }
 
     #[test]
-    fn stages_above_a_folded_project_keep_their_chain() {
+    fn the_fold_happens_under_a_chain_and_only_once() {
         // Filter over Project over Join: the Project folds, the Filter
         // stays a plain node on the projecting join. A second Project on
-        // top of that join is a stage, not a second fold.
+        // top of that join stays a Project, not a second fold.
         let folded = project(
             join(JoinKind::LeftOuter, scan(10), scan(10)),
             vec![Expr::Col(1)],
@@ -491,20 +320,22 @@ mod tests {
             },
             vec![Expr::Col(0)],
         ));
-        match p {
-            Plan::Fused { stages, input, .. } => {
-                assert!(matches!(stages[0], FusedStage::Filter(_)));
-                assert!(matches!(stages[1], FusedStage::Project { .. }));
-                assert!(matches!(
-                    *input,
-                    Plan::HashJoin {
-                        project: Some(_),
-                        ..
-                    }
-                ));
-            }
-            other => panic!("expected Fused over a projecting HashJoin, got {other:?}"),
-        }
+        let Plan::Project { input, .. } = p else {
+            panic!("expected Project on top, got {p:?}")
+        };
+        let Plan::Filter { input, .. } = *input else {
+            panic!("expected Filter under the Project, got {input:?}")
+        };
+        assert!(
+            matches!(
+                *input,
+                Plan::HashJoin {
+                    project: Some(_),
+                    ..
+                }
+            ),
+            "expected a projecting HashJoin, got {input:?}"
+        );
         let twice = optimize(project(
             project(
                 join(JoinKind::Inner, scan(10), scan(10)),
@@ -527,11 +358,19 @@ mod tests {
     }
 
     #[test]
-    fn unfused_reference_path_never_folds() {
-        let p = optimize_unfused(project(
-            join(JoinKind::Inner, scan(1000), scan(10)),
-            vec![Expr::Col(0)],
+    fn a_project_above_a_breaker_does_not_fold_into_the_join_below_it() {
+        let p = optimize(project(
+            Plan::Distinct {
+                input: Box::new(join(JoinKind::Inner, scan(10), scan(10))),
+            },
+            vec![Expr::Col(1)],
         ));
-        assert!(matches!(p, Plan::Project { .. }));
+        let Plan::Project { input, .. } = p else {
+            panic!("expected Project on top, got {p:?}")
+        };
+        let Plan::Distinct { input } = *input else {
+            panic!("expected Distinct under the Project, got {input:?}")
+        };
+        assert!(matches!(*input, Plan::HashJoin { project: None, .. }));
     }
 }

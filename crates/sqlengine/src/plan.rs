@@ -29,21 +29,6 @@ pub enum BuildSide {
     Right,
 }
 
-/// One stage of a [`Plan::Fused`] chain, in execution order.
-#[derive(Clone)]
-pub enum FusedStage {
-    Filter(Expr),
-    Project {
-        exprs: Vec<Expr>,
-    },
-    Udf {
-        udf: Arc<dyn TableUdf>,
-        args: Vec<Value>,
-        /// Schema the UDF sees (its input), captured at fuse time.
-        input_schema: Schema,
-    },
-}
-
 /// The plan tree.
 pub enum Plan {
     /// Leaf: a catalog table.
@@ -104,15 +89,6 @@ pub enum Plan {
         input: Box<Plan>,
         n: usize,
     },
-    /// A fused `Filter`/`Project`/`TableUdfScan` chain executed as a
-    /// single `map_partitions` pass: each stage is one kernel over the
-    /// partition's column batch. Produced by the optimizer's fusion pass.
-    Fused {
-        input: Box<Plan>,
-        /// Stages in execution order (closest-to-input first).
-        stages: Vec<FusedStage>,
-        schema: Schema,
-    },
 }
 
 impl Plan {
@@ -128,7 +104,6 @@ impl Plan {
             Plan::Aggregate { schema, .. } => schema.clone(),
             Plan::Sort { input, .. } => input.schema(),
             Plan::Limit { input, .. } => input.schema(),
-            Plan::Fused { schema, .. } => schema.clone(),
         }
     }
 
@@ -145,14 +120,6 @@ impl Plan {
             Plan::Aggregate { input, .. } => (input.estimated_rows() / 10).max(1),
             Plan::Sort { input, .. } => input.estimated_rows(),
             Plan::Limit { input, n } => input.estimated_rows().min(*n),
-            Plan::Fused { input, stages, .. } => {
-                stages
-                    .iter()
-                    .fold(input.estimated_rows(), |est, s| match s {
-                        FusedStage::Filter(_) => (est / 4).max(1),
-                        _ => est,
-                    })
-            }
         }
     }
 
@@ -240,20 +207,6 @@ impl Plan {
             }
             Plan::Limit { input, n } => {
                 out.push_str(&format!("{pad}Limit {n}\n"));
-                input.fmt_tree(depth + 1, out);
-            }
-            Plan::Fused { input, stages, .. } => {
-                let labels: Vec<String> = stages
-                    .iter()
-                    .map(|s| match s {
-                        FusedStage::Filter(p) => format!("Filter {p:?}"),
-                        FusedStage::Project { exprs } => format!("Project {exprs:?}"),
-                        FusedStage::Udf { udf, args, .. } => {
-                            format!("TableUdf {}({args:?})", udf.name())
-                        }
-                    })
-                    .collect();
-                out.push_str(&format!("{pad}Fused [{}]\n", labels.join(" -> ")));
                 input.fmt_tree(depth + 1, out);
             }
         }

@@ -22,7 +22,7 @@
 //! * **Expression types** — operands are type-compatible (comparisons on
 //!   comparable types, arithmetic/negation on numerics, AND/OR/NOT on
 //!   booleans, LIKE on strings), mirroring the executor's runtime rules.
-//! * **Filter** predicates (plain or fused) evaluate to `BOOLEAN`.
+//! * **Filter** predicates evaluate to `BOOLEAN`.
 //! * **Project / Aggregate / HashJoin / TableUdfScan** — the declared
 //!   output schema agrees column-by-column with the types derived from
 //!   the inputs (for joins: left ⧺ right, or for a projecting join the
@@ -31,10 +31,6 @@
 //!   reports, which also re-checks the UDF's literal-argument
 //!   signature/arity).
 //! * **Sort** keys index into the input schema.
-//! * **Fused** — the stage chain type-checks stage by stage, each
-//!   `FusedStage::Udf`'s captured `input_schema` matches the running
-//!   schema at that point, and the chain's final schema matches the
-//!   node's declared schema.
 //!
 //! Every diagnostic is a [`SqlmlError::PlanValidation`] naming the node
 //! and the mismatch, so tests can assert on the failure class.
@@ -45,7 +41,7 @@ use sqlml_common::{Result, Schema, SqlmlError};
 use crate::ast::{AggFunc, ArithOp};
 use crate::catalog::Catalog;
 use crate::expr::Expr;
-use crate::plan::{AggExpr, FusedStage, Plan};
+use crate::plan::{AggExpr, Plan};
 
 fn fail(node: &str, msg: impl AsRef<str>) -> SqlmlError {
     SqlmlError::PlanValidation(format!("{node}: {}", msg.as_ref()))
@@ -436,77 +432,6 @@ pub fn validate(plan: &Plan, catalog: &Catalog) -> Result<Schema> {
             Ok(in_schema)
         }
         Plan::Limit { input, .. } => validate(input, catalog),
-        Plan::Fused {
-            input,
-            stages,
-            schema,
-        } => {
-            let mut running = validate(input, catalog)?;
-            for (si, stage) in stages.iter().enumerate() {
-                let node = format!("Fused[{si}]");
-                match stage {
-                    FusedStage::Filter(pred) => {
-                        let t = expr_type(pred, &running, &node)?;
-                        if t != DataType::Bool {
-                            return Err(fail(
-                                &node,
-                                format!("type mismatch: predicate evaluates to {t}, not BOOLEAN"),
-                            ));
-                        }
-                    }
-                    FusedStage::Project { exprs } => {
-                        let derived: Vec<DataType> = exprs
-                            .iter()
-                            .map(|e| expr_type(e, &running, &node))
-                            .collect::<Result<_>>()?;
-                        // Intermediate stages carry no declared schema;
-                        // downstream stages only see positions and types.
-                        running = Schema::new(
-                            derived
-                                .iter()
-                                .enumerate()
-                                .map(|(i, t)| {
-                                    sqlml_common::schema::Field::new(format!("__c{i}"), *t)
-                                })
-                                .collect(),
-                        );
-                    }
-                    FusedStage::Udf {
-                        udf,
-                        args,
-                        input_schema,
-                    } => {
-                        let same_types = input_schema.len() == running.len()
-                            && input_schema
-                                .fields()
-                                .iter()
-                                .zip(running.fields())
-                                .all(|(a, b)| a.data_type == b.data_type);
-                        if !same_types {
-                            return Err(fail(
-                                &node,
-                                format!(
-                                    "schema mismatch: udf {:?} captured input [{}] but the \
-                                     running stage schema is [{}]",
-                                    udf.name(),
-                                    input_schema.names().join(", "),
-                                    running.names().join(", ")
-                                ),
-                            ));
-                        }
-                        running = udf.output_schema(input_schema, args).map_err(|e| {
-                            fail(
-                                &node,
-                                format!("udf {:?} rejected its signature: {e}", udf.name()),
-                            )
-                        })?;
-                    }
-                }
-            }
-            let derived: Vec<DataType> = running.fields().iter().map(|f| f.data_type).collect();
-            check_types_match(&derived, schema, "Fused")?;
-            Ok(schema.clone())
-        }
     }
 }
 

@@ -1,15 +1,16 @@
 //! Differential tests for the allocation-slim hot path.
 //!
-//! The optimizer fuses `Filter`/`Project`/`TableUdfScan` chains and folds
-//! a column-only `Project` into the `HashJoin` beneath it; the executor
-//! runs a hash-reuse join, a parallel merge sort, and the flat recode
-//! applier; the In-SQL transformer's pass 2 is one applier pass. Each of
-//! those has a retained reference path:
+//! The optimizer picks each join's build side and folds a column-only
+//! `Project` into the `HashJoin` beneath it; the executor runs
+//! `Filter`/`Project`/`TableUdfScan` chains as one pass per partition, a
+//! hash-reuse join, a parallel merge sort, and the flat recode applier;
+//! the In-SQL transformer's pass 2 is one applier pass. Each of those has
+//! a reference:
 //!
-//! * `Engine::query_unfused` plans without the fusion pass, so every
-//!   operator materializes its per-partition `Vec<Row>` the way the
-//!   pre-optimization executor did, and every join is a plain
-//!   `left ++ right` join under a separate `Project`;
+//! * the planner's output executed as it stands, with no optimizer at
+//!   all (`plan_select` → `executor::execute`): every join is a plain
+//!   `left ++ right` join built from the right under a separate
+//!   `Project`;
 //! * `RecodeMap::code` is the nested-`BTreeMap` probe the
 //!   [`FlatRecodeApplier`] replaced;
 //! * `QueryRewriter::rewrite_and_run` executes the §2.1 script — one
@@ -21,12 +22,11 @@
 //! battery of shapes beyond them, and seeded random tables) through both
 //! paths and demand row-for-row equality.
 //!
-//! Since the engine's partitions became column batches, the fused and
-//! unfused plans run the *same* batch kernels (one evaluator, one join),
-//! so `query_unfused` only checks the optimizer's rewrites. The oracle
-//! that shares no kernel with the engine is at the bottom of this file:
-//! expected rows computed by plain Rust loops over the generated
-//! `Vec<Row>`s.
+//! The unoptimized plan runs the *same* batch kernels as the optimized
+//! one (one evaluator, one join, one chain runner), so it only checks the
+//! optimizer's rewrites. The oracle that shares no kernel with the engine
+//! is at the bottom of this file: expected rows computed by plain Rust
+//! loops over the generated `Vec<Row>`s.
 
 use sqlml_common::schema::{DataType, Field, Schema};
 use sqlml_common::{codec, Row, SplitMix64, Value};
@@ -35,8 +35,10 @@ use sqlml_core::workload::{Workload, WorkloadScale, PREP_QUERY};
 use sqlml_dfs::{Dfs, DfsConfig};
 use sqlml_rewriter::QueryRewriter;
 use sqlml_sqlengine::ast::JoinKind;
+use sqlml_sqlengine::executor::execute;
 use sqlml_sqlengine::expr::Expr;
 use sqlml_sqlengine::plan::{BuildSide, Plan};
+use sqlml_sqlengine::planner::plan_select;
 use sqlml_sqlengine::{Engine, EngineConfig, PartitionedTable};
 use sqlml_transform::{
     register_udfs, FlatRecodeApplier, InSqlTransformer, RecodeMap, TransformSpec,
@@ -51,20 +53,26 @@ fn workload_engine() -> Engine {
     e
 }
 
-/// Run one query through the fused executor and the unfused reference
+/// The planner's plan for `sql`, untouched by the optimizer.
+fn unoptimized_plan(e: &Engine, sql: &str) -> Plan {
+    let stmt =
+        sqlml_sqlengine::parser::parse_select(sql).unwrap_or_else(|err| panic!("{sql}: {err}"));
+    plan_select(&stmt, e.catalog()).unwrap_or_else(|err| panic!("{sql}: {err}"))
+}
+
+/// Run one query through the engine and through its unoptimized plan
 /// and demand identical schemas and identical sorted row sets.
 fn assert_differential(e: &Engine, sql: &str) {
-    let fused = e.query(sql).unwrap_or_else(|err| panic!("{sql}: {err}"));
-    let reference = e
-        .query_unfused(sql)
+    let optimized = e.query(sql).unwrap_or_else(|err| panic!("{sql}: {err}"));
+    let reference = execute(&unoptimized_plan(e, sql), e.exec_context())
         .unwrap_or_else(|err| panic!("{sql}: {err}"));
     assert_eq!(
-        fused.schema().names(),
+        optimized.schema().names(),
         reference.schema().names(),
         "schema mismatch for {sql}"
     );
     assert_eq!(
-        fused.collect_sorted(),
+        optimized.collect_sorted(),
         reference.collect_sorted(),
         "row mismatch for {sql}"
     );
@@ -80,8 +88,8 @@ fn figure3_prep_query_matches_reference() {
 fn transform_phase_queries_match_reference() {
     // The exact query shapes the In-SQL transformer generates (§2.1):
     // the distinct-values UDF scan, the recode-map assignment, and the
-    // dummy-code expansion — all TableUdfScans the fusion pass may pull
-    // into a chain.
+    // dummy-code expansion — all TableUdfScans the executor may run in
+    // one pass with the operators around them.
     let e = workload_engine();
     for sql in [
         "SELECT * FROM TABLE(distinct_values(users, 'gender', 'country')) D",
@@ -96,10 +104,10 @@ fn transform_phase_queries_match_reference() {
 fn fusible_chains_match_reference() {
     let e = workload_engine();
     for sql in [
-        // Filter → Project chains — the fusion pass's bread and butter.
+        // Filter → Project chains — one pass per partition.
         "SELECT amount * 2.0 AS a2 FROM carts WHERE amount > 50.0 AND amount < 150.0",
         "SELECT age + 1 AS age1 FROM users WHERE country = 'USA' AND age < 40",
-        // Filter over the join (fused above a pipeline breaker).
+        // Filter over the join (a chain above a pipeline breaker).
         "SELECT U.age, C.amount FROM carts C, users U \
          WHERE C.userid = U.userid AND U.country = 'CA' AND C.amount > 100.0",
     ] {
@@ -423,7 +431,7 @@ fn random_keyed_table(rng: &mut SplitMix64, tag: &str, rows: usize) -> Partition
 }
 
 #[test]
-fn projecting_joins_match_unfused_reference_on_random_tables() {
+fn projecting_joins_match_unoptimized_reference_on_random_tables() {
     let mut rng = SplitMix64::new(0xbead_5eed);
     for trial in 0..12 {
         // Either side may be the smaller one, so inner joins build from
@@ -441,6 +449,13 @@ fn projecting_joins_match_unfused_reference_on_random_tables() {
             let plan = e.explain(sql).unwrap();
             assert!(plan.contains("project=["), "not a projecting join:\n{plan}");
             assert!(!plan.contains("Project"), "Project survived:\n{plan}");
+            // The reference really is the other shape: a Project over a
+            // plain join.
+            let reference = unoptimized_plan(&e, sql).explain();
+            assert!(
+                reference.contains("Project") && !reference.contains("project=["),
+                "reference already folded:\n{reference}"
+            );
             assert_differential(&e, sql);
         }
     }

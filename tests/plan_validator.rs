@@ -1,14 +1,16 @@
 //! Plan-validator acceptance tests: every plan the planner emits for the
-//! workload corpus validates cleanly (including randomized queries), and
-//! seeded plan defects — dropped column, wrong type, bad UDF arity,
-//! out-of-range column reference — are each rejected with the expected
-//! diagnostic.
+//! workload corpus validates cleanly, before and after the optimizer
+//! (including randomized queries), and seeded plan defects — dropped
+//! column, wrong type, bad UDF arity, out-of-range column reference — are
+//! each rejected with the expected diagnostic.
 
 use sqlml_common::schema::{DataType, Field};
 use sqlml_common::{Schema, SplitMix64};
 use sqlml_core::workload::{Workload, WorkloadScale, PREP_QUERY};
+use sqlml_sqlengine::optimizer::optimize;
 use sqlml_sqlengine::parser::parse_select;
 use sqlml_sqlengine::plan::Plan;
+use sqlml_sqlengine::planner::plan_select;
 use sqlml_sqlengine::validate::validate;
 use sqlml_sqlengine::{expr::Expr, Engine, EngineConfig};
 
@@ -23,14 +25,12 @@ fn corpus_engine() -> Engine {
 
 fn assert_validates(engine: &Engine, sql: &str) {
     let stmt = parse_select(sql).unwrap_or_else(|e| panic!("parse {sql}: {e}"));
-    for (mode, plan) in [
-        ("fused", engine.plan(&stmt)),
-        ("unfused", engine.plan_unfused(&stmt)),
-    ] {
-        let plan = plan.unwrap_or_else(|e| panic!("plan [{mode}] {sql}: {e}"));
-        validate(&plan, engine.catalog())
-            .unwrap_or_else(|e| panic!("validate [{mode}] {sql}: {e}"));
-    }
+    let planned =
+        plan_select(&stmt, engine.catalog()).unwrap_or_else(|e| panic!("plan {sql}: {e}"));
+    validate(&planned, engine.catalog())
+        .unwrap_or_else(|e| panic!("validate [planned] {sql}: {e}"));
+    validate(&optimize(planned), engine.catalog())
+        .unwrap_or_else(|e| panic!("validate [optimized] {sql}: {e}"));
 }
 
 #[test]
@@ -52,8 +52,8 @@ fn corpus_plans_validate_cleanly() {
 }
 
 /// Property: random filter/project/aggregate queries over the corpus
-/// schema always plan into trees that validate, through both optimizer
-/// paths. 0/0-style degenerate predicates are fine — validation is
+/// schema always plan into trees that validate, as planned and as
+/// optimized. 0/0-style degenerate predicates are fine — validation is
 /// static, execution is not involved.
 #[test]
 fn random_corpus_queries_validate() {
@@ -85,10 +85,7 @@ fn planned(engine: &Engine, sql: &str) -> Plan {
 #[test]
 fn dropped_column_is_rejected() {
     let engine = corpus_engine();
-    // Unfused so the top node is a plain Project.
-    let mut plan = engine
-        .plan_unfused(&parse_select("SELECT cartid, amount FROM carts").unwrap())
-        .unwrap();
+    let mut plan = planned(&engine, "SELECT cartid, amount FROM carts");
     match &mut plan {
         Plan::Project { schema, .. } => {
             let mut fields = schema.fields().to_vec();
@@ -105,9 +102,7 @@ fn dropped_column_is_rejected() {
 #[test]
 fn wrong_column_type_is_rejected() {
     let engine = corpus_engine();
-    let mut plan = engine
-        .plan_unfused(&parse_select("SELECT cartid, amount FROM carts").unwrap())
-        .unwrap();
+    let mut plan = planned(&engine, "SELECT cartid, amount FROM carts");
     match &mut plan {
         Plan::Project { schema, .. } => {
             // cartid is BIGINT; lie and declare it VARCHAR.
@@ -135,15 +130,6 @@ fn bad_udf_arity_is_rejected() {
                 args.clear(); // distinct_values requires >= 1 column arg
                 true
             }
-            Plan::Fused { input, stages, .. } => {
-                for s in stages.iter_mut() {
-                    if let sqlml_sqlengine::plan::FusedStage::Udf { args, .. } = s {
-                        args.clear();
-                        return true;
-                    }
-                }
-                strip_udf_args(input)
-            }
             Plan::Project { input, .. }
             | Plan::Filter { input, .. }
             | Plan::Distinct { input }
@@ -160,9 +146,7 @@ fn bad_udf_arity_is_rejected() {
 #[test]
 fn out_of_range_column_reference_is_rejected() {
     let engine = corpus_engine();
-    let mut plan = engine
-        .plan_unfused(&parse_select("SELECT cartid FROM carts").unwrap())
-        .unwrap();
+    let mut plan = planned(&engine, "SELECT cartid FROM carts");
     match &mut plan {
         Plan::Project { exprs, .. } => exprs[0] = Expr::Col(99),
         other => panic!("expected Project on top, got:\n{other:?}"),
