@@ -3,10 +3,8 @@
 //! * the preparation query's filter + projecting hash join;
 //! * a `Filter`→`Project` chain, which the executor runs as one pass
 //!   per partition (one batch kernel per operator);
-//! * the [`FlatRecodeApplier`] over a column batch (one `HashMap` probe
-//!   per *dictionary entry*), per row (one probe per categorical cell —
-//!   the naive baseline's external job), and the nested-`BTreeMap`
-//!   `RecodeMap::code` walk both replaced, over identical data.
+//! * the [`FlatRecodeApplier`] over a column batch (one binary search
+//!   per *dictionary entry*, then a gather and the dummy expansion).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sqlml_common::schema::{DataType, Field, Schema};
@@ -72,44 +70,6 @@ fn bench_fusion(c: &mut Criterion) {
     group.finish();
 }
 
-/// The pre-PR per-row transform: nested `BTreeMap` walks per cell via
-/// [`RecodeMap::code`], with per-row column-membership scans. Kept here
-/// (only) as the before-side of the comparison.
-fn reference_apply(row: &Row, schema: &Schema, spec: &TransformSpec, map: &RecodeMap) -> Row {
-    let recode_columns = spec.effective_recode_columns(schema);
-    let mut values = Vec::with_capacity(row.len());
-    for (i, f) in schema.fields().iter().enumerate() {
-        let is_recoded = recode_columns
-            .iter()
-            .any(|c| c.eq_ignore_ascii_case(&f.name));
-        let is_dummy = spec
-            .dummy_code_columns
-            .iter()
-            .any(|c| c.eq_ignore_ascii_case(&f.name));
-        let v = row.get(i);
-        if is_dummy {
-            let k = map.cardinality(&f.name);
-            let code = match v {
-                Value::Null => 0,
-                Value::Str(s) => map.code(&f.name, s).unwrap(),
-                other => panic!("non-categorical {other}"),
-            };
-            for j in 1..=k as i64 {
-                values.push(Value::Int((j == code) as i64));
-            }
-        } else if is_recoded {
-            match v {
-                Value::Null => values.push(Value::Null),
-                Value::Str(s) => values.push(Value::Int(map.code(&f.name, s).unwrap())),
-                other => panic!("non-categorical {other}"),
-            }
-        } else {
-            values.push(v.clone());
-        }
-    }
-    Row::new(values)
-}
-
 fn bench_recode_apply(c: &mut Criterion) {
     let schema = Schema::new(vec![
         Field::new("age", DataType::Int),
@@ -146,24 +106,6 @@ fn bench_recode_apply(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpath");
     group.bench_function("recode_apply_batch_100k", |b| {
         b.iter(|| applier.apply_batch(black_box(&batch)).unwrap().len())
-    });
-    group.bench_function("recode_apply_flat_100k", |b| {
-        b.iter(|| {
-            let mut n = 0usize;
-            for r in &rows {
-                n += applier.apply(black_box(r)).unwrap().len();
-            }
-            n
-        })
-    });
-    group.bench_function("recode_apply_btreemap_100k", |b| {
-        b.iter(|| {
-            let mut n = 0usize;
-            for r in &rows {
-                n += reference_apply(black_box(r), &schema, &spec, &map).len();
-            }
-            n
-        })
     });
     group.finish();
 }

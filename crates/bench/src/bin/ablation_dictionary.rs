@@ -17,7 +17,7 @@ use sqlml_core::workload::PREP_QUERY;
 use sqlml_core::{ClusterConfig, SimCluster};
 use sqlml_sqlengine::column::{Column, DictionaryColumn};
 use sqlml_sqlengine::PartitionedTable;
-use sqlml_transform::InSqlTransformer;
+use sqlml_transform::{InSqlTransformer, RecodeMap};
 
 /// §2.1's objection 1, as a predicate: do any two partitions assign
 /// different codes to the same value?
@@ -136,7 +136,7 @@ fn main() {
         in_dictionary > referenced && referenced == 1,
     ) & check_shape(
         "the two-phase recode map satisfies the 1..=K invariant where the dictionary cannot",
-        map.validate().is_ok(),
+        RecodeMap::from_rows(&map.to_rows()).is_ok_and(|m| m == map),
     );
     std::process::exit(if ok { 0 } else { 1 });
 }

@@ -94,16 +94,8 @@ pub fn decode_text_row(line: &str, schema: &Schema) -> Result<Row> {
     decode_text_row_with(line, schema, None)
 }
 
-/// Decode one text line, pooling string values through `interner` so
-/// repeated categorical values share one `Arc<str>` allocation.
-pub fn decode_text_row_interned(
-    line: &str,
-    schema: &Schema,
-    interner: &mut Interner,
-) -> Result<Row> {
-    decode_text_row_with(line, schema, Some(interner))
-}
-
+/// [`decode_text_row`], pooling string values through `interner` when
+/// one is given so repeated categorical values share one `Arc<str>`.
 fn decode_text_row_with(
     line: &str,
     schema: &Schema,
@@ -185,7 +177,7 @@ pub fn decode_text_batch(text: &str, schema: &Schema) -> Result<Vec<Row>> {
     let mut interner = Interner::new();
     text.lines()
         .filter(|l| !l.is_empty())
-        .map(|l| decode_text_row_interned(l, schema, &mut interner))
+        .map(|l| decode_text_row_with(l, schema, Some(&mut interner)))
         .collect()
 }
 

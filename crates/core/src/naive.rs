@@ -16,11 +16,10 @@
 //! In-SQL approach, which is exactly the overhead Figure 3 charges the
 //! naive bar with.
 
-use std::collections::BTreeSet;
-
 use sqlml_common::schema::Schema;
-use sqlml_common::{codec, Result, SqlmlError, Value};
+use sqlml_common::{Result, SqlmlError};
 use sqlml_dfs::Dfs;
+use sqlml_sqlengine::{Batch, Column};
 use sqlml_transform::{FlatRecodeApplier, RecodeMap, TransformSpec};
 
 /// Output of the external transform job.
@@ -57,47 +56,35 @@ pub fn run_external_transform(
         .map(|c| Ok((c.clone(), input_schema.index_of(c)?)))
         .collect::<Result<_>>()?;
 
-    // ---- Job 1: distinct values per column (map side), merged at the
-    // driver (reduce side).
-    let partials: Vec<BTreeSet<(String, String)>> = parallel_over_files(&files, |path| {
-        let text = dfs.read_string(path)?;
-        let mut set = BTreeSet::new();
-        for line in text.lines().filter(|l| !l.is_empty()) {
-            let row = codec::decode_text_row(line, input_schema)?;
-            for (name, idx) in &col_indices {
-                if let Value::Str(s) = row.get(*idx) {
-                    set.insert((name.clone(), s.to_string()));
-                }
+    // ---- Job 1: distinct values per column (map side: the entries the
+    // part-file's rows reference, as `distinct_values` reads them),
+    // merged at the driver (reduce side).
+    let partials: Vec<Vec<(String, String)>> = parallel_over_files(&files, |path| {
+        let batch = Batch::decode_text(&dfs.read_string(path)?, input_schema)?;
+        let mut pairs = Vec::new();
+        for (name, idx) in &col_indices {
+            // Any other column holds no strings to recode; job 2's
+            // applier rejects a non-NULL cell in it.
+            if let Column::Str(d) = &**batch.column(*idx) {
+                let entries = d.referenced_entries().into_iter();
+                pairs.extend(entries.map(|v| (name.clone(), v.to_string())));
             }
         }
-        Ok(set)
+        Ok(pairs)
     })?;
-    let mut all_pairs = BTreeSet::new();
-    for p in partials {
-        all_pairs.extend(p);
-    }
-    let recode_map = RecodeMap::from_pairs(all_pairs);
-    recode_map.validate()?;
+    let recode_map = RecodeMap::from_pairs(partials.into_iter().flatten());
 
     // ---- Job 2: transform each part-file and write the output. All
-    // per-column resolution (which action, value→code table, block
-    // width, transformed schema) happens once here; the per-row work is
-    // a flat O(1) probe per categorical cell.
+    // per-column resolution (which action, the column's sorted values,
+    // block width, transformed schema) happens once here; each part-file
+    // is one column batch through the applier.
     let applier = FlatRecodeApplier::new(&recode_map, input_schema, spec)?;
     let row_counts: Vec<usize> = parallel_over_files(&files, |path| {
-        let text = dfs.read_string(path)?;
-        let mut interner = sqlml_common::Interner::new();
-        let mut out_rows = Vec::new();
-        for line in text.lines().filter(|l| !l.is_empty()) {
-            let row = codec::decode_text_row_interned(line, input_schema, &mut interner)?;
-            out_rows.push(applier.apply(&row)?);
-        }
+        let batch = Batch::decode_text(&dfs.read_string(path)?, input_schema)?;
+        let out = applier.apply_batch(&batch)?;
         let part_name = path.rsplit('/').next().unwrap_or("part-00000");
-        dfs.write_string(
-            &format!("{output_dir}/{part_name}"),
-            &codec::encode_text_batch(&out_rows),
-        )?;
-        Ok(out_rows.len())
+        dfs.write_string(&format!("{output_dir}/{part_name}"), &out.encode_text())?;
+        Ok(out.len())
     })?;
 
     Ok(ExternalTransformOutput {
@@ -133,8 +120,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlml_common::row;
     use sqlml_common::schema::{DataType, Field};
+    use sqlml_common::{codec, row};
     use sqlml_dfs::DfsConfig;
 
     fn input_schema() -> Schema {

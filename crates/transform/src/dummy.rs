@@ -2,11 +2,46 @@
 //! an already recoded column — the statement-per-step form the §4
 //! rewriter's script uses. [`crate::InSqlTransformer`] does recoding and
 //! dummy coding in one pass through [`crate::FlatRecodeApplier`] instead.
+//! Both, and the effect / Helmert UDFs, expand a column through this
+//! module's one expansion kernel.
+
+use std::sync::Arc;
 
 use sqlml_common::schema::{DataType, Field};
-use sqlml_common::{Result, Row, Schema, SqlmlError, Value};
+use sqlml_common::{Result, Schema, SqlmlError, Value};
+use sqlml_sqlengine::column::{Column, Prim};
 use sqlml_sqlengine::udf::{PartitionCtx, TableUdf};
 use sqlml_sqlengine::Batch;
+
+/// The one expansion kernel: one categorical column as `w` columns read
+/// off a `K × w` level table. A row at level `l` (0-based) holds
+/// `level(l, j)` in output column `j`; a row with no level (a NULL, or
+/// dummy coding's code 0) holds `T::default()` in all of them. Dummy
+/// coding's table is the `Int` identity, effect and Helmert coding's are
+/// their `Double` contrast matrices.
+pub(crate) fn expand<T: Copy + Default>(
+    levels: &[Option<usize>],
+    w: usize,
+    level: impl Fn(usize, usize) -> T,
+    column: fn(Prim<T>) -> Column,
+) -> Vec<Arc<Column>> {
+    (0..w)
+        .map(|j| {
+            let values = (levels.iter())
+                .map(|l| l.map_or_else(T::default, |l| level(l, j)))
+                .collect();
+            Arc::new(column(Prim::new(values, None)))
+        })
+        .collect()
+}
+
+/// `input` with column `idx` replaced by `expanded`; every other column
+/// is the input's, shared.
+pub(crate) fn splice(input: &Batch, idx: usize, expanded: Vec<Arc<Column>>) -> Batch {
+    let mut columns = input.columns().to_vec();
+    columns.splice(idx..=idx, expanded);
+    Batch::new(columns, input.len())
+}
 
 /// Table UDF: `TABLE(dummy_code(t, 'col', 'val1', ..., 'valK'))`.
 ///
@@ -18,7 +53,7 @@ use sqlml_sqlengine::Batch;
 pub struct DummyCodeUdf;
 
 /// Compute the expanded schema for dummy-coding `col` with value names.
-fn expanded_schema(input: &Schema, col: &str, values: &[String]) -> Result<(usize, Schema)> {
+fn expanded_schema(input: &Schema, col: &str, values: &[String]) -> Result<Schema> {
     let idx = input.index_of(col)?;
     let mut fields = Vec::with_capacity(input.len() + values.len() - 1);
     for (i, f) in input.fields().iter().enumerate() {
@@ -33,7 +68,7 @@ fn expanded_schema(input: &Schema, col: &str, values: &[String]) -> Result<(usiz
             fields.push(f.clone());
         }
     }
-    Ok((idx, Schema::new(fields)))
+    Ok(Schema::new(fields))
 }
 
 fn parse_args(args: &[Value]) -> Result<(String, Vec<String>)> {
@@ -72,7 +107,7 @@ impl TableUdf for DummyCodeUdf {
 
     fn output_schema(&self, input: &Schema, args: &[Value]) -> Result<Schema> {
         let (col, values) = parse_args(args)?;
-        Ok(expanded_schema(input, &col, &values)?.1)
+        expanded_schema(input, &col, &values)
     }
 
     fn execute(
@@ -83,44 +118,37 @@ impl TableUdf for DummyCodeUdf {
         _ctx: &PartitionCtx,
     ) -> Result<Batch> {
         let (col, values) = parse_args(args)?;
-        let (idx, out_schema) = expanded_schema(input_schema, &col, &values)?;
+        let idx = input_schema.index_of(&col)?;
         let k = values.len();
-        let mut out = Vec::with_capacity(input.len());
-        for r in &input.rows() {
-            let mut vals = Vec::with_capacity(r.len() + k - 1);
-            for (i, v) in r.values().iter().enumerate() {
-                if i == idx {
-                    let code = match v {
-                        Value::Null => 0, // NULL → all-zero indicator block
-                        other => other.as_i64().map_err(|_| {
-                            SqlmlError::Type(format!(
-                                "dummy_code: column {col:?} must be recoded to integers first, \
-                                 found {other}"
-                            ))
-                        })?,
-                    };
-                    if code < 0 || code as usize > k {
-                        return Err(SqlmlError::Execution(format!(
-                            "dummy_code: code {code} out of range 1..={k} for column {col:?}"
-                        )));
-                    }
-                    for j in 1..=k {
-                        vals.push(Value::Int((j as i64 == code) as i64));
-                    }
-                } else {
-                    vals.push(v.clone());
+        let codes = input.column(idx);
+        let levels = (0..input.len())
+            .map(|i| {
+                let code = match codes.value(i) {
+                    Value::Null => 0, // NULL → all-zero indicator block
+                    other => other.as_i64().map_err(|_| {
+                        SqlmlError::Type(format!(
+                            "dummy_code: column {col:?} must be recoded to integers first, \
+                             found {other}"
+                        ))
+                    })?,
+                };
+                if code < 0 || code as usize > k {
+                    return Err(SqlmlError::Execution(format!(
+                        "dummy_code: code {code} out of range 1..={k} for column {col:?}"
+                    )));
                 }
-            }
-            out.push(Row::new(vals));
-        }
-        Ok(Batch::from_rows(&out_schema, &out))
+                Ok(usize::try_from(code - 1).ok())
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let indicators = expand(&levels, k, |l, j| i64::from(l == j), Column::Int);
+        Ok(splice(input, idx, indicators))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlml_common::row;
+    use sqlml_common::{row, Row};
 
     /// `udf` over `rows` as one partition, back as rows.
     fn run(udf: &dyn TableUdf, rows: &[Row], schema: &Schema, args: &[Value]) -> Result<Vec<Row>> {
@@ -253,5 +281,25 @@ mod tests {
             .unwrap();
         assert!(s.names().contains(&"gender_not_known".to_string()));
         assert!(s.names().contains(&"gender_f_m".to_string()));
+    }
+
+    #[test]
+    fn every_expansion_udf_shares_its_pass_through_columns() {
+        use crate::effect::{EffectCodeUdf, OrthogonalCodeUdf};
+        let input = Batch::from_rows(&recoded_schema(), &[row![57i64, 2i64, 103.25, 1i64]]);
+        let k2 = [Value::Str("gender".into()), Value::Int(2)];
+        for udf in [
+            &DummyCodeUdf as &dyn TableUdf,
+            &EffectCodeUdf,
+            &OrthogonalCodeUdf,
+        ] {
+            let out = udf.execute(&input, &recoded_schema(), &k2, &ctx()).unwrap();
+            // age, <gender expanded to w columns>, amount, abandoned.
+            let w = out.width() - 3;
+            for (o, i) in [(0, 0), (w + 1, 2), (w + 2, 3)] {
+                let shared = Arc::ptr_eq(out.column(o), input.column(i));
+                assert!(shared, "{}: column {i}", udf.name());
+            }
+        }
     }
 }

@@ -13,9 +13,11 @@
 //!   columns are pairwise orthogonal over a balanced design.
 
 use sqlml_common::schema::{DataType, Field};
-use sqlml_common::{Result, Row, Schema, SqlmlError, Value};
+use sqlml_common::{Result, Schema, SqlmlError, Value};
 use sqlml_sqlengine::udf::{PartitionCtx, TableUdf};
-use sqlml_sqlengine::Batch;
+use sqlml_sqlengine::{Batch, Column};
+
+use crate::dummy::{expand, splice};
 
 /// The Helmert contrast matrix: `K` rows (levels) × `K-1` columns.
 pub fn helmert_matrix(k: usize) -> Vec<Vec<f64>> {
@@ -66,7 +68,7 @@ fn parse_args(args: &[Value]) -> Result<(String, usize)> {
     Ok((col, k as usize))
 }
 
-fn contrast_schema(input: &Schema, col: &str, k: usize, tag: &str) -> Result<(usize, Schema)> {
+fn contrast_schema(input: &Schema, col: &str, k: usize, tag: &str) -> Result<Schema> {
     let idx = input.index_of(col)?;
     let mut fields = Vec::with_capacity(input.len() + k - 2);
     for (i, f) in input.fields().iter().enumerate() {
@@ -78,41 +80,34 @@ fn contrast_schema(input: &Schema, col: &str, k: usize, tag: &str) -> Result<(us
             fields.push(f.clone());
         }
     }
-    Ok((idx, Schema::new(fields)))
+    Ok(Schema::new(fields))
 }
 
+/// Expand the recoded column `col` into the `K-1` columns of `matrix`.
 fn apply_matrix(
     input: &Batch,
     input_schema: &Schema,
     col: &str,
     k: usize,
     matrix: &[Vec<f64>],
-    tag: &str,
 ) -> Result<Batch> {
-    let (idx, out_schema) = contrast_schema(input_schema, col, k, tag)?;
-    let mut out = Vec::with_capacity(input.len());
-    for r in &input.rows() {
-        let mut vals = Vec::with_capacity(r.len() + k - 2);
-        for (i, v) in r.values().iter().enumerate() {
-            if i == idx {
-                let code = v.as_i64().map_err(|_| {
-                    SqlmlError::Type(format!("contrast coding: column {col:?} must be recoded"))
-                })?;
-                if code < 1 || code as usize > k {
-                    return Err(SqlmlError::Execution(format!(
-                        "contrast coding: code {code} out of range 1..={k}"
-                    )));
-                }
-                for c in &matrix[code as usize - 1] {
-                    vals.push(Value::Double(*c));
-                }
-            } else {
-                vals.push(v.clone());
+    let idx = input_schema.index_of(col)?;
+    let codes = input.column(idx);
+    let levels = (0..input.len())
+        .map(|i| {
+            let code = codes.value(i).as_i64().map_err(|_| {
+                SqlmlError::Type(format!("contrast coding: column {col:?} must be recoded"))
+            })?;
+            if code < 1 || code as usize > k {
+                return Err(SqlmlError::Execution(format!(
+                    "contrast coding: code {code} out of range 1..={k}"
+                )));
             }
-        }
-        out.push(Row::new(vals));
-    }
-    Ok(Batch::from_rows(&out_schema, &out))
+            Ok(Some(code as usize - 1))
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let contrasts = expand(&levels, k - 1, |l, j| matrix[l][j], Column::Double);
+    Ok(splice(input, idx, contrasts))
 }
 
 /// Table UDF: `TABLE(effect_code(t, 'col', K))`.
@@ -125,7 +120,7 @@ impl TableUdf for EffectCodeUdf {
 
     fn output_schema(&self, input: &Schema, args: &[Value]) -> Result<Schema> {
         let (col, k) = parse_args(args)?;
-        Ok(contrast_schema(input, &col, k, "eff")?.1)
+        contrast_schema(input, &col, k, "eff")
     }
 
     fn execute(
@@ -136,7 +131,7 @@ impl TableUdf for EffectCodeUdf {
         _ctx: &PartitionCtx,
     ) -> Result<Batch> {
         let (col, k) = parse_args(args)?;
-        apply_matrix(input, input_schema, &col, k, &effect_matrix(k), "eff")
+        apply_matrix(input, input_schema, &col, k, &effect_matrix(k))
     }
 }
 
@@ -150,7 +145,7 @@ impl TableUdf for OrthogonalCodeUdf {
 
     fn output_schema(&self, input: &Schema, args: &[Value]) -> Result<Schema> {
         let (col, k) = parse_args(args)?;
-        Ok(contrast_schema(input, &col, k, "orth")?.1)
+        contrast_schema(input, &col, k, "orth")
     }
 
     fn execute(
@@ -161,14 +156,14 @@ impl TableUdf for OrthogonalCodeUdf {
         _ctx: &PartitionCtx,
     ) -> Result<Batch> {
         let (col, k) = parse_args(args)?;
-        apply_matrix(input, input_schema, &col, k, &helmert_matrix(k), "orth")
+        apply_matrix(input, input_schema, &col, k, &helmert_matrix(k))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlml_common::row;
+    use sqlml_common::{row, Row};
 
     /// `udf` over `rows` as one partition, back as rows.
     fn run(udf: &dyn TableUdf, rows: &[Row], schema: &Schema, args: &[Value]) -> Result<Vec<Row>> {

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sqlml_common::{Result, Schema, SqlmlError, Value};
+use sqlml_common::{sql_string_literal, Result, Schema, SqlmlError, Value};
 use sqlml_sqlengine::{Batch, Engine, PartitionCtx, PartitionedTable, TableUdf};
 
 use crate::apply::FlatRecodeApplier;
@@ -125,7 +125,7 @@ impl InSqlTransformer {
         }
         let col_args = columns
             .iter()
-            .map(|c| format!("'{c}'"))
+            .map(|c| sql_string_literal(c))
             .collect::<Vec<_>>()
             .join(", ");
         let pairs = temp_name("pairs");
@@ -139,9 +139,7 @@ impl InSqlTransformer {
             "SELECT * FROM TABLE(assign_recode_ids({pairs})) AS m"
         ));
         self.engine.execute(&format!("DROP TABLE {pairs}"))?;
-        let map = RecodeMap::from_rows(&result?.collect_rows())?;
-        map.validate()?;
-        Ok(map)
+        RecodeMap::from_rows(&result?.collect_rows())
     }
 
     /// Full transformation with a freshly built recode map (two passes).
@@ -197,9 +195,9 @@ impl InSqlTransformer {
 /// resolved for one (map, input schema, spec), so it is handed to
 /// [`Engine::apply_table_udf`] rather than registered under a name:
 /// concurrent transforms on one engine share nothing.
-struct RecodeDummyUdf(FlatRecodeApplier);
+struct RecodeDummyUdf<'m>(FlatRecodeApplier<'m>);
 
-impl TableUdf for RecodeDummyUdf {
+impl TableUdf for RecodeDummyUdf<'_> {
     fn name(&self) -> &str {
         "recode_dummy"
     }

@@ -25,32 +25,31 @@ pub fn distinct_pairs_schema() -> Schema {
     ])
 }
 
-/// A recode map: per categorical column, a bijection from string values
-/// onto `1..=K` (consecutive, 1-based, assigned in sorted value order so
-/// the map is deterministic under any partitioning).
+/// A recode map: per categorical column, the sorted, deduplicated values;
+/// a value's code is its position + 1. Codes are therefore a bijection
+/// onto `1..=K`, consecutive from 1 in value order, by construction — the
+/// map is deterministic under any partitioning.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecodeMap {
-    columns: BTreeMap<String, BTreeMap<String, i64>>,
+    columns: BTreeMap<String, Vec<String>>,
+}
+
+/// The position of `value` in a column's sorted values (its code − 1).
+pub(crate) fn level_of(values: &[String], value: &str) -> Option<usize> {
+    values.binary_search_by(|v| v.as_str().cmp(value)).ok()
 }
 
 impl RecodeMap {
     /// Build from (column, value) pairs; values are sorted per column and
     /// assigned consecutive codes from 1.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (String, String)>) -> Self {
-        let mut sets: BTreeMap<String, Vec<String>> = BTreeMap::new();
+        let mut columns: BTreeMap<String, Vec<String>> = BTreeMap::new();
         for (c, v) in pairs {
-            sets.entry(c).or_default().push(v);
+            columns.entry(c).or_default().push(v);
         }
-        let mut columns = BTreeMap::new();
-        for (c, mut vals) in sets {
-            vals.sort();
-            vals.dedup();
-            let m = vals
-                .into_iter()
-                .enumerate()
-                .map(|(i, v)| (v, i as i64 + 1))
-                .collect();
-            columns.insert(c, m);
+        for values in columns.values_mut() {
+            values.sort_unstable();
+            values.dedup();
         }
         RecodeMap { columns }
     }
@@ -79,19 +78,12 @@ impl RecodeMap {
 
     /// The code for a value of a column.
     pub fn code(&self, column: &str, value: &str) -> Option<i64> {
-        self.columns.get(column)?.get(value).copied()
-    }
-
-    /// The full value → code map of one column, if present. Used to build
-    /// flat per-partition appliers that probe a single `HashMap` per cell
-    /// instead of walking two nested `BTreeMap`s.
-    pub fn column_codes(&self, column: &str) -> Option<&BTreeMap<String, i64>> {
-        self.columns.get(column)
+        level_of(self.columns.get(column)?, value).map(|l| l as i64 + 1)
     }
 
     /// Number of distinct values of a column (0 if unknown).
     pub fn cardinality(&self, column: &str) -> usize {
-        self.columns.get(column).map(|m| m.len()).unwrap_or(0)
+        self.values_in_code_order(column).len()
     }
 
     pub fn columns(&self) -> impl Iterator<Item = &str> {
@@ -102,61 +94,55 @@ impl RecodeMap {
         self.columns.contains_key(column)
     }
 
-    /// The values of a column in code order (code 1 first).
-    pub fn values_in_code_order(&self, column: &str) -> Vec<String> {
-        let Some(m) = self.columns.get(column) else {
-            return Vec::new();
-        };
-        let mut pairs: Vec<(&i64, &String)> = m.iter().map(|(v, c)| (c, v)).collect();
-        pairs.sort();
-        pairs.into_iter().map(|(_, v)| v.clone()).collect()
+    /// The values of a column in code order (code 1 first) — sorted.
+    pub fn values_in_code_order(&self, column: &str) -> &[String] {
+        self.columns.get(column).map_or(&[], Vec::as_slice)
     }
 
     /// Serialize as rows of the `M` table.
     pub fn to_rows(&self) -> Vec<Row> {
         let mut out = Vec::new();
-        for (c, m) in &self.columns {
-            for (v, code) in m {
+        for (c, values) in &self.columns {
+            for (code, v) in (1i64..).zip(values) {
                 out.push(Row::new(vec![
                     Value::Str(c.as_str().into()),
                     Value::Str(v.as_str().into()),
-                    Value::Int(*code),
+                    Value::Int(code),
                 ]));
             }
         }
         out
     }
 
-    /// Parse from rows of the `M` table.
+    /// Parse from rows of the `M` table. Per column the codes must be
+    /// exactly `1..=K` and follow value order — a table that would need
+    /// renumbering to fit is an error, not silently a different map.
     pub fn from_rows(rows: &[Row]) -> Result<RecodeMap> {
-        let mut columns: BTreeMap<String, BTreeMap<String, i64>> = BTreeMap::new();
+        let mut coded: BTreeMap<String, Vec<(i64, String)>> = BTreeMap::new();
         for r in rows {
             if r.len() != 3 {
                 return Err(SqlmlError::Execution(
                     "recode map rows must have 3 columns".into(),
                 ));
             }
-            columns
+            coded
                 .entry(r.get(0).as_str()?.to_string())
                 .or_default()
-                .insert(r.get(1).as_str()?.to_string(), r.get(2).as_i64()?);
+                .push((r.get(2).as_i64()?, r.get(1).as_str()?.to_string()));
         }
-        Ok(RecodeMap { columns })
-    }
-
-    /// Check the invariant: per column, codes are exactly `1..=K`.
-    pub fn validate(&self) -> Result<()> {
-        for (c, m) in &self.columns {
-            let mut codes: Vec<i64> = m.values().copied().collect();
-            codes.sort_unstable();
-            let expect: Vec<i64> = (1..=m.len() as i64).collect();
-            if codes != expect {
+        let mut columns = BTreeMap::new();
+        for (c, mut entries) in coded {
+            entries.sort_unstable();
+            let consecutive = (1i64..).zip(&entries).all(|(k, (code, _))| *code == k);
+            let ascending = entries.windows(2).all(|w| w[0].1 < w[1].1);
+            if !consecutive || !ascending {
                 return Err(SqlmlError::Execution(format!(
-                    "recode map for {c:?} is not consecutive-from-1: {codes:?}"
+                    "recode map for {c:?} is not consecutive-from-1 in value order: {entries:?}"
                 )));
             }
+            columns.insert(c, entries.into_iter().map(|(_, v)| v).collect());
         }
-        Ok(())
+        Ok(RecodeMap { columns })
     }
 }
 
@@ -313,7 +299,6 @@ mod tests {
         assert_eq!(m.code("abandoned", "Yes"), Some(2));
         assert_eq!(m.cardinality("gender"), 2);
         assert_eq!(m.code("gender", "X"), None);
-        m.validate().unwrap();
     }
 
     #[test]
@@ -325,6 +310,32 @@ mod tests {
         ]);
         let back = RecodeMap::from_rows(&m.to_rows()).unwrap();
         assert_eq!(m, back);
+    }
+
+    #[test]
+    fn from_rows_rejects_codes_that_are_not_consecutive_in_value_order() {
+        let table = |entries: &[(&str, i64)]| -> Vec<Row> {
+            (entries.iter())
+                .map(|&(value, code)| row!["c", value, code])
+                .collect()
+        };
+        // Rows in any order parse to the same map.
+        let ok = RecodeMap::from_rows(&table(&[("b", 2), ("a", 1)])).unwrap();
+        assert_eq!(ok.values_in_code_order("c"), ["a", "b"]);
+        for (what, bad) in [
+            ("a skipped code", table(&[("a", 1), ("b", 3)])),
+            ("a repeated code", table(&[("a", 1), ("b", 1)])),
+            ("a repeated value", table(&[("a", 1), ("a", 2)])),
+            // Codes 1..=K, but b=1 and a=2: sorted storage would renumber.
+            ("codes out of value order", table(&[("b", 1), ("a", 2)])),
+        ] {
+            let err = RecodeMap::from_rows(&bad).err().map(|e| e.to_string());
+            assert!(
+                err.as_deref()
+                    .is_some_and(|e| e.contains("not consecutive-from-1 in value order")),
+                "{what}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -431,7 +442,6 @@ mod tests {
         let m = RecodeMap::from_rows(&out.rows()).unwrap();
         assert_eq!(m.code("gender", "F"), Some(1));
         assert_eq!(m.code("abandoned", "Yes"), Some(2));
-        m.validate().unwrap();
 
         // Unsorted input is rejected.
         let unsorted = vec![row!["gender", "M"], row!["gender", "F"]];

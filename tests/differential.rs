@@ -11,8 +11,8 @@
 //!   all (`plan_select` → `executor::execute`): every join is a plain
 //!   `left ++ right` join built from the right under a separate
 //!   `Project`;
-//! * `RecodeMap::code` is the nested-`BTreeMap` probe the
-//!   [`FlatRecodeApplier`] replaced;
+//! * a plain per-cell loop over `RecodeMap::code` is the reference for
+//!   [`FlatRecodeApplier::apply_batch`];
 //! * `QueryRewriter::rewrite_and_run` executes the §2.1 script — one
 //!   recode join per column, one `dummy_code` statement per dummy column
 //!   — which is the oracle for `InSqlTransformer::transform`, as is the
@@ -39,7 +39,7 @@ use sqlml_sqlengine::executor::execute;
 use sqlml_sqlengine::expr::Expr;
 use sqlml_sqlengine::plan::{BuildSide, Plan};
 use sqlml_sqlengine::planner::plan_select;
-use sqlml_sqlengine::{Engine, EngineConfig, PartitionedTable};
+use sqlml_sqlengine::{Batch, Engine, EngineConfig, PartitionedTable};
 use sqlml_transform::{
     register_udfs, FlatRecodeApplier, InSqlTransformer, RecodeMap, TransformSpec,
 };
@@ -165,8 +165,8 @@ fn sorted_limit_is_a_true_prefix_of_the_full_sort() {
 // FlatRecodeApplier vs RecodeMap::code, on randomized data.
 // ---------------------------------------------------------------------
 
-/// Reference application: the per-cell nested-`BTreeMap` walk the flat
-/// applier replaced.
+/// Reference application: one row, cell by cell, through
+/// `RecodeMap::code`.
 fn reference_apply(row: &Row, schema: &Schema, spec: &TransformSpec, map: &RecodeMap) -> Row {
     let recode_columns = spec.effective_recode_columns(schema);
     let mut values = Vec::new();
@@ -227,6 +227,7 @@ fn flat_applier_matches_recode_map_code_on_random_data() {
             _ => TransformSpec::new(&["c1", "c2"]),
         };
         let applier = FlatRecodeApplier::new(&map, &schema, &spec).unwrap();
+        let mut rows = Vec::new();
         for _ in 0..200 {
             let c1 = if rng.chance(0.05) {
                 Value::Null
@@ -238,16 +239,21 @@ fn flat_applier_matches_recode_map_code_on_random_data() {
             } else {
                 Value::str(vocab2[rng.next_below(k2 as u64) as usize].as_str())
             };
-            let row = Row::new(vec![
+            rows.push(Row::new(vec![
                 Value::Int(rng.range_i64(-100, 100)),
                 c1,
                 Value::Double(rng.next_f64()),
                 c2,
-            ]);
-            let flat = applier.apply(&row).unwrap();
-            let reference = reference_apply(&row, &schema, &spec, &map);
+            ]));
+        }
+        let out = applier
+            .apply_batch(&Batch::from_rows(&schema, &rows))
+            .unwrap();
+        assert_eq!(out.width(), applier.output_schema().len());
+        assert_eq!(out.len(), rows.len());
+        for (row, flat) in rows.iter().zip(out.rows()) {
+            let reference = reference_apply(row, &schema, &spec, &map);
             assert_eq!(flat, reference, "trial {trial}, row {row:?}");
-            assert_eq!(flat.len(), applier.output_schema().len());
         }
     }
 }
@@ -258,9 +264,14 @@ fn flat_applier_rejects_unseen_values_like_the_reference() {
     let map = RecodeMap::from_pairs(vec![("c".to_string(), "seen".to_string())]);
     let applier = FlatRecodeApplier::new(&map, &schema, &TransformSpec::default()).unwrap();
     assert!(map.code("c", "unseen").is_none());
-    assert!(applier
-        .apply(&Row::new(vec![Value::str("unseen")]))
-        .is_err());
+    let rows = [
+        Row::new(vec![Value::str("seen")]),
+        Row::new(vec![Value::str("unseen")]),
+    ];
+    let err = applier
+        .apply_batch(&Batch::from_rows(&schema, &rows))
+        .unwrap_err();
+    assert!(err.to_string().contains("unseen value"), "{err}");
 }
 
 // ---------------------------------------------------------------------
@@ -399,6 +410,39 @@ fn insql_transform_matches_join_script_and_external_transform_on_random_tables()
             insql_rows,
             "{what}"
         );
+    }
+}
+
+#[test]
+fn a_categorical_column_named_with_a_quote_transforms_in_sql_as_externally() {
+    // Pass 1 splices the column name into its SQL as a string literal.
+    let schema = Schema::new(vec![
+        Field::new("n", DataType::Int),
+        Field::categorical("it's"),
+    ]);
+    let rows = [(1, "b"), (2, "a"), (3, "b")]
+        .map(|(n, v)| Row::new(vec![Value::Int(n), Value::str(v)]))
+        .to_vec();
+    let table = PartitionedTable::new(schema.clone(), vec![rows]);
+    let dfs = Dfs::new(DfsConfig::for_tests());
+    table.save_text(&dfs, "/in").unwrap();
+    let engine = Engine::new(EngineConfig::with_workers(2));
+    engine.register_table("q", table);
+    let transformer = InSqlTransformer::new(engine);
+    for (i, spec) in [TransformSpec::default(), TransformSpec::new(&["it's"])]
+        .iter()
+        .enumerate()
+    {
+        let out_dir = format!("/out-{i}");
+        let external = run_external_transform(&dfs, "/in", &schema, spec, &out_dir).unwrap();
+        let insql = transformer
+            .transform("q", spec)
+            .unwrap_or_else(|e| panic!("{spec:?}: {e}"));
+        assert_eq!(insql.recode_map, external.recode_map, "{spec:?}");
+        assert_eq!(insql.recode_map.code("it's", "b"), Some(2));
+        assert_eq!(insql.table.schema(), &external.schema, "{spec:?}");
+        let ext_rows = read_sorted(&dfs, &out_dir, &external.schema);
+        assert_eq!(ext_rows, insql.table.collect_sorted(), "{spec:?}");
     }
 }
 
