@@ -20,6 +20,7 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -48,7 +49,12 @@ pub fn escape_text(s: &str, out: &mut String) {
     }
 }
 
-fn unescape_text(s: &str) -> Result<String> {
+/// The field as its string value: borrowed from the line unless it
+/// holds an escape.
+fn unescape_text(s: &str) -> Result<Cow<'_, str>> {
+    if !s.contains('\\') {
+        return Ok(Cow::Borrowed(s));
+    }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -67,7 +73,7 @@ fn unescape_text(s: &str) -> Result<String> {
             }
         }
     }
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
 /// Encode one row as a text line (no trailing newline).
@@ -80,13 +86,21 @@ pub fn encode_text_row(row: &Row, out: &mut String) {
     }
 }
 
-/// Encode one cell of a text line. A column encoder that already holds
-/// the `&str` of a string cell calls [`escape_text`] instead.
+/// Encode one cell of a text line — the one cell writer of both text
+/// encoders. A number is formatted straight into `out`, in the
+/// [`Value::render`] formats (`{}` for an int, round-tripping `{:?}` for
+/// a double), so no cell builds a string of its own. A column encoder
+/// that already holds the `&str` of a string cell calls [`escape_text`]
+/// instead.
 pub fn encode_text_value(v: &Value, out: &mut String) {
-    match v {
-        Value::Str(s) => escape_text(s, out),
-        other => out.push_str(&other.render()),
-    }
+    // Formatting into a `String` cannot fail.
+    let _ = match v {
+        Value::Null => out.write_str("\\N"),
+        Value::Bool(b) => write!(out, "{b}"),
+        Value::Int(i) => write!(out, "{i}"),
+        Value::Double(d) => write!(out, "{d:?}"),
+        Value::Str(s) => return escape_text(s, out),
+    };
 }
 
 /// Decode one text line into a row under `schema`.
@@ -120,9 +134,11 @@ fn decode_text_row_with(
 
 /// Walk one text line under `schema`, handing `cell` each field's column
 /// index, declared type and unescaped text (`None` for the NULL marker).
-/// The one owner of field splitting, the `\N` marker, unescaping and the
-/// arity errors, so the row decoder and the SQL engine's column loader
-/// accept exactly the same lines.
+/// The text is borrowed from `line`; only a field holding an escape is
+/// copied out to unescape it. The one owner of field splitting, the `\N`
+/// marker, unescaping and the arity errors, so the row decoder, the SQL
+/// engine's column loader and the ML text reader accept exactly the same
+/// lines.
 pub fn decode_text_line(
     line: &str,
     schema: &Schema,
@@ -172,10 +188,12 @@ pub fn encode_text_batch(rows: &[Row]) -> String {
 
 /// Parse a text blob (as stored on the DFS) into rows. String cells are
 /// interned per batch: all rows carrying the same categorical value
-/// share one `Arc<str>` allocation.
+/// share one `Arc<str>` allocation. Lines end at `\n` only: a `\r` is
+/// string payload ([`escape_text`] leaves it alone), not part of a line
+/// ending.
 pub fn decode_text_batch(text: &str, schema: &Schema) -> Result<Vec<Row>> {
     let mut interner = Interner::new();
-    text.lines()
+    text.split('\n')
         .filter(|l| !l.is_empty())
         .map(|l| decode_text_row_with(l, schema, Some(&mut interner)))
         .collect()
@@ -896,6 +914,39 @@ mod tests {
     fn text_field_count_mismatch_is_error() {
         assert!(decode_text_row("1|F|2.0", &schema()).is_err());
         assert!(decode_text_row("1|F|2.0|Yes|extra", &schema()).is_err());
+    }
+
+    #[test]
+    fn the_cell_writer_writes_what_render_does() {
+        let cells = [
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Double(-0.0),
+            Value::Double(1e21),
+            Value::Double(5e-324),
+            Value::Double(f64::INFINITY),
+            Value::Double(f64::NEG_INFINITY),
+            Value::Double(f64::NAN),
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Null,
+        ];
+        for v in cells {
+            let mut out = String::from("x|");
+            encode_text_value(&v, &mut out);
+            assert_eq!(out, format!("x|{}", v.render()), "{v:?}");
+        }
+    }
+
+    #[test]
+    fn a_carriage_return_is_payload_not_a_line_ending() {
+        let schema = Schema::new(vec![
+            Field::new("id", DataType::Int),
+            Field::categorical("s"),
+        ]);
+        let rows = vec![row![1i64, "Yes\r"], row![2i64, "\r"], row![3i64, "\r\n"]];
+        let blob = encode_text_batch(&rows);
+        assert_eq!(decode_text_batch(&blob, &schema).unwrap(), rows);
     }
 
     // -- compact codec ------------------------------------------------------

@@ -167,35 +167,24 @@ impl SimCluster {
     /// paper describes) and register both tables with the SQL engine.
     pub fn load_workload(&self, scale: WorkloadScale, seed: u64) -> Result<Workload> {
         let w = Workload::generate(scale, seed);
-        // Store on the DFS first: "both tables were stored in text
-        // format on HDFS".
-        let carts = sqlml_sqlengine::PartitionedTable::partition_rows(
-            w.carts_schema.clone(),
-            w.carts.clone(),
-            self.config.sql_workers,
-            &self.nodes,
-        );
-        let users = sqlml_sqlengine::PartitionedTable::partition_rows(
-            w.users_schema.clone(),
-            w.users.clone(),
-            self.config.sql_workers,
-            &self.nodes,
-        );
-        carts.save_text(&self.dfs, "/warehouse/carts")?;
-        users.save_text(&self.dfs, "/warehouse/users")?;
-        // The engine reads its tables from the warehouse.
-        self.engine.load_text_table(
-            "carts",
-            w.carts_schema.clone(),
-            &self.dfs,
-            "/warehouse/carts",
-        )?;
-        self.engine.load_text_table(
-            "users",
-            w.users_schema.clone(),
-            &self.dfs,
-            "/warehouse/users",
-        )?;
+        for (name, schema, rows) in [
+            ("carts", &w.carts_schema, &w.carts),
+            ("users", &w.users_schema, &w.users),
+        ] {
+            // Store on the DFS first: "both tables were stored in text
+            // format on HDFS". The staging table is dropped once written.
+            let dir = format!("/warehouse/{name}");
+            sqlml_sqlengine::PartitionedTable::partition_rows(
+                schema.clone(),
+                rows,
+                self.config.sql_workers,
+                &self.nodes,
+            )
+            .save_text(&self.dfs, &dir)?;
+            // The engine reads its tables from the warehouse.
+            self.engine
+                .load_text_table(name, schema.clone(), &self.dfs, &dir)?;
+        }
         Ok(w)
     }
 }

@@ -11,7 +11,8 @@ use std::any::Any;
 use std::io::BufRead;
 use std::sync::Arc;
 
-use sqlml_common::{codec, Result, Row, Schema, SqlmlError};
+use sqlml_common::schema::DataType;
+use sqlml_common::{codec, Result, Row, Schema, SqlmlError, Value};
 use sqlml_dfs::Dfs;
 
 use crate::dataset::PartitionBlock;
@@ -175,6 +176,7 @@ impl InputFormat for TextInputFormat {
             reader,
             schema: self.schema.clone(),
             line: String::new(),
+            cells: Vec::new(),
             pos: fs.offset,
             end: fs.offset + fs.len,
         };
@@ -193,6 +195,8 @@ struct TextRecordReader {
     reader: sqlml_dfs::DfsReader,
     schema: Schema,
     line: String,
+    /// The current line's cells as numbers, reused line after line.
+    cells: Vec<f64>,
     /// Byte position of the next line start within the file.
     pos: u64,
     /// Split end boundary: lines starting at `pos <= end` belong to this
@@ -214,10 +218,38 @@ impl RecordReader for TextRecordReader {
             self.pos += n as u64;
             let trimmed = self.line.trim_end_matches('\n');
             if !trimmed.is_empty() {
-                out.push_record(&codec::decode_text_row(trimmed, &self.schema)?)?;
+                numeric_cells(trimmed, &self.schema, &mut self.cells)?;
+                out.push_row(&self.cells)?;
             }
         }
         Ok(out.len() - before)
+    }
+}
+
+/// One text line's cells as numbers, into `out` — what
+/// `codec::decode_text_row(line, schema)?.to_f64_vec()` returns, or its
+/// error, without building the row: NULL and an empty numeric field
+/// read 0.0, a bool 1.0 or 0.0. A string cell is the `Type` error of
+/// [`Value::as_f64`], raised once the whole line has parsed, as the row
+/// decoder's own errors come first.
+fn numeric_cells(line: &str, schema: &Schema, out: &mut Vec<f64>) -> Result<()> {
+    out.clear();
+    let mut string = None;
+    codec::decode_text_line(line, schema, |_, ty, field| {
+        let v = match (field, ty) {
+            (Some(s), DataType::Str) => {
+                string.get_or_insert_with(|| Value::str(s));
+                Value::Null
+            }
+            (Some(s), ty) => Value::parse_typed(s, ty)?,
+            (None, _) => Value::Null,
+        };
+        out.push(if v.is_null() { 0.0 } else { v.as_f64()? });
+        Ok(())
+    })?;
+    match string {
+        Some(s) => s.as_f64().map(|_| ()),
+        None => Ok(()),
     }
 }
 
@@ -345,6 +377,91 @@ mod tests {
         let mut rows = read_all(&fmt);
         rows.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(rows, [[1.5, 1.0], [2.5, 0.0], [3.5, 1.0]]);
+    }
+
+    #[test]
+    fn the_text_reader_converts_cells_as_the_row_decoder_does() {
+        const TYPES: [DataType; 7] = [
+            DataType::Int,
+            DataType::Double,
+            DataType::Bool,
+            DataType::Int,
+            DataType::Double,
+            DataType::Bool,
+            DataType::Str,
+        ];
+        // A cell its column accepts: NULL, empty, a number, a bool.
+        let good = |ty: DataType| -> &[&str] {
+            match ty {
+                DataType::Int => &["\\N", "", "7", "-12", "\\\\N"],
+                DataType::Double => &["\\N", "", "2.5", "-0.0", "1e3", "7"],
+                DataType::Bool => &["\\N", "", "true", "0", "FALSE"],
+                DataType::Str => &["\\N"],
+            }
+        };
+        // Any cell: also escaped strings, a bad escape and a bad literal.
+        const FIELDS: [&str; 14] = [
+            "\\N", "", "7", "-12", "2.5", "-0.0", "1e3", "true", "0", "FALSE", "a\\pb", "x\\\\y",
+            "\\q", "12x",
+        ];
+        let cells = |block: PartitionBlock| -> Vec<Vec<u64>> {
+            let data = crate::Dataset::from_blocks(vec![block]).unwrap();
+            let rows = data.iter().map(|p| p.features.iter().map(|f| f.to_bits()));
+            rows.map(Iterator::collect).collect()
+        };
+        let dfs = Dfs::new(DfsConfig::for_tests());
+        let (mut rows_read, mut refused) = (0, 0);
+        for seed in 0..300u64 {
+            let mut rng = sqlml_common::SplitMix64::new(0x7E47_0000 + seed);
+            let width = 1 + rng.next_below(4) as usize;
+            let types: Vec<DataType> = (0..width).map(|_| *rng.choose(&TYPES)).collect();
+            let fields = (types.iter().enumerate()).map(|(c, ty)| Field::new(format!("c{c}"), *ty));
+            let schema = Schema::new(fields.collect());
+            let lines: Vec<String> = (0..1 + rng.next_below(6))
+                .map(|_| {
+                    let mut line: Vec<&str> = (types.iter())
+                        .map(|&ty| {
+                            let pool = if rng.chance(0.85) { good(ty) } else { &FIELDS };
+                            *rng.choose(pool)
+                        })
+                        .collect();
+                    match rng.next_below(10) {
+                        0 => line.truncate(width - 1),
+                        1 => line.push("9"),
+                        _ => {}
+                    }
+                    line.join("|")
+                })
+                .collect();
+            // The rows one by one, then converted: up to the first error.
+            let mut expect = PartitionBlock::new(None);
+            let mut expect_err = None;
+            for line in lines.iter().filter(|l| !l.is_empty()) {
+                match codec::decode_text_row(line, &schema).and_then(|r| r.to_f64_vec()) {
+                    Ok(row) => expect.push_row(&row).unwrap(),
+                    Err(e) => {
+                        expect_err = Some(e.to_string());
+                        break;
+                    }
+                }
+            }
+            let dir = format!("/cells/{seed}");
+            dfs.write_string(&format!("{dir}/part-00000"), &(lines.join("\n") + "\n"))
+                .unwrap();
+            let fmt = TextInputFormat::new(dfs.clone(), dir, schema);
+            let split = &fmt.get_splits().unwrap()[0];
+            let mut got = PartitionBlock::new(None);
+            let mut reader = fmt.create_reader(split.as_ref(), "node-0").unwrap();
+            let got_err = reader.next_batch(&mut got).err().map(|e| e.to_string());
+            assert_eq!(got_err, expect_err, "seed {seed}: {lines:?}");
+            rows_read += got.len();
+            refused += usize::from(got_err.is_some());
+            assert_eq!(cells(got), cells(expect), "seed {seed}: {lines:?}");
+        }
+        assert!(
+            rows_read > 100 && refused > 100,
+            "{rows_read} rows, {refused} refused"
+        );
     }
 
     #[test]

@@ -573,7 +573,8 @@ impl Batch {
     }
 
     /// The text-format lines of every row: the string
-    /// `codec::encode_text_batch(&self.rows())` returns.
+    /// `codec::encode_text_batch(&self.rows())` returns, each cell
+    /// through the same `codec::encode_text_value` writer.
     pub fn encode_text(&self) -> String {
         let mut out = String::new();
         for i in 0..self.len {
@@ -596,9 +597,11 @@ impl Batch {
 
     /// Parse a text blob into columns: the rows
     /// `codec::decode_text_batch(text, schema)` returns, or its error.
+    /// Lines end at `\n` only, as there: a `\r` is string payload.
     pub fn decode_text(text: &str, schema: &Schema) -> Result<Batch> {
-        let mut b = BatchBuilder::new(schema, text.lines().count());
-        for line in text.lines().filter(|l| !l.is_empty()) {
+        let lines = text.bytes().filter(|&b| b == b'\n').count();
+        let mut b = BatchBuilder::new(schema, lines);
+        for line in text.split('\n').filter(|l| !l.is_empty()) {
             codec::decode_text_line(line, schema, |c, ty, field| {
                 match (field, ty) {
                     (None, _) => b.columns[c].push(&Value::Null),
@@ -730,5 +733,27 @@ mod tests {
             batch.row(2),
             Row::new(vec!["three".into(), "late".into(), Value::Null])
         );
+    }
+
+    #[test]
+    fn edge_cells_survive_the_column_text_codec() {
+        let schema = Schema::new(vec![
+            Field::new("i", DataType::Int),
+            Field::new("d", DataType::Double),
+            Field::new("b", DataType::Bool),
+            Field::categorical("s"),
+        ]);
+        let rows = vec![
+            row![i64::MIN, -0.0, true, "a\r"],
+            row![i64::MAX, 1e21, false, "|\\\n"],
+            row![0i64, 5e-324, true, ""],
+            row![-1i64, f64::INFINITY, false, "\\N"],
+            row![1i64, f64::NEG_INFINITY, true, "ü"],
+            Row::new(vec![Value::Null; 4]),
+        ];
+        let batch = Batch::from_rows(&schema, &rows);
+        let text = batch.encode_text();
+        assert_eq!(text, codec::encode_text_batch(&rows));
+        assert_eq!(Batch::decode_text(&text, &schema).unwrap().rows(), rows);
     }
 }

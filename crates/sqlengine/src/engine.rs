@@ -104,7 +104,7 @@ impl Engine {
     /// Register rows as a table partitioned across the worker pool.
     pub fn register_rows(&self, name: &str, schema: Schema, rows: Vec<Row>) {
         let t =
-            PartitionedTable::partition_rows(schema, rows, self.ctx.num_workers, &self.ctx.nodes);
+            PartitionedTable::partition_rows(schema, &rows, self.ctx.num_workers, &self.ctx.nodes);
         self.catalog.register_table(name, t);
     }
 

@@ -230,7 +230,7 @@ mod tests {
         let data: Vec<_> = (0..rows).map(|i| row![i as i64]).collect();
         Plan::Scan {
             name: "t".into(),
-            table: Arc::new(PartitionedTable::partition_rows(schema, data, 2, &[])),
+            table: Arc::new(PartitionedTable::partition_rows(schema, &data, 2, &[])),
         }
     }
 

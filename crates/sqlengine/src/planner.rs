@@ -897,7 +897,7 @@ mod tests {
             "carts",
             PartitionedTable::partition_rows(
                 carts,
-                (0..40)
+                &(0..40)
                     .map(|i| {
                         row![
                             i as i64 % 10,
@@ -906,7 +906,7 @@ mod tests {
                             2014i64
                         ]
                     })
-                    .collect(),
+                    .collect::<Vec<_>>(),
                 4,
                 &[],
             ),

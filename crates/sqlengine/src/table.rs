@@ -60,7 +60,7 @@ impl PartitionedTable {
     /// home nodes cycling over `nodes`.
     pub fn partition_rows(
         schema: Schema,
-        rows: Vec<Row>,
+        rows: &[Row],
         num_partitions: usize,
         nodes: &[String],
     ) -> Self {
@@ -142,43 +142,27 @@ impl PartitionedTable {
     /// its own partition, as an MPP engine's export does. Returns total
     /// bytes written.
     pub fn save_text(&self, dfs: &Dfs, dir: &str) -> Result<u64> {
-        let totals = std::thread::scope(|scope| -> Result<Vec<u64>> {
-            let handles: Vec<_> = self
-                .partitions
-                .iter()
-                .enumerate()
-                .map(|(i, part)| {
-                    scope.spawn(move || -> Result<u64> {
-                        let text = part.encode_text();
-                        dfs.write_string(&format!("{dir}/part-{i:05}"), &text)?;
-                        Ok(text.len() as u64)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .map_err(|_| SqlmlError::Execution("save_text worker panicked".into()))?
-                })
-                .collect()
+        let totals = per_part_file(&self.partitions, "save_text", |i, part| {
+            let text = part.encode_text();
+            dfs.write_string(&format!("{dir}/part-{i:05}"), &text)?;
+            Ok(text.len() as u64)
         })?;
         Ok(totals.iter().sum())
     }
 
     /// Load a table previously written by [`Self::save_text`] (or any
-    /// directory of text part-files) with one partition per part-file.
+    /// directory of text part-files) with one partition per part-file,
+    /// in file order. The part-files are parsed **in parallel**, one
+    /// thread per file, as they were written.
     pub fn load_text(dfs: &Dfs, dir: &str, schema: Schema) -> Result<Self> {
         let prefix = format!("{dir}/");
         let files = dfs.list(&prefix);
         if files.is_empty() {
             return Err(SqlmlError::Dfs(format!("no part files under {dir}")));
         }
-        let mut partitions = Vec::with_capacity(files.len());
-        let mut homes = Vec::with_capacity(files.len());
-        for f in files {
+        let loaded = per_part_file(&files, "load_text", |_, f| {
             let text = dfs.read_string(&f.path)?;
-            partitions.push(Batch::decode_text(&text, &schema)?);
+            let part = Batch::decode_text(&text, &schema)?;
             // Home = node holding the file's first block replica.
             let home = dfs
                 .block_locations(&f.path)?
@@ -186,8 +170,9 @@ impl PartitionedTable {
                 .and_then(|b| b.nodes.first().copied())
                 .map(sqlml_dfs::node_name)
                 .unwrap_or_else(|| sqlml_dfs::node_name(0));
-            homes.push(home);
-        }
+            Ok((part, home))
+        })?;
+        let (partitions, homes) = loaded.into_iter().unzip();
         Ok(PartitionedTable {
             schema,
             partitions,
@@ -212,6 +197,30 @@ impl PartitionedTable {
             homes: cycled_homes(n, nodes),
         })
     }
+}
+
+/// `f(i, item)` for every item, each on its own scoped thread; the
+/// results in item order. Every thread is joined before a failure is
+/// reported (a panicked thread left to `scope` re-panics in the caller),
+/// and the failure reported is the first in item order, whichever thread
+/// finished first.
+fn per_part_file<I, T, F>(items: &[I], what: &str, f: F) -> Result<Vec<T>>
+where
+    I: Sync,
+    T: Send,
+    F: Fn(usize, &I) -> Result<T> + Sync,
+{
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (items.iter().enumerate())
+            .map(|(i, item)| scope.spawn(move || f(i, item)))
+            .collect();
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        joined
+            .into_iter()
+            .map(|r| r.map_err(|_| SqlmlError::Execution(format!("{what} worker panicked")))?)
+            .collect()
+    })
 }
 
 fn cycled_homes(n: usize, nodes: &[String]) -> Vec<String> {
@@ -245,7 +254,7 @@ mod tests {
 
     #[test]
     fn round_robin_partitioning_balances() {
-        let t = PartitionedTable::partition_rows(schema(), rows(10), 4, &[]);
+        let t = PartitionedTable::partition_rows(schema(), &rows(10), 4, &[]);
         assert_eq!(t.num_partitions(), 4);
         assert_eq!(t.num_rows(), 10);
         let sizes: Vec<usize> = t.partitions().iter().map(|p| p.len()).collect();
@@ -255,26 +264,53 @@ mod tests {
     #[test]
     fn homes_cycle_over_nodes() {
         let nodes = vec!["node-0".to_string(), "node-1".to_string()];
-        let t = PartitionedTable::partition_rows(schema(), rows(4), 3, &nodes);
+        let t = PartitionedTable::partition_rows(schema(), &rows(4), 3, &nodes);
         assert_eq!(t.homes(), &["node-0", "node-1", "node-0"]);
     }
 
     #[test]
     fn collect_sorted_is_partition_order_independent() {
-        let a = PartitionedTable::partition_rows(schema(), rows(9), 2, &[]);
-        let b = PartitionedTable::partition_rows(schema(), rows(9), 5, &[]);
+        let a = PartitionedTable::partition_rows(schema(), &rows(9), 2, &[]);
+        let b = PartitionedTable::partition_rows(schema(), &rows(9), 5, &[]);
         assert_eq!(a.collect_sorted(), b.collect_sorted());
     }
 
     #[test]
     fn dfs_save_load_round_trip() {
         let dfs = Dfs::new(DfsConfig::for_tests());
-        let t = PartitionedTable::partition_rows(schema(), rows(23), 3, &[]);
+        let t = PartitionedTable::partition_rows(schema(), &rows(23), 3, &[]);
         let bytes = t.save_text(&dfs, "/tables/t").unwrap();
         assert!(bytes > 0);
         let back = PartitionedTable::load_text(&dfs, "/tables/t", schema()).unwrap();
         assert_eq!(back.num_partitions(), 3);
         assert_eq!(back.collect_sorted(), t.collect_sorted());
+    }
+
+    #[test]
+    fn a_trailing_carriage_return_survives_the_warehouse() {
+        let dfs = Dfs::new(DfsConfig::for_tests());
+        let t = PartitionedTable::single(schema(), vec![row![1i64, "Yes\r"], row![2i64, "\r"]]);
+        t.save_text(&dfs, "/tables/cr").unwrap();
+        let back = PartitionedTable::load_text(&dfs, "/tables/cr", schema()).unwrap();
+        assert_eq!(back.collect_rows(), t.collect_rows());
+    }
+
+    #[test]
+    fn a_load_reports_the_first_bad_part_file_in_file_order() {
+        let dfs = Dfs::new(DfsConfig::for_tests());
+        let t = PartitionedTable::partition_rows(schema(), &rows(40), 5, &[]);
+        t.save_text(&dfs, "/tables/bad").unwrap();
+        // Part 1 is damaged late in its file, part 3 on its first line,
+        // so part 3's thread usually fails first.
+        let mut part1 = dfs.read_string("/tables/bad/part-00001").unwrap();
+        part1.push_str("1|x|extra\n");
+        dfs.write_string("/tables/bad/part-00001", &part1).unwrap();
+        dfs.write_string("/tables/bad/part-00003", "nan|x\n")
+            .unwrap();
+        for _ in 0..20 {
+            let err = PartitionedTable::load_text(&dfs, "/tables/bad", schema()).unwrap_err();
+            assert!(err.to_string().contains("more than 2 fields"), "{err}");
+        }
     }
 
     #[test]
@@ -285,7 +321,7 @@ mod tests {
 
     #[test]
     fn repartition_preserves_rows() {
-        let t = PartitionedTable::partition_rows(schema(), rows(17), 2, &[]);
+        let t = PartitionedTable::partition_rows(schema(), &rows(17), 2, &[]);
         let r = t.repartition(5, &[]).unwrap();
         assert_eq!(r.num_partitions(), 5);
         assert_eq!(r.collect_sorted(), t.collect_sorted());

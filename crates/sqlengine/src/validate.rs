@@ -449,7 +449,7 @@ mod tests {
             Field::new("s", DataType::Str),
         ]);
         let rows = vec![row![1i64, "x"], row![2i64, "y"]];
-        let table = Arc::new(PartitionedTable::partition_rows(schema, rows, 2, &[]));
+        let table = Arc::new(PartitionedTable::partition_rows(schema, &rows, 2, &[]));
         let cat = Catalog::new();
         cat.register_table_arc("t", Arc::clone(&table));
         (cat, table)

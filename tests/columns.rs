@@ -351,7 +351,7 @@ fn approx_bytes_from_columns_equals_the_walk_over_every_cell() {
         let mut rng = SplitMix64::new(0xB17E5 + seed);
         let (schema, rows) = random_table(&mut rng);
         let parts = 1 + rng.next_below(4) as usize;
-        let table = PartitionedTable::partition_rows(schema, rows, parts, &[]);
+        let table = PartitionedTable::partition_rows(schema, &rows, parts, &[]);
         // The statistic as the row engine computed it.
         let walk = |t: &PartitionedTable| -> u64 {
             (t.collect_rows().iter().flat_map(|r| r.values()))

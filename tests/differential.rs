@@ -457,7 +457,7 @@ fn random_keyed_table(rng: &mut SplitMix64, tag: &str, rows: usize) -> Partition
         Field::new(tag, DataType::Str),
         Field::new(format!("v{tag}"), DataType::Double),
     ]);
-    let data = (0..rows)
+    let data: Vec<Row> = (0..rows)
         .map(|i| {
             let k = if rng.chance(0.1) {
                 Value::Null
@@ -471,7 +471,7 @@ fn random_keyed_table(rng: &mut SplitMix64, tag: &str, rows: usize) -> Partition
             ])
         })
         .collect();
-    PartitionedTable::partition_rows(schema, data, 3, &[])
+    PartitionedTable::partition_rows(schema, &data, 3, &[])
 }
 
 #[test]
