@@ -29,6 +29,12 @@ use sqlml_sqlengine::{Engine, EngineConfig};
 const PROJECTING_JOIN: &str = "SELECT U.age, C.amount, U.age AS age2, C.cartid \
                                FROM carts C, users U WHERE C.userid = U.userid";
 
+/// The §2.1 recode-map statement: `main` fails unless it explains as a
+/// `Sort` over an `Aggregate … aggs=[]` (DISTINCT is a grouping).
+const RECODE_PAIRS: &str = "SELECT DISTINCT colname, colval \
+                            FROM TABLE(distinct_values(users, 'gender', 'country')) AS d \
+                            ORDER BY colname, colval";
+
 /// Corpus queries: the paper's preparation query plus coverage of every
 /// plan node the planner can emit (filter, project, join, aggregate,
 /// distinct, sort, limit, scalar + table UDFs, and operator chains).
@@ -56,10 +62,7 @@ fn corpus() -> Vec<String> {
         "SELECT cartid FROM carts WHERE abandoned IN ('yes', 'no') AND NOT nitems = 0".into(),
         "SELECT cartid, CAST(amount AS BIGINT) FROM carts WHERE amount > 10 LIMIT 3".into(),
         // Table-UDF plans: the two-phase recode front end.
-        "SELECT DISTINCT colname, colval \
-         FROM TABLE(distinct_values(users, 'gender', 'country')) AS d \
-         ORDER BY colname, colval"
-            .into(),
+        RECODE_PAIRS.into(),
         "SELECT * FROM TABLE(distinct_values(carts, 'abandoned')) AS d".into(),
     ];
     // Filter/project chains at increasing depth (the executor runs each
@@ -97,6 +100,11 @@ fn main() -> ExitCode {
             eprintln!("planlint FAIL corpus lost its projecting-join plan: {other:?}");
         }
     }
+    let recode_pairs = engine.explain(RECODE_PAIRS);
+    if !recode_pairs.as_deref().is_ok_and(sort_over_grouping) {
+        failures += 1;
+        eprintln!("planlint FAIL recode-map plan is not Sort over Aggregate: {recode_pairs:?}");
+    }
     if failures == 0 {
         println!("planlint: {checked} plans validated clean, planned and optimized");
         ExitCode::SUCCESS
@@ -104,6 +112,15 @@ fn main() -> ExitCode {
         eprintln!("planlint: {failures}/{checked} plans failed validation");
         ExitCode::FAILURE
     }
+}
+
+/// `Sort` on top, an `Aggregate` with no aggregates right under it, and
+/// no `Distinct` node anywhere.
+fn sort_over_grouping(explained: &str) -> bool {
+    let nodes: Vec<&str> = explained.lines().map(str::trim_start).collect();
+    matches!(&nodes[..], [sort, grouping, ..]
+        if sort.starts_with("Sort ") && grouping.starts_with("Aggregate ") && grouping.ends_with("aggs=[]"))
+        && !nodes.iter().any(|node| node.starts_with("Distinct"))
 }
 
 /// Validate the planner's output, then the optimizer's rewrite of it.

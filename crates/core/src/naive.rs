@@ -19,6 +19,7 @@
 use sqlml_common::schema::Schema;
 use sqlml_common::{Result, SqlmlError};
 use sqlml_dfs::Dfs;
+use sqlml_sqlengine::executor::run_on_workers;
 use sqlml_sqlengine::{Batch, Column};
 use sqlml_transform::{FlatRecodeApplier, RecodeMap, TransformSpec};
 
@@ -59,8 +60,8 @@ pub fn run_external_transform(
     // ---- Job 1: distinct values per column (map side: the entries the
     // part-file's rows reference, as `distinct_values` reads them),
     // merged at the driver (reduce side).
-    let partials: Vec<Vec<(String, String)>> = parallel_over_files(&files, |path| {
-        let batch = Batch::decode_text(&dfs.read_string(path)?, input_schema)?;
+    let partials: Vec<Vec<(String, String)>> = run_on_workers(files.len(), files.len(), |i| {
+        let batch = Batch::decode_text(&dfs.read_string(&files[i])?, input_schema)?;
         let mut pairs = Vec::new();
         for (name, idx) in &col_indices {
             // Any other column holds no strings to recode; job 2's
@@ -79,7 +80,8 @@ pub fn run_external_transform(
     // block width, transformed schema) happens once here; each part-file
     // is one column batch through the applier.
     let applier = FlatRecodeApplier::new(&recode_map, input_schema, spec)?;
-    let row_counts: Vec<usize> = parallel_over_files(&files, |path| {
+    let row_counts: Vec<usize> = run_on_workers(files.len(), files.len(), |i| {
+        let path = &files[i];
         let batch = Batch::decode_text(&dfs.read_string(path)?, input_schema)?;
         let out = applier.apply_batch(&batch)?;
         let part_name = path.rsplit('/').next().unwrap_or("part-00000");
@@ -92,28 +94,6 @@ pub fn run_external_transform(
         schema: applier.output_schema().clone(),
         recode_map,
         rows: row_counts.iter().sum(),
-    })
-}
-
-/// Run `f` over the part-files in parallel (one map task per file).
-fn parallel_over_files<T, F>(files: &[String], f: F) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(&str) -> Result<T> + Sync,
-{
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = files
-            .iter()
-            .map(|path| scope.spawn(move || f(path)))
-            .collect();
-        // Join every task before reporting the first failure: a panicked
-        // thread left to `scope` re-panics in the caller.
-        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        joined
-            .into_iter()
-            .map(|r| r.map_err(|_| SqlmlError::Execution("map task panicked".into()))?)
-            .collect()
     })
 }
 
@@ -222,10 +202,11 @@ mod tests {
 
     #[test]
     fn every_map_task_panicking_is_an_error_in_the_caller_not_a_panic() {
-        let files = vec!["/in/part-00000".to_string(), "/in/part-00001".to_string()];
-        let result: Result<Vec<()>> = parallel_over_files(&files, |path| panic!("boom in {path}"));
+        let files = ["/in/part-00000", "/in/part-00001"];
+        let result: Result<Vec<()>> =
+            run_on_workers(files.len(), files.len(), |i| panic!("boom in {}", files[i]));
         assert!(
-            matches!(&result, Err(SqlmlError::Execution(msg)) if msg == "map task panicked"),
+            matches!(&result, Err(SqlmlError::Execution(msg)) if msg == "worker thread panicked"),
             "{result:?}"
         );
     }

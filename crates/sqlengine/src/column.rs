@@ -227,7 +227,7 @@ impl Column {
         self.len() == 0
     }
 
-    /// The cell at row `i` as a [`Value`] — the row cursor's read.
+    /// The cell at row `i` as a [`Value`].
     pub fn value(&self, i: usize) -> Value {
         match self {
             Column::Int(p) => p.get(i).map_or(Value::Null, Value::Int),
@@ -543,8 +543,8 @@ impl Batch {
         &self.columns
     }
 
-    /// Row `i` as a [`Row`] — the cursor the cold operators and the
-    /// unmeasured UDFs read through.
+    /// Row `i` as a [`Row`] — the cursor the unmeasured UDFs and the
+    /// tests read through; no plan operator does.
     pub fn row(&self, i: usize) -> Row {
         self.columns.iter().map(|c| c.value(i)).collect()
     }

@@ -90,11 +90,6 @@ impl Engine {
         self.ctx.num_workers
     }
 
-    /// Node name hosting a given SQL worker.
-    pub fn worker_node(&self, worker: usize) -> &str {
-        self.ctx.worker_node(worker)
-    }
-
     pub fn exec_context(&self) -> &ExecContext {
         &self.ctx
     }
@@ -275,7 +270,7 @@ mod tests {
     use super::*;
     use sqlml_common::row;
     use sqlml_common::schema::DataType;
-    use sqlml_common::Value;
+    use sqlml_common::{SqlmlError, Value};
 
     fn engine_with_data() -> Engine {
         let e = Engine::new(EngineConfig::with_workers(3));
@@ -414,6 +409,31 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get(0), &Value::Int(0));
         assert!(rows[0].get(1).is_null());
+    }
+
+    #[test]
+    fn a_distinct_sum_or_avg_refuses_a_string_as_the_plain_one_does() {
+        let e = Engine::new(EngineConfig::with_workers(2));
+        let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
+        let null = Row::new(vec![Value::Null]);
+        let clean = vec![row![1i64], row![2i64], row![2i64], null];
+        e.register_rows("clean", schema.clone(), clean);
+        let rows = e
+            .query("SELECT SUM(DISTINCT x), AVG(DISTINCT x), COUNT(DISTINCT x) FROM clean")
+            .unwrap()
+            .collect_rows();
+        assert_eq!(rows, vec![row![3.0, 1.5, 2i64]]);
+
+        // A misfit row the `Int` column holds verbatim.
+        let misfit = vec![row![1i64], row!["a"], row![2i64], row![2i64]];
+        e.register_rows("misfit", schema, misfit);
+        for agg in ["SUM(x)", "SUM(DISTINCT x)", "AVG(DISTINCT x)"] {
+            let err = e.query(&format!("SELECT {agg} FROM misfit")).unwrap_err();
+            assert!(
+                matches!(&err, SqlmlError::Type(msg) if msg == "cannot interpret 'a' as a number"),
+                "{agg}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -9,12 +9,21 @@
 //!
 //! A partition is a column [`Batch`]. `Filter`, `Project`, table UDFs
 //! and the hash join run batch kernels, and a chain of the first three
-//! runs as one pass per partition; the cold, gathering operators
-//! (`Sort`, `Aggregate`, `Distinct`, `Limit`) read cells through the
-//! batch's row cursor ([`Batch::row`] / [`Column::value`]) and build
-//! their small outputs from rows.
+//! runs as one pass per partition. The gathering operators collapse
+//! their input to one partition, homed where the first input partition
+//! lives:
+//!
+//! * `Aggregate` folds per-partition partials keyed by the group cells
+//!   (by [`Value`]'s equality) and builds its small, sorted output from
+//!   rows. It is the one grouping operator: `SELECT DISTINCT` plans as
+//!   an `Aggregate` over every column with no aggregates.
+//! * `Sort` concatenates the partitions, stable-sorts one row
+//!   permutation by the key cells and gathers once, so ties stay in
+//!   partition order, then row order.
+//! * `Limit` concatenates each partition's prefix, in partition order.
 
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::cmp::Ordering;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use sqlml_common::{counter_u32, Result, Row, Schema, SqlmlError, Value};
@@ -43,10 +52,6 @@ impl ExecContext {
             nodes
         };
         ExecContext { num_workers, nodes }
-    }
-
-    pub fn worker_node(&self, worker: usize) -> &str {
-        &self.nodes[worker % self.nodes.len()]
     }
 }
 
@@ -80,11 +85,6 @@ pub fn execute(plan: &Plan, ctx: &ExecContext) -> Result<PartitionedTable> {
             ctx,
         ),
 
-        Plan::Distinct { input } => {
-            let child = execute(input, ctx)?;
-            execute_distinct(&child, ctx)
-        }
-
         Plan::Aggregate {
             input,
             group_exprs,
@@ -93,26 +93,34 @@ pub fn execute(plan: &Plan, ctx: &ExecContext) -> Result<PartitionedTable> {
         } => {
             let child = execute(input, ctx)?;
             let rows = execute_aggregate(&child, group_exprs, aggs, ctx)?;
-            Ok(gather_to_first_home(schema.clone(), rows, &child))
+            let batch = Batch::from_rows(schema, &rows);
+            Ok(gather_to_first_home(schema.clone(), batch, &child))
         }
 
         Plan::Sort { input, keys } => {
             let child = execute(input, ctx)?;
-            let rows = parallel_sort(&child, keys, ctx)?;
-            Ok(gather_to_first_home(child.schema().clone(), rows, &child))
+            let all = Batch::concat(child.schema().len(), child.partitions());
+            let order = sort_permutation(&all, keys)?;
+            Ok(gather_to_first_home(
+                child.schema().clone(),
+                all.gather(&order),
+                &child,
+            ))
         }
 
         Plan::Limit { input, n } => {
             let child = execute(input, ctx)?;
-            let mut rows = Vec::with_capacity((*n).min(child.num_rows()));
-            for p in child.partitions() {
-                let take = (*n - rows.len()).min(p.len());
-                rows.extend((0..take).map(|i| p.row(i)));
-                if rows.len() == *n {
-                    break;
-                }
-            }
-            Ok(gather_to_first_home(child.schema().clone(), rows, &child))
+            let mut left = *n;
+            let prefixes = (child.partitions().iter())
+                .map(|p| {
+                    let take = left.min(p.len());
+                    left -= take;
+                    let prefix: Vec<u32> = (0..counter_u32(take, "limit row count")?).collect();
+                    Ok(p.gather(&prefix))
+                })
+                .collect::<Result<Vec<Batch>>>()?;
+            let batch = Batch::concat(child.schema().len(), &prefixes);
+            Ok(gather_to_first_home(child.schema().clone(), batch, &child))
         }
     }
 }
@@ -210,118 +218,41 @@ fn project(batch: &Batch, exprs: &[Expr]) -> Result<Batch> {
     Ok(Batch::new(columns, batch.len()))
 }
 
-/// Wrap gathered (single-partition) result rows, homing the output at
-/// the first input partition's node. Gather-style operators (`Sort`,
+/// Wrap a gathered (single-partition) result, homing the output at the
+/// first input partition's node. Gather-style operators (`Sort`,
 /// `Aggregate`, `Limit`) collapse to one partition; defaulting its home
 /// to node-0 would silently degrade downstream locality-aware placement,
 /// so the gather is instead attributed to the node that holds the first
 /// input partition (where a real engine's gather coordinator would run).
 fn gather_to_first_home(
-    schema: sqlml_common::Schema,
-    rows: Vec<Row>,
+    schema: Schema,
+    batch: Batch,
     child: &PartitionedTable,
 ) -> PartitionedTable {
-    let out = PartitionedTable::single(schema, rows);
-    match child.homes().first() {
-        Some(h) => out.with_homes(vec![h.clone()]),
-        None => out,
-    }
+    let home = (child.homes().first().cloned()).unwrap_or_else(|| sqlml_dfs::node_name(0));
+    PartitionedTable::from_batches(schema, vec![batch], vec![home])
 }
 
-// ---------------------------------------------------------------------------
-// Sort (parallel per-partition sort + k-way merge)
-// ---------------------------------------------------------------------------
-
-/// Row sort key captured for the merge heap: per key column, the value
-/// plus its descending flag.
-struct SortKey(Vec<(Value, bool)>);
-
-impl SortKey {
-    fn of(row: &Row, keys: &[(usize, bool)]) -> SortKey {
-        SortKey(
-            keys.iter()
-                .map(|(idx, desc)| (row.get(*idx).clone(), *desc))
-                .collect(),
-        )
-    }
-}
-
-impl PartialEq for SortKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for SortKey {}
-impl PartialOrd for SortKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for SortKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        for ((a, desc), (b, _)) in self.0.iter().zip(other.0.iter()) {
-            let ord = a.cmp(b);
-            let ord = if *desc { ord.reverse() } else { ord };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    }
-}
-
-fn sort_cmp(a: &Row, b: &Row, keys: &[(usize, bool)]) -> std::cmp::Ordering {
-    for (idx, desc) in keys {
-        let ord = a.get(*idx).cmp(b.get(*idx));
-        let ord = if *desc { ord.reverse() } else { ord };
-        if ord != std::cmp::Ordering::Equal {
-            return ord;
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
-/// Sort every partition in parallel on the worker pool, then k-way merge
-/// the sorted runs on the driver — the O(N log N) comparison work runs
-/// on all workers instead of one thread.
-fn parallel_sort(
-    input: &PartitionedTable,
-    keys: &[(usize, bool)],
-    ctx: &ExecContext,
-) -> Result<Vec<Row>> {
-    let n = input.num_partitions();
-    let sorted: Vec<Vec<Row>> = run_on_workers(n, ctx, |p| {
-        let mut rows: Vec<Row> = input.partition(p).rows();
-        rows.sort_by(|a, b| sort_cmp(a, b, keys));
-        Ok(rows)
-    })?;
-
-    if sorted.len() == 1 {
-        return sorted
-            .into_iter()
-            .next()
-            .ok_or_else(|| SqlmlError::Execution("sorted partition vanished".into()));
-    }
-
-    // Merge: min-heap of (key, partition index) — the partition index
-    // tie-break reproduces the stable gather order of a global sort.
-    let total: usize = sorted.iter().map(|v| v.len()).sum();
-    let mut iters: Vec<std::vec::IntoIter<Row>> =
-        sorted.into_iter().map(|v| v.into_iter()).collect();
-    let mut heap: BinaryHeap<std::cmp::Reverse<(SortKey, usize, Row)>> = BinaryHeap::new();
-    for (p, it) in iters.iter_mut().enumerate() {
-        if let Some(r) = it.next() {
-            heap.push(std::cmp::Reverse((SortKey::of(&r, keys), p, r)));
-        }
-    }
-    let mut out = Vec::with_capacity(total);
-    while let Some(std::cmp::Reverse((_, p, row))) = heap.pop() {
-        out.push(row);
-        if let Some(r) = iters[p].next() {
-            heap.push(std::cmp::Reverse((SortKey::of(&r, keys), p, r)));
-        }
-    }
-    Ok(out)
+/// The row order that sorts `batch` by `keys` (column, descending). The
+/// sort is stable: rows with equal keys keep their input order, so the
+/// ties of concatenated partitions stay in partition order, then row
+/// order.
+fn sort_permutation(batch: &Batch, keys: &[(usize, bool)]) -> Result<Vec<u32>> {
+    let key_cells: Vec<Vec<Value>> = (keys.iter())
+        .map(|&(c, _)| (0..batch.len()).map(|i| batch.column(c).value(i)).collect())
+        .collect();
+    let mut order: Vec<u32> = (0..counter_u32(batch.len(), "sort row count")?).collect();
+    order.sort_by(|&a, &b| {
+        let (a, b) = (a as usize, b as usize);
+        (key_cells.iter().zip(keys))
+            .map(|(cells, &(_, desc))| match desc {
+                false => cells[a].cmp(&cells[b]),
+                true => cells[b].cmp(&cells[a]),
+            })
+            .find(|ord| ord.is_ne())
+            .unwrap_or(Ordering::Equal)
+    });
+    Ok(order)
 }
 
 fn replace_schema(t: PartitionedTable, schema: sqlml_common::Schema) -> PartitionedTable {
@@ -339,7 +270,7 @@ where
     F: Fn(&Batch, &PartitionCtx) -> Result<Batch> + Sync,
 {
     let n = input.num_partitions();
-    let results = run_on_workers(n, ctx, |p| {
+    let results = run_on_workers(n, ctx.num_workers, |p| {
         let pctx = PartitionCtx {
             partition: p,
             num_partitions: n,
@@ -356,9 +287,14 @@ where
     ))
 }
 
-/// Run a per-partition closure on the worker pool; returns outputs in
-/// partition order. The whole call fails if any partition fails.
-pub fn run_on_workers<T, F>(num_partitions: usize, ctx: &ExecContext, f: F) -> Result<Vec<T>>
+/// Run `f(p)` for every item `p` of `0..num_partitions` on up to
+/// `workers` scoped threads, worker `w` taking items `w, w + workers, …`;
+/// returns the outputs in item order. The whole call fails if any item
+/// fails. Every thread is joined before a failure is reported (a
+/// panicked thread left to `scope` re-panics in the caller); with one
+/// worker per item, the failure reported is the first in item order,
+/// whichever thread finished first.
+pub fn run_on_workers<T, F>(num_partitions: usize, workers: usize, f: F) -> Result<Vec<T>>
 where
     T: Send,
     F: Fn(usize) -> Result<T> + Sync,
@@ -366,7 +302,7 @@ where
     if num_partitions == 0 {
         return Ok(Vec::new());
     }
-    let workers = ctx.num_workers.min(num_partitions);
+    let workers = workers.clamp(1, num_partitions);
     if workers == 1 {
         return (0..num_partitions).map(&f).collect();
     }
@@ -454,7 +390,7 @@ fn execute_join(
     let build_rows = counter_u32(build_batch.len(), "join build row count")?;
     let build_cols = eval_all(build_keys, &build_batch)?;
     let probe_cols: Vec<Vec<Arc<Column>>> =
-        run_on_workers(probe_data.num_partitions(), ctx, |p| {
+        run_on_workers(probe_data.num_partitions(), ctx.num_workers, |p| {
             eval_all(probe_keys, probe_data.partition(p))
         })?;
     // One `Int` key on both sides hashes the integer itself; any other
@@ -581,55 +517,6 @@ fn keys_equal(build: &[Arc<Column>], b: usize, probe: &[Arc<Column>], p: usize) 
 }
 
 // ---------------------------------------------------------------------------
-// Distinct (two-phase, mirroring §2.1's distributed distinct)
-// ---------------------------------------------------------------------------
-
-fn execute_distinct(input: &PartitionedTable, ctx: &ExecContext) -> Result<PartitionedTable> {
-    let n = input.num_partitions().max(1);
-
-    // Phase 1: local distinct per partition, already bucketed by target
-    // partition (hash of the whole row) for the exchange.
-    let buckets: Vec<Vec<Vec<Row>>> = run_on_workers(input.num_partitions(), ctx, |p| {
-        let mut seen: HashSet<Row> = HashSet::new();
-        let mut out: Vec<Vec<Row>> = (0..n).map(|_| Vec::new()).collect();
-        for r in input.partition(p).rows() {
-            if !seen.contains(&r) {
-                // Bucket index is reduced mod n, which fits in usize.
-                #[allow(clippy::cast_possible_truncation)]
-                let bucket = row_hash(&r) as usize % n;
-                out[bucket].push(r.clone());
-                seen.insert(r);
-            }
-        }
-        Ok(out)
-    })?;
-
-    // Phase 2: merge each target bucket and dedupe globally.
-    let parts = run_on_workers(n, ctx, |t| {
-        let mut seen: HashSet<&Row> = HashSet::new();
-        let rows: Vec<Row> = (buckets.iter().flat_map(|b| &b[t]))
-            .filter(|r| seen.insert(r))
-            .cloned()
-            .collect();
-        Ok(Batch::from_rows(input.schema(), &rows))
-    })?;
-
-    let homes: Vec<String> = (0..n).map(|i| ctx.worker_node(i).to_string()).collect();
-    Ok(PartitionedTable::from_batches(
-        input.schema().clone(),
-        parts,
-        homes,
-    ))
-}
-
-fn row_hash(r: &Row) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    r.hash(&mut h);
-    h.finish()
-}
-
-// ---------------------------------------------------------------------------
 // Aggregation (parallel partials, sequential merge)
 // ---------------------------------------------------------------------------
 
@@ -731,8 +618,11 @@ impl Accum {
         Ok(())
     }
 
-    fn finalize(self, func: AggFunc) -> Value {
-        match self {
+    /// The aggregate's value. A cell of a `SUM`/`AVG(DISTINCT)` set that
+    /// is not a number is the same `Type` error `update` raises for it
+    /// without `DISTINCT`.
+    fn finalize(self, func: AggFunc) -> Result<Value> {
+        Ok(match self {
             Accum::CountAll(c) | Accum::Count(c) => Value::Int(c),
             Accum::SumDouble(s) => s.map(Value::Double).unwrap_or(Value::Null),
             Accum::Avg { sum, count } => {
@@ -749,21 +639,21 @@ impl Accum {
                     if set.is_empty() {
                         Value::Null
                     } else {
-                        Value::Double(set.iter().filter_map(|v| v.as_f64().ok()).sum())
+                        Value::Double(set.iter().map(Value::as_f64).sum::<Result<f64>>()?)
                     }
                 }
                 AggFunc::Avg => {
                     if set.is_empty() {
                         Value::Null
                     } else {
-                        let s: f64 = set.iter().filter_map(|v| v.as_f64().ok()).sum();
+                        let s = set.iter().map(Value::as_f64).sum::<Result<f64>>()?;
                         Value::Double(s / set.len() as f64)
                     }
                 }
                 AggFunc::Min => set.into_iter().min().unwrap_or(Value::Null),
                 AggFunc::Max => set.into_iter().max().unwrap_or(Value::Null),
             },
-        }
+        })
     }
 }
 
@@ -775,9 +665,9 @@ fn execute_aggregate(
 ) -> Result<Vec<Row>> {
     // Partial aggregation per partition, in parallel.
     type Groups = HashMap<Vec<Value>, Vec<Accum>>;
-    let partials: Vec<Groups> = run_on_workers(input.num_partitions(), ctx, |p| {
+    let partials: Vec<Groups> = run_on_workers(input.num_partitions(), ctx.num_workers, |p| {
         // Group keys and aggregate arguments are evaluated as columns,
-        // then folded row by row through the cursor.
+        // then folded row by row.
         let batch = input.partition(p);
         let key_cols = eval_all(group_exprs, batch)?;
         let arg_cols = (aggs.iter())
@@ -823,11 +713,11 @@ fn execute_aggregate(
         .map(|(key, accs)| {
             let mut values = key;
             for (a, acc) in aggs.iter().zip(accs) {
-                values.push(acc.finalize(a.func));
+                values.push(acc.finalize(a.func)?);
             }
-            Row::new(values)
+            Ok(Row::new(values))
         })
-        .collect();
+        .collect::<Result<_>>()?;
     // Deterministic output order (grouped results are small).
     rows.sort();
     Ok(rows)

@@ -105,9 +105,6 @@ pub fn optimize(plan: Plan) -> Plan {
                 },
             }
         }
-        Plan::Distinct { input } => Plan::Distinct {
-            input: Box::new(optimize(*input)),
-        },
         Plan::Aggregate {
             input,
             group_exprs,
@@ -360,16 +357,17 @@ mod tests {
     #[test]
     fn a_project_above_a_breaker_does_not_fold_into_the_join_below_it() {
         let p = optimize(project(
-            Plan::Distinct {
+            Plan::Sort {
                 input: Box::new(join(JoinKind::Inner, scan(10), scan(10))),
+                keys: vec![(0, false)],
             },
             vec![Expr::Col(1)],
         ));
         let Plan::Project { input, .. } = p else {
             panic!("expected Project on top, got {p:?}")
         };
-        let Plan::Distinct { input } = *input else {
-            panic!("expected Distinct under the Project, got {input:?}")
+        let Plan::Sort { input, .. } = *input else {
+            panic!("expected Sort under the Project, got {input:?}")
         };
         assert!(matches!(*input, Plan::HashJoin { project: None, .. }));
     }

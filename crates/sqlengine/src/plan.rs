@@ -2,6 +2,8 @@
 //!
 //! The planner produces a [`Plan`] tree; the optimizer rewrites it; the
 //! executor interprets it directly. Each node carries its output schema.
+//! There is one grouping node, [`Plan::Aggregate`]: `SELECT DISTINCT`
+//! plans as a grouping by every column with no aggregates.
 
 use std::fmt;
 use std::sync::Arc;
@@ -69,11 +71,9 @@ pub enum Plan {
         /// Output schema (already projected when `project` is set).
         schema: Schema,
     },
-    /// Duplicate elimination over full rows (two-phase in the executor).
-    Distinct {
-        input: Box<Plan>,
-    },
-    /// Hash aggregation. Output layout: group columns then aggregates.
+    /// Hash aggregation, gathered to one partition sorted by row. Output
+    /// layout: group columns then aggregates. `SELECT DISTINCT` is this
+    /// node grouping by every input column with no aggregates.
     Aggregate {
         input: Box<Plan>,
         group_exprs: Vec<Expr>,
@@ -100,7 +100,6 @@ impl Plan {
             Plan::Filter { input, .. } => input.schema(),
             Plan::Project { schema, .. } => schema.clone(),
             Plan::HashJoin { schema, .. } => schema.clone(),
-            Plan::Distinct { input } => input.schema(),
             Plan::Aggregate { schema, .. } => schema.clone(),
             Plan::Sort { input, .. } => input.schema(),
             Plan::Limit { input, .. } => input.schema(),
@@ -116,7 +115,6 @@ impl Plan {
             Plan::Filter { input, .. } => (input.estimated_rows() / 4).max(1),
             Plan::Project { input, .. } => input.estimated_rows(),
             Plan::HashJoin { left, right, .. } => left.estimated_rows().max(right.estimated_rows()),
-            Plan::Distinct { input } => (input.estimated_rows() / 2).max(1),
             Plan::Aggregate { input, .. } => (input.estimated_rows() / 10).max(1),
             Plan::Sort { input, .. } => input.estimated_rows(),
             Plan::Limit { input, n } => input.estimated_rows().min(*n),
@@ -186,10 +184,6 @@ impl Plan {
                 left.fmt_tree(depth + 1, out);
                 right.fmt_tree(depth + 1, out);
             }
-            Plan::Distinct { input } => {
-                out.push_str(&format!("{pad}Distinct\n"));
-                input.fmt_tree(depth + 1, out);
-            }
             Plan::Aggregate {
                 input,
                 group_exprs,
@@ -258,11 +252,12 @@ mod tests {
 
     #[test]
     fn explain_renders_tree() {
-        let p = Plan::Distinct {
+        let p = Plan::Sort {
             input: Box::new(scan(5)),
+            keys: vec![(0, true)],
         };
         let text = p.explain();
-        assert!(text.contains("Distinct"));
+        assert!(text.contains("Sort [(0, true)]"));
         assert!(text.contains("Scan t rows=5"));
         // Child is indented under parent.
         assert!(text.lines().nth(1).unwrap().starts_with("  "));

@@ -306,7 +306,13 @@ impl<'a> Planner<'a> {
 
         // ---- 5. DISTINCT / ORDER BY / LIMIT ---------------------------
         if stmt.distinct {
-            plan = Plan::Distinct {
+            // DISTINCT is a grouping by every output column with no
+            // aggregates.
+            let schema = plan.schema();
+            plan = Plan::Aggregate {
+                group_exprs: (0..schema.len()).map(Expr::Col).collect(),
+                aggs: Vec::new(),
+                schema,
                 input: Box::new(plan),
             };
         }

@@ -11,6 +11,7 @@ use sqlml_common::{Result, Row, Schema, SqlmlError};
 use sqlml_dfs::Dfs;
 
 use crate::column::{Batch, BatchBuilder};
+use crate::executor::run_on_workers;
 
 /// A horizontally partitioned table. Partitions are immutable and their
 /// columns shared (`Arc`), so projecting/caching/transferring never
@@ -25,8 +26,8 @@ pub struct PartitionedTable {
 }
 
 impl PartitionedTable {
-    /// Build from pre-formed partitions. `homes` defaults to
-    /// `node-{i mod n}` when not supplied via [`Self::with_homes`].
+    /// Build from pre-formed partitions, partition `i` homed on
+    /// `node-i`.
     pub fn new(schema: Schema, partitions: Vec<Vec<Row>>) -> Self {
         let homes = (0..partitions.len()).map(sqlml_dfs::node_name).collect();
         let partitions = (partitions.iter())
@@ -47,13 +48,6 @@ impl PartitionedTable {
             partitions,
             homes,
         }
-    }
-
-    /// Override the home nodes (placement) of the partitions.
-    pub fn with_homes(mut self, homes: Vec<String>) -> Self {
-        assert_eq!(homes.len(), self.partitions.len());
-        self.homes = homes;
-        self
     }
 
     /// Round-robin partition `rows` into `num_partitions` partitions with
@@ -142,8 +136,9 @@ impl PartitionedTable {
     /// its own partition, as an MPP engine's export does. Returns total
     /// bytes written.
     pub fn save_text(&self, dfs: &Dfs, dir: &str) -> Result<u64> {
-        let totals = per_part_file(&self.partitions, "save_text", |i, part| {
-            let text = part.encode_text();
+        let n = self.partitions.len();
+        let totals = run_on_workers(n, n, |i| {
+            let text = self.partitions[i].encode_text();
             dfs.write_string(&format!("{dir}/part-{i:05}"), &text)?;
             Ok(text.len() as u64)
         })?;
@@ -160,7 +155,8 @@ impl PartitionedTable {
         if files.is_empty() {
             return Err(SqlmlError::Dfs(format!("no part files under {dir}")));
         }
-        let loaded = per_part_file(&files, "load_text", |_, f| {
+        let loaded = run_on_workers(files.len(), files.len(), |i| {
+            let f = &files[i];
             let text = dfs.read_string(&f.path)?;
             let part = Batch::decode_text(&text, &schema)?;
             // Home = node holding the file's first block replica.
@@ -197,30 +193,6 @@ impl PartitionedTable {
             homes: cycled_homes(n, nodes),
         })
     }
-}
-
-/// `f(i, item)` for every item, each on its own scoped thread; the
-/// results in item order. Every thread is joined before a failure is
-/// reported (a panicked thread left to `scope` re-panics in the caller),
-/// and the failure reported is the first in item order, whichever thread
-/// finished first.
-fn per_part_file<I, T, F>(items: &[I], what: &str, f: F) -> Result<Vec<T>>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> Result<T> + Sync,
-{
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (items.iter().enumerate())
-            .map(|(i, item)| scope.spawn(move || f(i, item)))
-            .collect();
-        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        joined
-            .into_iter()
-            .map(|r| r.map_err(|_| SqlmlError::Execution(format!("{what} worker panicked")))?)
-            .collect()
-    })
 }
 
 fn cycled_homes(n: usize, nodes: &[String]) -> Vec<String> {

@@ -398,7 +398,6 @@ pub fn validate(plan: &Plan, catalog: &Catalog) -> Result<Schema> {
             }
             Ok(schema.clone())
         }
-        Plan::Distinct { input } => validate(input, catalog),
         Plan::Aggregate {
             input,
             group_exprs,

@@ -1,9 +1,11 @@
 //! Recoding of categorical variables (§2.1).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use sqlml_common::schema::{DataType, Field};
 use sqlml_common::{Result, Row, Schema, SqlmlError, Value};
+use sqlml_sqlengine::column::Prim;
 use sqlml_sqlengine::udf::{PartitionCtx, TableUdf};
 use sqlml_sqlengine::{Batch, Column};
 
@@ -215,7 +217,8 @@ impl TableUdf for DistinctValuesUdf {
 /// *globally deduplicated, sorted* `(colname, colval)` table gathered
 /// into a single partition (the pipeline produces it with
 /// `SELECT DISTINCT ... ORDER BY colname, colval`). Assigns consecutive
-/// codes from 1 per column.
+/// codes from 1 per column: the two string columns are returned as they
+/// came, shared, beside one new `Int` code column.
 pub struct AssignRecodeIdsUdf;
 
 impl TableUdf for AssignRecodeIdsUdf {
@@ -240,49 +243,57 @@ impl TableUdf for AssignRecodeIdsUdf {
         ctx: &PartitionCtx,
     ) -> Result<Batch> {
         // Code assignment is global: the input must be gathered.
-        let rows = input.rows();
-        if ctx.num_partitions != 1 && !rows.is_empty() {
+        if ctx.num_partitions != 1 && !input.is_empty() {
             return Err(SqlmlError::Execution(
                 "assign_recode_ids requires a single-partition (gathered) input; \
                  use ORDER BY to gather the distinct pairs first"
                     .into(),
             ));
         }
-        let mut out = Vec::with_capacity(rows.len());
-        let mut current_col: Option<String> = None;
-        let mut next_code = 1i64;
-        let mut last_val: Option<String> = None;
-        for r in &rows {
-            let col = r.get(0).as_str()?.to_string();
-            let val = r.get(1).as_str()?.to_string();
-            if current_col.as_deref() != Some(col.as_str()) {
-                current_col = Some(col.clone());
-                next_code = 1;
-            } else if let Some(prev) = &last_val {
-                if *prev >= val {
-                    return Err(SqlmlError::Execution(
-                        "assign_recode_ids input must be sorted by (colname, colval) \
-                         with no duplicates"
-                            .into(),
-                    ));
+        let (names, values) = (input.column(0), input.column(1));
+        let mut codes: Vec<i64> = Vec::with_capacity(input.len());
+        let mut prev: Option<(&str, &str)> = None;
+        for i in 0..input.len() {
+            let (name, value) = (str_cell(names, i)?, str_cell(values, i)?);
+            let code = match prev {
+                Some((prev_name, prev_value)) if prev_name == name => {
+                    if prev_value >= value {
+                        return Err(SqlmlError::Execution(
+                            "assign_recode_ids input must be sorted by (colname, colval) \
+                             with no duplicates"
+                                .into(),
+                        ));
+                    }
+                    codes[i - 1] + 1
                 }
-            }
-            out.push(Row::new(vec![
-                Value::Str(col.into()),
-                Value::Str(val.as_str().into()),
-                Value::Int(next_code),
-            ]));
-            last_val = Some(val);
-            next_code += 1;
+                _ => 1,
+            };
+            codes.push(code);
+            prev = Some((name, value));
         }
-        Ok(Batch::from_rows(&recode_map_schema(), &out))
+        let codes = Column::Int(Prim::new(codes, None));
+        let columns = vec![Arc::clone(names), Arc::clone(values), Arc::new(codes)];
+        Ok(Batch::new(columns, input.len()))
     }
+}
+
+/// Row `i` of a `(colname, colval)` column as a string, read in place;
+/// a NULL or non-string cell is the `Type` error [`Value::as_str`]
+/// raises for it.
+fn str_cell(column: &Column, i: usize) -> Result<&str> {
+    match column {
+        Column::Str(d) => d.value(i).map(|s| &**s),
+        Column::Mixed(cells) => return cells[i].as_str(),
+        _ => None,
+    }
+    .ok_or_else(|| SqlmlError::Type(format!("cannot interpret {} as a string", column.value(i))))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sqlml_common::row;
+    use sqlml_sqlengine::{Engine, EngineConfig, PartitionedTable};
 
     #[test]
     fn from_pairs_assigns_sorted_consecutive_codes() {
@@ -436,12 +447,16 @@ mod tests {
             row!["gender", "M"],
         ];
         let batch = |rows: &[Row]| Batch::from_rows(&distinct_pairs_schema(), rows);
+        let input = batch(&sorted);
         let out = AssignRecodeIdsUdf
-            .execute(&batch(&sorted), &distinct_pairs_schema(), &[], &ctx1)
+            .execute(&input, &distinct_pairs_schema(), &[], &ctx1)
             .unwrap();
         let m = RecodeMap::from_rows(&out.rows()).unwrap();
         assert_eq!(m.code("gender", "F"), Some(1));
         assert_eq!(m.code("abandoned", "Yes"), Some(2));
+        // The two string columns come back shared, not rebuilt.
+        assert!(Arc::ptr_eq(out.column(0), input.column(0)));
+        assert!(Arc::ptr_eq(out.column(1), input.column(1)));
 
         // Unsorted input is rejected.
         let unsorted = vec![row!["gender", "M"], row!["gender", "F"]];
@@ -457,6 +472,33 @@ mod tests {
         assert!(AssignRecodeIdsUdf
             .execute(&batch(&sorted), &distinct_pairs_schema(), &[], &ctx2)
             .is_err());
+    }
+
+    #[test]
+    fn assign_ids_over_sql_refuses_a_scattered_or_unsorted_table() {
+        let engine = Engine::new(EngineConfig::with_workers(2));
+        engine.register_table_udf(Arc::new(AssignRecodeIdsUdf));
+        let refusal = |parts: Vec<Vec<Row>>| {
+            let pairs = PartitionedTable::new(distinct_pairs_schema(), parts);
+            engine.register_table("pairs", pairs);
+            let sql = "SELECT * FROM TABLE(assign_recode_ids(pairs)) AS m";
+            engine.query(sql).unwrap_err().to_string()
+        };
+        let err = refusal(vec![vec![row!["g", "F"]], vec![row!["g", "M"]]]);
+        assert!(
+            err.contains("requires a single-partition (gathered) input"),
+            "{err}"
+        );
+        for unsorted in [
+            [row!["g", "M"], row!["g", "F"]],
+            [row!["g", "F"], row!["g", "F"]],
+        ] {
+            let err = refusal(vec![unsorted.to_vec()]);
+            assert!(
+                err.contains("sorted by (colname, colval) with no duplicates"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -98,7 +98,10 @@ fn recorded_chain(
         },
     };
     if breaker {
-        plan = Plan::Distinct {
+        plan = Plan::Aggregate {
+            group_exprs: vec![Expr::Col(0), Expr::Col(1)],
+            aggs: Vec::new(),
+            schema: plan.schema(),
             input: Box::new(plan),
         };
     }
@@ -156,7 +159,7 @@ fn a_chain_stops_at_a_pipeline_breaker() {
     let out = execute(&plan, engine.exec_context()).unwrap();
     assert_eq!(out.collect_sorted(), expected_rows());
 
-    // The Filter under the Distinct ran in an earlier round than the
+    // The Filter under the Aggregate ran in an earlier round than the
     // Project and table UDF above it: no thread did both.
     let below: HashSet<ThreadId> = (predicate.seen.lock().unwrap().values())
         .flatten()

@@ -3,7 +3,7 @@
 //! The optimizer picks each join's build side and folds a column-only
 //! `Project` into the `HashJoin` beneath it; the executor runs
 //! `Filter`/`Project`/`TableUdfScan` chains as one pass per partition, a
-//! hash-reuse join, a parallel merge sort, and the flat recode applier;
+//! hash-reuse join, a stable permutation sort, and the flat recode applier;
 //! the In-SQL transformer's pass 2 is one applier pass. Each of those has
 //! a reference:
 //!
@@ -1100,6 +1100,27 @@ fn column_engine_matches_plain_rust_loops_on_seeded_keyed_tables() {
             "SELECT g, COUNT(*), COUNT(v), SUM(v), MIN(k), MAX(k) FROM l GROUP BY g",
             expect,
         );
+
+        // DISTINCT over a nullable dictionary string and a nullable int,
+        // as a set.
+        let distinct: std::collections::BTreeSet<Row> =
+            l.iter().map(|row| pick(row, &[2, 0])).collect();
+        check(
+            "SELECT DISTINCT g, k FROM l",
+            distinct.into_iter().collect(),
+        );
+
+        // ORDER BY a key with many ties across partitions: the exact
+        // sequence a stable sort of the partitions in order gives.
+        let mut expect: Vec<Row> = l.iter().map(|row| pick(row, &[2, 0, 1])).collect();
+        expect.sort_by(|a, b| a.get(0).cmp(b.get(0)));
+        let sql = "SELECT g, k, s FROM l ORDER BY g";
+        assert_eq!(run(sql).collect_rows(), expect, "seed {seed}: {sql}");
+
+        // LIMIT with no ORDER BY: the first rows in partition order.
+        let expect: Vec<Row> = l.iter().take(n).map(|row| pick(row, &[0])).collect();
+        let sql = format!("SELECT k FROM l LIMIT {n}");
+        assert_eq!(run(&sql).collect_rows(), expect, "seed {seed}: {sql}");
     }
     assert!(
         built_left >= 20 && built_right >= 20,

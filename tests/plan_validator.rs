@@ -132,7 +132,6 @@ fn bad_udf_arity_is_rejected() {
             }
             Plan::Project { input, .. }
             | Plan::Filter { input, .. }
-            | Plan::Distinct { input }
             | Plan::Sort { input, .. }
             | Plan::Limit { input, .. } => strip_udf_args(input),
             _ => false,
