@@ -35,11 +35,11 @@
 //!    and a third burst straddles a `remove_shard(Migrate)` drain —
 //!    every handle must resolve exactly once, nothing lost.
 //! 7. `--sweep` — the A8 under-load ablation grid: queue capacity ×
-//!    worker slots × tenant-weight skew × shard count, every cell
-//!    submitted with a per-submit retry policy.
+//!    tenant-weight skew × shard count, every cell submitted with a
+//!    per-submit retry policy.
 //!
 //! Run: `cargo run --release -p sqlml-bench --bin serve_load`
-//! Flags: `--queries N --inflight N --queue-cap N --worker-slots N`
+//! Flags: `--queries N --inflight N --queue-cap N`
 //! `--shards N --carts N --seed N --throttle-mbps M --no-cache`
 //! `--no-cache-aware --no-steal --elastic --sweep --verbose`
 
@@ -69,7 +69,6 @@ struct Args {
     queries: usize,
     inflight: usize,
     queue_cap: usize,
-    worker_slots: usize,
     shards: usize,
     carts: usize,
     seed: u64,
@@ -88,7 +87,6 @@ impl Args {
             queries: 12,
             inflight: 4,
             queue_cap: 64,
-            worker_slots: 0,
             shards: 2,
             carts: 40_000,
             seed: 42,
@@ -143,9 +141,6 @@ impl Args {
                 "--queries" => a.queries = value.parse().expect("--queries takes a number"),
                 "--inflight" => a.inflight = value.parse().expect("--inflight takes a number"),
                 "--queue-cap" => a.queue_cap = value.parse().expect("--queue-cap takes a number"),
-                "--worker-slots" => {
-                    a.worker_slots = value.parse().expect("--worker-slots takes a number")
-                }
                 "--shards" => {
                     a.shards = value.parse().expect("--shards takes a number");
                     assert!(a.shards >= 1, "--shards must be >= 1");
@@ -181,7 +176,6 @@ impl Args {
         SchedulerConfig {
             max_concurrent: self.inflight,
             queue_capacity: self.queue_cap,
-            worker_slots: self.worker_slots,
             enable_cache: self.cache,
             cache_aware: self.cache && self.cache_aware,
             work_stealing: self.stealing,
@@ -346,9 +340,10 @@ fn main() {
     let wall = t1.elapsed();
     latencies.sort();
     let s = sched.stats();
-    let slots = sched.fleet_snapshot().iter().fold((0, 0), |(u, c), f| {
-        (u + f.slots_in_use, c + f.slot_capacity)
-    });
+    let running = sched
+        .fleet_snapshot()
+        .iter()
+        .fold((0, 0), |(r, e), f| (r + f.running, e + f.executors));
     println!(
         "\nconcurrent load ({} queries over {} shards, wall {:?}):",
         handles.len(),
@@ -362,7 +357,7 @@ fn main() {
         percentile(&latencies, 99.0)
     );
     println!(
-        "  goodput {:.2} queries/s  in-flight high water {burst_hw}  slots {slots:?}",
+        "  goodput {:.2} queries/s  in-flight high water {burst_hw}  running {running:?}",
         goodput(s.completed, wall),
     );
     for c in &s.per_cluster {
@@ -378,7 +373,6 @@ fn main() {
     let tiny = QueryScheduler::builder(SchedulerConfig {
         max_concurrent: 1,
         queue_capacity: 4,
-        worker_slots: args.worker_slots,
         enable_cache: args.cache,
         cache_aware: args.cache && args.cache_aware,
         ..SchedulerConfig::default()
@@ -449,14 +443,13 @@ fn main() {
 
     // --- phase 4: scale-out, 1 shard vs the fleet ---------------------
     // Cache off so the work per query is constant and the comparison
-    // isolates what sharding itself buys: aggregate bandwidth + slots.
+    // isolates what sharding itself buys: aggregate bandwidth + executors.
     let mut scaleout_holds = true;
     let (mut solo_gp, mut fleet_gp) = (0.0, 0.0);
     if args.shards >= 2 {
         let scale_cfg = SchedulerConfig {
             max_concurrent: args.inflight,
             queue_capacity: args.queue_cap.max(args.queries),
-            worker_slots: args.worker_slots,
             enable_cache: false,
             cache_aware: false,
             work_stealing: args.stealing,
@@ -505,7 +498,6 @@ fn main() {
             let cfg = SchedulerConfig {
                 max_concurrent: args.inflight,
                 queue_capacity: args.queue_cap.max(repeats + 1),
-                worker_slots: args.worker_slots,
                 enable_cache: true,
                 cache_aware: aware,
                 work_stealing: args.stealing,
@@ -558,7 +550,7 @@ fn main() {
     }
 
     // --- phase 6: elastic fleet — join mid-burst, drain under load ----
-    // Cache off so goodput tracks aggregate bandwidth/slots, the
+    // Cache off so goodput tracks aggregate bandwidth/executors, the
     // resource a joined shard actually adds.
     let mut elastic_recovers = true;
     let mut elastic_zero_lost = true;
@@ -566,7 +558,6 @@ fn main() {
         let elastic_cfg = SchedulerConfig {
             max_concurrent: args.inflight,
             queue_capacity: args.queue_cap.max(3 * args.queries),
-            worker_slots: args.worker_slots,
             enable_cache: false,
             cache_aware: false,
             work_stealing: args.stealing,
@@ -671,11 +662,14 @@ fn main() {
         sched.shutdown();
     }
 
-    // --- A8 sweep: queue cap × slots × skew × shards ------------------
+    // --- A8 sweep: queue cap × skew × shards --------------------------
     if args.sweep {
-        println!("\nA8 sweep (queue cap x worker slots x tenant skew x shards), {} queries/cell, per-submit retry:", args.queries);
         println!(
-            " shards    qcap   slots    skew   goodput(q/s)   p95(ms)   attempts-rej   gold/bronze queue wait"
+            "\nA8 sweep (queue cap x tenant skew x shards), {} queries/cell, per-submit retry:",
+            args.queries
+        );
+        println!(
+            " shards    qcap    skew   goodput(q/s)   p95(ms)   attempts-rej   gold/bronze queue wait"
         );
         let retry = RetryPolicy {
             max_attempts: 200,
@@ -687,46 +681,34 @@ fn main() {
         for shard_count in [1usize, args.shards.max(2)] {
             let cell_fleet: Vec<Arc<SimCluster>> = fleet[..shard_count.min(fleet.len())].to_vec();
             for qcap in [4usize, 64] {
-                for slots in [8usize, 0] {
-                    for (skew_label, weights) in [("flat", [1u32, 1, 1]), ("8:2:1", [8u32, 2, 1])] {
-                        let sched = QueryScheduler::builder(SchedulerConfig {
-                            max_concurrent: args.inflight,
-                            queue_capacity: qcap,
-                            worker_slots: slots,
-                            enable_cache: args.cache,
-                            cache_aware: args.cache && args.cache_aware,
-                            work_stealing: args.stealing,
-                            ..SchedulerConfig::default()
-                        })
-                        .clusters(cell_fleet.clone())
-                        .build()
-                        .expect("sweep-cell scheduler");
-                        for ((tenant, _), w) in TENANTS.iter().zip(weights) {
-                            sched.set_tenant_weight(tenant, w);
-                        }
-                        let (lats, wall, completed, means) =
-                            run_burst(&sched, args.queries, Some(&retry));
-                        let stats = sched.stats();
-                        let gold = means.get("gold").copied().unwrap_or_default();
-                        let bronze = means.get("bronze").copied().unwrap_or_default();
-                        let ratio = gold.as_secs_f64() / bronze.as_secs_f64().max(f64::EPSILON);
-                        println!(
-                            " {:>6}  {:>6}  {:>6}  {:>6}   {:>11.2}  {:>8}   {:>12}   {:>21.2}",
-                            shard_count,
-                            qcap,
-                            if slots == 0 {
-                                "auto".to_string()
-                            } else {
-                                slots.to_string()
-                            },
-                            skew_label,
-                            goodput(completed, wall),
-                            percentile(&lats, 95.0).as_millis(),
-                            stats.rejected,
-                            ratio,
-                        );
-                        sched.shutdown();
+                for (skew_label, weights) in [("flat", [1u32, 1, 1]), ("8:2:1", [8u32, 2, 1])] {
+                    let sched = QueryScheduler::builder(SchedulerConfig {
+                        queue_capacity: qcap,
+                        ..args.sched_config()
+                    })
+                    .clusters(cell_fleet.clone())
+                    .build()
+                    .expect("sweep-cell scheduler");
+                    for ((tenant, _), w) in TENANTS.iter().zip(weights) {
+                        sched.set_tenant_weight(tenant, w);
                     }
+                    let (lats, wall, completed, means) =
+                        run_burst(&sched, args.queries, Some(&retry));
+                    let stats = sched.stats();
+                    let gold = means.get("gold").copied().unwrap_or_default();
+                    let bronze = means.get("bronze").copied().unwrap_or_default();
+                    let ratio = gold.as_secs_f64() / bronze.as_secs_f64().max(f64::EPSILON);
+                    println!(
+                        " {:>6}  {:>6}  {:>6}   {:>11.2}  {:>8}   {:>12}   {:>21.2}",
+                        shard_count,
+                        qcap,
+                        skew_label,
+                        goodput(completed, wall),
+                        percentile(&lats, 95.0).as_millis(),
+                        stats.rejected,
+                        ratio,
+                    );
+                    sched.shutdown();
                 }
             }
         }

@@ -5,7 +5,7 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sqlml_cache::{CacheProbe, QueryDescriptor};
 use sqlml_common::CancelToken;
@@ -55,8 +55,8 @@ pub struct SubmitOpts {
     /// unknown id with [`RejectReason::Invalid`].
     pub pin_shard: Option<usize>,
     /// Client-side retry for transient rejects (queue full, shard
-    /// draining).
-    pub retry: Retry,
+    /// draining); `None` submits once.
+    pub retry: Option<RetryPolicy>,
 }
 
 impl SubmitOpts {
@@ -68,31 +68,11 @@ impl SubmitOpts {
         }
     }
 
-    /// Retry transient rejects with this specific policy.
+    /// Retry transient rejects with this policy.
     pub fn with_retry(mut self, policy: RetryPolicy) -> SubmitOpts {
-        self.retry = Retry::Policy(policy);
+        self.retry = Some(policy);
         self
     }
-
-    /// Never retry, even if the scheduler has a default policy.
-    pub fn no_retry(mut self) -> SubmitOpts {
-        self.retry = Retry::No;
-        self
-    }
-}
-
-/// How a submission handles transient rejects.
-#[derive(Debug, Clone, Default)]
-pub enum Retry {
-    /// Use the scheduler's default policy
-    /// ([`crate::SchedulerBuilder::retry`]); no retry if none was
-    /// configured.
-    #[default]
-    Default,
-    /// Never retry.
-    No,
-    /// Retry with this policy, overriding the scheduler default.
-    Policy(RetryPolicy),
 }
 
 impl QueryScheduler {
@@ -106,23 +86,20 @@ impl QueryScheduler {
 
     /// Submit with per-call options: targeted placement
     /// ([`SubmitOpts::pin_shard`]) and/or client-side retry
-    /// ([`SubmitOpts::retry`], resolving [`Retry::Default`] against the
-    /// scheduler's [`crate::SchedulerBuilder::retry`] policy). Each retry
-    /// attempt counts as a submission in the stats.
+    /// ([`SubmitOpts::retry`]). Each retry attempt counts as a
+    /// submission in the stats. The query's deadline and its queued time
+    /// both count from this call, not from the attempt that lands.
     pub fn submit_opts(&self, spec: QuerySpec, opts: SubmitOpts) -> Result<QueryHandle, Rejected> {
-        let policy = match &opts.retry {
-            Retry::No => None,
-            Retry::Default => self.default_retry.as_ref(),
-            Retry::Policy(p) => Some(p),
+        let deadline = spec.deadline.or(self.config.default_deadline);
+        let cancel = match deadline {
+            Some(d) => CancelToken::with_deadline(d),
+            None => CancelToken::new(),
         };
-        match policy {
-            None => self.submit_once(&spec, opts.pin_shard),
-            Some(p) => {
-                let deadline = spec.deadline.or(self.config.default_deadline);
-                retry_queue_full(p, deadline, &SystemClock, || {
-                    self.submit_once(&spec, opts.pin_shard)
-                })
-            }
+        let submitted = Instant::now();
+        let once = || self.submit_once(&spec, opts.pin_shard, &cancel, submitted);
+        match &opts.retry {
+            None => once(),
+            Some(p) => retry_queue_full(p, deadline, &SystemClock, once),
         }
     }
 
@@ -131,6 +108,8 @@ impl QueryScheduler {
         &self,
         spec: &QuerySpec,
         pin_shard: Option<usize>,
+        cancel: &CancelToken,
+        submitted: Instant,
     ) -> Result<QueryHandle, Rejected> {
         self.stats.submitted.fetch_add(1, Ordering::Relaxed);
         let snap = self.registry.snapshot();
@@ -148,10 +127,11 @@ impl QueryScheduler {
             if entry.is_draining() {
                 return Err(self.reject(RejectReason::Draining { shard: id }));
             }
-            return self.admit(spec, entry, CacheProbe::Miss, None);
+            return self.admit(spec, entry, CacheProbe::Miss, None, cancel, submitted);
         }
         // Probe every live shard's cache for the request's descriptor,
-        // then score placement: cache affinity vs queue depth vs slots.
+        // then score placement: cache affinity vs queue depth vs busy
+        // executors.
         let descriptor = snap
             .shards()
             .first()
@@ -162,7 +142,7 @@ impl QueryScheduler {
             // serving plane is effectively shutting down.
             return Err(self.reject(RejectReason::ShuttingDown));
         };
-        self.admit(spec, &entry, affinity, descriptor)
+        self.admit(spec, &entry, affinity, descriptor, cancel, submitted)
     }
 
     /// Validate up front so a bad request is a reject-with-reason, not a
@@ -193,6 +173,7 @@ impl QueryScheduler {
         descriptor: Option<&QueryDescriptor>,
         request: &PipelineRequest,
     ) -> Option<(Arc<ShardEntry<Job>>, CacheProbe)> {
+        let executors = self.executors();
         let loads: Vec<ShardLoad> = snap
             .shards()
             .iter()
@@ -200,8 +181,8 @@ impl QueryScheduler {
                 let draining = s.is_draining();
                 ShardLoad {
                     queue_depth: s.queue.len(),
-                    slots_in_use: s.governor.in_use(),
-                    slot_capacity: s.governor.capacity(),
+                    running: s.running.load(Ordering::Relaxed),
+                    executors,
                     probe: match (descriptor, &s.cache, draining) {
                         (Some(d), Some(c), false) => c.probe(d, &request.spec),
                         _ => CacheProbe::Miss,
@@ -223,17 +204,16 @@ impl QueryScheduler {
         entry: &Arc<ShardEntry<Job>>,
         affinity: CacheProbe,
         descriptor: Option<QueryDescriptor>,
+        cancel: &CancelToken,
+        submitted: Instant,
     ) -> Result<QueryHandle, Rejected> {
-        let cancel = match spec.deadline.or(self.config.default_deadline) {
-            Some(d) => CancelToken::with_deadline(d),
-            None => CancelToken::new(),
-        };
         let shared = Arc::new(QueryShared::new(
             self.next_id.fetch_add(1, Ordering::Relaxed),
             &spec.tenant,
             spec.strategy,
-            cancel,
+            cancel.clone(),
             entry.id(),
+            submitted,
         ));
         let charge = Charge::new(
             &entry.cluster,
@@ -284,7 +264,11 @@ impl QueryScheduler {
 
 #[cfg(test)]
 mod tests {
-    use std::time::Instant;
+    use std::sync::atomic::AtomicBool;
+
+    use sqlml_common::Value;
+    use sqlml_core::workload::PREP_QUERY;
+    use sqlml_sqlengine::udf::ScalarFn;
 
     use super::*;
     use crate::scheduler::fixtures::{cluster, request, sched_with};
@@ -320,18 +304,22 @@ mod tests {
         let running = sched
             .submit(QuerySpec::new("t", request(), Strategy::InSql))
             .unwrap();
+        wait_until_running(&running);
+        let queued = sched
+            .submit(QuerySpec::new("t", request(), Strategy::InSql))
+            .unwrap();
+        [running, queued]
+    }
+
+    fn wait_until_running(handle: &QueryHandle) {
         let started = Instant::now();
-        while running.status() == QueryStatus::Queued {
+        while handle.status() == QueryStatus::Queued {
             assert!(
                 started.elapsed() < Duration::from_secs(10),
                 "first query never left the queue"
             );
             std::thread::sleep(Duration::from_millis(1));
         }
-        let queued = sched
-            .submit(QuerySpec::new("t", request(), Strategy::InSql))
-            .unwrap();
-        [running, queued]
     }
 
     fn patient_policy() -> RetryPolicy {
@@ -370,32 +358,57 @@ mod tests {
     }
 
     #[test]
-    fn builder_default_retry_applies_to_plain_submit() {
-        // Same transient-full-queue scenario as the retry test above,
-        // but the policy lives on the scheduler: a *plain* submit rides
-        // it out, and an explicit no_retry opt-out still bounces.
+    fn a_retried_submission_is_queued_from_its_first_attempt() {
+        // `nap(x)` sleeps on its first call, so a prep query filtering on
+        // it keeps the only executor busy for 600 ms.
+        let c = cluster();
+        let napped = AtomicBool::new(false);
+        c.engine
+            .register_scalar_udf(Arc::new(ScalarFn::new("nap", move |_: &[Value]| {
+                if !napped.swap(true, Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(600));
+                }
+                Ok(Value::Double(1.0))
+            })));
         let sched = QueryScheduler::builder(SchedulerConfig {
             max_concurrent: 1,
             queue_capacity: 1,
             ..SchedulerConfig::default()
         })
-        .cluster(cluster())
-        .retry(patient_policy())
+        .cluster(c)
         .build()
         .unwrap();
-        let backlog = saturate(&sched);
-        assert!(sched
+        let mut slow = request();
+        slow.prep_sql = format!("{PREP_QUERY} AND nap(U.age) > 0.0");
+        let running = sched
+            .submit(QuerySpec::new("t", slow, Strategy::InSql))
+            .unwrap();
+        wait_until_running(&running);
+        // Fills the queue; cancelled at pop once the executor frees up.
+        let doomed = sched
+            .submit(QuerySpec::new("t", request(), Strategy::InSql).with_deadline(Duration::ZERO))
+            .unwrap();
+        let every_200ms = RetryPolicy {
+            max_attempts: 60,
+            base: Duration::from_millis(200),
+            cap: Duration::from_millis(200),
+            jitter: 0.0,
+            seed: 1,
+        };
+        let retried = sched
             .submit_opts(
                 QuerySpec::new("t", request(), Strategy::InSql),
-                SubmitOpts::default().no_retry(),
+                SubmitOpts::default().with_retry(every_200ms),
             )
-            .is_err());
-        let retried = sched
-            .submit(QuerySpec::new("t", request(), Strategy::InSql))
-            .expect("scheduler-default retry should ride out the backlog");
-        for h in backlog.iter().chain([&retried]) {
-            assert!(h.wait().as_ref().as_ref().is_ok());
-        }
+            .expect("retry should eventually be admitted");
+        assert!(sched.stats().rejected >= 1);
+        assert!(running.wait().as_ref().as_ref().is_ok());
+        assert!(doomed.wait().as_ref().as_ref().unwrap_err().is_cancelled());
+        assert!(retried.wait().as_ref().as_ref().is_ok());
+        // At least one 200 ms backoff passed between the first attempt
+        // and the one that landed; the query's clock covers it.
+        let queued = retried.latency().unwrap().queued;
+        assert!(queued >= Duration::from_millis(200), "queued {queued:?}");
         sched.shutdown();
     }
 

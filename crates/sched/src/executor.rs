@@ -1,7 +1,7 @@
 //! The executor loop: each shard's pool of worker threads popping its
 //! fair queue in WFQ order, stealing from backlogged peers when idle,
-//! and running one admitted query at a time under the shard's worker-slot
-//! governor.
+//! and running one admitted query at a time. The pool's size is the
+//! shard's one concurrency bound.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -10,7 +10,6 @@ use std::time::Duration;
 
 use sqlml_core::Pipeline;
 
-use crate::cost::slot_cost;
 use crate::handle::{finalize, Job};
 use crate::queue::Popped;
 use crate::registry::{ShardEntry, Snapshot};
@@ -27,7 +26,7 @@ impl QueryScheduler {
     /// thread owns one [`Pipeline`] over the shard's cluster; with
     /// `enable_cache` all of a shard's threads share one §5 cache.
     pub(crate) fn spawn_executors(&self, entry: &Arc<ShardEntry<Job>>) -> Vec<JoinHandle<()>> {
-        (0..self.config.max_concurrent.max(1))
+        (0..self.executors())
             .map(|_| {
                 let entry = Arc::clone(entry);
                 let registry = Arc::clone(&self.registry);
@@ -79,24 +78,18 @@ fn try_steal(snap: &Snapshot<Job>, me: usize, steal_min: usize) -> Option<Job> {
 }
 
 /// Execute one admitted query on this worker thread (shard `me`). A
-/// stolen job (`me` ≠ home) runs *entirely* here: governor slots,
-/// pipeline, §6 transfer state, and cache population all belong to the
-/// stealing cluster; only tenant cost accounting settles back home. The
-/// job's home pointer keeps the home queue alive even if that shard has
-/// since left the registry.
+/// stolen job (`me` ≠ home) runs *entirely* here: pipeline, §6 transfer
+/// state, and cache population all belong to the stealing cluster; only
+/// tenant cost accounting settles back home. The job's home pointer
+/// keeps the home queue alive even if that shard has since left the
+/// registry.
 fn run_one(pipeline: &Pipeline<'_>, me: &Arc<ShardEntry<Job>>, stats: &Stats, job: Job) {
     let shared = Arc::clone(&job.shared);
-    // Hold the query's slot cost for the whole run.
-    let guard = match me
-        .governor
-        .acquire(slot_cost(&me.cluster, shared.strategy), &shared.cancel)
-    {
-        Ok(g) => g,
-        Err(e) => {
-            finalize(&shared, stats, Err(e));
-            return;
-        }
-    };
+    // A query whose deadline passed while it was queued never starts.
+    if let Err(e) = shared.cancel.check("queued") {
+        finalize(&shared, stats, Err(e));
+        return;
+    }
     // A query cancelled while queued is already terminal and must not
     // run.
     if !shared.claim(me.id()) {
@@ -106,8 +99,10 @@ fn run_one(pipeline: &Pipeline<'_>, me: &Arc<ShardEntry<Job>>, stats: &Stats, jo
         shared.stolen.store(true, Ordering::Relaxed);
         me.counters.stolen.fetch_add(1, Ordering::Relaxed);
     }
+    // No guard: a panicking run kills this executor thread either way.
+    me.running.fetch_add(1, Ordering::Relaxed);
     let result = pipeline.run_with(&job.request, shared.strategy, &shared.cancel);
-    drop(guard);
+    me.running.fetch_sub(1, Ordering::Relaxed);
     // Settle the measured WFQ cost back onto the tenant's virtual clock
     // at the *home* queue, where admission (or drain migration) charged
     // the estimate.
@@ -142,7 +137,9 @@ mod tests {
         let result = doomed.wait();
         let err = result.as_ref().as_ref().unwrap_err();
         assert!(err.is_cancelled(), "expected cancellation, got {err}");
+        assert!(err.to_string().contains("queued"), "{err}");
         assert_eq!(doomed.status(), QueryStatus::Cancelled);
+        assert_eq!(doomed.ran_on(), None);
         // The shared cluster is unharmed: the next query completes.
         let ok = sched
             .submit(QuerySpec::new("t", request(), Strategy::InSqlStream))

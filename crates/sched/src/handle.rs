@@ -19,7 +19,7 @@ use crate::stats::Stats;
 /// Where a query is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryStatus {
-    /// Admitted, waiting in the fair queue (or for worker slots).
+    /// Admitted, waiting in the fair queue for a free executor.
     Queued,
     /// Executing on a cluster.
     Running,
@@ -74,13 +74,15 @@ pub(crate) struct QueryShared {
 }
 
 impl QueryShared {
-    /// A freshly admitted query: `Queued`, submitted now.
+    /// A freshly admitted query: `Queued`, its clock started at
+    /// `submitted` (the first admission attempt, retries included).
     pub fn new(
         id: u64,
         tenant: &str,
         strategy: Strategy,
         cancel: CancelToken,
         placed_on: usize,
+        submitted: Instant,
     ) -> QueryShared {
         QueryShared {
             id,
@@ -95,7 +97,7 @@ impl QueryShared {
                 "sched.query.state",
                 QueryState {
                     status: QueryStatus::Queued,
-                    submitted: Instant::now(),
+                    submitted,
                     started: None,
                     finished: None,
                     result: None,

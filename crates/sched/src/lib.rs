@@ -21,15 +21,15 @@
 //!   after the run, so mispredictions never compound;
 //! * a **shard router** ([`ShardRouter`]) placing each admitted query on
 //!   one of N replicated-warehouse shards by a score combining queue
-//!   depth, worker-slot availability, and cache affinity (probed via the
+//!   depth, busy executors, and cache affinity (probed via the
 //!   non-materializing [`sqlml_cache::CacheManager::probe`]);
 //! * **bounded cross-shard work stealing**: an idle shard's executor may
 //!   claim the head-of-line query of the most-backlogged peer — never a
 //!   cache-pinned one — and run it entirely on its own cluster;
-//! * a **worker-slot governor** per shard: each admitted pipeline must
-//!   hold slots proportional to the SQL/ML workers it occupies before it
-//!   may run, so concurrent pipelines time-share each cluster instead of
-//!   oversubscribing it;
+//! * **one concurrency bound per shard**: its pool of
+//!   [`SchedulerConfig::max_concurrent`] executor threads, each running
+//!   one pipeline at a time, so at most that many pipelines share a
+//!   cluster at once;
 //! * **per-query deadlines and cooperative cancellation** threaded
 //!   through the SQL → transfer → ML stages (see
 //!   [`sqlml_common::CancelToken`]), unwinding through the normal error
@@ -92,7 +92,6 @@ mod admission;
 mod cost;
 mod drain;
 mod executor;
-pub mod governor;
 mod handle;
 pub mod queue;
 mod registry;
@@ -101,10 +100,9 @@ pub mod router;
 pub mod scheduler;
 mod stats;
 
-pub use admission::{QuerySpec, Retry, SubmitOpts};
+pub use admission::{QuerySpec, SubmitOpts};
 pub use cost::{probe_discount, FULL_DISCOUNT, MAP_DISCOUNT};
 pub use drain::{DrainPolicy, ShardRemoval};
-pub use governor::{SlotGuard, WorkerGovernor};
 pub use handle::{QueryHandle, QueryLatency, QueryStatus};
 pub use queue::{FairQueue, Popped, RejectReason, Rejected};
 pub use retry::{retry_queue_full, Clock, RetryPolicy, SystemClock};

@@ -24,7 +24,7 @@
 //!
 //! Lock discipline: the registry holds exactly one lock
 //! (`sched.registry`), taken briefly for snapshot/insert/remove and
-//! never while touching a shard's queue or governor. The scheduler's
+//! never while touching a shard's queue. The scheduler's
 //! outer locks (`sched.tenants`, `sched.workers`) order strictly before
 //! it; see `xtask/lock-order.manifest`.
 
@@ -36,7 +36,6 @@ use sqlml_cache::CacheManager;
 use sqlml_common::lockorder::TrackedRwLock;
 use sqlml_core::SimCluster;
 
-use crate::governor::WorkerGovernor;
 use crate::queue::FairQueue;
 
 /// Per-shard serving counters (monotonic).
@@ -49,7 +48,7 @@ pub(crate) struct ShardCounters {
     pub migrated_in: AtomicU64,
 }
 
-/// One serving shard: a cluster plus its queue, governor, cache,
+/// One serving shard: a cluster plus its queue, running gauge, cache,
 /// counters, and drain flag. `T` is the queue's item type (the
 /// scheduler's `Job`, which itself holds an `Arc<ShardEntry<Job>>` back
 /// to its home shard — the cycle is broken because queues are drained
@@ -58,7 +57,9 @@ pub(crate) struct ShardEntry<T> {
     id: usize,
     pub cluster: Arc<SimCluster>,
     pub queue: FairQueue<T>,
-    pub governor: WorkerGovernor,
+    /// Queries executing on this shard's executors right now (stolen
+    /// ones included) — the router's busy signal.
+    pub running: AtomicUsize,
     pub cache: Option<Arc<CacheManager>>,
     pub counters: ShardCounters,
     draining: AtomicBool,
@@ -173,19 +174,13 @@ impl<T> ShardRegistry<T> {
         &self,
         cluster: Arc<SimCluster>,
         queue_capacity: usize,
-        worker_slots: usize,
         cache: Option<Arc<CacheManager>>,
     ) -> Arc<ShardEntry<T>> {
-        let auto_slots = (cluster.config.sql_workers + cluster.config.ml_workers).max(1) * 4;
-        let governor = WorkerGovernor::new(match worker_slots {
-            0 => auto_slots,
-            n => n,
-        });
         Arc::new(ShardEntry {
             id: self.next_id.fetch_add(1, Ordering::Relaxed),
             cluster,
             queue: FairQueue::new(queue_capacity),
-            governor,
+            running: AtomicUsize::new(0),
             cache,
             counters: ShardCounters::default(),
             draining: AtomicBool::new(false),
@@ -261,7 +256,7 @@ mod tests {
         for c in
             SimCluster::start_shards(ClusterConfig::for_tests(), n, WorkloadScale::TINY, 5).unwrap()
         {
-            let entry = reg.build_entry(c, 4, 1, None);
+            let entry = reg.build_entry(c, 4, None);
             reg.insert(entry);
         }
         reg
@@ -292,7 +287,7 @@ mod tests {
         reg.remove(0).unwrap();
         let c =
             SimCluster::start_seeded(ClusterConfig::for_tests(), WorkloadScale::TINY, 5).unwrap();
-        let entry = reg.build_entry(c, 4, 1, None);
+        let entry = reg.build_entry(c, 4, None);
         let fresh = entry.id();
         reg.insert(entry);
         assert_eq!(fresh, 2, "removed id 0 must not be recycled");

@@ -82,9 +82,9 @@ impl Clock for SystemClock {
 
 /// Run `attempt` until it succeeds, rejects permanently, exhausts
 /// `policy.max_attempts`, or would sleep past `deadline` (measured from
-/// the first attempt — the same origin the scheduler uses for query
-/// deadlines, so a retried submission never sleeps through the window
-/// the query needed to actually run).
+/// the first attempt — the origin a scheduled query's deadline counts
+/// from too, so a retried submission never sleeps through the window the
+/// query needed to actually run).
 pub fn retry_queue_full<T>(
     policy: &RetryPolicy,
     deadline: Option<Duration>,

@@ -9,8 +9,9 @@
 //!   it near-free, so it earns a large bonus;
 //! * **queue depth** — every request already waiting on a shard pushes
 //!   new work elsewhere;
-//! * **slot availability** — a shard whose worker-slot pool is mostly
-//!   held will make even a short queue wait long.
+//! * **busy executors** — a shard whose executors are all running makes
+//!   even a short queue wait long; a fully busy shard weighs as one more
+//!   queued request.
 //!
 //! The affinity bonus is deliberately finite: a shard that is deeply
 //! backlogged loses its cache advantage (a full-result hit is not worth
@@ -36,18 +37,16 @@ use sqlml_cache::CacheProbe;
 const FULL_BONUS: f64 = 8.0;
 /// What a recode-map reuse is worth, in queue-depth units.
 const MAP_BONUS: f64 = 3.0;
-/// Penalty weight on the fraction of worker slots already held.
-const SLOT_WEIGHT: f64 = 2.0;
 
 /// One shard's load signals at placement time.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardLoad {
     /// Requests waiting in the shard's admission queue.
     pub queue_depth: usize,
-    /// Worker slots currently held on the shard.
-    pub slots_in_use: usize,
-    /// The shard's worker-slot capacity (≥ 1).
-    pub slot_capacity: usize,
+    /// Queries executing on the shard right now.
+    pub running: usize,
+    /// The shard's executor threads (≥ 1).
+    pub executors: usize,
     /// What the shard's §5 cache would offer this request.
     pub probe: CacheProbe,
     /// The shard is leaving the fleet (`remove_shard` drain in
@@ -84,8 +83,8 @@ impl ShardRouter {
             CacheProbe::RecodeMap => MAP_BONUS,
             CacheProbe::Miss => 0.0,
         };
-        let busy = load.slots_in_use as f64 / load.slot_capacity.max(1) as f64;
-        bonus - load.queue_depth as f64 - SLOT_WEIGHT * busy
+        let busy = load.running as f64 / load.executors.max(1) as f64;
+        bonus - load.queue_depth as f64 - busy
     }
 
     /// Choose a shard for one request; the scan starts at a rotating
@@ -125,8 +124,8 @@ mod tests {
     fn idle(probe: CacheProbe) -> ShardLoad {
         ShardLoad {
             queue_depth: 0,
-            slots_in_use: 0,
-            slot_capacity: 8,
+            running: 0,
+            executors: 4,
             probe,
             draining: false,
         }
@@ -156,10 +155,10 @@ mod tests {
     }
 
     #[test]
-    fn busy_slots_push_work_to_the_free_shard() {
+    fn busy_executors_push_work_to_the_free_shard() {
         let r = ShardRouter::new();
         let mut loads = [idle(CacheProbe::Miss), idle(CacheProbe::Miss)];
-        loads[0].slots_in_use = 8; // fully held
+        loads[0].running = loads[0].executors; // every executor busy
         for _ in 0..6 {
             assert_eq!(r.place(&loads).unwrap().shard, 1);
         }

@@ -31,27 +31,19 @@ use sqlml_core::{ClusterConfig, SimCluster};
 
 use crate::handle::Job;
 use crate::registry::ShardRegistry;
-use crate::retry::RetryPolicy;
 use crate::router::ShardRouter;
 use crate::stats::Stats;
 
 /// Serving-plane tunables.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// Executor threads **per shard** — the maximum number of pipelines
-    /// in some stage of execution (including waiting for worker slots)
-    /// on one cluster at once.
+    /// Executor threads **per shard** (`0` counts as 1) — the maximum
+    /// number of pipelines executing on one cluster at once, and the
+    /// shard's only concurrency bound.
     pub max_concurrent: usize,
     /// Bounded admission-queue capacity per shard (queued, not yet
     /// executing).
     pub queue_capacity: usize,
-    /// Worker-slot capacity for each shard's governor. One slot ≙ one
-    /// engine worker; a streaming pipeline costs `sql_workers +
-    /// ml_workers` slots, a staged one `max(sql_workers, ml_workers)`.
-    /// `0` = auto: `(sql_workers + ml_workers) × 4`, i.e. a
-    /// multiprogramming level of ~4 streaming pipelines time-sharing each
-    /// cluster.
-    pub worker_slots: usize,
     /// Deadline applied to queries that don't carry their own (`None` =
     /// unbounded). Measured from submission, so queue wait counts.
     pub default_deadline: Option<Duration>,
@@ -77,7 +69,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             max_concurrent: 4,
             queue_capacity: 32,
-            worker_slots: 0,
             default_deadline: None,
             enable_cache: true,
             cache_aware: true,
@@ -115,7 +106,6 @@ pub struct SchedulerBuilder {
     clusters: Vec<Arc<SimCluster>>,
     template: Option<ShardTemplate>,
     template_shards: usize,
-    default_retry: Option<RetryPolicy>,
 }
 
 impl SchedulerBuilder {
@@ -125,7 +115,6 @@ impl SchedulerBuilder {
             clusters: Vec::new(),
             template: None,
             template_shards: 1,
-            default_retry: None,
         }
     }
 
@@ -161,15 +150,6 @@ impl SchedulerBuilder {
         self
     }
 
-    /// Default client-side retry policy: submissions whose
-    /// [`crate::SubmitOpts::retry`] is [`crate::Retry::Default`]
-    /// (including plain [`QueryScheduler::submit`]) ride out transient
-    /// rejects with it.
-    pub fn retry(mut self, policy: RetryPolicy) -> SchedulerBuilder {
-        self.default_retry = Some(policy);
-        self
-    }
-
     /// Boot any template shards and assemble the scheduler. Fails only
     /// on template boot errors or a shardless configuration.
     pub fn build(mut self) -> Result<QueryScheduler> {
@@ -191,7 +171,6 @@ impl SchedulerBuilder {
             self.clusters,
             self.config,
             self.template,
-            self.default_retry,
         ))
     }
 }
@@ -205,7 +184,6 @@ pub struct QueryScheduler {
     pub(crate) config: SchedulerConfig,
     /// Recipe for booting one more shard; arms [`QueryScheduler::add_shard`].
     template: Option<ShardTemplate>,
-    pub(crate) default_retry: Option<RetryPolicy>,
     /// Fleet-wide tenant weights, applied to every shard's queue — held
     /// across shard registration so a concurrent weight change can never
     /// miss a joining shard. Outermost scheduler lock (see
@@ -233,7 +211,6 @@ impl QueryScheduler {
         clusters: Vec<Arc<SimCluster>>,
         config: SchedulerConfig,
         template: Option<ShardTemplate>,
-        default_retry: Option<RetryPolicy>,
     ) -> QueryScheduler {
         // The scheduler's lock hierarchy, declared up front so the
         // instrumented build flags an inversion the moment it happens
@@ -253,7 +230,6 @@ impl QueryScheduler {
             stats: Arc::new(Stats::default()),
             config,
             template,
-            default_retry,
             tenants: TrackedMutex::new("sched.tenants", HashMap::new()),
             workers: TrackedMutex::new("sched.workers", HashMap::new()),
             next_id: AtomicU64::new(1),
@@ -273,12 +249,9 @@ impl QueryScheduler {
             .config
             .enable_cache
             .then(|| Arc::new(CacheManager::new(cluster.engine.clone())));
-        let entry = self.registry.build_entry(
-            cluster,
-            self.config.queue_capacity,
-            self.config.worker_slots,
-            cache,
-        );
+        let entry = self
+            .registry
+            .build_entry(cluster, self.config.queue_capacity, cache);
         let tenants = self.tenants.lock();
         for (tenant, weight) in tenants.iter() {
             entry.queue.set_weight(tenant, *weight);
@@ -313,15 +286,14 @@ impl QueryScheduler {
             )
         })?;
         let cluster = SimCluster::start_seeded(template.config, template.scale, template.seed)?;
-        self.add_shard_cluster(cluster)
-    }
-
-    /// Join a pre-booted cluster to the fleet (the caller vouches it
-    /// hosts the same warehouse as its peers). Returns the stable id.
-    pub fn add_shard_cluster(&self, cluster: Arc<SimCluster>) -> Result<usize> {
         let id = self.register_shard(cluster);
         self.stats.shards_added.fetch_add(1, Ordering::Relaxed);
         Ok(id)
+    }
+
+    /// Executor threads per shard: `max_concurrent`, at least one.
+    pub(crate) fn executors(&self) -> usize {
+        self.config.max_concurrent.max(1)
     }
 
     /// Weighted fair share for a tenant (default 1), applied on every

@@ -77,8 +77,10 @@ pub struct ShardStat {
     /// Stable shard id.
     pub shard: usize,
     pub queue_depth: usize,
-    pub slots_in_use: usize,
-    pub slot_capacity: usize,
+    /// Queries executing on the shard.
+    pub running: usize,
+    /// The shard's executor threads: `running` never exceeds it.
+    pub executors: usize,
     pub draining: bool,
 }
 
@@ -115,7 +117,7 @@ impl QueryScheduler {
 
     /// Per-shard load and drain state, in registration order, all fields
     /// read from the same registry snapshot: sum `queue_depth` for the
-    /// fleet backlog, `slots_in_use`/`slot_capacity` for slot usage.
+    /// fleet backlog, `running`/`executors` for how busy each shard is.
     pub fn fleet_snapshot(&self) -> Vec<ShardStat> {
         let snap = self.registry.snapshot();
         snap.shards()
@@ -123,8 +125,8 @@ impl QueryScheduler {
             .map(|s| ShardStat {
                 shard: s.id(),
                 queue_depth: s.queue.len(),
-                slots_in_use: s.governor.in_use(),
-                slot_capacity: s.governor.capacity(),
+                running: s.running.load(Ordering::Relaxed),
+                executors: self.executors(),
                 draining: s.is_draining(),
             })
             .collect()

@@ -4,14 +4,17 @@
 
 mod common;
 
-use std::sync::Arc;
+use std::collections::HashSet;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use common::{assert_back_to, fd_count, thread_count};
 
+use sqlml_common::{Result, SqlmlError, Value};
 use sqlml_core::workload::PREP_QUERY;
 use sqlml_core::{ClusterConfig, Pipeline, PipelineRequest, SimCluster, Strategy, WorkloadScale};
 use sqlml_sched::{QueryScheduler, QuerySpec, QueryStatus, RejectReason, SchedulerConfig};
+use sqlml_sqlengine::ScalarUdf;
 use sqlml_transform::TransformSpec;
 
 const STRATEGIES: [Strategy; 3] = [Strategy::Naive, Strategy::InSql, Strategy::InSqlStream];
@@ -91,6 +94,74 @@ fn eight_concurrent_pipelines_match_the_sequential_baseline() {
         assert_eq!((s.completed, s.failed, s.inflight_now), (9, 0, 0));
         sched.shutdown();
     }
+}
+
+/// Scalar UDF `gate(x, i)`: records the distinct `i`s it has seen and
+/// holds every caller until there are `want` of them — a barrier that
+/// only opens when `want` pipelines are executing at once. Fails after
+/// 10 s rather than hang.
+struct Gate {
+    want: usize,
+    seen: Mutex<HashSet<i64>>,
+    arrived: Condvar,
+}
+
+impl ScalarUdf for Gate {
+    fn name(&self) -> &str {
+        "gate"
+    }
+
+    fn eval(&self, args: &[Value]) -> Result<Value> {
+        let mut seen = self.seen.lock().unwrap();
+        if seen.insert(args[1].as_i64()?) {
+            self.arrived.notify_all();
+        }
+        let (seen, wait) = self
+            .arrived
+            .wait_timeout_while(seen, Duration::from_secs(10), |s| s.len() < self.want)
+            .unwrap();
+        if wait.timed_out() {
+            return Err(SqlmlError::Execution(format!(
+                "gate: {} of {} pipelines ran at once",
+                seen.len(),
+                self.want
+            )));
+        }
+        Ok(Value::Double(1.0))
+    }
+}
+
+#[test]
+fn eight_executors_run_eight_streaming_pipelines_at_once() {
+    let cluster = cluster();
+    cluster.engine.register_scalar_udf(Arc::new(Gate {
+        want: 8,
+        seen: Mutex::new(HashSet::new()),
+        arrived: Condvar::new(),
+    }));
+    let sched = QueryScheduler::builder(SchedulerConfig {
+        max_concurrent: 8,
+        enable_cache: false,
+        ..SchedulerConfig::default()
+    })
+    .cluster(Arc::clone(&cluster))
+    .build()
+    .unwrap();
+    let handles: Vec<_> = (0..8)
+        .map(|i| {
+            let mut request = request(i);
+            request.prep_sql = format!("{PREP_QUERY} AND gate(U.age, {i}) > 0.0");
+            sched
+                .submit(QuerySpec::new("t", request, Strategy::InSqlStream))
+                .unwrap()
+        })
+        .collect();
+    for (i, h) in handles.iter().enumerate() {
+        if let Err(e) = h.wait().as_ref() {
+            panic!("pipeline {i} failed: {e}");
+        }
+    }
+    sched.shutdown();
 }
 
 #[test]
