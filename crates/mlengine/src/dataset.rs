@@ -6,9 +6,15 @@
 //! [`PartitionView`] of contiguous rows, and nothing between the socket
 //! and the model is boxed per row.
 
-use std::sync::Arc;
+use std::any::Any;
+use std::cmp::Ordering;
+use std::ops::ControlFlow;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{mpsc, Arc};
 
 use sqlml_common::{Result, Row, SqlmlError};
+
+use crate::linalg::{by_width, ByWidth};
 
 /// One training example: numeric features plus a numeric label. The
 /// constructor currency of [`Dataset::new`] / [`Dataset::from_points`]
@@ -214,6 +220,11 @@ impl<'a> PartitionView<'a> {
         self.labels
     }
 
+    /// The feature block: `len()` rows of `dim` values, row-major.
+    pub fn features(&self) -> &'a [f64] {
+        self.features
+    }
+
     /// The rows in order: consecutive `dim`-wide slices of the feature
     /// block, each with its label (`chunks_exact(dim)` zipped with the
     /// labels, except that it also works for `dim == 0`).
@@ -308,16 +319,51 @@ impl Dataset {
         self.partitions().flat_map(|part| part.iter())
     }
 
-    /// The distinct labels, sorted.
+    /// The distinct labels, sorted. Labels that compare equal count once,
+    /// as the first of them (`0.0` and `-0.0`), and so does NaN.
     pub fn labels(&self) -> Vec<f64> {
-        let mut ls: Vec<f64> = Vec::new();
-        for l in self.partitions.iter().flat_map(|p| p.labels.iter()) {
-            if !ls.contains(l) {
-                ls.push(*l);
+        // A class column has a handful of labels: one pass that compares
+        // each label with those found so far, without a branch per
+        // comparison. Past a handful, sort them all.
+        const FEW: usize = 8;
+        let Some(&first) = self.all_labels().next() else {
+            return Vec::new();
+        };
+        // The labels found so far, the slots not yet used holding `first`
+        // again, so every label costs the same eight comparisons.
+        let mut known = [first; FEW];
+        let mut found = 1;
+        let seen =
+            |known: &[f64; FEW], l: f64| known.iter().fold(false, |hit, k| hit | same_label(*k, l));
+        for p in &self.partitions {
+            let mut rest = &p.labels[..];
+            while let Some(at) = rest.iter().position(|l| !seen(&known, *l)) {
+                if found == FEW {
+                    let mut ls: Vec<f64> = self.all_labels().copied().collect();
+                    // Stable, so each run of equal labels starts with the
+                    // first seen.
+                    ls.sort_by(label_order);
+                    ls.dedup_by(|later, first| same_label(*later, *first));
+                    return ls;
+                }
+                known[found] = rest[at];
+                found += 1;
+                rest = &rest[at + 1..];
             }
         }
-        ls.sort_by(f64::total_cmp);
+        let mut ls = known[..found].to_vec();
+        ls.sort_by(label_order);
         ls
+    }
+
+    /// Every label in partition order, read from the label vectors alone.
+    fn all_labels(&self) -> impl Iterator<Item = &f64> {
+        self.partitions.iter().flat_map(|p| p.labels.iter())
+    }
+
+    /// The first label (in partition order) for which `pred` holds.
+    pub(crate) fn find_label(&self, pred: impl Fn(f64) -> bool) -> Option<f64> {
+        self.all_labels().copied().find(|l| pred(*l))
     }
 
     /// The same points with every label mapped through `f`. Only the
@@ -365,33 +411,82 @@ impl Dataset {
         )
     }
 
-    /// Per-feature (mean, stddev) — used for feature scaling.
+    /// Per-feature (mean, stddev) — used for feature scaling. One
+    /// sequential pass per moment: each running sum crosses partition
+    /// boundaries.
     pub fn feature_stats(&self) -> Vec<(f64, f64)> {
         let n = self.num_points().max(1) as f64;
-        let mut mean = vec![0.0; self.dim];
-        for part in self.partitions() {
-            for p in part.iter() {
-                for (m, x) in mean.iter_mut().zip(p.features) {
-                    *m += x;
-                }
-            }
-        }
+        let sums = |mean| {
+            let partitions = &self.partitions;
+            by_width(self.dim, ColumnSums { partitions, mean })
+        };
+        let mut mean = sums(None);
         for m in &mut mean {
             *m /= n;
         }
-        let mut var = vec![0.0; self.dim];
-        for part in self.partitions() {
-            for p in part.iter() {
-                for ((v, m), x) in var.iter_mut().zip(&mean).zip(p.features) {
-                    let d = x - m;
-                    *v += d * d;
-                }
-            }
-        }
+        let var = sums(Some(&mean));
         mean.into_iter()
             .zip(var)
             .map(|(m, v)| (m, (v / n).sqrt()))
             .collect()
+    }
+}
+
+/// Per-column sums over every row in partition order: of `x`, or of
+/// `(x − m)²` when the column means `m` are given.
+struct ColumnSums<'a> {
+    partitions: &'a [Partition],
+    mean: Option<&'a [f64]>,
+}
+
+/// Add one row's terms to the column sums: `x`, or `(x − m)²` around
+/// the column means `m`.
+#[inline(always)]
+fn add_row(sums: &mut [f64], x: &[f64], mean: Option<&[f64]>) {
+    match mean {
+        None => {
+            for (s, x) in sums.iter_mut().zip(x) {
+                *s += x;
+            }
+        }
+        Some(mean) => {
+            for ((s, m), x) in sums.iter_mut().zip(mean).zip(x) {
+                let d = x - m;
+                *s += d * d;
+            }
+        }
+    }
+}
+
+impl ByWidth for ColumnSums<'_> {
+    type Output = Vec<f64>;
+
+    #[inline(always)]
+    fn fixed<const D: usize>(self) -> Vec<f64> {
+        let mean: Option<[f64; D]> = self.mean.map(|m| {
+            let mut fixed = [0.0; D];
+            fixed.copy_from_slice(m);
+            fixed
+        });
+        let mean = mean.as_ref().map(|m| m.as_slice());
+        let mut sums = [0.0; D];
+        for p in self.partitions {
+            for x in p.features.as_chunks::<D>().0 {
+                add_row(&mut sums, x, mean);
+            }
+        }
+        sums.to_vec()
+    }
+
+    fn any(self, dim: usize) -> Vec<f64> {
+        let mut sums = vec![0.0; dim];
+        for p in self.partitions {
+            // No row has a feature to visit when `dim == 0`.
+            for x in p.features.chunks_exact(dim.max(1)) {
+                add_row(&mut sums, x, self.mean);
+            }
+        }
+        sums
     }
 }
 
@@ -420,18 +515,16 @@ impl Standardizer {
     /// partition, labels shared with `data`.
     pub fn transform(&self, data: &Dataset) -> Dataset {
         assert_eq!(self.mean.len(), data.dim, "fitted on another dimension");
-        let partitions = (data.partitions.iter().zip(data.partitions()))
-            .map(|(stored, view)| {
-                let mut features = Vec::with_capacity(stored.features.len());
-                for p in view.iter() {
-                    features.extend(
-                        (p.features.iter())
-                            .zip(self.mean.iter().zip(&self.std))
-                            .map(|(x, (m, s))| (x - m) / s),
-                    );
-                }
+        let partitions = (data.partitions.iter())
+            .map(|stored| {
+                let features = &stored.features;
+                let kernel = Standardize {
+                    features,
+                    mean: &self.mean,
+                    std: &self.std,
+                };
                 Partition {
-                    features: Arc::new(features),
+                    features: Arc::new(by_width(data.dim, kernel)),
                     labels: Arc::clone(&stored.labels),
                 }
             })
@@ -459,30 +552,136 @@ impl Standardizer {
     }
 }
 
-/// Run `f` over every partition in parallel (one thread per partition, as
-/// each partition belongs to one ML worker) and collect the results in
-/// partition order. The backbone of the distributed gradient/statistics
-/// computations in the algorithm modules.
-pub fn par_partitions<R, F>(d: &Dataset, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, PartitionView<'_>) -> R + Sync,
-{
-    let n = d.num_partitions();
-    if n <= 1 {
-        return (0..n).map(|i| f(i, d.partition(i))).collect();
+/// One standardized feature block: `(x − m) / s` for every cell.
+struct Standardize<'a> {
+    features: &'a [f64],
+    mean: &'a [f64],
+    std: &'a [f64],
+}
+
+impl ByWidth for Standardize<'_> {
+    type Output = Vec<f64>;
+
+    #[inline(always)]
+    fn fixed<const D: usize>(self) -> Vec<f64> {
+        let (mut mean, mut std) = ([0.0; D], [0.0; D]);
+        mean.copy_from_slice(self.mean);
+        std.copy_from_slice(self.std);
+        let mut out = vec![0.0; self.features.len()];
+        let rows = self.features.as_chunks::<D>().0;
+        for (y, x) in out.as_chunks_mut::<D>().0.iter_mut().zip(rows) {
+            for (j, y) in y.iter_mut().enumerate() {
+                *y = (x[j] - mean[j]) / std[j];
+            }
+        }
+        out
     }
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .map(|i| scope.spawn(move || f(i, d.partition(i))))
+
+    fn any(self, dim: usize) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.features.len());
+        for x in self.features.chunks_exact(dim.max(1)) {
+            let cells = x.iter().zip(self.mean.iter().zip(self.std));
+            out.extend(cells.map(|(x, (m, s))| (x - m) / s));
+        }
+        out
+    }
+}
+
+/// Whether two labels are one class: `==`, except that NaN is one class.
+fn same_label(a: f64, b: f64) -> bool {
+    (a == b) | (a.is_nan() & b.is_nan())
+}
+
+/// The order [`Dataset::labels`] sorts by: numeric order, where `0.0`
+/// equals `-0.0`, with NaN after every number and equal to itself.
+fn label_order(a: &f64, b: &f64) -> Ordering {
+    a.partial_cmp(b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
+/// The fan-out of every trainer: rounds of `map` over all partitions on
+/// one crew of threads — one per partition (each partition belongs to
+/// one ML worker), spawned once per call — and `reduce` between rounds.
+///
+/// Each round, every worker runs `map` on the current state and its
+/// partition; then `reduce` gets the results in partition order and
+/// updates the state for the next round, or ends the rounds with
+/// `Break`. Returns the final state. One partition runs inline.
+///
+/// A panic in `map` reaches the caller as a panic (`"partition worker
+/// panicked: …"`) once every worker has stopped; none is left waiting.
+pub fn par_rounds<S, R, M, F>(data: &Dataset, mut state: S, map: M, mut reduce: F) -> S
+where
+    S: Send + Sync,
+    R: Send,
+    M: Fn(&S, PartitionView<'_>) -> R + Sync,
+    F: FnMut(&mut S, Vec<R>) -> ControlFlow<()>,
+{
+    if data.num_partitions() <= 1 {
+        loop {
+            let results = data.partitions().map(|part| map(&state, part)).collect();
+            if reduce(&mut state, results).is_break() {
+                return state;
+            }
+        }
+    }
+    let map = &map;
+    // Each round sends every worker a clone of this `Arc`; a worker drops
+    // its clone before it sends its result, so once all results are in,
+    // the caller holds the only one and may change the state.
+    let mut state = Arc::new(state);
+    let failure = std::thread::scope(|scope| {
+        let (rounds, results): (Vec<_>, Vec<_>) = (data.partitions())
+            .map(|part| {
+                let (round_tx, round_rx) = mpsc::channel::<Arc<S>>();
+                let (result_tx, result_rx) = mpsc::channel();
+                scope.spawn(move || {
+                    for state in round_rx {
+                        let result = panic::catch_unwind(AssertUnwindSafe(|| map(&state, part)));
+                        drop(state);
+                        let failed = result.is_err();
+                        if result_tx.send(result).is_err() || failed {
+                            return;
+                        }
+                    }
+                });
+                (round_tx, result_rx)
+            })
             .collect();
-        handles
-            .into_iter()
-            // lint:allow(panic) re-raise a worker panic on the caller
-            .map(|h| h.join().expect("partition worker panicked"))
-            .collect()
-    })
+        // Every return drops the round senders: each worker's loop ends
+        // and the scope joins them.
+        loop {
+            for round in &rounds {
+                // A worker that is gone shows up as a missing result.
+                let _ = round.send(Arc::clone(&state));
+            }
+            let mut out = Vec::with_capacity(results.len());
+            for result in &results {
+                match result.recv() {
+                    Ok(Ok(r)) => out.push(r),
+                    Ok(Err(payload)) => return Some(panic_text(payload.as_ref())),
+                    Err(_) => return Some("the worker exited".to_string()),
+                }
+            }
+            // lint:allow(panic) every worker dropped its clone before sending
+            let s = Arc::get_mut(&mut state).expect("a worker kept the round state");
+            if reduce(s, out).is_break() {
+                return None;
+            }
+        }
+    });
+    if let Some(text) = failure {
+        // lint:allow(panic) re-raise a worker panic on the caller
+        panic!("partition worker panicked: {text}");
+    }
+    // lint:allow(panic) the scope joined every worker
+    Arc::into_inner(state).expect("a worker outlived the rounds")
+}
+
+fn panic_text(payload: &(dyn Any + Send)) -> String {
+    (payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "a non-string payload".to_string())
 }
 
 #[cfg(test)]
@@ -648,7 +847,7 @@ mod tests {
     }
 
     #[test]
-    fn par_partitions_preserves_order() {
+    fn par_rounds_reduces_in_partition_order_until_break() {
         let d = Dataset::new(vec![
             vec![LabeledPoint::new(0.0, vec![1.0])],
             vec![
@@ -658,10 +857,132 @@ mod tests {
             vec![],
         ])
         .unwrap();
-        let sums = par_partitions(&d, |i, part| {
-            (i, part.iter().map(|p| p.features[0]).sum::<f64>())
+        // Each round maps `sum · round`; the state logs every round.
+        let log = par_rounds(
+            &d,
+            Vec::<Vec<f64>>::new(),
+            |log, part| {
+                let round = log.len() as f64 + 1.0;
+                part.features().iter().sum::<f64>() * round
+            },
+            |log, sums| {
+                log.push(sums);
+                if log.len() == 3 {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            },
+        );
+        assert_eq!(log, [[1.0, 5.0, 0.0], [2.0, 10.0, 0.0], [3.0, 15.0, 0.0]]);
+    }
+
+    /// Three one-row partitions whose single feature is their index.
+    fn three_partitions() -> Dataset {
+        let part = |i: usize| vec![LabeledPoint::new(0.0, vec![i as f64])];
+        Dataset::new((0..3).map(part).collect()).unwrap()
+    }
+
+    #[test]
+    fn par_rounds_runs_each_partition_on_one_thread_for_every_round() {
+        let ids = par_rounds(
+            &three_partitions(),
+            Vec::new(),
+            |_, _| std::thread::current().id(),
+            |rounds, ids| {
+                rounds.push(ids);
+                if rounds.len() == 25 {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            },
+        );
+        assert_eq!(ids.len(), 25);
+        let first = &ids[0];
+        assert!(ids.iter().all(|round| round == first), "{ids:?}");
+        let distinct: std::collections::HashSet<_> = first.iter().collect();
+        assert_eq!(distinct.len(), 3, "{first:?}");
+        assert!(!first.contains(&std::thread::current().id()));
+    }
+
+    #[test]
+    fn a_panic_in_one_worker_comes_back_as_a_panic_without_a_hang() {
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = panic::catch_unwind(|| {
+                par_rounds(
+                    &three_partitions(),
+                    0usize,
+                    |round, part| {
+                        assert!(
+                            !(*round == 3 && part.features() == [1.0]),
+                            "partition 1 fails in round 3"
+                        );
+                    },
+                    |round, _| {
+                        *round += 1;
+                        ControlFlow::Continue(())
+                    },
+                )
+            });
+            let _ = done_tx.send(outcome.map_err(|p| panic_text(p.as_ref())));
         });
-        assert_eq!(sums, vec![(0, 1.0), (1, 5.0), (2, 0.0)]);
+        let outcome = done_rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("par_rounds hung after a worker panicked");
+        let text = outcome.expect_err("a worker panic must reach the caller");
+        assert!(text.contains("partition worker panicked"), "{text}");
+        assert!(text.contains("partition 1 fails in round 3"), "{text}");
+    }
+
+    #[test]
+    fn labels_count_nan_once_and_keep_the_first_zero() {
+        let labeled = |labels: &[f64]| {
+            let points = labels.iter().map(|l| LabeledPoint::new(*l, vec![]));
+            Dataset::from_points(points.collect()).unwrap()
+        };
+        let mut nans = vec![f64::NAN; 1000];
+        nans.extend([2.0, 1.0, 2.0]);
+        let got = labeled(&nans).labels();
+        assert_eq!((got.len(), got[0], got[1]), (3, 1.0, 2.0));
+        assert!(got[2].is_nan());
+        // Zero keeps the sign it was first seen with.
+        let bits = |ls: Vec<f64>| ls.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(
+            bits(labeled(&[0.0, 1.0, -0.0]).labels()),
+            bits(vec![0.0, 1.0])
+        );
+        assert_eq!(
+            bits(labeled(&[-0.0, 1.0, 0.0]).labels()),
+            bits(vec![-0.0, 1.0])
+        );
+        assert_eq!(
+            labeled(&[3.0, -1.0, 3.0, f64::INFINITY, -1.0]).labels(),
+            [-1.0, 3.0, f64::INFINITY]
+        );
+    }
+
+    #[test]
+    fn a_continuous_label_is_refused_in_linear_time() {
+        // 300 000 distinct labels: a quadratic distinct scan takes minutes
+        // here, the sort well under a second.
+        let labels: Vec<f64> = (0..300_000).map(|i| f64::from(i) * 0.5).collect();
+        let part = |half: &[f64]| {
+            let mut b = PartitionBlock::new(Some(0));
+            for l in half {
+                b.push_row(&[*l, 1.0]).unwrap();
+            }
+            b
+        };
+        let (a, b) = labels.split_at(150_000);
+        let data = Dataset::from_blocks(vec![part(a), part(b)]).unwrap();
+        let spec = crate::job::TrainingSpec::parse("svm label=0").unwrap();
+        let start = std::time::Instant::now();
+        let refused = crate::job::JobRunner::default().train(&data, &spec);
+        assert!(refused.is_err());
+        let took = start.elapsed();
+        assert!(took < std::time::Duration::from_secs(2), "took {took:?}");
     }
 
     #[test]

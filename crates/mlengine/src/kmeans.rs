@@ -4,9 +4,11 @@
 //! dataset partitions each iteration; partials are merged exactly, so the
 //! result is independent of partitioning.
 
+use std::ops::ControlFlow;
+
 use sqlml_common::{Result, SplitMix64, SqlmlError};
 
-use crate::dataset::{par_partitions, Dataset};
+use crate::dataset::{par_rounds, Dataset};
 use crate::linalg::sq_dist;
 
 /// A trained k-means model: the centroids.
@@ -65,19 +67,26 @@ impl KMeansTrainer {
                 self.k
             )));
         }
-        let mut centroids = self.seed_centroids(data);
-        let mut prev_cost = f64::INFINITY;
-        let mut iterations_run = 0;
-
-        for it in 0..self.max_iterations {
-            iterations_run = it + 1;
-            // Map: per-partition centroid sums + counts + cost.
-            let partials = par_partitions(data, |_, part| {
+        let model = KMeansModel {
+            centroids: self.seed_centroids(data),
+            cost: f64::INFINITY,
+            iterations_run: 0,
+        };
+        if self.max_iterations == 0 {
+            return Ok(model);
+        }
+        // Each round: per-partition centroid sums + counts + cost (map),
+        // merged in partition order into new centroids (reduce). `cost`
+        // holds the previous round's total until the round converges.
+        let model = par_rounds(
+            data,
+            model,
+            |m, part| {
                 let mut sums = vec![vec![0.0; data.dim()]; self.k];
                 let mut counts = vec![0usize; self.k];
                 let mut cost = 0.0;
                 for p in part.iter() {
-                    let (c, d) = nearest(&centroids, p.features);
+                    let (c, d) = nearest(&m.centroids, p.features);
                     counts[c] += 1;
                     cost += d;
                     for (s, x) in sums[c].iter_mut().zip(p.features) {
@@ -85,37 +94,38 @@ impl KMeansTrainer {
                     }
                 }
                 (sums, counts, cost)
-            });
-            // Reduce.
-            let mut sums = vec![vec![0.0; data.dim()]; self.k];
-            let mut counts = vec![0usize; self.k];
-            let mut cost = 0.0;
-            for (ps, pc, pcost) in partials {
-                cost += pcost;
-                for (c, (s, p)) in sums.iter_mut().zip(ps).enumerate() {
-                    for (a, b) in s.iter_mut().zip(p) {
-                        *a += b;
+            },
+            |m, partials| {
+                m.iterations_run += 1;
+                let mut sums = vec![vec![0.0; data.dim()]; self.k];
+                let mut counts = vec![0usize; self.k];
+                let mut cost = 0.0;
+                for (ps, pc, pcost) in partials {
+                    cost += pcost;
+                    for (c, (s, p)) in sums.iter_mut().zip(ps).enumerate() {
+                        for (a, b) in s.iter_mut().zip(p) {
+                            *a += b;
+                        }
+                        counts[c] += pc[c];
                     }
-                    counts[c] += pc[c];
                 }
-            }
-            for (c, s) in sums.into_iter().enumerate() {
-                if counts[c] > 0 {
-                    centroids[c] = s.into_iter().map(|v| v / counts[c] as f64).collect();
+                for (c, s) in sums.into_iter().enumerate() {
+                    if counts[c] > 0 {
+                        m.centroids[c] = s.into_iter().map(|v| v / counts[c] as f64).collect();
+                    }
+                    // Empty clusters keep their previous centroid.
                 }
-                // Empty clusters keep their previous centroid.
-            }
-            if prev_cost.is_finite() && (prev_cost - cost).abs() <= self.tolerance * prev_cost {
-                prev_cost = cost;
-                break;
-            }
-            prev_cost = cost;
-        }
-        Ok(KMeansModel {
-            centroids,
-            cost: prev_cost,
-            iterations_run,
-        })
+                let prev_cost = std::mem::replace(&mut m.cost, cost);
+                let converged =
+                    prev_cost.is_finite() && (prev_cost - cost).abs() <= self.tolerance * prev_cost;
+                if converged || m.iterations_run == self.max_iterations {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            },
+        );
+        Ok(model)
     }
 
     /// k-means++ seeding over a deterministic sample.

@@ -1,10 +1,12 @@
 //! Linear regression (least squares) with distributed full-batch gradient
 //! descent and optional L2 (ridge) regularization.
 
+use std::ops::ControlFlow;
+
 use sqlml_common::{Result, SqlmlError};
 
-use crate::dataset::{par_partitions, Dataset};
-use crate::linalg::{axpy, dot};
+use crate::dataset::{par_rounds, Dataset};
+use crate::linalg::{axpy, dot, linear_gradient};
 
 /// A trained linear regressor `ŷ = w·x + b`.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,22 +43,45 @@ impl LinRegTrainer {
         if data.num_points() == 0 {
             return Err(SqlmlError::Ml("linreg: empty training set".into()));
         }
-        let dim = data.dim();
-        let n = data.num_points() as f64;
-        let mut w = vec![0.0; dim];
-        let mut b = 0.0;
+        let (weights, intercept) = descend(
+            data,
+            self.iterations,
+            self.step_size,
+            self.reg_param,
+            |margin, label| margin - label,
+        );
+        Ok(LinRegModel { weights, intercept })
+    }
+}
 
-        for _ in 0..self.iterations {
-            let partials = par_partitions(data, |_, part| {
-                let mut gw = vec![0.0; dim];
-                let mut gb = 0.0;
-                for p in part.iter() {
-                    let err = dot(&w, p.features) + b - p.label;
-                    axpy(err, p.features, &mut gw);
-                    gb += err;
-                }
-                (gw, gb)
-            });
+/// Full-batch gradient descent on a linear model `w·x + b` from zero:
+/// each round every partition sums `err(w·x + b, label)` times `x` (and
+/// `err` itself) over its rows, and the partials, summed in partition
+/// order, take one L2-regularised step. Shared by the least-squares and
+/// logistic trainers; returns the weights and the intercept.
+pub(crate) fn descend(
+    data: &Dataset,
+    iterations: usize,
+    step_size: f64,
+    reg_param: f64,
+    err: impl Fn(f64, f64) -> f64 + Sync,
+) -> (Vec<f64>, f64) {
+    let dim = data.dim();
+    let n = data.num_points() as f64;
+    let zero = (vec![0.0; dim], 0.0);
+    if iterations == 0 {
+        return zero;
+    }
+    let mut rounds = 0;
+    par_rounds(
+        data,
+        zero,
+        |(w, b), part| {
+            linear_gradient(w, *b, part.features(), part.labels(), |margin, label| {
+                (true, err(margin, label))
+            })
+        },
+        |(w, b), partials| {
             let mut gw = vec![0.0; dim];
             let mut gb = 0.0;
             for (pgw, pgb) in partials {
@@ -64,15 +89,17 @@ impl LinRegTrainer {
                 gb += pgb;
             }
             for (wi, gi) in w.iter_mut().zip(&gw) {
-                *wi -= self.step_size * (gi / n + self.reg_param * *wi);
+                *wi -= step_size * (gi / n + reg_param * *wi);
             }
-            b -= self.step_size * gb / n;
-        }
-        Ok(LinRegModel {
-            weights: w,
-            intercept: b,
-        })
-    }
+            *b -= step_size * gb / n;
+            rounds += 1;
+            if rounds == iterations {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        },
+    )
 }
 
 #[cfg(test)]

@@ -3,8 +3,9 @@
 
 use sqlml_common::{Result, SqlmlError};
 
-use crate::dataset::{par_partitions, Dataset};
-use crate::linalg::{axpy, dot, sigmoid};
+use crate::dataset::Dataset;
+use crate::linalg::{dot, sigmoid};
+use crate::linreg::descend;
 
 /// A trained logistic-regression model with labels {0, 1}.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,13 +56,10 @@ impl LogRegTrainer {
         if data.num_points() == 0 {
             return Err(SqlmlError::Ml("logreg: empty training set".into()));
         }
-        for p in data.iter() {
-            if p.label != 0.0 && p.label != 1.0 {
-                return Err(SqlmlError::Ml(format!(
-                    "logreg expects labels in {{0,1}}, found {}",
-                    p.label
-                )));
-            }
+        if let Some(label) = data.find_label(|l| l != 0.0 && l != 1.0) {
+            return Err(SqlmlError::Ml(format!(
+                "logreg expects labels in {{0,1}}, found {label}"
+            )));
         }
         if self.scale_features {
             let scaler = crate::dataset::Standardizer::fit(data);
@@ -74,38 +72,14 @@ impl LogRegTrainer {
     }
 
     fn train_raw(&self, data: &Dataset) -> LogRegModel {
-        let dim = data.dim();
-        let n = data.num_points() as f64;
-        let mut w = vec![0.0; dim];
-        let mut b = 0.0;
-
-        for _ in 0..self.iterations {
-            let partials = par_partitions(data, |_, part| {
-                let mut gw = vec![0.0; dim];
-                let mut gb = 0.0;
-                for p in part.iter() {
-                    let pred = sigmoid(dot(&w, p.features) + b);
-                    let err = pred - p.label;
-                    axpy(err, p.features, &mut gw);
-                    gb += err;
-                }
-                (gw, gb)
-            });
-            let mut gw = vec![0.0; dim];
-            let mut gb = 0.0;
-            for (pgw, pgb) in partials {
-                axpy(1.0, &pgw, &mut gw);
-                gb += pgb;
-            }
-            for (wi, gi) in w.iter_mut().zip(&gw) {
-                *wi -= self.step_size * (gi / n + self.reg_param * *wi);
-            }
-            b -= self.step_size * gb / n;
-        }
-        LogRegModel {
-            weights: w,
-            intercept: b,
-        }
+        let (weights, intercept) = descend(
+            data,
+            self.iterations,
+            self.step_size,
+            self.reg_param,
+            |margin, label| sigmoid(margin) - label,
+        );
+        LogRegModel { weights, intercept }
     }
 }
 

@@ -3,10 +3,11 @@
 //! and merged exactly, so the model is independent of partitioning.
 
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 
 use sqlml_common::{Result, SqlmlError};
 
-use crate::dataset::{par_partitions, Dataset};
+use crate::dataset::{par_rounds, Dataset, PartitionView};
 
 /// Per-class Gaussian statistics.
 #[derive(Debug, Clone)]
@@ -62,7 +63,7 @@ impl NaiveBayesTrainer {
         // Map: per-partition sums and squared sums per class. Labels key a
         // BTreeMap via their bit pattern for exact grouping.
         type Partial = BTreeMap<u64, (f64, Vec<f64>, Vec<f64>)>;
-        let partials: Vec<Partial> = par_partitions(data, |_, part| {
+        let map = |_: &Vec<Partial>, part: PartitionView<'_>| {
             let mut m: Partial = BTreeMap::new();
             for p in part.iter() {
                 let e = m
@@ -75,6 +76,11 @@ impl NaiveBayesTrainer {
                 }
             }
             m
+        };
+        // One round: the state is where the partials land.
+        let partials = par_rounds(data, Vec::new(), map, |out, partials| {
+            *out = partials;
+            ControlFlow::Break(())
         });
 
         // Reduce: merge sums exactly.

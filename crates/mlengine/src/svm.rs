@@ -7,10 +7,12 @@
 //! and L2 regularization — the same scheme as Spark MLlib's
 //! `SVMWithSGD`.
 
+use std::ops::ControlFlow;
+
 use sqlml_common::{Result, SqlmlError};
 
-use crate::dataset::{par_partitions, Dataset, PointRef};
-use crate::linalg::{axpy, dot};
+use crate::dataset::{par_rounds, Dataset, PartitionView, PointRef};
+use crate::linalg::{axpy, dot, linear_gradient};
 
 /// A trained linear SVM: `sign(w·x + b)` with labels {0, 1}.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,13 +74,10 @@ impl SvmTrainer {
         if data.num_points() == 0 {
             return Err(SqlmlError::Ml("SVM: empty training set".into()));
         }
-        for p in data.iter() {
-            if p.label != 0.0 && p.label != 1.0 {
-                return Err(SqlmlError::Ml(format!(
-                    "SVM expects labels in {{0,1}}, found {}",
-                    p.label
-                )));
-            }
+        if let Some(label) = data.find_label(|l| l != 0.0 && l != 1.0) {
+            return Err(SqlmlError::Ml(format!(
+                "SVM expects labels in {{0,1}}, found {label}"
+            )));
         }
         if self.scale_features {
             let scaler = crate::dataset::Standardizer::fit(data);
@@ -93,32 +92,49 @@ impl SvmTrainer {
     fn train_raw(&self, data: &Dataset) -> SvmModel {
         let dim = data.dim();
         let n = data.num_points() as f64;
-        let mut w = vec![0.0; dim];
-        let mut b = 0.0;
-
+        let model = SvmModel {
+            weights: vec![0.0; dim],
+            intercept: 0.0,
+        };
+        if self.iterations == 0 {
+            return model;
+        }
         let fraction = self.mini_batch_fraction.clamp(f64::MIN_POSITIVE, 1.0);
-        for t in 1..=self.iterations {
-            // Map: partial hinge subgradients per partition, over this
-            // iteration's (deterministic) mini-batch sample.
-            let partials = par_partitions(data, |_, part| {
-                let mut gw = vec![0.0; dim];
-                let mut gb = 0.0;
-                let mut sampled = 0u64;
-                for p in part.iter() {
-                    if fraction < 1.0 && !in_mini_batch(p, t as u64, fraction) {
-                        continue;
-                    }
-                    sampled += 1;
-                    let y = if p.label > 0.5 { 1.0 } else { -1.0 };
-                    let margin = dot(&w, p.features) + b;
-                    if y * margin < 1.0 {
+        // Map: partial hinge subgradients per partition, over iteration
+        // `t`'s (deterministic) mini-batch sample.
+        let map = |(m, t): &(SvmModel, usize), part: PartitionView<'_>| {
+            if fraction >= 1.0 {
+                let (gw, gb) = linear_gradient(
+                    &m.weights,
+                    m.intercept,
+                    part.features(),
+                    part.labels(),
+                    |margin, label| {
+                        let y = if label > 0.5 { 1.0 } else { -1.0 };
                         // d/dw hinge = -y * x
-                        axpy(-y, p.features, &mut gw);
-                        gb -= y;
-                    }
+                        (y * margin < 1.0, -y)
+                    },
+                );
+                return (gw, gb, part.len() as u64);
+            }
+            let mut gw = vec![0.0; dim];
+            let mut gb = 0.0;
+            let mut sampled = 0u64;
+            for p in part.iter() {
+                if !in_mini_batch(p, *t as u64, fraction) {
+                    continue;
                 }
-                (gw, gb, sampled)
-            });
+                sampled += 1;
+                let y = if p.label > 0.5 { 1.0 } else { -1.0 };
+                let margin = dot(&m.weights, p.features) + m.intercept;
+                if y * margin < 1.0 {
+                    axpy(-y, p.features, &mut gw);
+                    gb -= y;
+                }
+            }
+            (gw, gb, sampled)
+        };
+        let reduce = |(m, t): &mut (SvmModel, usize), partials: Vec<(Vec<f64>, f64, u64)>| {
             // Reduce: sum partials.
             let mut gw = vec![0.0; dim];
             let mut gb = 0.0;
@@ -136,16 +152,19 @@ impl SvmTrainer {
                 n
             };
             // L2 regularization on the weights (not the intercept).
-            let step = self.step_size / (t as f64).sqrt();
-            for (wi, gi) in w.iter_mut().zip(&gw) {
+            let step = self.step_size / (*t as f64).sqrt();
+            for (wi, gi) in m.weights.iter_mut().zip(&gw) {
                 *wi -= step * (gi / denom + self.reg_param * *wi);
             }
-            b -= step * gb / denom;
-        }
-        SvmModel {
-            weights: w,
-            intercept: b,
-        }
+            m.intercept -= step * gb / denom;
+            *t += 1;
+            if *t > self.iterations {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        };
+        par_rounds(data, (model, 1), map, reduce).0
     }
 }
 
