@@ -8,7 +8,6 @@ use sqlml_common::{Row, SplitMix64, Value};
 use sqlml_mlengine::job::JobConfig;
 use sqlml_mlengine::PartitionBlock;
 use sqlml_sqlengine::{Batch, Engine, EngineConfig};
-use sqlml_transfer::input_format::decode_frame;
 use sqlml_transfer::protocol::numeric_frame;
 use sqlml_transfer::{SpillableBuffer, StreamSession, StreamSessionConfig};
 
@@ -51,7 +50,7 @@ fn bench_wire(c: &mut Criterion) {
     group.bench_function("decode_240_row_frame", |b| {
         b.iter(|| {
             let mut block = PartitionBlock::new(Some(2));
-            decode_frame(black_box(&frame[5..]), 0, &mut block).unwrap();
+            block.push_frame(black_box(&frame[5..]), 0).unwrap();
             block
         })
     });

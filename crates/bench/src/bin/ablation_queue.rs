@@ -83,6 +83,8 @@ fn main() {
         "  message queue   {mq_once_t:8.3}s  (publish {:.3}s)",
         mq_once.publish_time.as_secs_f64()
     );
+    let bytes_per_row = mq_once.bytes_published as f64 / rows as f64;
+    println!("  published       {bytes_per_row:.2} B/row");
 
     // --- four algorithms over the same data ---------------------------
     let t2 = Instant::now();

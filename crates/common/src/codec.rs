@@ -7,16 +7,19 @@
 //!   Used by the naive pipeline's materialization hops and by
 //!   `TextInputFormat` on the ML side.
 //! * **Compact batch format** — self-delimiting batches of tagged
-//!   values, used where strings travel (message-queue records): integers
-//!   are LEB128 varints (zigzag for signed) and string cells are varint
-//!   references into a per-batch dictionary, so a categorical value
-//!   repeated across the rows of one batch is shipped exactly once.
-//! * **Numeric frame** — the streaming-transfer wire. What crosses the
-//!   SQL→ML boundary is recoded and numeric, so a frame is one typed,
-//!   fixed-width little-endian run per column ([`encode_numeric_frame`]),
-//!   an integer column at the narrowest width its partition needs, and
-//!   the reader checks a frame whole ([`NumericFrame::parse`]) before it
-//!   scatters the runs into its row-major block.
+//!   values: integers are LEB128 varints (zigzag for signed) and string
+//!   cells are varint references into a per-batch dictionary, so a
+//!   categorical value repeated across the rows of one batch is shipped
+//!   exactly once. No product path ships it any more; only the
+//!   benchmark, the benches and the tests reach it.
+//! * **Numeric frame** — the SQL→ML wire of both transfers, the socket
+//!   stream and the message queue. What crosses the boundary is recoded
+//!   and numeric, so a frame is one typed, fixed-width little-endian run
+//!   per column ([`encode_numeric_frame`]), an integer column at the
+//!   narrowest width its partition needs, a partition is cut into frames
+//!   by one rule ([`frame_ranges`]), and the reader checks a frame whole
+//!   ([`NumericFrame::parse`]) before it scatters the runs into its
+//!   row-major block.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -657,6 +660,25 @@ impl<'a> NumericColumn<'a> {
     pub fn stride(&self) -> usize {
         run_width(self.code()).unwrap_or(0) + usize::from(self.valid.is_some())
     }
+}
+
+/// Default wire-byte target per frame — the paper's 4 KiB send buffer.
+pub const FRAME_BYTES: usize = 4096;
+
+/// The row ranges a partition of `rows` rows of `columns` is cut into,
+/// one frame each: `frame_bytes` ÷ the row stride rows per frame — at
+/// least one, so a row wider than `frame_bytes` ships alone — and
+/// nothing else cuts a frame.
+pub fn frame_ranges(
+    columns: &[NumericColumn<'_>],
+    rows: usize,
+    frame_bytes: usize,
+) -> impl Iterator<Item = Range<usize>> {
+    let stride: usize = columns.iter().map(NumericColumn::stride).sum();
+    let frame_rows = (frame_bytes / stride.max(1)).max(1);
+    (0..rows)
+        .step_by(frame_rows)
+        .map(move |start| start..(start + frame_rows).min(rows))
 }
 
 /// Encode rows `rows` of `columns` as one numeric frame payload:

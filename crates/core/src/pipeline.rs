@@ -85,9 +85,8 @@ impl PipelineReport {
     /// alongside the stage breakdown: rows/bytes/batches sent, wire
     /// throughput, spill activity, time to first row at the ML side,
     /// restart attempts, and the overlapped-plane counters (sender queue
-    /// stall/depth, reader wait, and — when strings streamed —
-    /// dictionary hit ratio). `None` for strategies that
-    /// never streamed.
+    /// stall/depth, reader wait). `None` for strategies that never
+    /// streamed.
     pub fn transfer_summary(&self) -> Option<String> {
         use sqlml_common::timer::{format_bytes, format_duration};
         let s = self.stream_stats.as_ref()?;
@@ -97,7 +96,7 @@ impl PipelineReport {
             .receive
             .time_to_first_row
             .map_or_else(|| "n/a".to_string(), format_duration);
-        let mut summary = format!(
+        Some(format!(
             "transfer: {} rows, {} in {} batches ({throughput}/s wire), \
              spilled {} ({} events), first row +{first_row}, attempts {}, \
              queue hw {} frames, sender stalled {}, readers waited {}",
@@ -110,13 +109,7 @@ impl PipelineReport {
             s.queue_depth_hw,
             format_duration(std::time::Duration::from_micros(s.sender_stall_us)),
             format_duration(s.receive.prefetch_wait),
-        );
-        let lookups = s.dict_hits + s.dict_misses;
-        // Integer percentage is plenty for a one-line summary.
-        if let Some(pct) = (s.dict_hits * 100).checked_div(lookups) {
-            summary.push_str(&format!(", dict {}/{lookups} ({pct}%)", s.dict_hits));
-        }
-        Some(summary)
+        ))
     }
 }
 

@@ -12,6 +12,7 @@ use std::ops::ControlFlow;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 
+use sqlml_common::codec::NumericFrame;
 use sqlml_common::{Result, Row, SqlmlError};
 
 use crate::linalg::{by_width, ByWidth};
@@ -113,7 +114,7 @@ impl PartitionBlock {
     /// column in order and writes the column's cell of new row `r` to
     /// `dst[r * stride]` (zero where it writes nothing). A shape the
     /// block refuses leaves it untouched.
-    pub fn push_columns(
+    fn push_columns(
         &mut self,
         rows: usize,
         cols: usize,
@@ -145,6 +146,20 @@ impl PartitionBlock {
             }
         }
         Ok(())
+    }
+
+    /// Decode one numeric frame payload into the block, keeping the rows
+    /// past the first `skip`; returns how many rows the frame held — the
+    /// one frame decoder of both transfers' readers. The payload is
+    /// checked whole, and its shape against the block's, before a cell
+    /// is written: a frame lands whole or not at all.
+    pub fn push_frame(&mut self, frame: &[u8], skip: usize) -> Result<usize> {
+        let frame = NumericFrame::parse(frame)?;
+        let fresh = frame.rows().saturating_sub(skip);
+        self.push_columns(fresh, frame.cols(), |c, dst, stride| {
+            frame.scatter(c, skip, dst, stride);
+        })?;
+        Ok(frame.rows())
     }
 
     fn push_point(&mut self, label: f64, features: &[f64]) -> Result<()> {

@@ -168,7 +168,10 @@ impl Broker {
             let log = t.partitions.get(partition).ok_or_else(|| {
                 SqlmlError::Transfer(format!("topic {topic:?} has no partition {partition}"))
             })?;
-            if let Some(rec) = log.records.get(offset as usize) {
+            // An offset past `usize` is past the end, never wrapped
+            // onto a real record.
+            let at = usize::try_from(offset).ok();
+            if let Some(rec) = at.and_then(|at| log.records.get(at)) {
                 let rec = Arc::clone(rec);
                 drop(topics);
                 if let Some(th) = &self.inner.throttle {

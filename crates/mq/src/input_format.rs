@@ -5,8 +5,9 @@ use std::any::Any;
 use std::sync::Arc;
 use std::time::Duration;
 
+use sqlml_common::codec::NumericFrame;
 use sqlml_common::lockorder::TrackedMutex;
-use sqlml_common::{codec, Result, Row, Schema, SqlmlError};
+use sqlml_common::{Result, Schema, SqlmlError};
 use sqlml_mlengine::dataset::PartitionBlock;
 use sqlml_mlengine::input::{InputFormat, InputSplit, RecordReader};
 
@@ -15,12 +16,13 @@ use crate::broker::Broker;
 /// How long a consumer waits for the producer before giving up.
 pub const CONSUME_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// How many times a reader replays its partition after an (injected or
-/// real) failure.
+/// Attempts a reader makes over its partition's life: every failure but
+/// the last is retried from the first record not yet pushed.
 pub const MAX_CONSUME_ATTEMPTS: u32 = 8;
 
 /// Deliberate consumer-side failures for the fault tests: "(partition,
-/// fail after N records)" plans, each firing once.
+/// fail after N records)" plans, each firing once, before the reader
+/// reads record N.
 #[derive(Debug)]
 pub struct ConsumerFaults {
     plans: TrackedMutex<Vec<(usize, usize)>>,
@@ -140,90 +142,81 @@ impl InputFormat for MqInputFormat {
             broker: self.broker.clone(),
             split: s.clone(),
             schema: self.schema.clone(),
-            drained: false,
             faults: self.faults.clone(),
+            offset: 0,
+            failures: 0,
         }))
     }
 }
 
-/// Reader over one topic partition. Drains the whole partition (possibly
-/// replaying after failures — the log makes replay always possible)
-/// before yielding the first row, so delivery is exactly-once per split.
+/// Reader over one topic partition, one record per call. Each record is
+/// one numeric frame, and [`PartitionBlock::push_frame`] lands a frame
+/// whole or not at all, so the offset of the first record not yet pushed
+/// is the exactly-once watermark: after any failure (an injected fault, a
+/// read error, a record that does not decode) the next attempt reads the
+/// log from there — the committed-offset replay of a Kafka consumer.
 struct MqRecordReader {
     broker: Broker,
     split: MqSplit,
     schema: Schema,
-    drained: bool,
     faults: Option<Arc<ConsumerFaults>>,
+    /// Records pushed into the caller's block: the next offset to read.
+    offset: usize,
+    /// Failed attempts so far, against [`MAX_CONSUME_ATTEMPTS`].
+    failures: u32,
 }
 
 impl MqRecordReader {
-    fn drain(&self) -> Result<Vec<Row>> {
-        let mut last_err = None;
-        for _ in 0..MAX_CONSUME_ATTEMPTS {
-            match self.consume_from_start() {
-                Ok(rows) => return Ok(rows),
-                Err(e) => last_err = Some(e),
+    /// Push the record at `self.offset`: its row count, or `None` at the
+    /// sealed end of the partition.
+    fn push_next(&self, out: &mut PartitionBlock) -> Result<Option<usize>> {
+        let (topic, partition) = (&self.split.topic, self.split.partition);
+        if let Some(f) = &self.faults {
+            if f.should_fail(partition, self.offset) {
+                return Err(SqlmlError::InjectedFault(format!(
+                    "consumer of {topic}/{partition} killed after {} records",
+                    self.offset
+                )));
             }
         }
-        Err(last_err.unwrap_or_else(|| SqlmlError::Transfer("consume failed".into())))
-    }
-
-    /// One consume attempt: replay the partition from offset 0 — the
-    /// at-least-once read the paper wants from Kafka.
-    fn consume_from_start(&self) -> Result<Vec<Row>> {
-        let mut rows = Vec::new();
-        let mut offset = 0u64;
-        let mut consumed_records = 0usize;
-        loop {
-            if let Some(f) = &self.faults {
-                if f.should_fail(self.split.partition, consumed_records) {
-                    return Err(SqlmlError::InjectedFault(format!(
-                        "consumer of {}/{} killed after {consumed_records} records",
-                        self.split.topic, self.split.partition
-                    )));
-                }
-            }
-            match self.broker.read(
-                &self.split.topic,
-                self.split.partition,
-                offset,
-                CONSUME_TIMEOUT,
-            )? {
-                Some(record) => {
-                    for row in codec::decode_compact_batch(&record)? {
-                        // Guard against schema drift between publisher
-                        // and consumer.
-                        if row.len() != self.schema.len() {
-                            return Err(SqlmlError::Transfer(format!(
-                                "record arity {} does not match schema arity {}",
-                                row.len(),
-                                self.schema.len()
-                            )));
-                        }
-                        rows.push(row);
-                    }
-                    offset += 1;
-                    consumed_records += 1;
-                }
-                None => return Ok(rows), // sealed: clean EOF
-            }
+        let Some(record) =
+            (self.broker).read(topic, partition, self.offset as u64, CONSUME_TIMEOUT)?
+        else {
+            return Ok(None);
+        };
+        // Guard against schema drift between publisher and consumer.
+        let arity = NumericFrame::parse(&record)?.cols();
+        if arity != self.schema.len() {
+            return Err(SqlmlError::Transfer(format!(
+                "record arity {arity} does not match schema arity {}",
+                self.schema.len()
+            )));
         }
+        out.push_frame(&record, 0).map(Some)
     }
 }
 
 impl RecordReader for MqRecordReader {
-    /// The whole partition in one call, once the drain succeeded.
+    /// The next record's rows (records without rows are passed over); 0
+    /// at the sealed end of the partition.
     fn next_batch(&mut self, out: &mut PartitionBlock) -> Result<usize> {
-        if self.drained {
-            return Ok(0);
+        loop {
+            match self.push_next(out) {
+                Ok(None) => return Ok(0),
+                Ok(Some(rows)) => {
+                    self.offset += 1;
+                    if rows > 0 {
+                        return Ok(rows);
+                    }
+                }
+                Err(e) => {
+                    self.failures += 1;
+                    if self.failures >= MAX_CONSUME_ATTEMPTS {
+                        return Err(e);
+                    }
+                }
+            }
         }
-        let rows = self.drain()?;
-        self.drained = true;
-        for row in &rows {
-            out.push_record(row)?;
-        }
-        Ok(rows.len())
     }
 }
 
@@ -231,21 +224,28 @@ impl RecordReader for MqRecordReader {
 mod tests {
     use super::*;
     use crate::broker::BrokerConfig;
-    use sqlml_common::row;
+    use sqlml_common::codec::{encode_numeric_frame, NumericColumn};
     use sqlml_common::schema::{DataType, Field};
 
     fn schema() -> Schema {
         Schema::new(vec![Field::new("x", DataType::Int)])
     }
 
-    fn append(broker: &Broker, topic: &str, partition: usize, rows: &[Row]) {
+    /// One record: a numeric frame of `rows` rows of integer columns.
+    fn frame(rows: usize, columns: &[&[i64]]) -> Vec<u8> {
+        let columns: Vec<_> = columns
+            .iter()
+            .map(|c| NumericColumn::int(c, None))
+            .collect();
         let mut buf = Vec::new();
-        codec::encode_compact_batch(rows, &mut buf).unwrap();
-        broker.append(topic, partition, buf).unwrap();
+        encode_numeric_frame(&columns, 0..rows, &mut buf).unwrap();
+        buf
     }
 
-    fn publish(broker: &Broker, topic: &str, partition: usize, rows: &[Row]) {
-        append(broker, topic, partition, rows);
+    fn publish(broker: &Broker, topic: &str, partition: usize, records: Vec<Vec<u8>>) {
+        for record in records {
+            broker.append(topic, partition, record).unwrap();
+        }
         broker.seal(topic, partition).unwrap();
     }
 
@@ -262,8 +262,8 @@ mod tests {
     fn consumes_all_partitions() {
         let broker = Broker::new(BrokerConfig::default());
         broker.create_topic("t", 2).unwrap();
-        publish(&broker, "t", 0, &[row![1i64], row![2i64]]);
-        publish(&broker, "t", 1, &[row![3i64]]);
+        publish(&broker, "t", 0, vec![frame(2, &[&[1, 2]])]);
+        publish(&broker, "t", 1, vec![frame(1, &[&[3]]), frame(0, &[&[]])]);
         let fmt = MqInputFormat::new(broker, "t", schema());
         let splits = fmt.get_splits().unwrap();
         assert_eq!(splits.len(), 2);
@@ -272,34 +272,41 @@ mod tests {
     }
 
     #[test]
-    fn consumer_fault_replays_from_the_log() {
-        let broker = Broker::new(BrokerConfig::default());
-        broker.create_topic("t", 1).unwrap();
-        // Three records of one row each.
-        for i in 0..3i64 {
-            append(&broker, "t", 0, &[row![i]]);
-        }
-        broker.seal("t", 0).unwrap();
-
-        let faults = Arc::new(ConsumerFaults::new());
-        faults.fail_partition_after(0, 2);
-        let fmt = MqInputFormat::new(broker, "t", schema()).with_faults(Arc::clone(&faults));
-        let splits = fmt.get_splits().unwrap();
-        // Exactly-once despite the mid-read failure.
-        let rows = read_split(&fmt, splits[0].as_ref()).unwrap();
-        assert_eq!(rows, [0.0, 1.0, 2.0]);
-        assert_eq!(faults.fired(), vec![(0, 2)]);
-    }
-
-    #[test]
     fn schema_arity_mismatch_is_detected() {
         let broker = Broker::new(BrokerConfig::default());
         broker.create_topic("t", 1).unwrap();
-        publish(&broker, "t", 0, &[row![1i64, 2i64]]); // two columns
+        publish(&broker, "t", 0, vec![frame(1, &[&[1], &[2]])]); // two columns
         let fmt = MqInputFormat::new(broker, "t", schema()); // expects one
         let splits = fmt.get_splits().unwrap();
         let err = read_split(&fmt, splits[0].as_ref()).unwrap_err();
         assert!(err.to_string().contains("record arity 2"), "{err}");
+    }
+
+    /// A record cut short at any byte is an error — after the reader's
+    /// attempts are spent, never a panic — and the records before it
+    /// land once.
+    #[test]
+    fn a_truncated_record_is_an_error_not_a_panic() {
+        let whole = frame(3, &[&[7, 8, 9]]);
+        for cut in 0..whole.len() {
+            let broker = Broker::new(BrokerConfig::default());
+            broker.create_topic("t", 1).unwrap();
+            publish(
+                &broker,
+                "t",
+                0,
+                vec![frame(1, &[&[6]]), whole[..cut].to_vec()],
+            );
+            let fmt = MqInputFormat::new(broker, "t", schema());
+            let mut reader = fmt
+                .create_reader(&*fmt.get_splits().unwrap()[0], "n")
+                .unwrap();
+            let mut block = PartitionBlock::new(None);
+            assert_eq!(reader.next_batch(&mut block).unwrap(), 1);
+            let err = reader.next_batch(&mut block).unwrap_err();
+            assert!(err.to_string().contains("corrupt numeric frame"), "{err}");
+            assert_eq!(block.len(), 1, "cut at {cut}");
+        }
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! * **durable partitioned logs** — each topic is a set of append-only
 //!   record logs with monotone offsets; records survive consumer
 //!   failures, so a crashed reader just replays from its last committed
-//!   offset (at-least-once; the reader turns it into exactly-once by
-//!   discarding partial reads, like the socket path);
+//!   offset (at-least-once; a record lands in the reader's block whole
+//!   or not at all, so resuming at the first record not yet pushed is
+//!   exactly-once);
 //! * **producer/consumer decoupling** — the log absorbs the whole
 //!   stream, so slow (or not-yet-started) ML workers never block the SQL
 //!   side, and the *same* published data can feed many ML jobs (the
@@ -20,10 +21,13 @@
 //! * **no sender restart** — unlike §6's socket protocol, a consumer
 //!   failure never reaches the SQL side: the producer publishes once.
 //!
-//! The pieces mirror the socket-based `sqlml-transfer` crate: a
-//! [`MqTransferUdf`] table UDF publishes a table from inside the SQL
-//! engine (one topic partition per SQL worker), and an [`MqInputFormat`]
-//! lets any unmodified ML job consume it.
+//! The pieces mirror the socket-based `sqlml-transfer` crate, and share
+//! its wire: a [`MqTransferUdf`] table UDF publishes a table from inside
+//! the SQL engine (one topic partition per SQL worker, one numeric frame
+//! per record, cut as the socket path cuts them), and an [`MqInputFormat`]
+//! lets any unmodified ML job consume it through the same frame decoder.
+//! Both transfers refuse a table holding a string before anything moves
+//! (`PartitionedTable::check_numeric`).
 
 pub mod broker;
 pub mod input_format;

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sqlml_common::{counter_u64, Result, Row, Schema, SqlmlError};
+use sqlml_common::{Result, Schema, SqlmlError};
 use sqlml_mlengine::job::{JobConfig, JobOutcome, JobRunner, TrainingSpec};
 use sqlml_sqlengine::Engine;
 
@@ -33,8 +33,10 @@ pub fn install_udf(engine: &Engine, broker: &Broker) {
 }
 
 /// Publish a catalog table to `topic` (creating the topic with one
-/// partition per table partition). Returns (rows, bytes) published and
-/// the table's schema.
+/// partition per table partition). Returns the rows published, the bytes
+/// the log took, and the table's schema. A table an ML job could not
+/// read — one holding a string — is refused before the topic exists, as
+/// the socket path refuses it before a transfer id does.
 pub fn publish_table(
     engine: &Engine,
     broker: &Broker,
@@ -42,26 +44,15 @@ pub fn publish_table(
     topic: &str,
 ) -> Result<(u64, u64, Schema)> {
     let source = engine.catalog().table(table)?;
+    source.check_numeric(table)?;
     let schema = source.schema().clone();
     broker.create_topic(topic, source.num_partitions())?;
-    let stats = engine.query(&format!(
+    engine.query(&format!(
         "SELECT * FROM TABLE(mq_transfer({table}, {})) AS s",
         sqlml_common::sql_string_literal(topic)
     ))?;
-    let (rows, bytes) = published_totals(&stats.collect_rows())?;
-    Ok((rows, bytes, schema))
-}
-
-/// Total (rows, bytes) over `mq_transfer`'s per-worker stats rows. The
-/// counts come back through a SQL table as `i64`; a negative one is a
-/// corrupted row and an error, never an `as` cast wrapping to ~1.8e19.
-fn published_totals(stats: &[Row]) -> Result<(u64, u64)> {
-    let (mut rows, mut bytes) = (0u64, 0u64);
-    for r in stats {
-        rows += counter_u64(r.get(1).as_i64()?, "rows_published")?;
-        bytes += counter_u64(r.get(2).as_i64()?, "bytes_published")?;
-    }
-    Ok((rows, bytes))
+    let bytes = broker.stats(topic)?.bytes;
+    Ok((source.num_rows() as u64, bytes, schema))
 }
 
 /// Run one ML job over an already-published topic.
@@ -116,7 +107,7 @@ mod tests {
     use crate::broker::BrokerConfig;
     use sqlml_common::row;
     use sqlml_common::schema::{DataType, Field};
-    use sqlml_common::{Row, SplitMix64};
+    use sqlml_common::SplitMix64;
     use sqlml_sqlengine::EngineConfig;
 
     fn engine_with_points(workers: usize, n: usize, seed: u64) -> Engine {
@@ -127,7 +118,7 @@ mod tests {
             Field::new("label", DataType::Int),
         ]);
         let mut rng = SplitMix64::new(seed);
-        let rows: Vec<Row> = (0..n)
+        let rows = (0..n)
             .map(|i| {
                 let cls = (i % 2) as i64;
                 let c = if cls == 0 { -2.0 } else { 2.0 };
@@ -140,18 +131,6 @@ mod tests {
             .collect();
         engine.register_rows("points", schema, rows);
         engine
-    }
-
-    #[test]
-    fn a_negative_published_count_is_an_error_not_a_wrap() {
-        assert_eq!(
-            published_totals(&[row![0i64, 5i64, 50i64, 1i64], row![1i64, 7i64, 70i64, 1i64]])
-                .unwrap(),
-            (12, 120)
-        );
-        let err = published_totals(&[row![0i64, -3i64, 10i64, 1i64]]).unwrap_err();
-        assert!(matches!(err, SqlmlError::Overflow(_)), "{err}");
-        assert!(err.to_string().contains("rows_published -3"), "{err}");
     }
 
     #[test]
@@ -177,53 +156,73 @@ mod tests {
         assert_eq!(outcome.job.model.predict(&[-2.0, -2.0]), 0.0);
     }
 
-    /// A string-heavy table through the broker: every record is one compact
-    /// batch, so repeated categorical values travel as dictionary indexes
-    /// and must come back as the same strings, row for row.
+    /// A table no ML job could read is refused before its topic exists,
+    /// named down to the cell as the socket path names it.
+    fn assert_refused_before_publishing(engine: &Engine, table: &str, names: &[&str]) {
+        let broker = Broker::new(BrokerConfig::default());
+        install_udf(engine, &broker);
+        let err = publish_table(engine, &broker, table, "topic").unwrap_err();
+        assert!(matches!(err, SqlmlError::Type(_)), "{err}");
+        assert!(names.iter().all(|n| err.to_string().contains(n)), "{err}");
+        assert!(!broker.has_topic("topic"), "{table} was published");
+    }
+
     #[test]
-    fn categorical_table_round_trips_through_the_broker() {
+    fn a_string_column_is_refused_before_it_is_published() {
         let engine = Engine::new(EngineConfig::with_workers(2));
         let schema = Schema::new(vec![
-            Field::new("id", DataType::Int),
-            Field::categorical("plan"),
-            Field::categorical("region"),
+            Field::new("age", DataType::Int),
+            Field::categorical("gender"),
         ]);
-        let plans = ["basic-monthly", "plus-annual", "premium-annual"];
-        let regions = ["north-america", "europe", "asia-pacific", "ünïcode", ""];
-        let rows: Vec<Row> = (0..500usize)
-            .map(|i| row![i as i64, plans[i % 3], regions[i % 5]])
-            .collect();
-        engine.register_rows("accounts", schema, rows.clone());
+        let rows = (0..100i64).map(|i| row![20 + i, if i % 2 == 0 { "F" } else { "M" }]);
+        engine.register_rows("carts", schema, rows.collect());
+        assert_refused_before_publishing(&engine, "carts", &["column gender"]);
+    }
+
+    #[test]
+    fn a_string_hiding_in_an_int_column_is_refused_before_it_is_published() {
+        let engine = Engine::new(EngineConfig::with_workers(2));
+        let schema = Schema::new(vec![
+            Field::new("age", DataType::Int),
+            Field::new("label", DataType::Int),
+        ]);
+        let rows = (0..100i64).map(|i| match i {
+            57 => row!["oops", 1i64],
+            _ => row![20 + i, i % 2],
+        });
+        engine.register_rows("sneaky", schema, rows.collect());
+        // Table row 57 is row 28 of partition 1 (round-robin over 2).
+        let names = ["column age", "oops", "row 28 of partition 1"];
+        assert_refused_before_publishing(&engine, "sneaky", &names);
+    }
+
+    /// Exactly-once at every record boundary: a consumer killed before
+    /// record `k` resumes at `k`, for every `k`, and its block equals
+    /// the fault-free read's, labels and features bit for bit.
+    #[test]
+    fn a_consumer_killed_at_any_record_boundary_delivers_exactly_once() {
+        let engine = engine_with_points(1, 1500, 113);
         let broker = Broker::new(BrokerConfig::default());
         install_udf(&engine, &broker);
-        let (published, bytes, _) =
-            publish_table(&engine, &broker, "accounts", "accounts-topic").unwrap();
-        assert_eq!(published, 500);
-        // Only possible when repeats are shipped as indexes.
-        let string_bytes: usize = rows
-            .iter()
-            .map(|r| r.get(1).as_str().unwrap().len() + r.get(2).as_str().unwrap().len())
-            .sum();
-        assert!(
-            (bytes as usize) < string_bytes,
-            "{bytes} bytes published for {string_bytes} bytes of strings"
-        );
-
-        // String rows are not something a (numeric) reader hands back:
-        // read the log itself, one compact batch per record.
-        let mut got = Vec::new();
-        for partition in 0..broker.num_partitions("accounts-topic").unwrap() {
-            let mut offset = 0;
-            while let Some(record) = broker
-                .read("accounts-topic", partition, offset, Duration::from_secs(1))
-                .unwrap()
-            {
-                got.extend(sqlml_common::codec::decode_compact_batch(&record).unwrap());
-                offset += 1;
-            }
+        let (_, _, schema) = publish_table(&engine, &broker, "points", "cut").unwrap();
+        // (f64, f64, i8) rows are 17 bytes: 240 to a 4 KiB frame.
+        assert_eq!(broker.partition_len("cut", 0).unwrap(), 7);
+        let read = |faults| {
+            let format = MqInputFormat::new(broker.clone(), "cut", schema.clone());
+            let runner = JobRunner::new(JobConfig::default());
+            let (data, _) = (runner.ingest_dataset(&format.with_faults(faults), Some(2))).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let one_split = data.partition(0);
+            (bits(one_split.labels()), bits(one_split.features()))
+        };
+        let clean = read(Arc::new(ConsumerFaults::new()));
+        assert_eq!(clean.0.len(), 1500);
+        for k in 0..7 {
+            let faults = Arc::new(ConsumerFaults::new());
+            faults.fail_partition_after(0, k);
+            assert!(read(Arc::clone(&faults)) == clean, "killed before {k}");
+            assert_eq!(faults.fired(), vec![(0, k)]);
         }
-        got.sort();
-        assert_eq!(got, rows, "ids ascend, so sorted order is insertion order");
     }
 
     #[test]

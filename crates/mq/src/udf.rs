@@ -2,20 +2,21 @@
 //!
 //! Runs once per partition in parallel (like `stream_transfer`), but
 //! instead of holding sockets open to live readers, each SQL worker
-//! appends its rows to its own topic partition and seals it. The SQL
-//! side is completely decoupled from the ML side — it finishes even if
-//! no consumer ever starts, and never restarts on consumer failure.
+//! appends its partition to its own topic partition and seals it. A
+//! record is one numeric frame — the socket path's wire, cut by the same
+//! rule at the default [`codec::FRAME_BYTES`]. The SQL side is completely
+//! decoupled from the ML side — it finishes even if no consumer ever
+//! starts, and never restarts on consumer failure.
+
+use std::sync::Arc;
 
 use sqlml_common::schema::{DataType, Field};
-use sqlml_common::{codec, Result, Row, Schema, SqlmlError, Value};
+use sqlml_common::{codec, Result, Schema, SqlmlError, Value};
+use sqlml_sqlengine::column::Prim;
 use sqlml_sqlengine::udf::{PartitionCtx, TableUdf};
-use sqlml_sqlengine::Batch;
+use sqlml_sqlengine::{Batch, Column};
 
 use crate::broker::Broker;
-
-/// Rows per published record (one record = one compact row batch, the
-/// same encoding the socket transfer puts in a frame).
-pub const BATCH_ROWS: usize = 64;
 
 /// Output layout of the UDF: per-worker publish statistics.
 pub fn stats_schema() -> Schema {
@@ -60,51 +61,38 @@ impl TableUdf for MqTransferUdf {
     fn execute(
         &self,
         input: &Batch,
-        _input_schema: &Schema,
+        input_schema: &Schema,
         args: &[Value],
         ctx: &PartitionCtx,
     ) -> Result<Batch> {
-        let rows = input.rows();
         let topic = Self::parse_args(args)?;
-        // Topic partitioning mirrors the table's: partition p of the
-        // table goes to partition p of the topic. The first worker to
-        // arrive creates the topic (idempotent races are fine: creation
-        // under the session helper happens up front; this is the
-        // fallback for direct SQL use).
-        if !self.broker.has_topic(&topic) {
-            // Racy create is acceptable: create_topic truncates, and all
-            // workers run before any append when invoked via SQL in one
-            // statement... To stay safe, only create when invoked for a
-            // topic that genuinely does not exist, and require the
-            // session helper for concurrent use.
-            self.broker.create_topic(&topic, ctx.num_partitions)?;
-        }
-        if self.broker.num_partitions(&topic)? != ctx.num_partitions {
+        let columns = input.numeric_columns(input_schema)?;
+        // Partition p of the table goes to partition p of the topic, which
+        // `publish_table` created (a worker never creates one: a racing
+        // sibling's create would truncate its appends).
+        let partitions = self.broker.num_partitions(&topic)?;
+        if partitions != ctx.num_partitions {
             return Err(SqlmlError::Transfer(format!(
-                "topic {topic:?} has {} partitions but the table has {}",
-                self.broker.num_partitions(&topic)?,
+                "topic {topic:?} has {partitions} partitions but the table has {}",
                 ctx.num_partitions
             )));
         }
 
-        let mut bytes = 0u64;
-        let mut records = 0u64;
-        for batch in rows.chunks(BATCH_ROWS) {
-            let mut buf = Vec::with_capacity(batch.len() * 16);
-            codec::encode_compact_batch(batch, &mut buf)?;
-            bytes += buf.len() as u64;
-            self.broker.append(&topic, ctx.partition, buf)?;
+        let mut bytes = 0;
+        let mut records = 0;
+        for rows in codec::frame_ranges(&columns, input.len(), codec::FRAME_BYTES) {
+            // The runs, plus two counts and a run code per column.
+            let mut frame = Vec::with_capacity(codec::FRAME_BYTES + 8 + columns.len());
+            codec::encode_numeric_frame(&columns, rows, &mut frame)?;
+            bytes += frame.len() as i64;
             records += 1;
+            self.broker.append(&topic, ctx.partition, frame)?;
         }
         self.broker.seal(&topic, ctx.partition)?;
 
-        let stats = Row::new(vec![
-            Value::Int(ctx.partition as i64),
-            Value::Int(rows.len() as i64),
-            Value::Int(bytes as i64),
-            Value::Int(records as i64),
-        ]);
-        Ok(Batch::from_rows(&stats_schema(), &[stats]))
+        let stats = [ctx.partition as i64, input.len() as i64, bytes, records];
+        let column = |v: i64| Arc::new(Column::Int(Prim::new(vec![v], None)));
+        Ok(Batch::new(stats.map(column).to_vec(), 1))
     }
 }
 
@@ -112,7 +100,6 @@ impl TableUdf for MqTransferUdf {
 mod tests {
     use super::*;
     use crate::broker::BrokerConfig;
-    use sqlml_common::row;
 
     fn ctx(partition: usize, total: usize) -> PartitionCtx {
         PartitionCtx {
@@ -125,21 +112,24 @@ mod tests {
     }
 
     #[test]
-    fn publishes_batches_and_seals() {
+    fn publishes_one_record_per_frame_and_seals() {
         let broker = Broker::new(BrokerConfig::default());
         broker.create_topic("out", 2).unwrap();
         let udf = MqTransferUdf::new(broker.clone());
-        let rows: Vec<Row> = (0..100).map(|i| row![i as i64]).collect();
         let args = vec![Value::Str("out".into())];
         let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
 
-        let batch = Batch::from_rows(&schema, &rows);
+        // 5000 values below 2^15 ship at 2 bytes: 2048 rows a frame.
+        let x = Column::Int(Prim::new((0..5000).collect(), None));
+        let batch = Batch::new(vec![Arc::new(x)], 5000);
         let stats = udf.execute(&batch, &schema, &args, &ctx(1, 2)).unwrap();
-        assert_eq!(stats.row(0).get(1), &Value::Int(100));
-        assert_eq!(stats.row(0).get(3), &Value::Int(2)); // 100 rows / 64-per-record
+        let stat = |c: usize| stats.column(c).value(0);
+        let bytes = 5000 * 2 + 3 * (8 + 1);
+        assert_eq!([1, 2, 3].map(stat), [5000, bytes, 3].map(Value::Int));
 
         let topic_stats = broker.stats("out").unwrap();
-        assert_eq!(topic_stats.records, 2);
+        assert_eq!(topic_stats.records, 3);
+        assert_eq!(topic_stats.bytes, bytes as u64);
         assert_eq!(topic_stats.sealed_partitions, 1);
         // Partition 0 untouched.
         assert_eq!(broker.partition_len("out", 0).unwrap(), 0);
@@ -152,8 +142,10 @@ mod tests {
         let udf = MqTransferUdf::new(broker);
         let args = vec![Value::Str("out".into())];
         let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
-        let empty = Batch::from_rows(&schema, &[]);
+        let empty = Batch::new(vec![Arc::new(Column::Int(Prim::new(vec![], None)))], 0);
         assert!(udf.execute(&empty, &schema, &args, &ctx(0, 2)).is_err());
+        let unknown = [Value::Str("never-created".into())];
+        assert!(udf.execute(&empty, &schema, &unknown, &ctx(0, 5)).is_err());
     }
 
     #[test]

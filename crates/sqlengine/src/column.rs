@@ -543,6 +543,19 @@ impl Batch {
         &self.columns
     }
 
+    /// Every column as the numeric frame ships it ([`Column::numeric`]),
+    /// for a transfer UDF cutting this partition into frames. A column
+    /// holding a string is a `Type` error naming it by `schema`.
+    pub fn numeric_columns(&self, schema: &Schema) -> Result<Vec<NumericColumn<'_>>> {
+        let named = |c: usize, e: SqlmlError| {
+            let name = schema.fields().get(c).map_or("?", |f| f.name.as_str());
+            SqlmlError::Type(format!("cannot ship column {c} ({name}): {e}"))
+        };
+        (self.columns.iter().enumerate())
+            .map(|(c, col)| col.numeric().map_err(|e| named(c, e)))
+            .collect()
+    }
+
     /// Row `i` as a [`Row`] — the cursor the unmeasured UDFs and the
     /// tests read through; no plan operator does.
     pub fn row(&self, i: usize) -> Row {

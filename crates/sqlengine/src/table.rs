@@ -7,6 +7,7 @@
 //! cache all operate on the same representation. A partition is a column
 //! [`Batch`]; [`Row`]s exist only at the edges (`new`, `collect_rows`).
 
+use sqlml_common::schema::DataType;
 use sqlml_common::{Result, Row, Schema, SqlmlError};
 use sqlml_dfs::Dfs;
 
@@ -112,6 +113,39 @@ impl PartitionedTable {
     pub fn approx_bytes(&self) -> u64 {
         let columns = self.partitions.iter().flat_map(|p| p.columns());
         columns.map(|c| c.approx_bytes()).sum()
+    }
+
+    /// The relational→matrix boundary, checked by both transfers before
+    /// a byte of table `name` moves: a `Str` column, or a string cell in a
+    /// column whose cells can disagree with its declared type
+    /// ([`crate::Column::first_string`]), is a `Type` error naming the
+    /// column, and the cell's row and partition. Past it every partition
+    /// has its [`Batch::numeric_columns`], and a frame a reader cannot
+    /// decode is the wire's fault, never the data's.
+    pub fn check_numeric(&self, name: &str) -> Result<()> {
+        let refuse = |column: &str, what: String| {
+            Err(SqlmlError::Type(format!(
+                "cannot hand table {name} to an ML job: column {column} {what}; \
+                 recode it to a number first"
+            )))
+        };
+        let fields = self.schema.fields();
+        if let Some(f) = fields.iter().find(|f| f.data_type == DataType::Str) {
+            return refuse(&f.name, "is a string".into());
+        }
+        for (p, part) in self.partitions.iter().enumerate() {
+            for (c, col) in part.columns().iter().enumerate() {
+                if let Some(row) = col.first_string() {
+                    let column = fields.get(c).map_or("?", |f| f.name.as_str());
+                    let cell = col.value(row);
+                    return refuse(
+                        column,
+                        format!("holds the string {cell} at row {row} of partition {p}"),
+                    );
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Gather all rows into one vector (partition order, then row order).

@@ -9,10 +9,8 @@
 //! [`TransferArgs::to_sql`] is the one formatter of that list and
 //! [`TransferArgs::from_values`] the one parser.
 
+use sqlml_common::codec::FRAME_BYTES;
 use sqlml_common::{sql_string_literal, Result, SqlmlError, Value};
-
-/// Default wire-byte target per frame — the paper's 4 KiB send buffer.
-pub const FRAME_BYTES: usize = 4096;
 
 /// Default in-memory send queue per peer: a benchmark-sized partition's
 /// frames (0.67 MB) fit, so a spill file exists only when a reader
@@ -28,8 +26,8 @@ pub struct TransferConfig {
     /// In-memory send-buffer bytes per peer before spilling (paper:
     /// 4 KiB, one frame; here [`SEND_BUFFER_BYTES`]).
     pub send_buffer_bytes: usize,
-    /// Wire-byte target per frame: a frame holds `frame_bytes` ÷ row
-    /// stride rows (at least one), and nothing else cuts it.
+    /// Wire-byte target per frame (default [`FRAME_BYTES`]), cut by
+    /// [`frame_ranges`](sqlml_common::codec::frame_ranges).
     pub frame_bytes: usize,
 }
 

@@ -8,7 +8,6 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sqlml_common::codec::NumericFrame;
 use sqlml_common::{Result, SqlmlError};
 use sqlml_mlengine::dataset::PartitionBlock;
 use sqlml_mlengine::input::{InputFormat, InputSplit, RecordReader};
@@ -125,29 +124,16 @@ impl InputFormat for SqlStreamInputFormat {
     }
 }
 
-/// Decode one numeric batch into `block`, keeping the rows past the
-/// first `skip`; returns how many rows the batch held. The payload is
-/// checked whole, and its shape against the block's, before a cell is
-/// written, so nothing of a batch that fails to decode is in the block:
-/// it is re-streamed, and would land twice.
-pub fn decode_frame(batch: &[u8], skip: usize, block: &mut PartitionBlock) -> Result<usize> {
-    let frame = NumericFrame::parse(batch)?;
-    let fresh = frame.rows().saturating_sub(skip);
-    block.push_columns(fresh, frame.cols(), |c, dst, stride| {
-        frame.scatter(c, skip, dst, stride);
-    })?;
-    Ok(frame.rows())
-}
-
 /// Pipelined reader over one streaming split.
 ///
 /// The reader owns the socket and the whole reconnect/skip state machine
 /// and runs it on the calling ML thread, one frame per call
 /// (`JobRunner::ingest_dataset` gives every split a thread of its own, so
 /// sibling splits still decode in parallel). Rows leave one way:
-/// `next_batch` scatters each frame's column runs straight into the
-/// caller's [`PartitionBlock`] and buffers nothing. A running row count
-/// is validated against the sender's `DataEnd` total.
+/// `next_batch` hands each frame to [`PartitionBlock::push_frame`], which
+/// scatters its column runs straight into the caller's block, and
+/// buffers nothing. A running row count is validated against the
+/// sender's `DataEnd` total.
 ///
 /// The session refused any table that is not numeric, and any label
 /// column past its width, before the stream started (see
@@ -280,7 +266,7 @@ impl StreamRecordReader {
             let broken_reason = match read_data_frame(conn, &mut self.scratch) {
                 Ok(DataFrame::Numeric(batch)) => {
                     let skip = usize::try_from(self.skip_remaining).unwrap_or(usize::MAX);
-                    match decode_frame(batch, skip, out) {
+                    match out.push_frame(batch, skip) {
                         Ok(rows) => {
                             self.received_this_attempt += rows as u64;
                             if let Some(m) = &self.metrics {

@@ -8,10 +8,9 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use sqlml_common::lockorder::TrackedMutex;
-use sqlml_common::schema::DataType;
 use sqlml_common::{CancelToken, Result, SqlmlError};
 use sqlml_mlengine::job::{JobConfig, JobOutcome, JobRunner, TrainingSpec};
-use sqlml_sqlengine::{Engine, PartitionedTable};
+use sqlml_sqlengine::Engine;
 
 use crate::config::{TransferArgs, TransferConfig};
 use crate::coordinator::Coordinator;
@@ -59,9 +58,10 @@ pub struct StreamStats {
     pub sender_stall_us: u64,
     /// Most frames ever queued at once on any worker's sender queues.
     pub queue_depth_hw: u64,
-    /// Frame-dictionary hits across all workers; 0 on the numeric plane.
+    /// Always 0: the numeric wire has no string dictionary. Kept only
+    /// while the benchmark's `transfer.dict_hit_ratio` still reads it.
     pub dict_hits: u64,
-    /// Frame-dictionary misses across all workers; 0 on the numeric plane.
+    /// Always 0, as `dict_hits`.
     pub dict_misses: u64,
     /// Rows the ML job actually ingested.
     pub rows_ingested: usize,
@@ -126,50 +126,6 @@ impl CancelRegistry {
 struct PendingJob {
     job: JobConfig,
     metrics: Arc<TransferMetrics>,
-}
-
-/// The relational→matrix boundary, checked once: every cell of the
-/// table must convert to a number and the label column must exist. The
-/// schema speaks for the typed columns; a column held as strings or as
-/// mixed values — the two kinds whose cells can disagree with their
-/// declared type — is searched for a string cell. The SQL workers and the
-/// readers rely on it: a partition whose wire layout cannot be built, or
-/// a frame that does not decode into a reader's block, is then never the
-/// data's fault.
-fn check_numeric_handoff(
-    table: &str,
-    source: &PartitionedTable,
-    label_col: Option<usize>,
-) -> Result<()> {
-    let schema = source.schema();
-    let refuse = |column: &str, what: String| {
-        Err(SqlmlError::Type(format!(
-            "cannot stream table {table} to an ML job: column {column} {what}; \
-             recode it to a number first"
-        )))
-    };
-    if let Some(f) = (schema.fields().iter()).find(|f| f.data_type == DataType::Str) {
-        return refuse(&f.name, "is a string".into());
-    }
-    for (p, part) in source.partitions().iter().enumerate() {
-        for (c, col) in part.columns().iter().enumerate() {
-            if let Some(row) = col.first_string() {
-                let name = schema.fields().get(c).map_or("?", |f| f.name.as_str());
-                let cell = col.value(row);
-                return refuse(
-                    name,
-                    format!("holds the string {cell} at row {row} of partition {p}"),
-                );
-            }
-        }
-    }
-    match label_col {
-        Some(lc) if lc >= schema.len() => Err(SqlmlError::Ml(format!(
-            "label column {lc} out of range for the {}-column table {table}",
-            schema.len()
-        ))),
-        _ => Ok(()),
-    }
 }
 
 /// A long-standing streaming-transfer service wrapping one coordinator.
@@ -278,7 +234,13 @@ impl StreamSession {
             ));
         }
         let source = engine.catalog().table(table)?;
-        check_numeric_handoff(table, &source, spec.label_col())?;
+        source.check_numeric(table)?;
+        let width = source.schema().len();
+        if let Some(lc) = spec.label_col().filter(|&lc| lc >= width) {
+            return Err(SqlmlError::Ml(format!(
+                "label column {lc} out of range for the {width}-column table {table}"
+            )));
+        }
         cancel.check("stream transfer start")?;
         let transfer_id = self.next_id.fetch_add(1, Ordering::SeqCst);
         let metrics = Arc::new(TransferMetrics::new());
@@ -346,8 +308,6 @@ impl StreamSession {
             stats.max_attempts = stats.max_attempts.max(w.attempts);
             stats.sender_stall_us += w.queue_stall_us;
             stats.queue_depth_hw = stats.queue_depth_hw.max(w.queue_depth_hw);
-            stats.dict_hits += w.dict_hits;
-            stats.dict_misses += w.dict_misses;
         }
         Ok(StreamRunOutcome { job, stats })
     }

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sqlml_common::codec::NumericColumn;
+use sqlml_common::codec::{self, NumericColumn};
 use sqlml_common::lockorder::TrackedMutex;
 use sqlml_common::schema::{DataType, Field};
 use sqlml_common::{CancelToken, Result, Row, Schema, SqlmlError, Value};
@@ -116,16 +116,11 @@ pub struct WorkerTransferStats {
     pub queue_stall_us: u64,
     /// Most frames ever queued at once across this worker's peers.
     pub queue_depth_hw: u64,
-    /// Frame-dictionary hits; 0 on the numeric plane (kept for the
-    /// SQL-visible row layout).
-    pub dict_hits: u64,
-    /// Frame-dictionary misses; 0 on the numeric plane.
-    pub dict_misses: u64,
 }
 
 impl WorkerTransferStats {
     /// The stats row as (column name, value), in SQL-visible order.
-    fn columns(&self) -> [(&'static str, u64); 11] {
+    fn columns(&self) -> [(&'static str, u64); 9] {
         [
             ("worker", self.worker as u64),
             ("rows_sent", self.rows_sent),
@@ -136,8 +131,6 @@ impl WorkerTransferStats {
             ("attempts", u64::from(self.attempts)),
             ("queue_stall_us", self.queue_stall_us),
             ("queue_depth_hw", self.queue_depth_hw),
-            ("dict_hits", self.dict_hits),
-            ("dict_misses", self.dict_misses),
         ]
     }
 
@@ -179,8 +172,6 @@ impl WorkerTransferStats {
             attempts: sqlml_common::counter_u32(next()?, "attempts")?,
             queue_stall_us: next()?,
             queue_depth_hw: next()?,
-            dict_hits: next()?,
-            dict_misses: next()?,
         })
     }
 }
@@ -232,11 +223,7 @@ impl TableUdf for StreamTransferUdf {
         ctx: &PartitionCtx,
     ) -> Result<Batch> {
         let args = TransferArgs::from_values(args)?;
-        let cancel = self
-            .cancels
-            .as_ref()
-            .map(|r| r.get(args.transfer_id))
-            .unwrap_or_default();
+        let cancel = self.cancel_token(&args);
         cancel.check("stream_transfer setup")?;
         if ctx.num_partitions > ctx.num_workers {
             return Err(SqlmlError::Transfer(format!(
@@ -247,8 +234,9 @@ impl TableUdf for StreamTransferUdf {
         }
 
         // The only step that can refuse the data, so it runs before
-        // anything registers or connects.
-        let layout = WireLayout::of(batch, input_schema)?;
+        // anything registers or connects; an integer column's width is
+        // decided here, once for all its frames.
+        let columns = batch.numeric_columns(input_schema)?;
 
         // Step 7 preparation: data listener up before registering, so the
         // address we advertise is immediately connectable.
@@ -291,7 +279,7 @@ impl TableUdf for StreamTransferUdf {
         // Steps 7+8 with the §6 restart protocol around them.
         let mut last_err: Option<SqlmlError> = None;
         for attempt in 1..=MAX_ATTEMPTS {
-            match self.stream_group(&layout, &listener, &args, ctx, attempt, &cancel) {
+            match self.stream_group(&columns, batch.len(), &listener, &args, ctx, attempt) {
                 Ok(stats) => {
                     return Ok(Batch::from_rows(
                         &WorkerTransferStats::schema(),
@@ -314,45 +302,29 @@ impl TableUdf for StreamTransferUdf {
     }
 }
 
-/// A partition as the wire ships it: every column a [`NumericColumn`],
-/// an integer column's width decided here, once for all its frames.
-struct WireLayout<'a> {
-    columns: Vec<NumericColumn<'a>>,
-    rows: usize,
-}
-
-impl<'a> WireLayout<'a> {
-    /// A column holding a string is a `Type` error naming it.
-    fn of(batch: &'a Batch, schema: &Schema) -> Result<Self> {
-        let named = |(c, col): (usize, &'a Arc<sqlml_sqlengine::Column>)| {
-            col.numeric().map_err(|e| {
-                let name = schema.fields().get(c).map_or("?", |f| f.name.as_str());
-                SqlmlError::Type(format!("cannot stream column {c} ({name}): {e}"))
-            })
-        };
-        Ok(WireLayout {
-            columns: (batch.columns().iter().enumerate())
-                .map(named)
-                .collect::<Result<_>>()?,
-            rows: batch.len(),
-        })
-    }
-}
-
 impl StreamTransferUdf {
+    /// This transfer's cancellation token, or a never-cancelled one.
+    fn cancel_token(&self, args: &TransferArgs) -> CancelToken {
+        let registry = self.cancels.as_ref();
+        registry
+            .map(|r| r.get(args.transfer_id))
+            .unwrap_or_default()
+    }
+
     /// One attempt: accept `k` readers, stream all rows round-robin, end
     /// each stream. Any failure tears the whole group down (the restart
     /// granularity §6 prescribes); success returns the worker's stats
     /// row for this (the final) attempt.
     fn stream_group(
         &self,
-        layout: &WireLayout<'_>,
+        columns: &[NumericColumn<'_>],
+        total_rows: usize,
         listener: &TcpListener,
         args: &TransferArgs,
         ctx: &PartitionCtx,
         attempt: u32,
-        cancel: &CancelToken,
     ) -> Result<WorkerTransferStats> {
+        let cancel = self.cancel_token(args);
         let config = &args.config;
         let k = config.splits_per_worker as usize;
         // Accept k hellos (any split order), with a deadline so a dead ML
@@ -484,12 +456,7 @@ impl StreamTransferUdf {
             let writers = sender::spawn_senders(scope, peers, Arc::clone(&failed));
 
             // Producer: one frame per row range of the partition's
-            // columns, round-robin over the peers (step 8). The range is
-            // `frame_bytes` ÷ row stride — at least one row, so a row
-            // wider than `frame_bytes` ships alone.
-            let (columns, total_rows) = (&layout.columns[..], layout.rows);
-            let stride: usize = columns.iter().map(NumericColumn::stride).sum();
-            let frame_rows = (config.frame_bytes / stride.max(1)).max(1);
+            // columns, round-robin over the peers (step 8).
             let mut counters = WorkerTransferStats {
                 worker: ctx.partition,
                 rows_sent: total_rows as u64,
@@ -498,7 +465,8 @@ impl StreamTransferUdf {
             };
             let mut per_peer_rows = vec![0u64; k];
             let mut produce = |counters: &mut WorkerTransferStats| -> Result<()> {
-                for (n, start) in (0..total_rows).step_by(frame_rows).enumerate() {
+                let cuts = codec::frame_ranges(columns, total_rows, config.frame_bytes);
+                for (n, rows) in cuts.enumerate() {
                     // Frame-granular cancellation point: fires between
                     // frames, never mid-encode.
                     cancel.check("stream_transfer data plane")?;
@@ -506,14 +474,13 @@ impl StreamTransferUdf {
                         return Err(SqlmlError::Transfer("a peer connection failed".into()));
                     }
                     if let Some(injector) = &self.fault {
-                        if injector.should_fail(ctx.partition, start) {
+                        if injector.should_fail(ctx.partition, rows.start) {
                             return Err(SqlmlError::InjectedFault(format!(
-                                "worker {} killed after {start} rows",
-                                ctx.partition
+                                "worker {} killed after {} rows",
+                                ctx.partition, rows.start
                             )));
                         }
                     }
-                    let rows = start..(start + frame_rows).min(total_rows);
                     let peer = n % k;
                     per_peer_rows[peer] += rows.len() as u64;
                     let frame = numeric_frame(columns, rows)?;
@@ -611,17 +578,15 @@ mod tests {
             attempts: 4,
             queue_stall_us: 7,
             queue_depth_hw: 9,
-            dict_hits: 40,
-            dict_misses: 6,
         };
         let row = s.to_row();
         // The SQL-visible layout: names and positions are a contract.
         assert_eq!(
             WorkerTransferStats::schema().names().join(","),
             "worker,rows_sent,bytes_sent,batches_sent,bytes_spilled,spill_events,\
-             attempts,queue_stall_us,queue_depth_hw,dict_hits,dict_misses"
+             attempts,queue_stall_us,queue_depth_hw"
         );
-        let ints = [2, 100, 5000, 3, 128, 1, 4, 7, 9, 40, 6].map(Value::Int);
+        let ints = [2, 100, 5000, 3, 128, 1, 4, 7, 9].map(Value::Int);
         assert_eq!(row.values(), ints);
         assert_eq!(WorkerTransferStats::from_row(&row).unwrap(), s);
 
@@ -636,6 +601,6 @@ mod tests {
         assert!(matches!(err, SqlmlError::Overflow(_)), "{err}");
         assert!(err.to_string().contains("bytes_sent -5"), "{err}");
         assert!(with(6, i64::from(u32::MAX) + 1).is_err());
-        assert!(WorkerTransferStats::from_row(&Row::new(ints[..10].to_vec())).is_err());
+        assert!(WorkerTransferStats::from_row(&Row::new(ints[..8].to_vec())).is_err());
     }
 }

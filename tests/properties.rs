@@ -180,7 +180,6 @@ fn block_bits(block: sqlml_mlengine::PartitionBlock) -> Vec<(u64, Vec<u64>)> {
 fn numeric_frames_decode_to_the_rows_converted_one_by_one() {
     use sqlml_mlengine::PartitionBlock;
     use sqlml_sqlengine::{Batch, Column};
-    use sqlml_transfer::input_format::decode_frame;
     use sqlml_transfer::protocol::numeric_frame;
 
     let mut rng = SplitMix64::new(0x0F64_B175);
@@ -224,7 +223,7 @@ fn numeric_frames_decode_to_the_rows_converted_one_by_one() {
                 0 => rng.next_below((end - start) as u64 + 3) as usize,
                 _ => 0,
             };
-            let held = decode_frame(&frame[5..], skip, &mut shipped).unwrap();
+            let held = shipped.push_frame(&frame[5..], skip).unwrap();
             assert_eq!(held, end - start, "case {case}");
             for row in rows[start..end].iter().skip(skip) {
                 expect.push_row(&row.to_f64_vec().unwrap()).unwrap();
@@ -249,6 +248,99 @@ fn numeric_frames_decode_to_the_rows_converted_one_by_one() {
         }
     }
     assert!(mixed_columns > 100, "only {mixed_columns} mixed columns");
+}
+
+/// One wire for both transfers: the same table, streamed over the
+/// sockets and published through the queue, lands as bit-identical
+/// datasets — partition by partition, labels and features — over seeded
+/// tables holding integers of every wire width, doubles of any bits,
+/// bools and NULLs, with or without a label column.
+#[test]
+fn the_queue_and_the_socket_deliver_bit_identical_datasets() {
+    use sqlml_mlengine::job::{JobConfig, JobRunner};
+    use sqlml_mlengine::Dataset;
+    use sqlml_mq::{broker::BrokerConfig, session as mq, Broker, MqInputFormat};
+    use sqlml_transfer::{Coordinator, SqlStreamInputFormat, StreamTransferUdf};
+    use sqlml_transfer::{TransferArgs, TransferConfig};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    let dataset_bits = |data: &Dataset| -> Vec<(Vec<u64>, Vec<u64>)> {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (data.partitions())
+            .map(|p| (bits(p.labels()), bits(p.features())))
+            .collect()
+    };
+    let runner = JobRunner::new(JobConfig {
+        num_workers: 2,
+        ..Default::default()
+    });
+    let coord = Coordinator::start().unwrap();
+    let broker = Broker::new(BrokerConfig::default());
+    let mut rng = SplitMix64::new(0x0E_14E5);
+    for case in 1..=6u64 {
+        // Columns cycle through i8/i16/i32/i64-wide integers, doubles and
+        // bools, each cell NULL one time in ten.
+        let width = 2 + rng.next_below(6) as usize;
+        let n = 400 + rng.next_below(4000) as usize;
+        let kinds: Vec<u64> = (0..width as u64).map(|c| (case + c) % 6).collect();
+        let mut cell = |kind: u64| match kind {
+            _ if rng.chance(0.1) => Value::Null,
+            0..=3 => {
+                let bits = 8 << kind;
+                let v = rng.next_u64() as i64;
+                Value::Int(if bits == 64 { v } else { v >> (64 - bits) })
+            }
+            4 => Value::Double(f64::from_bits(rng.next_u64())),
+            _ => Value::Bool(rng.chance(0.5)),
+        };
+        let rows: Vec<Row> = (0..n)
+            .map(|_| kinds.iter().map(|&k| cell(k)).collect())
+            .collect();
+        let types = [DataType::Int, DataType::Double, DataType::Bool];
+        let fields = (kinds.iter().enumerate())
+            .map(|(c, &k)| Field::new(format!("c{c}"), types[k.saturating_sub(3) as usize]));
+        let schema = Schema::new(fields.collect());
+        let label = (rng.chance(0.7)).then(|| rng.next_below(width as u64) as usize);
+
+        let engine = Engine::new(EngineConfig::with_workers(2));
+        engine.register_rows("t", schema.clone(), rows);
+        engine.register_table_udf(Arc::new(StreamTransferUdf::new(
+            std::env::temp_dir().join("sqlml-properties-spill"),
+        )));
+        mq::install_udf(&engine, &broker);
+
+        let args = TransferArgs {
+            coord_addr: coord.addr().to_string(),
+            transfer_id: case,
+            command: "nb".into(),
+            config: TransferConfig::default(),
+        };
+        let sql = format!(
+            "SELECT * FROM TABLE(stream_transfer(t, {})) AS s",
+            args.to_sql()
+        );
+        let socket = std::thread::scope(|scope| {
+            let sender = scope.spawn(|| engine.query(&sql));
+            (coord.handle())
+                .wait_for_session(case, Duration::from_secs(10))
+                .unwrap();
+            let format = SqlStreamInputFormat::new(coord.addr(), case);
+            let data = runner.ingest_dataset(&format, label).unwrap().0;
+            sender.join().unwrap().unwrap();
+            data
+        });
+        let topic = format!("t{case}");
+        mq::publish_table(&engine, &broker, "t", &topic).unwrap();
+        let format = MqInputFormat::new(broker.clone(), topic, schema);
+        let queue = runner.ingest_dataset(&format, label).unwrap().0;
+
+        assert_eq!(socket.num_points(), n, "case {case}");
+        assert!(
+            dataset_bits(&queue) == dataset_bits(&socket),
+            "case {case}: kinds {kinds:?}, label {label:?}"
+        );
+    }
 }
 
 #[test]
