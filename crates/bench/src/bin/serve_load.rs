@@ -4,7 +4,7 @@
 //! the [`QueryScheduler`] with a closed-loop multi-tenant workload and
 //! reports what an operator would watch: latency percentiles
 //! (p50/p95/p99), goodput, admission rejects, per-cluster
-//! placement/stealing/affinity counters, and deadline behaviour.
+//! placement/affinity counters, and deadline behaviour.
 //!
 //! Each shard's DFS carries its own bandwidth throttle (its "disks"), so
 //! adding shards adds aggregate I/O bandwidth — the resource that
@@ -41,7 +41,7 @@
 //! Run: `cargo run --release -p sqlml-bench --bin serve_load`
 //! Flags: `--queries N --inflight N --queue-cap N`
 //! `--shards N --carts N --seed N --throttle-mbps M --no-cache`
-//! `--no-cache-aware --no-steal --elastic --sweep --verbose`
+//! `--no-cache-aware --elastic --sweep --verbose`
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -75,7 +75,6 @@ struct Args {
     throttle_mbps: u64,
     cache: bool,
     cache_aware: bool,
-    stealing: bool,
     elastic: bool,
     sweep: bool,
     verbose: bool,
@@ -93,7 +92,6 @@ impl Args {
             throttle_mbps: 2,
             cache: true,
             cache_aware: true,
-            stealing: true,
             elastic: false,
             sweep: false,
             verbose: false,
@@ -109,11 +107,6 @@ impl Args {
                 }
                 "--no-cache-aware" => {
                     a.cache_aware = false;
-                    i += 1;
-                    continue;
-                }
-                "--no-steal" => {
-                    a.stealing = false;
                     i += 1;
                     continue;
                 }
@@ -178,7 +171,6 @@ impl Args {
             queue_capacity: self.queue_cap,
             enable_cache: self.cache,
             cache_aware: self.cache && self.cache_aware,
-            work_stealing: self.stealing,
             ..SchedulerConfig::default()
         }
     }
@@ -259,7 +251,7 @@ fn main() {
         .expect("shard fleet");
     println!(
         "serve_load: {} shards, {} queries, {} executors/shard, queue cap {}, \
-         throttle {} MB/s/shard, cache {}, cache-aware {}, stealing {}\n",
+         throttle {} MB/s/shard, cache {}, cache-aware {}\n",
         fleet.len(),
         args.queries,
         args.inflight,
@@ -271,7 +263,6 @@ fn main() {
         } else {
             "off"
         },
-        if args.stealing { "on" } else { "off" },
     );
 
     // --- phase 1: sequential baseline on shard 0 ----------------------
@@ -325,12 +316,11 @@ fn main() {
         let lat = h.latency().expect("finished queries have latency");
         if args.verbose {
             println!(
-                "  q{:<3} {:7} {:10} shard {:?}{} queued {:>8.1?} running {:>8.1?}",
+                "  q{:<3} {:7} {:10} shard {:?} queued {:>8.1?} running {:>8.1?}",
                 h.id(),
                 h.tenant(),
                 h.strategy().label(),
                 h.ran_on(),
-                if h.was_stolen() { " (stolen)" } else { "" },
                 lat.queued,
                 lat.running
             );
@@ -362,11 +352,10 @@ fn main() {
     );
     for c in &s.per_cluster {
         println!(
-            "  shard {}: admitted {} stolen {} affinity hits {}",
-            c.shard, c.admitted, c.stolen, c.cache_affinity_hits
+            "  shard {}: admitted {} affinity hits {}",
+            c.shard, c.admitted, c.cache_affinity_hits
         );
     }
-    let total_stolen: u64 = s.per_cluster.iter().map(|c| c.stolen).sum();
     sched.shutdown();
 
     // --- phase 3: overload rejects + client retry + deadline ----------
@@ -452,7 +441,6 @@ fn main() {
             queue_capacity: args.queue_cap.max(args.queries),
             enable_cache: false,
             cache_aware: false,
-            work_stealing: args.stealing,
             ..SchedulerConfig::default()
         };
         let solo = QueryScheduler::builder(scale_cfg.clone())
@@ -466,21 +454,19 @@ fn main() {
             .build()
             .expect("fleet scheduler");
         let (_, fleet_wall, fleet_done, _) = run_burst(&full, args.queries, None);
-        let fleet_stolen: u64 = full.stats().per_cluster.iter().map(|c| c.stolen).sum();
         full.shutdown();
         solo_gp = goodput(solo_done, solo_wall);
         fleet_gp = goodput(fleet_done, fleet_wall);
         scaleout_holds = fleet_gp > solo_gp;
         println!(
             "\nscale-out ({} queries, cache off): 1 shard {:.2} q/s (wall {:?})  \
-             {} shards {:.2} q/s (wall {:?}, {} stolen)  speedup {:.2}x",
+             {} shards {:.2} q/s (wall {:?})  speedup {:.2}x",
             args.queries,
             solo_gp,
             solo_wall,
             args.shards,
             fleet_gp,
             fleet_wall,
-            fleet_stolen,
             fleet_gp / solo_gp.max(f64::EPSILON),
         );
     }
@@ -500,7 +486,6 @@ fn main() {
                 queue_capacity: args.queue_cap.max(repeats + 1),
                 enable_cache: true,
                 cache_aware: aware,
-                work_stealing: args.stealing,
                 ..SchedulerConfig::default()
             };
             let sched = QueryScheduler::builder(cfg)
@@ -560,8 +545,6 @@ fn main() {
             queue_capacity: args.queue_cap.max(3 * args.queries),
             enable_cache: false,
             cache_aware: false,
-            work_stealing: args.stealing,
-            steal_min_backlog: 1,
             ..SchedulerConfig::default()
         };
         let sched = QueryScheduler::builder(elastic_cfg)
@@ -575,7 +558,8 @@ fn main() {
         let gp_solo = goodput(done_a, wall_a);
 
         // Burst B: 3x the load, with a shard joined after the first
-        // third is in — the newcomer serves and steals the rest.
+        // third is in — the router places the rest onto the idle
+        // newcomer rather than behind the first shard's backlog.
         let n_b = 3 * args.queries;
         let t_b = Instant::now();
         let mut handles = Vec::with_capacity(n_b);
@@ -610,8 +594,8 @@ fn main() {
             .expect("joined shard in stats");
         println!(
             "\nelastic: 1 shard {gp_solo:.2} q/s -> join mid-burst {gp_joined:.2} q/s \
-             (shard {joined} admitted {} stolen {})",
-            newcomer.admitted, newcomer.stolen
+             (shard {joined} admitted {})",
+            newcomer.admitted
         );
         elastic_recovers = gp_joined > gp_solo;
 
@@ -755,10 +739,6 @@ fn main() {
                 ),
                 affinity_holds,
             );
-        }
-        if args.stealing {
-            // Informational: stealing depends on timing; report, don't gate.
-            println!("note: load phase stole {total_stolen} queries across shards");
         }
     }
     if args.elastic {

@@ -49,10 +49,11 @@ impl QuerySpec {
 /// Per-submission options for [`QueryScheduler::submit_opts`].
 #[derive(Debug, Clone, Default)]
 pub struct SubmitOpts {
-    /// Bypass the router and admit directly onto this shard (stable id).
-    /// The job is admitted unpinned, so an idle peer may still steal it.
-    /// A draining target rejects with [`RejectReason::Draining`]; an
-    /// unknown id with [`RejectReason::Invalid`].
+    /// Bypass the router and admit directly onto this shard (stable id):
+    /// the query runs there unless the shard is removed first, in which
+    /// case drain migration moves it to a live peer. A draining target
+    /// rejects with [`RejectReason::Draining`]; an unknown id with
+    /// [`RejectReason::Invalid`].
     pub pin_shard: Option<usize>,
     /// Client-side retry for transient rejects (queue full, shard
     /// draining); `None` submits once.
@@ -116,8 +117,8 @@ impl QueryScheduler {
         self.validate(spec, &snap)?;
         if let Some(id) = pin_shard {
             // Targeted placement: bypass the router (operator escape
-            // hatch; also how the stealing tests build deterministic
-            // backlog). Admitted unpinned, so a peer may still steal it.
+            // hatch; also how tests build a deterministic backlog on one
+            // shard).
             let Some(entry) = snap.find(id) else {
                 return Err(self.reject(RejectReason::Invalid(format!(
                     "no such shard {id} (fleet of {})",
@@ -224,7 +225,6 @@ impl QueryScheduler {
         let job = Job {
             shared: Arc::clone(&shared),
             request: spec.request.clone(),
-            home: Arc::clone(entry),
             descriptor,
             charge,
         };
@@ -247,7 +247,7 @@ impl QueryScheduler {
             return Err(rejected);
         }
         entry.counters.admitted.fetch_add(1, Ordering::Relaxed);
-        if charge.pinned {
+        if affinity != CacheProbe::Miss {
             entry.counters.affinity_hits.fetch_add(1, Ordering::Relaxed);
         }
         Ok(QueryHandle {

@@ -38,18 +38,15 @@ pub(crate) fn slot_cost(cluster: &SimCluster, strategy: Strategy) -> usize {
     }
 }
 
-/// What one queued job costs its tenant on its home queue.
+/// What one queued job costs its tenant on the queue it waits in.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Charge {
     /// Undiscounted slot cost, the unit of the WFQ cost model.
     base: f64,
-    /// What the home queue charged the tenant's virtual clock.
+    /// What the queue charged the tenant's virtual clock.
     pub est: f64,
-    /// Cache-affine placements are pinned: stealing them would turn a
-    /// predicted near-free run into a full re-computation elsewhere.
-    pub pinned: bool,
-    /// `SchedulerConfig::cache_aware`; off = full cost, never pinned,
-    /// never settled (the ablation baseline).
+    /// `SchedulerConfig::cache_aware`; off = full cost, never settled
+    /// (the ablation baseline).
     cache_aware: bool,
 }
 
@@ -66,18 +63,16 @@ impl Charge {
         let mut charge = Charge {
             base,
             est: base,
-            pinned: false,
             cache_aware,
         };
         charge.restamp(affinity);
         charge
     }
 
-    /// Re-price against a new home's cache affinity (drain migration:
-    /// the old affinity died with the shard the job was pinned to).
+    /// Re-price against the adopting shard's cache affinity (drain
+    /// migration: the old affinity died with the departing shard).
     pub fn restamp(&mut self, affinity: CacheProbe) {
         if self.cache_aware {
-            self.pinned = affinity != CacheProbe::Miss;
             self.est = self.base * probe_discount(affinity);
         }
     }

@@ -6,6 +6,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use sqlml_cache::CacheProbe;
 use sqlml_common::{Result, SqlmlError};
 
 use crate::handle::{finalize, Job};
@@ -24,9 +25,9 @@ const MIGRATE_RETRIES: usize = 8;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DrainPolicy {
     /// Lift the backlog out in WFQ order and re-admit it onto live
-    /// peers: each job is re-placed by the router (cache-pinned jobs
-    /// re-probe the surviving caches first) and force-pushed past the
-    /// peer's capacity bound so nothing already admitted is ever lost.
+    /// peers: each job is re-placed by the router (re-probing the
+    /// surviving caches) and force-pushed past the peer's capacity bound
+    /// so nothing already admitted is ever lost.
     Migrate,
     /// Leave the backlog in place: the departing shard's own executors
     /// finish every queued job before the shard is torn down. Slower to
@@ -48,14 +49,13 @@ pub struct ShardRemoval {
 
 impl QueryScheduler {
     /// Drain shard `id` out of the fleet: flip it to draining (the
-    /// router stops placing onto it, thieves stop raiding it, racing
-    /// pinned submits reject with [`crate::RejectReason::Draining`]),
-    /// dispose of its backlog per `policy`, close its queue, join its
-    /// executor threads, and unregister it. In-flight runs finish
-    /// normally wherever they are; their WFQ costs still settle onto the
-    /// queue that admitted them. A cancel racing the drain resolves its
-    /// handle exactly once — the migration path skips already-finalized
-    /// jobs.
+    /// router stops placing onto it, racing pinned submits reject with
+    /// [`crate::RejectReason::Draining`]), dispose of its backlog per
+    /// `policy`, close its queue, join its executor threads, and
+    /// unregister it. In-flight runs finish normally on the departing
+    /// shard, and their WFQ costs settle onto its queue. A cancel racing
+    /// the drain resolves its handle exactly once — the migration path
+    /// skips already-finalized jobs.
     ///
     /// Refuses to drain the last live shard (there would be nowhere to
     /// migrate, and a fleet of zero cannot serve).
@@ -91,14 +91,14 @@ impl QueryScheduler {
     }
 
     /// Lift the draining shard's backlog out in WFQ order and re-admit
-    /// each job onto a live peer. Pinned jobs re-probe the surviving
-    /// caches (their old affinity died with the shard they were pinned
-    /// to); every job's WFQ charge is re-stamped for its new home and
-    /// its home pointer re-aimed so post-run settlement lands where the
-    /// new estimate was charged. Force-push bypasses the peer's capacity
-    /// bound — an admitted query is never bounced back to the client —
-    /// but a peer that closed mid-migration hands the job back and a
-    /// fresh snapshot picks another. Returns how many jobs moved.
+    /// each job onto a live peer. Every job re-probes the surviving
+    /// caches (its old affinity died with the departing shard) and its
+    /// WFQ charge is re-stamped for the adopter, whose executor settles
+    /// the measured cost on the queue that charged the new estimate.
+    /// Force-push bypasses the peer's capacity bound — an admitted query
+    /// is never bounced back to the client — but a peer that closed
+    /// mid-migration hands the job back and a fresh snapshot picks
+    /// another. Returns how many jobs moved.
     fn migrate_queued(&self, from: &Arc<ShardEntry<Job>>) -> usize {
         let mut moved = 0;
         'jobs: for mut job in from.queue.drain_now() {
@@ -115,14 +115,13 @@ impl QueryScheduler {
                     break;
                 };
                 job.charge.restamp(affinity);
-                job.home = Arc::clone(&target);
                 let shared = Arc::clone(&job.shared);
                 let charge = job.charge;
                 match target.queue.force_push(&shared.tenant, charge.est, job) {
                     Ok(_) => {
                         shared.migrated.store(true, Ordering::Relaxed);
                         target.counters.migrated_in.fetch_add(1, Ordering::Relaxed);
-                        if charge.pinned {
+                        if affinity != CacheProbe::Miss {
                             target
                                 .counters
                                 .affinity_hits

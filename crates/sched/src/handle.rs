@@ -13,7 +13,6 @@ use sqlml_common::{CancelToken, Result, SqlmlError};
 use sqlml_core::{PipelineReport, PipelineRequest, Strategy};
 
 use crate::cost::Charge;
-use crate::registry::ShardEntry;
 use crate::stats::Stats;
 
 /// Where a query is in its lifecycle.
@@ -62,11 +61,9 @@ pub(crate) struct QueryShared {
     /// Stable id of the shard the router placed this query on.
     placed_on: usize,
     /// Stable id of the shard that actually executed it ([`NOT_RUN`]
-    /// until claimed). A query runs *entirely* on one cluster — stealing
-    /// and drain migration move it before execution starts, never
-    /// mid-run.
+    /// until claimed). A query runs *entirely* on one cluster — drain
+    /// migration moves it before execution starts, never mid-run.
     ran_on: AtomicUsize,
-    pub stolen: AtomicBool,
     /// Set when a shard drain re-admitted the queued job onto a peer.
     pub migrated: AtomicBool,
     state: TrackedMutex<QueryState>,
@@ -91,7 +88,6 @@ impl QueryShared {
             cancel,
             placed_on,
             ran_on: AtomicUsize::new(NOT_RUN),
-            stolen: AtomicBool::new(false),
             migrated: AtomicBool::new(false),
             state: TrackedMutex::new(
                 "sched.query.state",
@@ -210,18 +206,15 @@ impl QueryHandle {
     }
 
     /// Shard that executed (or is executing) the query; `None` while it
-    /// has not yet started. Never changes once set: a query runs entirely
-    /// on one cluster.
+    /// has not yet started. Equal to [`QueryHandle::placed_on`] unless a
+    /// shard drain migrated the queued query onto a peer
+    /// ([`QueryHandle::was_migrated`]). Never changes once set: a query
+    /// runs entirely on one cluster.
     pub fn ran_on(&self) -> Option<usize> {
         match self.shared.ran_on.load(Ordering::Relaxed) {
             NOT_RUN => None,
             s => Some(s),
         }
-    }
-
-    /// Whether an idle peer shard stole this query from its home queue.
-    pub fn was_stolen(&self) -> bool {
-        self.shared.stolen.load(Ordering::Relaxed)
     }
 
     /// Whether a shard drain ([`crate::QueryScheduler::remove_shard`]
@@ -292,19 +285,12 @@ impl QueryHandle {
 pub(crate) struct Job {
     pub shared: Arc<QueryShared>,
     pub request: PipelineRequest,
-    /// Shard whose queue admitted this job (tenant accounting lives
-    /// there; cost settlement goes back to it). An `Arc` to the entry
-    /// itself, not an index: the home shard may leave the registry while
-    /// the job still runs elsewhere, and settlement must land on the
-    /// queue that actually charged the estimate. Drain migration
-    /// re-homes the job onto its adopting shard.
-    pub home: Arc<ShardEntry<Job>>,
     /// The cache descriptor computed at admission, kept so a drain
     /// migration can re-probe the surviving shards' caches before the
     /// job travels.
     pub descriptor: Option<QueryDescriptor>,
-    /// What the home queue charged the tenant for this job, and whether
-    /// the placement pinned it there.
+    /// What the queue holding this job charged its tenant; the shard
+    /// that pops it settles the measured cost there.
     pub charge: Charge,
 }
 
@@ -324,10 +310,9 @@ mod tests {
         let report = result.as_ref().as_ref().expect("pipeline failed");
         assert!(report.rows_to_ml > 0);
         assert_eq!(handle.status(), QueryStatus::Completed);
-        // A fleet of one: placed and ran on shard 0, never stolen.
+        // A fleet of one: placed and ran on shard 0.
         assert_eq!(handle.placed_on(), 0);
         assert_eq!(handle.ran_on(), Some(0));
-        assert!(!handle.was_stolen());
         let lat = handle.latency().expect("finished queries have latency");
         assert_eq!(lat.total, lat.queued + lat.running);
         assert!(lat.running > Duration::ZERO);
@@ -336,7 +321,6 @@ mod tests {
         assert!(s.inflight_high_water >= 1);
         assert_eq!(s.per_cluster.len(), 1);
         assert_eq!(s.per_cluster[0].admitted, 1);
-        assert_eq!(s.per_cluster[0].stolen, 0);
         sched.shutdown();
     }
 

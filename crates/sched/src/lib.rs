@@ -22,10 +22,10 @@
 //! * a **shard router** ([`ShardRouter`]) placing each admitted query on
 //!   one of N replicated-warehouse shards by a score combining queue
 //!   depth, busy executors, and cache affinity (probed via the
-//!   non-materializing [`sqlml_cache::CacheManager::probe`]);
-//! * **bounded cross-shard work stealing**: an idle shard's executor may
-//!   claim the head-of-line query of the most-backlogged peer — never a
-//!   cache-pinned one — and run it entirely on its own cluster;
+//!   non-materializing [`sqlml_cache::CacheManager::probe`]). Placement
+//!   is the one balancing decision: a query runs entirely on the shard
+//!   it was placed on (or pinned to), unless that shard drains out of
+//!   the fleet while the query is still queued;
 //! * **one concurrency bound per shard**: its pool of
 //!   [`SchedulerConfig::max_concurrent`] executor threads, each running
 //!   one pipeline at a time, so at most that many pipelines share a
@@ -37,7 +37,7 @@
 //!   wherever the query ended up running;
 //! * per-query [`QueryHandle`]s exposing status, the result, the
 //!   queued/running/total latency split, and placement (which shard, and
-//!   whether the query was stolen or migrated off a drained shard);
+//!   whether the query was migrated off a drained shard);
 //! * an **elastic fleet**: shards join ([`QueryScheduler::add_shard`])
 //!   and leave ([`QueryScheduler::remove_shard`]) at runtime behind an
 //!   epoch-versioned registry, with a two-phase drain that migrates or
@@ -72,7 +72,7 @@
 //! let id = sched.add_shard().unwrap();
 //! let removal = sched.remove_shard(id, DrainPolicy::Migrate).unwrap();
 //! # let _ = (result, removal);
-//! // Pin a query to a specific shard via SubmitOpts:
+//! // Pin a query to a specific shard via SubmitOpts; it runs there:
 //! let pinned = sched.submit_opts(
 //!     QuerySpec::new(
 //!         "analytics",
@@ -104,7 +104,7 @@ pub use admission::{QuerySpec, SubmitOpts};
 pub use cost::{probe_discount, FULL_DISCOUNT, MAP_DISCOUNT};
 pub use drain::{DrainPolicy, ShardRemoval};
 pub use handle::{QueryHandle, QueryLatency, QueryStatus};
-pub use queue::{FairQueue, Popped, RejectReason, Rejected};
+pub use queue::{FairQueue, RejectReason, Rejected};
 pub use retry::{retry_queue_full, Clock, RetryPolicy, SystemClock};
 pub use router::{Placement, ShardLoad, ShardRouter};
 pub use scheduler::{QueryScheduler, SchedulerBuilder, SchedulerConfig, ShardTemplate};

@@ -14,21 +14,8 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::time::{Duration, Instant};
 
 use sqlml_common::lockorder::{TrackedCondvar, TrackedMutex};
-
-/// Result of a bounded wait on [`FairQueue::pop_timeout`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum Popped<T> {
-    Item(T),
-    /// Nothing arrived within the timeout; the queue is still open. A
-    /// sharded dispatch loop uses this window to go look for work to
-    /// steal from a backlogged peer.
-    Empty,
-    /// Closed and fully drained — the popper should exit.
-    Closed,
-}
 
 /// Why a submission was refused admission.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -214,56 +201,6 @@ impl<T> FairQueue<T> {
         }
     }
 
-    /// [`FairQueue::pop`] with a bounded wait: [`Popped::Empty`] when
-    /// nothing arrived within `timeout` (queue still open), so the caller
-    /// can interleave waiting with cross-queue work stealing.
-    pub fn pop_timeout(&self, timeout: Duration) -> Popped<T> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock();
-        loop {
-            if let Some(item) = Self::take_best(&mut st) {
-                return Popped::Item(item);
-            }
-            if st.closed {
-                return Popped::Closed;
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Popped::Empty;
-            }
-            self.ready.wait_for(&mut st, left);
-        }
-    }
-
-    /// Non-blocking conditional pop of the **head of line** — the item
-    /// with the globally smallest virtual finish stamp — but only when
-    /// `pred` approves it. This is the work-stealing primitive: a thief
-    /// may take the victim's next-scheduled item (never digging deeper,
-    /// so the victim's WFQ order is preserved), and the predicate lets
-    /// cache-affinity-pinned work refuse to travel.
-    pub fn try_pop_if(&self, pred: impl FnOnce(&T) -> bool) -> Option<T> {
-        let mut st = self.state.lock();
-        let (stamp, name) = Self::best_head(&st)?;
-        {
-            let head = st
-                .tenants
-                .get(&name)
-                .and_then(|t| t.items.front())
-                .map(|(_, item)| item)?;
-            if !pred(head) {
-                return None;
-            }
-        }
-        let item = st
-            .tenants
-            .get_mut(&name)
-            .and_then(|t| t.items.pop_front())
-            .map(|(_, item)| item)?;
-        st.queued -= 1;
-        st.vtime = st.vtime.max(stamp);
-        Some(item)
-    }
-
     /// Stamp a measured-vs-estimated cost correction back onto a tenant
     /// (§WFQ discounts): admission charged `estimated` into the tenant's
     /// virtual finish time; once the run completes the scheduler knows
@@ -280,18 +217,14 @@ impl<T> FairQueue<T> {
         }
     }
 
-    /// Smallest head stamp across tenants; tenant name breaks ties
-    /// deterministically.
-    fn best_head(st: &State<T>) -> Option<(f64, String)> {
-        st.tenants
+    /// Pop the globally smallest-stamped item, advancing virtual time;
+    /// tenant name breaks stamp ties deterministically.
+    fn take_best(st: &mut State<T>) -> Option<T> {
+        let (stamp, name) = st
+            .tenants
             .iter()
             .filter_map(|(name, t)| t.items.front().map(|(stamp, _)| (*stamp, name.clone())))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)))
-    }
-
-    /// Pop the globally smallest-stamped item, advancing virtual time.
-    fn take_best(st: &mut State<T>) -> Option<T> {
-        let (stamp, name) = Self::best_head(st)?;
+            .min_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)))?;
         let item = st
             .tenants
             .get_mut(&name)
@@ -413,40 +346,6 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         q2.close();
         assert_eq!(popper.join().unwrap(), None);
-    }
-
-    #[test]
-    fn try_pop_if_takes_only_approved_heads() {
-        let q = FairQueue::new(10);
-        q.push("a", 1.0, 10).unwrap(); // head of line (stamp 1)
-        q.push("a", 1.0, 20).unwrap(); // stamp 2
-                                       // Predicate rejects the head: nothing moves, order intact.
-        assert_eq!(q.try_pop_if(|v| *v != 10), None);
-        assert_eq!(q.len(), 2);
-        // Predicate approves: head (and only head) is taken.
-        assert_eq!(q.try_pop_if(|v| *v == 10), Some(10));
-        assert_eq!(q.pop(), Some(20));
-        // Empty queue: no panic, no item.
-        assert_eq!(q.try_pop_if(|_| true), None);
-    }
-
-    #[test]
-    fn pop_timeout_reports_empty_then_items_then_closed() {
-        let q = FairQueue::new(10);
-        assert_eq!(
-            q.pop_timeout(Duration::from_millis(5)),
-            Popped::<i32>::Empty
-        );
-        q.push("a", 1.0, 1).unwrap();
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), Popped::Item(1));
-        q.push("a", 1.0, 2).unwrap();
-        q.close();
-        // Closed queues still drain before reporting Closed.
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), Popped::Item(2));
-        assert_eq!(
-            q.pop_timeout(Duration::from_millis(5)),
-            Popped::<i32>::Closed
-        );
     }
 
     #[test]

@@ -5,15 +5,15 @@
 //! `Arc<Vec<Shard>>` fixed at construction. Runtime join/leave breaks
 //! that in two ways: shard *indices* stop being stable identities (shard
 //! 2 may leave while shard 3 stays), and any code that iterates the
-//! fleet (placement probes, work stealing, stats) can race a resize and
-//! observe a half-updated table. The registry fixes both:
+//! fleet (placement probes, drain migration, stats) can race a resize
+//! and observe a half-updated table. The registry fixes both:
 //!
 //! * every shard gets a **stable id** assigned at registration and never
 //!   reused — handles, counters, and pinning all speak ids, not indices;
 //! * readers take a [`Snapshot`]: an `Arc` clone of the current
 //!   membership vector plus the **epoch** (bumped on every join/leave).
 //!   A snapshot is immutable and internally consistent — probing,
-//!   stealing, and stats iterate it without holding the registry lock,
+//!   migration, and stats iterate it without holding the registry lock,
 //!   so a concurrent resize can never interleave mismatched per-shard
 //!   views;
 //! * leave is a two-phase **drain protocol**: [`ShardRegistry::begin_drain`]
@@ -42,7 +42,6 @@ use crate::queue::FairQueue;
 #[derive(Debug, Default)]
 pub(crate) struct ShardCounters {
     pub admitted: AtomicU64,
-    pub stolen: AtomicU64,
     pub affinity_hits: AtomicU64,
     /// Queued jobs this shard adopted from a draining peer.
     pub migrated_in: AtomicU64,
@@ -50,15 +49,13 @@ pub(crate) struct ShardCounters {
 
 /// One serving shard: a cluster plus its queue, running gauge, cache,
 /// counters, and drain flag. `T` is the queue's item type (the
-/// scheduler's `Job`, which itself holds an `Arc<ShardEntry<Job>>` back
-/// to its home shard — the cycle is broken because queues are drained
-/// before an entry is dropped).
+/// scheduler's `Job`).
 pub(crate) struct ShardEntry<T> {
     id: usize,
     pub cluster: Arc<SimCluster>,
     pub queue: FairQueue<T>,
-    /// Queries executing on this shard's executors right now (stolen
-    /// ones included) — the router's busy signal.
+    /// Queries executing on this shard's executors right now — the
+    /// router's busy signal.
     pub running: AtomicUsize,
     pub cache: Option<Arc<CacheManager>>,
     pub counters: ShardCounters,
@@ -72,8 +69,7 @@ impl<T> ShardEntry<T> {
     }
 
     /// Whether the shard is on its way out of the fleet: the router no
-    /// longer places onto it, thieves no longer steal from it, and its
-    /// own executors no longer steal from peers.
+    /// longer places onto it and pinned submissions are refused.
     pub fn is_draining(&self) -> bool {
         self.draining.load(Ordering::Acquire)
     }

@@ -15,8 +15,10 @@
 //!
 //! The affinity bonus is deliberately finite: a shard that is deeply
 //! backlogged loses its cache advantage (a full-result hit is not worth
-//! waiting behind eight queued pipelines), which is exactly the regime
-//! where cross-shard work stealing takes over.
+//! waiting behind eight queued pipelines), so the router sends the
+//! query to a less loaded peer and recomputes there. Placement is the
+//! serving plane's one balancing decision: a placed query runs on its
+//! shard, and only a drain of that shard moves it.
 //!
 //! **Lock discipline of the probe path** (audited for the lock-order
 //! suite): the router itself holds no locks — its only state is an
@@ -60,8 +62,8 @@ pub struct Placement {
     /// Index of the chosen shard.
     pub shard: usize,
     /// The cache reuse the chosen shard offers. `Miss` means the
-    /// placement was load-driven and the job may be stolen by an idle
-    /// peer; anything better pins the job to this shard.
+    /// placement was load-driven; anything better is an affinity
+    /// placement, admitted at a discounted WFQ cost.
     pub affinity: CacheProbe,
 }
 

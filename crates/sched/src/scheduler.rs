@@ -1,9 +1,9 @@
 //! The query scheduler: configuration, construction, and fleet
 //! membership. `QueryScheduler` is one struct with an `impl` block per
 //! seam, each in the sibling module named for it: `admission` (submit →
-//! validate → place → admit), `executor` (the per-shard worker loop and
-//! stealing), `drain` (`remove_shard` and backlog migration), `stats`
-//! (counters and snapshots). `handle` holds the per-query state and
+//! validate → place → admit), `executor` (the per-shard worker loop),
+//! `drain` (`remove_shard` and backlog migration), `stats` (counters
+//! and snapshots). `handle` holds the per-query state and
 //! `cost` the WFQ cost model they all charge through. The crate docs
 //! walk a query through them.
 //!
@@ -11,7 +11,7 @@
 //! `ShardRegistry` rather than a fixed vector, so
 //! [`QueryScheduler::add_shard`] can boot and publish a fresh warehouse
 //! at runtime and [`QueryScheduler::remove_shard`] can drain one out —
-//! placement, stealing, and stats always iterate one consistent
+//! placement, drain migration, and stats always iterate one consistent
 //! snapshot. Shards are addressed by **stable id** (assigned at
 //! registration, never reused), which is what `placed_on`/`ran_on`,
 //! pinned submissions, and per-cluster counters report. Construction
@@ -55,13 +55,6 @@ pub struct SchedulerConfig {
     /// cost settles back after the run). Off = pure load routing at full
     /// cost — the ablation baseline.
     pub cache_aware: bool,
-    /// Allow an idle shard to claim the head-of-line query of the
-    /// most-backlogged peer (never a cache-pinned one).
-    pub work_stealing: bool,
-    /// Minimum victim backlog before a steal is attempted; bounds how
-    /// aggressively idle shards raid peers that are merely busy, not
-    /// backlogged.
-    pub steal_min_backlog: usize,
 }
 
 impl Default for SchedulerConfig {
@@ -72,8 +65,6 @@ impl Default for SchedulerConfig {
             default_deadline: None,
             enable_cache: true,
             cache_aware: true,
-            work_stealing: true,
-            steal_min_backlog: 2,
         }
     }
 }
@@ -205,8 +196,8 @@ impl QueryScheduler {
 
     /// Register the clusters and spin up their executor threads. The
     /// fleet is assumed to host identical warehouses (see
-    /// [`SimCluster::start_shards`]): the router may place — and an idle
-    /// shard may steal — any unpinned request onto any shard.
+    /// [`SimCluster::start_shards`]): the router may place any unpinned
+    /// request onto any shard.
     fn assemble(
         clusters: Vec<Arc<SimCluster>>,
         config: SchedulerConfig,
@@ -275,8 +266,8 @@ impl QueryScheduler {
     }
 
     /// Boot one more shard from the warehouse template and join it to
-    /// the fleet: the new shard participates in placement and work
-    /// stealing the moment this returns. Errors if the scheduler was
+    /// the fleet: the new shard participates in placement the moment
+    /// this returns. Errors if the scheduler was
     /// built from pre-booted clusters without a template, or if the
     /// warehouse boot itself fails. Returns the new shard's stable id.
     pub fn add_shard(&self) -> Result<usize> {

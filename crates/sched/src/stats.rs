@@ -29,7 +29,9 @@ pub struct ClusterCounters {
     pub shard: usize,
     /// Queries the router placed on this cluster.
     pub admitted: u64,
-    /// Queries this cluster stole from a backlogged peer and ran.
+    /// Always 0: shards no longer steal queued queries from each other
+    /// (a query runs where it was placed, or where a drain migrated it).
+    /// Kept so existing readers of the field still compile.
     pub stolen: u64,
     /// Placements driven by cache affinity (the probe hit here).
     pub cache_affinity_hits: u64,
@@ -64,7 +66,7 @@ pub struct SchedStatsSnapshot {
     /// Fleet-membership epoch the per-cluster rows were read at (bumps on
     /// every join/leave).
     pub registry_epoch: u64,
-    /// Per-cluster placement/stealing/affinity counters, in registration
+    /// Per-cluster placement/affinity/migration counters, in registration
     /// order; each row names its shard's stable id. Length 1 for a
     /// single-cluster scheduler.
     pub per_cluster: Vec<ClusterCounters>,
@@ -106,7 +108,7 @@ impl QueryScheduler {
                 .map(|s| ClusterCounters {
                     shard: s.id(),
                     admitted: s.counters.admitted.load(Ordering::Relaxed),
-                    stolen: s.counters.stolen.load(Ordering::Relaxed),
+                    stolen: 0,
                     cache_affinity_hits: s.counters.affinity_hits.load(Ordering::Relaxed),
                     migrated_in: s.counters.migrated_in.load(Ordering::Relaxed),
                     draining: s.is_draining(),

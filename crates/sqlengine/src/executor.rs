@@ -24,6 +24,7 @@
 
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use sqlml_common::{counter_u32, Result, Row, Schema, SqlmlError, Value};
@@ -290,10 +291,12 @@ where
 /// Run `f(p)` for every item `p` of `0..num_partitions` on up to
 /// `workers` scoped threads, worker `w` taking items `w, w + workers, …`;
 /// returns the outputs in item order. The whole call fails if any item
-/// fails. Every thread is joined before a failure is reported (a
-/// panicked thread left to `scope` re-panics in the caller); with one
-/// worker per item, the failure reported is the first in item order,
-/// whichever thread finished first.
+/// fails, a panicking item included: it is an error whether it ran on a
+/// worker thread or inline (one worker, or one item). Every thread is
+/// joined before a failure is reported (a panicked thread left to
+/// `scope` re-panics in the caller); with one worker per item, the
+/// failure reported is the first in item order, whichever thread
+/// finished first.
 pub fn run_on_workers<T, F>(num_partitions: usize, workers: usize, f: F) -> Result<Vec<T>>
 where
     T: Send,
@@ -304,7 +307,10 @@ where
     }
     let workers = workers.clamp(1, num_partitions);
     if workers == 1 {
-        return (0..num_partitions).map(&f).collect();
+        // Inline on the caller's thread; a panicking item is the same
+        // error here as on a worker thread, not an unwind of the caller.
+        return catch_unwind(AssertUnwindSafe(|| (0..num_partitions).map(&f).collect()))
+            .unwrap_or_else(|_| Err(SqlmlError::Execution("worker thread panicked".into())));
     }
     let f = &f;
     std::thread::scope(|scope| {

@@ -2,7 +2,8 @@
 //! `Filter` / `Project` / `TableUdfScan` nodes is one pass per partition
 //! on one worker thread, a pipeline breaker ends the run, and a table UDF
 //! that misbehaves inside a chain — a batch narrower than its declared
-//! schema, a panic on every worker — comes back as an error.
+//! schema, a panic on every worker or on the caller's own thread — comes
+//! back as an error.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -235,12 +236,28 @@ impl TableUdf for PanickingUdf {
 
 #[test]
 fn every_worker_panicking_is_an_error_in_the_caller_not_a_panic() {
-    let engine = Engine::new(EngineConfig::with_workers(2));
-    engine.register_table("t", four_partitions());
-    engine.register_table_udf(Arc::new(PanickingUdf));
-    let result = engine.query("SELECT * FROM TABLE(explode(t)) x");
-    assert!(
-        matches!(&result, Err(SqlmlError::Execution(msg)) if msg == "worker thread panicked"),
-        "{result:?}"
-    );
+    // Two workers over four partitions panic on worker threads; one
+    // worker, or a one-partition table (here CTAS'd from a gathered
+    // ORDER BY) on two workers, runs the panicking item inline on the
+    // caller's thread.
+    for (workers, table) in [(2, "t"), (1, "t"), (2, "sorted")] {
+        let engine = Engine::new(EngineConfig::with_workers(workers));
+        engine.register_table("t", four_partitions());
+        engine.register_table_udf(Arc::new(PanickingUdf));
+        engine
+            .execute("CREATE TABLE sorted AS SELECT p, x FROM t ORDER BY x")
+            .unwrap();
+        assert_eq!(
+            engine
+                .query("SELECT * FROM sorted")
+                .unwrap()
+                .num_partitions(),
+            1
+        );
+        let result = engine.query(&format!("SELECT * FROM TABLE(explode({table})) x"));
+        assert!(
+            matches!(&result, Err(SqlmlError::Execution(msg)) if msg == "worker thread panicked"),
+            "{workers} workers over {table}: {result:?}"
+        );
+    }
 }

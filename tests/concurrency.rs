@@ -79,19 +79,18 @@ fn slow_request() -> PipelineRequest {
     }
 }
 
-/// Sweep the cancel-while-stolen interleaving (the sharded_serving
-/// scenario) across perturbed schedules: shard 0's only executor is
-/// busy, a second slow query is the steal bait for shard 1, and the
-/// cancel lands somewhere different in the steal/run/unwind window on
+/// Sweep the cancel-while-running interleaving on the second shard of a
+/// 2-shard fleet across perturbed schedules: a slow hog pinned to shard
+/// 0 and a slow victim pinned to shard 1 run at once, and the cancel of
+/// both lands somewhere different in the victim's run/unwind window on
 /// every seed.
 #[test]
-fn perturbed_cancel_while_stolen_sweep() {
+fn perturbed_cancel_while_running_on_a_peer_shard_sweep() {
     let _g = serial();
     for seed in sweep_seeds() {
         set_perturb_seed(seed);
         let sched = QueryScheduler::builder(SchedulerConfig {
             max_concurrent: 1,
-            steal_min_backlog: 1,
             cache_aware: false,
             enable_cache: false,
             ..SchedulerConfig::default()
@@ -105,34 +104,31 @@ fn perturbed_cancel_while_stolen_sweep() {
                 SubmitOpts::pinned(0),
             )
             .unwrap();
-        let bait = sched
+        let victim = sched
             .submit_opts(
                 QuerySpec::new("t", slow_request(), Strategy::InSqlStream),
-                SubmitOpts::pinned(0),
+                SubmitOpts::pinned(1),
             )
             .unwrap();
-        // Wait for shard 1 to steal the bait and start running it; a
-        // perturbed schedule may legally finish it first.
+        // Wait for the victim to start running on shard 1; a perturbed
+        // schedule may legally finish it first.
         let deadline = Instant::now() + Duration::from_secs(60);
-        while !(bait.was_stolen() && bait.status() == QueryStatus::Running) {
-            if bait.is_finished() || Instant::now() > deadline {
+        while victim.status() != QueryStatus::Running {
+            if victim.is_finished() || Instant::now() > deadline {
                 break;
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        bait.cancel("perturbation sweep");
+        victim.cancel("perturbation sweep");
         hog.cancel("perturbation sweep");
-        let result = bait.wait();
+        let result = victim.wait();
         if let Err(e) = result.as_ref().as_ref() {
             assert!(e.is_cancelled(), "seed {seed}: unexpected failure: {e}");
         }
-        if bait.was_stolen() {
-            assert_eq!(
-                bait.ran_on(),
-                Some(1),
-                "seed {seed}: stolen bait ran on the wrong shard"
-            );
-        }
+        assert!(
+            matches!(victim.ran_on(), None | Some(1)),
+            "seed {seed}: the victim ran off its shard"
+        );
         let hog_result = hog.wait();
         if let Err(e) = hog_result.as_ref().as_ref() {
             assert!(e.is_cancelled(), "seed {seed}: unexpected hog failure: {e}");
@@ -147,7 +143,7 @@ fn perturbed_cancel_while_stolen_sweep() {
                 .unwrap();
             assert!(
                 h.wait().as_ref().as_ref().is_ok(),
-                "seed {seed}: shard {shard} unusable after cancelled steal"
+                "seed {seed}: shard {shard} unusable after a cancelled run"
             );
         }
         assert_eq!(sched.stats().inflight_now, 0, "seed {seed}");
@@ -172,7 +168,6 @@ fn perturbed_elastic_join_leave_sweep() {
         let sched = QueryScheduler::builder(SchedulerConfig {
             max_concurrent: 1,
             queue_capacity: 16,
-            steal_min_backlog: 1,
             cache_aware: false,
             enable_cache: false,
             ..SchedulerConfig::default()

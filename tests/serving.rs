@@ -164,6 +164,79 @@ fn eight_executors_run_eight_streaming_pipelines_at_once() {
     sched.shutdown();
 }
 
+/// Scalar UDF `boom(x)`: panics on every call.
+struct Boom;
+
+impl ScalarUdf for Boom {
+    fn name(&self) -> &str {
+        "boom"
+    }
+
+    fn eval(&self, _: &[Value]) -> Result<Value> {
+        panic!("deliberate panic in a scalar UDF")
+    }
+}
+
+#[test]
+fn a_panicking_query_on_a_one_sql_worker_shard_fails_and_every_executor_survives() {
+    // One SQL worker: the engine runs every partition inline on the
+    // executor thread that runs the pipeline.
+    let cluster = SimCluster::start(ClusterConfig {
+        sql_workers: 1,
+        ..ClusterConfig::for_tests()
+    })
+    .unwrap();
+    cluster.load_workload(WorkloadScale::TINY, 909).unwrap();
+    const EXECUTORS: usize = 2;
+    cluster.engine.register_scalar_udf(Arc::new(Boom));
+    cluster.engine.register_scalar_udf(Arc::new(Gate {
+        want: EXECUTORS,
+        seen: Mutex::new(HashSet::new()),
+        arrived: Condvar::new(),
+    }));
+    let sched = QueryScheduler::builder(SchedulerConfig {
+        max_concurrent: EXECUTORS,
+        enable_cache: false,
+        ..SchedulerConfig::default()
+    })
+    .cluster(Arc::new(cluster))
+    .build()
+    .unwrap();
+    let mut doomed = request(0);
+    doomed.prep_sql = format!("{PREP_QUERY} AND boom(U.age) > 0.0");
+    let h = sched
+        .submit(QuerySpec::new("t", doomed, Strategy::InSql))
+        .unwrap();
+    let result = h
+        .wait_timeout(Duration::from_secs(60))
+        .expect("a panicking query must resolve, not hang");
+    let err = result.as_ref().as_ref().unwrap_err();
+    assert!(err.to_string().contains("panicked"), "{err}");
+    assert_eq!(h.status(), QueryStatus::Failed);
+    // No executor died with it: EXECUTORS more queries pass a gate that
+    // opens only once all of them are running at the same time.
+    let handles: Vec<_> = (0..EXECUTORS)
+        .map(|i| {
+            let mut request = request(i);
+            request.prep_sql = format!("{PREP_QUERY} AND gate(U.age, {i}) > 0.0");
+            sched
+                .submit(QuerySpec::new("t", request, Strategy::InSql))
+                .unwrap()
+        })
+        .collect();
+    for (i, h) in handles.iter().enumerate() {
+        let result = h
+            .wait_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|| panic!("query {i} never finished"));
+        if let Err(e) = result.as_ref() {
+            panic!("query {i} failed: {e}");
+        }
+    }
+    assert_eq!(sched.fleet_snapshot()[0].running, 0);
+    assert_eq!(sched.stats().inflight_now, 0);
+    sched.shutdown();
+}
+
 #[test]
 fn overload_rejects_with_queue_full_and_recovers() {
     let sched = QueryScheduler::builder(SchedulerConfig {

@@ -1,7 +1,8 @@
 //! Sharded serving-plane stress tests: the scheduler over a fleet of
 //! replicated-warehouse shards. Covers router placement, cache-affinity
-//! pinning, cross-shard work stealing (a stolen query runs *entirely* on
-//! the stealing cluster), and cancellation of stolen queries.
+//! routing, the rule that a queued query runs on the shard it was
+//! placed on, however idle its peers are, and cancellation of a query
+//! running on a peer shard.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -102,11 +103,10 @@ fn sharded_results_match_the_single_cluster_baseline() {
 }
 
 #[test]
-fn an_idle_shard_steals_and_runs_the_query_entirely_itself() {
+fn a_backlog_pinned_to_one_shard_runs_there_while_its_peer_idles() {
     let sched = QueryScheduler::builder(SchedulerConfig {
         max_concurrent: 1,
-        steal_min_backlog: 1,
-        // No cache, so nothing is pinned and everything may travel.
+        // No cache: every placement is load-driven.
         cache_aware: false,
         enable_cache: false,
         ..SchedulerConfig::default()
@@ -114,9 +114,8 @@ fn an_idle_shard_steals_and_runs_the_query_entirely_itself() {
     .clusters(shards(2))
     .build()
     .unwrap();
-    // Occupy shard 0's only executor with a slow query, then pile a
-    // backlog behind it. Shard 1's executor, finding its own queue
-    // empty, must raid shard 0's.
+    // Occupy shard 0's only executor with a slow query and pile a
+    // backlog behind it. Shard 1's executor has nothing of its own.
     let mut handles = vec![sched
         .submit_opts(
             QuerySpec::new("t", slow_request(), Strategy::InSql),
@@ -131,35 +130,26 @@ fn an_idle_shard_steals_and_runs_the_query_entirely_itself() {
             )
             .unwrap()
     }));
-    let mut stolen = 0;
-    for h in &handles {
+    // With shard 0 backlogged, the next unpinned query goes to shard 1.
+    let next = sched
+        .submit(QuerySpec::new("t", request(0), Strategy::InSql))
+        .unwrap();
+    assert_eq!(next.placed_on(), 1, "the router must pick the idle shard");
+    for h in handles.iter().chain([&next]) {
         assert!(h.wait().as_ref().as_ref().is_ok());
-        assert_eq!(h.placed_on(), 0, "explicit placement must stick");
-        let ran_on = h.ran_on().expect("completed queries ran somewhere");
-        if h.was_stolen() {
-            stolen += 1;
-            // A stolen query runs entirely on the stealing cluster.
-            assert_eq!(ran_on, 1, "stolen from shard 0 must run on shard 1");
-        } else {
-            assert_eq!(ran_on, 0);
-        }
+        assert_eq!(h.ran_on(), Some(h.placed_on()), "a query ran off its shard");
     }
-    assert!(
-        stolen >= 1,
-        "an idle shard must have stolen from the 4-deep backlog"
-    );
+    assert!(handles.iter().all(|h| h.placed_on() == 0));
     let s = sched.stats();
     assert_eq!(s.per_cluster[0].admitted, 5);
-    assert_eq!(s.per_cluster[0].stolen, 0, "shard 0 had nothing to steal");
-    assert_eq!(s.per_cluster[1].stolen, stolen);
+    assert_eq!(s.per_cluster[1].admitted, 1);
     sched.shutdown();
 }
 
 #[test]
-fn disabling_work_stealing_keeps_queries_home() {
+fn cancelling_a_query_running_on_the_second_shard_unwinds_cleanly_there() {
     let sched = QueryScheduler::builder(SchedulerConfig {
         max_concurrent: 1,
-        work_stealing: false,
         cache_aware: false,
         enable_cache: false,
         ..SchedulerConfig::default()
@@ -167,70 +157,37 @@ fn disabling_work_stealing_keeps_queries_home() {
     .clusters(shards(2))
     .build()
     .unwrap();
-    let handles: Vec<_> = (0..4)
-        .map(|i| {
-            sched
-                .submit_opts(
-                    QuerySpec::new("t", request(i), Strategy::InSql),
-                    SubmitOpts::pinned(0),
-                )
-                .unwrap()
-        })
-        .collect();
-    for h in &handles {
-        assert!(h.wait().as_ref().as_ref().is_ok());
-        assert_eq!(h.ran_on(), Some(0));
-        assert!(!h.was_stolen());
-    }
-    assert_eq!(sched.stats().per_cluster[1].stolen, 0);
-    sched.shutdown();
-}
-
-#[test]
-fn cancelling_a_stolen_query_unwinds_cleanly_on_the_stealing_shard() {
-    let sched = QueryScheduler::builder(SchedulerConfig {
-        max_concurrent: 1,
-        steal_min_backlog: 1,
-        cache_aware: false,
-        enable_cache: false,
-        ..SchedulerConfig::default()
-    })
-    .clusters(shards(2))
-    .build()
-    .unwrap();
-    // Shard 0 busy; a slow query queued behind it is the steal bait.
+    // Shard 0 busy with a hog; the victim runs on shard 1 beside it.
     let hog = sched
         .submit_opts(
             QuerySpec::new("t", slow_request(), Strategy::InSqlStream),
             SubmitOpts::pinned(0),
         )
         .unwrap();
-    let bait = sched
+    let victim = sched
         .submit_opts(
             QuerySpec::new("t", slow_request(), Strategy::InSqlStream),
-            SubmitOpts::pinned(0),
+            SubmitOpts::pinned(1),
         )
         .unwrap();
-    // Wait for shard 1 to steal it and start running, then cancel.
     let deadline = Instant::now() + Duration::from_secs(60);
-    while !(bait.was_stolen() && bait.status() == QueryStatus::Running) {
-        if bait.is_finished() || Instant::now() > deadline {
+    while victim.status() != QueryStatus::Running {
+        if victim.is_finished() || Instant::now() > deadline {
             break;
         }
         std::thread::sleep(Duration::from_millis(2));
     }
-    bait.cancel("cancelled while stolen");
-    let result = bait.wait();
+    victim.cancel("cancelled while running on shard 1");
+    let result = victim.wait();
     // The expected path: cancellation unwound mid-run on shard 1. A fast
     // run may instead race past the last checkpoint; completion is
     // legal, silence or a hang is not.
     if let Err(e) = result.as_ref().as_ref() {
         assert!(e.is_cancelled(), "unexpected failure: {e}");
     }
-    if bait.was_stolen() {
-        assert_eq!(bait.ran_on(), Some(1));
-    }
+    assert!(matches!(victim.ran_on(), None | Some(1)));
     assert!(hog.wait().as_ref().as_ref().is_ok());
+    assert_eq!(hog.ran_on(), Some(0));
     // Both shards stay fully usable after the unwind.
     for shard in 0..2 {
         let h = sched
@@ -241,7 +198,7 @@ fn cancelling_a_stolen_query_unwinds_cleanly_on_the_stealing_shard() {
             .unwrap();
         assert!(
             h.wait().as_ref().as_ref().is_ok(),
-            "shard {shard} unusable after cancelled steal"
+            "shard {shard} unusable after a cancelled run"
         );
     }
     assert_eq!(sched.stats().inflight_now, 0);
@@ -266,7 +223,7 @@ fn cache_affinity_routes_repeats_to_the_warm_shard() {
     let cold_report = cold_result.as_ref().as_ref().expect("cold run failed");
     assert_eq!(cold_report.cache_use, CacheMode::None);
     let warm_shard = cold.ran_on().expect("cold run ran somewhere");
-    assert!(!cold.was_stolen());
+    assert_eq!(warm_shard, cold.placed_on());
 
     // Every repeat probes Full on the warm shard, pins there, and reuses
     // the cached result.
@@ -283,8 +240,7 @@ fn cache_affinity_routes_repeats_to_the_warm_shard() {
         assert_eq!(report.cache_use, CacheMode::FullResult, "warm run {i}");
         assert_eq!(report.rows_to_ml, baseline);
         assert_eq!(h.placed_on(), warm_shard, "warm run {i} routed cold");
-        assert_eq!(h.ran_on(), Some(warm_shard));
-        assert!(!h.was_stolen(), "pinned queries must not travel");
+        assert_eq!(h.ran_on(), Some(h.placed_on()));
     }
     let s = sched.stats();
     assert!(
