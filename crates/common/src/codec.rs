@@ -41,7 +41,11 @@ pub const TEXT_DELIM: char = '|';
 
 /// Escape a string payload for the text format: delimiter, backslash and
 /// newline are backslash-escaped so any string round-trips.
+#[inline]
 pub fn escape_text(s: &str, out: &mut String) {
+    if !s.bytes().any(|b| matches!(b, b'\\' | b'|' | b'\n')) {
+        return out.push_str(s);
+    }
     for c in s.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -89,21 +93,107 @@ pub fn encode_text_row(row: &Row, out: &mut String) {
     }
 }
 
-/// Encode one cell of a text line — the one cell writer of both text
-/// encoders. A number is formatted straight into `out`, in the
-/// [`Value::render`] formats (`{}` for an int, round-tripping `{:?}` for
-/// a double), so no cell builds a string of its own. A column encoder
-/// that already holds the `&str` of a string cell calls [`escape_text`]
-/// instead.
+/// The text-format NULL marker.
+pub const TEXT_NULL: &str = "\\N";
+
+/// Encode one cell of a text line, as [`Value::render`] renders it
+/// (escaped, for a string). A column encoder that holds typed values
+/// calls [`write_int`], [`write_double`] and [`escape_text`] itself.
 pub fn encode_text_value(v: &Value, out: &mut String) {
+    match v {
+        Value::Null => out.push_str(TEXT_NULL),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Int(i) => write_int(*i, out),
+        Value::Double(d) => write_double(*d, out),
+        Value::Str(s) => escape_text(s, out),
+    }
+}
+
+/// Append `i` in decimal: the bytes `format!("{i}")` gives.
+#[inline]
+pub fn write_int(i: i64, out: &mut String) {
+    if i < 0 {
+        out.push('-');
+    }
+    write_digits(i.unsigned_abs(), 1, out);
+}
+
+/// Append `n` in decimal, zero-padded to at least `width` digits.
+#[inline]
+fn write_digits(mut n: u64, width: usize, out: &mut String) {
+    let mut digits = [b'0'; 20];
+    let mut at = digits.len();
+    while n > 0 || digits.len() - at < width {
+        at -= 1;
+        #[allow(clippy::cast_possible_truncation)]
+        let digit = (n % 10) as u8; // lint:allow(cast) — a remainder below 10
+        digits[at] = b'0' + digit;
+        n /= 10;
+    }
+    out.extend(digits[at..].iter().map(|&b| char::from(b)));
+}
+
+/// `10^k` for the decimals the fast path of [`write_double`] tries.
+const POW10: [u64; 7] = [1, 10, 100, 1_000, 10_000, 100_000, 1_000_000];
+
+/// Append `d` as the shortest decimal that parses back to it: the bytes
+/// `format!("{d:?}")` gives. For `1e-4 <= |d| < 1e9` it tries
+/// `k = 0..=6` decimals: `c = round(d·10^k)` is an integer below 2^53 and
+/// `10^k` is exact, so the correctly rounded `c / 10^k` equals `d` exactly
+/// when the `k`-decimal string of `c` parses back to `d`. As `10^-k`
+/// exceeds the spacing of doubles in that range, at most one `k`-decimal
+/// string does, so the first `k` that passes gives the shortest
+/// round-tripping string — the one `{:?}` prints. Every other value
+/// (more decimals, other magnitudes, ±0, NaN, ±inf) is formatted by
+/// `{:?}` itself.
+#[inline]
+pub fn write_double(d: f64, out: &mut String) {
+    if (1e-4..1e9).contains(&d.abs()) {
+        for (k, scale) in POW10.into_iter().enumerate() {
+            let p = scale as f64;
+            let c = (d * p).round();
+            if c / p == d {
+                if d < 0.0 {
+                    out.push('-');
+                }
+                // |c| < 1e15: an integer the conversion keeps exactly.
+                #[allow(clippy::cast_possible_truncation)]
+                let c = c.abs() as u64;
+                write_digits(c / scale, 1, out);
+                out.push('.');
+                write_digits(c % scale, k.max(1), out);
+                return;
+            }
+        }
+    }
     // Formatting into a `String` cannot fail.
-    let _ = match v {
-        Value::Null => out.write_str("\\N"),
-        Value::Bool(b) => write!(out, "{b}"),
-        Value::Int(i) => write!(out, "{i}"),
-        Value::Double(d) => write!(out, "{d:?}"),
-        Value::Str(s) => return escape_text(s, out),
-    };
+    let _ = write!(out, "{d:?}");
+}
+
+/// The integer a text cell holds, as [`Value::parse_typed`] reads it:
+/// `None` for the empty cell and for `\N`, its `Type` error for anything
+/// `i64::from_str` refuses.
+#[inline]
+pub fn parse_int_cell(text: &str) -> Result<Option<i64>> {
+    if text.is_empty() || text == TEXT_NULL {
+        return Ok(None);
+    }
+    text.parse()
+        .map(Some)
+        .map_err(|e| SqlmlError::Type(format!("bad int literal {text:?}: {e}")))
+}
+
+/// The double a text cell holds, as [`Value::parse_typed`] reads it:
+/// `None` for the empty cell and for `\N`, its `Type` error for anything
+/// `f64::from_str` refuses.
+#[inline]
+pub fn parse_double_cell(text: &str) -> Result<Option<f64>> {
+    if text.is_empty() || text == TEXT_NULL {
+        return Ok(None);
+    }
+    text.parse()
+        .map(Some)
+        .map_err(|e| SqlmlError::Type(format!("bad double literal {text:?}: {e}")))
 }
 
 /// Decode one text line into a row under `schema`.
@@ -138,16 +228,20 @@ fn decode_text_row_with(
 /// Walk one text line under `schema`, handing `cell` each field's column
 /// index, declared type and unescaped text (`None` for the NULL marker).
 /// The text is borrowed from `line`; only a field holding an escape is
-/// copied out to unescape it. The one owner of field splitting, the `\N`
-/// marker, unescaping and the arity errors, so the row decoder, the SQL
-/// engine's column loader and the ML text reader accept exactly the same
-/// lines.
+/// copied out to unescape it, and only a line holding a `\` is looked at
+/// field by field for escapes and the NULL marker. The one owner of field
+/// splitting, the `\N` marker, unescaping and the arity errors, so the row
+/// decoder, the SQL engine's column loader and the ML text reader accept
+/// exactly the same lines.
 pub fn decode_text_line(
     line: &str,
     schema: &Schema,
     mut cell: impl FnMut(usize, DataType, Option<&str>) -> Result<()>,
 ) -> Result<()> {
-    let mut fields = split_escaped(line);
+    let escaped = line.as_bytes().contains(&b'\\');
+    // Every raw `|` ([`TEXT_DELIM`]) is a separator: one inside a string
+    // payload is written as `\p` by [`escape_text`].
+    let mut fields = split_on(line, b'|');
     for (i, field) in schema.fields().iter().enumerate() {
         let raw = fields.next().ok_or_else(|| {
             SqlmlError::Execution(format!(
@@ -155,9 +249,11 @@ pub fn decode_text_line(
                 schema.len()
             ))
         })?;
-        // The raw (pre-unescape) token `\N` is the NULL marker; a user
-        // string "\N" escapes to `\\N` and therefore never collides.
-        if raw == "\\N" {
+        if !escaped {
+            cell(i, field.data_type, Some(raw))?;
+        } else if raw == TEXT_NULL {
+            // The raw (pre-unescape) token `\N` is the NULL marker; a user
+            // string "\N" escapes to `\\N` and therefore never collides.
             cell(i, field.data_type, None)?;
         } else {
             cell(i, field.data_type, Some(&unescape_text(raw)?))?;
@@ -172,11 +268,30 @@ pub fn decode_text_line(
     Ok(())
 }
 
-/// Split on unescaped delimiters (a `\|` produced by [`escape_text`] is
-/// `\p`, so a raw `|` is always a separator — but we still must not split
-/// inside an escape pair ending in `p`).
-fn split_escaped(line: &str) -> impl Iterator<Item = &str> {
-    line.split(TEXT_DELIM)
+/// The non-empty lines of a text blob. Lines end at `\n` only: a `\r` is
+/// string payload ([`escape_text`] leaves it alone), not part of a line
+/// ending.
+#[inline]
+pub fn text_lines(text: &str) -> impl Iterator<Item = &str> {
+    split_on(text, b'\n').filter(|l| !l.is_empty())
+}
+
+/// `s` split at every `sep` byte (ASCII, so every piece is a `str`). Lines
+/// and fields are a few bytes each, which a plain byte loop scans without
+/// the set-up of a `memchr` call.
+#[inline]
+fn split_on(s: &str, sep: u8) -> impl Iterator<Item = &str> {
+    let mut rest = Some(s);
+    std::iter::from_fn(move || {
+        let piece = rest?;
+        match piece.bytes().position(|b| b == sep) {
+            Some(at) => {
+                rest = piece.get(at + 1..);
+                piece.get(..at)
+            }
+            None => rest.take(),
+        }
+    })
 }
 
 /// Serialize a whole batch of rows to text lines.
@@ -189,15 +304,12 @@ pub fn encode_text_batch(rows: &[Row]) -> String {
     out
 }
 
-/// Parse a text blob (as stored on the DFS) into rows. String cells are
-/// interned per batch: all rows carrying the same categorical value
-/// share one `Arc<str>` allocation. Lines end at `\n` only: a `\r` is
-/// string payload ([`escape_text`] leaves it alone), not part of a line
-/// ending.
+/// Parse a text blob (as stored on the DFS) into rows, one per
+/// [`text_lines`] line. String cells are interned per batch: all rows
+/// carrying the same categorical value share one `Arc<str>` allocation.
 pub fn decode_text_batch(text: &str, schema: &Schema) -> Result<Vec<Row>> {
     let mut interner = Interner::new();
-    text.split('\n')
-        .filter(|l| !l.is_empty())
+    text_lines(text)
         .map(|l| decode_text_row_with(l, schema, Some(&mut interner)))
         .collect()
 }
@@ -957,6 +1069,169 @@ mod tests {
             let mut out = String::from("x|");
             encode_text_value(&v, &mut out);
             assert_eq!(out, format!("x|{}", v.render()), "{v:?}");
+        }
+    }
+
+    /// Seeded cases per equivalence test: fewer under Miri, which runs
+    /// this crate's tests in CI; the release step runs the full count.
+    const CASES: u64 = if cfg!(miri) { 200 } else { 200_000 };
+
+    fn doubles_written(d: f64) -> (String, String) {
+        let mut out = String::from("x|");
+        write_double(d, &mut out);
+        (out, format!("x|{d:?}"))
+    }
+
+    #[test]
+    fn text_double_writer_matches_debug_on_edges() {
+        let bits = |d: f64, by: i64| f64::from_bits(d.to_bits().wrapping_add_signed(by));
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE,
+            bits(f64::MIN_POSITIVE, -1),
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            0.1 + 0.2,
+            1.0 / 3.0,
+            0.5,
+            103.25,
+            -35.8,
+            0.000123,
+            -0.000999,
+            123.456789,
+            -999_999_999.999999,
+            999_999.999999,
+            1e21,
+            1e15,
+            1e16,
+            2f64.powi(53),
+            2f64.powi(53) + 2.0,
+        ];
+        for edge in [1e-4, 1e9, -1e-4, -1e9, 1e-5, 1e8, 1e-3] {
+            edges.extend((-3..=3).map(|by| bits(edge, by)));
+        }
+        for d in edges {
+            let (got, want) = doubles_written(d);
+            assert_eq!(got, want, "{:#x}", d.to_bits());
+        }
+    }
+
+    #[test]
+    fn text_double_writer_matches_debug_on_random_bits_and_short_decimals() {
+        let mut rng = crate::rng::SplitMix64::new(0x00D0_0B1E);
+        let mut fast = 0;
+        for _ in 0..CASES {
+            let (got, want) = doubles_written(f64::from_bits(rng.next_u64()));
+            assert_eq!(got, want);
+            // A short decimal of either sign: up to 15 digits, 0..=8 of
+            // them decimals, so the fast path's k = 6 limit is crossed.
+            let digits = 1 + rng.next_below(15) as u32;
+            let c = rng.next_below(10u64.pow(digits)) as f64;
+            let k = rng.next_below(9) as i32;
+            let d = if rng.chance(0.5) { -c } else { c } / 10f64.powi(k);
+            let (got, want) = doubles_written(d);
+            assert_eq!(got, want, "{:#x}", d.to_bits());
+            fast += usize::from((1e-4..1e9).contains(&d.abs()) && !got.contains('e'));
+        }
+        assert!(fast as u64 > CASES / 4, "{fast} in the fast path's range");
+    }
+
+    #[test]
+    fn text_int_writer_matches_display() {
+        let mut rng = crate::rng::SplitMix64::new(0x0001_7E6E);
+        let edges = [
+            0,
+            1,
+            -1,
+            9,
+            10,
+            -10,
+            99,
+            100,
+            i64::MAX,
+            i64::MIN,
+            i64::MIN + 1,
+        ];
+        let random = (0..CASES).map(|_| {
+            // Every magnitude, not only 19-digit ones.
+            let v = rng.next_u64() as i64;
+            v >> rng.next_below(64)
+        });
+        for i in edges.into_iter().chain(random) {
+            let mut out = String::from("x|");
+            write_int(i, &mut out);
+            assert_eq!(out, format!("x|{i}"));
+        }
+    }
+
+    #[test]
+    fn text_cell_parsers_read_what_the_standard_library_reads() {
+        let cells = [
+            "",
+            "\\N",
+            "\\\\N",
+            "0",
+            "-0",
+            "+7",
+            "12x",
+            "1e3",
+            "2.5",
+            "-0.0",
+            "inf",
+            "-inf",
+            "NaN",
+            "nan",
+            "1e400",
+            "9223372036854775807",
+            "9223372036854775808",
+            "-9223372036854775808",
+            " 1",
+            "0x10",
+            "1_000",
+            "-",
+            ".5",
+            "5.",
+            "ü",
+        ];
+        // The reference: empty and `\N` are NULL, anything else is
+        // `from_str`'s value or its error, named as `parse_typed` names it.
+        fn reference<T: std::str::FromStr<Err: std::fmt::Display>>(
+            cell: &str,
+            what: &str,
+        ) -> Result<Option<T>> {
+            if cell.is_empty() || cell == "\\N" {
+                return Ok(None);
+            }
+            (cell.parse().map(Some))
+                .map_err(|e| SqlmlError::Type(format!("bad {what} literal {cell:?}: {e}")))
+        }
+        let text = |r: Result<Option<Value>>| format!("{r:?}");
+        for cell in cells {
+            let int = |r: Result<Option<i64>>| text(r.map(|v| v.map(Value::Int)));
+            assert_eq!(
+                int(parse_int_cell(cell)),
+                int(reference(cell, "int")),
+                "{cell}"
+            );
+            let double = |r: Result<Option<f64>>| text(r.map(|v| v.map(Value::Double)));
+            let want = double(reference(cell, "double"));
+            assert_eq!(double(parse_double_cell(cell)), want, "{cell}");
+            for ty in [DataType::Int, DataType::Double] {
+                let typed = Value::parse_typed(cell, ty).map(|v| Some(v).filter(|v| !v.is_null()));
+                let cell_parser = match ty {
+                    DataType::Int => int(parse_int_cell(cell)),
+                    _ => double(parse_double_cell(cell)),
+                };
+                assert_eq!(text(typed), cell_parser, "{cell} as {ty:?}");
+            }
         }
     }
 

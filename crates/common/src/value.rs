@@ -10,6 +10,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use crate::codec;
 use crate::error::{Result, SqlmlError};
 use crate::schema::DataType;
 
@@ -113,27 +114,25 @@ impl Value {
                 "false" | "FALSE" | "0" => Ok(Value::Bool(false)),
                 _ => Err(SqlmlError::Type(format!("bad bool literal {text:?}"))),
             },
-            DataType::Int => text
-                .parse::<i64>()
-                .map(Value::Int)
-                .map_err(|e| SqlmlError::Type(format!("bad int literal {text:?}: {e}"))),
-            DataType::Double => text
-                .parse::<f64>()
-                .map(Value::Double)
-                .map_err(|e| SqlmlError::Type(format!("bad double literal {text:?}: {e}"))),
+            DataType::Int => Ok(codec::parse_int_cell(text)?.map_or(Value::Null, Value::Int)),
+            DataType::Double => {
+                Ok(codec::parse_double_cell(text)?.map_or(Value::Null, Value::Double))
+            }
             DataType::Str => Ok(Value::Str(Arc::from(text))),
         }
     }
 
-    /// Render the value in text format (inverse of [`Value::parse_typed`]).
+    /// Render the value in text format (inverse of [`Value::parse_typed`]):
+    /// `{}` for an int, the round-tripping `{:?}` for a double, through the
+    /// text codec's cell writers.
     pub fn render(&self) -> String {
         match self {
-            Value::Null => "\\N".to_string(),
-            Value::Bool(b) => b.to_string(),
-            Value::Int(i) => i.to_string(),
-            // `{:?}`-style float formatting keeps round-trip fidelity.
-            Value::Double(d) => format!("{d:?}"),
             Value::Str(s) => s.to_string(),
+            v => {
+                let mut out = String::new();
+                codec::encode_text_value(v, &mut out);
+                out
+            }
         }
     }
 

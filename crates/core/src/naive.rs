@@ -7,7 +7,9 @@
 //! built as a two-job MapReduce-style program over DFS text files:
 //!
 //! * job 1 (map per part-file, reduce at the driver): collect distinct
-//!   values per categorical column and build the recode map;
+//!   values per categorical column and build the recode map. Its map
+//!   task reads only the recode columns: it splits every line but parses
+//!   no number, as a projecting reader would;
 //! * job 2 (map per part-file): rewrite each row using the map, apply
 //!   dummy coding, and write an output part-file.
 //!
@@ -16,11 +18,13 @@
 //! In-SQL approach, which is exactly the overhead Figure 3 charges the
 //! naive bar with.
 
-use sqlml_common::schema::Schema;
-use sqlml_common::{Result, SqlmlError};
+use std::collections::HashSet;
+
+use sqlml_common::schema::{DataType, Schema};
+use sqlml_common::{codec, Result, SqlmlError};
 use sqlml_dfs::Dfs;
 use sqlml_sqlengine::executor::run_on_workers;
-use sqlml_sqlengine::{Batch, Column};
+use sqlml_sqlengine::Batch;
 use sqlml_transform::{FlatRecodeApplier, RecodeMap, TransformSpec};
 
 /// Output of the external transform job.
@@ -57,22 +61,23 @@ pub fn run_external_transform(
         .map(|c| Ok((c.clone(), input_schema.index_of(c)?)))
         .collect::<Result<_>>()?;
 
-    // ---- Job 1: distinct values per column (map side: the entries the
-    // part-file's rows reference, as `distinct_values` reads them),
-    // merged at the driver (reduce side).
-    let partials: Vec<Vec<(String, String)>> = run_on_workers(files.len(), files.len(), |i| {
-        let batch = Batch::decode_text(&dfs.read_string(&files[i])?, input_schema)?;
-        let mut pairs = Vec::new();
-        for (name, idx) in &col_indices {
-            // Any other column holds no strings to recode; job 2's
-            // applier rejects a non-NULL cell in it.
-            if let Column::Str(d) = &**batch.column(*idx) {
-                let entries = d.referenced_entries().into_iter();
-                pairs.extend(entries.map(|v| (name.clone(), v.to_string())));
-            }
-        }
-        Ok(pairs)
+    // ---- Job 1: distinct values per column (map side: a projecting
+    // reader that keeps only the recode columns' cells), merged at the
+    // driver (reduce side).
+    let partials = run_on_workers(files.len(), files.len(), |i| {
+        let text = dfs.read_string(&files[i])?;
+        Ok(recode_values(&text, input_schema, &col_indices))
     })?;
+    let Some(partials) = partials.into_iter().collect::<Option<Vec<_>>>() else {
+        // A line job 1 could not walk: the full decoder names the first
+        // bad part-file with the error job 2 would raise.
+        run_on_workers(files.len(), files.len(), |i| {
+            Batch::decode_text(&dfs.read_string(&files[i])?, input_schema).map(drop)
+        })?;
+        return Err(SqlmlError::Execution(format!(
+            "job 1 refused a part-file under {input_dir} that decodes"
+        )));
+    };
     let recode_map = RecodeMap::from_pairs(partials.into_iter().flatten());
 
     // ---- Job 2: transform each part-file and write the output. All
@@ -95,6 +100,64 @@ pub fn run_external_transform(
         recode_map,
         rows: row_counts.iter().sum(),
     })
+}
+
+/// Job 1's map task over one part-file: every distinct non-NULL value of
+/// the recode columns, as `(column, value)` pairs, or `None` when a line
+/// does not walk. Only those columns' cells are kept; the others are
+/// split off and never parsed. A recode column not declared `Str` holds
+/// no strings to recode (job 2's applier rejects a non-NULL cell in it).
+fn recode_values(
+    text: &str,
+    schema: &Schema,
+    columns: &[(String, usize)],
+) -> Option<Vec<(String, String)>> {
+    let mut slot = vec![None; schema.len()];
+    for (k, (_, idx)) in columns.iter().enumerate() {
+        if schema.fields()[*idx].data_type == DataType::Str {
+            slot[*idx] = Some(k);
+        }
+    }
+    let mut distinct: Vec<Distinct> = columns.iter().map(|_| Distinct::default()).collect();
+    for line in codec::text_lines(text) {
+        let kept = codec::decode_text_line(line, schema, |c, _, field| {
+            if let (Some(k), Some(v)) = (slot[c], field) {
+                distinct[k].insert(v);
+            }
+            Ok(())
+        });
+        kept.ok()?;
+    }
+    let pairs = columns.iter().zip(distinct).flat_map(|((name, _), d)| {
+        let values = d.few.into_iter().chain(d.many);
+        values.map(move |v| (name.clone(), v))
+    });
+    Some(pairs.collect())
+}
+
+/// The distinct values of one column: compared in order while there are
+/// at most eight, hashed after.
+#[derive(Default)]
+struct Distinct {
+    few: Vec<String>,
+    many: HashSet<String>,
+}
+
+impl Distinct {
+    fn insert(&mut self, v: &str) {
+        if self.many.is_empty() {
+            if self.few.iter().any(|s| s == v) {
+                return;
+            }
+            if self.few.len() < 8 {
+                return self.few.push(v.to_string());
+            }
+            self.many.extend(self.few.drain(..));
+        }
+        if !self.many.contains(v) {
+            self.many.insert(v.to_string());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -162,29 +225,88 @@ mod tests {
 
     #[test]
     fn matches_the_insql_transformer_exactly() {
+        use sqlml_common::SplitMix64;
         use sqlml_sqlengine::{Engine, EngineConfig};
         use sqlml_transform::InSqlTransformer;
-        let dfs = dfs_with_input();
-        let spec = TransformSpec::new(&["gender"]);
-        let external =
-            run_external_transform(&dfs, "/in", &input_schema(), &spec, "/out2").unwrap();
-
-        let engine = Engine::new(EngineConfig::with_workers(2));
-        engine
-            .load_text_table("t", input_schema(), &dfs, "/in")
-            .unwrap();
-        let insql = InSqlTransformer::new(engine.clone())
-            .transform("t", &spec)
-            .unwrap();
-
-        let mut ext_rows = Vec::new();
-        for f in dfs.list("/out2/") {
-            let text = dfs.read_string(&f.path).unwrap();
-            ext_rows.extend(codec::decode_text_batch(&text, &external.schema).unwrap());
+        // Figure 1's input, then a seeded one whose categorical columns
+        // hold more than eight values (job 1's hashed path), strings that
+        // need escapes and the empty string, over three part-files.
+        let seeded = Dfs::new(DfsConfig::for_tests());
+        let mut rng = SplitMix64::new(0x1A0B_0001);
+        let genders = [
+            "F", "M", "", "a|b", "x\\y", "\\N", "l\nm", "ü", "X", "Y", "Z", "W",
+        ];
+        for part in 0..3 {
+            let rows: Vec<_> = (0..40)
+                .map(|_| {
+                    let gender = *rng.choose(&genders[..9 + part]);
+                    let abandoned = if rng.chance(0.5) { "Yes" } else { "No" };
+                    row![
+                        rng.next_below(90) as i64,
+                        gender,
+                        rng.next_below(10_000) as f64 / 100.0,
+                        abandoned
+                    ]
+                })
+                .collect();
+            let path = format!("/in/part-{part:05}");
+            seeded
+                .write_string(&path, &codec::encode_text_batch(&rows))
+                .unwrap();
         }
-        ext_rows.sort();
-        assert_eq!(ext_rows, insql.table.collect_sorted());
-        assert_eq!(external.recode_map, insql.recode_map);
+        for (dfs, values) in [(dfs_with_input(), 2), (seeded, 11)] {
+            let spec = TransformSpec::new(&["gender"]);
+            let external =
+                run_external_transform(&dfs, "/in", &input_schema(), &spec, "/out2").unwrap();
+            assert_eq!(external.recode_map.cardinality("gender"), values);
+
+            let engine = Engine::new(EngineConfig::with_workers(2));
+            engine
+                .load_text_table("t", input_schema(), &dfs, "/in")
+                .unwrap();
+            let insql = InSqlTransformer::new(engine.clone())
+                .transform("t", &spec)
+                .unwrap();
+
+            let mut ext_rows = Vec::new();
+            for f in dfs.list("/out2/") {
+                let text = dfs.read_string(&f.path).unwrap();
+                ext_rows.extend(codec::decode_text_batch(&text, &external.schema).unwrap());
+            }
+            ext_rows.sort();
+            assert_eq!(ext_rows, insql.table.collect_sorted());
+            assert_eq!(external.recode_map, insql.recode_map);
+        }
+    }
+
+    #[test]
+    fn a_malformed_part_file_fails_with_the_full_decoders_error() {
+        let spec = TransformSpec::new(&["gender"]);
+        // The error the whole part-file's decode raises: what job 1
+        // raised when it decoded every cell.
+        let decode_error = |dfs: &Dfs, path: &str| {
+            let text = dfs.read_string(path).unwrap();
+            Batch::decode_text(&text, &input_schema())
+                .unwrap_err()
+                .to_string()
+        };
+        // A malformed number job 1 never parses: job 2 reports it.
+        let dfs = dfs_with_input();
+        dfs.write_string("/in/part-00002", "12x|F|1.5|Yes\n")
+            .unwrap();
+        let err = run_external_transform(&dfs, "/in", &input_schema(), &spec, "/out").unwrap_err();
+        assert_eq!(err.to_string(), decode_error(&dfs, "/in/part-00002"));
+        assert!(err.to_string().contains("bad int literal"), "{err}");
+        // A line job 1 cannot split after an earlier part-file's bad
+        // number: the earlier part-file is still the one reported.
+        dfs.write_string("/in/part-00003", "1|F|1.5\n").unwrap();
+        let err = run_external_transform(&dfs, "/in", &input_schema(), &spec, "/out").unwrap_err();
+        assert_eq!(err.to_string(), decode_error(&dfs, "/in/part-00002"));
+        // Only the unsplittable line: its own error.
+        dfs.delete("/in/part-00002").unwrap();
+        let err = run_external_transform(&dfs, "/in", &input_schema(), &spec, "/out").unwrap_err();
+        assert_eq!(err.to_string(), decode_error(&dfs, "/in/part-00003"));
+        assert!(err.to_string().contains("fewer than 4 fields"), "{err}");
     }
 
     #[test]

@@ -231,20 +231,25 @@ impl RecordReader for TextRecordReader {
 /// error, without building the row: NULL and an empty numeric field
 /// read 0.0, a bool 1.0 or 0.0. A string cell is the `Type` error of
 /// [`Value::as_f64`], raised once the whole line has parsed, as the row
-/// decoder's own errors come first.
+/// decoder's own errors come first. An integer or double cell goes from
+/// its cell parser straight to `f64`.
 fn numeric_cells(line: &str, schema: &Schema, out: &mut Vec<f64>) -> Result<()> {
     out.clear();
     let mut string = None;
     codec::decode_text_line(line, schema, |_, ty, field| {
-        let v = match (field, ty) {
+        out.push(match (field, ty) {
+            (None, _) => 0.0,
+            (Some(s), DataType::Int) => codec::parse_int_cell(s)?.map_or(0.0, |v| v as f64),
+            (Some(s), DataType::Double) => codec::parse_double_cell(s)?.unwrap_or(0.0),
+            (Some(s), DataType::Bool) => match Value::parse_typed(s, DataType::Bool)? {
+                Value::Null => 0.0,
+                v => v.as_f64()?,
+            },
             (Some(s), DataType::Str) => {
                 string.get_or_insert_with(|| Value::str(s));
-                Value::Null
+                0.0
             }
-            (Some(s), ty) => Value::parse_typed(s, ty)?,
-            (None, _) => Value::Null,
-        };
-        out.push(if v.is_null() { 0.0 } else { v.as_f64()? });
+        });
         Ok(())
     })?;
     match string {
@@ -399,10 +404,31 @@ mod tests {
                 DataType::Str => &["\\N"],
             }
         };
-        // Any cell: also escaped strings, a bad escape and a bad literal.
-        const FIELDS: [&str; 14] = [
-            "\\N", "", "7", "-12", "2.5", "-0.0", "1e3", "true", "0", "FALSE", "a\\pb", "x\\\\y",
-            "\\q", "12x",
+        // Any cell: also escaped strings (`\\N` is the string `\N`, which a
+        // number column reads as NULL), a bad escape, bad literals and
+        // literals only one of the number parsers takes.
+        const FIELDS: [&str; 21] = [
+            "\\N",
+            "\\\\N",
+            "",
+            "7",
+            "-12",
+            "2.5",
+            "-0.0",
+            "1e3",
+            "true",
+            "0",
+            "FALSE",
+            "a\\pb",
+            "x\\\\y",
+            "\\q",
+            "12x",
+            "+7",
+            "nan",
+            "1e400",
+            "9223372036854775808",
+            "-",
+            "0x10",
         ];
         let cells = |block: PartitionBlock| -> Vec<Vec<u64>> {
             let data = crate::Dataset::from_blocks(vec![block]).unwrap();

@@ -124,19 +124,23 @@ impl QueryRewriter {
                 );
             }
         }
-        let mut last = None;
-        for stmt in &rewritten.statements {
-            let resolved = script::resolve_cardinality_placeholder(&self.engine, stmt)?;
-            last = self.engine.execute(&resolved)?;
-        }
-        let result = last.ok_or_else(|| {
-            SqlmlError::Plan("rewritten script ended with a non-SELECT statement".into())
-        })?;
-        // Drop the script's temporaries.
+        // The script's temporaries must not outlive a failed statement,
+        // so the statements run in a closure and the cleanup happens on
+        // both exits.
+        let ran = (|| {
+            let mut last = None;
+            for stmt in &rewritten.statements {
+                let resolved = script::resolve_cardinality_placeholder(&self.engine, stmt)?;
+                last = self.engine.execute(&resolved)?;
+            }
+            last.ok_or_else(|| {
+                SqlmlError::Plan("rewritten script ended with a non-SELECT statement".into())
+            })
+        })();
         for t in &rewritten.temp_tables {
             let _ = self.engine.catalog().drop_table(t);
         }
-        Ok((result, rewritten))
+        Ok((ran?, rewritten))
     }
 }
 
@@ -231,6 +235,26 @@ mod tests {
         assert!(!script.temp_tables.is_empty());
         let after = rw.engine().catalog().table_names().len();
         assert_eq!(before, after, "temporaries must be dropped");
+    }
+
+    #[test]
+    fn a_failing_statement_leaves_no_temporaries_behind() {
+        let rw = QueryRewriter::new(engine());
+        let before = rw.engine().catalog().table_names();
+        // `stream_transfer` is not registered on this engine, so the last
+        // statement fails after the prep, map and recode tables exist.
+        let target = StreamTarget {
+            coordinator_addr: "127.0.0.1:1".into(),
+            transfer_id: 1,
+            command: "svm label=4 iterations=10".into(),
+            splits_per_worker: 1,
+            send_buffer_bytes: 4096,
+        };
+        let spec = TransformSpec::new(&["gender"]);
+        let script = rw.rewrite(PREP, &spec, Some(&target)).unwrap();
+        assert!(script.temp_tables.len() > 2, "{:?}", script.temp_tables);
+        assert!(rw.rewrite_and_run(PREP, &spec, Some(&target)).is_err());
+        assert_eq!(rw.engine().catalog().table_names(), before);
     }
 
     #[test]

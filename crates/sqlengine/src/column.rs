@@ -348,6 +348,11 @@ impl Column {
     }
 }
 
+/// Dictionary size up to which [`ColumnBuilder`] finds a string by a
+/// linear scan: a categorical column's few values compare faster than
+/// they hash.
+const SMALL_DICT: usize = 8;
+
 /// Builds one [`Column`] value by value. The variant starts as the
 /// declared type's; a first non-NULL value of another type re-types an
 /// all-NULL prefix, and any later misfit degrades the column to
@@ -413,6 +418,22 @@ impl ColumnBuilder {
         self.nulls += usize::from(v.is_null());
     }
 
+    /// [`Self::push`] of an integer cell (`None` for NULL).
+    fn push_int(&mut self, v: Option<i64>) {
+        match (&mut self.col, v) {
+            (Column::Int(p), Some(_)) => p.push(v),
+            _ => self.push(&v.map_or(Value::Null, Value::Int)),
+        }
+    }
+
+    /// [`Self::push`] of a double cell (`None` for NULL).
+    fn push_double(&mut self, v: Option<f64>) {
+        match (&mut self.col, v) {
+            (Column::Double(p), Some(_)) => p.push(v),
+            _ => self.push(&v.map_or(Value::Null, Value::Double)),
+        }
+    }
+
     /// [`Self::push`] of a string cell the caller holds as `&str`; the
     /// `Arc<str>` is allocated only for a value new to the dictionary.
     fn push_str(&mut self, s: &str) {
@@ -431,13 +452,22 @@ impl ColumnBuilder {
         }
     }
 
+    /// The code of `s`, added to the dictionary on first sight. A
+    /// dictionary of at most [`SMALL_DICT`] entries is searched in order
+    /// before the hash index is asked.
     fn intern(&mut self, s: &str, entry: impl FnOnce() -> Arc<str>) -> Option<u32> {
-        if let Some(&code) = self.index.get(s) {
-            return Some(code);
-        }
         let Column::Str(d) = &mut self.col else {
             return None;
         };
+        let known = match d.dict.len() {
+            n if n <= SMALL_DICT => {
+                (d.dict.iter().position(|e| **e == *s)).and_then(|at| u32::try_from(at).ok())
+            }
+            _ => self.index.get(s).copied(),
+        };
+        if known.is_some() {
+            return known;
+        }
         let code = counter_u32(d.dict.len(), "dictionary cardinality").ok()?;
         if code == NULL_CODE {
             return None;
@@ -586,21 +616,31 @@ impl Batch {
     }
 
     /// The text-format lines of every row: the string
-    /// `codec::encode_text_batch(&self.rows())` returns, each cell
-    /// through the same `codec::encode_text_value` writer.
+    /// `codec::encode_text_batch(&self.rows())` returns, written from the
+    /// typed vectors by the codec's cell writers into a string sized by
+    /// `Column::approx_bytes` up front.
     pub fn encode_text(&self) -> String {
-        let mut out = String::new();
+        let bytes: u64 = self.columns.iter().map(|c| c.approx_bytes()).sum();
+        let mut out = String::with_capacity(usize::try_from(bytes).unwrap_or(0) + self.len);
         for i in 0..self.len {
             for (c, col) in self.columns.iter().enumerate() {
                 if c > 0 {
                     out.push(codec::TEXT_DELIM);
                 }
-                match &**col {
-                    Column::Str(d) => match d.value(i) {
-                        Some(s) => codec::escape_text(s, &mut out),
-                        None => codec::encode_text_value(&Value::Null, &mut out),
-                    },
-                    other => codec::encode_text_value(&other.value(i), &mut out),
+                let written = match &**col {
+                    Column::Int(p) => p.get(i).map(|v| codec::write_int(v, &mut out)),
+                    Column::Double(p) => p.get(i).map(|v| codec::write_double(v, &mut out)),
+                    Column::Bool(p) => p
+                        .get(i)
+                        .map(|v| codec::encode_text_value(&Value::Bool(v), &mut out)),
+                    Column::Str(d) => d.value(i).map(|s| codec::escape_text(s, &mut out)),
+                    Column::Mixed(v) => {
+                        codec::encode_text_value(&v[i], &mut out);
+                        Some(())
+                    }
+                };
+                if written.is_none() {
+                    out.push_str(codec::TEXT_NULL);
                 }
             }
             out.push('\n');
@@ -609,17 +649,21 @@ impl Batch {
     }
 
     /// Parse a text blob into columns: the rows
-    /// `codec::decode_text_batch(text, schema)` returns, or its error.
-    /// Lines end at `\n` only, as there: a `\r` is string payload.
+    /// `codec::decode_text_batch(text, schema)` returns, or its error,
+    /// line for line the same [`codec::text_lines`]. A number goes from
+    /// its cell parser straight into its column's vector.
     pub fn decode_text(text: &str, schema: &Schema) -> Result<Batch> {
         let lines = text.bytes().filter(|&b| b == b'\n').count();
         let mut b = BatchBuilder::new(schema, lines);
-        for line in text.split('\n').filter(|l| !l.is_empty()) {
+        for line in codec::text_lines(text) {
             codec::decode_text_line(line, schema, |c, ty, field| {
+                let col = &mut b.columns[c];
                 match (field, ty) {
-                    (None, _) => b.columns[c].push(&Value::Null),
-                    (Some(s), DataType::Str) => b.columns[c].push_str(s),
-                    (Some(s), ty) => b.columns[c].push(&Value::parse_typed(s, ty)?),
+                    (None, _) => col.push(&Value::Null),
+                    (Some(s), DataType::Str) => col.push_str(s),
+                    (Some(s), DataType::Int) => col.push_int(codec::parse_int_cell(s)?),
+                    (Some(s), DataType::Double) => col.push_double(codec::parse_double_cell(s)?),
+                    (Some(s), ty) => col.push(&Value::parse_typed(s, ty)?),
                 }
                 Ok(())
             })?;
@@ -674,8 +718,8 @@ impl BatchBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlml_common::row;
     use sqlml_common::schema::Field;
+    use sqlml_common::{row, SplitMix64};
 
     fn strings(rows: &[Row]) -> DictionaryColumn {
         let schema = Schema::new(vec![Field::categorical("c")]);
@@ -768,5 +812,130 @@ mod tests {
         let text = batch.encode_text();
         assert_eq!(text, codec::encode_text_batch(&rows));
         assert_eq!(Batch::decode_text(&text, &schema).unwrap().rows(), rows);
+    }
+
+    const TYPES: [DataType; 4] = [
+        DataType::Int,
+        DataType::Double,
+        DataType::Bool,
+        DataType::Str,
+    ];
+
+    fn random_schema(rng: &mut SplitMix64) -> Schema {
+        let width = 1 + rng.next_below(5) as usize;
+        let fields = (0..width).map(|c| Field::new(format!("c{c}"), *rng.choose(&TYPES)));
+        Schema::new(fields.collect())
+    }
+
+    /// A cell of type `ty`: NULL, an edge value, a random one, or a
+    /// string that needs escapes.
+    fn random_cell(rng: &mut SplitMix64, ty: DataType) -> Value {
+        const STRINGS: [&str; 10] = [
+            "F", "M", "", "a|b", "x\\y", "\\N", "l\nm", "Yes\r", "ü", "p",
+        ];
+        if rng.chance(0.1) {
+            return Value::Null;
+        }
+        match ty {
+            DataType::Int => match rng.next_below(3) {
+                0 => Value::Int(*rng.choose(&[0, -1, i64::MIN, i64::MAX])),
+                1 => Value::Int(rng.next_below(100) as i64),
+                _ => Value::Int(rng.next_u64() as i64),
+            },
+            DataType::Double => match rng.next_below(3) {
+                0 => Value::Double(*rng.choose(&[-0.0, 1e-4, 1e9, 0.1 + 0.2, f64::INFINITY])),
+                1 => Value::Double((rng.next_below(200_000) as f64 - 1e5) / 100.0),
+                _ => Value::Double(f64::from_bits(rng.next_u64())),
+            },
+            DataType::Bool => Value::Bool(rng.chance(0.5)),
+            DataType::Str => Value::str(*rng.choose(&STRINGS)),
+        }
+    }
+
+    #[test]
+    fn the_column_text_encoder_writes_what_the_row_codec_writes() {
+        let mut rng = SplitMix64::new(0x7E47_E2C0);
+        let mut mixed = 0;
+        for seed in 0..400 {
+            let schema = random_schema(&mut rng);
+            let types: Vec<DataType> = schema.fields().iter().map(|f| f.data_type).collect();
+            let rows: Vec<Row> = (0..rng.next_below(12))
+                .map(|_| {
+                    (types.iter())
+                        .map(|&ty| {
+                            // Now and then a cell of another type: the
+                            // column degrades to `Mixed`.
+                            let ty = if rng.chance(0.03) {
+                                *rng.choose(&TYPES)
+                            } else {
+                                ty
+                            };
+                            random_cell(&mut rng, ty)
+                        })
+                        .collect()
+                })
+                .collect();
+            let batch = Batch::from_rows(&schema, &rows);
+            mixed += (batch.columns().iter())
+                .filter(|c| matches!(***c, Column::Mixed(_)))
+                .count();
+            assert_eq!(
+                batch.encode_text(),
+                codec::encode_text_batch(&batch.rows()),
+                "seed {seed}"
+            );
+        }
+        assert!(mixed > 10, "{mixed} mixed columns");
+    }
+
+    #[test]
+    fn the_column_text_decoder_reads_what_the_row_codec_reads() {
+        // Cells of every kind, good for some column and bad for others.
+        const FIELDS: [&str; 16] = [
+            "\\N", "\\\\N", "", "7", "-12", "2.5", "-0.0", "1e3", "12x", "true", "0", "F", "a\\pb",
+            "x\\\\y", "\\q", "ü",
+        ];
+        let mut rng = SplitMix64::new(0x0DEC_0DE5);
+        let (mut decoded, mut refused) = (0, 0);
+        for seed in 0..400 {
+            let schema = random_schema(&mut rng);
+            let lines: Vec<String> = (0..1 + rng.next_below(6))
+                .map(|_| {
+                    let mut line: Vec<String> = (schema.fields().iter())
+                        .map(|f| {
+                            if rng.chance(0.8) {
+                                let mut cell = String::new();
+                                codec::encode_text_value(
+                                    &random_cell(&mut rng, f.data_type),
+                                    &mut cell,
+                                );
+                                cell
+                            } else {
+                                rng.choose(&FIELDS).to_string()
+                            }
+                        })
+                        .collect();
+                    // Wrong arity now and then.
+                    match rng.next_below(12) {
+                        0 => drop(line.pop()),
+                        1 => line.push("9".into()),
+                        _ => {}
+                    }
+                    line.join("|")
+                })
+                .collect();
+            let text = lines.join("\n") + "\n";
+            let want = codec::decode_text_batch(&text, &schema).map_err(|e| e.to_string());
+            let got = Batch::decode_text(&text, &schema).map(|b| b.rows());
+            let got = got.map_err(|e| e.to_string());
+            // Rows compare NaN bit for bit, as `Value`'s equality does.
+            assert_eq!(got, want, "seed {seed}: {lines:?}");
+            decoded += usize::from(got.is_ok());
+            refused += usize::from(got.is_err());
+        }
+        assert!(
+            decoded > 100 && refused > 100,
+            "{decoded} decoded, {refused} refused"
+        );
     }
 }
