@@ -39,8 +39,9 @@ fn main() {
 
     // The warehouse as its part files load: one partition, and so one
     // local dictionary, per file (the Parquet/ORC situation). The
-    // engine's own copy went through `repartition`, whose concat merges
-    // the dictionaries — an accident of that loader no code relies on.
+    // engine's own copy went through `repartition`, which deals every
+    // partition against one merged dictionary — an accident of that
+    // loader no code relies on.
     let schema = sqlml_core::workload::users_schema();
     let users = PartitionedTable::load_text(&cluster.dfs, "/warehouse/users", schema)
         .expect("users part files");

@@ -14,19 +14,33 @@
 /// assert_eq!(a.next_u64(), b.next_u64()); // seeded => reproducible
 /// assert!(a.next_below(10) < 10);
 /// ```
-#[derive(Debug, Clone)]
+///
+/// Two generators compare equal when their states are: they will draw
+/// the same stream from here on.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
 }
+
+/// The increment every draw adds to the state. It is odd, so `k` draws
+/// move the state by `k·GAMMA` and two states reached from one start are
+/// equal exactly when their draw counts agree (mod 2^64).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl SplitMix64 {
     pub fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
+    /// Skip `k` raw draws in O(1): afterwards the generator is where `k`
+    /// calls of [`Self::next_u64`] would have left it.
+    pub fn advance(&mut self, k: u64) {
+        self.state = self.state.wrapping_add(k.wrapping_mul(GAMMA));
+    }
+
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -134,6 +148,24 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn advance_skips_exactly_k_draws() {
+        for k in [0u64, 1, 6, 7, 1_000] {
+            let mut skipped = SplitMix64::new(99);
+            skipped.advance(k);
+            let mut drawn = SplitMix64::new(99);
+            (0..k).for_each(|_| {
+                drawn.next_u64();
+            });
+            assert_eq!(skipped, drawn, "k = {k}");
+            assert_eq!(skipped.next_u64(), drawn.next_u64());
+        }
+        // One draw more or less is a different state.
+        let (mut a, b) = (SplitMix64::new(5), SplitMix64::new(5));
+        a.advance(1);
+        assert_ne!(a, b);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use sqlml_mlengine::job::JobConfig;
 use sqlml_sqlengine::{Engine, EngineConfig};
 use sqlml_transfer::{StreamSession, StreamSessionConfig, TransferConfig};
 
-use crate::workload::{Workload, WorkloadScale};
+use crate::workload::{Warehouse, WorkloadScale};
 
 /// Cluster layout knobs.
 #[derive(Debug, Clone)]
@@ -134,25 +134,30 @@ impl SimCluster {
     /// topology the sharded serving plane assumes, where any shard can
     /// serve any request and a router chooses between them by load and
     /// cache affinity. Each shard is a full [`SimCluster`] (own DFS, SQL
-    /// engine, streaming session, §5 cache domain); the identical seed
-    /// makes their warehouses byte-identical, so results never depend on
-    /// placement.
+    /// engine, streaming session, §5 cache domain). The warehouse is
+    /// generated once and every shard writes it to its own DFS and reads
+    /// it back from there, so their warehouses are byte-identical and
+    /// results never depend on placement.
     pub fn start_shards(
         config: ClusterConfig,
         n: usize,
         scale: WorkloadScale,
         seed: u64,
     ) -> Result<Vec<std::sync::Arc<SimCluster>>> {
+        let warehouse = Warehouse::generate(scale, seed, config.sql_workers)?;
         (0..n.max(1))
-            .map(|_| SimCluster::start_seeded(config.clone(), scale, seed))
+            .map(|_| {
+                let c = SimCluster::start(config.clone())?;
+                c.load_warehouse(&warehouse)?;
+                Ok(std::sync::Arc::new(c))
+            })
             .collect()
     }
 
     /// Boot ONE shard warehouse: start a cluster and load the seeded
-    /// workload. This is the unit [`SimCluster::start_shards`] repeats,
-    /// split out so an elastic serving plane can boot an identical
-    /// replacement shard at runtime (`add_shard`) from the same template
-    /// the original fleet was built from.
+    /// workload, generated for it alone. An elastic serving plane boots
+    /// a replacement shard at runtime (`add_shard`) this way, from the
+    /// same template the original fleet was built from.
     pub fn start_seeded(
         config: ClusterConfig,
         scale: WorkloadScale,
@@ -163,29 +168,30 @@ impl SimCluster {
         Ok(std::sync::Arc::new(c))
     }
 
-    /// Write the workload to the DFS as text (the warehouse layout the
-    /// paper describes) and register both tables with the SQL engine.
-    pub fn load_workload(&self, scale: WorkloadScale, seed: u64) -> Result<Workload> {
-        let w = Workload::generate(scale, seed);
-        for (name, schema, rows) in [
-            ("carts", &w.carts_schema, &w.carts),
-            ("users", &w.users_schema, &w.users),
-        ] {
-            // Store on the DFS first: "both tables were stored in text
-            // format on HDFS". The staging table is dropped once written.
+    /// Generate the seeded workload as one column batch per SQL worker
+    /// ([`Warehouse::generate`]) and load it ([`Self::load_warehouse`]).
+    /// No row is built on the way. Returns the loaded row counts.
+    pub fn load_workload(&self, scale: WorkloadScale, seed: u64) -> Result<WorkloadScale> {
+        self.load_warehouse(&Warehouse::generate(scale, seed, self.config.sql_workers)?)
+    }
+
+    /// Write a generated warehouse to the DFS as text, one part-file per
+    /// partition (the warehouse layout the paper describes: "both tables
+    /// were stored in text format on HDFS"), and register both tables
+    /// with the SQL engine from those files. Returns the loaded row
+    /// counts.
+    pub fn load_warehouse(&self, warehouse: &Warehouse) -> Result<WorkloadScale> {
+        for (name, table) in [("carts", &warehouse.carts), ("users", &warehouse.users)] {
             let dir = format!("/warehouse/{name}");
-            sqlml_sqlengine::PartitionedTable::partition_rows(
-                schema.clone(),
-                rows,
-                self.config.sql_workers,
-                &self.nodes,
-            )
-            .save_text(&self.dfs, &dir)?;
+            table.save_text(&self.dfs, &dir)?;
             // The engine reads its tables from the warehouse.
             self.engine
-                .load_text_table(name, schema.clone(), &self.dfs, &dir)?;
+                .load_text_table(name, table.schema().clone(), &self.dfs, &dir)?;
         }
-        Ok(w)
+        Ok(WorkloadScale {
+            carts: warehouse.carts.num_rows(),
+            users: warehouse.users.num_rows(),
+        })
     }
 }
 
@@ -196,9 +202,10 @@ mod tests {
     #[test]
     fn cluster_boots_and_loads_workload() {
         let cluster = SimCluster::start(ClusterConfig::for_tests()).unwrap();
-        let w = cluster.load_workload(WorkloadScale::TINY, 7).unwrap();
-        assert_eq!(cluster.engine.table_rows("carts").unwrap(), w.carts.len());
-        assert_eq!(cluster.engine.table_rows("users").unwrap(), w.users.len());
+        let loaded = cluster.load_workload(WorkloadScale::TINY, 7).unwrap();
+        assert_eq!(loaded, WorkloadScale::TINY);
+        assert_eq!(cluster.engine.table_rows("carts").unwrap(), loaded.carts);
+        assert_eq!(cluster.engine.table_rows("users").unwrap(), loaded.users);
         // The warehouse files exist on the DFS.
         assert!(!cluster.dfs.list("/warehouse/carts/").is_empty());
         // And the prep query runs.
@@ -207,7 +214,7 @@ mod tests {
             .query(crate::workload::PREP_QUERY)
             .unwrap()
             .num_rows();
-        assert!(rows > 0 && rows < w.carts.len());
+        assert!(rows > 0 && rows < loaded.carts);
     }
 
     #[test]

@@ -26,4 +26,4 @@ pub mod workload;
 pub use cluster::{ClusterConfig, SimCluster};
 pub use pipeline::{describe_prep, CacheMode, Pipeline, PipelineReport, PipelineRequest, Strategy};
 pub use scoring::{register_model_udf, ModelUdf};
-pub use workload::{Workload, WorkloadScale};
+pub use workload::{Warehouse, Workload, WorkloadScale};

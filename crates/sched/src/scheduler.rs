@@ -145,13 +145,12 @@ impl SchedulerBuilder {
     /// on template boot errors or a shardless configuration.
     pub fn build(mut self) -> Result<QueryScheduler> {
         if let Some(template) = &self.template {
-            for _ in 0..self.template_shards {
-                self.clusters.push(SimCluster::start_seeded(
-                    template.config.clone(),
-                    template.scale,
-                    template.seed,
-                )?);
-            }
+            self.clusters.extend(SimCluster::start_shards(
+                template.config.clone(),
+                self.template_shards,
+                template.scale,
+                template.seed,
+            )?);
         }
         if self.clusters.is_empty() {
             return Err(SqlmlError::Execution(

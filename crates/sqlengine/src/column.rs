@@ -123,6 +123,51 @@ impl<T: Copy + Default> Prim<T> {
         }
         self.values.extend_from_slice(&other.values);
     }
+
+    /// The rows of `parts` in order, dealt round-robin into `n` vectors:
+    /// what appending them all and gathering rows `p, p + n, …` gives,
+    /// validity included (present in every output once any part has it).
+    fn deal(parts: &[&Prim<T>], n: usize) -> Vec<Prim<T>> {
+        let total = parts.iter().map(|p| p.len()).sum();
+        let validity = parts.iter().any(|p| p.valid.is_some());
+        let mut out: Vec<Prim<T>> = (0..n)
+            .map(|p| {
+                let len = dealt_len(total, n, p);
+                Prim {
+                    values: Vec::with_capacity(len),
+                    valid: validity.then(|| Vec::with_capacity(len)),
+                }
+            })
+            .collect();
+        let mut first = 0;
+        for part in parts {
+            for (p, dst) in out.iter_mut().enumerate() {
+                // Rows `skip, skip + n, …` of this part land in `p`.
+                let skip = (p + n - first % n) % n;
+                dst.values.extend(every(&part.values, skip, n));
+                match (&mut dst.valid, &part.valid) {
+                    (Some(valid), Some(v)) => valid.extend(every(v, skip, n)),
+                    (Some(valid), None) => {
+                        valid.resize(valid.len() + dealt_len(part.len(), n, skip), true)
+                    }
+                    (None, _) => {}
+                }
+            }
+            first += part.len();
+        }
+        out
+    }
+}
+
+/// Slots `skip, skip + n, …` of `v`.
+fn every<T: Copy>(v: &[T], skip: usize, n: usize) -> impl Iterator<Item = T> + '_ {
+    v.get(skip..).unwrap_or_default().iter().step_by(n).copied()
+}
+
+/// How many of `total` rows dealt round-robin into `n` partitions land
+/// in partition `p` (`p < n`).
+pub fn dealt_len(total: usize, n: usize, p: usize) -> usize {
+    (total + n - 1 - p) / n
 }
 
 /// A dictionary-coded string column of one partition: codes are assigned
@@ -136,6 +181,16 @@ pub struct DictionaryColumn {
 }
 
 impl DictionaryColumn {
+    /// A column of `codes` into `dict`; every code must index an entry
+    /// or be [`NULL_CODE`].
+    pub fn new(codes: Vec<u32>, dict: Arc<Vec<Arc<str>>>) -> Self {
+        assert!(
+            (codes.iter()).all(|&c| c == NULL_CODE || (c as usize) < dict.len()),
+            "a dictionary code past the dictionary"
+        );
+        DictionaryColumn { codes, dict }
+    }
+
     pub fn len(&self) -> usize {
         self.codes.len()
     }
@@ -198,6 +253,52 @@ impl DictionaryColumn {
             codes,
             dict: Arc::clone(&self.dict),
         }
+    }
+
+    /// [`Column::deal`] of string parts. The first part's dictionary
+    /// grows by every later part's new entries, in part order, as
+    /// `Column::concat` merges them; `None` when the merged dictionary
+    /// would outgrow its code space.
+    fn deal(parts: &[&DictionaryColumn], n: usize) -> Option<Vec<Column>> {
+        let (first, rest) = parts.split_first()?;
+        let mut merged = ColumnBuilder::from_column(Column::Str(DictionaryColumn {
+            codes: Vec::new(),
+            dict: Arc::clone(&first.dict),
+        }));
+        // The first part's codes already index the merged dictionary.
+        let mut remaps = vec![None];
+        for part in rest {
+            let remap = (part.dict.iter())
+                .map(|s| merged.intern(s, || Arc::clone(s)))
+                .collect::<Option<Vec<u32>>>()?;
+            remaps.push(Some(remap));
+        }
+        let Column::Str(DictionaryColumn { dict, .. }) = merged.finish() else {
+            unreachable!("a dictionary column stays one while it only interns")
+        };
+        let total = parts.iter().map(|d| d.len()).sum();
+        let mut codes: Vec<Vec<u32>> = (0..n)
+            .map(|p| Vec::with_capacity(dealt_len(total, n, p)))
+            .collect();
+        let mut first = 0;
+        for (part, remap) in parts.iter().zip(&remaps) {
+            for (p, dst) in codes.iter_mut().enumerate() {
+                let rows = every(&part.codes, (p + n - first % n) % n, n);
+                match remap {
+                    None => dst.extend(rows),
+                    Some(remap) => dst
+                        .extend(rows.map(|c| remap.get(c as usize).copied().unwrap_or(NULL_CODE))),
+                }
+            }
+            first += part.len();
+        }
+        let dealt = codes.into_iter().map(|codes| {
+            Column::Str(DictionaryColumn {
+                codes,
+                dict: Arc::clone(&dict),
+            })
+        });
+        Some(dealt.collect())
     }
 }
 
@@ -292,6 +393,57 @@ impl Column {
             }
         }
         out.map_or(Column::Mixed(Vec::new()), ColumnBuilder::finish)
+    }
+
+    /// The rows of `parts` in order, dealt round-robin into `n` columns:
+    /// column `p` is `Column::concat(parts).gather(&[p, p + n, …])`, but
+    /// parts of one typed variant are dealt straight from their vectors,
+    /// and string parts from their codes, remapped into the dictionary
+    /// the concatenation would merge (built in part order and shared by
+    /// the `n` columns). Only parts that the concatenation would re-type
+    /// or hold verbatim are concatenated first. More rows than a `u32`
+    /// row id can name is an error, as it is for a gather.
+    pub(crate) fn deal(parts: &[&Column], n: usize) -> Result<Vec<Column>> {
+        fn all<'a, T>(
+            parts: &[&'a Column],
+            variant: impl Fn(&'a Column) -> Option<&'a T>,
+        ) -> Option<Vec<&'a T>> {
+            parts.iter().map(|&c| variant(c)).collect()
+        }
+        let total = counter_u32(
+            parts.iter().map(|c| c.len()).sum::<usize>(),
+            "table row count",
+        )?;
+        let dealt = match parts.first() {
+            Some(Column::Int(_)) => all(parts, |c| match c {
+                Column::Int(p) => Some(p),
+                _ => None,
+            })
+            .map(|ps| Prim::deal(&ps, n).into_iter().map(Column::Int).collect()),
+            Some(Column::Double(_)) => all(parts, |c| match c {
+                Column::Double(p) => Some(p),
+                _ => None,
+            })
+            .map(|ps| Prim::deal(&ps, n).into_iter().map(Column::Double).collect()),
+            Some(Column::Bool(_)) => all(parts, |c| match c {
+                Column::Bool(p) => Some(p),
+                _ => None,
+            })
+            .map(|ps| Prim::deal(&ps, n).into_iter().map(Column::Bool).collect()),
+            Some(Column::Str(_)) => all(parts, |c| match c {
+                Column::Str(d) => Some(d),
+                _ => None,
+            })
+            .and_then(|ds| DictionaryColumn::deal(&ds, n)),
+            _ => None,
+        };
+        Ok(dealt.unwrap_or_else(|| {
+            let all = Column::concat(parts.iter().copied());
+            (0u32..)
+                .take(n)
+                .map(|p| all.gather(&(p..total).step_by(n).collect::<Vec<u32>>()))
+                .collect()
+        }))
     }
 
     /// The first row holding a string — the one cell kind the ML

@@ -7,11 +7,13 @@
 //! cache all operate on the same representation. A partition is a column
 //! [`Batch`]; [`Row`]s exist only at the edges (`new`, `collect_rows`).
 
+use std::sync::Arc;
+
 use sqlml_common::schema::DataType;
 use sqlml_common::{Result, Row, Schema, SqlmlError};
 use sqlml_dfs::Dfs;
 
-use crate::column::{Batch, BatchBuilder};
+use crate::column::{dealt_len, Batch, BatchBuilder, Column};
 use crate::executor::run_on_workers;
 
 /// A horizontally partitioned table. Partitions are immutable and their
@@ -212,14 +214,23 @@ impl PartitionedTable {
 
     /// Re-partition into `n` partitions (round-robin over the rows in
     /// partition order), e.g. to match the engine's worker count after
-    /// loading a file with a different layout.
+    /// loading a file with a different layout. Each column is dealt
+    /// straight from the source partitions (`Column::deal`) into what
+    /// concatenating them and gathering every `n`-th row would give,
+    /// without building the concatenation; a string column's dealt
+    /// partitions share one merged dictionary.
     pub fn repartition(&self, n: usize, nodes: &[String]) -> Result<Self> {
         assert!(n > 0);
-        let all = Batch::concat(self.schema.len(), &self.partitions);
-        let total = sqlml_common::counter_u32(all.len(), "table row count")?;
-        let partitions = (0u32..)
-            .take(n)
-            .map(|p| all.gather(&(p..total).step_by(n).collect::<Vec<u32>>()))
+        let total = self.num_rows();
+        let mut columns: Vec<Vec<Arc<Column>>> = (0..n).map(|_| Vec::new()).collect();
+        for c in 0..self.schema.len() {
+            let parts: Vec<&Column> = self.partitions.iter().map(|p| &**p.column(c)).collect();
+            for (out, col) in columns.iter_mut().zip(Column::deal(&parts, n)?) {
+                out.push(Arc::new(col));
+            }
+        }
+        let partitions = (columns.into_iter().enumerate())
+            .map(|(p, columns)| Batch::new(columns, dealt_len(total, n, p)))
             .collect();
         Ok(PartitionedTable {
             schema: self.schema.clone(),
@@ -241,8 +252,8 @@ fn cycled_homes(n: usize, nodes: &[String]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlml_common::row;
     use sqlml_common::schema::{DataType, Field};
+    use sqlml_common::{row, Value};
     use sqlml_dfs::DfsConfig;
 
     fn schema() -> Schema {
@@ -331,6 +342,80 @@ mod tests {
         let r = t.repartition(5, &[]).unwrap();
         assert_eq!(r.num_partitions(), 5);
         assert_eq!(r.collect_sorted(), t.collect_sorted());
+    }
+
+    /// Today's re-deal spelled out: concatenate every partition, then
+    /// gather rows `p, p + n, …`.
+    fn concat_then_gather(t: &PartitionedTable, n: usize) -> Vec<Batch> {
+        let all = Batch::concat(t.schema().len(), t.partitions());
+        let total = u32::try_from(all.len()).unwrap();
+        (0..n as u32)
+            .map(|p| all.gather(&(p..total).step_by(n).collect::<Vec<u32>>()))
+            .collect()
+    }
+
+    /// A cell of column `c`: NULLs everywhere; strings from a small pool
+    /// in random order (so each partition's dictionary has its own
+    /// order); a string among the integers of column 3 (a `Mixed`
+    /// column); and a column 4 that is all NULL in some partitions and
+    /// strings in others (re-typed by `Batch::from_rows`).
+    fn redeal_cell(rng: &mut sqlml_common::SplitMix64, c: usize, strings_here: bool) -> Value {
+        if rng.chance(0.15) {
+            return Value::Null;
+        }
+        let pool = ["USA", "CA", "UK", "DE", "a|b", ""];
+        match c {
+            0 => Value::Int(rng.range_i64(-5, 5)),
+            1 => Value::Double(rng.range_i64(-9, 9) as f64 / 4.0),
+            2 => Value::from(*rng.choose(&pool)),
+            3 if rng.chance(0.1) => Value::from("x"),
+            3 => Value::Int(rng.range_i64(0, 3)),
+            _ if strings_here => Value::from(*rng.choose(&pool)),
+            _ => Value::Null,
+        }
+    }
+
+    #[test]
+    fn repartition_equals_concatenate_then_gather() {
+        let schema = Schema::new(vec![
+            Field::new("i", DataType::Int),
+            Field::new("d", DataType::Double),
+            Field::categorical("s"),
+            Field::new("m", DataType::Int),
+            Field::new("r", DataType::Int),
+        ]);
+        let mut rng = sqlml_common::SplitMix64::new(36);
+        for case in 0..300 {
+            let parts: Vec<Vec<Row>> = (0..rng.next_below(5))
+                .map(|_| {
+                    let strings_here = rng.chance(0.5);
+                    (0..rng.next_below(9))
+                        .map(|_| {
+                            (0..5)
+                                .map(|c| redeal_cell(&mut rng, c, strings_here))
+                                .collect()
+                        })
+                        .collect()
+                })
+                .collect();
+            let t = PartitionedTable::new(schema.clone(), parts);
+            for n in 1..=t.num_rows() + 2 {
+                let dealt = t.repartition(n, &[]).unwrap();
+                assert_eq!(
+                    format!("{:?}", dealt.partitions()),
+                    format!("{:?}", concat_then_gather(&t, n)),
+                    "case {case}, n = {n}"
+                );
+                // A typed string column's partitions share one dictionary.
+                let dicts: Vec<_> = (dealt.partitions().iter())
+                    .filter_map(|p| match &**p.column(2) {
+                        Column::Str(d) => Some(d.entries().as_ptr()),
+                        _ => None,
+                    })
+                    .collect();
+                assert!(dicts.windows(2).all(|w| w[0] == w[1]), "case {case}");
+            }
+        }
     }
 
     #[test]
