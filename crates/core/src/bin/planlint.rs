@@ -3,8 +3,10 @@
 //!
 //! Builds the paper's synthetic warehouse (`carts` + `users` at unit-test
 //! scale), registers the In-SQL transformation UDFs, then plans a battery
-//! of corpus queries and validates each plan tree explicitly at both of
-//! its stages — as the planner emits it and as the optimizer rewrites it
+//! of corpus queries and the statements of the §4 rewriter's script for
+//! the paper's request (fresh and §5.2, as the product runs them), and
+//! validates each plan tree explicitly at both of its stages — as the
+//! planner emits it and as the optimizer rewrites it
 //! (so this works in release builds too, where the engine's automatic
 //! debug-mode validation is compiled out). Exits non-zero and names the
 //! query, the stage and the diagnostic of each plan that breaks an
@@ -15,13 +17,19 @@
 //! ```
 
 use std::process::ExitCode;
+use std::sync::Arc;
 
-use sqlml_common::SqlmlError;
+use sqlml_cache::CacheManager;
+use sqlml_common::{CancelToken, Result, SqlmlError};
 use sqlml_core::workload::{Workload, WorkloadScale, PREP_QUERY};
+use sqlml_rewriter::{QueryRewriter, RewritePlan};
+use sqlml_sqlengine::ast::Statement;
 use sqlml_sqlengine::optimizer::optimize;
+use sqlml_sqlengine::parser::parse_statement;
 use sqlml_sqlengine::plan::Plan;
 use sqlml_sqlengine::validate::validate;
 use sqlml_sqlengine::{Engine, EngineConfig};
+use sqlml_transform::TransformSpec;
 
 /// Optimizes to a `HashJoin … project=[…]` with no `Project` above it;
 /// `main` fails if it stops doing so, since the corpus would then no
@@ -86,9 +94,13 @@ fn main() -> ExitCode {
 
     let mut failures = 0usize;
     let mut checked = 0usize;
-    for sql in corpus() {
+    let corpus = corpus().into_iter().map(|sql| {
+        let linted = validate_both_stages(&engine, &sql);
+        (sql, linted)
+    });
+    for (sql, linted) in corpus.chain(script_statements(&engine)) {
         checked += 1;
-        if let Err(e) = validate_both_stages(&engine, &sql) {
+        if let Err(e) = linted {
             failures += 1;
             eprintln!("planlint FAIL {sql}\n  {e}");
         }
@@ -123,9 +135,49 @@ fn sort_over_grouping(explained: &str) -> bool {
         && !nodes.iter().any(|node| node.starts_with("Distinct"))
 }
 
-/// Validate the planner's output, then the optimizer's rewrite of it.
-fn validate_both_stages(engine: &Engine, sql: &str) -> sqlml_common::Result<()> {
-    let stmt = sqlml_sqlengine::parser::parse_select(sql)?;
+/// Every statement of the rewriter's script for the paper's request
+/// (`PREP_QUERY`, gender dummy-coded), linted just before it runs: fresh,
+/// then with the recode map that run built cached (§5.2).
+fn script_statements(engine: &Engine) -> Vec<(String, Result<()>)> {
+    let cache = Arc::new(CacheManager::new(engine.clone()));
+    let rewriter = QueryRewriter::with_cache(engine.clone(), Arc::clone(&cache));
+    let spec = TransformSpec::new(&["gender"]);
+    let mut linted = Vec::new();
+    for map_hit in [false, true] {
+        let ran = rewriter
+            .rewrite(PREP_QUERY, &spec, None)
+            .and_then(|script| {
+                if matches!(script.plan, RewritePlan::CachedMap { .. }) != map_hit {
+                    let plan = format!("unexpected {:?}", script.plan);
+                    return Err(SqlmlError::PlanValidation(plan));
+                }
+                let (_, map) = rewriter.run(&script, &CancelToken::new(), |sql| {
+                    // A `DROP TABLE` plans nothing.
+                    if !sql.starts_with("DROP TABLE") {
+                        linted.push((sql.to_string(), validate_both_stages(engine, sql)));
+                    }
+                    Ok(())
+                })?;
+                if let Some(d) = script.descriptor {
+                    cache.store_recode_map(d, map);
+                }
+                Ok(())
+            });
+        if let Err(e) = ran {
+            linted.push((PREP_QUERY.into(), Err(e)));
+        }
+    }
+    linted
+}
+
+/// Validate the planner's output, then the optimizer's rewrite of it, for
+/// a `SELECT` or the query of a `CREATE TABLE ... AS SELECT`.
+fn validate_both_stages(engine: &Engine, sql: &str) -> Result<()> {
+    let (Statement::Select(stmt) | Statement::CreateTableAs { query: stmt, .. }) =
+        parse_statement(sql)?
+    else {
+        return Err(SqlmlError::PlanValidation(format!("not a query: {sql}")));
+    };
     let planned = sqlml_sqlengine::planner::plan_select(&stmt, engine.catalog())?;
     let validate_at = |stage: &str, plan: &Plan| match validate(plan, engine.catalog()) {
         Ok(_) => Ok(()),

@@ -24,6 +24,7 @@ pub mod scoring;
 pub mod workload;
 
 pub use cluster::{ClusterConfig, SimCluster};
-pub use pipeline::{describe_prep, CacheMode, Pipeline, PipelineReport, PipelineRequest, Strategy};
+pub use pipeline::{CacheMode, Pipeline, PipelineReport, PipelineRequest, Strategy};
 pub use scoring::{register_model_udf, ModelUdf};
+pub use sqlml_rewriter::describe_prep;
 pub use workload::{Warehouse, Workload, WorkloadScale};

@@ -5,13 +5,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sqlml_cache::{CacheDecision, CacheManager, QueryDescriptor};
+use sqlml_cache::CacheManager;
 use sqlml_common::{CancelToken, Result, SqlmlError, StageTimer};
 use sqlml_mlengine::job::{JobRunner, TrainedModel, TrainingSpec};
-use sqlml_sqlengine::parser::parse_select;
+use sqlml_rewriter::{QueryRewriter, RewritePlan};
 use sqlml_sqlengine::PartitionedTable;
 use sqlml_transfer::StreamStats;
-use sqlml_transform::{InSqlTransformer, RecodeMap, TransformSpec};
+use sqlml_transform::TransformSpec;
 
 use crate::cluster::SimCluster;
 use crate::naive::run_external_transform;
@@ -115,38 +115,24 @@ impl PipelineReport {
 
 static RUN_SEQ: AtomicUsize = AtomicUsize::new(0);
 
-/// Parse a preparation query into its cacheable §5 descriptor against an
-/// engine's catalog (`None` for queries outside the SPJ shape). Shared
-/// by the pipeline's own cache path and by the serving plane's router,
-/// which probes every shard's cache with the same descriptor before
-/// placing a request.
-pub fn describe_prep(
-    engine: &sqlml_sqlengine::Engine,
-    sql: &str,
-) -> Result<Option<QueryDescriptor>> {
-    let stmt = parse_select(sql)?;
-    QueryDescriptor::from_select(&stmt, engine.catalog())
-}
-
-/// Pipeline driver bound to one simulated cluster.
+/// Pipeline driver bound to one simulated cluster. Its In-SQL strategies
+/// run the §4 rewriter's script for every request.
 pub struct Pipeline<'c> {
     cluster: &'c SimCluster,
-    transformer: InSqlTransformer,
-    cache: Option<Arc<CacheManager>>,
+    rewriter: QueryRewriter,
 }
 
 impl<'c> Pipeline<'c> {
     /// A pipeline without caching.
     pub fn new(cluster: &'c SimCluster) -> Pipeline<'c> {
-        let transformer = InSqlTransformer::new(cluster.engine.clone());
+        Pipeline::with_rewriter(cluster, QueryRewriter::new(cluster.engine.clone()))
+    }
+
+    fn with_rewriter(cluster: &'c SimCluster, rewriter: QueryRewriter) -> Pipeline<'c> {
         cluster
             .stream
             .install_udf(&cluster.engine, &cluster.stream_config(), None);
-        Pipeline {
-            cluster,
-            transformer,
-            cache: None,
-        }
+        Pipeline { cluster, rewriter }
     }
 
     /// A pipeline with the §5 cache enabled.
@@ -158,13 +144,12 @@ impl<'c> Pipeline<'c> {
     /// shape, where many concurrent pipelines populate and hit one §5
     /// cache on the same cluster.
     pub fn with_shared_cache(cluster: &'c SimCluster, cache: Arc<CacheManager>) -> Pipeline<'c> {
-        let mut p = Pipeline::new(cluster);
-        p.cache = Some(cache);
-        p
+        let rewriter = QueryRewriter::with_cache(cluster.engine.clone(), cache);
+        Pipeline::with_rewriter(cluster, rewriter)
     }
 
     pub fn cache(&self) -> Option<&Arc<CacheManager>> {
-        self.cache.as_ref()
+        self.rewriter.cache()
     }
 
     /// Run one request under the chosen strategy.
@@ -352,67 +337,28 @@ impl<'c> Pipeline<'c> {
 
     // -- shared -----------------------------------------------------------
 
-    /// Produce the transformed table for a request, consulting the cache
-    /// first (§5) and populating it afterwards. `cancel` is polled
-    /// between the prep CTAS and the transform.
-    fn prepare_and_transform(
+    /// The transformed table both In-SQL strategies hand off, and the §5
+    /// reuse it enjoyed: the §4 rewriter's script, run. The rewriter makes
+    /// the §5 decision; a fresh run's result is stored for future runs.
+    /// `cancel` is polled between the prep statement and the transform.
+    pub fn prepare_and_transform(
         &self,
         req: &PipelineRequest,
         cancel: &CancelToken,
     ) -> Result<(PartitionedTable, CacheMode)> {
-        let engine = &self.cluster.engine;
-        let descriptor = self.describe(&req.prep_sql)?;
-
-        // Consult the cache.
-        let mut cached_map: Option<RecodeMap> = None;
-        if let (Some(cache), Some(d)) = (&self.cache, &descriptor) {
-            match cache.lookup(d, &req.spec) {
-                CacheDecision::Full(reuse) => {
-                    // §5.1: the whole query + transformation collapses to
-                    // one select over the materialization.
-                    let table = engine.query(&reuse.sql)?;
-                    return Ok((table, CacheMode::FullResult));
-                }
-                CacheDecision::RecodeMap(map) => cached_map = Some(map),
-                CacheDecision::Miss => {}
-            }
-        }
-
-        // Materialize the prep result, then transform it In-SQL.
-        let tmp = format!(
-            "__pipeline_prep_{}",
-            RUN_SEQ.fetch_add(1, Ordering::Relaxed)
-        );
-        engine.execute(&format!("CREATE TABLE {tmp} AS {}", req.prep_sql))?;
-        // The temp table is dropped on every exit, a cancel included.
-        let result = cancel.check("prep").and_then(|()| match &cached_map {
-            Some(map) => self.transformer.transform_with_map(&tmp, &req.spec, map),
-            None => self.transformer.transform(&tmp, &req.spec),
-        });
-        engine.execute(&format!("DROP TABLE {tmp}"))?;
-        let out = result?;
-        let cache_use = if cached_map.is_some() {
-            CacheMode::RecodeMap
-        } else {
-            CacheMode::None
+        let script = self.rewriter.rewrite(&req.prep_sql, &req.spec, None)?;
+        let (table, map) = self.rewriter.run(&script, cancel, |_| Ok(()))?;
+        let cache_use = match script.plan {
+            RewritePlan::Fresh => CacheMode::None,
+            RewritePlan::CachedMap { .. } => CacheMode::RecodeMap,
+            RewritePlan::CachedResult { .. } => CacheMode::FullResult,
         };
-
-        // Populate the cache for future runs.
-        if let (Some(cache), Some(d)) = (&self.cache, descriptor) {
-            if cache_use == CacheMode::None {
-                cache.store_full(
-                    d,
-                    req.spec.clone(),
-                    out.recode_map.clone(),
-                    out.table.clone(),
-                );
-            }
+        if let (Some(cache), Some(d), CacheMode::None) =
+            (self.rewriter.cache(), script.descriptor, cache_use)
+        {
+            cache.store_full(d, req.spec.clone(), map, table.clone());
         }
-        Ok((out.table, cache_use))
-    }
-
-    fn describe(&self, sql: &str) -> Result<Option<QueryDescriptor>> {
-        describe_prep(&self.cluster.engine, sql)
+        Ok((table, cache_use))
     }
 
     fn cleanup_dir(&self, dir: &str) {
@@ -427,6 +373,9 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
     use crate::workload::{WorkloadScale, PREP_QUERY};
+    use sqlml_common::{Schema, Value};
+    use sqlml_sqlengine::udf::ScalarFn;
+    use sqlml_sqlengine::{Batch, PartitionCtx, TableUdf};
 
     fn request() -> PipelineRequest {
         PipelineRequest {
@@ -593,23 +542,51 @@ mod tests {
         );
     }
 
+    /// Cancels its token, then runs the UDF it wraps: a cancel fired from
+    /// inside the statement that calls it.
+    struct Tripwire {
+        inner: Arc<dyn TableUdf>,
+        token: CancelToken,
+    }
+
+    impl TableUdf for Tripwire {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn output_schema(&self, input: &Schema, args: &[Value]) -> Result<Schema> {
+            self.inner.output_schema(input, args)
+        }
+
+        fn execute(
+            &self,
+            input: &Batch,
+            input_schema: &Schema,
+            args: &[Value],
+            ctx: &PartitionCtx,
+        ) -> Result<Batch> {
+            self.token
+                .cancel(&format!("fired in {}", self.inner.name()));
+            self.inner.execute(input, input_schema, args, ctx)
+        }
+    }
+
     #[test]
     fn cancel_fired_during_prep_is_seen_before_the_transform() {
-        use sqlml_sqlengine::udf::ScalarFn;
         let cluster = cluster();
+        let engine = &cluster.engine;
         let pipeline = Pipeline::new(&cluster);
+        let tables = engine.catalog().table_names();
         for strategy in [Strategy::InSql, Strategy::InSqlStream] {
             // The token fires from inside the preparation query, so the
             // first checkpoint that can observe it is the one between
-            // the prep CTAS and the transform.
+            // the prep statement and the transform.
             let cancel = CancelToken::new();
             let trip = cancel.clone();
-            cluster
-                .engine
-                .register_scalar_udf(Arc::new(ScalarFn::new("trip", move |_| {
-                    trip.cancel("fired mid-prep");
-                    Ok(sqlml_common::Value::Double(1.0))
-                })));
+            engine.register_scalar_udf(Arc::new(ScalarFn::new("trip", move |_| {
+                trip.cancel("fired mid-prep");
+                Ok(Value::Double(1.0))
+            })));
             let req = PipelineRequest {
                 prep_sql: format!("{PREP_QUERY} AND trip(U.age) > 0.0"),
                 ..request()
@@ -620,14 +597,32 @@ mod tests {
                 err.to_string().contains("prep: fired mid-prep"),
                 "{strategy:?} ran the transform before noticing: {err}"
             );
-            let leaked: Vec<String> = cluster
-                .engine
-                .catalog()
-                .table_names()
-                .into_iter()
-                .filter(|t| t.starts_with("__pipeline_prep_"))
-                .collect();
-            assert!(leaked.is_empty(), "{strategy:?} leaked {leaked:?}");
+            assert_eq!(engine.catalog().table_names(), tables, "{strategy:?}");
+
+            // Fired inside each later statement of the script (and the
+            // streaming hand-off): the run is cancelled and every temp
+            // table the script named is gone.
+            let mut statements = vec!["distinct_values", "assign_recode_ids", "recode_dummy"];
+            if strategy == Strategy::InSqlStream {
+                statements.push("stream_transfer");
+            }
+            for udf in statements {
+                let cancel = CancelToken::new();
+                let inner = engine.catalog().table_udf(udf).unwrap();
+                engine.register_table_udf(Arc::new(Tripwire {
+                    inner: Arc::clone(&inner),
+                    token: cancel.clone(),
+                }));
+                let result = pipeline.run_with(&request(), strategy, &cancel);
+                engine.register_table_udf(inner);
+                let err = result.unwrap_err();
+                assert!(err.is_cancelled(), "{strategy:?} {udf}: {err}");
+                assert_eq!(
+                    engine.catalog().table_names(),
+                    tables,
+                    "{strategy:?} {udf} left temp tables behind"
+                );
+            }
         }
     }
 }

@@ -7,27 +7,41 @@
 //! query into another query with UDFs, and other operations to perform
 //! the required transformations and the data transfer."
 //!
-//! [`QueryRewriter::rewrite`] produces exactly that: a SQL script (a
-//! sequence of statements over the engine's UDFs) implementing the whole
-//! pipeline. Per §5's extension, the rewriter first consults the
-//! [`CacheManager`]: a §5.1 hit collapses the script to a single query
-//! over the materialized result; a §5.2 hit drops the map-building
-//! statements and injects the cached recode map.
+//! [`QueryRewriter::rewrite`] produces exactly that: a SQL script over
+//! the engine's UDFs ([`script`]) implementing the whole pipeline, and
+//! [`QueryRewriter::run`] executes it — the path every In-SQL pipeline
+//! runs. Per §5's extension, the rewriter first consults the
+//! [`CacheManager`], once: a §5.1 hit collapses the script to a single
+//! query over the materialized result; a §5.2 hit drops the map-building
+//! statements and registers the cached recode map in their place.
 
 pub mod script;
 
-pub use script::{RewritePlan, RewriteScript, StreamTarget};
+pub use script::{RewritePlan, RewriteScript};
 
 use std::sync::Arc;
 
 use sqlml_cache::{CacheDecision, CacheManager, QueryDescriptor};
-use sqlml_common::{Result, SqlmlError};
+use sqlml_common::{CancelToken, Result, SqlmlError};
 use sqlml_sqlengine::parser::parse_select;
-use sqlml_sqlengine::Engine;
-use sqlml_transform::{register_udfs, TransformSpec};
+use sqlml_sqlengine::{Engine, PartitionedTable};
+use sqlml_transfer::TransferArgs;
+use sqlml_transform::{
+    read_recode_map, register_recode_map, register_udfs, RecodeMap, TransformSpec,
+};
 
-/// The §4 rewriter: SQL + transformation spec (+ optional stream target)
-/// in, executable statement script out.
+/// Parse a preparation query into its cacheable §5 descriptor against an
+/// engine's catalog (`None` for queries outside the SPJ shape). Shared
+/// by the rewriter's cache decision and by the serving plane's router,
+/// which probes every shard's cache with the same descriptor before
+/// placing a request.
+pub fn describe_prep(engine: &Engine, sql: &str) -> Result<Option<QueryDescriptor>> {
+    let stmt = parse_select(sql)?;
+    QueryDescriptor::from_select(&stmt, engine.catalog())
+}
+
+/// The §4 rewriter: SQL + transformation spec (+ optional transfer
+/// arguments) in, executable statement script out.
 pub struct QueryRewriter {
     engine: Engine,
     cache: Option<Arc<CacheManager>>,
@@ -45,102 +59,122 @@ impl QueryRewriter {
 
     /// A rewriter that consults (but does not populate) a cache.
     pub fn with_cache(engine: Engine, cache: Arc<CacheManager>) -> Self {
-        register_udfs(&engine);
         QueryRewriter {
-            engine,
             cache: Some(cache),
+            ..QueryRewriter::new(engine)
         }
     }
 
-    pub fn engine(&self) -> &Engine {
-        &self.engine
+    pub fn cache(&self) -> Option<&Arc<CacheManager>> {
+        self.cache.as_ref()
     }
 
-    /// Normalize a preparation query into a descriptor (when it has the
-    /// cacheable shape).
-    pub fn describe(&self, sql: &str) -> Result<Option<QueryDescriptor>> {
-        let stmt = parse_select(sql)?;
-        QueryDescriptor::from_select(&stmt, self.engine.catalog())
-    }
-
-    /// Decide how to execute: cached result, cached map, or fresh.
-    pub fn plan(&self, sql: &str, spec: &TransformSpec) -> Result<RewritePlan> {
-        if let Some(cache) = &self.cache {
-            if let Some(descriptor) = self.describe(sql)? {
-                match cache.lookup(&descriptor, spec) {
-                    CacheDecision::Full(reuse) => {
-                        return Ok(RewritePlan::CachedResult {
-                            sql: reuse.sql,
-                            map: reuse.map,
-                        })
-                    }
-                    CacheDecision::RecodeMap(map) => return Ok(RewritePlan::CachedMap { map }),
-                    CacheDecision::Miss => {}
-                }
-            }
-        }
-        Ok(RewritePlan::Fresh)
+    /// Decide how to execute — cached result, cached map, or fresh — with
+    /// one cache lookup. Also returns the query's descriptor when there
+    /// is a cache to store a fresh result in.
+    pub fn plan(
+        &self,
+        sql: &str,
+        spec: &TransformSpec,
+    ) -> Result<(RewritePlan, Option<QueryDescriptor>)> {
+        let Some(cache) = &self.cache else {
+            return Ok((RewritePlan::Fresh, None));
+        };
+        let descriptor = describe_prep(&self.engine, sql)?;
+        let plan = match descriptor.as_ref().map(|d| cache.lookup(d, spec)) {
+            Some(CacheDecision::Full(reuse)) => RewritePlan::CachedResult {
+                sql: reuse.sql,
+                map: reuse.map,
+            },
+            Some(CacheDecision::RecodeMap(map)) => RewritePlan::CachedMap { map },
+            Some(CacheDecision::Miss) | None => RewritePlan::Fresh,
+        };
+        Ok((plan, descriptor))
     }
 
     /// Produce the full rewritten script for a request. The script is
     /// plain SQL over the engine's registered UDFs; running its
     /// statements in order performs preparation, transformation, and
-    /// (optionally) the streaming transfer.
+    /// (with transfer arguments) the streaming transfer.
     pub fn rewrite(
         &self,
         sql: &str,
         spec: &TransformSpec,
-        stream: Option<&StreamTarget>,
+        stream: Option<&TransferArgs>,
     ) -> Result<RewriteScript> {
-        // Validate the user's query and get its output schema — needed to
-        // know the categorical columns and generate the recode join.
-        let schema = self.engine.validate(sql)?;
-        let plan = self.plan(sql, spec)?;
-        script::build_script(sql, &schema, spec, stream, plan)
+        let (plan, descriptor) = self.plan(sql, spec)?;
+        // The user's query is validated, and its output schema names the
+        // columns to recode — unless a cached result answers it.
+        let recode_columns = match plan {
+            RewritePlan::CachedResult { .. } => Vec::new(),
+            _ => spec.effective_recode_columns(&self.engine.validate(sql)?),
+        };
+        Ok(script::build_script(
+            sql,
+            &recode_columns,
+            spec,
+            stream,
+            plan,
+            descriptor,
+        ))
     }
 
-    /// Convenience: rewrite, then execute the script's statements in
-    /// order, returning the final statement's result table.
-    ///
-    /// Handles the two runtime details a script alone cannot: a cached
-    /// recode map is registered under the script's map-table name before
-    /// execution, and `$K('col', map)` cardinality placeholders are
-    /// resolved against the (built or injected) map table.
+    /// Execute a script's statements in order, returning the last one's
+    /// result (the transformed table, or the transfer statistics when the
+    /// script streams) and the recode map the run built or reused.
+    /// `check` sees each statement just before it runs, when the tables
+    /// it names exist (planlint lints each plan there). `cancel` is
+    /// polled after the first statement of a script that has more (as
+    /// `"prep"`), and every temp table is dropped on every exit.
+    pub fn run(
+        &self,
+        script: &RewriteScript,
+        cancel: &CancelToken,
+        mut check: impl FnMut(&str) -> Result<()>,
+    ) -> Result<(PartitionedTable, RecodeMap)> {
+        let engine = &self.engine;
+        let ran = (|| {
+            if let (RewritePlan::CachedMap { map }, Some(name)) = (&script.plan, &script.map_table)
+            {
+                register_recode_map(engine, name, map);
+            }
+            let mut last = None;
+            for (i, stmt) in script.statements.iter().enumerate() {
+                check(stmt)?;
+                last = engine.execute(stmt)?;
+                if i == 0 && script.statements.len() > 1 {
+                    cancel.check("prep")?;
+                }
+            }
+            let table = last.ok_or_else(|| {
+                SqlmlError::Plan("rewritten script ended with a non-SELECT statement".into())
+            })?;
+            let map = match (&script.plan, &script.map_table) {
+                (RewritePlan::CachedMap { map } | RewritePlan::CachedResult { map, .. }, _) => {
+                    map.clone()
+                }
+                (RewritePlan::Fresh, Some(name)) => read_recode_map(engine.catalog(), name)?,
+                (RewritePlan::Fresh, None) => RecodeMap::default(),
+            };
+            Ok((table, map))
+        })();
+        for t in &script.temp_tables {
+            let _ = engine.catalog().drop_table(t);
+        }
+        ran
+    }
+
+    /// Convenience: rewrite, then run the script, returning the final
+    /// statement's result table.
     pub fn rewrite_and_run(
         &self,
         sql: &str,
         spec: &TransformSpec,
-        stream: Option<&StreamTarget>,
-    ) -> Result<(sqlml_sqlengine::PartitionedTable, RewriteScript)> {
+        stream: Option<&TransferArgs>,
+    ) -> Result<(PartitionedTable, RewriteScript)> {
         let rewritten = self.rewrite(sql, spec, stream)?;
-        if let RewritePlan::CachedMap { map } = &rewritten.plan {
-            if let Some(map_table) = rewritten.map_table_name() {
-                self.engine.register_table(
-                    map_table,
-                    sqlml_sqlengine::PartitionedTable::single(
-                        sqlml_transform::recode::recode_map_schema(),
-                        map.to_rows(),
-                    ),
-                );
-            }
-        }
-        // The script's temporaries must not outlive a failed statement,
-        // so the statements run in a closure and the cleanup happens on
-        // both exits.
-        let ran = (|| {
-            let mut last = None;
-            for stmt in &rewritten.statements {
-                let resolved = script::resolve_cardinality_placeholder(&self.engine, stmt)?;
-                last = self.engine.execute(&resolved)?;
-            }
-            last.ok_or_else(|| {
-                SqlmlError::Plan("rewritten script ended with a non-SELECT statement".into())
-            })
-        })();
-        for t in &rewritten.temp_tables {
-            let _ = self.engine.catalog().drop_table(t);
-        }
-        Ok((ran?, rewritten))
+        let (table, _) = self.run(&rewritten, &CancelToken::new(), |_| Ok(()))?;
+        Ok((table, rewritten))
     }
 }
 
@@ -194,6 +228,15 @@ mod tests {
         e
     }
 
+    fn transfer_args(coord_addr: &str) -> TransferArgs {
+        TransferArgs {
+            coord_addr: coord_addr.into(),
+            transfer_id: 9,
+            command: "svm label=4 iterations=10".into(),
+            config: sqlml_transfer::TransferConfig::default(),
+        }
+    }
+
     const PREP: &str = "SELECT U.age, U.gender, C.amount, C.abandoned \
                         FROM carts C, users U \
                         WHERE C.userid = U.userid AND U.country = 'USA'";
@@ -207,8 +250,7 @@ mod tests {
         let all = script.statements.join(";\n");
         assert!(all.contains("distinct_values("), "{all}");
         assert!(all.contains("assign_recode_ids("), "{all}");
-        assert!(all.contains("recodeval AS gender"), "{all}");
-        assert!(all.contains("dummy_code("), "{all}");
+        assert!(all.contains("recode_dummy("), "{all}");
         assert!(!all.contains("stream_transfer("), "no stream requested");
         assert!(matches!(script.plan, RewritePlan::Fresh));
     }
@@ -216,57 +258,44 @@ mod tests {
     #[test]
     fn script_executes_end_to_end_and_cleans_up() {
         let rw = QueryRewriter::new(engine());
-        let before = rw.engine().catalog().table_names().len();
+        let before = rw.engine.catalog().table_names().len();
         let (result, script) = rw
             .rewrite_and_run(PREP, &TransformSpec::new(&["gender"]), None)
             .unwrap();
         // 12 carts all join USA users.
         assert_eq!(result.num_rows(), 12);
-        // gender expanded into two indicator columns (generic names: the
-        // static script does not know the value names).
+        // gender expanded into two indicator columns named by value.
         assert_eq!(
             result.schema().names(),
-            vec!["age", "gender_1", "gender_2", "amount", "abandoned"]
+            vec!["age", "gender_F", "gender_M", "amount", "abandoned"]
         );
         // Every row is fully numeric — ready for the ML side.
         for r in result.collect_rows() {
             assert!(r.to_f64_vec().is_ok());
         }
         assert!(!script.temp_tables.is_empty());
-        let after = rw.engine().catalog().table_names().len();
+        let after = rw.engine.catalog().table_names().len();
         assert_eq!(before, after, "temporaries must be dropped");
     }
 
     #[test]
     fn a_failing_statement_leaves_no_temporaries_behind() {
         let rw = QueryRewriter::new(engine());
-        let before = rw.engine().catalog().table_names();
+        let before = rw.engine.catalog().table_names();
         // `stream_transfer` is not registered on this engine, so the last
         // statement fails after the prep, map and recode tables exist.
-        let target = StreamTarget {
-            coordinator_addr: "127.0.0.1:1".into(),
-            transfer_id: 1,
-            command: "svm label=4 iterations=10".into(),
-            splits_per_worker: 1,
-            send_buffer_bytes: 4096,
-        };
+        let target = transfer_args("127.0.0.1:1");
         let spec = TransformSpec::new(&["gender"]);
         let script = rw.rewrite(PREP, &spec, Some(&target)).unwrap();
         assert!(script.temp_tables.len() > 2, "{:?}", script.temp_tables);
         assert!(rw.rewrite_and_run(PREP, &spec, Some(&target)).is_err());
-        assert_eq!(rw.engine().catalog().table_names(), before);
+        assert_eq!(rw.engine.catalog().table_names(), before);
     }
 
     #[test]
     fn streaming_request_appends_transfer_statement() {
         let rw = QueryRewriter::new(engine());
-        let target = StreamTarget {
-            coordinator_addr: "127.0.0.1:4545".into(),
-            transfer_id: 9,
-            command: "svm label=4 iterations=10".into(),
-            splits_per_worker: 2,
-            send_buffer_bytes: 4096,
-        };
+        let target = transfer_args("127.0.0.1:4545");
         let script = rw
             .rewrite(PREP, &TransformSpec::default(), Some(&target))
             .unwrap();
@@ -331,7 +360,7 @@ mod tests {
             !all.contains("distinct_values("),
             "map build must be skipped: {all}"
         );
-        assert!(all.contains("recodeval AS gender"), "{all}");
+        assert!(all.contains("recode_dummy("), "{all}");
         let (result, _) = rw.rewrite_and_run(q, &spec, None).unwrap();
         assert_eq!(result.num_rows(), 8); // amount in 4..=11 joined to USA users
         for r in result.collect_rows() {
@@ -357,6 +386,12 @@ mod tests {
             recode_columns: vec![],
             dummy_code_columns: vec!["age".into()],
         };
-        assert!(rw.rewrite(PREP, &spec, None).is_err());
+        let before = rw.engine.catalog().table_names();
+        let err = rw.rewrite_and_run(PREP, &spec, None).unwrap_err();
+        assert!(
+            err.to_string().contains("is not among the recoded columns"),
+            "{err}"
+        );
+        assert_eq!(rw.engine.catalog().table_names(), before);
     }
 }

@@ -1,29 +1,27 @@
 //! Rewrite-script construction.
 //!
-//! A [`RewriteScript`] is an ordered list of SQL statements over the
-//! engine's registered UDFs. Most statements are fully static; the one
-//! runtime-dependent value — the cardinality `K` of a freshly recoded
-//! column, needed by `dummy_code` — is carried as a `$K('col', map_tbl)`
-//! placeholder that the executor resolves by counting the just-built
-//! recode-map table (mirroring §2.2: the dummy-coding UDF "takes in the
-//! number of distinct values … already obtained during the recoding
-//! phase").
+//! A [`RewriteScript`] is the ordered list of SQL statements one request
+//! runs, over the engine's registered UDFs. A fresh plan is four steps:
+//!
+//! 1. `CREATE TABLE <prep> AS <user query>`;
+//! 2. pass 1 of §2.1, two statements (`distinct_values` →
+//!    `assign_recode_ids`) writing the recode-map table `<map>`;
+//! 3. pass 2, one statement: `CREATE TABLE <out> AS SELECT * FROM
+//!    TABLE(recode_dummy(<prep>, '<map>', <columns...>)) AS r`, then
+//!    `DROP TABLE <prep>`, its last reader done;
+//! 4. the hand-off: `SELECT * FROM <out>`, or the `stream_transfer`
+//!    statement when the caller passes transfer arguments.
+//!
+//! A §5.2 plan has no pass 1: the executor registers the cached map
+//! under `<map>` first. A §5.1 plan is the cached select alone. Every
+//! temp name carries a per-script sequence number, so concurrent scripts
+//! on one engine share nothing.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use sqlml_common::{sql_string_literal, Result, Schema, SqlmlError};
-use sqlml_transform::{RecodeMap, TransformSpec};
-
-/// Streaming-transfer parameters for the final hand-off statement.
-#[derive(Debug, Clone)]
-pub struct StreamTarget {
-    pub coordinator_addr: String,
-    pub transfer_id: u64,
-    /// ML command, e.g. `svm label=3 iterations=50`.
-    pub command: String,
-    pub splits_per_worker: u32,
-    pub send_buffer_bytes: usize,
-}
+use sqlml_cache::QueryDescriptor;
+use sqlml_transfer::TransferArgs;
+use sqlml_transform::{recode_dummy_select, recode_map_statements, RecodeMap, TransformSpec};
 
 /// How the rewriter decided to execute.
 #[derive(Debug, Clone)]
@@ -44,352 +42,225 @@ pub struct RewriteScript {
     /// the pipeline output (transformed rows, or transfer statistics
     /// when streaming).
     pub statements: Vec<String>,
-    /// Temporary tables the script creates (for cleanup).
+    /// Temporary tables the script creates, `<map>` included when the
+    /// executor registers a cached one (all dropped after the run).
     pub temp_tables: Vec<String>,
+    /// `<map>`: `None` when nothing is recoded or for a §5.1 plan.
+    pub map_table: Option<String>,
     pub plan: RewritePlan,
+    /// The request's §5 descriptor, for storing a fresh run's result
+    /// (`None` without a cache, or outside the cacheable shape).
+    pub descriptor: Option<QueryDescriptor>,
 }
 
 static SCRIPT_SEQ: AtomicUsize = AtomicUsize::new(0);
 
-/// Build the statement script for one request.
+/// Build the statement script for one request. `recode_columns` are
+/// the columns the request recodes, resolved against the user query's
+/// output schema (unused by a §5.1 plan).
 pub fn build_script(
     user_sql: &str,
-    result_schema: &Schema,
+    recode_columns: &[String],
     spec: &TransformSpec,
-    stream: Option<&StreamTarget>,
+    stream: Option<&TransferArgs>,
     plan: RewritePlan,
-) -> Result<RewriteScript> {
-    let recode_columns = spec.effective_recode_columns(result_schema);
-    for d in &spec.dummy_code_columns {
-        if !recode_columns.iter().any(|c| c.eq_ignore_ascii_case(d)) {
-            return Err(SqlmlError::Plan(format!(
-                "dummy-code column {d:?} is not among the recoded columns"
-            )));
-        }
-    }
+    descriptor: Option<QueryDescriptor>,
+) -> RewriteScript {
     let seq = SCRIPT_SEQ.fetch_add(1, Ordering::Relaxed);
-    let mut statements = Vec::new();
-    let mut temp_tables = Vec::new();
-    let temp = |tag: &str, temp_tables: &mut Vec<String>| -> String {
-        let name = format!("__rw_{tag}_{seq}_{}", temp_tables.len());
-        temp_tables.push(name.clone());
-        name
+    let name = |tag: &str| format!("__rw_{tag}_{seq}");
+    let mut script = RewriteScript {
+        statements: Vec::new(),
+        temp_tables: Vec::new(),
+        map_table: None,
+        plan,
+        descriptor,
+    };
+    let temp = |tag: &str, temps: &mut Vec<String>| {
+        temps.push(name(tag));
+        name(tag)
     };
 
     // §5.1 short-circuit: the cached materialization answers everything.
-    if let RewritePlan::CachedResult { sql, map } = plan {
-        if let Some(t) = stream {
-            let tbl = temp("cached", &mut temp_tables);
-            statements.push(format!("CREATE TABLE {tbl} AS {sql}"));
-            statements.push(stream_statement(&tbl, t));
-        } else {
-            statements.push(sql.clone());
-        }
-        return Ok(RewriteScript {
-            statements,
-            temp_tables,
-            plan: RewritePlan::CachedResult { sql, map },
-        });
+    if let RewritePlan::CachedResult { sql, .. } = &script.plan {
+        let statement = match stream {
+            Some(args) => {
+                let cached = temp("cached", &mut script.temp_tables);
+                script
+                    .statements
+                    .push(format!("CREATE TABLE {cached} AS {sql}"));
+                args.statement(&cached)
+            }
+            None => sql.clone(),
+        };
+        script.statements.push(statement);
+        return script;
     }
 
     // 1. Materialize the preparation query.
-    let prep = temp("prep", &mut temp_tables);
-    statements.push(format!("CREATE TABLE {prep} AS {user_sql}"));
+    let prep = temp("prep", &mut script.temp_tables);
+    (script.statements).push(format!("CREATE TABLE {prep} AS {user_sql}"));
 
-    // 2. Recode-map acquisition: build fresh, or inject the cached map.
-    let map_table = temp("map", &mut temp_tables);
-    let cached_map = match &plan {
-        RewritePlan::CachedMap { map } => Some(map.clone()),
-        _ => None,
-    };
-    if recode_columns.is_empty() {
-        // Nothing to recode; drop the unused map temp name.
-        temp_tables.pop();
-    } else if cached_map.is_none() {
-        let pairs = temp("pairs", &mut temp_tables);
-        let col_args = recode_columns
-            .iter()
-            .map(|c| format!("'{c}'"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        statements.push(format!(
-            "CREATE TABLE {pairs} AS \
-             SELECT DISTINCT colname, colval \
-             FROM TABLE(distinct_values({prep}, {col_args})) AS d \
-             ORDER BY colname, colval"
-        ));
-        statements.push(format!(
-            "CREATE TABLE {map_table} AS \
-             SELECT * FROM TABLE(assign_recode_ids({pairs})) AS m"
-        ));
-    }
-    // (For a cached map the executor registers it as `map_table` itself —
-    // see `inject_cached_map` — so the join below works unchanged.)
-
-    // 3. The §2.1 recode join.
-    let mut current = prep.clone();
+    // 2. Pass 1 builds `<map>`; a cached map is registered under it.
+    let map = name("map");
     if !recode_columns.is_empty() {
-        let recoded = temp("recoded", &mut temp_tables);
-        let mut projections = Vec::new();
-        let mut froms = vec![format!("{current} T")];
-        let mut predicates = Vec::new();
-        for field in result_schema.fields() {
-            if let Some(pos) = recode_columns
-                .iter()
-                .position(|c| c.eq_ignore_ascii_case(&field.name))
-            {
-                let alias = format!("M{pos}");
-                projections.push(format!("{alias}.recodeval AS {}", field.name));
-                froms.push(format!("{map_table} AS {alias}"));
-                let name = sql_string_literal(&field.name);
-                predicates.push(format!("{alias}.colname = {name}"));
-                predicates.push(format!("T.{} = {alias}.colval", field.name));
-            } else {
-                projections.push(format!("T.{}", field.name));
-            }
+        if let RewritePlan::Fresh = script.plan {
+            let pairs = temp("pairs", &mut script.temp_tables);
+            (script.statements).extend(recode_map_statements(&prep, recode_columns, &pairs, &map));
         }
-        statements.push(format!(
-            "CREATE TABLE {recoded} AS SELECT {} FROM {} WHERE {}",
-            projections.join(", "),
-            froms.join(", "),
-            predicates.join(" AND ")
-        ));
-        current = recoded;
+        script.temp_tables.push(map.clone());
+        script.map_table = Some(map.clone());
     }
 
-    // 4. Dummy coding. Cardinality comes from the cached map when we
-    //    have it, otherwise from the `$K(...)` placeholder the executor
-    //    resolves against the freshly built map table.
-    for col in &spec.dummy_code_columns {
-        let coded = temp("coded", &mut temp_tables);
-        let k_arg = match &cached_map {
-            Some(m) => {
-                let k = m.cardinality(col);
-                if k == 0 {
-                    return Err(SqlmlError::Cache(format!(
-                        "cached recode map lacks column {col:?}"
-                    )));
-                }
-                k.to_string()
-            }
-            None => format!("$K('{col}', {map_table})"),
-        };
-        statements.push(format!(
-            "CREATE TABLE {coded} AS \
-             SELECT * FROM TABLE(dummy_code({current}, '{col}', {k_arg})) AS dc"
-        ));
-        current = coded;
-    }
+    // 3. Pass 2: recode and dummy-code every column in one UDF pass,
+    // then free `<prep>`, which nothing reads after it.
+    let out = temp("out", &mut script.temp_tables);
+    script.statements.push(format!(
+        "CREATE TABLE {out} AS {}",
+        recode_dummy_select(&prep, &map, recode_columns, spec)
+    ));
+    script.statements.push(format!("DROP TABLE {prep}"));
 
-    // 5. Hand-off: stream, or yield the transformed rows.
-    match stream {
-        Some(t) => statements.push(stream_statement(&current, t)),
-        None => statements.push(format!("SELECT * FROM {current}")),
-    }
-
-    Ok(RewriteScript {
-        statements,
-        temp_tables,
-        plan,
-    })
-}
-
-fn stream_statement(table: &str, t: &StreamTarget) -> String {
-    format!(
-        "SELECT * FROM TABLE(stream_transfer({table}, {}, {}, {}, {}, {})) AS s",
-        sql_string_literal(&t.coordinator_addr),
-        t.transfer_id,
-        sql_string_literal(&t.command),
-        t.splits_per_worker,
-        t.send_buffer_bytes
-    )
-}
-
-impl RewriteScript {
-    /// The name of the recode-map temp table the script expects, if any
-    /// (used to inject a cached map before execution).
-    pub fn map_table_name(&self) -> Option<&str> {
-        self.temp_tables
-            .iter()
-            .find(|t| t.starts_with("__rw_map_"))
-            .map(|s| s.as_str())
-    }
-
-    /// Whether any statement still carries a `$K` placeholder.
-    pub fn has_placeholders(&self) -> bool {
-        self.statements.iter().any(|s| s.contains("$K("))
-    }
-}
-
-/// Resolve a `$K('col', map_tbl)` placeholder in one statement by
-/// counting the map table. Exposed for the executor in `lib.rs`.
-pub fn resolve_cardinality_placeholder(
-    engine: &sqlml_sqlengine::Engine,
-    stmt: &str,
-) -> Result<String> {
-    let Some(start) = stmt.find("$K(") else {
-        return Ok(stmt.to_string());
-    };
-    let rest = &stmt[start + 3..];
-    let end = rest
-        .find(')')
-        .ok_or_else(|| SqlmlError::Plan("malformed $K placeholder".into()))?;
-    let inner = &rest[..end];
-    let mut parts = inner.splitn(2, ',');
-    let col = parts
-        .next()
-        .unwrap_or_default()
-        .trim()
-        .trim_matches('\'')
-        .to_string();
-    let map_table = parts
-        .next()
-        .ok_or_else(|| SqlmlError::Plan("malformed $K placeholder".into()))?
-        .trim();
-    let rows = engine
-        .query(&format!(
-            "SELECT COUNT(*) FROM {map_table} WHERE colname = {}",
-            sql_string_literal(&col)
-        ))?
-        .collect_rows();
-    let k = rows
-        .first()
-        .map(|r| r.get(0).as_i64())
-        .transpose()?
-        .unwrap_or(0);
-    if k == 0 {
-        return Err(SqlmlError::Execution(format!(
-            "recode map has no entries for column {col:?}"
-        )));
-    }
-    let resolved = format!("{}{k}{}", &stmt[..start], &rest[end + 1..]);
-    // Recurse in case of multiple placeholders in one statement.
-    resolve_cardinality_placeholder(engine, &resolved)
+    // 4. Hand-off: stream, or yield the transformed rows.
+    script.statements.push(match stream {
+        Some(args) => args.statement(&out),
+        None => format!("SELECT * FROM {out}"),
+    });
+    script
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlml_common::schema::{DataType, Field};
+    use sqlml_transfer::TransferConfig;
 
-    fn schema() -> Schema {
-        Schema::new(vec![
-            Field::new("age", DataType::Int),
-            Field::categorical("gender"),
-            Field::new("amount", DataType::Double),
-            Field::categorical("abandoned"),
-        ])
+    fn gender() -> Vec<String> {
+        vec!["gender".into(), "abandoned".into()]
     }
 
-    #[test]
-    fn fresh_script_statement_order() {
-        let script = build_script(
-            "SELECT 1 FROM t",
-            &schema(),
-            &TransformSpec::new(&["gender"]),
-            None,
-            RewritePlan::Fresh,
-        )
-        .unwrap();
-        let kinds: Vec<&str> = script
-            .statements
-            .iter()
+    fn args() -> TransferArgs {
+        TransferArgs {
+            coord_addr: "127.0.0.1:1".into(),
+            transfer_id: 1,
+            command: "nb label=0".into(),
+            config: TransferConfig::default(),
+        }
+    }
+
+    /// Each statement's kind, in order.
+    fn kinds(script: &RewriteScript) -> Vec<&'static str> {
+        (script.statements.iter())
             .map(|s| {
                 if s.contains("distinct_values(") {
                     "pairs"
                 } else if s.contains("assign_recode_ids(") {
                     "map"
-                } else if s.contains("recodeval AS") {
-                    "recode"
-                } else if s.contains("dummy_code(") {
-                    "dummy"
+                } else if s.contains("recode_dummy(") {
+                    "recode_dummy"
+                } else if s.contains("stream_transfer(") {
+                    "stream"
+                } else if s.starts_with("DROP TABLE") {
+                    "drop"
                 } else if s.starts_with("CREATE TABLE") {
                     "prep"
                 } else {
-                    "final"
+                    "select"
                 }
             })
-            .collect();
-        assert_eq!(
-            kinds,
-            vec!["prep", "pairs", "map", "recode", "dummy", "final"]
-        );
-        assert!(script.has_placeholders());
-        assert!(script.map_table_name().is_some());
+            .collect()
     }
 
     #[test]
-    fn cached_map_script_inlines_cardinality() {
-        let map = RecodeMap::from_pairs(vec![
-            ("gender".into(), "F".into()),
-            ("gender".into(), "M".into()),
-            ("abandoned".into(), "Yes".into()),
-            ("abandoned".into(), "No".into()),
-        ]);
+    fn fresh_script_statement_order() {
+        let spec = TransformSpec::new(&["gender"]);
         let script = build_script(
             "SELECT 1 FROM t",
-            &schema(),
-            &TransformSpec::new(&["gender"]),
+            &gender(),
+            &spec,
             None,
-            RewritePlan::CachedMap { map },
-        )
-        .unwrap();
-        assert!(!script.has_placeholders());
-        let all = script.statements.join("\n");
-        assert!(all.contains("dummy_code"), "{all}");
-        assert!(all.contains("'gender', 2"), "{all}");
-        assert!(!all.contains("distinct_values"), "{all}");
+            RewritePlan::Fresh,
+            None,
+        );
+        assert_eq!(
+            kinds(&script),
+            vec!["prep", "pairs", "map", "recode_dummy", "drop", "select"]
+        );
+        let map = script.map_table.as_deref().unwrap();
+        assert!(
+            script.statements[3].contains(&format!("'{map}', 2, 'gender', 'abandoned', 'gender'"))
+        );
+        assert_eq!(script.temp_tables.len(), 4, "{:?}", script.temp_tables);
+        let prep = &script.temp_tables[0];
+        assert!(script.statements[0].starts_with(&format!("CREATE TABLE {prep} AS")));
+        assert!(script.statements[3].contains(&format!("recode_dummy({prep}, ")));
+        assert_eq!(script.statements[4], format!("DROP TABLE {prep}"));
     }
 
     #[test]
-    fn no_categoricals_means_minimal_script() {
-        let plain = Schema::new(vec![Field::new("x", DataType::Int)]);
+    fn cached_map_script_skips_pass_one_and_names_the_map() {
+        let map = RecodeMap::from_pairs(vec![("gender".into(), "F".into())]);
+        let script = build_script(
+            "SELECT 1 FROM t",
+            &gender(),
+            &TransformSpec::default(),
+            None,
+            RewritePlan::CachedMap { map },
+            None,
+        );
+        assert_eq!(
+            kinds(&script),
+            vec!["prep", "recode_dummy", "drop", "select"]
+        );
+        let map_table = script.map_table.clone().unwrap();
+        assert!(script.temp_tables.contains(&map_table));
+    }
+
+    #[test]
+    fn no_categoricals_means_no_map() {
         let script = build_script(
             "SELECT x FROM t",
-            &plain,
+            &[],
             &TransformSpec::default(),
             None,
             RewritePlan::Fresh,
-        )
-        .unwrap();
-        assert_eq!(script.statements.len(), 2); // prep + final select
-    }
-
-    #[test]
-    fn cached_result_plus_stream_materializes_then_streams() {
-        let target = StreamTarget {
-            coordinator_addr: "127.0.0.1:1".into(),
-            transfer_id: 1,
-            command: "nb label=0".into(),
-            splits_per_worker: 1,
-            send_buffer_bytes: 64,
-        };
-        let script = build_script(
-            "ignored",
-            &schema(),
-            &TransformSpec::default(),
-            Some(&target),
-            RewritePlan::CachedResult {
-                sql: "SELECT age FROM __sqlml_cache_0".into(),
-                map: RecodeMap::default(),
-            },
-        )
-        .unwrap();
-        assert_eq!(script.statements.len(), 2);
-        assert!(script.statements[1].contains("stream_transfer("));
-    }
-
-    #[test]
-    fn missing_cached_cardinality_is_an_error() {
-        let map = RecodeMap::from_pairs(vec![("abandoned".into(), "Yes".into())]);
-        // gender missing from the map → error at script build.
-        assert!(build_script(
-            "SELECT 1 FROM t",
-            &schema(),
-            &TransformSpec::new(&["gender"]),
             None,
-            RewritePlan::CachedMap { map },
-        )
-        .is_err());
+        );
+        assert_eq!(
+            kinds(&script),
+            vec!["prep", "recode_dummy", "drop", "select"]
+        );
+        assert!(script.map_table.is_none());
+        assert_eq!(script.temp_tables.len(), 2);
+    }
+
+    #[test]
+    fn the_hand_off_streams_through_the_one_argument_formatter() {
+        let args = args();
+        let script = build_script(
+            "SELECT 1 FROM t",
+            &gender(),
+            &TransformSpec::default(),
+            Some(&args),
+            RewritePlan::Fresh,
+            None,
+        );
+        let last = script.statements.last().unwrap();
+        assert!(
+            last.ends_with(&format!("{})) AS s", args.to_sql())),
+            "{last}"
+        );
+    }
+
+    #[test]
+    fn cached_result_is_the_cached_select_alone_or_materialized_for_a_stream() {
+        let plan = || RewritePlan::CachedResult {
+            sql: "SELECT age FROM __sqlml_cache_0".into(),
+            map: RecodeMap::default(),
+        };
+        let spec = TransformSpec::default();
+        let alone = build_script("ignored", &gender(), &spec, None, plan(), None);
+        assert_eq!(alone.statements, vec!["SELECT age FROM __sqlml_cache_0"]);
+        assert!(alone.temp_tables.is_empty());
+        let streamed = build_script("ignored", &gender(), &spec, Some(&args()), plan(), None);
+        assert_eq!(kinds(&streamed), vec!["prep", "stream"]);
     }
 }

@@ -132,11 +132,12 @@ impl QueryScheduler {
         }
         // Probe every live shard's cache for the request's descriptor,
         // then score placement: cache affinity vs queue depth vs busy
-        // executors.
+        // executors. A Naive query never reads the cache, so it takes no
+        // descriptor: its probe reads Miss for routing and for its charge.
         let descriptor = snap
             .shards()
             .first()
-            .filter(|_| self.config.cache_aware)
+            .filter(|_| self.config.cache_aware && spec.strategy != Strategy::Naive)
             .and_then(|s| describe_prep(&s.cluster.engine, &spec.request.prep_sql).ok()?);
         let Some((entry, affinity)) = self.place(&snap, descriptor.as_ref(), &spec.request) else {
             // Every shard is draining (or the fleet is empty): the
@@ -409,6 +410,28 @@ mod tests {
         // and the one that landed; the query's clock covers it.
         let queued = retried.latency().unwrap().queued;
         assert!(queued >= Duration::from_millis(200), "queued {queued:?}");
+        sched.shutdown();
+    }
+
+    #[test]
+    fn a_naive_query_is_neither_routed_nor_priced_by_the_cache() {
+        let sched = sched_with(SchedulerConfig::default());
+        let run = |strategy| {
+            let h = sched
+                .submit(QuerySpec::new("t", request(), strategy))
+                .unwrap();
+            assert!(h.wait().as_ref().as_ref().is_ok(), "{strategy:?}");
+        };
+        let affinity_hits = || sched.stats().per_cluster[0].cache_affinity_hits;
+        // The first In-SQL run stores its full result: the cache now
+        // answers this request.
+        run(Strategy::InSql);
+        run(Strategy::Naive);
+        assert_eq!(affinity_hits(), 0, "a Naive query was steered by the cache");
+        // Charged at full cost, so nothing to settle after its run.
+        assert_eq!(sched.stats().cost_settlements, 0);
+        run(Strategy::InSql);
+        assert_eq!(affinity_hits(), 1, "the cache was not primed");
         sched.shutdown();
     }
 

@@ -1,6 +1,6 @@
 //! The engine facade: SQL in, partitioned tables out.
 
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use sqlml_common::schema::Field;
 use sqlml_common::{Result, Row, Schema};
@@ -84,6 +84,13 @@ impl Engine {
 
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
+    }
+
+    /// A handle on the catalog that does not keep it alive — what a UDF
+    /// registered *in* that catalog holds when it must read tables, so the
+    /// catalog does not own itself through its own UDF registry.
+    pub fn weak_catalog(&self) -> Weak<Catalog> {
+        Arc::downgrade(&self.catalog)
     }
 
     pub fn num_workers(&self) -> usize {
@@ -211,29 +218,6 @@ impl Engine {
         Ok(self.plan(&stmt)?.explain())
     }
 
-    /// Run a table UDF *instance* over a table, once per partition in
-    /// parallel on the worker pool — what `SELECT * FROM TABLE(udf(t,
-    /// args...))` does, minus the catalog: the instance can carry state
-    /// built for this one call (the In-SQL transformer's recode applier),
-    /// and concurrent callers on one engine share no registered name.
-    pub fn apply_table_udf(
-        &self,
-        input: &PartitionedTable,
-        udf: &dyn TableUdf,
-        args: &[sqlml_common::Value],
-    ) -> Result<PartitionedTable> {
-        let out_schema = udf.output_schema(input.schema(), args)?;
-        let width = out_schema.len();
-        let mapped = crate::executor::map_partitions(input, &self.ctx, |batch, pctx| {
-            crate::executor::run_table_udf(udf, batch, input.schema(), args, pctx, width)
-        })?;
-        Ok(PartitionedTable::from_batches(
-            out_schema,
-            mapped.partitions().to_vec(),
-            mapped.homes().to_vec(),
-        ))
-    }
-
     /// Export a SELECT result to the DFS as text part files — the
     /// materialization hop of the naive pipeline. Returns bytes written.
     pub fn query_to_dfs(&self, sql: &str, dfs: &Dfs, dir: &str) -> Result<u64> {
@@ -331,6 +315,28 @@ mod tests {
             let age = r.get(0).as_i64().unwrap();
             assert!((20..28).contains(&age));
         }
+    }
+
+    #[test]
+    fn a_wildcard_keeps_columns_that_share_a_name_apart() {
+        // Indicator names can collide (`x y` and `x/y` both give `g_x_y`),
+        // also only in case: `*` must carry each column by its position.
+        let e = Engine::new(EngineConfig::with_workers(2));
+        let names = ["g_x_y", "g_x_y", "g_Web", "g_web"];
+        let schema = Schema::new(names.map(|n| Field::new(n, DataType::Int)).to_vec());
+        e.register_rows("dup", schema, vec![row![1i64, 2i64, 3i64, 4i64]]);
+        for sql in ["SELECT * FROM dup", "SELECT d.* FROM dup d"] {
+            let t = e.query(sql).unwrap();
+            assert_eq!(t.schema().names(), names, "{sql}");
+            assert_eq!(
+                t.collect_rows(),
+                vec![row![1i64, 2i64, 3i64, 4i64]],
+                "{sql}"
+            );
+        }
+        e.execute("CREATE TABLE dup2 AS SELECT * FROM dup").unwrap();
+        let t = e.query("SELECT * FROM dup2").unwrap();
+        assert_eq!(t.collect_rows(), vec![row![1i64, 2i64, 3i64, 4i64]]);
     }
 
     #[test]

@@ -277,7 +277,7 @@ impl<'a> Planner<'a> {
         // ---- 4. Projection / aggregation ------------------------------
         let items = expand_projection(&stmt.projection, &scope)?;
         let needs_agg = !stmt.group_by.is_empty()
-            || items.iter().any(|(e, _)| e.has_aggregate())
+            || items.iter().any(|item| item.expr.has_aggregate())
             || stmt.having.as_ref().is_some_and(|h| h.has_aggregate());
 
         let mut plan = if needs_agg {
@@ -290,10 +290,15 @@ impl<'a> Planner<'a> {
             }
             let mut exprs = Vec::with_capacity(items.len());
             let mut fields = Vec::with_capacity(items.len());
-            for (ast, name) in &items {
-                let e = resolve_expr(ast, &scope, self.catalog)?;
-                let mut field = infer_field(ast, &scope, self.catalog)?;
-                field.name = name.clone();
+            for item in &items {
+                let (e, mut field) = match &item.star {
+                    Some((flat, field)) => (Expr::Col(*flat), field.clone()),
+                    None => (
+                        resolve_expr(&item.expr, &scope, self.catalog)?,
+                        infer_field(&item.expr, &scope, self.catalog)?,
+                    ),
+                };
+                field.name = item.name.clone();
                 exprs.push(e);
                 fields.push(field);
             }
@@ -378,7 +383,9 @@ impl<'a> Planner<'a> {
                     name: "<empty>".into(),
                     table: Arc::new(PartitionedTable::single(Schema::empty(), vec![])),
                 });
-                let schema = udf.output_schema(&input.schema(), &literals)?;
+                let in_schema = input.schema();
+                let udf = udf.bind(&in_schema, &literals)?.unwrap_or(udf);
+                let schema = udf.output_schema(&in_schema, &literals)?;
                 Ok(Plan::TableUdfScan {
                     udf,
                     input: Box::new(input),
@@ -484,7 +491,7 @@ impl<'a> Planner<'a> {
         &self,
         input: Plan,
         scope: &Scope,
-        items: &[(AstExpr, String)],
+        items: &[ProjItem],
         stmt: &SelectStmt,
     ) -> Result<Plan> {
         // Resolve group expressions against the join output.
@@ -498,8 +505,8 @@ impl<'a> Planner<'a> {
         // Collect aggregate calls (deduplicated by shape).
         let mut agg_calls: Vec<AstExpr> = Vec::new();
         let mut collect = |e: &AstExpr| collect_aggs(e, &mut agg_calls);
-        for (e, _) in items {
-            collect(e);
+        for item in items {
+            collect(&item.expr);
         }
         if let Some(h) = &stmt.having {
             collect_aggs(h, &mut agg_calls);
@@ -556,7 +563,10 @@ impl<'a> Planner<'a> {
 
         let mut exprs = Vec::new();
         let mut fields = Vec::new();
-        for (ast, name) in items {
+        for ProjItem {
+            expr: ast, name, ..
+        } in items
+        {
             exprs.push(rewrite(ast)?);
             let mut field = match position_of(ast, &stmt.group_by) {
                 Some(gi) => agg_out_schema.field(gi).clone(),
@@ -576,33 +586,54 @@ impl<'a> Planner<'a> {
     }
 }
 
-/// Expand wildcards into (expression, output name) pairs.
-fn expand_projection(items: &[SelectItem], scope: &Scope) -> Result<Vec<(AstExpr, String)>> {
+/// One projection item: its expression and output name. A column a
+/// wildcard expanded also carries its flat scope index and field: it is
+/// bound by position, not by name, since two columns of one relation may
+/// share a name (`x y` and `x/y` both dummy-code to `g_x_y`).
+struct ProjItem {
+    expr: AstExpr,
+    name: String,
+    star: Option<(usize, Field)>,
+}
+
+/// Expand wildcards into projection items.
+fn expand_projection(items: &[SelectItem], scope: &Scope) -> Result<Vec<ProjItem>> {
+    let offsets = scope.offsets();
     let mut out = Vec::new();
+    let expand = |ri: usize, out: &mut Vec<ProjItem>| {
+        let it = &scope.items[ri];
+        for (ci, f) in it.schema.fields().iter().enumerate() {
+            out.push(ProjItem {
+                expr: AstExpr::qcol(&it.binding, &f.name),
+                name: f.name.clone(),
+                star: Some((offsets[ri] + ci, f.clone())),
+            });
+        }
+    };
     for item in items {
         match item {
             SelectItem::Wildcard => {
-                for it in &scope.items {
-                    for f in it.schema.fields() {
-                        out.push((AstExpr::qcol(&it.binding, &f.name), f.name.clone()));
-                    }
+                for ri in 0..scope.items.len() {
+                    expand(ri, &mut out);
                 }
             }
             SelectItem::QualifiedWildcard(q) => {
-                let it = scope
+                let ri = scope
                     .items
                     .iter()
-                    .find(|it| it.binding.eq_ignore_ascii_case(q))
+                    .position(|it| it.binding.eq_ignore_ascii_case(q))
                     .ok_or_else(|| SqlmlError::Plan(format!("unknown relation {q:?}")))?;
-                for f in it.schema.fields() {
-                    out.push((AstExpr::qcol(&it.binding, &f.name), f.name.clone()));
-                }
+                expand(ri, &mut out);
             }
             SelectItem::Expr { expr, alias } => {
                 let name = alias
                     .clone()
                     .unwrap_or_else(|| default_name(expr, out.len()));
-                out.push((expr.clone(), name));
+                out.push(ProjItem {
+                    expr: expr.clone(),
+                    name,
+                    star: None,
+                });
             }
         }
     }

@@ -2,6 +2,8 @@
 //! whole approach rests on ("our techniques apply to any big SQL system
 //! that supports UDFs").
 
+use std::sync::Arc;
+
 use sqlml_common::{Result, Schema, Value};
 
 use crate::column::Batch;
@@ -58,6 +60,15 @@ pub trait TableUdf: Send + Sync {
     /// Output schema, given the input table's schema and the literal
     /// arguments.
     fn output_schema(&self, input: &Schema, args: &[Value]) -> Result<Schema>;
+
+    /// Bind the function to one call, once per statement when it is
+    /// planned: the plan runs the returned instance over every partition
+    /// in place of `self`. A UDF whose per-call state is costly (read
+    /// from a catalog table, say) builds it here, not in every
+    /// [`Self::execute`]. `None`, the default, runs `self`.
+    fn bind(&self, _input: &Schema, _args: &[Value]) -> Result<Option<Arc<dyn TableUdf>>> {
+        Ok(None)
+    }
 
     /// Process one partition: a column batch in, a column batch out
     /// (a column the UDF passes through is shared, not copied). A UDF

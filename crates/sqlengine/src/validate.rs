@@ -297,7 +297,8 @@ pub fn validate(plan: &Plan, catalog: &Catalog) -> Result<Schema> {
         } => {
             let in_schema = validate(input, catalog)?;
             // Re-deriving the output schema re-runs the UDF's own
-            // argument validation — arity and literal types included.
+            // argument validation — arity and literal types included
+            // (a UDF bound at plan time checked them when it was bound).
             let derived = udf.output_schema(&in_schema, args).map_err(|e| {
                 fail(
                     "TableUdfScan",

@@ -85,6 +85,14 @@ impl TransferArgs {
         )
     }
 
+    /// The `stream_transfer` statement streaming `table`.
+    pub fn statement(&self, table: &str) -> String {
+        format!(
+            "SELECT * FROM TABLE(stream_transfer({table}, {})) AS s",
+            self.to_sql()
+        )
+    }
+
     /// Parse and validate the scalar arguments the SQL engine hands the
     /// UDF. The frame size is optional (the paper-shaped call has five
     /// arguments) and defaults as [`TransferConfig::default`] does.

@@ -263,12 +263,8 @@ impl StreamSession {
             command: command.to_string(),
             config: config.transfer,
         };
-        let sql = format!(
-            "SELECT * FROM TABLE(stream_transfer({table}, {})) AS s",
-            args.to_sql()
-        );
         self.cancels.register(transfer_id, cancel.clone());
-        let stats_result = engine.query(&sql);
+        let stats_result = engine.query(&args.statement(table));
         self.cancels.forget(transfer_id);
 
         // Collect the ML job result (it may still be training) — unless

@@ -21,23 +21,24 @@ use crate::pipeline::TransformSpec;
 use crate::recode::{level_of, RecodeMap};
 
 /// Per-column action, resolved from the spec + map at build time. A
-/// categorical column carries its name and the map's sorted values (a
-/// value's code is its position + 1).
-enum ColumnAction<'m> {
+/// categorical column carries its name and a copy of the map's sorted
+/// values (a value's code is its position + 1), so the applier outlives
+/// the map it was built from: a bound `recode_dummy` is one.
+enum ColumnAction {
     /// Not a transform target: share the column.
     Pass,
     /// Recode the string value to its integer code (NULL stays NULL).
-    Recode { name: String, values: &'m [String] },
+    Recode { name: String, values: Vec<String> },
     /// Expand into one indicator column per value (NULL → all-zero block).
-    Dummy { name: String, values: &'m [String] },
+    Dummy { name: String, values: Vec<String> },
 }
 
 /// A recode/dummy applier with all per-column resolution done up front.
 /// Build once per job, then call [`Self::apply_batch`] per partition. It
 /// is also the single source of the transformed schema
 /// ([`Self::output_schema`]).
-pub struct FlatRecodeApplier<'m> {
-    actions: Vec<ColumnAction<'m>>,
+pub struct FlatRecodeApplier {
+    actions: Vec<ColumnAction>,
     out_schema: Schema,
 }
 
@@ -54,16 +55,16 @@ pub fn indicator_name(column: &str, value: &str) -> String {
     format!("{column}_{safe}")
 }
 
-impl<'m> FlatRecodeApplier<'m> {
+impl FlatRecodeApplier {
     /// Resolve `spec` + `map` against `schema` into per-column actions.
     /// Fails when a recode column is not in `schema`, or a dummy-code
     /// column is not among the recoded columns or has no values in `map`
     /// (its block would silently vanish).
     pub fn new(
-        map: &'m RecodeMap,
+        map: &RecodeMap,
         schema: &Schema,
         spec: &TransformSpec,
-    ) -> Result<FlatRecodeApplier<'m>> {
+    ) -> Result<FlatRecodeApplier> {
         let recode_columns = spec.effective_recode_columns(schema);
         let named_in =
             |list: &[String], name: &str| list.iter().any(|c| c.eq_ignore_ascii_case(name));
@@ -85,7 +86,7 @@ impl<'m> FlatRecodeApplier<'m> {
                 fields.push(f.clone());
                 continue;
             }
-            let (name, values) = (f.name.clone(), map.values_in_code_order(&f.name));
+            let (name, values) = (f.name.clone(), map.values_in_code_order(&f.name).to_vec());
             if named_in(&spec.dummy_code_columns, &f.name) {
                 if values.is_empty() {
                     return Err(SqlmlError::Plan(format!(

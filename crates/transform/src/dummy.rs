@@ -1,7 +1,7 @@
 //! Dummy coding / one-hot encoding (§2.2) as a standalone table UDF over
-//! an already recoded column — the statement-per-step form the §4
-//! rewriter's script uses. [`crate::InSqlTransformer`] does recoding and
-//! dummy coding in one pass through [`crate::FlatRecodeApplier`] instead.
+//! an already recoded column, for hand-written SQL. The In-SQL pipeline
+//! recodes and dummy-codes in one pass through
+//! [`crate::FlatRecodeApplier`] instead.
 //! Both, and the effect / Helmert UDFs, expand a column through this
 //! module's one expansion kernel.
 
@@ -74,25 +74,10 @@ fn expanded_schema(input: &Schema, col: &str, values: &[String]) -> Result<Schem
 fn parse_args(args: &[Value]) -> Result<(String, Vec<String>)> {
     if args.len() < 2 {
         return Err(SqlmlError::Plan(
-            "dummy_code needs a column name plus its K value names (or the cardinality K)".into(),
+            "dummy_code needs a column name plus its K value names".into(),
         ));
     }
     let col = args[0].as_str()?.to_string();
-    // Two invocation forms: value names (`dummy_code(t, 'gender', 'F',
-    // 'M')` — indicator columns named after the values) or just the
-    // cardinality (`dummy_code(t, 'gender', 2)` — generic names `1..K`,
-    // usable in statically generated rewrite scripts where the recode
-    // map is not known yet).
-    if args.len() == 2 {
-        if let Value::Int(k) = args[1] {
-            if k < 1 {
-                return Err(SqlmlError::Plan(format!(
-                    "dummy_code cardinality must be >= 1, got {k}"
-                )));
-            }
-            return Ok((col, (1..=k).map(|i| i.to_string()).collect()));
-        }
-    }
     let values = args[1..]
         .iter()
         .map(|v| v.as_str().map(str::to_string))
@@ -247,27 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn cardinality_form_uses_generic_names() {
-        let args = vec![Value::Str("gender".into()), Value::Int(2)];
-        let s = DummyCodeUdf
-            .output_schema(&recoded_schema(), &args)
-            .unwrap();
-        assert_eq!(
-            s.names(),
-            vec!["age", "gender_1", "gender_2", "amount", "abandoned"]
-        );
-        let rows = vec![row![1i64, 2i64, 0.0, 1i64]];
-        let out = run(&DummyCodeUdf, &rows, &recoded_schema(), &args).unwrap();
-        assert_eq!(out[0], row![1i64, 0i64, 1i64, 0.0, 1i64]);
-        assert!(DummyCodeUdf
-            .output_schema(
-                &recoded_schema(),
-                &[Value::Str("gender".into()), Value::Int(0)]
-            )
-            .is_err());
-    }
-
-    #[test]
     fn value_names_are_sanitized() {
         let s = DummyCodeUdf
             .output_schema(
@@ -288,12 +252,14 @@ mod tests {
         use crate::effect::{EffectCodeUdf, OrthogonalCodeUdf};
         let input = Batch::from_rows(&recoded_schema(), &[row![57i64, 2i64, 103.25, 1i64]]);
         let k2 = [Value::Str("gender".into()), Value::Int(2)];
-        for udf in [
-            &DummyCodeUdf as &dyn TableUdf,
-            &EffectCodeUdf,
-            &OrthogonalCodeUdf,
+        for (udf, args) in [
+            (&DummyCodeUdf as &dyn TableUdf, &args()[..]),
+            (&EffectCodeUdf, &k2),
+            (&OrthogonalCodeUdf, &k2),
         ] {
-            let out = udf.execute(&input, &recoded_schema(), &k2, &ctx()).unwrap();
+            let out = udf
+                .execute(&input, &recoded_schema(), args, &ctx())
+                .unwrap();
             // age, <gender expanded to w columns>, amount, abandoned.
             let w = out.width() - 3;
             for (o, i) in [(0, 0), (w + 1, 2), (w + 2, 3)] {

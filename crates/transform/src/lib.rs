@@ -15,22 +15,23 @@
 //! * **Pass 2** ([`apply`]) — one parallel per-partition table-UDF pass
 //!   that recodes *and* dummy-codes every column of a partition at once,
 //!   one binary search per dictionary entry ([`FlatRecodeApplier`],
-//!   which also owns the transformed schema). §2.1 words this pass as a
-//!   join against the recode-map table; that join-per-column SQL is what
-//!   `sqlml-rewriter`'s script emits, and the differential tests hold
-//!   this pass to it row for row. The naive baseline's external job runs
-//!   the same applier over each part-file, so a NULL or an unseen value
-//!   means the same thing under every strategy.
+//!   which also owns the transformed schema), the `recode_dummy` UDF.
+//!   §2.1 words this pass as a join against the recode-map table; the
+//!   differential tests hold this pass to that join row for row. The
+//!   naive baseline's external job runs the same applier over each
+//!   part-file, so a NULL or an unseen value means the same thing under
+//!   every strategy.
 //! * **Dummy coding** ([`dummy`]) — one-hot expansion of a recoded
 //!   column into K binary columns as the standalone `dummy_code` table
-//!   UDF (the rewriter script's form).
+//!   UDF, for hand-written SQL.
 //! * **Effect and orthogonal (Helmert) coding** ([`effect`]) — the "less
 //!   common transformations" §2 mentions, implemented the same way: the
 //!   applier's dummy block and all three UDFs expand a column through one
 //!   kernel, from a `K × w` level table.
-//! * **The pipeline** ([`pipeline`]) — [`InSqlTransformer`]: pass 1 then
-//!   pass 2 over a prepared table, or pass 2 alone with a cached recode
-//!   map (§5.2's optimization: skipping one of the two passes).
+//! * **The pipeline** ([`pipeline`]) — the two passes' statements, which
+//!   the §4 rewriter's script splices in and [`InSqlTransformer`] runs:
+//!   pass 1 then pass 2, or pass 2 alone with a cached recode map (§5.2's
+//!   optimization: skipping one of the two passes).
 
 pub mod apply;
 pub mod dummy;
@@ -39,5 +40,8 @@ pub mod pipeline;
 pub mod recode;
 
 pub use apply::FlatRecodeApplier;
-pub use pipeline::{register_udfs, InSqlTransformer, TransformOutput, TransformSpec};
+pub use pipeline::{
+    read_recode_map, recode_dummy_select, recode_map_statements, register_recode_map,
+    register_udfs, InSqlTransformer, TransformOutput, TransformSpec,
+};
 pub use recode::RecodeMap;

@@ -1,26 +1,32 @@
 //! The In-SQL transformation pipeline: two passes over the prepared
 //! table, both inside the SQL engine with its partition parallelism (the
 //! paper's "In-SQL transformation" approach). Pass 1 builds the recode
-//! map through SQL statements and table UDFs; pass 2 is one parallel
-//! per-partition table-UDF pass that recodes and dummy-codes every
-//! column at once, producing the transformed table directly.
+//! map table through SQL statements and table UDFs; pass 2 is the
+//! registered `recode_dummy` table UDF, one parallel per-partition pass
+//! that recodes and dummy-codes every column at once. The statements of
+//! both passes are written once, here: the §4 rewriter splices them into
+//! the script every In-SQL pipeline runs, and [`InSqlTransformer`] runs
+//! them over one table.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use sqlml_common::{sql_string_literal, Result, Schema, SqlmlError, Value};
-use sqlml_sqlengine::{Batch, Engine, PartitionCtx, PartitionedTable, TableUdf};
+use sqlml_sqlengine::{Batch, Catalog, Engine, PartitionCtx, PartitionedTable, TableUdf};
 
 use crate::apply::FlatRecodeApplier;
 use crate::dummy::DummyCodeUdf;
 use crate::effect::{EffectCodeUdf, OrthogonalCodeUdf};
-use crate::recode::{AssignRecodeIdsUdf, DistinctValuesUdf, RecodeMap};
+use crate::recode::{recode_map_schema, AssignRecodeIdsUdf, DistinctValuesUdf, RecodeMap};
 
 /// Register all transformation table UDFs with an engine. Idempotent.
 pub fn register_udfs(engine: &Engine) {
     engine.register_table_udf(Arc::new(DistinctValuesUdf));
     engine.register_table_udf(Arc::new(AssignRecodeIdsUdf));
+    engine.register_table_udf(Arc::new(RecodeDummyUdf {
+        catalog: engine.weak_catalog(),
+    }));
     engine.register_table_udf(Arc::new(DummyCodeUdf));
     engine.register_table_udf(Arc::new(EffectCodeUdf));
     engine.register_table_udf(Arc::new(OrthogonalCodeUdf));
@@ -70,6 +76,53 @@ pub struct TransformOutput {
     pub apply: Duration,
 }
 
+/// Pass 1 of §2.1 over the table `input`: the parallel `distinct_values`
+/// scan of `columns` (not empty) merged by `SELECT DISTINCT ... ORDER BY`
+/// into `pairs`, then numbered by `assign_recode_ids` into the `M` table
+/// `map`.
+pub fn recode_map_statements(
+    input: &str,
+    columns: &[String],
+    pairs: &str,
+    map: &str,
+) -> [String; 2] {
+    let col_args = columns
+        .iter()
+        .map(|c| sql_string_literal(c))
+        .collect::<Vec<_>>()
+        .join(", ");
+    [
+        format!(
+            "CREATE TABLE {pairs} AS \
+             SELECT DISTINCT colname, colval \
+             FROM TABLE(distinct_values({input}, {col_args})) AS d \
+             ORDER BY colname, colval"
+        ),
+        format!("CREATE TABLE {map} AS SELECT * FROM TABLE(assign_recode_ids({pairs})) AS m"),
+    ]
+}
+
+/// Pass 2 over the table `input`: `recode_dummy` recodes `columns` (and
+/// dummy-codes `spec`'s) through the `M` table `map`. Its arguments after
+/// `map` are the number of recode columns, those, then the dummy-code
+/// columns.
+pub fn recode_dummy_select(
+    input: &str,
+    map: &str,
+    columns: &[String],
+    spec: &TransformSpec,
+) -> String {
+    let names = (columns.iter())
+        .chain(&spec.dummy_code_columns)
+        .map(|c| format!(", {}", sql_string_literal(c)))
+        .collect::<String>();
+    format!(
+        "SELECT * FROM TABLE(recode_dummy({input}, {}, {}{names})) AS r",
+        sql_string_literal(map),
+        columns.len()
+    )
+}
+
 static TEMP_COUNTER: AtomicUsize = AtomicUsize::new(0);
 
 fn temp_name(tag: &str) -> String {
@@ -79,7 +132,21 @@ fn temp_name(tag: &str) -> String {
     )
 }
 
-/// Runs In-SQL transformations against one engine.
+/// The recode map in the `M` table `name` of `catalog`.
+pub fn read_recode_map(catalog: &Catalog, name: &str) -> Result<RecodeMap> {
+    RecodeMap::from_rows(&catalog.table(name)?.collect_rows())
+}
+
+/// Register `map` as the `M` table `name` (a cached §5.2 map).
+pub fn register_recode_map(engine: &Engine, name: &str, map: &RecodeMap) {
+    engine.register_table(
+        name,
+        PartitionedTable::single(recode_map_schema(), map.to_rows()),
+    );
+}
+
+/// Runs the two passes' statements over one table of an engine,
+/// temporaries dropped on every exit.
 ///
 /// ```
 /// use sqlml_sqlengine::{Engine, EngineConfig};
@@ -111,45 +178,35 @@ impl InSqlTransformer {
         InSqlTransformer { engine }
     }
 
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
     /// Phase 1 of §2.1: build the recode map for `columns` of `table` with
     /// one parallel scan (the `distinct_values` UDF), a global
     /// `SELECT DISTINCT ... ORDER BY` merge, and the `assign_recode_ids`
     /// UDF.
     pub fn build_recode_map(&self, table: &str, columns: &[String]) -> Result<RecodeMap> {
+        let map = temp_name("map");
+        let built = self.pass_one(table, columns, &map);
+        let _ = self.engine.catalog().drop_table(&map);
+        built
+    }
+
+    /// Run pass 1 into the `M` table `map` and read it back.
+    fn pass_one(&self, table: &str, columns: &[String], map: &str) -> Result<RecodeMap> {
         if columns.is_empty() {
             return Ok(RecodeMap::default());
         }
-        let col_args = columns
-            .iter()
-            .map(|c| sql_string_literal(c))
-            .collect::<Vec<_>>()
-            .join(", ");
         let pairs = temp_name("pairs");
-        self.engine.execute(&format!(
-            "CREATE TABLE {pairs} AS \
-             SELECT DISTINCT colname, colval \
-             FROM TABLE(distinct_values({table}, {col_args})) AS d \
-             ORDER BY colname, colval"
-        ))?;
-        let result = self.engine.query(&format!(
-            "SELECT * FROM TABLE(assign_recode_ids({pairs})) AS m"
-        ));
-        self.engine.execute(&format!("DROP TABLE {pairs}"))?;
-        RecodeMap::from_rows(&result?.collect_rows())
+        let ran = (recode_map_statements(table, columns, &pairs, map).iter())
+            .try_for_each(|stmt| self.engine.execute(stmt).map(drop));
+        let _ = self.engine.catalog().drop_table(&pairs);
+        ran.and_then(|()| read_recode_map(self.engine.catalog(), map))
     }
 
     /// Full transformation with a freshly built recode map (two passes).
     pub fn transform(&self, table: &str, spec: &TransformSpec) -> Result<TransformOutput> {
-        let input = self.engine.catalog().table(table)?;
-        let columns = spec.effective_recode_columns(input.schema());
-        let t0 = Instant::now();
-        let map = self.build_recode_map(table, &columns)?;
-        let map_build = t0.elapsed();
-        self.apply_with_map(&input, spec, map, map_build)
+        self.transform_via(table, spec, |map_table, columns| {
+            let t0 = Instant::now();
+            Ok((self.pass_one(table, columns, map_table)?, t0.elapsed()))
+        })
     }
 
     /// Transformation reusing a cached recode map — §5.2: "we avoid one
@@ -160,50 +217,118 @@ impl InSqlTransformer {
         spec: &TransformSpec,
         map: &RecodeMap,
     ) -> Result<TransformOutput> {
-        let input = self.engine.catalog().table(table)?;
-        for c in &spec.effective_recode_columns(input.schema()) {
-            if !map.has_column(c) {
-                return Err(SqlmlError::Cache(format!(
-                    "cached recode map lacks column {c:?}"
-                )));
+        self.transform_via(table, spec, |map_table, columns| {
+            if let Some(c) = columns.iter().find(|c| !map.has_column(c)) {
+                let lacks = format!("cached recode map lacks column {c:?}");
+                return Err(SqlmlError::Cache(lacks));
             }
-        }
-        self.apply_with_map(&input, spec, map.clone(), Duration::ZERO)
+            register_recode_map(&self.engine, map_table, map);
+            Ok((map.clone(), Duration::ZERO))
+        })
     }
 
-    /// Pass 2: one table-UDF pass over `input`, all columns at once.
-    fn apply_with_map(
+    /// `load` puts the recode map for the recode columns into the `M`
+    /// table it is handed; then pass 2 reads it.
+    fn transform_via(
         &self,
-        input: &PartitionedTable,
+        table: &str,
         spec: &TransformSpec,
-        map: RecodeMap,
-        map_build: Duration,
+        load: impl FnOnce(&str, &[String]) -> Result<(RecodeMap, Duration)>,
     ) -> Result<TransformOutput> {
-        let t0 = Instant::now();
-        let udf = RecodeDummyUdf(FlatRecodeApplier::new(&map, input.schema(), spec)?);
-        let table = self.engine.apply_table_udf(input, &udf, &[])?;
-        Ok(TransformOutput {
-            table,
-            recode_map: map,
-            map_build,
-            apply: t0.elapsed(),
-        })
+        let columns = spec.effective_recode_columns(self.engine.catalog().table(table)?.schema());
+        let map_table = temp_name("map");
+        let out = load(&map_table, &columns).and_then(|(recode_map, map_build)| {
+            let t0 = Instant::now();
+            let sql = recode_dummy_select(table, &map_table, &columns, spec);
+            Ok(TransformOutput {
+                table: self.engine.query(&sql)?,
+                recode_map,
+                map_build,
+                apply: t0.elapsed(),
+            })
+        });
+        let _ = self.engine.catalog().drop_table(&map_table);
+        out
     }
 }
 
-/// Pass 2 as a parallel table UDF. The instance carries the applier
-/// resolved for one (map, input schema, spec), so it is handed to
-/// [`Engine::apply_table_udf`] rather than registered under a name:
-/// concurrent transforms on one engine share nothing.
-struct RecodeDummyUdf<'m>(FlatRecodeApplier<'m>);
+/// Pass 2 as a registered table UDF (see [`recode_dummy_select`]). It
+/// reads the map table through a [`Weak`] catalog handle: the catalog
+/// holds this UDF, so a strong one would make the catalog own itself.
+/// Each script names its own map table: concurrent transforms on one
+/// engine share nothing.
+struct RecodeDummyUdf {
+    catalog: Weak<Catalog>,
+}
 
-impl TableUdf for RecodeDummyUdf<'_> {
+impl RecodeDummyUdf {
+    /// The one place the applier is built: the spec from the column
+    /// lists, the map from the named table, against the input schema.
+    fn applier(&self, input: &Schema, args: &[Value]) -> Result<FlatRecodeApplier> {
+        let usage = || {
+            let usage = "recode_dummy takes (table, map_table, n, n recode columns..., \
+                         dummy-code columns...)";
+            SqlmlError::Plan(usage.into())
+        };
+        let [map_table, n, names @ ..] = args else {
+            return Err(usage());
+        };
+        let mut recode_columns = (names.iter())
+            .map(|v| v.as_str().map(str::to_string))
+            .collect::<Result<Vec<_>>>()?;
+        let n = (usize::try_from(n.as_i64()?).ok())
+            .filter(|&n| n <= recode_columns.len())
+            .ok_or_else(usage)?;
+        let spec = TransformSpec {
+            dummy_code_columns: recode_columns.split_off(n),
+            recode_columns,
+        };
+        // Nothing to recode (no categorical column): no map is read.
+        let map = if spec.effective_recode_columns(input).is_empty() {
+            RecodeMap::default()
+        } else {
+            let catalog = (self.catalog.upgrade())
+                .ok_or_else(|| SqlmlError::Execution("recode_dummy outlived its engine".into()))?;
+            read_recode_map(&catalog, map_table.as_str()?)?
+        };
+        FlatRecodeApplier::new(&map, input, &spec)
+    }
+}
+
+impl TableUdf for RecodeDummyUdf {
+    fn name(&self) -> &str {
+        "recode_dummy"
+    }
+
+    fn output_schema(&self, input: &Schema, args: &[Value]) -> Result<Schema> {
+        Ok(self.applier(input, args)?.output_schema().clone())
+    }
+
+    /// A statement runs the applier: the map table is read once, not
+    /// once per partition.
+    fn bind(&self, input: &Schema, args: &[Value]) -> Result<Option<Arc<dyn TableUdf>>> {
+        Ok(Some(Arc::new(self.applier(input, args)?)))
+    }
+
+    fn execute(
+        &self,
+        input: &Batch,
+        input_schema: &Schema,
+        args: &[Value],
+        _ctx: &PartitionCtx,
+    ) -> Result<Batch> {
+        self.applier(input_schema, args)?.apply_batch(input)
+    }
+}
+
+/// `recode_dummy` bound to one statement.
+impl TableUdf for FlatRecodeApplier {
     fn name(&self) -> &str {
         "recode_dummy"
     }
 
     fn output_schema(&self, _input: &Schema, _args: &[Value]) -> Result<Schema> {
-        Ok(self.0.output_schema().clone())
+        Ok(FlatRecodeApplier::output_schema(self).clone())
     }
 
     fn execute(
@@ -213,7 +338,7 @@ impl TableUdf for RecodeDummyUdf<'_> {
         _args: &[Value],
         _ctx: &PartitionCtx,
     ) -> Result<Batch> {
-        self.0.apply_batch(input)
+        self.apply_batch(input)
     }
 }
 

@@ -1,8 +1,8 @@
 //! A second domain scenario: telecom customer churn.
 //!
 //! Demonstrates pieces the cart example doesn't: the **query rewriter**
-//! (§4) producing an executable SQL script with UDF invocations and the
-//! streaming hand-off, **effect coding**, and the **fault-injected
+//! (§4) printing the SQL script every In-SQL pipeline runs, here ending
+//! in the streaming hand-off, **effect coding**, and the **fault-injected
 //! restart protocol** (§6) during a live transfer.
 //!
 //! Run with: `cargo run --release --example churn_streaming`
@@ -12,8 +12,8 @@ use std::sync::Arc;
 use sqlml_common::schema::{DataType, Field, Schema};
 use sqlml_common::{Row, SplitMix64, Value};
 use sqlml_core::{ClusterConfig, SimCluster};
-use sqlml_rewriter::{QueryRewriter, StreamTarget};
-use sqlml_transfer::FaultInjector;
+use sqlml_rewriter::QueryRewriter;
+use sqlml_transfer::{FaultInjector, TransferArgs};
 use sqlml_transform::TransformSpec;
 
 fn build_tables(cluster: &SimCluster) {
@@ -54,13 +54,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let prep = "SELECT tenure_months, monthly_bill, plan, churned \
                 FROM customers WHERE tenure_months > 3";
     let spec = TransformSpec::new(&["plan"]);
-    let target = StreamTarget {
-        coordinator_addr: cluster.stream.coordinator_addr().to_string(),
+    let target = TransferArgs {
+        coord_addr: cluster.stream.coordinator_addr().to_string(),
         transfer_id: 1,
-        // Transformed layout: tenure, bill, plan_1..plan_3, churned.
+        // Transformed layout: tenure, bill, plan_basic, plan_plus,
+        // plan_premium, churned.
         command: "logreg label=5 iterations=150".to_string(),
-        splits_per_worker: cluster.config.transfer.splits_per_worker,
-        send_buffer_bytes: cluster.config.transfer.send_buffer_bytes,
+        config: cluster.config.transfer,
     };
     let script = rewriter.rewrite(prep, &spec, Some(&target))?;
     println!("--- rewritten script (§4) ---");

@@ -202,7 +202,6 @@ fn a_table_udf_returning_fewer_columns_than_it_declared_is_an_error() {
         let results = [
             engine.query("SELECT * FROM TABLE(narrow(t)) n"),
             engine.query("SELECT b FROM TABLE(narrow(t)) n WHERE b > 0"),
-            engine.apply_table_udf(&four_partitions(), &NarrowUdf, &[]),
         ];
         for result in results {
             let Err(SqlmlError::Execution(msg)) = result else {

@@ -13,10 +13,11 @@
 //!   `Project`;
 //! * a plain per-cell loop over `RecodeMap::code` is the reference for
 //!   [`FlatRecodeApplier::apply_batch`];
-//! * `QueryRewriter::rewrite_and_run` executes the §2.1 script — one
-//!   recode join per column, one `dummy_code` statement per dummy column
-//!   — which is the oracle for `InSqlTransformer::transform`, as is the
-//!   naive baseline's `run_external_transform`.
+//! * [`join_oracle`] runs §2.1 as SQL text — the recode map from a
+//!   centralized scan, one recode join per column, one `dummy_code`
+//!   statement per dummy column — which is the oracle for
+//!   `InSqlTransformer::transform` (the statements the rewriter's script
+//!   runs), as is the naive baseline's `run_external_transform`.
 //!
 //! These tests run the paper's Figure 3/4 workload queries (and a
 //! battery of shapes beyond them, and seeded random tables) through both
@@ -29,17 +30,17 @@
 //! loops over the generated `Vec<Row>`s.
 
 use sqlml_common::schema::{DataType, Field, Schema};
-use sqlml_common::{codec, Row, SplitMix64, Value};
+use sqlml_common::{codec, sql_string_literal, Row, SplitMix64, Value};
 use sqlml_core::naive::run_external_transform;
 use sqlml_core::workload::{Workload, WorkloadScale, PREP_QUERY};
 use sqlml_dfs::{Dfs, DfsConfig};
-use sqlml_rewriter::QueryRewriter;
 use sqlml_sqlengine::ast::JoinKind;
 use sqlml_sqlengine::executor::execute;
 use sqlml_sqlengine::expr::Expr;
 use sqlml_sqlengine::plan::{BuildSide, Plan};
 use sqlml_sqlengine::planner::plan_select;
 use sqlml_sqlengine::{Batch, Engine, EngineConfig, PartitionedTable};
+use sqlml_transform::recode::recode_map_schema;
 use sqlml_transform::{
     register_udfs, FlatRecodeApplier, InSqlTransformer, RecodeMap, TransformSpec,
 };
@@ -282,10 +283,23 @@ fn flat_applier_rejects_unseen_values_like_the_reference() {
 /// A seeded random table: numeric columns interleaved with 2–4
 /// categorical columns whose names have mixed case and whose values
 /// include quotes and spaces; NULL-free; explicitly partitioned, some
-/// partitions empty.
+/// partitions empty. Indicator names collide: `x/y` and `x y` both
+/// become `<col>_x_y`, `Web` and `web` differ only in case, and a
+/// numeric column after `<col>` is named `<col>_F`, like the indicator
+/// of `F`.
 fn random_categorical_table(rng: &mut SplitMix64) -> (PartitionedTable, Vec<String>) {
     const CAT_NAMES: [&str; 4] = ["Gender", "cartState", "REGION", "lastChannel_2"];
-    const VOCAB: [&str; 8] = ["F", "M", "it's", "not known", "a'b'c", "x/y", "Web", "web"];
+    const VOCAB: [&str; 9] = [
+        "F",
+        "M",
+        "it's",
+        "not known",
+        "x/y",
+        "x y",
+        "a'b'c",
+        "Web",
+        "web",
+    ];
     let num_cats = rng.range_i64(2, 4) as usize;
     let mut fields = vec![Field::new("Id", DataType::Int)];
     let mut cats = Vec::new();
@@ -293,7 +307,7 @@ fn random_categorical_table(rng: &mut SplitMix64) -> (PartitionedTable, Vec<Stri
         fields.push(Field::categorical(*name));
         cats.push(name.to_string());
         if rng.chance(0.5) {
-            fields.push(Field::new(format!("n{}", fields.len()), DataType::Double));
+            fields.push(Field::new(format!("{name}_F"), DataType::Double));
         }
     }
     let schema = Schema::new(fields);
@@ -340,6 +354,75 @@ fn read_sorted(dfs: &Dfs, dir: &str, schema: &Schema) -> Vec<Row> {
     rows
 }
 
+/// The transform as §2.1 words it, in SQL text over `src`: the recode
+/// map — from a centralized scan, not from pass 1 — registered as the
+/// `M` table; one join against it per recoded column; then one
+/// `dummy_code` statement per dummy-coded column, its indicators named
+/// by value. It shares no statement with the product's script.
+fn join_oracle(
+    engine: &Engine,
+    src: &str,
+    spec: &TransformSpec,
+) -> sqlml_common::Result<PartitionedTable> {
+    let table = engine.catalog().table(src)?;
+    let schema = table.schema().clone();
+    let columns = spec.effective_recode_columns(&schema);
+    let map = RecodeMap::from_table_scan(table.partitions(), &schema, &columns)?;
+    engine.register_table(
+        "oracle_m",
+        PartitionedTable::single(recode_map_schema(), map.to_rows()),
+    );
+    let (mut projections, mut froms, mut predicates) = (vec![], vec![format!("{src} T")], vec![]);
+    for field in schema.fields() {
+        let name = &field.name;
+        match columns.iter().position(|c| c.eq_ignore_ascii_case(name)) {
+            Some(pos) => {
+                projections.push(format!("M{pos}.recodeval AS {name}"));
+                froms.push(format!("oracle_m AS M{pos}"));
+                predicates.push(format!("M{pos}.colname = {}", sql_string_literal(name)));
+                predicates.push(format!("T.{name} = M{pos}.colval"));
+            }
+            None => projections.push(format!("T.{name}")),
+        }
+    }
+    let mut statements = vec![if predicates.is_empty() {
+        format!("CREATE TABLE oracle_0 AS SELECT * FROM {src}")
+    } else {
+        format!(
+            "CREATE TABLE oracle_0 AS SELECT {} FROM {} WHERE {}",
+            projections.join(", "),
+            froms.join(", "),
+            predicates.join(" AND ")
+        )
+    }];
+    for (i, col) in spec.dummy_code_columns.iter().enumerate() {
+        let values = (map.values_in_code_order(col).iter())
+            .map(|v| format!(", {}", sql_string_literal(v)))
+            .collect::<String>();
+        statements.push(format!(
+            "CREATE TABLE oracle_{} AS SELECT * FROM TABLE(dummy_code(oracle_{i}, {}{values})) AS dc",
+            i + 1,
+            sql_string_literal(col)
+        ));
+    }
+    let last = statements.len() - 1;
+    statements.push(format!("SELECT * FROM oracle_{last}"));
+    let result = (|| {
+        let mut out = None;
+        for stmt in &statements {
+            out = engine.execute(stmt)?;
+        }
+        Ok(out.expect("the oracle ends with a SELECT"))
+    })();
+    for t in (0..=last)
+        .map(|i| format!("oracle_{i}"))
+        .chain(["oracle_m".into()])
+    {
+        let _ = engine.catalog().drop_table(&t);
+    }
+    result
+}
+
 #[test]
 fn insql_transform_matches_join_script_and_external_transform_on_random_tables() {
     let mut rng = SplitMix64::new(0x1d5_0c0de);
@@ -373,26 +456,10 @@ fn insql_transform_matches_join_script_and_external_transform_on_random_tables()
         let insql_rows = insql.table.collect_sorted();
         assert_eq!(insql_rows.len(), table.num_rows(), "{what}");
 
-        // The join-based script. Its statically generated dummy_code
-        // statements name indicator columns by code, not by value.
-        let (oracle, _) = QueryRewriter::new(engine.clone())
-            .rewrite_and_run("SELECT * FROM src", &spec, None)
-            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        // The §2.1 recode join, then one dummy_code statement per column.
+        let oracle = join_oracle(&engine, "src", &spec).unwrap_or_else(|e| panic!("{what}: {e}"));
         assert_eq!(oracle.collect_sorted(), insql_rows, "{what}");
-        assert_eq!(oracle.schema().len(), insql.table.schema().len(), "{what}");
-        for (o, i) in oracle
-            .schema()
-            .fields()
-            .iter()
-            .zip(insql.table.schema().fields())
-        {
-            assert_eq!(o.data_type, i.data_type, "{what}");
-            let is_indicator = spec
-                .dummy_code_columns
-                .iter()
-                .any(|d| i.name.starts_with(&format!("{d}_")));
-            assert!(is_indicator || o.name == i.name, "{what}: {o:?} vs {i:?}");
-        }
+        assert_eq!(oracle.schema(), insql.table.schema(), "{what}");
 
         // The naive baseline's external job over the same rows on a DFS.
         let dfs = Dfs::new(DfsConfig::for_tests());

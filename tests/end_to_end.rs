@@ -1,11 +1,15 @@
 //! Cross-crate integration tests: the full SQL → transform → transfer →
 //! ML pipeline, across all three strategies.
 
+use std::sync::Arc;
+
+use sqlml_common::CancelToken;
 use sqlml_core::workload::PREP_QUERY;
 use sqlml_core::{
     CacheMode, ClusterConfig, Pipeline, PipelineRequest, SimCluster, Strategy, WorkloadScale,
 };
 use sqlml_mlengine::job::TrainedModel;
+use sqlml_rewriter::QueryRewriter;
 use sqlml_transform::TransformSpec;
 
 fn cluster() -> SimCluster {
@@ -329,28 +333,45 @@ fn block_level_splits_deliver_identical_pipelines() {
     );
 }
 
+/// The pipeline's transform stage is the §4 rewriter's script: for a
+/// fresh, a §5.1 and a §5.2 plan, reached under each In-SQL strategy, the
+/// table the pipeline hands off equals `rewrite_and_run`'s, schema names
+/// included.
 #[test]
 fn rewriter_script_and_pipeline_agree() {
-    // The §4 rewriter's executable script must produce the same
-    // transformed rows as the pipeline's direct path (up to dummy-column
-    // names, which the static script genericizes).
-    let cluster = cluster();
-    let engine = cluster.engine.clone();
-    let rewriter = sqlml_rewriter::QueryRewriter::new(engine.clone());
-    let spec = TransformSpec::new(&["gender"]);
-    let (via_script, _) = rewriter.rewrite_and_run(PREP_QUERY, &spec, None).unwrap();
-
-    engine
-        .execute(&format!("CREATE TABLE prep2 AS {PREP_QUERY}"))
-        .unwrap();
-    let transformer = sqlml_transform::InSqlTransformer::new(engine.clone());
-    let direct = transformer.transform("prep2", &spec).unwrap();
-
-    assert_eq!(
-        via_script.collect_sorted(),
-        direct.table.collect_sorted(),
-        "script path and direct path diverge"
-    );
+    let map_hit = PipelineRequest {
+        prep_sql: "SELECT U.age, U.gender, C.amount, C.nitems, C.abandoned \
+                   FROM carts C, users U \
+                   WHERE C.userid = U.userid AND U.country = 'USA' AND C.year = 2014"
+            .to_string(),
+        ..request("svm label=5 iterations=5")
+    };
+    for strategy in [Strategy::InSql, Strategy::InSqlStream] {
+        let cluster = cluster();
+        let pipeline = Pipeline::with_cache(&cluster);
+        let cache = Arc::clone(pipeline.cache().unwrap());
+        let rewriter = QueryRewriter::with_cache(cluster.engine.clone(), cache);
+        // Fresh, then a repeat (§5.1), then the §5.2 follow-up.
+        let fresh = request("svm label=4 iterations=10");
+        for (req, mode) in [
+            (&fresh, CacheMode::None),
+            (&fresh, CacheMode::FullResult),
+            (&map_hit, CacheMode::RecodeMap),
+        ] {
+            let what = format!("{strategy:?} {mode:?}");
+            let (expected, _) = rewriter
+                .rewrite_and_run(&req.prep_sql, &req.spec, None)
+                .unwrap();
+            let (table, cache_use) = pipeline
+                .prepare_and_transform(req, &CancelToken::new())
+                .unwrap();
+            assert_eq!(cache_use, mode, "{what}");
+            assert_eq!(table.schema(), expected.schema(), "{what}");
+            assert_eq!(table.collect_sorted(), expected.collect_sorted(), "{what}");
+            let report = pipeline.run(req, strategy).unwrap();
+            assert_eq!(report.rows_to_ml, table.num_rows(), "{what}");
+        }
+    }
 }
 
 /// `visits(age, gender, channel, amount, churned)`: every sixth gender
