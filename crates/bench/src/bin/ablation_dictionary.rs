@@ -137,7 +137,7 @@ fn main() {
         in_dictionary > referenced && referenced == 1,
     ) & check_shape(
         "the two-phase recode map satisfies the 1..=K invariant where the dictionary cannot",
-        RecodeMap::from_rows(&map.to_rows()).is_ok_and(|m| m == map),
+        RecodeMap::from_batches(&[map.to_batch()]).is_ok_and(|m| m == map),
     );
     std::process::exit(if ok { 0 } else { 1 });
 }

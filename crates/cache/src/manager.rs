@@ -8,8 +8,8 @@ use sqlml_common::lockorder::TrackedMutex;
 use sqlml_common::Value;
 use sqlml_sqlengine::ast::CmpOp;
 use sqlml_sqlengine::Engine;
-use sqlml_transform::apply::indicator_name;
-use sqlml_transform::{RecodeMap, TransformSpec};
+use sqlml_transform::coding::indicator_name;
+use sqlml_transform::{Coding, RecodeMap, TransformSpec};
 
 use crate::descriptor::{ColRef, QueryDescriptor};
 use crate::subsume::{full_result_match, recode_map_match};
@@ -27,6 +27,11 @@ struct FullEntry {
     /// materialized table). Not read off `map`: a column the cached query
     /// returned no value for is recoded yet absent from the map.
     recoded: Vec<String>,
+    /// The materialized table has two columns whose names are equal
+    /// ignoring ASCII case (`x y` and `x/y` both indicate as `g_x_y`;
+    /// `g_Web` and `g_web`). A rewrite selects columns by name, so it
+    /// could read the wrong one: the entry serves no §5.1 hit.
+    ambiguous: bool,
 }
 
 /// A cached recode map (§5.2).
@@ -146,6 +151,9 @@ impl CacheManager {
         table: sqlml_sqlengine::PartitionedTable,
     ) -> String {
         let recoded = self.recode_targets(&descriptor, &spec);
+        let names = table.schema().names();
+        let ambiguous = (names.iter().enumerate())
+            .any(|(i, a)| names[..i].iter().any(|b| a.eq_ignore_ascii_case(b)));
         let mut full = self.full.lock();
         if let Some(existing) = full
             .iter()
@@ -160,6 +168,7 @@ impl CacheManager {
         self.engine.register_table(&table_name, table);
         full.push(FullEntry {
             recoded,
+            ambiguous,
             descriptor: descriptor.clone(),
             spec,
             map: map.clone(),
@@ -291,36 +300,36 @@ fn map_covers(entry: &MapEntry, query: &QueryDescriptor, recoded: &[String]) -> 
 
 /// The §5.1 matcher for one entry: the SQL that answers `query` from the
 /// entry's materialized table, or `None` when the descriptors do not
-/// match or the transformation specs are incompatible (e.g. the cache
-/// dummy-coded a column the new request wants plain).
+/// match, the entry's column names are ambiguous, or the transformation
+/// specs are incompatible: a projected column coded differently (e.g.
+/// the cache dummy-coded a column the new request wants plain), or a
+/// contrast-coded column projected or filtered on.
 fn full_rewrite(
     entry: &FullEntry,
     query: &QueryDescriptor,
     spec: &TransformSpec,
 ) -> Option<String> {
+    if entry.ambiguous {
+        return None;
+    }
     let extras = full_result_match(&entry.descriptor, query)?;
-    let named_in = |list: &[String], col: &str| list.iter().any(|d| d.eq_ignore_ascii_case(col));
-    let is_dummy_cached = |col: &str| named_in(&entry.spec.dummy_code_columns, col);
 
     // Projection: each requested column must exist in the cached output
-    // with compatible coding.
+    // under the same coding.
     let mut select_cols: Vec<String> = Vec::new();
     for p in &query.projections {
         let col = &p.column;
-        match (
-            is_dummy_cached(col),
-            named_in(&spec.dummy_code_columns, col),
-        ) {
-            (false, false) => select_cols.push(col.clone()),
+        match (entry.spec.coding(col), spec.coding(col)) {
+            (None, None) => select_cols.push(col.clone()),
             // Expand to the cached indicator block.
-            (true, true) => select_cols.extend(
+            (Some(Coding::Dummy), Some(Coding::Dummy)) => select_cols.extend(
                 entry
                     .map
                     .values_in_code_order(col)
                     .iter()
                     .map(|v| indicator_name(col, v)),
             ),
-            // Coding mismatch: cannot serve from this entry.
+            // A coding mismatch, or a contrast block: not from this entry.
             _ => return None,
         }
     }
@@ -329,8 +338,12 @@ fn full_rewrite(
     let mut where_parts = Vec::new();
     for pred in extras {
         let col = &pred.col.column;
-        let dummy = is_dummy_cached(col);
-        if dummy || named_in(&entry.recoded, col) {
+        let dummy = match entry.spec.coding(col) {
+            Some(Coding::Dummy) => true,
+            Some(Coding::Effect | Coding::Helmert) => return None,
+            None => false,
+        };
+        if dummy || entry.recoded.iter().any(|r| r.eq_ignore_ascii_case(col)) {
             // The literal must be mapped through the recode map. Only
             // (in)equality is order-safe after recoding: codes are
             // assigned by sorted value, but mixing with other comparisons
@@ -569,6 +582,81 @@ mod tests {
         match cache.lookup(&q, &plain) {
             CacheDecision::RecodeMap(_) => {}
             other => panic!("expected map hit, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn colliding_column_names_serve_no_full_hit() {
+        // `x y` and `x/y` both indicate as `g_x_y`; `Web` and `web` as
+        // `g_Web` and `g_web`, equal to a name lookup. A rewrite selecting
+        // them by name would read the first column twice and answer row
+        // k=2 with (0, 0) where the cold run gives (0, 1).
+        for values in [["x y", "x/y"], ["Web", "web"]] {
+            let e = Engine::new(EngineConfig::with_workers(2));
+            let schema = Schema::new(vec![
+                Field::new("k", DataType::Int),
+                Field::categorical("g"),
+            ]);
+            e.register_rows(
+                "t",
+                schema,
+                vec![row![1i64, values[0]], row![2i64, values[1]]],
+            );
+            let cache = CacheManager::new(e.clone());
+            let (sql, spec) = ("SELECT k, g FROM t", TransformSpec::new(&["g"]));
+            e.execute(&format!("CREATE TABLE prep AS {sql}")).unwrap();
+            let tr = InSqlTransformer::new(e.clone());
+            let cold = tr.transform("prep", &spec).unwrap();
+            let cold_rows = cold.table.collect_sorted();
+            assert_eq!(cold_rows[1], row![2i64, 0i64, 1i64], "{values:?}");
+            cache.store_full(
+                descriptor(&e, sql),
+                spec.clone(),
+                cold.recode_map,
+                cold.table,
+            );
+
+            let d = descriptor(&e, sql);
+            assert_ne!(cache.probe(&d, &spec), CacheProbe::Full, "{values:?}");
+            match cache.lookup(&d, &spec) {
+                CacheDecision::Miss => {}
+                CacheDecision::RecodeMap(map) => {
+                    let warm = tr.transform_with_map("prep", &spec, &map).unwrap();
+                    assert_eq!(warm.table.collect_sorted(), cold_rows, "{values:?}");
+                }
+                CacheDecision::Full(reuse) => panic!("{values:?}: served {}", reuse.sql),
+            }
+        }
+    }
+
+    #[test]
+    fn a_contrast_coded_column_is_served_from_the_map_only() {
+        use sqlml_transform::Coding;
+        let e = engine();
+        let cache = CacheManager::new(e.clone());
+        let q = descriptor(&e, PREP);
+        let filtered = descriptor(
+            &e,
+            "SELECT U.age, C.amount FROM carts C, users U \
+             WHERE C.userid=U.userid AND U.country='USA' AND U.gender='F'",
+        );
+        for coding in [Coding::Effect, Coding::Helmert] {
+            let spec = TransformSpec::coded(&[("gender", coding)]);
+            prime_cache(&e, &cache, &spec);
+            // Projected contrast-coded, or filtered on: a map hit.
+            assert!(matches!(
+                cache.lookup(&q, &spec),
+                CacheDecision::RecodeMap(_)
+            ));
+            assert_eq!(cache.probe(&filtered, &spec), CacheProbe::RecodeMap);
+            // A projection that leaves it out is still a §5.1 hit.
+            let plain = descriptor(
+                &e,
+                "SELECT U.age, C.amount FROM carts C, users U \
+                 WHERE C.userid=U.userid AND U.country='USA'",
+            );
+            assert_eq!(cache.probe(&plain, &spec), CacheProbe::Full, "{coding}");
+            cache.invalidate_all();
         }
     }
 

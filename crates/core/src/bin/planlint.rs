@@ -4,7 +4,8 @@
 //! Builds the paper's synthetic warehouse (`carts` + `users` at unit-test
 //! scale), registers the In-SQL transformation UDFs, then plans a battery
 //! of corpus queries and the statements of the §4 rewriter's script for
-//! the paper's request (fresh and §5.2, as the product runs them), and
+//! the paper's request, gender dummy-coded and effect-coded (fresh and
+//! §5.2, as the product runs them), and
 //! validates each plan tree explicitly at both of its stages — as the
 //! planner emits it and as the optimizer rewrites it
 //! (so this works in release builds too, where the engine's automatic
@@ -29,7 +30,7 @@ use sqlml_sqlengine::parser::parse_statement;
 use sqlml_sqlengine::plan::Plan;
 use sqlml_sqlengine::validate::validate;
 use sqlml_sqlengine::{Engine, EngineConfig};
-use sqlml_transform::TransformSpec;
+use sqlml_transform::{Coding, TransformSpec};
 
 /// Optimizes to a `HashJoin … project=[…]` with no `Project` above it;
 /// `main` fails if it stops doing so, since the corpus would then no
@@ -136,33 +137,44 @@ fn sort_over_grouping(explained: &str) -> bool {
 }
 
 /// Every statement of the rewriter's script for the paper's request
-/// (`PREP_QUERY`, gender dummy-coded), linted just before it runs: fresh,
-/// then with the recode map that run built cached (§5.2).
+/// (`PREP_QUERY`, gender dummy-coded, then effect-coded), linted just
+/// before it runs: fresh, then with the recode map that run built cached
+/// (§5.2).
 fn script_statements(engine: &Engine) -> Vec<(String, Result<()>)> {
+    let specs = [
+        TransformSpec::new(&["gender"]),
+        TransformSpec::coded(&[("gender", Coding::Effect)]),
+    ];
+    let mut linted = Vec::new();
+    for spec in &specs {
+        linted.extend(script_statements_for(engine, spec));
+    }
+    linted
+}
+
+/// [`script_statements`] for one spec, over a cache of its own.
+fn script_statements_for(engine: &Engine, spec: &TransformSpec) -> Vec<(String, Result<()>)> {
     let cache = Arc::new(CacheManager::new(engine.clone()));
     let rewriter = QueryRewriter::with_cache(engine.clone(), Arc::clone(&cache));
-    let spec = TransformSpec::new(&["gender"]);
     let mut linted = Vec::new();
     for map_hit in [false, true] {
-        let ran = rewriter
-            .rewrite(PREP_QUERY, &spec, None)
-            .and_then(|script| {
-                if matches!(script.plan, RewritePlan::CachedMap { .. }) != map_hit {
-                    let plan = format!("unexpected {:?}", script.plan);
-                    return Err(SqlmlError::PlanValidation(plan));
-                }
-                let (_, map) = rewriter.run(&script, &CancelToken::new(), |sql| {
-                    // A `DROP TABLE` plans nothing.
-                    if !sql.starts_with("DROP TABLE") {
-                        linted.push((sql.to_string(), validate_both_stages(engine, sql)));
-                    }
-                    Ok(())
-                })?;
-                if let Some(d) = script.descriptor {
-                    cache.store_recode_map(d, map);
+        let ran = rewriter.rewrite(PREP_QUERY, spec, None).and_then(|script| {
+            if matches!(script.plan, RewritePlan::CachedMap { .. }) != map_hit {
+                let plan = format!("unexpected {:?}", script.plan);
+                return Err(SqlmlError::PlanValidation(plan));
+            }
+            let (_, map) = rewriter.run(&script, &CancelToken::new(), |sql| {
+                // A `DROP TABLE` plans nothing.
+                if !sql.starts_with("DROP TABLE") {
+                    linted.push((sql.to_string(), validate_both_stages(engine, sql)));
                 }
                 Ok(())
-            });
+            })?;
+            if let Some(d) = script.descriptor {
+                cache.store_recode_map(d, map);
+            }
+            Ok(())
+        });
         if let Err(e) = ran {
             linted.push((PREP_QUERY.into(), Err(e)));
         }

@@ -384,7 +384,7 @@ mod tests {
         let rw = QueryRewriter::new(engine());
         let spec = TransformSpec {
             recode_columns: vec![],
-            dummy_code_columns: vec!["age".into()],
+            coded_columns: vec![("age".into(), sqlml_transform::Coding::Dummy)],
         };
         let before = rw.engine.catalog().table_names();
         let err = rw.rewrite_and_run(PREP, &spec, None).unwrap_err();

@@ -655,7 +655,7 @@ mod tests {
 
     #[test]
     fn parses_table_udf_with_table_name_arg() {
-        let q = parse_select("SELECT * FROM TABLE(dummy_code(result, 'gender')) AS x").unwrap();
+        let q = parse_select("SELECT * FROM TABLE(recode_dummy(result, 'gender')) AS x").unwrap();
         match &q.from[0] {
             TableRef::TableFunction { args, .. } => {
                 assert_eq!(args[0], TableFuncArg::Table("result".into()));

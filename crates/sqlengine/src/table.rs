@@ -80,6 +80,12 @@ impl PartitionedTable {
         PartitionedTable::new(schema, vec![rows])
     }
 
+    /// A single-partition table of one column batch (shared, no copy),
+    /// homed as [`Self::single`]'s.
+    pub fn from_batch(schema: Schema, batch: Batch) -> Self {
+        PartitionedTable::from_batches(schema, vec![batch], vec![sqlml_dfs::node_name(0)])
+    }
+
     pub fn schema(&self) -> &Schema {
         &self.schema
     }

@@ -3,12 +3,12 @@
 //!
 //! A [`FlatRecodeApplier`] resolves everything that is per-*column* —
 //! which action applies, the column's sorted values in the
-//! [`RecodeMap`], the dummy block width, the transformed schema —
-//! exactly once, into a dense `Vec` indexed by column position. Over a
-//! column batch ([`FlatRecodeApplier::apply_batch`]) a categorical
-//! column's dictionary is resolved with one binary search per *entry*,
-//! and the rows are a gather (recode) or the shared expansion kernel
-//! (dummy) through the result.
+//! [`RecodeMap`], its coding, the transformed schema — exactly once,
+//! into a dense `Vec` indexed by column position. Over a column batch
+//! ([`FlatRecodeApplier::apply_batch`]) a categorical column's
+//! dictionary is resolved with one binary search per *entry*, and the
+//! rows are a gather (recode) or the coding's expansion kernel through
+//! the result.
 
 use std::sync::Arc;
 
@@ -16,7 +16,7 @@ use sqlml_common::schema::{DataType, Field};
 use sqlml_common::{Result, Schema, SqlmlError, Value};
 use sqlml_sqlengine::column::{Batch, Column, Prim};
 
-use crate::dummy::expand;
+use crate::coding::Coding;
 use crate::pipeline::TransformSpec;
 use crate::recode::{level_of, RecodeMap};
 
@@ -29,11 +29,15 @@ enum ColumnAction {
     Pass,
     /// Recode the string value to its integer code (NULL stays NULL).
     Recode { name: String, values: Vec<String> },
-    /// Expand into one indicator column per value (NULL → all-zero block).
-    Dummy { name: String, values: Vec<String> },
+    /// Expand into the coding's columns (NULL → an all-zero row).
+    Expand {
+        name: String,
+        values: Vec<String>,
+        coding: Coding,
+    },
 }
 
-/// A recode/dummy applier with all per-column resolution done up front.
+/// A recode/coding applier with all per-column resolution done up front.
 /// Build once per job, then call [`Self::apply_batch`] per partition. It
 /// is also the single source of the transformed schema
 /// ([`Self::output_schema`]).
@@ -42,24 +46,12 @@ pub struct FlatRecodeApplier {
     out_schema: Schema,
 }
 
-/// Name of the indicator column for `value` of dummy-coded `column`:
-/// `column_<value with every non-alphanumeric character as '_'>`. The
-/// one naming rule: the §5.1 cache rewrite selects indicator columns by
-/// it, so it cannot name one differently from the transform that
-/// produced the cached table.
-pub fn indicator_name(column: &str, value: &str) -> String {
-    let safe: String = value
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    format!("{column}_{safe}")
-}
-
 impl FlatRecodeApplier {
     /// Resolve `spec` + `map` against `schema` into per-column actions.
-    /// Fails when a recode column is not in `schema`, or a dummy-code
-    /// column is not among the recoded columns or has no values in `map`
-    /// (its block would silently vanish).
+    /// Fails when a recode column is not in `schema`, or a coded column
+    /// is not among the recoded columns or has fewer values in `map` than
+    /// its coding needs (no indicator, or no contrast: its block would
+    /// silently vanish).
     pub fn new(
         map: &RecodeMap,
         schema: &Schema,
@@ -71,10 +63,10 @@ impl FlatRecodeApplier {
         for c in &recode_columns {
             schema.index_of(c)?;
         }
-        for d in &spec.dummy_code_columns {
-            if !named_in(&recode_columns, d) {
+        for (c, coding) in &spec.coded_columns {
+            if !named_in(&recode_columns, c) {
                 return Err(SqlmlError::Plan(format!(
-                    "dummy-code column {d:?} is not among the recoded columns"
+                    "{coding}-coded column {c:?} is not among the recoded columns"
                 )));
             }
         }
@@ -87,19 +79,21 @@ impl FlatRecodeApplier {
                 continue;
             }
             let (name, values) = (f.name.clone(), map.values_in_code_order(&f.name).to_vec());
-            if named_in(&spec.dummy_code_columns, &f.name) {
-                if values.is_empty() {
+            if let Some(coding) = spec.coding(&f.name) {
+                if values.len() < coding.min_values() {
                     return Err(SqlmlError::Plan(format!(
-                        "no recode map entries for dummy-code column {:?}",
-                        f.name
+                        "{coding}-coded column {name:?} needs at least {} recode map \
+                         entries, the map has {}",
+                        coding.min_values(),
+                        values.len()
                     )));
                 }
-                fields.extend(
-                    values
-                        .iter()
-                        .map(|v| Field::new(indicator_name(&f.name, v), DataType::Int)),
-                );
-                actions.push(ColumnAction::Dummy { name, values });
+                fields.extend(coding.fields(&name, &values));
+                actions.push(ColumnAction::Expand {
+                    name,
+                    values,
+                    coding,
+                });
             } else {
                 fields.push(Field::new(f.name.clone(), DataType::Int));
                 actions.push(ColumnAction::Recode { name, values });
@@ -112,8 +106,9 @@ impl FlatRecodeApplier {
     }
 
     /// The transformed schema: untouched columns as they were, recoded
-    /// columns as `Int`, each dummy-coded column replaced in place by its
-    /// `Int` indicator columns `col_<sanitized value>` in code order.
+    /// columns as `Int`, each coded column replaced in place by its
+    /// coding's columns (`Int` indicators `col_<sanitized value>` in code
+    /// order, or `Double` contrasts `col_eff<j>` / `col_orth<j>`).
     pub fn output_schema(&self) -> &Schema {
         &self.out_schema
     }
@@ -121,9 +116,9 @@ impl FlatRecodeApplier {
     /// Transform one partition column by column. A pass-through column
     /// is shared; a categorical column's dictionary is resolved to levels
     /// once, and the rows are a gather into one `Int` column of codes
-    /// (recode) or `k` indicator columns from the identity level table
-    /// (dummy). A NULL is a NULL code or an all-zero block; a value the
-    /// map lacks is an `unseen value` error.
+    /// (recode) or the coding's columns from its level table. A NULL is
+    /// a NULL code or an all-zero row; a value the map lacks is an
+    /// `unseen value` error.
     pub fn apply_batch(&self, input: &Batch) -> Result<Batch> {
         let mut columns = Vec::with_capacity(self.out_schema.len());
         for (c, action) in self.actions.iter().enumerate() {
@@ -138,10 +133,13 @@ impl FlatRecodeApplier {
                         .collect();
                     columns.push(Arc::new(Column::Int(Prim::new(codes, valid))));
                 }
-                ColumnAction::Dummy { name, values } => {
+                ColumnAction::Expand {
+                    name,
+                    values,
+                    coding,
+                } => {
                     let levels = row_levels(input.column(c), values, name)?;
-                    let identity = |l, j| i64::from(l == j);
-                    columns.extend(expand(&levels, values.len(), identity, Column::Int));
+                    columns.extend(coding.expand(&levels, values.len()));
                 }
             }
         }
@@ -259,25 +257,62 @@ mod tests {
     }
 
     #[test]
+    fn contrast_codings_expand_as_double_and_null_is_an_all_zero_row() {
+        let null_gender = Row::new(vec![Value::Int(30), Value::Null, Value::Str("No".into())]);
+        let rows = [row![30i64, "F", "No"], row![30i64, "M", "No"], null_gender];
+        for (coding, name, f, m) in [
+            (Coding::Effect, "gender_eff1", 1.0, -1.0),
+            (Coding::Helmert, "gender_orth1", -1.0, 1.0),
+        ] {
+            let spec = TransformSpec::coded(&[("gender", coding)]);
+            let a = FlatRecodeApplier::new(&map(), &schema(), &spec).unwrap();
+            assert_eq!(a.output_schema().names(), ["age", name, "abandoned"]);
+            assert_eq!(a.output_schema().field(1).data_type, DataType::Double);
+            let input = Batch::from_rows(&schema(), &rows);
+            let out = a.apply_batch(&input).unwrap();
+            let expected = [f, m, 0.0].map(|c| row![30i64, c, 1i64]);
+            assert_eq!(out.rows(), expected, "{coding}");
+            // The pass-through column is the input's, shared.
+            assert!(Arc::ptr_eq(out.column(0), input.column(0)), "{coding}");
+        }
+    }
+
+    #[test]
     fn specs_that_would_silently_lose_columns_are_rejected() {
         let m = map();
-        let new = |spec: &TransformSpec| FlatRecodeApplier::new(&m, &schema(), spec).is_err();
+        let err = |map: &RecodeMap, spec: &TransformSpec| {
+            let built = FlatRecodeApplier::new(map, &schema(), spec);
+            built.err().map(|e| e.to_string()).unwrap_or_default()
+        };
         // A recode column the table does not have.
-        assert!(new(&TransformSpec {
+        let country = TransformSpec {
             recode_columns: vec!["country".into()],
-            dummy_code_columns: vec![],
-        }));
-        // A dummy-code column that is not recoded.
-        assert!(new(&TransformSpec {
+            coded_columns: vec![],
+        };
+        assert!(!err(&m, &country).is_empty());
+        // A coded column that is not recoded.
+        let unrecoded = TransformSpec {
             recode_columns: vec!["gender".into()],
-            dummy_code_columns: vec!["abandoned".into()],
-        }));
-        // A dummy-code column the map has no values for: zero indicators.
-        let partial = RecodeMap::from_pairs(vec![("abandoned".into(), "No".into())]);
-        let err = FlatRecodeApplier::new(&partial, &schema(), &TransformSpec::new(&["gender"]))
-            .err()
-            .map(|e| e.to_string())
-            .unwrap_or_default();
-        assert!(err.contains("no recode map entries"), "{err}");
+            coded_columns: vec![("abandoned".into(), Coding::Dummy)],
+        };
+        assert!(!err(&m, &unrecoded).is_empty());
+        // A coded column the map has too few values for: zero indicators,
+        // or no contrast to draw.
+        let partial = RecodeMap::from_pairs(vec![
+            ("gender".into(), "F".into()),
+            ("abandoned".into(), "No".into()),
+        ]);
+        for (map, coding) in [
+            (&partial, Coding::Effect),
+            (&partial, Coding::Helmert),
+            (&RecodeMap::default(), Coding::Dummy),
+        ] {
+            let e = err(map, &TransformSpec::coded(&[("gender", coding)]));
+            let needs = format!("{coding}-coded column \"gender\" needs at least");
+            assert!(e.starts_with("plan error") && e.contains(&needs), "{e}");
+        }
+        // One value is enough to dummy-code.
+        let one = FlatRecodeApplier::new(&partial, &schema(), &TransformSpec::new(&["gender"]));
+        assert_eq!(one.unwrap().output_schema().names()[1], "gender_F");
     }
 }

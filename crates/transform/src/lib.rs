@@ -11,35 +11,34 @@
 //!   `SELECT DISTINCT` and numbers them with `assign_recode_ids`; the
 //!   result is a [`RecodeMap`]: per column the sorted values, a value's
 //!   code its position + 1, so recoded values are consecutive integers
-//!   starting at 1 (the SystemML requirement the paper cites).
+//!   starting at 1 (the SystemML requirement the paper cites). The map
+//!   crosses the catalog as the `M` table's three columns
+//!   ([`RecodeMap::to_batch`], [`RecodeMap::from_batches`]).
 //! * **Pass 2** ([`apply`]) — one parallel per-partition table-UDF pass
-//!   that recodes *and* dummy-codes every column of a partition at once,
-//!   one binary search per dictionary entry ([`FlatRecodeApplier`],
-//!   which also owns the transformed schema), the `recode_dummy` UDF.
-//!   §2.1 words this pass as a join against the recode-map table; the
+//!   that recodes *and* codes every column of a partition at once, one
+//!   binary search per dictionary entry ([`FlatRecodeApplier`], which
+//!   also owns the transformed schema), the `recode_dummy` UDF. §2.1
+//!   words this pass as a join against the recode-map table; the
 //!   differential tests hold this pass to that join row for row. The
 //!   naive baseline's external job runs the same applier over each
-//!   part-file, so a NULL or an unseen value means the same thing under
-//!   every strategy.
-//! * **Dummy coding** ([`dummy`]) — one-hot expansion of a recoded
-//!   column into K binary columns as the standalone `dummy_code` table
-//!   UDF, for hand-written SQL.
-//! * **Effect and orthogonal (Helmert) coding** ([`effect`]) — the "less
-//!   common transformations" §2 mentions, implemented the same way: the
-//!   applier's dummy block and all three UDFs expand a column through one
-//!   kernel, from a `K × w` level table.
+//!   part-file, so a NULL, an unseen value or a coding's refusal means
+//!   the same thing under every strategy.
+//! * **Coding** ([`coding`]) — dummy coding (one-hot), and the "less
+//!   common transformations" §2 mentions, effect and orthogonal
+//!   (Helmert) coding, named per column by [`TransformSpec`] and expanded
+//!   by one kernel from the coding's `K × w` level table.
 //! * **The pipeline** ([`pipeline`]) — the two passes' statements, which
-//!   the §4 rewriter's script splices in and [`InSqlTransformer`] runs:
+//!   the §4 rewriter's script carries and [`InSqlTransformer`] runs:
 //!   pass 1 then pass 2, or pass 2 alone with a cached recode map (§5.2's
 //!   optimization: skipping one of the two passes).
 
 pub mod apply;
-pub mod dummy;
-pub mod effect;
+pub mod coding;
 pub mod pipeline;
 pub mod recode;
 
 pub use apply::FlatRecodeApplier;
+pub use coding::Coding;
 pub use pipeline::{
     read_recode_map, recode_dummy_select, recode_map_statements, register_recode_map,
     register_udfs, InSqlTransformer, TransformOutput, TransformSpec,

@@ -3,8 +3,8 @@
 //! paper's "In-SQL transformation" approach). Pass 1 builds the recode
 //! map table through SQL statements and table UDFs; pass 2 is the
 //! registered `recode_dummy` table UDF, one parallel per-partition pass
-//! that recodes and dummy-codes every column at once. The statements of
-//! both passes are written once, here: the §4 rewriter splices them into
+//! that recodes every column and codes the spec's at once. The statements of
+//! both passes are written once, here: the §4 rewriter writes them into
 //! the script every In-SQL pipeline runs, and [`InSqlTransformer`] runs
 //! them over one table.
 
@@ -16,8 +16,7 @@ use sqlml_common::{sql_string_literal, Result, Schema, SqlmlError, Value};
 use sqlml_sqlengine::{Batch, Catalog, Engine, PartitionCtx, PartitionedTable, TableUdf};
 
 use crate::apply::FlatRecodeApplier;
-use crate::dummy::DummyCodeUdf;
-use crate::effect::{EffectCodeUdf, OrthogonalCodeUdf};
+use crate::coding::Coding;
 use crate::recode::{recode_map_schema, AssignRecodeIdsUdf, DistinctValuesUdf, RecodeMap};
 
 /// Register all transformation table UDFs with an engine. Idempotent.
@@ -27,9 +26,6 @@ pub fn register_udfs(engine: &Engine) {
     engine.register_table_udf(Arc::new(RecodeDummyUdf {
         catalog: engine.weak_catalog(),
     }));
-    engine.register_table_udf(Arc::new(DummyCodeUdf));
-    engine.register_table_udf(Arc::new(EffectCodeUdf));
-    engine.register_table_udf(Arc::new(OrthogonalCodeUdf));
 }
 
 /// What to transform.
@@ -38,18 +34,36 @@ pub struct TransformSpec {
     /// Categorical columns to recode. Empty = every column flagged
     /// `categorical` in the input schema.
     pub recode_columns: Vec<String>,
-    /// Recoded columns to further dummy-code (must be a subset of the
-    /// recoded columns).
-    pub dummy_code_columns: Vec<String>,
+    /// Recoded columns to further expand, each with its coding (each
+    /// must be one of the recoded columns).
+    pub coded_columns: Vec<(String, Coding)>,
 }
 
 impl TransformSpec {
     /// Recode all categorical columns, dummy-code the given ones.
     pub fn new(dummy_code_columns: &[&str]) -> Self {
+        let dummy: Vec<_> = (dummy_code_columns.iter())
+            .map(|&c| (c, Coding::Dummy))
+            .collect();
+        TransformSpec::coded(&dummy)
+    }
+
+    /// Recode all categorical columns, code the given ones as given.
+    pub fn coded(coded_columns: &[(&str, Coding)]) -> Self {
         TransformSpec {
             recode_columns: Vec::new(),
-            dummy_code_columns: dummy_code_columns.iter().map(|s| s.to_string()).collect(),
+            coded_columns: (coded_columns.iter())
+                .map(|&(c, coding)| (c.to_string(), coding))
+                .collect(),
         }
+    }
+
+    /// The coding of `column` (names match ignoring ASCII case), `None`
+    /// when the spec only recodes it or leaves it alone.
+    pub fn coding(&self, column: &str) -> Option<Coding> {
+        (self.coded_columns.iter())
+            .find(|(c, _)| c.eq_ignore_ascii_case(column))
+            .map(|&(_, coding)| coding)
     }
 
     /// The recode columns, defaulted from a schema when unspecified.
@@ -65,14 +79,14 @@ impl TransformSpec {
 /// Result of a transformation run.
 #[derive(Debug)]
 pub struct TransformOutput {
-    /// The fully transformed (recoded + dummy-coded) table.
+    /// The fully transformed (recoded + coded) table.
     pub table: PartitionedTable,
     /// The recode map built (or reused) — cacheable per §5.2.
     pub recode_map: RecodeMap,
     /// Time spent building the recode map (zero when a cached map was
     /// supplied).
     pub map_build: Duration,
-    /// Time spent in pass 2 (recoding + dummy coding).
+    /// Time spent in pass 2 (recoding + coding).
     pub apply: Duration,
 }
 
@@ -103,17 +117,18 @@ pub fn recode_map_statements(
 }
 
 /// Pass 2 over the table `input`: `recode_dummy` recodes `columns` (and
-/// dummy-codes `spec`'s) through the `M` table `map`. Its arguments after
-/// `map` are the number of recode columns, those, then the dummy-code
-/// columns.
+/// codes `spec`'s) through the `M` table `map`. Its arguments after `map`
+/// are the number of recode columns, those, then one `(column, coding)`
+/// pair per coded column, the coding by [`Coding::name`].
 pub fn recode_dummy_select(
     input: &str,
     map: &str,
     columns: &[String],
     spec: &TransformSpec,
 ) -> String {
-    let names = (columns.iter())
-        .chain(&spec.dummy_code_columns)
+    let codings = (spec.coded_columns.iter()).flat_map(|(c, coding)| [c.as_str(), coding.name()]);
+    let names = (columns.iter().map(String::as_str))
+        .chain(codings)
         .map(|c| format!(", {}", sql_string_literal(c)))
         .collect::<String>();
     format!(
@@ -134,15 +149,13 @@ fn temp_name(tag: &str) -> String {
 
 /// The recode map in the `M` table `name` of `catalog`.
 pub fn read_recode_map(catalog: &Catalog, name: &str) -> Result<RecodeMap> {
-    RecodeMap::from_rows(&catalog.table(name)?.collect_rows())
+    RecodeMap::from_batches(catalog.table(name)?.partitions())
 }
 
 /// Register `map` as the `M` table `name` (a cached §5.2 map).
 pub fn register_recode_map(engine: &Engine, name: &str, map: &RecodeMap) {
-    engine.register_table(
-        name,
-        PartitionedTable::single(recode_map_schema(), map.to_rows()),
-    );
+    let table = PartitionedTable::from_batch(recode_map_schema(), map.to_batch());
+    engine.register_table(name, table);
 }
 
 /// Runs the two passes' statements over one table of an engine,
@@ -267,21 +280,25 @@ impl RecodeDummyUdf {
     fn applier(&self, input: &Schema, args: &[Value]) -> Result<FlatRecodeApplier> {
         let usage = || {
             let usage = "recode_dummy takes (table, map_table, n, n recode columns..., \
-                         dummy-code columns...)";
+                         (coded column, coding) pairs...)";
             SqlmlError::Plan(usage.into())
         };
         let [map_table, n, names @ ..] = args else {
             return Err(usage());
         };
-        let mut recode_columns = (names.iter())
+        let names = (names.iter())
             .map(|v| v.as_str().map(str::to_string))
             .collect::<Result<Vec<_>>>()?;
         let n = (usize::try_from(n.as_i64()?).ok())
-            .filter(|&n| n <= recode_columns.len())
+            .filter(|&n| n <= names.len() && (names.len() - n) % 2 == 0)
+            .ok_or_else(usage)?;
+        let coded_columns = (names[n..].chunks(2))
+            .map(|pair| Some((pair[0].clone(), Coding::parse(&pair[1])?)))
+            .collect::<Option<_>>()
             .ok_or_else(usage)?;
         let spec = TransformSpec {
-            dummy_code_columns: recode_columns.split_off(n),
-            recode_columns,
+            recode_columns: names[..n].to_vec(),
+            coded_columns,
         };
         // Nothing to recode (no categorical column): no map is read.
         let map = if spec.effective_recode_columns(input).is_empty() {
@@ -456,9 +473,38 @@ mod tests {
         let tr = InSqlTransformer::new(engine_with_figure1());
         let spec = TransformSpec {
             recode_columns: vec!["gender".into()],
-            dummy_code_columns: vec!["abandoned".into()],
+            coded_columns: vec![("abandoned".into(), Coding::Dummy)],
         };
         assert!(tr.transform("t", &spec).is_err());
+    }
+
+    #[test]
+    fn codings_travel_as_column_coding_pairs_and_a_malformed_tail_is_refused() {
+        let e = engine_with_figure1();
+        let tr = InSqlTransformer::new(e.clone());
+        let spec = TransformSpec::coded(&[("gender", Coding::Helmert)]);
+        let columns = ["gender".to_string(), "abandoned".to_string()];
+        let sql = recode_dummy_select("t", "m", &columns, &spec);
+        assert!(
+            sql.contains("2, 'gender', 'abandoned', 'gender', 'helmert')"),
+            "{sql}"
+        );
+        let out = tr.transform("t", &spec).unwrap();
+        let names = ["age", "gender_orth1", "amount", "abandoned"];
+        assert_eq!(out.table.schema().names(), names);
+
+        register_recode_map(&e, "m", &out.recode_map);
+        for tail in [
+            "'gender'",
+            "'gender', 'orthogonal'",
+            "'gender', 'helmert', 'abandoned'",
+        ] {
+            let sql = format!(
+                "SELECT * FROM TABLE(recode_dummy(t, 'm', 2, 'gender', 'abandoned', {tail})) AS r"
+            );
+            let err = e.query(&sql).unwrap_err().to_string();
+            assert!(err.contains("recode_dummy takes"), "{tail}: {err}");
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Recoding of categorical variables (§2.1).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use sqlml_common::schema::{DataType, Field};
 use sqlml_common::{Result, Row, Schema, SqlmlError, Value};
-use sqlml_sqlengine::column::Prim;
+use sqlml_sqlengine::column::{DictionaryColumn, Prim, NULL_CODE};
 use sqlml_sqlengine::udf::{PartitionCtx, TableUdf};
 use sqlml_sqlengine::{Batch, Column};
 
@@ -101,36 +101,60 @@ impl RecodeMap {
         self.columns.get(column).map_or(&[], Vec::as_slice)
     }
 
-    /// Serialize as rows of the `M` table.
-    pub fn to_rows(&self) -> Vec<Row> {
-        let mut out = Vec::new();
-        for (c, values) in &self.columns {
+    /// The `M` table as one batch of its three columns
+    /// ([`recode_map_schema`]): per column in name order, its values in
+    /// code order.
+    pub fn to_batch(&self) -> Batch {
+        let len = self.columns.values().map(Vec::len).sum();
+        let names: Vec<Arc<str>> = self.columns.keys().map(|c| Arc::from(c.as_str())).collect();
+        let (mut name_codes, mut value_codes, mut codes) = (
+            Vec::with_capacity(len),
+            Vec::with_capacity(len),
+            Vec::with_capacity(len),
+        );
+        // Two columns may share a value; the dictionary holds it once. (A
+        // map past `u32` distinct values would write NULLs, which
+        // `from_batches` refuses.)
+        let mut dict: Vec<Arc<str>> = Vec::new();
+        let mut index: HashMap<&str, u32> = HashMap::new();
+        for (name, values) in (0u32..).zip(self.columns.values()) {
             for (code, v) in (1i64..).zip(values) {
-                out.push(Row::new(vec![
-                    Value::Str(c.as_str().into()),
-                    Value::Str(v.as_str().into()),
-                    Value::Int(code),
-                ]));
+                let at = *index.entry(v.as_str()).or_insert_with(|| {
+                    dict.push(Arc::from(v.as_str()));
+                    u32::try_from(dict.len() - 1).unwrap_or(NULL_CODE)
+                });
+                name_codes.push(name);
+                value_codes.push(at);
+                codes.push(code);
             }
         }
-        out
+        let strings =
+            |codes, dict| Arc::new(Column::Str(DictionaryColumn::new(codes, Arc::new(dict))));
+        let columns = vec![
+            strings(name_codes, names),
+            strings(value_codes, dict),
+            Arc::new(Column::Int(Prim::new(codes, None))),
+        ];
+        Batch::new(columns, len)
     }
 
-    /// Parse from rows of the `M` table. Per column the codes must be
-    /// exactly `1..=K` and follow value order — a table that would need
-    /// renumbering to fit is an error, not silently a different map.
-    pub fn from_rows(rows: &[Row]) -> Result<RecodeMap> {
-        let mut coded: BTreeMap<String, Vec<(i64, String)>> = BTreeMap::new();
-        for r in rows {
-            if r.len() != 3 {
+    /// Parse the `M` table's partitions, read column by column. Per
+    /// column the codes must be exactly `1..=K` and follow value order —
+    /// a table that would need renumbering to fit is an error, not
+    /// silently a different map.
+    pub fn from_batches(parts: &[Batch]) -> Result<RecodeMap> {
+        let mut coded: BTreeMap<&str, Vec<(i64, &str)>> = BTreeMap::new();
+        for part in parts {
+            if part.width() != 3 {
                 return Err(SqlmlError::Execution(
                     "recode map rows must have 3 columns".into(),
                 ));
             }
-            coded
-                .entry(r.get(0).as_str()?.to_string())
-                .or_default()
-                .push((r.get(2).as_i64()?, r.get(1).as_str()?.to_string()));
+            let [names, values, codes] = [0, 1, 2].map(|c| &**part.column(c));
+            for i in 0..part.len() {
+                let entry = (int_cell(codes, i)?, str_cell(values, i)?);
+                coded.entry(str_cell(names, i)?).or_default().push(entry);
+            }
         }
         let mut columns = BTreeMap::new();
         for (c, mut entries) in coded {
@@ -142,7 +166,8 @@ impl RecodeMap {
                     "recode map for {c:?} is not consecutive-from-1 in value order: {entries:?}"
                 )));
             }
-            columns.insert(c, entries.into_iter().map(|(_, v)| v).collect());
+            let values = entries.into_iter().map(|(_, v)| v.to_string()).collect();
+            columns.insert(c.to_string(), values);
         }
         Ok(RecodeMap { columns })
     }
@@ -289,6 +314,15 @@ fn str_cell(column: &Column, i: usize) -> Result<&str> {
     .ok_or_else(|| SqlmlError::Type(format!("cannot interpret {} as a string", column.value(i))))
 }
 
+/// Row `i` of the `M` table's code column as an integer, read in place;
+/// any other cell is what [`Value::as_i64`] makes of it.
+fn int_cell(column: &Column, i: usize) -> Result<i64> {
+    match column {
+        Column::Int(p) if p.is_valid(i) => Ok(p.values()[i]),
+        _ => column.value(i).as_i64(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,25 +347,45 @@ mod tests {
     }
 
     #[test]
-    fn rows_round_trip() {
+    fn columns_round_trip() {
         let m = RecodeMap::from_pairs(vec![
             ("c".into(), "a".into()),
             ("c".into(), "b".into()),
+            ("d".into(), "a".into()),
             ("d".into(), "z".into()),
         ]);
-        let back = RecodeMap::from_rows(&m.to_rows()).unwrap();
-        assert_eq!(m, back);
+        let batch = m.to_batch();
+        assert_eq!(
+            batch.rows(),
+            [
+                row!["c", "a", 1i64],
+                row!["c", "b", 2i64],
+                row!["d", "a", 1i64],
+                row!["d", "z", 2i64]
+            ]
+        );
+        // `a` is one dictionary entry, shared by both columns.
+        let Column::Str(values) = &**batch.column(1) else {
+            panic!("colval is not a string column");
+        };
+        assert_eq!(values.entries().len(), 3);
+        assert_eq!(RecodeMap::from_batches(&[batch]).unwrap(), m);
+        assert_eq!(RecodeMap::default().to_batch().len(), 0);
     }
 
     #[test]
-    fn from_rows_rejects_codes_that_are_not_consecutive_in_value_order() {
-        let table = |entries: &[(&str, i64)]| -> Vec<Row> {
-            (entries.iter())
+    fn from_batches_rejects_codes_that_are_not_consecutive_in_value_order() {
+        let table = |entries: &[(&str, i64)]| -> Vec<Batch> {
+            let rows: Vec<Row> = (entries.iter())
                 .map(|&(value, code)| row!["c", value, code])
-                .collect()
+                .collect();
+            // One row per partition: a check must not depend on where
+            // the rows landed.
+            let one = |r: &Row| Batch::from_rows(&recode_map_schema(), std::slice::from_ref(r));
+            rows.iter().map(one).collect()
         };
         // Rows in any order parse to the same map.
-        let ok = RecodeMap::from_rows(&table(&[("b", 2), ("a", 1)])).unwrap();
+        let ok = RecodeMap::from_batches(&table(&[("b", 2), ("a", 1)])).unwrap();
         assert_eq!(ok.values_in_code_order("c"), ["a", "b"]);
         for (what, bad) in [
             ("a skipped code", table(&[("a", 1), ("b", 3)])),
@@ -340,12 +394,37 @@ mod tests {
             // Codes 1..=K, but b=1 and a=2: sorted storage would renumber.
             ("codes out of value order", table(&[("b", 1), ("a", 2)])),
         ] {
-            let err = RecodeMap::from_rows(&bad).err().map(|e| e.to_string());
+            let err = RecodeMap::from_batches(&bad).err().map(|e| e.to_string());
             assert!(
                 err.as_deref()
                     .is_some_and(|e| e.contains("not consecutive-from-1 in value order")),
                 "{what}: {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn from_batches_rejects_a_table_that_is_not_three_typed_columns() {
+        let two = Schema::new(vec![
+            Field::categorical("colname"),
+            Field::categorical("colval"),
+        ]);
+        let err = RecodeMap::from_batches(&[Batch::from_rows(&two, &[row!["c", "a"]])]);
+        let err = err.err().map(|e| e.to_string()).unwrap_or_default();
+        assert!(err.contains("must have 3 columns"), "{err}");
+        for bad in [
+            row![7i64, "a", 1i64],
+            row!["c", 7i64, 1i64],
+            row!["c", "a", "one"],
+            Row::new(vec![Value::Null, Value::str("a"), Value::Int(1)]),
+            Row::new(vec![Value::str("c"), Value::Null, Value::Int(1)]),
+            Row::new(vec![Value::str("c"), Value::str("a"), Value::Null]),
+        ] {
+            let batch = Batch::from_rows(&recode_map_schema(), std::slice::from_ref(&bad));
+            let err = RecodeMap::from_batches(&[batch])
+                .err()
+                .map(|e| e.to_string());
+            assert!(err.is_some_and(|e| e.contains("cannot interpret")), "{bad}");
         }
     }
 
@@ -451,7 +530,7 @@ mod tests {
         let out = AssignRecodeIdsUdf
             .execute(&input, &distinct_pairs_schema(), &[], &ctx1)
             .unwrap();
-        let m = RecodeMap::from_rows(&out.rows()).unwrap();
+        let m = RecodeMap::from_batches(std::slice::from_ref(&out)).unwrap();
         assert_eq!(m.code("gender", "F"), Some(1));
         assert_eq!(m.code("abandoned", "Yes"), Some(2));
         // The two string columns come back shared, not rebuilt.

@@ -2,8 +2,9 @@
 //!
 //! Demonstrates pieces the cart example doesn't: the **query rewriter**
 //! (§4) printing the SQL script every In-SQL pipeline runs, here ending
-//! in the streaming hand-off, **effect coding**, and the **fault-injected
-//! restart protocol** (§6) during a live transfer.
+//! in the streaming hand-off, **effect coding** named in the request's
+//! `TransformSpec`, and the **fault-injected restart protocol** (§6)
+//! during a live transfer.
 //!
 //! Run with: `cargo run --release --example churn_streaming`
 
@@ -11,10 +12,10 @@ use std::sync::Arc;
 
 use sqlml_common::schema::{DataType, Field, Schema};
 use sqlml_common::{Row, SplitMix64, Value};
-use sqlml_core::{ClusterConfig, SimCluster};
+use sqlml_core::{ClusterConfig, Pipeline, PipelineRequest, SimCluster, Strategy};
 use sqlml_rewriter::QueryRewriter;
 use sqlml_transfer::{FaultInjector, TransferArgs};
-use sqlml_transform::TransformSpec;
+use sqlml_transform::{Coding, TransformSpec};
 
 fn build_tables(cluster: &SimCluster) {
     let customers = Schema::new(vec![
@@ -49,17 +50,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cluster = SimCluster::start(ClusterConfig::for_tests())?;
     build_tables(&cluster);
 
-    // --- 1. The §4 rewriter: show the generated UDF script. -------------
+    // --- 1. The §4 rewriter: show the generated UDF script, `plan`
+    // effect-coded (one of the §2 variant transformations). --------------
     let rewriter = QueryRewriter::new(cluster.engine.clone());
     let prep = "SELECT tenure_months, monthly_bill, plan, churned \
                 FROM customers WHERE tenure_months > 3";
-    let spec = TransformSpec::new(&["plan"]);
+    let spec = TransformSpec::coded(&[("plan", Coding::Effect)]);
+    // Transformed layout: tenure, bill, plan_eff1, plan_eff2, churned.
+    let command = "logreg label=4 iterations=150";
     let target = TransferArgs {
         coord_addr: cluster.stream.coordinator_addr().to_string(),
         transfer_id: 1,
-        // Transformed layout: tenure, bill, plan_basic, plan_plus,
-        // plan_premium, churned.
-        command: "logreg label=5 iterations=150".to_string(),
+        command: command.to_string(),
         config: cluster.config.transfer,
     };
     let script = rewriter.rewrite(prep, &spec, Some(&target))?;
@@ -68,55 +70,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{:>2}. {stmt}", i + 1);
     }
 
-    // --- 2. Effect coding (the §2 variant transformations). -------------
-    let transformer = sqlml_transform::InSqlTransformer::new(cluster.engine.clone());
-    cluster
-        .engine
-        .execute(&format!("CREATE TABLE churn_prep AS {prep}"))?;
-    let recoded = transformer.transform("churn_prep", &TransformSpec::default())?;
-    cluster
-        .engine
-        .register_table("churn_recoded", recoded.table);
-    let effect = cluster
-        .engine
-        .query("SELECT * FROM TABLE(effect_code(churn_recoded, 'plan', 3)) AS e")?;
-    println!(
-        "\neffect-coded schema: {}",
-        effect.schema().names().join(", ")
-    );
-    assert!(effect.schema().names().contains(&"plan_eff1".to_string()));
-
-    // --- 3. Streaming with an injected fault: §6's restart protocol. ----
+    // --- 2. The request runs that script, streaming with an injected
+    // fault: §6's restart protocol. ---------------------------------------
+    let pipeline = Pipeline::new(&cluster);
     let injector = Arc::new(FaultInjector::new());
     injector.fail_worker_after(0, 200);
     let stream_cfg = cluster.stream_config();
     cluster
         .stream
         .install_udf(&cluster.engine, &stream_cfg, Some(Arc::clone(&injector)));
-    let outcome = cluster.stream.run(
-        &cluster.engine,
-        "churn_recoded",
-        "logreg label=3 iterations=150",
-        &stream_cfg,
-    )?;
+    let request = PipelineRequest {
+        prep_sql: prep.to_string(),
+        spec,
+        ml_command: command.to_string(),
+    };
+    let report = pipeline.run(&request, Strategy::InSqlStream)?;
+    let stats = report
+        .stream_stats
+        .expect("a streamed run reports its transfer");
     println!(
         "\nstreamed {} rows, restart attempts: {} (fault fired: {:?})",
-        outcome.stats.rows_ingested,
-        outcome.stats.max_attempts,
+        stats.rows_ingested,
+        stats.max_attempts,
         injector.fired()
     );
-    assert_eq!(outcome.stats.max_attempts, 2, "restart protocol must fire");
+    assert_eq!(stats.max_attempts, 2, "restart protocol must fire");
     assert_eq!(
-        outcome.stats.rows_ingested,
-        cluster.engine.table_rows("churn_recoded")?,
+        stats.rows_ingested,
+        cluster.engine.query(prep)?.num_rows(),
         "exactly-once delivery despite the fault"
     );
 
     // The model should find the planted churn signal.
-    let model = outcome.job.model;
-    // Features: tenure, bill, plan (recoded, no dummy here).
-    let loyal = model.predict(&[70.0, 25.0, 1.0]);
-    let flighty = model.predict(&[2.0, 95.0, 1.0]);
+    let model = report.model;
+    // Features: tenure, bill, plan effect-coded (basic = (1, 0)).
+    let loyal = model.predict(&[70.0, 25.0, 1.0, 0.0]);
+    let flighty = model.predict(&[2.0, 95.0, 1.0, 0.0]);
     println!("predict(loyal)={loyal} predict(flighty)={flighty}");
     assert_eq!(loyal, 0.0);
     assert_eq!(flighty, 1.0);

@@ -103,7 +103,7 @@ fn a_value_coded_differently_in_two_partitions_gets_one_id_in_value_order() {
     e.register_table("t", table);
     let spec = TransformSpec {
         recode_columns: vec!["g".into()],
-        dummy_code_columns: vec![],
+        coded_columns: vec![],
     };
     let out = InSqlTransformer::new(e).transform("t", &spec).unwrap();
     let ids: Vec<(i64, i64)> = (out.table.collect_sorted().iter())

@@ -13,9 +13,9 @@
 //!   `Project`;
 //! * a plain per-cell loop over `RecodeMap::code` is the reference for
 //!   [`FlatRecodeApplier::apply_batch`];
-//! * [`join_oracle`] runs §2.1 as SQL text — the recode map from a
-//!   centralized scan, one recode join per column, one `dummy_code`
-//!   statement per dummy column — which is the oracle for
+//! * [`join_oracle`] runs §2.1 and §2.2 as SQL text — the recode map
+//!   from a centralized scan, one recode join per recoded column, one join
+//!   against a level table per coded column — which is the oracle for
 //!   `InSqlTransformer::transform` (the statements the rewriter's script
 //!   runs), as is the naive baseline's `run_external_transform`.
 //!
@@ -40,9 +40,10 @@ use sqlml_sqlengine::expr::Expr;
 use sqlml_sqlengine::plan::{BuildSide, Plan};
 use sqlml_sqlengine::planner::plan_select;
 use sqlml_sqlengine::{Batch, Engine, EngineConfig, PartitionedTable};
+use sqlml_transform::coding::indicator_name;
 use sqlml_transform::recode::recode_map_schema;
 use sqlml_transform::{
-    register_udfs, FlatRecodeApplier, InSqlTransformer, RecodeMap, TransformSpec,
+    register_udfs, Coding, FlatRecodeApplier, InSqlTransformer, RecodeMap, TransformSpec,
 };
 
 fn workload_engine() -> Engine {
@@ -175,10 +176,7 @@ fn reference_apply(row: &Row, schema: &Schema, spec: &TransformSpec, map: &Recod
         let is_recoded = recode_columns
             .iter()
             .any(|c| c.eq_ignore_ascii_case(&f.name));
-        let is_dummy = spec
-            .dummy_code_columns
-            .iter()
-            .any(|c| c.eq_ignore_ascii_case(&f.name));
+        let is_dummy = spec.coding(&f.name) == Some(Coding::Dummy);
         let v = row.get(i);
         if is_dummy {
             let code = match v {
@@ -354,11 +352,61 @@ fn read_sorted(dfs: &Dfs, dir: &str, schema: &Schema) -> Vec<Row> {
     rows
 }
 
-/// The transform as §2.1 words it, in SQL text over `src`: the recode
-/// map — from a centralized scan, not from pass 1 — registered as the
-/// `M` table; one join against it per recoded column; then one
-/// `dummy_code` statement per dummy-coded column, its indicators named
-/// by value. It shares no statement with the product's script.
+const CODINGS: [Coding; 3] = [Coding::Dummy, Coding::Effect, Coding::Helmert];
+
+/// Row `level` (0-based) of `coding`'s level table over `k` values, from
+/// §2.2's definitions: dummy coding's `Int` identity; effect coding's
+/// `+1` in the level's own column, `-1` everywhere for the last level;
+/// Helmert's contrast `j` (1-based), `-1` for levels `1..=j`, `j` for
+/// level `j+1`, else `0`.
+fn level_row(coding: Coding, k: usize, level: usize) -> Vec<Value> {
+    let l = level + 1;
+    match coding {
+        Coding::Dummy => (1..=k).map(|j| Value::Int((j == l) as i64)).collect(),
+        Coding::Effect => (1..k)
+            .map(|j| {
+                Value::Double(if l == k {
+                    -1.0
+                } else if j == l {
+                    1.0
+                } else {
+                    0.0
+                })
+            })
+            .collect(),
+        Coding::Helmert => (1..k)
+            .map(|j| {
+                Value::Double(if l <= j {
+                    -1.0
+                } else if l == j + 1 {
+                    j as f64
+                } else {
+                    0.0
+                })
+            })
+            .collect(),
+    }
+}
+
+/// The names of `column`'s output columns under `coding` over `values`.
+fn coded_names(column: &str, coding: Coding, values: &[String]) -> Vec<String> {
+    match coding {
+        Coding::Dummy => values.iter().map(|v| indicator_name(column, v)).collect(),
+        Coding::Effect => (1..values.len())
+            .map(|j| format!("{column}_eff{j}"))
+            .collect(),
+        Coding::Helmert => (1..values.len())
+            .map(|j| format!("{column}_orth{j}"))
+            .collect(),
+    }
+}
+
+/// The transform as §2.1 and §2.2 word it, in SQL text over `src`: the
+/// recode map — from a centralized scan, not from pass 1 — registered as
+/// the `M` table, and one join against it per recoded column; a coded
+/// column instead joins a level table of `K` rows (`colval`, then its
+/// `w` output columns), its outputs named by the coding. One plain
+/// `SELECT`, no UDF: it shares no statement with the product's script.
 fn join_oracle(
     engine: &Engine,
     src: &str,
@@ -368,57 +416,71 @@ fn join_oracle(
     let schema = table.schema().clone();
     let columns = spec.effective_recode_columns(&schema);
     let map = RecodeMap::from_table_scan(table.partitions(), &schema, &columns)?;
+    let m_rows = (map.columns())
+        .flat_map(|c| {
+            let values = map.values_in_code_order(c).iter();
+            (1i64..).zip(values).map(move |(code, v)| {
+                Row::new(vec![
+                    Value::str(c),
+                    Value::str(v.as_str()),
+                    Value::Int(code),
+                ])
+            })
+        })
+        .collect();
+    let mut tables = vec!["oracle_m".to_string()];
     engine.register_table(
         "oracle_m",
-        PartitionedTable::single(recode_map_schema(), map.to_rows()),
+        PartitionedTable::single(recode_map_schema(), m_rows),
     );
     let (mut projections, mut froms, mut predicates) = (vec![], vec![format!("{src} T")], vec![]);
     for field in schema.fields() {
         let name = &field.name;
-        match columns.iter().position(|c| c.eq_ignore_ascii_case(name)) {
-            Some(pos) => {
-                projections.push(format!("M{pos}.recodeval AS {name}"));
-                froms.push(format!("oracle_m AS M{pos}"));
-                predicates.push(format!("M{pos}.colname = {}", sql_string_literal(name)));
-                predicates.push(format!("T.{name} = M{pos}.colval"));
-            }
-            None => projections.push(format!("T.{name}")),
-        }
+        let Some(pos) = columns.iter().position(|c| c.eq_ignore_ascii_case(name)) else {
+            projections.push(format!("T.{name}"));
+            continue;
+        };
+        let Some(coding) = spec.coding(name) else {
+            projections.push(format!("M{pos}.recodeval AS {name}"));
+            froms.push(format!("oracle_m AS M{pos}"));
+            predicates.push(format!("M{pos}.colname = {}", sql_string_literal(name)));
+            predicates.push(format!("T.{name} = M{pos}.colval"));
+            continue;
+        };
+        let values = map.values_in_code_order(name);
+        let names = coded_names(name, coding, values);
+        let ty = [DataType::Double, DataType::Int][(coding == Coding::Dummy) as usize];
+        let fields = std::iter::once(Field::new("colval", DataType::Str))
+            .chain((0..names.len()).map(|j| Field::new(format!("w{j}"), ty)));
+        let rows = (values.iter().enumerate())
+            .map(|(l, v)| {
+                let row = level_row(coding, values.len(), l);
+                Row::new(std::iter::once(Value::str(v.as_str())).chain(row).collect())
+            })
+            .collect();
+        let level_table = format!("oracle_l{pos}");
+        engine.register_table(
+            &level_table,
+            PartitionedTable::single(Schema::new(fields.collect()), rows),
+        );
+        projections.extend((names.iter().enumerate()).map(|(j, n)| format!("L{pos}.w{j} AS {n}")));
+        froms.push(format!("{level_table} AS L{pos}"));
+        predicates.push(format!("T.{name} = L{pos}.colval"));
+        tables.push(level_table);
     }
-    let mut statements = vec![if predicates.is_empty() {
-        format!("CREATE TABLE oracle_0 AS SELECT * FROM {src}")
+    let sql = if predicates.is_empty() {
+        format!("SELECT * FROM {src}")
     } else {
         format!(
-            "CREATE TABLE oracle_0 AS SELECT {} FROM {} WHERE {}",
+            "SELECT {} FROM {} WHERE {}",
             projections.join(", "),
             froms.join(", "),
             predicates.join(" AND ")
         )
-    }];
-    for (i, col) in spec.dummy_code_columns.iter().enumerate() {
-        let values = (map.values_in_code_order(col).iter())
-            .map(|v| format!(", {}", sql_string_literal(v)))
-            .collect::<String>();
-        statements.push(format!(
-            "CREATE TABLE oracle_{} AS SELECT * FROM TABLE(dummy_code(oracle_{i}, {}{values})) AS dc",
-            i + 1,
-            sql_string_literal(col)
-        ));
-    }
-    let last = statements.len() - 1;
-    statements.push(format!("SELECT * FROM oracle_{last}"));
-    let result = (|| {
-        let mut out = None;
-        for stmt in &statements {
-            out = engine.execute(stmt)?;
-        }
-        Ok(out.expect("the oracle ends with a SELECT"))
-    })();
-    for t in (0..=last)
-        .map(|i| format!("oracle_{i}"))
-        .chain(["oracle_m".into()])
-    {
-        let _ = engine.catalog().drop_table(&t);
+    };
+    let result = engine.query(&sql);
+    for t in &tables {
+        let _ = engine.catalog().drop_table(t);
     }
     result
 }
@@ -426,11 +488,13 @@ fn join_oracle(
 #[test]
 fn insql_transform_matches_join_script_and_external_transform_on_random_tables() {
     let mut rng = SplitMix64::new(0x1d5_0c0de);
+    let mut refusals = 0;
     for trial in 0..25 {
         let (table, cats) = random_categorical_table(&mut rng);
         let schema = table.schema().clone();
         // Recode every categorical column, or an explicit subset of at
-        // least one; dummy-code a random subset of the recoded ones.
+        // least one; code a random subset of the recoded ones, each with
+        // a coding drawn from the three.
         let recode: Vec<String> = if rng.chance(0.5) {
             Vec::new()
         } else {
@@ -438,34 +502,50 @@ fn insql_transform_matches_join_script_and_external_transform_on_random_tables()
             cats[..keep].to_vec()
         };
         let recoded = if recode.is_empty() { &cats } else { &recode };
+        let mut coded_columns = Vec::new();
+        for c in recoded {
+            if rng.chance(0.5) {
+                coded_columns.push((c.clone(), *rng.choose(&CODINGS)));
+            }
+        }
         let spec = TransformSpec {
             recode_columns: recode.clone(),
-            dummy_code_columns: recoded
-                .iter()
-                .filter(|_| rng.chance(0.5))
-                .cloned()
-                .collect(),
+            coded_columns,
         };
         let what = format!("trial {trial}: {spec:?} over {:?}", schema.names());
 
         let engine = Engine::new(EngineConfig::with_workers(3));
         engine.register_table("src", table.clone());
-        let insql = InSqlTransformer::new(engine.clone())
-            .transform("src", &spec)
-            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        let insql = InSqlTransformer::new(engine.clone()).transform("src", &spec);
+        let dfs = Dfs::new(DfsConfig::for_tests());
+        table.save_text(&dfs, "/in").unwrap();
+        let external = run_external_transform(&dfs, "/in", &schema, &spec, "/out");
+        let insql = match insql {
+            Ok(insql) => insql,
+            // A contrast over a one-value column: both refuse, alike.
+            Err(e) => {
+                let e = e.to_string();
+                let scan =
+                    RecodeMap::from_table_scan(table.partitions(), &schema, recoded).unwrap();
+                let refused = (spec.coded_columns.iter())
+                    .any(|(c, coding)| *coding != Coding::Dummy && scan.cardinality(c) < 2);
+                assert!(refused && e.contains("needs at least 2"), "{what}: {e}");
+                let external = external.err().map(|e| e.to_string());
+                assert_eq!(external.as_deref(), Some(e.as_str()), "{what}");
+                refusals += 1;
+                continue;
+            }
+        };
         let insql_rows = insql.table.collect_sorted();
         assert_eq!(insql_rows.len(), table.num_rows(), "{what}");
 
-        // The §2.1 recode join, then one dummy_code statement per column.
+        // The §2.1 recode join, and a level-table join per coded column.
         let oracle = join_oracle(&engine, "src", &spec).unwrap_or_else(|e| panic!("{what}: {e}"));
         assert_eq!(oracle.collect_sorted(), insql_rows, "{what}");
         assert_eq!(oracle.schema(), insql.table.schema(), "{what}");
 
         // The naive baseline's external job over the same rows on a DFS.
-        let dfs = Dfs::new(DfsConfig::for_tests());
-        table.save_text(&dfs, "/in").unwrap();
-        let external = run_external_transform(&dfs, "/in", &schema, &spec, "/out")
-            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        let external = external.unwrap_or_else(|e| panic!("{what}: {e}"));
         assert_eq!(
             external.schema.names(),
             insql.table.schema().names(),
@@ -478,6 +558,11 @@ fn insql_transform_matches_join_script_and_external_transform_on_random_tables()
             "{what}"
         );
     }
+    // The draws must keep exercising both outcomes.
+    assert!(
+        (1..25).contains(&refusals),
+        "{refusals} of 25 trials refused"
+    );
 }
 
 #[test]
@@ -736,27 +821,25 @@ impl ReuseQuery {
         sql
     }
 
-    /// Dummy-code each projected categorical column with probability
-    /// `p_dummy`, or — when `like` is given — the way `like` codes it,
-    /// flipped with probability 0.15.
+    /// Code each projected categorical column with probability 0.4, by
+    /// a coding drawn from the three, or — when `like` is given — the way
+    /// `like` codes it, redrawn (coded or not, by any coding) with
+    /// probability 0.15.
     fn draw_spec(&mut self, rng: &mut SplitMix64, like: Option<&TransformSpec>) {
-        let mut dummy = Vec::new();
+        let mut coded = Vec::new();
         for &i in &self.projection {
             let c = &REUSE_COLUMNS[i];
             if !c.categorical {
                 continue;
             }
-            let coded = match like {
-                Some(spec) => {
-                    spec.dummy_code_columns.iter().any(|d| d == c.name) != rng.chance(0.15)
-                }
-                None => rng.chance(0.4),
+            let coding = match like {
+                Some(spec) if !rng.chance(0.15) => spec.coding(c.name),
+                Some(_) => rng.chance(0.5).then(|| *rng.choose(&CODINGS)),
+                None => rng.chance(0.4).then(|| *rng.choose(&CODINGS)),
             };
-            if coded {
-                dummy.push(c.name);
-            }
+            coded.extend(coding.map(|coding| (c.name, coding)));
         }
-        self.spec = TransformSpec::new(&dummy);
+        self.spec = TransformSpec::coded(&coded);
     }
 }
 
@@ -808,13 +891,13 @@ fn draw_reuse_pair(rng: &mut SplitMix64) -> (ReuseQuery, ReuseQuery) {
     (cached, new)
 }
 
-/// Undo a transformation: map every recoded integer and every indicator
+/// Undo a transformation: map every recoded integer and every coded
 /// block of `transformed` back to the categorical value it stands for
-/// under `map`, giving rows comparable with the untransformed query
-/// result. Codes and indicator-block widths legitimately differ between
-/// a reused map (built over the cached query's superset) and a cold one
-/// (built over the new query's rows), so equality is asserted on what
-/// the numbers *mean*.
+/// under `map` (a block is the level table's row of that value), giving
+/// rows comparable with the untransformed query result. Codes and block
+/// widths legitimately differ between a reused map (built over the
+/// cached query's superset) and a cold one (built over the new query's
+/// rows), so equality is asserted on what the numbers *mean*.
 fn decode_transformed(
     transformed: &PartitionedTable,
     input: &Schema,
@@ -835,14 +918,20 @@ fn decode_transformed(
                 }
                 let values = map.values_in_code_order(&f.name);
                 let named = |code: i64| Value::str(values[code as usize - 1].as_str());
-                if spec.dummy_code_columns.contains(&f.name) {
-                    let block = &r.values()[at..at + values.len()];
-                    let hot: Vec<usize> = (0..block.len())
-                        .filter(|&j| block[j] == Value::Int(1))
+                if let Some(coding) = spec.coding(&f.name) {
+                    let k = values.len();
+                    let w = k - usize::from(coding != Coding::Dummy);
+                    let block = &r.values()[at..at + w];
+                    let levels: Vec<usize> = (0..k)
+                        .filter(|&l| level_row(coding, k, l) == block)
                         .collect();
-                    assert_eq!(hot.len(), 1, "indicator block {block:?} is not one-hot");
-                    out.push(named(hot[0] as i64 + 1));
-                    at += values.len();
+                    assert_eq!(
+                        levels.len(),
+                        1,
+                        "{coding} block {block:?} is no level's row"
+                    );
+                    out.push(named(levels[0] as i64 + 1));
+                    at += w;
                 } else {
                     out.push(named(r.get(at).as_i64().unwrap()));
                     at += 1;
@@ -883,13 +972,14 @@ fn cache_reuse_equals_a_cold_recompute_on_seeded_query_pairs() {
         let (cached, new) = draw_reuse_pair(&mut SplitMix64::new(seed));
         let (cached_sql, new_sql) = (cached.sql(), new.sql());
         let context = format!(
-            "pair seed {seed}\n  cached: {cached_sql}\n          dummy {:?}\n  new:    {new_sql}\n          dummy {:?}",
-            cached.spec.dummy_code_columns, new.spec.dummy_code_columns
+            "pair seed {seed}\n  cached: {cached_sql}\n          coded {:?}\n  new:    {new_sql}\n          coded {:?}",
+            cached.spec.coded_columns, new.spec.coded_columns
         );
 
         // Prime a fresh cache with the cached side. A cached query whose
-        // predicates leave a dummy-coded column without values cannot be
-        // transformed at all; such a draw has nothing to reuse.
+        // predicates leave a coded column with fewer values than its
+        // coding needs cannot be transformed at all; such a draw has
+        // nothing to reuse.
         e.execute(&format!("CREATE TABLE reuse_cached AS {cached_sql}"))
             .unwrap();
         let primed = tr.transform("reuse_cached", &cached.spec);
@@ -932,10 +1022,24 @@ fn cache_reuse_equals_a_cold_recompute_on_seeded_query_pairs() {
                 decoded, raw,
                 "cold transform does not decode to its input\n{context}"
             );
-        } else {
-            // Only an emptied dummy-coded column makes the cold transform
-            // refuse; whatever is reused must then be empty too.
-            assert!(raw.is_empty(), "cold transform failed on rows\n{context}");
+        } else if let Err(err) = &cold {
+            // Only a coded column the rows leave with fewer values than
+            // its coding needs (none to dummy-code, one to contrast) makes
+            // the cold transform refuse.
+            let too_few = |(c, coding): &(String, Coding)| {
+                let at = prepped.schema().index_of(c).unwrap();
+                let values: std::collections::BTreeSet<_> = raw
+                    .iter()
+                    .map(|r| r.get(at))
+                    .filter(|v| !v.is_null())
+                    .collect();
+                values.len() < [2, 1][(*coding == Coding::Dummy) as usize]
+            };
+            assert!(
+                err.to_string().contains("needs at least")
+                    && new.spec.coded_columns.iter().any(too_few),
+                "cold transform failed on rows: {err}\n{context}"
+            );
         }
         match decision {
             // (a) the §5.1 rewrite answers with the cold transform's rows.
@@ -954,11 +1058,19 @@ fn cache_reuse_equals_a_cold_recompute_on_seeded_query_pairs() {
             // (b) the reused map recodes every column as the cold map does.
             CacheDecision::RecodeMap(map) => {
                 maps += 1;
-                let warm = tr
-                    .transform_with_map("reuse_new", &new.spec, &map)
-                    .unwrap_or_else(|err| panic!("reused map unusable: {err}\n{context}"));
-                let decoded = decode_transformed(&warm.table, prepped.schema(), &new.spec, &map);
-                assert_eq!(decoded, raw, "map reuse differs from cold\n{context}");
+                match tr.transform_with_map("reuse_new", &new.spec, &map) {
+                    Ok(warm) => {
+                        let decoded =
+                            decode_transformed(&warm.table, prepped.schema(), &new.spec, &map);
+                        assert_eq!(decoded, raw, "map reuse differs from cold\n{context}");
+                    }
+                    // A map too narrow to contrast a column is refused
+                    // only where the cold run was refused too.
+                    Err(err) => assert!(
+                        cold.is_err() && err.to_string().contains("needs at least"),
+                        "reused map unusable: {err}\n{context}"
+                    ),
+                }
             }
             CacheDecision::Miss => misses += 1,
         }

@@ -10,7 +10,7 @@ use sqlml_core::{
 };
 use sqlml_mlengine::job::TrainedModel;
 use sqlml_rewriter::QueryRewriter;
-use sqlml_transform::TransformSpec;
+use sqlml_transform::{Coding, TransformSpec};
 
 fn cluster() -> SimCluster {
     let c = SimCluster::start(ClusterConfig::for_tests()).unwrap();
@@ -474,6 +474,134 @@ fn null_categoricals_reach_ml_identically_under_every_strategy() {
     for probe in [[20.0, 0.0, 0.0, 1.0, 150.0], [70.0, 1.0, 0.0, 0.0, 15.0]] {
         let preds: Vec<f64> = reports.iter().map(|r| r.model.predict(&probe)).collect();
         assert!(preds.iter().all(|p| *p == preds[0]), "{probe:?}: {preds:?}");
+    }
+}
+
+/// The two transformed tables behind `req`'s strategies, as sorted rows
+/// and schema names: the Naive job's external transform over the prep
+/// result on the DFS, and the In-SQL script both In-SQL strategies hand
+/// off.
+type Transformed = (Vec<sqlml_common::Row>, Vec<String>);
+fn both_transforms(
+    cluster: &SimCluster,
+    req: &PipelineRequest,
+    dir: &str,
+) -> (
+    sqlml_common::Result<Transformed>,
+    sqlml_common::Result<Transformed>,
+) {
+    let (dfs, prep, trsfm) = (&cluster.dfs, format!("{dir}/prep"), format!("{dir}/trsfm"));
+    let naive = (|| {
+        let schema = cluster.engine.validate(&req.prep_sql)?;
+        cluster.engine.query_to_dfs(&req.prep_sql, dfs, &prep)?;
+        let out =
+            sqlml_core::naive::run_external_transform(dfs, &prep, &schema, &req.spec, &trsfm)?;
+        let mut rows = Vec::new();
+        for f in dfs.list(&format!("{trsfm}/")) {
+            let text = dfs.read_string(&f.path)?;
+            rows.extend(sqlml_common::codec::decode_text_batch(&text, &out.schema)?);
+        }
+        rows.sort();
+        Ok((rows, out.schema.names()))
+    })();
+    let insql = Pipeline::new(cluster)
+        .prepare_and_transform(req, &CancelToken::new())
+        .map(|(table, _)| (table.collect_sorted(), table.schema().names()));
+    (naive, insql)
+}
+
+/// Runs `req` under the three strategies: each hands ML the same number
+/// of rows, and the three models agree on every probe (same rows, same
+/// labels, same trainer).
+fn the_strategies_train_alike(cluster: &SimCluster, req: &PipelineRequest, probes: &[&[f64]]) {
+    let pipeline = Pipeline::new(cluster);
+    let reports: Vec<_> = [Strategy::Naive, Strategy::InSql, Strategy::InSqlStream]
+        .into_iter()
+        .map(|s| (pipeline.run(req, s)).unwrap_or_else(|e| panic!("{s:?}: {e}")))
+        .collect();
+    for r in &reports {
+        assert_eq!(r.rows_to_ml, reports[0].rows_to_ml, "{:?}", r.strategy);
+    }
+    for probe in probes {
+        let preds: Vec<f64> = reports.iter().map(|r| r.model.predict(probe)).collect();
+        assert!(preds.iter().all(|p| *p == preds[0]), "{probe:?}: {preds:?}");
+    }
+}
+
+#[test]
+fn effect_and_helmert_coding_agree_under_every_strategy() {
+    let cluster = cluster();
+    for (coding, tag) in [(Coding::Effect, "eff"), (Coding::Helmert, "orth")] {
+        // Layout: age, gender_<tag>1, amount, abandoned — label at 3.
+        let req = PipelineRequest {
+            prep_sql: PREP_QUERY.to_string(),
+            spec: TransformSpec::coded(&[("gender", coding)]),
+            ml_command: "svm label=3 iterations=20".to_string(),
+        };
+        let (naive, insql) = both_transforms(&cluster, &req, &format!("/codings/{tag}"));
+        let (naive, insql) = (naive.unwrap(), insql.unwrap());
+        let gender = format!("gender_{tag}1");
+        assert_eq!(insql.1, ["age", gender.as_str(), "amount", "abandoned"]);
+        assert_eq!(naive, insql, "{coding}");
+        // F is level 1 of 2: +1 under effect coding, -1 under Helmert's.
+        let f = [1.0, -1.0][(coding == Coding::Helmert) as usize];
+        let levels: std::collections::BTreeSet<_> = (insql.0.iter())
+            .map(|r| r.get(1).as_f64().unwrap().to_bits())
+            .collect();
+        assert_eq!(levels, [f, -f].map(f64::to_bits).into(), "{coding}");
+        let probes: [&[f64]; 3] = [&[20.0, f, 240.0], &[78.0, -f, 10.0], &[25.0, -f, 200.0]];
+        the_strategies_train_alike(&cluster, &req, &probes);
+    }
+}
+
+#[test]
+fn a_null_contrast_coded_value_is_an_all_zero_row_and_one_value_is_refused_alike() {
+    let cluster = cluster();
+    let n = register_visits_with_null_categoricals(&cluster);
+    for (coding, tag) in [(Coding::Effect, "eff"), (Coding::Helmert, "orth")] {
+        // Layout: age, gender, channel_<tag>1, channel_<tag>2, amount,
+        // churned — label at 5.
+        let req = PipelineRequest {
+            prep_sql: "SELECT age, gender, channel, amount, churned FROM visits".to_string(),
+            spec: TransformSpec::coded(&[("channel", coding)]),
+            ml_command: "svm label=5 iterations=20".to_string(),
+        };
+        let (naive, insql) = both_transforms(&cluster, &req, &format!("/nulls/{tag}"));
+        let (naive, insql) = (naive.unwrap(), insql.unwrap());
+        assert_eq!(naive, insql, "{coding}");
+        assert_eq!(
+            insql.1[2..4],
+            [format!("channel_{tag}1"), format!("channel_{tag}2")]
+        );
+        assert_eq!(insql.0.len(), n);
+        let zero = |r: &sqlml_common::Row| (2..4).all(|c| r.get(c).as_f64().unwrap() == 0.0);
+        assert_eq!(
+            insql.0.iter().filter(|r| zero(r)).count(),
+            n / 5,
+            "{coding}"
+        );
+        let probes: [&[f64]; 2] = [&[20.0, 1.0, 0.0, 0.0, 150.0], &[70.0, 2.0, 1.0, -1.0, 15.0]];
+        the_strategies_train_alike(&cluster, &req, &probes);
+
+        // One channel left: no contrast to draw, and every strategy says so.
+        let one = PipelineRequest {
+            prep_sql: "SELECT age, gender, channel, amount, churned FROM visits \
+                       WHERE channel = 'web'"
+                .to_string(),
+            ..req
+        };
+        let errors: Vec<String> = [Strategy::Naive, Strategy::InSql, Strategy::InSqlStream]
+            .into_iter()
+            .map(|s| {
+                Pipeline::new(&cluster)
+                    .run(&one, s)
+                    .unwrap_err()
+                    .to_string()
+            })
+            .collect();
+        let expected = format!("{coding}-coded column \"channel\" needs at least 2");
+        assert!(errors[0].contains(&expected), "{errors:?}");
+        assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
     }
 }
 

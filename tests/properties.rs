@@ -414,7 +414,7 @@ fn recode_map_is_partitioning_invariant() {
             .unwrap();
         assert_eq!(distributed, reference);
         assert_eq!(
-            RecodeMap::from_rows(&distributed.to_rows()).unwrap(),
+            RecodeMap::from_batches(&[distributed.to_batch()]).unwrap(),
             reference
         );
     }
@@ -427,7 +427,7 @@ fn recode_codes_are_consecutive_from_one() {
     for _ in 0..24 {
         let rows = random_categorical_rows(&mut rng);
         let map = RecodeMap::from_pairs(rows.iter().map(|r| ("c".to_string(), r[0].clone())));
-        assert_eq!(RecodeMap::from_rows(&map.to_rows()).unwrap(), map);
+        assert_eq!(RecodeMap::from_batches(&[map.to_batch()]).unwrap(), map);
         let k = map.cardinality("c");
         let mut seen = std::collections::BTreeSet::new();
         for r in &rows {
