@@ -293,9 +293,12 @@ impl CacheManager {
 /// The §5.2 matcher for one entry: the descriptors match and (condition
 /// 3) the map covers every column the new pipeline will recode — a map
 /// built over a query that never projected (or never saw a value of) one
-/// of them would fail the transform that a cold run completes.
+/// of them would fail the transform that a cold run completes. Column
+/// names match ignoring ASCII case, as the schema matches them: a spec may
+/// spell a column differently from the result the map was keyed by.
 fn map_covers(entry: &MapEntry, query: &QueryDescriptor, recoded: &[String]) -> bool {
-    recode_map_match(&entry.descriptor, query) && recoded.iter().all(|c| entry.map.has_column(c))
+    let covered = |c: &String| entry.map.columns().any(|m| m.eq_ignore_ascii_case(c));
+    recode_map_match(&entry.descriptor, query) && recoded.iter().all(covered)
 }
 
 /// The §5.1 matcher for one entry: the SQL that answers `query` from the

@@ -178,9 +178,70 @@ pub fn parse_int_cell(text: &str) -> Result<Option<i64>> {
     if text.is_empty() || text == TEXT_NULL {
         return Ok(None);
     }
+    if let Some(v) = short_int(text) {
+        return Ok(Some(v));
+    }
     text.parse()
         .map(Some)
         .map_err(|e| SqlmlError::Type(format!("bad int literal {text:?}: {e}")))
+}
+
+/// `text` read directly when it is `-?[0-9]{1,18}`: at most 18 digits
+/// always fit an `i64`, so the value is exact and is `str::parse`'s.
+#[inline]
+fn short_int(text: &str) -> Option<i64> {
+    let (negative, digits) = match text.as_bytes() {
+        [b'-', digits @ ..] => (true, digits),
+        digits => (false, digits),
+    };
+    if digits.is_empty() || digits.len() > 18 {
+        return None;
+    }
+    let mut v = 0i64;
+    for &b in digits {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        v = v * 10 + i64::from(d);
+    }
+    Some(if negative { -v } else { v })
+}
+
+/// `10^k` as doubles, each exact, for the decimals [`short_double`] reads.
+const POW10_F64: [f64; 16] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+];
+
+/// `text` read directly when it is `-?[0-9]+(\.[0-9]+)?` with at most 15
+/// digits: they form an integer `N < 10^15 < 2^53` and the `m` decimals
+/// an exact `10^m`, so `N / 10^m`, one correctly rounded division of two
+/// exact doubles, is the correctly rounded value of the decimal — the
+/// double `str::parse` gives, `-0.0` included.
+#[inline]
+fn short_double(text: &str) -> Option<f64> {
+    let (negative, rest) = match text.as_bytes() {
+        [b'-', rest @ ..] => (true, rest),
+        rest => (false, rest),
+    };
+    let (int, frac) = match rest.iter().position(|&b| b == b'.') {
+        Some(dot) => (&rest[..dot], &rest[dot + 1..]),
+        None => (rest, &rest[rest.len()..]),
+    };
+    let digits = int.len() + frac.len();
+    if int.is_empty() || (frac.is_empty() && rest.len() > int.len()) || digits > 15 {
+        return None;
+    }
+    let mut n = 0u64;
+    for &b in int.iter().chain(frac) {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        n = n * 10 + u64::from(d);
+    }
+    let v = n as f64 / POW10_F64[frac.len()];
+    Some(if negative { -v } else { v })
 }
 
 /// The double a text cell holds, as [`Value::parse_typed`] reads it:
@@ -191,25 +252,76 @@ pub fn parse_double_cell(text: &str) -> Result<Option<f64>> {
     if text.is_empty() || text == TEXT_NULL {
         return Ok(None);
     }
+    if let Some(v) = short_double(text) {
+        return Ok(Some(v));
+    }
     text.parse()
         .map(Some)
         .map_err(|e| SqlmlError::Type(format!("bad double literal {text:?}: {e}")))
 }
 
-/// Decode one text line into a row under `schema`.
-pub fn decode_text_row(line: &str, schema: &Schema) -> Result<Row> {
-    decode_text_row_with(line, schema, None)
+/// Whether `text` is an integer cell spelled exactly as [`write_int`]
+/// prints the value [`parse_int_cell`] reads from it: `0`, or
+/// `-?[1-9][0-9]{0,17}`. At most 18 digits always fit an `i64`, and a
+/// decimal with no leading zero, no `+` and no `-0` is the only spelling
+/// `write_int` has. Such a cell can be copied instead of rewritten.
+pub fn is_written_int(text: &str) -> bool {
+    let digits = text.strip_prefix('-').unwrap_or(text).as_bytes();
+    match digits {
+        [b'0'] => digits.len() == text.len(),
+        [b'1'..=b'9', rest @ ..] => rest.len() <= 17 && rest.iter().all(u8::is_ascii_digit),
+        _ => false,
+    }
 }
 
-/// [`decode_text_row`], pooling string values through `interner` when
-/// one is given so repeated categorical values share one `Arc<str>`.
+/// Whether `text` is a double cell spelled exactly as [`write_double`]
+/// prints the value [`parse_double_cell`] reads from it:
+/// `-?(0|[1-9][0-9]{0,8})\.[0-9]{1,6}`, the last decimal non-zero unless
+/// the fraction is `0`, and at least `1e-4` when the integer part is `0`.
+/// Such a cell is below `1e9` and at least `1e-4` in magnitude, where
+/// doubles lie at most `2^-23` apart, less than the `1e-6` between two
+/// strings of at most six decimals: no other string of at most that many
+/// decimals parses to the same double. `write_double` tries `k = 0..=6`
+/// decimals and prints the first `k`-decimal string that parses back, so
+/// it prints this one, with this many decimals (one for a `.0`
+/// fraction), this integer part and this sign. Such a cell can be copied
+/// instead of rewritten.
+pub fn is_written_double(text: &str) -> bool {
+    let unsigned = text.strip_prefix('-').unwrap_or(text).as_bytes();
+    let Some(dot) = unsigned.iter().position(|&b| b == b'.') else {
+        return false;
+    };
+    let (int, frac) = (&unsigned[..dot], &unsigned[dot + 1..]);
+    let int_ok = match int {
+        [b'0'] => true,
+        [b'1'..=b'9', rest @ ..] => rest.len() <= 8 && rest.iter().all(u8::is_ascii_digit),
+        _ => false,
+    };
+    let frac_ok = match frac {
+        [b'0'] => int != b"0",
+        [.., last] => frac.len() <= 6 && *last != b'0' && frac.iter().all(u8::is_ascii_digit),
+        [] => false,
+    };
+    // `0.abcdef` is at least 1e-4 when one of `abcd` is not zero.
+    int_ok && frac_ok && (int != b"0" || frac.iter().take(4).any(|&d| d != b'0'))
+}
+
+/// Decode one text line (no `\n`) into a row under `schema`.
+pub fn decode_text_row(line: &str, schema: &Schema) -> Result<Row> {
+    let mut bars = Vec::new();
+    decode_text_row_with(&TextLine::of(line, &mut bars), schema, None)
+}
+
+/// [`decode_text_row`] of a walked line, pooling string values through
+/// `interner` when one is given so repeated categorical values share one
+/// `Arc<str>`.
 fn decode_text_row_with(
-    line: &str,
+    line: &TextLine<'_>,
     schema: &Schema,
     mut interner: Option<&mut Interner>,
 ) -> Result<Row> {
     let mut values = Vec::with_capacity(schema.len());
-    decode_text_line(line, schema, |_, ty, text| {
+    line.cells(schema, |_, ty, text| {
         values.push(match (text, ty) {
             (None, _) => Value::Null,
             // Strings bypass `parse_typed` so that the empty string stays
@@ -225,73 +337,168 @@ fn decode_text_row_with(
     Ok(Row::new(values))
 }
 
-/// Walk one text line under `schema`, handing `cell` each field's column
-/// index, declared type and unescaped text (`None` for the NULL marker).
-/// The text is borrowed from `line`; only a field holding an escape is
-/// copied out to unescape it, and only a line holding a `\` is looked at
-/// field by field for escapes and the NULL marker. The one owner of field
-/// splitting, the `\N` marker, unescaping and the arity errors, so the row
-/// decoder, the SQL engine's column loader and the ML text reader accept
-/// exactly the same lines.
-pub fn decode_text_line(
-    line: &str,
-    schema: &Schema,
-    mut cell: impl FnMut(usize, DataType, Option<&str>) -> Result<()>,
-) -> Result<()> {
-    let escaped = line.as_bytes().contains(&b'\\');
-    // Every raw `|` ([`TEXT_DELIM`]) is a separator: one inside a string
-    // payload is written as `\p` by [`escape_text`].
-    let mut fields = split_on(line, b'|');
-    for (i, field) in schema.fields().iter().enumerate() {
-        let raw = fields.next().ok_or_else(|| {
-            SqlmlError::Execution(format!(
-                "text row has fewer than {} fields: {line:?}",
-                schema.len()
-            ))
-        })?;
-        if !escaped {
-            cell(i, field.data_type, Some(raw))?;
-        } else if raw == TEXT_NULL {
-            // The raw (pre-unescape) token `\N` is the NULL marker; a user
-            // string "\N" escapes to `\\N` and therefore never collides.
-            cell(i, field.data_type, None)?;
-        } else {
-            cell(i, field.data_type, Some(&unescape_text(raw)?))?;
+/// One line of a text blob with its fields located, as [`walk_text`] hands
+/// it over. Every raw `|` ([`TEXT_DELIM`]) is a separator: one inside a
+/// string payload is written as `\p` by [`escape_text`].
+pub struct TextLine<'a> {
+    line: &'a str,
+    /// The offset in `line` of every `|`: field `i` ends at `bars[i]`.
+    bars: &'a [usize],
+    /// Whether the line holds a `\`: only then can a field be the NULL
+    /// marker or hold an escape.
+    escaped: bool,
+}
+
+impl<'a> TextLine<'a> {
+    /// `line` (which holds no `\n`) with its fields located, `bars` the
+    /// buffer their offsets go into.
+    fn of(line: &'a str, bars: &'a mut Vec<usize>) -> TextLine<'a> {
+        bars.clear();
+        bars.extend(
+            line.bytes()
+                .enumerate()
+                .filter(|&(_, b)| b == b'|')
+                .map(|(i, _)| i),
+        );
+        TextLine {
+            line,
+            bars,
+            escaped: line.as_bytes().contains(&b'\\'),
         }
     }
-    if fields.next().is_some() {
-        return Err(SqlmlError::Execution(format!(
-            "text row has more than {} fields: {line:?}",
-            schema.len()
-        )));
+
+    /// The line, without its `\n`.
+    pub fn text(&self) -> &'a str {
+        self.line
+    }
+
+    /// Hand `cell` each field's column index, declared type and unescaped
+    /// text (`None` for the NULL marker), in column order, then check the
+    /// arity: a bad cell before a missing field is the error, as is a bad
+    /// cell before a surplus one. The text is borrowed from the line; only a
+    /// field holding an escape is copied out to unescape it. The one owner
+    /// of the `\N` marker, unescaping and the arity errors, so every reader
+    /// of the text format accepts exactly the same lines.
+    pub fn cells(
+        &self,
+        schema: &Schema,
+        mut cell: impl FnMut(usize, DataType, Option<&str>) -> Result<()>,
+    ) -> Result<()> {
+        let mut start = 0;
+        for (i, field) in schema.fields().iter().enumerate() {
+            if i > self.bars.len() {
+                return Err(SqlmlError::Execution(format!(
+                    "text row has fewer than {} fields: {:?}",
+                    schema.len(),
+                    self.line
+                )));
+            }
+            let end = self.bars.get(i).copied().unwrap_or(self.line.len());
+            let raw = self.line.get(start..end).unwrap_or_default();
+            start = end + 1;
+            if !self.escaped {
+                cell(i, field.data_type, Some(raw))?;
+            } else if raw == TEXT_NULL {
+                // The raw (pre-unescape) token `\N` is the NULL marker; a
+                // user string "\N" escapes to `\\N` and therefore never
+                // collides.
+                cell(i, field.data_type, None)?;
+            } else {
+                cell(i, field.data_type, Some(&unescape_text(raw)?))?;
+            }
+        }
+        if self.bars.len() >= schema.len() {
+            return Err(SqlmlError::Execution(format!(
+                "text row has more than {} fields: {:?}",
+                schema.len(),
+                self.line
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// Bytes [`walk_text`] scans per step; one step's separator offsets fit a
+/// buffer on the stack.
+const WALK_STEP: usize = 1024;
+
+/// `0x80` in every byte of `y` that is zero, nothing elsewhere: exact,
+/// as no carry crosses a byte (`0x7F + 0x7F` stays within one).
+#[inline]
+fn zero_bytes(y: u64) -> u64 {
+    const LOW: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+    !((((y & LOW) + LOW) | y) | LOW)
+}
+
+/// `0x80` in every byte of the little-endian word `x` that is a `|`,
+/// `\n` or `\\`.
+#[inline]
+fn separator_bytes(x: u64) -> u64 {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let is = |b: u8| zero_bytes(x ^ (ONES * u64::from(b)));
+    is(b'|') | is(b'\n') | is(b'\\')
+}
+
+/// Walk every non-empty line of a text blob, in order, handing `line`
+/// each one with its fields located. Lines end at `\n` only: a `\r` is
+/// string payload ([`escape_text`] leaves it alone), not part of a line
+/// ending. One pass finds every field and line end: the blob is scanned
+/// eight bytes at a time, each word's `|`, `\n` and `\\` bytes found at
+/// once by word arithmetic and their offsets compacted into a buffer, and
+/// only those offsets are visited. Stops at `line`'s first error.
+pub fn walk_text(text: &str, mut line: impl FnMut(&TextLine<'_>) -> Result<()>) -> Result<()> {
+    let bytes = text.as_bytes();
+    let mut hits = [0usize; WALK_STEP];
+    let mut bars = Vec::new();
+    let (mut start, mut escaped) = (0, false);
+    for (step, chunk) in bytes.chunks(WALK_STEP).enumerate() {
+        let base = step * WALK_STEP;
+        // `n <= i < WALK_STEP` at every write: the mask only spares the
+        // bounds check.
+        let mut n = 0;
+        let words = chunk.chunks_exact(8);
+        let tail = chunk.len() - words.remainder().len();
+        for (w, word) in words.enumerate() {
+            let x = <[u8; 8]>::try_from(word).map_or(0, u64::from_le_bytes);
+            let mut found = separator_bytes(x);
+            while found != 0 {
+                hits[n & (WALK_STEP - 1)] = base + w * 8 + found.trailing_zeros() as usize / 8;
+                n += 1;
+                found &= found - 1;
+            }
+        }
+        for (i, &b) in chunk.iter().enumerate().skip(tail) {
+            hits[n & (WALK_STEP - 1)] = base + i;
+            n += usize::from((b == b'|') | (b == b'\n') | (b == b'\\'));
+        }
+        for &at in &hits[..n] {
+            match bytes[at] {
+                b'|' => bars.push(at - start),
+                b'\\' => escaped = true,
+                _ => {
+                    if at > start {
+                        let text = text.get(start..at).unwrap_or_default();
+                        line(&TextLine {
+                            line: text,
+                            bars: &bars,
+                            escaped,
+                        })?;
+                    }
+                    (start, escaped) = (at + 1, false);
+                    bars.clear();
+                }
+            }
+        }
+    }
+    if start < bytes.len() {
+        let text = text.get(start..).unwrap_or_default();
+        line(&TextLine {
+            line: text,
+            bars: &bars,
+            escaped,
+        })?;
     }
     Ok(())
-}
-
-/// The non-empty lines of a text blob. Lines end at `\n` only: a `\r` is
-/// string payload ([`escape_text`] leaves it alone), not part of a line
-/// ending.
-#[inline]
-pub fn text_lines(text: &str) -> impl Iterator<Item = &str> {
-    split_on(text, b'\n').filter(|l| !l.is_empty())
-}
-
-/// `s` split at every `sep` byte (ASCII, so every piece is a `str`). Lines
-/// and fields are a few bytes each, which a plain byte loop scans without
-/// the set-up of a `memchr` call.
-#[inline]
-fn split_on(s: &str, sep: u8) -> impl Iterator<Item = &str> {
-    let mut rest = Some(s);
-    std::iter::from_fn(move || {
-        let piece = rest?;
-        match piece.bytes().position(|b| b == sep) {
-            Some(at) => {
-                rest = piece.get(at + 1..);
-                piece.get(..at)
-            }
-            None => rest.take(),
-        }
-    })
 }
 
 /// Serialize a whole batch of rows to text lines.
@@ -305,13 +512,16 @@ pub fn encode_text_batch(rows: &[Row]) -> String {
 }
 
 /// Parse a text blob (as stored on the DFS) into rows, one per
-/// [`text_lines`] line. String cells are interned per batch: all rows
+/// [`walk_text`] line. String cells are interned per batch: all rows
 /// carrying the same categorical value share one `Arc<str>` allocation.
 pub fn decode_text_batch(text: &str, schema: &Schema) -> Result<Vec<Row>> {
     let mut interner = Interner::new();
-    text_lines(text)
-        .map(|l| decode_text_row_with(l, schema, Some(&mut interner)))
-        .collect()
+    let mut rows = Vec::new();
+    walk_text(text, |line| {
+        rows.push(decode_text_row_with(line, schema, Some(&mut interner))?);
+        Ok(())
+    })?;
+    Ok(rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -1232,6 +1442,178 @@ mod tests {
                 };
                 assert_eq!(text(typed), cell_parser, "{cell} as {ty:?}");
             }
+        }
+    }
+
+    #[test]
+    fn text_walker_finds_every_line_and_field_a_split_finds() {
+        // Blobs of separators, escapes and multi-byte payload, across many
+        // words and steps: each line as a plain split finds it, and each
+        // field of a line with no escape.
+        const PIECES: [&str; 8] = ["|", "\n", "\\", "a", "ü", "\r", "xyz", "\n\n"];
+        let mut rng = crate::SplitMix64::new(0x3A1C_0000);
+        for _ in 0..CASES / 1000 + 10 {
+            let len = rng.next_below(5000);
+            let text: String = (0..len).map(|_| *rng.choose(&PIECES)).collect();
+            let mut walked = Vec::new();
+            walk_text(&text, |line| {
+                walked.push(line.text().to_string());
+                let split: Vec<&str> = line.text().split('|').collect();
+                let fields = (0..split.len()).map(|c| Field::categorical(format!("c{c}")));
+                let mut cells = Vec::new();
+                let decoded = line.cells(&Schema::new(fields.collect()), |_, _, cell| {
+                    cells.push(cell.map(str::to_string));
+                    Ok(())
+                });
+                if !line.text().contains('\\') {
+                    decoded.unwrap();
+                    assert_eq!(
+                        cells,
+                        split
+                            .iter()
+                            .map(|f| Some(f.to_string()))
+                            .collect::<Vec<_>>()
+                    );
+                }
+                Ok(())
+            })
+            .unwrap();
+            let split: Vec<&str> = text.split('\n').filter(|l| !l.is_empty()).collect();
+            assert_eq!(walked, split);
+        }
+    }
+
+    #[test]
+    fn text_written_cells_are_spelled_as_the_writers_spell_them() {
+        let written_int = |s: &str| {
+            let mut out = String::new();
+            write_int(parse_int_cell(s).unwrap().unwrap(), &mut out);
+            out
+        };
+        let written_double = |s: &str| {
+            let mut out = String::new();
+            write_double(parse_double_cell(s).unwrap().unwrap(), &mut out);
+            out
+        };
+        for s in ["0", "7", "-12", "999999999999999999", "-100000000000000000"] {
+            assert!(is_written_int(s), "{s}");
+            assert_eq!(written_int(s), s);
+        }
+        for s in [
+            "",
+            "-",
+            "007",
+            "+5",
+            "-0",
+            "00",
+            "1e3",
+            "1.0",
+            "1000000000000000000",
+            "\\N",
+        ] {
+            assert!(!is_written_int(s), "{s}");
+        }
+        for s in [
+            "1.5",
+            "-0.5",
+            "5.0",
+            "0.0001",
+            "0.00011",
+            "999999999.999999",
+            "-123.456",
+        ] {
+            assert!(is_written_double(s), "{s}");
+            assert_eq!(written_double(s), s);
+        }
+        for s in [
+            "",
+            "1",
+            "1.",
+            ".5",
+            "1.50",
+            "1e3",
+            "-0.0",
+            "0.0",
+            "0.00001",
+            "0.000010",
+            "+1.5",
+            "01.5",
+            "1000000000.5",
+            "1.0000001",
+            "1.00",
+            "inf",
+            "NaN",
+            "\\N",
+        ] {
+            assert!(!is_written_double(s), "{s}");
+        }
+        // Seeded spellings, canonical or not: a cell taken as written is
+        // what its writer prints for it.
+        let mut rng = crate::SplitMix64::new(0x5BE1_1ED0);
+        let digits = |rng: &mut crate::SplitMix64, most: u64| -> String {
+            let n = rng.next_below(most + 1);
+            (0..n)
+                .map(|_| char::from(b'0' + rng.next_below(10) as u8))
+                .collect()
+        };
+        let (mut ints, mut doubles) = (0, 0);
+        for _ in 0..2 * CASES {
+            let sign = *rng.choose(&["-", "", "", "+"]);
+            let int = digits(&mut rng, 20);
+            let s = format!("{sign}{int}");
+            let want = match s.is_empty() {
+                true => Ok(None),
+                false => (s.parse::<i64>().map(Some)).map_err(|e| format!("{e}")),
+            };
+            let got = parse_int_cell(&s).map_err(|e| e.to_string());
+            match (got, want) {
+                (Err(got), Err(want)) => assert!(got.ends_with(&want), "{s}: {got}"),
+                (got, want) => assert_eq!(got, Ok(want.unwrap()), "{s}"),
+            }
+            if is_written_int(&format!("{sign}{int}")) {
+                ints += 1;
+                let s = format!("{sign}{int}");
+                assert_eq!(written_int(&s), s);
+            }
+            let int = digits(&mut rng, 10);
+            let frac = digits(&mut rng, 8);
+            let s = match rng.next_below(4) {
+                0 => format!("{sign}{int}"),
+                _ => format!("{sign}{int}.{frac}"),
+            };
+            let reference = s
+                .parse::<f64>()
+                .map(|d| d.to_bits())
+                .map_err(|e| e.to_string());
+            let got = parse_double_cell(&s).map(|d| d.map(f64::to_bits));
+            match got {
+                Ok(Some(bits)) => assert_eq!(Ok(bits), reference, "{s}"),
+                Ok(None) => assert!(s.is_empty() || s == "-" || s == "+", "{s}"),
+                Err(_) => assert!(reference.is_err(), "{s}"),
+            }
+            if is_written_double(&s) {
+                doubles += 1;
+                assert_eq!(written_double(&s), s);
+            }
+        }
+        assert!(
+            ints > CASES / 2 && doubles > CASES / 10,
+            "{ints} ints, {doubles} doubles"
+        );
+        // And what the writers print in that range is taken as written.
+        for _ in 0..2 * CASES {
+            let mut out = String::new();
+            write_int(
+                rng.range_i64(-999_999_999_999_999_999, 999_999_999_999_999_999),
+                &mut out,
+            );
+            assert!(is_written_int(&out), "{out}");
+            let int = rng.range_i64(-999_999_999, 999_999_999);
+            let frac = digits(&mut rng, 6);
+            let d: f64 = format!("{int}.{frac}0").parse().unwrap();
+            out.clear();
+            write_double(d, &mut out);
+            assert_eq!(is_written_double(&out), d.abs() >= 1e-4, "{out}");
         }
     }
 

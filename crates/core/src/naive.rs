@@ -10,8 +10,9 @@
 //!   values per categorical column and build the recode map. Its map
 //!   task reads only the recode columns: it splits every line but parses
 //!   no number, as a projecting reader would;
-//! * job 2 (map per part-file): rewrite each row using the map, apply
-//!   dummy coding, and write an output part-file.
+//! * job 2 (map per part-file): rewrite each line using the map — a
+//!   recoded cell becomes its code, a coded cell its coding's block, any
+//!   other cell is copied as it stands — and write an output part-file.
 //!
 //! Both jobs run their map tasks in parallel, one thread per part-file —
 //! but every byte still crosses the file system twice more than the
@@ -21,9 +22,11 @@
 use std::collections::HashSet;
 
 use sqlml_common::schema::{DataType, Schema};
-use sqlml_common::{codec, Result, SqlmlError};
+use sqlml_common::{codec, Result, SqlmlError, Value};
 use sqlml_dfs::Dfs;
 use sqlml_sqlengine::executor::run_on_workers;
+// The tests compare against the column decoder; the jobs never build one.
+#[cfg(test)]
 use sqlml_sqlengine::Batch;
 use sqlml_transform::{FlatRecodeApplier, RecodeMap, TransformSpec};
 
@@ -69,10 +72,11 @@ pub fn run_external_transform(
         Ok(recode_values(&text, input_schema, &col_indices))
     })?;
     let Some(partials) = partials.into_iter().collect::<Option<Vec<_>>>() else {
-        // A line job 1 could not walk: the full decoder names the first
-        // bad part-file with the error job 2 would raise.
+        // A line job 1 could not walk: every cell is checked as the full
+        // decoder checks it, which names the first bad part-file with the
+        // error job 2 would raise.
         run_on_workers(files.len(), files.len(), |i| {
-            Batch::decode_text(&dfs.read_string(&files[i])?, input_schema).map(drop)
+            check_cells(&dfs.read_string(&files[i])?, input_schema)
         })?;
         return Err(SqlmlError::Execution(format!(
             "job 1 refused a part-file under {input_dir} that decodes"
@@ -80,18 +84,17 @@ pub fn run_external_transform(
     };
     let recode_map = RecodeMap::from_pairs(partials.into_iter().flatten());
 
-    // ---- Job 2: transform each part-file and write the output. All
-    // per-column resolution (which action, the column's sorted values,
-    // block width, transformed schema) happens once here; each part-file
-    // is one column batch through the applier.
+    // ---- Job 2: rewrite each part-file line by line and write the
+    // output. All per-column resolution (which action, the column's sorted
+    // values, coding, transformed schema) happens once here; a cell the
+    // job does not transform is copied as it stands.
     let applier = FlatRecodeApplier::new(&recode_map, input_schema, spec)?;
     let row_counts: Vec<usize> = run_on_workers(files.len(), files.len(), |i| {
         let path = &files[i];
-        let batch = Batch::decode_text(&dfs.read_string(path)?, input_schema)?;
-        let out = applier.apply_batch(&batch)?;
+        let (text, rows) = applier.rewrite_text(&dfs.read_string(path)?)?;
         let part_name = path.rsplit('/').next().unwrap_or("part-00000");
-        dfs.write_string(&format!("{output_dir}/{part_name}"), &out.encode_text())?;
-        Ok(out.len())
+        dfs.write_string(&format!("{output_dir}/{part_name}"), &text)?;
+        Ok(rows)
     })?;
 
     Ok(ExternalTransformOutput {
@@ -119,20 +122,33 @@ fn recode_values(
         }
     }
     let mut distinct: Vec<Distinct> = columns.iter().map(|_| Distinct::default()).collect();
-    for line in codec::text_lines(text) {
-        let kept = codec::decode_text_line(line, schema, |c, _, field| {
+    let walked = codec::walk_text(text, |line| {
+        line.cells(schema, |c, _, field| {
             if let (Some(k), Some(v)) = (slot[c], field) {
                 distinct[k].insert(v);
             }
             Ok(())
-        });
-        kept.ok()?;
-    }
+        })
+    });
+    walked.ok()?;
     let pairs = columns.iter().zip(distinct).flat_map(|((name, _), d)| {
         let values = d.few.into_iter().chain(d.many);
         values.map(move |v| (name.clone(), v))
     });
     Some(pairs.collect())
+}
+
+/// The first error decoding `text` under `schema` would raise: a line
+/// that does not walk, or a cell its column's type refuses.
+fn check_cells(text: &str, schema: &Schema) -> Result<()> {
+    codec::walk_text(text, |line| {
+        line.cells(schema, |_, ty, field| match (field, ty) {
+            (Some(s), DataType::Int | DataType::Double | DataType::Bool) => {
+                Value::parse_typed(s, ty).map(drop)
+            }
+            _ => Ok(()),
+        })
+    })
 }
 
 /// The distinct values of one column: compared in order while there are

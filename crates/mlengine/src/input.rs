@@ -11,8 +11,9 @@ use std::any::Any;
 use std::io::BufRead;
 use std::sync::Arc;
 
+use sqlml_common::codec::{self, TextLine};
 use sqlml_common::schema::DataType;
-use sqlml_common::{codec, Result, Row, Schema, SqlmlError, Value};
+use sqlml_common::{Result, Row, Schema, SqlmlError, Value};
 use sqlml_dfs::Dfs;
 
 use crate::dataset::PartitionBlock;
@@ -175,17 +176,26 @@ impl InputFormat for TextInputFormat {
         let mut r = TextRecordReader {
             reader,
             schema: self.schema.clone(),
-            line: String::new(),
             cells: Vec::new(),
+            carry: Vec::new(),
             pos: fs.offset,
             end: fs.offset + fs.len,
         };
         // Hadoop line protocol: a non-initial split discards its first
         // (possibly partial) line — the previous split read it.
         if fs.offset > 0 {
-            r.line.clear();
-            let n = r.reader.read_line(&mut r.line)?;
-            r.pos += n as u64;
+            loop {
+                let buf = r.reader.fill_buf()?;
+                let (take, found) = match buf.iter().position(|&b| b == b'\n') {
+                    Some(at) => (at + 1, true),
+                    None => (buf.len(), buf.is_empty()),
+                };
+                r.reader.consume(take);
+                r.pos += take as u64;
+                if found {
+                    break;
+                }
+            }
         }
         Ok(Box::new(r))
     }
@@ -194,36 +204,95 @@ impl InputFormat for TextInputFormat {
 struct TextRecordReader {
     reader: sqlml_dfs::DfsReader,
     schema: Schema,
-    line: String,
     /// The current line's cells as numbers, reused line after line.
     cells: Vec<f64>,
-    /// Byte position of the next line start within the file.
+    /// The start of a line that runs on into the next block.
+    carry: Vec<u8>,
+    /// Byte position within the file of the next byte the DFS hands over.
     pos: u64,
     /// Split end boundary: lines starting at `pos <= end` belong to this
     /// split (the matching discard rule on the next split prevents
-    /// duplicates).
+    /// duplicates), so the split's last line ends at its first `\n` at or
+    /// past `end`.
     end: u64,
 }
 
 impl RecordReader for TextRecordReader {
-    /// The whole split in one call, line by line.
+    /// The whole split in one call, walked block by block where the DFS
+    /// holds it: the whole lines of a block are walked in place, and only
+    /// a line that straddles two blocks is copied.
     fn next_batch(&mut self, out: &mut PartitionBlock) -> Result<usize> {
         let before = out.len();
-        while self.pos <= self.end {
-            self.line.clear();
-            let n = self.reader.read_line(&mut self.line)?;
-            if n == 0 {
+        let (schema, cells) = (&self.schema, &mut self.cells);
+        // Past `end` with no line begun: the split is read.
+        while self.pos <= self.end || !self.carry.is_empty() {
+            let buf = self.reader.fill_buf()?;
+            if buf.is_empty() {
+                // The file's last line, when it has no `\n`.
+                walk_lines(&self.carry, schema, cells, out)?;
+                self.carry.clear();
                 break;
             }
-            self.pos += n as u64;
-            let trimmed = self.line.trim_end_matches('\n');
-            if !trimmed.is_empty() {
-                numeric_cells(trimmed, &self.schema, &mut self.cells)?;
-                out.push_row(&self.cells)?;
+            let from = usize::try_from(self.end.saturating_sub(self.pos)).unwrap_or(usize::MAX);
+            let last = (buf.get(from..).unwrap_or_default().iter())
+                .position(|&b| b == b'\n')
+                .map(|at| from + at + 1);
+            let chunk = &buf[..last.unwrap_or(buf.len())];
+            let whole = chunk
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |at| at + 1);
+            let (mut lines, rest) = chunk.split_at(whole);
+            if !self.carry.is_empty() && !lines.is_empty() {
+                let first = lines
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(0, |at| at + 1);
+                self.carry.extend_from_slice(&lines[..first]);
+                walk_lines(&self.carry, schema, cells, out)?;
+                self.carry.clear();
+                lines = &lines[first..];
             }
+            walk_lines(lines, schema, cells, out)?;
+            self.carry.extend_from_slice(rest);
+            let took = chunk.len();
+            self.reader.consume(took);
+            self.pos += took as u64;
         }
         Ok(out.len() - before)
     }
+}
+
+/// Every line of `bytes` (whole lines, or the file's last line without
+/// its `\n`) into `out` as numbers. Lines up to one that is not UTF-8 are
+/// read before that line's error, as a line reader reads them.
+fn walk_lines(
+    bytes: &[u8],
+    schema: &Schema,
+    cells: &mut Vec<f64>,
+    out: &mut PartitionBlock,
+) -> Result<()> {
+    let (text, bad) = match std::str::from_utf8(bytes) {
+        Ok(text) => (text, None),
+        Err(e) => {
+            let valid = &bytes[..e.valid_up_to()];
+            let lines = valid
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |at| at + 1);
+            let text = std::str::from_utf8(&valid[..lines]).unwrap_or_default();
+            let bad = std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            );
+            (text, Some(bad))
+        }
+    };
+    codec::walk_text(text, |line| {
+        numeric_cells(line, schema, cells)?;
+        out.push_row(cells)
+    })?;
+    bad.map_or(Ok(()), |e| Err(e.into()))
 }
 
 /// One text line's cells as numbers, into `out` — what
@@ -233,10 +302,10 @@ impl RecordReader for TextRecordReader {
 /// [`Value::as_f64`], raised once the whole line has parsed, as the row
 /// decoder's own errors come first. An integer or double cell goes from
 /// its cell parser straight to `f64`.
-fn numeric_cells(line: &str, schema: &Schema, out: &mut Vec<f64>) -> Result<()> {
+fn numeric_cells(line: &TextLine<'_>, schema: &Schema, out: &mut Vec<f64>) -> Result<()> {
     out.clear();
     let mut string = None;
-    codec::decode_text_line(line, schema, |_, ty, field| {
+    line.cells(schema, |_, ty, field| {
         out.push(match (field, ty) {
             (None, _) => 0.0,
             (Some(s), DataType::Int) => codec::parse_int_cell(s)?.map_or(0.0, |v| v as f64),

@@ -4,14 +4,22 @@
 //! A [`FlatRecodeApplier`] resolves everything that is per-*column* —
 //! which action applies, the column's sorted values in the
 //! [`RecodeMap`], its coding, the transformed schema — exactly once,
-//! into a dense `Vec` indexed by column position. Over a column batch
-//! ([`FlatRecodeApplier::apply_batch`]) a categorical column's
-//! dictionary is resolved with one binary search per *entry*, and the
-//! rows are a gather (recode) or the coding's expansion kernel through
-//! the result.
+//! into a dense `Vec` indexed by column position. It has two entries:
+//!
+//! * over a column batch ([`FlatRecodeApplier::apply_batch`], the In-SQL
+//!   path) a categorical column's dictionary is resolved with one binary
+//!   search per *entry*, and the rows are a gather (recode) or the
+//!   coding's expansion kernel through the result;
+//! * over the lines of a text part-file
+//!   ([`FlatRecodeApplier::rewrite_text`], the naive job) each cell is
+//!   rewritten where it stands: a categorical value becomes the text of
+//!   its code or coded block, written once per value, and a pass-through
+//!   cell is copied when it is already spelled as the writers spell it.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
+use sqlml_common::codec::{self, TEXT_DELIM, TEXT_NULL};
 use sqlml_common::schema::{DataType, Field};
 use sqlml_common::{Result, Schema, SqlmlError, Value};
 use sqlml_sqlengine::column::{Batch, Column, Prim};
@@ -43,6 +51,7 @@ enum ColumnAction {
 /// ([`Self::output_schema`]).
 pub struct FlatRecodeApplier {
     actions: Vec<ColumnAction>,
+    input: Schema,
     out_schema: Schema,
 }
 
@@ -101,6 +110,7 @@ impl FlatRecodeApplier {
         }
         Ok(FlatRecodeApplier {
             actions,
+            input: schema.clone(),
             out_schema: Schema::new(fields),
         })
     }
@@ -145,6 +155,169 @@ impl FlatRecodeApplier {
         }
         Ok(Batch::new(columns, input.len()))
     }
+
+    /// Transform one text part-file of the input schema line by line: the
+    /// text and row count of
+    /// `self.apply_batch(&Batch::decode_text(text, input)?)?.encode_text()`,
+    /// or its error, without building a column. The first error decoding
+    /// the text wins; after it, the first unseen value (or non-string
+    /// cell) of the leftmost categorical column that has one, as
+    /// [`Self::apply_batch`] meets them.
+    pub fn rewrite_text(&self, text: &str) -> Result<(String, usize)> {
+        let mut columns: Vec<Option<CellTexts<'_>>> =
+            self.actions.iter().map(CellTexts::new).collect();
+        let mut out = String::with_capacity(text.len() + text.len() / 8);
+        let mut rows = 0;
+        let mut refused: Option<(usize, SqlmlError)> = None;
+        codec::walk_text(text, |line| {
+            line.cells(&self.input, |c, ty, cell| {
+                if c > 0 {
+                    out.push(TEXT_DELIM);
+                }
+                let Some(texts) = &mut columns[c] else {
+                    return copy_cell(cell, ty, &mut out);
+                };
+                let text = match (cell, ty) {
+                    (None, _) => Ok(texts.null()),
+                    (Some(s), DataType::Str) => texts.of(s),
+                    (Some(s), ty) => match Value::parse_typed(s, ty)? {
+                        Value::Null => Ok(texts.null()),
+                        other => Err(not_categorical(&other, texts.name)),
+                    },
+                };
+                match text {
+                    Ok(text) => out.push_str(text),
+                    Err(e) => {
+                        if refused.as_ref().is_none_or(|(first, _)| c < *first) {
+                            refused = Some((c, e));
+                        }
+                    }
+                }
+                Ok(())
+            })?;
+            out.push('\n');
+            rows += 1;
+            Ok(())
+        })?;
+        match refused {
+            Some((_, e)) => Err(e),
+            None => Ok((out, rows)),
+        }
+    }
+}
+
+/// A pass-through cell as the column writers write its decoded value: an
+/// integer or a double already spelled so is copied, any other parsed and
+/// written; a string is escaped back, which gives the raw field again.
+fn copy_cell(cell: Option<&str>, ty: DataType, out: &mut String) -> Result<()> {
+    match (cell, ty) {
+        (None, _) => out.push_str(TEXT_NULL),
+        (Some(s), DataType::Str) => codec::escape_text(s, out),
+        (Some(s), DataType::Int) if codec::is_written_int(s) => out.push_str(s),
+        (Some(s), DataType::Int) => match codec::parse_int_cell(s)? {
+            Some(v) => codec::write_int(v, out),
+            None => out.push_str(TEXT_NULL),
+        },
+        (Some(s), DataType::Double) if codec::is_written_double(s) => out.push_str(s),
+        (Some(s), DataType::Double) => match codec::parse_double_cell(s)? {
+            Some(v) => codec::write_double(v, out),
+            None => out.push_str(TEXT_NULL),
+        },
+        (Some(s), ty) => codec::encode_text_value(&Value::parse_typed(s, ty)?, out),
+    }
+    Ok(())
+}
+
+/// The output text of one categorical column's cells within one
+/// part-file: each level's code or coded block, written once into
+/// `arena` on first sight. A value's level is looked up in order while
+/// the map holds at most eight values, hashed beyond that.
+struct CellTexts<'a> {
+    name: &'a str,
+    values: &'a [String],
+    coding: Option<Coding>,
+    arena: String,
+    /// Where in `arena` a NULL cell's text lies: `\N`, or the coding's
+    /// all-zero block.
+    null: (usize, usize),
+    /// Where each level's text lies once written; `(0, 0)` before (the
+    /// NULL text, never empty, comes first).
+    written: Vec<(usize, usize)>,
+    /// Value → level, built on first use when there are more than eight.
+    index: Option<HashMap<&'a str, usize>>,
+}
+
+impl<'a> CellTexts<'a> {
+    /// `None` for a pass-through column.
+    fn new(action: &'a ColumnAction) -> Option<CellTexts<'a>> {
+        let (name, values, coding) = match action {
+            ColumnAction::Pass => return None,
+            ColumnAction::Recode { name, values } => (name, values, None),
+            ColumnAction::Expand {
+                name,
+                values,
+                coding,
+            } => (name, values, Some(*coding)),
+        };
+        let mut texts = CellTexts {
+            name,
+            values,
+            coding,
+            arena: String::new(),
+            null: (0, 0),
+            written: vec![(0, 0); values.len()],
+            index: None,
+        };
+        texts.null = texts.write(None);
+        Some(texts)
+    }
+
+    /// The text of a NULL cell.
+    fn null(&self) -> &str {
+        self.arena.get(self.null.0..self.null.1).unwrap_or_default()
+    }
+
+    /// The text of the value `s`, or its `unseen value` error.
+    fn of(&mut self, s: &str) -> Result<&str> {
+        let values = self.values;
+        let level = match values.len() {
+            0..=8 => values.iter().position(|v| v == s),
+            _ => (self.index)
+                .get_or_insert_with(|| (values.iter().map(String::as_str)).zip(0..).collect())
+                .get(s)
+                .copied(),
+        };
+        let level = level.ok_or_else(|| unseen(s, self.name))?;
+        let (start, end) = match self.written.get(level) {
+            Some(&(0, 0)) | None => {
+                let text = self.write(Some(level));
+                if let Some(slot) = self.written.get_mut(level) {
+                    *slot = text;
+                }
+                text
+            }
+            Some(&text) => text,
+        };
+        Ok(self.arena.get(start..end).unwrap_or_default())
+    }
+
+    /// Append the text `level` becomes (`None` for NULL) to the arena:
+    /// its code, or the coding's block as [`Batch::encode_text`] writes
+    /// the one row [`Coding::expand`] gives.
+    fn write(&mut self, level: Option<usize>) -> (usize, usize) {
+        let start = self.arena.len();
+        match (self.coding, level) {
+            (None, None) => self.arena.push_str(TEXT_NULL),
+            (None, Some(l)) => codec::write_int(l as i64 + 1, &mut self.arena),
+            (Some(coding), level) => {
+                let block = coding.expand(&[level], self.values.len());
+                let line = Batch::new(block, 1).encode_text();
+                self.arena
+                    .push_str(line.strip_suffix('\n').unwrap_or(&line));
+            }
+        }
+        (start, self.arena.len())
+    }
 }
 
 /// The level (code − 1) of every row of a categorical column (`None` for
@@ -172,10 +345,12 @@ fn level_of_cell(values: &[String], v: &Value, col: &str) -> Result<Option<usize
     match v {
         Value::Null => Ok(None),
         Value::Str(s) => level_of(values, s).map(Some).ok_or_else(|| unseen(s, col)),
-        other => Err(SqlmlError::Type(format!(
-            "expected a categorical string in {col}, found {other}"
-        ))),
+        other => Err(not_categorical(other, col)),
     }
+}
+
+fn not_categorical(v: &Value, col: &str) -> SqlmlError {
+    SqlmlError::Type(format!("expected a categorical string in {col}, found {v}"))
 }
 
 fn unseen(s: &str, col: &str) -> SqlmlError {

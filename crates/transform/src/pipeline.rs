@@ -66,13 +66,21 @@ impl TransformSpec {
             .map(|&(_, coding)| coding)
     }
 
-    /// The recode columns, defaulted from a schema when unspecified.
+    /// The recode columns, defaulted from a schema when unspecified, each
+    /// spelled as `schema` spells it (names match ignoring ASCII case): the
+    /// recode map is keyed by these names and the applier looks columns up
+    /// by the schema's. A name `schema` lacks is kept as the spec spells it,
+    /// for the caller's `no column` error.
     pub fn effective_recode_columns(&self, schema: &Schema) -> Vec<String> {
         if self.recode_columns.is_empty() {
-            schema.categorical_columns()
-        } else {
-            self.recode_columns.clone()
+            return schema.categorical_columns();
         }
+        (self.recode_columns.iter())
+            .map(|c| match schema.index_of(c) {
+                Ok(i) => schema.field(i).name.clone(),
+                Err(_) => c.clone(),
+            })
+            .collect()
     }
 }
 

@@ -1306,3 +1306,470 @@ fn column_engine_matches_plain_rust_loops_on_seeded_keyed_tables() {
         "build sides: {built_left} left, {built_right} right"
     );
 }
+
+// ---------------------------------------------------------------------
+// The text walker and the naive job's line rewriter, against the
+// split-based decoder and the column round trip they replaced.
+// ---------------------------------------------------------------------
+
+/// The splitter the text walker replaced, kept as the oracle: `s` cut at
+/// every `sep` byte, one scan per line and another per field.
+fn split_on(s: &str, sep: u8) -> impl Iterator<Item = &str> {
+    let mut rest = Some(s);
+    std::iter::from_fn(move || {
+        let piece = rest?;
+        match piece.bytes().position(|b| b == sep) {
+            Some(at) => {
+                rest = piece.get(at + 1..);
+                piece.get(..at)
+            }
+            None => rest.take(),
+        }
+    })
+}
+
+/// The split-based decoder's row for one line, or its error.
+fn oracle_row(line: &str, schema: &Schema) -> sqlml_common::Result<Row> {
+    use sqlml_common::SqlmlError;
+    let arity = |what: &str| {
+        let n = schema.len();
+        SqlmlError::Execution(format!("text row has {what} than {n} fields: {line:?}"))
+    };
+    let unescape = |raw: &str| -> sqlml_common::Result<String> {
+        let (mut out, mut chars) = (String::new(), raw.chars());
+        while let Some(c) = chars.next() {
+            if c != '\\' {
+                out.push(c);
+                continue;
+            }
+            match chars.next() {
+                Some('\\') => out.push('\\'),
+                Some('p') => out.push('|'),
+                Some('n') => out.push('\n'),
+                other => {
+                    let e = format!("bad escape sequence \\{other:?} in text field");
+                    return Err(SqlmlError::Execution(e));
+                }
+            }
+        }
+        Ok(out)
+    };
+    let escaped = line.contains('\\');
+    let mut fields = split_on(line, b'|');
+    let mut values = Vec::new();
+    for f in schema.fields() {
+        let raw = fields.next().ok_or_else(|| arity("fewer"))?;
+        let text = match (escaped, raw) {
+            (false, raw) => Some(raw.to_string()),
+            (true, "\\N") => None,
+            (true, raw) => Some(unescape(raw)?),
+        };
+        values.push(match (text, f.data_type) {
+            (None, _) => Value::Null,
+            (Some(text), DataType::Str) => Value::str(text),
+            (Some(text), ty) => Value::parse_typed(&text, ty)?,
+        });
+    }
+    match fields.next() {
+        Some(_) => Err(arity("more")),
+        None => Ok(Row::new(values)),
+    }
+}
+
+/// Every non-empty line's row in order, through the first error.
+fn oracle_lines(text: &str, schema: &Schema) -> Vec<sqlml_common::Result<Row>> {
+    let mut out = Vec::new();
+    for line in split_on(text, b'\n').filter(|l| !l.is_empty()) {
+        let row = oracle_row(line, schema);
+        let failed = row.is_err();
+        out.push(row);
+        if failed {
+            break;
+        }
+    }
+    out
+}
+
+const TEXT_TYPES: [DataType; 4] = [
+    DataType::Int,
+    DataType::Double,
+    DataType::Bool,
+    DataType::Str,
+];
+
+/// A cell of type `ty`: NULL, an edge value, a random one, or a string
+/// that needs escapes.
+fn random_text_cell(rng: &mut SplitMix64, ty: DataType) -> Value {
+    const STRINGS: [&str; 10] = [
+        "F", "M", "", "a|b", "x\\y", "\\N", "l\nm", "Yes\r", "ü", "p",
+    ];
+    if rng.chance(0.1) {
+        return Value::Null;
+    }
+    match ty {
+        DataType::Int => match rng.next_below(3) {
+            0 => Value::Int(*rng.choose(&[0, -1, i64::MIN, i64::MAX])),
+            1 => Value::Int(rng.next_below(100) as i64),
+            _ => Value::Int(rng.next_u64() as i64),
+        },
+        DataType::Double => match rng.next_below(3) {
+            0 => Value::Double(*rng.choose(&[-0.0, 1e-4, 1e9, 0.1 + 0.2, f64::INFINITY])),
+            1 => Value::Double((rng.next_below(200_000) as f64 - 1e5) / 100.0),
+            _ => Value::Double(f64::from_bits(rng.next_u64())),
+        },
+        DataType::Bool => Value::Bool(rng.chance(0.5)),
+        DataType::Str => Value::str(*rng.choose(&STRINGS)),
+    }
+}
+
+/// The column text decoder's mutated blobs: 1–6 lines of written cells,
+/// a fifth of them swapped for a cell good for some column and bad for
+/// others, and a line of the wrong arity now and then.
+fn mutated_blob(rng: &mut SplitMix64, schema: &Schema) -> String {
+    const FIELDS: [&str; 16] = [
+        "\\N", "\\\\N", "", "7", "-12", "2.5", "-0.0", "1e3", "12x", "true", "0", "F", "a\\pb",
+        "x\\\\y", "\\q", "ü",
+    ];
+    let lines: Vec<String> = (0..1 + rng.next_below(6))
+        .map(|_| {
+            let mut line: Vec<String> = (schema.fields().iter())
+                .map(|f| {
+                    if rng.chance(0.8) {
+                        let mut cell = String::new();
+                        codec::encode_text_value(&random_text_cell(rng, f.data_type), &mut cell);
+                        cell
+                    } else {
+                        rng.choose(&FIELDS).to_string()
+                    }
+                })
+                .collect();
+            match rng.next_below(12) {
+                0 => drop(line.pop()),
+                1 => line.push("9".into()),
+                _ => {}
+            }
+            line.join("|")
+        })
+        .collect();
+    lines.join("\n") + "\n"
+}
+
+/// A block's rows as the bits of their numbers.
+fn block_bits(block: sqlml_mlengine::PartitionBlock) -> Vec<Vec<u64>> {
+    let data = sqlml_mlengine::Dataset::from_blocks(vec![block]).unwrap();
+    let rows = data.iter().map(|p| p.features.iter().map(|f| f.to_bits()));
+    rows.map(Iterator::collect).collect()
+}
+
+/// Every split of `fmt` in order, as the bits of its rows, through the
+/// first split that fails and its error.
+fn read_splits(fmt: &sqlml_mlengine::TextInputFormat) -> (Vec<Vec<u64>>, Option<String>) {
+    use sqlml_mlengine::{InputFormat, PartitionBlock};
+    let mut rows = Vec::new();
+    for split in fmt.get_splits().unwrap() {
+        let mut block = PartitionBlock::new(None);
+        let mut reader = fmt.create_reader(split.as_ref(), "node-0").unwrap();
+        let err = reader.next_batch(&mut block).err();
+        rows.extend(block_bits(block));
+        if let Some(e) = err {
+            return (rows, Some(e.to_string()));
+        }
+    }
+    (rows, None)
+}
+
+/// The parent's job 2 on one part-file: decode it into columns, apply,
+/// encode. The reference for [`FlatRecodeApplier::rewrite_text`].
+fn column_round_trip(
+    applier: &FlatRecodeApplier,
+    text: &str,
+    schema: &Schema,
+) -> Result<(String, usize), String> {
+    let out = Batch::decode_text(text, schema).and_then(|b| applier.apply_batch(&b));
+    out.map(|b| (b.encode_text(), b.len()))
+        .map_err(|e| e.to_string())
+}
+
+#[test]
+fn every_text_reader_walks_what_the_split_based_decoder_reads() {
+    let mut rng = SplitMix64::new(0x0DEC_0DE5);
+    let block_sizes = [7, 16, 64, 1 << 20];
+    let dfss: Vec<Dfs> = (block_sizes.iter())
+        .map(|&block_size| {
+            Dfs::new(DfsConfig {
+                block_size,
+                ..DfsConfig::for_tests()
+            })
+        })
+        .collect();
+    let (mut decoded, mut refused, mut job_refused) = (0, 0, 0);
+    for seed in 0..400 {
+        let width = 1 + rng.next_below(5) as usize;
+        let fields = (0..width).map(|c| Field::new(format!("c{c}"), *rng.choose(&TEXT_TYPES)));
+        let schema = Schema::new(fields.collect());
+        let text = mutated_blob(&mut rng, &schema);
+        let what = format!("seed {seed}: {text:?}");
+        let lines: Vec<Result<Row, String>> = (oracle_lines(&text, &schema).into_iter())
+            .map(|r| r.map_err(|e| e.to_string()))
+            .collect();
+        let want: Result<Vec<Row>, String> = lines.iter().cloned().collect();
+        decoded += usize::from(want.is_ok());
+        refused += usize::from(want.is_err());
+
+        // The row and the column decoders.
+        let rows = codec::decode_text_batch(&text, &schema).map_err(|e| e.to_string());
+        assert_eq!(rows, want, "{what}");
+        let columns = Batch::decode_text(&text, &schema).map(|b| b.rows());
+        assert_eq!(columns.map_err(|e| e.to_string()), want, "{what}");
+
+        // The ML reader, whole-file and block splits at every block size:
+        // the rows as numbers up to the first line that fails either way.
+        let mut want_ml = (Vec::new(), None);
+        for row in &lines {
+            match (row.clone()).and_then(|r| r.to_f64_vec().map_err(|e| e.to_string())) {
+                Ok(v) => want_ml.0.push(v.iter().map(|f| f.to_bits()).collect()),
+                Err(e) => {
+                    want_ml.1 = Some(e);
+                    break;
+                }
+            }
+        }
+        let dir = format!("/walk/{seed}");
+        for (dfs, block) in dfss.iter().zip(block_sizes) {
+            dfs.write_string(&format!("{dir}/part-00000"), &text)
+                .unwrap();
+            let fmt = sqlml_mlengine::TextInputFormat::new(dfs.clone(), &dir, schema.clone());
+            assert_eq!(
+                read_splits(&fmt),
+                want_ml,
+                "whole file, {block} B blocks, {what}"
+            );
+            let fmt = fmt.with_block_splits();
+            assert_eq!(
+                read_splits(&fmt),
+                want_ml,
+                "block splits of {block} B, {what}"
+            );
+        }
+
+        // Jobs 1 and 2: the string columns recoded, now and then one
+        // coded, and now and then a column that holds no strings.
+        let mut spec = TransformSpec {
+            recode_columns: (schema.fields().iter())
+                .filter(|f| f.data_type == DataType::Str || rng.chance(0.15))
+                .map(|f| f.name.clone())
+                .collect(),
+            coded_columns: Vec::new(),
+        };
+        if let Some(c) = spec.recode_columns.first().filter(|_| rng.chance(0.5)) {
+            spec.coded_columns.push((c.clone(), *rng.choose(&CODINGS)));
+        }
+        // The parent's jobs: job 1 walks every line without parsing a
+        // number and builds the map from the string cells it keeps (a line
+        // it cannot walk fails the job with the file's first decode
+        // error), then the applier is built, then job 2 runs.
+        let as_strings = (schema.fields().iter()).map(|f| Field::new(&f.name, DataType::Str));
+        let as_strings = Schema::new(as_strings.collect());
+        let walked: Result<Vec<Row>, String> = (split_on(&text, b'\n'))
+            .filter(|l| !l.is_empty())
+            .map(|l| oracle_row(l, &as_strings).map_err(|e| e.to_string()))
+            .collect();
+        let want_job = walked
+            .map_err(|_| want.clone().unwrap_err())
+            .and_then(|rows| {
+                let recoded = spec.effective_recode_columns(&schema);
+                let pairs = (schema.fields().iter().enumerate())
+                    .filter(|(_, f)| f.data_type == DataType::Str && recoded.contains(&f.name))
+                    .flat_map(|(c, f)| {
+                        let values = rows.iter().filter_map(move |r| r.get(c).as_str().ok());
+                        values.map(|v| (f.name.clone(), v.to_string()))
+                    });
+                let map = RecodeMap::from_pairs(pairs.collect::<Vec<_>>());
+                let applier =
+                    FlatRecodeApplier::new(&map, &schema, &spec).map_err(|e| e.to_string())?;
+                let (text, _) = column_round_trip(&applier, &text, &schema)?;
+                Ok((text, applier.output_schema().names()))
+            });
+        let dfs = &dfss[2];
+        let out_dir = format!("/walk-out/{seed}");
+        let got_job = run_external_transform(dfs, &dir, &schema, &spec, &out_dir)
+            .map(|out| {
+                let text = dfs.read_string(&format!("{out_dir}/part-00000")).unwrap();
+                (text, out.schema.names())
+            })
+            .map_err(|e| e.to_string());
+        assert_eq!(got_job, want_job, "{spec:?}, {what}");
+        job_refused += usize::from(got_job.is_err() && want.is_ok());
+    }
+    assert!(
+        decoded > 100 && refused > 100 && job_refused > 10,
+        "{decoded} decoded, {refused} refused, {job_refused} refused by the jobs alone"
+    );
+}
+
+/// A seeded part-file for the line rewriter: per column, cells drawn
+/// from its values (escaped as written), NULL markers, `\\N` and empty
+/// strings, and numbers spelled as the writers spell them or not. When
+/// `malformed`, now and then a cell no column type accepts, a bad escape
+/// or a line of the wrong arity.
+fn rewriter_part_file(
+    rng: &mut SplitMix64,
+    schema: &Schema,
+    pools: &[Vec<String>],
+    lines: u64,
+    malformed: bool,
+) -> String {
+    const INTS: [&str; 11] = [
+        "007",
+        "+5",
+        "-0",
+        "0",
+        "12",
+        "-7",
+        "",
+        "\\\\N",
+        "999999999999999999",
+        "9223372036854775807",
+        "-9223372036854775808",
+    ];
+    const DOUBLES: [&str; 17] = [
+        "1.50", "1e3", "-0", "0.00001", "0.0001", "-0.0", "0.0", "2.5", "5.0", "5.00", "0.1",
+        "1e400", "nan", "inf", "007", "+5", "\\\\N",
+    ];
+    const BOOLS: [&str; 6] = ["true", "0", "FALSE", "", "1", "\\\\N"];
+    const STRINGS: [&str; 5] = ["ü", "Yes\r", "a\\pb", "l\\nm", ""];
+    const BAD: [&str; 6] = ["12x", "9223372036854775808", "maybe", "\\q", "1.5.0", "-"];
+    let mut text = String::new();
+    for _ in 0..lines {
+        let mut cells: Vec<String> = (schema.fields().iter().zip(pools))
+            .map(|(f, pool)| {
+                let mut cell = String::new();
+                match (f.data_type, rng.next_below(20)) {
+                    (_, 0) => cell.push_str("\\N"),
+                    (_, 1) if malformed && rng.chance(0.2) => {
+                        cell.push_str(rng.choose::<&str>(&BAD))
+                    }
+                    (DataType::Str, 2) if malformed => cell.push_str(rng.choose::<&str>(&STRINGS)),
+                    (DataType::Str, _) => {
+                        codec::escape_text(rng.choose(pool.as_slice()).as_str(), &mut cell)
+                    }
+                    (DataType::Bool, _) => cell.push_str(rng.choose::<&str>(&BOOLS)),
+                    (DataType::Int, 2..=6) => cell.push_str(rng.choose::<&str>(&INTS)),
+                    (DataType::Int, _) => codec::write_int(rng.range_i64(-5000, 5000), &mut cell),
+                    (_, 2..=6) => cell.push_str(rng.choose::<&str>(&DOUBLES)),
+                    (_, _) => {
+                        let d = (rng.next_below(2_000_000) as f64 - 1e6) / 1000.0;
+                        codec::write_double(d, &mut cell)
+                    }
+                }
+                cell
+            })
+            .collect();
+        match rng.next_below(if malformed { 100 } else { u64::MAX }) {
+            0 => drop(cells.pop()),
+            1 => cells.push("9".into()),
+            _ => {}
+        }
+        text.push_str(&cells.join("|"));
+        text.push('\n');
+    }
+    text
+}
+
+#[test]
+fn the_line_rewriter_writes_what_the_column_round_trip_writes() {
+    let mut rng = SplitMix64::new(0x2E_7217E);
+    let (mut rewritten, mut refused, mut unseen) = (0, 0, 0);
+    for seed in 0..400 {
+        let width = 2 + rng.next_below(5) as usize;
+        let mut types: Vec<DataType> = (0..width).map(|_| *rng.choose(&TEXT_TYPES)).collect();
+        types[rng.next_below(width as u64) as usize] = DataType::Str;
+        let fields = (types.iter().enumerate()).map(|(c, ty)| Field::new(format!("c{c}"), *ty));
+        let schema = Schema::new(fields.collect());
+        // 1 to 30 values per string column: past eight, looked up by hash.
+        let pools: Vec<Vec<String>> = (types.iter())
+            .map(|_| {
+                let k = *rng.choose(&[1, 2, 3, 5, 9, 12, 30]);
+                let odd = ["", "\\N", "a|b", "x\\y", "l\nm", "ü"];
+                (0..k)
+                    .map(|i| match rng.chance(0.2) {
+                        true => rng.choose(&odd).to_string(),
+                        false => format!("v{i}"),
+                    })
+                    .collect()
+            })
+            .collect();
+        let (lines, malformed) = (rng.next_below(60), rng.chance(0.3));
+        let text = rewriter_part_file(&mut rng, &schema, &pools, lines, malformed);
+        let mut spec = TransformSpec {
+            recode_columns: (schema.fields().iter())
+                .filter(|f| (f.data_type == DataType::Str && rng.chance(0.8)) || rng.chance(0.1))
+                .map(|f| f.name.clone())
+                .collect(),
+            coded_columns: Vec::new(),
+        };
+        for f in schema.fields() {
+            if f.data_type == DataType::Str
+                && spec.recode_columns.contains(&f.name)
+                && rng.chance(0.5)
+            {
+                let coding = *rng.choose(&CODINGS);
+                spec.coded_columns.push((f.name.clone(), coding));
+            }
+        }
+        // The map holds each pool, now and then short of one value.
+        let pairs = (schema.fields().iter().zip(&pools)).flat_map(|(f, pool)| {
+            let keep = match rng.chance(0.05) {
+                true => pool.len().saturating_sub(1),
+                false => pool.len(),
+            };
+            (pool[..keep].iter()).map(|v| (f.name.clone(), v.clone()))
+        });
+        let map = RecodeMap::from_pairs(pairs.collect::<Vec<_>>());
+        let Ok(applier) = FlatRecodeApplier::new(&map, &schema, &spec) else {
+            continue;
+        };
+        let want = column_round_trip(&applier, &text, &schema);
+        let got = applier.rewrite_text(&text).map_err(|e| e.to_string());
+        assert_eq!(got, want, "seed {seed}: {spec:?} over {text:?}");
+        rewritten += usize::from(got.is_ok());
+        refused += usize::from(got.is_err());
+        unseen += usize::from(got.as_ref().is_err_and(|e| e.contains("unseen value")));
+    }
+    assert!(
+        rewritten > 100 && refused > 50 && unseen > 10,
+        "{rewritten} rewritten, {refused} refused, {unseen} unseen"
+    );
+}
+
+#[test]
+fn the_line_rewriter_agrees_at_a_hundred_thousand_values() {
+    let values: Vec<String> = (0..100_000).map(|i| format!("v{i}")).collect();
+    let schema = Schema::new(vec![
+        Field::new("id", DataType::Int),
+        Field::categorical("c"),
+        Field::new("x", DataType::Double),
+    ]);
+    let map = RecodeMap::from_pairs(values.iter().map(|v| ("c".to_string(), v.clone())));
+    let mut rng = SplitMix64::new(100_000);
+    let pools = [vec![], values, vec![]];
+    // Recoded over many rows; coded over a few, each row 100 000 wide.
+    for (coding, lines) in [(None, 20_000), (Some(Coding::Dummy), 12)]
+        .into_iter()
+        .chain([Coding::Effect, Coding::Helmert].map(|c| (Some(c), 6)))
+    {
+        let spec = TransformSpec {
+            recode_columns: vec!["c".into()],
+            coded_columns: coding.into_iter().map(|c| ("c".to_string(), c)).collect(),
+        };
+        let text = rewriter_part_file(&mut rng, &schema, &pools, lines, false);
+        let applier = FlatRecodeApplier::new(&map, &schema, &spec).unwrap();
+        let want = column_round_trip(&applier, &text, &schema);
+        let got = applier.rewrite_text(&text).map_err(|e| e.to_string());
+        assert_eq!(
+            got.as_ref().map(|(_, rows)| *rows),
+            want.as_ref().map(|(_, rows)| *rows)
+        );
+        assert!(got == want, "{coding:?}: the outputs differ");
+    }
+}

@@ -639,3 +639,69 @@ fn cached_map_lacking_a_value_fails_instead_of_shrinking_the_training_set() {
         assert!(err.contains("gender"), "{err}");
     }
 }
+
+#[test]
+fn a_recode_column_named_in_another_case_is_the_schemas_column() {
+    // `Gender` names the prep result's `gender`: every strategy, and a
+    // §5.1 and a §5.2 hit, must recode it as if it were spelled so.
+    let cluster = cluster();
+    let spec = |recode: [&str; 2], coded: &[&str]| TransformSpec {
+        recode_columns: recode.map(str::to_string).into(),
+        coded_columns: (coded.iter())
+            .map(|c| (c.to_string(), Coding::Dummy))
+            .collect(),
+    };
+    let map_hit_sql = "SELECT U.age, U.gender, C.amount, C.nitems, C.abandoned \
+                       FROM carts C, users U \
+                       WHERE C.userid = U.userid AND U.country = 'USA' AND C.year = 2014";
+    for (coded, label) in [(&[][..], 3), (&["gender"][..], 4)] {
+        let req = |recode, sql: &str| PipelineRequest {
+            prep_sql: sql.to_string(),
+            spec: spec(recode, coded),
+            ml_command: format!("svm label={label} iterations=5"),
+        };
+        let (lower, upper) = (["gender", "abandoned"], ["Gender", "abandoned"]);
+        let what = format!("coded {coded:?}");
+        let (naive, insql) = both_transforms(&cluster, &req(lower, PREP_QUERY), "/case/lower");
+        let expected = (naive.unwrap(), insql.unwrap());
+        assert_eq!(expected.0, expected.1, "{what}");
+        let (naive, insql) = both_transforms(&cluster, &req(upper, PREP_QUERY), "/case/upper");
+        assert_eq!(naive.unwrap(), expected.0, "{what}");
+        assert_eq!(insql.unwrap(), expected.1, "{what}");
+        for strategy in [Strategy::Naive, Strategy::InSql, Strategy::InSqlStream] {
+            let report = Pipeline::new(&cluster).run(&req(upper, PREP_QUERY), strategy);
+            let report = report.unwrap_or_else(|e| panic!("{what} {strategy:?}: {e}"));
+            assert_eq!(
+                report.rows_to_ml,
+                expected.0 .0.len(),
+                "{what} {strategy:?}"
+            );
+        }
+        // Fresh, then §5.1 on the same request, then §5.2 on a narrower
+        // query: each against the same request spelled in lower case.
+        let pipeline = Pipeline::with_cache(&cluster);
+        for (sql, mode) in [
+            (PREP_QUERY, CacheMode::None),
+            (PREP_QUERY, CacheMode::FullResult),
+            (map_hit_sql, CacheMode::RecodeMap),
+        ] {
+            let (table, cache_use) = pipeline
+                .prepare_and_transform(&req(upper, sql), &CancelToken::new())
+                .unwrap_or_else(|e| panic!("{what} {mode:?}: {e}"));
+            assert_eq!(cache_use, mode, "{what}");
+            let (fresh, _) = Pipeline::new(&cluster)
+                .prepare_and_transform(&req(lower, sql), &CancelToken::new())
+                .unwrap();
+            assert_eq!(
+                table.schema().names(),
+                fresh.schema().names(),
+                "{what} {mode:?}"
+            );
+            assert_eq!(
+                table.collect_sorted(),
+                fresh.collect_sorted(),
+                "{what} {mode:?}"
+            );
+        }
+    }
+}
