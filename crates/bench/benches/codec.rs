@@ -7,6 +7,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use sqlml_common::codec::{self, NumericColumn, NumericFrame};
 use sqlml_common::schema::{DataType, Field, Schema};
 use sqlml_common::{Row, SplitMix64, Value};
+use sqlml_core::workload::{Warehouse, WorkloadScale};
+use sqlml_sqlengine::Batch;
 
 fn sample_rows(n: usize) -> (Schema, Vec<Row>) {
     let schema = Schema::new(vec![
@@ -114,9 +116,30 @@ fn bench_codecs(c: &mut Criterion) {
     group.finish();
 }
 
+/// The text codec the product runs: `Batch::encode_text` and
+/// `Batch::decode_text` on one 100K-row `carts` partition of the seeded
+/// warehouse (400K carts, seed 100, four partitions), as the warehouse
+/// load and the Naive hop call them.
+fn bench_batch_text(c: &mut Criterion) {
+    let scale = WorkloadScale::with_carts(400_000);
+    let warehouse = Warehouse::generate(scale, 100, 4).expect("warehouse");
+    let carts = &warehouse.carts;
+    let part = &carts.partitions()[0];
+    let text = part.encode_text();
+    let mut group = c.benchmark_group("batch_text");
+    group.throughput(Throughput::Elements(part.len() as u64));
+    group.bench_function("encode_100k_carts", |b| {
+        b.iter(|| black_box(part).encode_text())
+    });
+    group.bench_function("decode_100k_carts", |b| {
+        b.iter(|| Batch::decode_text(black_box(&text), carts.schema()).unwrap())
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_codecs
+    targets = bench_codecs, bench_batch_text
 }
 criterion_main!(benches);

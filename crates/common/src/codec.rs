@@ -112,62 +112,266 @@ pub fn encode_text_value(v: &Value, out: &mut String) {
 /// Append `i` in decimal: the bytes `format!("{i}")` gives.
 #[inline]
 pub fn write_int(i: i64, out: &mut String) {
-    if i < 0 {
-        out.push('-');
-    }
-    write_digits(i.unsigned_abs(), 1, out);
+    let mut cell = [0; CELL_BYTES];
+    let len = int_cell(i, &mut cell);
+    push_ascii(&cell[..len], out);
 }
-
-/// Append `n` in decimal, zero-padded to at least `width` digits.
-#[inline]
-fn write_digits(mut n: u64, width: usize, out: &mut String) {
-    let mut digits = [b'0'; 20];
-    let mut at = digits.len();
-    while n > 0 || digits.len() - at < width {
-        at -= 1;
-        #[allow(clippy::cast_possible_truncation)]
-        let digit = (n % 10) as u8; // lint:allow(cast) — a remainder below 10
-        digits[at] = b'0' + digit;
-        n /= 10;
-    }
-    out.extend(digits[at..].iter().map(|&b| char::from(b)));
-}
-
-/// `10^k` for the decimals the fast path of [`write_double`] tries.
-const POW10: [u64; 7] = [1, 10, 100, 1_000, 10_000, 100_000, 1_000_000];
 
 /// Append `d` as the shortest decimal that parses back to it: the bytes
-/// `format!("{d:?}")` gives. For `1e-4 <= |d| < 1e9` it tries
-/// `k = 0..=6` decimals: `c = round(d·10^k)` is an integer below 2^53 and
-/// `10^k` is exact, so the correctly rounded `c / 10^k` equals `d` exactly
-/// when the `k`-decimal string of `c` parses back to `d`. As `10^-k`
-/// exceeds the spacing of doubles in that range, at most one `k`-decimal
-/// string does, so the first `k` that passes gives the shortest
-/// round-tripping string — the one `{:?}` prints. Every other value
-/// (more decimals, other magnitudes, ±0, NaN, ±inf) is formatted by
-/// `{:?}` itself.
+/// `format!("{d:?}")` gives — [`double_cell`]'s when it has them,
+/// `{:?}`'s own otherwise.
 #[inline]
 pub fn write_double(d: f64, out: &mut String) {
-    if (1e-4..1e9).contains(&d.abs()) {
-        for (k, scale) in POW10.into_iter().enumerate() {
-            let p = scale as f64;
-            let c = (d * p).round();
-            if c / p == d {
-                if d < 0.0 {
-                    out.push('-');
-                }
-                // |c| < 1e15: an integer the conversion keeps exactly.
-                #[allow(clippy::cast_possible_truncation)]
-                let c = c.abs() as u64;
-                write_digits(c / scale, 1, out);
-                out.push('.');
-                write_digits(c % scale, k.max(1), out);
-                return;
-            }
+    let mut cell = [0; CELL_BYTES];
+    match double_cell(d, &mut cell) {
+        Some(len) => push_ascii(&cell[..len], out),
+        // Formatting into a `String` cannot fail.
+        None => drop(write!(out, "{d:?}")),
+    }
+}
+
+/// Append bytes a cell kernel wrote, all ASCII, one `char` each: for the
+/// few bytes of a cell this is cheaper than checking them as a `str`.
+#[inline]
+fn push_ascii(bytes: &[u8], out: &mut String) {
+    out.extend(bytes.iter().map(|&b| char::from(b)));
+}
+
+// ---------------------------------------------------------------------------
+// Text cell kernels: eight digits per word
+// ---------------------------------------------------------------------------
+
+/// Bytes of the window a number kernel writes into: the widest integer
+/// (`-9223372036854775808`, 20 bytes) or fast-path double
+/// (`-999999999.999999`, 17 bytes), with room for a delimiter and for
+/// the last eight-byte store.
+pub const CELL_BYTES: usize = 24;
+
+/// `'0'` in every byte.
+const ASCII_ZEROS: u64 = 0x3030_3030_3030_3030;
+
+/// `10^k` for the digit counts of one word.
+const POW10_U64: [u64; 8] = [1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
+
+/// The eight decimal digits of `n < 10^8`, zero-padded, one digit value
+/// per byte, the most significant in the lowest byte. The halves
+/// `[abcd, efgh]` sit in 32-bit lanes, then `[ab, cd, ef, gh]` in 16-bit
+/// lanes, then one digit per byte: each step divides every lane by 100
+/// or 10 with one multiply and shift, exact for those lane ranges, and no
+/// product crosses into the lane the mask keeps.
+#[inline]
+fn eight_digits(n: u64) -> u64 {
+    let v = (n / 10_000) | ((n % 10_000) << 32);
+    let hundreds = ((v * 10_486) >> 20) & 0x0000_007F_0000_007F;
+    let v = hundreds | ((v - hundreds * 100) << 16);
+    let tens = ((v * 103) >> 10) & 0x000F_000F_000F_000F;
+    tens | ((v - tens * 10) << 8)
+}
+
+/// Store the eight bytes of `word` at `out[at..]`.
+#[inline]
+fn put_word(out: &mut [u8; CELL_BYTES], at: usize, word: u64) {
+    if let Some(slot) = out.get_mut(at..at + 8) {
+        slot.copy_from_slice(&word.to_le_bytes());
+    }
+}
+
+/// `n` in decimal at `out[at..]`, at most 20 digits from `at <= 1`;
+/// returns the offset past them. Each word of eight digits is one
+/// eight-byte store, the leading one shifted past its zero digits.
+#[inline]
+fn put_u64(n: u64, out: &mut [u8; CELL_BYTES], at: usize) -> usize {
+    const E8: u64 = 100_000_000;
+    if n < 10 {
+        // One digit (a flag, a code) needs no word.
+        #[allow(clippy::cast_possible_truncation)]
+        let digit = n as u8; // lint:allow(cast) — below 10
+        out[at] = b'0' + digit;
+        return at + 1;
+    }
+    let (top, words) = match n {
+        n if n < E8 => (n, 0),
+        n if n < E8 * E8 => (n / E8, 1),
+        n => (n / (E8 * E8), 2),
+    };
+    let digits = eight_digits(top);
+    // The zero digits before the first significant one (7 for 0).
+    let zeros = (digits.trailing_zeros() / 8).min(7);
+    put_word(out, at, (digits | ASCII_ZEROS) >> (8 * zeros));
+    let mut end = at + 8 - zeros as usize;
+    if words > 0 {
+        for word in &[n / E8 % E8, n % E8][2 - words..] {
+            put_word(out, end, eight_digits(*word) | ASCII_ZEROS);
+            end += 8;
         }
     }
-    // Formatting into a `String` cannot fail.
-    let _ = write!(out, "{d:?}");
+    end
+}
+
+/// `i` as [`write_int`] spells it, from the start of `out`; returns its
+/// length (at most 20).
+#[inline]
+pub fn int_cell(i: i64, out: &mut [u8; CELL_BYTES]) -> usize {
+    out[0] = b'-';
+    put_u64(i.unsigned_abs(), out, usize::from(i < 0))
+}
+
+/// `d` as [`write_double`] spells it when one division finds it, from the
+/// start of `out`, and its length (at most 17); `None` when `{:?}` has to
+/// spell it.
+///
+/// For `1e-4 <= |d| < 1e9` let `c` be `|d|·10^6` rounded to an integer,
+/// below `10^15 < 2^53`. When `c / 10^6`, one correctly rounded division
+/// of exact doubles, equals `|d|`, the six-decimal string of `c` is a
+/// decimal whose correctly rounded value is `|d|`: it parses back. And
+/// when some string of `k <= 6` decimals parses back to `|d|`, its digits
+/// form an integer `c_k` with `|d|` within half a spacing of
+/// `c_k·10^-k`: doubles there lie at most `2^-23` apart, so `|d|·10^6` is
+/// within `10^6·2^-24 < 0.06` of `c_k·10^(6-k)`, and the product and the
+/// rounding add at most `0.0625`; below `0.5`, so `c = c_k·10^(6-k)` and
+/// the division gives `|d|` back. So `|d|` has a string of at most six
+/// decimals exactly when the one division gives it back, and the
+/// shortest is `c`'s with its trailing zeros dropped (one kept, for the
+/// `x.0` form): a shorter one would make `c` end in more zeros. As
+/// `10^-6` exceeds the spacing of doubles there, no other string of at
+/// most six decimals parses to `|d|`, so this is the shortest
+/// round-tripping string — the one `{:?}` prints. Every other value (more
+/// decimals, other magnitudes, ±0, NaN, ±inf) is `None`.
+#[inline]
+pub fn double_cell(d: f64, out: &mut [u8; CELL_BYTES]) -> Option<usize> {
+    const SCALE: u64 = 1_000_000;
+    let magnitude = d.abs();
+    if !(1e-4..1e9).contains(&magnitude) {
+        return None;
+    }
+    // 100 <= |d|·10^6 < 10^15: the signed conversions are single
+    // instructions and exact here; the check below is what makes `c`
+    // right.
+    #[allow(clippy::cast_possible_truncation)]
+    let c = (magnitude * 1e6 + 0.5) as i64;
+    if c as f64 / 1e6 != magnitude {
+        return None;
+    }
+    let c = c.unsigned_abs();
+    out[0] = b'-';
+    let dot = put_u64(c / SCALE, out, usize::from(d < 0.0));
+    out[dot] = b'.';
+    // The six decimals sit in bytes 2..8 of the word; the zero bytes at
+    // its top are the string's trailing zeros.
+    let decimals = eight_digits(c % SCALE);
+    let trailing = (decimals.leading_zeros() / 8).min(6) as usize;
+    put_word(out, dot + 1, (decimals >> 16) | ASCII_ZEROS);
+    Some(dot + 1 + (6 - trailing).max(1))
+}
+
+/// A text blob under construction as bytes: each cell goes in as one
+/// fixed-width store of a whole array, the end then moved by the cell's
+/// length, so a cell costs no variable-length copy. Turned into a
+/// `String` once, by [`TextSink::into_string`].
+pub struct TextSink {
+    /// Written bytes up to `len`; zeros past it, room for the next store.
+    buf: Vec<u8>,
+    len: usize,
+}
+
+impl TextSink {
+    /// A sink with room for about `bytes` bytes before it grows.
+    pub fn with_capacity(bytes: usize) -> TextSink {
+        TextSink {
+            buf: vec![0; bytes.max(64)],
+            len: 0,
+        }
+    }
+
+    /// Make room for `more` bytes past the end.
+    #[cold]
+    fn grow(&mut self, more: usize) {
+        let at_least = self.len + more;
+        self.buf.resize(at_least.max(2 * self.buf.len()), 0);
+    }
+
+    /// Store all of `cell` at the end and keep its first `len` bytes.
+    #[inline]
+    pub fn put<const N: usize>(&mut self, cell: &[u8; N], len: usize) {
+        if self.buf.len() - self.len < N {
+            self.grow(N);
+        }
+        if let Some(slot) = self.buf.get_mut(self.len..self.len + N) {
+            slot.copy_from_slice(cell);
+            self.len += len.min(N);
+        }
+    }
+
+    /// [`Self::put`] of the first `len` bytes of `cell` and then `delim`.
+    #[inline]
+    pub fn put_cell<const N: usize>(&mut self, mut cell: [u8; N], len: usize, delim: u8) {
+        if let Some(slot) = cell.get_mut(len) {
+            *slot = delim;
+        }
+        self.put(&cell, len + 1);
+    }
+
+    /// Hand `write` the [`CELL_BYTES`] bytes past the end to write a cell
+    /// into from their start, and keep the count it returns; `false`
+    /// when it wrote none.
+    #[inline]
+    fn put_with(&mut self, write: impl FnOnce(&mut [u8; CELL_BYTES]) -> Option<usize>) -> bool {
+        if self.buf.len() - self.len < CELL_BYTES {
+            self.grow(CELL_BYTES);
+        }
+        let window = (self.buf.get_mut(self.len..self.len + CELL_BYTES))
+            .and_then(|w| <&mut [u8; CELL_BYTES]>::try_from(w).ok());
+        let written = window.and_then(write);
+        self.len += written.unwrap_or(0).min(CELL_BYTES);
+        written.is_some()
+    }
+
+    /// Append `bytes`, a copy of their length.
+    #[inline]
+    pub fn put_slice(&mut self, bytes: &[u8]) {
+        if self.buf.len() - self.len < bytes.len() {
+            self.grow(bytes.len());
+        }
+        if let Some(slot) = self.buf.get_mut(self.len..self.len + bytes.len()) {
+            slot.copy_from_slice(bytes);
+            self.len += bytes.len();
+        }
+    }
+
+    /// Append `i` and `delim` as [`write_int`] and a delimiter would.
+    #[inline]
+    pub fn put_int(&mut self, i: i64, delim: u8) {
+        self.put_with(|cell| {
+            let len = int_cell(i, cell);
+            cell[len] = delim;
+            Some(len + 1)
+        });
+    }
+
+    /// Append `d` and `delim` as [`write_double`] and a delimiter would.
+    #[inline]
+    pub fn put_double(&mut self, d: f64, delim: u8) {
+        let fast = self.put_with(|cell| {
+            let len = double_cell(d, cell)?;
+            cell[len] = delim;
+            Some(len + 1)
+        });
+        if !fast {
+            // `{:?}` of a double is at most 24 bytes.
+            let mut spelled = [0u8; 32];
+            let mut rest = &mut spelled[..];
+            let _ = std::io::Write::write_fmt(&mut rest, format_args!("{d:?}"));
+            let len = 32 - rest.len();
+            self.put_cell(spelled, len, delim);
+        }
+    }
+
+    /// The text written. Its bytes are checked to be UTF-8 once, here;
+    /// every store was ASCII or a whole `str`, so the check passes.
+    pub fn into_string(mut self) -> String {
+        self.buf.truncate(self.len);
+        String::from_utf8(self.buf).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into())
+    }
 }
 
 /// The integer a text cell holds, as [`Value::parse_typed`] reads it:
@@ -178,7 +382,7 @@ pub fn parse_int_cell(text: &str) -> Result<Option<i64>> {
     if text.is_empty() || text == TEXT_NULL {
         return Ok(None);
     }
-    if let Some(v) = short_int(text) {
+    if let Some(v) = short_int(text.as_bytes()) {
         return Ok(Some(v));
     }
     text.parse()
@@ -189,8 +393,8 @@ pub fn parse_int_cell(text: &str) -> Result<Option<i64>> {
 /// `text` read directly when it is `-?[0-9]{1,18}`: at most 18 digits
 /// always fit an `i64`, so the value is exact and is `str::parse`'s.
 #[inline]
-fn short_int(text: &str) -> Option<i64> {
-    let (negative, digits) = match text.as_bytes() {
+fn short_int(text: &[u8]) -> Option<i64> {
+    let (negative, digits) = match text {
         [b'-', digits @ ..] => (true, digits),
         digits => (false, digits),
     };
@@ -219,8 +423,8 @@ const POW10_F64: [f64; 16] = [
 /// exact doubles, is the correctly rounded value of the decimal — the
 /// double `str::parse` gives, `-0.0` included.
 #[inline]
-fn short_double(text: &str) -> Option<f64> {
-    let (negative, rest) = match text.as_bytes() {
+fn short_double(text: &[u8]) -> Option<f64> {
+    let (negative, rest) = match text {
         [b'-', rest @ ..] => (true, rest),
         rest => (false, rest),
     };
@@ -252,12 +456,137 @@ pub fn parse_double_cell(text: &str) -> Result<Option<f64>> {
     if text.is_empty() || text == TEXT_NULL {
         return Ok(None);
     }
-    if let Some(v) = short_double(text) {
+    if let Some(v) = short_double(text.as_bytes()) {
         return Ok(Some(v));
     }
     text.parse()
         .map(Some)
         .map_err(|e| SqlmlError::Type(format!("bad double literal {text:?}: {e}")))
+}
+
+/// `0x80` in every byte of `x` that is not an ASCII digit: exact, as
+/// `(v & 0x7F) + 0x76` stays within its byte.
+#[inline]
+fn non_digit_bytes(x: u64) -> u64 {
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let v = x ^ ASCII_ZEROS;
+    (((v & !HIGH) + 0x7676_7676_7676_7676) | v) & HIGH
+}
+
+/// The value of the `1 <= len <= 8` ASCII digits in the low bytes of the
+/// little-endian word `x`, the most significant lowest: shifted to the
+/// top of the word, so the bytes below read as leading zeros, then pairs,
+/// then quads, then the whole, by three multiplies. The last two
+/// multiplies drop, on purpose, the partial products above the word.
+#[inline]
+fn digits_value(x: u64, len: usize) -> u64 {
+    const PAIRS: u64 = 0x0000_00FF_0000_00FF;
+    let v = (x ^ ASCII_ZEROS) << (8 * (8 - len));
+    let v = v * 10 + (v >> 8);
+    let high = (v & PAIRS).wrapping_mul(100 + (1_000_000 << 32));
+    let low = ((v >> 16) & PAIRS).wrapping_mul(1 + (10_000 << 32));
+    high.wrapping_add(low) >> 32
+}
+
+/// The run of up to seven ASCII digits at `bytes[at..]` and the byte that
+/// ends it, read as one word: `(value, digits, stop)`. `None` when fewer
+/// than eight bytes are left or eight digits run on: the caller reads
+/// those byte by byte.
+#[inline]
+fn digit_run(bytes: &[u8], at: usize) -> Option<(u64, usize, u8)> {
+    let word = bytes.get(at..at + 8)?;
+    let x = u64::from_le_bytes(<[u8; 8]>::try_from(word).ok()?);
+    let stops = non_digit_bytes(x);
+    if stops == 0 {
+        return None;
+    }
+    let len = stops.trailing_zeros() as usize / 8;
+    #[allow(clippy::cast_possible_truncation)]
+    let stop = (x >> (8 * len)) as u8; // lint:allow(cast) — one byte of the word
+    let value = if len == 0 { 0 } else { digits_value(x, len) };
+    Some((value, len, stop))
+}
+
+/// The integer field at `bytes[at..]` when it is `-?[0-9]{1,18}` ended by
+/// `delim`: its value, [`parse_int_cell`]'s, and the offset past the
+/// delimiter. `None` for any other field, and at the end of the text. Up
+/// to seven digits are one word; longer runs are read by the direct path
+/// itself (`short_int`).
+#[inline]
+pub fn int_field(bytes: &[u8], at: usize, delim: u8) -> Option<(i64, usize)> {
+    let negative = bytes.get(at) == Some(&b'-');
+    let first = at + usize::from(negative);
+    match digit_run(bytes, first) {
+        Some((n, len, stop)) if len > 0 && stop == delim => {
+            // At most seven digits.
+            #[allow(clippy::cast_possible_wrap)]
+            let v = n as i64;
+            Some((if negative { -v } else { v }, first + len + 1))
+        }
+        Some(_) => None,
+        None => {
+            let end = str_field(bytes, at, delim)?;
+            Some((short_int(bytes.get(at..end)?)?, end + 1))
+        }
+    }
+}
+
+/// The double field at `bytes[at..]` when it is `-?[0-9]+(\.[0-9]+)?` with
+/// at most 15 digits, ended by `delim`: its value, [`parse_double_cell`]'s
+/// (the same one division as its direct path), and the offset past the
+/// delimiter. `None` for any other field, and at the end of the text.
+/// An integer part and a fraction of up to seven digits are a word each;
+/// longer runs are read by the direct path itself.
+#[inline]
+pub fn double_field(bytes: &[u8], at: usize, delim: u8) -> Option<(f64, usize)> {
+    let negative = bytes.get(at) == Some(&b'-');
+    let first = at + usize::from(negative);
+    let (n, decimals, end) = match digit_run(bytes, first) {
+        Some((int, len, stop)) if len > 0 && stop == delim => (int, 0, first + len),
+        Some((int, len, b'.')) if len > 0 => match digit_run(bytes, first + len + 1) {
+            Some((frac, decimals, stop)) if decimals > 0 && stop == delim => (
+                int * POW10_U64[decimals] + frac,
+                decimals,
+                first + len + 1 + decimals,
+            ),
+            Some(_) => return None,
+            None => return long_double_field(bytes, at, delim),
+        },
+        Some(_) => return None,
+        None => return long_double_field(bytes, at, delim),
+    };
+    let v = n as f64 / POW10_F64[decimals];
+    Some((if negative { -v } else { v }, end + 1))
+}
+
+/// [`double_field`] of a field its words do not cover: the field's end
+/// found, its text read by [`short_double`].
+fn long_double_field(bytes: &[u8], at: usize, delim: u8) -> Option<(f64, usize)> {
+    let end = str_field(bytes, at, delim)?;
+    Some((short_double(bytes.get(at..end)?)?, end + 1))
+}
+
+/// The string field at `bytes[at..]` when it holds no `\\` and is ended by
+/// `delim`: the offset of the delimiter. The field's value is
+/// `bytes[at..end]` as it stands. `None` for any other field, and at the
+/// end of the text. Eight bytes are searched at once.
+#[inline]
+pub fn str_field(bytes: &[u8], at: usize, delim: u8) -> Option<usize> {
+    let mut i = at;
+    while let Some(word) = bytes.get(i..i + 8) {
+        let x = u64::from_le_bytes(<[u8; 8]>::try_from(word).ok()?);
+        let found = separator_bytes(x);
+        if found != 0 {
+            let end = i + found.trailing_zeros() as usize / 8;
+            return (bytes.get(end) == Some(&delim)).then_some(end);
+        }
+        i += 8;
+    }
+    let rest = bytes.get(i..)?;
+    let end = i + rest
+        .iter()
+        .position(|&b| matches!(b, b'|' | b'\n' | b'\\'))?;
+    (bytes.get(end) == Some(&delim)).then_some(end)
 }
 
 /// Whether `text` is an integer cell spelled exactly as [`write_int`]
@@ -499,6 +828,94 @@ pub fn walk_text(text: &str, mut line: impl FnMut(&TextLine<'_>) -> Result<()>) 
         })?;
     }
     Ok(())
+}
+
+/// A reader of text lines that parses the common line where it stands.
+/// [`read_lines`] offers it every line by its offset first; a line it
+/// refuses is handed over as [`walk_text`] hands it, so every NULL
+/// marker, escape, bad cell and wrong arity goes through
+/// [`TextLine::cells`] and reads, or fails, exactly as there.
+pub trait LineReader {
+    /// Take the whole line that starts at byte `at` of `text` and return
+    /// the offset past its `\n`, or take nothing of it and return `None`.
+    fn read_fast(&mut self, text: &str, at: usize) -> Option<usize>;
+
+    /// Take a line [`Self::read_fast`] refused.
+    fn read_line(&mut self, line: &TextLine<'_>) -> Result<()>;
+}
+
+/// Hand `reader` every non-empty line of `text` in order — the lines
+/// [`walk_text`] walks — fast path first. Stops at the first error.
+pub fn read_lines(text: &str, reader: &mut impl LineReader) -> Result<()> {
+    let bytes = text.as_bytes();
+    let mut bars = Vec::new();
+    let mut at = 0;
+    while let Some(&b) = bytes.get(at) {
+        if b == b'\n' {
+            at += 1;
+            continue;
+        }
+        if let Some(next) = reader.read_fast(text, at) {
+            at = next;
+            continue;
+        }
+        let rest = bytes.get(at..).unwrap_or_default();
+        let end = at + rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
+        reader.read_line(&TextLine::of(
+            text.get(at..end).unwrap_or_default(),
+            &mut bars,
+        ))?;
+        at = end + 1;
+    }
+    Ok(())
+}
+
+/// The text of a file held as consecutive `blocks` (cut at any byte),
+/// as pieces of whole lines in file order: each block's whole lines
+/// borrowed where they lie, a line that runs on into a later block copied
+/// once, the file's last line whole whether or not it ends in `\n`. All of
+/// it is checked to be UTF-8 before any piece is handed out, so a file
+/// holding a bad byte is the error reading it whole into a `String` gives,
+/// whatever its lines hold.
+pub fn text_pieces<'a>(blocks: impl IntoIterator<Item = &'a [u8]>) -> Result<Vec<Cow<'a, str>>> {
+    fn bad_utf8() -> SqlmlError {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        )
+        .into()
+    }
+    let owned = |carry: &mut Vec<u8>| {
+        String::from_utf8(std::mem::take(carry))
+            .map(Cow::Owned)
+            .map_err(|_| bad_utf8())
+    };
+    let mut pieces = Vec::new();
+    let mut carry = Vec::new();
+    for mut bytes in blocks {
+        if !carry.is_empty() {
+            let Some(end) = bytes.iter().position(|&b| b == b'\n') else {
+                carry.extend_from_slice(bytes);
+                continue;
+            };
+            carry.extend_from_slice(&bytes[..=end]);
+            pieces.push(owned(&mut carry)?);
+            bytes = &bytes[end + 1..];
+        }
+        let whole = bytes
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |at| at + 1);
+        if whole > 0 {
+            let text = std::str::from_utf8(&bytes[..whole]).map_err(|_| bad_utf8())?;
+            pieces.push(Cow::Borrowed(text));
+        }
+        carry.extend_from_slice(&bytes[whole..]);
+    }
+    if !carry.is_empty() {
+        pieces.push(owned(&mut carry)?);
+    }
+    Ok(pieces)
 }
 
 /// Serialize a whole batch of rows to text lines.
@@ -1615,6 +2032,251 @@ mod tests {
             write_double(d, &mut out);
             assert_eq!(is_written_double(&out), d.abs() >= 1e-4, "{out}");
         }
+    }
+
+    /// Seeded values for the byte kernels' checks: the release step runs
+    /// a million, Miri a few hundred.
+    const KERNEL_CASES: u64 = if cfg!(miri) { 300 } else { 1_000_000 };
+
+    #[test]
+    fn text_double_kernel_matches_debug_on_a_million_values() {
+        let bits = |d: f64, by: i64| f64::from_bits(d.to_bits().wrapping_add_signed(by));
+        let mut rng = crate::rng::SplitMix64::new(0x0D0B_1E6B);
+        let mut sink = TextSink::with_capacity(0);
+        let mut want = String::new();
+        let mut fast = 0;
+        for case in 0..KERNEL_CASES {
+            let d = match case % 5 {
+                // Any bit pattern: subnormals, NaNs, infinities, ±0.
+                0 => f64::from_bits(rng.next_u64()),
+                // A decimal of up to 15 digits and 0..=8 decimals.
+                1 | 2 => {
+                    let digits = 1 + rng.next_below(15) as u32;
+                    let c = rng.next_below(10u64.pow(digits)) as f64;
+                    let d = c / 10f64.powi(rng.next_below(9) as i32);
+                    if rng.chance(0.5) {
+                        -d
+                    } else {
+                        d
+                    }
+                }
+                // Near the fast path's edges and its rounding.
+                3 => {
+                    let edge = *rng.choose(&[1e-4, 1e9, 1e-3, 1e8, 0.1 + 0.2, 0.5]);
+                    bits(edge, rng.range_i64(-4, 4))
+                }
+                // Any double of the fast path's range.
+                _ => rng.next_f64() * 10f64.powi(rng.range_i64(-4, 8) as i32),
+            };
+            want.clear();
+            let _ = write!(want, "{d:?}|");
+            let mut cell = [0; CELL_BYTES];
+            if let Some(len) = double_cell(d, &mut cell) {
+                assert_eq!(&cell[..len], &want.as_bytes()[..want.len() - 1], "{d:e}");
+                fast += 1;
+            }
+            let from = sink.len;
+            sink.put_double(d, b'|');
+            assert_eq!(&sink.buf[from..sink.len], want.as_bytes(), "{d:e}");
+            if sink.len > 1 << 16 {
+                sink = TextSink::with_capacity(0);
+            }
+        }
+        assert!(fast as u64 > KERNEL_CASES / 5, "{fast} on the fast path");
+    }
+
+    #[test]
+    fn text_sink_writes_what_the_string_writers_write() {
+        let mut rng = crate::rng::SplitMix64::new(0x5171_C0DE);
+        let mut sink = TextSink::with_capacity(0);
+        let mut want = String::new();
+        for _ in 0..KERNEL_CASES / 10 {
+            let i = (rng.next_u64() as i64) >> rng.next_below(64);
+            write_int(i, &mut want);
+            want.push('|');
+            sink.put_int(i, b'|');
+            sink.put_cell(*b"\\N\0", 2, b'\n');
+            want.push_str("\\N\n");
+            let s = *rng.choose(&["", "ü", "a|b", "x\\y"]);
+            let mut escaped = String::new();
+            escape_text(s, &mut escaped);
+            sink.put_slice(escaped.as_bytes());
+            want.push_str(&escaped);
+        }
+        assert_eq!(sink.into_string(), want);
+    }
+
+    #[test]
+    fn text_field_parsers_read_what_the_cell_parsers_read() {
+        // Cells the writers write, and their near misses, each followed
+        // by a delimiter, the other delimiter, another byte or nothing.
+        const ODD: [&str; 20] = [
+            "",
+            "-",
+            "--1",
+            "+1",
+            "007",
+            "-0",
+            "1.",
+            ".5",
+            "1.2.3",
+            "1e3",
+            "\\N",
+            "\\\\",
+            "a|b",
+            "12345678",
+            "123456789012345678",
+            "1234567890123456789",
+            "0.000000001",
+            "ü",
+            "9223372036854775807",
+            "99999999.9999999",
+        ];
+        let mut rng = crate::rng::SplitMix64::new(0xF1E1_D5ED);
+        let (mut ints, mut doubles, mut strings) = (0, 0, 0);
+        for _ in 0..CASES {
+            let mut cell = String::new();
+            match rng.next_below(4) {
+                0 => write_int((rng.next_u64() as i64) >> rng.next_below(64), &mut cell),
+                1 => {
+                    let digits = 1 + rng.next_below(16) as u32;
+                    let c = rng.next_below(10u64.pow(digits));
+                    write_double(c as f64 / 10f64.powi(rng.next_below(9) as i32), &mut cell)
+                }
+                2 => {
+                    let digits = 1 + rng.next_below(16) as usize;
+                    cell.extend((0..digits).map(|_| char::from(b'0' + rng.next_below(10) as u8)));
+                    if rng.chance(0.5) {
+                        cell.insert(rng.next_below(digits as u64) as usize, '.');
+                    }
+                }
+                _ => {
+                    let odd: &&str = rng.choose(&ODD);
+                    cell.push_str(odd);
+                }
+            }
+            if rng.chance(0.3) {
+                cell.insert(0, '-');
+            }
+            let (delim, other) = *rng.choose(&[(b'|', b'\n'), (b'\n', b'|')]);
+            let mut text = String::from("x|");
+            text.push_str(&cell);
+            match rng.next_below(8) {
+                0 => {}
+                1 => text.push(char::from(other)),
+                2 => text.push('5'),
+                _ => {
+                    text.push(char::from(delim));
+                    text.push_str("7|y\n");
+                }
+            }
+            let (bytes, at) = (text.as_bytes(), 2);
+            let ended = bytes.get(at + cell.len()) == Some(&delim);
+            let past = at + cell.len() + 1;
+            // Taken exactly when the cell is a whole short number ended
+            // by the delimiter, with the cell parser's value.
+            let int = int_field(bytes, at, delim);
+            let short = cell.strip_prefix('-').unwrap_or(&cell);
+            let takes_int = ended
+                && (1..=18).contains(&short.len())
+                && short.bytes().all(|b| b.is_ascii_digit());
+            assert_eq!(int.is_some(), takes_int, "{text:?}");
+            if let Some((v, next)) = int {
+                assert_eq!((Some(v), next), (parse_int_cell(&cell).unwrap(), past));
+                ints += 1;
+            }
+            let double = double_field(bytes, at, delim);
+            let takes_double = ended && short_double(cell.as_bytes()).is_some();
+            assert_eq!(double.is_some(), takes_double, "{text:?}");
+            if let Some((v, next)) = double {
+                let want = parse_double_cell(&cell).unwrap().unwrap();
+                assert_eq!((v.to_bits(), next), (want.to_bits(), past), "{text:?}");
+                doubles += 1;
+            }
+            // The field runs to the first separator, the delimiter or not.
+            let string = str_field(bytes, at, delim);
+            let sep = text[at..].find(['|', '\n', '\\']).map(|p| at + p);
+            assert_eq!(string, sep.filter(|&p| bytes[p] == delim), "{text:?}");
+            strings += usize::from(string.is_some());
+        }
+        let least = CASES as usize / 10;
+        assert!(
+            ints > least && doubles > least && strings > least,
+            "{ints} ints, {doubles} doubles, {strings} strings taken"
+        );
+    }
+
+    #[test]
+    fn text_lines_read_as_the_walker_walks_them() {
+        // A reader that takes lines of two plain fields and refuses any
+        // other: between them, every line the walker finds, in order.
+        struct Both(Vec<String>);
+        impl LineReader for Both {
+            fn read_fast(&mut self, text: &str, at: usize) -> Option<usize> {
+                let bytes = text.as_bytes();
+                let bar = str_field(bytes, at, b'|')?;
+                let end = str_field(bytes, bar + 1, b'\n')?;
+                self.0.push(text[at..end].to_string());
+                Some(end + 1)
+            }
+            fn read_line(&mut self, line: &TextLine<'_>) -> Result<()> {
+                self.0.push(line.text().to_string());
+                Ok(())
+            }
+        }
+        const PIECES: [&str; 7] = ["|", "\n", "\\", "a", "ü", "\r", "\n\n"];
+        let mut rng = crate::SplitMix64::new(0x7EAD_11E5);
+        for _ in 0..CASES / 1000 + 10 {
+            let len = rng.next_below(300);
+            let text: String = (0..len).map(|_| *rng.choose(&PIECES)).collect();
+            let mut walked = Vec::new();
+            walk_text(&text, |line| {
+                walked.push(line.text().to_string());
+                Ok(())
+            })
+            .unwrap();
+            let mut read = Both(Vec::new());
+            read_lines(&text, &mut read).unwrap();
+            assert_eq!(read.0, walked, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn text_pieces_join_to_the_file_and_end_at_line_ends() {
+        let mut rng = crate::SplitMix64::new(0xB10C_5ACE);
+        for _ in 0..CASES / 1000 + 10 {
+            let lines = rng.next_below(40);
+            let mut text: String = (0..lines)
+                .map(|_| *rng.choose(&["ab|c\n", "\n", "ü|üü\n", "longer line|7\n", "x"]))
+                .collect();
+            if rng.chance(0.5) {
+                text.push_str("tail");
+            }
+            let bytes = text.as_bytes();
+            let mut cuts: Vec<usize> = (0..rng.next_below(6))
+                .map(|_| rng.next_below(bytes.len() as u64 + 1) as usize)
+                .collect();
+            cuts.extend([0, bytes.len()]);
+            cuts.sort_unstable();
+            let blocks = cuts.windows(2).map(|w| &bytes[w[0]..w[1]]);
+            let pieces = text_pieces(blocks).unwrap();
+            assert_eq!(pieces.concat(), text);
+            let last = pieces.len().saturating_sub(1);
+            for (k, piece) in pieces.iter().enumerate() {
+                assert!(!piece.is_empty());
+                assert!(k == last || piece.ends_with('\n'), "{pieces:?}");
+            }
+        }
+        // A bad byte anywhere is the error a whole-file read gives, even
+        // after a line that is not.
+        let bad: [&[u8]; 3] = [b"1|\\q\n2|", b"x\n\xff", b"\n"];
+        let mut whole = String::new();
+        let want = std::io::Read::read_to_string(&mut bad.concat().as_slice(), &mut whole);
+        let got = text_pieces(bad).unwrap_err();
+        assert_eq!(
+            got.to_string(),
+            SqlmlError::from(want.unwrap_err()).to_string()
+        );
     }
 
     #[test]

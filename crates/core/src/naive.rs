@@ -19,6 +19,7 @@
 //! In-SQL approach, which is exactly the overhead Figure 3 charges the
 //! naive bar with.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 use sqlml_common::schema::{DataType, Schema};
@@ -68,15 +69,16 @@ pub fn run_external_transform(
     // reader that keeps only the recode columns' cells), merged at the
     // driver (reduce side).
     let partials = run_on_workers(files.len(), files.len(), |i| {
-        let text = dfs.read_string(&files[i])?;
-        Ok(recode_values(&text, input_schema, &col_indices))
+        with_text(dfs, &files[i], |pieces| {
+            Ok(recode_values(pieces, input_schema, &col_indices))
+        })
     })?;
     let Some(partials) = partials.into_iter().collect::<Option<Vec<_>>>() else {
         // A line job 1 could not walk: every cell is checked as the full
         // decoder checks it, which names the first bad part-file with the
         // error job 2 would raise.
         run_on_workers(files.len(), files.len(), |i| {
-            check_cells(&dfs.read_string(&files[i])?, input_schema)
+            with_text(dfs, &files[i], |pieces| check_cells(pieces, input_schema))
         })?;
         return Err(SqlmlError::Execution(format!(
             "job 1 refused a part-file under {input_dir} that decodes"
@@ -91,7 +93,7 @@ pub fn run_external_transform(
     let applier = FlatRecodeApplier::new(&recode_map, input_schema, spec)?;
     let row_counts: Vec<usize> = run_on_workers(files.len(), files.len(), |i| {
         let path = &files[i];
-        let (text, rows) = applier.rewrite_text(&dfs.read_string(path)?)?;
+        let (text, rows) = with_text(dfs, path, |pieces| applier.rewrite_pieces(pieces))?;
         let part_name = path.rsplit('/').next().unwrap_or("part-00000");
         dfs.write_string(&format!("{output_dir}/{part_name}"), &text)?;
         Ok(rows)
@@ -105,13 +107,25 @@ pub fn run_external_transform(
     })
 }
 
+/// `read` of a part-file's text as pieces of whole lines, its blocks
+/// read where the DFS holds them ([`codec::text_pieces`]): only a line
+/// that straddles two blocks is copied.
+fn with_text<T>(
+    dfs: &Dfs,
+    path: &str,
+    read: impl FnOnce(&[Cow<'_, str>]) -> Result<T>,
+) -> Result<T> {
+    let blocks = dfs.read_blocks(path)?;
+    read(&codec::text_pieces(blocks.iter().map(|b| b.as_slice()))?)
+}
+
 /// Job 1's map task over one part-file: every distinct non-NULL value of
 /// the recode columns, as `(column, value)` pairs, or `None` when a line
 /// does not walk. Only those columns' cells are kept; the others are
 /// split off and never parsed. A recode column not declared `Str` holds
 /// no strings to recode (job 2's applier rejects a non-NULL cell in it).
 fn recode_values(
-    text: &str,
+    pieces: &[Cow<'_, str>],
     schema: &Schema,
     columns: &[(String, usize)],
 ) -> Option<Vec<(String, String)>> {
@@ -122,58 +136,96 @@ fn recode_values(
         }
     }
     let mut distinct: Vec<Distinct> = columns.iter().map(|_| Distinct::default()).collect();
-    let walked = codec::walk_text(text, |line| {
-        line.cells(schema, |c, _, field| {
-            if let (Some(k), Some(v)) = (slot[c], field) {
-                distinct[k].insert(v);
-            }
-            Ok(())
-        })
-    });
-    walked.ok()?;
-    let pairs = columns.iter().zip(distinct).flat_map(|((name, _), d)| {
-        let values = d.few.into_iter().chain(d.many);
-        values.map(move |v| (name.clone(), v))
-    });
+    for piece in pieces {
+        let walked = codec::walk_text(piece, |line| {
+            line.cells(schema, |c, _, field| {
+                if let (Some(k), Some(v)) = (slot[c], field) {
+                    distinct[k].insert(v);
+                }
+                Ok(())
+            })
+        });
+        walked.ok()?;
+    }
+    let pairs = columns
+        .iter()
+        .zip(distinct)
+        .flat_map(|((name, _), d)| d.into_values().map(move |v| (name.clone(), v)));
     Some(pairs.collect())
 }
 
-/// The first error decoding `text` under `schema` would raise: a line
-/// that does not walk, or a cell its column's type refuses.
-fn check_cells(text: &str, schema: &Schema) -> Result<()> {
-    codec::walk_text(text, |line| {
-        line.cells(schema, |_, ty, field| match (field, ty) {
-            (Some(s), DataType::Int | DataType::Double | DataType::Bool) => {
-                Value::parse_typed(s, ty).map(drop)
-            }
-            _ => Ok(()),
-        })
-    })
+/// The first error decoding the text of `pieces` under `schema` would
+/// raise: a line that does not walk, or a cell its column's type refuses.
+fn check_cells(pieces: &[Cow<'_, str>], schema: &Schema) -> Result<()> {
+    for piece in pieces {
+        codec::walk_text(piece, |line| {
+            line.cells(schema, |_, ty, field| match (field, ty) {
+                (Some(s), DataType::Int | DataType::Double | DataType::Bool) => {
+                    Value::parse_typed(s, ty).map(drop)
+                }
+                _ => Ok(()),
+            })
+        })?;
+    }
+    Ok(())
 }
 
-/// The distinct values of one column: compared in order while there are
-/// at most eight, hashed after.
+/// The distinct values of one column. A value of at most eight bytes and
+/// no NUL byte is kept as its bytes packed into a `u64`, zero past its
+/// end — no two such values share a key — compared in order while there
+/// are at most eight, hashed after; a longer value is kept as a string.
 #[derive(Default)]
 struct Distinct {
-    few: Vec<String>,
-    many: HashSet<String>,
+    few: Vec<u64>,
+    many: HashSet<u64>,
+    long: HashSet<String>,
 }
 
 impl Distinct {
     fn insert(&mut self, v: &str) {
+        let Some(key) = packed(v) else {
+            if !self.long.contains(v) {
+                self.long.insert(v.to_string());
+            }
+            return;
+        };
         if self.many.is_empty() {
-            if self.few.iter().any(|s| s == v) {
+            if self.few.contains(&key) {
                 return;
             }
             if self.few.len() < 8 {
-                return self.few.push(v.to_string());
+                return self.few.push(key);
             }
             self.many.extend(self.few.drain(..));
         }
-        if !self.many.contains(v) {
-            self.many.insert(v.to_string());
-        }
+        self.many.insert(key);
     }
+
+    /// Every value, in no particular order.
+    fn into_values(self) -> impl Iterator<Item = String> {
+        let short = self.few.into_iter().chain(self.many).map(unpacked);
+        short.chain(self.long)
+    }
+}
+
+/// `v`'s bytes as a little-endian word, zero past its end, when it has
+/// at most eight and none is NUL.
+fn packed(v: &str) -> Option<u64> {
+    let bytes = v.as_bytes();
+    if bytes.len() > 8 || bytes.contains(&0) {
+        return None;
+    }
+    let mut word = [0; 8];
+    word[..bytes.len()].copy_from_slice(bytes);
+    Some(u64::from_le_bytes(word))
+}
+
+/// The value [`packed`] packed into `key`.
+fn unpacked(key: u64) -> String {
+    let bytes = key.to_le_bytes();
+    let len = bytes.iter().position(|&b| b == 0).unwrap_or(bytes.len());
+    // The bytes of a whole `str`: the lossy path is never taken.
+    String::from_utf8_lossy(&bytes[..len]).into_owned()
 }
 
 #[cfg(test)]
@@ -323,6 +375,44 @@ mod tests {
         let err = run_external_transform(&dfs, "/in", &input_schema(), &spec, "/out").unwrap_err();
         assert_eq!(err.to_string(), decode_error(&dfs, "/in/part-00003"));
         assert!(err.to_string().contains("fewer than 4 fields"), "{err}");
+    }
+
+    #[test]
+    fn distinct_keeps_every_value_once_packed_or_not() {
+        use sqlml_common::SplitMix64;
+        use std::collections::BTreeSet;
+        // Short, eight-byte, nine-byte, empty, NUL-holding and multi-byte
+        // values, each inserted many times.
+        const VALUES: [&str; 14] = [
+            "",
+            "F",
+            "M",
+            "Yes",
+            "12345678",
+            "123456789",
+            "a\0",
+            "\0",
+            "ü",
+            "üüüü",
+            "üüüüü",
+            "USA",
+            "x|y",
+            "a",
+        ];
+        let mut rng = SplitMix64::new(0xD157_1AC7);
+        for _ in 0..200 {
+            let pool = &VALUES[..1 + rng.next_below(VALUES.len() as u64) as usize];
+            let mut distinct = Distinct::default();
+            let mut want = BTreeSet::new();
+            for _ in 0..rng.next_below(60) {
+                let v = *rng.choose(pool);
+                distinct.insert(v);
+                want.insert(v.to_string());
+            }
+            let mut got: Vec<String> = distinct.into_values().collect();
+            got.sort();
+            assert_eq!(got, want.into_iter().collect::<Vec<_>>());
+        }
     }
 
     #[test]

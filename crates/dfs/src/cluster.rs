@@ -154,13 +154,15 @@ impl Dfs {
         *self.inner.datanodes[node].alive.write() = true;
     }
 
-    /// Open a file for (over)writing. Returns a buffered block writer.
+    /// Open a file for (over)writing. Returns a buffered block writer;
+    /// its buffer is allocated as bytes arrive, up to a block, not a
+    /// whole block up front.
     pub fn create(&self, path: &str) -> Result<DfsWriter> {
         self.inner.namenode.lock().begin_file(path, true)?;
         Ok(DfsWriter {
             dfs: self.clone(),
             path: path.to_string(),
-            buf: Vec::with_capacity(self.inner.config.block_size),
+            buf: Vec::new(),
             offset: 0,
             closed: false,
         })
@@ -222,7 +224,8 @@ impl Dfs {
         Ok(r)
     }
 
-    /// Convenience: write an entire string as a file.
+    /// Write an entire string as a file. Each block's buffer is
+    /// allocated at the size `contents` fills it to, and copied into once.
     pub fn write_string(&self, path: &str, contents: &str) -> Result<()> {
         let mut w = self.create(path)?;
         w.write_all(contents.as_bytes())?;
@@ -235,6 +238,14 @@ impl Dfs {
         let mut s = String::new();
         r.read_to_string(&mut s)?;
         Ok(s)
+    }
+
+    /// Every block of a file in order, fetched as [`Dfs::open`]'s reader
+    /// fetches them (a dead replica fails over, the throttle is charged)
+    /// and shared with the datanode rather than copied.
+    pub fn read_blocks(&self, path: &str) -> Result<Vec<Arc<Vec<u8>>>> {
+        let blocks = self.block_locations(path)?;
+        blocks.iter().map(|loc| self.fetch_block(loc)).collect()
     }
 
     pub fn exists(&self, path: &str) -> bool {
@@ -348,7 +359,7 @@ impl Write for DfsWriter {
             self.buf.extend_from_slice(&bytes[..take]);
             bytes = &bytes[take..];
             if self.buf.len() == block_size {
-                let data = std::mem::replace(&mut self.buf, Vec::with_capacity(block_size));
+                let data = std::mem::take(&mut self.buf);
                 let len = data.len() as u64;
                 self.dfs
                     .commit_block(&self.path, self.offset, data)
@@ -454,6 +465,24 @@ mod tests {
         for b in &blocks {
             assert_eq!(b.nodes.len(), 2, "replication=2");
         }
+    }
+
+    #[test]
+    fn blocks_are_held_at_their_size_and_read_in_place() {
+        let dfs = Dfs::new(DfsConfig::for_tests());
+        let payload: String = (0..30).map(|i| format!("row-{i}\n")).collect();
+        dfs.write_string("/t/a.txt", &payload).unwrap();
+        let blocks = dfs.read_blocks("/t/a.txt").unwrap();
+        assert!(blocks.len() > 1);
+        // No block, the last and partial one included, holds a buffer
+        // larger than its bytes.
+        for b in &blocks {
+            assert_eq!(b.capacity(), b.len());
+        }
+        let joined: Vec<u8> = blocks.iter().flat_map(|b| b.iter().copied()).collect();
+        assert_eq!(joined, payload.as_bytes());
+        assert_eq!(joined, dfs.read_string("/t/a.txt").unwrap().as_bytes());
+        assert!(dfs.read_blocks("/t/missing").is_err());
     }
 
     #[test]

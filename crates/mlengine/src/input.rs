@@ -11,7 +11,7 @@ use std::any::Any;
 use std::io::BufRead;
 use std::sync::Arc;
 
-use sqlml_common::codec::{self, TextLine};
+use sqlml_common::codec::{self, LineReader, TextLine};
 use sqlml_common::schema::DataType;
 use sqlml_common::{Result, Row, Schema, SqlmlError, Value};
 use sqlml_dfs::Dfs;
@@ -288,11 +288,45 @@ fn walk_lines(
             (text, Some(bad))
         }
     };
-    codec::walk_text(text, |line| {
-        numeric_cells(line, schema, cells)?;
-        out.push_row(cells)
-    })?;
+    codec::read_lines(text, &mut NumericLines { schema, cells, out })?;
     bad.map_or(Ok(()), |e| Err(e.into()))
+}
+
+/// Reads text lines as numbers into a block.
+struct NumericLines<'a> {
+    schema: &'a Schema,
+    cells: &'a mut Vec<f64>,
+    out: &'a mut PartitionBlock,
+}
+
+impl LineReader for NumericLines<'_> {
+    /// A line of integer and double fields each taken by its field
+    /// parser. Any other line — a NULL, a bool or string column, a cell
+    /// a parser leaves to `str::parse`, a row the block refuses (which
+    /// it refuses again, unchanged) — is left to [`Self::read_line`].
+    fn read_fast(&mut self, text: &str, mut at: usize) -> Option<usize> {
+        let bytes = text.as_bytes();
+        let fields = self.schema.fields();
+        let last = fields.len().checked_sub(1)?;
+        self.cells.clear();
+        for (c, field) in fields.iter().enumerate() {
+            let delim = if c == last { b'\n' } else { b'|' };
+            let (v, next) = match field.data_type {
+                DataType::Int => codec::int_field(bytes, at, delim).map(|(v, n)| (v as f64, n))?,
+                DataType::Double => codec::double_field(bytes, at, delim)?,
+                DataType::Bool | DataType::Str => return None,
+            };
+            self.cells.push(v);
+            at = next;
+        }
+        self.out.push_row(self.cells).ok()?;
+        Some(at)
+    }
+
+    fn read_line(&mut self, line: &TextLine<'_>) -> Result<()> {
+        numeric_cells(line, self.schema, self.cells)?;
+        self.out.push_row(self.cells)
+    }
 }
 
 /// One text line's cells as numbers, into `out` — what

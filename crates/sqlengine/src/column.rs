@@ -23,7 +23,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sqlml_common::codec::{self, NumericColumn};
+use sqlml_common::codec::NumericColumn;
 use sqlml_common::schema::DataType;
 use sqlml_common::{counter_u32, Result, Row, Schema, SqlmlError, Value};
 
@@ -82,6 +82,13 @@ impl<T: Copy + Default> Prim<T> {
             valid.push(v.is_some());
         }
         self.values.push(v.unwrap_or_default());
+    }
+
+    fn truncate(&mut self, len: usize) {
+        self.values.truncate(len);
+        if let Some(valid) = &mut self.valid {
+            valid.truncate(len);
+        }
     }
 
     /// Slot-wise map that keeps validity (invalid slots map their
@@ -571,7 +578,7 @@ impl ColumnBuilder {
     }
 
     /// [`Self::push`] of an integer cell (`None` for NULL).
-    fn push_int(&mut self, v: Option<i64>) {
+    pub(crate) fn push_int(&mut self, v: Option<i64>) {
         match (&mut self.col, v) {
             (Column::Int(p), Some(_)) => p.push(v),
             _ => self.push(&v.map_or(Value::Null, Value::Int)),
@@ -579,7 +586,7 @@ impl ColumnBuilder {
     }
 
     /// [`Self::push`] of a double cell (`None` for NULL).
-    fn push_double(&mut self, v: Option<f64>) {
+    pub(crate) fn push_double(&mut self, v: Option<f64>) {
         match (&mut self.col, v) {
             (Column::Double(p), Some(_)) => p.push(v),
             _ => self.push(&v.map_or(Value::Null, Value::Double)),
@@ -588,10 +595,22 @@ impl ColumnBuilder {
 
     /// [`Self::push`] of a string cell the caller holds as `&str`; the
     /// `Arc<str>` is allocated only for a value new to the dictionary.
-    fn push_str(&mut self, s: &str) {
+    pub(crate) fn push_str(&mut self, s: &str) {
         match self.col {
             Column::Str(_) => self.push_interned(s, || Arc::from(s)),
             _ => self.push(&Value::Str(Arc::from(s))),
+        }
+    }
+
+    /// Drop every row past the first `rows`, all of them non-NULL cells
+    /// pushed since: a dictionary entry they added stays.
+    pub(crate) fn truncate(&mut self, rows: usize) {
+        match &mut self.col {
+            Column::Int(p) => p.truncate(rows),
+            Column::Double(p) => p.truncate(rows),
+            Column::Bool(p) => p.truncate(rows),
+            Column::Str(d) => d.codes.truncate(rows),
+            Column::Mixed(values) => values.truncate(rows),
         }
     }
 
@@ -766,79 +785,12 @@ impl Batch {
             .collect();
         Batch::new(columns, parts.iter().map(Batch::len).sum())
     }
-
-    /// The text-format lines of every row: the string
-    /// `codec::encode_text_batch(&self.rows())` returns, written from the
-    /// typed vectors by the codec's cell writers into a string sized by
-    /// `Column::approx_bytes` up front.
-    pub fn encode_text(&self) -> String {
-        let bytes: u64 = self.columns.iter().map(|c| c.approx_bytes()).sum();
-        let mut out = String::with_capacity(usize::try_from(bytes).unwrap_or(0) + self.len);
-        for i in 0..self.len {
-            for (c, col) in self.columns.iter().enumerate() {
-                if c > 0 {
-                    out.push(codec::TEXT_DELIM);
-                }
-                let written = match &**col {
-                    Column::Int(p) => p.get(i).map(|v| codec::write_int(v, &mut out)),
-                    Column::Double(p) => p.get(i).map(|v| codec::write_double(v, &mut out)),
-                    Column::Bool(p) => p
-                        .get(i)
-                        .map(|v| codec::encode_text_value(&Value::Bool(v), &mut out)),
-                    Column::Str(d) => d.value(i).map(|s| codec::escape_text(s, &mut out)),
-                    Column::Mixed(v) => {
-                        codec::encode_text_value(&v[i], &mut out);
-                        Some(())
-                    }
-                };
-                if written.is_none() {
-                    out.push_str(codec::TEXT_NULL);
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parse a text blob into columns: the rows
-    /// `codec::decode_text_batch(text, schema)` returns, or its error,
-    /// line for line the same [`codec::walk_text`]. A number goes from
-    /// its cell parser straight into its column's vector. The columns are
-    /// sized up front from the lines of the blob's first 4 KiB.
-    pub fn decode_text(text: &str, schema: &Schema) -> Result<Batch> {
-        let mut b = BatchBuilder::new(schema, estimated_lines(text));
-        codec::walk_text(text, |line| {
-            line.cells(schema, |c, ty, field| {
-                let col = &mut b.columns[c];
-                match (field, ty) {
-                    (None, _) => col.push(&Value::Null),
-                    (Some(s), DataType::Str) => col.push_str(s),
-                    (Some(s), DataType::Int) => col.push_int(codec::parse_int_cell(s)?),
-                    (Some(s), DataType::Double) => col.push_double(codec::parse_double_cell(s)?),
-                    (Some(s), ty) => col.push(&Value::parse_typed(s, ty)?),
-                }
-                Ok(())
-            })?;
-            b.rows += 1;
-            Ok(())
-        })?;
-        Ok(b.finish())
-    }
-}
-
-/// The lines of `text`, extrapolated from those of its first 4 KiB with
-/// a sixteenth to spare: a capacity, not a count.
-fn estimated_lines(text: &str) -> usize {
-    let sample = &text.as_bytes()[..text.len().min(4096)];
-    let lines = sample.iter().filter(|&&b| b == b'\n').count() + 1;
-    let estimate = (text.len() * lines).div_ceil(sample.len().max(1));
-    estimate + estimate / 16
 }
 
 /// Builds a [`Batch`] row by row.
 pub(crate) struct BatchBuilder {
-    columns: Vec<ColumnBuilder>,
-    rows: usize,
+    pub(crate) columns: Vec<ColumnBuilder>,
+    pub(crate) rows: usize,
     capacity: usize,
 }
 
@@ -880,6 +832,7 @@ impl BatchBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqlml_common::codec;
     use sqlml_common::schema::Field;
     use sqlml_common::{row, SplitMix64};
 

@@ -17,7 +17,8 @@
 //! * [`table`] — partitioned storage with per-partition home nodes
 //!   (locality) and DFS text import/export; a partition is a [`mod@column`]
 //!   batch: typed value vectors with validity, strings as per-partition
-//!   dictionary codes.
+//!   dictionary codes; `text` is a batch's text format, the part-file it
+//!   is saved as and loaded from.
 //! * [`expr`] — compiled expressions with SQL three-valued logic, one
 //!   batch-at-a-time evaluator.
 //! * [`plan`], [`planner`], [`optimizer`] — logical plans, name
@@ -41,6 +42,7 @@ pub mod parser;
 pub mod plan;
 pub mod planner;
 pub mod table;
+mod text;
 pub mod udf;
 pub mod validate;
 

@@ -9,12 +9,14 @@
 
 use std::sync::Arc;
 
+use sqlml_common::codec;
 use sqlml_common::schema::DataType;
 use sqlml_common::{Result, Row, Schema, SqlmlError};
 use sqlml_dfs::Dfs;
 
 use crate::column::{dealt_len, Batch, BatchBuilder, Column};
 use crate::executor::run_on_workers;
+use crate::text::decode_pieces;
 
 /// A horizontally partitioned table. Partitions are immutable and their
 /// columns shared (`Arc`), so projecting/caching/transferring never
@@ -190,7 +192,9 @@ impl PartitionedTable {
     /// Load a table previously written by [`Self::save_text`] (or any
     /// directory of text part-files) with one partition per part-file,
     /// in file order. The part-files are parsed **in parallel**, one
-    /// thread per file, as they were written.
+    /// thread per file, as they were written; each file's blocks are
+    /// read where the DFS holds them, only a line that straddles two
+    /// blocks copied.
     pub fn load_text(dfs: &Dfs, dir: &str, schema: Schema) -> Result<Self> {
         let prefix = format!("{dir}/");
         let files = dfs.list(&prefix);
@@ -199,8 +203,9 @@ impl PartitionedTable {
         }
         let loaded = run_on_workers(files.len(), files.len(), |i| {
             let f = &files[i];
-            let text = dfs.read_string(&f.path)?;
-            let part = Batch::decode_text(&text, &schema)?;
+            let blocks = dfs.read_blocks(&f.path)?;
+            let pieces = codec::text_pieces(blocks.iter().map(|b| b.as_slice()))?;
+            let part = decode_pieces(&pieces, &schema)?;
             // Home = node holding the file's first block replica.
             let home = dfs
                 .block_locations(&f.path)?

@@ -164,41 +164,52 @@ impl FlatRecodeApplier {
     /// cell) of the leftmost categorical column that has one, as
     /// [`Self::apply_batch`] meets them.
     pub fn rewrite_text(&self, text: &str) -> Result<(String, usize)> {
+        self.rewrite_pieces(&[text])
+    }
+
+    /// [`Self::rewrite_text`] of the text that `pieces` of whole lines
+    /// make in order, as a part-file's blocks are read in place
+    /// ([`codec::text_pieces`]): one output text, one row count, the same
+    /// first error.
+    pub fn rewrite_pieces(&self, pieces: &[impl AsRef<str>]) -> Result<(String, usize)> {
         let mut columns: Vec<Option<CellTexts<'_>>> =
             self.actions.iter().map(CellTexts::new).collect();
-        let mut out = String::with_capacity(text.len() + text.len() / 8);
+        let len: usize = pieces.iter().map(|p| p.as_ref().len()).sum();
+        let mut out = String::with_capacity(len + len / 8);
         let mut rows = 0;
         let mut refused: Option<(usize, SqlmlError)> = None;
-        codec::walk_text(text, |line| {
-            line.cells(&self.input, |c, ty, cell| {
-                if c > 0 {
-                    out.push(TEXT_DELIM);
-                }
-                let Some(texts) = &mut columns[c] else {
-                    return copy_cell(cell, ty, &mut out);
-                };
-                let text = match (cell, ty) {
-                    (None, _) => Ok(texts.null()),
-                    (Some(s), DataType::Str) => texts.of(s),
-                    (Some(s), ty) => match Value::parse_typed(s, ty)? {
-                        Value::Null => Ok(texts.null()),
-                        other => Err(not_categorical(&other, texts.name)),
-                    },
-                };
-                match text {
-                    Ok(text) => out.push_str(text),
-                    Err(e) => {
-                        if refused.as_ref().is_none_or(|(first, _)| c < *first) {
-                            refused = Some((c, e));
+        for piece in pieces {
+            codec::walk_text(piece.as_ref(), |line| {
+                line.cells(&self.input, |c, ty, cell| {
+                    if c > 0 {
+                        out.push(TEXT_DELIM);
+                    }
+                    let Some(texts) = &mut columns[c] else {
+                        return copy_cell(cell, ty, &mut out);
+                    };
+                    let text = match (cell, ty) {
+                        (None, _) => Ok(texts.null()),
+                        (Some(s), DataType::Str) => texts.of(s),
+                        (Some(s), ty) => match Value::parse_typed(s, ty)? {
+                            Value::Null => Ok(texts.null()),
+                            other => Err(not_categorical(&other, texts.name)),
+                        },
+                    };
+                    match text {
+                        Ok(text) => out.push_str(text),
+                        Err(e) => {
+                            if refused.as_ref().is_none_or(|(first, _)| c < *first) {
+                                refused = Some((c, e));
+                            }
                         }
                     }
-                }
+                    Ok(())
+                })?;
+                out.push('\n');
+                rows += 1;
                 Ok(())
             })?;
-            out.push('\n');
-            rows += 1;
-            Ok(())
-        })?;
+        }
         match refused {
             Some((_, e)) => Err(e),
             None => Ok((out, rows)),
