@@ -1,6 +1,8 @@
 //! Micro-benchmarks of the SQL hot path on column batches:
 //!
-//! * the preparation query's filter + projecting hash join;
+//! * the preparation query's filter + projecting hash join, on dense
+//!   `userid` keys (the direct-addressed table) and on the same keys
+//!   spread a prime stride apart (the hashed table);
 //! * a `Filter`→`Project` chain, which the executor runs as one pass
 //!   per partition (one batch kernel per operator);
 //! * the [`FlatRecodeApplier`] over a column batch (one binary search
@@ -12,7 +14,12 @@ use sqlml_common::{Row, SplitMix64, Value};
 use sqlml_sqlengine::{Batch, Engine, EngineConfig};
 use sqlml_transform::{FlatRecodeApplier, RecodeMap, TransformSpec};
 
-fn engine(carts: usize, users: usize) -> Engine {
+/// Sparse keys sit this far apart: far beyond the join's density bound,
+/// so the build side hashes them.
+const SPARSE_STRIDE: i64 = 1_000_003;
+
+/// `carts` carts over `users` users, user `u` keyed `u * stride`.
+fn engine(carts: usize, users: usize, stride: i64) -> Engine {
     let e = Engine::new(EngineConfig::with_workers(4));
     let mut rng = SplitMix64::new(5);
     let cart_schema = Schema::new(vec![
@@ -28,7 +35,7 @@ fn engine(carts: usize, users: usize) -> Engine {
     let cart_rows: Vec<Row> = (0..carts)
         .map(|_| {
             Row::new(vec![
-                Value::Int(rng.next_below(users as u64) as i64),
+                Value::Int(rng.next_below(users as u64) as i64 * stride),
                 Value::Double(rng.next_f64() * 200.0),
                 Value::str(if rng.chance(0.3) { "Yes" } else { "No" }),
             ])
@@ -37,7 +44,7 @@ fn engine(carts: usize, users: usize) -> Engine {
     let user_rows: Vec<Row> = (0..users)
         .map(|uid| {
             Row::new(vec![
-                Value::Int(uid as i64),
+                Value::Int(uid as i64 * stride),
                 Value::Int(rng.range_i64(18, 80)),
                 Value::str(if rng.chance(0.55) { "USA" } else { "CA" }),
             ])
@@ -49,18 +56,24 @@ fn engine(carts: usize, users: usize) -> Engine {
 }
 
 fn bench_join(c: &mut Criterion) {
-    let e = engine(100_000, 10_000);
+    let (dense, sparse) = (
+        engine(100_000, 10_000, 1),
+        engine(100_000, 10_000, SPARSE_STRIDE),
+    );
     let prep = "SELECT U.age, C.amount, C.abandoned FROM carts C, users U \
                 WHERE C.userid = U.userid AND U.country = 'USA'";
     let mut group = c.benchmark_group("hotpath");
     group.bench_function("join_prep_query_100k_x_10k", |b| {
-        b.iter(|| e.query(black_box(prep)).unwrap().num_rows())
+        b.iter(|| dense.query(black_box(prep)).unwrap().num_rows())
+    });
+    group.bench_function("join_prep_query_sparse_keys_100k_x_10k", |b| {
+        b.iter(|| sparse.query(black_box(prep)).unwrap().num_rows())
     });
     group.finish();
 }
 
 fn bench_fusion(c: &mut Criterion) {
-    let e = engine(100_000, 10_000);
+    let e = engine(100_000, 10_000, 1);
     // A three-operator chain: filter, compute, filter again.
     let q = "SELECT amount * 2.0 AS a2 FROM carts WHERE amount > 50.0 AND amount < 190.0";
     let mut group = c.benchmark_group("hotpath");

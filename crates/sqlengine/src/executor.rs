@@ -30,7 +30,7 @@ use std::sync::Arc;
 use sqlml_common::{counter_u32, Result, Row, Schema, SqlmlError, Value};
 
 use crate::ast::{AggFunc, JoinKind};
-use crate::column::{Batch, Column, NULL_ROW};
+use crate::column::{Batch, Column, Prim, NULL_ROW};
 use crate::expr::Expr;
 use crate::plan::{AggExpr, BuildSide, Plan};
 use crate::table::PartitionedTable;
@@ -198,20 +198,41 @@ pub(crate) fn run_table_udf(
 fn filter(batch: &Batch, predicate: &Expr) -> Result<Batch> {
     let rows = counter_u32(batch.len(), "partition row count")?;
     let keep = predicate.eval(batch)?;
-    let selected: Vec<u32> = match &*keep {
-        Column::Bool(p) => {
-            let (hit, valid) = (p.values(), p.validity());
-            let holds = |&i: &u32| hit[i as usize] && valid.is_none_or(|v| v[i as usize]);
-            (0..rows).filter(holds).collect()
-        }
-        other => (0..rows)
-            .filter(|&i| matches!(other.value(i as usize), Value::Bool(true)))
-            .collect(),
+    let selected = match &*keep {
+        Column::Bool(p) => match (p.values(), p.validity()) {
+            (hit, None) => selection(rows, |i| hit[i as usize]),
+            (hit, Some(valid)) => selection(rows, |i| hit[i as usize] & valid[i as usize]),
+        },
+        other => selection(rows, |i| {
+            matches!(other.value(i as usize), Value::Bool(true))
+        }),
     };
-    Ok(match selected.len() == batch.len() {
-        true => batch.clone(),
-        false => batch.gather(&selected),
+    Ok(match selected {
+        None => batch.clone(),
+        Some(selected) => batch.gather(&selected),
     })
+}
+
+/// The rows of `0..rows` where `holds`, in order, or `None` when that is
+/// every row. Built without a branch on `holds`, whose outcome on real
+/// data the branch predictor cannot guess: every row id is written at
+/// slot `n`, and `n` advances by the predicate bit. The rows are counted
+/// first, so the selection is sized to them exactly.
+fn selection(rows: u32, holds: impl Fn(u32) -> bool) -> Option<Vec<u32>> {
+    let kept = (0..rows).map(|i| usize::from(holds(i))).sum();
+    if kept == rows as usize {
+        return None;
+    }
+    // One spare slot: a rejected row after the last kept one is written
+    // there before it is dropped.
+    let mut selected = vec![0; kept + 1];
+    let mut n = 0;
+    for i in 0..rows {
+        selected[n] = i;
+        n += usize::from(holds(i));
+    }
+    selected.truncate(kept);
+    Some(selected)
 }
 
 fn project(batch: &Batch, exprs: &[Expr]) -> Result<Batch> {
@@ -399,41 +420,17 @@ fn execute_join(
         run_on_workers(probe_data.num_partitions(), ctx.num_workers, |p| {
             eval_all(probe_keys, probe_data.partition(p))
         })?;
-    // One `Int` key on both sides hashes the integer itself; any other
-    // key shape hashes the values, with `Value`'s equality.
-    let is_int =
-        |cols: &Vec<Arc<Column>>| matches!(&cols[..], [c] if matches!(**c, Column::Int(_)));
-    let int_keys = is_int(&build_cols) && probe_cols.iter().all(is_int);
+    // One `Int` key on both sides is read as the integer itself: direct
+    // addressed when the build keys are dense, else Fibonacci hashed. Any
+    // other key shape hashes the values, with `Value`'s equality.
+    let int_keys =
+        int_key(&build_cols).is_some() && probe_cols.iter().all(|c| int_key(c).is_some());
     let table = JoinTable::build(&build_cols, build_rows, int_keys);
 
     let result = map_partitions(probe_data, ctx, |batch, pctx| {
         let keys = &probe_cols[pctx.partition];
         let rows = counter_u32(batch.len(), "partition row count")?;
-        // Matched (probe row, build row) pairs in probe order, a probe
-        // row's matches in build order; NULL_ROW pads an unmatched
-        // left-outer row. NULL keys never match.
-        let mut probe_ids: Vec<u32> = Vec::with_capacity(batch.len());
-        let mut build_ids: Vec<u32> = Vec::with_capacity(batch.len());
-        for i in 0..rows {
-            let before = build_ids.len();
-            if build_keys.is_empty() {
-                build_ids.extend(0..build_rows);
-            } else if let Some(hash) = key_hash(keys, i as usize, int_keys) {
-                let mut b = table.first(hash);
-                while b != NULL_ROW {
-                    if table.hashes[b as usize] == hash
-                        && keys_equal(&build_cols, b as usize, keys, i as usize)
-                    {
-                        build_ids.push(b);
-                    }
-                    b = table.next[b as usize];
-                }
-            }
-            if build_ids.len() == before && kind == JoinKind::LeftOuter {
-                build_ids.push(NULL_ROW);
-            }
-            probe_ids.resize(build_ids.len(), i);
-        }
+        let (probe_ids, build_ids) = table.probe(&build_cols, keys, rows, kind);
         let columns = (out_cols.iter())
             .map(|&(from_build, c)| match from_build {
                 true => Arc::new(build_batch.column(c).gather(&build_ids)),
@@ -449,47 +446,235 @@ fn eval_all(exprs: &[Expr], batch: &Batch) -> Result<Vec<Arc<Column>>> {
     exprs.iter().map(|e| e.eval(batch)).collect()
 }
 
-/// The build side's hash index: a chained table over build row ids.
-/// `next` threads each bucket's rows in ascending row order, so a probe
-/// meets its matches in build order.
+/// The key's values when it is one `Int` column.
+fn int_key(cols: &[Arc<Column>]) -> Option<&Prim<i64>> {
+    match cols {
+        [c] => match &**c {
+            Column::Int(p) => Some(p),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// A dense build side's `Int` keys span at most this many values per
+/// build row; a wider span is hashed. At the bound, the direct-addressed
+/// `heads` hold 16 bytes per build row, no more than the hashed table's
+/// `heads` and `hashes` together.
+const DENSE_SPAN_PER_ROW: i128 = 4;
+
+/// The build side's index: a chained table over build row ids. `next`
+/// threads each bucket's rows in ascending row order, so a probe meets
+/// its matches in build order. NULL keys are never linked.
 struct JoinTable {
     heads: Vec<u32>,
     next: Vec<u32>,
-    /// Key hash per build row (0 for a NULL key, which is never linked).
-    hashes: Vec<u64>,
-    shift: u32,
+    index: Index,
+}
+
+/// How a key picks its bucket.
+enum Index {
+    /// One `Int` key whose non-NULL build values span at most
+    /// [`DENSE_SPAN_PER_ROW`] × the build rows: the bucket is `key − min`,
+    /// one per value, so a bucket holds only equal keys. `unique`: no
+    /// bucket holds two build rows.
+    Dense { min: i64, unique: bool },
+    /// The high bits of the key's hash (`shift` drops the rest): a bucket
+    /// may mix keys, so a candidate is confirmed by its hash and by
+    /// [`keys_equal`]. With no key (a cross join) every row hashes alike,
+    /// so one chain holds the whole build side, in order.
+    Hashed {
+        /// Key hash per build row (0 for a NULL key).
+        hashes: Vec<u64>,
+        shift: u32,
+        int_keys: bool,
+    },
 }
 
 impl JoinTable {
     fn build(keys: &[Arc<Column>], rows: u32, int_keys: bool) -> JoinTable {
-        let buckets = (rows as usize * 2).next_power_of_two().max(16);
-        let mut t = JoinTable {
-            heads: vec![NULL_ROW; buckets],
-            next: vec![NULL_ROW; rows as usize],
-            hashes: vec![0; rows as usize],
-            shift: 64 - buckets.trailing_zeros(),
+        match int_key(keys) {
+            Some(key) if int_keys => {
+                Self::build_dense(key, rows).unwrap_or_else(|| Self::build_hashed(keys, rows, true))
+            }
+            _ => Self::build_hashed(keys, rows, int_keys),
+        }
+    }
+
+    /// The direct-addressed table, or `None` when the keys are too sparse.
+    fn build_dense(key: &Prim<i64>, rows: u32) -> Option<JoinTable> {
+        let (min, max) = ((0..key.len()).filter_map(|b| key.get(b)))
+            .fold((i64::MAX, i64::MIN), |(lo, hi), k| (lo.min(k), hi.max(k)));
+        // Computed wide: `max − min` overflows an i64 for keys at both ends.
+        let span = match min <= max {
+            true => i128::from(max) - i128::from(min) + 1,
+            false => 0,
         };
+        if span > DENSE_SPAN_PER_ROW * i128::from(rows) {
+            return None;
+        }
+        let mut heads = vec![NULL_ROW; usize::try_from(span).ok()?];
+        let mut next = vec![NULL_ROW; rows as usize];
+        let mut unique = true;
         for b in (0..rows).rev() {
-            if let Some(hash) = key_hash(keys, b as usize, int_keys) {
-                let bucket = t.bucket(hash);
-                t.hashes[b as usize] = hash;
-                t.next[b as usize] = std::mem::replace(&mut t.heads[bucket], b);
+            // Every non-NULL key has a bucket: it lies in [min, max].
+            let bucket = (key.get(b as usize)).and_then(|k| dense_bucket(min, k, heads.len()));
+            if let Some(bucket) = bucket {
+                next[b as usize] = std::mem::replace(&mut heads[bucket], b);
+                unique &= next[b as usize] == NULL_ROW;
             }
         }
-        t
+        let index = Index::Dense { min, unique };
+        Some(JoinTable { heads, next, index })
     }
 
-    /// The table indexes by a hash's high bits (`heads.len()` of them).
-    fn bucket(&self, hash: u64) -> usize {
-        // Shifted down to fewer bits than `heads.len()`, a usize.
-        #[allow(clippy::cast_possible_truncation)]
-        let bucket = (hash >> self.shift) as usize;
-        bucket
+    fn build_hashed(keys: &[Arc<Column>], rows: u32, int_keys: bool) -> JoinTable {
+        let buckets = (rows as usize * 2).next_power_of_two().max(16);
+        let shift = 64 - buckets.trailing_zeros();
+        let mut heads = vec![NULL_ROW; buckets];
+        let mut next = vec![NULL_ROW; rows as usize];
+        let mut hashes = vec![0; rows as usize];
+        for b in (0..rows).rev() {
+            if let Some(hash) = key_hash(keys, b as usize, int_keys) {
+                hashes[b as usize] = hash;
+                next[b as usize] = std::mem::replace(&mut heads[hashed_bucket(hash, shift)], b);
+            }
+        }
+        let index = Index::Hashed {
+            hashes,
+            shift,
+            int_keys,
+        };
+        JoinTable { heads, next, index }
     }
 
-    fn first(&self, hash: u64) -> u32 {
-        self.heads[self.bucket(hash)]
+    /// Matched (probe row, build row) pairs in probe order, a probe row's
+    /// matches in build order; `NULL_ROW` pads an unmatched left-outer
+    /// row. NULL keys never match.
+    fn probe(
+        &self,
+        build: &[Arc<Column>],
+        keys: &[Arc<Column>],
+        rows: u32,
+        kind: JoinKind,
+    ) -> (Vec<u32>, Vec<u32>) {
+        match (&self.index, int_key(keys)) {
+            (&Index::Dense { min, unique: true }, Some(key)) => {
+                self.probe_unique(min, key, rows, kind)
+            }
+            _ => self.probe_chained(build, keys, rows, kind),
+        }
     }
+
+    /// The pairs of a dense table whose buckets hold one build row each
+    /// (a key–foreign-key join). A probe row meets at most one build row,
+    /// so the pairs are emitted the way [`selection`] emits rows: every
+    /// probe row is written at slot `n` with its build row, and `n`
+    /// advances by the match bit (inner) or by one (left outer), with no
+    /// branch on the match. The pairs are counted first, so the id
+    /// vectors are sized to them exactly.
+    fn probe_unique(
+        &self,
+        min: i64,
+        key: &Prim<i64>,
+        rows: u32,
+        kind: JoinKind,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let first = |i: u32| self.dense_head(min, key, i);
+        let outer = kind == JoinKind::LeftOuter;
+        let pairs = match outer {
+            true => rows as usize,
+            false => (0..rows).map(|i| usize::from(first(i) != NULL_ROW)).sum(),
+        };
+        // One spare slot, as in `selection`.
+        let (mut probe_ids, mut build_ids) = (vec![0; pairs + 1], vec![0; pairs + 1]);
+        let mut n = 0;
+        for i in 0..rows {
+            let b = first(i);
+            probe_ids[n] = i;
+            build_ids[n] = b;
+            n += usize::from(outer || b != NULL_ROW);
+        }
+        probe_ids.truncate(pairs);
+        build_ids.truncate(pairs);
+        (probe_ids, build_ids)
+    }
+
+    /// The first build row in probe row `i`'s bucket of a dense table,
+    /// `NULL_ROW` for a NULL key or one outside `[min, max]`.
+    fn dense_head(&self, min: i64, key: &Prim<i64>, i: u32) -> u32 {
+        let bucket = (key.get(i as usize)).and_then(|k| dense_bucket(min, k, self.heads.len()));
+        bucket.map_or(NULL_ROW, |bucket| self.heads[bucket])
+    }
+
+    /// The pairs of any other table, by walking each probe key's bucket
+    /// chain.
+    fn probe_chained(
+        &self,
+        build: &[Arc<Column>],
+        keys: &[Arc<Column>],
+        rows: u32,
+        kind: JoinKind,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let mut probe_ids: Vec<u32> = Vec::with_capacity(rows as usize);
+        let mut build_ids: Vec<u32> = Vec::with_capacity(rows as usize);
+        let int = int_key(keys);
+        for i in 0..rows {
+            let before = build_ids.len();
+            match &self.index {
+                &Index::Dense { min, .. } => {
+                    // lint:allow(panic) a dense table is built only for one Int probe key
+                    let key = int.expect("a dense table is probed by one Int key");
+                    // A bucket holds only equal keys: every row matches.
+                    let mut b = self.dense_head(min, key, i);
+                    while b != NULL_ROW {
+                        build_ids.push(b);
+                        b = self.next[b as usize];
+                    }
+                }
+                Index::Hashed {
+                    hashes,
+                    shift,
+                    int_keys,
+                } => {
+                    if let Some(hash) = key_hash(keys, i as usize, *int_keys) {
+                        let mut b = self.heads[hashed_bucket(hash, *shift)];
+                        while b != NULL_ROW {
+                            if hashes[b as usize] == hash
+                                && keys_equal(build, b as usize, keys, i as usize)
+                            {
+                                build_ids.push(b);
+                            }
+                            b = self.next[b as usize];
+                        }
+                    }
+                }
+            }
+            if build_ids.len() == before && kind == JoinKind::LeftOuter {
+                build_ids.push(NULL_ROW);
+            }
+            probe_ids.resize(build_ids.len(), i);
+        }
+        (probe_ids, build_ids)
+    }
+}
+
+/// `key`'s bucket in a dense table of `buckets` buckets from `min`,
+/// `None` outside them. The offset is taken modulo 2^64: a key below
+/// `min` wraps to at least `i64::MAX − min + 1`, past the last bucket's
+/// offset `max − min` because `max` is at most `i64::MAX`, so one
+/// unsigned compare bounds both ends.
+fn dense_bucket(min: i64, key: i64, buckets: usize) -> Option<usize> {
+    let offset = usize::try_from(key.wrapping_sub(min) as u64).ok()?;
+    (offset < buckets).then_some(offset)
+}
+
+/// A hashed table indexes by a hash's high bits (`64 − shift` of them).
+fn hashed_bucket(hash: u64, shift: u32) -> usize {
+    // Shifted down to fewer bits than `heads.len()`, a usize.
+    #[allow(clippy::cast_possible_truncation)]
+    let bucket = (hash >> shift) as usize;
+    bucket
 }
 
 /// Hash of row `i`'s key; `None` when any key cell is NULL (no match in
@@ -742,5 +927,85 @@ fn new_accum(a: &AggExpr) -> Accum {
         AggFunc::Avg => Accum::Avg { sum: 0.0, count: 0 },
         AggFunc::Min => Accum::Min(None),
         AggFunc::Max => Accum::Max(None),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn int_keys(keys: &[Option<i64>]) -> Vec<Arc<Column>> {
+        let values = keys.iter().map(|k| k.unwrap_or_default()).collect();
+        let valid = keys.iter().map(Option::is_some).collect();
+        vec![Arc::new(Column::Int(Prim::new(values, Some(valid))))]
+    }
+
+    /// The pairs a nested loop gives, in probe order, then build order.
+    fn nested_loop_pairs(
+        build: &[Option<i64>],
+        probe: &[Option<i64>],
+        kind: JoinKind,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let (mut probe_ids, mut build_ids) = (Vec::new(), Vec::new());
+        for (i, p) in (0..).zip(probe) {
+            let before = build_ids.len();
+            for (b, k) in (0..).zip(build) {
+                if p.is_some() && p == k {
+                    build_ids.push(b);
+                }
+            }
+            if build_ids.len() == before && kind == JoinKind::LeftOuter {
+                build_ids.push(NULL_ROW);
+            }
+            probe_ids.resize(build_ids.len(), i);
+        }
+        (probe_ids, build_ids)
+    }
+
+    #[test]
+    fn a_build_side_spanning_the_density_bound_is_direct_addressed_and_one_key_past_it_is_hashed() {
+        // Six build rows, a NULL one among them: the bound counts it.
+        let bound = i64::try_from(DENSE_SPAN_PER_ROW).unwrap() * 6;
+        let near = |k: i64| [k - 2, k - 1, k, k + 1, k + 2];
+        for base in [i64::MIN, -3, 0, i64::MAX - bound] {
+            for (last, dense) in [(bound - 1, true), (bound, false)] {
+                for duplicate in [false, true] {
+                    // Keys from `base` to `base + last`, spanning the bound
+                    // or one more; a duplicate key repeats the first.
+                    let second = if duplicate { 0 } else { 1 };
+                    let build: Vec<Option<i64>> = [0, second, 2, 3, last]
+                        .iter()
+                        .map(|&o| Some(base + o))
+                        .chain([None])
+                        .collect();
+                    let rows = u32::try_from(build.len()).unwrap();
+                    let keys = int_keys(&build);
+                    let table = JoinTable::build(&keys, rows, true);
+                    match (&table.index, dense) {
+                        (&Index::Dense { min, unique }, true) => {
+                            assert_eq!((min, unique), (base, !duplicate));
+                        }
+                        (Index::Hashed { .. }, false) => {}
+                        _ => panic!("base {base}, last {last}: wrong index"),
+                    }
+                    // Every build key, its neighbours, both ends of the
+                    // i64 range (which wrap around `key - min`) and NULL.
+                    let probe: Vec<Option<i64>> = (build.iter().flatten())
+                        .flat_map(|&k| near(k.clamp(i64::MIN + 2, i64::MAX - 2)))
+                        .chain([i64::MIN, i64::MIN + 1, 0, i64::MAX - 1, i64::MAX])
+                        .map(Some)
+                        .chain([None])
+                        .collect();
+                    let probe_rows = u32::try_from(probe.len()).unwrap();
+                    for kind in [JoinKind::Inner, JoinKind::LeftOuter] {
+                        assert_eq!(
+                            table.probe(&keys, &int_keys(&probe), probe_rows, kind),
+                            nested_loop_pairs(&build, &probe, kind),
+                            "base {base}, last {last}, duplicate {duplicate}, {kind:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

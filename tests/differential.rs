@@ -1307,6 +1307,173 @@ fn column_engine_matches_plain_rust_loops_on_seeded_keyed_tables() {
     );
 }
 
+/// Join keys for the oracle below: `build` values the build side draws
+/// from, and `misses` the probe side draws from as well, which no build
+/// row holds.
+struct KeyRange {
+    build: Vec<i64>,
+    misses: Vec<i64>,
+}
+
+/// One of five key ranges. A dense range (near zero, or flush against
+/// either end of `i64`, where `key − min` wraps for a miss at the other
+/// end) is direct addressed; keys spread over ±2^62, and `i64::MIN`/`MAX`
+/// ± 1 mixed with small keys, are hashed.
+fn draw_key_range(rng: &mut SplitMix64, kind: u64, keys: usize) -> KeyRange {
+    let dense = |lo: i64| (0..keys as i64).map(|k| lo + k).collect::<Vec<_>>();
+    let ends = [i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX];
+    match kind {
+        0 => {
+            let lo = rng.range_i64(-50, 50);
+            KeyRange {
+                build: dense(lo),
+                misses: vec![lo - 1, lo + keys as i64, i64::MIN, i64::MAX],
+            }
+        }
+        1 => KeyRange {
+            build: dense(i64::MAX - keys as i64 + 1),
+            misses: vec![i64::MIN, i64::MIN + 1, 0, i64::MAX - keys as i64],
+        },
+        2 => KeyRange {
+            build: dense(i64::MIN),
+            misses: vec![i64::MAX, i64::MAX - 1, 0, i64::MIN + keys as i64],
+        },
+        3 => {
+            let spread = |rng: &mut SplitMix64| rng.range_i64(-(1 << 62), 1 << 62);
+            KeyRange {
+                build: (0..keys).map(|_| spread(rng)).collect(),
+                misses: (0..4).map(|_| spread(rng)).collect(),
+            }
+        }
+        _ => {
+            let small = (0..keys as i64 - 2).map(|k| k - 1);
+            let mut build: Vec<i64> = small.chain([ends[0], ends[3]]).collect();
+            build.rotate_left(rng.next_below(keys as u64) as usize);
+            KeyRange {
+                build,
+                misses: ends[1..3].to_vec(),
+            }
+        }
+    }
+}
+
+/// `(k BIGINT, t VARCHAR, i BIGINT)` over `parts` partitions, at least
+/// one of them empty, keys drawn by `key`: NULL with probability `nulls`.
+fn join_side(
+    rng: &mut SplitMix64,
+    rows: usize,
+    parts: usize,
+    nulls: f64,
+    tag: &str,
+    mut key: impl FnMut(&mut SplitMix64, usize) -> i64,
+) -> Vec<Vec<Row>> {
+    let mut out: Vec<Vec<Row>> = (0..parts).map(|_| Vec::new()).collect();
+    let skipped = rng.next_below(parts as u64) as usize;
+    for i in 0..rows {
+        let p = match parts {
+            1 => 0,
+            _ => (skipped + 1 + rng.next_below(parts as u64 - 1) as usize) % parts,
+        };
+        let k = match rng.chance(nulls) {
+            true => Value::Null,
+            false => Value::Int(key(rng, i)),
+        };
+        let t = Value::str(format!("{tag}{i}").as_str());
+        out[p].push(Row::new(vec![k, t, Value::Int(i as i64)]));
+    }
+    out
+}
+
+#[test]
+fn the_join_matches_nested_loops_in_output_order_on_dense_sparse_and_extreme_keys() {
+    let schema = || {
+        Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("t", DataType::Str),
+            Field::new("i", DataType::Int),
+        ])
+    };
+    for seed in 0..300u64 {
+        let mut rng = SplitMix64::new(0x701_0000 + seed);
+        let range_kind = seed % 5;
+        let (build_rows, probe_rows) = (rng.next_below(40) as usize, rng.next_below(60) as usize);
+        // Unique build keys (a key–foreign-key join) on odd seeds, drawn
+        // with repeats on even ones.
+        let unique = seed % 2 == 1;
+        let range = draw_key_range(&mut rng, range_kind, build_rows.max(4));
+        let nulls = *rng.choose(&[0.0, 0.1, 1.0]);
+        let build_parts = join_side(&mut rng, build_rows, 3, nulls, "b", |rng, i| match unique {
+            true => range.build[i % range.build.len()],
+            false => *rng.choose(&range.build),
+        });
+        let probe_parts = join_side(
+            &mut rng,
+            probe_rows,
+            4,
+            nulls / 2.0,
+            "p",
+            |rng, _| match rng.chance(0.2) {
+                true => *rng.choose(&range.misses),
+                false => *rng.choose(&range.build),
+            },
+        );
+        let e = Engine::new(EngineConfig::with_workers(1 + seed as usize % 3));
+        let scan = |name: &str, parts: &[Vec<Row>]| Plan::Scan {
+            name: name.into(),
+            table: std::sync::Arc::new(PartitionedTable::new(schema(), parts.to_vec())),
+        };
+        let build_all: Vec<Row> = build_parts.concat();
+        for (kind, build) in [
+            (JoinKind::Inner, BuildSide::Right),
+            (JoinKind::Inner, BuildSide::Left),
+            (JoinKind::LeftOuter, BuildSide::Right),
+        ] {
+            // The probe side is the other one; the output is left ++ right.
+            let (left, right) = match build {
+                BuildSide::Right => (scan("p", &probe_parts), scan("b", &build_parts)),
+                BuildSide::Left => (scan("b", &build_parts), scan("p", &probe_parts)),
+            };
+            let plan = Plan::HashJoin {
+                schema: left.schema().join(&right.schema()),
+                left: Box::new(left),
+                right: Box::new(right),
+                left_keys: vec![Expr::Col(0)],
+                right_keys: vec![Expr::Col(0)],
+                kind,
+                build,
+                project: None,
+            };
+            // Probe partitions in order, each probe row's matches in
+            // build order; NULL never matches.
+            let mut expect = Vec::new();
+            for p in probe_parts.iter().flatten() {
+                let before = expect.len();
+                for b in build_all
+                    .iter()
+                    .filter(|b| !p.get(0).is_null() && b.get(0) == p.get(0))
+                {
+                    let (l, r) = match build {
+                        BuildSide::Right => (p, b),
+                        BuildSide::Left => (b, p),
+                    };
+                    expect.push(Row::new([l.values(), r.values()].concat()));
+                }
+                if expect.len() == before && kind == JoinKind::LeftOuter {
+                    let pad = [Value::Null, Value::Null, Value::Null];
+                    expect.push(Row::new([p.values(), &pad].concat()));
+                }
+            }
+            let got = execute(&plan, e.exec_context())
+                .unwrap_or_else(|err| panic!("seed {seed}: {kind:?} {build:?}: {err}"));
+            assert_eq!(
+                got.collect_rows(),
+                expect,
+                "seed {seed}: key range {range_kind}, unique {unique}, {kind:?} build {build:?}"
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // The text walker and the naive job's line rewriter, against the
 // split-based decoder and the column round trip they replaced.
