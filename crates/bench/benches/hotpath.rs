@@ -113,7 +113,7 @@ fn bench_recode_apply(c: &mut Criterion) {
     );
     let map = RecodeMap::from_pairs(pairs);
     let spec = TransformSpec::new(&["country"]);
-    let applier = FlatRecodeApplier::new(&map, &schema, &spec).unwrap();
+    let applier = FlatRecodeApplier::new(&map, &spec.bind(&schema).unwrap()).unwrap();
 
     let batch = Batch::from_rows(&schema, &rows);
     let mut group = c.benchmark_group("hotpath");

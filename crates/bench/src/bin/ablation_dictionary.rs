@@ -45,7 +45,7 @@ fn main() {
     let schema = sqlml_core::workload::users_schema();
     let users = PartitionedTable::load_text(&cluster.dfs, "/warehouse/users", schema)
         .expect("users part files");
-    let country_col = users.schema().index_of("country").expect("country");
+    let country_col = users.schema().resolve("country").expect("country");
 
     // The tempting part: dictionary compression genuinely shrinks the
     // column.

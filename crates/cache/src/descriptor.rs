@@ -9,12 +9,14 @@
 
 use std::collections::BTreeSet;
 
-use sqlml_common::{Result, SqlmlError, Value};
+use sqlml_common::schema::Field;
+use sqlml_common::{Result, Schema, Value};
 use sqlml_sqlengine::ast::{AstExpr, CmpOp, SelectItem, SelectStmt, TableRef};
-use sqlml_sqlengine::Catalog;
+use sqlml_sqlengine::catalog::{self, Catalog};
+use sqlml_sqlengine::planner::Scope;
 
-/// A column of a base table, alias-resolved: `(table, column)`, both
-/// lower-cased.
+/// A column of a base table, alias-resolved: `(table, column)`, the table
+/// by its [`catalog::key`], the column as the table's schema spells it.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ColRef {
     pub table: String,
@@ -24,8 +26,8 @@ pub struct ColRef {
 impl ColRef {
     pub fn new(table: &str, column: &str) -> Self {
         ColRef {
-            table: table.to_ascii_lowercase(),
-            column: column.to_ascii_lowercase(),
+            table: catalog::key(table),
+            column: column.to_string(),
         }
     }
 }
@@ -53,8 +55,8 @@ impl std::fmt::Display for SimplePredicate {
 /// The normalized shape of a cacheable preparation query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryDescriptor {
-    /// Base tables referenced (lower-cased). Self-joins are rejected
-    /// during construction, so a set suffices.
+    /// Base tables referenced, by [`catalog::key`]. Self-joins are
+    /// rejected during construction, so a set suffices.
     pub tables: BTreeSet<String>,
     /// Equi-join conditions, each stored with its two sides in canonical
     /// (sorted) order.
@@ -63,11 +65,17 @@ pub struct QueryDescriptor {
     pub predicates: Vec<SimplePredicate>,
     /// Projected columns, in output order.
     pub projections: Vec<ColRef>,
+    /// The query's output schema, the one a transformation spec binds
+    /// to: field `i` is projection `i` named by its alias, or as the query
+    /// spells the column, and typed and flagged as its base column — what
+    /// the planner makes of the query.
+    pub output: Schema,
 }
 
 impl QueryDescriptor {
     /// Build from a parsed SELECT. Returns `Ok(None)` when the query does
-    /// not have the cacheable SPJ shape.
+    /// not have the cacheable SPJ shape, or names a column the planner
+    /// would refuse (it reports why).
     pub fn from_select(stmt: &SelectStmt, catalog: &Catalog) -> Result<Option<QueryDescriptor>> {
         // Shape gate: plain conjunctive select-project-join only.
         if stmt.distinct
@@ -80,87 +88,63 @@ impl QueryDescriptor {
             return Ok(None);
         }
 
-        // Bindings: alias -> table name; reject self-joins and table
-        // functions (their output is not a base relation).
-        let mut bindings: Vec<(String, String)> = Vec::new(); // (binding, table)
+        // The FROM scope the planner resolves names in, and each
+        // relation's table; reject self-joins and table functions (their
+        // output is not a base relation).
+        let (mut scope, mut relations) = (Scope::default(), Vec::new());
         let mut tables = BTreeSet::new();
         for t in &stmt.from {
-            match t {
-                TableRef::Named { name, alias } => {
-                    let table = name.to_ascii_lowercase();
-                    if !tables.insert(table.clone()) {
-                        return Ok(None); // self-join
-                    }
-                    let binding = alias.clone().unwrap_or_else(|| name.clone());
-                    bindings.push((binding.to_ascii_lowercase(), table));
-                }
-                TableRef::TableFunction { .. } => return Ok(None),
+            let TableRef::Named { name, alias } = t else {
+                return Ok(None);
+            };
+            let (table, schema) = (catalog::key(name), catalog.table(name)?.schema().clone());
+            if !tables.insert(table.clone())
+                || scope
+                    .bind(alias.as_deref().unwrap_or(name), schema.clone())
+                    .is_err()
+            {
+                return Ok(None); // a self-join, or one binding twice
             }
+            relations.push((table, schema));
         }
 
-        let resolve = |qualifier: Option<&str>, column: &str| -> Result<Option<ColRef>> {
-            match qualifier {
-                Some(q) => {
-                    let q = q.to_ascii_lowercase();
-                    for (b, t) in &bindings {
-                        if *b == q {
-                            return Ok(Some(ColRef::new(t, column)));
-                        }
-                    }
-                    Err(SqlmlError::Plan(format!("unknown alias {q:?}")))
-                }
-                None => {
-                    // Resolve an unqualified column by probing the
-                    // catalog schemas; must be unique.
-                    let mut hit = None;
-                    for (_, t) in &bindings {
-                        let table = catalog.table(t)?;
-                        if table.schema().index_of(column).is_ok() {
-                            if hit.is_some() {
-                                return Err(SqlmlError::Plan(format!(
-                                    "ambiguous column {column:?}"
-                                )));
-                            }
-                            hit = Some(ColRef::new(t, column));
-                        }
-                    }
-                    Ok(hit)
-                }
-            }
+        // `[qualifier.]column` as the planner resolves it; `None` where the
+        // planner refuses it.
+        let resolve = |qualifier: Option<&str>, column: &str| -> Option<(ColRef, Field)> {
+            let (at, _, field) = scope.resolve(qualifier, column).ok()?;
+            Some((ColRef::new(&relations[at].0, &field.name), field))
         };
 
         // Projections: simple columns (or wildcards) only.
-        let mut projections = Vec::new();
+        let mut projected: Vec<(ColRef, Field)> = Vec::new();
+        let expand = |(table, schema): &(String, Schema)| -> Vec<(ColRef, Field)> {
+            (schema.fields().iter())
+                .map(|f| (ColRef::new(table, &f.name), f.clone()))
+                .collect()
+        };
         for item in &stmt.projection {
             match item {
                 SelectItem::Expr {
                     expr: AstExpr::Column { qualifier, name },
-                    ..
-                } => match resolve(qualifier.as_deref(), name)? {
-                    Some(c) => projections.push(c),
-                    None => return Ok(None),
-                },
-                SelectItem::Wildcard => {
-                    for (_, t) in &bindings {
-                        let table = catalog.table(t)?;
-                        for f in table.schema().fields() {
-                            projections.push(ColRef::new(t, &f.name));
-                        }
-                    }
-                }
-                SelectItem::QualifiedWildcard(q) => {
-                    let q = q.to_ascii_lowercase();
-                    let Some((_, t)) = bindings.iter().find(|(b, _)| *b == q) else {
+                    alias,
+                } => {
+                    let Some((col, mut field)) = resolve(qualifier.as_deref(), name) else {
                         return Ok(None);
                     };
-                    let table = catalog.table(t)?;
-                    for f in table.schema().fields() {
-                        projections.push(ColRef::new(t, &f.name));
-                    }
+                    field.name = alias.clone().unwrap_or_else(|| name.clone());
+                    projected.push((col, field));
+                }
+                SelectItem::Wildcard => projected.extend(relations.iter().flat_map(expand)),
+                SelectItem::QualifiedWildcard(q) => {
+                    let Some(at) = scope.relation(q) else {
+                        return Ok(None);
+                    };
+                    projected.extend(expand(&relations[at]));
                 }
                 _ => return Ok(None), // computed projections: not cacheable
             }
         }
+        let (projections, fields): (Vec<_>, Vec<_>) = projected.into_iter().unzip();
 
         // WHERE: conjunctive, each conjunct either col=col (join) or
         // col-op-literal (predicate).
@@ -185,8 +169,8 @@ impl QueryDescriptor {
                         if *op != CmpOp::Eq {
                             return Ok(None);
                         }
-                        let (Some(a), Some(b)) =
-                            (resolve(ql.as_deref(), nl)?, resolve(qr.as_deref(), nr)?)
+                        let (Some((a, _)), Some((b, _))) =
+                            (resolve(ql.as_deref(), nl), resolve(qr.as_deref(), nr))
                         else {
                             return Ok(None);
                         };
@@ -194,7 +178,7 @@ impl QueryDescriptor {
                         joins.insert(pair);
                     }
                     (AstExpr::Column { qualifier, name }, AstExpr::Literal(v)) => {
-                        let Some(col) = resolve(qualifier.as_deref(), name)? else {
+                        let Some((col, _)) = resolve(qualifier.as_deref(), name) else {
                             return Ok(None);
                         };
                         predicates.push(SimplePredicate {
@@ -204,7 +188,7 @@ impl QueryDescriptor {
                         });
                     }
                     (AstExpr::Literal(v), AstExpr::Column { qualifier, name }) => {
-                        let Some(col) = resolve(qualifier.as_deref(), name)? else {
+                        let Some((col, _)) = resolve(qualifier.as_deref(), name) else {
                             return Ok(None);
                         };
                         predicates.push(SimplePredicate {
@@ -223,6 +207,7 @@ impl QueryDescriptor {
             joins,
             predicates,
             projections,
+            output: Schema::new(fields),
         }))
     }
 
@@ -230,11 +215,6 @@ impl QueryDescriptor {
     /// checks.
     pub fn predicates_on(&self, col: &ColRef) -> Vec<&SimplePredicate> {
         self.predicates.iter().filter(|p| p.col == *col).collect()
-    }
-
-    /// The set of columns carrying predicates.
-    pub fn predicate_columns(&self) -> BTreeSet<&ColRef> {
-        self.predicates.iter().map(|p| &p.col).collect()
     }
 }
 
@@ -339,11 +319,25 @@ mod tests {
     }
 
     #[test]
+    fn the_output_names_each_projection_by_its_alias_or_as_spelled() {
+        let d = descr(
+            "SELECT U.AGE, u.Gender AS sex, C.* FROM carts C, users U \
+             WHERE C.userid = U.userid",
+        )
+        .unwrap();
+        assert_eq!(d.output.names()[..3], ["AGE", "sex", "userid"]);
+        assert_eq!(d.projections[1], ColRef::new("users", "gender"));
+        assert!(d.output.field(1).categorical);
+        assert_eq!(d.output.len(), d.projections.len());
+        // A name two relations answer to is the planner's to refuse.
+        assert!(descr("SELECT userid FROM carts, users").is_none());
+    }
+
+    #[test]
     fn predicate_grouping_helpers() {
         let d =
             descr("SELECT age FROM users WHERE age > 10 AND age < 20 AND country = 'USA'").unwrap();
         let age = ColRef::new("users", "age");
         assert_eq!(d.predicates_on(&age).len(), 2);
-        assert_eq!(d.predicate_columns().len(), 2);
     }
 }

@@ -8,10 +8,9 @@ use sqlml_common::lockorder::TrackedMutex;
 use sqlml_common::Value;
 use sqlml_sqlengine::ast::CmpOp;
 use sqlml_sqlengine::Engine;
-use sqlml_transform::coding::indicator_name;
-use sqlml_transform::{Coding, RecodeMap, TransformSpec};
+use sqlml_transform::{BoundSpec, Coding, RecodeMap, TransformSpec, Treatment};
 
-use crate::descriptor::{ColRef, QueryDescriptor};
+use crate::descriptor::QueryDescriptor;
 use crate::subsume::{full_result_match, recode_map_match};
 
 /// A cached fully transformed result (§5.1) — conceptually a
@@ -19,19 +18,12 @@ use crate::subsume::{full_result_match, recode_map_match};
 #[derive(Debug, Clone)]
 struct FullEntry {
     descriptor: QueryDescriptor,
-    spec: TransformSpec,
+    /// The spec as bound to the cached query's output: it names every
+    /// column of the materialized table, under `map`.
+    bound: BoundSpec,
     map: RecodeMap,
     /// Name of the materialized table in the engine catalog.
     table_name: String,
-    /// The projected columns the transform recoded (integers in the
-    /// materialized table). Not read off `map`: a column the cached query
-    /// returned no value for is recoded yet absent from the map.
-    recoded: Vec<String>,
-    /// The materialized table has two columns whose names are equal
-    /// ignoring ASCII case (`x y` and `x/y` both indicate as `g_x_y`;
-    /// `g_Web` and `g_web`). A rewrite selects columns by name, so it
-    /// could read the wrong one: the entry serves no §5.1 hit.
-    ambiguous: bool,
 }
 
 /// A cached recode map (§5.2).
@@ -133,7 +125,8 @@ impl CacheManager {
     /// Store a fully transformed result: materializes `table` in the
     /// engine catalog and records the entry. Also records the recode map
     /// (a full entry subsumes a map entry). Returns the materialized
-    /// table's name.
+    /// table's name, or `None`, storing nothing, when `spec` does not bind
+    /// to the descriptor's output (no run of that request made `table`).
     ///
     /// Concurrency: two queries that miss on the same descriptor at the
     /// same time both arrive here with a freshly computed result. The
@@ -149,17 +142,14 @@ impl CacheManager {
         spec: TransformSpec,
         map: RecodeMap,
         table: sqlml_sqlengine::PartitionedTable,
-    ) -> String {
-        let recoded = self.recode_targets(&descriptor, &spec);
-        let names = table.schema().names();
-        let ambiguous = (names.iter().enumerate())
-            .any(|(i, a)| names[..i].iter().any(|b| a.eq_ignore_ascii_case(b)));
+    ) -> Option<String> {
+        let bound = spec.bind(&descriptor.output).ok()?;
         let mut full = self.full.lock();
         if let Some(existing) = full
             .iter()
-            .find(|e| e.descriptor == descriptor && e.spec == spec)
+            .find(|e| e.descriptor == descriptor && e.bound == bound)
         {
-            return existing.table_name.clone();
+            return Some(existing.table_name.clone());
         }
         let table_name = format!(
             "__sqlml_cache_{}",
@@ -167,17 +157,15 @@ impl CacheManager {
         );
         self.engine.register_table(&table_name, table);
         full.push(FullEntry {
-            recoded,
-            ambiguous,
             descriptor: descriptor.clone(),
-            spec,
+            bound,
             map: map.clone(),
             table_name: table_name.clone(),
         });
         // Lock order is always full → maps (see `invalidate_all`).
         drop(full);
         self.store_recode_map(descriptor, map);
-        table_name
+        Some(table_name)
     }
 
     /// Store just a recode map (the first identical store wins; maps
@@ -217,31 +205,42 @@ impl CacheManager {
     /// cheap enough to call once per shard on every admission for
     /// cache-affinity routing.
     pub fn probe(&self, query: &QueryDescriptor, spec: &TransformSpec) -> CacheProbe {
+        let Ok(bound) = spec.bind(&query.output) else {
+            return CacheProbe::Miss;
+        };
         let full = self.full.lock();
-        if full.iter().any(|e| full_rewrite(e, query, spec).is_some()) {
+        if full
+            .iter()
+            .any(|e| full_rewrite(e, query, &bound).is_some())
+        {
             return CacheProbe::Full;
         }
         drop(full);
-        let recoded = self.recode_targets(query, spec);
         if self
             .maps
             .lock()
             .iter()
-            .any(|e| map_covers(e, query, &recoded))
+            .any(|e| map_covers(e, query, &bound))
         {
             return CacheProbe::RecodeMap;
         }
         CacheProbe::Miss
     }
 
-    /// Look up the best reuse for a new query + transformation spec.
+    /// Look up the best reuse for a new query + transformation spec. A
+    /// spec that does not bind to the query's output misses: the cold run
+    /// refuses it.
     pub fn lookup(&self, query: &QueryDescriptor, spec: &TransformSpec) -> CacheDecision {
+        let Ok(bound) = spec.bind(&query.output) else {
+            self.stats.misses.fetch_add(1, Ordering::Relaxed);
+            return CacheDecision::Miss;
+        };
         // Best first: full result (§5.1). A matching entry whose spec is
         // incompatible is skipped; a later one may still serve.
         let full = self.full.lock();
         if let Some((entry, sql)) = full
             .iter()
-            .find_map(|e| full_rewrite(e, query, spec).map(|sql| (e, sql)))
+            .find_map(|e| full_rewrite(e, query, &bound).map(|sql| (e, sql)))
         {
             self.stats.full_hits.fetch_add(1, Ordering::Relaxed);
             return CacheDecision::Full(FullReuse {
@@ -252,12 +251,11 @@ impl CacheManager {
         }
         drop(full);
         // Second best: recode map (§5.2).
-        let recoded = self.recode_targets(query, spec);
         if let Some(entry) = self
             .maps
             .lock()
             .iter()
-            .find(|e| map_covers(e, query, &recoded))
+            .find(|e| map_covers(e, query, &bound))
         {
             self.stats.map_hits.fetch_add(1, Ordering::Relaxed);
             return CacheDecision::RecodeMap(entry.map.clone());
@@ -265,117 +263,107 @@ impl CacheManager {
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         CacheDecision::Miss
     }
-
-    /// The columns a pipeline running `query` under `spec` recodes: the
-    /// spec's explicit list, or — when defaulted — every projected column
-    /// its base table flags categorical (a column the catalog cannot
-    /// vouch for counts as categorical). Lookups resolve it before
-    /// `cache.maps` is taken, so the catalog lock never nests inside it.
-    fn recode_targets(&self, query: &QueryDescriptor, spec: &TransformSpec) -> Vec<String> {
-        if !spec.recode_columns.is_empty() {
-            return spec.recode_columns.clone();
-        }
-        let catalog = self.engine.catalog();
-        let is_categorical = |p: &ColRef| {
-            let table = catalog.table(&p.table).ok()?;
-            let at = table.schema().index_of(&p.column).ok()?;
-            Some(table.schema().field(at).categorical)
-        };
-        query
-            .projections
-            .iter()
-            .filter(|p| is_categorical(p).unwrap_or(true))
-            .map(|p| p.column.clone())
-            .collect()
-    }
 }
 
 /// The §5.2 matcher for one entry: the descriptors match and (condition
-/// 3) the map covers every column the new pipeline will recode — a map
-/// built over a query that never projected (or never saw a value of) one
-/// of them would fail the transform that a cold run completes. Column
-/// names match ignoring ASCII case, as the schema matches them: a spec may
-/// spell a column differently from the result the map was keyed by.
-fn map_covers(entry: &MapEntry, query: &QueryDescriptor, recoded: &[String]) -> bool {
-    let covered = |c: &String| entry.map.columns().any(|m| m.eq_ignore_ascii_case(c));
-    recode_map_match(&entry.descriptor, query) && recoded.iter().all(covered)
+/// 3) the map holds every column the new pipeline recodes, by the name it
+/// is keyed by, built over the same base column — the one column of the
+/// cached output that name resolves to. A map built over a query that
+/// never projected (or never saw a value of) one of them, or that gave
+/// its name to another column, would fail the transform a cold run
+/// completes.
+fn map_covers(entry: &MapEntry, query: &QueryDescriptor, bound: &BoundSpec) -> bool {
+    let cached = &entry.descriptor;
+    let covers = |(at, name): (usize, &str)| {
+        entry.map.has_column(name)
+            && matches!(cached.output.lookup(name),
+                Ok(Some(i)) if cached.projections.get(i) == query.projections.get(at))
+    };
+    recode_map_match(cached, query) && bound.recoded().all(covers)
 }
 
-/// The §5.1 matcher for one entry: the SQL that answers `query` from the
-/// entry's materialized table, or `None` when the descriptors do not
-/// match, the entry's column names are ambiguous, or the transformation
-/// specs are incompatible: a projected column coded differently (e.g.
-/// the cache dummy-coded a column the new request wants plain), or a
-/// contrast-coded column projected or filtered on.
-fn full_rewrite(
-    entry: &FullEntry,
-    query: &QueryDescriptor,
-    spec: &TransformSpec,
-) -> Option<String> {
-    if entry.ambiguous {
-        return None;
-    }
+/// The §5.1 matcher for one entry: the SQL that answers `query`, bound
+/// as `bound`, from the entry's materialized table, or `None` when the
+/// descriptors do not match or a projected column has no cached twin —
+/// the same base column, treated alike, and recoded under the same name
+/// (the map is keyed by it) — or is contrast-coded, or a filtered column
+/// is. Columns are selected by the names the entry's bound spec gave
+/// them and renamed to the names the query's gives them under the
+/// entry's map; they are unique ignoring ASCII case, so a by-name select
+/// reads each one.
+fn full_rewrite(entry: &FullEntry, query: &QueryDescriptor, bound: &BoundSpec) -> Option<String> {
     let extras = full_result_match(&entry.descriptor, query)?;
+    let cached = &entry.descriptor.projections;
+    let (have, want) = (
+        entry.bound.output_fields(&entry.map),
+        bound.output_fields(&entry.map),
+    );
+    let name = |b: &BoundSpec, at: usize| b.input().field(at).name.clone();
 
-    // Projection: each requested column must exist in the cached output
-    // under the same coding.
+    // Projection: each requested column from its cached twin's columns.
     let mut select_cols: Vec<String> = Vec::new();
-    for p in &query.projections {
-        let col = &p.column;
-        match (entry.spec.coding(col), spec.coding(col)) {
-            (None, None) => select_cols.push(col.clone()),
-            // Expand to the cached indicator block.
-            (Some(Coding::Dummy), Some(Coding::Dummy)) => select_cols.extend(
-                entry
-                    .map
-                    .values_in_code_order(col)
-                    .iter()
-                    .map(|v| indicator_name(col, v)),
-            ),
-            // A coding mismatch, or a contrast block: not from this entry.
-            _ => return None,
+    for (j, col) in query.projections.iter().enumerate() {
+        let treatment = bound.treatments()[j];
+        if matches!(
+            treatment,
+            Treatment::Coded(Coding::Effect | Coding::Helmert)
+        ) {
+            return None;
+        }
+        let twin = (0..cached.len()).find(|&i| {
+            cached[i] == *col
+                && entry.bound.treatments()[i] == treatment
+                && (treatment == Treatment::Pass || name(&entry.bound, i) == name(bound, j))
+        })?;
+        for (from, to) in have[twin].iter().zip(&want[j]) {
+            select_cols.push(match from.name == to.name {
+                true => from.name.clone(),
+                false => format!("{} AS {}", from.name, to.name),
+            });
         }
     }
 
     // Extra predicates, mapped onto the transformed layout.
     let mut where_parts = Vec::new();
     for pred in extras {
-        let col = &pred.col.column;
-        let dummy = match entry.spec.coding(col) {
-            Some(Coding::Dummy) => true,
-            Some(Coding::Effect | Coding::Helmert) => return None,
-            None => false,
+        let at = cached.iter().position(|c| *c == pred.col)?;
+        let columns = &have[at];
+        let dummy = match entry.bound.treatments()[at] {
+            Treatment::Pass => {
+                let literal = render_literal(&pred.value)?;
+                let column = &columns[0].name;
+                where_parts.push(format!("{column} {} {literal}", pred.op.symbol()));
+                continue;
+            }
+            Treatment::Recode => false,
+            Treatment::Coded(Coding::Dummy) => true,
+            Treatment::Coded(Coding::Effect | Coding::Helmert) => return None,
         };
-        if dummy || entry.recoded.iter().any(|r| r.eq_ignore_ascii_case(col)) {
-            // The literal must be mapped through the recode map. Only
-            // (in)equality is order-safe after recoding: codes are
-            // assigned by sorted value, but mixing with other comparisons
-            // invites subtle bugs, so stay conservative.
-            let Value::Str(s) = &pred.value else {
-                return None;
-            };
-            if !matches!(pred.op, CmpOp::Eq | CmpOp::NotEq) {
-                return None;
+        // The literal must be mapped through the recode map. Only
+        // (in)equality is order-safe after recoding: codes are assigned by
+        // sorted value, but mixing with other comparisons invites subtle
+        // bugs, so stay conservative.
+        let Value::Str(s) = &pred.value else {
+            return None;
+        };
+        if !matches!(pred.op, CmpOp::Eq | CmpOp::NotEq) {
+            return None;
+        }
+        match entry.map.code(&name(&entry.bound, at), s) {
+            // gender = 'F' over a dummy-coded gender → gender_F = 1.
+            Some(code) if dummy => {
+                let indicator = &columns.get(usize::try_from(code - 1).ok()?)?.name;
+                let on = i32::from(pred.op == CmpOp::Eq);
+                where_parts.push(format!("{indicator} = {on}"));
             }
-            match entry.map.code(col, s) {
-                // gender = 'F' over a dummy-coded gender → gender_F = 1.
-                Some(_) if dummy => where_parts.push(format!(
-                    "{} = {}",
-                    indicator_name(col, s),
-                    if pred.op == CmpOp::Eq { 1 } else { 0 }
-                )),
-                Some(code) => where_parts.push(format!("{col} {} {code}", pred.op.symbol())),
-                // Value never seen by the cached query: the predicate is
-                // unsatisfiable (Eq) or trivially true (NotEq).
-                None if pred.op == CmpOp::Eq => where_parts.push("1 = 0".to_string()),
-                None => {}
+            Some(code) => {
+                let column = &columns[0].name;
+                where_parts.push(format!("{column} {} {code}", pred.op.symbol()));
             }
-        } else {
-            where_parts.push(format!(
-                "{col} {} {}",
-                pred.op.symbol(),
-                render_literal(&pred.value)?
-            ));
+            // Value never seen by the cached query: the predicate is
+            // unsatisfiable (Eq) or trivially true (NotEq).
+            None if pred.op == CmpOp::Eq => where_parts.push("1 = 0".to_string()),
+            None => {}
         }
     }
 
@@ -589,11 +577,12 @@ mod tests {
     }
 
     #[test]
-    fn colliding_column_names_serve_no_full_hit() {
+    fn colliding_indicator_names_are_suffixed_and_serve_a_full_hit() {
         // `x y` and `x/y` both indicate as `g_x_y`; `Web` and `web` as
-        // `g_Web` and `g_web`, equal to a name lookup. A rewrite selecting
-        // them by name would read the first column twice and answer row
-        // k=2 with (0, 0) where the cold run gives (0, 1).
+        // `g_Web` and `g_web`, equal to a name lookup. The bound spec names
+        // the second `g_x_y_2` / `g_web_2`, so a rewrite selecting them by
+        // name reads each one and answers row k=2 with (0, 1), as the cold
+        // run does.
         for values in [["x y", "x/y"], ["Web", "web"]] {
             let e = Engine::new(EngineConfig::with_workers(2));
             let schema = Schema::new(vec![
@@ -612,6 +601,7 @@ mod tests {
             let cold = tr.transform("prep", &spec).unwrap();
             let cold_rows = cold.table.collect_sorted();
             assert_eq!(cold_rows[1], row![2i64, 0i64, 1i64], "{values:?}");
+            let cold_names = cold.table.schema().names();
             cache.store_full(
                 descriptor(&e, sql),
                 spec.clone(),
@@ -620,15 +610,13 @@ mod tests {
             );
 
             let d = descriptor(&e, sql);
-            assert_ne!(cache.probe(&d, &spec), CacheProbe::Full, "{values:?}");
-            match cache.lookup(&d, &spec) {
-                CacheDecision::Miss => {}
-                CacheDecision::RecodeMap(map) => {
-                    let warm = tr.transform_with_map("prep", &spec, &map).unwrap();
-                    assert_eq!(warm.table.collect_sorted(), cold_rows, "{values:?}");
-                }
-                CacheDecision::Full(reuse) => panic!("{values:?}: served {}", reuse.sql),
-            }
+            assert_eq!(cache.probe(&d, &spec), CacheProbe::Full, "{values:?}");
+            let CacheDecision::Full(reuse) = cache.lookup(&d, &spec) else {
+                panic!("{values:?}: expected a full hit");
+            };
+            let warm = e.query(&reuse.sql).unwrap();
+            assert_eq!(warm.schema().names(), cold_names, "{}", reuse.sql);
+            assert_eq!(warm.collect_sorted(), cold_rows, "{}", reuse.sql);
         }
     }
 
@@ -646,19 +634,32 @@ mod tests {
         for coding in [Coding::Effect, Coding::Helmert] {
             let spec = TransformSpec::coded(&[("gender", coding)]);
             prime_cache(&e, &cache, &spec);
-            // Projected contrast-coded, or filtered on: a map hit.
+            // Projected contrast-coded, or filtered on: a map hit. (A
+            // request that does not project gender codes nothing.)
             assert!(matches!(
                 cache.lookup(&q, &spec),
                 CacheDecision::RecodeMap(_)
             ));
-            assert_eq!(cache.probe(&filtered, &spec), CacheProbe::RecodeMap);
+            let plain = TransformSpec::default();
+            assert_eq!(cache.probe(&filtered, &plain), CacheProbe::RecodeMap);
             // A projection that leaves it out is still a §5.1 hit.
-            let plain = descriptor(
+            let unfiltered = descriptor(
                 &e,
                 "SELECT U.age, C.amount FROM carts C, users U \
                  WHERE C.userid=U.userid AND U.country='USA'",
             );
-            assert_eq!(cache.probe(&plain, &spec), CacheProbe::Full, "{coding}");
+            assert_eq!(
+                cache.probe(&unfiltered, &plain),
+                CacheProbe::Full,
+                "{coding}"
+            );
+            // A spec that does not bind to the query (gender is not
+            // projected) misses: the cold run refuses it.
+            assert_eq!(
+                cache.probe(&unfiltered, &spec),
+                CacheProbe::Miss,
+                "{coding}"
+            );
             cache.invalidate_all();
         }
     }
@@ -758,7 +759,7 @@ mod tests {
         let out = tr.transform("prep", &spec).unwrap();
         e.execute("DROP TABLE prep").unwrap();
         let d = descriptor(&e, PREP);
-        let names: Vec<String> = std::thread::scope(|s| {
+        let names: Vec<Option<String>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     let (cache, d, spec) = (&cache, d.clone(), spec.clone());
@@ -771,7 +772,7 @@ mod tests {
         // Every storer was told the same winning table name.
         assert!(names.windows(2).all(|w| w[0] == w[1]), "{names:?}");
         assert_eq!(cache.len(), (1, 1));
-        assert!(e.catalog().has_table(&names[0]));
+        assert!(e.catalog().has_table(names[0].as_deref().unwrap()));
         assert!(matches!(cache.lookup(&d, &spec), CacheDecision::Full(_)));
     }
 

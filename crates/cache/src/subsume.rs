@@ -275,6 +275,8 @@ mod tests {
                 ColRef::new("carts", "amount"),
                 ColRef::new("carts", "abandoned"),
             ],
+            // The matchers read no output schema.
+            output: sqlml_common::Schema::empty(),
         }
     }
 

@@ -113,30 +113,36 @@ impl Schema {
         &self.fields[idx]
     }
 
-    /// Index of the column with the given (case-insensitive) name.
-    pub fn index_of(&self, name: &str) -> Result<usize> {
-        self.fields
-            .iter()
-            .position(|f| f.name.eq_ignore_ascii_case(name))
-            .ok_or_else(|| {
-                SqlmlError::Plan(format!(
-                    "no column named {name:?} in schema [{}]",
-                    self.names().join(", ")
-                ))
-            })
+    /// The position of the one column `name` names — the one rule every
+    /// column name is resolved by: names match ignoring ASCII case, and a
+    /// name two fields answer to is an error naming both positions.
+    /// `Ok(None)` when no field answers to it.
+    pub fn lookup(&self, name: &str) -> Result<Option<usize>> {
+        let mut hits = (self.fields.iter().enumerate())
+            .filter(|(_, f)| f.name.eq_ignore_ascii_case(name))
+            .map(|(i, _)| i);
+        match (hits.next(), hits.next()) {
+            (Some(a), Some(b)) => Err(SqlmlError::Plan(format!(
+                "column name {name:?} is ambiguous: it names {:?} at position {a} and {:?} \
+                 at position {b}",
+                self.fields[a].name, self.fields[b].name
+            ))),
+            (hit, _) => Ok(hit),
+        }
+    }
+
+    /// [`Self::lookup`], with a name no field answers to an error.
+    pub fn resolve(&self, name: &str) -> Result<usize> {
+        self.lookup(name)?.ok_or_else(|| {
+            SqlmlError::Plan(format!(
+                "no column named {name:?} in schema [{}]",
+                self.names().join(", ")
+            ))
+        })
     }
 
     pub fn names(&self) -> Vec<String> {
         self.fields.iter().map(|f| f.name.clone()).collect()
-    }
-
-    /// New schema keeping only the named columns, in the given order.
-    pub fn project(&self, names: &[&str]) -> Result<Schema> {
-        let mut out = Vec::with_capacity(names.len());
-        for n in names {
-            out.push(self.fields[self.index_of(n)?].clone());
-        }
-        Ok(Schema::new(out))
     }
 
     /// Concatenate two schemas (join output layout).
@@ -144,15 +150,6 @@ impl Schema {
         let mut fields = self.fields.as_ref().clone();
         fields.extend(other.fields.iter().cloned());
         Schema::new(fields)
-    }
-
-    /// Names of the categorical columns, in schema order.
-    pub fn categorical_columns(&self) -> Vec<String> {
-        self.fields
-            .iter()
-            .filter(|f| f.categorical)
-            .map(|f| f.name.clone())
-            .collect()
     }
 }
 
@@ -187,24 +184,24 @@ mod tests {
     }
 
     #[test]
-    fn index_lookup_is_case_insensitive() {
+    fn resolve_is_case_insensitive_and_refuses_a_name_two_fields_answer_to() {
         let s = sample();
-        assert_eq!(s.index_of("age").unwrap(), 0);
-        assert_eq!(s.index_of("GENDER").unwrap(), 1);
-        assert!(s.index_of("missing").is_err());
-    }
-
-    #[test]
-    fn projection_preserves_requested_order() {
-        let s = sample();
-        let p = s.project(&["amount", "age"]).unwrap();
-        assert_eq!(p.names(), vec!["amount", "age"]);
-        assert_eq!(p.field(0).data_type, DataType::Double);
-    }
-
-    #[test]
-    fn categorical_columns_filtered() {
-        assert_eq!(sample().categorical_columns(), vec!["gender", "abandoned"]);
+        assert_eq!(s.resolve("age").unwrap(), 0);
+        assert_eq!(s.resolve("GENDER").unwrap(), 1);
+        assert!(s.resolve("missing").is_err());
+        assert_eq!(s.lookup("missing").unwrap(), None);
+        let twice = Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::categorical("g"),
+            Field::new("G", DataType::Int),
+        ]);
+        let err = twice.resolve("g").unwrap_err().to_string();
+        assert!(
+            err.contains("position 1") && err.contains("position 2"),
+            "{err}"
+        );
+        assert!(twice.lookup("G").is_err());
+        assert_eq!(twice.resolve("K").unwrap(), 0);
     }
 
     #[test]

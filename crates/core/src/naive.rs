@@ -51,7 +51,7 @@ pub fn run_external_transform(
     spec: &TransformSpec,
     output_dir: &str,
 ) -> Result<ExternalTransformOutput> {
-    let recode_columns = spec.effective_recode_columns(input_schema);
+    let bound = spec.bind(input_schema)?;
     let files: Vec<String> = dfs
         .list(&format!("{input_dir}/"))
         .into_iter()
@@ -60,10 +60,9 @@ pub fn run_external_transform(
     if files.is_empty() {
         return Err(SqlmlError::Dfs(format!("no input under {input_dir}")));
     }
-    let col_indices: Vec<(String, usize)> = recode_columns
-        .iter()
-        .map(|c| Ok((c.clone(), input_schema.index_of(c)?)))
-        .collect::<Result<_>>()?;
+    let col_indices: Vec<(String, usize)> = (bound.recoded())
+        .map(|(at, name)| (name.to_string(), at))
+        .collect();
 
     // ---- Job 1: distinct values per column (map side: a projecting
     // reader that keeps only the recode columns' cells), merged at the
@@ -90,7 +89,7 @@ pub fn run_external_transform(
     // output. All per-column resolution (which action, the column's sorted
     // values, coding, transformed schema) happens once here; a cell the
     // job does not transform is copied as it stands.
-    let applier = FlatRecodeApplier::new(&recode_map, input_schema, spec)?;
+    let applier = FlatRecodeApplier::new(&recode_map, &bound)?;
     let row_counts: Vec<usize> = run_on_workers(files.len(), files.len(), |i| {
         let path = &files[i];
         let (text, rows) = with_text(dfs, path, |pieces| applier.rewrite_pieces(pieces))?;

@@ -103,19 +103,16 @@ impl QueryRewriter {
         stream: Option<&TransferArgs>,
     ) -> Result<RewriteScript> {
         let (plan, descriptor) = self.plan(sql, spec)?;
-        // The user's query is validated, and its output schema names the
-        // columns to recode — unless a cached result answers it.
-        let recode_columns = match plan {
+        // The user's query is validated, and the spec bound to its output
+        // schema — unless a cached result answers it.
+        let recoded: Vec<usize> = match plan {
             RewritePlan::CachedResult { .. } => Vec::new(),
-            _ => spec.effective_recode_columns(&self.engine.validate(sql)?),
+            _ => (spec.bind(&self.engine.validate(sql)?)?.recoded())
+                .map(|(at, _)| at)
+                .collect(),
         };
         Ok(script::build_script(
-            sql,
-            &recode_columns,
-            spec,
-            stream,
-            plan,
-            descriptor,
+            sql, &recoded, spec, stream, plan, descriptor,
         ))
     }
 

@@ -5,10 +5,12 @@
 //!
 //! 1. `CREATE TABLE <prep> AS <user query>`;
 //! 2. pass 1 of §2.1, two statements (`distinct_values` →
-//!    `assign_recode_ids`) writing the recode-map table `<map>`;
+//!    `assign_recode_ids`) writing the recode-map table `<map>`, the
+//!    recoded columns given by position;
 //! 3. pass 2, one statement: `CREATE TABLE <out> AS SELECT * FROM
-//!    TABLE(recode_dummy(<prep>, '<map>', <columns...>)) AS r`, then
-//!    `DROP TABLE <prep>`, its last reader done;
+//!    TABLE(recode_dummy(<prep>, '<map>', <spec...>)) AS r`, which binds
+//!    the spec to `<prep>` as the rewriter bound it to the user query,
+//!    then `DROP TABLE <prep>`, its last reader done;
 //! 4. the hand-off: `SELECT * FROM <out>`, or the `stream_transfer`
 //!    statement when the caller passes transfer arguments.
 //!
@@ -55,12 +57,12 @@ pub struct RewriteScript {
 
 static SCRIPT_SEQ: AtomicUsize = AtomicUsize::new(0);
 
-/// Build the statement script for one request. `recode_columns` are
-/// the columns the request recodes, resolved against the user query's
-/// output schema (unused by a §5.1 plan).
+/// Build the statement script for one request. `recoded` are the
+/// positions of the columns the request recodes in the user query's
+/// output, as `spec` binds to it (unused by a §5.1 plan).
 pub fn build_script(
     user_sql: &str,
-    recode_columns: &[String],
+    recoded: &[usize],
     spec: &TransformSpec,
     stream: Option<&TransferArgs>,
     plan: RewritePlan,
@@ -102,10 +104,10 @@ pub fn build_script(
 
     // 2. Pass 1 builds `<map>`; a cached map is registered under it.
     let map = name("map");
-    if !recode_columns.is_empty() {
+    if !recoded.is_empty() {
         if let RewritePlan::Fresh = script.plan {
             let pairs = temp("pairs", &mut script.temp_tables);
-            (script.statements).extend(recode_map_statements(&prep, recode_columns, &pairs, &map));
+            (script.statements).extend(recode_map_statements(&prep, recoded, &pairs, &map));
         }
         script.temp_tables.push(map.clone());
         script.map_table = Some(map.clone());
@@ -116,7 +118,7 @@ pub fn build_script(
     let out = temp("out", &mut script.temp_tables);
     script.statements.push(format!(
         "CREATE TABLE {out} AS {}",
-        recode_dummy_select(&prep, &map, recode_columns, spec)
+        recode_dummy_select(&prep, &map, spec)
     ));
     script.statements.push(format!("DROP TABLE {prep}"));
 
@@ -133,8 +135,9 @@ mod tests {
     use super::*;
     use sqlml_transfer::TransferConfig;
 
-    fn gender() -> Vec<String> {
-        vec!["gender".into(), "abandoned".into()]
+    /// The positions of `gender` and `abandoned`.
+    fn gender() -> Vec<usize> {
+        vec![1, 3]
     }
 
     fn args() -> TransferArgs {
@@ -185,9 +188,9 @@ mod tests {
             vec!["prep", "pairs", "map", "recode_dummy", "drop", "select"]
         );
         let map = script.map_table.as_deref().unwrap();
-        assert!(
-            script.statements[3].contains(&format!("'{map}', 2, 'gender', 'abandoned', 'gender'"))
-        );
+        assert!(script.statements[1].contains("distinct_values(__rw_prep_"));
+        assert!(script.statements[1].ends_with(", 1, 3)) AS d ORDER BY colname, colval"));
+        assert!(script.statements[3].contains(&format!("'{map}', 0, 'gender', 'dummy')")));
         assert_eq!(script.temp_tables.len(), 4, "{:?}", script.temp_tables);
         let prep = &script.temp_tables[0];
         assert!(script.statements[0].starts_with(&format!("CREATE TABLE {prep} AS")));

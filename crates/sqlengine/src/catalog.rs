@@ -10,8 +10,10 @@ use sqlml_common::{Result, SqlmlError};
 use crate::table::PartitionedTable;
 use crate::udf::{ScalarUdf, TableUdf};
 
-/// Case-insensitive name key.
-fn key(name: &str) -> String {
+/// The key a relation name is known by: table, table UDF and scalar
+/// UDF names, and the planner's FROM bindings, all match ignoring ASCII
+/// case.
+pub fn key(name: &str) -> String {
     name.to_ascii_lowercase()
 }
 

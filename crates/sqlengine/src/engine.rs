@@ -340,6 +340,36 @@ mod tests {
     }
 
     #[test]
+    fn a_name_two_columns_answer_to_is_refused_naming_both() {
+        let e = Engine::new(EngineConfig::with_workers(2));
+        let schema = Schema::new(vec![
+            Field::new("g_web", DataType::Int),
+            Field::new("G_Web", DataType::Int),
+            Field::new("k", DataType::Int),
+        ]);
+        e.register_rows(
+            "dup",
+            schema,
+            vec![row![1i64, 2i64, 3i64], row![4i64, 5i64, 3i64]],
+        );
+        for sql in ["SELECT g_web FROM dup", "SELECT d.G_WEB FROM dup d"] {
+            let err = e.query(sql).unwrap_err().to_string();
+            assert!(
+                err.contains("position 0") && err.contains("position 1"),
+                "{sql}: {err}"
+            );
+        }
+        // A group column matches however either side qualifies it.
+        for sql in [
+            "SELECT d.k, count(*) FROM dup d GROUP BY k",
+            "SELECT K, count(*) FROM dup D GROUP BY d.k",
+        ] {
+            let t = e.query(sql).unwrap_or_else(|err| panic!("{sql}: {err}"));
+            assert_eq!(t.collect_rows(), vec![row![3i64, 2i64]], "{sql}");
+        }
+    }
+
+    #[test]
     fn join_matches_reference_nested_loop() {
         let e = engine_with_data();
         let got = e

@@ -19,24 +19,41 @@ use sqlml_common::schema::{DataType, Field};
 use sqlml_common::{Result, Schema, SqlmlError};
 
 use crate::ast::*;
-use crate::catalog::Catalog;
+use crate::catalog::{self, Catalog};
 use crate::expr::Expr;
 use crate::plan::{AggExpr, BuildSide, Plan};
 use crate::table::PartitionedTable;
 
-/// One relation bound in the query scope.
+/// One relation bound in the query scope, under its binding's
+/// [`catalog::key`].
 struct ScopeItem {
     binding: String,
     schema: Schema,
 }
 
 /// The flat scope of a FROM clause: relations in join order; a column's
-/// flat index is its relation offset plus its position.
-struct Scope {
+/// flat index is its relation offset plus its position. The one place a
+/// `[qualifier.]name` is resolved to a column, for the planner and for
+/// the §5 cache's query descriptors.
+#[derive(Default)]
+pub struct Scope {
     items: Vec<ScopeItem>,
 }
 
 impl Scope {
+    /// Add a relation under `binding`; a binding already in scope
+    /// (ignoring ASCII case) is an error.
+    pub fn bind(&mut self, binding: &str, schema: Schema) -> Result<()> {
+        if self.relation(binding).is_some() {
+            return Err(SqlmlError::Plan(format!(
+                "duplicate table binding {binding:?}"
+            )));
+        }
+        let binding = catalog::key(binding);
+        self.items.push(ScopeItem { binding, schema });
+        Ok(())
+    }
+
     fn offsets(&self) -> Vec<usize> {
         let mut out = Vec::with_capacity(self.items.len());
         let mut acc = 0;
@@ -47,33 +64,38 @@ impl Scope {
         out
     }
 
+    /// The relation a qualifier names.
+    pub fn relation(&self, qualifier: &str) -> Option<usize> {
+        let q = catalog::key(qualifier);
+        self.items.iter().position(|it| it.binding == q)
+    }
+
     /// Resolve `[qualifier.]name` to (relation index, flat column index,
-    /// field).
-    fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<(usize, usize, Field)> {
+    /// field): each relation's schema answers by [`Schema::lookup`].
+    pub fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<(usize, usize, Field)> {
         let offsets = self.offsets();
+        let relations: Vec<usize> = match qualifier {
+            Some(q) => self.relation(q).into_iter().collect(),
+            None => (0..self.items.len()).collect(),
+        };
         let mut found: Option<(usize, usize, Field)> = None;
-        for (ri, it) in self.items.iter().enumerate() {
-            if let Some(q) = qualifier {
-                if !it.binding.eq_ignore_ascii_case(q) {
-                    continue;
+        for ri in relations {
+            let schema = &self.items[ri].schema;
+            match schema.lookup(name)? {
+                Some(ci) if found.is_none() => {
+                    found = Some((ri, offsets[ri] + ci, schema.field(ci).clone()));
                 }
-            }
-            if let Ok(ci) = it.schema.index_of(name) {
-                let hit = (ri, offsets[ri] + ci, it.schema.field(ci).clone());
-                if found.is_some() {
+                Some(_) => {
                     return Err(SqlmlError::Plan(format!(
                         "ambiguous column {name:?}; qualify it with a table alias"
-                    )));
+                    )))
                 }
-                found = Some(hit);
-                // With a qualifier the binding is unique; stop early.
-                if qualifier.is_some() {
-                    break;
+                None if qualifier.is_some() => {
+                    return Err(SqlmlError::Plan(format!(
+                        "relation {qualifier:?} has no column {name:?}"
+                    )))
                 }
-            } else if qualifier.is_some_and(|q| it.binding.eq_ignore_ascii_case(q)) {
-                return Err(SqlmlError::Plan(format!(
-                    "relation {qualifier:?} has no column {name:?}"
-                )));
+                None => {}
             }
         }
         found.ok_or_else(|| {
@@ -111,26 +133,13 @@ impl<'a> Planner<'a> {
     fn plan(&self, stmt: &SelectStmt) -> Result<Plan> {
         // ---- 1. Bind FROM items --------------------------------------
         let mut rel_plans: Vec<Plan> = Vec::new();
-        let mut scope = Scope { items: Vec::new() };
+        let mut scope = Scope::default();
         let bind = |scope: &mut Scope, t: &TableRef| -> Result<Plan> {
             let plan = self.plan_table_ref(t)?;
-            let binding = t
-                .binding()
-                .ok_or_else(|| SqlmlError::Plan("table function in FROM requires an alias".into()))?
-                .to_string();
-            if scope
-                .items
-                .iter()
-                .any(|it| it.binding.eq_ignore_ascii_case(&binding))
-            {
-                return Err(SqlmlError::Plan(format!(
-                    "duplicate table binding {binding:?}"
-                )));
-            }
-            scope.items.push(ScopeItem {
-                binding,
-                schema: plan.schema(),
-            });
+            let binding = t.binding().ok_or_else(|| {
+                SqlmlError::Plan("table function in FROM requires an alias".into())
+            })?;
+            scope.bind(binding, plan.schema())?;
             Ok(plan)
         };
         for t in &stmt.from {
@@ -329,7 +338,7 @@ impl<'a> Planner<'a> {
                     AstExpr::Column {
                         qualifier: None,
                         name,
-                    } => out_schema.index_of(name)?,
+                    } => out_schema.resolve(name)?,
                     other => {
                         return Err(SqlmlError::Plan(format!(
                             "ORDER BY must name an output column, got {other:?}"
@@ -421,7 +430,6 @@ impl<'a> Planner<'a> {
                 .map(|(_, it)| it.schema.len())
                 .sum()
         };
-        let _ = offsets;
         let mut keys = Vec::new();
         let mut residual = Vec::new();
         for p in conjuncts {
@@ -441,11 +449,9 @@ impl<'a> Planner<'a> {
                             name: nr,
                         },
                     ) => {
-                        let (rl, _, fl) = scope.resolve(ql.as_deref(), nl)?;
-                        let (rr, _, fr) = scope.resolve(qr.as_deref(), nr)?;
-                        let li = scope.items[rl].schema.index_of(nl)?;
-                        let ri = scope.items[rr].schema.index_of(nr)?;
-                        let _ = (fl, fr);
+                        let (rl, fl, _) = scope.resolve(ql.as_deref(), nl)?;
+                        let (rr, fr, _) = scope.resolve(qr.as_deref(), nr)?;
+                        let (li, ri) = (fl - offsets[rl], fr - offsets[rr]);
                         if joined.contains(&rl) && rr == new_rel {
                             Some((tree_offset(rl) + li, ri))
                         } else if joined.contains(&rr) && rl == new_rel {
@@ -550,7 +556,7 @@ impl<'a> Planner<'a> {
         // columns; group expressions become columns; anything else must be
         // composed of those.
         let rewrite = |e: &AstExpr| -> Result<Expr> {
-            rewrite_post_agg(e, &stmt.group_by, &agg_calls, self.catalog)
+            rewrite_post_agg(e, &stmt.group_by, &agg_calls, scope, self.catalog)
         };
 
         if let Some(h) = &stmt.having {
@@ -618,10 +624,7 @@ fn expand_projection(items: &[SelectItem], scope: &Scope) -> Result<Vec<ProjItem
                 }
             }
             SelectItem::QualifiedWildcard(q) => {
-                let ri = scope
-                    .items
-                    .iter()
-                    .position(|it| it.binding.eq_ignore_ascii_case(q))
+                let ri = (scope.relation(q))
                     .ok_or_else(|| SqlmlError::Plan(format!("unknown relation {q:?}")))?;
                 expand(ri, &mut out);
             }
@@ -701,6 +704,7 @@ fn rewrite_post_agg(
     e: &AstExpr,
     group_by: &[AstExpr],
     agg_calls: &[AstExpr],
+    scope: &Scope,
     catalog: &Catalog,
 ) -> Result<Expr> {
     if let Some(gi) = position_of(e, group_by) {
@@ -709,21 +713,16 @@ fn rewrite_post_agg(
     if let Some(ai) = position_of(e, agg_calls) {
         return Ok(Expr::Col(group_by.len() + ai));
     }
-    let recur = |x: &AstExpr| rewrite_post_agg(x, group_by, agg_calls, catalog);
+    let recur = |x: &AstExpr| rewrite_post_agg(x, group_by, agg_calls, scope, catalog);
     match e {
         AstExpr::Literal(v) => Ok(Expr::Lit(v.clone())),
         AstExpr::Column { qualifier, name } => {
-            // An unqualified output column might match a group expression
-            // written with a qualifier (`GROUP BY t.g`, `SELECT g`).
+            // A column matches a group expression naming the same scope
+            // column, qualified or not (`GROUP BY t.g`, `SELECT g`).
+            let (_, flat, _) = scope.resolve(qualifier.as_deref(), name)?;
             for (gi, g) in group_by.iter().enumerate() {
-                if let AstExpr::Column { name: gn, .. } = g {
-                    if gn.eq_ignore_ascii_case(name)
-                        && (qualifier.is_none()
-                            || matches!(g, AstExpr::Column { qualifier: Some(gq), .. }
-                                if qualifier
-                                    .as_ref()
-                                    .is_some_and(|q| gq.eq_ignore_ascii_case(q))))
-                    {
+                if let AstExpr::Column { qualifier, name } = g {
+                    if scope.resolve(qualifier.as_deref(), name)?.1 == flat {
                         return Ok(Expr::Col(gi));
                     }
                 }

@@ -20,13 +20,13 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use sqlml_common::codec::{self, TEXT_DELIM, TEXT_NULL};
-use sqlml_common::schema::{DataType, Field};
+use sqlml_common::schema::DataType;
 use sqlml_common::{Result, Schema, SqlmlError, Value};
 use sqlml_sqlengine::column::{Batch, Column, Prim};
 
 use crate::coding::Coding;
-use crate::pipeline::TransformSpec;
 use crate::recode::{level_of, RecodeMap};
+use crate::spec::{BoundSpec, Treatment};
 
 /// Per-column action, resolved from the spec + map at build time. A
 /// categorical column carries its name and a copy of the map's sorted
@@ -56,69 +56,52 @@ pub struct FlatRecodeApplier {
 }
 
 impl FlatRecodeApplier {
-    /// Resolve `spec` + `map` against `schema` into per-column actions.
-    /// Fails when a recode column is not in `schema`, or a coded column
-    /// is not among the recoded columns or has fewer values in `map` than
-    /// its coding needs (no indicator, or no contrast: its block would
-    /// silently vanish).
-    pub fn new(
-        map: &RecodeMap,
-        schema: &Schema,
-        spec: &TransformSpec,
-    ) -> Result<FlatRecodeApplier> {
-        let recode_columns = spec.effective_recode_columns(schema);
-        let named_in =
-            |list: &[String], name: &str| list.iter().any(|c| c.eq_ignore_ascii_case(name));
-        for c in &recode_columns {
-            schema.index_of(c)?;
-        }
-        for (c, coding) in &spec.coded_columns {
-            if !named_in(&recode_columns, c) {
-                return Err(SqlmlError::Plan(format!(
-                    "{coding}-coded column {c:?} is not among the recoded columns"
-                )));
-            }
-        }
+    /// Resolve the bound `spec` + `map` into per-column actions. Fails
+    /// when a coded column has fewer values in `map` than its coding
+    /// needs (no indicator, or no contrast: its block would silently
+    /// vanish).
+    pub fn new(map: &RecodeMap, spec: &BoundSpec) -> Result<FlatRecodeApplier> {
+        let schema = spec.input();
         let mut actions = Vec::with_capacity(schema.len());
-        let mut fields = Vec::with_capacity(schema.len());
-        for f in schema.fields() {
-            if !named_in(&recode_columns, &f.name) {
-                actions.push(ColumnAction::Pass);
-                fields.push(f.clone());
-                continue;
-            }
-            let (name, values) = (f.name.clone(), map.values_in_code_order(&f.name).to_vec());
-            if let Some(coding) = spec.coding(&f.name) {
-                if values.len() < coding.min_values() {
-                    return Err(SqlmlError::Plan(format!(
-                        "{coding}-coded column {name:?} needs at least {} recode map \
-                         entries, the map has {}",
-                        coding.min_values(),
-                        values.len()
-                    )));
-                }
-                fields.extend(coding.fields(&name, &values));
-                actions.push(ColumnAction::Expand {
+        for (f, treatment) in schema.fields().iter().zip(spec.treatments()) {
+            let name = f.name.clone();
+            let values = || map.values_in_code_order(&f.name).to_vec();
+            actions.push(match *treatment {
+                Treatment::Pass => ColumnAction::Pass,
+                Treatment::Recode => ColumnAction::Recode {
                     name,
-                    values,
-                    coding,
-                });
-            } else {
-                fields.push(Field::new(f.name.clone(), DataType::Int));
-                actions.push(ColumnAction::Recode { name, values });
-            }
+                    values: values(),
+                },
+                Treatment::Coded(coding) => {
+                    let values = values();
+                    if values.len() < coding.min_values() {
+                        return Err(SqlmlError::Plan(format!(
+                            "{coding}-coded column {name:?} needs at least {} recode map \
+                             entries, the map has {}",
+                            coding.min_values(),
+                            values.len()
+                        )));
+                    }
+                    ColumnAction::Expand {
+                        name,
+                        values,
+                        coding,
+                    }
+                }
+            });
         }
         Ok(FlatRecodeApplier {
             actions,
             input: schema.clone(),
-            out_schema: Schema::new(fields),
+            out_schema: spec.output_schema(map),
         })
     }
 
     /// The transformed schema: untouched columns as they were, recoded
     /// columns as `Int`, each coded column replaced in place by its
     /// coding's columns (`Int` indicators `col_<sanitized value>` in code
-    /// order, or `Double` contrasts `col_eff<j>` / `col_orth<j>`).
+    /// order, or `Double` contrasts `col_eff<j>` / `col_orth<j>`), named
+    /// by [`BoundSpec::output_fields`].
     pub fn output_schema(&self) -> &Schema {
         &self.out_schema
     }
@@ -371,6 +354,8 @@ fn unseen(s: &str, col: &str) -> SqlmlError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::TransformSpec;
+    use sqlml_common::schema::Field;
     use sqlml_common::{row, Row};
 
     fn schema() -> Schema {
@@ -390,6 +375,11 @@ mod tests {
         ])
     }
 
+    /// The applier of `spec` bound to [`schema`], over `map`.
+    fn applier(map: &RecodeMap, spec: &TransformSpec) -> Result<FlatRecodeApplier> {
+        FlatRecodeApplier::new(map, &spec.bind(&schema())?)
+    }
+
     /// `a` over `rows` as one partition, back as rows.
     fn apply(a: &FlatRecodeApplier, rows: &[Row]) -> Result<Vec<Row>> {
         Ok(a.apply_batch(&Batch::from_rows(&schema(), rows))?.rows())
@@ -398,7 +388,7 @@ mod tests {
     #[test]
     fn recode_matches_map_code() {
         let (m, spec) = (map(), TransformSpec::default());
-        let a = FlatRecodeApplier::new(&m, &schema(), &spec).unwrap();
+        let a = applier(&m, &spec).unwrap();
         let out = apply(&a, &[row![30i64, "F", "Yes"]]).unwrap();
         assert_eq!(out, [row![30i64, 1i64, 2i64]]);
         assert_eq!(a.output_schema().names(), ["age", "gender", "abandoned"]);
@@ -407,7 +397,7 @@ mod tests {
     #[test]
     fn dummy_expansion_and_null_blocks() {
         let (m, spec) = (map(), TransformSpec::new(&["gender"]));
-        let a = FlatRecodeApplier::new(&m, &schema(), &spec).unwrap();
+        let a = applier(&m, &spec).unwrap();
         // F -> (1, 0); abandoned recodes. NULL gender -> all-zero block.
         let null_gender = Row::new(vec![Value::Int(30), Value::Null, Value::Str("No".into())]);
         let out = apply(&a, &[row![30i64, "F", "No"], null_gender]).unwrap();
@@ -429,7 +419,7 @@ mod tests {
     #[test]
     fn unseen_value_errors() {
         let (m, spec) = (map(), TransformSpec::default());
-        let a = FlatRecodeApplier::new(&m, &schema(), &spec).unwrap();
+        let a = applier(&m, &spec).unwrap();
         let err = apply(&a, &[row![30i64, "X", "Yes"]]).unwrap_err();
         assert!(err.to_string().contains("unseen value"), "{err}");
     }
@@ -437,7 +427,7 @@ mod tests {
     #[test]
     fn non_string_in_categorical_errors() {
         let (m, spec) = (map(), TransformSpec::default());
-        let a = FlatRecodeApplier::new(&m, &schema(), &spec).unwrap();
+        let a = applier(&m, &spec).unwrap();
         let bad = Row::new(vec![Value::Int(30), Value::Int(7), Value::Str("No".into())]);
         assert!(apply(&a, &[bad]).is_err());
     }
@@ -451,7 +441,7 @@ mod tests {
             (Coding::Helmert, "gender_orth1", -1.0, 1.0),
         ] {
             let spec = TransformSpec::coded(&[("gender", coding)]);
-            let a = FlatRecodeApplier::new(&map(), &schema(), &spec).unwrap();
+            let a = applier(&map(), &spec).unwrap();
             assert_eq!(a.output_schema().names(), ["age", name, "abandoned"]);
             assert_eq!(a.output_schema().field(1).data_type, DataType::Double);
             let input = Batch::from_rows(&schema(), &rows);
@@ -467,7 +457,7 @@ mod tests {
     fn specs_that_would_silently_lose_columns_are_rejected() {
         let m = map();
         let err = |map: &RecodeMap, spec: &TransformSpec| {
-            let built = FlatRecodeApplier::new(map, &schema(), spec);
+            let built = applier(map, spec);
             built.err().map(|e| e.to_string()).unwrap_or_default()
         };
         // A recode column the table does not have.
@@ -498,7 +488,7 @@ mod tests {
             assert!(e.starts_with("plan error") && e.contains(&needs), "{e}");
         }
         // One value is enough to dummy-code.
-        let one = FlatRecodeApplier::new(&partial, &schema(), &TransformSpec::new(&["gender"]));
+        let one = applier(&partial, &TransformSpec::new(&["gender"]));
         assert_eq!(one.unwrap().output_schema().names()[1], "gender_F");
     }
 }

@@ -91,10 +91,9 @@ impl fmt::Display for Coding {
 }
 
 /// Name of the indicator column for `value` of dummy-coded `column`:
-/// `column_<value with every non-alphanumeric character as '_'>`. The
-/// one naming rule: the §5.1 cache rewrite selects indicator columns by
-/// it, so it cannot name one differently from the transform that
-/// produced the cached table.
+/// `column_<value with every non-alphanumeric character as '_'>`, before
+/// [`crate::BoundSpec::output_fields`] settles the names of the whole
+/// output (two values may sanitize alike).
 pub fn indicator_name(column: &str, value: &str) -> String {
     let safe: String = value
         .chars()

@@ -27,6 +27,10 @@
 //!   common transformations" §2 mentions, effect and orthogonal
 //!   (Helmert) coding, named per column by [`TransformSpec`] and expanded
 //!   by one kernel from the coding's `K × w` level table.
+//! * **Binding** ([`spec`]) — a [`TransformSpec`] names columns as a user
+//!   spells them; [`TransformSpec::bind`] resolves each name once, to a
+//!   position, and its [`BoundSpec`] is what every pass, the naive job,
+//!   the rewriter and the cache read, output names included.
 //! * **The pipeline** ([`pipeline`]) — the two passes' statements, which
 //!   the §4 rewriter's script carries and [`InSqlTransformer`] runs:
 //!   pass 1 then pass 2, or pass 2 alone with a cached recode map (§5.2's
@@ -36,11 +40,13 @@ pub mod apply;
 pub mod coding;
 pub mod pipeline;
 pub mod recode;
+pub mod spec;
 
 pub use apply::FlatRecodeApplier;
 pub use coding::Coding;
 pub use pipeline::{
     read_recode_map, recode_dummy_select, recode_map_statements, register_recode_map,
-    register_udfs, InSqlTransformer, TransformOutput, TransformSpec,
+    register_udfs, InSqlTransformer, TransformOutput,
 };
 pub use recode::RecodeMap;
+pub use spec::{BoundSpec, TransformSpec, Treatment};

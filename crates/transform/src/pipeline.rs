@@ -18,6 +18,7 @@ use sqlml_sqlengine::{Batch, Catalog, Engine, PartitionCtx, PartitionedTable, Ta
 use crate::apply::FlatRecodeApplier;
 use crate::coding::Coding;
 use crate::recode::{recode_map_schema, AssignRecodeIdsUdf, DistinctValuesUdf, RecodeMap};
+use crate::spec::{BoundSpec, TransformSpec};
 
 /// Register all transformation table UDFs with an engine. Idempotent.
 pub fn register_udfs(engine: &Engine) {
@@ -26,62 +27,6 @@ pub fn register_udfs(engine: &Engine) {
     engine.register_table_udf(Arc::new(RecodeDummyUdf {
         catalog: engine.weak_catalog(),
     }));
-}
-
-/// What to transform.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TransformSpec {
-    /// Categorical columns to recode. Empty = every column flagged
-    /// `categorical` in the input schema.
-    pub recode_columns: Vec<String>,
-    /// Recoded columns to further expand, each with its coding (each
-    /// must be one of the recoded columns).
-    pub coded_columns: Vec<(String, Coding)>,
-}
-
-impl TransformSpec {
-    /// Recode all categorical columns, dummy-code the given ones.
-    pub fn new(dummy_code_columns: &[&str]) -> Self {
-        let dummy: Vec<_> = (dummy_code_columns.iter())
-            .map(|&c| (c, Coding::Dummy))
-            .collect();
-        TransformSpec::coded(&dummy)
-    }
-
-    /// Recode all categorical columns, code the given ones as given.
-    pub fn coded(coded_columns: &[(&str, Coding)]) -> Self {
-        TransformSpec {
-            recode_columns: Vec::new(),
-            coded_columns: (coded_columns.iter())
-                .map(|&(c, coding)| (c.to_string(), coding))
-                .collect(),
-        }
-    }
-
-    /// The coding of `column` (names match ignoring ASCII case), `None`
-    /// when the spec only recodes it or leaves it alone.
-    pub fn coding(&self, column: &str) -> Option<Coding> {
-        (self.coded_columns.iter())
-            .find(|(c, _)| c.eq_ignore_ascii_case(column))
-            .map(|&(_, coding)| coding)
-    }
-
-    /// The recode columns, defaulted from a schema when unspecified, each
-    /// spelled as `schema` spells it (names match ignoring ASCII case): the
-    /// recode map is keyed by these names and the applier looks columns up
-    /// by the schema's. A name `schema` lacks is kept as the spec spells it,
-    /// for the caller's `no column` error.
-    pub fn effective_recode_columns(&self, schema: &Schema) -> Vec<String> {
-        if self.recode_columns.is_empty() {
-            return schema.categorical_columns();
-        }
-        (self.recode_columns.iter())
-            .map(|c| match schema.index_of(c) {
-                Ok(i) => schema.field(i).name.clone(),
-                Err(_) => c.clone(),
-            })
-            .collect()
-    }
 }
 
 /// Result of a transformation run.
@@ -99,18 +44,18 @@ pub struct TransformOutput {
 }
 
 /// Pass 1 of §2.1 over the table `input`: the parallel `distinct_values`
-/// scan of `columns` (not empty) merged by `SELECT DISTINCT ... ORDER BY`
+/// scan of the columns at `columns` (not empty; positions, as a
+/// [`BoundSpec`] resolved them) merged by `SELECT DISTINCT ... ORDER BY`
 /// into `pairs`, then numbered by `assign_recode_ids` into the `M` table
 /// `map`.
 pub fn recode_map_statements(
     input: &str,
-    columns: &[String],
+    columns: &[usize],
     pairs: &str,
     map: &str,
 ) -> [String; 2] {
-    let col_args = columns
-        .iter()
-        .map(|c| sql_string_literal(c))
+    let col_args = (columns.iter())
+        .map(usize::to_string)
         .collect::<Vec<_>>()
         .join(", ");
     [
@@ -124,25 +69,21 @@ pub fn recode_map_statements(
     ]
 }
 
-/// Pass 2 over the table `input`: `recode_dummy` recodes `columns` (and
-/// codes `spec`'s) through the `M` table `map`. Its arguments after `map`
-/// are the number of recode columns, those, then one `(column, coding)`
-/// pair per coded column, the coding by [`Coding::name`].
-pub fn recode_dummy_select(
-    input: &str,
-    map: &str,
-    columns: &[String],
-    spec: &TransformSpec,
-) -> String {
+/// Pass 2 over the table `input`: `recode_dummy` binds `spec` to its
+/// input and transforms it through the `M` table `map`. Its arguments
+/// after `map` are the number of `spec`'s recode columns (0: every
+/// categorical one), those, then one `(column, coding)` pair per coded
+/// column, the coding by [`Coding::name`].
+pub fn recode_dummy_select(input: &str, map: &str, spec: &TransformSpec) -> String {
     let codings = (spec.coded_columns.iter()).flat_map(|(c, coding)| [c.as_str(), coding.name()]);
-    let names = (columns.iter().map(String::as_str))
+    let names = (spec.recode_columns.iter().map(String::as_str))
         .chain(codings)
         .map(|c| format!(", {}", sql_string_literal(c)))
         .collect::<String>();
     format!(
         "SELECT * FROM TABLE(recode_dummy({input}, {}, {}{names})) AS r",
         sql_string_literal(map),
-        columns.len()
+        spec.recode_columns.len()
     )
 }
 
@@ -204,14 +145,19 @@ impl InSqlTransformer {
     /// `SELECT DISTINCT ... ORDER BY` merge, and the `assign_recode_ids`
     /// UDF.
     pub fn build_recode_map(&self, table: &str, columns: &[String]) -> Result<RecodeMap> {
+        let schema = self.engine.catalog().table(table)?.schema().clone();
+        let columns = (columns.iter())
+            .map(|c| schema.resolve(c))
+            .collect::<Result<Vec<_>>>()?;
         let map = temp_name("map");
-        let built = self.pass_one(table, columns, &map);
+        let built = self.pass_one(table, &columns, &map);
         let _ = self.engine.catalog().drop_table(&map);
         built
     }
 
-    /// Run pass 1 into the `M` table `map` and read it back.
-    fn pass_one(&self, table: &str, columns: &[String], map: &str) -> Result<RecodeMap> {
+    /// Run pass 1 over the columns at `columns` into the `M` table `map`
+    /// and read it back.
+    fn pass_one(&self, table: &str, columns: &[usize], map: &str) -> Result<RecodeMap> {
         if columns.is_empty() {
             return Ok(RecodeMap::default());
         }
@@ -224,43 +170,41 @@ impl InSqlTransformer {
 
     /// Full transformation with a freshly built recode map (two passes).
     pub fn transform(&self, table: &str, spec: &TransformSpec) -> Result<TransformOutput> {
-        self.transform_via(table, spec, |map_table, columns| {
+        self.transform_via(table, spec, |map_table, bound| {
             let t0 = Instant::now();
-            Ok((self.pass_one(table, columns, map_table)?, t0.elapsed()))
+            let columns: Vec<usize> = bound.recoded().map(|(at, _)| at).collect();
+            Ok((self.pass_one(table, &columns, map_table)?, t0.elapsed()))
         })
     }
 
     /// Transformation reusing a cached recode map — §5.2: "we avoid one
-    /// of the two passes".
+    /// of the two passes". A value the map lacks is pass 2's `unseen
+    /// value` error, as it is for a map built over the table.
     pub fn transform_with_map(
         &self,
         table: &str,
         spec: &TransformSpec,
         map: &RecodeMap,
     ) -> Result<TransformOutput> {
-        self.transform_via(table, spec, |map_table, columns| {
-            if let Some(c) = columns.iter().find(|c| !map.has_column(c)) {
-                let lacks = format!("cached recode map lacks column {c:?}");
-                return Err(SqlmlError::Cache(lacks));
-            }
+        self.transform_via(table, spec, |map_table, _| {
             register_recode_map(&self.engine, map_table, map);
             Ok((map.clone(), Duration::ZERO))
         })
     }
 
-    /// `load` puts the recode map for the recode columns into the `M`
-    /// table it is handed; then pass 2 reads it.
+    /// `load` puts the recode map for the bound spec's recode columns into
+    /// the `M` table it is handed; then pass 2 reads it.
     fn transform_via(
         &self,
         table: &str,
         spec: &TransformSpec,
-        load: impl FnOnce(&str, &[String]) -> Result<(RecodeMap, Duration)>,
+        load: impl FnOnce(&str, &BoundSpec) -> Result<(RecodeMap, Duration)>,
     ) -> Result<TransformOutput> {
-        let columns = spec.effective_recode_columns(self.engine.catalog().table(table)?.schema());
+        let bound = spec.bind(self.engine.catalog().table(table)?.schema())?;
         let map_table = temp_name("map");
-        let out = load(&map_table, &columns).and_then(|(recode_map, map_build)| {
+        let out = load(&map_table, &bound).and_then(|(recode_map, map_build)| {
             let t0 = Instant::now();
-            let sql = recode_dummy_select(table, &map_table, &columns, spec);
+            let sql = recode_dummy_select(table, &map_table, spec);
             Ok(TransformOutput {
                 table: self.engine.query(&sql)?,
                 recode_map,
@@ -283,8 +227,8 @@ struct RecodeDummyUdf {
 }
 
 impl RecodeDummyUdf {
-    /// The one place the applier is built: the spec from the column
-    /// lists, the map from the named table, against the input schema.
+    /// The one place the applier is built: the spec from its arguments,
+    /// bound to the input schema, the map from the named table.
     fn applier(&self, input: &Schema, args: &[Value]) -> Result<FlatRecodeApplier> {
         let usage = || {
             let usage = "recode_dummy takes (table, map_table, n, n recode columns..., \
@@ -308,15 +252,16 @@ impl RecodeDummyUdf {
             recode_columns: names[..n].to_vec(),
             coded_columns,
         };
+        let bound = spec.bind(input)?;
         // Nothing to recode (no categorical column): no map is read.
-        let map = if spec.effective_recode_columns(input).is_empty() {
+        let map = if bound.recoded().next().is_none() {
             RecodeMap::default()
         } else {
             let catalog = (self.catalog.upgrade())
                 .ok_or_else(|| SqlmlError::Execution("recode_dummy outlived its engine".into()))?;
             read_recode_map(&catalog, map_table.as_str()?)?
         };
-        FlatRecodeApplier::new(&map, input, &spec)
+        FlatRecodeApplier::new(&map, &bound)
     }
 }
 
@@ -491,12 +436,8 @@ mod tests {
         let e = engine_with_figure1();
         let tr = InSqlTransformer::new(e.clone());
         let spec = TransformSpec::coded(&[("gender", Coding::Helmert)]);
-        let columns = ["gender".to_string(), "abandoned".to_string()];
-        let sql = recode_dummy_select("t", "m", &columns, &spec);
-        assert!(
-            sql.contains("2, 'gender', 'abandoned', 'gender', 'helmert')"),
-            "{sql}"
-        );
+        let sql = recode_dummy_select("t", "m", &spec);
+        assert!(sql.contains("'m', 0, 'gender', 'helmert')"), "{sql}");
         let out = tr.transform("t", &spec).unwrap();
         let names = ["age", "gender_orth1", "amount", "abandoned"];
         assert_eq!(out.table.schema().names(), names);

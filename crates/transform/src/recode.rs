@@ -66,7 +66,7 @@ impl RecodeMap {
     ) -> Result<RecodeMap> {
         let mut pairs = Vec::new();
         for col in columns {
-            let idx = schema.index_of(col)?;
+            let idx = schema.resolve(col)?;
             for part in partitions {
                 for i in 0..part.len() {
                     if let Value::Str(s) = part.column(idx).value(i) {
@@ -179,6 +179,9 @@ impl RecodeMap {
 /// distinct `(colname, colval)` pairs of every requested column — one
 /// scan of the data computes the distincts for *all* columns, which §2.1
 /// argues is the advantage over issuing one `SELECT DISTINCT` per column.
+/// A column is named (resolved by [`Schema::resolve`]) or given by its
+/// position, as the pipeline's statements give the columns a bound spec
+/// resolved; its pairs carry its name as the schema spells it.
 pub struct DistinctValuesUdf;
 
 impl TableUdf for DistinctValuesUdf {
@@ -204,11 +207,19 @@ impl TableUdf for DistinctValuesUdf {
     ) -> Result<Batch> {
         let mut out = Vec::new();
         for a in args {
-            let name: std::sync::Arc<str> = a.as_str()?.into();
-            let pair = |value: &std::sync::Arc<str>| {
+            let at = match a {
+                Value::Int(at) => (usize::try_from(*at).ok())
+                    .filter(|&at| at < input_schema.len())
+                    .ok_or_else(|| {
+                        SqlmlError::Plan(format!("distinct_values: no column at position {at}"))
+                    })?,
+                name => input_schema.resolve(name.as_str()?)?,
+            };
+            let name: Arc<str> = input_schema.field(at).name.as_str().into();
+            let pair = |value: &Arc<str>| {
                 Row::new(vec![Value::Str(name.clone()), Value::Str(value.clone())])
             };
-            match &**input.column(input_schema.index_of(&name)?) {
+            match &**input.column(at) {
                 // The dictionary entries the partition's codes actually
                 // reference: a value the prep predicates removed is still
                 // in the (shared) dictionary but must get no recode id
@@ -458,34 +469,39 @@ mod tests {
             num_workers: 1,
             node: "node-0".into(),
         };
-        let out = DistinctValuesUdf
-            .execute(
-                &Batch::from_rows(&schema, &rows),
-                &schema,
-                &[Value::Str("gender".into()), Value::Str("abandoned".into())],
-                &ctx,
-            )
-            .unwrap()
-            .rows();
-        let mut pairs: Vec<(String, String)> = out
-            .iter()
-            .map(|r| {
-                (
-                    r.get(0).as_str().unwrap().to_string(),
-                    r.get(1).as_str().unwrap().to_string(),
-                )
-            })
-            .collect();
-        pairs.sort();
-        assert_eq!(
-            pairs,
-            vec![
-                ("abandoned".to_string(), "No".to_string()),
-                ("abandoned".to_string(), "Yes".to_string()),
-                ("gender".to_string(), "F".to_string()),
-                ("gender".to_string(), "M".to_string()),
-            ]
-        );
+        let batch = Batch::from_rows(&schema, &rows);
+        // By name in any case, or by position: the pairs carry the
+        // schema's spelling.
+        for args in [
+            [Value::Str("gender".into()), Value::Str("abandoned".into())],
+            [Value::Str("GENDER".into()), Value::Str("Abandoned".into())],
+            [Value::Int(1), Value::Int(2)],
+        ] {
+            let out = DistinctValuesUdf.execute(&batch, &schema, &args, &ctx);
+            let mut pairs: Vec<(String, String)> = (out.unwrap().rows().iter())
+                .map(|r| {
+                    (
+                        r.get(0).as_str().unwrap().to_string(),
+                        r.get(1).as_str().unwrap().to_string(),
+                    )
+                })
+                .collect();
+            pairs.sort();
+            assert_eq!(
+                pairs,
+                vec![
+                    ("abandoned".to_string(), "No".to_string()),
+                    ("abandoned".to_string(), "Yes".to_string()),
+                    ("gender".to_string(), "F".to_string()),
+                    ("gender".to_string(), "M".to_string()),
+                ],
+                "{args:?}"
+            );
+        }
+        for bad in [Value::Int(3), Value::Int(-1), Value::Str("country".into())] {
+            let err = DistinctValuesUdf.execute(&batch, &schema, &[bad], &ctx);
+            assert!(err.is_err());
+        }
     }
 
     #[test]

@@ -298,7 +298,7 @@ fn perturbed_concurrent_identical_miss_sweep() {
             .unwrap()
             .unwrap();
         let cache = CacheManager::new(e.clone());
-        let names: Vec<String> = std::thread::scope(|s| {
+        let names: Vec<Option<String>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     let (cache, d, spec) = (&cache, d.clone(), spec.clone());
@@ -313,7 +313,10 @@ fn perturbed_concurrent_identical_miss_sweep() {
             "seed {seed}: racing stores disagreed on the winner: {names:?}"
         );
         assert_eq!(cache.len(), (1, 1), "seed {seed}: duplicate entries");
-        assert!(e.catalog().has_table(&names[0]), "seed {seed}");
+        assert!(
+            e.catalog().has_table(names[0].as_deref().unwrap()),
+            "seed {seed}"
+        );
         assert!(
             matches!(cache.lookup(&d, &spec), CacheDecision::Full(_)),
             "seed {seed}: winner not visible to lookup"

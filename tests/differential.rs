@@ -43,7 +43,7 @@ use sqlml_sqlengine::{Batch, Engine, EngineConfig, PartitionedTable};
 use sqlml_transform::coding::indicator_name;
 use sqlml_transform::recode::recode_map_schema;
 use sqlml_transform::{
-    register_udfs, Coding, FlatRecodeApplier, InSqlTransformer, RecodeMap, TransformSpec,
+    register_udfs, Coding, FlatRecodeApplier, InSqlTransformer, RecodeMap, TransformSpec, Treatment,
 };
 
 fn workload_engine() -> Engine {
@@ -167,6 +167,13 @@ fn sorted_limit_is_a_true_prefix_of_the_full_sort() {
 // FlatRecodeApplier vs RecodeMap::code, on randomized data.
 // ---------------------------------------------------------------------
 
+/// The coding `spec` lists for `column`, spelled as listed.
+fn coding_of(spec: &TransformSpec, column: &str) -> Option<Coding> {
+    (spec.coded_columns.iter())
+        .find(|(c, _)| c == column)
+        .map(|&(_, coding)| coding)
+}
+
 /// Reference application: one row, cell by cell, through
 /// `RecodeMap::code`.
 fn reference_apply(row: &Row, schema: &Schema, spec: &TransformSpec, map: &RecodeMap) -> Row {
@@ -176,7 +183,7 @@ fn reference_apply(row: &Row, schema: &Schema, spec: &TransformSpec, map: &Recod
         let is_recoded = recode_columns
             .iter()
             .any(|c| c.eq_ignore_ascii_case(&f.name));
-        let is_dummy = spec.coding(&f.name) == Some(Coding::Dummy);
+        let is_dummy = coding_of(spec, &f.name) == Some(Coding::Dummy);
         let v = row.get(i);
         if is_dummy {
             let code = match v {
@@ -225,7 +232,7 @@ fn flat_applier_matches_recode_map_code_on_random_data() {
             1 => TransformSpec::new(&["c1"]),
             _ => TransformSpec::new(&["c1", "c2"]),
         };
-        let applier = FlatRecodeApplier::new(&map, &schema, &spec).unwrap();
+        let applier = FlatRecodeApplier::new(&map, &spec.bind(&schema).unwrap()).unwrap();
         let mut rows = Vec::new();
         for _ in 0..200 {
             let c1 = if rng.chance(0.05) {
@@ -261,7 +268,8 @@ fn flat_applier_matches_recode_map_code_on_random_data() {
 fn flat_applier_rejects_unseen_values_like_the_reference() {
     let schema = Schema::new(vec![Field::categorical("c")]);
     let map = RecodeMap::from_pairs(vec![("c".to_string(), "seen".to_string())]);
-    let applier = FlatRecodeApplier::new(&map, &schema, &TransformSpec::default()).unwrap();
+    let applier =
+        FlatRecodeApplier::new(&map, &TransformSpec::default().bind(&schema).unwrap()).unwrap();
     assert!(map.code("c", "unseen").is_none());
     let rows = [
         Row::new(vec![Value::str("seen")]),
@@ -401,12 +409,31 @@ fn coded_names(column: &str, coding: Coding, values: &[String]) -> Vec<String> {
     }
 }
 
+/// Output column names as the transform settles them, spelled out as a
+/// plain loop: a name equal, ignoring ASCII case, to an earlier one gets
+/// the smallest `_<n>`, `n ≥ 2`, that no other name — as written or as
+/// settled so far — equals.
+fn suffixed_names(raw: &[String]) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    for (i, name) in raw.iter().enumerate() {
+        if !raw[..i].iter().any(|r| r.eq_ignore_ascii_case(name)) {
+            out.push(name.clone());
+            continue;
+        }
+        let free = |c: &str| !raw.iter().chain(&out).any(|t| t.eq_ignore_ascii_case(c));
+        let n = (2..).find(|n| free(&format!("{name}_{n}"))).unwrap();
+        out.push(format!("{name}_{n}"));
+    }
+    out
+}
+
 /// The transform as §2.1 and §2.2 word it, in SQL text over `src`: the
 /// recode map — from a centralized scan, not from pass 1 — registered as
 /// the `M` table, and one join against it per recoded column; a coded
 /// column instead joins a level table of `K` rows (`colval`, then its
-/// `w` output columns), its outputs named by the coding. One plain
-/// `SELECT`, no UDF: it shares no statement with the product's script.
+/// `w` output columns), its outputs named by the coding and then by
+/// [`suffixed_names`]. One plain `SELECT`, no UDF: it shares no statement
+/// with the product's script.
 fn join_oracle(
     engine: &Engine,
     src: &str,
@@ -433,15 +460,16 @@ fn join_oracle(
         "oracle_m",
         PartitionedTable::single(recode_map_schema(), m_rows),
     );
+    // (expression, name before the suffix rule) per output column.
     let (mut projections, mut froms, mut predicates) = (vec![], vec![format!("{src} T")], vec![]);
     for field in schema.fields() {
         let name = &field.name;
         let Some(pos) = columns.iter().position(|c| c.eq_ignore_ascii_case(name)) else {
-            projections.push(format!("T.{name}"));
+            projections.push((format!("T.{name}"), name.clone()));
             continue;
         };
-        let Some(coding) = spec.coding(name) else {
-            projections.push(format!("M{pos}.recodeval AS {name}"));
+        let Some(coding) = coding_of(spec, name) else {
+            projections.push((format!("M{pos}.recodeval"), name.clone()));
             froms.push(format!("oracle_m AS M{pos}"));
             predicates.push(format!("M{pos}.colname = {}", sql_string_literal(name)));
             predicates.push(format!("T.{name} = M{pos}.colval"));
@@ -463,11 +491,16 @@ fn join_oracle(
             &level_table,
             PartitionedTable::single(Schema::new(fields.collect()), rows),
         );
-        projections.extend((names.iter().enumerate()).map(|(j, n)| format!("L{pos}.w{j} AS {n}")));
+        projections
+            .extend((names.into_iter().enumerate()).map(|(j, n)| (format!("L{pos}.w{j}"), n)));
         froms.push(format!("{level_table} AS L{pos}"));
         predicates.push(format!("T.{name} = L{pos}.colval"));
         tables.push(level_table);
     }
+    let raw: Vec<String> = projections.iter().map(|(_, n)| n.clone()).collect();
+    let projections: Vec<String> = (projections.iter().zip(suffixed_names(&raw)))
+        .map(|((expr, _), name)| format!("{expr} AS {name}"))
+        .collect();
     let sql = if predicates.is_empty() {
         format!("SELECT * FROM {src}")
     } else {
@@ -833,7 +866,7 @@ impl ReuseQuery {
                 continue;
             }
             let coding = match like {
-                Some(spec) if !rng.chance(0.15) => spec.coding(c.name),
+                Some(spec) if !rng.chance(0.15) => coding_of(spec, c.name),
                 Some(_) => rng.chance(0.5).then(|| *rng.choose(&CODINGS)),
                 None => rng.chance(0.4).then(|| *rng.choose(&CODINGS)),
             };
@@ -904,37 +937,59 @@ fn decode_transformed(
     spec: &TransformSpec,
     map: &RecodeMap,
 ) -> Vec<Row> {
-    let mut rows: Vec<Row> = transformed
-        .collect_rows()
+    let treatments: Vec<Treatment> = (input.fields().iter())
+        .map(|f| match (f.categorical, coding_of(spec, &f.name)) {
+            (false, _) => Treatment::Pass,
+            (true, None) => Treatment::Recode,
+            (true, Some(coding)) => Treatment::Coded(coding),
+        })
+        .collect();
+    decode_rows(&transformed.collect_rows(), input, &treatments, map)
+}
+
+/// [`decode_transformed`] of transformed `rows` whose input columns were
+/// treated as `treatments` says, sorted.
+fn decode_rows(
+    rows: &[Row],
+    input: &Schema,
+    treatments: &[Treatment],
+    map: &RecodeMap,
+) -> Vec<Row> {
+    let mut rows: Vec<Row> = rows
         .iter()
         .map(|r| {
             let mut at = 0;
             let mut out = Vec::with_capacity(input.len());
-            for f in input.fields() {
-                if !f.categorical {
-                    out.push(r.get(at).clone());
-                    at += 1;
-                    continue;
-                }
+            for (f, treatment) in input.fields().iter().zip(treatments) {
                 let values = map.values_in_code_order(&f.name);
                 let named = |code: i64| Value::str(values[code as usize - 1].as_str());
-                if let Some(coding) = spec.coding(&f.name) {
-                    let k = values.len();
-                    let w = k - usize::from(coding != Coding::Dummy);
-                    let block = &r.values()[at..at + w];
-                    let levels: Vec<usize> = (0..k)
-                        .filter(|&l| level_row(coding, k, l) == block)
-                        .collect();
-                    assert_eq!(
-                        levels.len(),
-                        1,
-                        "{coding} block {block:?} is no level's row"
-                    );
-                    out.push(named(levels[0] as i64 + 1));
-                    at += w;
-                } else {
-                    out.push(named(r.get(at).as_i64().unwrap()));
-                    at += 1;
+                match *treatment {
+                    Treatment::Pass => {
+                        out.push(r.get(at).clone());
+                        at += 1;
+                    }
+                    Treatment::Recode => {
+                        out.push(match r.get(at) {
+                            Value::Null => Value::Null,
+                            code => named(code.as_i64().unwrap()),
+                        });
+                        at += 1;
+                    }
+                    Treatment::Coded(coding) => {
+                        let k = values.len();
+                        let w = k - usize::from(coding != Coding::Dummy);
+                        let block = &r.values()[at..at + w];
+                        let levels: Vec<usize> = (0..k)
+                            .filter(|&l| level_row(coding, k, l) == block)
+                            .collect();
+                        let zero = block.iter().all(|v| v.as_f64().unwrap() == 0.0);
+                        match levels[..] {
+                            [l] => out.push(named(l as i64 + 1)),
+                            [] if zero => out.push(Value::Null),
+                            _ => panic!("{coding} block {block:?} is no level's row"),
+                        }
+                        at += w;
+                    }
                 }
             }
             assert_eq!(at, r.len(), "transformed row wider than its schema implies");
@@ -1027,7 +1082,7 @@ fn cache_reuse_equals_a_cold_recompute_on_seeded_query_pairs() {
             // its coding needs (none to dummy-code, one to contrast) makes
             // the cold transform refuse.
             let too_few = |(c, coding): &(String, Coding)| {
-                let at = prepped.schema().index_of(c).unwrap();
+                let at = prepped.schema().resolve(c).unwrap();
                 let values: std::collections::BTreeSet<_> = raw
                     .iter()
                     .map(|r| r.get(at))
@@ -1081,6 +1136,402 @@ fn cache_reuse_equals_a_cold_recompute_on_seeded_query_pairs() {
     assert!(
         full >= 40 && maps >= 40 && misses >= 40,
         "full {full}, maps {maps}, misses {misses}"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Identifiers, seeded: the same (cached query, new query) pairs, their
+// columns spelled in any ASCII case, aliased, projected twice, named like
+// another column or like an indicator, and the specs naming them so. Every
+// strategy and every cache mode must decode to the cold naive rows or
+// refuse with the naive job's error.
+// ---------------------------------------------------------------------
+
+/// Aliases an identifier draw may give a projected column: other columns'
+/// names in several cases, names like an indicator or a suffixed name, and
+/// two that collide with nothing.
+const ALIASES: [&str; 12] = [
+    "sex",
+    "SEX",
+    "g",
+    "G",
+    "gender",
+    "Gender",
+    "ABANDONED",
+    "gender_F",
+    "GENDER_m",
+    "abandoned_No",
+    "age_2",
+    "x",
+];
+
+/// `name` in one of four ASCII spellings: as is, upper, capitalized, or
+/// each letter's case drawn.
+fn respell(rng: &mut SplitMix64, name: &str) -> String {
+    match rng.next_below(4) {
+        0 => name.to_string(),
+        1 => name.to_ascii_uppercase(),
+        2 => name[..1].to_ascii_uppercase() + &name[1..],
+        _ => name
+            .chars()
+            .map(|c| match rng.chance(0.5) {
+                true => c.to_ascii_uppercase(),
+                false => c.to_ascii_lowercase(),
+            })
+            .collect(),
+    }
+}
+
+/// One projected column of an identifier draw: a [`REUSE_COLUMNS`] index,
+/// its qualifier and name as the SQL spells them, and its alias.
+#[derive(Clone)]
+struct SpelledColumn {
+    column: usize,
+    qualifier: String,
+    name: String,
+    alias: Option<String>,
+}
+
+impl SpelledColumn {
+    fn draw(rng: &mut SplitMix64, column: usize) -> SpelledColumn {
+        let c = &REUSE_COLUMNS[column];
+        SpelledColumn {
+            column,
+            qualifier: respell(rng, c.qualifier),
+            name: respell(rng, c.name),
+            alias: rng.chance(0.35).then(|| rng.choose(&ALIASES).to_string()),
+        }
+    }
+
+    /// The name the column has in the query's output.
+    fn output(&self) -> &str {
+        self.alias.as_deref().unwrap_or(&self.name)
+    }
+}
+
+/// One side of an identifier pair: spelled projection, the pair's
+/// predicates (their columns respelled), and the spec.
+struct IdentQuery {
+    projection: Vec<SpelledColumn>,
+    predicates: Vec<String>,
+    spec: TransformSpec,
+}
+
+impl IdentQuery {
+    /// Spell `base`'s projection (a column `like` projects keeps its
+    /// spelling and alias with probability 0.8; a categorical one is
+    /// sometimes projected twice) and its predicates.
+    fn dress(rng: &mut SplitMix64, base: &ReuseQuery, like: Option<&IdentQuery>) -> IdentQuery {
+        let mut projection = Vec::new();
+        for &i in &base.projection {
+            let kept = like.and_then(|l| l.projection.iter().find(|c| c.column == i));
+            match kept {
+                Some(c) if !rng.chance(0.2) => projection.push(c.clone()),
+                _ => projection.push(SpelledColumn::draw(rng, i)),
+            }
+        }
+        let categorical: Vec<usize> = (base.projection.iter().copied())
+            .filter(|&i| REUSE_COLUMNS[i].categorical)
+            .collect();
+        if !categorical.is_empty() && rng.chance(0.15) {
+            let column = *rng.choose(&categorical);
+            let mut twice = SpelledColumn::draw(rng, column);
+            twice.alias = Some(rng.choose(&ALIASES).to_string());
+            projection.push(twice);
+        }
+        let predicates = (base.predicates.iter())
+            .map(|p| {
+                let c = &REUSE_COLUMNS[p.column];
+                let (q, n) = (respell(rng, c.qualifier), respell(rng, c.name));
+                format!("{q}.{n} {} {}", p.op, p.literal)
+            })
+            .collect();
+        IdentQuery {
+            projection,
+            predicates,
+            spec: TransformSpec::default(),
+        }
+    }
+
+    fn sql(&self) -> String {
+        let cols: Vec<String> = (self.projection.iter())
+            .map(|c| match &c.alias {
+                Some(a) => format!("{}.{} AS {a}", c.qualifier, c.name),
+                None => format!("{}.{}", c.qualifier, c.name),
+            })
+            .collect();
+        let mut sql = format!(
+            "SELECT {} FROM carts C, users U WHERE C.userid = U.userid",
+            cols.join(", ")
+        );
+        for p in &self.predicates {
+            sql.push_str(&format!(" AND {p}"));
+        }
+        sql
+    }
+
+    /// A spec over the output names, respelled: every categorical column
+    /// or a listed few (now and then one that is not categorical), and
+    /// some coded. With `like`, that spec with names the query lacks
+    /// dropped, redrawn with probability 0.15.
+    fn draw_spec(&mut self, rng: &mut SplitMix64, like: Option<&TransformSpec>) {
+        let outputs: Vec<(String, bool)> = (self.projection.iter())
+            .map(|c| (c.output().to_string(), REUSE_COLUMNS[c.column].categorical))
+            .collect();
+        let has = |n: &String| outputs.iter().any(|(o, _)| o.eq_ignore_ascii_case(n));
+        if let Some(spec) = like.filter(|_| !rng.chance(0.15)) {
+            let mut spec = spec.clone();
+            spec.recode_columns.retain(has);
+            spec.coded_columns.retain(|(c, _)| has(c));
+            self.spec = spec;
+            return;
+        }
+        let cats: Vec<&String> = (outputs.iter())
+            .filter(|(_, c)| *c)
+            .map(|(o, _)| o)
+            .collect();
+        let mut recode_columns = Vec::new();
+        if !cats.is_empty() && rng.chance(0.25) {
+            for c in &cats {
+                if rng.chance(0.6) {
+                    recode_columns.push(respell(rng, c));
+                }
+            }
+            if rng.chance(0.15) {
+                let (any, _) = rng.choose(&outputs).clone();
+                recode_columns.push(respell(rng, &any));
+            }
+        }
+        let mut coded_columns = Vec::new();
+        for c in &cats {
+            if rng.chance(0.4) {
+                let coding = match rng.next_below(5) {
+                    0 => Coding::Effect,
+                    1 => Coding::Helmert,
+                    _ => Coding::Dummy,
+                };
+                coded_columns.push((respell(rng, c), coding));
+            }
+        }
+        self.spec = TransformSpec {
+            recode_columns,
+            coded_columns,
+        };
+    }
+}
+
+/// A pair for the identifier search, on [`draw_reuse_pair`]'s queries.
+fn draw_ident_pair(rng: &mut SplitMix64) -> (IdentQuery, IdentQuery) {
+    let (cached_base, new_base) = draw_reuse_pair(rng);
+    let mut cached = IdentQuery::dress(rng, &cached_base, None);
+    cached.draw_spec(rng, None);
+    let mut new = IdentQuery::dress(rng, &new_base, Some(&cached));
+    new.draw_spec(rng, Some(&cached.spec));
+    (cached, new)
+}
+
+/// What binding `spec` to `schema` gives each column, by the rule spelled
+/// out as plain loops: a name matches the columns equal to it ignoring
+/// ASCII case and must match exactly one; no recode column named means
+/// every categorical one; two recoded columns may not share a name; a
+/// coded column must be recoded, and keeps its first coding. `None` when
+/// binding refuses.
+fn oracle_treatments(schema: &Schema, spec: &TransformSpec) -> Option<Vec<Treatment>> {
+    let names = schema.names();
+    let one = |n: &str| -> Option<usize> {
+        let hits: Vec<usize> = (0..names.len())
+            .filter(|&i| names[i].eq_ignore_ascii_case(n))
+            .collect();
+        (hits.len() == 1).then(|| hits[0])
+    };
+    let mut out = vec![Treatment::Pass; names.len()];
+    if spec.recode_columns.is_empty() {
+        for (i, f) in schema.fields().iter().enumerate() {
+            if f.categorical {
+                out[i] = Treatment::Recode;
+            }
+        }
+    } else {
+        for c in &spec.recode_columns {
+            out[one(c)?] = Treatment::Recode;
+        }
+    }
+    for i in 0..names.len() {
+        for j in 0..i {
+            let both = out[i] != Treatment::Pass && out[j] != Treatment::Pass;
+            if both && names[i].eq_ignore_ascii_case(&names[j]) {
+                return None;
+            }
+        }
+    }
+    for (c, coding) in &spec.coded_columns {
+        let at = one(c)?;
+        match out[at] {
+            Treatment::Pass => return None,
+            Treatment::Recode => out[at] = Treatment::Coded(*coding),
+            Treatment::Coded(_) => {}
+        }
+    }
+    Some(out)
+}
+
+/// The output names of `schema` treated as `treatments` over `map`: each
+/// column's name, or its coding's names, then [`suffixed_names`].
+fn oracle_names(schema: &Schema, treatments: &[Treatment], map: &RecodeMap) -> Vec<String> {
+    let raw: Vec<String> = (schema.fields().iter().zip(treatments))
+        .flat_map(|(f, t)| match *t {
+            Treatment::Pass | Treatment::Recode => vec![f.name.clone()],
+            Treatment::Coded(coding) => {
+                coded_names(&f.name, coding, map.values_in_code_order(&f.name))
+            }
+        })
+        .collect();
+    suffixed_names(&raw)
+}
+
+#[test]
+fn identifiers_in_any_case_aliased_or_colliding_bind_alike_under_every_strategy_and_cache_mode() {
+    use sqlml_cache::CacheManager;
+    use sqlml_common::CancelToken;
+    use sqlml_core::{ClusterConfig, Pipeline, PipelineRequest, SimCluster, Strategy};
+    use sqlml_rewriter::{QueryRewriter, RewritePlan};
+    use std::sync::Arc;
+
+    let cluster = SimCluster::start(ClusterConfig::for_tests()).unwrap();
+    let scale = WorkloadScale {
+        carts: 600,
+        users: 60,
+    };
+    cluster.load_workload(scale, 77).unwrap();
+    let (e, dfs) = (&cluster.engine, &cluster.dfs);
+    let cancel = CancelToken::new();
+    let run = |rw: &QueryRewriter, sql: &str, spec: &TransformSpec| {
+        let script = rw.rewrite(sql, spec, None)?;
+        let (table, map) = rw.run(&script, &cancel, |_| Ok(()))?;
+        Ok::<_, sqlml_common::SqlmlError>((table, map, script))
+    };
+
+    let (mut fresh, mut full, mut maps, mut refused) = (0, 0, 0, 0);
+    for seed in 0..240u64 {
+        let (cached, new) = draw_ident_pair(&mut SplitMix64::new(seed));
+        let (cached_sql, new_sql) = (cached.sql(), new.sql());
+        let context = format!(
+            "ident seed {seed}\n  cached: {cached_sql}\n          {:?}\n  new:    {new_sql}\n          {:?}",
+            cached.spec, new.spec
+        );
+
+        // The reference: the new query's rows, and the naive job over them.
+        let prepped = e
+            .query(&new_sql)
+            .unwrap_or_else(|err| panic!("{err}\n{context}"));
+        let (schema, raw) = (prepped.schema().clone(), prepped.collect_sorted());
+        let expected = oracle_treatments(&schema, &new.spec);
+        let (input, output) = (format!("/ident/{seed}/in"), format!("/ident/{seed}/out"));
+        prepped.save_text(dfs, &input).unwrap();
+        let naive = run_external_transform(dfs, &input, &schema, &new.spec, &output).map(|out| {
+            (
+                read_sorted(dfs, &output, &out.schema),
+                out.schema,
+                out.recode_map,
+            )
+        });
+        let naive_err = naive.as_ref().err().map(|err| err.to_string());
+        match (&expected, &naive) {
+            (None, Ok(_)) => panic!("naive bound what the rule refuses\n{context}"),
+            (None, Err(_)) => refused += 1,
+            (Some(treatments), Ok((rows, out_schema, map))) => {
+                let decoded = decode_rows(rows, &schema, treatments, map);
+                assert_eq!(decoded, raw, "naive does not decode\n{context}");
+                let names = oracle_names(&schema, treatments, map);
+                assert_eq!(out_schema.names(), names, "naive names\n{context}");
+            }
+            (Some(_), Err(err)) => assert!(
+                err.to_string().contains("needs at least"),
+                "naive refused a spec that binds: {err}\n{context}"
+            ),
+        }
+
+        // Each In-SQL run: cold, then through a cache primed with the
+        // cached side (fresh, §5.1 or §5.2 — whichever the cache decides).
+        let cache = Arc::new(CacheManager::new(e.clone()));
+        let warm = QueryRewriter::with_cache(e.clone(), Arc::clone(&cache));
+        if let Ok((table, map, script)) = run(&warm, &cached_sql, &cached.spec) {
+            if let Some(d) = script.descriptor {
+                cache.store_full(d, cached.spec.clone(), map, table);
+            }
+        }
+        let cold = run(&QueryRewriter::new(e.clone()), &new_sql, &new.spec);
+        let reused = run(&warm, &new_sql, &new.spec);
+        match reused.as_ref().map(|(_, _, s)| &s.plan) {
+            Ok(RewritePlan::Fresh) | Err(_) => fresh += 1,
+            Ok(RewritePlan::CachedResult { .. }) => full += 1,
+            Ok(RewritePlan::CachedMap { .. }) => maps += 1,
+        }
+        for (mode, outcome) in [("cold", cold), ("cached", reused)] {
+            match (outcome, &naive_err) {
+                (Err(err), Some(naive_err)) => {
+                    assert_eq!(&err.to_string(), naive_err, "{mode}\n{context}")
+                }
+                (Err(err), None) => panic!("{mode} refused: {err}\n{context}"),
+                // A map or result cached over more rows may code a column
+                // the new rows alone are too few to code.
+                (Ok(_), Some(naive_err)) if mode == "cold" || expected.is_none() => {
+                    panic!("{mode} ran what naive refused: {naive_err}\n{context}")
+                }
+                (Ok((table, map, _)), _) => {
+                    let Some(treatments) = &expected else {
+                        unreachable!()
+                    };
+                    let rows = table.collect_rows();
+                    let decoded = decode_rows(&rows, &schema, treatments, &map);
+                    assert_eq!(decoded, raw, "{mode} does not decode\n{context}");
+                    if let Ok((_, naive_schema, naive_map)) = &naive {
+                        if *naive_map == map {
+                            let names = table.schema().names();
+                            assert_eq!(names, naive_schema.names(), "{mode}\n{context}");
+                        }
+                    }
+                }
+            }
+        }
+
+        // Every eighth pair through whole pipelines: every strategy,
+        // uncached and over a primed cache, hands ML the reference's rows
+        // or fails with the naive job's error.
+        if seed % 8 == 0 && raw.len() >= 2 {
+            let req = |sql: &str, spec: &TransformSpec| PipelineRequest {
+                prep_sql: sql.to_string(),
+                spec: spec.clone(),
+                ml_command: "kmeans k=2 iterations=1".to_string(),
+            };
+            let primed = Pipeline::with_cache(&cluster);
+            let _ = primed.prepare_and_transform(&req(&cached_sql, &cached.spec), &cancel);
+            for pipeline in [Pipeline::new(&cluster), primed] {
+                for strategy in [Strategy::Naive, Strategy::InSql, Strategy::InSqlStream] {
+                    match (
+                        pipeline.run(&req(&new_sql, &new.spec), strategy),
+                        &naive_err,
+                    ) {
+                        (Ok(report), None) => {
+                            assert_eq!(report.rows_to_ml, raw.len(), "{strategy:?}\n{context}")
+                        }
+                        (Err(err), Some(naive_err)) => {
+                            assert_eq!(&err.to_string(), naive_err, "{strategy:?}\n{context}")
+                        }
+                        (Ok(_), Some(_)) if pipeline.cache().is_some() => {}
+                        (outcome, _) => panic!(
+                            "{strategy:?}: {:?} vs naive {naive_err:?}\n{context}",
+                            outcome.map(|r| r.rows_to_ml)
+                        ),
+                    }
+                }
+            }
+        }
+    }
+    // The draws must keep exercising every outcome.
+    assert!(
+        fresh >= 60 && full >= 20 && maps >= 40 && refused >= 12,
+        "fresh {fresh}, full {full}, maps {maps}, refused {refused}"
     );
 }
 
@@ -1752,8 +2203,9 @@ fn every_text_reader_walks_what_the_split_based_decoder_reads() {
                         values.map(|v| (f.name.clone(), v.to_string()))
                     });
                 let map = RecodeMap::from_pairs(pairs.collect::<Vec<_>>());
-                let applier =
-                    FlatRecodeApplier::new(&map, &schema, &spec).map_err(|e| e.to_string())?;
+                let applier = (spec.bind(&schema))
+                    .and_then(|bound| FlatRecodeApplier::new(&map, &bound))
+                    .map_err(|e| e.to_string())?;
                 let (text, _) = column_round_trip(&applier, &text, &schema)?;
                 Ok((text, applier.output_schema().names()))
             });
@@ -1893,7 +2345,10 @@ fn the_line_rewriter_writes_what_the_column_round_trip_writes() {
             (pool[..keep].iter()).map(|v| (f.name.clone(), v.clone()))
         });
         let map = RecodeMap::from_pairs(pairs.collect::<Vec<_>>());
-        let Ok(applier) = FlatRecodeApplier::new(&map, &schema, &spec) else {
+        let Ok(applier) = spec
+            .bind(&schema)
+            .and_then(|b| FlatRecodeApplier::new(&map, &b))
+        else {
             continue;
         };
         let want = column_round_trip(&applier, &text, &schema);
@@ -1930,7 +2385,7 @@ fn the_line_rewriter_agrees_at_a_hundred_thousand_values() {
             coded_columns: coding.into_iter().map(|c| ("c".to_string(), c)).collect(),
         };
         let text = rewriter_part_file(&mut rng, &schema, &pools, lines, false);
-        let applier = FlatRecodeApplier::new(&map, &schema, &spec).unwrap();
+        let applier = FlatRecodeApplier::new(&map, &spec.bind(&schema).unwrap()).unwrap();
         let want = column_round_trip(&applier, &text, &schema);
         let got = applier.rewrite_text(&text).map_err(|e| e.to_string());
         assert_eq!(

@@ -705,3 +705,107 @@ fn a_recode_column_named_in_another_case_is_the_schemas_column() {
         }
     }
 }
+
+#[test]
+fn an_aliased_projection_is_recoded_and_cached_under_its_alias() {
+    // `sex` names users.gender: every strategy recodes it under that name,
+    // and a cached pipeline answers fresh, §5.1 (same request, then one
+    // filtered on the aliased column) and §5.2 as an uncached run does.
+    let cluster = cluster();
+    let aliased = "SELECT U.age, U.gender AS sex, C.amount, C.abandoned \
+                   FROM carts C, users U \
+                   WHERE C.userid = U.userid AND U.country = 'USA'";
+    let filtered = format!("{aliased} AND U.gender = 'F'");
+    let map_hit_sql = "SELECT U.age, U.gender AS sex, C.amount, C.nitems, C.abandoned \
+                       FROM carts C, users U \
+                       WHERE C.userid = U.userid AND U.country = 'USA' AND C.year = 2014";
+    for (spec, label) in [
+        (TransformSpec::default(), 3),
+        (TransformSpec::new(&["abandoned"]), 4),
+        (TransformSpec::new(&["SEX"]), 4),
+    ] {
+        let what = format!("{spec:?}");
+        let req = |sql: &str| PipelineRequest {
+            prep_sql: sql.to_string(),
+            spec: spec.clone(),
+            ml_command: format!("svm label={label} iterations=5"),
+        };
+        let (naive, insql) = both_transforms(&cluster, &req(aliased), "/alias");
+        let (naive, insql) = (naive.unwrap(), insql.unwrap());
+        assert_eq!(naive, insql, "{what}");
+        assert!(
+            naive.1.iter().any(|n| n.starts_with("sex")),
+            "{what}: {:?}",
+            naive.1
+        );
+        for strategy in [Strategy::Naive, Strategy::InSql, Strategy::InSqlStream] {
+            let report = Pipeline::new(&cluster).run(&req(aliased), strategy);
+            let report = report.unwrap_or_else(|e| panic!("{what} {strategy:?}: {e}"));
+            assert_eq!(report.rows_to_ml, naive.0.len(), "{what} {strategy:?}");
+        }
+        // A cold run over the filtered rows sees one value of a
+        // dummy-coded `sex`, so it has one indicator where the cached
+        // block has two: that step is for the specs that only recode it.
+        let sex_coded = spec.coded_columns.iter().any(|(c, _)| c == "SEX");
+        let mut steps = vec![
+            (aliased, CacheMode::None),
+            (aliased, CacheMode::FullResult),
+            (filtered.as_str(), CacheMode::FullResult),
+            (map_hit_sql, CacheMode::RecodeMap),
+        ];
+        steps.retain(|(sql, _)| !(sex_coded && *sql == filtered));
+        let pipeline = Pipeline::with_cache(&cluster);
+        for (sql, mode) in steps {
+            let (table, cache_use) = pipeline
+                .prepare_and_transform(&req(sql), &CancelToken::new())
+                .unwrap_or_else(|e| panic!("{what} {mode:?}: {e}"));
+            assert_eq!(cache_use, mode, "{what}: {sql}");
+            let (cold, _) = Pipeline::new(&cluster)
+                .prepare_and_transform(&req(sql), &CancelToken::new())
+                .unwrap();
+            assert_eq!(
+                table.schema().names(),
+                cold.schema().names(),
+                "{what} {mode:?}"
+            );
+            assert!(table.num_rows() > 0, "{what} {mode:?}: {sql}");
+            assert_eq!(
+                table.collect_sorted(),
+                cold.collect_sorted(),
+                "{what} {mode:?}: {sql}"
+            );
+        }
+    }
+}
+
+#[test]
+fn two_recode_columns_with_one_name_are_refused_alike_by_every_strategy() {
+    // `gender` would name users.gender and carts.abandoned: the recode map
+    // is keyed by name, so binding refuses the request, naming both
+    // positions, before any strategy transforms a row.
+    let cluster = cluster();
+    let req = PipelineRequest {
+        prep_sql: "SELECT U.age, U.gender, C.amount, C.abandoned AS gender \
+                   FROM carts C, users U \
+                   WHERE C.userid = U.userid AND U.country = 'USA'"
+            .to_string(),
+        spec: TransformSpec::default(),
+        ml_command: "svm label=3 iterations=5".to_string(),
+    };
+    let mut errors = Vec::new();
+    for pipeline in [Pipeline::new(&cluster), Pipeline::with_cache(&cluster)] {
+        for strategy in [Strategy::Naive, Strategy::InSql, Strategy::InSqlStream] {
+            let err = pipeline.run(&req, strategy).err();
+            errors.push((strategy, err.map(|e| e.to_string()).unwrap_or_default()));
+        }
+    }
+    let first = &errors[0].1;
+    assert!(
+        first.contains("position 1") && first.contains("position 3"),
+        "{first}"
+    );
+    assert!(!first.contains("unseen value"), "{first}");
+    for (strategy, err) in &errors {
+        assert_eq!(err, first, "{strategy:?}");
+    }
+}
