@@ -100,7 +100,6 @@ impl BenchParams {
                 bytes_per_sec: self.throttle_mbps.map(|m| m * 1024 * 1024),
                 remote_bytes_per_sec: None,
             },
-            block_level_splits: false,
         })
         .expect("cluster start");
         cluster

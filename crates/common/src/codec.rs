@@ -5,7 +5,10 @@
 //! * **Text format** — delimiter-separated lines, the format of tables
 //!   stored on the DFS ("Both tables were stored in text format on HDFS").
 //!   Used by the naive pipeline's materialization hops and by
-//!   `TextInputFormat` on the ML side.
+//!   `TextInputFormat` on the ML side. Every reader of a DFS text file
+//!   gets its blocks as whole-line pieces ([`text_pieces`]) and walks
+//!   them with [`read_lines`], the one line walker; [`TextLine::cells`]
+//!   is the one owner of the NULL marker, escapes and arity.
 //! * **Compact batch format** — self-delimiting batches of tagged
 //!   values: integers are LEB128 varints (zigzag for signed) and string
 //!   cells are varint references into a per-batch dictionary, so a
@@ -666,9 +669,9 @@ fn decode_text_row_with(
     Ok(Row::new(values))
 }
 
-/// One line of a text blob with its fields located, as [`walk_text`] hands
-/// it over. Every raw `|` ([`TEXT_DELIM`]) is a separator: one inside a
-/// string payload is written as `\p` by [`escape_text`].
+/// One line of a text blob with its fields located, as [`read_lines`]
+/// hands it over. Every raw `|` ([`TEXT_DELIM`]) is a separator: one
+/// inside a string payload is written as `\p` by [`escape_text`].
 pub struct TextLine<'a> {
     line: &'a str,
     /// The offset in `line` of every `|`: field `i` ends at `bars[i]`.
@@ -682,17 +685,11 @@ impl<'a> TextLine<'a> {
     /// `line` (which holds no `\n`) with its fields located, `bars` the
     /// buffer their offsets go into.
     fn of(line: &'a str, bars: &'a mut Vec<usize>) -> TextLine<'a> {
-        bars.clear();
-        bars.extend(
-            line.bytes()
-                .enumerate()
-                .filter(|&(_, b)| b == b'|')
-                .map(|(i, _)| i),
-        );
+        let (_, escaped) = locate_line(line.as_bytes(), 0, bars);
         TextLine {
             line,
             bars,
-            escaped: line.as_bytes().contains(&b'\\'),
+            escaped,
         }
     }
 
@@ -747,10 +744,6 @@ impl<'a> TextLine<'a> {
     }
 }
 
-/// Bytes [`walk_text`] scans per step; one step's separator offsets fit a
-/// buffer on the stack.
-const WALK_STEP: usize = 1024;
-
 /// `0x80` in every byte of `y` that is zero, nothing elsewhere: exact,
 /// as no carry crosses a byte (`0x7F + 0x7F` stays within one).
 #[inline]
@@ -768,84 +761,67 @@ fn separator_bytes(x: u64) -> u64 {
     is(b'|') | is(b'\n') | is(b'\\')
 }
 
-/// Walk every non-empty line of a text blob, in order, handing `line`
-/// each one with its fields located. Lines end at `\n` only: a `\r` is
-/// string payload ([`escape_text`] leaves it alone), not part of a line
-/// ending. One pass finds every field and line end: the blob is scanned
-/// eight bytes at a time, each word's `|`, `\n` and `\\` bytes found at
-/// once by word arithmetic and their offsets compacted into a buffer, and
-/// only those offsets are visited. Stops at `line`'s first error.
-pub fn walk_text(text: &str, mut line: impl FnMut(&TextLine<'_>) -> Result<()>) -> Result<()> {
-    let bytes = text.as_bytes();
-    let mut hits = [0usize; WALK_STEP];
-    let mut bars = Vec::new();
-    let (mut start, mut escaped) = (0, false);
-    for (step, chunk) in bytes.chunks(WALK_STEP).enumerate() {
-        let base = step * WALK_STEP;
-        // `n <= i < WALK_STEP` at every write: the mask only spares the
-        // bounds check.
-        let mut n = 0;
-        let words = chunk.chunks_exact(8);
-        let tail = chunk.len() - words.remainder().len();
-        for (w, word) in words.enumerate() {
-            let x = <[u8; 8]>::try_from(word).map_or(0, u64::from_le_bytes);
-            let mut found = separator_bytes(x);
-            while found != 0 {
-                hits[n & (WALK_STEP - 1)] = base + w * 8 + found.trailing_zeros() as usize / 8;
-                n += 1;
-                found &= found - 1;
-            }
-        }
-        for (i, &b) in chunk.iter().enumerate().skip(tail) {
-            hits[n & (WALK_STEP - 1)] = base + i;
-            n += usize::from((b == b'|') | (b == b'\n') | (b == b'\\'));
-        }
-        for &at in &hits[..n] {
-            match bytes[at] {
-                b'|' => bars.push(at - start),
+/// Locate the line of `bytes` that starts at `at`: its end (the offset of
+/// its `\n`, or of the end of `bytes`), the offset from `at` of every `|`
+/// within it, into `bars`, and whether it holds a `\\`. One pass, eight
+/// bytes at a time: each word's `|`, `\n` and `\\` bytes are found at once
+/// by word arithmetic, and only those bytes are visited.
+fn locate_line(bytes: &[u8], at: usize, bars: &mut Vec<usize>) -> (usize, bool) {
+    bars.clear();
+    let mut escaped = false;
+    let mut pos = at;
+    while let Some(word) = bytes.get(pos..pos + 8) {
+        let mut found =
+            <[u8; 8]>::try_from(word).map_or(0, |w| separator_bytes(u64::from_le_bytes(w)));
+        while found != 0 {
+            let i = pos + found.trailing_zeros() as usize / 8;
+            match bytes[i] {
+                b'|' => bars.push(i - at),
                 b'\\' => escaped = true,
-                _ => {
-                    if at > start {
-                        let text = text.get(start..at).unwrap_or_default();
-                        line(&TextLine {
-                            line: text,
-                            bars: &bars,
-                            escaped,
-                        })?;
-                    }
-                    (start, escaped) = (at + 1, false);
-                    bars.clear();
-                }
+                _ => return (i, escaped),
             }
+            found &= found - 1;
+        }
+        pos += 8;
+    }
+    for (i, &b) in bytes.iter().enumerate().skip(pos) {
+        match b {
+            b'|' => bars.push(i - at),
+            b'\\' => escaped = true,
+            b'\n' => return (i, escaped),
+            _ => {}
         }
     }
-    if start < bytes.len() {
-        let text = text.get(start..).unwrap_or_default();
-        line(&TextLine {
-            line: text,
-            bars: &bars,
-            escaped,
-        })?;
-    }
-    Ok(())
+    (bytes.len(), escaped)
 }
 
-/// A reader of text lines that parses the common line where it stands.
-/// [`read_lines`] offers it every line by its offset first; a line it
-/// refuses is handed over as [`walk_text`] hands it, so every NULL
+/// A reader of text lines, which may parse the common line where it
+/// stands. [`read_lines`] offers it every line by its offset first; a line
+/// it refuses is handed over with its fields located, so every NULL
 /// marker, escape, bad cell and wrong arity goes through
-/// [`TextLine::cells`] and reads, or fails, exactly as there.
+/// [`TextLine::cells`] and reads, or fails, exactly as there. A closure
+/// over [`TextLine`]s is a reader that refuses every line.
 pub trait LineReader {
     /// Take the whole line that starts at byte `at` of `text` and return
     /// the offset past its `\n`, or take nothing of it and return `None`.
-    fn read_fast(&mut self, text: &str, at: usize) -> Option<usize>;
+    fn read_fast(&mut self, _text: &str, _at: usize) -> Option<usize> {
+        None
+    }
 
     /// Take a line [`Self::read_fast`] refused.
     fn read_line(&mut self, line: &TextLine<'_>) -> Result<()>;
 }
 
-/// Hand `reader` every non-empty line of `text` in order — the lines
-/// [`walk_text`] walks — fast path first. Stops at the first error.
+impl<F: FnMut(&TextLine<'_>) -> Result<()>> LineReader for F {
+    fn read_line(&mut self, line: &TextLine<'_>) -> Result<()> {
+        self(line)
+    }
+}
+
+/// Hand `reader` every non-empty line of `text` in order, fast path
+/// first. Lines end at `\n` only: a `\r` is string payload
+/// ([`escape_text`] leaves it alone), not part of a line ending; the last
+/// line need not end in `\n`. Stops at the reader's first error.
 pub fn read_lines(text: &str, reader: &mut impl LineReader) -> Result<()> {
     let bytes = text.as_bytes();
     let mut bars = Vec::new();
@@ -859,12 +835,12 @@ pub fn read_lines(text: &str, reader: &mut impl LineReader) -> Result<()> {
             at = next;
             continue;
         }
-        let rest = bytes.get(at..).unwrap_or_default();
-        let end = at + rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
-        reader.read_line(&TextLine::of(
-            text.get(at..end).unwrap_or_default(),
-            &mut bars,
-        ))?;
+        let (end, escaped) = locate_line(bytes, at, &mut bars);
+        reader.read_line(&TextLine {
+            line: text.get(at..end).unwrap_or_default(),
+            bars: &bars,
+            escaped,
+        })?;
         at = end + 1;
     }
     Ok(())
@@ -929,12 +905,12 @@ pub fn encode_text_batch(rows: &[Row]) -> String {
 }
 
 /// Parse a text blob (as stored on the DFS) into rows, one per
-/// [`walk_text`] line. String cells are interned per batch: all rows
+/// [`read_lines`] line. String cells are interned per batch: all rows
 /// carrying the same categorical value share one `Arc<str>` allocation.
 pub fn decode_text_batch(text: &str, schema: &Schema) -> Result<Vec<Row>> {
     let mut interner = Interner::new();
     let mut rows = Vec::new();
-    walk_text(text, |line| {
+    read_lines(text, &mut |line: &TextLine<'_>| {
         rows.push(decode_text_row_with(line, schema, Some(&mut interner))?);
         Ok(())
     })?;
@@ -1863,18 +1839,21 @@ mod tests {
     }
 
     #[test]
-    fn text_walker_finds_every_line_and_field_a_split_finds() {
+    fn text_lines_are_every_line_and_field_a_split_finds() {
         // Blobs of separators, escapes and multi-byte payload, across many
-        // words and steps: each line as a plain split finds it, and each
-        // field of a line with no escape.
+        // words: each line as a plain split finds it, and each field of a
+        // line with no escape.
         const PIECES: [&str; 8] = ["|", "\n", "\\", "a", "ü", "\r", "xyz", "\n\n"];
         let mut rng = crate::SplitMix64::new(0x3A1C_0000);
         for _ in 0..CASES / 1000 + 10 {
             let len = rng.next_below(5000);
             let text: String = (0..len).map(|_| *rng.choose(&PIECES)).collect();
             let mut walked = Vec::new();
-            walk_text(&text, |line| {
+            read_lines(&text, &mut |line: &TextLine<'_>| {
                 walked.push(line.text().to_string());
+                let bars: Vec<usize> = line.text().match_indices('|').map(|(i, _)| i).collect();
+                let escaped = line.text().contains('\\');
+                assert_eq!((line.bars, line.escaped), (&bars[..], escaped));
                 let split: Vec<&str> = line.text().split('|').collect();
                 let fields = (0..split.len()).map(|c| Field::categorical(format!("c{c}")));
                 let mut cells = Vec::new();
@@ -2207,9 +2186,9 @@ mod tests {
     }
 
     #[test]
-    fn text_lines_read_as_the_walker_walks_them() {
+    fn text_lines_read_fast_or_not_are_the_lines_a_split_finds() {
         // A reader that takes lines of two plain fields and refuses any
-        // other: between them, every line the walker finds, in order.
+        // other: between them, every line a plain split finds, in order.
         struct Both(Vec<String>);
         impl LineReader for Both {
             fn read_fast(&mut self, text: &str, at: usize) -> Option<usize> {
@@ -2229,15 +2208,10 @@ mod tests {
         for _ in 0..CASES / 1000 + 10 {
             let len = rng.next_below(300);
             let text: String = (0..len).map(|_| *rng.choose(&PIECES)).collect();
-            let mut walked = Vec::new();
-            walk_text(&text, |line| {
-                walked.push(line.text().to_string());
-                Ok(())
-            })
-            .unwrap();
+            let split: Vec<&str> = text.split('\n').filter(|l| !l.is_empty()).collect();
             let mut read = Both(Vec::new());
             read_lines(&text, &mut read).unwrap();
-            assert_eq!(read.0, walked, "{text:?}");
+            assert_eq!(read.0, split, "{text:?}");
         }
     }
 

@@ -27,9 +27,6 @@ pub struct ClusterConfig {
     /// paper used 4 worker servers): datanodes and compute nodes are
     /// colocated in this simulation.
     pub dfs: DfsConfig,
-    /// Split DFS text inputs at block granularity (Hadoop's behaviour)
-    /// instead of one split per part-file.
-    pub block_level_splits: bool,
 }
 
 impl Default for ClusterConfig {
@@ -45,7 +42,6 @@ impl Default for ClusterConfig {
                 bytes_per_sec: None,
                 remote_bytes_per_sec: None,
             },
-            block_level_splits: false,
         }
     }
 }
@@ -105,19 +101,13 @@ impl SimCluster {
         }
     }
 
-    /// Build a text input format over a DFS directory, honouring the
-    /// cluster's split-granularity setting.
+    /// Build a text input format over a DFS directory of this cluster.
     pub fn text_input_format(
         &self,
         dir: &str,
         schema: sqlml_common::Schema,
     ) -> sqlml_mlengine::input::TextInputFormat {
-        let fmt = sqlml_mlengine::input::TextInputFormat::new(self.dfs.clone(), dir, schema);
-        if self.config.block_level_splits {
-            fmt.with_block_splits()
-        } else {
-            fmt
-        }
+        sqlml_mlengine::input::TextInputFormat::new(self.dfs.clone(), dir, schema)
     }
 
     /// The streaming-session tunables for this cluster.

@@ -22,8 +22,9 @@
 use std::borrow::Cow;
 use std::collections::HashSet;
 
+use sqlml_common::codec::{self, TextLine};
 use sqlml_common::schema::{DataType, Schema};
-use sqlml_common::{codec, Result, SqlmlError, Value};
+use sqlml_common::{Result, SqlmlError, Value};
 use sqlml_dfs::Dfs;
 use sqlml_sqlengine::executor::run_on_workers;
 // The tests compare against the column decoder; the jobs never build one.
@@ -68,7 +69,7 @@ pub fn run_external_transform(
     // reader that keeps only the recode columns' cells), merged at the
     // driver (reduce side).
     let partials = run_on_workers(files.len(), files.len(), |i| {
-        with_text(dfs, &files[i], |pieces| {
+        dfs.read_text(&files[i], None, |pieces| {
             Ok(recode_values(pieces, input_schema, &col_indices))
         })
     })?;
@@ -77,7 +78,7 @@ pub fn run_external_transform(
         // decoder checks it, which names the first bad part-file with the
         // error job 2 would raise.
         run_on_workers(files.len(), files.len(), |i| {
-            with_text(dfs, &files[i], |pieces| check_cells(pieces, input_schema))
+            dfs.read_text(&files[i], None, |pieces| check_cells(pieces, input_schema))
         })?;
         return Err(SqlmlError::Execution(format!(
             "job 1 refused a part-file under {input_dir} that decodes"
@@ -92,7 +93,7 @@ pub fn run_external_transform(
     let applier = FlatRecodeApplier::new(&recode_map, &bound)?;
     let row_counts: Vec<usize> = run_on_workers(files.len(), files.len(), |i| {
         let path = &files[i];
-        let (text, rows) = with_text(dfs, path, |pieces| applier.rewrite_pieces(pieces))?;
+        let (text, rows) = dfs.read_text(path, None, |pieces| applier.rewrite_pieces(pieces))?;
         let part_name = path.rsplit('/').next().unwrap_or("part-00000");
         dfs.write_string(&format!("{output_dir}/{part_name}"), &text)?;
         Ok(rows)
@@ -104,18 +105,6 @@ pub fn run_external_transform(
         recode_map,
         rows: row_counts.iter().sum(),
     })
-}
-
-/// `read` of a part-file's text as pieces of whole lines, its blocks
-/// read where the DFS holds them ([`codec::text_pieces`]): only a line
-/// that straddles two blocks is copied.
-fn with_text<T>(
-    dfs: &Dfs,
-    path: &str,
-    read: impl FnOnce(&[Cow<'_, str>]) -> Result<T>,
-) -> Result<T> {
-    let blocks = dfs.read_blocks(path)?;
-    read(&codec::text_pieces(blocks.iter().map(|b| b.as_slice()))?)
 }
 
 /// Job 1's map task over one part-file: every distinct non-NULL value of
@@ -136,7 +125,7 @@ fn recode_values(
     }
     let mut distinct: Vec<Distinct> = columns.iter().map(|_| Distinct::default()).collect();
     for piece in pieces {
-        let walked = codec::walk_text(piece, |line| {
+        let walked = codec::read_lines(piece, &mut |line: &TextLine<'_>| {
             line.cells(schema, |c, _, field| {
                 if let (Some(k), Some(v)) = (slot[c], field) {
                     distinct[k].insert(v);
@@ -157,7 +146,7 @@ fn recode_values(
 /// raise: a line that does not walk, or a cell its column's type refuses.
 fn check_cells(pieces: &[Cow<'_, str>], schema: &Schema) -> Result<()> {
     for piece in pieces {
-        codec::walk_text(piece, |line| {
+        codec::read_lines(piece, &mut |line: &TextLine<'_>| {
             line.cells(schema, |_, ty, field| match (field, ty) {
                 (Some(s), DataType::Int | DataType::Double | DataType::Bool) => {
                     Value::parse_typed(s, ty).map(drop)

@@ -1,11 +1,12 @@
 //! The cluster facade: datanodes, file writers/readers, locality queries.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, Write};
 use std::sync::Arc;
 
 use sqlml_common::lockorder::{TrackedMutex, TrackedRwLock};
-use sqlml_common::{Result, SqlmlError};
+use sqlml_common::{codec, Result, SqlmlError};
 
 use crate::namenode::{BlockId, BlockLocation, FileStatus, NameNode};
 use crate::throttle::Throttle;
@@ -168,62 +169,6 @@ impl Dfs {
         })
     }
 
-    /// Open a file for reading from the beginning (local read: no
-    /// network charge).
-    pub fn open(&self, path: &str) -> Result<DfsReader> {
-        let blocks = self.block_locations(path)?;
-        Ok(DfsReader {
-            dfs: self.clone(),
-            blocks,
-            next_block: 0,
-            current: None,
-            pos_in_current: 0,
-            reader_node: None,
-        })
-    }
-
-    /// Open a file for reading from the perspective of a reader on
-    /// `node`: blocks with no replica on that node are charged against
-    /// the cluster's remote-read bandwidth (when configured).
-    pub fn open_from(&self, path: &str, node: &str) -> Result<DfsReader> {
-        let mut r = self.open(path)?;
-        r.reader_node = Some(node.to_string());
-        Ok(r)
-    }
-
-    /// Open a reader positioned at the block containing `offset` and
-    /// limited to the blocks overlapping `[offset, offset+len)`. Used by
-    /// `TextInputFormat` splits; like Hadoop, splits are aligned to block
-    /// boundaries by the caller.
-    pub fn open_range(&self, path: &str, offset: u64, len: u64) -> Result<DfsReader> {
-        let all = self.block_locations(path)?;
-        let blocks: Vec<BlockLocation> = all
-            .into_iter()
-            .filter(|b| b.offset + b.len > offset && b.offset < offset + len)
-            .collect();
-        Ok(DfsReader {
-            dfs: self.clone(),
-            blocks,
-            next_block: 0,
-            current: None,
-            pos_in_current: 0,
-            reader_node: None,
-        })
-    }
-
-    /// Range read with a reader location (see [`Dfs::open_from`]).
-    pub fn open_range_from(
-        &self,
-        path: &str,
-        offset: u64,
-        len: u64,
-        node: &str,
-    ) -> Result<DfsReader> {
-        let mut r = self.open_range(path, offset, len)?;
-        r.reader_node = Some(node.to_string());
-        Ok(r)
-    }
-
     /// Write an entire string as a file. Each block's buffer is
     /// allocated at the size `contents` fills it to, and copied into once.
     pub fn write_string(&self, path: &str, contents: &str) -> Result<()> {
@@ -232,20 +177,44 @@ impl Dfs {
         w.close()
     }
 
-    /// Convenience: read an entire file as a string.
+    /// The whole file as a string, read by [`Dfs::read_text`] (tests and
+    /// diagnostics).
     pub fn read_string(&self, path: &str) -> Result<String> {
-        let mut r = self.open(path)?;
-        let mut s = String::new();
-        r.read_to_string(&mut s)?;
-        Ok(s)
+        self.read_text(path, None, |pieces| Ok(pieces.concat()))
     }
 
-    /// Every block of a file in order, fetched as [`Dfs::open`]'s reader
-    /// fetches them (a dead replica fails over, the throttle is charged)
-    /// and shared with the datanode rather than copied.
-    pub fn read_blocks(&self, path: &str) -> Result<Vec<Arc<Vec<u8>>>> {
-        let blocks = self.block_locations(path)?;
-        blocks.iter().map(|loc| self.fetch_block(loc)).collect()
+    /// `read` of a text file as pieces of whole lines in file order
+    /// ([`codec::text_pieces`]): every block is read where the datanode
+    /// holds it, and only a line that straddles two blocks is copied. A
+    /// dead replica fails over; a block with no live replica is the error.
+    /// A reader on `node` pays the cluster's remote-read bandwidth (when
+    /// one is configured) for every block with no replica on that node; a
+    /// reader with no node pays nothing.
+    pub fn read_text<T>(
+        &self,
+        path: &str,
+        node: Option<&str>,
+        read: impl FnOnce(&[Cow<'_, str>]) -> Result<T>,
+    ) -> Result<T> {
+        let blocks = self.read_blocks(path, node)?;
+        read(&codec::text_pieces(blocks.iter().map(|b| b.as_slice()))?)
+    }
+
+    /// Every block of a file in order, shared with the datanode rather
+    /// than copied, fetched as [`Dfs::read_text`] says.
+    fn read_blocks(&self, path: &str, node: Option<&str>) -> Result<Vec<Arc<Vec<u8>>>> {
+        let locations = self.block_locations(path)?;
+        (locations.iter())
+            .map(|loc| {
+                let data = self.fetch_block(loc)?;
+                if let (Some(node), Some(net)) = (node, &self.inner.network) {
+                    if !loc.nodes.iter().any(|&n| crate::node_name(n) == node) {
+                        net.consume(data.len());
+                    }
+                }
+                Ok(data)
+            })
+            .collect()
     }
 
     pub fn exists(&self, path: &str) -> bool {
@@ -376,79 +345,6 @@ impl Write for DfsWriter {
     }
 }
 
-/// Streaming reader over a (sub)sequence of a file's blocks.
-pub struct DfsReader {
-    dfs: Dfs,
-    blocks: Vec<BlockLocation>,
-    next_block: usize,
-    current: Option<Arc<Vec<u8>>>,
-    pos_in_current: usize,
-    /// Node the reader runs on; used to detect remote block reads.
-    reader_node: Option<String>,
-}
-
-impl DfsReader {
-    fn ensure_current(&mut self) -> io::Result<bool> {
-        loop {
-            if let Some(cur) = &self.current {
-                if self.pos_in_current < cur.len() {
-                    return Ok(true);
-                }
-                self.current = None;
-                self.pos_in_current = 0;
-            }
-            if self.next_block >= self.blocks.len() {
-                return Ok(false);
-            }
-            let loc = self.blocks[self.next_block].clone();
-            self.next_block += 1;
-            let data = self
-                .dfs
-                .fetch_block(&loc)
-                .map_err(|e| io::Error::other(e.to_string()))?;
-            // A reader not colocated with any replica pays the network.
-            if let (Some(node), Some(net)) = (&self.reader_node, &self.dfs.inner.network) {
-                let local = loc.nodes.iter().any(|n| crate::node_name(*n) == *node);
-                if !local {
-                    net.consume(data.len());
-                }
-            }
-            self.current = Some(data);
-            self.pos_in_current = 0;
-        }
-    }
-}
-
-impl Read for DfsReader {
-    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        if out.is_empty() || !self.ensure_current()? {
-            return Ok(0);
-        }
-        // lint:allow(panic) ensure_current just returned true
-        let cur = self.current.as_ref().expect("ensure_current returned true");
-        let avail = &cur[self.pos_in_current..];
-        let n = avail.len().min(out.len());
-        out[..n].copy_from_slice(&avail[..n]);
-        self.pos_in_current += n;
-        Ok(n)
-    }
-}
-
-impl BufRead for DfsReader {
-    fn fill_buf(&mut self) -> io::Result<&[u8]> {
-        if !self.ensure_current()? {
-            return Ok(&[]);
-        }
-        let pos = self.pos_in_current;
-        // lint:allow(panic) ensure_current just returned true
-        Ok(&self.current.as_ref().expect("checked above")[pos..])
-    }
-
-    fn consume(&mut self, amt: usize) {
-        self.pos_in_current += amt;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,7 +368,7 @@ mod tests {
         let dfs = Dfs::new(DfsConfig::for_tests());
         let payload: String = (0..30).map(|i| format!("row-{i}\n")).collect();
         dfs.write_string("/t/a.txt", &payload).unwrap();
-        let blocks = dfs.read_blocks("/t/a.txt").unwrap();
+        let blocks = dfs.read_blocks("/t/a.txt", None).unwrap();
         assert!(blocks.len() > 1);
         // No block, the last and partial one included, holds a buffer
         // larger than its bytes.
@@ -482,7 +378,7 @@ mod tests {
         let joined: Vec<u8> = blocks.iter().flat_map(|b| b.iter().copied()).collect();
         assert_eq!(joined, payload.as_bytes());
         assert_eq!(joined, dfs.read_string("/t/a.txt").unwrap().as_bytes());
-        assert!(dfs.read_blocks("/t/missing").is_err());
+        assert!(dfs.read_blocks("/t/missing", None).is_err());
     }
 
     #[test]
@@ -571,28 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn open_range_selects_overlapping_blocks() {
-        let dfs = Dfs::new(DfsConfig::for_tests());
-        let payload: String = (0..16).map(|i| format!("{:07}\n", i)).collect(); // 128 bytes
-        dfs.write_string("/t/f", &payload).unwrap();
-        // Second block only (offset 64, len 64).
-        let mut r = dfs.open_range("/t/f", 64, 64).unwrap();
-        let mut s = String::new();
-        r.read_to_string(&mut s).unwrap();
-        assert_eq!(s, &payload[64..128]);
-    }
-
-    #[test]
-    fn bufread_lines_work() {
-        let dfs = Dfs::new(DfsConfig::for_tests());
-        let payload = "alpha\nbeta\ngamma\n";
-        dfs.write_string("/t/f", payload).unwrap();
-        let r = dfs.open("/t/f").unwrap();
-        let lines: Vec<String> = r.lines().map(|l| l.unwrap()).collect();
-        assert_eq!(lines, vec!["alpha", "beta", "gamma"]);
-    }
-
-    #[test]
     fn listing_is_prefix_scoped_and_sorted() {
         let dfs = Dfs::new(DfsConfig::for_tests());
         dfs.write_string("/a/2", "x").unwrap();
@@ -619,20 +493,16 @@ mod tests {
         let local_node = crate::node_name(holder);
         let remote_node = crate::node_name((holder + 1) % 4);
 
-        let t0 = Instant::now();
-        let mut r = dfs.open_from("/t/f", &local_node).unwrap();
-        let mut s = String::new();
-        r.read_to_string(&mut s).unwrap();
-        let local_t = t0.elapsed();
-
-        let t1 = Instant::now();
-        let mut r = dfs.open_from("/t/f", &remote_node).unwrap();
-        let mut s2 = String::new();
-        r.read_to_string(&mut s2).unwrap();
-        let remote_t = t1.elapsed();
-
-        assert_eq!(s, payload);
-        assert_eq!(s2, payload);
+        let read_from = |node: Option<&str>| {
+            let t = Instant::now();
+            let text = dfs.read_text("/t/f", node, |p| Ok(p.concat())).unwrap();
+            assert_eq!(text, payload);
+            t.elapsed()
+        };
+        let local_t = read_from(Some(&local_node));
+        let remote_t = read_from(Some(&remote_node));
+        let nowhere_t = read_from(None);
+        assert!(nowhere_t.as_millis() < 50, "no node={nowhere_t:?}");
         assert!(
             local_t.as_millis() < 50 && remote_t.as_millis() >= 150,
             "remote={remote_t:?} local={local_t:?}"

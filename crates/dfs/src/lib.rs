@@ -23,7 +23,7 @@ mod cluster;
 mod namenode;
 mod throttle;
 
-pub use cluster::{Dfs, DfsConfig, DfsReader, DfsWriter};
+pub use cluster::{Dfs, DfsConfig, DfsWriter};
 pub use namenode::{BlockLocation, FileStatus};
 pub use throttle::Throttle;
 

@@ -8,7 +8,6 @@
 //! format for tests).
 
 use std::any::Any;
-use std::io::BufRead;
 use std::sync::Arc;
 
 use sqlml_common::codec::{self, LineReader, TextLine};
@@ -60,17 +59,10 @@ pub trait InputFormat: Send + Sync {
 // TextInputFormat: text part-files on the DFS (the naive / insql paths)
 // ---------------------------------------------------------------------------
 
-/// One split of a DFS text directory: a byte range `[offset, offset+len)`
-/// of one part-file. Whole-file splits have `offset == 0` and
-/// `len == total_len`; block-level splits cover one DFS block each and
-/// follow Hadoop's line-boundary protocol (see
-/// [`TextInputFormat::with_block_splits`]).
+/// One split of a DFS text directory: one whole part-file.
 #[derive(Debug, Clone)]
 pub struct FileSplit {
     pub path: String,
-    pub offset: u64,
-    pub len: u64,
-    pub total_len: u64,
     locations: Vec<String>,
 }
 
@@ -84,12 +76,12 @@ impl InputSplit for FileSplit {
     }
 }
 
-/// Reads a directory of text part-files from the DFS.
+/// Reads a directory of text part-files from the DFS, one split per
+/// part-file.
 pub struct TextInputFormat {
     dfs: Dfs,
     dir: String,
     schema: Schema,
-    block_splits: bool,
 }
 
 impl TextInputFormat {
@@ -98,19 +90,7 @@ impl TextInputFormat {
             dfs,
             dir: dir.into(),
             schema,
-            block_splits: false,
         }
-    }
-
-    /// Split at DFS block granularity instead of one split per file —
-    /// what Hadoop's `TextInputFormat` does, so large part-files can be
-    /// read by many tasks. Line-straddling blocks are handled with the
-    /// classic protocol: a non-initial split discards its first
-    /// (possibly partial) line, and every split reads one line past its
-    /// end boundary.
-    pub fn with_block_splits(mut self) -> Self {
-        self.block_splits = true;
-        self
     }
 }
 
@@ -125,34 +105,15 @@ impl InputFormat for TextInputFormat {
         }
         let mut out: Vec<Arc<dyn InputSplit>> = Vec::with_capacity(files.len());
         for f in files {
+            // Locality: the nodes holding the file's first block.
             let blocks = self.dfs.block_locations(&f.path)?;
-            let node_names = |nodes: &[sqlml_dfs::NodeId]| -> Vec<String> {
-                nodes.iter().copied().map(sqlml_dfs::node_name).collect()
-            };
-            if self.block_splits && blocks.len() > 1 {
-                for b in &blocks {
-                    out.push(Arc::new(FileSplit {
-                        path: f.path.clone(),
-                        offset: b.offset,
-                        len: b.len,
-                        total_len: f.len,
-                        locations: node_names(&b.nodes),
-                    }));
-                }
-            } else {
-                // Locality: the nodes holding the file's first block.
-                let locations = blocks
-                    .first()
-                    .map(|b| node_names(&b.nodes))
-                    .unwrap_or_default();
-                out.push(Arc::new(FileSplit {
-                    path: f.path,
-                    offset: 0,
-                    len: f.len,
-                    total_len: f.len,
-                    locations,
-                }));
-            }
+            let locations = (blocks.first().into_iter())
+                .flat_map(|b| b.nodes.iter().copied().map(sqlml_dfs::node_name))
+                .collect();
+            out.push(Arc::new(FileSplit {
+                path: f.path,
+                locations,
+            }));
         }
         Ok(out)
     }
@@ -166,136 +127,50 @@ impl InputFormat for TextInputFormat {
             .as_any()
             .downcast_ref::<FileSplit>()
             .ok_or_else(|| SqlmlError::Ml("TextInputFormat got a foreign split".into()))?;
-        // Open from the split's first block through EOF (a straddling
-        // last line may reach into later blocks). `open_from` charges
-        // remote block reads against the cluster's network bandwidth, so
-        // non-local assignments cost time.
-        let reader =
-            self.dfs
-                .open_range_from(&fs.path, fs.offset, fs.total_len - fs.offset, worker_node)?;
-        let mut r = TextRecordReader {
-            reader,
+        Ok(Box::new(TextRecordReader {
+            dfs: self.dfs.clone(),
+            path: Some(fs.path.clone()),
+            node: worker_node.to_string(),
             schema: self.schema.clone(),
-            cells: Vec::new(),
-            carry: Vec::new(),
-            pos: fs.offset,
-            end: fs.offset + fs.len,
-        };
-        // Hadoop line protocol: a non-initial split discards its first
-        // (possibly partial) line — the previous split read it.
-        if fs.offset > 0 {
-            loop {
-                let buf = r.reader.fill_buf()?;
-                let (take, found) = match buf.iter().position(|&b| b == b'\n') {
-                    Some(at) => (at + 1, true),
-                    None => (buf.len(), buf.is_empty()),
-                };
-                r.reader.consume(take);
-                r.pos += take as u64;
-                if found {
-                    break;
-                }
-            }
-        }
-        Ok(Box::new(r))
+        }))
     }
 }
 
 struct TextRecordReader {
-    reader: sqlml_dfs::DfsReader,
+    dfs: Dfs,
+    /// The part-file, until it is read.
+    path: Option<String>,
+    /// Where the worker runs: a block with no replica there pays the
+    /// cluster's network bandwidth.
+    node: String,
     schema: Schema,
-    /// The current line's cells as numbers, reused line after line.
-    cells: Vec<f64>,
-    /// The start of a line that runs on into the next block.
-    carry: Vec<u8>,
-    /// Byte position within the file of the next byte the DFS hands over.
-    pos: u64,
-    /// Split end boundary: lines starting at `pos <= end` belong to this
-    /// split (the matching discard rule on the next split prevents
-    /// duplicates), so the split's last line ends at its first `\n` at or
-    /// past `end`.
-    end: u64,
 }
 
 impl RecordReader for TextRecordReader {
-    /// The whole split in one call, walked block by block where the DFS
-    /// holds it: the whole lines of a block are walked in place, and only
-    /// a line that straddles two blocks is copied.
+    /// The whole part-file in one call, read where the DFS holds its
+    /// blocks: only a line that straddles two blocks is copied.
     fn next_batch(&mut self, out: &mut PartitionBlock) -> Result<usize> {
+        let Some(path) = self.path.take() else {
+            return Ok(0);
+        };
         let before = out.len();
-        let (schema, cells) = (&self.schema, &mut self.cells);
-        // Past `end` with no line begun: the split is read.
-        while self.pos <= self.end || !self.carry.is_empty() {
-            let buf = self.reader.fill_buf()?;
-            if buf.is_empty() {
-                // The file's last line, when it has no `\n`.
-                walk_lines(&self.carry, schema, cells, out)?;
-                self.carry.clear();
-                break;
-            }
-            let from = usize::try_from(self.end.saturating_sub(self.pos)).unwrap_or(usize::MAX);
-            let last = (buf.get(from..).unwrap_or_default().iter())
-                .position(|&b| b == b'\n')
-                .map(|at| from + at + 1);
-            let chunk = &buf[..last.unwrap_or(buf.len())];
-            let whole = chunk
-                .iter()
-                .rposition(|&b| b == b'\n')
-                .map_or(0, |at| at + 1);
-            let (mut lines, rest) = chunk.split_at(whole);
-            if !self.carry.is_empty() && !lines.is_empty() {
-                let first = lines
-                    .iter()
-                    .position(|&b| b == b'\n')
-                    .map_or(0, |at| at + 1);
-                self.carry.extend_from_slice(&lines[..first]);
-                walk_lines(&self.carry, schema, cells, out)?;
-                self.carry.clear();
-                lines = &lines[first..];
-            }
-            walk_lines(lines, schema, cells, out)?;
-            self.carry.extend_from_slice(rest);
-            let took = chunk.len();
-            self.reader.consume(took);
-            self.pos += took as u64;
-        }
+        let mut lines = NumericLines {
+            schema: &self.schema,
+            cells: Vec::new(),
+            out,
+        };
+        self.dfs.read_text(&path, Some(&self.node), |pieces| {
+            (pieces.iter()).try_for_each(|piece| codec::read_lines(piece, &mut lines))
+        })?;
         Ok(out.len() - before)
     }
-}
-
-/// Every line of `bytes` (whole lines, or the file's last line without
-/// its `\n`) into `out` as numbers. Lines up to one that is not UTF-8 are
-/// read before that line's error, as a line reader reads them.
-fn walk_lines(
-    bytes: &[u8],
-    schema: &Schema,
-    cells: &mut Vec<f64>,
-    out: &mut PartitionBlock,
-) -> Result<()> {
-    let (text, bad) = match std::str::from_utf8(bytes) {
-        Ok(text) => (text, None),
-        Err(e) => {
-            let valid = &bytes[..e.valid_up_to()];
-            let lines = valid
-                .iter()
-                .rposition(|&b| b == b'\n')
-                .map_or(0, |at| at + 1);
-            let text = std::str::from_utf8(&valid[..lines]).unwrap_or_default();
-            let bad = std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "stream did not contain valid UTF-8",
-            );
-            (text, Some(bad))
-        }
-    };
-    codec::read_lines(text, &mut NumericLines { schema, cells, out })?;
-    bad.map_or(Ok(()), |e| Err(e.into()))
 }
 
 /// Reads text lines as numbers into a block.
 struct NumericLines<'a> {
     schema: &'a Schema,
-    cells: &'a mut Vec<f64>,
+    /// The current line's cells as numbers, reused line after line.
+    cells: Vec<f64>,
     out: &'a mut PartitionBlock,
 }
 
@@ -319,13 +194,13 @@ impl LineReader for NumericLines<'_> {
             self.cells.push(v);
             at = next;
         }
-        self.out.push_row(self.cells).ok()?;
+        self.out.push_row(&self.cells).ok()?;
         Some(at)
     }
 
     fn read_line(&mut self, line: &TextLine<'_>) -> Result<()> {
-        numeric_cells(line, self.schema, self.cells)?;
-        self.out.push_row(self.cells)
+        numeric_cells(line, self.schema, &mut self.cells)?;
+        self.out.push_row(&self.cells)
     }
 }
 
@@ -612,9 +487,9 @@ mod tests {
     }
 
     #[test]
-    fn block_splits_read_every_line_exactly_once() {
+    fn tiny_blocks_read_every_line_exactly_once() {
         // 64-byte test blocks; varying line widths so lines straddle
-        // block boundaries.
+        // block boundaries. The part-file is one split, read whole.
         let dfs = Dfs::new(DfsConfig::for_tests());
         let mut text = String::new();
         for i in 0..40 {
@@ -622,37 +497,13 @@ mod tests {
             text.push('\n');
         }
         dfs.write_string("/blk/part-00000", &text).unwrap();
+        assert!(dfs.block_locations("/blk/part-00000").unwrap().len() > 3);
         let int_schema = Schema::new(vec![Field::new("v", DataType::Int)]);
-        let fmt = TextInputFormat::new(dfs.clone(), "/blk", int_schema).with_block_splits();
-        let splits = fmt.get_splits().unwrap();
-        assert!(
-            splits.len() > 3,
-            "expected many 64-byte block splits, got {}",
-            splits.len()
-        );
-        let mut got: Vec<f64> = read_all(&fmt).iter().map(|row| row[0]).collect();
-        got.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let fmt = TextInputFormat::new(dfs.clone(), "/blk", int_schema);
+        assert_eq!(fmt.get_splits().unwrap().len(), 1);
+        let got: Vec<f64> = read_all(&fmt).iter().map(|row| row[0]).collect();
         let expect: Vec<f64> = (0..40).map(f64::from).collect();
-        assert_eq!(got, expect, "lines lost or duplicated across splits");
-    }
-
-    #[test]
-    fn block_splits_carry_per_block_locality() {
-        let dfs = Dfs::new(DfsConfig::for_tests());
-        dfs.write_string("/blk2/part-00000", &"x|1\n".repeat(100))
-            .unwrap();
-        let mixed = Schema::new(vec![
-            Field::categorical("s"),
-            Field::new("v", DataType::Int),
-        ]);
-        let fmt = TextInputFormat::new(dfs.clone(), "/blk2", mixed).with_block_splits();
-        let splits = fmt.get_splits().unwrap();
-        let blocks = dfs.block_locations("/blk2/part-00000").unwrap();
-        assert_eq!(splits.len(), blocks.len());
-        for (s, b) in splits.iter().zip(&blocks) {
-            let expect: Vec<String> = b.nodes.iter().copied().map(sqlml_dfs::node_name).collect();
-            assert_eq!(s.locations(), expect);
-        }
+        assert_eq!(got, expect, "lines lost, duplicated or reordered");
     }
 
     #[test]

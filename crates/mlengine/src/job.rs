@@ -8,9 +8,10 @@
 //! 2. assigns splits to the `n` ML workers **preferring colocated
 //!    workers** (split locations vs. worker nodes — step 3 of the paper's
 //!    Figure 2),
-//! 3. has each worker drain its splits through `RecordReader`s in
-//!    parallel, each filling its partition of the in-memory [`Dataset`]
-//!    (the RDD analogue) as numbers while it reads, and
+//! 3. drains every split through a `RecordReader` on its own thread, all
+//!    in parallel, each filling a block of its worker's partition of the
+//!    in-memory [`Dataset`] (the RDD analogue) as numbers while it reads,
+//!    and
 //! 4. trains the requested algorithm on the dataset.
 
 use std::collections::HashMap;
@@ -295,57 +296,37 @@ impl JobRunner {
             .map(|w| self.config.worker_node(w))
             .collect();
 
-        // Each worker drains its splits on its own thread, and reads its
-        // splits concurrently (one reader task per split, as a real
-        // executor runs multiple tasks). Concurrency matters for
-        // streaming formats: a sender may wait for *all* its readers to
-        // connect before emitting anything, so sequential reads would
-        // deadlock the rendezvous. Every reader task fills its own block;
-        // the worker joins them in split order.
-        let blocks = std::thread::scope(|scope| -> Result<Vec<PartitionBlock>> {
-            let handles: Vec<_> = assigned
-                .into_iter()
-                .enumerate()
-                .map(|(w, splits)| {
+        // One reader task per split, all at once, as a real executor runs
+        // its tasks. Concurrency matters for streaming formats: a sender
+        // may wait for *all* its readers to connect before emitting
+        // anything, so sequential reads would deadlock the rendezvous.
+        // Every task fills its own block; each worker's partition joins
+        // its blocks in split order.
+        let read = std::thread::scope(|scope| {
+            let tasks: Vec<_> = (assigned.iter().enumerate())
+                .flat_map(|(w, splits)| splits.iter().map(move |s| (w, s)))
+                .map(|(w, s)| {
                     let node = &worker_nodes[w];
-                    scope.spawn(move || -> Result<PartitionBlock> {
-                        let blocks = std::thread::scope(|inner| -> Result<Vec<PartitionBlock>> {
-                            let readers: Vec<_> = splits
-                                .iter()
-                                .map(|s| {
-                                    inner.spawn(move || -> Result<PartitionBlock> {
-                                        let mut block = PartitionBlock::new(label_col);
-                                        let mut reader = format.create_reader(s.as_ref(), node)?;
-                                        while reader.next_batch(&mut block)? > 0 {}
-                                        Ok(block)
-                                    })
-                                })
-                                .collect();
-                            readers
-                                .into_iter()
-                                .map(|h| {
-                                    h.join().map_err(|_| {
-                                        SqlmlError::Ml("split reader panicked".into())
-                                    })?
-                                })
-                                .collect()
-                        })?;
-                        let mut partition = PartitionBlock::new(label_col);
-                        for block in blocks {
-                            partition.append(block)?;
-                        }
-                        Ok(partition)
-                    })
+                    let task = scope.spawn(move || -> Result<PartitionBlock> {
+                        let mut block = PartitionBlock::new(label_col);
+                        let mut reader = format.create_reader(s.as_ref(), node)?;
+                        while reader.next_batch(&mut block)? > 0 {}
+                        Ok(block)
+                    });
+                    (w, task)
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .map_err(|_| SqlmlError::Ml("ML worker thread panicked".into()))?
-                })
-                .collect()
-        })?;
+            let panicked = || Err(SqlmlError::Ml("split reader panicked".into()));
+            (tasks.into_iter())
+                .map(|(w, task)| (w, task.join().unwrap_or_else(|_| panicked())))
+                .collect::<Vec<_>>()
+        });
+        let mut blocks: Vec<PartitionBlock> = (0..assigned.len())
+            .map(|_| PartitionBlock::new(label_col))
+            .collect();
+        for (w, block) in read {
+            blocks[w].append(block?)?;
+        }
 
         let rows = blocks.iter().map(PartitionBlock::len).sum();
         let dataset = Dataset::from_blocks(blocks)?;

@@ -9,7 +9,6 @@
 
 use std::sync::Arc;
 
-use sqlml_common::codec;
 use sqlml_common::schema::DataType;
 use sqlml_common::{Result, Row, Schema, SqlmlError};
 use sqlml_dfs::Dfs;
@@ -203,9 +202,7 @@ impl PartitionedTable {
         }
         let loaded = run_on_workers(files.len(), files.len(), |i| {
             let f = &files[i];
-            let blocks = dfs.read_blocks(&f.path)?;
-            let pieces = codec::text_pieces(blocks.iter().map(|b| b.as_slice()))?;
-            let part = decode_pieces(&pieces, &schema)?;
+            let part = dfs.read_text(&f.path, None, |pieces| decode_pieces(pieces, &schema))?;
             // Home = node holding the file's first block replica.
             let home = dfs
                 .block_locations(&f.path)?

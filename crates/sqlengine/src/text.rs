@@ -235,7 +235,7 @@ impl Batch {
 
     /// Parse a text blob into columns: the rows
     /// `codec::decode_text_batch(text, schema)` returns, or its error,
-    /// line for line the lines [`codec::walk_text`] walks. A number goes
+    /// line for line the lines [`codec::read_lines`] reads. A number goes
     /// from its field parser straight into its column's vector. The
     /// columns are sized up front from the lines of the blob's first
     /// 4 KiB.

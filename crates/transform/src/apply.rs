@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sqlml_common::codec::{self, TEXT_DELIM, TEXT_NULL};
+use sqlml_common::codec::{self, TextLine, TEXT_DELIM, TEXT_NULL};
 use sqlml_common::schema::DataType;
 use sqlml_common::{Result, Schema, SqlmlError, Value};
 use sqlml_sqlengine::column::{Batch, Column, Prim};
@@ -162,7 +162,7 @@ impl FlatRecodeApplier {
         let mut rows = 0;
         let mut refused: Option<(usize, SqlmlError)> = None;
         for piece in pieces {
-            codec::walk_text(piece.as_ref(), |line| {
+            codec::read_lines(piece.as_ref(), &mut |line: &TextLine<'_>| {
                 line.cells(&self.input, |c, ty, cell| {
                     if c > 0 {
                         out.push(TEXT_DELIM);

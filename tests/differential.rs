@@ -2140,8 +2140,9 @@ fn every_text_reader_walks_what_the_split_based_decoder_reads() {
         let columns = Batch::decode_text(&text, &schema).map(|b| b.rows());
         assert_eq!(columns.map_err(|e| e.to_string()), want, "{what}");
 
-        // The ML reader, whole-file and block splits at every block size:
-        // the rows as numbers up to the first line that fails either way.
+        // At every block size, lines straddling blocks: the table load,
+        // and the ML reader (the rows as numbers up to the first line that
+        // fails either way).
         let mut want_ml = (Vec::new(), None);
         for row in &lines {
             match (row.clone()).and_then(|r| r.to_f64_vec().map_err(|e| e.to_string())) {
@@ -2156,17 +2157,14 @@ fn every_text_reader_walks_what_the_split_based_decoder_reads() {
         for (dfs, block) in dfss.iter().zip(block_sizes) {
             dfs.write_string(&format!("{dir}/part-00000"), &text)
                 .unwrap();
+            let table = PartitionedTable::load_text(dfs, &dir, schema.clone());
+            let table = table.map(|t| t.collect_rows()).map_err(|e| e.to_string());
+            assert_eq!(table, want, "table load, {block} B blocks, {what}");
             let fmt = sqlml_mlengine::TextInputFormat::new(dfs.clone(), &dir, schema.clone());
             assert_eq!(
                 read_splits(&fmt),
                 want_ml,
-                "whole file, {block} B blocks, {what}"
-            );
-            let fmt = fmt.with_block_splits();
-            assert_eq!(
-                read_splits(&fmt),
-                want_ml,
-                "block splits of {block} B, {what}"
+                "ML reader, {block} B blocks, {what}"
             );
         }
 

@@ -294,45 +294,6 @@ fn figure_shapes_hold_even_at_test_scale_with_throttle() {
     );
 }
 
-#[test]
-fn block_level_splits_deliver_identical_pipelines() {
-    // Hadoop-style block splits (many splits per part-file) through the
-    // full naive and insql pipelines: same rows, same model behaviour.
-    let make = |block_splits: bool| {
-        let config = ClusterConfig {
-            sql_workers: 2,
-            ml_workers: 2,
-            dfs: sqlml_dfs::DfsConfig {
-                num_datanodes: 2,
-                block_size: 4 * 1024, // small blocks => many splits
-                replication: 2,
-                bytes_per_sec: None,
-                remote_bytes_per_sec: None,
-            },
-            block_level_splits: block_splits,
-            ..ClusterConfig::default()
-        };
-        let cluster = SimCluster::start(config).unwrap();
-        cluster.load_workload(WorkloadScale::TINY, 404).unwrap();
-        cluster
-    };
-    let mut row_counts = Vec::new();
-    for block_splits in [false, true] {
-        let cluster = make(block_splits);
-        let pipeline = Pipeline::new(&cluster);
-        for strategy in [Strategy::Naive, Strategy::InSql] {
-            let report = pipeline
-                .run(&request("svm label=4 iterations=10"), strategy)
-                .unwrap();
-            row_counts.push(report.rows_to_ml);
-        }
-    }
-    assert!(
-        row_counts.iter().all(|c| *c == row_counts[0]),
-        "row counts diverged across split granularities: {row_counts:?}"
-    );
-}
-
 /// The pipeline's transform stage is the §4 rewriter's script: for a
 /// fresh, a §5.1 and a §5.2 plan, reached under each In-SQL strategy, the
 /// table the pipeline hands off equals `rewrite_and_run`'s, schema names

@@ -542,14 +542,14 @@ fn predicate_implication_is_sound() {
 }
 
 // ---------------------------------------------------------------------------
-// Hadoop block-split line protocol
+// Text part-files over tiny DFS blocks
 // ---------------------------------------------------------------------------
 
-/// Splitting a text file at block boundaries and reading every split
-/// yields every line exactly once, for any block size and any line
-/// lengths (the classic discard-first / read-past-end protocol).
+/// A text part-file cut into blocks of any size, with lines of any
+/// length, is read by the ML reader as one split holding every line once,
+/// in file order.
 #[test]
-fn block_splits_partition_lines_exactly() {
+fn tiny_blocks_deliver_every_line_exactly_once() {
     use sqlml_dfs::{Dfs, DfsConfig};
     use sqlml_mlengine::dataset::PartitionBlock;
     use sqlml_mlengine::input::{InputFormat, TextInputFormat};
@@ -574,15 +574,14 @@ fn block_splits_partition_lines_exactly() {
         }
         dfs.write_string("/p/part-00000", &text).unwrap();
         let schema = Schema::new(vec![Field::new("v", DataType::Int)]);
-        let fmt = TextInputFormat::new(dfs, "/p", schema).with_block_splits();
+        let fmt = TextInputFormat::new(dfs, "/p", schema);
+        let splits = fmt.get_splits().unwrap();
+        assert_eq!(splits.len(), 1);
         let mut block = PartitionBlock::new(None);
-        for s in fmt.get_splits().unwrap() {
-            let mut r = fmt.create_reader(s.as_ref(), "node-0").unwrap();
-            while r.next_batch(&mut block).unwrap() > 0 {}
-        }
+        let mut r = fmt.create_reader(splits[0].as_ref(), "node-0").unwrap();
+        while r.next_batch(&mut block).unwrap() > 0 {}
         let data = Dataset::from_blocks(vec![block]).unwrap();
-        let mut got: Vec<f64> = data.iter().map(|p| p.features[0]).collect();
-        got.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let got: Vec<f64> = data.iter().map(|p| p.features[0]).collect();
         let expect: Vec<f64> = (0..n_lines).map(|i| i as f64).collect();
         assert_eq!(got, expect);
     }
