@@ -6,11 +6,16 @@
 //! * a `Filter`→`Project` chain, which the executor runs as one pass
 //!   per partition (one batch kernel per operator);
 //! * the [`FlatRecodeApplier`] over a column batch (one binary search
-//!   per *dictionary entry*, then a gather and the dummy expansion).
+//!   per *dictionary entry*, then a gather and the dummy expansion);
+//! * the Naive external transform's two jobs over one 55K-line part-file
+//!   of the preparation query's result (`age|gender|amount|abandoned`):
+//!   job 1 collecting the recode columns' distinct values, job 2
+//!   rewriting every line with gender dummy-coded.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sqlml_common::schema::{DataType, Field, Schema};
-use sqlml_common::{Row, SplitMix64, Value};
+use sqlml_common::{codec, Row, SplitMix64, Value};
+use sqlml_core::naive::recode_values;
 use sqlml_sqlengine::{Batch, Engine, EngineConfig};
 use sqlml_transform::{FlatRecodeApplier, RecodeMap, TransformSpec};
 
@@ -123,9 +128,46 @@ fn bench_recode_apply(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_naive_jobs(c: &mut Criterion) {
+    let schema = Schema::new(vec![
+        Field::new("age", DataType::Int),
+        Field::categorical("gender"),
+        Field::new("amount", DataType::Double),
+        Field::categorical("abandoned"),
+    ]);
+    let mut rng = SplitMix64::new(100);
+    let rows: Vec<Row> = (0..55_000)
+        .map(|_| {
+            Row::new(vec![
+                Value::Int(rng.range_i64(18, 80)),
+                Value::str(if rng.chance(0.5) { "F" } else { "M" }),
+                Value::Double(rng.next_below(20_000) as f64 / 100.0),
+                Value::str(if rng.chance(0.3) { "Yes" } else { "No" }),
+            ])
+        })
+        .collect();
+    let text = codec::encode_text_batch(&rows);
+    let spec = TransformSpec::new(&["gender"]);
+    let bound = spec.bind(&schema).unwrap();
+    let columns: Vec<(String, usize)> = (bound.recoded())
+        .map(|(at, name)| (name.to_string(), at))
+        .collect();
+    let pairs = recode_values(&[&text], &schema, &columns).unwrap();
+    let applier = FlatRecodeApplier::new(&RecodeMap::from_pairs(pairs), &bound).unwrap();
+
+    let mut group = c.benchmark_group("hotpath");
+    group.bench_function("naive_job1_distinct_values_55k_lines", |b| {
+        b.iter(|| recode_values(&[black_box(&text)], &schema, &columns).map(|p| p.len()))
+    });
+    group.bench_function("naive_job2_rewrite_55k_lines", |b| {
+        b.iter(|| applier.rewrite_text(black_box(&text)).unwrap().1)
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_join, bench_fusion, bench_recode_apply
+    targets = bench_join, bench_fusion, bench_recode_apply, bench_naive_jobs
 }
 criterion_main!(benches);

@@ -272,10 +272,16 @@ pub fn double_cell(d: f64, out: &mut [u8; CELL_BYTES]) -> Option<usize> {
 /// length, so a cell costs no variable-length copy. Turned into a
 /// `String` once, by [`TextSink::into_string`].
 pub struct TextSink {
-    /// Written bytes up to `len`; zeros past it, room for the next store.
+    /// Written bytes up to `len`; scratch past it, room for the next
+    /// store.
     buf: Vec<u8>,
     len: usize,
 }
+
+/// Bytes a span's store moves: a span up to this long, with this many
+/// bytes to read from its start, is one fixed-width store
+/// ([`TextSink::put_span`]).
+pub const SPAN_BYTES: usize = 16;
 
 impl TextSink {
     /// A sink with room for about `bytes` bytes before it grows.
@@ -329,6 +335,34 @@ impl TextSink {
         written.is_some()
     }
 
+    /// Append `text[start..end]`: one [`SPAN_BYTES`]-byte store when the
+    /// span is at most that long and `text` holds that many bytes from
+    /// `start`, a copy of its length otherwise.
+    #[inline]
+    pub fn put_span(&mut self, text: &[u8], start: usize, end: usize) {
+        let len = end.saturating_sub(start);
+        let window = (text.get(start..start + SPAN_BYTES))
+            .and_then(|w| <&[u8; SPAN_BYTES]>::try_from(w).ok())
+            .filter(|_| len <= SPAN_BYTES);
+        match window {
+            Some(window) => self.put(window, len),
+            None => self.put_slice(text.get(start..end).unwrap_or_default()),
+        }
+    }
+
+    /// How many bytes are written: a mark [`Self::rewind`] goes back to.
+    #[inline]
+    pub fn mark(&self) -> usize {
+        self.len
+    }
+
+    /// Drop what was written after `mark`, as a reader does with a line it
+    /// refuses halfway.
+    #[inline]
+    pub fn rewind(&mut self, mark: usize) {
+        self.len = self.len.min(mark);
+    }
+
     /// Append `bytes`, a copy of their length.
     #[inline]
     pub fn put_slice(&mut self, bytes: &[u8]) {
@@ -374,6 +408,54 @@ impl TextSink {
     pub fn into_string(mut self) -> String {
         self.buf.truncate(self.len);
         String::from_utf8(self.buf).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into())
+    }
+}
+
+/// Cells rendered once, each followed by its delimiter, in one arena
+/// padded so a [`SPAN_BYTES`]-byte store from any cell's start stays
+/// inside: a repeated cell (a dictionary entry, a small integer, a
+/// recode code or a coded block) is then one lookup and one store.
+pub struct CellTable {
+    arena: Vec<u8>,
+    /// Where cell `k` lies in `arena`; a length of 0 means not rendered
+    /// yet (a rendered cell holds at least its delimiter).
+    spans: Vec<(usize, usize)>,
+}
+
+impl CellTable {
+    /// A table of `cells` cells, none rendered.
+    pub fn new(cells: usize) -> CellTable {
+        CellTable {
+            arena: vec![0; SPAN_BYTES],
+            spans: vec![(0, 0); cells],
+        }
+    }
+
+    /// Whether cell `k` is rendered.
+    #[inline]
+    pub fn has(&self, k: usize) -> bool {
+        self.spans.get(k).is_some_and(|&(_, len)| len > 0)
+    }
+
+    /// Render cell `k` as `text` and `delim`.
+    pub fn set(&mut self, k: usize, text: &[u8], delim: u8) {
+        let start = self.arena.len() - SPAN_BYTES;
+        self.arena.truncate(start);
+        self.arena.extend_from_slice(text);
+        self.arena.push(delim);
+        self.arena.extend_from_slice(&[0; SPAN_BYTES]);
+        if let Some(span) = self.spans.get_mut(k) {
+            *span = (start, text.len() + 1);
+        }
+    }
+
+    /// Append cell `k` ([`TextSink::put_span`]); nothing for a cell not
+    /// rendered.
+    #[inline]
+    pub fn put(&self, k: usize, sink: &mut TextSink) {
+        if let Some(&(start, len)) = self.spans.get(k) {
+            sink.put_span(&self.arena, start, start + len);
+        }
     }
 }
 
@@ -592,17 +674,90 @@ pub fn str_field(bytes: &[u8], at: usize, delim: u8) -> Option<usize> {
     (bytes.get(end) == Some(&delim)).then_some(end)
 }
 
+/// `value`'s bytes as a little-endian word, zero past its end, when it
+/// has at most eight and none is NUL: no two such values share a word,
+/// so a short value is compared, hashed and kept as one `u64`
+/// ([`unpacked`] gives it back).
+#[inline]
+pub fn packed(value: &[u8]) -> Option<u64> {
+    packed_at(value, 0, value.len())
+}
+
+/// [`packed`] of `bytes[start..end]`, read as one word where `bytes` holds
+/// eight from `start`, as a text's field is packed where it stands.
+#[inline]
+pub fn packed_at(bytes: &[u8], start: usize, end: usize) -> Option<u64> {
+    let len = end.checked_sub(start).filter(|&len| len <= 8)?;
+    let word = match bytes.get(start..start + 8) {
+        Some(word) => <[u8; 8]>::try_from(word).ok()?,
+        None => {
+            let mut word = [0; 8];
+            word.get_mut(..len)?.copy_from_slice(bytes.get(start..end)?);
+            word
+        }
+    };
+    let keep = match len {
+        8 => u64::MAX,
+        len => (1 << (8 * len)) - 1,
+    };
+    let key = u64::from_le_bytes(word) & keep;
+    // A NUL among the value's bytes would read as its end.
+    (zero_bytes(key | !keep) == 0).then_some(key)
+}
+
+/// The value [`packed`] packed into `key`.
+pub fn unpacked(key: u64) -> String {
+    let bytes = key.to_le_bytes();
+    let len = bytes.iter().position(|&b| b == 0).unwrap_or(bytes.len());
+    // The bytes of a whole `str`: the lossy path is never taken.
+    String::from_utf8_lossy(&bytes[..len]).into_owned()
+}
+
 /// Whether `text` is an integer cell spelled exactly as [`write_int`]
 /// prints the value [`parse_int_cell`] reads from it: `0`, or
 /// `-?[1-9][0-9]{0,17}`. At most 18 digits always fit an `i64`, and a
 /// decimal with no leading zero, no `+` and no `-0` is the only spelling
 /// `write_int` has. Such a cell can be copied instead of rewritten.
 pub fn is_written_int(text: &str) -> bool {
-    let digits = text.strip_prefix('-').unwrap_or(text).as_bytes();
+    let (negative, digits) = match text.as_bytes() {
+        [b'-', digits @ ..] => (true, digits),
+        digits => (false, digits),
+    };
+    digits.iter().all(u8::is_ascii_digit) && written_int_digits(negative, digits)
+}
+
+/// [`is_written_int`]'s spelling rule on a sign and a run of ASCII
+/// digits: `0`, or at most 18 digits with no leading zero.
+#[inline]
+fn written_int_digits(negative: bool, digits: &[u8]) -> bool {
     match digits {
-        [b'0'] => digits.len() == text.len(),
-        [b'1'..=b'9', rest @ ..] => rest.len() <= 17 && rest.iter().all(u8::is_ascii_digit),
+        [b'0'] => !negative,
+        [b'1'..=b'9', rest @ ..] => rest.len() <= 17,
         _ => false,
+    }
+}
+
+/// The offset past the integer field at `bytes[at..]` and its `delim`
+/// when [`is_written_int`] takes the field: a cell that can be copied as
+/// it stands. `None` for any other field, and at the end of the text. Up
+/// to seven digits are checked on the word [`int_field`] reads them from,
+/// not walked again; a longer run is found by [`str_field`] and checked
+/// by [`is_written_int`].
+#[inline]
+pub fn written_int_field(bytes: &[u8], at: usize, delim: u8) -> Option<usize> {
+    let negative = bytes.get(at) == Some(&b'-');
+    let first = at + usize::from(negative);
+    match digit_run(bytes, first) {
+        Some((_, len, stop)) if len > 0 && stop == delim => {
+            let digits = bytes.get(first..first + len)?;
+            written_int_digits(negative, digits).then_some(first + len + 1)
+        }
+        Some(_) => None,
+        None => {
+            let end = str_field(bytes, at, delim)?;
+            let text = std::str::from_utf8(bytes.get(at..end)?).ok()?;
+            is_written_int(text).then_some(end + 1)
+        }
     }
 }
 
@@ -624,18 +779,54 @@ pub fn is_written_double(text: &str) -> bool {
         return false;
     };
     let (int, frac) = (&unsigned[..dot], &unsigned[dot + 1..]);
+    int.iter().chain(frac).all(u8::is_ascii_digit) && written_double_digits(int, frac)
+}
+
+/// [`is_written_double`]'s spelling rule on the runs of ASCII digits
+/// either side of the dot.
+#[inline]
+fn written_double_digits(int: &[u8], frac: &[u8]) -> bool {
     let int_ok = match int {
         [b'0'] => true,
-        [b'1'..=b'9', rest @ ..] => rest.len() <= 8 && rest.iter().all(u8::is_ascii_digit),
+        [b'1'..=b'9', rest @ ..] => rest.len() <= 8,
         _ => false,
     };
     let frac_ok = match frac {
         [b'0'] => int != b"0",
-        [.., last] => frac.len() <= 6 && *last != b'0' && frac.iter().all(u8::is_ascii_digit),
+        [.., last] => frac.len() <= 6 && *last != b'0',
         [] => false,
     };
     // `0.abcdef` is at least 1e-4 when one of `abcd` is not zero.
     int_ok && frac_ok && (int != b"0" || frac.iter().take(4).any(|&d| d != b'0'))
+}
+
+/// The offset past the double field at `bytes[at..]` and its `delim`
+/// when [`is_written_double`] takes the field: a cell that can be copied
+/// as it stands. `None` for any other field, and at the end of the text.
+/// An integer part and a fraction of up to seven digits are found on the
+/// words [`double_field`] reads them from and checked there; longer runs
+/// are found by [`str_field`] and checked by [`is_written_double`].
+#[inline]
+pub fn written_double_field(bytes: &[u8], at: usize, delim: u8) -> Option<usize> {
+    let long = || {
+        let end = str_field(bytes, at, delim)?;
+        let text = std::str::from_utf8(bytes.get(at..end)?).ok()?;
+        is_written_double(text).then_some(end + 1)
+    };
+    let first = at + usize::from(bytes.get(at) == Some(&b'-'));
+    let (int, frac) = match digit_run(bytes, first) {
+        Some((_, int, b'.')) if int > 0 => match digit_run(bytes, first + int + 1) {
+            Some((_, frac, stop)) if frac > 0 && stop == delim => (int, frac),
+            Some(_) => return None,
+            None => return long(),
+        },
+        // A written double has a dot.
+        Some(_) => return None,
+        None => return long(),
+    };
+    let dot = first + int;
+    let digits = |from: usize, len: usize| bytes.get(from..from + len);
+    written_double_digits(digits(first, int)?, digits(dot + 1, frac)?).then_some(dot + frac + 2)
 }
 
 /// Decode one text line (no `\n`) into a row under `schema`.
@@ -2081,8 +2272,59 @@ mod tests {
             escape_text(s, &mut escaped);
             sink.put_slice(escaped.as_bytes());
             want.push_str(&escaped);
+            // A span of a text, short or long, near its end or not; then
+            // a line written and rolled back.
+            let text = *rng.choose(&["a|bc|def\n", "0123456789abcdefghij|", "ü|"]);
+            let start = rng.next_below(text.len() as u64) as usize;
+            let end = start + rng.next_below((text.len() - start) as u64 + 1) as usize;
+            if let Some(span) = text.get(start..end) {
+                sink.put_span(text.as_bytes(), start, end);
+                want.push_str(span);
+            }
+            let mark = sink.mark();
+            sink.put_int(i, b'|');
+            sink.put_span(text.as_bytes(), 0, text.len());
+            sink.rewind(mark);
         }
         assert_eq!(sink.into_string(), want);
+    }
+
+    #[test]
+    fn text_packed_values_are_their_bytes_and_come_back() {
+        const VALUES: [&str; 12] = [
+            "",
+            "F",
+            "Yes",
+            "1234567",
+            "12345678",
+            "123456789",
+            "a\0",
+            "\0",
+            "ü",
+            "üüüü",
+            "üüüüü",
+            "x|y",
+        ];
+        for v in VALUES {
+            let key = packed(v.as_bytes());
+            let short = v.len() <= 8 && !v.contains('\0');
+            assert_eq!(key.is_some(), short, "{v:?}");
+            if let Some(key) = key {
+                assert_eq!(unpacked(key), v);
+            }
+            // Packed where it stands, in a text that ends right after it or
+            // runs on: the same word.
+            for tail in ["", "|", "|0123456789"] {
+                let text = format!("ab{v}{tail}");
+                let bytes = text.as_bytes();
+                assert_eq!(packed_at(bytes, 2, 2 + v.len()), key, "{v:?}{tail:?}");
+            }
+        }
+        // No two short values share a word.
+        let keys: std::collections::HashSet<u64> =
+            VALUES.iter().filter_map(|v| packed(v.as_bytes())).collect();
+        let short = VALUES.iter().filter(|v| v.len() <= 8 && !v.contains('\0'));
+        assert_eq!(keys.len(), short.count());
     }
 
     #[test]
@@ -2172,6 +2414,20 @@ mod tests {
                 assert_eq!((v.to_bits(), next), (want.to_bits(), past), "{text:?}");
                 doubles += 1;
             }
+            // Taken as written exactly when the copy-as-written checks take
+            // the whole cell, ended by the delimiter.
+            let written =
+                |is_written: fn(&str) -> bool| (ended && is_written(&cell)).then_some(past);
+            assert_eq!(
+                written_int_field(bytes, at, delim),
+                written(is_written_int),
+                "{text:?}"
+            );
+            assert_eq!(
+                written_double_field(bytes, at, delim),
+                written(is_written_double),
+                "{text:?}"
+            );
             // The field runs to the first separator, the delimiter or not.
             let string = str_field(bytes, at, delim);
             let sep = text[at..].find(['|', '\n', '\\']).map(|p| at + p);

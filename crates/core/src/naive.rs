@@ -8,11 +8,20 @@
 //!
 //! * job 1 (map per part-file, reduce at the driver): collect distinct
 //!   values per categorical column and build the recode map. Its map
-//!   task reads only the recode columns: it splits every line but parses
-//!   no number, as a projecting reader would;
+//!   task ([`recode_values`]) reads only the recode columns, as a
+//!   projecting reader would: a line is walked field by field where it
+//!   stands, the other columns skipped unsplit, each kept value put into
+//!   a set as its packed bytes, and no number is parsed. A line holding a
+//!   `\` or the wrong arity goes through the text format's cell walk;
 //! * job 2 (map per part-file): rewrite each line using the map — a
 //!   recoded cell becomes its code, a coded cell its coding's block, any
-//!   other cell is copied as it stands — and write an output part-file.
+//!   other cell is copied as it stands — and write an output part-file
+//!   ([`FlatRecodeApplier::rewrite_pieces`]: a common line is checked and
+//!   copied in spans, a categorical cell one stored block; any other line
+//!   is rewritten cell by cell).
+//!
+//! Both jobs' fast paths only skip work: every output byte, value set,
+//! row count and error is the cell walk's.
 //!
 //! Both jobs run their map tasks in parallel, one thread per part-file —
 //! but every byte still crosses the file system twice more than the
@@ -22,7 +31,7 @@
 use std::borrow::Cow;
 use std::collections::HashSet;
 
-use sqlml_common::codec::{self, TextLine};
+use sqlml_common::codec::{self, LineReader, TextLine};
 use sqlml_common::schema::{DataType, Schema};
 use sqlml_common::{Result, SqlmlError, Value};
 use sqlml_dfs::Dfs;
@@ -107,13 +116,14 @@ pub fn run_external_transform(
     })
 }
 
-/// Job 1's map task over one part-file: every distinct non-NULL value of
-/// the recode columns, as `(column, value)` pairs, or `None` when a line
-/// does not walk. Only those columns' cells are kept; the others are
-/// split off and never parsed. A recode column not declared `Str` holds
-/// no strings to recode (job 2's applier rejects a non-NULL cell in it).
-fn recode_values(
-    pieces: &[Cow<'_, str>],
+/// Job 1's map task over one part-file of `schema`: every distinct
+/// non-NULL value of the recode columns `columns` (name, position), as
+/// `(column, value)` pairs, or `None` when a line does not walk. Only
+/// those columns' cells are kept; the others are split off and never
+/// parsed. A recode column not declared `Str` holds no strings to recode
+/// (job 2's applier rejects a non-NULL cell in it).
+pub fn recode_values(
+    pieces: &[impl AsRef<str>],
     schema: &Schema,
     columns: &[(String, usize)],
 ) -> Option<Vec<(String, String)>> {
@@ -123,23 +133,63 @@ fn recode_values(
             slot[*idx] = Some(k);
         }
     }
-    let mut distinct: Vec<Distinct> = columns.iter().map(|_| Distinct::default()).collect();
+    let mut reader = ValueReader {
+        schema,
+        slot,
+        distinct: columns.iter().map(|_| Distinct::default()).collect(),
+    };
     for piece in pieces {
-        let walked = codec::read_lines(piece, &mut |line: &TextLine<'_>| {
-            line.cells(schema, |c, _, field| {
-                if let (Some(k), Some(v)) = (slot[c], field) {
-                    distinct[k].insert(v);
-                }
-                Ok(())
-            })
-        });
-        walked.ok()?;
+        codec::read_lines(piece.as_ref(), &mut reader).ok()?;
     }
-    let pairs = columns
-        .iter()
-        .zip(distinct)
+    let pairs = (columns.iter().zip(reader.distinct))
         .flat_map(|((name, _), d)| d.into_values().map(move |v| (name.clone(), v)));
     Some(pairs.collect())
+}
+
+/// Job 1's reader of one part-file's lines. Its fast path takes a line
+/// whose every field [`codec::str_field`] ends at its delimiter — no `\`
+/// (so no NULL marker and no escape), the right arity, a `\n` at the end
+/// — skipping the columns it does not keep and putting each kept field
+/// into its column's [`Distinct`] where it lies. Any other line goes
+/// through [`TextLine::cells`], as every line once did: it keeps the same
+/// values or fails the walk.
+struct ValueReader<'a> {
+    schema: &'a Schema,
+    /// Per column: the index of its [`Distinct`] when job 1 keeps it.
+    slot: Vec<Option<usize>>,
+    distinct: Vec<Distinct>,
+}
+
+impl LineReader for ValueReader<'_> {
+    fn read_fast(&mut self, text: &str, at: usize) -> Option<usize> {
+        let bytes = text.as_bytes();
+        let last = self.slot.len().checked_sub(1)?;
+        let mut pos = at;
+        for (c, slot) in self.slot.iter().enumerate() {
+            let delim = if c == last { b'\n' } else { b'|' };
+            let end = codec::str_field(bytes, pos, delim)?;
+            if let Some(k) = *slot {
+                // A value put in before a later field refuses the line is
+                // put in again by `read_line`, or the walk fails there.
+                match codec::packed_at(bytes, pos, end) {
+                    Some(key) => self.distinct[k].insert_packed(key),
+                    None => self.distinct[k].insert_long(text.get(pos..end)?),
+                }
+            }
+            pos = end + 1;
+        }
+        Some(pos)
+    }
+
+    fn read_line(&mut self, line: &TextLine<'_>) -> Result<()> {
+        let (slot, distinct) = (&self.slot, &mut self.distinct);
+        line.cells(self.schema, |c, _, field| {
+            if let (Some(k), Some(v)) = (slot[c], field) {
+                distinct[k].insert(v);
+            }
+            Ok(())
+        })
+    }
 }
 
 /// The first error decoding the text of `pieces` under `schema` would
@@ -159,9 +209,9 @@ fn check_cells(pieces: &[Cow<'_, str>], schema: &Schema) -> Result<()> {
 }
 
 /// The distinct values of one column. A value of at most eight bytes and
-/// no NUL byte is kept as its bytes packed into a `u64`, zero past its
-/// end — no two such values share a key — compared in order while there
-/// are at most eight, hashed after; a longer value is kept as a string.
+/// no NUL byte is kept as its [`codec::packed`] word, compared in order
+/// while there are at most eight, hashed after; a longer value is kept as
+/// a string.
 #[derive(Default)]
 struct Distinct {
     few: Vec<u64>,
@@ -171,14 +221,16 @@ struct Distinct {
 
 impl Distinct {
     fn insert(&mut self, v: &str) {
-        let Some(key) = packed(v) else {
-            if !self.long.contains(v) {
-                self.long.insert(v.to_string());
-            }
-            return;
-        };
+        match codec::packed(v.as_bytes()) {
+            Some(key) => self.insert_packed(key),
+            None => self.insert_long(v),
+        }
+    }
+
+    #[inline]
+    fn insert_packed(&mut self, key: u64) {
         if self.many.is_empty() {
-            if self.few.contains(&key) {
+            if self.few.iter().fold(false, |seen, &k| seen | (k == key)) {
                 return;
             }
             if self.few.len() < 8 {
@@ -189,31 +241,17 @@ impl Distinct {
         self.many.insert(key);
     }
 
+    fn insert_long(&mut self, v: &str) {
+        if !self.long.contains(v) {
+            self.long.insert(v.to_string());
+        }
+    }
+
     /// Every value, in no particular order.
     fn into_values(self) -> impl Iterator<Item = String> {
-        let short = self.few.into_iter().chain(self.many).map(unpacked);
+        let short = self.few.into_iter().chain(self.many).map(codec::unpacked);
         short.chain(self.long)
     }
-}
-
-/// `v`'s bytes as a little-endian word, zero past its end, when it has
-/// at most eight and none is NUL.
-fn packed(v: &str) -> Option<u64> {
-    let bytes = v.as_bytes();
-    if bytes.len() > 8 || bytes.contains(&0) {
-        return None;
-    }
-    let mut word = [0; 8];
-    word[..bytes.len()].copy_from_slice(bytes);
-    Some(u64::from_le_bytes(word))
-}
-
-/// The value [`packed`] packed into `key`.
-fn unpacked(key: u64) -> String {
-    let bytes = key.to_le_bytes();
-    let len = bytes.iter().position(|&b| b == 0).unwrap_or(bytes.len());
-    // The bytes of a whole `str`: the lossy path is never taken.
-    String::from_utf8_lossy(&bytes[..len]).into_owned()
 }
 
 #[cfg(test)]
@@ -401,6 +439,120 @@ mod tests {
             got.sort();
             assert_eq!(got, want.into_iter().collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn job_1_keeps_what_a_walk_of_every_cell_keeps_on_seeded_part_files() {
+        use sqlml_common::SplitMix64;
+        use std::collections::BTreeSet;
+        // Job 1 as a closure over every line's cells: the reference.
+        fn reference(
+            pieces: &[&str],
+            schema: &Schema,
+            columns: &[(String, usize)],
+        ) -> Option<BTreeSet<(String, String)>> {
+            let mut kept = BTreeSet::new();
+            for piece in pieces {
+                let walked = codec::read_lines(piece, &mut |line: &TextLine<'_>| {
+                    line.cells(schema, |c, ty, field| {
+                        let recoded = columns.iter().filter(|(_, at)| *at == c);
+                        for (name, _) in recoded.filter(|_| ty == DataType::Str) {
+                            if let Some(v) = field {
+                                kept.insert((name.clone(), v.to_string()));
+                            }
+                        }
+                        Ok(())
+                    })
+                });
+                walked.ok()?;
+            }
+            Some(kept)
+        }
+        // Short, eight-byte, nine-byte, NUL-holding, multi-byte and
+        // escaped values; numbers spelled any way (job 1 parses none).
+        const STRINGS: [&str; 12] = [
+            "F",
+            "M",
+            "Yes",
+            "",
+            "12345678",
+            "123456789",
+            "a\0b",
+            "ü",
+            "üüüüü",
+            "a|b",
+            "x\\y",
+            "\\N",
+        ];
+        const OTHER: [&str; 7] = ["57", "007", "1.50", "103.25", "true", "", "12x"];
+        const TYPES: [DataType; 4] = [
+            DataType::Str,
+            DataType::Int,
+            DataType::Double,
+            DataType::Bool,
+        ];
+        let mut rng = SplitMix64::new(0x10B1_0001);
+        let (mut kept, mut refused) = (0, 0);
+        for seed in 0..400 {
+            let width = 1 + rng.next_below(5) as usize;
+            let fields = (0..width).map(|c| match c {
+                0 => Field::categorical("c0"),
+                c => Field::new(format!("c{c}"), *rng.choose(&TYPES)),
+            });
+            let schema = Schema::new(fields.collect());
+            // The string columns kept, and now and then another.
+            let columns: Vec<(String, usize)> = (schema.fields().iter().enumerate())
+                .filter(|(_, f)| f.data_type == DataType::Str || rng.chance(0.2))
+                .map(|(at, f)| (f.name.clone(), at))
+                .collect();
+            let pool = &STRINGS[..1 + rng.next_below(STRINGS.len() as u64) as usize];
+            let mut text = String::new();
+            for _ in 0..rng.next_below(40) {
+                let mut cells: Vec<String> = (schema.fields().iter())
+                    .map(|f| match (f.data_type, rng.next_below(12)) {
+                        (_, 0) => "\\N".to_string(),
+                        (_, 1) if rng.chance(0.1) => "\\q".to_string(),
+                        (DataType::Str, _) => {
+                            let mut cell = String::new();
+                            codec::escape_text(rng.choose::<&str>(pool), &mut cell);
+                            cell
+                        }
+                        _ => rng.choose(&OTHER).to_string(),
+                    })
+                    .collect();
+                match rng.next_below(60) {
+                    0 => drop(cells.pop()),
+                    1 => cells.push("9".into()),
+                    _ => {}
+                }
+                text.push_str(&cells.join("|"));
+                text.push('\n');
+            }
+            if rng.chance(0.3) {
+                text.pop();
+            }
+            // Pieces of whole lines, as a part-file's blocks come.
+            let mut pieces = Vec::new();
+            let mut start = 0;
+            for (end, _) in text.match_indices('\n') {
+                if rng.chance(0.3) {
+                    pieces.push(&text[start..=end]);
+                    start = end + 1;
+                }
+            }
+            pieces.push(&text[start..]);
+
+            let want = reference(&pieces, &schema, &columns);
+            let got = recode_values(&pieces, &schema, &columns).map(|pairs| {
+                let set: BTreeSet<(String, String)> = pairs.iter().cloned().collect();
+                assert_eq!(set.len(), pairs.len(), "seed {seed}: a value kept twice");
+                set
+            });
+            assert_eq!(got, want, "seed {seed}: {columns:?} over {text:?}");
+            kept += usize::from(got.as_ref().is_some_and(|s| !s.is_empty()));
+            refused += usize::from(got.is_none());
+        }
+        assert!(kept > 100 && refused > 50, "{kept} kept, {refused} refused");
     }
 
     #[test]

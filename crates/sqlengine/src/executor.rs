@@ -25,7 +25,7 @@
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use sqlml_common::{counter_u32, Result, Row, Schema, SqlmlError, Value};
 
@@ -416,21 +416,25 @@ fn execute_join(
     let build_batch = Batch::concat(build_data.schema().len(), build_data.partitions());
     let build_rows = counter_u32(build_batch.len(), "join build row count")?;
     let build_cols = eval_all(build_keys, &build_batch)?;
-    let probe_cols: Vec<Vec<Arc<Column>>> =
-        run_on_workers(probe_data.num_partitions(), ctx.num_workers, |p| {
-            eval_all(probe_keys, probe_data.partition(p))
-        })?;
-    // One `Int` key on both sides is read as the integer itself: direct
-    // addressed when the build keys are dense, else Fibonacci hashed. Any
-    // other key shape hashes the values, with `Value`'s equality.
-    let int_keys =
-        int_key(&build_cols).is_some() && probe_cols.iter().all(|c| int_key(c).is_some());
+    // One `Int` build key is read as the integer itself: direct addressed
+    // when the keys are dense, else Fibonacci hashed. Any other key shape
+    // hashes the values, with `Value`'s equality. A probe partition whose
+    // keys are not one `Int` column probes a table of the values, built
+    // once, on first need; both tables give a probe row's matches by
+    // `Value`'s equality, in build order.
+    let int_keys = int_key(&build_cols).is_some();
     let table = JoinTable::build(&build_cols, build_rows, int_keys);
+    let by_value = OnceLock::new();
 
-    let result = map_partitions(probe_data, ctx, |batch, pctx| {
-        let keys = &probe_cols[pctx.partition];
+    let result = map_partitions(probe_data, ctx, |batch, _| {
+        let keys = eval_all(probe_keys, batch)?;
+        // An empty partition probes nothing: it builds no value table.
+        let table = match int_keys && !batch.is_empty() && int_key(&keys).is_none() {
+            true => by_value.get_or_init(|| JoinTable::build(&build_cols, build_rows, false)),
+            false => &table,
+        };
         let rows = counter_u32(batch.len(), "partition row count")?;
-        let (probe_ids, build_ids) = table.probe(&build_cols, keys, rows, kind);
+        let (probe_ids, build_ids) = table.probe(&build_cols, &keys, rows, kind);
         let columns = (out_cols.iter())
             .map(|&(from_build, c)| match from_build {
                 true => Arc::new(build_batch.column(c).gather(&build_ids)),
@@ -960,6 +964,70 @@ mod tests {
             probe_ids.resize(build_ids.len(), i);
         }
         (probe_ids, build_ids)
+    }
+
+    #[test]
+    fn a_probe_partition_without_one_int_key_column_matches_an_int_build_side_by_value() {
+        use crate::{Engine, EngineConfig};
+        use sqlml_common::schema::{DataType, Field};
+        use sqlml_common::Row;
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("i", DataType::Int),
+        ]);
+        let rows = |keys: &[Value]| -> Vec<Row> {
+            (keys.iter().zip(0..))
+                .map(|(k, i)| Row::new(vec![k.clone(), Value::Int(i)]))
+                .collect()
+        };
+        let int = |k: &[i64]| k.iter().map(|&k| Value::Int(k)).collect::<Vec<_>>();
+        // Dense `Int` build keys, a repeat and a NULL among them.
+        let build = vec![rows(
+            &[int(&[1, 2, 3]), vec![Value::Null], int(&[3])].concat(),
+        )];
+        // An `Int` partition, one whose keys degrade to `Mixed` (a double
+        // equal to a build key by `Value`'s equality, a string, a NULL)
+        // and an empty one.
+        let mixed = [
+            Value::Double(3.0),
+            Value::Int(2),
+            Value::str("x"),
+            Value::Null,
+        ];
+        let probe = vec![rows(&int(&[3, 1, 9])), rows(&mixed), Vec::new()];
+        let scan = |name: &str, parts: &[Vec<Row>]| Plan::Scan {
+            name: name.into(),
+            table: Arc::new(PartitionedTable::new(schema.clone(), parts.to_vec())),
+        };
+        let engine = Engine::new(EngineConfig::with_workers(2));
+        for kind in [JoinKind::Inner, JoinKind::LeftOuter] {
+            let (left, right) = (scan("p", &probe), scan("b", &build));
+            let plan = Plan::HashJoin {
+                schema: left.schema().join(&right.schema()),
+                left: Box::new(left),
+                right: Box::new(right),
+                left_keys: vec![Expr::Col(0)],
+                right_keys: vec![Expr::Col(0)],
+                kind,
+                build: BuildSide::Right,
+                project: None,
+            };
+            let mut expect = Vec::new();
+            for p in probe.iter().flatten() {
+                let before = expect.len();
+                for b in build[0]
+                    .iter()
+                    .filter(|b| !p.get(0).is_null() && b.get(0) == p.get(0))
+                {
+                    expect.push(Row::new([p.values(), b.values()].concat()));
+                }
+                if expect.len() == before && kind == JoinKind::LeftOuter {
+                    expect.push(Row::new([p.values(), &[Value::Null, Value::Null]].concat()));
+                }
+            }
+            let got = execute(&plan, engine.exec_context()).unwrap();
+            assert_eq!(got.collect_rows(), expect, "{kind:?}");
+        }
     }
 
     #[test]

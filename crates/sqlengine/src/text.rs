@@ -13,68 +13,14 @@
 
 use std::sync::Arc;
 
-use sqlml_common::codec::{self, LineReader, TextLine, TextSink};
+use sqlml_common::codec::{self, CellTable, LineReader, TextLine, TextSink};
 use sqlml_common::schema::DataType;
 use sqlml_common::{Result, Schema, Value};
 
 use crate::column::{Batch, BatchBuilder, Column, Prim};
 
-/// Bytes a table cell's store moves: a cell and its delimiter up to this
-/// long is one fixed-width store.
-const WINDOW: usize = 16;
-
 /// The NULL marker, stored with its delimiter after it.
 const NULL_CELL: [u8; 4] = *b"\\N\0\0";
-
-/// Cells rendered once, each followed by its delimiter, in one arena
-/// padded so a [`WINDOW`]-byte store from any cell's start stays inside.
-struct CellTable {
-    arena: Vec<u8>,
-    /// Where cell `k` lies in `arena`; a length of 0 means not rendered
-    /// yet (a rendered cell holds at least its delimiter).
-    spans: Vec<(usize, usize)>,
-}
-
-impl CellTable {
-    fn new(cells: usize) -> CellTable {
-        CellTable {
-            arena: vec![0; WINDOW],
-            spans: vec![(0, 0); cells],
-        }
-    }
-
-    fn has(&self, k: usize) -> bool {
-        self.spans.get(k).is_some_and(|&(_, len)| len > 0)
-    }
-
-    /// Render cell `k` as `text` and `delim`.
-    fn set(&mut self, k: usize, text: &[u8], delim: u8) {
-        let start = self.arena.len() - WINDOW;
-        self.arena.truncate(start);
-        self.arena.extend_from_slice(text);
-        self.arena.push(delim);
-        self.arena.extend_from_slice(&[0; WINDOW]);
-        if let Some(span) = self.spans.get_mut(k) {
-            *span = (start, text.len() + 1);
-        }
-    }
-
-    /// Append cell `k`: one [`WINDOW`]-byte store when it fits, a copy of
-    /// its length otherwise.
-    #[inline]
-    fn put(&self, k: usize, sink: &mut TextSink) {
-        let Some(&(start, len)) = self.spans.get(k) else {
-            return;
-        };
-        let window = (self.arena.get(start..start + WINDOW))
-            .and_then(|w| <&[u8; WINDOW]>::try_from(w).ok())
-            .filter(|_| len <= WINDOW);
-        match window {
-            Some(window) => sink.put(window, len),
-            None => sink.put_slice(self.arena.get(start..start + len).unwrap_or_default()),
-        }
-    }
-}
 
 /// How one column's cells are written, resolved once per batch.
 enum Cells<'a> {

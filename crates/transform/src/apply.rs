@@ -13,13 +13,14 @@
 //! * over the lines of a text part-file
 //!   ([`FlatRecodeApplier::rewrite_text`], the naive job) each cell is
 //!   rewritten where it stands: a categorical value becomes the text of
-//!   its code or coded block, written once per value, and a pass-through
-//!   cell is copied when it is already spelled as the writers spell it.
+//!   its code or coded block, rendered once per value, and a pass-through
+//!   cell is copied when it is already spelled as the writers spell it —
+//!   on a common line, a run of such cells as one span.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sqlml_common::codec::{self, TextLine, TEXT_DELIM, TEXT_NULL};
+use sqlml_common::codec::{self, CellTable, LineReader, TextLine, TextSink, TEXT_NULL};
 use sqlml_common::schema::DataType;
 use sqlml_common::{Result, Schema, SqlmlError, Value};
 use sqlml_sqlengine::column::{Batch, Column, Prim};
@@ -155,47 +156,181 @@ impl FlatRecodeApplier {
     /// ([`codec::text_pieces`]): one output text, one row count, the same
     /// first error.
     pub fn rewrite_pieces(&self, pieces: &[impl AsRef<str>]) -> Result<(String, usize)> {
-        let mut columns: Vec<Option<CellTexts<'_>>> =
-            self.actions.iter().map(CellTexts::new).collect();
         let len: usize = pieces.iter().map(|p| p.as_ref().len()).sum();
-        let mut out = String::with_capacity(len + len / 8);
-        let mut rows = 0;
-        let mut refused: Option<(usize, SqlmlError)> = None;
+        let mut rewriter = LineRewriter::new(self, TextSink::with_capacity(len + len / 8));
         for piece in pieces {
-            codec::read_lines(piece.as_ref(), &mut |line: &TextLine<'_>| {
-                line.cells(&self.input, |c, ty, cell| {
-                    if c > 0 {
-                        out.push(TEXT_DELIM);
-                    }
-                    let Some(texts) = &mut columns[c] else {
-                        return copy_cell(cell, ty, &mut out);
-                    };
-                    let text = match (cell, ty) {
-                        (None, _) => Ok(texts.null()),
-                        (Some(s), DataType::Str) => texts.of(s),
-                        (Some(s), ty) => match Value::parse_typed(s, ty)? {
-                            Value::Null => Ok(texts.null()),
-                            other => Err(not_categorical(&other, texts.name)),
-                        },
-                    };
-                    match text {
-                        Ok(text) => out.push_str(text),
-                        Err(e) => {
-                            if refused.as_ref().is_none_or(|(first, _)| c < *first) {
-                                refused = Some((c, e));
-                            }
-                        }
-                    }
-                    Ok(())
-                })?;
-                out.push('\n');
-                rows += 1;
-                Ok(())
-            })?;
+            codec::read_lines(piece.as_ref(), &mut rewriter)?;
         }
-        match refused {
+        match rewriter.refused {
             Some((_, e)) => Err(e),
-            None => Ok((out, rows)),
+            None => Ok((rewriter.sink.into_string(), rewriter.rows)),
+        }
+    }
+}
+
+/// One step of [`LineRewriter::read_fast`] along a line.
+enum Step {
+    /// Pass-through columns `from..to`: each cell checked where it
+    /// stands, then the run copied as one span, delimiters included.
+    Copy { from: usize, to: usize },
+    /// A categorical column of strings: one lookup, one store.
+    Lookup(usize),
+}
+
+/// Job 2's reader of one part-file's lines, writing the output text.
+///
+/// Its fast path takes a line whose every cell is copied as it stands or
+/// is a value of its categorical column's map, checked with the field
+/// kernels where it lies: a pass-through integer or double spelled as its
+/// writer spells it, a boolean `true` / `false`, a string with no `\`
+/// (its own escape, and not the NULL marker), and a categorical string the
+/// map holds. Any other line — a NULL, an escape, a number spelled
+/// otherwise, an unseen value, a wrong arity, a last line with no `\n` —
+/// is rolled back and goes through [`TextLine::cells`] to
+/// [`Self::read_line`], which rewrites or refuses it cell by cell. Both
+/// write the same bytes for a line both take.
+struct LineRewriter<'a> {
+    input: &'a Schema,
+    /// Per input column: its type and the delimiter that ends it (`\n` for
+    /// the last). The output keeps each delimiter: a categorical column's
+    /// text ends in it too.
+    cells: Vec<(DataType, u8)>,
+    /// Per input column: the texts of a categorical one.
+    columns: Vec<Option<CellTexts<'a>>>,
+    /// The fast path's walk along a line; empty (every line refused) when
+    /// a categorical column is not a string column, or there is none.
+    steps: Vec<Step>,
+    sink: TextSink,
+    rows: usize,
+    /// The leftmost categorical column's first applier error.
+    refused: Option<(usize, SqlmlError)>,
+    /// A pass-through cell [`Self::read_line`] rewrites.
+    scratch: String,
+}
+
+impl<'a> LineRewriter<'a> {
+    fn new(applier: &'a FlatRecodeApplier, sink: TextSink) -> LineRewriter<'a> {
+        let fields = applier.input.fields();
+        let cells: Vec<(DataType, u8)> = (fields.iter().enumerate())
+            .map(|(c, f)| {
+                (
+                    f.data_type,
+                    if c + 1 == fields.len() { b'\n' } else { b'|' },
+                )
+            })
+            .collect();
+        let columns: Vec<Option<CellTexts<'a>>> = (applier.actions.iter().zip(&cells))
+            .map(|(action, &(_, delim))| CellTexts::new(action, delim))
+            .collect();
+        let mut steps = Vec::new();
+        let looked_up = (columns.iter().zip(&cells))
+            .all(|(texts, &(ty, _))| texts.is_none() || ty == DataType::Str);
+        for (c, texts) in columns.iter().enumerate().filter(|_| looked_up) {
+            match (texts, steps.last_mut()) {
+                (None, Some(Step::Copy { to, .. })) => *to = c + 1,
+                (None, _) => steps.push(Step::Copy { from: c, to: c + 1 }),
+                (Some(_), _) => steps.push(Step::Lookup(c)),
+            }
+        }
+        LineRewriter {
+            input: &applier.input,
+            cells,
+            columns,
+            steps,
+            sink,
+            rows: 0,
+            refused: None,
+            scratch: String::new(),
+        }
+    }
+}
+
+impl LineReader for LineRewriter<'_> {
+    fn read_fast(&mut self, text: &str, at: usize) -> Option<usize> {
+        if self.steps.is_empty() {
+            return None;
+        }
+        let bytes = text.as_bytes();
+        let mark = self.sink.mark();
+        let mut pos = at;
+        for step in &self.steps {
+            let next = match *step {
+                Step::Copy { from, to } => {
+                    let end = (self.cells[from..to].iter())
+                        .try_fold(pos, |at, &(ty, delim)| copied_field(bytes, at, ty, delim));
+                    end.inspect(|&end| self.sink.put_span(bytes, pos, end))
+                }
+                Step::Lookup(c) => self.columns[c].as_mut().and_then(|texts| {
+                    let end = codec::str_field(bytes, pos, texts.delim)?;
+                    let level = texts.level_at(text, pos, end)?;
+                    texts.put(Some(level), &mut self.sink);
+                    Some(end + 1)
+                }),
+            };
+            match next {
+                Some(next) => pos = next,
+                None => {
+                    self.sink.rewind(mark);
+                    return None;
+                }
+            }
+        }
+        self.rows += 1;
+        Some(pos)
+    }
+
+    fn read_line(&mut self, line: &TextLine<'_>) -> Result<()> {
+        let LineRewriter {
+            cells,
+            columns,
+            sink,
+            refused,
+            scratch,
+            ..
+        } = self;
+        line.cells(self.input, |c, ty, cell| {
+            let Some(texts) = &mut columns[c] else {
+                scratch.clear();
+                copy_cell(cell, ty, scratch)?;
+                scratch.push(char::from(cells[c].1));
+                sink.put_slice(scratch.as_bytes());
+                return Ok(());
+            };
+            let level = match (cell, ty) {
+                (None, _) => Ok(None),
+                (Some(s), DataType::Str) => texts.level(s).map(Some),
+                (Some(s), ty) => match Value::parse_typed(s, ty)? {
+                    Value::Null => Ok(None),
+                    other => Err(not_categorical(&other, texts.name)),
+                },
+            };
+            match level {
+                Ok(level) => texts.put(level, sink),
+                Err(e) => {
+                    if refused.as_ref().is_none_or(|(first, _)| c < *first) {
+                        *refused = Some((c, e));
+                    }
+                }
+            }
+            Ok(())
+        })?;
+        self.rows += 1;
+        Ok(())
+    }
+}
+
+/// The offset past a pass-through field at `bytes[at..]` and its `delim`
+/// when the field is copied as it stands: what [`copy_cell`] writes for
+/// it is the field itself. `None` for any other field.
+#[inline]
+fn copied_field(bytes: &[u8], at: usize, ty: DataType, delim: u8) -> Option<usize> {
+    match ty {
+        DataType::Int => codec::written_int_field(bytes, at, delim),
+        DataType::Double => codec::written_double_field(bytes, at, delim),
+        DataType::Str => codec::str_field(bytes, at, delim).map(|end| end + 1),
+        DataType::Bool => {
+            let end = codec::str_field(bytes, at, delim)?;
+            matches!(bytes.get(at..end)?, b"true" | b"false").then_some(end + 1)
         }
     }
 }
@@ -222,28 +357,33 @@ fn copy_cell(cell: Option<&str>, ty: DataType, out: &mut String) -> Result<()> {
     Ok(())
 }
 
-/// The output text of one categorical column's cells within one
-/// part-file: each level's code or coded block, written once into
-/// `arena` on first sight. A value's level is looked up in order while
-/// the map holds at most eight values, hashed beyond that.
+/// `packed` of a map value that does not pack: no `str` packs to it, as
+/// `0xFF` is never a byte of UTF-8.
+const UNPACKED: u64 = u64::MAX;
+
+/// The output cells of one categorical column within one part-file: each
+/// level's code or coded block, followed by the column's delimiter,
+/// rendered on first sight. A value's level is looked up in order while
+/// the map holds at most eight values — a short value as one packed word
+/// ([`codec::packed`]) — and hashed beyond that.
 struct CellTexts<'a> {
     name: &'a str,
     values: &'a [String],
     coding: Option<Coding>,
-    arena: String,
-    /// Where in `arena` a NULL cell's text lies: `\N`, or the coding's
-    /// all-zero block.
-    null: (usize, usize),
-    /// Where each level's text lies once written; `(0, 0)` before (the
-    /// NULL text, never empty, comes first).
-    written: Vec<(usize, usize)>,
+    /// The column's delimiter, after each of its cells.
+    delim: u8,
+    /// Level `k`'s cell at `k`, the NULL cell (`\N`, or the coding's
+    /// all-zero block) at `values.len()`.
+    table: CellTable,
+    /// Each value packed, or [`UNPACKED`], when there are at most eight.
+    few: Vec<u64>,
     /// Value → level, built on first use when there are more than eight.
     index: Option<HashMap<&'a str, usize>>,
 }
 
 impl<'a> CellTexts<'a> {
     /// `None` for a pass-through column.
-    fn new(action: &'a ColumnAction) -> Option<CellTexts<'a>> {
+    fn new(action: &'a ColumnAction, delim: u8) -> Option<CellTexts<'a>> {
         let (name, values, coding) = match action {
             ColumnAction::Pass => return None,
             ColumnAction::Recode { name, values } => (name, values, None),
@@ -253,26 +393,25 @@ impl<'a> CellTexts<'a> {
                 coding,
             } => (name, values, Some(*coding)),
         };
-        let mut texts = CellTexts {
+        let few = match values.len() {
+            0..=8 => (values.iter())
+                .map(|v| codec::packed(v.as_bytes()).unwrap_or(UNPACKED))
+                .collect(),
+            _ => Vec::new(),
+        };
+        Some(CellTexts {
             name,
             values,
             coding,
-            arena: String::new(),
-            null: (0, 0),
-            written: vec![(0, 0); values.len()],
+            delim,
+            table: CellTable::new(values.len() + 1),
+            few,
             index: None,
-        };
-        texts.null = texts.write(None);
-        Some(texts)
+        })
     }
 
-    /// The text of a NULL cell.
-    fn null(&self) -> &str {
-        self.arena.get(self.null.0..self.null.1).unwrap_or_default()
-    }
-
-    /// The text of the value `s`, or its `unseen value` error.
-    fn of(&mut self, s: &str) -> Result<&str> {
+    /// The level of the value `s`, or its `unseen value` error.
+    fn level(&mut self, s: &str) -> Result<usize> {
         let values = self.values;
         let level = match values.len() {
             0..=8 => values.iter().position(|v| v == s),
@@ -281,36 +420,53 @@ impl<'a> CellTexts<'a> {
                 .get(s)
                 .copied(),
         };
-        let level = level.ok_or_else(|| unseen(s, self.name))?;
-        let (start, end) = match self.written.get(level) {
-            Some(&(0, 0)) | None => {
-                let text = self.write(Some(level));
-                if let Some(slot) = self.written.get_mut(level) {
-                    *slot = text;
-                }
-                text
-            }
-            Some(&text) => text,
-        };
-        Ok(self.arena.get(start..end).unwrap_or_default())
+        level.ok_or_else(|| unseen(s, self.name))
     }
 
-    /// Append the text `level` becomes (`None` for NULL) to the arena:
-    /// its code, or the coding's block as [`Batch::encode_text`] writes
-    /// the one row [`Coding::expand`] gives.
-    fn write(&mut self, level: Option<usize>) -> (usize, usize) {
-        let start = self.arena.len();
+    /// The level of the value `text[start..end]`, `None` when the map
+    /// lacks it: among at most eight values a short one is one packed
+    /// word compared in order.
+    #[inline]
+    fn level_at(&mut self, text: &str, start: usize, end: usize) -> Option<usize> {
+        match codec::packed_at(text.as_bytes(), start, end) {
+            // Map values are distinct: at most one matches, found with no
+            // branch on the data.
+            Some(key) if !self.few.is_empty() => (self.few.iter().zip(0..)).fold(
+                None,
+                |found, (&k, level)| if k == key { Some(level) } else { found },
+            ),
+            _ => self.level(text.get(start..end)?).ok(),
+        }
+    }
+
+    /// Append the cell of `level` (`None` for NULL), rendering it first
+    /// if this is its first sight.
+    #[inline]
+    fn put(&mut self, level: Option<usize>, sink: &mut TextSink) {
+        let k = level.unwrap_or(self.values.len());
+        if !self.table.has(k) {
+            self.render(k);
+        }
+        self.table.put(k, sink);
+    }
+
+    /// Render cell `k`: level `k`'s code, or the coding's block as
+    /// [`Batch::encode_text`] writes the one row [`Coding::expand`] gives
+    /// (NULL's, at `k = values.len()`, is `\N` or the all-zero block).
+    #[cold]
+    fn render(&mut self, k: usize) {
+        let level = (k < self.values.len()).then_some(k);
+        let mut text = String::new();
         match (self.coding, level) {
-            (None, None) => self.arena.push_str(TEXT_NULL),
-            (None, Some(l)) => codec::write_int(l as i64 + 1, &mut self.arena),
+            (None, None) => text.push_str(TEXT_NULL),
+            (None, Some(l)) => codec::write_int(l as i64 + 1, &mut text),
             (Some(coding), level) => {
                 let block = coding.expand(&[level], self.values.len());
-                let line = Batch::new(block, 1).encode_text();
-                self.arena
-                    .push_str(line.strip_suffix('\n').unwrap_or(&line));
+                text = Batch::new(block, 1).encode_text();
+                text.pop();
             }
         }
-        (start, self.arena.len())
+        self.table.set(k, text.as_bytes(), self.delim);
     }
 }
 

@@ -2236,6 +2236,20 @@ fn rewriter_part_file(
     lines: u64,
     malformed: bool,
 ) -> String {
+    rewriter_part_file_with(rng, schema, pools, lines, malformed, 20)
+}
+
+/// [`rewriter_part_file`] with an odd cell (a NULL, a number spelled
+/// otherwise, a string that needs escapes, a bad cell) drawn about seven
+/// times in `odd_in` cells: 20 makes most lines hold one, 400 few.
+fn rewriter_part_file_with(
+    rng: &mut SplitMix64,
+    schema: &Schema,
+    pools: &[Vec<String>],
+    lines: u64,
+    malformed: bool,
+    odd_in: u64,
+) -> String {
     const INTS: [&str; 11] = [
         "007",
         "+5",
@@ -2261,7 +2275,7 @@ fn rewriter_part_file(
         let mut cells: Vec<String> = (schema.fields().iter().zip(pools))
             .map(|(f, pool)| {
                 let mut cell = String::new();
-                match (f.data_type, rng.next_below(20)) {
+                match (f.data_type, rng.next_below(odd_in)) {
                     (_, 0) => cell.push_str("\\N"),
                     (_, 1) if malformed && rng.chance(0.2) => {
                         cell.push_str(rng.choose::<&str>(&BAD))
@@ -2293,10 +2307,25 @@ fn rewriter_part_file(
     text
 }
 
+/// `text` cut into pieces of whole lines at random line ends, as
+/// `codec::text_pieces` hands a part-file's blocks over.
+fn line_pieces<'a>(rng: &mut SplitMix64, text: &'a str) -> Vec<&'a str> {
+    let mut pieces = Vec::new();
+    let mut start = 0;
+    for (end, _) in text.match_indices('\n') {
+        if rng.chance(0.3) {
+            pieces.push(&text[start..=end]);
+            start = end + 1;
+        }
+    }
+    pieces.push(&text[start..]);
+    pieces
+}
+
 #[test]
 fn the_line_rewriter_writes_what_the_column_round_trip_writes() {
     let mut rng = SplitMix64::new(0x2E_7217E);
-    let (mut rewritten, mut refused, mut unseen) = (0, 0, 0);
+    let (mut rewritten, mut refused, mut unseen, mut long_blocks) = (0, 0, 0, 0);
     for seed in 0..400 {
         let width = 2 + rng.next_below(5) as usize;
         let mut types: Vec<DataType> = (0..width).map(|_| *rng.choose(&TEXT_TYPES)).collect();
@@ -2307,7 +2336,19 @@ fn the_line_rewriter_writes_what_the_column_round_trip_writes() {
         let pools: Vec<Vec<String>> = (types.iter())
             .map(|_| {
                 let k = *rng.choose(&[1, 2, 3, 5, 9, 12, 30]);
-                let odd = ["", "\\N", "a|b", "x\\y", "l\nm", "ü"];
+                // Values of eight and nine bytes: one word packs the
+                // first, not the second; nor one holding a NUL.
+                let odd = [
+                    "",
+                    "\\N",
+                    "a|b",
+                    "x\\y",
+                    "l\nm",
+                    "ü",
+                    "12345678",
+                    "123456789",
+                    "a\0b",
+                ];
                 (0..k)
                     .map(|i| match rng.chance(0.2) {
                         true => rng.choose(&odd).to_string(),
@@ -2317,7 +2358,12 @@ fn the_line_rewriter_writes_what_the_column_round_trip_writes() {
             })
             .collect();
         let (lines, malformed) = (rng.next_below(60), rng.chance(0.3));
-        let text = rewriter_part_file(&mut rng, &schema, &pools, lines, malformed);
+        // Most lines hold an odd cell (the fast path refuses them), or few.
+        let odd_in = *rng.choose(&[20, 400]);
+        let mut text = rewriter_part_file_with(&mut rng, &schema, &pools, lines, malformed, odd_in);
+        if rng.chance(0.3) {
+            text.pop();
+        }
         let mut spec = TransformSpec {
             recode_columns: (schema.fields().iter())
                 .filter(|f| (f.data_type == DataType::Str && rng.chance(0.8)) || rng.chance(0.1))
@@ -2352,13 +2398,21 @@ fn the_line_rewriter_writes_what_the_column_round_trip_writes() {
         let want = column_round_trip(&applier, &text, &schema);
         let got = applier.rewrite_text(&text).map_err(|e| e.to_string());
         assert_eq!(got, want, "seed {seed}: {spec:?} over {text:?}");
+        // The same text in pieces of whole lines.
+        let pieces = line_pieces(&mut rng, &text);
+        let in_pieces = applier.rewrite_pieces(&pieces).map_err(|e| e.to_string());
+        assert_eq!(in_pieces, want, "seed {seed}: {spec:?} over {pieces:?}");
         rewritten += usize::from(got.is_ok());
         refused += usize::from(got.is_err());
         unseen += usize::from(got.as_ref().is_err_and(|e| e.contains("unseen value")));
+        // A dummy block of nine or more indicators is over 16 bytes.
+        let long_block = (spec.coded_columns.iter())
+            .any(|(c, coding)| *coding == Coding::Dummy && map.cardinality(c) >= 9);
+        long_blocks += usize::from(long_block && got.is_ok() && lines > 0);
     }
     assert!(
-        rewritten > 100 && refused > 50 && unseen > 10,
-        "{rewritten} rewritten, {refused} refused, {unseen} unseen"
+        rewritten > 100 && refused > 50 && unseen > 10 && long_blocks > 10,
+        "{rewritten} rewritten, {refused} refused, {unseen} unseen, {long_blocks} long blocks"
     );
 }
 
