@@ -220,7 +220,7 @@ impl<'c> Pipeline<'c> {
             cancel.check("input for ml")?;
 
             let t_train = Instant::now();
-            let model = runner.train(&dataset, ml_spec)?;
+            let model = runner.train_owned(dataset, ml_spec)?;
             Ok::<_, SqlmlError>((model, ingest.rows, t_train.elapsed()))
         })();
         self.cleanup_dir(&dir_prep);
@@ -271,7 +271,7 @@ impl<'c> Pipeline<'c> {
             cancel.check("input for ml")?;
 
             let t_train = Instant::now();
-            let model = runner.train(&dataset, ml_spec)?;
+            let model = runner.train_owned(dataset, ml_spec)?;
             Ok::<_, SqlmlError>((model, ingest.rows, cache_use, t_train.elapsed()))
         })();
         self.cleanup_dir(&dir_tfm);

@@ -254,8 +254,9 @@ impl<'a> PartitionView<'a> {
     }
 }
 
-/// A dataset partitioned across ML workers. Immutable and cheaply
-/// clonable, like a cached RDD.
+/// A dataset partitioned across ML workers. Cheaply clonable, like a
+/// cached RDD: clones share every block, and training writes a block in
+/// place only where it holds the one reference (copy-on-write).
 #[derive(Debug, Clone)]
 pub struct Dataset {
     partitions: Vec<Partition>,
@@ -376,9 +377,27 @@ impl Dataset {
         self.partitions.iter().flat_map(|p| p.labels.iter())
     }
 
-    /// The first label (in partition order) for which `pred` holds.
-    pub(crate) fn find_label(&self, pred: impl Fn(f64) -> bool) -> Option<f64> {
-        self.all_labels().copied().find(|l| pred(*l))
+    /// How a binary classifier named `who` takes these labels, decided
+    /// from the distinct labels alone: one pass over the label vectors.
+    /// Only a refused dataset is read again, for its first label outside
+    /// {0, 1} in partition order, which the error names.
+    pub(crate) fn binary_relabel(&self, labels: Labels, who: &str) -> Result<Relabel> {
+        let distinct = self.labels();
+        if labels == Labels::Binarize && distinct.len() <= 2 && distinct != [0.0, 1.0] {
+            // A single class has no label mapped onto 1: all become 0.
+            let one = distinct.get(1).copied().unwrap_or(f64::NAN);
+            return Ok(Relabel::OneVsRest(one));
+        }
+        let binary = |l: f64| l == 0.0 || l == 1.0;
+        if distinct.iter().all(|l| binary(*l)) {
+            return Ok(Relabel::Keep);
+        }
+        match self.all_labels().find(|l| !binary(**l)) {
+            Some(label) => Err(SqlmlError::Ml(format!(
+                "{who} expects labels in {{0,1}}, found {label}"
+            ))),
+            None => Ok(Relabel::Keep),
+        }
     }
 
     /// The same points with every label mapped through `f`. Only the
@@ -526,27 +545,24 @@ impl Standardizer {
         }
     }
 
-    /// Standardize every feature vector: one new feature block per
-    /// partition, labels shared with `data`.
-    pub fn transform(&self, data: &Dataset) -> Dataset {
+    /// Standardize `data` where it lies, `(x − m) / s` for every cell,
+    /// and relabel each partition in the same pass over its rows. A block
+    /// `data` alone holds is overwritten; one a clone still shares is
+    /// copied first (`Arc::make_mut`), so the clone never changes.
+    pub(crate) fn apply(&self, data: &mut Dataset, relabel: Relabel) {
         assert_eq!(self.mean.len(), data.dim, "fitted on another dimension");
-        let partitions = (data.partitions.iter())
-            .map(|stored| {
-                let features = &stored.features;
-                let kernel = Standardize {
-                    features,
-                    mean: &self.mean,
-                    std: &self.std,
-                };
-                Partition {
-                    features: Arc::new(by_width(data.dim, kernel)),
-                    labels: Arc::clone(&stored.labels),
-                }
-            })
-            .collect();
-        Dataset {
-            partitions,
-            dim: data.dim,
+        for p in &mut data.partitions {
+            let labels = match relabel {
+                Relabel::Keep => None,
+                Relabel::OneVsRest(one) => Some((Arc::make_mut(&mut p.labels).as_mut_slice(), one)),
+            };
+            let kernel = Standardize {
+                features: Arc::make_mut(&mut p.features).as_mut_slice(),
+                labels,
+                mean: &self.mean,
+                std: &self.std,
+            };
+            by_width(data.dim, kernel);
         }
     }
 
@@ -567,39 +583,107 @@ impl Standardizer {
     }
 }
 
-/// One standardized feature block: `(x − m) / s` for every cell.
+/// One partition standardized in place, `(x − m) / s` for every cell,
+/// with its labels mapped one-vs-rest in the same pass when given.
 struct Standardize<'a> {
-    features: &'a [f64],
+    features: &'a mut [f64],
+    labels: Option<(&'a mut [f64], f64)>,
     mean: &'a [f64],
     std: &'a [f64],
 }
 
 impl ByWidth for Standardize<'_> {
-    type Output = Vec<f64>;
+    type Output = ();
 
     #[inline(always)]
-    fn fixed<const D: usize>(self) -> Vec<f64> {
+    fn fixed<const D: usize>(self) {
         let (mut mean, mut std) = ([0.0; D], [0.0; D]);
         mean.copy_from_slice(self.mean);
         std.copy_from_slice(self.std);
-        let mut out = vec![0.0; self.features.len()];
-        let rows = self.features.as_chunks::<D>().0;
-        for (y, x) in out.as_chunks_mut::<D>().0.iter_mut().zip(rows) {
-            for (j, y) in y.iter_mut().enumerate() {
-                *y = (x[j] - mean[j]) / std[j];
+        let standardize = |x: &mut [f64; D]| {
+            for j in 0..D {
+                x[j] = (x[j] - mean[j]) / std[j];
             }
+        };
+        let rows = self.features.as_chunks_mut::<D>().0;
+        match self.labels {
+            Some((labels, one)) => {
+                for (x, label) in rows.iter_mut().zip(labels) {
+                    standardize(x);
+                    *label = one_vs_rest(*label, one);
+                }
+            }
+            None => rows.iter_mut().for_each(standardize),
         }
-        out
     }
 
-    fn any(self, dim: usize) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.features.len());
-        for x in self.features.chunks_exact(dim.max(1)) {
-            let cells = x.iter().zip(self.mean.iter().zip(self.std));
-            out.extend(cells.map(|(x, (m, s))| (x - m) / s));
+    fn any(self, dim: usize) {
+        for x in self.features.chunks_exact_mut(dim.max(1)) {
+            for (x, (m, s)) in x.iter_mut().zip(self.mean.iter().zip(self.std)) {
+                *x = (*x - m) / s;
+            }
         }
-        out
+        if let Some((labels, one)) = self.labels {
+            for label in labels {
+                *label = one_vs_rest(*label, one);
+            }
+        }
     }
+}
+
+/// How a binary classifier reads the labels it is handed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Labels {
+    /// Every label must already be 0 or 1.
+    AsGiven,
+    /// At most two distinct labels are mapped onto {0, 1} by label order
+    /// (a single class onto 0), unless they are {0, 1} already — so a
+    /// label column *recoded* to 1/2 (§2.1) trains as it stands, as an
+    /// MLlib user would remap it.
+    Binarize,
+}
+
+/// What readying a binary classifier's input does to its labels.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Relabel {
+    /// Every label is 0 or 1 and stays as it is, bits included.
+    Keep,
+    /// A label equal to this one becomes 1, every other 0 (NaN equals
+    /// none).
+    OneVsRest(f64),
+}
+
+#[inline(always)]
+fn one_vs_rest(label: f64, one: f64) -> f64 {
+    f64::from(u8::from(label == one))
+}
+
+/// The input of the binary linear trainers (SVM, logistic regression),
+/// readied where it lies: refuse an empty dataset, decide the labels in
+/// one pass, then — when `scale`, as MLlib does — standardize and relabel
+/// `data` in place, train on it with `train_raw`, and map the model
+/// back to raw feature space. `who` names the trainer in its errors.
+pub(crate) fn train_binary_linear(
+    mut data: Dataset,
+    who: &str,
+    labels: Labels,
+    scale: bool,
+    train_raw: impl FnOnce(&Dataset) -> (Vec<f64>, f64),
+) -> Result<(Vec<f64>, f64)> {
+    if data.num_points() == 0 {
+        return Err(SqlmlError::Ml(format!("{who}: empty training set")));
+    }
+    let relabel = data.binary_relabel(labels, who)?;
+    if !scale {
+        if let Relabel::OneVsRest(one) = relabel {
+            data = data.map_labels(|l| one_vs_rest(l, one));
+        }
+        return Ok(train_raw(&data));
+    }
+    let scaler = Standardizer::fit(&data);
+    scaler.apply(&mut data, relabel);
+    let (weights, intercept) = train_raw(&data);
+    Ok(scaler.unscale_linear(&weights, intercept))
 }
 
 /// Whether two labels are one class: `==`, except that NaN is one class.

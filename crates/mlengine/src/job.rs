@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use sqlml_common::{Result, SqlmlError};
 
-use crate::dataset::{Dataset, PartitionBlock};
+use crate::dataset::{Dataset, Labels, PartitionBlock};
 use crate::input::{InputFormat, InputSplit};
 use crate::kmeans::{KMeansModel, KMeansTrainer};
 use crate::linreg::{LinRegModel, LinRegTrainer};
@@ -345,7 +345,7 @@ impl JobRunner {
     pub fn run(&self, format: &dyn InputFormat, spec: &TrainingSpec) -> Result<JobOutcome> {
         let (dataset, ingest) = self.ingest_dataset(format, spec.label_col())?;
         let start = Instant::now();
-        let model = self.train(&dataset, spec)?;
+        let model = self.train_owned(dataset, spec)?;
         Ok(JobOutcome {
             model,
             ingest,
@@ -353,21 +353,25 @@ impl JobRunner {
         })
     }
 
-    /// Train on an already-ingested dataset.
+    /// Train on an already-ingested dataset the caller keeps: the same
+    /// model as [`JobRunner::train_owned`], and `dataset` is left as it
+    /// was — what training changes it changes on copies.
+    pub fn train(&self, dataset: &Dataset, spec: &TrainingSpec) -> Result<TrainedModel> {
+        self.train_owned(dataset.clone(), spec)
+    }
+
+    /// Train on a dataset handed over, as [`JobRunner::run`] hands over
+    /// the one it ingested.
     ///
     /// For the binary classifiers, label sets of exactly two distinct
     /// values are normalized onto {0, 1} by label order — so data whose
     /// label column was *recoded* (consecutive codes starting at 1, per
     /// §2.1) trains without an extra shift step, just as an MLlib user
-    /// would remap a 1/2-coded class column.
-    pub fn train(&self, dataset: &Dataset, spec: &TrainingSpec) -> Result<TrainedModel> {
-        let dataset = match spec {
-            TrainingSpec::SvmSgd { .. } | TrainingSpec::LogReg { .. } => {
-                std::borrow::Cow::Owned(binarize_labels(dataset))
-            }
-            _ => std::borrow::Cow::Borrowed(dataset),
-        };
-        let dataset: &Dataset = &dataset;
+    /// would remap a 1/2-coded class column. One pass over the labels
+    /// decides that mapping and refuses any other label set; the features
+    /// are then standardized and the labels mapped in one pass, in place
+    /// where `dataset` holds its blocks alone.
+    pub fn train_owned(&self, dataset: Dataset, spec: &TrainingSpec) -> Result<TrainedModel> {
         Ok(match spec {
             TrainingSpec::SvmSgd {
                 iterations,
@@ -383,7 +387,7 @@ impl JobRunner {
                     scale_features: true,
                     mini_batch_fraction: *mini_batch_fraction,
                 }
-                .train(dataset)?,
+                .train_labelled(dataset, Labels::Binarize)?,
             ),
             TrainingSpec::LogReg {
                 iterations,
@@ -397,7 +401,7 @@ impl JobRunner {
                     reg_param: *reg_param,
                     scale_features: true,
                 }
-                .train(dataset)?,
+                .train_labelled(dataset, Labels::Binarize)?,
             ),
             TrainingSpec::LinReg {
                 iterations,
@@ -409,17 +413,17 @@ impl JobRunner {
                     step_size: *step_size,
                     reg_param: 0.0,
                 }
-                .train(dataset)?,
+                .train(&dataset)?,
             ),
             TrainingSpec::NaiveBayes { .. } => {
-                TrainedModel::NaiveBayes(NaiveBayesTrainer.train(dataset)?)
+                TrainedModel::NaiveBayes(NaiveBayesTrainer.train(&dataset)?)
             }
             TrainingSpec::DecisionTree { max_depth, .. } => TrainedModel::Tree(
                 TreeTrainer {
                     max_depth: *max_depth,
                     ..Default::default()
                 }
-                .train(dataset)?,
+                .train(&dataset)?,
             ),
             TrainingSpec::KMeans { k, max_iterations } => TrainedModel::KMeans(
                 KMeansTrainer {
@@ -427,23 +431,10 @@ impl JobRunner {
                     max_iterations: *max_iterations,
                     ..Default::default()
                 }
-                .train(dataset)?,
+                .train(&dataset)?,
             ),
         })
     }
-}
-
-/// Map a two-valued label set onto {0, 1} (smaller label → 0). Datasets
-/// already labeled {0, 1} pass through unchanged (and unclassifiable
-/// label sets are left for the trainer's own validation to reject).
-fn binarize_labels(data: &Dataset) -> Dataset {
-    let labels = data.labels();
-    if labels == [0.0, 1.0] || labels.len() > 2 {
-        return data.clone();
-    }
-    // Degenerate single-class data: call it class 0.
-    let one = labels.get(1).copied();
-    data.map_labels(|l| if Some(l) == one { 1.0 } else { 0.0 })
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! Binary logistic regression with distributed full-batch gradient
 //! descent (log-loss + L2), parallelized over dataset partitions.
 
-use sqlml_common::{Result, SqlmlError};
+use sqlml_common::Result;
 
-use crate::dataset::Dataset;
+use crate::dataset::{train_binary_linear, Dataset, Labels};
 use crate::linalg::{dot, sigmoid};
 use crate::linreg::descend;
 
@@ -53,33 +53,20 @@ impl Default for LogRegTrainer {
 
 impl LogRegTrainer {
     pub fn train(&self, data: &Dataset) -> Result<LogRegModel> {
-        if data.num_points() == 0 {
-            return Err(SqlmlError::Ml("logreg: empty training set".into()));
-        }
-        if let Some(label) = data.find_label(|l| l != 0.0 && l != 1.0) {
-            return Err(SqlmlError::Ml(format!(
-                "logreg expects labels in {{0,1}}, found {label}"
-            )));
-        }
-        if self.scale_features {
-            let scaler = crate::dataset::Standardizer::fit(data);
-            let scaled = scaler.transform(data);
-            let raw = self.train_raw(&scaled);
-            let (weights, intercept) = scaler.unscale_linear(&raw.weights, raw.intercept);
-            return Ok(LogRegModel { weights, intercept });
-        }
-        Ok(self.train_raw(data))
+        self.train_labelled(data.clone(), Labels::AsGiven)
     }
 
-    fn train_raw(&self, data: &Dataset) -> LogRegModel {
-        let (weights, intercept) = descend(
-            data,
-            self.iterations,
-            self.step_size,
-            self.reg_param,
-            |margin, label| sigmoid(margin) - label,
-        );
-        LogRegModel { weights, intercept }
+    /// Train on `data`, taking its labels as `labels` says. The features
+    /// are standardized where they lie: in place when `data` holds the
+    /// only reference to its blocks, on copies otherwise.
+    pub(crate) fn train_labelled(&self, data: Dataset, labels: Labels) -> Result<LogRegModel> {
+        let train_raw = |data: &Dataset| {
+            let loss = |margin: f64, label: f64| sigmoid(margin) - label;
+            descend(data, self.iterations, self.step_size, self.reg_param, loss)
+        };
+        let (weights, intercept) =
+            train_binary_linear(data, "logreg", labels, self.scale_features, train_raw)?;
+        Ok(LogRegModel { weights, intercept })
     }
 }
 

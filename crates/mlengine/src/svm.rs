@@ -9,9 +9,9 @@
 
 use std::ops::ControlFlow;
 
-use sqlml_common::{Result, SqlmlError};
+use sqlml_common::Result;
 
-use crate::dataset::{par_rounds, Dataset, PartitionView, PointRef};
+use crate::dataset::{par_rounds, train_binary_linear, Dataset, Labels, PartitionView, PointRef};
 use crate::linalg::{axpy, dot, linear_gradient};
 
 /// A trained linear SVM: `sign(w·x + b)` with labels {0, 1}.
@@ -71,34 +71,30 @@ impl SvmTrainer {
     /// Train on a dataset whose labels are in {0, 1} (the recoded-and-
     /// shifted convention; internally mapped to ±1 for the hinge loss).
     pub fn train(&self, data: &Dataset) -> Result<SvmModel> {
-        if data.num_points() == 0 {
-            return Err(SqlmlError::Ml("SVM: empty training set".into()));
-        }
-        if let Some(label) = data.find_label(|l| l != 0.0 && l != 1.0) {
-            return Err(SqlmlError::Ml(format!(
-                "SVM expects labels in {{0,1}}, found {label}"
-            )));
-        }
-        if self.scale_features {
-            let scaler = crate::dataset::Standardizer::fit(data);
-            let scaled = scaler.transform(data);
-            let raw = self.train_raw(&scaled);
-            let (weights, intercept) = scaler.unscale_linear(&raw.weights, raw.intercept);
-            return Ok(SvmModel { weights, intercept });
-        }
-        Ok(self.train_raw(data))
+        self.train_labelled(data.clone(), Labels::AsGiven)
     }
 
-    fn train_raw(&self, data: &Dataset) -> SvmModel {
+    /// Train on `data`, taking its labels as `labels` says. The features
+    /// are standardized where they lie: in place when `data` holds the
+    /// only reference to its blocks, on copies otherwise.
+    pub(crate) fn train_labelled(&self, data: Dataset, labels: Labels) -> Result<SvmModel> {
+        let train_raw = |data: &Dataset| self.train_raw(data);
+        let (weights, intercept) =
+            train_binary_linear(data, "SVM", labels, self.scale_features, train_raw)?;
+        Ok(SvmModel { weights, intercept })
+    }
+
+    /// The weights and intercept SGD reaches on `data` as it is.
+    fn train_raw(&self, data: &Dataset) -> (Vec<f64>, f64) {
         let dim = data.dim();
         let n = data.num_points() as f64;
+        if self.iterations == 0 {
+            return (vec![0.0; dim], 0.0);
+        }
         let model = SvmModel {
             weights: vec![0.0; dim],
             intercept: 0.0,
         };
-        if self.iterations == 0 {
-            return model;
-        }
         let fraction = self.mini_batch_fraction.clamp(f64::MIN_POSITIVE, 1.0);
         // Map: partial hinge subgradients per partition, over iteration
         // `t`'s (deterministic) mini-batch sample.
@@ -164,7 +160,8 @@ impl SvmTrainer {
                 ControlFlow::Continue(())
             }
         };
-        par_rounds(data, (model, 1), map, reduce).0
+        let (model, _) = par_rounds(data, (model, 1), map, reduce);
+        (model.weights, model.intercept)
     }
 }
 

@@ -1,7 +1,11 @@
 //! Every iterative trainer against a textbook plain-loop version of
 //! itself, bit for bit, on seeded datasets of every feature width from 0
 //! to 9 and one to five partitions — plus a NaN feature, ±inf features
-//! and an empty partition.
+//! and an empty partition. The job runner's binary classifiers, handed a
+//! dataset they may overwrite, against a textbook relabel, standardize
+//! and SGD on a copy, labels of every accepted and refused shape
+//! included; and a dataset the caller keeps comes back from training
+//! unchanged.
 //!
 //! The oracles are written the way the trainers were before their loops
 //! were specialised: rows as `PointRef`s, `dot` / `axpy` per row, a branch
@@ -12,6 +16,7 @@
 use std::hash::{Hash, Hasher};
 
 use sqlml_common::SplitMix64;
+use sqlml_mlengine::job::{JobConfig, JobRunner, TrainedModel, TrainingSpec};
 use sqlml_mlengine::kmeans::KMeansTrainer;
 use sqlml_mlengine::linalg::{axpy, dot, sigmoid, sq_dist};
 use sqlml_mlengine::linreg::LinRegTrainer;
@@ -168,6 +173,52 @@ fn scaled(data: &Dataset, raw: impl Fn(&Dataset) -> (Vec<f64>, f64)) -> (Vec<f64
     let (mean, std) = standardizer(data);
     let (w, b) = raw(&standardize(data, &mean, &std));
     unscale(&w, b, &mean, &std)
+}
+
+/// `data` with the label of its `i`-th point (in partition order) made
+/// `f(i, label)`, partitions kept.
+fn relabelled(data: &Dataset, f: impl Fn(usize, f64) -> f64) -> Dataset {
+    let mut at = 0;
+    let mut parts = Vec::new();
+    for part in data.partitions() {
+        let mut points = Vec::new();
+        for p in part.iter() {
+            points.push(LabeledPoint::new(f(at, p.label), p.features.to_vec()));
+            at += 1;
+        }
+        parts.push(points);
+    }
+    Dataset::new(parts).unwrap()
+}
+
+/// The textbook relabelling of a binary classifier's input: the distinct
+/// labels by a scan; more than two refused, naming the first label
+/// outside {0, 1}; {0, 1} kept as they are, bits included; otherwise the
+/// larger label becomes 1 and everything else 0.
+fn binarized(data: &Dataset, who: &str) -> Result<Dataset, String> {
+    let same = |a: f64, b: f64| a == b || (a.is_nan() && b.is_nan());
+    let mut distinct: Vec<f64> = Vec::new();
+    for p in data.iter() {
+        if !distinct.iter().any(|d| same(*d, p.label)) {
+            distinct.push(p.label);
+        }
+    }
+    if distinct.len() > 2 {
+        let outside = |l: &f64| *l != 0.0 && *l != 1.0;
+        let bad = data.iter().map(|p| p.label).find(outside).unwrap();
+        return Err(format!(
+            "ml error: {who} expects labels in {{0,1}}, found {bad}"
+        ));
+    }
+    distinct.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    if distinct == [0.0, 1.0] {
+        return Ok(data.clone());
+    }
+    let one = distinct.get(1).copied();
+    Ok(relabelled(
+        data,
+        |_, l| if Some(l) == one { 1.0 } else { 0.0 },
+    ))
 }
 
 fn in_mini_batch(p: PointRef<'_>, iteration: u64, fraction: f64) -> bool {
@@ -435,5 +486,134 @@ fn kmeans_matches_the_plain_loop_bit_for_bit() {
             "kmeans, {}",
             c.name
         );
+    }
+}
+
+/// A label shape: its name, the rewrite of a case's {0, 1} labels (the
+/// `i`-th label in partition order, `label`) and whether the runner
+/// refuses it.
+type Labelling = (&'static str, fn(usize, f64) -> f64, bool);
+
+/// The label shapes a binary classifier meets.
+const LABELLINGS: [Labelling; 6] = [
+    ("recoded 1/2", |_, l| l + 1.0, false),
+    ("{0,1}", |_, l| l, false),
+    ("a single class", |_, _| 7.0, false),
+    ("{-0,1}", |_, l| if l == 0.0 { -0.0 } else { l }, false),
+    // A 2 after the NaN: the refusal names the first label outside {0,1}.
+    (
+        "a NaN label",
+        |i, l| match i {
+            2 => f64::NAN,
+            9 => 2.0,
+            _ => l,
+        },
+        true,
+    ),
+    ("three classes", |i, l| if i == 3 { 2.0 } else { l }, true),
+];
+
+/// What a binary job returns, as bits or the error's text.
+fn outcome(model: sqlml_common::Result<TrainedModel>) -> Result<Vec<u64>, String> {
+    match model.map_err(|e| e.to_string())? {
+        TrainedModel::Svm(m) => Ok(bits(&m.weights, m.intercept)),
+        TrainedModel::LogReg(m) => Ok(bits(&m.weights, m.intercept)),
+        other => panic!("not a binary classifier: {other:?}"),
+    }
+}
+
+/// The runner's binary commands, with the textbook training each one
+/// stands for on relabelled data.
+#[allow(clippy::type_complexity)]
+fn binary_jobs() -> Vec<(
+    &'static str,
+    &'static str,
+    Box<dyn Fn(&Dataset) -> (Vec<f64>, f64)>,
+)> {
+    let svm_with = |fraction: f64| {
+        let t = SvmTrainer {
+            iterations: 12,
+            mini_batch_fraction: fraction,
+            ..Default::default()
+        };
+        move |d: &Dataset| svm(d, &t)
+    };
+    let logreg = |d: &Dataset| descent(d, 12, 1.0, 0.001, |m, y| sigmoid(m) - y);
+    vec![
+        ("svm label=0 iterations=12", "SVM", Box::new(svm_with(1.0))),
+        (
+            "svm label=0 iterations=12 batch=0.4",
+            "SVM",
+            Box::new(svm_with(0.4)),
+        ),
+        (
+            "logreg label=0 iterations=12 step=1.0 reg=0.001",
+            "logreg",
+            Box::new(logreg),
+        ),
+    ]
+}
+
+#[test]
+fn an_owned_dataset_trains_as_the_textbook_relabel_standardize_and_loops() {
+    let runner = JobRunner::new(JobConfig::default());
+    for c in cases() {
+        for (labelling, relabel, refused) in LABELLINGS {
+            let data = relabelled(&c.classes, relabel);
+            for (command, who, raw) in binary_jobs() {
+                let spec = TrainingSpec::parse(command).unwrap();
+                // A dataset nobody else holds: prepared where it lies.
+                let got = outcome(runner.train_owned(relabelled(&c.classes, relabel), &spec));
+                let want = binarized(&data, who).map(|d| {
+                    let (w, b) = scaled(&d, &raw);
+                    bits(&w, b)
+                });
+                assert_eq!(want.is_err(), refused, "{command}, {labelling}, {}", c.name);
+                assert_eq!(got, want, "{command}, {labelling}, {}", c.name);
+            }
+        }
+    }
+}
+
+fn snapshot(data: &Dataset) -> Vec<Vec<u64>> {
+    (data.partitions())
+        .map(|p| {
+            (p.features().iter().chain(p.labels()))
+                .map(|v| v.to_bits())
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn training_leaves_a_dataset_the_caller_still_holds_unchanged() {
+    let runner = JobRunner::new(JobConfig::default());
+    for c in cases() {
+        for (labelling, relabel, _) in LABELLINGS {
+            let data = relabelled(&c.classes, relabel);
+            let before = snapshot(&data);
+            let case = format!("{labelling}, {}", c.name);
+            for (command, _, _) in binary_jobs() {
+                let spec = TrainingSpec::parse(command).unwrap();
+                let borrowed = outcome(runner.train(&data, &spec));
+                assert_eq!(snapshot(&data), before, "{command} by reference, {case}");
+                let cloned = outcome(runner.train_owned(data.clone(), &spec));
+                assert_eq!(snapshot(&data), before, "{command} on a clone, {case}");
+                let owned = outcome(runner.train_owned(relabelled(&c.classes, relabel), &spec));
+                assert_eq!((&borrowed, &cloned), (&owned, &owned), "{command}, {case}");
+            }
+            let svm = SvmTrainer {
+                iterations: 12,
+                ..Default::default()
+            };
+            let _ = svm.train(&data);
+            assert_eq!(snapshot(&data), before, "the SVM trainer, {case}");
+            let logreg = LogRegTrainer {
+                iterations: 12,
+                ..Default::default()
+            };
+            let _ = logreg.train(&data);
+            assert_eq!(snapshot(&data), before, "the logreg trainer, {case}");
+        }
     }
 }

@@ -5,7 +5,9 @@
 //! calibrates an iteration count to a fixed sample budget, collects
 //! `sample_size` samples, and reports the median per-iteration time plus
 //! throughput when configured. Output is plain text, one line per
-//! benchmark — stable enough to paste into EXPERIMENTS.md.
+//! benchmark — stable enough to paste into EXPERIMENTS.md. As with
+//! criterion, `cargo bench --bench NAME -- FILTER` runs only the
+//! benchmarks whose id (`group/name`) contains `FILTER`.
 
 use std::time::{Duration, Instant};
 
@@ -25,11 +27,16 @@ pub enum Throughput {
 #[derive(Debug, Clone)]
 pub struct Criterion {
     sample_size: usize,
+    /// Only benchmarks whose id contains this run.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        Criterion { sample_size: 30 }
+        Criterion {
+            sample_size: 30,
+            filter: None,
+        }
     }
 }
 
@@ -39,24 +46,55 @@ impl Criterion {
         self
     }
 
+    /// Run only the benchmarks whose id (`group/name`, or `name` outside
+    /// a group) contains `filter`.
+    pub fn with_filter(mut self, filter: impl Into<String>) -> Self {
+        self.filter = Some(filter.into());
+        self
+    }
+
+    /// Take the filter from the command line, as criterion does: the
+    /// first argument that is not a flag (`cargo bench` adds `--bench`).
+    pub fn configure_from_args(self) -> Self {
+        match filter_arg(std::env::args().skip(1)) {
+            Some(filter) => self.with_filter(filter),
+            None => self,
+        }
+    }
+
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup {
         println!("group {name}");
         BenchmarkGroup {
+            name: name.to_string(),
             sample_size: self.sample_size,
             throughput: None,
+            filter: self.filter.clone(),
         }
     }
 
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, f: F) -> &mut Self {
-        run_benchmark(name, self.sample_size, None, f);
+        if selects(&self.filter, name) {
+            run_benchmark(name, self.sample_size, None, f);
+        }
         self
     }
 }
 
+/// The first argument that is not a flag.
+fn filter_arg(mut args: impl Iterator<Item = String>) -> Option<String> {
+    args.find(|a| !a.starts_with('-'))
+}
+
+fn selects(filter: &Option<String>, id: &str) -> bool {
+    filter.as_ref().is_none_or(|f| id.contains(f.as_str()))
+}
+
 /// A named group of benchmarks sharing a throughput setting.
 pub struct BenchmarkGroup {
+    name: String,
     sample_size: usize,
     throughput: Option<Throughput>,
+    filter: Option<String>,
 }
 
 impl BenchmarkGroup {
@@ -70,7 +108,9 @@ impl BenchmarkGroup {
     }
 
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, f: F) -> &mut Self {
-        run_benchmark(name, self.sample_size, self.throughput, f);
+        if selects(&self.filter, &format!("{}/{name}", self.name)) {
+            run_benchmark(name, self.sample_size, self.throughput, f);
+        }
         self
     }
 
@@ -159,13 +199,14 @@ fn format_ns(ns: f64) -> String {
     }
 }
 
-/// Expands to a function running every target with the given config.
+/// Expands to a function running every target with the given config and
+/// the command line's filter.
 #[macro_export]
 macro_rules! criterion_group {
     (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
         pub fn $name() {
             $(
-                let mut c: $crate::Criterion = $config;
+                let mut c: $crate::Criterion = $config.configure_from_args();
                 $target(&mut c);
             )+
         }
@@ -209,6 +250,47 @@ mod tests {
     #[test]
     fn harness_runs_a_group_end_to_end() {
         benches();
+    }
+
+    #[test]
+    fn a_filter_runs_only_the_benchmarks_whose_id_contains_it() {
+        let ran = std::cell::RefCell::new(Vec::new());
+        let mut c = Criterion::default().sample_size(3).with_filter("hot/naive");
+        let mut group = c.benchmark_group("hot");
+        for name in ["naive_job1", "join", "naive_job2"] {
+            group.bench_function(name, |b| {
+                ran.borrow_mut().push(name);
+                b.iter(|| 1)
+            });
+        }
+        group.finish();
+        // Outside a group the id is the name alone.
+        c.bench_function("naive_job3", |b| {
+            ran.borrow_mut().push("naive_job3");
+            b.iter(|| 1)
+        });
+        let mut ran = ran.into_inner();
+        ran.dedup();
+        assert_eq!(ran, ["naive_job1", "naive_job2"]);
+
+        let mut everything = Criterion::default().sample_size(3);
+        let mut runs = 0;
+        everything.bench_function("any", |b| {
+            runs += 1;
+            b.iter(|| 1)
+        });
+        assert!(runs > 0);
+    }
+
+    #[test]
+    fn the_filter_is_the_first_argument_that_is_not_a_flag() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(filter_arg(args(&["--bench"]).into_iter()), None);
+        assert_eq!(
+            filter_arg(args(&["--bench", "naive", "join"]).into_iter()),
+            Some("naive".to_string())
+        );
+        assert_eq!(filter_arg(args(&[]).into_iter()), None);
     }
 
     #[test]
