@@ -10,12 +10,20 @@
 //! * the Naive external transform's two jobs over one 55K-line part-file
 //!   of the preparation query's result (`age|gender|amount|abandoned`):
 //!   job 1 collecting the recode columns' distinct values, job 2
-//!   rewriting every line with gender dummy-coded.
+//!   rewriting every line with gender dummy-coded;
+//! * the SVM's gradient: one hinge subgradient round over a 220K × 4
+//!   partition on one thread (ns/row), and ten `par_rounds` rounds over
+//!   four 55K × 4 partitions, the `stream-batch` training shape.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::ops::ControlFlow;
+
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use sqlml_common::schema::{DataType, Field, Schema};
 use sqlml_common::{codec, Row, SplitMix64, Value};
 use sqlml_core::naive::recode_values;
+use sqlml_mlengine::dataset::par_rounds;
+use sqlml_mlengine::svm::SvmModel;
+use sqlml_mlengine::{Dataset, PartitionBlock, PartitionView};
 use sqlml_sqlengine::{Batch, Engine, EngineConfig};
 use sqlml_transform::{FlatRecodeApplier, RecodeMap, TransformSpec};
 
@@ -165,9 +173,71 @@ fn bench_naive_jobs(c: &mut Criterion) {
     group.finish();
 }
 
+/// `partitions` blocks of `rows` standard-normal rows of width 4, each
+/// with a fair {0, 1} label.
+fn svm_data(partitions: usize, rows: usize) -> Dataset {
+    let mut rng = SplitMix64::new(100);
+    let blocks = (0..partitions).map(|_| {
+        let mut block = PartitionBlock::new(Some(0));
+        for _ in 0..rows {
+            let label = if rng.chance(0.5) { 1.0 } else { 0.0 };
+            let row = [
+                label,
+                rng.next_gaussian(),
+                rng.next_gaussian(),
+                rng.next_gaussian(),
+                rng.next_gaussian(),
+            ];
+            block.push_row(&row).unwrap();
+        }
+        block
+    });
+    Dataset::from_blocks(blocks.collect()).unwrap()
+}
+
+fn bench_svm_gradient(c: &mut Criterion) {
+    let model = SvmModel {
+        weights: vec![0.8, -0.6, 0.4, 0.2],
+        intercept: 0.1,
+    };
+    let one = svm_data(1, 220_000);
+    let four = svm_data(4, 55_000);
+    let n = four.num_points() as f64;
+    let mut group = c.benchmark_group("hotpath");
+    group.throughput(Throughput::Elements(220_000));
+    group.bench_function("svm_gradient_round_220k_x_4", |b| {
+        b.iter(|| model.hinge_subgradient(black_box(&one).partition(0)))
+    });
+    // Ten full-batch rounds, each a step on the summed gradient: rows
+    // visited = 10 × 220K.
+    group.throughput(Throughput::Elements(10 * 220_000));
+    group.bench_function("svm_par_rounds_10_x_4_partitions_55k_x_4", |b| {
+        b.iter(|| {
+            let map =
+                |(m, _): &(SvmModel, usize), part: PartitionView<'_>| m.hinge_subgradient(part);
+            let reduce = |(m, t): &mut (SvmModel, usize), partials: Vec<(Vec<f64>, f64)>| {
+                for (gw, gb) in partials {
+                    for (wi, gi) in m.weights.iter_mut().zip(&gw) {
+                        *wi -= 0.1 * gi / n;
+                    }
+                    m.intercept -= 0.1 * gb / n;
+                }
+                *t += 1;
+                if *t == 10 {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            };
+            par_rounds(black_box(&four), (model.clone(), 0), map, reduce)
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_join, bench_fusion, bench_recode_apply, bench_naive_jobs
+    targets = bench_join, bench_fusion, bench_recode_apply, bench_naive_jobs, bench_svm_gradient
 }
 criterion_main!(benches);

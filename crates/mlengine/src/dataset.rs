@@ -10,10 +10,10 @@ use std::any::Any;
 use std::cmp::Ordering;
 use std::ops::ControlFlow;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 use sqlml_common::codec::NumericFrame;
-use sqlml_common::{Result, Row, SqlmlError};
+use sqlml_common::{Result, Row, SqlmlError, TrackedCondvar, TrackedMutex};
 
 use crate::linalg::{by_width, ByWidth};
 
@@ -383,7 +383,9 @@ impl Dataset {
     /// {0, 1} in partition order, which the error names.
     pub(crate) fn binary_relabel(&self, labels: Labels, who: &str) -> Result<Relabel> {
         let distinct = self.labels();
-        if labels == Labels::Binarize && distinct.len() <= 2 && distinct != [0.0, 1.0] {
+        // NaN sorts last. It is no class: a set holding it is refused.
+        let nan = distinct.last().is_some_and(|l| l.is_nan());
+        if labels == Labels::Binarize && !nan && distinct.len() <= 2 && distinct != [0.0, 1.0] {
             // A single class has no label mapped onto 1: all become 0.
             let one = distinct.get(1).copied().unwrap_or(f64::NAN);
             return Ok(Relabel::OneVsRest(one));
@@ -637,7 +639,8 @@ pub(crate) enum Labels {
     /// Every label must already be 0 or 1.
     AsGiven,
     /// At most two distinct labels are mapped onto {0, 1} by label order
-    /// (a single class onto 0), unless they are {0, 1} already — so a
+    /// (a single class onto 0), unless they are {0, 1} already or one of
+    /// them is NaN, which is refused like a third class — so a
     /// label column *recoded* to 1/2 (§2.1) trains as it stands, as an
     /// MLlib user would remap it.
     Binarize,
@@ -699,24 +702,29 @@ fn label_order(a: &f64, b: &f64) -> Ordering {
 }
 
 /// The fan-out of every trainer: rounds of `map` over all partitions on
-/// one crew of threads — one per partition (each partition belongs to
-/// one ML worker), spawned once per call — and `reduce` between rounds.
+/// one crew of `T = min(partitions, available_parallelism())` threads —
+/// the caller and `T − 1` helpers spawned once per call — and `reduce`
+/// between rounds.
 ///
-/// Each round, every worker runs `map` on the current state and its
-/// partition; then `reduce` gets the results in partition order and
-/// updates the state for the next round, or ends the rounds with
-/// `Break`. Returns the final state. One partition runs inline.
+/// Each round, thread `t` runs `map` on the current state and
+/// partitions `t, t + T, …`, so a partition runs on the same thread in
+/// every round, partition 0 on the caller; then `reduce` gets the
+/// results in partition order and updates the state for the next round,
+/// or ends the rounds with `Break`. Returns the final state. Helpers
+/// wait for a round on a condition variable. One partition runs inline.
 ///
 /// A panic in `map` reaches the caller as a panic (`"partition worker
-/// panicked: …"`) once every worker has stopped; none is left waiting.
-pub fn par_rounds<S, R, M, F>(data: &Dataset, mut state: S, map: M, mut reduce: F) -> S
+/// panicked: …"`) once every helper has stopped; none is left waiting.
+pub fn par_rounds<S, R, M, F>(data: &Dataset, state: S, map: M, mut reduce: F) -> S
 where
     S: Send + Sync,
     R: Send,
     M: Fn(&S, PartitionView<'_>) -> R + Sync,
     F: FnMut(&mut S, Vec<R>) -> ControlFlow<()>,
 {
-    if data.num_partitions() <= 1 {
+    let parts = data.num_partitions();
+    if parts <= 1 {
+        let mut state = state;
         loop {
             let results = data.partitions().map(|part| map(&state, part)).collect();
             if reduce(&mut state, results).is_break() {
@@ -724,46 +732,97 @@ where
             }
         }
     }
-    let map = &map;
-    // Each round sends every worker a clone of this `Arc`; a worker drops
-    // its clone before it sends its result, so once all results are in,
-    // the caller holds the only one and may change the state.
+    let threads = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(parts);
+    // Thread `t`'s partitions, each with its result or its panic's text.
+    let run = |state: &S, t: usize| -> Vec<(usize, std::result::Result<R, String>)> {
+        (t..parts)
+            .step_by(threads)
+            .map(|p| {
+                let result =
+                    panic::catch_unwind(AssertUnwindSafe(|| map(state, data.partition(p))));
+                (p, result.map_err(|payload| panic_text(payload.as_ref())))
+            })
+            .collect()
+    };
+    let crew = Crew {
+        round: TrackedMutex::new(
+            "mlengine.crew",
+            Round {
+                started: 0,
+                state: None,
+                working: 0,
+                results: Vec::new(),
+                stop: false,
+            },
+        ),
+        start: TrackedCondvar::new("mlengine.crew.start"),
+        done: TrackedCondvar::new("mlengine.crew.done"),
+    };
+    // The round's state is one `Arc`: every helper drops its clone before
+    // it reports, so once all have reported and the round's slot is
+    // cleared, the caller holds the only one and may change the state.
     let mut state = Arc::new(state);
     let failure = std::thread::scope(|scope| {
-        let (rounds, results): (Vec<_>, Vec<_>) = (data.partitions())
-            .map(|part| {
-                let (round_tx, round_rx) = mpsc::channel::<Arc<S>>();
-                let (result_tx, result_rx) = mpsc::channel();
-                scope.spawn(move || {
-                    for state in round_rx {
-                        let result = panic::catch_unwind(AssertUnwindSafe(|| map(&state, part)));
-                        drop(state);
-                        let failed = result.is_err();
-                        if result_tx.send(result).is_err() || failed {
+        // Every return, and a panic in `reduce` or in a spawn, ends the
+        // helpers' loops; then the scope joins them.
+        let _dismiss = Dismiss(&crew);
+        for t in 1..threads {
+            let (crew, run) = (&crew, &run);
+            scope.spawn(move || {
+                let mut seen = 0;
+                loop {
+                    let state = {
+                        let mut round = crew.round.lock();
+                        while round.started == seen && !round.stop {
+                            crew.start.wait(&mut round);
+                        }
+                        if round.stop {
                             return;
                         }
+                        seen = round.started;
+                        // lint:allow(panic) a round is started with its state
+                        Arc::clone(round.state.as_ref().expect("a round without a state"))
+                    };
+                    let mine = run(&state, t);
+                    drop(state);
+                    let mut round = crew.round.lock();
+                    round.results.extend(mine);
+                    round.working -= 1;
+                    if round.working == 0 {
+                        crew.done.notify_one();
                     }
-                });
-                (round_tx, result_rx)
-            })
-            .collect();
-        // Every return drops the round senders: each worker's loop ends
-        // and the scope joins them.
+                }
+            });
+        }
         loop {
-            for round in &rounds {
-                // A worker that is gone shows up as a missing result.
-                let _ = round.send(Arc::clone(&state));
+            {
+                let mut round = crew.round.lock();
+                round.started += 1;
+                round.state = Some(Arc::clone(&state));
+                round.working = threads - 1;
             }
-            let mut out = Vec::with_capacity(results.len());
-            for result in &results {
-                match result.recv() {
-                    Ok(Ok(r)) => out.push(r),
-                    Ok(Err(payload)) => return Some(panic_text(payload.as_ref())),
-                    Err(_) => return Some("the worker exited".to_string()),
+            crew.start.notify_all();
+            let mut results = run(&state, 0);
+            {
+                let mut round = crew.round.lock();
+                while round.working > 0 {
+                    crew.done.wait(&mut round);
+                }
+                round.state = None;
+                results.append(&mut round.results);
+            }
+            results.sort_unstable_by_key(|(p, _)| *p);
+            let mut out = Vec::with_capacity(parts);
+            for (_, result) in results {
+                match result {
+                    Ok(r) => out.push(r),
+                    Err(text) => return Some(text),
                 }
             }
-            // lint:allow(panic) every worker dropped its clone before sending
-            let s = Arc::get_mut(&mut state).expect("a worker kept the round state");
+            // lint:allow(panic) every helper dropped its clone before reporting
+            let s = Arc::get_mut(&mut state).expect("a helper kept the round state");
             if reduce(s, out).is_break() {
                 return None;
             }
@@ -773,8 +832,43 @@ where
         // lint:allow(panic) re-raise a worker panic on the caller
         panic!("partition worker panicked: {text}");
     }
-    // lint:allow(panic) the scope joined every worker
-    Arc::into_inner(state).expect("a worker outlived the rounds")
+    // lint:allow(panic) the scope joined every helper
+    Arc::into_inner(state).expect("a helper outlived the rounds")
+}
+
+/// What [`par_rounds`]' caller and helpers share.
+struct Crew<S, R> {
+    round: TrackedMutex<Round<S, R>>,
+    /// Signalled when a round starts or the rounds end.
+    start: TrackedCondvar,
+    /// Signalled when the last helper has reported its results.
+    done: TrackedCondvar,
+}
+
+/// One round of [`par_rounds`], as its threads see it.
+struct Round<S, R> {
+    /// Rounds started so far; a helper runs each one once.
+    started: u64,
+    /// The state of the round under way, until every helper has reported.
+    state: Option<Arc<S>>,
+    /// Helpers that have not reported this round.
+    working: usize,
+    /// The helpers' results this round, by partition: a result or the
+    /// text of the panic that took its place.
+    results: Vec<(usize, std::result::Result<R, String>)>,
+    /// No more rounds: the helpers return.
+    stop: bool,
+}
+
+/// Ends [`par_rounds`]' rounds when the caller leaves them, by return or
+/// by a panic.
+struct Dismiss<'a, S, R>(&'a Crew<S, R>);
+
+impl<S, R> Drop for Dismiss<'_, S, R> {
+    fn drop(&mut self) {
+        self.0.round.lock().stop = true;
+        self.0.start.notify_all();
+    }
 }
 
 fn panic_text(payload: &(dyn Any + Send)) -> String {
@@ -787,6 +881,7 @@ fn panic_text(payload: &(dyn Any + Send)) -> String {
 mod tests {
     use super::*;
     use sqlml_common::row;
+    use std::sync::mpsc;
 
     fn block(label_col: Option<usize>, rows: &[Row]) -> Result<Dataset> {
         let mut b = PartitionBlock::new(label_col);
@@ -1000,9 +1095,11 @@ mod tests {
         assert_eq!(ids.len(), 25);
         let first = &ids[0];
         assert!(ids.iter().all(|round| round == first), "{ids:?}");
+        // No more threads than cores, the caller among them.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let distinct: std::collections::HashSet<_> = first.iter().collect();
-        assert_eq!(distinct.len(), 3, "{first:?}");
-        assert!(!first.contains(&std::thread::current().id()));
+        assert_eq!(distinct.len(), cores.min(3), "{first:?}");
+        assert_eq!(first[0], std::thread::current().id());
     }
 
     #[test]
@@ -1033,6 +1130,36 @@ mod tests {
         let text = outcome.expect_err("a worker panic must reach the caller");
         assert!(text.contains("partition worker panicked"), "{text}");
         assert!(text.contains("partition 1 fails in round 3"), "{text}");
+    }
+
+    #[test]
+    fn a_panic_in_the_callers_own_partition_comes_back_the_same_way() {
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = panic::catch_unwind(|| {
+                par_rounds(
+                    &three_partitions(),
+                    0usize,
+                    |round, part| {
+                        assert!(
+                            !(*round == 3 && part.features() == [0.0]),
+                            "partition 0 fails in round 3"
+                        );
+                    },
+                    |round, _| {
+                        *round += 1;
+                        ControlFlow::Continue(())
+                    },
+                )
+            });
+            let _ = done_tx.send(outcome.map_err(|p| panic_text(p.as_ref())));
+        });
+        let outcome = done_rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("par_rounds hung after the caller's partition panicked");
+        let text = outcome.expect_err("the panic must reach the caller");
+        assert!(text.contains("partition worker panicked"), "{text}");
+        assert!(text.contains("partition 0 fails in round 3"), "{text}");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::ops::ControlFlow;
 use sqlml_common::Result;
 
 use crate::dataset::{par_rounds, train_binary_linear, Dataset, Labels, PartitionView, PointRef};
-use crate::linalg::{axpy, dot, linear_gradient};
+use crate::linalg::{axpy, dot, hinge, hinge_gradient};
 
 /// A trained linear SVM: `sign(w·x + b)` with labels {0, 1}.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,6 +25,19 @@ impl SvmModel {
     /// Raw margin `w·x + b`.
     pub fn margin(&self, features: &[f64]) -> f64 {
         dot(&self.weights, features) + self.intercept
+    }
+
+    /// The hinge loss's subgradient sums over one partition's rows, the
+    /// map side of one full-batch SGD iteration: `(Σ −y·x, Σ −y)` over the
+    /// rows with `y·margin < 1`, where `y` is `+1` for a label above 0.5
+    /// and `−1` otherwise.
+    pub fn hinge_subgradient(&self, part: PartitionView<'_>) -> (Vec<f64>, f64) {
+        hinge_gradient(
+            &self.weights,
+            self.intercept,
+            part.features(),
+            part.labels(),
+        )
     }
 
     /// Predicted class label (0.0 or 1.0).
@@ -100,17 +113,7 @@ impl SvmTrainer {
         // `t`'s (deterministic) mini-batch sample.
         let map = |(m, t): &(SvmModel, usize), part: PartitionView<'_>| {
             if fraction >= 1.0 {
-                let (gw, gb) = linear_gradient(
-                    &m.weights,
-                    m.intercept,
-                    part.features(),
-                    part.labels(),
-                    |margin, label| {
-                        let y = if label > 0.5 { 1.0 } else { -1.0 };
-                        // d/dw hinge = -y * x
-                        (y * margin < 1.0, -y)
-                    },
-                );
+                let (gw, gb) = m.hinge_subgradient(part);
                 return (gw, gb, part.len() as u64);
             }
             let mut gw = vec![0.0; dim];
@@ -121,11 +124,10 @@ impl SvmTrainer {
                     continue;
                 }
                 sampled += 1;
-                let y = if p.label > 0.5 { 1.0 } else { -1.0 };
-                let margin = dot(&m.weights, p.features) + m.intercept;
-                if y * margin < 1.0 {
-                    axpy(-y, p.features, &mut gw);
-                    gb -= y;
+                let (active, c) = hinge(m.margin(p.features), p.label);
+                if active {
+                    axpy(c, p.features, &mut gw);
+                    gb += c;
                 }
             }
             (gw, gb, sampled)

@@ -192,9 +192,9 @@ fn relabelled(data: &Dataset, f: impl Fn(usize, f64) -> f64) -> Dataset {
 }
 
 /// The textbook relabelling of a binary classifier's input: the distinct
-/// labels by a scan; more than two refused, naming the first label
-/// outside {0, 1}; {0, 1} kept as they are, bits included; otherwise the
-/// larger label becomes 1 and everything else 0.
+/// labels by a scan; more than two, or a NaN among them, refused, naming
+/// the first label outside {0, 1}; {0, 1} kept as they are, bits
+/// included; otherwise the larger label becomes 1 and everything else 0.
 fn binarized(data: &Dataset, who: &str) -> Result<Dataset, String> {
     let same = |a: f64, b: f64| a == b || (a.is_nan() && b.is_nan());
     let mut distinct: Vec<f64> = Vec::new();
@@ -203,7 +203,7 @@ fn binarized(data: &Dataset, who: &str) -> Result<Dataset, String> {
             distinct.push(p.label);
         }
     }
-    if distinct.len() > 2 {
+    if distinct.len() > 2 || distinct.iter().any(|d| d.is_nan()) {
         let outside = |l: &f64| *l != 0.0 && *l != 1.0;
         let bad = data.iter().map(|p| p.label).find(outside).unwrap();
         return Err(format!(
@@ -495,7 +495,7 @@ fn kmeans_matches_the_plain_loop_bit_for_bit() {
 type Labelling = (&'static str, fn(usize, f64) -> f64, bool);
 
 /// The label shapes a binary classifier meets.
-const LABELLINGS: [Labelling; 6] = [
+const LABELLINGS: [Labelling; 7] = [
     ("recoded 1/2", |_, l| l + 1.0, false),
     ("{0,1}", |_, l| l, false),
     ("a single class", |_, _| 7.0, false),
@@ -511,6 +511,12 @@ const LABELLINGS: [Labelling; 6] = [
         true,
     ),
     ("three classes", |i, l| if i == 3 { 2.0 } else { l }, true),
+    // NaN is no second class: refused, not a one-class relabel.
+    (
+        "one class and a NaN",
+        |i, _| if i == 2 { f64::NAN } else { 1.0 },
+        true,
+    ),
 ];
 
 /// What a binary job returns, as bits or the error's text.
