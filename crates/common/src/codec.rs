@@ -30,8 +30,6 @@ use std::fmt::Write as _;
 use std::ops::Range;
 use std::sync::Arc;
 
-use bytes::BufMut;
-
 use crate::error::{Result, SqlmlError};
 use crate::intern::Interner;
 use crate::row::Row;
@@ -1120,14 +1118,14 @@ const TAG_STR: u8 = 4;
 
 /// Append `v` as an unsigned LEB128 varint (1–10 bytes).
 #[inline]
-pub fn put_uvarint<B: BufMut>(buf: &mut B, mut v: u64) {
+pub fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         #[allow(clippy::cast_possible_truncation)]
-        buf.put_u8((v as u8) | 0x80); // lint:allow(cast) — masked to the low 7 bits
+        buf.push((v as u8) | 0x80); // lint:allow(cast) — masked to the low 7 bits
         v >>= 7;
     }
     #[allow(clippy::cast_possible_truncation)]
-    buf.put_u8(v as u8); // lint:allow(cast) — v < 0x80 after the loop
+    buf.push(v as u8); // lint:allow(cast) — v < 0x80 after the loop
 }
 
 /// Wire size of `v` as a varint, without encoding it.
@@ -1262,18 +1260,15 @@ impl CompactBatchEncoder {
     #[inline]
     fn put_value(&mut self, v: &Value) -> Result<()> {
         match v {
-            Value::Null => self.rows.put_u8(TAG_NULL),
-            Value::Bool(b) => {
-                self.rows.put_u8(TAG_BOOL);
-                self.rows.put_u8(u8::from(*b));
-            }
+            Value::Null => self.rows.push(TAG_NULL),
+            Value::Bool(b) => self.rows.extend_from_slice(&[TAG_BOOL, u8::from(*b)]),
             Value::Int(i) => {
-                self.rows.put_u8(TAG_INT);
+                self.rows.push(TAG_INT);
                 put_uvarint(&mut self.rows, zigzag(*i));
             }
             Value::Double(d) => {
-                self.rows.put_u8(TAG_DOUBLE);
-                self.rows.put_u64_le(d.to_bits());
+                self.rows.push(TAG_DOUBLE);
+                self.rows.extend_from_slice(&d.to_bits().to_le_bytes());
             }
             Value::Str(s) => self.put_str(s)?,
         }
@@ -1283,7 +1278,7 @@ impl CompactBatchEncoder {
     /// One string cell: a reference into the frame dictionary, the entry
     /// added on first use.
     fn put_str(&mut self, s: &Arc<str>) -> Result<()> {
-        self.rows.put_u8(TAG_STR);
+        self.rows.push(TAG_STR);
         let idx = match self.index.get(&**s) {
             Some(&i) => {
                 self.frame_stats.hits += 1;
@@ -1321,14 +1316,14 @@ impl CompactBatchEncoder {
 
     /// Emit the assembled frame payload (dictionary first, then rows) and
     /// reset the frame state for reuse.
-    pub fn finish_into<B: BufMut>(&mut self, buf: &mut B) {
+    pub fn finish_into(&mut self, buf: &mut Vec<u8>) {
         put_uvarint(buf, self.dict.len() as u64);
         for entry in &self.dict {
             put_uvarint(buf, entry.len() as u64);
-            buf.put_slice(entry.as_bytes());
+            buf.extend_from_slice(entry.as_bytes());
         }
         put_uvarint(buf, self.row_count as u64);
-        buf.put_slice(&self.rows);
+        buf.extend_from_slice(&self.rows);
         self.rows.clear();
         self.dict.clear();
         self.index.clear();
@@ -1348,7 +1343,7 @@ impl CompactBatchEncoder {
 
 /// One-shot convenience over [`CompactBatchEncoder`]: encode `rows` as a
 /// single compact frame payload appended to `buf`.
-pub fn encode_compact_batch<B: BufMut>(rows: &[Row], buf: &mut B) -> Result<DictStats> {
+pub fn encode_compact_batch(rows: &[Row], buf: &mut Vec<u8>) -> Result<DictStats> {
     let mut enc = CompactBatchEncoder::new();
     for r in rows {
         enc.push_row(r)?;
@@ -1601,42 +1596,44 @@ pub fn frame_ranges(
 /// A row range past a column's end, or rows without columns, is an error;
 /// so is an integer that does not fit its column's width (unreachable
 /// through [`NumericColumn::int`]: narrowing is checked, never a cast).
-pub fn encode_numeric_frame<B: BufMut>(
+pub fn encode_numeric_frame(
     columns: &[NumericColumn<'_>],
     rows: Range<usize>,
-    buf: &mut B,
+    buf: &mut Vec<u8>,
 ) -> Result<()> {
     if columns.is_empty() && !rows.is_empty() {
         return Err(SqlmlError::Execution(
             "numeric frame has rows but no columns".into(),
         ));
     }
-    buf.put_u32_le(crate::error::wire_u32(rows.len(), "frame row count")?);
-    buf.put_u32_le(crate::error::wire_u32(columns.len(), "frame column count")?);
+    let row_count = crate::error::wire_u32(rows.len(), "frame row count")?;
+    let col_count = crate::error::wire_u32(columns.len(), "frame column count")?;
+    buf.extend_from_slice(&row_count.to_le_bytes());
+    buf.extend_from_slice(&col_count.to_le_bytes());
     for col in columns {
         let past_end = || SqlmlError::Execution(format!("rows {rows:?} past a column's end"));
-        buf.put_u8(col.code());
+        buf.push(col.code());
         if let Some(valid) = col.valid {
             let valid = valid.get(rows.clone()).ok_or_else(past_end)?;
-            valid.iter().for_each(|&v| buf.put_u8(u8::from(v)));
+            buf.extend(valid.iter().map(|&v| u8::from(v)));
         }
         match &col.values {
             NumericValues::Int { values, width } => {
                 let values = values.get(rows.clone()).ok_or_else(past_end)?;
                 match width {
-                    1 => put_ints::<1, B>(values, buf)?,
-                    2 => put_ints::<2, B>(values, buf)?,
-                    4 => put_ints::<4, B>(values, buf)?,
-                    _ => put_ints::<8, B>(values, buf)?,
+                    1 => put_ints::<1>(values, buf)?,
+                    2 => put_ints::<2>(values, buf)?,
+                    4 => put_ints::<4>(values, buf)?,
+                    _ => put_ints::<8>(values, buf)?,
                 }
             }
             NumericValues::Double(values) => {
                 let values = values.get(rows.clone()).ok_or_else(past_end)?;
-                values.iter().for_each(|v| buf.put_u64_le(v.to_bits()));
+                put_cells::<8, f64>(buf, values, |v| v.to_bits().to_le_bytes());
             }
             NumericValues::Bool(values) => {
                 let values = values.get(rows.clone()).ok_or_else(past_end)?;
-                values.iter().for_each(|&v| buf.put_u8(u8::from(v)));
+                buf.extend(values.iter().map(|&v| u8::from(v)));
             }
         }
     }
@@ -1652,16 +1649,27 @@ fn fits(v: i64, bytes: usize) -> bool {
 /// Append `values` at `N` bytes each: the low `N` little-endian bytes of
 /// a value checked to fit them — a narrowing, never a wrapping cast.
 #[inline]
-fn put_ints<const N: usize, B: BufMut>(values: &[i64], buf: &mut B) -> Result<()> {
-    for &v in values {
-        if !fits(v, N) {
-            return Err(SqlmlError::Overflow(format!(
-                "integer {v} does not fit its {N}-byte column run"
-            )));
-        }
-        buf.put_slice(&v.to_le_bytes()[..N]);
+fn put_ints<const N: usize>(values: &[i64], buf: &mut Vec<u8>) -> Result<()> {
+    if let Some(v) = values.iter().find(|&&v| !fits(v, N)) {
+        return Err(SqlmlError::Overflow(format!(
+            "integer {v} does not fit its {N}-byte column run"
+        )));
     }
+    put_cells::<N, i64>(buf, values, i64::to_le_bytes);
     Ok(())
+}
+
+/// Append the first `N` of each value's eight little-endian bytes. The
+/// run is sized once and filled in place: appending cell by cell stores
+/// `Vec::len` per cell, and LLVM reloads it after every cell's store
+/// (see EXPERIMENTS.md, "The workspace on std alone").
+#[inline]
+fn put_cells<const N: usize, T: Copy>(buf: &mut Vec<u8>, values: &[T], le: impl Fn(T) -> [u8; 8]) {
+    let start = buf.len();
+    buf.resize(start + N * values.len(), 0);
+    for (cell, &v) in buf[start..].chunks_exact_mut(N).zip(values) {
+        cell.copy_from_slice(&le(v)[..N]);
+    }
 }
 
 /// One column run of a parsed frame: lengths already checked.

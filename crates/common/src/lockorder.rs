@@ -1,11 +1,13 @@
 //! Tracked synchronization primitives with lock-order deadlock detection.
 //!
 //! Every `Mutex`/`RwLock`/`Condvar` in the workspace's concurrent planes
-//! (cache, sched, transfer, dfs, mq, sqlengine) is declared through this
-//! module with a **static lock-class name** (`"cache.full"`,
-//! `"sched.queue.state"`, …). In the default build the tracked types are
-//! zero-overhead newtypes over the workspace lock crate. Under the
-//! `lock-order` feature every acquisition is instrumented:
+//! (cache, sched, transfer, dfs, mq, sqlengine, mlengine) is declared
+//! through this module with a **static lock-class name** (`"cache.full"`,
+//! `"sched.queue.state"`, …). The tracked types are newtypes over
+//! `std::sync` that are never poisoned: a panic while a guard is held
+//! leaves the data to the next holder, as it stands. In the default build
+//! the detector's hooks are empty and its per-guard state is zero-sized.
+//! Under the `lock-order` feature every acquisition is instrumented:
 //!
 //! * each thread keeps a stack of the guards it currently holds;
 //! * acquiring lock `B` while holding `A` inserts the edge `A → B` into a
@@ -31,10 +33,18 @@
 //! the class graph means two threads **could** interleave into a deadlock
 //! even if this run did not.
 
-#[cfg(not(feature = "lock-order"))]
-pub use disabled::*;
+use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::sync::{
+    Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
+use std::time::Duration;
+
+use detector::Ticket;
+pub use detector::{declare_order, hold_time_report, set_perturb_seed};
 #[cfg(feature = "lock-order")]
-pub use enabled::*;
+pub use detector::{set_on_violation, take_violations};
+pub use std::sync::WaitTimeoutResult;
 
 /// What the detector does when it finds a violation (cycle, declared-order
 /// inversion, or foreign-guard condvar wait).
@@ -48,220 +58,36 @@ pub enum OnViolation {
     Record,
 }
 
-/// Pass-through implementation: no feature, no overhead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum GuardKind {
+    Mutex,
+    Read,
+    Write,
+}
+
+/// The detector without the `lock-order` feature: hooks that do nothing
+/// and a per-guard state of no size.
 #[cfg(not(feature = "lock-order"))]
-mod disabled {
-    pub use parking_lot::WaitTimeoutResult;
-    use std::fmt;
-    use std::ops::{Deref, DerefMut};
-    use std::time::Duration;
+mod detector {
+    use super::GuardKind;
 
-    /// Named mutex; identical to the underlying lock when `lock-order` is
-    /// off.
-    pub struct TrackedMutex<T: ?Sized> {
-        name: &'static str,
-        inner: parking_lot::Mutex<T>,
+    pub(super) struct Ticket;
+
+    #[inline(always)]
+    pub(super) fn acquire<G>(
+        _name: &'static str,
+        _instance: usize,
+        _kind: GuardKind,
+        lock: impl FnOnce() -> G,
+    ) -> (Ticket, G) {
+        (Ticket, lock())
     }
 
-    /// RAII guard for [`TrackedMutex`].
-    pub struct TrackedMutexGuard<'a, T: ?Sized> {
-        inner: parking_lot::MutexGuard<'a, T>,
-    }
+    #[inline(always)]
+    pub(super) fn release(_ticket: &Ticket) {}
 
-    impl<T> TrackedMutex<T> {
-        #[inline]
-        pub fn new(name: &'static str, value: T) -> Self {
-            TrackedMutex {
-                name,
-                inner: parking_lot::Mutex::new(value),
-            }
-        }
-
-        #[inline]
-        pub fn into_inner(self) -> T {
-            self.inner.into_inner()
-        }
-    }
-
-    impl<T: ?Sized> TrackedMutex<T> {
-        #[inline]
-        pub fn lock(&self) -> TrackedMutexGuard<'_, T> {
-            TrackedMutexGuard {
-                inner: self.inner.lock(),
-            }
-        }
-
-        #[inline]
-        pub fn get_mut(&mut self) -> &mut T {
-            self.inner.get_mut()
-        }
-
-        /// The lock-class name this lock was declared with.
-        #[inline]
-        pub fn name(&self) -> &'static str {
-            self.name
-        }
-    }
-
-    impl<T: ?Sized + fmt::Debug> fmt::Debug for TrackedMutex<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.debug_struct("TrackedMutex")
-                .field("name", &self.name)
-                .field("inner", &&self.inner)
-                .finish()
-        }
-    }
-
-    impl<T: ?Sized> Deref for TrackedMutexGuard<'_, T> {
-        type Target = T;
-        #[inline]
-        fn deref(&self) -> &T {
-            &self.inner
-        }
-    }
-
-    impl<T: ?Sized> DerefMut for TrackedMutexGuard<'_, T> {
-        #[inline]
-        fn deref_mut(&mut self) -> &mut T {
-            &mut self.inner
-        }
-    }
-
-    /// Named reader-writer lock.
-    pub struct TrackedRwLock<T: ?Sized> {
-        name: &'static str,
-        inner: parking_lot::RwLock<T>,
-    }
-
-    pub struct TrackedReadGuard<'a, T: ?Sized> {
-        inner: parking_lot::RwLockReadGuard<'a, T>,
-    }
-
-    pub struct TrackedWriteGuard<'a, T: ?Sized> {
-        inner: parking_lot::RwLockWriteGuard<'a, T>,
-    }
-
-    impl<T> TrackedRwLock<T> {
-        #[inline]
-        pub fn new(name: &'static str, value: T) -> Self {
-            TrackedRwLock {
-                name,
-                inner: parking_lot::RwLock::new(value),
-            }
-        }
-
-        #[inline]
-        pub fn into_inner(self) -> T {
-            self.inner.into_inner()
-        }
-    }
-
-    impl<T: ?Sized> TrackedRwLock<T> {
-        #[inline]
-        pub fn read(&self) -> TrackedReadGuard<'_, T> {
-            TrackedReadGuard {
-                inner: self.inner.read(),
-            }
-        }
-
-        #[inline]
-        pub fn write(&self) -> TrackedWriteGuard<'_, T> {
-            TrackedWriteGuard {
-                inner: self.inner.write(),
-            }
-        }
-
-        #[inline]
-        pub fn name(&self) -> &'static str {
-            self.name
-        }
-    }
-
-    impl<T: ?Sized + fmt::Debug> fmt::Debug for TrackedRwLock<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.debug_struct("TrackedRwLock")
-                .field("name", &self.name)
-                .field("inner", &&self.inner)
-                .finish()
-        }
-    }
-
-    impl<T: ?Sized> Deref for TrackedReadGuard<'_, T> {
-        type Target = T;
-        #[inline]
-        fn deref(&self) -> &T {
-            &self.inner
-        }
-    }
-
-    impl<T: ?Sized> Deref for TrackedWriteGuard<'_, T> {
-        type Target = T;
-        #[inline]
-        fn deref(&self) -> &T {
-            &self.inner
-        }
-    }
-
-    impl<T: ?Sized> DerefMut for TrackedWriteGuard<'_, T> {
-        #[inline]
-        fn deref_mut(&mut self) -> &mut T {
-            &mut self.inner
-        }
-    }
-
-    /// Named condition variable operating on [`TrackedMutexGuard`] in
-    /// place.
-    pub struct TrackedCondvar {
-        name: &'static str,
-        inner: parking_lot::Condvar,
-    }
-
-    impl TrackedCondvar {
-        #[inline]
-        pub fn new(name: &'static str) -> Self {
-            TrackedCondvar {
-                name,
-                inner: parking_lot::Condvar::new(),
-            }
-        }
-
-        #[inline]
-        pub fn wait<T>(&self, guard: &mut TrackedMutexGuard<'_, T>) {
-            self.inner.wait(&mut guard.inner);
-        }
-
-        #[inline]
-        pub fn wait_for<T>(
-            &self,
-            guard: &mut TrackedMutexGuard<'_, T>,
-            timeout: Duration,
-        ) -> WaitTimeoutResult {
-            self.inner.wait_for(&mut guard.inner, timeout)
-        }
-
-        #[inline]
-        pub fn notify_one(&self) {
-            self.inner.notify_one();
-        }
-
-        #[inline]
-        pub fn notify_all(&self) {
-            self.inner.notify_all();
-        }
-
-        #[inline]
-        pub fn name(&self) -> &'static str {
-            self.name
-        }
-    }
-
-    impl fmt::Debug for TrackedCondvar {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.debug_struct("TrackedCondvar")
-                .field("name", &self.name)
-                .finish()
-        }
-    }
+    #[inline(always)]
+    pub(super) fn before_wait(_condvar: &'static str, _ticket: &Ticket) {}
 
     /// No-op without the `lock-order` feature.
     #[inline]
@@ -278,21 +104,49 @@ mod disabled {
     }
 }
 
-/// Instrumented implementation under the `lock-order` feature.
+/// The detector under the `lock-order` feature.
 #[cfg(feature = "lock-order")]
-mod enabled {
-    pub use parking_lot::WaitTimeoutResult;
-
-    use super::OnViolation;
+mod detector {
+    use super::{GuardKind, OnViolation};
     use std::backtrace::Backtrace;
     use std::cell::{Cell, RefCell};
     use std::collections::HashMap;
-    use std::fmt;
-    use std::ops::{Deref, DerefMut};
     use std::panic::Location;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Mutex as StdMutex, Once, OnceLock};
     use std::time::{Duration, Instant};
+
+    /// What a guard keeps for the detector: the token of its held-stack
+    /// entry and the address of its lock.
+    pub(super) struct Ticket {
+        token: u64,
+        instance: usize,
+    }
+
+    /// Instrumented acquisition: the checks run before `lock` blocks, the
+    /// guard joins the held stack after.
+    #[track_caller]
+    pub(super) fn acquire<G>(
+        name: &'static str,
+        instance: usize,
+        kind: GuardKind,
+        lock: impl FnOnce() -> G,
+    ) -> (Ticket, G) {
+        let site = Location::caller();
+        before_acquire(name, instance, kind, site);
+        let guard = lock();
+        let token = after_acquire(name, instance, kind, site);
+        (Ticket { token, instance }, guard)
+    }
+
+    pub(super) fn release(ticket: &Ticket) {
+        on_release(ticket.token);
+    }
+
+    #[track_caller]
+    pub(super) fn before_wait(condvar: &'static str, ticket: &Ticket) {
+        check_wait(condvar, ticket.instance, Location::caller());
+    }
 
     // ---------------------------------------------------------------
     // Global registry: lock-order graph, declared manifest, histograms.
@@ -477,13 +331,6 @@ mod enabled {
     // ---------------------------------------------------------------
     // Per-thread held-guard stacks.
     // ---------------------------------------------------------------
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum GuardKind {
-        Mutex,
-        Read,
-        Write,
-    }
 
     struct Held {
         name: &'static str,
@@ -689,7 +536,7 @@ mod enabled {
             for name in names {
                 let buckets = &r.histograms[name];
                 out.push_str(name);
-                out.push_str(":");
+                out.push(':');
                 for (i, &count) in buckets.iter().enumerate() {
                     if count > 0 {
                         let lo = if i == 0 { 0 } else { 1u64 << (i - 1) };
@@ -701,252 +548,364 @@ mod enabled {
             out
         })
     }
+}
 
-    // ---------------------------------------------------------------
-    // The tracked types.
-    // ---------------------------------------------------------------
+// ---------------------------------------------------------------------------
+// The tracked types.
+// ---------------------------------------------------------------------------
 
-    /// Named mutex; instrumented under `lock-order`.
-    pub struct TrackedMutex<T: ?Sized> {
-        name: &'static str,
-        inner: parking_lot::Mutex<T>,
+/// The address of a lock: tells instances of one class apart.
+#[inline(always)]
+fn instance<L: ?Sized>(lock: &L) -> usize {
+    lock as *const L as *const u8 as usize
+}
+
+/// Named mutex over [`std::sync::Mutex`], never poisoned.
+pub struct TrackedMutex<T: ?Sized> {
+    name: &'static str,
+    inner: Mutex<T>,
+}
+
+/// RAII guard for [`TrackedMutex`].
+pub struct TrackedMutexGuard<'a, T: ?Sized> {
+    ticket: Ticket,
+    /// `None` only while [`TrackedCondvar`] has handed the std guard to
+    /// the std condvar, which holds this guard's `&mut` borrow throughout.
+    inner: Option<MutexGuard<'a, T>>,
+}
+
+impl<T> TrackedMutex<T> {
+    #[inline]
+    pub fn new(name: &'static str, value: T) -> Self {
+        TrackedMutex {
+            name,
+            inner: Mutex::new(value),
+        }
     }
 
-    /// RAII guard for [`TrackedMutex`].
-    pub struct TrackedMutexGuard<'a, T: ?Sized> {
-        token: u64,
-        instance: usize,
-        inner: parking_lot::MutexGuard<'a, T>,
+    #[inline]
+    pub fn into_inner(self) -> T {
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<T: ?Sized> TrackedMutex<T> {
+    #[inline]
+    #[cfg_attr(feature = "lock-order", track_caller)]
+    pub fn lock(&self) -> TrackedMutexGuard<'_, T> {
+        let (ticket, inner) =
+            detector::acquire(self.name, instance(self), GuardKind::Mutex, || {
+                self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+            });
+        TrackedMutexGuard {
+            ticket,
+            inner: Some(inner),
+        }
     }
 
-    impl<T> TrackedMutex<T> {
-        #[inline]
-        pub fn new(name: &'static str, value: T) -> Self {
-            TrackedMutex {
-                name,
-                inner: parking_lot::Mutex::new(value),
+    #[inline]
+    pub fn get_mut(&mut self) -> &mut T {
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The lock-class name this lock was declared with.
+    #[inline]
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+}
+
+impl<T: ?Sized + fmt::Debug> fmt::Debug for TrackedMutex<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TrackedMutex")
+            .field("name", &self.name)
+            .field("inner", &&self.inner)
+            .finish()
+    }
+}
+
+const TAKEN: &str = "mutex guard taken by a condvar wait";
+
+impl<'a, T: ?Sized> TrackedMutexGuard<'a, T> {
+    /// Hand the std guard to a condvar wait, which puts it back.
+    #[inline]
+    fn take(&mut self) -> MutexGuard<'a, T> {
+        // lint:allow(panic) `inner` is `None` only inside a condvar wait, under one `&mut`
+        self.inner.take().expect(TAKEN)
+    }
+}
+
+impl<T: ?Sized> Deref for TrackedMutexGuard<'_, T> {
+    type Target = T;
+    #[inline]
+    fn deref(&self) -> &T {
+        // lint:allow(panic) `inner` is `None` only inside a condvar wait, under one `&mut`
+        self.inner.as_deref().expect(TAKEN)
+    }
+}
+
+impl<T: ?Sized> DerefMut for TrackedMutexGuard<'_, T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut T {
+        // lint:allow(panic) `inner` is `None` only inside a condvar wait, under one `&mut`
+        self.inner.as_deref_mut().expect(TAKEN)
+    }
+}
+
+impl<T: ?Sized> Drop for TrackedMutexGuard<'_, T> {
+    #[inline]
+    fn drop(&mut self) {
+        detector::release(&self.ticket);
+    }
+}
+
+/// Named reader-writer lock over [`std::sync::RwLock`], never poisoned.
+pub struct TrackedRwLock<T: ?Sized> {
+    name: &'static str,
+    inner: RwLock<T>,
+}
+
+pub struct TrackedReadGuard<'a, T: ?Sized> {
+    ticket: Ticket,
+    inner: RwLockReadGuard<'a, T>,
+}
+
+pub struct TrackedWriteGuard<'a, T: ?Sized> {
+    ticket: Ticket,
+    inner: RwLockWriteGuard<'a, T>,
+}
+
+impl<T> TrackedRwLock<T> {
+    #[inline]
+    pub fn new(name: &'static str, value: T) -> Self {
+        TrackedRwLock {
+            name,
+            inner: RwLock::new(value),
+        }
+    }
+
+    #[inline]
+    pub fn into_inner(self) -> T {
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<T: ?Sized> TrackedRwLock<T> {
+    #[inline]
+    #[cfg_attr(feature = "lock-order", track_caller)]
+    pub fn read(&self) -> TrackedReadGuard<'_, T> {
+        let (ticket, inner) = detector::acquire(self.name, instance(self), GuardKind::Read, || {
+            self.inner.read().unwrap_or_else(PoisonError::into_inner)
+        });
+        TrackedReadGuard { ticket, inner }
+    }
+
+    #[inline]
+    #[cfg_attr(feature = "lock-order", track_caller)]
+    pub fn write(&self) -> TrackedWriteGuard<'_, T> {
+        let (ticket, inner) =
+            detector::acquire(self.name, instance(self), GuardKind::Write, || {
+                self.inner.write().unwrap_or_else(PoisonError::into_inner)
+            });
+        TrackedWriteGuard { ticket, inner }
+    }
+
+    #[inline]
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+}
+
+impl<T: ?Sized + fmt::Debug> fmt::Debug for TrackedRwLock<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TrackedRwLock")
+            .field("name", &self.name)
+            .field("inner", &&self.inner)
+            .finish()
+    }
+}
+
+impl<T: ?Sized> Deref for TrackedReadGuard<'_, T> {
+    type Target = T;
+    #[inline]
+    fn deref(&self) -> &T {
+        &self.inner
+    }
+}
+
+impl<T: ?Sized> Drop for TrackedReadGuard<'_, T> {
+    #[inline]
+    fn drop(&mut self) {
+        detector::release(&self.ticket);
+    }
+}
+
+impl<T: ?Sized> Deref for TrackedWriteGuard<'_, T> {
+    type Target = T;
+    #[inline]
+    fn deref(&self) -> &T {
+        &self.inner
+    }
+}
+
+impl<T: ?Sized> DerefMut for TrackedWriteGuard<'_, T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.inner
+    }
+}
+
+impl<T: ?Sized> Drop for TrackedWriteGuard<'_, T> {
+    #[inline]
+    fn drop(&mut self) {
+        detector::release(&self.ticket);
+    }
+}
+
+/// Named condition variable over [`std::sync::Condvar`], operating on a
+/// [`TrackedMutexGuard`] in place.
+pub struct TrackedCondvar {
+    name: &'static str,
+    inner: Condvar,
+}
+
+impl TrackedCondvar {
+    #[inline]
+    pub fn new(name: &'static str) -> Self {
+        TrackedCondvar {
+            name,
+            inner: Condvar::new(),
+        }
+    }
+
+    #[inline]
+    #[cfg_attr(feature = "lock-order", track_caller)]
+    pub fn wait<T>(&self, guard: &mut TrackedMutexGuard<'_, T>) {
+        detector::before_wait(self.name, &guard.ticket);
+        let held = self
+            .inner
+            .wait(guard.take())
+            .unwrap_or_else(PoisonError::into_inner);
+        guard.inner = Some(held);
+    }
+
+    #[inline]
+    #[cfg_attr(feature = "lock-order", track_caller)]
+    pub fn wait_for<T>(
+        &self,
+        guard: &mut TrackedMutexGuard<'_, T>,
+        timeout: Duration,
+    ) -> WaitTimeoutResult {
+        detector::before_wait(self.name, &guard.ticket);
+        let (held, result) = self
+            .inner
+            .wait_timeout(guard.take(), timeout)
+            .unwrap_or_else(PoisonError::into_inner);
+        guard.inner = Some(held);
+        result
+    }
+
+    #[inline]
+    pub fn notify_one(&self) {
+        self.inner.notify_one();
+    }
+
+    #[inline]
+    pub fn notify_all(&self) {
+        self.inner.notify_all();
+    }
+
+    #[inline]
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+}
+
+impl fmt::Debug for TrackedCondvar {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TrackedCondvar")
+            .field("name", &self.name)
+            .finish()
+    }
+}
+
+/// The primitives' own contract, in both builds: what the std types give,
+/// and no poisoning.
+#[cfg(test)]
+mod lock_tests {
+    use super::*;
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    #[test]
+    fn mutex_round_trip() {
+        let m = TrackedMutex::new("test.prim.mutex", 1);
+        *m.lock() += 41;
+        assert_eq!(*m.lock(), 42);
+        assert_eq!(m.into_inner(), 42);
+    }
+
+    #[test]
+    fn rwlock_round_trip() {
+        let l = TrackedRwLock::new("test.prim.rwlock", vec![1, 2]);
+        l.write().push(3);
+        assert_eq!(l.read().len(), 3);
+        assert_eq!(l.into_inner(), [1, 2, 3]);
+    }
+
+    #[test]
+    fn condvar_wait_and_notify() {
+        let pair = Arc::new((
+            TrackedMutex::new("test.prim.cv.lock", false),
+            TrackedCondvar::new("test.prim.cv"),
+        ));
+        let p2 = Arc::clone(&pair);
+        let t = std::thread::spawn(move || {
+            let (lock, cv) = &*p2;
+            let mut ready = lock.lock();
+            while !*ready {
+                cv.wait(&mut ready);
             }
-        }
-
-        pub fn into_inner(self) -> T {
-            self.inner.into_inner()
-        }
+        });
+        std::thread::sleep(Duration::from_millis(10));
+        let (lock, cv) = &*pair;
+        *lock.lock() = true;
+        cv.notify_all();
+        t.join().unwrap();
     }
 
-    impl<T: ?Sized> TrackedMutex<T> {
-        fn instance(&self) -> usize {
-            self as *const Self as *const u8 as usize
-        }
-
-        #[track_caller]
-        pub fn lock(&self) -> TrackedMutexGuard<'_, T> {
-            let site = Location::caller();
-            let instance = self.instance();
-            before_acquire(self.name, instance, GuardKind::Mutex, site);
-            let inner = self.inner.lock();
-            let token = after_acquire(self.name, instance, GuardKind::Mutex, site);
-            TrackedMutexGuard {
-                token,
-                instance,
-                inner,
-            }
-        }
-
-        pub fn get_mut(&mut self) -> &mut T {
-            self.inner.get_mut()
-        }
-
-        pub fn name(&self) -> &'static str {
-            self.name
-        }
+    #[test]
+    fn condvar_wait_for_times_out() {
+        let m = TrackedMutex::new("test.prim.timeout.lock", ());
+        let cv = TrackedCondvar::new("test.prim.timeout.cv");
+        let mut g = m.lock();
+        let start = Instant::now();
+        let r = cv.wait_for(&mut g, Duration::from_millis(20));
+        assert!(r.timed_out());
+        assert!(start.elapsed() >= Duration::from_millis(15));
     }
 
-    impl<T: ?Sized + fmt::Debug> fmt::Debug for TrackedMutex<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.debug_struct("TrackedMutex")
-                .field("name", &self.name)
-                .field("inner", &&self.inner)
-                .finish()
-        }
-    }
-
-    impl<T: ?Sized> Deref for TrackedMutexGuard<'_, T> {
-        type Target = T;
-        #[inline]
-        fn deref(&self) -> &T {
-            &self.inner
-        }
-    }
-
-    impl<T: ?Sized> DerefMut for TrackedMutexGuard<'_, T> {
-        #[inline]
-        fn deref_mut(&mut self) -> &mut T {
-            &mut self.inner
-        }
-    }
-
-    impl<T: ?Sized> Drop for TrackedMutexGuard<'_, T> {
-        fn drop(&mut self) {
-            on_release(self.token);
-        }
-    }
-
-    /// Named reader-writer lock; instrumented under `lock-order`.
-    pub struct TrackedRwLock<T: ?Sized> {
-        name: &'static str,
-        inner: parking_lot::RwLock<T>,
-    }
-
-    pub struct TrackedReadGuard<'a, T: ?Sized> {
-        token: u64,
-        inner: parking_lot::RwLockReadGuard<'a, T>,
-    }
-
-    pub struct TrackedWriteGuard<'a, T: ?Sized> {
-        token: u64,
-        inner: parking_lot::RwLockWriteGuard<'a, T>,
-    }
-
-    impl<T> TrackedRwLock<T> {
-        #[inline]
-        pub fn new(name: &'static str, value: T) -> Self {
-            TrackedRwLock {
-                name,
-                inner: parking_lot::RwLock::new(value),
-            }
-        }
-
-        pub fn into_inner(self) -> T {
-            self.inner.into_inner()
-        }
-    }
-
-    impl<T: ?Sized> TrackedRwLock<T> {
-        fn instance(&self) -> usize {
-            self as *const Self as *const u8 as usize
-        }
-
-        #[track_caller]
-        pub fn read(&self) -> TrackedReadGuard<'_, T> {
-            let site = Location::caller();
-            let instance = self.instance();
-            before_acquire(self.name, instance, GuardKind::Read, site);
-            let inner = self.inner.read();
-            let token = after_acquire(self.name, instance, GuardKind::Read, site);
-            TrackedReadGuard { token, inner }
-        }
-
-        #[track_caller]
-        pub fn write(&self) -> TrackedWriteGuard<'_, T> {
-            let site = Location::caller();
-            let instance = self.instance();
-            before_acquire(self.name, instance, GuardKind::Write, site);
-            let inner = self.inner.write();
-            let token = after_acquire(self.name, instance, GuardKind::Write, site);
-            TrackedWriteGuard { token, inner }
-        }
-
-        pub fn name(&self) -> &'static str {
-            self.name
-        }
-    }
-
-    impl<T: ?Sized + fmt::Debug> fmt::Debug for TrackedRwLock<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.debug_struct("TrackedRwLock")
-                .field("name", &self.name)
-                .field("inner", &&self.inner)
-                .finish()
-        }
-    }
-
-    impl<T: ?Sized> Deref for TrackedReadGuard<'_, T> {
-        type Target = T;
-        #[inline]
-        fn deref(&self) -> &T {
-            &self.inner
-        }
-    }
-
-    impl<T: ?Sized> Drop for TrackedReadGuard<'_, T> {
-        fn drop(&mut self) {
-            on_release(self.token);
-        }
-    }
-
-    impl<T: ?Sized> Deref for TrackedWriteGuard<'_, T> {
-        type Target = T;
-        #[inline]
-        fn deref(&self) -> &T {
-            &self.inner
-        }
-    }
-
-    impl<T: ?Sized> DerefMut for TrackedWriteGuard<'_, T> {
-        #[inline]
-        fn deref_mut(&mut self) -> &mut T {
-            &mut self.inner
-        }
-    }
-
-    impl<T: ?Sized> Drop for TrackedWriteGuard<'_, T> {
-        fn drop(&mut self) {
-            on_release(self.token);
-        }
-    }
-
-    /// Named condition variable; instrumented under `lock-order`.
-    pub struct TrackedCondvar {
-        name: &'static str,
-        inner: parking_lot::Condvar,
-    }
-
-    impl TrackedCondvar {
-        #[inline]
-        pub fn new(name: &'static str) -> Self {
-            TrackedCondvar {
-                name,
-                inner: parking_lot::Condvar::new(),
-            }
-        }
-
-        #[track_caller]
-        pub fn wait<T>(&self, guard: &mut TrackedMutexGuard<'_, T>) {
-            check_wait(self.name, guard.instance, Location::caller());
-            self.inner.wait(&mut guard.inner);
-        }
-
-        #[track_caller]
-        pub fn wait_for<T>(
-            &self,
-            guard: &mut TrackedMutexGuard<'_, T>,
-            timeout: Duration,
-        ) -> WaitTimeoutResult {
-            check_wait(self.name, guard.instance, Location::caller());
-            self.inner.wait_for(&mut guard.inner, timeout)
-        }
-
-        #[inline]
-        pub fn notify_one(&self) {
-            self.inner.notify_one();
-        }
-
-        #[inline]
-        pub fn notify_all(&self) {
-            self.inner.notify_all();
-        }
-
-        pub fn name(&self) -> &'static str {
-            self.name
-        }
-    }
-
-    impl fmt::Debug for TrackedCondvar {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.debug_struct("TrackedCondvar")
-                .field("name", &self.name)
-                .finish()
-        }
+    #[test]
+    fn a_panic_while_holding_a_guard_poisons_nothing() {
+        let m = Arc::new(TrackedMutex::new("test.prim.poison.mutex", 1));
+        let l = Arc::new(TrackedRwLock::new("test.prim.poison.rwlock", vec![1]));
+        let (m2, l2) = (Arc::clone(&m), Arc::clone(&l));
+        let died = std::thread::spawn(move || {
+            let mut g = m2.lock();
+            let mut w = l2.write();
+            *g = 2;
+            w.push(2);
+            panic!("dies holding both guards");
+        })
+        .join();
+        assert!(died.is_err());
+        assert_eq!(*m.lock(), 2);
+        assert_eq!(*l.write(), [1, 2]);
+        assert_eq!(*l.read(), [1, 2]);
     }
 }
 

@@ -270,12 +270,6 @@ impl MemoryInputFormat {
             homes,
         }
     }
-
-    pub fn with_homes(mut self, homes: Vec<String>) -> Self {
-        assert_eq!(homes.len(), self.partitions.len());
-        self.homes = homes;
-        self
-    }
 }
 
 impl InputFormat for MemoryInputFormat {

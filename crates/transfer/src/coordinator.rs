@@ -440,13 +440,13 @@ mod tests {
     fn registration_barrier_launches_job_once() {
         let coord = Coordinator::start().unwrap();
         let launches = Arc::new(AtomicUsize::new(0));
-        let seen = Arc::new(parking_lot::Mutex::new(None::<SessionInfo>));
+        let seen = Arc::new(std::sync::Mutex::new(None::<SessionInfo>));
         {
             let launches = Arc::clone(&launches);
             let seen = Arc::clone(&seen);
             coord.set_job_launcher(Arc::new(move |info| {
                 launches.fetch_add(1, Ordering::SeqCst);
-                *seen.lock() = Some(info);
+                *seen.lock().unwrap() = Some(info);
             }));
         }
         let ack = register(coord.addr(), 7, 0, 3);
@@ -467,7 +467,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert_eq!(launches.load(Ordering::SeqCst), 1);
-        let info = seen.lock().clone().unwrap();
+        let info = seen.lock().unwrap().clone().unwrap();
         assert_eq!(info.transfer_id, 7);
         assert_eq!(info.workers.len(), 3);
         assert_eq!(info.command, "svm label=3");

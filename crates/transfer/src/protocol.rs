@@ -8,9 +8,8 @@
 //! fixed-width run per column.
 
 use std::io::{Read, Write};
-use std::ops::{DerefMut, Range};
+use std::ops::Range;
 
-use bytes::{Buf, BufMut};
 use sqlml_common::codec::{self, NumericColumn};
 use sqlml_common::{Result, SqlmlError};
 
@@ -92,29 +91,47 @@ const T_DATA_END: u8 = 0x13;
 const T_NUMERIC_BATCH: u8 = 0x15;
 const T_ABORT: u8 = 0x1F;
 
-/// Byte sinks a frame can be encoded into: append via [`BufMut`], then
-/// patch the length prefix in place via `DerefMut<[u8]>`. Covers both
-/// `Vec<u8>` and a reusable [`bytes::BytesMut`] scratch buffer.
-pub trait FrameSink: BufMut + DerefMut<Target = [u8]> {}
-impl<B: BufMut + DerefMut<Target = [u8]>> FrameSink for B {}
-
-fn put_string<B: BufMut>(buf: &mut B, s: &str) -> Result<()> {
-    buf.put_u32_le(sqlml_common::wire_u32(s.len(), "string byte length")?);
-    buf.put_slice(s.as_bytes());
+fn put_string(buf: &mut Vec<u8>, s: &str) -> Result<()> {
+    put_u32(buf, sqlml_common::wire_u32(s.len(), "string byte length")?);
+    buf.extend_from_slice(s.as_bytes());
     Ok(())
 }
 
-fn get_string(buf: &mut &[u8]) -> Result<String> {
-    if buf.len() < 4 {
-        return Err(corrupt("string length"));
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.len() < len {
+fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Split the next `N` bytes off `payload`; a payload shorter than that is
+/// a truncated `what`.
+fn take<const N: usize>(payload: &mut &[u8], what: &str) -> Result<[u8; N]> {
+    let (head, rest) = payload
+        .split_first_chunk::<N>()
+        .ok_or_else(|| corrupt(what))?;
+    *payload = rest;
+    Ok(*head)
+}
+
+fn get_u32(payload: &mut &[u8], what: &str) -> Result<u32> {
+    take(payload, what).map(u32::from_le_bytes)
+}
+
+fn get_u64(payload: &mut &[u8], what: &str) -> Result<u64> {
+    take(payload, what).map(u64::from_le_bytes)
+}
+
+fn get_string(payload: &mut &[u8]) -> Result<String> {
+    let len = get_u32(payload, "string length")? as usize;
+    if payload.len() < len {
         return Err(corrupt("string body"));
     }
-    let s = String::from_utf8(buf[..len].to_vec())
+    let (body, rest) = payload.split_at(len);
+    let s = String::from_utf8(body.to_vec())
         .map_err(|e| SqlmlError::Transfer(format!("invalid utf8 on wire: {e}")))?;
-    buf.advance(len);
+    *payload = rest;
     Ok(s)
 }
 
@@ -127,17 +144,7 @@ impl Message {
     /// string, batch, or the whole frame exceeds its wire-length prefix.
     pub fn encode(&self) -> Result<Vec<u8>> {
         let mut buf = Vec::with_capacity(64);
-        self.encode_into(&mut buf)?;
-        Ok(buf)
-    }
-
-    /// Append the frame encoding of `self` to a reusable sink without
-    /// allocating: the hot path clears and reuses one scratch buffer per
-    /// connection. On error the sink's contents past its original length
-    /// are unspecified; callers must discard (or truncate) the buffer.
-    pub fn encode_into<B: FrameSink>(&self, buf: &mut B) -> Result<()> {
-        let frame_start = buf.len();
-        buf.put_u32_le(0); // length placeholder
+        put_u32(&mut buf, 0); // length placeholder
         match self {
             Message::RegisterSql {
                 transfer_id,
@@ -148,31 +155,34 @@ impl Message {
                 command,
                 splits_per_worker,
             } => {
-                buf.put_u8(T_REGISTER_SQL);
-                buf.put_u64_le(*transfer_id);
-                buf.put_u32_le(*worker);
-                buf.put_u32_le(*total_workers);
-                put_string(buf, data_addr)?;
-                put_string(buf, node)?;
-                put_string(buf, command)?;
-                buf.put_u32_le(*splits_per_worker);
+                buf.push(T_REGISTER_SQL);
+                put_u64(&mut buf, *transfer_id);
+                put_u32(&mut buf, *worker);
+                put_u32(&mut buf, *total_workers);
+                put_string(&mut buf, data_addr)?;
+                put_string(&mut buf, node)?;
+                put_string(&mut buf, command)?;
+                put_u32(&mut buf, *splits_per_worker);
             }
             Message::SqlAck { splits_per_worker } => {
-                buf.put_u8(T_SQL_ACK);
-                buf.put_u32_le(*splits_per_worker);
+                buf.push(T_SQL_ACK);
+                put_u32(&mut buf, *splits_per_worker);
             }
             Message::GetSplits { transfer_id } => {
-                buf.put_u8(T_GET_SPLITS);
-                buf.put_u64_le(*transfer_id);
+                buf.push(T_GET_SPLITS);
+                put_u64(&mut buf, *transfer_id);
             }
             Message::Splits { entries } => {
-                buf.put_u8(T_SPLITS);
-                buf.put_u32_le(sqlml_common::wire_u32(entries.len(), "split count")?);
+                buf.push(T_SPLITS);
+                put_u32(
+                    &mut buf,
+                    sqlml_common::wire_u32(entries.len(), "split count")?,
+                );
                 for e in entries {
-                    buf.put_u32_le(e.sql_worker);
-                    buf.put_u32_le(e.index_in_group);
-                    put_string(buf, &e.data_addr)?;
-                    put_string(buf, &e.location)?;
+                    put_u32(&mut buf, e.sql_worker);
+                    put_u32(&mut buf, e.index_in_group);
+                    put_string(&mut buf, &e.data_addr)?;
+                    put_string(&mut buf, &e.location)?;
                 }
             }
             Message::RegisterMl {
@@ -180,150 +190,107 @@ impl Message {
                 ml_worker,
                 node,
             } => {
-                buf.put_u8(T_REGISTER_ML);
-                buf.put_u64_le(*transfer_id);
-                buf.put_u32_le(*ml_worker);
-                put_string(buf, node)?;
+                buf.push(T_REGISTER_ML);
+                put_u64(&mut buf, *transfer_id);
+                put_u32(&mut buf, *ml_worker);
+                put_string(&mut buf, node)?;
             }
             Message::MlAck => {
-                buf.put_u8(T_ML_ACK);
+                buf.push(T_ML_ACK);
             }
             Message::DataHello {
                 transfer_id,
                 split_index,
                 attempt,
             } => {
-                buf.put_u8(T_DATA_HELLO);
-                buf.put_u64_le(*transfer_id);
-                buf.put_u32_le(*split_index);
-                buf.put_u32_le(*attempt);
-                buf.put_u8(WIRE_VERSION);
+                buf.push(T_DATA_HELLO);
+                put_u64(&mut buf, *transfer_id);
+                put_u32(&mut buf, *split_index);
+                put_u32(&mut buf, *attempt);
+                buf.push(WIRE_VERSION);
             }
             Message::DataStart { attempt } => {
-                buf.put_u8(T_DATA_START);
-                buf.put_u32_le(*attempt);
-                buf.put_u8(WIRE_VERSION);
+                buf.push(T_DATA_START);
+                put_u32(&mut buf, *attempt);
+                buf.push(WIRE_VERSION);
             }
             Message::DataEnd { total_rows } => {
-                buf.put_u8(T_DATA_END);
-                buf.put_u64_le(*total_rows);
+                buf.push(T_DATA_END);
+                put_u64(&mut buf, *total_rows);
             }
             Message::Abort { reason } => {
-                buf.put_u8(T_ABORT);
-                put_string(buf, reason)?;
+                buf.push(T_ABORT);
+                put_string(&mut buf, reason)?;
             }
         }
-        patch_frame_len(buf, frame_start)
+        patch_frame_len(&mut buf, 0)?;
+        Ok(buf)
     }
 
-    /// Decode a frame payload (without the length prefix).
-    pub fn decode(mut payload: &[u8]) -> Result<Message> {
-        if payload.is_empty() {
-            return Err(corrupt("tag"));
-        }
-        let tag = payload.get_u8();
-        let need = |p: &[u8], n: usize, what: &str| -> Result<()> {
-            if p.len() < n {
-                Err(corrupt(what))
-            } else {
-                Ok(())
-            }
-        };
+    /// Decode a frame payload (without the length prefix). Every read is
+    /// checked: a short payload is an error naming the field it cuts.
+    pub fn decode(payload: &[u8]) -> Result<Message> {
+        let (&tag, mut payload) = payload.split_first().ok_or_else(|| corrupt("tag"))?;
+        let p = &mut payload;
         match tag {
-            T_REGISTER_SQL => {
-                need(payload, 16, "register header")?;
-                let transfer_id = payload.get_u64_le();
-                let worker = payload.get_u32_le();
-                let total_workers = payload.get_u32_le();
-                let data_addr = get_string(&mut payload)?;
-                let node = get_string(&mut payload)?;
-                let command = get_string(&mut payload)?;
-                need(payload, 4, "k")?;
-                let splits_per_worker = payload.get_u32_le();
-                Ok(Message::RegisterSql {
-                    transfer_id,
-                    worker,
-                    total_workers,
-                    data_addr,
-                    node,
-                    command,
-                    splits_per_worker,
-                })
-            }
-            T_SQL_ACK => {
-                need(payload, 4, "ack")?;
-                Ok(Message::SqlAck {
-                    splits_per_worker: payload.get_u32_le(),
-                })
-            }
-            T_GET_SPLITS => {
-                need(payload, 8, "transfer id")?;
-                Ok(Message::GetSplits {
-                    transfer_id: payload.get_u64_le(),
-                })
-            }
+            T_REGISTER_SQL => Ok(Message::RegisterSql {
+                transfer_id: get_u64(p, "register header")?,
+                worker: get_u32(p, "register header")?,
+                total_workers: get_u32(p, "register header")?,
+                data_addr: get_string(p)?,
+                node: get_string(p)?,
+                command: get_string(p)?,
+                splits_per_worker: get_u32(p, "k")?,
+            }),
+            T_SQL_ACK => Ok(Message::SqlAck {
+                splits_per_worker: get_u32(p, "ack")?,
+            }),
+            T_GET_SPLITS => Ok(Message::GetSplits {
+                transfer_id: get_u64(p, "transfer id")?,
+            }),
             T_SPLITS => {
-                need(payload, 4, "split count")?;
-                let n = payload.get_u32_le() as usize;
+                let n = get_u32(p, "split count")? as usize;
                 // A corrupt count must not size the allocation: every
                 // entry occupies at least its four u32 fields.
-                let mut entries = Vec::with_capacity(n.min(payload.len() / 16));
+                let mut entries = Vec::with_capacity(n.min(p.len() / 16));
                 for _ in 0..n {
-                    need(payload, 8, "split header")?;
-                    let sql_worker = payload.get_u32_le();
-                    let index_in_group = payload.get_u32_le();
-                    let data_addr = get_string(&mut payload)?;
-                    let location = get_string(&mut payload)?;
                     entries.push(SplitEntry {
-                        sql_worker,
-                        index_in_group,
-                        data_addr,
-                        location,
+                        sql_worker: get_u32(p, "split header")?,
+                        index_in_group: get_u32(p, "split header")?,
+                        data_addr: get_string(p)?,
+                        location: get_string(p)?,
                     });
                 }
                 Ok(Message::Splits { entries })
             }
-            T_REGISTER_ML => {
-                need(payload, 12, "ml header")?;
-                let transfer_id = payload.get_u64_le();
-                let ml_worker = payload.get_u32_le();
-                let node = get_string(&mut payload)?;
-                Ok(Message::RegisterMl {
-                    transfer_id,
-                    ml_worker,
-                    node,
-                })
-            }
+            T_REGISTER_ML => Ok(Message::RegisterMl {
+                transfer_id: get_u64(p, "ml header")?,
+                ml_worker: get_u32(p, "ml header")?,
+                node: get_string(p)?,
+            }),
             T_ML_ACK => Ok(Message::MlAck),
             T_DATA_HELLO => {
-                need(payload, 16, "hello")?;
-                let transfer_id = payload.get_u64_le();
-                let split_index = payload.get_u32_le();
-                let attempt = payload.get_u32_le();
-                check_wire_version(payload)?;
-                Ok(Message::DataHello {
-                    transfer_id,
-                    split_index,
-                    attempt,
-                })
+                let msg = Message::DataHello {
+                    transfer_id: get_u64(p, "hello")?,
+                    split_index: get_u32(p, "hello")?,
+                    attempt: get_u32(p, "hello")?,
+                };
+                check_wire_version(p)?;
+                Ok(msg)
             }
             T_DATA_START => {
-                need(payload, 4, "start")?;
-                let attempt = payload.get_u32_le();
-                check_wire_version(payload)?;
+                let attempt = get_u32(p, "start")?;
+                check_wire_version(p)?;
                 Ok(Message::DataStart { attempt })
             }
             T_NUMERIC_BATCH => Err(SqlmlError::Transfer(
                 "a numeric batch is read with read_data_frame, not as a message".into(),
             )),
-            T_DATA_END => {
-                need(payload, 8, "end")?;
-                Ok(Message::DataEnd {
-                    total_rows: payload.get_u64_le(),
-                })
-            }
+            T_DATA_END => Ok(Message::DataEnd {
+                total_rows: get_u64(p, "end")?,
+            }),
             T_ABORT => Ok(Message::Abort {
-                reason: get_string(&mut payload)?,
+                reason: get_string(p)?,
             }),
             other => Err(SqlmlError::Transfer(format!(
                 "unknown frame tag {other:#x}"
@@ -347,7 +314,7 @@ fn check_wire_version(rest: &[u8]) -> Result<()> {
 /// Patch the `u32` length prefix of the frame starting at `frame_start`.
 /// Fails when the payload exceeds [`MAX_FRAME`] — a frame the receive
 /// side would reject anyway must not be put on the wire.
-fn patch_frame_len<B: FrameSink>(buf: &mut B, frame_start: usize) -> Result<()> {
+fn patch_frame_len(buf: &mut [u8], frame_start: usize) -> Result<()> {
     let payload = buf.len() - frame_start - 4;
     if payload > MAX_FRAME {
         return Err(SqlmlError::FrameTooLarge(format!(
@@ -369,8 +336,7 @@ pub fn numeric_frame(columns: &[NumericColumn<'_>], rows: Range<usize>) -> Resul
     let stride: usize = columns.iter().map(NumericColumn::stride).sum();
     let mut frame =
         Vec::with_capacity(FRAME_HEADER_BYTES + 8 + columns.len() + rows.len() * stride);
-    frame.put_u32_le(0); // length placeholder
-    frame.put_u8(T_NUMERIC_BATCH);
+    frame.extend_from_slice(&[0, 0, 0, 0, T_NUMERIC_BATCH]); // length placeholder, tag
     codec::encode_numeric_frame(columns, rows, &mut frame)?;
     patch_frame_len(&mut frame, 0)?;
     Ok(frame)
@@ -670,14 +636,9 @@ mod tests {
 
     #[test]
     fn read_data_frame_leaves_the_batch_undecoded_and_reuses_scratch() {
-        let mut wire = Vec::new();
-        Message::DataStart { attempt: 1 }
-            .encode_into(&mut wire)
-            .unwrap();
+        let mut wire = Message::DataStart { attempt: 1 }.encode().unwrap();
         wire.extend(golden_frame());
-        Message::DataEnd { total_rows: 3 }
-            .encode_into(&mut wire)
-            .unwrap();
+        wire.extend(Message::DataEnd { total_rows: 3 }.encode().unwrap());
         let mut cursor = std::io::Cursor::new(wire.clone());
         let mut scratch = Vec::new();
         let start = read_data_frame(&mut cursor, &mut scratch).unwrap();
@@ -704,6 +665,71 @@ mod tests {
         assert!(read_message_with(&mut cursor, &mut scratch).is_ok());
         let err = read_message_with(&mut cursor, &mut scratch).unwrap_err();
         assert!(err.to_string().contains("read_data_frame"), "{err}");
+    }
+
+    /// Every strict prefix of every message payload is a `Transfer`
+    /// error naming the field it cuts: the payload is laid out as fields
+    /// of known length, and the error names the first field not whole.
+    #[test]
+    fn every_truncation_names_the_field_it_cuts() {
+        fn string(fields: &mut Vec<(usize, &'static str)>, s: &str) {
+            fields.push((4, "string length"));
+            fields.push((s.len(), "string body"));
+        }
+        for msg in sample_messages() {
+            let mut fields = vec![(1, "tag")];
+            match &msg {
+                Message::RegisterSql {
+                    data_addr,
+                    node,
+                    command,
+                    ..
+                } => {
+                    fields.push((16, "register header"));
+                    for s in [data_addr, node, command] {
+                        string(&mut fields, s);
+                    }
+                    fields.push((4, "k"));
+                }
+                Message::SqlAck { .. } => fields.push((4, "ack")),
+                Message::GetSplits { .. } => fields.push((8, "transfer id")),
+                Message::Splits { entries } => {
+                    fields.push((4, "split count"));
+                    for e in entries {
+                        fields.push((8, "split header"));
+                        string(&mut fields, &e.data_addr);
+                        string(&mut fields, &e.location);
+                    }
+                }
+                Message::RegisterMl { node, .. } => {
+                    fields.push((12, "ml header"));
+                    string(&mut fields, node);
+                }
+                Message::MlAck => {}
+                Message::DataHello { .. } => fields.extend([(16, "hello"), (1, "wire version")]),
+                Message::DataStart { .. } => fields.extend([(4, "start"), (1, "wire version")]),
+                Message::DataEnd { .. } => fields.push((8, "end")),
+                Message::Abort { reason } => string(&mut fields, reason),
+            }
+            let frame = msg.encode().unwrap();
+            let payload = &frame[4..];
+            assert_eq!(fields.iter().map(|f| f.0).sum::<usize>(), payload.len());
+            let mut end = 0;
+            for (len, what) in fields {
+                let start = end;
+                end += len;
+                for cut in start..end {
+                    match Message::decode(&payload[..cut]) {
+                        Err(SqlmlError::Transfer(text)) => assert_eq!(
+                            text,
+                            format!("corrupt frame: truncated {what}"),
+                            "{msg:?} cut at {cut}"
+                        ),
+                        other => panic!("{msg:?} cut at {cut}: {other:?}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

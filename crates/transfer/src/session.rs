@@ -172,12 +172,6 @@ impl StreamSession {
         })
     }
 
-    /// The session's cancellation registry (shared with the installed
-    /// `stream_transfer` UDF).
-    pub fn cancel_registry(&self) -> &Arc<CancelRegistry> {
-        &self.cancels
-    }
-
     pub fn coordinator_addr(&self) -> &str {
         self.coordinator.addr()
     }
