@@ -11,9 +11,11 @@
 //!   of the preparation query's result (`age|gender|amount|abandoned`):
 //!   job 1 collecting the recode columns' distinct values, job 2
 //!   rewriting every line with gender dummy-coded;
-//! * the SVM's gradient: one hinge subgradient round over a 220K × 4
-//!   partition on one thread (ns/row), and ten `par_rounds` rounds over
-//!   four 55K × 4 partitions, the `stream-batch` training shape.
+//! * the linear models' gradient: one round over a 220K-row partition on
+//!   one thread (ns/row) — the SVM's hinge at widths 4 and 5 (the width
+//!   `explore-session`'s wide query trains at), logistic regression's
+//!   log-loss at width 4 — and ten `par_rounds` SVM rounds over four
+//!   55K × 4 partitions, the `stream-batch` training shape.
 
 use std::ops::ControlFlow;
 
@@ -22,6 +24,7 @@ use sqlml_common::schema::{DataType, Field, Schema};
 use sqlml_common::{codec, Row, SplitMix64, Value};
 use sqlml_core::naive::recode_values;
 use sqlml_mlengine::dataset::par_rounds;
+use sqlml_mlengine::linalg::{gradient, Loss};
 use sqlml_mlengine::svm::SvmModel;
 use sqlml_mlengine::{Dataset, PartitionBlock, PartitionView};
 use sqlml_sqlengine::{Batch, Engine, EngineConfig};
@@ -173,21 +176,16 @@ fn bench_naive_jobs(c: &mut Criterion) {
     group.finish();
 }
 
-/// `partitions` blocks of `rows` standard-normal rows of width 4, each
-/// with a fair {0, 1} label.
-fn svm_data(partitions: usize, rows: usize) -> Dataset {
+/// `partitions` blocks of `rows` standard-normal rows of width `dim`,
+/// each with a fair {0, 1} label.
+fn linear_data(partitions: usize, rows: usize, dim: usize) -> Dataset {
     let mut rng = SplitMix64::new(100);
     let blocks = (0..partitions).map(|_| {
         let mut block = PartitionBlock::new(Some(0));
+        let mut row = vec![0.0; 1 + dim];
         for _ in 0..rows {
-            let label = if rng.chance(0.5) { 1.0 } else { 0.0 };
-            let row = [
-                label,
-                rng.next_gaussian(),
-                rng.next_gaussian(),
-                rng.next_gaussian(),
-                rng.next_gaussian(),
-            ];
+            row[0] = if rng.chance(0.5) { 1.0 } else { 0.0 };
+            row[1..].iter_mut().for_each(|x| *x = rng.next_gaussian());
             block.push_row(&row).unwrap();
         }
         block
@@ -195,18 +193,33 @@ fn svm_data(partitions: usize, rows: usize) -> Dataset {
     Dataset::from_blocks(blocks.collect()).unwrap()
 }
 
-fn bench_svm_gradient(c: &mut Criterion) {
+fn bench_linear_gradient(c: &mut Criterion) {
     let model = SvmModel {
         weights: vec![0.8, -0.6, 0.4, 0.2],
         intercept: 0.1,
     };
-    let one = svm_data(1, 220_000);
-    let four = svm_data(4, 55_000);
+    let wide = SvmModel {
+        weights: vec![0.8, -0.6, 0.4, 0.2, -0.3],
+        intercept: 0.1,
+    };
+    let one = linear_data(1, 220_000, 4);
+    let one_wide = linear_data(1, 220_000, 5);
+    let four = linear_data(4, 55_000, 4);
     let n = four.num_points() as f64;
     let mut group = c.benchmark_group("hotpath");
     group.throughput(Throughput::Elements(220_000));
     group.bench_function("svm_gradient_round_220k_x_4", |b| {
         b.iter(|| model.hinge_subgradient(black_box(&one).partition(0)))
+    });
+    group.bench_function("svm_gradient_round_220k_x_5", |b| {
+        b.iter(|| wide.hinge_subgradient(black_box(&one_wide).partition(0)))
+    });
+    group.bench_function("logreg_gradient_round_220k_x_4", |b| {
+        b.iter(|| {
+            let part = black_box(&one).partition(0);
+            let (w, b) = (&model.weights, model.intercept);
+            gradient(Loss::Logistic, w, b, part.features(), part.labels())
+        })
     });
     // Ten full-batch rounds, each a step on the summed gradient: rows
     // visited = 10 × 220K.
@@ -238,6 +251,6 @@ fn bench_svm_gradient(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_join, bench_fusion, bench_recode_apply, bench_naive_jobs, bench_svm_gradient
+    targets = bench_join, bench_fusion, bench_recode_apply, bench_naive_jobs, bench_linear_gradient
 }
 criterion_main!(benches);

@@ -6,7 +6,7 @@ use std::ops::ControlFlow;
 use sqlml_common::{Result, SqlmlError};
 
 use crate::dataset::{par_rounds, Dataset};
-use crate::linalg::{axpy, dot, linear_gradient};
+use crate::linalg::{axpy, dot, gradient, Loss};
 
 /// A trained linear regressor `ŷ = w·x + b`.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,23 +48,23 @@ impl LinRegTrainer {
             self.iterations,
             self.step_size,
             self.reg_param,
-            |margin, label| margin - label,
+            Loss::Squared,
         );
         Ok(LinRegModel { weights, intercept })
     }
 }
 
 /// Full-batch gradient descent on a linear model `w·x + b` from zero:
-/// each round every partition sums `err(w·x + b, label)` times `x` (and
-/// `err` itself) over its rows, and the partials, summed in partition
-/// order, take one L2-regularised step. Shared by the least-squares and
-/// logistic trainers; returns the weights and the intercept.
+/// each round every partition sums its rows' `loss` gradient, and the
+/// partials, summed in partition order, take one L2-regularised step.
+/// Shared by the least-squares and logistic trainers; returns the
+/// weights and the intercept.
 pub(crate) fn descend(
     data: &Dataset,
     iterations: usize,
     step_size: f64,
     reg_param: f64,
-    err: impl Fn(f64, f64) -> f64 + Sync,
+    loss: Loss,
 ) -> (Vec<f64>, f64) {
     let dim = data.dim();
     let n = data.num_points() as f64;
@@ -76,11 +76,7 @@ pub(crate) fn descend(
     par_rounds(
         data,
         zero,
-        |(w, b), part| {
-            linear_gradient(w, *b, part.features(), part.labels(), |margin, label| {
-                (true, err(margin, label))
-            })
-        },
+        |(w, b), part| gradient(loss, w, *b, part.features(), part.labels()),
         |(w, b), partials| {
             let mut gw = vec![0.0; dim];
             let mut gb = 0.0;

@@ -4,7 +4,7 @@
 use sqlml_common::Result;
 
 use crate::dataset::{train_binary_linear, Dataset, Labels};
-use crate::linalg::{dot, sigmoid};
+use crate::linalg::{dot, sigmoid, Loss};
 use crate::linreg::descend;
 
 /// A trained logistic-regression model with labels {0, 1}.
@@ -61,8 +61,13 @@ impl LogRegTrainer {
     /// only reference to its blocks, on copies otherwise.
     pub(crate) fn train_labelled(&self, data: Dataset, labels: Labels) -> Result<LogRegModel> {
         let train_raw = |data: &Dataset| {
-            let loss = |margin: f64, label: f64| sigmoid(margin) - label;
-            descend(data, self.iterations, self.step_size, self.reg_param, loss)
+            descend(
+                data,
+                self.iterations,
+                self.step_size,
+                self.reg_param,
+                Loss::Logistic,
+            )
         };
         let (weights, intercept) =
             train_binary_linear(data, "logreg", labels, self.scale_features, train_raw)?;

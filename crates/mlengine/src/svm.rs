@@ -12,7 +12,7 @@ use std::ops::ControlFlow;
 use sqlml_common::Result;
 
 use crate::dataset::{par_rounds, train_binary_linear, Dataset, Labels, PartitionView, PointRef};
-use crate::linalg::{axpy, dot, hinge, hinge_gradient};
+use crate::linalg::{axpy, dot, gradient, Loss};
 
 /// A trained linear SVM: `sign(w·x + b)` with labels {0, 1}.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,12 +32,8 @@ impl SvmModel {
     /// rows with `y·margin < 1`, where `y` is `+1` for a label above 0.5
     /// and `−1` otherwise.
     pub fn hinge_subgradient(&self, part: PartitionView<'_>) -> (Vec<f64>, f64) {
-        hinge_gradient(
-            &self.weights,
-            self.intercept,
-            part.features(),
-            part.labels(),
-        )
+        let (w, b) = (&self.weights, self.intercept);
+        gradient(Loss::Hinge, w, b, part.features(), part.labels())
     }
 
     /// Predicted class label (0.0 or 1.0).
@@ -124,7 +120,7 @@ impl SvmTrainer {
                     continue;
                 }
                 sampled += 1;
-                let (active, c) = hinge(m.margin(p.features), p.label);
+                let (active, c) = Loss::Hinge.coef(m.margin(p.features), p.label);
                 if active {
                     axpy(c, p.features, &mut gw);
                     gb += c;

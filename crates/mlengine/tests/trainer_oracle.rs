@@ -18,7 +18,7 @@ use std::hash::{Hash, Hasher};
 use sqlml_common::SplitMix64;
 use sqlml_mlengine::job::{JobConfig, JobRunner, TrainedModel, TrainingSpec};
 use sqlml_mlengine::kmeans::KMeansTrainer;
-use sqlml_mlengine::linalg::{axpy, dot, sigmoid, sq_dist};
+use sqlml_mlengine::linalg::{axpy, dot, sq_dist};
 use sqlml_mlengine::linreg::LinRegTrainer;
 use sqlml_mlengine::logreg::LogRegTrainer;
 use sqlml_mlengine::svm::SvmTrainer;
@@ -271,6 +271,18 @@ fn svm(data: &Dataset, t: &SvmTrainer) -> (Vec<f64>, f64) {
         b -= step * gb / denom;
     }
     (w, b)
+}
+
+/// The logistic sigmoid in its textbook stable form, with a branch on the
+/// sign of `z`: the oracle's own, so the library's branch-free one is
+/// checked against it rather than against itself.
+fn sigmoid(z: f64) -> f64 {
+    if z >= 0.0 {
+        1.0 / (1.0 + (-z).exp())
+    } else {
+        let e = z.exp();
+        e / (1.0 + e)
+    }
 }
 
 /// Full-batch gradient descent on `err(margin, label)`, the shape of the
