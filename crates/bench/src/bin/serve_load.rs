@@ -19,29 +19,29 @@
 //!    tenants (gold 4 / silver 2 / bronze 1), mixed strategies, routed
 //!    over the whole fleet. Every admitted query's result must match the
 //!    baseline row count for its strategy.
-//! 3. **overload + retry + deadline** — a burst against a tiny queue
-//!    forces `QueueFull` rejects; a client with a [`RetryPolicy`] rides
-//!    the backpressure out; a microsecond deadline shows a query
+//! 3. **overload + deadline** — a burst against a tiny queue forces
+//!    `QueueFull` rejects; a microsecond deadline shows a query
 //!    cancelling cleanly while the cluster stays usable.
 //! 4. **scale-out** — the same burst against 1 shard and against the
 //!    full fleet; with ≥ 2 shards, fleet goodput must be strictly
 //!    higher (shape-checked).
-//! 5. **cache affinity** — a warmed, repeated descriptor served with
-//!    cache-aware routing vs blind load routing; affinity routing must
-//!    deliver a strictly lower p95 (shape-checked).
-//! 6. `--elastic` — the elastic fleet: a burst on one template shard
+//! 5. `--elastic` — the elastic fleet: a burst on one template shard
 //!    sets the goodput bar, a second (longer) burst gets a shard joined
 //!    mid-flight via `add_shard` (goodput must recover past the bar),
 //!    and a third burst straddles a `remove_shard(Migrate)` drain —
 //!    every handle must resolve exactly once, nothing lost.
-//! 7. `--sweep` — the A8 under-load ablation grid: queue capacity ×
-//!    tenant-weight skew × shard count, every cell submitted with a
-//!    per-submit retry policy.
+//! 6. `--sweep` — the A8 under-load ablation grid: queue capacity ×
+//!    tenant-weight skew × shard count. A cell whose burst overflows its
+//!    queue counts the rejects.
+//!
+//! Whether cache-aware routing pays is not timed here: the
+//! deterministic serving-policy replay in `crates/sched/src/replay.rs`
+//! decides it over ten seeds.
 //!
 //! Run: `cargo run --release -p sqlml-bench --bin serve_load`
 //! Flags: `--queries N --inflight N --queue-cap N`
 //! `--shards N --carts N --seed N --throttle-mbps M --no-cache`
-//! `--no-cache-aware --elastic --sweep --verbose`
+//! `--elastic --sweep --verbose`
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -52,8 +52,7 @@ use sqlml_core::workload::{WorkloadScale, PREP_QUERY};
 use sqlml_core::{ClusterConfig, Pipeline, PipelineRequest, SimCluster, Strategy};
 use sqlml_dfs::DfsConfig;
 use sqlml_sched::{
-    DrainPolicy, QueryScheduler, QuerySpec, QueryStatus, RejectReason, RetryPolicy,
-    SchedulerConfig, SubmitOpts,
+    DrainPolicy, QueryScheduler, QuerySpec, QueryStatus, RejectReason, SchedulerConfig, SubmitOpts,
 };
 use sqlml_transform::TransformSpec;
 
@@ -74,7 +73,6 @@ struct Args {
     seed: u64,
     throttle_mbps: u64,
     cache: bool,
-    cache_aware: bool,
     elastic: bool,
     sweep: bool,
     verbose: bool,
@@ -91,7 +89,6 @@ impl Args {
             seed: 42,
             throttle_mbps: 2,
             cache: true,
-            cache_aware: true,
             elastic: false,
             sweep: false,
             verbose: false,
@@ -102,11 +99,6 @@ impl Args {
             match argv[i].as_str() {
                 "--no-cache" => {
                     a.cache = false;
-                    i += 1;
-                    continue;
-                }
-                "--no-cache-aware" => {
-                    a.cache_aware = false;
                     i += 1;
                     continue;
                 }
@@ -170,7 +162,6 @@ impl Args {
             max_concurrent: self.inflight,
             queue_capacity: self.queue_cap,
             enable_cache: self.cache,
-            cache_aware: self.cache && self.cache_aware,
             ..SchedulerConfig::default()
         }
     }
@@ -192,25 +183,24 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// One measured burst: submit `n` tenant-rotating queries, wait for all,
-/// return (sorted total latencies, wall time, completed, per-tenant mean
-/// *queued* latency — the fairness signal; run time would drown it).
+/// One measured burst: submit `n` tenant-rotating queries, wait for the
+/// admitted ones, return (sorted total latencies, wall time, completed,
+/// per-tenant mean *queued* latency — the fairness signal; run time would
+/// drown it). Only a `QueueFull` reject is expected, and only when
+/// `shed` allows it; the caller reads their count from the stats.
 fn run_burst(
     sched: &QueryScheduler,
     n: usize,
-    retry: Option<&RetryPolicy>,
+    shed: bool,
 ) -> (Vec<Duration>, Duration, u64, HashMap<String, Duration>) {
     let t0 = Instant::now();
     let mut handles = Vec::with_capacity(n);
     for i in 0..n {
         let (tenant, _) = TENANTS[i % TENANTS.len()];
         let spec = QuerySpec::new(tenant, request(i), STRATEGIES[i % STRATEGIES.len()]);
-        let admitted = match retry {
-            Some(p) => sched.submit_opts(spec, SubmitOpts::default().with_retry(p.clone())),
-            None => sched.submit(spec),
-        };
-        match admitted {
+        match sched.submit(spec) {
             Ok(h) => handles.push(h),
+            Err(r) if shed && matches!(r.reason, RejectReason::QueueFull { .. }) => {}
             Err(r) => panic!("burst query {i} rejected: {r}"),
         }
     }
@@ -251,18 +241,13 @@ fn main() {
         .expect("shard fleet");
     println!(
         "serve_load: {} shards, {} queries, {} executors/shard, queue cap {}, \
-         throttle {} MB/s/shard, cache {}, cache-aware {}\n",
+         throttle {} MB/s/shard, cache {}\n",
         fleet.len(),
         args.queries,
         args.inflight,
         args.queue_cap,
         args.throttle_mbps,
         if args.cache { "on" } else { "off" },
-        if args.cache && args.cache_aware {
-            "on"
-        } else {
-            "off"
-        },
     );
 
     // --- phase 1: sequential baseline on shard 0 ----------------------
@@ -358,12 +343,11 @@ fn main() {
     }
     sched.shutdown();
 
-    // --- phase 3: overload rejects + client retry + deadline ----------
+    // --- phase 3: overload rejects + deadline --------------------------
     let tiny = QueryScheduler::builder(SchedulerConfig {
         max_concurrent: 1,
         queue_capacity: 4,
         enable_cache: args.cache,
-        cache_aware: args.cache && args.cache_aware,
         ..SchedulerConfig::default()
     })
     .cluster(Arc::clone(&fleet[0]))
@@ -386,25 +370,10 @@ fn main() {
     if let Some(r) = rejects.first() {
         println!("  sample reject: {r}");
     }
-    // The same pressure, ridden out by a retrying client.
-    let retry_policy = RetryPolicy {
-        max_attempts: 50,
-        base: Duration::from_millis(20),
-        cap: Duration::from_millis(500),
-        jitter: 0.5,
-        seed: args.seed,
-    };
-    let t_retry = Instant::now();
-    let retried = tiny
-        .submit_opts(
-            QuerySpec::new("burst", request(0), Strategy::InSql),
-            SubmitOpts::default().with_retry(retry_policy.clone()),
-        )
-        .expect("retrying client should outlast the backlog");
-    let retry_wait = t_retry.elapsed();
-    let retried_ok = retried.wait().as_ref().is_ok();
-    println!("  retrying client: admitted after {retry_wait:?} of backoff, completed {retried_ok}");
-
+    // The backlog drains; the queue has room again.
+    for h in admitted {
+        let _ = h.wait();
+    }
     let doomed = tiny
         .submit(
             QuerySpec::new("deadline", request(0), Strategy::InSqlStream)
@@ -425,9 +394,6 @@ fn main() {
         .submit(QuerySpec::new("burst", request(0), Strategy::InSql))
         .expect("post-overload admit");
     let after_ok = after.wait().as_ref().is_ok();
-    for h in admitted {
-        let _ = h.wait();
-    }
     tiny.shutdown();
 
     // --- phase 4: scale-out, 1 shard vs the fleet ---------------------
@@ -440,20 +406,19 @@ fn main() {
             max_concurrent: args.inflight,
             queue_capacity: args.queue_cap.max(args.queries),
             enable_cache: false,
-            cache_aware: false,
             ..SchedulerConfig::default()
         };
         let solo = QueryScheduler::builder(scale_cfg.clone())
             .cluster(Arc::clone(&fleet[0]))
             .build()
             .expect("solo scheduler");
-        let (_, solo_wall, solo_done, _) = run_burst(&solo, args.queries, None);
+        let (_, solo_wall, solo_done, _) = run_burst(&solo, args.queries, false);
         solo.shutdown();
         let full = QueryScheduler::builder(scale_cfg)
             .clusters(fleet.clone())
             .build()
             .expect("fleet scheduler");
-        let (_, fleet_wall, fleet_done, _) = run_burst(&full, args.queries, None);
+        let (_, fleet_wall, fleet_done, _) = run_burst(&full, args.queries, false);
         full.shutdown();
         solo_gp = goodput(solo_done, solo_wall);
         fleet_gp = goodput(fleet_done, fleet_wall);
@@ -471,70 +436,7 @@ fn main() {
         );
     }
 
-    // --- phase 5: cache-aware routing vs blind routing ----------------
-    // One warmed descriptor, repeated: affinity routing keeps repeats on
-    // the warm shard (near-free cached runs); blind routing scatters
-    // them, paying a cold full run per shard it touches.
-    let mut affinity_holds = true;
-    let (mut aware_p95, mut blind_p95) = (Duration::ZERO, Duration::ZERO);
-    if args.shards >= 2 && args.cache {
-        let repeats = 12;
-        let mut p95s = Vec::new();
-        for aware in [true, false] {
-            let cfg = SchedulerConfig {
-                max_concurrent: args.inflight,
-                queue_capacity: args.queue_cap.max(repeats + 1),
-                enable_cache: true,
-                cache_aware: aware,
-                ..SchedulerConfig::default()
-            };
-            let sched = QueryScheduler::builder(cfg)
-                .clusters(fleet.clone())
-                .build()
-                .expect("affinity scheduler");
-            // Warm exactly one shard's cache.
-            let warm = sched
-                .submit(QuerySpec::new("t", request(0), Strategy::InSqlStream))
-                .expect("warmup admits");
-            assert!(warm.wait().as_ref().is_ok(), "warmup failed");
-            let t = Instant::now();
-            let handles: Vec<_> = (0..repeats)
-                .map(|_| {
-                    sched
-                        .submit(QuerySpec::new("t", request(0), Strategy::InSqlStream))
-                        .expect("repeat admits")
-                })
-                .collect();
-            let mut lats: Vec<Duration> = handles
-                .iter()
-                .map(|h| {
-                    assert!(h.wait().as_ref().is_ok(), "repeat failed");
-                    h.latency().expect("finished").total
-                })
-                .collect();
-            let wall = t.elapsed();
-            lats.sort();
-            let p95 = percentile(&lats, 95.0);
-            let s = sched.stats();
-            let hits: u64 = s.per_cluster.iter().map(|c| c.cache_affinity_hits).sum();
-            println!(
-                "{}cache routing {:5}: {} repeats p50 {:?} p95 {:?} wall {:?} affinity hits {}",
-                if aware { "\n" } else { "" },
-                if aware { "aware" } else { "blind" },
-                repeats,
-                percentile(&lats, 50.0),
-                p95,
-                wall,
-                hits
-            );
-            p95s.push(p95);
-            sched.shutdown();
-        }
-        (aware_p95, blind_p95) = (p95s[0], p95s[1]);
-        affinity_holds = aware_p95 < blind_p95;
-    }
-
-    // --- phase 6: elastic fleet — join mid-burst, drain under load ----
+    // --- phase 5: elastic fleet — join mid-burst, drain under load ----
     // Cache off so goodput tracks aggregate bandwidth/executors, the
     // resource a joined shard actually adds.
     let mut elastic_recovers = true;
@@ -544,7 +446,6 @@ fn main() {
             max_concurrent: args.inflight,
             queue_capacity: args.queue_cap.max(3 * args.queries),
             enable_cache: false,
-            cache_aware: false,
             ..SchedulerConfig::default()
         };
         let sched = QueryScheduler::builder(elastic_cfg)
@@ -554,7 +455,7 @@ fn main() {
             .expect("elastic scheduler");
 
         // Burst A: the 1-shard goodput bar.
-        let (_, wall_a, done_a, _) = run_burst(&sched, args.queries, None);
+        let (_, wall_a, done_a, _) = run_burst(&sched, args.queries, false);
         let gp_solo = goodput(done_a, wall_a);
 
         // Burst B: 3x the load, with a shard joined after the first
@@ -649,19 +550,12 @@ fn main() {
     // --- A8 sweep: queue cap × skew × shards --------------------------
     if args.sweep {
         println!(
-            "\nA8 sweep (queue cap x tenant skew x shards), {} queries/cell, per-submit retry:",
+            "\nA8 sweep (queue cap x tenant skew x shards), {} queries/cell, overflow shed:",
             args.queries
         );
         println!(
-            " shards    qcap    skew   goodput(q/s)   p95(ms)   attempts-rej   gold/bronze queue wait"
+            " shards    qcap    skew   goodput(q/s)   p95(ms)   rejected   gold/bronze queue wait"
         );
-        let retry = RetryPolicy {
-            max_attempts: 200,
-            base: Duration::from_millis(20),
-            cap: Duration::from_millis(500),
-            jitter: 0.5,
-            seed: args.seed,
-        };
         for shard_count in [1usize, args.shards.max(2)] {
             let cell_fleet: Vec<Arc<SimCluster>> = fleet[..shard_count.min(fleet.len())].to_vec();
             for qcap in [4usize, 64] {
@@ -676,14 +570,13 @@ fn main() {
                     for ((tenant, _), w) in TENANTS.iter().zip(weights) {
                         sched.set_tenant_weight(tenant, w);
                     }
-                    let (lats, wall, completed, means) =
-                        run_burst(&sched, args.queries, Some(&retry));
+                    let (lats, wall, completed, means) = run_burst(&sched, args.queries, true);
                     let stats = sched.stats();
                     let gold = means.get("gold").copied().unwrap_or_default();
                     let bronze = means.get("bronze").copied().unwrap_or_default();
                     let ratio = gold.as_secs_f64() / bronze.as_secs_f64().max(f64::EPSILON);
                     println!(
-                        " {:>6}  {:>6}  {:>6}   {:>11.2}  {:>8}   {:>12}   {:>21.2}",
+                        " {:>6}  {:>6}  {:>6}   {:>11.2}  {:>8}   {:>8}   {:>21.2}",
                         shard_count,
                         qcap,
                         skew_label,
@@ -715,9 +608,6 @@ fn main() {
         ),
         queue_full > 0 && queue_full == rejects.len(),
     ) & check_shape(
-        "a retrying client was admitted after backoff and completed",
-        retried_ok,
-    ) & check_shape(
         "a 1µs deadline cancelled cleanly",
         deadline_cancelled && doomed_result.as_ref().is_err(),
     ) & check_shape(
@@ -732,14 +622,6 @@ fn main() {
             ),
             scaleout_holds,
         );
-        if args.cache {
-            ok &= check_shape(
-                &format!(
-                    "cache-aware routing beats blind routing on p95 ({aware_p95:?} vs {blind_p95:?})"
-                ),
-                affinity_holds,
-            );
-        }
     }
     if args.elastic {
         ok &= check_shape(

@@ -74,6 +74,10 @@ pub struct SimCluster {
 }
 
 impl SimCluster {
+    /// Boot the cluster and register the `stream_transfer` UDF with its
+    /// engine, once, with no fault injector. A caller that wants faults
+    /// re-registers it through [`StreamSession::install_udf`]; building a
+    /// [`crate::Pipeline`] afterwards keeps that injector.
     pub fn start(config: ClusterConfig) -> Result<SimCluster> {
         let nodes: Vec<String> = (0..config.dfs.num_datanodes)
             .map(sqlml_dfs::node_name)
@@ -84,13 +88,17 @@ impl SimCluster {
             nodes: nodes.clone(),
         });
         let stream = StreamSession::start()?;
-        Ok(SimCluster {
+        let cluster = SimCluster {
             config,
             dfs,
             engine,
             stream,
             nodes,
-        })
+        };
+        cluster
+            .stream
+            .install_udf(&cluster.engine, &cluster.stream_config(), None);
+        Ok(cluster)
     }
 
     /// The ML job layout for this cluster.

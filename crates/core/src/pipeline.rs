@@ -129,9 +129,6 @@ impl<'c> Pipeline<'c> {
     }
 
     fn with_rewriter(cluster: &'c SimCluster, rewriter: QueryRewriter) -> Pipeline<'c> {
-        cluster
-            .stream
-            .install_udf(&cluster.engine, &cluster.stream_config(), None);
         Pipeline { cluster, rewriter }
     }
 

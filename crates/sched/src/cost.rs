@@ -1,95 +1,76 @@
-//! The cache-aware WFQ cost model, in one place. The unit is the worker
-//! slots a strategy occupies ([`slot_cost`]); admission charges it
-//! discounted by what the §5 cache probe predicts, a drain migration
-//! re-prices it against the adopting shard, and after the run the cost
-//! the actual [`CacheMode`] implies is settled back, so a misprediction
-//! never compounds. [`Charge`] carries one job through all three.
+//! The cache-aware WFQ cost model and the placement step that applies
+//! it, in one place. The unit is the worker slots a strategy occupies
+//! ([`slot_cost`]). [`place`] routes a request and prices it on the shard
+//! it lands on, discounted when that shard's §5 cache holds the
+//! request's full result. [`Charge`] carries the price with the job.
+//! Admission, drain migration and the serving-policy replay all place
+//! through [`place`].
 
 use sqlml_cache::CacheProbe;
-use sqlml_core::{CacheMode, SimCluster, Strategy};
+use sqlml_core::{ClusterConfig, Strategy};
 
-/// WFQ cost multiplier for a query expected (or measured) to enjoy a
-/// §5.1 full-result reuse: the run collapses to one SELECT over a
-/// materialization, so charging full slot cost would let WFQ starve the
-/// cluster of its cheapest, most profitable work.
+use crate::router::{Placement, ShardLoad, ShardRouter};
+
+/// WFQ cost multiplier for a query expected to enjoy a §5.1 full-result
+/// reuse: the run collapses to one SELECT over a materialization, so
+/// charging full slot cost would let WFQ starve the cluster of its
+/// cheapest, most profitable work. A §5.2 map reuse is charged in full:
+/// it still runs the prep query and pass 2.
 pub const FULL_DISCOUNT: f64 = 0.1;
-/// WFQ cost multiplier under §5.2 recode-map reuse (one of recoding's
-/// two passes is skipped; the prep query still runs).
-pub const MAP_DISCOUNT: f64 = 0.5;
 
 /// The WFQ cost multiplier a probe outcome predicts.
 pub fn probe_discount(probe: CacheProbe) -> f64 {
     match probe {
         CacheProbe::Full => FULL_DISCOUNT,
-        CacheProbe::RecodeMap => MAP_DISCOUNT,
-        CacheProbe::Miss => 1.0,
+        CacheProbe::RecodeMap | CacheProbe::Miss => 1.0,
     }
 }
 
 /// Worker slots a strategy occupies on a cluster: streaming holds the
 /// SQL and ML sides live simultaneously; staged strategies hold one side
 /// at a time, so their footprint is the wider of the two.
-pub(crate) fn slot_cost(cluster: &SimCluster, strategy: Strategy) -> usize {
-    let sql = cluster.config.sql_workers.max(1);
-    let ml = cluster.config.ml_workers.max(1);
-    match strategy {
+pub(crate) fn slot_cost(config: &ClusterConfig, strategy: Strategy) -> f64 {
+    let sql = config.sql_workers.max(1);
+    let ml = config.ml_workers.max(1);
+    let slots = match strategy {
         Strategy::Naive | Strategy::InSql => sql.max(ml),
         Strategy::InSqlStream => sql + ml,
-    }
+    };
+    slots as f64
 }
 
 /// What one queued job costs its tenant on the queue it waits in.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Charge {
     /// Undiscounted slot cost, the unit of the WFQ cost model.
-    base: f64,
-    /// What the queue charged the tenant's virtual clock.
-    pub est: f64,
-    /// `SchedulerConfig::cache_aware`; off = full cost, never settled
-    /// (the ablation baseline).
-    cache_aware: bool,
+    pub base: f64,
+    /// The cache reuse the job's shard offered when it was placed there.
+    pub affinity: CacheProbe,
 }
 
 impl Charge {
-    /// The charge for placing a `strategy` query on `cluster` with the
-    /// cache affinity the router found there.
-    pub fn new(
-        cluster: &SimCluster,
-        strategy: Strategy,
-        affinity: CacheProbe,
-        cache_aware: bool,
-    ) -> Charge {
-        let base = slot_cost(cluster, strategy) as f64;
-        let mut charge = Charge {
+    /// What the queue charges the tenant's virtual clock.
+    pub fn est(&self) -> f64 {
+        self.base * probe_discount(self.affinity)
+    }
+}
+
+/// Route one request over the fleet's `loads` and price it on the shard
+/// it lands on: `base` slot cost, discounted by the cache reuse that
+/// shard offers. `None` means no live shard exists.
+pub(crate) fn place(
+    router: &ShardRouter,
+    loads: &[ShardLoad],
+    base: f64,
+) -> Option<(Placement, Charge)> {
+    let placement = router.place(loads)?;
+    Some((
+        placement,
+        Charge {
             base,
-            est: base,
-            cache_aware,
-        };
-        charge.restamp(affinity);
-        charge
-    }
-
-    /// Re-price against the adopting shard's cache affinity (drain
-    /// migration: the old affinity died with the departing shard).
-    pub fn restamp(&mut self, affinity: CacheProbe) {
-        if self.cache_aware {
-            self.est = self.base * probe_discount(affinity);
-        }
-    }
-
-    /// The measured cost to settle back onto the tenant's clock, when it
-    /// differs from the estimate that was charged.
-    pub fn settlement(&self, measured: CacheMode) -> Option<f64> {
-        // The same discounts, keyed by what the pipeline reports it
-        // actually reused.
-        let cost = self.base
-            * probe_discount(match measured {
-                CacheMode::FullResult => CacheProbe::Full,
-                CacheMode::RecodeMap => CacheProbe::RecodeMap,
-                CacheMode::None => CacheProbe::Miss,
-            });
-        (self.cache_aware && (cost - self.est).abs() > f64::EPSILON).then_some(cost)
-    }
+            affinity: placement.affinity,
+        },
+    ))
 }
 
 #[cfg(test)]
@@ -97,9 +78,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn discounts_order_by_reuse_quality() {
-        assert!(probe_discount(CacheProbe::Full) < probe_discount(CacheProbe::RecodeMap));
-        assert!(probe_discount(CacheProbe::RecodeMap) < probe_discount(CacheProbe::Miss));
+    fn only_a_full_result_hit_is_discounted() {
+        assert_eq!(probe_discount(CacheProbe::Full), FULL_DISCOUNT);
+        assert_eq!(probe_discount(CacheProbe::RecodeMap), 1.0);
         assert_eq!(probe_discount(CacheProbe::Miss), 1.0);
     }
 }

@@ -53,9 +53,8 @@ impl QueryScheduler {
     /// [`crate::RejectReason::Draining`]), dispose of its backlog per
     /// `policy`, close its queue, join its executor threads, and
     /// unregister it. In-flight runs finish normally on the departing
-    /// shard, and their WFQ costs settle onto its queue. A cancel racing
-    /// the drain resolves its handle exactly once — the migration path
-    /// skips already-finalized jobs.
+    /// shard. A cancel racing the drain resolves its handle exactly once
+    /// — the migration path skips already-finalized jobs.
     ///
     /// Refuses to drain the last live shard (there would be nowhere to
     /// migrate, and a fleet of zero cannot serve).
@@ -93,12 +92,11 @@ impl QueryScheduler {
     /// Lift the draining shard's backlog out in WFQ order and re-admit
     /// each job onto a live peer. Every job re-probes the surviving
     /// caches (its old affinity died with the departing shard) and its
-    /// WFQ charge is re-stamped for the adopter, whose executor settles
-    /// the measured cost on the queue that charged the new estimate.
-    /// Force-push bypasses the peer's capacity bound — an admitted query
-    /// is never bounced back to the client — but a peer that closed
-    /// mid-migration hands the job back and a fresh snapshot picks
-    /// another. Returns how many jobs moved.
+    /// WFQ charge is re-priced for the adopter. Force-push bypasses the
+    /// peer's capacity bound — an admitted query is never bounced back to
+    /// the client — but a peer that closed mid-migration hands the job
+    /// back and a fresh snapshot picks another. Returns how many jobs
+    /// moved.
     fn migrate_queued(&self, from: &Arc<ShardEntry<Job>>) -> usize {
         let mut moved = 0;
         'jobs: for mut job in from.queue.drain_now() {
@@ -109,19 +107,21 @@ impl QueryScheduler {
             }
             for _ in 0..MIGRATE_RETRIES {
                 let snap = self.registry.snapshot();
-                let Some((target, affinity)) =
-                    self.place(&snap, job.descriptor.as_ref(), &job.request)
-                else {
+                let Some((target, charge)) = self.place(
+                    &snap,
+                    job.descriptor.as_ref(),
+                    &job.request,
+                    job.charge.base,
+                ) else {
                     break;
                 };
-                job.charge.restamp(affinity);
+                job.charge = charge;
                 let shared = Arc::clone(&job.shared);
-                let charge = job.charge;
-                match target.queue.force_push(&shared.tenant, charge.est, job) {
+                match target.queue.force_push(&shared.tenant, charge.est(), job) {
                     Ok(_) => {
                         shared.migrated.store(true, Ordering::Relaxed);
                         target.counters.migrated_in.fetch_add(1, Ordering::Relaxed);
-                        if affinity != CacheProbe::Miss {
+                        if charge.affinity != CacheProbe::Miss {
                             target
                                 .counters
                                 .affinity_hits

@@ -42,8 +42,7 @@ impl QueryScheduler {
 
 /// Execute one admitted query on this worker thread of shard `me`, the
 /// shard whose queue admitted it (or, after a drain migration, adopted
-/// it): check the deadline, claim it, run it, settle its measured WFQ
-/// cost onto `me`'s queue, and finalize its handle.
+/// it): check the deadline, claim it, run it, and finalize its handle.
 fn run_one(pipeline: &Pipeline<'_>, me: &ShardEntry<Job>, stats: &Stats, job: Job) {
     let shared = Arc::clone(&job.shared);
     // A query whose deadline passed while it was queued never starts.
@@ -60,15 +59,6 @@ fn run_one(pipeline: &Pipeline<'_>, me: &ShardEntry<Job>, stats: &Stats, job: Jo
     me.running.fetch_add(1, Ordering::Relaxed);
     let result = pipeline.run_with(&job.request, shared.strategy, &shared.cancel);
     me.running.fetch_sub(1, Ordering::Relaxed);
-    // Settle the measured WFQ cost back onto the tenant's virtual clock
-    // at this queue, where admission (or drain migration) charged the
-    // estimate.
-    if let Ok(report) = &result {
-        if let Some(measured) = job.charge.settlement(report.cache_use) {
-            me.queue.settle(&shared.tenant, job.charge.est, measured);
-            stats.cost_settlements.fetch_add(1, Ordering::Relaxed);
-        }
-    }
     finalize(&shared, stats, result);
 }
 

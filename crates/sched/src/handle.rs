@@ -72,7 +72,7 @@ pub(crate) struct QueryShared {
 
 impl QueryShared {
     /// A freshly admitted query: `Queued`, its clock started at
-    /// `submitted` (the first admission attempt, retries included).
+    /// `submitted` (the `submit` call).
     pub fn new(
         id: u64,
         tenant: &str,
@@ -289,8 +289,7 @@ pub(crate) struct Job {
     /// migration can re-probe the surviving shards' caches before the
     /// job travels.
     pub descriptor: Option<QueryDescriptor>,
-    /// What the queue holding this job charged its tenant; the shard
-    /// that pops it settles the measured cost there.
+    /// What the queue holding this job charged its tenant.
     pub charge: Charge,
 }
 

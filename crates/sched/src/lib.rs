@@ -8,17 +8,14 @@
 //!
 //! * a **bounded admission queue** per shard with backpressure — a full
 //!   queue (or an invalid request) is rejected immediately with a typed
-//!   [`RejectReason`], never silently dropped or unboundedly buffered —
-//!   plus an opt-in client-side [`RetryPolicy`] (bounded exponential
-//!   backoff + jitter, deadline-aware give-up) for riding out transient
-//!   `QueueFull` rejects;
+//!   [`RejectReason`], never silently dropped or unboundedly buffered.
+//!   What to do with a `QueueFull` reject (shed, back off, surface it)
+//!   is the caller's choice;
 //! * **weighted fair scheduling** across tenants: virtual-finish-time
 //!   stamps (WFQ) so a tenant with weight 2 drains twice as fast as one
 //!   with weight 1, and no tenant starves behind another's burst. The
-//!   cost model is **cache-aware**: a query the §5 cache probe predicts
-//!   will be (nearly) free is admitted at a discounted cost, and the
-//!   *measured* cost is settled back onto the tenant's virtual clock
-//!   after the run, so mispredictions never compound;
+//!   cost model is **cache-aware**: a query placed on a shard whose §5
+//!   cache holds its full result is admitted at a tenth of its cost;
 //! * a **shard router** ([`ShardRouter`]) placing each admitted query on
 //!   one of N replicated-warehouse shards by a score combining queue
 //!   depth, busy executors, and cache affinity (probed via the
@@ -41,8 +38,11 @@
 //! * an **elastic fleet**: shards join ([`QueryScheduler::add_shard`])
 //!   and leave ([`QueryScheduler::remove_shard`]) at runtime behind an
 //!   epoch-versioned registry, with a two-phase drain that migrates or
-//!   drains queued work and settles WFQ costs before the shard's
-//!   executors are joined.
+//!   drains queued work before the shard's executors are joined.
+//!
+//! Which of these policies pay is decided on a deterministic replay of
+//! the `serve-mix` workload (the `replay` test module), not by switches
+//! in the product.
 //!
 //! Schedulers are built with [`SchedulerBuilder`]:
 //!
@@ -95,17 +95,18 @@ mod executor;
 mod handle;
 pub mod queue;
 mod registry;
-pub mod retry;
 pub mod router;
 pub mod scheduler;
 mod stats;
 
 pub use admission::{QuerySpec, SubmitOpts};
-pub use cost::{probe_discount, FULL_DISCOUNT, MAP_DISCOUNT};
+pub use cost::{probe_discount, FULL_DISCOUNT};
 pub use drain::{DrainPolicy, ShardRemoval};
 pub use handle::{QueryHandle, QueryLatency, QueryStatus};
 pub use queue::{FairQueue, RejectReason, Rejected};
-pub use retry::{retry_queue_full, Clock, RetryPolicy, SystemClock};
 pub use router::{Placement, ShardLoad, ShardRouter};
 pub use scheduler::{QueryScheduler, SchedulerBuilder, SchedulerConfig, ShardTemplate};
 pub use stats::{ClusterCounters, SchedStatsSnapshot, ShardStat};
+
+#[cfg(test)]
+mod replay;

@@ -26,8 +26,7 @@ pub enum RejectReason {
     ShuttingDown,
     /// The targeted shard is draining out of the fleet (`remove_shard`
     /// in progress). Transient from the fleet's point of view: an
-    /// unpinned resubmission lands on a live peer, so retry policies
-    /// treat this like `QueueFull`.
+    /// unpinned resubmission lands on a live peer.
     Draining { shard: usize },
     /// The request failed upfront validation (bad SQL, bad ML command).
     Invalid(String),
@@ -201,22 +200,6 @@ impl<T> FairQueue<T> {
         }
     }
 
-    /// Stamp a measured-vs-estimated cost correction back onto a tenant
-    /// (§WFQ discounts): admission charged `estimated` into the tenant's
-    /// virtual finish time; once the run completes the scheduler knows
-    /// what the query really cost and settles the difference, so a tenant
-    /// whose "cached, near-free" prediction was wrong pays full freight
-    /// on its *next* stamp and virtual time stays consistent. Stamps of
-    /// already-queued items are left alone (WFQ order is never reshuffled
-    /// retroactively); negative corrections are floored at zero.
-    pub fn settle(&self, tenant: &str, estimated: f64, measured: f64) {
-        let mut st = self.state.lock();
-        if let Some(t) = st.tenants.get_mut(tenant) {
-            let delta = (measured - estimated) / f64::from(t.weight.max(1));
-            t.last_finish = (t.last_finish + delta).max(0.0);
-        }
-    }
-
     /// Pop the globally smallest-stamped item, advancing virtual time;
     /// tenant name breaks stamp ties deterministically.
     fn take_best(st: &mut State<T>) -> Option<T> {
@@ -348,25 +331,6 @@ mod tests {
         assert_eq!(popper.join().unwrap(), None);
     }
 
-    #[test]
-    fn settle_charges_the_next_stamp_not_queued_ones() {
-        let q = FairQueue::new(100);
-        // "disc" is admitted at an optimistic 0.1 estimate; "full" at 1.0.
-        q.push("disc", 0.1, "d0").unwrap();
-        q.push("full", 1.0, "f0").unwrap();
-        // The run turns out to cost full freight: settle the difference.
-        q.settle("disc", 0.1, 1.0);
-        // Already-queued stamps are untouched: d0 (0.1) still beats f0.
-        assert_eq!(q.pop(), Some("d0"));
-        // But the tenant's virtual clock advanced: its next admission is
-        // stamped behind a fresh full-cost item from the other tenant.
-        q.push("disc", 0.1, "d1").unwrap(); // last_finish 1.0 + 0.1 = 1.1
-        assert_eq!(q.pop(), Some("f0")); // stamp 1.0 < 1.1
-        assert_eq!(q.pop(), Some("d1"));
-        // Settling an unknown tenant is a no-op, not a panic.
-        q.settle("ghost", 0.1, 1.0);
-    }
-
     /// Property (satellite): a tenant submitting discounted (cache-hit)
     /// queries must not starve a full-cost tenant, over random arrival
     /// orders. WFQ bounds the damage analytically: with costs 0.1 vs 1.0
@@ -413,45 +377,6 @@ mod tests {
                 .filter_map(|s| s.strip_prefix('f').and_then(|n| n.parse().ok()))
                 .collect();
             assert!(fs.windows(2).all(|w| w[0] < w[1]), "seed {seed}: {fs:?}");
-        }
-    }
-
-    /// Property (satellite): when every "discounted" prediction is wrong
-    /// and the scheduler settles full cost back after each pop, service
-    /// converges to ~1:1 — the optimistic estimates cannot compound into
-    /// a standing advantage.
-    #[test]
-    fn settled_mispredictions_converge_to_fair_service() {
-        use sqlml_common::SplitMix64;
-        for seed in 0..10u64 {
-            let mut rng = SplitMix64::new(0x5E77_1E00 + seed);
-            let q = FairQueue::new(1000);
-            // Closed-loop: each tenant keeps one item queued; "opt" is
-            // admitted at 0.1 but always measures 1.0, "full" at 1.0.
-            q.push("opt", 0.1, "o").unwrap();
-            q.push("full", 1.0, "f").unwrap();
-            let (mut opt_served, mut full_served) = (0usize, 0usize);
-            for _ in 0..200 {
-                let item = q.pop().unwrap();
-                if item == "o" {
-                    opt_served += 1;
-                    q.settle("opt", 0.1, 1.0);
-                    q.push("opt", 0.1, "o").unwrap();
-                } else {
-                    full_served += 1;
-                    q.push("full", 1.0, "f").unwrap();
-                }
-                // Jitter: occasionally let the other tenant resubmit
-                // first so arrival order is not fully deterministic.
-                if rng.next_below(4) == 0 {
-                    let _ = q.len();
-                }
-            }
-            assert!(
-                full_served >= 80,
-                "seed {seed}: settled tenant still crowded out the \
-                 full-cost one ({opt_served} vs {full_served} of 200)"
-            );
         }
     }
 

@@ -4,9 +4,10 @@
 //! score combining three signals an operator would reach for first:
 //!
 //! * **cache affinity** — a shard whose §5 cache already holds a usable
-//!   full-transform or recode-map entry for the request's descriptor
-//!   (probed cheaply via [`sqlml_cache::CacheManager::probe`]) can serve
-//!   it near-free, so it earns a large bonus;
+//!   full-transform entry for the request's descriptor (probed cheaply
+//!   via [`sqlml_cache::CacheManager::probe`]) can serve it near-free, so
+//!   it earns a large bonus. A §5.2 recode-map entry earns none: the run
+//!   still executes the prep query and pass 2;
 //! * **queue depth** — every request already waiting on a shard pushes
 //!   new work elsewhere;
 //! * **busy executors** — a shard whose executors are all running makes
@@ -37,8 +38,6 @@ use sqlml_cache::CacheProbe;
 
 /// What a full-result reuse is worth, in queue-depth units.
 const FULL_BONUS: f64 = 8.0;
-/// What a recode-map reuse is worth, in queue-depth units.
-const MAP_BONUS: f64 = 3.0;
 
 /// One shard's load signals at placement time.
 #[derive(Debug, Clone, Copy)]
@@ -61,9 +60,9 @@ pub struct ShardLoad {
 pub struct Placement {
     /// Index of the chosen shard.
     pub shard: usize,
-    /// The cache reuse the chosen shard offers. `Miss` means the
-    /// placement was load-driven; anything better is an affinity
-    /// placement, admitted at a discounted WFQ cost.
+    /// `Full` when the chosen shard holds the request's full result: an
+    /// affinity placement, admitted at a discounted WFQ cost. Otherwise
+    /// `Miss`: the placement was load-driven.
     pub affinity: CacheProbe,
 }
 
@@ -82,8 +81,7 @@ impl ShardRouter {
     fn score(load: &ShardLoad) -> f64 {
         let bonus = match load.probe {
             CacheProbe::Full => FULL_BONUS,
-            CacheProbe::RecodeMap => MAP_BONUS,
-            CacheProbe::Miss => 0.0,
+            CacheProbe::RecodeMap | CacheProbe::Miss => 0.0,
         };
         let busy = load.running as f64 / load.executors.max(1) as f64;
         bonus - load.queue_depth as f64 - busy
@@ -114,7 +112,10 @@ impl ShardRouter {
         }
         best.map(|shard| Placement {
             shard,
-            affinity: loads[shard].probe,
+            affinity: match loads[shard].probe {
+                CacheProbe::Full => CacheProbe::Full,
+                CacheProbe::RecodeMap | CacheProbe::Miss => CacheProbe::Miss,
+            },
         })
     }
 }

@@ -48,13 +48,9 @@ pub struct SchedulerConfig {
     /// unbounded). Measured from submission, so queue wait counts.
     pub default_deadline: Option<Duration>,
     /// Share one §5 [`CacheManager`] per shard across that shard's
-    /// queries.
+    /// queries. Placement and the WFQ charge read each shard's cache
+    /// through a probe, so off also means pure load routing at full cost.
     pub enable_cache: bool,
-    /// Cache-aware serving: probe shard caches for placement affinity
-    /// and admit predicted cache hits at a discounted WFQ cost (measured
-    /// cost settles back after the run). Off = pure load routing at full
-    /// cost — the ablation baseline.
-    pub cache_aware: bool,
 }
 
 impl Default for SchedulerConfig {
@@ -64,7 +60,6 @@ impl Default for SchedulerConfig {
             queue_capacity: 32,
             default_deadline: None,
             enable_cache: true,
-            cache_aware: true,
         }
     }
 }

@@ -17,7 +17,6 @@ pub(crate) struct Stats {
     pub inflight_now: AtomicUsize,
     pub inflight_hw: AtomicUsize,
     pub migrated: AtomicU64,
-    pub cost_settlements: AtomicU64,
     pub shards_added: AtomicU64,
     pub shards_removed: AtomicU64,
 }
@@ -57,8 +56,6 @@ pub struct SchedStatsSnapshot {
     pub inflight_high_water: usize,
     /// Queued jobs re-admitted onto live peers by shard drains.
     pub migrated: u64,
-    /// Measured-vs-estimated WFQ cost corrections settled after runs.
-    pub cost_settlements: u64,
     /// Shards that joined the fleet at runtime.
     pub shards_added: u64,
     /// Shards drained out of the fleet at runtime.
@@ -98,7 +95,6 @@ impl QueryScheduler {
             inflight_now: self.stats.inflight_now.load(Ordering::Relaxed),
             inflight_high_water: self.stats.inflight_hw.load(Ordering::Relaxed),
             migrated: self.stats.migrated.load(Ordering::Relaxed),
-            cost_settlements: self.stats.cost_settlements.load(Ordering::Relaxed),
             shards_added: self.stats.shards_added.load(Ordering::Relaxed),
             shards_removed: self.stats.shards_removed.load(Ordering::Relaxed),
             registry_epoch: snap.epoch(),

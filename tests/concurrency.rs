@@ -91,7 +91,6 @@ fn perturbed_cancel_while_running_on_a_peer_shard_sweep() {
         set_perturb_seed(seed);
         let sched = QueryScheduler::builder(SchedulerConfig {
             max_concurrent: 1,
-            cache_aware: false,
             enable_cache: false,
             ..SchedulerConfig::default()
         })
@@ -168,7 +167,6 @@ fn perturbed_elastic_join_leave_sweep() {
         let sched = QueryScheduler::builder(SchedulerConfig {
             max_concurrent: 1,
             queue_capacity: 16,
-            cache_aware: false,
             enable_cache: false,
             ..SchedulerConfig::default()
         })

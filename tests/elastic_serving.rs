@@ -45,7 +45,6 @@ fn plain_config() -> SchedulerConfig {
     SchedulerConfig {
         max_concurrent: 1,
         queue_capacity: 32,
-        cache_aware: false,
         enable_cache: false,
         ..SchedulerConfig::default()
     }

@@ -66,6 +66,29 @@ fn streaming_restart_protocol_is_exactly_once() {
     assert_eq!(outcome.stats.rows_ingested, expected);
 }
 
+/// A fault injector installed before the pipeline is built still fires:
+/// building a `Pipeline` must not re-register `stream_transfer` over it.
+#[test]
+fn an_injector_installed_before_the_pipeline_still_fires() {
+    let cluster = cluster();
+    let injector = Arc::new(FaultInjector::new());
+    injector.fail_worker_after(0, 50);
+    cluster.stream.install_udf(
+        &cluster.engine,
+        &cluster.stream_config(),
+        Some(Arc::clone(&injector)),
+    );
+    let pipeline = Pipeline::new(&cluster);
+    let staged = pipeline.run(&request(), Strategy::InSql).unwrap();
+    let report = pipeline.run(&request(), Strategy::InSqlStream).unwrap();
+    assert_eq!(injector.fired().len(), 1, "the injector was dropped");
+    let stats = report
+        .stream_stats
+        .expect("a streamed run reports its transfer");
+    assert_eq!(stats.max_attempts, 2, "one restart");
+    assert_eq!(report.rows_to_ml, staged.rows_to_ml, "exactly once");
+}
+
 #[test]
 fn repeated_faults_on_one_worker_eventually_succeed_within_attempt_budget() {
     let cluster = cluster();

@@ -61,7 +61,6 @@ fn sharded_results_match_the_single_cluster_baseline() {
     // of which warehouse replica served it.
     let sched = QueryScheduler::builder(SchedulerConfig {
         max_concurrent: 2,
-        cache_aware: false,
         enable_cache: false,
         ..SchedulerConfig::default()
     })
@@ -107,7 +106,6 @@ fn a_backlog_pinned_to_one_shard_runs_there_while_its_peer_idles() {
     let sched = QueryScheduler::builder(SchedulerConfig {
         max_concurrent: 1,
         // No cache: every placement is load-driven.
-        cache_aware: false,
         enable_cache: false,
         ..SchedulerConfig::default()
     })
@@ -150,7 +148,6 @@ fn a_backlog_pinned_to_one_shard_runs_there_while_its_peer_idles() {
 fn cancelling_a_query_running_on_the_second_shard_unwinds_cleanly_there() {
     let sched = QueryScheduler::builder(SchedulerConfig {
         max_concurrent: 1,
-        cache_aware: false,
         enable_cache: false,
         ..SchedulerConfig::default()
     })
@@ -209,7 +206,7 @@ fn cancelling_a_query_running_on_the_second_shard_unwinds_cleanly_there() {
 fn cache_affinity_routes_repeats_to_the_warm_shard() {
     let sched = QueryScheduler::builder(SchedulerConfig {
         max_concurrent: 2,
-        ..SchedulerConfig::default() // cache_aware + enable_cache on
+        ..SchedulerConfig::default() // enable_cache on
     })
     .clusters(shards(2))
     .build()
